@@ -1,13 +1,11 @@
-//! Benchmark harness support for the SmartSAGE reproduction.
+//! CLI support for the SmartSAGE reproduction.
 //!
-//! The real entry points are:
-//!
-//! * the `reproduce` binary
-//!   (`cargo run --release -p smartsage-bench --bin reproduce`), which
-//!   regenerates paper tables/figures from the experiment registry
-//!   (`--list`, `--filter`, `--jobs N`, `--format text|csv|json`), and
-//! * the Criterion benches (`cargo bench`), which measure the simulator's
-//!   own kernels (sampling, cache models, pipeline, registry sweeps).
+//! The real entry point is the `reproduce` binary
+//! (`cargo run --release -p smartsage-bench --bin reproduce`), which
+//! regenerates paper tables/figures from the experiment registry
+//! (`--list`, `--filter`, `--jobs N`, `--format text|csv|json`).
+//! Wall-clock measurement lives in the standalone `benchmark/` package
+//! (`sagebench`).
 //!
 //! The set of experiment names is owned by
 //! [`smartsage_core::experiments::registry`]; this crate only re-derives

@@ -334,90 +334,12 @@ pub fn run_system(
     run_pipeline(&ctx, &pipe_cfg(scale, workers, train))
 }
 
-// ---------------------------------------------------------------------
-// Registry-backed shims (the historical free-function surface)
-// ---------------------------------------------------------------------
-
+/// Runs the registered experiment `name` (the in-crate lookup the
+/// ablations use to build on a figure's table).
 pub(crate) fn by_name(name: &str, scale: &ExperimentScale) -> Table {
     Experiment::find(name)
         .unwrap_or_else(|| panic!("experiment '{name}' is registered"))
         .run(scale)
-}
-
-/// Table I: dataset statistics (paper values, by construction).
-pub fn table1() -> Table {
-    by_name("table1", &ExperimentScale::default())
-}
-
-/// Fig 5: in-memory sampling characterization.
-pub fn fig5(scale: &ExperimentScale) -> Table {
-    by_name("fig5", scale)
-}
-
-/// Fig 6: per-stage breakdown and normalized end-to-end latency,
-/// DRAM vs SSD(mmap).
-pub fn fig6(scale: &ExperimentScale) -> Table {
-    by_name("fig6", scale)
-}
-
-/// Fig 7: GPU idle fraction under DRAM vs SSD(mmap).
-pub fn fig7(scale: &ExperimentScale) -> Table {
-    by_name("fig7", scale)
-}
-
-/// Fig 13: degree distribution before/after Kronecker expansion.
-pub fn fig13(scale: &ExperimentScale) -> Table {
-    by_name("fig13", scale)
-}
-
-/// Fig 14: single-worker neighbor-sampling speedup vs SSD(mmap).
-pub fn fig14(scale: &ExperimentScale) -> Table {
-    by_name("fig14", scale)
-}
-
-/// Fig 15: I/O command coalescing granularity sweep.
-pub fn fig15(scale: &ExperimentScale) -> Table {
-    by_name("fig15", scale)
-}
-
-/// Fig 16: multi-worker neighbor-sampling speedup vs SSD(mmap).
-pub fn fig16(scale: &ExperimentScale) -> Table {
-    by_name("fig16", scale)
-}
-
-/// Fig 17: HW/SW speedup over SW vs worker count.
-pub fn fig17(scale: &ExperimentScale) -> Table {
-    by_name("fig17", scale)
-}
-
-/// Fig 18: end-to-end training latency across all six systems.
-pub fn fig18(scale: &ExperimentScale) -> Table {
-    by_name("fig18", scale)
-}
-
-/// Fig 19: FPGA-CSD latency breakdown vs host paths.
-pub fn fig19(scale: &ExperimentScale) -> Table {
-    by_name("fig19", scale)
-}
-
-/// Fig 20: GraphSAINT end-to-end speedup.
-pub fn fig20(scale: &ExperimentScale) -> Table {
-    by_name("fig20", scale)
-}
-
-/// Fig 21: speedup sensitivity to the sampling rate.
-pub fn fig21(scale: &ExperimentScale) -> Table {
-    by_name("fig21", scale)
-}
-
-/// SSD→CPU data-movement reduction of the ISP vs the baseline (§I: ~20x).
-pub fn transfer_reduction(scale: &ExperimentScale) -> Table {
-    by_name("transfer", scale)
-}
-
-/// §VI-E: system-level energy per trained batch set.
-pub fn energy(scale: &ExperimentScale) -> Table {
-    by_name("energy", scale)
 }
 
 // ---------------------------------------------------------------------
@@ -1095,7 +1017,7 @@ mod tests {
 
     #[test]
     fn table1_has_five_rows_with_paper_values() {
-        let t = table1();
+        let t = by_name("table1", &ExperimentScale::default());
         assert_eq!(t.len(), 5);
         let s = t.to_string();
         assert!(s.contains("Reddit"));
@@ -1104,7 +1026,7 @@ mod tests {
 
     #[test]
     fn fig5_produces_rates_in_range() {
-        let t = fig5(&ExperimentScale::tiny());
+        let t = by_name("fig5", &ExperimentScale::tiny());
         assert_eq!(t.len(), 5);
         for row in t.rows() {
             for cell in &row[1..] {
@@ -1116,13 +1038,13 @@ mod tests {
 
     #[test]
     fn fig13_shows_expansion_growth() {
-        let t = fig13(&ExperimentScale::tiny());
+        let t = by_name("fig13", &ExperimentScale::tiny());
         assert!(t.len() > 4);
     }
 
     #[test]
     fn fig14_orders_systems() {
-        let t = fig14(&ExperimentScale::tiny());
+        let t = by_name("fig14", &ExperimentScale::tiny());
         // Last row is the average; check each dataset row's ordering:
         for row in &t.rows()[..t.len() - 1] {
             let sw = row[2].value().expect("sw");
@@ -1134,7 +1056,7 @@ mod tests {
 
     #[test]
     fn transfer_reduction_is_large() {
-        let t = transfer_reduction(&ExperimentScale::tiny());
+        let t = by_name("transfer", &ExperimentScale::tiny());
         let avg_row = t.rows().last().expect("avg row");
         let avg = avg_row[3].value().expect("avg");
         assert!(avg > 5.0, "transfer reduction {avg} too small");

@@ -27,15 +27,11 @@ use smartsage_graph::NodeId;
 use smartsage_hostio::PrefetchQueue;
 use smartsage_sim::{EventQueue, SimDuration, SimTime, Xoshiro256};
 use smartsage_store::{
-    check_sharded_population, shard_ranges, share_store, share_topology, FileStoreOptions,
-    FileTopology, InMemoryStore, InMemoryTopology, IspGatherOptions, IspGatherStore,
-    IspSampleTopology, MeteredStore, ShardedFeatureStore, ShardedTopology, SharedCsrFile,
-    SharedDynStore, SharedFileStore, SharedTopology, StoreHandle, StoreKind, StoreRegistry,
-    StoreStats, TopologyKind,
+    FileStoreOptions, OpenTiers, SharedDynStore, SharedTopology, StoreKind, StoreRegistry,
+    StoreStats, TierSpec, TopologyKind,
 };
 use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Which sampling algorithm drives the pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,44 +69,24 @@ pub struct PipelineConfig {
     /// `false` measures data preparation only (Figs 14-17): batches are
     /// consumed instantly and the GPU plays no part.
     pub train: bool,
-    /// Feature store the producers gather through — every run gathers
-    /// its batches' features functionally, and
-    /// [`PipelineReport::store_stats`] records the exact I/O.
-    /// [`StoreKind::Mem`] (default) gathers from an in-memory store,
-    /// [`StoreKind::File`] through a **shared** on-disk feature store:
-    /// the content-keyed file is opened once per
-    /// [`StoreRegistry`] (the sweep's own, or the process-wide one) and
-    /// every run holds a scoped [`StoreHandle`] onto it — one file
-    /// descriptor, one sharded page cache, exact per-run counters.
-    /// [`StoreKind::Isp`] layers the run's own [`IspGatherStore`] over
-    /// that same registry-shared file: page reads resolve device-side
-    /// against an SSD timing model and only packed feature rows cross
-    /// the modeled host link, so the report's stats split
-    /// `device_bytes_read` from `host_bytes_transferred`. Simulated
+    /// Feature-store tier the producers gather through
+    /// ([`StoreRegistry::open_tiers`] describes what each tier opens).
+    /// Every run gathers its batches' features functionally, and
+    /// [`PipelineReport::store_stats`] records the exact I/O: zero for
+    /// [`StoreKind::Mem`] (default), whole pages for
+    /// [`StoreKind::File`], and a `device_bytes_read` /
+    /// `host_bytes_transferred` split for [`StoreKind::Isp`]. Simulated
     /// pipeline time is never perturbed by the tier choice — the store
     /// determinism contract guarantees identical results, so only the
     /// report's I/O section changes.
     pub store: StoreKind,
-    /// Topology store neighbor sampling reads the graph through.
-    /// Hop expansion and batch resolution always run through the
-    /// configured tier, and [`PipelineReport::topology_stats`] records
-    /// the exact I/O. [`TopologyKind::Mem`] (default) samples through
-    /// an [`InMemoryTopology`] (counters, no I/O);
-    /// [`TopologyKind::File`] through a **shared** on-disk `SSGRPH01`
-    /// graph file: the content-keyed file is opened once per
-    /// [`StoreRegistry`] and the run holds a scoped [`FileTopology`]
-    /// handle onto it — page-aligned coalesced offset/edge reads, one
-    /// sharded page cache, exact per-run counters.
-    /// [`TopologyKind::Isp`] layers the run's own [`IspSampleTopology`]
-    /// over that same registry-shared file: hop expansion resolves
-    /// device-side against an SSD timing model and only the sampled
-    /// neighbor ids cross the modeled host link. GraphSAGE plans are
-    /// drawn *and* resolved through the store; the GraphSAINT walk
-    /// planner stays on the in-memory CSR (walks are
+    /// Topology-store tier neighbor sampling reads the graph through;
+    /// [`PipelineReport::topology_stats`] records the exact I/O.
+    /// GraphSAGE plans are drawn *and* resolved through the store; the
+    /// GraphSAINT walk planner stays on the in-memory CSR (walks are
     /// control-flow-dependent per step), with batch resolution still
-    /// routed through the store. Simulated pipeline time is never
-    /// perturbed — the determinism contract guarantees identical
-    /// results, so only the report's I/O section changes.
+    /// routed through the store. Like [`PipelineConfig::store`], the
+    /// tier never perturbs simulated time.
     pub topology: TopologyKind,
     /// With the file store, overlap storage with compute: each batch's
     /// pages are resolved by a background read-ahead worker
@@ -120,17 +96,15 @@ pub struct PipelineConfig {
     /// determinism contract); only the split of page lookups into hits
     /// and misses — and therefore demand bytes read — shifts, with
     /// prefetch I/O accounted separately in
-    /// [`SharedFileStore::prefetch_stats`]. Ignored without
-    /// `store: StoreKind::File`.
+    /// [`smartsage_store::SharedFileStore::prefetch_stats`]. Only the
+    /// file tiers are warmed (`store` / `topology` = `File`).
     pub readahead: bool,
     /// Number of modeled storage devices the dataset is partitioned
-    /// across. At `1` (the default) the run uses the single-device
-    /// stores unchanged; above `1` both file-backed axes open a
-    /// `shards`-way contiguous node-range partition through the
-    /// registry — one per-shard file, page-cache budget slice, and
-    /// (on the ISP tiers) SSD timing model per device — behind
-    /// [`ShardedFeatureStore`] /
-    /// [`ShardedTopology`].
+    /// across. At `1` (the default; `0` means the same) the run uses
+    /// the single-device stores; above `1` both axes open a
+    /// `shards`-way contiguous node-range partition — one per-shard
+    /// file, page-cache budget slice, and (on the ISP tiers) SSD timing
+    /// model per device.
     /// Gathered values, sampled plans, and modeled costs are
     /// bit-identical at every shard count (the store determinism
     /// contract; costs price the merged trace); only the I/O
@@ -220,179 +194,44 @@ const FILE_STORE_CACHE_PAGES: usize = 1024;
 /// more pool workers would only contend on the shard caches.
 const PREFETCH_POOL_WORKERS: usize = 2;
 
-/// Builds the configured feature store for one run.
-///
-/// For [`StoreKind::File`] the run receives a scoped [`StoreHandle`]
-/// onto a [`SharedFileStore`] resolved through a [`StoreRegistry`]:
-/// the registry of the sweep this run belongs to (installed by
+/// Opens the run's tier pair through the one store-crate entry point
+/// ([`StoreRegistry::open_tiers`]), against the registry of the sweep
+/// this run belongs to (installed by
 /// [`Runner::sweep`](crate::runner::Runner::sweep) via
-/// [`store_metrics::install_scope`]), or the process-wide
-/// [`StoreRegistry::global`] for ad-hoc runs. The registry opens each
-/// content-keyed feature file exactly once — publishing it first if
-/// missing or stale — so every concurrent run of a sweep shares one
-/// file descriptor and one sharded page cache while keeping exact
-/// per-run counters in its own handle.
-///
-/// Also returns the shard map for the file-backed tiers
-/// ([`StoreKind::File`] and [`StoreKind::Isp`]): each shared shard
-/// file with the global node range it holds (one full-range entry for
-/// an unsharded run, empty for the mem tier), so the pipeline can
-/// route its read-ahead worker (file tier only) per device and
-/// cross-check the node population against a file-backed topology
-/// store.
+/// [`store_metrics::install_scope`]) or the process-wide
+/// [`StoreRegistry::global`] for ad-hoc runs — so every concurrent run
+/// of a sweep shares one file descriptor and one page cache per content
+/// key while keeping exact per-run counters in its own handles.
 ///
 /// # Panics
 ///
-/// Panics if a feature file cannot be written or opened — a real I/O
-/// failure on the host filesystem.
-type FeatureShardMap = Vec<(Range<u32>, Arc<SharedFileStore>)>;
-
-fn build_store(
-    ctx: &Arc<RunContext>,
-    kind: StoreKind,
-    shards: usize,
-) -> (SharedDynStore, FeatureShardMap) {
-    let features = ctx.data.features.clone();
-    let num_nodes = ctx.graph().num_nodes();
-    if kind == StoreKind::Mem {
-        let store = if shards > 1 {
-            share_store(ShardedFeatureStore::mem(features, num_nodes, shards))
-        } else {
-            share_store(MeteredStore::new(InMemoryStore::new(features, num_nodes)))
-        };
-        return (store, Vec::new());
-    }
-    let opts = file_store_opts(shards);
+/// Panics if a store file cannot be written or opened, or if the two
+/// halves' populations disagree — the pipeline has no error channel,
+/// so this is its one up-front failure site, carrying the typed
+/// [`StoreError`](smartsage_store::StoreError) message that names the
+/// files.
+fn open_tiers(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> OpenTiers {
     let scope_registry = store_metrics::current_registry();
     let registry: &StoreRegistry = scope_registry
         .as_deref()
         .unwrap_or_else(|| StoreRegistry::global());
-    if shards > 1 {
-        let files = registry
-            .open_feature_shards(&features, num_nodes, shards, opts)
-            .unwrap_or_else(|e| panic!("opening sharded feature store failed: {e}"));
-        let sharded = match kind {
-            StoreKind::Mem => unreachable!("handled above"),
-            StoreKind::File => ShardedFeatureStore::over_files(&files),
-            // Each ISP shard gets its own device model (SSD timing,
-            // queue depth, pack cores) — N modeled devices, one per
-            // partition range.
-            StoreKind::Isp => ShardedFeatureStore::over_isp(&files, IspGatherOptions::default()),
-        }
-        .unwrap_or_else(|e| panic!("assembling sharded feature store failed: {e}"));
-        let map = sharded
-            .ranges()
-            .iter()
-            .map(|&(start, end)| start as u32..end as u32)
-            .zip(files)
-            .collect();
-        return (share_store(sharded), map);
-    }
-    let shared = registry
-        .open_feature_table(&features, num_nodes, opts)
-        .unwrap_or_else(|e| panic!("opening shared feature store failed: {e}"));
-    let full_range = 0..num_nodes as u32;
-    match kind {
-        StoreKind::Mem => unreachable!("handled above"),
-        StoreKind::File => (
-            share_store(StoreHandle::new(Arc::clone(&shared))),
-            vec![(full_range, shared)],
-        ),
-        // The ISP tier keeps a run-private device model (its virtual
-        // clock belongs to this run) over the registry-shared file and
-        // payload cache, so a sweep still opens each key exactly once.
-        // The shared file is returned for the population cross-check
-        // only; the prefetcher is gated on the *file* tier, because
-        // host-path read-ahead would warm the payload cache through
-        // the host block path and corrupt this tier's device-vs-host
-        // transfer split.
-        StoreKind::Isp => (
-            share_store(IspGatherStore::over(
-                Arc::clone(&shared),
-                IspGatherOptions::default(),
-            )),
-            vec![(full_range, shared)],
-        ),
-    }
-}
-
-/// Store options for one modeled device of a `shards`-way run: the
-/// fixed [`FILE_STORE_CACHE_PAGES`] budget is sliced evenly across the
-/// devices, so the *total* cache budget stays constant as the shard
-/// count changes.
-fn file_store_opts(shards: usize) -> FileStoreOptions {
-    FileStoreOptions {
-        cache_pages: (FILE_STORE_CACHE_PAGES / shards.max(1)).max(1),
-        ..FileStoreOptions::default()
-    }
-}
-
-/// Builds the configured topology store for one run.
-///
-/// Mirrors [`build_store`]: for [`TopologyKind::File`] and
-/// [`TopologyKind::Isp`] the content-keyed `SSGRPH01` graph file is
-/// resolved through the run's [`StoreRegistry`] (the sweep's own, or
-/// the process-wide one), so every concurrent run of a sweep shares one
-/// file descriptor and one sharded page cache; the run holds a scoped
-/// [`FileTopology`] handle (or its own [`IspSampleTopology`] device
-/// model — the virtual clock belongs to this run) onto it. Also
-/// returns the shared shard files (one full-graph entry for an
-/// unsharded run, empty for the mem tier) so the pipeline can
-/// cross-check them against a file-backed feature store.
-///
-/// # Panics
-///
-/// Panics if a graph file cannot be written or opened — a real I/O
-/// failure on the host filesystem.
-fn build_topology(
-    ctx: &Arc<RunContext>,
-    kind: TopologyKind,
-    shards: usize,
-) -> (SharedTopology, Vec<Arc<SharedCsrFile>>) {
-    if kind == TopologyKind::Mem {
-        // An Arc clone of the context's graph — never a copy of the
-        // CSR arrays.
-        let topo = if shards > 1 {
-            share_topology(ShardedTopology::mem(Arc::clone(&ctx.data.graph), shards))
-        } else {
-            share_topology(InMemoryTopology::from_arc(Arc::clone(&ctx.data.graph)))
-        };
-        return (topo, Vec::new());
-    }
-    let opts = file_store_opts(shards);
-    let scope_registry = store_metrics::current_registry();
-    let registry: &StoreRegistry = scope_registry
-        .as_deref()
-        .unwrap_or_else(|| StoreRegistry::global());
-    if shards > 1 {
-        let files = registry
-            .open_graph_shards(ctx.graph(), shards, opts)
-            .unwrap_or_else(|e| panic!("opening sharded graph topology failed: {e}"));
-        let ranges = shard_ranges(ctx.graph().num_nodes(), shards);
-        let sharded = match kind {
-            TopologyKind::Mem => unreachable!("handled above"),
-            TopologyKind::File => ShardedTopology::over_files(&files, &ranges),
-            TopologyKind::Isp => {
-                ShardedTopology::over_isp(&files, &ranges, IspGatherOptions::default())
-            }
-        }
-        .unwrap_or_else(|e| panic!("assembling sharded graph topology failed: {e}"));
-        return (share_topology(sharded), files);
-    }
-    let shared = registry
-        .open_graph_csr(ctx.graph(), opts)
-        .unwrap_or_else(|e| panic!("opening shared graph topology failed: {e}"));
-    match kind {
-        TopologyKind::Mem => unreachable!("handled above"),
-        TopologyKind::File => (
-            share_topology(FileTopology::new(Arc::clone(&shared))),
-            vec![shared],
-        ),
-        TopologyKind::Isp => {
-            let topo = IspSampleTopology::over(Arc::clone(&shared), IspGatherOptions::default());
-            (share_topology(topo), vec![shared])
-        }
-    }
+    let spec = TierSpec {
+        store: cfg.store,
+        topology: cfg.topology,
+        shards: cfg.shards,
+        file: FileStoreOptions {
+            cache_pages: FILE_STORE_CACHE_PAGES,
+            ..FileStoreOptions::default()
+        },
+    };
+    registry
+        .open_tiers(
+            &ctx.data.graph,
+            &ctx.data.features,
+            ctx.graph().num_nodes(),
+            &spec,
+        )
+        .unwrap_or_else(|e| panic!("opening the {spec:?} store tiers failed: {e}"))
 }
 
 /// Installs `plan` for `worker`: the policy receives the plan's byte
@@ -465,8 +304,9 @@ fn finish_batch(
 pub fn sample_once(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> FinishedBatch {
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(ctx, 1);
-    let (store, _feature_shards) = build_store(ctx, cfg.store, cfg.shards);
-    let (topology, _graph_shards) = build_topology(ctx, cfg.topology, cfg.shards);
+    let tiers = open_tiers(ctx, cfg);
+    let store: SharedDynStore = Arc::new(Mutex::new(tiers.features));
+    let topology: SharedTopology = Arc::new(Mutex::new(tiers.topology));
     let graph = ctx.graph();
     let targets = epoch_targets(graph.num_nodes(), cfg.batch_size, 0, cfg.seed);
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
@@ -519,20 +359,14 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     // the feature store, and its plan is drawn and resolved through the
     // topology store (real I/O for the File tier, device-side
     // resolution for Isp).
-    let (store, feature_shards) = build_store(ctx, cfg.store, cfg.shards);
-    let (topology, graph_shards) = build_topology(ctx, cfg.topology, cfg.shards);
-    // Both halves of the dataset on file-backed tiers must describe
-    // the same node population — and, sharded, the same partition
-    // width. The pipeline surfaces store failures as panics (it has no
-    // error channel mid-simulation), but this one fires *up front*
-    // with the typed ShardCountMismatch/NodeCountMismatch message
-    // naming both files — never a NodeOutOfRange deep inside a gather.
-    if !graph_shards.is_empty() && !feature_shards.is_empty() {
-        let feats: Vec<Arc<SharedFileStore>> =
-            feature_shards.iter().map(|(_, f)| Arc::clone(f)).collect();
-        check_sharded_population(&graph_shards, &feats)
-            .unwrap_or_else(|e| panic!("mismatched store population: {e}"));
-    }
+    let OpenTiers {
+        features,
+        topology,
+        feature_files,
+        graph_files,
+    } = open_tiers(ctx, cfg);
+    let store: SharedDynStore = Arc::new(Mutex::new(features));
+    let topology: SharedTopology = Arc::new(Mutex::new(topology));
     // Read-ahead: a small worker pool resolves each planned batch's
     // page runs and warms the shared caches while the simulation is
     // still stepping that batch toward its gather. Two item kinds
@@ -541,36 +375,28 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     // are a pure function of the epoch index and seed, so the warm is
     // issued before that batch is even planned). Each shard's nodes
     // are routed to that shard's cache; feature shards index by local
-    // row (the prefetch half of the shard map), graph shards by global
-    // node id (their headers declare the full population). Both warms
+    // row, graph shards by global node id (their headers declare the
+    // full population). Only the host-path *file* tiers are warmed:
+    // read-ahead under an ISP tier would pull pages through the host
+    // block path and corrupt its device-vs-host transfer split. Both warms
     // ride the batched read engine, so a pool worker keeps several
     // shard files busy at once.
-    let warm_features = cfg.store == StoreKind::File && !feature_shards.is_empty();
-    let warm_offsets = cfg.topology == TopologyKind::File && !graph_shards.is_empty();
+    let warm_features = cfg.store == StoreKind::File;
+    let warm_offsets = cfg.topology == TopologyKind::File;
     let prefetcher: Option<PrefetchQueue<PrefetchItem>> =
         (cfg.readahead && (warm_features || warm_offsets)).then(|| {
             let ctx = Arc::clone(ctx);
-            let feature_map = feature_shards.clone();
-            let graph_map: Vec<(Range<usize>, Arc<SharedCsrFile>)> = if warm_offsets {
-                shard_ranges(ctx.graph().num_nodes(), graph_shards.len().max(1))
-                    .into_iter()
-                    .map(|(start, end)| start..end)
-                    .zip(graph_shards.iter().cloned())
-                    .collect()
-            } else {
-                Vec::new()
-            };
             PrefetchQueue::spawn_pool(
                 PREFETCH_POOL_WORKERS,
                 move |item: PrefetchItem| match item {
                     PrefetchItem::Features(plan) => {
                         let batch = plan.resolve(ctx.graph());
                         let nodes = batch.all_nodes();
-                        for (range, shared) in &feature_map {
+                        for (range, shared) in &feature_files {
                             let local: Vec<NodeId> = nodes
                                 .iter()
-                                .filter(|n| range.contains(&n.raw()))
-                                .map(|n| NodeId::new(n.raw() - range.start))
+                                .filter(|n| range.contains(&n.index()))
+                                .map(|n| NodeId::new((n.index() - range.start) as u32))
                                 .collect();
                             if !local.is_empty() {
                                 shared.prefetch_nodes(&local);
@@ -578,7 +404,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                         }
                     }
                     PrefetchItem::OffsetsAhead(targets) => {
-                        for (range, file) in &graph_map {
+                        for (range, file) in &graph_files {
                             let mine: Vec<NodeId> = targets
                                 .iter()
                                 .filter(|n| range.contains(&n.index()))

@@ -1,31 +1,29 @@
-//! Scoped feature-store I/O accounting (plus a process-wide
-//! compatibility aggregate).
+//! Scoped feature-store I/O accounting.
 //!
 //! Experiment drivers return typed tables, not pipeline reports, so
 //! per-run [`StoreStats`] need a side channel to reach sweep consumers
-//! (the `reproduce` CLI). Historically that channel was a set of
-//! process-global atomics that were **never reset**: a second sweep in
-//! the same process reported the first sweep's bytes on top of its own,
-//! and concurrent sweeps contaminated each other. The design-level fix
-//! is *scoped* accounting:
-//!
-//! * A sweep installs a [`SweepScope`] on each of its worker threads
-//!   (see [`Runner::sweep`](crate::runner::Runner::sweep)): an
-//!   [`AtomicStoreStats`] accumulator plus the sweep's private
-//!   [`StoreRegistry`]. Every pipeline run [`record`]s its exact
-//!   per-run counters into the innermost scope on its thread, and
-//!   [`current_registry`] routes the run's store opens through the
-//!   sweep's registry — one shared store and one page cache per sweep,
-//!   zero leakage between sweeps.
-//! * The process-wide aggregate survives as a thin compatibility shim:
-//!   [`record`] still feeds it, [`snapshot`]/[`reset`] still read and
-//!   zero it. New code should consume
-//!   [`SweepOutcome::store_stats`](crate::runner::SweepOutcome) instead.
+//! (the `reproduce` CLI). That channel is *scoped*, never
+//! process-global — a second sweep in the same process must not report
+//! the first sweep's bytes on top of its own, and concurrent sweeps
+//! must not contaminate each other. A sweep installs a [`SweepScope`]
+//! on each of its worker threads (see
+//! [`Runner::sweep`](crate::runner::Runner::sweep)): an
+//! [`AtomicStoreStats`] accumulator plus the sweep's private
+//! [`StoreRegistry`]. Every pipeline run [`record`]s its exact per-run
+//! counters into the scopes on its thread, and [`current_registry`]
+//! routes the run's store opens through the sweep's registry — one
+//! shared store and one page cache per sweep, zero leakage between
+//! sweeps. Consumers read
+//! [`SweepOutcome::store_stats`](crate::runner::SweepOutcome).
 
+use smartsage_hostio::LockExt;
 use smartsage_store::{AtomicStoreStats, StoreRegistry, StoreStats};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
+// ssl::allow(SSL004): the scope stack is per-thread by design — a
+// sweep installs its scope on each worker thread and the guard pops
+// it, so nothing survives the sweep that pushed it.
 thread_local! {
     /// Innermost-last stack of scopes installed on this thread.
     static SCOPES: RefCell<Vec<SweepScope>> = const { RefCell::new(Vec::new()) };
@@ -68,24 +66,21 @@ impl SweepScope {
 
     /// The accumulated per-shard feature-store breakdown.
     pub fn store_shards_snapshot(&self) -> Vec<StoreStats> {
-        self.store_shards
-            .lock()
-            .expect("shard accumulator poisoned")
-            .clone()
+        self.store_shards.safe_lock().clone()
     }
 
     /// The accumulated per-shard graph-topology breakdown.
     pub fn topology_shards_snapshot(&self) -> Vec<StoreStats> {
-        self.topology_shards
-            .lock()
-            .expect("shard accumulator poisoned")
-            .clone()
+        self.topology_shards.safe_lock().clone()
     }
 }
 
 /// Adds `per_shard` index-wise into `acc`, growing it as needed.
 fn accumulate_shards(acc: &Mutex<Vec<StoreStats>>, per_shard: &[StoreStats]) {
-    let mut acc = acc.lock().expect("shard accumulator poisoned");
+    // A job that panicked mid-accumulate leaves whole `StoreStats`
+    // entries behind (each `accumulate` is plain integer adds), so the
+    // recovered vector is still valid to add into and to snapshot.
+    let mut acc = acc.safe_lock();
     if acc.len() < per_shard.len() {
         acc.resize(per_shard.len(), StoreStats::default());
     }
@@ -128,26 +123,18 @@ pub fn current_registry() -> Option<Arc<StoreRegistry>> {
     SCOPES.with(|s| s.borrow().last().map(|scope| Arc::clone(&scope.registry)))
 }
 
-/// Process-wide aggregate (compatibility shim; see the module docs).
-fn global() -> &'static AtomicStoreStats {
-    static GLOBAL: std::sync::OnceLock<AtomicStoreStats> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(AtomicStoreStats::default)
-}
-
 /// Adds one run's exact feature-store counters to every active scope
-/// on this thread and to the process-wide aggregate.
+/// on this thread.
 pub fn record(stats: &StoreStats) {
     SCOPES.with(|s| {
         for scope in s.borrow().iter() {
             scope.stats.add(stats);
         }
     });
-    global().add(stats);
 }
 
 /// Adds one run's exact graph-topology counters to every active scope
-/// on this thread (there is no global shim for topology — the scoped
-/// path is the only consumer).
+/// on this thread.
 pub fn record_topology(stats: &StoreStats) {
     SCOPES.with(|s| {
         for scope in s.borrow().iter() {
@@ -158,7 +145,6 @@ pub fn record_topology(stats: &StoreStats) {
 
 /// Adds one sharded run's per-device feature-store breakdown to every
 /// active scope on this thread, index-wise (shard `i` into entry `i`).
-/// Scoped-only, like [`record_topology`].
 pub fn record_shards(per_shard: &[StoreStats]) {
     SCOPES.with(|s| {
         for scope in s.borrow().iter() {
@@ -177,42 +163,9 @@ pub fn record_topology_shards(per_shard: &[StoreStats]) {
     });
 }
 
-/// The process-wide aggregate recorded so far (compatibility shim —
-/// prefer a sweep's own [`SweepOutcome::store_stats`](crate::runner::SweepOutcome)).
-pub fn snapshot() -> StoreStats {
-    global().snapshot()
-}
-
-/// Zeroes the process-wide aggregate (test isolation).
-pub fn reset() {
-    global().reset()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_accumulates_and_snapshot_reads() {
-        // Other tests may record concurrently; assert deltas via a
-        // distinctive increment rather than absolute values.
-        let before = snapshot();
-        let one = StoreStats {
-            gathers: 1,
-            nodes_gathered: 2,
-            feature_bytes: 3,
-            pages_read: 4,
-            bytes_read: 5,
-            page_hits: 6,
-            page_misses: 7,
-            ..StoreStats::default()
-        };
-        record(&one);
-        let after = snapshot();
-        assert!(after.gathers > before.gathers);
-        assert!(after.bytes_read >= before.bytes_read + 5);
-        assert!(after.page_misses >= before.page_misses + 7);
-    }
 
     #[test]
     fn scopes_capture_only_their_own_records() {
@@ -234,7 +187,7 @@ mod tests {
             record(&one);
             assert!(Arc::ptr_eq(&current_registry().unwrap(), &outer.registry));
         }
-        record(&one); // outside any scope: only the global shim sees it
+        record(&one); // outside any scope: nobody sees it
         assert_eq!(outer.stats.snapshot().gathers, 3);
         assert_eq!(
             inner.stats.snapshot().gathers,

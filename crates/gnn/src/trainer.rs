@@ -9,7 +9,7 @@
 //! The gather stage goes through a
 //! [`FeatureStore`]: the `*_on` methods
 //! accept any store (in-memory, file-backed, the in-storage-processing
-//! [`IspGatherStore`](smartsage_store::IspGatherStore), metered),
+//! [`IspGatherStore`](smartsage_store::IspGatherStore)),
 //! [`Trainer::train_step_shared`] gathers through a thread-shared
 //! [`SharedDynStore`] (the hand-off type concurrent training workers
 //! use), and the historical [`FeatureTable`]-based methods are thin

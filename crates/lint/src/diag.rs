@@ -20,7 +20,7 @@ pub enum Code {
     /// Wall-clock time (`Instant::now`/`SystemTime::now`) in modeled-
     /// time code.
     Ssl003,
-    /// New mutable global state outside the allowlisted shim.
+    /// New mutable global state.
     Ssl004,
     /// `unsafe` in a first-party crate.
     Ssl005,
@@ -66,7 +66,7 @@ impl Code {
             Code::Ssl001 => "no unwrap/expect/panic! in untrusted-input paths (serve, core::json, store file open+read)",
             Code::Ssl002 => "no HashMap/HashSet in result-producing modules (iteration order breaks byte-identical tables)",
             Code::Ssl003 => "no Instant::now/SystemTime::now in cost policies or device models (modeled time derives from the trace)",
-            Code::Ssl004 => "no mutable global state outside the allowlisted core::store_metrics shim",
+            Code::Ssl004 => "no mutable global state (sanctioned instances carry a line-level allow)",
             Code::Ssl005 => "no unsafe in first-party crates",
             Code::Ssl006 => "no nested lock acquisitions in one function (deadlock-ordering hazard; audited allows only)",
         }

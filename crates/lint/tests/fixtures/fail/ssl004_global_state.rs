@@ -1,8 +1,8 @@
 // lint-path: crates/graph/src/counters_fixture.rs
 // expect: SSL004
 
-// New mutable global state outside core::store_metrics makes runs
-// order-dependent and hides data flow; keep state in explicit structs.
+// New mutable global state makes runs order-dependent and hides data
+// flow; keep state in explicit structs.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Mutex;

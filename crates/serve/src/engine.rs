@@ -20,12 +20,11 @@ use smartsage_gnn::{
     merge_batches, sample_many_on, Fanouts, GraphSageModel, Matrix, SampleSpec, SampledBatch,
 };
 use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
-use smartsage_graph::{FeatureTable, NodeId};
+use smartsage_graph::{CsrGraph, FeatureTable, NodeId};
 use smartsage_sim::Xoshiro256;
 use smartsage_store::{
-    shard_ranges, FeatureStore, FileStoreOptions, FileTopology, InMemoryStore, InMemoryTopology,
-    IspGatherOptions, IspGatherStore, IspSampleTopology, ShardedFeatureStore, ShardedTopology,
-    StoreError, StoreHandle, StoreKind, StoreRegistry, StoreStats, TopologyKind, TopologyStore,
+    FeatureStore, FileStoreOptions, StoreError, StoreKind, StoreRegistry, StoreStats, TierSpec,
+    TopologyKind, TopologyStore,
 };
 use std::sync::Arc;
 
@@ -133,9 +132,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Materializes the dataset, publishes it to the configured tiers
-    /// through a private [`StoreRegistry`] (cold caches per engine),
-    /// and initializes the model.
+    /// Materializes the dataset and serves it ([`Engine::with_dataset`]).
     pub fn new(config: EngineConfig) -> Result<Engine, StoreError> {
         let d = &config.dataset;
         let graph = generate_power_law(&PowerLawConfig {
@@ -145,54 +142,31 @@ impl Engine {
             ..PowerLawConfig::default()
         });
         let table = FeatureTable::new(d.feature_dim, d.classes, d.feature_seed);
-        let shards = config.shards.max(1);
-        // The cache budget is sliced across devices, so an N-shard
-        // engine holds the same total pages as an unsharded one.
-        let opts = FileStoreOptions {
-            page_bytes: config.page_bytes,
-            cache_pages: (config.cache_pages / shards).max(1),
+        Engine::with_dataset(config, Arc::new(graph), table)
+    }
+
+    /// Publishes `graph` and the first `config.dataset.nodes` rows of
+    /// `table` to the configured tiers through a private
+    /// [`StoreRegistry`] (cold caches per engine) and initializes the
+    /// model. Store failures — including a graph whose population
+    /// disagrees with the feature rows on file-backed tiers — come back
+    /// typed, before the engine serves anything.
+    pub fn with_dataset(
+        config: EngineConfig,
+        graph: Arc<CsrGraph>,
+        table: FeatureTable,
+    ) -> Result<Engine, StoreError> {
+        let d = &config.dataset;
+        let spec = TierSpec {
+            store: config.store,
+            topology: config.topology,
+            shards: config.shards,
+            file: FileStoreOptions {
+                page_bytes: config.page_bytes,
+                cache_pages: config.cache_pages,
+            },
         };
-        let registry = StoreRegistry::new();
-        let store: Box<dyn FeatureStore + Send> = match (config.store, shards) {
-            (StoreKind::Mem, 1) => Box::new(InMemoryStore::new(table.clone(), d.nodes)),
-            (StoreKind::Mem, n) => Box::new(ShardedFeatureStore::mem(table.clone(), d.nodes, n)),
-            (StoreKind::File, 1) => Box::new(StoreHandle::new(
-                registry.open_feature_table(&table, d.nodes, opts)?,
-            )),
-            (StoreKind::File, n) => Box::new(ShardedFeatureStore::over_files(
-                &registry.open_feature_shards(&table, d.nodes, n, opts)?,
-            )?),
-            (StoreKind::Isp, 1) => Box::new(IspGatherStore::over(
-                registry.open_feature_table(&table, d.nodes, opts)?,
-                IspGatherOptions::default(),
-            )),
-            (StoreKind::Isp, n) => Box::new(ShardedFeatureStore::over_isp(
-                &registry.open_feature_shards(&table, d.nodes, n, opts)?,
-                IspGatherOptions::default(),
-            )?),
-        };
-        let graph = Arc::new(graph);
-        let ranges = shard_ranges(d.nodes, shards);
-        let topology: Box<dyn TopologyStore + Send> = match (config.topology, shards) {
-            (TopologyKind::Mem, 1) => Box::new(InMemoryTopology::from_arc(Arc::clone(&graph))),
-            (TopologyKind::Mem, n) => Box::new(ShardedTopology::mem(Arc::clone(&graph), n)),
-            (TopologyKind::File, 1) => {
-                Box::new(FileTopology::new(registry.open_graph_csr(&graph, opts)?))
-            }
-            (TopologyKind::File, n) => Box::new(ShardedTopology::over_files(
-                &registry.open_graph_shards(&graph, n, opts)?,
-                &ranges,
-            )?),
-            (TopologyKind::Isp, 1) => Box::new(IspSampleTopology::over(
-                registry.open_graph_csr(&graph, opts)?,
-                IspGatherOptions::default(),
-            )),
-            (TopologyKind::Isp, n) => Box::new(ShardedTopology::over_isp(
-                &registry.open_graph_shards(&graph, n, opts)?,
-                &ranges,
-                IspGatherOptions::default(),
-            )?),
-        };
+        let tiers = StoreRegistry::new().open_tiers(&graph, &table, d.nodes, &spec)?;
         let dims = ModelDims {
             features: d.feature_dim,
             hidden1: config.hidden,
@@ -201,8 +175,8 @@ impl Engine {
         };
         let model = GraphSageModel::new(dims, &mut Xoshiro256::seed_from_u64(config.model_seed));
         Ok(Engine {
-            store,
-            topology,
+            store: tiers.features,
+            topology: tiers.topology,
             model,
             config,
             counters: EngineCounters::default(),

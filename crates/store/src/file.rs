@@ -1,4 +1,5 @@
-//! The file-backed feature store: real page-aligned storage I/O.
+//! The `SSFEAT01` feature-file format: layout, writers, and the
+//! validating open.
 //!
 //! # On-disk layout
 //!
@@ -20,36 +21,15 @@
 //! Node `i`'s row lives at byte `4096 + i·dim·4`; the file is exactly
 //! `4096 + num_nodes·dim·4` bytes. A file whose length disagrees with
 //! its header fails to open with [`StoreError::Truncated`] naming the
-//! file and the expected length.
-//!
-//! # Read path
-//!
-//! A batch gather is planned, coalesced, resolved:
-//!
-//! 1. **Plan** — compute every row's byte range and the distinct pages
-//!    it spans (pure address arithmetic via
-//!    [`smartsage_hostio::ByteRange`]).
-//! 2. **Coalesce** — merge the missing pages into maximal contiguous
-//!    runs ([`smartsage_hostio::merge_page_runs`]); resident pages are
-//!    exact-LRU cache hits ([`smartsage_hostio::LruSet`] ordering).
-//! 3. **Resolve** — one `read` syscall per contiguous missing run,
-//!    page-aligned; rows are then assembled from cached + fetched
-//!    pages. Values are byte-identical to
-//!    [`InMemoryStore`](crate::InMemoryStore) by the determinism
-//!    contract.
+//! file and the expected length. Rows are read through
+//! [`SharedFileStore`](crate::SharedFileStore).
 
 use crate::error::StoreError;
-use crate::{FeatureStore, StoreStats};
-use smartsage_graph::generate::community_of;
 use smartsage_graph::{FeatureTable, NodeId};
-use smartsage_hostio::{
-    merge_page_runs, ByteRange, ReadEngine, ReadRequest, ReadSource, ShardedPageCache,
-};
-use std::collections::HashMap;
+use smartsage_hostio::ReadSource;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 
 /// Magic bytes identifying a feature file (versioned).
 pub const FEATURE_FILE_MAGIC: [u8; 8] = *b"SSFEAT01";
@@ -58,7 +38,7 @@ pub const FEATURE_FILE_MAGIC: [u8; 8] = *b"SSFEAT01";
 /// rows are page-aligned with respect to the default 4 KiB page.
 pub const HEADER_BYTES: u64 = 4096;
 
-/// Tuning knobs for [`FileStore`].
+/// Page geometry and cache budget of one file-backed store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileStoreOptions {
     /// I/O granularity: reads are issued in whole `page_bytes` units
@@ -84,32 +64,7 @@ pub fn write_feature_file(
     table: &FeatureTable,
     num_nodes: usize,
 ) -> Result<(), StoreError> {
-    let io_err = |action: &'static str| {
-        move |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            action,
-            source,
-        }
-    };
-    let file = File::create(path).map_err(io_err("create"))?;
-    let mut w = BufWriter::new(file);
-    let mut header = [0u8; HEADER_BYTES as usize];
-    header[0..8].copy_from_slice(&FEATURE_FILE_MAGIC);
-    header[8..16].copy_from_slice(&(table.dim() as u64).to_le_bytes());
-    header[16..24].copy_from_slice(&(num_nodes as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&(table.num_classes() as u64).to_le_bytes());
-    w.write_all(&header).map_err(io_err("write header"))?;
-    let mut row = vec![0.0f32; table.dim()];
-    let mut bytes = vec![0u8; table.dim() * 4];
-    for i in 0..num_nodes {
-        table.features_into(NodeId::new(i as u32), &mut row);
-        for (chunk, v) in bytes.chunks_exact_mut(4).zip(&row) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&bytes).map_err(io_err("write row"))?;
-    }
-    w.flush().map_err(io_err("flush"))?;
-    Ok(())
+    write_feature_shard(path, table, 0, num_nodes)
 }
 
 /// Serializes the rows of the global node range `start..end` of
@@ -155,14 +110,11 @@ pub fn write_feature_shard(
     Ok(())
 }
 
-/// An opened, fully validated feature file: the raw handle plus its
-/// header fields. Shared by [`FileStore`] and the concurrent
-/// [`SharedFileStore`](crate::SharedFileStore) so the two open paths
-/// can never drift in what they accept.
+/// An opened, fully validated feature file: the read handle plus its
+/// header fields.
 #[derive(Debug)]
 pub(crate) struct RawFeatureFile {
-    pub file: File,
-    pub path: PathBuf,
+    pub source: ReadSource,
     pub dim: usize,
     pub num_nodes: usize,
     pub num_classes: usize,
@@ -235,8 +187,7 @@ impl RawFeatureFile {
             });
         }
         Ok(RawFeatureFile {
-            file,
-            path: path.to_path_buf(),
+            source: ReadSource::new(file, path.to_path_buf()),
             dim: dim as usize,
             num_nodes: num_nodes as usize,
             num_classes: num_classes as usize,
@@ -245,234 +196,22 @@ impl RawFeatureFile {
     }
 }
 
-/// A [`FeatureStore`] over an on-disk feature file.
-#[derive(Debug)]
-pub struct FileStore {
-    source: ReadSource,
-    path: PathBuf,
-    dim: usize,
-    num_nodes: usize,
-    num_classes: usize,
-    file_len: u64,
-    opts: FileStoreOptions,
-    // The same exact-LRU payload cache the shared store stripes over N
-    // shards — a single shard here, since FileStore is single-owner.
-    cache: ShardedPageCache,
-    engine: Arc<ReadEngine>,
-    stats: StoreStats,
-}
-
-impl FileStore {
-    /// Opens `path` with default options (4 KiB pages, 4 MiB cache).
-    pub fn open(path: &Path) -> Result<FileStore, StoreError> {
-        FileStore::open_with(path, FileStoreOptions::default())
-    }
-
-    /// Opens `path`, validating magic, header consistency, and the
-    /// exact file length before any row can be read. Reads go through
-    /// the process-wide [`ReadEngine`] — even a single-owner store
-    /// overlaps its miss stretches across the I/O workers.
-    pub fn open_with(path: &Path, opts: FileStoreOptions) -> Result<FileStore, StoreError> {
-        assert!(opts.page_bytes > 0, "page size must be positive");
-        let raw = RawFeatureFile::open(path)?;
-        Ok(FileStore {
-            source: ReadSource::new(raw.file, raw.path.clone()),
-            path: raw.path,
-            dim: raw.dim,
-            num_nodes: raw.num_nodes,
-            num_classes: raw.num_classes,
-            file_len: raw.file_len,
-            opts,
-            cache: ShardedPageCache::new(opts.cache_pages, 1),
-            engine: Arc::clone(ReadEngine::global()),
-            stats: StoreStats::default(),
-        })
-    }
-
-    /// The file this store reads from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> FileStoreOptions {
-        self.opts
-    }
-
-    /// Byte range of `node`'s feature row within the file.
-    fn row_range(&self, node: NodeId) -> Result<ByteRange, StoreError> {
-        if node.index() >= self.num_nodes {
-            return Err(StoreError::NodeOutOfRange {
-                node,
-                num_nodes: self.num_nodes,
-            });
-        }
-        let row_bytes = self.dim as u64 * 4;
-        Ok(ByteRange {
-            offset: HEADER_BYTES + node.index() as u64 * row_bytes,
-            len: row_bytes,
-        })
-    }
-
-    /// Submits one positioned read per missing page stretch as a
-    /// single engine batch; results come back in submission order, so
-    /// staging stays identical to reading the stretches serially.
-    /// Successful stretches count into `stats`; the first failure is
-    /// surfaced after counting the successes before it.
-    fn fetch_runs(&mut self, runs: &[(u64, u64)]) -> Result<Vec<Vec<Arc<[u8]>>>, StoreError> {
-        if runs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let pb = self.opts.page_bytes;
-        let requests = runs
-            .iter()
-            .map(|&(first, count)| {
-                let start = first * pb;
-                ReadRequest {
-                    source: self.source.clone(),
-                    offset: start,
-                    len: (count * pb).min(self.file_len - start) as usize,
-                }
-            })
-            .collect();
-        let results = self.engine.submit(requests).wait();
-        let mut out = Vec::with_capacity(runs.len());
-        for (&(_, count), result) in runs.iter().zip(results) {
-            let buf = result.map_err(|source| StoreError::Io {
-                path: self.path.clone(),
-                action: "read run",
-                source,
-            })?;
-            self.stats.pages_read += count;
-            self.stats.page_misses += count;
-            self.stats.bytes_read += buf.len() as u64;
-            // Host path (Fig 10(a)): every page read from media crosses
-            // the host link whole.
-            self.stats.device_bytes_read += buf.len() as u64;
-            self.stats.host_bytes_transferred += buf.len() as u64;
-            out.push(buf.chunks(pb as usize).map(Arc::from).collect());
-        }
-        Ok(out)
-    }
-}
-
-impl FeatureStore for FileStore {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    fn label(&self, node: NodeId) -> usize {
-        community_of(node, self.num_classes)
-    }
-
-    fn gather_into(&mut self, nodes: &[NodeId], out: &mut [f32]) -> Result<(), StoreError> {
-        if out.len() != nodes.len() * self.dim {
-            return Err(StoreError::BadBuffer {
-                expected: nodes.len() * self.dim,
-                actual: out.len(),
-            });
-        }
-        let pb = self.opts.page_bytes;
-        // Plan: every page the batch touches, deduplicated and merged
-        // into contiguous runs. Row bounds are validated here, before
-        // any I/O.
-        let mut pages = Vec::with_capacity(nodes.len() * 2);
-        for &node in nodes {
-            let range = self.row_range(node)?;
-            if let Some((first, last)) = range.blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let runs = merge_page_runs(&pages);
-        // Classify: resident pages are hits (promoted now, and staged
-        // as cheap Arc clones so eviction in an undersized cache
-        // cannot disturb assembly); each maximal stretch of missing
-        // pages becomes one positioned read.
-        let mut staged: HashMap<u64, Arc<[u8]>> = HashMap::new();
-        let mut miss_runs: Vec<(u64, u64)> = Vec::new();
-        for run in &runs {
-            let mut p = run.first;
-            while p < run.end() {
-                if let Some(buf) = self.cache.get(p) {
-                    self.stats.page_hits += 1;
-                    staged.insert(p, buf);
-                    p += 1;
-                    continue;
-                }
-                let mut q = p + 1;
-                while q < run.end() && !self.cache.contains(q) {
-                    q += 1;
-                }
-                miss_runs.push((p, q - p));
-                p = q;
-            }
-        }
-        // Fetch: the whole miss plan goes to the read engine as one
-        // batch; the order-preserving completion keeps staging and the
-        // ascending cache commit identical to the serial path.
-        let mut fetched: Vec<(u64, Arc<[u8]>)> = Vec::new();
-        for ((first, _), pages) in miss_runs.iter().zip(self.fetch_runs(&miss_runs)?) {
-            for (i, page_buf) in pages.into_iter().enumerate() {
-                staged.insert(first + i as u64, Arc::clone(&page_buf));
-                fetched.push((first + i as u64, page_buf));
-            }
-        }
-        // Resolve: assemble each row from the staged pages.
-        let mut row_buf = vec![0u8; self.dim * 4];
-        for (row, &node) in nodes.iter().enumerate() {
-            let range = self.row_range(node)?;
-            // ssl::allow(SSL001): open() rejects dim == 0, so every row
-            // range has len > 0 and blocks() cannot return None.
-            let (first, last) = range.blocks(pb).expect("rows are non-empty");
-            for page in first..=last {
-                let page_start = page * pb;
-                // ssl::allow(SSL001): the staging pass above inserted
-                // every page of every planned run before resolution.
-                let src = staged.get(&page).expect("planned page is staged");
-                let lo = range.offset.max(page_start);
-                let hi = (range.offset + range.len).min(page_start + src.len() as u64);
-                row_buf[(lo - range.offset) as usize..(hi - range.offset) as usize]
-                    .copy_from_slice(&src[(lo - page_start) as usize..(hi - page_start) as usize]);
-            }
-            let out_row = &mut out[row * self.dim..(row + 1) * self.dim];
-            for (v, chunk) in out_row.iter_mut().zip(row_buf.chunks_exact(4)) {
-                // ssl::allow(SSL001): chunks_exact(4) yields 4-byte
-                // slices by construction.
-                *v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-            }
-        }
-        // Commit fetched pages to the cache in ascending page order
-        // (collected run by run, so they already are).
-        for (page, buf) in fetched {
-            self.cache.insert(page, buf);
-        }
-        self.stats.gathers += 1;
-        self.stats.nodes_gathered += nodes.len() as u64;
-        self.stats.feature_bytes += nodes.len() as u64 * self.dim as u64 * 4;
-        Ok(())
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = StoreStats::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InMemoryStore, ScratchFile};
+    use crate::{FeatureStore, InMemoryStore, ScratchFile, SharedFileStore, StoreHandle};
+    use std::sync::Arc;
+
+    /// A single-owner store over `path`: one handle on a private
+    /// shared store with a one-stripe cache.
+    fn open_with(path: &Path, opts: FileStoreOptions) -> Result<StoreHandle, StoreError> {
+        let shared = SharedFileStore::open_with(path, opts, 1)?;
+        Ok(StoreHandle::new(Arc::new(shared)))
+    }
+
+    fn open(path: &Path) -> Result<StoreHandle, StoreError> {
+        open_with(path, FileStoreOptions::default())
+    }
 
     fn write_table(
         tag: &str,
@@ -489,7 +228,7 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_identical_to_the_table() {
         let (path, table) = write_table("roundtrip", 7, 3, 40);
-        let mut store = FileStore::open(path.path()).unwrap();
+        let mut store = open(path.path()).unwrap();
         let nodes: Vec<NodeId> = [3u32, 0, 39, 3, 17].map(NodeId::new).to_vec();
         let got = store.gather(&nodes).unwrap();
         let want = InMemoryStore::new(table, 40).gather(&nodes).unwrap();
@@ -503,7 +242,7 @@ mod tests {
     #[test]
     fn repeat_gathers_hit_the_page_cache() {
         let (path, _) = write_table("hits", 16, 2, 64);
-        let mut store = FileStore::open(path.path()).unwrap();
+        let mut store = open(path.path()).unwrap();
         let nodes: Vec<NodeId> = (0..64u32).map(NodeId::new).collect();
         store.gather(&nodes).unwrap();
         let cold = store.stats();
@@ -522,7 +261,7 @@ mod tests {
     #[test]
     fn zero_capacity_cache_rereads_every_time() {
         let (path, _) = write_table("nocache", 8, 2, 16);
-        let mut store = FileStore::open_with(
+        let mut store = open_with(
             path.path(),
             FileStoreOptions {
                 page_bytes: 4096,
@@ -544,7 +283,7 @@ mod tests {
         let nodes: Vec<NodeId> = [32u32, 1, 16, 8, 8, 0].map(NodeId::new).to_vec();
         let want = InMemoryStore::new(table, 33).gather(&nodes).unwrap();
         for page_bytes in [512u64, 1024, 4096, 16384, 1 << 20] {
-            let mut store = FileStore::open_with(
+            let mut store = open_with(
                 path.path(),
                 FileStoreOptions {
                     page_bytes,
@@ -567,7 +306,7 @@ mod tests {
             .unwrap();
         f.set_len(full - 13).unwrap();
         drop(f);
-        let err = FileStore::open(path.path()).unwrap_err();
+        let err = open(path.path()).unwrap_err();
         let msg = err.to_string();
         assert!(matches!(err, StoreError::Truncated { expected, actual, .. }
             if expected == full && actual == full - 13));
@@ -586,15 +325,15 @@ mod tests {
         let path = ScratchFile::new("magic");
         std::fs::write(path.path(), vec![0u8; HEADER_BYTES as usize]).unwrap();
         assert!(matches!(
-            FileStore::open(path.path()).unwrap_err(),
+            open(path.path()).unwrap_err(),
             StoreError::BadMagic { .. }
         ));
         std::fs::write(path.path(), b"short").unwrap();
         assert!(matches!(
-            FileStore::open(path.path()).unwrap_err(),
+            open(path.path()).unwrap_err(),
             StoreError::Truncated { expected, actual: 5, .. } if expected == HEADER_BYTES
         ));
-        let err = FileStore::open(Path::new("/nonexistent/feat.fbin")).unwrap_err();
+        let err = open(Path::new("/nonexistent/feat.fbin")).unwrap_err();
         assert!(matches!(err, StoreError::Io { action: "open", .. }));
     }
 
@@ -606,14 +345,14 @@ mod tests {
         // dim = 0
         std::fs::write(path.path(), &bytes).unwrap();
         assert!(matches!(
-            FileStore::open(path.path()).unwrap_err(),
+            open(path.path()).unwrap_err(),
             StoreError::BadHeader { .. }
         ));
         // classes = 0 with a valid dim
         bytes[8..16].copy_from_slice(&4u64.to_le_bytes());
         std::fs::write(path.path(), &bytes).unwrap();
         assert!(matches!(
-            FileStore::open(path.path()).unwrap_err(),
+            open(path.path()).unwrap_err(),
             StoreError::BadHeader { .. }
         ));
     }
@@ -630,7 +369,7 @@ mod tests {
         bytes[16..24].copy_from_slice(&(1u64 << 31).to_le_bytes()); // nodes
         bytes[24..32].copy_from_slice(&2u64.to_le_bytes()); // classes
         std::fs::write(path.path(), &bytes).unwrap();
-        let err = FileStore::open(path.path()).unwrap_err();
+        let err = open(path.path()).unwrap_err();
         assert!(matches!(err, StoreError::BadHeader { .. }), "{err}");
         assert!(err.to_string().contains("impossible size"), "{err}");
     }
@@ -638,7 +377,7 @@ mod tests {
     #[test]
     fn out_of_range_node_fails_before_io() {
         let (path, _) = write_table("range", 4, 2, 5);
-        let mut store = FileStore::open(path.path()).unwrap();
+        let mut store = open(path.path()).unwrap();
         let err = store.gather(&[NodeId::new(5)]).unwrap_err();
         assert!(matches!(
             err,

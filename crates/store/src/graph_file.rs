@@ -32,28 +32,24 @@
 //! # Read path
 //!
 //! [`SharedCsrFile`] is the topology analogue of
-//! [`SharedFileStore`](crate::SharedFileStore): the file is opened once
-//! per registry and read with positioned reads through a lock-striped
-//! [`ShardedPageCache`]; a batch of offset or edge entries is planned
-//! (pure address arithmetic), its distinct pages merged into maximal
-//! contiguous runs ([`merge_page_runs`]), and each maximal stretch of
-//! missing pages costs one positioned read. Every operation takes
-//! `&self` and returns its exact per-call I/O deltas, which the
+//! [`SharedFileStore`](crate::SharedFileStore): the `u64`-entry format
+//! layer over the same crate-private `PagedFile` (`paged.rs`). The
+//! file is opened once per registry; a batch of offset or edge entries
+//! becomes byte ranges (pure address arithmetic) that the paged read
+//! path resolves through its lock-striped page cache. Every operation
+//! takes `&self` and returns its exact per-call I/O deltas, which the
 //! caller's [`FileTopology`](crate::FileTopology) handle accumulates
 //! into scoped counters.
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
-use crate::stats::AtomicStoreStats;
+use crate::paged::PagedFile;
 use crate::StoreStats;
 use smartsage_graph::{CsrGraph, NodeId};
-use smartsage_hostio::{
-    merge_page_runs, ByteRange, ReadEngine, ReadRequest, ReadSource, ShardedPageCache,
-};
-use std::collections::HashMap;
+use smartsage_hostio::{ByteRange, ReadEngine, ReadSource};
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Magic bytes identifying a graph topology file (versioned).
@@ -81,38 +77,17 @@ pub fn graph_file_len(num_nodes: u64, num_edges: u64) -> u64 {
 /// Serializes `graph` to `path` in the layout above. Overwrites any
 /// existing file.
 pub fn write_graph_file(path: &Path, graph: &CsrGraph) -> Result<(), StoreError> {
-    let io_err = |action: &'static str| {
-        move |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            action,
-            source,
-        }
-    };
-    let file = File::create(path).map_err(io_err("create"))?;
-    let mut w = BufWriter::new(file);
-    let n = graph.num_nodes() as u64;
-    let mut header = [0u8; GRAPH_HEADER_BYTES as usize];
-    header[0..8].copy_from_slice(&GRAPH_FILE_MAGIC);
-    header[8..16].copy_from_slice(&n.to_le_bytes());
-    header[16..24].copy_from_slice(&graph.num_edges().to_le_bytes());
-    w.write_all(&header).map_err(io_err("write header"))?;
-    for node in graph.node_ids() {
-        w.write_all(&graph.edge_list_start(node).to_le_bytes())
-            .map_err(io_err("write offsets"))?;
+    write_graph_shard(path, graph, 0, graph.num_nodes())
+}
+
+/// Global edge offset of node index `i` (`i == num_nodes` is the end of
+/// the edge array).
+pub(crate) fn edge_offset(graph: &CsrGraph, i: usize) -> u64 {
+    if i == graph.num_nodes() {
+        graph.num_edges()
+    } else {
+        graph.edge_list_start(NodeId::new(i as u32))
     }
-    w.write_all(&graph.num_edges().to_le_bytes())
-        .map_err(io_err("write offsets"))?;
-    let pad = edge_array_base(n) - (GRAPH_HEADER_BYTES + (n + 1) * GRAPH_ENTRY_BYTES);
-    w.write_all(&vec![0u8; pad as usize])
-        .map_err(io_err("write padding"))?;
-    for node in graph.node_ids() {
-        for &t in graph.neighbors(node) {
-            w.write_all(&(t.raw() as u64).to_le_bytes())
-                .map_err(io_err("write edges"))?;
-        }
-    }
-    w.flush().map_err(io_err("flush"))?;
-    Ok(())
 }
 
 /// Serializes the edge lists of the global node range `start..end` of
@@ -145,15 +120,8 @@ pub fn write_graph_shard(
             source,
         }
     };
-    let off_global = |i: usize| -> u64 {
-        if i == n {
-            graph.num_edges()
-        } else {
-            graph.edge_list_start(NodeId::new(i as u32))
-        }
-    };
-    let base = off_global(start);
-    let top = off_global(end);
+    let base = edge_offset(graph, start);
+    let top = edge_offset(graph, end);
     let shard_edges = top - base;
     let file = File::create(path).map_err(io_err("create"))?;
     let mut w = BufWriter::new(file);
@@ -163,7 +131,7 @@ pub fn write_graph_shard(
     header[16..24].copy_from_slice(&shard_edges.to_le_bytes());
     w.write_all(&header).map_err(io_err("write header"))?;
     for i in 0..=n {
-        let off = off_global(i).clamp(base, top) - base;
+        let off = edge_offset(graph, i).clamp(base, top) - base;
         w.write_all(&off.to_le_bytes())
             .map_err(io_err("write offsets"))?;
     }
@@ -181,11 +149,10 @@ pub fn write_graph_shard(
     Ok(())
 }
 
-/// An opened, validated graph file: the raw handle plus header fields.
+/// An opened, validated graph file: the read handle plus header fields.
 #[derive(Debug)]
 pub(crate) struct RawGraphFile {
-    pub file: File,
-    pub path: PathBuf,
+    pub source: ReadSource,
     pub num_nodes: usize,
     pub num_edges: u64,
     pub file_len: u64,
@@ -256,49 +223,30 @@ impl RawGraphFile {
             path: path.to_path_buf(),
             reason,
         };
-        let read_u64_at = |file: &File, offset: u64| -> Result<u64, StoreError> {
+        let source = ReadSource::new(file, path.to_path_buf());
+        let read_u64_at = |offset: u64| -> Result<u64, StoreError> {
             let mut buf = [0u8; 8];
-            read_exact_at(file, &mut buf, offset).map_err(|source| StoreError::Io {
-                path: path.to_path_buf(),
-                action: "read offsets",
-                source,
-            })?;
+            source
+                .read_exact_at(&mut buf, offset)
+                .map_err(io_err("read offsets"))?;
             Ok(u64::from_le_bytes(buf))
         };
-        let first = read_u64_at(&file, GRAPH_HEADER_BYTES)?;
+        let first = read_u64_at(GRAPH_HEADER_BYTES)?;
         if first != 0 {
             return Err(corrupt(format!("first offset is {first}, expected 0")));
         }
-        let last = read_u64_at(&file, GRAPH_HEADER_BYTES + num_nodes * GRAPH_ENTRY_BYTES)?;
+        let last = read_u64_at(GRAPH_HEADER_BYTES + num_nodes * GRAPH_ENTRY_BYTES)?;
         if last != num_edges {
             return Err(corrupt(format!(
                 "last offset {last} disagrees with edge count {num_edges}"
             )));
         }
         Ok(RawGraphFile {
-            file,
-            path: path.to_path_buf(),
+            source,
             num_nodes: num_nodes as usize,
             num_edges,
             file_len,
         })
-    }
-}
-
-/// Positioned read helper shared by open-time validation and the page
-/// read path: no shared cursor, safe from any thread.
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(buf, offset)
-    }
-    #[cfg(not(unix))]
-    {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut clone = file.try_clone()?;
-        clone.seek(SeekFrom::Start(offset))?;
-        clone.read_exact(buf)
     }
 }
 
@@ -314,20 +262,14 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
 /// state.
 #[derive(Debug)]
 pub struct SharedCsrFile {
-    source: ReadSource,
-    path: PathBuf,
+    paged: PagedFile,
     num_nodes: usize,
     num_edges: u64,
-    file_len: u64,
     edge_base: u64,
-    opts: FileStoreOptions,
-    cache: ShardedPageCache,
-    engine: Arc<ReadEngine>,
-    prefetch: AtomicStoreStats,
 }
 
 impl SharedCsrFile {
-    /// Opens `path` with default options and shard count.
+    /// Opens `path` with default options and stripe count.
     pub fn open(path: &Path) -> Result<SharedCsrFile, StoreError> {
         SharedCsrFile::open_with(
             path,
@@ -356,30 +298,23 @@ impl SharedCsrFile {
         shards: usize,
         engine: Arc<ReadEngine>,
     ) -> Result<SharedCsrFile, StoreError> {
-        assert!(opts.page_bytes > 0, "page size must be positive");
         let raw = RawGraphFile::open(path)?;
         Ok(SharedCsrFile {
-            source: ReadSource::new(raw.file, raw.path.clone()),
             edge_base: edge_array_base(raw.num_nodes as u64),
-            path: raw.path,
+            paged: PagedFile::new(raw.source, raw.file_len, opts, shards, engine),
             num_nodes: raw.num_nodes,
             num_edges: raw.num_edges,
-            file_len: raw.file_len,
-            opts,
-            cache: ShardedPageCache::new(opts.cache_pages, shards),
-            engine,
-            prefetch: AtomicStoreStats::default(),
         })
     }
 
     /// The file this store reads from.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.paged.path()
     }
 
     /// The configured options.
     pub fn options(&self) -> FileStoreOptions {
-        self.opts
+        self.paged.options()
     }
 
     /// Number of nodes the graph holds.
@@ -394,27 +329,27 @@ impl SharedCsrFile {
 
     /// Exact length of the backing file in bytes.
     pub fn file_len(&self) -> u64 {
-        self.file_len
+        self.paged.file_len()
     }
 
-    /// Resident pages per cache shard.
+    /// Resident pages per cache stripe.
     pub fn cache_occupancy(&self) -> Vec<usize> {
-        self.cache.occupancy()
+        self.paged.cache_occupancy()
     }
 
     /// Total page capacity of the cache.
     pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
+        self.paged.cache_capacity()
     }
 
     /// Drops every cached page; the next read starts cold.
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        self.paged.clear_cache();
     }
 
     fn corrupt(&self, reason: String) -> StoreError {
         StoreError::CorruptGraph {
-            path: self.path.clone(),
+            path: self.path().to_path_buf(),
             reason,
         }
     }
@@ -446,157 +381,27 @@ impl SharedCsrFile {
         }
     }
 
-    /// The distinct pages backing `ranges`, ascending with runs merged
-    /// — the plan the read path resolves, exposed for the ISP tier's
-    /// timing model. Pure address arithmetic.
-    pub(crate) fn plan_pages_for(&self, ranges: &[ByteRange]) -> Vec<u64> {
-        let pb = self.opts.page_bytes;
-        let mut pages = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            if let Some((first, last)) = range.blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let mut plan = Vec::with_capacity(pages.len());
-        for run in merge_page_runs(&pages) {
-            plan.extend(run.first..run.end());
-        }
-        plan
-    }
-
-    /// Submits one positioned read per missing page stretch as a
-    /// single engine batch; results come back in submission order (see
-    /// [`SharedFileStore`](crate::SharedFileStore)'s identical helper).
-    /// Successful stretches count into `io`; a failed stretch
-    /// surfaces as its `Err` slot and counts nothing.
-    fn fetch_runs(
-        &self,
-        runs: &[(u64, u64)],
-        io: &mut StoreStats,
-    ) -> Vec<Result<Vec<Arc<[u8]>>, std::io::Error>> {
-        if runs.is_empty() {
-            return Vec::new();
-        }
-        let pb = self.opts.page_bytes;
-        let requests = runs
-            .iter()
-            .map(|&(first, count)| {
-                let start = first * pb;
-                ReadRequest {
-                    source: self.source.clone(),
-                    offset: start,
-                    len: (count * pb).min(self.file_len - start) as usize,
-                }
-            })
-            .collect();
-        let results = self.engine.submit(requests).wait();
-        runs.iter()
-            .zip(results)
-            .map(|(&(_, count), result)| {
-                let buf = result?;
-                io.pages_read += count;
-                io.page_misses += count;
-                io.bytes_read += buf.len() as u64;
-                // Host-path split (Fig 10(a)): every page read from
-                // media crosses the host link whole. The ISP topology
-                // tier re-scopes the host side of this split after the
-                // fact.
-                io.device_bytes_read += buf.len() as u64;
-                io.host_bytes_transferred += buf.len() as u64;
-                Ok(buf.chunks(pb as usize).map(Arc::from).collect())
-            })
-            .collect()
-    }
-
-    /// Resolves `ranges` (each one or two u64 entries) to their LE
-    /// values through the page cache: plan, coalesce, classify + fetch,
-    /// assemble — the same discipline as the feature read path.
+    /// Resolves `ranges` (each one or two whole u64 entries) to their
+    /// LE values through the paged read path; an entry may straddle a
+    /// page boundary under odd page sizes.
     fn read_entries(
         &self,
         ranges: &[ByteRange],
         io: &mut StoreStats,
     ) -> Result<Vec<u64>, StoreError> {
-        let pb = self.opts.page_bytes;
-        let mut pages = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            if let Some((first, last)) = range.blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let runs = merge_page_runs(&pages);
-        // Classify: resident pages are hits (promoted now, staged as
-        // cheap Arc clones so eviction in an undersized cache cannot
-        // disturb assembly); each maximal stretch of missing pages
-        // becomes one positioned read.
-        let mut staged: HashMap<u64, Arc<[u8]>> = HashMap::new();
-        let mut miss_runs: Vec<(u64, u64)> = Vec::new();
-        for run in &runs {
-            let mut p = run.first;
-            while p < run.end() {
-                if let Some(buf) = self.cache.get(p) {
-                    io.page_hits += 1;
-                    staged.insert(p, buf);
-                    p += 1;
-                    continue;
-                }
-                let mut q = p + 1;
-                while q < run.end() && !self.cache.contains(q) {
-                    q += 1;
-                }
-                miss_runs.push((p, q - p));
-                p = q;
-            }
-        }
-        // Fetch: the whole miss plan goes to the read engine as one
-        // batch; order-preserving completion keeps staging and the
-        // ascending cache commit identical to the serial path.
-        let mut fetched: Vec<(u64, Arc<[u8]>)> = Vec::new();
-        for (&(first, _), result) in miss_runs.iter().zip(self.fetch_runs(&miss_runs, io)) {
-            let pages = result.map_err(|source| StoreError::Io {
-                path: self.path.clone(),
-                action: "read run",
-                source,
-            })?;
-            for (i, page_buf) in pages.into_iter().enumerate() {
-                staged.insert(first + i as u64, Arc::clone(&page_buf));
-                fetched.push((first + i as u64, page_buf));
-            }
-        }
-        // Assemble each entry from the staged pages (an entry may
-        // straddle a page boundary under odd page sizes).
+        let staged = self.paged.read(ranges, io)?;
         let mut out = Vec::with_capacity(ranges.len() * 2);
-        let mut entry = [0u8; 8];
+        let mut entry = [0u8; GRAPH_ENTRY_BYTES as usize];
         for range in ranges {
-            let mut at = range.offset;
-            while at < range.offset + range.len {
-                let hi = (at + GRAPH_ENTRY_BYTES).min(range.offset + range.len);
-                debug_assert_eq!(hi - at, GRAPH_ENTRY_BYTES, "ranges are whole entries");
-                let (first, last) = ByteRange {
+            debug_assert_eq!(range.len % GRAPH_ENTRY_BYTES, 0, "ranges are whole entries");
+            for at in (range.offset..range.offset + range.len).step_by(GRAPH_ENTRY_BYTES as usize) {
+                let one = ByteRange {
                     offset: at,
                     len: GRAPH_ENTRY_BYTES,
-                }
-                .blocks(pb)
-                // ssl::allow(SSL001): GRAPH_ENTRY_BYTES is a nonzero
-                // constant, so blocks() cannot return None.
-                .expect("entries are non-empty");
-                for page in first..=last {
-                    let page_start = page * pb;
-                    // ssl::allow(SSL001): the staging pass above
-                    // inserted every page of every planned run.
-                    let src = staged.get(&page).expect("planned page is staged");
-                    let lo = at.max(page_start);
-                    let end = hi.min(page_start + src.len() as u64);
-                    entry[(lo - at) as usize..(end - at) as usize].copy_from_slice(
-                        &src[(lo - page_start) as usize..(end - page_start) as usize],
-                    );
-                }
+                };
+                staged.copy_range(one, &mut entry);
                 out.push(u64::from_le_bytes(entry));
-                at = hi;
             }
-        }
-        // Commit fetched pages to the cache in ascending page order.
-        for (page, buf) in fetched {
-            self.cache.insert(page, buf);
         }
         Ok(out)
     }
@@ -710,49 +515,18 @@ impl SharedCsrFile {
     /// swallowed — the demand path surfaces real failures with full
     /// context.
     pub fn prefetch_offsets(&self, nodes: &[NodeId]) {
-        let pb = self.opts.page_bytes;
-        let mut pages = Vec::with_capacity(nodes.len());
-        for &node in nodes {
-            if node.index() >= self.num_nodes {
-                continue;
-            }
-            if let Some((first, last)) = self.offset_pair_range(node).blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let mut io = StoreStats::default();
-        let mut miss_runs: Vec<(u64, u64)> = Vec::new();
-        for run in merge_page_runs(&pages) {
-            let mut p = run.first;
-            while p < run.end() {
-                if self.cache.contains(p) {
-                    p += 1;
-                    continue;
-                }
-                let mut q = p + 1;
-                while q < run.end() && !self.cache.contains(q) {
-                    q += 1;
-                }
-                miss_runs.push((p, q - p));
-                p = q;
-            }
-        }
-        // One engine batch for the whole advisory plan; failed
-        // stretches are skipped (and uncounted) so prefetch_stats
-        // always explains every resident page.
-        for (&(first, _), result) in miss_runs.iter().zip(self.fetch_runs(&miss_runs, &mut io)) {
-            let Ok(bufs) = result else { continue };
-            for (i, buf) in bufs.into_iter().enumerate() {
-                self.cache.insert(first + i as u64, buf);
-            }
-        }
-        self.prefetch.add(&io);
+        let ranges: Vec<ByteRange> = nodes
+            .iter()
+            .filter(|node| node.index() < self.num_nodes)
+            .map(|&node| self.offset_pair_range(node))
+            .collect();
+        self.paged.warm(&ranges);
     }
 
     /// I/O performed by background offset prefetches so far (never
     /// part of any caller's scoped stats).
     pub fn prefetch_stats(&self) -> StoreStats {
-        self.prefetch.snapshot()
+        self.paged.prefetch_stats()
     }
 
     /// The page plan of an offset-pair batch (for the ISP timing
@@ -760,7 +534,7 @@ impl SharedCsrFile {
     /// [`SharedCsrFile::offset_pairs`] resolves.
     pub(crate) fn plan_offset_pages(&self, nodes: &[NodeId]) -> Vec<u64> {
         let ranges: Vec<ByteRange> = nodes.iter().map(|&n| self.offset_pair_range(n)).collect();
-        self.plan_pages_for(&ranges)
+        self.paged.plan_pages(&ranges)
     }
 
     /// The combined device page plan of one pick batch — every
@@ -773,25 +547,8 @@ impl SharedCsrFile {
             .map(|&(n, _)| self.offset_pair_range(n))
             .collect();
         ranges.extend(edges.iter().map(|&e| self.edge_entry_range(e)));
-        self.plan_pages_for(&ranges)
+        self.paged.plan_pages(&ranges)
     }
-}
-
-/// Checks that a graph file and a feature file describe the same node
-/// population; a mismatch fails typed, naming both files.
-pub fn check_same_population(
-    graph: &SharedCsrFile,
-    features: &crate::SharedFileStore,
-) -> Result<(), StoreError> {
-    if graph.num_nodes() != features.num_nodes() {
-        return Err(StoreError::NodeCountMismatch {
-            graph: graph.path().to_path_buf(),
-            graph_nodes: graph.num_nodes(),
-            features: features.path().to_path_buf(),
-            feature_nodes: features.num_nodes(),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! The in-storage-processing feature store: gathers resolve inside the
 //! (modeled) SSD, and only packed feature rows cross the host link.
 //!
-//! [`crate::FileStore`] and [`crate::SharedFileStore`] are Fig 10(a)
-//! systems: every page a gather touches is fetched from the device and
-//! shipped to the host *whole*, so SSD→host traffic is page-amplified
+//! [`crate::SharedFileStore`] is a Fig 10(a) system: every page a
+//! gather touches is fetched from the device and shipped to the host
+//! *whole*, so SSD→host traffic is page-amplified
 //! relative to the payload. SmartSAGE's headline mechanism (paper §IV,
 //! Fig 10(b)) moves the gather into the device: firmware reads the
 //! pages from flash into the SSD's DRAM page buffer, picks the feature
@@ -182,15 +182,121 @@ impl Default for IspGatherOptions {
 pub struct IspGatherStore {
     shared: Arc<SharedFileStore>,
     scratchpad: Arc<RowScratchpad>,
+    device: IspDevice,
+    stats: StoreStats,
+}
+
+/// One modeled in-storage device under an ISP tier: the SSD component
+/// model plus the virtual clock its passes advance. Shared by the ISP
+/// feature-gather tier and the ISP sampling topology
+/// ([`crate::IspSampleTopology`]), one per member device.
+#[derive(Debug)]
+pub(crate) struct IspDevice {
     ssd: Ssd,
     queue_depth: usize,
     pack_cost_per_row: SimDuration,
-    /// Virtual device clock: each gather starts where the previous one
-    /// finished, so shared-resource contention (cores, channels, PCIe)
-    /// accumulates across a run exactly like in the edge-list policies.
+    /// Each pass starts where the previous one finished, so
+    /// shared-resource contention (cores, channels, PCIe) accumulates
+    /// across a run exactly like in the edge-list policies.
     clock: SimTime,
     device_time: SimDuration,
-    stats: StoreStats,
+}
+
+impl IspDevice {
+    /// A device aligned to the geometry of the `file_len`-byte file it
+    /// serves: flash pages are the store's I/O pages, the FTL covers
+    /// the whole file, and the device page buffer matches the payload
+    /// cache capacity.
+    pub fn new(opts: IspGatherOptions, file_opts: FileStoreOptions, file_len: u64) -> IspDevice {
+        assert!(opts.queue_depth > 0, "queue depth must be positive");
+        let mut params = opts.ssd;
+        params.flash.page_bytes = file_opts.page_bytes;
+        params.ftl.logical_pages = params
+            .ftl
+            .logical_pages
+            .max(file_len.div_ceil(file_opts.page_bytes).max(1));
+        params.buffer_pages = file_opts.cache_pages;
+        IspDevice {
+            ssd: Ssd::new(params),
+            queue_depth: opts.queue_depth,
+            pack_cost_per_row: opts.pack_cost_per_row,
+            clock: SimTime::ZERO,
+            device_time: SimDuration::ZERO,
+        }
+    }
+
+    /// Total modeled busy time across all passes so far.
+    pub fn device_time(&self) -> SimDuration {
+        self.device_time
+    }
+
+    /// The composed device model.
+    pub fn ssd(&self) -> &Ssd {
+        &self.ssd
+    }
+
+    /// Costs one ISP pass against the device model — command decode on
+    /// the embedded cores, FTL translation + flash read (or page-buffer
+    /// hit) per planned page with at most `queue_depth` reads in
+    /// flight, per-row pack work on the cores, and the packed-result
+    /// DMA of `shipped` bytes — and re-scopes `io`'s transfer split:
+    /// the shared file accounted its page reads as host traffic (it is
+    /// a host-path reader); here they happened inside the device, and
+    /// only the `shipped` packed bytes crossed the link.
+    pub fn pass(
+        &mut self,
+        mut io: StoreStats,
+        pages: &[u64],
+        rows: u64,
+        shipped: u64,
+    ) -> StoreStats {
+        let ssd = &mut self.ssd;
+        let start = self.clock;
+        // Firmware picks the command off the queue and decodes its
+        // descriptor.
+        let (_, mut t) = ssd.cores.exec_raw(start, ssd.nvme.isp_command_cost);
+        // Page fetches: the in-device unit keeps up to `queue_depth`
+        // flash requests outstanding; a new issue waits for the oldest
+        // in-flight one once the window is full.
+        let mut inflight: VecDeque<SimTime> = VecDeque::with_capacity(self.queue_depth);
+        let mut ready = t;
+        for &lpn in pages {
+            let issue = if inflight.len() >= self.queue_depth {
+                inflight.pop_front().expect("window is full").max(t)
+            } else {
+                t
+            };
+            let (_, translated) = ssd.cores.exec_raw(issue, ssd.ftl.translate_cost());
+            let ppn = ssd.ftl.translate(lpn);
+            let hit = ssd.buffer.access(ppn);
+            if !hit {
+                ssd.buffer.insert(ppn);
+            }
+            let done = if hit {
+                // Served from SSD DRAM: a short controller-side touch,
+                // same as the baseline block path's buffer hits.
+                translated + SimDuration::from_nanos(500)
+            } else {
+                ssd.flash.read_page(translated, ppn)
+            };
+            ready = ready.max(done);
+            inflight.push_back(done);
+            t = t.max(issue);
+        }
+        // Gather/pack next to the page buffer, then one dense DMA of
+        // the packed payload back to the host.
+        let (_, packed) = ssd
+            .cores
+            .exec_raw(ready, self.pack_cost_per_row.mul_u64(rows));
+        let done = ssd.dma_to_host(packed, shipped);
+        self.clock = done;
+        let busy = done.elapsed_since(start);
+        self.device_time += busy;
+        io.device_ns = busy.as_nanos();
+        io.device_bytes_read = io.bytes_read;
+        io.host_bytes_transferred = shipped;
+        io
+    }
 }
 
 impl IspGatherStore {
@@ -198,26 +304,10 @@ impl IspGatherStore {
     /// joining the host row scratchpad every ISP run of that store
     /// shares ([`SharedFileStore::isp_scratchpad`]).
     pub fn over(shared: Arc<SharedFileStore>, opts: IspGatherOptions) -> IspGatherStore {
-        assert!(opts.queue_depth > 0, "queue depth must be positive");
-        let file_opts = shared.options();
-        let mut params = opts.ssd;
-        // Align the device model to the file geometry: flash pages are
-        // the store's I/O pages, the FTL covers the whole file, and the
-        // device page buffer matches the payload cache capacity.
-        params.flash.page_bytes = file_opts.page_bytes;
-        params.ftl.logical_pages = params
-            .ftl
-            .logical_pages
-            .max(shared.file_len().div_ceil(file_opts.page_bytes).max(1));
-        params.buffer_pages = file_opts.cache_pages;
         IspGatherStore {
+            device: IspDevice::new(opts, shared.options(), shared.file_len()),
             scratchpad: shared.isp_scratchpad(),
             shared,
-            ssd: Ssd::new(params),
-            queue_depth: opts.queue_depth,
-            pack_cost_per_row: opts.pack_cost_per_row,
-            clock: SimTime::ZERO,
-            device_time: SimDuration::ZERO,
             stats: StoreStats::default(),
         }
     }
@@ -263,84 +353,14 @@ impl IspGatherStore {
     /// Survives [`FeatureStore::reset_stats`] along with the device
     /// state itself (resetting counters must not rewind the clock).
     pub fn device_time(&self) -> SimDuration {
-        self.device_time
+        self.device.device_time()
     }
 
     /// The composed device model (for inspecting component counters —
     /// flash pages read, buffer hit ratio, PCIe bytes moved).
     pub fn ssd(&self) -> &Ssd {
-        &self.ssd
+        self.device.ssd()
     }
-
-    /// Costs one gather against the device model; see [`cost_isp_pass`].
-    fn cost_gather(&mut self, pages: &[u64], rows: u64, payload_bytes: u64) -> SimDuration {
-        cost_isp_pass(
-            &mut self.ssd,
-            &mut self.clock,
-            self.queue_depth,
-            self.pack_cost_per_row,
-            pages,
-            rows,
-            payload_bytes,
-        )
-    }
-}
-
-/// Costs one ISP pass against a device model: command decode on the
-/// embedded cores, FTL translation + flash read (or page-buffer hit)
-/// per planned page with at most `queue_depth` reads in flight, per-row
-/// pack work on the cores, and the packed-result DMA. Advances `clock`
-/// (each pass starts where the previous one finished, so
-/// shared-resource contention accumulates across a run) and returns the
-/// modeled busy time. Shared by the ISP feature-gather tier and the
-/// ISP sampling topology ([`crate::IspSampleTopology`]).
-pub(crate) fn cost_isp_pass(
-    ssd: &mut Ssd,
-    clock: &mut SimTime,
-    queue_depth: usize,
-    pack_cost_per_row: SimDuration,
-    pages: &[u64],
-    rows: u64,
-    payload_bytes: u64,
-) -> SimDuration {
-    let start = *clock;
-    // Firmware picks the command off the queue and decodes its
-    // descriptor.
-    let (_, mut t) = ssd.cores.exec_raw(start, ssd.nvme.isp_command_cost);
-    // Page fetches: the in-device unit keeps up to `queue_depth` flash
-    // requests outstanding; a new issue waits for the oldest in-flight
-    // one once the window is full.
-    let mut inflight: VecDeque<SimTime> = VecDeque::with_capacity(queue_depth);
-    let mut ready = t;
-    for &lpn in pages {
-        let issue = if inflight.len() >= queue_depth {
-            inflight.pop_front().expect("window is full").max(t)
-        } else {
-            t
-        };
-        let (_, translated) = ssd.cores.exec_raw(issue, ssd.ftl.translate_cost());
-        let ppn = ssd.ftl.translate(lpn);
-        let hit = ssd.buffer.access(ppn);
-        if !hit {
-            ssd.buffer.insert(ppn);
-        }
-        let done = if hit {
-            // Served from SSD DRAM: a short controller-side touch,
-            // same as the baseline block path's buffer hits.
-            translated + SimDuration::from_nanos(500)
-        } else {
-            ssd.flash.read_page(translated, ppn)
-        };
-        ready = ready.max(done);
-        inflight.push_back(done);
-        t = t.max(issue);
-    }
-    // Gather/pack next to the page buffer, then one dense DMA of the
-    // packed payload back to the host.
-    let (_, packed) = ssd.cores.exec_raw(ready, pack_cost_per_row.mul_u64(rows));
-    let done = ssd.dma_to_host(packed, payload_bytes);
-    *clock = done;
-    done.elapsed_since(start)
 }
 
 impl FeatureStore for IspGatherStore {
@@ -403,26 +423,21 @@ impl FeatureStore for IspGatherStore {
             // Device-side resolution through the shared store: real
             // media I/O, bit-identical values. Its per-call deltas are
             // the device reads of this gather.
-            io = self.shared.gather_into(&missing, &mut miss_buf)?;
+            let media = self.shared.gather_into(&missing, &mut miss_buf)?;
             // The missing rows' distinct pages (the same plan the
             // shared store just resolved) drive the timing model's
-            // FTL/flash/buffer sequence.
+            // FTL/flash/buffer sequence; only the packed missing rows
+            // cross the link.
             let plan = self.shared.plan_pages(&missing)?;
             let shipped = missing.len() as u64 * dim as u64 * 4;
-            let busy = self.cost_gather(&plan, missing.len() as u64, shipped);
-            self.device_time += busy;
-            io.device_ns = busy.as_nanos();
+            io = self
+                .device
+                .pass(media, &plan, missing.len() as u64, shipped);
             // Publish the freshly shipped rows to the scratchpad.
             for (j, &node) in missing.iter().enumerate() {
                 let row: Arc<[f32]> = miss_buf[j * dim..(j + 1) * dim].into();
                 self.scratchpad.insert(node, row);
             }
-            // Re-scope the transfer split: the shared store accounted
-            // its page reads as host traffic (it is a host-path store);
-            // here they happened inside the device, and only the packed
-            // missing rows crossed the link.
-            io.device_bytes_read = io.bytes_read;
-            io.host_bytes_transferred = shipped;
         }
         // Assemble the caller's buffer: resident rows from the
         // scratchpad, missing rows from the device gather.
@@ -457,7 +472,7 @@ impl FeatureStore for IspGatherStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{write_feature_file, FileStore, InMemoryStore, ScratchFile};
+    use crate::{write_feature_file, InMemoryStore, ScratchFile, StoreHandle};
     use smartsage_graph::FeatureTable;
 
     fn write_table(tag: &str, dim: usize, nodes: usize) -> (ScratchFile, FeatureTable) {
@@ -509,7 +524,7 @@ mod tests {
     fn host_bytes_stay_strictly_below_the_file_store_host_path() {
         let (path, _) = write_table("isp-vs-file", 8, 1024);
         let mut isp = IspGatherStore::open(path.path()).unwrap();
-        let mut file = FileStore::open(path.path()).unwrap();
+        let mut file = StoreHandle::new(Arc::new(SharedFileStore::open(path.path()).unwrap()));
         let nodes: Vec<NodeId> = (0..8u32).map(|i| NodeId::new(i * 128)).collect();
         isp.gather(&nodes).unwrap();
         file.gather(&nodes).unwrap();

@@ -25,8 +25,8 @@
 //!   [`smartsage_storage::Ssd`] component model in virtual time, with
 //!   flash reads issued at up to
 //!   [`IspGatherOptions::queue_depth`](crate::IspGatherOptions) in
-//!   flight — the same [`cost_isp_pass`](crate::isp) sequence the ISP
-//!   feature tier pays, accumulated in [`StoreStats::device_ns`] and
+//!   flight — the same device pass the ISP feature tier pays
+//!   ([`mod@crate::isp`]), accumulated in [`StoreStats::device_ns`] and
 //!   [`IspSampleTopology::device_time`].
 //!
 //! Like [`IspGatherStore`](crate::IspGatherStore), the device timing
@@ -38,11 +38,11 @@
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
 use crate::graph_file::SharedCsrFile;
-use crate::isp::{cost_isp_pass, IspGatherOptions};
+use crate::isp::{IspDevice, IspGatherOptions};
 use crate::topology::{check_out_len, TopologyStore};
 use crate::StoreStats;
 use smartsage_graph::NodeId;
-use smartsage_sim::{SimDuration, SimTime};
+use smartsage_sim::SimDuration;
 use smartsage_storage::Ssd;
 use std::path::Path;
 use std::sync::Arc;
@@ -62,39 +62,17 @@ const ENTRY_BYTES: u64 = crate::graph_file::GRAPH_ENTRY_BYTES;
 #[derive(Debug)]
 pub struct IspSampleTopology {
     shared: Arc<SharedCsrFile>,
-    ssd: Ssd,
-    queue_depth: usize,
-    pack_cost_per_row: SimDuration,
-    /// Virtual device clock: each batched read starts where the
-    /// previous one finished, so shared-resource contention (cores,
-    /// channels, PCIe) accumulates across a run.
-    clock: SimTime,
-    device_time: SimDuration,
+    device: IspDevice,
     stats: StoreStats,
 }
 
 impl IspSampleTopology {
     /// Wraps an already-open shared graph file in the ISP sampling
-    /// tier, aligning the device model to the file geometry (flash
-    /// pages are the store's I/O pages, the FTL covers the whole file,
-    /// the device page buffer matches the payload cache capacity).
+    /// tier, with a device model aligned to the file geometry.
     pub fn over(shared: Arc<SharedCsrFile>, opts: IspGatherOptions) -> IspSampleTopology {
-        assert!(opts.queue_depth > 0, "queue depth must be positive");
-        let file_opts = shared.options();
-        let mut params = opts.ssd;
-        params.flash.page_bytes = file_opts.page_bytes;
-        params.ftl.logical_pages = params
-            .ftl
-            .logical_pages
-            .max(shared.file_len().div_ceil(file_opts.page_bytes).max(1));
-        params.buffer_pages = file_opts.cache_pages;
         IspSampleTopology {
+            device: IspDevice::new(opts, shared.options(), shared.file_len()),
             shared,
-            ssd: Ssd::new(params),
-            queue_depth: opts.queue_depth,
-            pack_cost_per_row: opts.pack_cost_per_row,
-            clock: SimTime::ZERO,
-            device_time: SimDuration::ZERO,
             stats: StoreStats::default(),
         }
     }
@@ -134,39 +112,12 @@ impl IspSampleTopology {
     /// Survives [`TopologyStore::reset_stats`] along with the device
     /// state itself (resetting counters must not rewind the clock).
     pub fn device_time(&self) -> SimDuration {
-        self.device_time
+        self.device.device_time()
     }
 
     /// The composed device model (for inspecting component counters).
     pub fn ssd(&self) -> &Ssd {
-        &self.ssd
-    }
-
-    /// Costs one device pass and re-scopes `io`'s transfer split: the
-    /// shared file accounted its page reads as host traffic (it is a
-    /// host-path reader); here they happened inside the device, and
-    /// only `shipped` packed bytes crossed the link.
-    fn finish_pass(
-        &mut self,
-        mut io: StoreStats,
-        pages: &[u64],
-        rows: u64,
-        shipped: u64,
-    ) -> StoreStats {
-        let busy = cost_isp_pass(
-            &mut self.ssd,
-            &mut self.clock,
-            self.queue_depth,
-            self.pack_cost_per_row,
-            pages,
-            rows,
-            shipped,
-        );
-        self.device_time += busy;
-        io.device_ns = busy.as_nanos();
-        io.device_bytes_read = io.bytes_read;
-        io.host_bytes_transferred = shipped;
-        io
+        self.device.ssd()
     }
 }
 
@@ -189,7 +140,7 @@ impl TopologyStore for IspSampleTopology {
         }
         let pages = self.shared.plan_offset_pages(nodes);
         let shipped = nodes.len() as u64 * ENTRY_BYTES;
-        let mut io = self.finish_pass(io, &pages, nodes.len() as u64, shipped);
+        let mut io = self.device.pass(io, &pages, nodes.len() as u64, shipped);
         io.gathers = 1;
         io.nodes_gathered = nodes.len() as u64;
         io.feature_bytes = shipped;
@@ -213,7 +164,7 @@ impl TopologyStore for IspSampleTopology {
         // reads (firmware chains them without surfacing to the host).
         let pages = self.shared.plan_pick_pages(picks, &edges);
         let shipped = picks.len() as u64 * ENTRY_BYTES;
-        let mut io = self.finish_pass(io, &pages, picks.len() as u64, shipped);
+        let mut io = self.device.pass(io, &pages, picks.len() as u64, shipped);
         // One logical device command per batch, uniform with the other
         // tiers' access-counter convention.
         io.gathers = 1;

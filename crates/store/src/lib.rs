@@ -12,18 +12,15 @@
 //! * [`InMemoryStore`] — wraps the synthetic
 //!   [`FeatureTable`](smartsage_graph::FeatureTable); features are
 //!   produced straight into the caller's buffer with no I/O.
-//! * [`FileStore`] — a single-owner on-disk feature file ([`mod@file`]
-//!   documents the layout) read with page-aligned I/O, an exact-LRU
-//!   page cache ([`smartsage_hostio::LruSet`] ordering), and batch
-//!   gathers whose page reads are coalesced into contiguous runs
-//!   ([`smartsage_hostio::merge_page_runs`]).
-//! * [`SharedFileStore`] + [`StoreHandle`] — the concurrent store
-//!   layer: one open file and one lock-striped
+//! * [`SharedFileStore`] + [`StoreHandle`] — the file tier: one open
+//!   on-disk feature file ([`mod@file`] documents the layout) and one
+//!   lock-striped, exact-LRU
 //!   [`ShardedPageCache`](smartsage_hostio::ShardedPageCache) shared by
-//!   every thread, with exact per-call I/O deltas accumulated in
-//!   per-handle *scoped* counters. A [`StoreRegistry`] deduplicates
-//!   opens by content key, so a whole sweep of parallel jobs shares one
-//!   store.
+//!   every thread; batch gathers coalesce their page reads into
+//!   contiguous runs ([`smartsage_hostio::merge_page_runs`]), and exact
+//!   per-call I/O deltas accumulate in per-handle *scoped* counters. A
+//!   [`StoreRegistry`] deduplicates opens by content key, so a whole
+//!   sweep of parallel jobs shares one store.
 //! * [`IspGatherStore`] — the in-storage-processing tier: the same
 //!   on-disk file, but batch gathers resolve *device-side* against an
 //!   [`smartsage_storage::Ssd`] timing model (FTL lookups, flash
@@ -31,9 +28,10 @@
 //!   and only the packed feature rows cross the modeled PCIe link —
 //!   the paper's Fig 10(b) transfer-reduction mechanism on the real
 //!   feature path.
-//! * [`MeteredStore`] — wraps any store and keeps exact access counters
-//!   (gathers, nodes, payload bytes) on top of the inner store's I/O
-//!   stats, for reports.
+//!
+//! Callers do not pick among these by hand: [`StoreRegistry::open_tiers`]
+//! ([`mod@open`]) turns a [`TierSpec`] into the feature and topology
+//! stores of one dataset, sharded or not.
 //!
 //! # The topology half
 //!
@@ -63,7 +61,7 @@
 //! conformance suites (`tests/feature_store_conformance.rs`,
 //! `tests/topology_store_conformance.rs`) assert this across random
 //! graphs, batch orders, and page sizes, and the training equivalence
-//! tests assert that a full `Trainer` run through [`FileStore`] (and
+//! tests assert that a full `Trainer` run through the file tier (and
 //! sampling through [`FileTopology`]) produces a bit-identical loss
 //! trajectory to the in-memory tiers.
 
@@ -77,7 +75,8 @@ pub mod handle;
 pub mod isp;
 pub mod isp_topology;
 pub mod mem;
-pub mod metered;
+pub mod open;
+mod paged;
 pub mod registry;
 pub mod scratch;
 pub mod sharded;
@@ -87,13 +86,13 @@ pub mod topology;
 pub mod trace;
 
 pub use error::StoreError;
-pub use file::{write_feature_file, write_feature_shard, FileStore, FileStoreOptions};
-pub use graph_file::{check_same_population, write_graph_file, write_graph_shard, SharedCsrFile};
+pub use file::{write_feature_file, write_feature_shard, FileStoreOptions};
+pub use graph_file::{write_graph_file, write_graph_shard, SharedCsrFile};
 pub use handle::StoreHandle;
 pub use isp::{IspGatherOptions, IspGatherStore};
 pub use isp_topology::IspSampleTopology;
 pub use mem::InMemoryStore;
-pub use metered::MeteredStore;
+pub use open::{OpenTiers, TierSpec};
 pub use registry::{
     remove_cached_feature_files, sweep_stale_tmp_files, StoreOccupancy, StoreRegistry,
 };
@@ -105,8 +104,8 @@ pub use sharded::{
 pub use shared::SharedFileStore;
 pub use stats::AtomicStoreStats;
 pub use topology::{
-    share_topology, CsrView, FileTopology, InMemoryTopology, SharedTopology, TopologyKind,
-    TopologyStore,
+    share_topology, CsrTopology, CsrView, FileTopology, InMemoryTopology, SharedTopology,
+    TopologyKind, TopologyStore,
 };
 pub use trace::{SampleTrace, TraceAccess, TraceHop, TracingTopology};
 
@@ -174,8 +173,8 @@ impl StoreKind {
 /// The transfer-path counters split *where* bytes moved:
 ///
 /// * `device_bytes_read` — bytes the storage device read from its
-///   medium (page-aligned). For [`FileStore`] and [`SharedFileStore`]
-///   this equals `bytes_read`.
+///   medium (page-aligned). For [`SharedFileStore`] this equals
+///   `bytes_read`.
 /// * `host_bytes_transferred` — bytes that crossed the SSD→host link.
 ///   The host-path stores ship every fetched page whole (Fig 10(a)), so
 ///   this again equals `bytes_read`; the [`IspGatherStore`] gathers

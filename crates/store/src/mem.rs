@@ -23,6 +23,8 @@ use smartsage_graph::{FeatureTable, NodeId};
 #[derive(Debug, Clone)]
 pub struct InMemoryStore {
     table: FeatureTable,
+    /// Global id of row 0 (nonzero only for a shard window).
+    start: usize,
     num_nodes: usize,
     stats: StoreStats,
 }
@@ -30,11 +32,23 @@ pub struct InMemoryStore {
 impl InMemoryStore {
     /// Wraps `table`, serving nodes `0..num_nodes`.
     pub fn new(table: FeatureTable, num_nodes: usize) -> InMemoryStore {
+        InMemoryStore::window(table, 0, num_nodes)
+    }
+
+    /// A contiguous row window onto `table` addressed by local index
+    /// (row `j` is global node `start + j`) — the mem-tier twin of a
+    /// feature shard file.
+    pub(crate) fn window(table: FeatureTable, start: usize, num_nodes: usize) -> InMemoryStore {
         InMemoryStore {
             table,
+            start,
             num_nodes,
             stats: StoreStats::default(),
         }
+    }
+
+    fn global(&self, node: NodeId) -> NodeId {
+        NodeId::new((self.start + node.index()) as u32)
     }
 
     /// Wraps `table` with no node bound — any id resolves (the table is
@@ -65,7 +79,7 @@ impl FeatureStore for InMemoryStore {
     }
 
     fn label(&self, node: NodeId) -> usize {
-        self.table.label(node)
+        self.table.label(self.global(node))
     }
 
     fn gather_into(&mut self, nodes: &[NodeId], out: &mut [f32]) -> Result<(), StoreError> {
@@ -84,7 +98,7 @@ impl FeatureStore for InMemoryStore {
                 });
             }
             self.table
-                .features_into(node, &mut out[row * dim..(row + 1) * dim]);
+                .features_into(self.global(node), &mut out[row * dim..(row + 1) * dim]);
         }
         self.stats.gathers += 1;
         self.stats.nodes_gathered += nodes.len() as u64;

@@ -1,0 +1,179 @@
+//! Opening a dataset: the one place a tier pair is chosen.
+//!
+//! A dataset has two halves (feature table, graph topology), each half
+//! has three tiers (mem / file / isp), and either half may be
+//! partitioned across N modeled devices. [`StoreRegistry::open_tiers`]
+//! is the only code that turns that choice — a [`TierSpec`] — into
+//! stores, with the workspace's single `tier × shards` match per half.
+//! The offline pipeline and the serving engine both call it, so they
+//! cannot drift in what they open or what they reject.
+
+use crate::error::StoreError;
+use crate::file::FileStoreOptions;
+use crate::graph_file::SharedCsrFile;
+use crate::handle::StoreHandle;
+use crate::isp::{IspGatherOptions, IspGatherStore};
+use crate::isp_topology::IspSampleTopology;
+use crate::mem::InMemoryStore;
+use crate::registry::StoreRegistry;
+use crate::sharded::{
+    check_sharded_population, shard_ranges, ShardedFeatureStore, ShardedTopology,
+};
+use crate::shared::SharedFileStore;
+use crate::topology::{FileTopology, InMemoryTopology, TopologyKind, TopologyStore};
+use crate::{FeatureStore, StoreKind};
+use smartsage_graph::{CsrGraph, FeatureTable};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// Which tier pair to open, and across how many modeled devices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TierSpec {
+    /// Feature-store tier.
+    pub store: StoreKind,
+    /// Topology-store tier.
+    pub topology: TopologyKind,
+    /// Modeled storage devices the dataset is partitioned across
+    /// (contiguous node ranges). `0` and `1` both mean unsharded.
+    pub shards: usize,
+    /// Page size and **total** page-cache budget of each file-backed
+    /// half; the budget is sliced evenly across the devices, so it
+    /// stays constant as the shard count changes.
+    pub file: FileStoreOptions,
+}
+
+/// An opened tier pair. The stores carry this caller's scoped counters;
+/// the shard maps name the registry-shared files underneath (one
+/// full-range entry when unsharded, empty for a mem tier) so the caller
+/// can route read-ahead per device and read their prefetch counters.
+#[derive(Debug)]
+pub struct OpenTiers {
+    /// The feature store gathers go through.
+    pub features: Box<dyn FeatureStore + Send>,
+    /// The topology store sampling goes through.
+    pub topology: Box<dyn TopologyStore + Send>,
+    /// Each feature file with the global node range whose rows it holds
+    /// (at local indices: global node `range.start + j` is row `j`).
+    pub feature_files: Vec<(Range<usize>, Arc<SharedFileStore>)>,
+    /// Each graph file with the global node range it answers for (by
+    /// global id — graph shards keep the global node space).
+    pub graph_files: Vec<(Range<usize>, Arc<SharedCsrFile>)>,
+}
+
+impl StoreRegistry {
+    /// Opens the tier pair `spec` describes over `graph` and the first
+    /// `rows` rows of `table`, publishing the content-keyed files
+    /// through this registry first where needed.
+    ///
+    /// File-backed halves share one open file and one page cache per
+    /// content key with every other caller of this registry; the ISP
+    /// tiers layer a caller-private device model (its virtual clock
+    /// belongs to the caller) over those same shared files, one per
+    /// device. When both halves are file-backed their populations are
+    /// cross-checked up front, so a mismatched pair fails here with
+    /// [`StoreError::NodeCountMismatch`] /
+    /// [`StoreError::ShardCountMismatch`] naming both files — never a
+    /// `NodeOutOfRange` deep inside the first gather. A key already
+    /// open with different options is [`StoreError::OptionsConflict`].
+    pub fn open_tiers(
+        &self,
+        graph: &Arc<CsrGraph>,
+        table: &FeatureTable,
+        rows: usize,
+        spec: &TierSpec,
+    ) -> Result<OpenTiers, StoreError> {
+        let shards = spec.shards.max(1);
+        let opts = FileStoreOptions {
+            cache_pages: (spec.file.cache_pages / shards).max(1),
+            ..spec.file
+        };
+        let isp = IspGatherOptions::default;
+
+        type Features = Box<dyn FeatureStore + Send>;
+        let (features, feature_files): (Features, Vec<_>) = match (spec.store, shards) {
+            (StoreKind::Mem, 1) => (
+                Box::new(InMemoryStore::new(table.clone(), rows)),
+                Vec::new(),
+            ),
+            (StoreKind::Mem, n) => (
+                Box::new(ShardedFeatureStore::mem(table.clone(), rows, n)),
+                Vec::new(),
+            ),
+            (StoreKind::File, 1) => {
+                let file = self.open_feature_table(table, rows, opts)?;
+                (Box::new(StoreHandle::new(Arc::clone(&file))), vec![file])
+            }
+            (StoreKind::File, n) => {
+                let files = self.open_feature_shards(table, rows, n, opts)?;
+                (Box::new(ShardedFeatureStore::over_files(&files)?), files)
+            }
+            (StoreKind::Isp, 1) => {
+                let file = self.open_feature_table(table, rows, opts)?;
+                (
+                    Box::new(IspGatherStore::over(Arc::clone(&file), isp())),
+                    vec![file],
+                )
+            }
+            (StoreKind::Isp, n) => {
+                let files = self.open_feature_shards(table, rows, n, opts)?;
+                (
+                    Box::new(ShardedFeatureStore::over_isp(&files, isp())?),
+                    files,
+                )
+            }
+        };
+
+        type Topology = Box<dyn TopologyStore + Send>;
+        let graph_ranges = shard_ranges(graph.num_nodes(), shards);
+        let (topology, graph_files): (Topology, Vec<_>) = match (spec.topology, shards) {
+            // Arc clones of the caller's graph — never a copy of the
+            // CSR arrays.
+            (TopologyKind::Mem, 1) => (
+                Box::new(InMemoryTopology::from_arc(Arc::clone(graph))),
+                Vec::new(),
+            ),
+            (TopologyKind::Mem, n) => (
+                Box::new(ShardedTopology::mem(Arc::clone(graph), n)),
+                Vec::new(),
+            ),
+            (TopologyKind::File, 1) => {
+                let file = self.open_graph_csr(graph, opts)?;
+                (Box::new(FileTopology::new(Arc::clone(&file))), vec![file])
+            }
+            (TopologyKind::File, n) => {
+                let files = self.open_graph_shards(graph, n, opts)?;
+                (
+                    Box::new(ShardedTopology::over_files(&files, &graph_ranges)?),
+                    files,
+                )
+            }
+            (TopologyKind::Isp, 1) => {
+                let file = self.open_graph_csr(graph, opts)?;
+                (
+                    Box::new(IspSampleTopology::over(Arc::clone(&file), isp())),
+                    vec![file],
+                )
+            }
+            (TopologyKind::Isp, n) => {
+                let files = self.open_graph_shards(graph, n, opts)?;
+                (
+                    Box::new(ShardedTopology::over_isp(&files, &graph_ranges, isp())?),
+                    files,
+                )
+            }
+        };
+
+        if !graph_files.is_empty() && !feature_files.is_empty() {
+            check_sharded_population(&graph_files, &feature_files)?;
+        }
+        let with_ranges = |ranges: Vec<(usize, usize)>| ranges.into_iter().map(|(s, e)| s..e);
+        Ok(OpenTiers {
+            features,
+            topology,
+            feature_files: with_ranges(shard_ranges(rows, shards))
+                .zip(feature_files)
+                .collect(),
+            graph_files: with_ranges(graph_ranges).zip(graph_files).collect(),
+        })
+    }
+}

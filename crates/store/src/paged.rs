@@ -1,0 +1,406 @@
+//! The one paged read path under every file-backed store.
+//!
+//! A [`PagedFile`] is an open, already validated file plus the
+//! lock-striped [`ShardedPageCache`] and [`ReadEngine`] it is read
+//! through. It knows nothing about what the bytes mean — the format
+//! layers ([`SharedFileStore`](crate::SharedFileStore) rows,
+//! [`SharedCsrFile`](crate::SharedCsrFile) `u64` entries) turn a
+//! request into byte ranges and decode what comes back. What it owns is
+//! the algorithm every read follows:
+//!
+//! 1. **Plan** — the distinct pages the ranges touch, merged into
+//!    maximal contiguous runs ([`merge_page_runs`]); pure address
+//!    arithmetic.
+//! 2. **Classify** — resident pages are hits (promoted, and staged as
+//!    `Arc` clones so a concurrent eviction can never invalidate bytes
+//!    mid-assembly); each maximal stretch of missing pages becomes one
+//!    positioned read.
+//! 3. **Fetch** — the whole miss plan goes to the engine as one batch.
+//!    Stretches resolve concurrently across I/O workers, but the
+//!    completion hands results back in submission order, so staging is
+//!    bit-identical to reading the stretches serially.
+//! 4. **Commit** — fetched pages enter the cache in ascending page
+//!    order.
+//!
+//! [`PagedFile::warm`] is the advisory (read-ahead) variant.
+
+use crate::error::StoreError;
+use crate::file::FileStoreOptions;
+use crate::stats::AtomicStoreStats;
+use crate::StoreStats;
+use smartsage_hostio::{
+    merge_page_runs, ByteRange, PageRun, ReadEngine, ReadRequest, ReadSource, ShardedPageCache,
+};
+use std::collections::HashMap;
+use std::path::Path;
+use std::sync::Arc;
+
+/// An open file read page-wise through a shared cache (module docs).
+#[derive(Debug)]
+pub(crate) struct PagedFile {
+    source: ReadSource,
+    file_len: u64,
+    opts: FileStoreOptions,
+    cache: ShardedPageCache,
+    engine: Arc<ReadEngine>,
+    prefetch: AtomicStoreStats,
+}
+
+/// The pages one [`PagedFile::read`] resolved, held by `Arc` until the
+/// format layer has copied what it needs out of them.
+#[derive(Debug)]
+pub(crate) struct StagedPages {
+    pages: HashMap<u64, Arc<[u8]>>,
+    page_bytes: u64,
+}
+
+impl StagedPages {
+    /// Copies the bytes of `range` into `out` (`out.len() ==
+    /// range.len`); the range may straddle page boundaries. `range`
+    /// must be one of the ranges the read was planned from.
+    pub fn copy_range(&self, range: ByteRange, out: &mut [u8]) {
+        let Some((first, last)) = range.blocks(self.page_bytes) else {
+            return;
+        };
+        for page in first..=last {
+            let page_start = page * self.page_bytes;
+            // ssl::allow(SSL001): read() staged every page of every
+            // planned run before returning.
+            let src = self.pages.get(&page).expect("planned page is staged");
+            let lo = range.offset.max(page_start);
+            let hi = (range.offset + range.len).min(page_start + src.len() as u64);
+            out[(lo - range.offset) as usize..(hi - range.offset) as usize]
+                .copy_from_slice(&src[(lo - page_start) as usize..(hi - page_start) as usize]);
+        }
+    }
+}
+
+impl PagedFile {
+    /// Wraps an open file of exactly `file_len` bytes, striping its
+    /// page cache over `stripes` locks (rounded up to a power of two).
+    pub fn new(
+        source: ReadSource,
+        file_len: u64,
+        opts: FileStoreOptions,
+        stripes: usize,
+        engine: Arc<ReadEngine>,
+    ) -> PagedFile {
+        assert!(opts.page_bytes > 0, "page size must be positive");
+        PagedFile {
+            source,
+            file_len,
+            opts,
+            cache: ShardedPageCache::new(opts.cache_pages, stripes),
+            engine,
+            prefetch: AtomicStoreStats::default(),
+        }
+    }
+
+    pub fn path(&self) -> &Path {
+        self.source.path()
+    }
+
+    pub fn options(&self) -> FileStoreOptions {
+        self.opts
+    }
+
+    pub fn file_len(&self) -> u64 {
+        self.file_len
+    }
+
+    pub fn cache_occupancy(&self) -> Vec<usize> {
+        self.cache.occupancy()
+    }
+
+    pub fn cache_capacity(&self) -> usize {
+        self.cache.capacity()
+    }
+
+    pub fn clear_cache(&self) {
+        self.cache.clear();
+    }
+
+    /// I/O performed by [`PagedFile::warm`] so far.
+    pub fn prefetch_stats(&self) -> StoreStats {
+        self.prefetch.snapshot()
+    }
+
+    fn page_runs(&self, ranges: &[ByteRange]) -> Vec<PageRun> {
+        let mut pages = Vec::with_capacity(ranges.len() * 2);
+        for range in ranges {
+            if let Some((first, last)) = range.blocks(self.opts.page_bytes) {
+                pages.extend(first..=last);
+            }
+        }
+        merge_page_runs(&pages)
+    }
+
+    /// The distinct pages backing `ranges`, ascending — the plan
+    /// [`PagedFile::read`] resolves, exposed for the ISP tiers' timing
+    /// models.
+    pub fn plan_pages(&self, ranges: &[ByteRange]) -> Vec<u64> {
+        let mut plan = Vec::new();
+        for run in self.page_runs(ranges) {
+            plan.extend(run.first..run.end());
+        }
+        plan
+    }
+
+    /// Splits `runs` into maximal stretches of non-resident pages as
+    /// `(first_page, page_count)`. `resident` decides (and handles) the
+    /// page that would open a stretch; a stretch then extends while the
+    /// cache does not hold the next page.
+    fn miss_stretches(
+        &self,
+        runs: &[PageRun],
+        mut resident: impl FnMut(u64) -> bool,
+    ) -> Vec<(u64, u64)> {
+        let mut stretches = Vec::new();
+        for run in runs {
+            let mut p = run.first;
+            while p < run.end() {
+                if resident(p) {
+                    p += 1;
+                    continue;
+                }
+                let mut q = p + 1;
+                while q < run.end() && !self.cache.contains(q) {
+                    q += 1;
+                }
+                stretches.push((p, q - p));
+                p = q;
+            }
+        }
+        stretches
+    }
+
+    /// Submits one positioned read per stretch as a single engine batch
+    /// and returns the per-stretch page buffers **in submission order**
+    /// (the file's final page may be short). A successful stretch
+    /// counts into `io` — pages, misses, and bytes, which on this host
+    /// path (Fig 10(a)) the device read from media and shipped to the
+    /// host whole; the ISP tiers re-scope the host side afterwards. A
+    /// failed stretch surfaces as its `Err` slot and counts nothing.
+    fn fetch(
+        &self,
+        stretches: &[(u64, u64)],
+        io: &mut StoreStats,
+    ) -> Vec<Result<Vec<Arc<[u8]>>, std::io::Error>> {
+        if stretches.is_empty() {
+            return Vec::new();
+        }
+        let pb = self.opts.page_bytes;
+        let requests = stretches
+            .iter()
+            .map(|&(first, count)| {
+                let start = first * pb;
+                ReadRequest {
+                    source: self.source.clone(),
+                    offset: start,
+                    len: (count * pb).min(self.file_len - start) as usize,
+                }
+            })
+            .collect();
+        let results = self.engine.submit(requests).wait();
+        stretches
+            .iter()
+            .zip(results)
+            .map(|(&(_, count), result)| {
+                let buf = result?;
+                io.pages_read += count;
+                io.page_misses += count;
+                io.bytes_read += buf.len() as u64;
+                io.device_bytes_read += buf.len() as u64;
+                io.host_bytes_transferred += buf.len() as u64;
+                Ok(buf.chunks(pb as usize).map(Arc::from).collect())
+            })
+            .collect()
+    }
+
+    /// Resolves every page `ranges` touch through the cache (module
+    /// docs), adding this call's exact I/O deltas to `io`. The first
+    /// failed stretch fails the read — naming the file — before
+    /// anything is committed to the cache.
+    pub fn read(
+        &self,
+        ranges: &[ByteRange],
+        io: &mut StoreStats,
+    ) -> Result<StagedPages, StoreError> {
+        let runs = self.page_runs(ranges);
+        let mut pages: HashMap<u64, Arc<[u8]>> = HashMap::new();
+        let stretches = self.miss_stretches(&runs, |p| match self.cache.get(p) {
+            Some(buf) => {
+                io.page_hits += 1;
+                pages.insert(p, buf);
+                true
+            }
+            None => false,
+        });
+        let mut fetched: Vec<(u64, Arc<[u8]>)> = Vec::new();
+        for (&(first, _), result) in stretches.iter().zip(self.fetch(&stretches, io)) {
+            let bufs = result.map_err(|source| StoreError::Io {
+                path: self.path().to_path_buf(),
+                action: "read run",
+                source,
+            })?;
+            for (i, buf) in bufs.into_iter().enumerate() {
+                pages.insert(first + i as u64, Arc::clone(&buf));
+                fetched.push((first + i as u64, buf));
+            }
+        }
+        // Ascending page order: stretches were collected run by run.
+        for (page, buf) in fetched {
+            self.cache.insert(page, buf);
+        }
+        Ok(StagedPages {
+            pages,
+            page_bytes: self.opts.page_bytes,
+        })
+    }
+
+    /// Advisory read-ahead: loads the pages backing `ranges` that are
+    /// not yet resident, without promoting pages that are (a prefetch
+    /// must not distort recency). I/O is counted in
+    /// [`PagedFile::prefetch_stats`], never in a caller's scoped stats.
+    /// A failed stretch is skipped (and uncounted) while the rest still
+    /// land, so the prefetch counters always explain every page this
+    /// call made resident; the demand path surfaces real failures with
+    /// full context.
+    pub fn warm(&self, ranges: &[ByteRange]) {
+        let runs = self.page_runs(ranges);
+        let stretches = self.miss_stretches(&runs, |p| self.cache.contains(p));
+        let mut io = StoreStats::default();
+        for (&(first, _), result) in stretches.iter().zip(self.fetch(&stretches, &mut io)) {
+            let Ok(bufs) = result else { continue };
+            for (i, buf) in bufs.into_iter().enumerate() {
+                self.cache.insert(first + i as u64, buf);
+            }
+        }
+        self.prefetch.add(&io);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ScratchFile;
+
+    /// A file of `len` bytes where byte `i` is `i % 251`.
+    fn patterned(tag: &str, len: u64) -> (ScratchFile, Vec<u8>) {
+        let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let file = ScratchFile::new(tag);
+        std::fs::write(file.path(), &bytes).unwrap();
+        (file, bytes)
+    }
+
+    fn open(file: &ScratchFile, len: u64, page_bytes: u64, cache_pages: usize) -> PagedFile {
+        PagedFile::new(
+            ReadSource::new(
+                std::fs::File::open(file.path()).unwrap(),
+                file.path().to_path_buf(),
+            ),
+            len,
+            FileStoreOptions {
+                page_bytes,
+                cache_pages,
+            },
+            2,
+            Arc::clone(ReadEngine::global()),
+        )
+    }
+
+    fn range(offset: u64, len: u64) -> ByteRange {
+        ByteRange { offset, len }
+    }
+
+    #[test]
+    fn every_page_size_cache_size_and_the_short_final_page_resolve_the_same_bytes() {
+        // 10_001 bytes: no page size below divides it, so the final
+        // page is always short. The ranges straddle page boundaries,
+        // repeat, run backwards, and end on the file's last byte.
+        let (file, bytes) = patterned("paged-sizes", 10_001);
+        let ranges = [
+            range(9_991, 10),
+            range(0, 7),
+            range(4_090, 12),
+            range(4_090, 12),
+            range(505, 1_100),
+        ];
+        for page_bytes in [512u64, 1000, 4096, 16_384] {
+            for cache_pages in [0usize, 1, 64] {
+                let paged = open(&file, 10_001, page_bytes, cache_pages);
+                let mut cold = StoreStats::default();
+                let staged = paged.read(&ranges, &mut cold).unwrap();
+                for r in ranges {
+                    let mut got = vec![0u8; r.len as usize];
+                    staged.copy_range(r, &mut got);
+                    let want = &bytes[r.offset as usize..(r.offset + r.len) as usize];
+                    assert_eq!(got, want, "page {page_bytes} cache {cache_pages} {r:?}");
+                }
+                let planned = paged.plan_pages(&ranges).len() as u64;
+                assert_eq!(cold.page_hits, 0);
+                assert_eq!(cold.pages_read, planned, "every planned page read once");
+                assert_eq!(cold.page_misses, planned);
+                assert_eq!(cold.host_bytes_transferred, cold.bytes_read);
+                // The short final page is read short, not padded.
+                assert!(cold.bytes_read < planned * page_bytes);
+                let mut again = StoreStats::default();
+                paged.read(&ranges, &mut again).unwrap();
+                assert_eq!(again.page_hits + again.page_misses, planned);
+                match cache_pages {
+                    // No cache: every read goes back to the file.
+                    0 => assert_eq!(again, cold),
+                    // Everything fits: the second pass reads nothing.
+                    64 => assert_eq!((again.page_hits, again.bytes_read), (planned, 0)),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_stretch_counts_nothing_and_commits_nothing() {
+        // Five pages at open time, truncated to three underneath: the
+        // stretch covering page 4 now fails, the one covering page 0
+        // still succeeds.
+        let (file, _) = patterned("paged-fail", 5 * 512);
+        let paged = open(&file, 5 * 512, 512, 16);
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(file.path())
+            .unwrap()
+            .set_len(3 * 512)
+            .unwrap();
+        let ranges = [range(0, 8), range(4 * 512, 8)];
+        let mut io = StoreStats::default();
+        let err = paged.read(&ranges, &mut io).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::Io {
+                    action: "read run",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains(file.path().to_str().unwrap()));
+        // Only the stretch that succeeded was counted, and a failed
+        // read leaves the cache untouched.
+        assert_eq!((io.pages_read, io.bytes_read), (1, 512));
+        assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 0);
+        // The advisory path skips the failed stretch, lands the rest,
+        // and its counters explain exactly the resident pages.
+        paged.warm(&ranges);
+        let warmed = paged.prefetch_stats();
+        assert_eq!((warmed.pages_read, warmed.bytes_read), (1, 512));
+        assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 1);
+        // Warming again reads nothing new and never promotes.
+        paged.warm(&[range(0, 8)]);
+        assert_eq!(paged.prefetch_stats(), warmed);
+        // The demand path now hits the warmed page and reads nothing.
+        let mut demand = StoreStats::default();
+        paged.read(&[range(0, 8)], &mut demand).unwrap();
+        assert_eq!((demand.page_hits, demand.pages_read), (1, 0));
+    }
+}

@@ -32,8 +32,8 @@
 //! cannot be checked).
 
 use crate::error::StoreError;
-use crate::file::{write_feature_file, write_feature_shard, FileStoreOptions};
-use crate::graph_file::{write_graph_file, write_graph_shard, SharedCsrFile};
+use crate::file::{write_feature_shard, FileStoreOptions};
+use crate::graph_file::{edge_offset, write_graph_shard, SharedCsrFile};
 use crate::sharded::shard_ranges;
 use crate::shared::{SharedFileStore, DEFAULT_CACHE_SHARDS};
 use smartsage_graph::{CsrGraph, FeatureTable};
@@ -80,10 +80,119 @@ impl StoreOccupancy {
 /// One content key's slot: the per-key lock serializes publication of
 /// *this* file only, so a multi-MB serialize of one key never blocks
 /// opens of already-published keys on other sweep threads.
-type Slot = Arc<Mutex<Option<Arc<SharedFileStore>>>>;
+type Slot<F> = Arc<Mutex<Option<Arc<F>>>>;
 
-/// One graph content key's slot (same per-key discipline).
-type GraphSlot = Arc<Mutex<Option<Arc<SharedCsrFile>>>>;
+// BTreeMap, not HashMap: occupancy() and close_all() iterate these
+// maps, and registry output feeds reports — iteration order must be a
+// function of the keys alone (SSL002).
+type Slots<F> = Mutex<BTreeMap<PathBuf, Slot<F>>>;
+
+/// The two shared file types the registry deduplicates.
+trait Published: Sized {
+    /// The validating open, with the registry's stripe count.
+    fn open_published(path: &Path, opts: FileStoreOptions) -> Result<Self, StoreError>;
+    /// The options the file was opened with.
+    fn opened_with(&self) -> FileStoreOptions;
+}
+
+impl Published for SharedFileStore {
+    fn open_published(path: &Path, opts: FileStoreOptions) -> Result<Self, StoreError> {
+        SharedFileStore::open_with(path, opts, DEFAULT_CACHE_SHARDS)
+    }
+    fn opened_with(&self) -> FileStoreOptions {
+        self.options()
+    }
+}
+
+impl Published for SharedCsrFile {
+    fn open_published(path: &Path, opts: FileStoreOptions) -> Result<Self, StoreError> {
+        SharedCsrFile::open_with(path, opts, DEFAULT_CACHE_SHARDS)
+    }
+    fn opened_with(&self) -> FileStoreOptions {
+        self.options()
+    }
+}
+
+/// The one open-or-publish sequence behind every registry open. The
+/// first call for `path` in `slots` does the work; every later call
+/// returns the same `Arc`.
+///
+/// Two-level locking: the map lock is held only long enough to
+/// fetch/create this key's slot; serialization (a multi-MB write)
+/// happens under the per-key slot lock, so opens of other keys proceed
+/// concurrently while concurrent sweep threads wanting the same key
+/// cannot both serialize it.
+///
+/// An existing on-disk file is revalidated through the usual
+/// magic/header/length checks plus `matches`; anything stale or foreign
+/// is replaced by `write` into a private temporary + atomic rename
+/// (sweeping any orphaned temporaries found next to it). A key that is
+/// already open with *different* options fails with
+/// [`StoreError::OptionsConflict`] — never hand a caller a store whose
+/// I/O accounting would silently be computed against someone else's
+/// page size and capacity.
+fn open_or_publish<F: Published>(
+    slots: &Slots<F>,
+    path: PathBuf,
+    opts: FileStoreOptions,
+    matches: impl Fn(&F) -> bool,
+    write: impl FnOnce(&Path) -> Result<(), StoreError>,
+) -> Result<Arc<F>, StoreError> {
+    let slot: Slot<F> = {
+        let mut slots = slots.safe_lock();
+        Arc::clone(slots.entry(path.clone()).or_default())
+    };
+    let mut guard = slot.safe_lock();
+    if let Some(existing) = guard.as_ref() {
+        if existing.opened_with() != opts {
+            return Err(StoreError::OptionsConflict {
+                path,
+                requested: opts,
+                open: existing.opened_with(),
+            });
+        }
+        return Ok(Arc::clone(existing));
+    }
+    let file = match F::open_published(&path, opts) {
+        Ok(file) if matches(&file) => file,
+        _ => {
+            // ssl::allow(SSL004): publish-temporary sequence number —
+            // names files, never read as a statistic.
+            static SEQ: AtomicU64 = AtomicU64::new(0);
+            if let Some(dir) = path.parent() {
+                sweep_stale_tmp_files(dir);
+            }
+            let tmp = path.with_extension(format!(
+                "tmp-{}-{}",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            write(&tmp)?;
+            std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
+                path: path.clone(),
+                action: "publish",
+                source,
+            })?;
+            F::open_published(&path, opts)?
+        }
+    };
+    let file = Arc::new(file);
+    *guard = Some(Arc::clone(&file));
+    Ok(file)
+}
+
+/// Every file currently open in `slots` (empty slots from failed opens
+/// are skipped).
+fn open_files<F>(slots: &Slots<F>) -> Vec<Arc<F>> {
+    let slots: Vec<Slot<F>> = {
+        let slots = slots.safe_lock();
+        slots.values().cloned().collect()
+    };
+    slots
+        .iter()
+        .filter_map(|slot| slot.safe_lock().clone())
+        .collect()
+}
 
 /// Deduplicates [`SharedFileStore`] and [`SharedCsrFile`] opens by
 /// content-keyed path — one registry serves both halves of the
@@ -91,11 +200,8 @@ type GraphSlot = Arc<Mutex<Option<Arc<SharedCsrFile>>>>;
 /// file and one page cache per key on each axis.
 #[derive(Debug, Default)]
 pub struct StoreRegistry {
-    // BTreeMap, not HashMap: occupancy() and close_all() iterate these
-    // maps, and registry output feeds reports — iteration order must
-    // be a function of the keys alone (SSL002).
-    entries: Mutex<BTreeMap<PathBuf, Slot>>,
-    graph_entries: Mutex<BTreeMap<PathBuf, GraphSlot>>,
+    entries: Slots<SharedFileStore>,
+    graph_entries: Slots<SharedCsrFile>,
 }
 
 impl StoreRegistry {
@@ -115,88 +221,7 @@ impl StoreRegistry {
 
     /// The content-keyed path for `table`'s first `num_nodes` rows.
     pub fn content_key_path(table: &FeatureTable, num_nodes: usize) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "{FILE_PREFIX}n{num_nodes}-d{}-c{}-s{:x}.fbin",
-            table.dim(),
-            table.num_classes(),
-            table.seed(),
-        ))
-    }
-
-    /// Opens (publishing first if needed) the shared store for
-    /// `table`'s first `num_nodes` rows. The first call for a content
-    /// key does the work; every later call returns the same `Arc`.
-    ///
-    /// An existing on-disk file is revalidated through the usual
-    /// magic/header/length checks; anything stale or foreign is
-    /// replaced via write-to-temporary + atomic rename (sweeping any
-    /// orphaned temporaries it finds next to it). Requesting a key
-    /// that is already open with *different* options fails with
-    /// [`StoreError::OptionsConflict`] rather than silently serving
-    /// someone else's geometry.
-    pub fn open_feature_table(
-        &self,
-        table: &FeatureTable,
-        num_nodes: usize,
-        opts: FileStoreOptions,
-    ) -> Result<Arc<SharedFileStore>, StoreError> {
-        let path = StoreRegistry::content_key_path(table, num_nodes);
-        // Two-level locking: the map lock is held only long enough to
-        // fetch/create this key's slot; serialization (a multi-MB
-        // write) happens under the per-key slot lock, so opens of
-        // other keys proceed concurrently.
-        let slot: Slot = {
-            let mut entries = self.entries.safe_lock();
-            Arc::clone(entries.entry(path.clone()).or_default())
-        };
-        let mut guard = slot.safe_lock();
-        if let Some(existing) = guard.as_ref() {
-            // Never hand a caller a store with a different geometry
-            // than it asked for — its I/O accounting would silently be
-            // computed against someone else's page size and capacity.
-            if existing.options() != opts {
-                return Err(StoreError::OptionsConflict {
-                    path,
-                    requested: opts,
-                    open: existing.options(),
-                });
-            }
-            return Ok(Arc::clone(existing));
-        }
-        // First open of this key in this registry. The slot lock
-        // serializes publication, so concurrent sweep threads wanting
-        // the same table cannot both serialize it.
-        let matches = |s: &SharedFileStore| {
-            s.dim() == table.dim()
-                && s.num_nodes() == num_nodes
-                && s.num_classes() == table.num_classes()
-        };
-        let store = match SharedFileStore::open_with(&path, opts, DEFAULT_CACHE_SHARDS) {
-            Ok(store) if matches(&store) => store,
-            _ => {
-                // ssl::allow(SSL004): publish-temporary sequence
-                // number — names files, never read as a statistic.
-                static SEQ: AtomicU64 = AtomicU64::new(0);
-                if let Some(dir) = path.parent() {
-                    sweep_stale_tmp_files(dir);
-                }
-                let tmp = path.with_extension(format!(
-                    "tmp-{}-{}",
-                    std::process::id(),
-                    SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                write_feature_file(&tmp, table, num_nodes)?;
-                std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-                    path: path.clone(),
-                    action: "publish",
-                    source,
-                })?;
-                SharedFileStore::open_with(&path, opts, DEFAULT_CACHE_SHARDS)?
-            }
-        };
-        let store = Arc::new(store);
-        *guard = Some(Arc::clone(&store));
-        Ok(store)
+        feature_key_path(table, num_nodes, "")
     }
 
     /// The content-keyed path for `graph`'s topology file: node/edge
@@ -206,12 +231,7 @@ impl StoreRegistry {
     /// materialization that produced the graph, paid once per
     /// `open_graph_csr` (a per-run cost, like materialization itself).
     pub fn graph_content_key_path(graph: &CsrGraph) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "{GRAPH_PREFIX}n{}-e{}-h{:016x}.gbin",
-            graph.num_nodes(),
-            graph.num_edges(),
-            graph_fingerprint(graph),
-        ))
+        graph_key_path(graph, "")
     }
 
     /// The content-keyed path for shard `shard` of a `shards`-way
@@ -225,32 +245,36 @@ impl StoreRegistry {
         shard: usize,
         shards: usize,
     ) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "{FILE_PREFIX}n{num_nodes}-d{}-c{}-s{:x}-p{shard}of{shards}.fbin",
-            table.dim(),
-            table.num_classes(),
-            table.seed(),
-        ))
+        feature_key_path(table, num_nodes, &format!("-p{shard}of{shards}"))
     }
 
     /// The content-keyed path for shard `shard` of a `shards`-way
     /// topology partition of `graph` — the graph analogue of
     /// [`StoreRegistry::feature_shard_key_path`].
     pub fn graph_shard_key_path(graph: &CsrGraph, shard: usize, shards: usize) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "{GRAPH_PREFIX}n{}-e{}-h{:016x}-p{shard}of{shards}.gbin",
-            graph.num_nodes(),
-            graph.num_edges(),
-            graph_fingerprint(graph),
-        ))
+        graph_key_path(graph, &format!("-p{shard}of{shards}"))
+    }
+
+    /// Opens (publishing first if needed) the shared store for
+    /// `table`'s first `num_nodes` rows: one file descriptor and one
+    /// page cache per content key, [`StoreError::OptionsConflict`] if
+    /// the key is already open with different options.
+    pub fn open_feature_table(
+        &self,
+        table: &FeatureTable,
+        num_nodes: usize,
+        opts: FileStoreOptions,
+    ) -> Result<Arc<SharedFileStore>, StoreError> {
+        let path = StoreRegistry::content_key_path(table, num_nodes);
+        self.open_feature_rows(path, table, 0, num_nodes, opts)
     }
 
     /// Opens (publishing first if needed) the `shards`-way feature
     /// partition of `table`'s first `num_nodes` rows: one shard file
     /// per contiguous [`shard_ranges`] range, each holding its range's
-    /// rows at local indices, each deduplicated under the same per-key
-    /// slot discipline as [`StoreRegistry::open_feature_table`]. The
-    /// returned stores are in shard order.
+    /// rows at local indices, each deduplicated like
+    /// [`StoreRegistry::open_feature_table`]. The returned stores are
+    /// in shard order.
     pub fn open_feature_shards(
         &self,
         table: &FeatureTable,
@@ -258,220 +282,98 @@ impl StoreRegistry {
         shards: usize,
         opts: FileStoreOptions,
     ) -> Result<Vec<Arc<SharedFileStore>>, StoreError> {
-        let ranges = shard_ranges(num_nodes, shards);
-        let mut out = Vec::with_capacity(shards);
-        for (i, &(start, end)) in ranges.iter().enumerate() {
-            let path = StoreRegistry::feature_shard_key_path(table, num_nodes, i, shards);
-            let slot: Slot = {
-                let mut entries = self.entries.safe_lock();
-                Arc::clone(entries.entry(path.clone()).or_default())
-            };
-            let mut guard = slot.safe_lock();
-            if let Some(existing) = guard.as_ref() {
-                if existing.options() != opts {
-                    return Err(StoreError::OptionsConflict {
-                        path,
-                        requested: opts,
-                        open: existing.options(),
-                    });
-                }
-                out.push(Arc::clone(existing));
-                continue;
-            }
-            let rows = end - start;
-            let matches = |s: &SharedFileStore| {
-                s.dim() == table.dim()
-                    && s.num_nodes() == rows
-                    && s.num_classes() == table.num_classes()
-            };
-            let store = match SharedFileStore::open_with(&path, opts, DEFAULT_CACHE_SHARDS) {
-                Ok(store) if matches(&store) => store,
-                _ => {
-                    if let Some(dir) = path.parent() {
-                        sweep_stale_tmp_files(dir);
-                    }
-                    let tmp = path.with_extension(format!(
-                        "tmp-{}-{}",
-                        std::process::id(),
-                        publish_seq()
-                    ));
-                    write_feature_shard(&tmp, table, start, end)?;
-                    std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-                        path: path.clone(),
-                        action: "publish",
-                        source,
-                    })?;
-                    SharedFileStore::open_with(&path, opts, DEFAULT_CACHE_SHARDS)?
-                }
-            };
-            let store = Arc::new(store);
-            *guard = Some(Arc::clone(&store));
-            out.push(store);
-        }
-        Ok(out)
+        shard_ranges(num_nodes, shards)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (start, end))| {
+                let path = StoreRegistry::feature_shard_key_path(table, num_nodes, i, shards);
+                self.open_feature_rows(path, table, start, end, opts)
+            })
+            .collect()
     }
 
-    /// Opens (publishing first if needed) the `shards`-way topology
-    /// partition of `graph`: one shard file per contiguous
-    /// [`shard_ranges`] range, each an `SSGRPH01` file carrying the
-    /// global node count and its own range's edges (see
-    /// [`write_graph_shard`]), deduplicated under the same per-key
-    /// slot discipline as [`StoreRegistry::open_graph_csr`]. The
-    /// returned files are in shard order.
-    pub fn open_graph_shards(
+    /// The file at `path` holding rows `start..end` of `table` at local
+    /// indices (the unsharded file is the full-range case).
+    fn open_feature_rows(
         &self,
-        graph: &CsrGraph,
-        shards: usize,
+        path: PathBuf,
+        table: &FeatureTable,
+        start: usize,
+        end: usize,
         opts: FileStoreOptions,
-    ) -> Result<Vec<Arc<SharedCsrFile>>, StoreError> {
-        let n = graph.num_nodes();
-        let ranges = shard_ranges(n, shards);
-        let offset = |i: usize| -> u64 {
-            if i == n {
-                graph.num_edges()
-            } else {
-                graph.edge_list_start(smartsage_graph::NodeId::new(i as u32))
-            }
-        };
-        let mut out = Vec::with_capacity(shards);
-        for (i, &(start, end)) in ranges.iter().enumerate() {
-            let path = StoreRegistry::graph_shard_key_path(graph, i, shards);
-            let slot: GraphSlot = {
-                let mut entries = self.graph_entries.safe_lock();
-                Arc::clone(entries.entry(path.clone()).or_default())
-            };
-            let mut guard = slot.safe_lock();
-            if let Some(existing) = guard.as_ref() {
-                if existing.options() != opts {
-                    return Err(StoreError::OptionsConflict {
-                        path,
-                        requested: opts,
-                        open: existing.options(),
-                    });
-                }
-                out.push(Arc::clone(existing));
-                continue;
-            }
-            let shard_edges = offset(end) - offset(start);
-            let matches = |s: &SharedCsrFile| s.num_nodes() == n && s.num_edges() == shard_edges;
-            let store = match SharedCsrFile::open_with(&path, opts, DEFAULT_CACHE_SHARDS) {
-                Ok(store) if matches(&store) => store,
-                _ => {
-                    if let Some(dir) = path.parent() {
-                        sweep_stale_tmp_files(dir);
-                    }
-                    let tmp = path.with_extension(format!(
-                        "tmp-{}-{}",
-                        std::process::id(),
-                        publish_seq()
-                    ));
-                    write_graph_shard(&tmp, graph, start, end)?;
-                    std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-                        path: path.clone(),
-                        action: "publish",
-                        source,
-                    })?;
-                    SharedCsrFile::open_with(&path, opts, DEFAULT_CACHE_SHARDS)?
-                }
-            };
-            let store = Arc::new(store);
-            *guard = Some(Arc::clone(&store));
-            out.push(store);
-        }
-        Ok(out)
+    ) -> Result<Arc<SharedFileStore>, StoreError> {
+        open_or_publish(
+            &self.entries,
+            path,
+            opts,
+            |s| {
+                s.dim() == table.dim()
+                    && s.num_nodes() == end - start
+                    && s.num_classes() == table.num_classes()
+            },
+            |tmp| write_feature_shard(tmp, table, start, end),
+        )
     }
 
     /// Opens (publishing first if needed) the shared topology file for
     /// `graph` — the graph analogue of
-    /// [`StoreRegistry::open_feature_table`]: the first call for a
-    /// content key serializes and opens; every later call returns the
-    /// same `Arc` (one file descriptor, one sharded page cache per
-    /// sweep). An existing on-disk file is revalidated through the
-    /// usual magic/header/length checks; anything stale or foreign is
-    /// replaced via write-to-temporary + atomic rename. Requesting a
-    /// key that is already open with *different* options fails with
-    /// [`StoreError::OptionsConflict`].
+    /// [`StoreRegistry::open_feature_table`].
     pub fn open_graph_csr(
         &self,
         graph: &CsrGraph,
         opts: FileStoreOptions,
     ) -> Result<Arc<SharedCsrFile>, StoreError> {
         let path = StoreRegistry::graph_content_key_path(graph);
-        let slot: GraphSlot = {
-            let mut entries = self.graph_entries.safe_lock();
-            Arc::clone(entries.entry(path.clone()).or_default())
-        };
-        let mut guard = slot.safe_lock();
-        if let Some(existing) = guard.as_ref() {
-            if existing.options() != opts {
-                return Err(StoreError::OptionsConflict {
-                    path,
-                    requested: opts,
-                    open: existing.options(),
-                });
-            }
-            return Ok(Arc::clone(existing));
-        }
-        let matches = |s: &SharedCsrFile| {
-            s.num_nodes() == graph.num_nodes() && s.num_edges() == graph.num_edges()
-        };
-        let store = match SharedCsrFile::open_with(&path, opts, DEFAULT_CACHE_SHARDS) {
-            Ok(store) if matches(&store) => store,
-            _ => {
-                // ssl::allow(SSL004): publish-temporary sequence
-                // number — names files, never read as a statistic.
-                static SEQ: AtomicU64 = AtomicU64::new(0);
-                if let Some(dir) = path.parent() {
-                    sweep_stale_tmp_files(dir);
-                }
-                let tmp = path.with_extension(format!(
-                    "tmp-{}-{}",
-                    std::process::id(),
-                    SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                write_graph_file(&tmp, graph)?;
-                std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-                    path: path.clone(),
-                    action: "publish",
-                    source,
-                })?;
-                SharedCsrFile::open_with(&path, opts, DEFAULT_CACHE_SHARDS)?
-            }
-        };
-        let store = Arc::new(store);
-        *guard = Some(Arc::clone(&store));
-        Ok(store)
+        self.open_graph_range(path, graph, 0, graph.num_nodes(), opts)
     }
 
-    /// Every graph file currently open in this registry.
-    fn open_graphs(&self) -> Vec<Arc<SharedCsrFile>> {
-        let slots: Vec<GraphSlot> = {
-            let entries = self.graph_entries.safe_lock();
-            entries.values().cloned().collect()
-        };
-        slots
-            .iter()
-            .filter_map(|slot| slot.safe_lock().clone())
+    /// Opens (publishing first if needed) the `shards`-way topology
+    /// partition of `graph`: one shard file per contiguous
+    /// [`shard_ranges`] range, each an `SSGRPH01` file carrying the
+    /// global node count and its own range's edges (see
+    /// [`write_graph_shard`]), each deduplicated like
+    /// [`StoreRegistry::open_graph_csr`]. The returned files are in
+    /// shard order.
+    pub fn open_graph_shards(
+        &self,
+        graph: &CsrGraph,
+        shards: usize,
+        opts: FileStoreOptions,
+    ) -> Result<Vec<Arc<SharedCsrFile>>, StoreError> {
+        shard_ranges(graph.num_nodes(), shards)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (start, end))| {
+                let path = StoreRegistry::graph_shard_key_path(graph, i, shards);
+                self.open_graph_range(path, graph, start, end, opts)
+            })
             .collect()
     }
 
-    /// Every store currently open in this registry (empty slots from
-    /// failed opens are skipped).
-    fn open_stores(&self) -> Vec<Arc<SharedFileStore>> {
-        let slots: Vec<Slot> = {
-            let entries = self.entries.safe_lock();
-            entries.values().cloned().collect()
-        };
-        slots
-            .iter()
-            .filter_map(|slot| slot.safe_lock().clone())
-            .collect()
+    /// The file at `path` holding the edge lists of nodes `start..end`
+    /// of `graph` (the unsharded file is the full-range case).
+    fn open_graph_range(
+        &self,
+        path: PathBuf,
+        graph: &CsrGraph,
+        start: usize,
+        end: usize,
+        opts: FileStoreOptions,
+    ) -> Result<Arc<SharedCsrFile>, StoreError> {
+        let edges = edge_offset(graph, end) - edge_offset(graph, start);
+        open_or_publish(
+            &self.graph_entries,
+            path,
+            opts,
+            |s| s.num_nodes() == graph.num_nodes() && s.num_edges() == edges,
+            |tmp| write_graph_shard(tmp, graph, start, end),
+        )
     }
 
     /// Number of distinct stores (feature + graph) this registry has
     /// open.
     pub fn len(&self) -> usize {
-        self.open_stores().len() + self.open_graphs().len()
+        open_files(&self.entries).len() + open_files(&self.graph_entries).len()
     }
 
     /// `true` when no store is open.
@@ -482,8 +384,7 @@ impl StoreRegistry {
     /// Per-store cache occupancy — feature stores and graph topology
     /// files alike — sorted by path for stable output.
     pub fn occupancy(&self) -> Vec<StoreOccupancy> {
-        let mut out: Vec<StoreOccupancy> = self
-            .open_stores()
+        let mut out: Vec<StoreOccupancy> = open_files(&self.entries)
             .iter()
             .map(|s| {
                 let prefetch = s.prefetch_stats();
@@ -496,13 +397,17 @@ impl StoreRegistry {
                 }
             })
             .collect();
-        out.extend(self.open_graphs().iter().map(|g| StoreOccupancy {
-            path: g.path().to_path_buf(),
-            shard_pages: g.cache_occupancy(),
-            capacity_pages: g.cache_capacity(),
-            prefetch_pages: 0,
-            prefetch_bytes: 0,
-        }));
+        out.extend(
+            open_files(&self.graph_entries)
+                .iter()
+                .map(|g| StoreOccupancy {
+                    path: g.path().to_path_buf(),
+                    shard_pages: g.cache_occupancy(),
+                    capacity_pages: g.cache_capacity(),
+                    prefetch_pages: 0,
+                    prefetch_bytes: 0,
+                }),
+        );
         out.sort_by(|a, b| a.path.cmp(&b.path));
         out
     }
@@ -512,10 +417,10 @@ impl StoreRegistry {
     /// a no-op there, but it is also how tests cold-start the global
     /// one.
     pub fn clear_caches(&self) {
-        for store in self.open_stores() {
+        for store in open_files(&self.entries) {
             store.clear_cache();
         }
-        for graph in self.open_graphs() {
+        for graph in open_files(&self.graph_entries) {
             graph.clear_cache();
         }
     }
@@ -527,6 +432,26 @@ impl StoreRegistry {
         self.entries.safe_lock().clear();
         self.graph_entries.safe_lock().clear();
     }
+}
+
+/// The one feature content-key format; `suffix` is empty or `-p{i}of{k}`.
+fn feature_key_path(table: &FeatureTable, num_nodes: usize, suffix: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "{FILE_PREFIX}n{num_nodes}-d{}-c{}-s{:x}{suffix}.fbin",
+        table.dim(),
+        table.num_classes(),
+        table.seed(),
+    ))
+}
+
+/// The one graph content-key format; `suffix` is empty or `-p{i}of{k}`.
+fn graph_key_path(graph: &CsrGraph, suffix: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "{GRAPH_PREFIX}n{}-e{}-h{:016x}{suffix}.gbin",
+        graph.num_nodes(),
+        graph.num_edges(),
+        graph_fingerprint(graph),
+    ))
 }
 
 /// FNV-1a fingerprint of a graph's full CSR content (node/edge counts,
@@ -550,15 +475,6 @@ fn graph_fingerprint(graph: &CsrGraph) -> u64 {
         }
     }
     h
-}
-
-/// Next publish-temporary sequence number — names temporary files,
-/// never read as a statistic.
-fn publish_seq() -> u64 {
-    // ssl::allow(SSL004): publish-temporary sequence number — names
-    // files, never read as a statistic.
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Parses the pid out of a publish-temporary file name

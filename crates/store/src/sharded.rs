@@ -56,6 +56,7 @@ use crate::graph_file::SharedCsrFile;
 use crate::handle::StoreHandle;
 use crate::isp::{IspGatherOptions, IspGatherStore};
 use crate::isp_topology::IspSampleTopology;
+use crate::mem::InMemoryStore;
 use crate::shared::{SharedFileStore, DEFAULT_CACHE_SHARDS};
 use crate::topology::{check_out_len, count_answers, FileTopology, InMemoryTopology};
 use crate::{FeatureStore, StoreStats, TopologyStore};
@@ -290,8 +291,8 @@ fn mark_missing(err: StoreError, shard: usize) -> StoreError {
     }
 }
 
-/// Checks that the graph and feature sides of a sharded dataset are
-/// partitioned compatibly: same shard count
+/// Checks that the graph and feature sides of a dataset (one file each
+/// when unsharded) are partitioned compatibly: same shard count
 /// ([`StoreError::ShardCountMismatch`] otherwise) and the feature rows
 /// summing to the graph's global node count
 /// ([`StoreError::NodeCountMismatch`] otherwise).
@@ -324,71 +325,6 @@ pub fn check_sharded_population(
     Ok(())
 }
 
-/// An in-memory feature shard: a contiguous row window onto a shared
-/// [`FeatureTable`], addressed by local index — the mem-tier twin of a
-/// feature shard file, so the sharded mem store exercises exactly the
-/// same scatter/gather routing as the file tiers.
-#[derive(Debug)]
-struct TableSlice {
-    table: Arc<FeatureTable>,
-    start: usize,
-    len: usize,
-    stats: StoreStats,
-}
-
-impl FeatureStore for TableSlice {
-    fn dim(&self) -> usize {
-        self.table.dim()
-    }
-
-    fn num_classes(&self) -> usize {
-        self.table.num_classes()
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.len
-    }
-
-    fn label(&self, node: NodeId) -> usize {
-        self.table
-            .label(NodeId::new((self.start + node.index()) as u32))
-    }
-
-    fn gather_into(&mut self, nodes: &[NodeId], out: &mut [f32]) -> Result<(), StoreError> {
-        let dim = self.table.dim();
-        if out.len() != nodes.len() * dim {
-            return Err(StoreError::BadBuffer {
-                expected: nodes.len() * dim,
-                actual: out.len(),
-            });
-        }
-        for &node in nodes {
-            if node.index() >= self.len {
-                return Err(StoreError::NodeOutOfRange {
-                    node,
-                    num_nodes: self.len,
-                });
-            }
-        }
-        for (row, &node) in out.chunks_exact_mut(dim).zip(nodes) {
-            self.table
-                .features_into(NodeId::new((self.start + node.index()) as u32), row);
-        }
-        self.stats.gathers += 1;
-        self.stats.nodes_gathered += nodes.len() as u64;
-        self.stats.feature_bytes += nodes.len() as u64 * self.table.bytes_per_node();
-        Ok(())
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = StoreStats::default();
-    }
-}
-
 /// A [`FeatureStore`] over N per-shard member stores, each holding one
 /// contiguous node range at local indices. Gathers are scattered by
 /// shard, resolved per device, and merged back in request order —
@@ -406,23 +342,18 @@ pub struct ShardedFeatureStore {
 }
 
 impl ShardedFeatureStore {
-    /// The mem tier: `shards` windows onto one shared table, split by
+    /// The mem tier: `shards` [`InMemoryStore`] windows onto one table, split by
     /// [`shard_ranges`]. No I/O — but the same routing as the file
     /// tiers, which is what the conformance suite leans on.
     pub fn mem(table: FeatureTable, num_nodes: usize, shards: usize) -> ShardedFeatureStore {
-        let table = Arc::new(table);
         let ranges = shard_ranges(num_nodes, shards);
         let dim = table.dim();
         let num_classes = table.num_classes();
         let members = ranges
             .iter()
             .map(|&(start, end)| {
-                Box::new(TableSlice {
-                    table: Arc::clone(&table),
-                    start,
-                    len: end - start,
-                    stats: StoreStats::default(),
-                }) as Box<dyn FeatureStore + Send>
+                Box::new(InMemoryStore::window(table.clone(), start, end - start))
+                    as Box<dyn FeatureStore + Send>
             })
             .collect();
         ShardedFeatureStore {
@@ -701,11 +632,20 @@ impl ShardedTopology {
         &self.ranges
     }
 
-    fn check_nodes<'a>(
-        &self,
-        nodes: impl IntoIterator<Item = &'a NodeId>,
+    /// The scatter/gather behind both batched reads: validates the
+    /// whole request *first* (so a bad id fails before any member does
+    /// I/O), routes each element to the shard owning `node_of(element)`,
+    /// resolves per shard, and merges the answers back into request
+    /// order.
+    fn scatter<Q: Copy, A: Copy + Default>(
+        &mut self,
+        requests: &[Q],
+        node_of: impl Fn(&Q) -> NodeId,
+        out: &mut [A],
+        mut resolve: impl FnMut(&mut dyn TopologyStore, &[Q], &mut [A]) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
-        for &node in nodes {
+        check_out_len(requests.len(), out)?;
+        for node in requests.iter().map(&node_of) {
             if node.index() >= self.num_nodes {
                 return Err(StoreError::NodeOutOfRange {
                     node,
@@ -713,6 +653,26 @@ impl ShardedTopology {
                 });
             }
         }
+        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.members.len()];
+        let mut routed: Vec<Vec<Q>> = vec![Vec::new(); self.members.len()];
+        for (pos, &request) in requests.iter().enumerate() {
+            let s = shard_of(&self.ranges, node_of(&request).index());
+            positions[s].push(pos);
+            routed[s].push(request);
+        }
+        let mut answers = Vec::new();
+        for (s, member) in self.members.iter_mut().enumerate() {
+            if routed[s].is_empty() {
+                continue;
+            }
+            answers.clear();
+            answers.resize(routed[s].len(), A::default());
+            resolve(member.as_mut(), &routed[s], &mut answers)?;
+            for (j, &pos) in positions[s].iter().enumerate() {
+                out[pos] = answers[j];
+            }
+        }
+        count_answers(&mut self.access, requests.len() as u64);
         Ok(())
     }
 }
@@ -727,29 +687,7 @@ impl TopologyStore for ShardedTopology {
     }
 
     fn degrees_into(&mut self, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
-        check_out_len(nodes.len(), out)?;
-        self.check_nodes(nodes)?;
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.members.len()];
-        let mut routed: Vec<Vec<NodeId>> = vec![Vec::new(); self.members.len()];
-        for (pos, &node) in nodes.iter().enumerate() {
-            let s = shard_of(&self.ranges, node.index());
-            positions[s].push(pos);
-            routed[s].push(node);
-        }
-        let mut answers = Vec::new();
-        for (s, member) in self.members.iter_mut().enumerate() {
-            if routed[s].is_empty() {
-                continue;
-            }
-            answers.clear();
-            answers.resize(routed[s].len(), 0u64);
-            member.degrees_into(&routed[s], &mut answers)?;
-            for (j, &pos) in positions[s].iter().enumerate() {
-                out[pos] = answers[j];
-            }
-        }
-        count_answers(&mut self.access, nodes.len() as u64);
-        Ok(())
+        self.scatter(nodes, |&node| node, out, |m, q, a| m.degrees_into(q, a))
     }
 
     fn pick_neighbors_into(
@@ -757,29 +695,12 @@ impl TopologyStore for ShardedTopology {
         picks: &[(NodeId, u64)],
         out: &mut [NodeId],
     ) -> Result<(), StoreError> {
-        check_out_len(picks.len(), out)?;
-        self.check_nodes(picks.iter().map(|(node, _)| node))?;
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.members.len()];
-        let mut routed: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); self.members.len()];
-        for (pos, &pick) in picks.iter().enumerate() {
-            let s = shard_of(&self.ranges, pick.0.index());
-            positions[s].push(pos);
-            routed[s].push(pick);
-        }
-        let mut answers = Vec::new();
-        for (s, member) in self.members.iter_mut().enumerate() {
-            if routed[s].is_empty() {
-                continue;
-            }
-            answers.clear();
-            answers.resize(routed[s].len(), NodeId::default());
-            member.pick_neighbors_into(&routed[s], &mut answers)?;
-            for (j, &pos) in positions[s].iter().enumerate() {
-                out[pos] = answers[j];
-            }
-        }
-        count_answers(&mut self.access, picks.len() as u64);
-        Ok(())
+        self.scatter(
+            picks,
+            |&(node, _)| node,
+            out,
+            |m, q, a| m.pick_neighbors_into(q, a),
+        )
     }
 
     fn stats(&self) -> StoreStats {
@@ -805,7 +726,6 @@ impl TopologyStore for ShardedTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::InMemoryStore;
     use crate::topology::CsrView;
     use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
 

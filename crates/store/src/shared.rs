@@ -1,17 +1,17 @@
-//! The shared, thread-safe file store: one open feature file serving
-//! every concurrent training job in the process.
+//! The shared, thread-safe feature store: one open `SSFEAT01` file
+//! serving every concurrent training job in the process.
 //!
-//! [`crate::FileStore`] is a single-owner store — private file handle,
-//! private page cache, `&mut self` everywhere. SmartSAGE's premise is
-//! the opposite: *many* training workers contending for *one* storage
-//! device. [`SharedFileStore`] models that as a real concurrent
-//! subsystem:
+//! SmartSAGE's premise is *many* training workers contending for *one*
+//! storage device. [`SharedFileStore`] models that as a real concurrent
+//! subsystem — the row-format layer over a crate-private `PagedFile`
+//! (`paged.rs`), which owns the read algorithm:
 //!
 //! * the file is opened once and read with **positioned reads** (no
 //!   shared seek cursor to race on);
-//! * the page cache is a lock-striped [`ShardedPageCache`] of
+//! * the page cache is a lock-striped
+//!   [`ShardedPageCache`](smartsage_hostio::ShardedPageCache) of
 //!   immutable `Arc<[u8]>` pages, so parallel gathers only contend on
-//!   the shards they actually touch;
+//!   the stripes they actually touch;
 //! * every operation takes `&self` and returns its **exact per-call
 //!   I/O deltas**, which the caller's [`StoreHandle`](crate::StoreHandle)
 //!   accumulates into *scoped* counters — no process-global state, no
@@ -27,17 +27,15 @@
 //! exact counts of what actually happened.
 
 use crate::error::StoreError;
-use crate::file::{FileStoreOptions, RawFeatureFile};
+use crate::file::{FileStoreOptions, RawFeatureFile, HEADER_BYTES};
 use crate::isp::RowScratchpad;
+use crate::paged::PagedFile;
 use crate::StoreStats;
 use smartsage_graph::generate::community_of;
 use smartsage_graph::NodeId;
-use smartsage_hostio::{merge_page_runs, ReadEngine, ReadRequest, ReadSource, ShardedPageCache};
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use smartsage_hostio::{ByteRange, ReadEngine};
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
-
-use crate::stats::AtomicStoreStats;
 
 /// Default lock-stripe count of the shared page cache.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
@@ -51,29 +49,22 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// counters; this type itself only counts its background prefetch I/O.
 #[derive(Debug)]
 pub struct SharedFileStore {
-    source: ReadSource,
-    path: PathBuf,
+    paged: PagedFile,
     dim: usize,
     num_nodes: usize,
     num_classes: usize,
-    file_len: u64,
-    opts: FileStoreOptions,
-    cache: ShardedPageCache,
-    engine: Arc<ReadEngine>,
-    prefetch: AtomicStoreStats,
     scratchpad: OnceLock<Arc<RowScratchpad>>,
 }
 
 impl SharedFileStore {
-    /// Opens `path` with default options and shard count.
+    /// Opens `path` with default options and stripe count.
     pub fn open(path: &Path) -> Result<SharedFileStore, StoreError> {
         SharedFileStore::open_with(path, FileStoreOptions::default(), DEFAULT_CACHE_SHARDS)
     }
 
-    /// Opens `path` through the same magic/header/length validation as
-    /// [`crate::FileStore`], striping the page cache over `shards`
-    /// locks (rounded up to a power of two). Reads go through the
-    /// process-wide [`ReadEngine`].
+    /// Opens `path` through the magic/header/length validation,
+    /// striping the page cache over `shards` locks (rounded up to a
+    /// power of two). Reads go through the process-wide [`ReadEngine`].
     pub fn open_with(
         path: &Path,
         opts: FileStoreOptions,
@@ -91,19 +82,12 @@ impl SharedFileStore {
         shards: usize,
         engine: Arc<ReadEngine>,
     ) -> Result<SharedFileStore, StoreError> {
-        assert!(opts.page_bytes > 0, "page size must be positive");
         let raw = RawFeatureFile::open(path)?;
         Ok(SharedFileStore {
-            source: ReadSource::new(raw.file, raw.path.clone()),
-            path: raw.path,
+            paged: PagedFile::new(raw.source, raw.file_len, opts, shards, engine),
             dim: raw.dim,
             num_nodes: raw.num_nodes,
             num_classes: raw.num_classes,
-            file_len: raw.file_len,
-            opts,
-            cache: ShardedPageCache::new(opts.cache_pages, shards),
-            engine,
-            prefetch: AtomicStoreStats::default(),
             scratchpad: OnceLock::new(),
         })
     }
@@ -115,8 +99,9 @@ impl SharedFileStore {
     /// touch it, so it costs nothing unless the ISP tier runs.
     pub fn isp_scratchpad(&self) -> Arc<RowScratchpad> {
         Arc::clone(self.scratchpad.get_or_init(|| {
+            let opts = self.paged.options();
             Arc::new(RowScratchpad::new(
-                self.opts.cache_pages as u64 * self.opts.page_bytes,
+                opts.cache_pages as u64 * opts.page_bytes,
                 self.dim as u64 * 4,
             ))
         }))
@@ -124,12 +109,12 @@ impl SharedFileStore {
 
     /// The file this store reads from.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.paged.path()
     }
 
     /// The configured options.
     pub fn options(&self) -> FileStoreOptions {
-        self.opts
+        self.paged.options()
     }
 
     /// Feature dimensionality of every row.
@@ -154,55 +139,33 @@ impl SharedFileStore {
 
     /// Exact length of the backing file in bytes (header + matrix).
     pub fn file_len(&self) -> u64 {
-        self.file_len
+        self.paged.file_len()
     }
 
-    /// Resident pages per cache shard (`reproduce`'s occupancy report).
+    /// Resident pages per cache stripe (`reproduce`'s occupancy report).
     pub fn cache_occupancy(&self) -> Vec<usize> {
-        self.cache.occupancy()
+        self.paged.cache_occupancy()
     }
 
     /// Total page capacity of the cache.
     pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
+        self.paged.cache_capacity()
     }
 
     /// Drops every cached page; the next gather starts cold. Counters
     /// are unaffected (they belong to handles, not the store).
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        self.paged.clear_cache();
     }
 
     /// I/O performed by background prefetches so far (never part of any
     /// handle's scoped stats).
     pub fn prefetch_stats(&self) -> StoreStats {
-        self.prefetch.snapshot()
+        self.paged.prefetch_stats()
     }
 
-    /// The distinct pages backing `nodes`' rows, ascending with runs
-    /// merged — the same plan `gather_into` resolves, exposed for the
-    /// ISP tier's timing model. Pure address arithmetic; validates row
-    /// bounds before returning anything.
-    pub(crate) fn plan_pages(&self, nodes: &[NodeId]) -> Result<Vec<u64>, StoreError> {
-        let pb = self.opts.page_bytes;
-        let mut pages = Vec::with_capacity(nodes.len() * 2);
-        for &node in nodes {
-            let range = self.row_range(node)?;
-            if let Some((first, last)) = range.blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let mut plan = Vec::with_capacity(pages.len());
-        for run in merge_page_runs(&pages) {
-            plan.extend(run.first..run.end());
-        }
-        Ok(plan)
-    }
-
-    pub(crate) fn row_range(
-        &self,
-        node: NodeId,
-    ) -> Result<smartsage_hostio::ByteRange, StoreError> {
+    /// Byte range of `node`'s row within the file.
+    fn row_range(&self, node: NodeId) -> Result<ByteRange, StoreError> {
         if node.index() >= self.num_nodes {
             return Err(StoreError::NodeOutOfRange {
                 node,
@@ -210,55 +173,23 @@ impl SharedFileStore {
             });
         }
         let row_bytes = self.dim as u64 * 4;
-        Ok(smartsage_hostio::ByteRange {
-            offset: crate::file::HEADER_BYTES + node.index() as u64 * row_bytes,
+        Ok(ByteRange {
+            offset: HEADER_BYTES + node.index() as u64 * row_bytes,
             len: row_bytes,
         })
     }
 
-    /// Submits one positioned read per missing page stretch as a
-    /// single engine batch and returns the per-stretch page buffers
-    /// **in submission order** (the file's final page may be short).
-    /// Successful stretches count into `io` exactly as the serial path
-    /// did — one `(pages_read, page_misses, bytes)` delta per stretch;
-    /// a failed stretch surfaces as its `Err` slot and counts nothing.
-    fn fetch_runs(
-        &self,
-        runs: &[(u64, u64)],
-        io: &mut StoreStats,
-    ) -> Vec<Result<Vec<Arc<[u8]>>, std::io::Error>> {
-        if runs.is_empty() {
-            return Vec::new();
-        }
-        let pb = self.opts.page_bytes;
-        let requests = runs
-            .iter()
-            .map(|&(first, count)| {
-                let start = first * pb;
-                ReadRequest {
-                    source: self.source.clone(),
-                    offset: start,
-                    len: (count * pb).min(self.file_len - start) as usize,
-                }
-            })
-            .collect();
-        let results = self.engine.submit(requests).wait();
-        runs.iter()
-            .zip(results)
-            .map(|(&(_, count), result)| {
-                let buf = result?;
-                io.pages_read += count;
-                io.page_misses += count;
-                io.bytes_read += buf.len() as u64;
-                // Host-path split: the device read these pages from
-                // media and shipped them to the host whole (Fig
-                // 10(a)). The ISP tier re-scopes the host side of this
-                // split after the fact.
-                io.device_bytes_read += buf.len() as u64;
-                io.host_bytes_transferred += buf.len() as u64;
-                Ok(buf.chunks(pb as usize).map(Arc::from).collect())
-            })
-            .collect()
+    /// The row ranges of `nodes`, in request order; fails on the first
+    /// out-of-range node, before any I/O.
+    fn row_ranges(&self, nodes: &[NodeId]) -> Result<Vec<ByteRange>, StoreError> {
+        nodes.iter().map(|&node| self.row_range(node)).collect()
+    }
+
+    /// The distinct pages backing `nodes`' rows, ascending — the same
+    /// plan `gather_into` resolves, exposed for the ISP tier's timing
+    /// model. Validates row bounds before returning anything.
+    pub(crate) fn plan_pages(&self, nodes: &[NodeId]) -> Result<Vec<u64>, StoreError> {
+        Ok(self.paged.plan_pages(&self.row_ranges(nodes)?))
     }
 
     /// Gathers the feature rows of `nodes` into `out` (row-major,
@@ -273,87 +204,17 @@ impl SharedFileStore {
                 actual: out.len(),
             });
         }
-        let pb = self.opts.page_bytes;
+        let ranges = self.row_ranges(nodes)?;
         let mut io = StoreStats::default();
-        // Plan: every page the batch touches, deduplicated and merged
-        // into contiguous runs. Row bounds are validated here, before
-        // any I/O.
-        let mut pages = Vec::with_capacity(nodes.len() * 2);
-        for &node in nodes {
-            let range = self.row_range(node)?;
-            if let Some((first, last)) = range.blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let runs = merge_page_runs(&pages);
-        // Classify. A cache probe atomically hands back the page
-        // payload on a hit (promoting it), so a concurrent eviction
-        // can never invalidate bytes mid-assembly; each maximal
-        // stretch of missing pages becomes one positioned read.
-        let mut staged: HashMap<u64, Arc<[u8]>> = HashMap::new();
-        let mut miss_runs: Vec<(u64, u64)> = Vec::new();
-        for run in &runs {
-            let mut p = run.first;
-            while p < run.end() {
-                if let Some(buf) = self.cache.get(p) {
-                    io.page_hits += 1;
-                    staged.insert(p, buf);
-                    p += 1;
-                    continue;
-                }
-                let mut q = p + 1;
-                while q < run.end() && !self.cache.contains(q) {
-                    q += 1;
-                }
-                miss_runs.push((p, q - p));
-                p = q;
-            }
-        }
-        // Fetch: the whole miss plan goes to the read engine as one
-        // batch — stretches resolve concurrently across I/O workers,
-        // but the completion hands results back in submission order,
-        // so staging (and the ascending cache commit below) is
-        // bit-identical to executing the stretches serially.
-        let mut fetched: Vec<(u64, Arc<[u8]>)> = Vec::new();
-        for (&(first, _), result) in miss_runs.iter().zip(self.fetch_runs(&miss_runs, &mut io)) {
-            let pages = result.map_err(|source| StoreError::Io {
-                path: self.path.clone(),
-                action: "read run",
-                source,
-            })?;
-            for (i, page_buf) in pages.into_iter().enumerate() {
-                staged.insert(first + i as u64, Arc::clone(&page_buf));
-                fetched.push((first + i as u64, page_buf));
-            }
-        }
-        // Resolve: assemble each row from the staged pages.
+        let staged = self.paged.read(&ranges, &mut io)?;
         let mut row_buf = vec![0u8; self.dim * 4];
-        for (row, &node) in nodes.iter().enumerate() {
-            let range = self.row_range(node)?;
-            // ssl::allow(SSL001): open() rejects dim == 0, so every row
-            // range has len > 0 and blocks() cannot return None.
-            let (first, last) = range.blocks(pb).expect("rows are non-empty");
-            for page in first..=last {
-                let page_start = page * pb;
-                // ssl::allow(SSL001): the staging pass above inserted
-                // every page of every planned run before resolution.
-                let src = staged.get(&page).expect("planned page is staged");
-                let lo = range.offset.max(page_start);
-                let hi = (range.offset + range.len).min(page_start + src.len() as u64);
-                row_buf[(lo - range.offset) as usize..(hi - range.offset) as usize]
-                    .copy_from_slice(&src[(lo - page_start) as usize..(hi - page_start) as usize]);
-            }
-            let out_row = &mut out[row * self.dim..(row + 1) * self.dim];
+        for (&range, out_row) in ranges.iter().zip(out.chunks_exact_mut(self.dim)) {
+            staged.copy_range(range, &mut row_buf);
             for (v, chunk) in out_row.iter_mut().zip(row_buf.chunks_exact(4)) {
                 // ssl::allow(SSL001): chunks_exact(4) yields 4-byte
                 // slices by construction.
                 *v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
             }
-        }
-        // Commit fetched pages to the cache in ascending page order
-        // (fetches were collected run by run, so they already are).
-        for (page, buf) in fetched {
-            self.cache.insert(page, buf);
         }
         io.gathers = 1;
         io.nodes_gathered = nodes.len() as u64;
@@ -361,51 +222,17 @@ impl SharedFileStore {
         Ok(io)
     }
 
-    /// Advisory read-ahead: loads the pages backing `nodes` that are
-    /// not yet resident, without promoting pages that are (a prefetch
-    /// must not distort recency). I/O is counted in
-    /// [`SharedFileStore::prefetch_stats`], never in a handle's scoped
-    /// stats. Errors (including out-of-range nodes) are swallowed —
-    /// prefetching is a hint, and the demand path will surface any real
-    /// failure with full context.
+    /// Advisory read-ahead of the pages backing `nodes` (see
+    /// `PagedFile::warm`): I/O is counted in
+    /// [`SharedFileStore::prefetch_stats`], and out-of-range nodes are
+    /// skipped — prefetching is a hint, and the demand path will
+    /// surface any real failure with full context.
     pub fn prefetch_nodes(&self, nodes: &[NodeId]) {
-        let pb = self.opts.page_bytes;
-        let mut pages = Vec::with_capacity(nodes.len() * 2);
-        for &node in nodes {
-            let Ok(range) = self.row_range(node) else {
-                continue;
-            };
-            if let Some((first, last)) = range.blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let mut io = StoreStats::default();
-        let mut miss_runs: Vec<(u64, u64)> = Vec::new();
-        for run in merge_page_runs(&pages) {
-            let mut p = run.first;
-            while p < run.end() {
-                if self.cache.contains(p) {
-                    p += 1;
-                    continue;
-                }
-                let mut q = p + 1;
-                while q < run.end() && !self.cache.contains(q) {
-                    q += 1;
-                }
-                miss_runs.push((p, q - p));
-                p = q;
-            }
-        }
-        // One engine batch for the whole advisory plan. A failed
-        // stretch is skipped (and uncounted) while the rest still
-        // land, so prefetch_stats always explains every resident page.
-        for (&(first, _), result) in miss_runs.iter().zip(self.fetch_runs(&miss_runs, &mut io)) {
-            let Ok(bufs) = result else { continue };
-            for (i, buf) in bufs.into_iter().enumerate() {
-                self.cache.insert(first + i as u64, buf);
-            }
-        }
-        self.prefetch.add(&io);
+        let ranges: Vec<ByteRange> = nodes
+            .iter()
+            .filter_map(|&node| self.row_range(node).ok())
+            .collect();
+        self.paged.warm(&ranges);
     }
 }
 

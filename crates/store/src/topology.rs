@@ -162,7 +162,7 @@ pub(crate) fn check_out_len<T>(expected: usize, out: &[T]) -> Result<(), StoreEr
     Ok(())
 }
 
-/// Shared CSR answer path of the two in-memory wrappers.
+/// The CSR answer path of [`CsrTopology`].
 fn csr_degrees_into(graph: &CsrGraph, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
     check_out_len(nodes.len(), out)?;
     for (slot, &node) in out.iter_mut().zip(nodes) {
@@ -217,13 +217,25 @@ pub(crate) fn count_answers(stats: &mut StoreStats, answers: u64) {
     stats.feature_bytes += answers * GRAPH_ENTRY_BYTES;
 }
 
-/// A [`TopologyStore`] over an owned in-memory [`CsrGraph`]; answers
-/// come straight from host memory, so the I/O counters stay zero.
+/// A [`TopologyStore`] over an in-memory [`CsrGraph`] held as `G` —
+/// owned ([`InMemoryTopology`]) or borrowed ([`CsrView`]). Answers come
+/// straight from host memory, so the I/O counters stay zero.
 #[derive(Debug, Clone)]
-pub struct InMemoryTopology {
-    graph: Arc<CsrGraph>,
+pub struct CsrTopology<G> {
+    graph: G,
     stats: StoreStats,
 }
+
+/// A [`TopologyStore`] over an owned (shared) in-memory [`CsrGraph`].
+pub type InMemoryTopology = CsrTopology<Arc<CsrGraph>>;
+
+/// A zero-copy [`TopologyStore`] view over a borrowed [`CsrGraph`].
+///
+/// This is how the historical in-memory sampling entry points
+/// (`plan_sample`, `SamplePlan::resolve`) run: they wrap the graph in
+/// a `CsrView` and call the storage-generic path, so the in-memory and
+/// storage tiers cannot drift apart.
+pub type CsrView<'a> = CsrTopology<&'a CsrGraph>;
 
 impl InMemoryTopology {
     /// Wraps `graph`.
@@ -233,7 +245,7 @@ impl InMemoryTopology {
 
     /// Wraps an already-shared graph without copying it.
     pub fn from_arc(graph: Arc<CsrGraph>) -> InMemoryTopology {
-        InMemoryTopology {
+        CsrTopology {
             graph,
             stats: StoreStats::default(),
         }
@@ -245,7 +257,20 @@ impl InMemoryTopology {
     }
 }
 
-impl TopologyStore for InMemoryTopology {
+impl<'a> CsrView<'a> {
+    /// Wraps a borrowed graph.
+    pub fn new(graph: &'a CsrGraph) -> CsrView<'a> {
+        CsrTopology {
+            graph,
+            stats: StoreStats::default(),
+        }
+    }
+}
+
+impl<G> TopologyStore for CsrTopology<G>
+where
+    G: std::ops::Deref<Target = CsrGraph> + std::fmt::Debug,
+{
     fn num_nodes(&self) -> usize {
         self.graph.num_nodes()
     }
@@ -266,62 +291,6 @@ impl TopologyStore for InMemoryTopology {
         out: &mut [NodeId],
     ) -> Result<(), StoreError> {
         csr_picks_into(&self.graph, picks, out)?;
-        count_answers(&mut self.stats, picks.len() as u64);
-        Ok(())
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = StoreStats::default();
-    }
-}
-
-/// A zero-copy [`TopologyStore`] view over a borrowed [`CsrGraph`].
-///
-/// This is how the historical in-memory sampling entry points
-/// (`plan_sample`, `SamplePlan::resolve`) run: they wrap the graph in
-/// a `CsrView` and call the storage-generic path, so the in-memory and
-/// storage tiers cannot drift apart.
-#[derive(Debug)]
-pub struct CsrView<'a> {
-    graph: &'a CsrGraph,
-    stats: StoreStats,
-}
-
-impl<'a> CsrView<'a> {
-    /// Wraps a borrowed graph.
-    pub fn new(graph: &'a CsrGraph) -> CsrView<'a> {
-        CsrView {
-            graph,
-            stats: StoreStats::default(),
-        }
-    }
-}
-
-impl TopologyStore for CsrView<'_> {
-    fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    fn num_edges(&self) -> u64 {
-        self.graph.num_edges()
-    }
-
-    fn degrees_into(&mut self, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
-        csr_degrees_into(self.graph, nodes, out)?;
-        count_answers(&mut self.stats, nodes.len() as u64);
-        Ok(())
-    }
-
-    fn pick_neighbors_into(
-        &mut self,
-        picks: &[(NodeId, u64)],
-        out: &mut [NodeId],
-    ) -> Result<(), StoreError> {
-        csr_picks_into(self.graph, picks, out)?;
         count_answers(&mut self.stats, picks.len() as u64);
         Ok(())
     }

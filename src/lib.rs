@@ -16,11 +16,12 @@
 //!   in-memory, file-backed (real page-aligned I/O + LRU page cache),
 //!   in-storage-processing (`IspGatherStore`: gathers resolve
 //!   device-side against an SSD timing model, only packed rows cross
-//!   the modeled host link), metered, and *shared concurrent*
+//!   the modeled host link), and *shared concurrent*
 //!   implementations — a content-keyed `StoreRegistry` opens each
-//!   feature file once and every training job holds a scoped
-//!   `StoreHandle` onto its lock-striped sharded page cache — so
-//!   training can run through actual storage, in parallel. The same
+//!   feature file once (`open_tiers` is its one entry point) and every
+//!   training job holds a scoped `StoreHandle` onto its lock-striped
+//!   sharded page cache — so training can run through actual storage,
+//!   in parallel. The same
 //!   architecture covers the *topology* half of the dataset: a
 //!   `TopologyStore` trait with in-memory (`InMemoryTopology`),
 //!   file-backed (`FileTopology` over the on-disk `SSGRPH01` CSR), and
@@ -70,8 +71,10 @@
 //! ```
 //! use smartsage::graph::{FeatureTable, NodeId};
 //! use smartsage::store::{
-//!     write_feature_file, FeatureStore, FileStore, InMemoryStore, IspGatherStore, ScratchFile,
+//!     write_feature_file, FeatureStore, InMemoryStore, IspGatherStore, ScratchFile,
+//!     SharedFileStore, StoreHandle,
 //! };
+//! use std::sync::Arc;
 //!
 //! // Publish 2048 nodes of 8-dim features (32-byte rows) to disk.
 //! let table = FeatureTable::new(8, 4, 7);
@@ -81,7 +84,7 @@
 //! // A scattered gather: one requested row per 4 KiB page.
 //! let nodes: Vec<NodeId> = (0..16u32).map(|i| NodeId::new(i * 128)).collect();
 //! let mut mem = InMemoryStore::new(table, 2048);
-//! let mut disk = FileStore::open(file.path()).unwrap();
+//! let mut disk = StoreHandle::new(Arc::new(SharedFileStore::open(file.path()).unwrap()));
 //! let mut isp = IspGatherStore::open(file.path()).unwrap();
 //!
 //! let want = mem.gather(&nodes).unwrap();

@@ -3,11 +3,14 @@
 //! measured rows. Numeric checks read typed [`Cell`] values directly —
 //! no string re-parsing.
 
-use smartsage::core::experiments::{self, ExperimentScale};
-use smartsage::core::report::Cell;
+use smartsage::core::experiments::{Experiment, ExperimentScale};
+use smartsage::core::report::{Cell, Table};
 
-fn scale() -> ExperimentScale {
-    ExperimentScale::tiny()
+/// Runs the registered experiment `name` at tiny scale.
+fn run(name: &str) -> Table {
+    Experiment::find(name)
+        .unwrap_or_else(|| panic!("experiment '{name}' is registered"))
+        .run(&ExperimentScale::tiny())
 }
 
 fn value(cell: &Cell) -> f64 {
@@ -16,7 +19,7 @@ fn value(cell: &Cell) -> f64 {
 
 #[test]
 fn table1_matches_the_paper_exactly() {
-    let t = experiments::table1();
+    let t = run("table1");
     assert_eq!(t.len(), 5);
     let rows = t.rows();
     // Spot-check against the paper's Table I.
@@ -28,7 +31,7 @@ fn table1_matches_the_paper_exactly() {
 
 #[test]
 fn fig5_rates_are_in_the_characterization_band() {
-    let t = experiments::fig5(&scale());
+    let t = run("fig5");
     for row in t.rows() {
         let miss = value(&row[1]);
         let bw = value(&row[2]);
@@ -40,7 +43,7 @@ fn fig5_rates_are_in_the_characterization_band() {
 
 #[test]
 fn fig6_mmap_is_always_slower_than_dram() {
-    let t = experiments::fig6(&scale());
+    let t = run("fig6");
     for row in t.rows() {
         if row[1].as_str() == Some("SSD (mmap)") {
             let slowdown = value(&row[7]);
@@ -51,7 +54,7 @@ fn fig6_mmap_is_always_slower_than_dram() {
 
 #[test]
 fn fig7_mmap_idles_the_gpu_more() {
-    let t = experiments::fig7(&scale());
+    let t = run("fig7");
     for row in t.rows() {
         let dram = value(&row[1]);
         let mmap = value(&row[2]);
@@ -64,7 +67,7 @@ fn fig7_mmap_idles_the_gpu_more() {
 
 #[test]
 fn fig13_expansion_grows_and_preserves_alpha() {
-    let t = experiments::fig13(&scale());
+    let t = run("fig13");
     let mut alpha_rows = 0;
     for row in t.rows() {
         if row[1].as_str().is_some_and(|s| s.starts_with("alpha")) {
@@ -82,7 +85,7 @@ fn fig13_expansion_grows_and_preserves_alpha() {
 
 #[test]
 fn fig14_and_fig16_speedup_relations() {
-    for t in [experiments::fig14(&scale()), experiments::fig16(&scale())] {
+    for t in [run("fig14"), run("fig16")] {
         let data_rows = &t.rows()[..t.len() - 1];
         for row in data_rows {
             let sw = value(&row[2]);
@@ -95,7 +98,7 @@ fn fig14_and_fig16_speedup_relations() {
 
 #[test]
 fn fig15_degrades_toward_fine_granularity() {
-    let t = experiments::fig15(&scale());
+    let t = run("fig15");
     // Per dataset, performance at granularity 1 must be well below 1024.
     let rows = t.rows();
     for chunk in rows.chunks(6) {
@@ -118,7 +121,7 @@ fn fig15_degrades_toward_fine_granularity() {
 
 #[test]
 fn fig18_headline_speedups() {
-    let t = experiments::fig18(&scale());
+    let t = run("fig18");
     let rows = t.rows();
     // Per dataset block of 6 systems: mmap first (latency 1.0), DRAM last.
     for block in rows[..rows.len() - 1].chunks(6) {
@@ -133,7 +136,7 @@ fn fig18_headline_speedups() {
 
 #[test]
 fn fig19_fpga_not_better_than_sw_on_average() {
-    let t = experiments::fig19(&scale());
+    let t = run("fig19");
     let mut sw_total = 0.0;
     let mut fpga_total = 0.0;
     for row in t.rows() {
@@ -151,7 +154,7 @@ fn fig19_fpga_not_better_than_sw_on_average() {
 
 #[test]
 fn fig20_saint_speedups_hold() {
-    let t = experiments::fig20(&scale());
+    let t = run("fig20");
     let data_rows = &t.rows()[..t.len() - 1];
     for row in data_rows {
         let hw = value(&row[3]);
@@ -161,7 +164,7 @@ fn fig20_saint_speedups_hold() {
 
 #[test]
 fn fig21_speedup_shrinks_with_sampling_rate() {
-    let t = experiments::fig21(&scale());
+    let t = run("fig21");
     for block in t.rows().chunks(3) {
         let half = value(&block[0][3]);
         let double = value(&block[2][3]);
@@ -174,14 +177,14 @@ fn fig21_speedup_shrinks_with_sampling_rate() {
 
 #[test]
 fn transfer_reduction_is_an_order_of_magnitude() {
-    let t = experiments::transfer_reduction(&scale());
+    let t = run("transfer");
     let avg = value(&t.rows().last().expect("avg")[3]);
     assert!(avg > 10.0, "transfer reduction {avg} too small");
 }
 
 #[test]
 fn energy_tracks_latency() {
-    let t = experiments::energy(&scale());
+    let t = run("energy");
     for block in t.rows().chunks(5) {
         let mmap = value(&block[0][3]);
         let hwsw = value(&block[2][3]);

@@ -1,9 +1,10 @@
-//! Cross-backend feature-store conformance: `FileStore`, the
-//! concurrent `SharedFileStore` (via a scoped `StoreHandle`), the
-//! in-storage-processing `IspGatherStore`, and `InMemoryStore` must
-//! return **byte-identical** gathers for random graphs, batch orders,
-//! and page sizes — the determinism contract the trainer relies on —
-//! and `MeteredStore`/handle counters must be exact. The ISP tier must
+//! Cross-backend feature-store conformance: the file tier
+//! (`SharedFileStore` via a scoped `StoreHandle`, single-owner with a
+//! one-stripe cache and shared with four), the in-storage-processing
+//! `IspGatherStore`, and `InMemoryStore` must return **byte-identical**
+//! gathers for random graphs, batch orders, and page sizes — the
+//! determinism contract the trainer relies on — and every store's own
+//! counters must be exact. The ISP tier must
 //! additionally keep its transfer split honest: device bytes are its
 //! page reads, host bytes are only the packed rows that crossed the
 //! modeled link, strictly below the file store's page traffic for
@@ -11,12 +12,20 @@
 
 use proptest::prelude::*;
 use smartsage::graph::{FeatureTable, NodeId};
-use smartsage::store::file::{write_feature_file, FileStore, FileStoreOptions};
+use smartsage::store::file::{write_feature_file, FileStoreOptions};
 use smartsage::store::{
-    FeatureStore, InMemoryStore, IspGatherOptions, IspGatherStore, MeteredStore, ScratchFile,
-    SharedFileStore, StoreError, StoreHandle,
+    FeatureStore, InMemoryStore, IspGatherOptions, IspGatherStore, ScratchFile, SharedFileStore,
+    StoreError, StoreHandle,
 };
+use std::path::Path;
 use std::sync::Arc;
+
+/// A single-owner file store: one handle on a private shared store
+/// with a one-stripe cache.
+fn open_solo(path: &Path, opts: FileStoreOptions) -> Result<StoreHandle, StoreError> {
+    let shared = SharedFileStore::open_with(path, opts, 1)?;
+    Ok(StoreHandle::new(Arc::new(shared)))
+}
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -47,13 +56,13 @@ proptest! {
             page_bytes: PAGE_SIZES[page_pick],
             cache_pages,
         };
-        let mut on_disk = MeteredStore::new(FileStore::open_with(file.path(), opts).unwrap());
+        let mut on_disk = open_solo(file.path(), opts).unwrap();
         let mut shared = StoreHandle::new(Arc::new(
             SharedFileStore::open_with(file.path(), opts, 4).unwrap(),
         ));
         let mut isp =
             IspGatherStore::open_with(file.path(), opts, IspGatherOptions::default()).unwrap();
-        let mut in_mem = MeteredStore::new(InMemoryStore::new(table, num_nodes));
+        let mut in_mem = InMemoryStore::new(table, num_nodes);
 
         let mut expect_gathers = 0u64;
         let mut expect_nodes = 0u64;
@@ -146,7 +155,7 @@ proptest! {
         let table = FeatureTable::new(dim, classes, seed);
         let file = ScratchFile::new("labels");
         write_feature_file(file.path(), &table, num_nodes).unwrap();
-        let disk = FileStore::open(file.path()).unwrap();
+        let disk = open_solo(file.path(), FileStoreOptions::default()).unwrap();
         let mem = InMemoryStore::new(table, num_nodes);
         for i in 0..num_nodes {
             let node = NodeId::new(i as u32);
@@ -170,9 +179,9 @@ fn feature_store_gathers_are_independent_of_batch_split() {
         cache_pages: 4, // deliberately tiny: constant eviction pressure
     };
     let nodes: Vec<NodeId> = (0..64u32).rev().map(NodeId::new).collect();
-    let mut whole = FileStore::open_with(file.path(), opts).unwrap();
+    let mut whole = open_solo(file.path(), opts).unwrap();
     let want = whole.gather(&nodes).unwrap();
-    let mut chunked = FileStore::open_with(file.path(), opts).unwrap();
+    let mut chunked = open_solo(file.path(), opts).unwrap();
     let mut got = Vec::new();
     for chunk in nodes.chunks(7) {
         got.extend(chunked.gather(chunk).unwrap());
@@ -190,7 +199,7 @@ fn feature_store_isp_host_bytes_strictly_undercut_the_file_store() {
     let file = ScratchFile::new("isp-reduction");
     write_feature_file(file.path(), &table, 2048).unwrap();
     let nodes: Vec<NodeId> = (0..16u32).map(|i| NodeId::new(i * 128)).collect();
-    let mut disk = FileStore::open(file.path()).unwrap();
+    let mut disk = open_solo(file.path(), FileStoreOptions::default()).unwrap();
     let mut isp = IspGatherStore::open(file.path()).unwrap();
     let want = disk.gather(&nodes).unwrap();
     assert_eq!(bits(&isp.gather(&nodes).unwrap()), bits(&want));
@@ -232,7 +241,7 @@ fn feature_store_truncated_file_reports_path_and_expected_length() {
         .unwrap()
         .set_len(expected - 100)
         .unwrap();
-    let err = FileStore::open(file.path()).unwrap_err();
+    let err = open_solo(file.path(), FileStoreOptions::default()).unwrap_err();
     assert!(matches!(err, StoreError::Truncated { .. }));
     let msg = err.to_string();
     assert!(msg.contains(file.path().to_str().unwrap()), "{msg}");

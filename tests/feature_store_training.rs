@@ -1,5 +1,5 @@
 //! End-to-end: training through real storage. A `Trainer` run against a
-//! `FileStore` in a temp directory must reach a **bit-identical** loss
+//! file-backed `StoreHandle` in a temp directory must reach a **bit-identical** loss
 //! trajectory to the same run against `InMemoryStore` — the storage
 //! path records I/O but cannot perturb learning — and a pipeline run
 //! with `--store file` must report nonzero page-cache hits and bytes
@@ -14,8 +14,11 @@ use smartsage::gnn::Fanouts;
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::{CsrGraph, Dataset, FeatureTable, NodeId};
 use smartsage::sim::Xoshiro256;
-use smartsage::store::file::{write_feature_file, FileStore, FileStoreOptions};
-use smartsage::store::{FeatureStore, InMemoryStore, IspGatherStore, MeteredStore, ScratchFile};
+use smartsage::store::file::{write_feature_file, FileStoreOptions};
+use smartsage::store::{
+    FeatureStore, InMemoryStore, IspGatherStore, ScratchFile, SharedFileStore, StoreHandle,
+};
+use std::sync::Arc;
 
 fn graph() -> CsrGraph {
     generate_power_law(&PowerLawConfig {
@@ -66,17 +69,18 @@ fn feature_store_training_through_disk_is_bit_identical_to_memory() {
     let table = FeatureTable::new(12, 4, 7);
     let file = ScratchFile::new("equiv");
     write_feature_file(file.path(), &table, 500).unwrap();
-    let mut disk = MeteredStore::new(
-        FileStore::open_with(
+    let mut disk = StoreHandle::new(Arc::new(
+        SharedFileStore::open_with(
             file.path(),
             FileStoreOptions {
                 page_bytes: 4096,
                 cache_pages: 16, // smaller than the file: hits AND misses
             },
+            1,
         )
         .unwrap(),
-    );
-    let mut mem = MeteredStore::new(InMemoryStore::new(table, 500));
+    ));
+    let mut mem = InMemoryStore::new(table, 500);
 
     let (disk_losses, disk_acc) = run_training(&mut disk, 4);
     let (mem_losses, mem_acc) = run_training(&mut mem, 4);
@@ -116,7 +120,7 @@ fn feature_store_training_through_isp_is_bit_identical_to_memory() {
     let file = ScratchFile::new("isp-equiv");
     write_feature_file(file.path(), &table, 500).unwrap();
     let mut isp = IspGatherStore::open(file.path()).unwrap();
-    let mut mem = MeteredStore::new(InMemoryStore::new(table, 500));
+    let mut mem = InMemoryStore::new(table, 500);
 
     let (isp_losses, isp_acc) = run_training(&mut isp, 4);
     let (mem_losses, mem_acc) = run_training(&mut mem, 4);

@@ -1,0 +1,281 @@
+//! The one way to open a dataset: `StoreRegistry::open_tiers`.
+//!
+//! Whatever tier pair and shard count a `TierSpec` names, the opened
+//! stores must plan, resolve and gather **bit-identically** to the
+//! in-memory pair, and their per-shard I/O breakdowns must sum exactly
+//! to their totals. The failure paths are typed: re-opening the same
+//! content keys with different options is an `OptionsConflict`, and a
+//! graph whose population disagrees with the feature rows is a
+//! `NodeCountMismatch` naming both files — from `open_tiers` itself and
+//! from the serving engine that calls it.
+
+use smartsage::gnn::sampler::plan_sample_on;
+use smartsage::gnn::{Fanouts, SamplePlan, SampledBatch};
+use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
+use smartsage::graph::kronecker::{expand, KroneckerConfig};
+use smartsage::graph::{CsrGraph, FeatureTable, NodeId};
+use smartsage::serve::{DatasetConfig, Engine, EngineConfig};
+use smartsage::sim::Xoshiro256;
+use smartsage::store::{
+    FileStoreOptions, OpenTiers, StoreError, StoreKind, StoreRegistry, StoreStats, TierSpec,
+    TopologyKind,
+};
+use std::path::PathBuf;
+use std::sync::Arc;
+
+const KINDS: [(StoreKind, TopologyKind); 3] = [
+    (StoreKind::Mem, TopologyKind::Mem),
+    (StoreKind::File, TopologyKind::File),
+    (StoreKind::Isp, TopologyKind::Isp),
+];
+
+/// A seeded Kronecker graph: a power-law base expanded by a power-law
+/// seed graph with edge thinning.
+fn kronecker(seed: u64) -> Arc<CsrGraph> {
+    let base = generate_power_law(&PowerLawConfig {
+        nodes: 60,
+        avg_degree: 3.0,
+        seed,
+        ..PowerLawConfig::default()
+    });
+    let seed_graph = generate_power_law(&PowerLawConfig {
+        nodes: 5,
+        avg_degree: 2.0,
+        seed: seed ^ 0xD1CE,
+        ..PowerLawConfig::default()
+    });
+    Arc::new(expand(
+        &base,
+        &seed_graph,
+        &KroneckerConfig {
+            edge_keep_probability: 0.8,
+            seed: seed ^ 0x5EED,
+        },
+    ))
+}
+
+/// Small pages and a cache smaller than the files, so file-backed
+/// tiers do real multi-page I/O with eviction.
+fn spec(store: StoreKind, topology: TopologyKind, shards: usize) -> TierSpec {
+    TierSpec {
+        store,
+        topology,
+        shards,
+        file: FileStoreOptions {
+            page_bytes: 512,
+            cache_pages: 24,
+        },
+    }
+}
+
+/// One planned, resolved and gathered batch through `tiers`.
+fn run_batch(tiers: &mut OpenTiers, num_nodes: usize) -> (SamplePlan, SampledBatch, Vec<u32>) {
+    let targets: Vec<NodeId> = (0..num_nodes as u32).step_by(7).map(NodeId::new).collect();
+    let mut rng = Xoshiro256::seed_from_u64(0x0BE7);
+    let plan = plan_sample_on(
+        tiers.topology.as_mut(),
+        &targets,
+        &Fanouts::new(vec![4, 3]),
+        &mut rng,
+    )
+    .unwrap();
+    let batch = plan.resolve_on(tiers.topology.as_mut()).unwrap();
+    let rows = tiers.features.gather(&batch.all_nodes()).unwrap();
+    let bits = rows.iter().map(|x| x.to_bits()).collect();
+    (plan, batch, bits)
+}
+
+/// Every I/O-level field of the per-shard breakdown sums to the total.
+fn assert_io_sums(per_shard: &[StoreStats], total: StoreStats, what: &str) {
+    let fields: [fn(&StoreStats) -> u64; 8] = [
+        |s| s.nodes_gathered,
+        |s| s.pages_read,
+        |s| s.bytes_read,
+        |s| s.page_hits,
+        |s| s.page_misses,
+        |s| s.device_bytes_read,
+        |s| s.host_bytes_transferred,
+        |s| s.device_ns,
+    ];
+    for (i, field) in fields.iter().enumerate() {
+        assert_eq!(
+            per_shard.iter().map(field).sum::<u64>(),
+            field(&total),
+            "{what}: field {i} of the shard breakdown does not sum to the total"
+        );
+    }
+}
+
+fn paths_of(tiers: &OpenTiers) -> Vec<PathBuf> {
+    let features = tiers.feature_files.iter().map(|(_, f)| f.path());
+    let graphs = tiers.graph_files.iter().map(|(_, g)| g.path());
+    features.chain(graphs).map(PathBuf::from).collect()
+}
+
+fn remove_published(paths: impl IntoIterator<Item = PathBuf>) {
+    for path in paths {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn every_tier_pair_and_shard_count_matches_the_mem_pair_with_exact_breakdowns() {
+    let graph = kronecker(0x0A11);
+    let n = graph.num_nodes();
+    let table = FeatureTable::new(9, 4, 0x7AB1E);
+    let open = |store, topology, shards| {
+        // A fresh registry per open: cold caches, no options conflicts.
+        StoreRegistry::new()
+            .open_tiers(&graph, &table, n, &spec(store, topology, shards))
+            .unwrap()
+    };
+    let want = run_batch(&mut open(StoreKind::Mem, TopologyKind::Mem, 1), n);
+    let mut published = Vec::new();
+    for (store, _) in KINDS {
+        for (_, topology) in KINDS {
+            // 0 means unsharded, exactly like 1.
+            for shards in [0usize, 1, 3] {
+                let what = format!("{store:?}/{topology:?} x{shards}");
+                let mut tiers = open(store, topology, shards);
+                assert_eq!(run_batch(&mut tiers, n), want, "{what} diverged");
+
+                let devices = shards.max(1);
+                for (per_shard, total, file_backed) in [
+                    (
+                        tiers.features.shard_stats(),
+                        tiers.features.stats(),
+                        store != StoreKind::Mem,
+                    ),
+                    (
+                        tiers.topology.shard_stats(),
+                        tiers.topology.stats(),
+                        topology != TopologyKind::Mem,
+                    ),
+                ] {
+                    assert_eq!(per_shard.len(), devices, "{what}");
+                    assert_io_sums(&per_shard, total, &what);
+                    assert_eq!(total.bytes_read > 0, file_backed, "{what}: {total:?}");
+                }
+                // The shard maps name one file per device on a
+                // file-backed half (none on a mem half), tiling 0..n.
+                let feature_ranges: Vec<_> = tiers.feature_files.iter().map(|(r, _)| r).collect();
+                let graph_ranges: Vec<_> = tiers.graph_files.iter().map(|(r, _)| r).collect();
+                for (ranges, file_backed) in [
+                    (feature_ranges, store != StoreKind::Mem),
+                    (graph_ranges, topology != TopologyKind::Mem),
+                ] {
+                    assert_eq!(ranges.len(), if file_backed { devices } else { 0 });
+                    let mut next = 0;
+                    for range in &ranges {
+                        assert_eq!(range.start, next, "{what}: ranges must tile");
+                        next = range.end;
+                    }
+                    assert!(
+                        ranges.is_empty() || next == n,
+                        "{what}: ranges must cover 0..n"
+                    );
+                }
+                published.extend(paths_of(&tiers));
+            }
+        }
+    }
+    remove_published(published);
+}
+
+#[test]
+fn reopening_the_same_keys_with_different_options_is_an_options_conflict() {
+    let graph = kronecker(0x0B22);
+    let n = graph.num_nodes();
+    let table = FeatureTable::new(6, 3, 0xC0F1);
+    let mut published = Vec::new();
+    for shards in [1usize, 3] {
+        let registry = StoreRegistry::new();
+        let first = spec(StoreKind::File, TopologyKind::Isp, shards);
+        let tiers = registry.open_tiers(&graph, &table, n, &first).unwrap();
+        // Same options (any tier over the same files): shared, fine.
+        let again = spec(StoreKind::Isp, TopologyKind::File, shards);
+        let shared = registry.open_tiers(&graph, &table, n, &again).unwrap();
+        assert!(Arc::ptr_eq(
+            &tiers.feature_files[0].1,
+            &shared.feature_files[0].1
+        ));
+        // A different page size for the same content keys: refused.
+        let mut other = first;
+        other.file.page_bytes = 1024;
+        let err = registry.open_tiers(&graph, &table, n, &other).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::OptionsConflict { requested, open, .. }
+                    if requested.page_bytes == 1024 && open.page_bytes == 512
+            ),
+            "{err}"
+        );
+        published.extend(paths_of(&tiers));
+    }
+    remove_published(published);
+}
+
+#[test]
+fn a_population_mismatch_is_typed_from_open_tiers_and_from_the_engine() {
+    let graph = kronecker(0x0C33);
+    let n = graph.num_nodes();
+    let table = FeatureTable::new(5, 3, 0xFEA7);
+    let rows = n + 5;
+    let is_mismatch = |err: &StoreError| {
+        let named = err.to_string();
+        matches!(
+            err,
+            StoreError::NodeCountMismatch { graph_nodes, feature_nodes, graph, features }
+                if *graph_nodes == n
+                    && *feature_nodes == rows
+                    && named.contains(graph.to_str().unwrap())
+                    && named.contains(features.to_str().unwrap())
+        )
+    };
+    for shards in [1usize, 3] {
+        let registry = StoreRegistry::new();
+        let err = registry
+            .open_tiers(
+                &graph,
+                &table,
+                rows,
+                &spec(StoreKind::File, TopologyKind::Isp, shards),
+            )
+            .unwrap_err();
+        assert!(is_mismatch(&err), "open_tiers x{shards}: {err}");
+
+        let config = EngineConfig {
+            dataset: DatasetConfig {
+                nodes: rows,
+                feature_dim: table.dim(),
+                classes: table.num_classes(),
+                ..DatasetConfig::default()
+            },
+            store: StoreKind::Isp,
+            topology: TopologyKind::File,
+            shards,
+            ..EngineConfig::default()
+        };
+        let err = Engine::with_dataset(config, Arc::clone(&graph), table.clone())
+            .err()
+            .expect("a mismatched dataset must not start serving");
+        assert!(is_mismatch(&err), "engine x{shards}: {err}");
+    }
+    // The files were published before the check refused the pair.
+    let mut published = Vec::new();
+    for shards in [1usize, 3] {
+        if shards == 1 {
+            published.push(StoreRegistry::content_key_path(&table, rows));
+            published.push(StoreRegistry::graph_content_key_path(&graph));
+        } else {
+            for i in 0..shards {
+                published.push(StoreRegistry::feature_shard_key_path(
+                    &table, rows, i, shards,
+                ));
+                published.push(StoreRegistry::graph_shard_key_path(&graph, i, shards));
+            }
+        }
+    }
+    remove_published(published);
+}

@@ -24,7 +24,7 @@ use smartsage::sim::Xoshiro256;
 use smartsage::store::file::FileStoreOptions;
 use smartsage::store::graph_file::{GRAPH_ENTRY_BYTES, GRAPH_HEADER_BYTES};
 use smartsage::store::{
-    check_same_population, write_feature_file, write_graph_file, FileTopology, InMemoryTopology,
+    check_sharded_population, write_feature_file, write_graph_file, FileTopology, InMemoryTopology,
     IspGatherOptions, IspSampleTopology, ScratchFile, SharedCsrFile, SharedFileStore, StoreError,
     TopologyStore,
 };
@@ -315,9 +315,9 @@ fn topology_store_node_count_mismatch_with_feature_file_is_typed() {
     write_graph_file(gfile.path(), &tiny_graph()).unwrap(); // 6 nodes
     let ffile = ScratchFile::new("topo-mismatch-f");
     write_feature_file(ffile.path(), &FeatureTable::new(4, 2, 1), 9).unwrap(); // 9 nodes
-    let graph = SharedCsrFile::open(gfile.path()).unwrap();
-    let features = SharedFileStore::open(ffile.path()).unwrap();
-    let err = check_same_population(&graph, &features).unwrap_err();
+    let graph = [Arc::new(SharedCsrFile::open(gfile.path()).unwrap())];
+    let features = [Arc::new(SharedFileStore::open(ffile.path()).unwrap())];
+    let err = check_sharded_population(&graph, &features).unwrap_err();
     assert!(
         matches!(
             err,
@@ -335,6 +335,6 @@ fn topology_store_node_count_mismatch_with_feature_file_is_typed() {
     // Matching populations pass.
     let ffile2 = ScratchFile::new("topo-mismatch-ok");
     write_feature_file(ffile2.path(), &FeatureTable::new(4, 2, 1), 6).unwrap();
-    let features2 = SharedFileStore::open(ffile2.path()).unwrap();
-    check_same_population(&graph, &features2).unwrap();
+    let features2 = [Arc::new(SharedFileStore::open(ffile2.path()).unwrap())];
+    check_sharded_population(&graph, &features2).unwrap();
 }

@@ -1,6 +1,6 @@
 //! End-to-end training with BOTH halves of the dataset on storage:
 //! sampling through a `FileTopology` over the on-disk `SSGRPH01` graph
-//! and gathering through a `FileStore` over the on-disk `SSFEAT01`
+//! and gathering through a `StoreHandle` over the on-disk `SSFEAT01`
 //! features must produce a **bit-identical** loss trajectory to the
 //! all-in-memory run, and a full pipeline configured with
 //! `--graph file --store file` must report nonzero topology I/O and a
@@ -16,8 +16,8 @@ use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::{CsrGraph, Dataset, DatasetProfile, FeatureTable, GraphScale, NodeId};
 use smartsage::sim::Xoshiro256;
 use smartsage::store::{
-    write_feature_file, write_graph_file, FeatureStore, FileStore, FileTopology, InMemoryStore,
-    InMemoryTopology, IspSampleTopology, ScratchFile, TopologyStore,
+    write_feature_file, write_graph_file, FeatureStore, FileTopology, InMemoryStore,
+    InMemoryTopology, IspSampleTopology, ScratchFile, SharedFileStore, StoreHandle, TopologyStore,
 };
 use std::sync::Arc;
 
@@ -81,7 +81,7 @@ fn topology_training_loss_trajectory_is_bit_identical_to_memory() {
 
     // Both halves on disk: graph file + feature file.
     let mut disk_topo = FileTopology::open(gfile.path()).unwrap();
-    let mut disk_store = FileStore::open(ffile.path()).unwrap();
+    let mut disk_store = StoreHandle::new(Arc::new(SharedFileStore::open(ffile.path()).unwrap()));
     let got = losses(&mut disk_topo, &mut disk_store);
     assert_eq!(
         got, want,
@@ -99,7 +99,7 @@ fn topology_training_loss_trajectory_is_bit_identical_to_memory() {
 
     // The ISP sampling tier trains to the same trajectory too.
     let mut isp_topo = IspSampleTopology::open(gfile.path()).unwrap();
-    let mut disk_store2 = FileStore::open(ffile.path()).unwrap();
+    let mut disk_store2 = StoreHandle::new(Arc::new(SharedFileStore::open(ffile.path()).unwrap()));
     assert_eq!(losses(&mut isp_topo, &mut disk_store2), want);
     assert!(isp_topo.stats().device_ns > 0);
     // (No host-byte comparison here: on a small, cache-warm graph the
