@@ -6,18 +6,21 @@
 //! flash/links) close the remaining gap to DRAM. These drivers decompose
 //! and extrapolate those claims on our simulated platform:
 //!
-//! * [`contribution_breakdown`] — stack the three mechanisms one at a
+//! (registry names; run them with
+//! [`Experiment::find`](crate::experiments::Experiment::find))
+//!
+//! * `ablation-mechanisms` — stack the three mechanisms one at a
 //!   time (mmap → +direct I/O → +ISP at fine granularity → +full
 //!   coalescing) and report per-step sampling speedups.
-//! * [`future_csd`] — sweep CSD generations (OpenSSD-class → Newport-
+//! * `ablation-csd` — sweep CSD generations (OpenSSD-class → Newport-
 //!   class → a hypothetical gen4 CSD) against the DRAM bound, the
 //!   paper's "viable option for large-scale GNN training" projection.
-//! * [`buffer_sensitivity`] — the SSD DRAM page buffer's contribution to
+//! * `ablation-buffer` — the SSD DRAM page buffer's contribution to
 //!   in-storage sampling.
 
 use crate::config::{SystemConfig, SystemKind};
 use crate::context::RunContext;
-use crate::experiments::{by_name, ExperimentScale};
+use crate::experiments::ExperimentScale;
 use crate::pipeline::{run_pipeline, PipelineConfig, SamplerKind};
 use crate::report::{num, speedup, Table};
 use smartsage_gnn::Fanouts;
@@ -73,12 +76,6 @@ fn run_mode(
 /// (single worker, per dataset): baseline mmap, + direct I/O (the SW
 /// design), + ISP with *per-target* commands (granularity 1), + full
 /// mini-batch coalescing.
-///
-/// Shim over the registry entry `ablation-mechanisms`.
-pub fn contribution_breakdown(scale: &ExperimentScale) -> Table {
-    by_name("ablation-mechanisms", scale)
-}
-
 pub(crate) fn contribution_breakdown_driver(scale: &ExperimentScale) -> Table {
     let mut t = Table::new(
         "Ablation: mechanism-by-mechanism speedup over SSD(mmap)",
@@ -109,7 +106,7 @@ pub(crate) fn contribution_breakdown_driver(scale: &ExperimentScale) -> Table {
     t
 }
 
-/// A CSD generation for [`future_csd`].
+/// A CSD generation for the `ablation-csd` sweep.
 #[derive(Debug, Clone)]
 pub struct CsdGeneration {
     /// Display name.
@@ -122,7 +119,7 @@ pub struct CsdGeneration {
     pub pcie_bytes_per_sec: u64,
 }
 
-/// The generations swept by [`future_csd`].
+/// The generations swept by `ablation-csd`.
 pub fn csd_generations() -> Vec<CsdGeneration> {
     vec![
         CsdGeneration {
@@ -158,12 +155,6 @@ pub fn csd_generations() -> Vec<CsdGeneration> {
 /// generation, as a fraction of the DRAM bound (12 workers, Reddit
 /// profile) — the paper's "an NVMe SSD based system can become a viable
 /// option ... while not compromising on performance" projection.
-///
-/// Shim over the registry entry `ablation-csd`.
-pub fn future_csd(scale: &ExperimentScale) -> Table {
-    by_name("ablation-csd", scale)
-}
-
 pub(crate) fn future_csd_driver(scale: &ExperimentScale) -> Table {
     let mut t = Table::new(
         "Ablation: CSD generations vs the DRAM bound (Reddit, 12 workers, end-to-end)",
@@ -198,12 +189,6 @@ pub(crate) fn future_csd_driver(scale: &ExperimentScale) -> Table {
 
 /// The page buffer's contribution to in-storage sampling (single
 /// worker, Movielens profile): ISP throughput across buffer capacities.
-///
-/// Shim over the registry entry `ablation-buffer`.
-pub fn buffer_sensitivity(scale: &ExperimentScale) -> Table {
-    by_name("ablation-buffer", scale)
-}
-
 pub(crate) fn buffer_sensitivity_driver(scale: &ExperimentScale) -> Table {
     let mut t = Table::new(
         "Ablation: SSD page-buffer capacity vs ISP sampling throughput",
@@ -226,11 +211,19 @@ pub(crate) fn buffer_sensitivity_driver(scale: &ExperimentScale) -> Table {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::{Experiment, ExperimentScale};
+    use crate::report::Table;
+
+    /// Runs the registered ablation `name` at tiny scale.
+    fn ablation(name: &str) -> Table {
+        Experiment::find(name)
+            .expect("ablation is registered")
+            .run(&ExperimentScale::tiny())
+    }
 
     #[test]
     fn contribution_stacks_monotonically() {
-        let t = contribution_breakdown(&ExperimentScale::tiny());
+        let t = ablation("ablation-mechanisms");
         assert_eq!(t.len(), 5);
         for row in t.rows() {
             let sw = row[1].value().expect("sw");
@@ -242,7 +235,7 @@ mod tests {
 
     #[test]
     fn future_csds_approach_dram() {
-        let t = future_csd(&ExperimentScale::tiny());
+        let t = ablation("ablation-csd");
         let rows = t.rows();
         let openssd = rows[0][2].value().expect("frac");
         let future = rows[2][2].value().expect("frac");
@@ -254,7 +247,7 @@ mod tests {
 
     #[test]
     fn bigger_buffers_do_not_hurt() {
-        let t = buffer_sensitivity(&ExperimentScale::tiny());
+        let t = ablation("ablation-buffer");
         let first = t.rows()[0][1].value().expect("thr");
         let last = t.rows().last().expect("rows")[1].value().expect("thr");
         assert!(last >= first * 0.95, "more buffer should not hurt");

@@ -126,7 +126,7 @@ pub(crate) mod testutil {
     use super::*;
     use crate::config::SystemConfig;
     use crate::context::RunContext;
-    use smartsage_gnn::sampler::plan_sample;
+    use smartsage_gnn::sampler::plan_sample_on;
     use smartsage_gnn::{Fanouts, SamplePlan};
     use smartsage_graph::{Dataset, DatasetProfile, GraphScale, NodeId};
     use smartsage_sim::Xoshiro256;
@@ -142,7 +142,8 @@ pub(crate) mod testutil {
     pub fn test_plan(ctx: &RunContext, targets: usize, seed: u64) -> SamplePlan {
         let t: Vec<NodeId> = (0..targets as u32).map(NodeId::new).collect();
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        plan_sample(ctx.graph(), &t, &Fanouts::new(vec![4, 3]), &mut rng)
+        let mut topo = smartsage_store::CsrView::new(ctx.graph());
+        plan_sample_on(&mut topo, &t, &Fanouts::new(vec![4, 3]), &mut rng).unwrap()
     }
 
     /// The byte trace of [`test_plan`], the form policies consume.

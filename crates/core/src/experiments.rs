@@ -5,9 +5,8 @@
 //! `fn(&ExperimentScale) -> Table` — in the single [`registry`]. All
 //! consumers (the `reproduce` CLI, the sweep [`Runner`](crate::runner),
 //! benches, tests) enumerate or look up experiments through the
-//! registry, so experiment lists can never drift apart. The historical
-//! free functions (`table1`, `fig5` … `energy`) survive as thin shims
-//! that resolve their entry via [`Experiment::find`] and run it.
+//! registry ([`Experiment::find`]), so experiment lists can never drift
+//! apart.
 //!
 //! Drivers return typed [`Table`]s (see [`crate::report`]) whose rows
 //! mirror the paper's series and render as text, CSV, or JSON. To sweep
@@ -21,14 +20,14 @@ use crate::context::RunContext;
 use crate::metrics::FinishedBatch;
 use crate::pipeline::{run_pipeline, PipelineConfig, PipelineReport, SamplerKind};
 use crate::report::{num, pct, speedup, Table};
-use smartsage_gnn::sampler::{epoch_targets, plan_sample};
+use smartsage_gnn::sampler::{epoch_targets, plan_sample_on};
 use smartsage_gnn::Fanouts;
 use smartsage_graph::degree::DegreeStats;
 use smartsage_graph::kronecker::{expand, KroneckerConfig};
 use smartsage_graph::{Dataset, DatasetProfile, GraphScale};
 use smartsage_memsim::{BandwidthMeter, CacheParams, SetAssocCache};
 use smartsage_sim::Xoshiro256;
-use smartsage_store::{StoreKind, TopologyKind};
+use smartsage_store::{CsrView, StoreKind, TopologyKind};
 use std::sync::Arc;
 
 /// How big the scaled experiments are. Defaults favour fast iteration;
@@ -334,14 +333,6 @@ pub fn run_system(
     run_pipeline(&ctx, &pipe_cfg(scale, workers, train))
 }
 
-/// Runs the registered experiment `name` (the in-crate lookup the
-/// ablations use to build on a figure's table).
-pub(crate) fn by_name(name: &str, scale: &ExperimentScale) -> Table {
-    Experiment::find(name)
-        .unwrap_or_else(|| panic!("experiment '{name}' is registered"))
-        .run(scale)
-}
-
 // ---------------------------------------------------------------------
 // Table I
 // ---------------------------------------------------------------------
@@ -407,12 +398,15 @@ fn fig5_driver(scale: &ExperimentScale) -> Table {
         for w in 0..scale.workers {
             let targets = epoch_targets(graph.num_nodes(), scale.batch_size, w, scale.seed);
             let mut rng = Xoshiro256::seed_from_u64(scale.seed ^ w as u64);
-            plans.push(plan_sample(
-                graph,
-                &targets,
-                &Fanouts::paper_default(),
-                &mut rng,
-            ));
+            plans.push(
+                plan_sample_on(
+                    &mut CsrView::new(graph),
+                    &targets,
+                    &Fanouts::paper_default(),
+                    &mut rng,
+                )
+                .expect("in-memory topology cannot fail"),
+            );
         }
         let traces: Vec<Vec<(u64, u64)>> = plans
             .iter()
@@ -1000,6 +994,13 @@ fn energy_driver(scale: &ExperimentScale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs the registered experiment `name`.
+    fn by_name(name: &str, scale: &ExperimentScale) -> Table {
+        Experiment::find(name)
+            .unwrap_or_else(|| panic!("experiment '{name}' is registered"))
+            .run(scale)
+    }
 
     #[test]
     fn registry_names_are_unique_and_findable() {

@@ -31,9 +31,8 @@
 //!   typed errors, never a panic.
 //! * [`store_metrics`] — *scoped* feature-store I/O accounting: sweeps
 //!   install a per-sweep accumulator + private store registry on their
-//!   worker threads, every pipeline run records its exact counters into
-//!   the innermost scope, and the old process-wide aggregate survives
-//!   only as a compatibility shim (`--store mem|file`).
+//!   worker threads, and every pipeline run records its exact counters
+//!   into the scopes on its thread.
 
 #![forbid(unsafe_code)]
 

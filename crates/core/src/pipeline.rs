@@ -21,17 +21,17 @@ use crate::metrics::{FinishedBatch, GatheredFeatures, StageBreakdown, TransferSt
 use crate::store_metrics;
 use smartsage_gnn::gpu::BatchDims;
 use smartsage_gnn::saint::plan_random_walk;
-use smartsage_gnn::sampler::{epoch_targets, plan_sample_on};
-use smartsage_gnn::{Fanouts, SamplePlan};
+use smartsage_gnn::sampler::{epoch_targets, sample_on};
+use smartsage_gnn::{Fanouts, SampledBatch};
 use smartsage_graph::NodeId;
 use smartsage_hostio::PrefetchQueue;
 use smartsage_sim::{EventQueue, SimDuration, SimTime, Xoshiro256};
 use smartsage_store::{
-    FileStoreOptions, OpenTiers, SharedDynStore, SharedTopology, StoreKind, StoreRegistry,
-    StoreStats, TierSpec, TopologyKind,
+    FeatureStore, FileStoreOptions, OpenTiers, SampleTrace, StoreKind, StoreRegistry, StoreStats,
+    TierSpec, TopologyKind, TopologyStore,
 };
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Which sampling algorithm drives the pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,11 +82,12 @@ pub struct PipelineConfig {
     pub store: StoreKind,
     /// Topology-store tier neighbor sampling reads the graph through;
     /// [`PipelineReport::topology_stats`] records the exact I/O.
-    /// GraphSAGE plans are drawn *and* resolved through the store; the
-    /// GraphSAINT walk planner stays on the in-memory CSR (walks are
-    /// control-flow-dependent per step), with batch resolution still
-    /// routed through the store. Like [`PipelineConfig::store`], the
-    /// tier never perturbs simulated time.
+    /// GraphSAGE batches are sampled through the store in one pass
+    /// (plan and subgraph together); the GraphSAINT walk planner stays
+    /// on the in-memory CSR (walks are control-flow-dependent per
+    /// step), and its plans resolve through the store. Like
+    /// [`PipelineConfig::store`], the tier never perturbs simulated
+    /// time.
     pub topology: TopologyKind,
     /// With the file store, overlap storage with compute: each batch's
     /// pages are resolved by a background read-ahead worker
@@ -234,65 +235,99 @@ fn open_tiers(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> OpenTiers {
         .unwrap_or_else(|e| panic!("opening the {spec:?} store tiers failed: {e}"))
 }
 
-/// Installs `plan` for `worker`: the policy receives the plan's byte
-/// trace (the modeled-cost input) and the plan itself is parked so the
-/// finish path can resolve it on the real storage path.
-fn begin_batch(
-    policy: &mut dyn CostPolicy,
-    plans: &mut [Option<SamplePlan>],
-    ctx: &RunContext,
-    worker: usize,
-    at: SimTime,
-    plan: SamplePlan,
-) {
-    policy.begin(worker, at, trace_of_plan(&plan, ctx.graph()));
-    plans[worker] = Some(plan);
+/// One mini-batch as sampled at plan time: the subgraph and its sorted
+/// distinct node list (what the feature gather fetches). Parked per
+/// worker between [`begin_batch`] and [`finish_batch`].
+struct PlannedBatch {
+    batch: SampledBatch,
+    nodes: Vec<NodeId>,
 }
 
-/// Joins a worker's finished [`BatchCost`](crate::cost::BatchCost) with
-/// the real storage results: the parked plan resolves to its subgraph
-/// through the topology store, and the subgraph's distinct nodes gather
-/// their features through the feature store. Shared by the pipeline's
-/// finish path and [`sample_once`] so the tiers cannot drift.
+/// Samples batch `index` of the epoch through the topology store, once:
+/// GraphSAGE hop expansion draws the plan and resolves the subgraph in
+/// one [`sample_on`] pass — both bit-identical across tiers by the
+/// determinism contract, only the I/O accounting differs — while
+/// GraphSAINT walk plans, drawn on the in-memory CSR, resolve through
+/// the store. Returns the plan's byte trace (the modeled-cost input)
+/// with the batch. Shared by [`run_pipeline`] and [`sample_once`] so
+/// they cannot drift.
 ///
 /// # Panics
 ///
-/// Panics if either store fails (a real I/O error on the file-backed
+/// Panics if the topology store fails (a real I/O error on the
+/// file-backed tiers) — producers have no recovery path mid-simulation.
+fn plan_batch(
+    ctx: &RunContext,
+    cfg: &PipelineConfig,
+    topology: &mut dyn TopologyStore,
+    index: usize,
+) -> (SampleTrace, PlannedBatch) {
+    let graph = ctx.graph();
+    let targets = epoch_targets(graph.num_nodes(), cfg.batch_size, index, cfg.seed);
+    let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
+    let (plan, batch) = match &cfg.sampler {
+        SamplerKind::GraphSage => sample_on(topology, &targets, &cfg.fanouts, &mut rng)
+            .unwrap_or_else(|e| panic!("producer topology sampling failed: {e}")),
+        SamplerKind::SaintWalk { length } => {
+            let plan = plan_random_walk(graph, &targets, *length, &mut rng);
+            let batch = plan
+                .resolve_on(topology)
+                .unwrap_or_else(|e| panic!("producer topology resolve failed: {e}"));
+            (plan, batch)
+        }
+    };
+    let nodes = batch.all_nodes();
+    (trace_of_plan(&plan, graph), PlannedBatch { batch, nodes })
+}
+
+/// Installs a planned batch for `worker`: the policy receives the
+/// plan's byte trace and the sampled batch is parked until the worker
+/// finishes stepping it.
+fn begin_batch(
+    policy: &mut dyn CostPolicy,
+    parked: &mut [Option<PlannedBatch>],
+    worker: usize,
+    at: SimTime,
+    (trace, planned): (SampleTrace, PlannedBatch),
+) {
+    policy.begin(worker, at, trace);
+    parked[worker] = Some(planned);
+}
+
+/// Joins a worker's finished [`BatchCost`](crate::cost::BatchCost) with
+/// the real storage results: the batch sampled at plan time, and its
+/// distinct nodes' features gathered through the feature store.
+///
+/// # Panics
+///
+/// Panics if the store fails (a real I/O error on the file-backed
 /// tiers) — producers have no recovery path mid-simulation.
 fn finish_batch(
     policy: &mut dyn CostPolicy,
-    store: &SharedDynStore,
-    topology: &SharedTopology,
+    store: &mut dyn FeatureStore,
     worker: usize,
-    plan: SamplePlan,
+    PlannedBatch { batch, nodes }: PlannedBatch,
 ) -> FinishedBatch {
     let cost = policy.take_result(worker);
-    let batch = {
-        let mut topo = topology.lock().expect("topology store poisoned");
-        plan.resolve_on(topo.as_mut())
-            .unwrap_or_else(|e| panic!("producer topology resolve failed: {e}"))
-    };
-    let nodes = batch.all_nodes();
-    let useful = batch.subgraph_bytes();
-    let (data, dim) = {
-        let mut store = store.lock().expect("feature store poisoned");
-        let data = store
-            .gather(&nodes)
-            .unwrap_or_else(|e| panic!("producer feature gather failed: {e}"));
-        (data, store.dim())
-    };
+    let data = store
+        .gather(&nodes)
+        .unwrap_or_else(|e| panic!("producer feature gather failed: {e}"));
     FinishedBatch {
         done: cost.done,
         sampling_time: cost.sampling_time,
         overhead_time: cost.overhead_time,
-        batch,
         transfers: TransferStats {
             ssd_to_host_bytes: cost.ssd_to_host_bytes,
             host_to_ssd_bytes: cost.host_to_ssd_bytes,
-            useful_bytes: useful,
+            useful_bytes: batch.subgraph_bytes(),
         },
+        batch,
         fpga: cost.fpga,
-        features: GatheredFeatures { nodes, dim, data },
+        features: GatheredFeatures {
+            nodes,
+            dim: store.dim(),
+            data,
+        },
     }
 }
 
@@ -304,26 +339,14 @@ fn finish_batch(
 pub fn sample_once(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> FinishedBatch {
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(ctx, 1);
-    let tiers = open_tiers(ctx, cfg);
-    let store: SharedDynStore = Arc::new(Mutex::new(tiers.features));
-    let topology: SharedTopology = Arc::new(Mutex::new(tiers.topology));
-    let graph = ctx.graph();
-    let targets = epoch_targets(graph.num_nodes(), cfg.batch_size, 0, cfg.seed);
-    let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
-    let plan = match &cfg.sampler {
-        SamplerKind::GraphSage => {
-            let mut topo = topology.lock().expect("topology store poisoned");
-            plan_sample_on(topo.as_mut(), &targets, &cfg.fanouts, &mut rng)
-                .unwrap_or_else(|e| panic!("producer topology planning failed: {e}"))
-        }
-        SamplerKind::SaintWalk { length } => plan_random_walk(graph, &targets, *length, &mut rng),
-    };
-    policy.begin(0, SimTime::ZERO, trace_of_plan(&plan, graph));
+    let mut tiers = open_tiers(ctx, cfg);
+    let (trace, planned) = plan_batch(ctx, cfg, tiers.topology.as_mut(), 0);
+    policy.begin(0, SimTime::ZERO, trace);
     let mut now = SimTime::ZERO;
     while let StepOutcome::Running { next } = policy.step(0, &mut devices, now) {
         now = next.max(now);
     }
-    finish_batch(policy.as_mut(), &store, &topology, 0, plan)
+    finish_batch(policy.as_mut(), tiers.features.as_mut(), 0, planned)
 }
 
 struct ReadyBatch {
@@ -337,9 +360,9 @@ struct ReadyBatch {
 /// overlaps the modeled compute exactly as the paper's pipelined
 /// design intends.
 enum PrefetchItem {
-    /// Warm batch N's gathered feature pages: resolve the plan to its
-    /// node set and route each node to its feature shard's cache.
-    Features(SamplePlan),
+    /// Warm batch N's gathered feature pages: route each of its
+    /// distinct nodes to its feature shard's cache.
+    Features(Vec<NodeId>),
     /// Plan-ahead for batch N+1: warm the offset/degree pages its hop
     /// expansion will read first through the file topology tier.
     OffsetsAhead(Vec<NodeId>),
@@ -355,18 +378,16 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     assert!(cfg.total_batches > 0, "need at least one batch");
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(ctx, cfg.workers);
-    // The one real storage path: every batch's features gather through
-    // the feature store, and its plan is drawn and resolved through the
-    // topology store (real I/O for the File tier, device-side
-    // resolution for Isp).
+    // The one real storage path: every batch is sampled once through
+    // the topology store and its features gather through the feature
+    // store (real I/O for the File tier, device-side resolution for
+    // Isp). The event loop is single-threaded, so it owns both.
     let OpenTiers {
-        features,
-        topology,
+        features: mut store,
+        mut topology,
         feature_files,
         graph_files,
     } = open_tiers(ctx, cfg);
-    let store: SharedDynStore = Arc::new(Mutex::new(features));
-    let topology: SharedTopology = Arc::new(Mutex::new(topology));
     // Read-ahead: a small worker pool resolves each planned batch's
     // page runs and warms the shared caches while the simulation is
     // still stepping that batch toward its gather. Two item kinds
@@ -385,13 +406,10 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     let warm_offsets = cfg.topology == TopologyKind::File;
     let prefetcher: Option<PrefetchQueue<PrefetchItem>> =
         (cfg.readahead && (warm_features || warm_offsets)).then(|| {
-            let ctx = Arc::clone(ctx);
             PrefetchQueue::spawn_pool(
                 PREFETCH_POOL_WORKERS,
                 move |item: PrefetchItem| match item {
-                    PrefetchItem::Features(plan) => {
-                        let batch = plan.resolve(ctx.graph());
-                        let nodes = batch.all_nodes();
+                    PrefetchItem::Features(nodes) => {
                         for (range, shared) in &feature_files {
                             let local: Vec<NodeId> = nodes
                                 .iter()
@@ -435,55 +453,39 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     let mut transfers = TransferStats::default();
     let mut sampling_total = SimDuration::ZERO;
     let mut makespan_end = SimTime::ZERO;
-    // The in-flight plan of each worker, parked between begin (where
-    // its trace is priced) and finish (where it resolves on the real
-    // storage path).
-    let mut plans: Vec<Option<SamplePlan>> = (0..cfg.workers).map(|_| None).collect();
+    // The in-flight batch of each worker, parked between begin (where
+    // its plan's trace is priced) and finish (where its features
+    // gather).
+    let mut parked: Vec<Option<PlannedBatch>> = (0..cfg.workers).map(|_| None).collect();
 
-    let make_plan = |index: usize| -> SamplePlan {
-        let graph = ctx.graph();
-        let targets = epoch_targets(graph.num_nodes(), cfg.batch_size, index, cfg.seed);
-        let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
-        let plan = match &cfg.sampler {
-            // GraphSAGE hop expansion reads degrees and frontier
-            // neighbors through the topology store — the plan is
-            // bit-identical across tiers by the determinism contract;
-            // only the I/O accounting differs.
-            SamplerKind::GraphSage => {
-                let mut topo = topology.lock().expect("topology store poisoned");
-                plan_sample_on(topo.as_mut(), &targets, &cfg.fanouts, &mut rng)
-                    .unwrap_or_else(|e| panic!("producer topology planning failed: {e}"))
-            }
-            SamplerKind::SaintWalk { length } => {
-                plan_random_walk(graph, &targets, *length, &mut rng)
-            }
-        };
+    let mut make_plan = |index: usize| -> (SampleTrace, PlannedBatch) {
+        let (trace, planned) = plan_batch(ctx, cfg, topology.as_mut(), index);
         // The batch begins stepping (virtually) as soon as it is
-        // planned; hand the plan to the read-ahead pool so its feature
-        // pages are warm by the time the gather resolves, and — since
-        // the next batch's targets are already determined — warm that
-        // batch's offset/degree pages while this one runs.
+        // planned; hand its node list to the read-ahead pool so its
+        // feature pages are warm by the time the gather runs, and —
+        // since the next batch's targets are already determined — warm
+        // that batch's offset/degree pages while this one runs.
         if let Some(queue) = &prefetcher {
             if warm_features {
-                queue.enqueue(PrefetchItem::Features(plan.clone()));
+                queue.enqueue(PrefetchItem::Features(planned.nodes.clone()));
             }
             if warm_offsets && index + 1 < cfg.total_batches {
                 queue.enqueue(PrefetchItem::OffsetsAhead(epoch_targets(
-                    graph.num_nodes(),
+                    ctx.graph().num_nodes(),
                     cfg.batch_size,
                     index + 1,
                     cfg.seed,
                 )));
             }
         }
-        plan
+        (trace, planned)
     };
 
     // Seed each worker with its first batch.
     for w in 0..cfg.workers {
         if next_batch < cfg.total_batches {
             let plan = make_plan(next_batch);
-            begin_batch(policy.as_mut(), &mut plans, ctx, w, SimTime::ZERO, plan);
+            begin_batch(policy.as_mut(), &mut parked, w, SimTime::ZERO, plan);
             next_batch += 1;
             events.schedule(SimTime::ZERO, Event::Worker(w));
         }
@@ -496,8 +498,8 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                     events.schedule(next.max(now), Event::Worker(w));
                 }
                 StepOutcome::Finished => {
-                    let plan = plans[w].take().expect("finished worker has a plan");
-                    let result = finish_batch(policy.as_mut(), &store, &topology, w, plan);
+                    let planned = parked[w].take().expect("finished worker has a batch");
+                    let result = finish_batch(policy.as_mut(), store.as_mut(), w, planned);
                     sampling_total += result.sampling_time;
                     breakdown.sampling += result.sampling_time.saturating_sub(result.overhead_time);
                     breakdown.other += result.overhead_time;
@@ -538,7 +540,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                             }
                             if next_batch < cfg.total_batches {
                                 let plan = make_plan(next_batch);
-                                begin_batch(policy.as_mut(), &mut plans, ctx, w, t, plan);
+                                begin_batch(policy.as_mut(), &mut parked, w, t, plan);
                                 next_batch += 1;
                                 events.schedule(t, Event::Worker(w));
                             }
@@ -548,7 +550,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                         consumed += 1;
                         if next_batch < cfg.total_batches {
                             let plan = make_plan(next_batch);
-                            begin_batch(policy.as_mut(), &mut plans, ctx, w, t, plan);
+                            begin_batch(policy.as_mut(), &mut parked, w, t, plan);
                             next_batch += 1;
                             events.schedule(t, Event::Worker(w));
                         }
@@ -578,7 +580,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                         queue.push_back(payload);
                         if next_batch < cfg.total_batches {
                             let plan = make_plan(next_batch);
-                            begin_batch(policy.as_mut(), &mut plans, ctx, bw, now, plan);
+                            begin_batch(policy.as_mut(), &mut parked, bw, now, plan);
                             next_batch += 1;
                             events.schedule(now, Event::Worker(bw));
                         }
@@ -598,24 +600,14 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     // Quiesce background read-ahead before reading counters, so the
     // report's prefetch/demand split is settled.
     drop(prefetcher);
-    let store_stats = {
-        let guard = store.lock().expect("feature store poisoned");
-        let stats = guard.stats();
-        store_metrics::record(&stats);
-        if cfg.shards > 1 {
-            store_metrics::record_shards(&guard.shard_stats());
-        }
-        stats
-    };
-    let topology_stats = {
-        let guard = topology.lock().expect("topology store poisoned");
-        let stats = guard.stats();
-        store_metrics::record_topology(&stats);
-        if cfg.shards > 1 {
-            store_metrics::record_topology_shards(&guard.shard_stats());
-        }
-        stats
-    };
+    let store_stats = store.stats();
+    store_metrics::record(&store_stats);
+    let topology_stats = topology.stats();
+    store_metrics::record_topology(&topology_stats);
+    if cfg.shards > 1 {
+        store_metrics::record_shards(&store.shard_stats());
+        store_metrics::record_topology_shards(&topology.shard_stats());
+    }
 
     let makespan = makespan_end.since_epoch();
     let batches = consumed.max(produced_done);
@@ -783,6 +775,24 @@ mod tests {
         cfg.sampler = SamplerKind::SaintWalk { length: 3 };
         let report = run_pipeline(&ctx, &cfg);
         assert_eq!(report.batches, 6);
+    }
+
+    #[test]
+    fn plan_batch_is_all_the_topology_traffic_of_a_batch() {
+        // `sample_once` and `run_pipeline` touch the topology store
+        // only through `plan_batch`: one degree read and one pick batch
+        // per GraphSAGE hop, one pick batch per walk step.
+        let ctx = ctx(SystemKind::Dram);
+        let mut cfg = small_cfg(false);
+        let mut topo = smartsage_store::CsrView::new(ctx.graph());
+        let (trace, planned) = plan_batch(&ctx, &cfg, &mut topo, 0);
+        assert_eq!(topo.stats().gathers, 2 * cfg.fanouts.hops() as u64);
+        assert_eq!(trace.num_sampled(), planned.batch.num_sampled());
+        assert_eq!(planned.nodes, planned.batch.all_nodes());
+        cfg.sampler = SamplerKind::SaintWalk { length: 3 };
+        let mut topo = smartsage_store::CsrView::new(ctx.graph());
+        plan_batch(&ctx, &cfg, &mut topo, 0);
+        assert_eq!(topo.stats().gathers, 3);
     }
 
     #[test]

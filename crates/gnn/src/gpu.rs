@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn of_batch_reads_fanouts() {
-        use crate::sampler::{plan_sample, Fanouts};
+        use crate::sampler::{sample_on, Fanouts};
         use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
         use smartsage_graph::NodeId;
         use smartsage_sim::Xoshiro256;
@@ -195,13 +195,13 @@ mod tests {
             ..PowerLawConfig::default()
         });
         let mut rng = Xoshiro256::seed_from_u64(0);
-        let batch = plan_sample(
-            &g,
+        let (_, batch) = sample_on(
+            &mut smartsage_store::CsrView::new(&g),
             &[NodeId::new(0), NodeId::new(1)],
             &Fanouts::new(vec![3, 2]),
             &mut rng,
         )
-        .resolve(&g);
+        .unwrap();
         let dims = BatchDims::of_batch(&batch, 16, 32, 4);
         assert_eq!(dims.m, 2);
         assert_eq!(dims.s1, 3);

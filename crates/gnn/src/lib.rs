@@ -7,12 +7,14 @@
 //!   built on (matmul, transpose products, ReLU, softmax cross-entropy,
 //!   grouped means), with gradients verified against numeric
 //!   differentiation in tests.
-//! * [`sampler`] — GraphSAGE neighbor sampling (paper Algorithm 1) as a
-//!   two-phase design: [`sampler::plan_sample`] draws the random
-//!   *positions* once into a [`sampler::SamplePlan`], and every system
-//!   (DRAM, mmap, direct-I/O, ISP) prices and resolves the same plan — so the
-//!   property "the ISP produces byte-identical subgraphs to the host
-//!   sampler" holds by construction and is also asserted by tests.
+//! * [`sampler`] — GraphSAGE neighbor sampling (paper Algorithm 1) in
+//!   one pass through a topology store: [`sampler::sample_on`] draws
+//!   the random *positions* once into a [`sampler::SamplePlan`] and
+//!   resolves them to the [`sampler::SampledBatch`] in the same hop
+//!   loop. Every system (DRAM, mmap, direct-I/O, ISP) prices that one
+//!   plan and trains on that one batch — so the property "the ISP
+//!   produces byte-identical subgraphs to the host sampler" holds by
+//!   construction and is also asserted by tests.
 //! * [`saint`] — the GraphSAINT random-walk sampler used by the paper's
 //!   robustness study (Fig 20).
 //! * [`model`] — a 2-layer GraphSAGE (mean aggregator) with full

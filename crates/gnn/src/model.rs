@@ -16,9 +16,8 @@
 
 use crate::sampler::SampledBatch;
 use crate::tensor::{softmax_cross_entropy, Matrix};
-use smartsage_graph::FeatureTable;
 use smartsage_sim::Xoshiro256;
-use smartsage_store::{FeatureStore, InMemoryStore, StoreError};
+use smartsage_store::{FeatureStore, StoreError};
 
 /// Model hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,29 +100,10 @@ impl GraphSageModel {
         self.dims
     }
 
-    /// Gathers the three per-hop feature matrices for `batch`. Shim
-    /// over [`GraphSageModel::gather_features_from`] with an in-memory
-    /// store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch does not have exactly 2 hops or the feature
-    /// table dimension disagrees with the model.
-    pub fn gather_features(
-        &self,
-        batch: &SampledBatch,
-        table: &FeatureTable,
-    ) -> (Matrix, Matrix, Matrix) {
-        let mut store = InMemoryStore::unbounded(table.clone());
-        self.gather_features_from(batch, &mut store)
-            .expect("in-memory gathers cannot fail")
-    }
-
     /// Gathers the three per-hop feature matrices for `batch` through a
-    /// [`FeatureStore`] — the storage-backed twin of
-    /// [`GraphSageModel::gather_features`]. By the store determinism
-    /// contract the matrices are byte-identical across store
-    /// implementations; only the I/O counters differ.
+    /// [`FeatureStore`]. By the store determinism contract the matrices
+    /// are byte-identical across store implementations; only the I/O
+    /// counters differ.
     ///
     /// # Panics
     ///
@@ -312,9 +292,10 @@ fn col_sums(m: &Matrix) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::{plan_sample, Fanouts};
+    use crate::sampler::{sample_on, Fanouts};
     use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
-    use smartsage_graph::NodeId;
+    use smartsage_graph::{FeatureTable, NodeId};
+    use smartsage_store::{CsrView, InMemoryStore};
 
     fn setup() -> (
         GraphSageModel,
@@ -330,11 +311,11 @@ mod tests {
             seed: 50,
             ..PowerLawConfig::default()
         });
-        let table = FeatureTable::new(6, 3, 1);
+        let mut store = InMemoryStore::unbounded(FeatureTable::new(6, 3, 1));
         let mut rng = Xoshiro256::seed_from_u64(10);
         let targets: Vec<NodeId> = (0..5u32).map(NodeId::new).collect();
-        let plan = plan_sample(&g, &targets, &Fanouts::new(vec![3, 2]), &mut rng);
-        let batch = plan.resolve(&g);
+        let fanouts = Fanouts::new(vec![3, 2]);
+        let (_, batch) = sample_on(&mut CsrView::new(&g), &targets, &fanouts, &mut rng).unwrap();
         let dims = ModelDims {
             features: 6,
             hidden1: 5,
@@ -342,8 +323,8 @@ mod tests {
             classes: 3,
         };
         let model = GraphSageModel::new(dims, &mut rng);
-        let (x0, x1, x2) = model.gather_features(&batch, &table);
-        let labels: Vec<usize> = batch.targets.iter().map(|&t| table.label(t)).collect();
+        let (x0, x1, x2) = model.gather_features_from(&batch, &mut store).unwrap();
+        let labels: Vec<usize> = batch.targets.iter().map(|&t| store.label(t)).collect();
         (model, batch, x0, x1, x2, labels)
     }
 

@@ -84,6 +84,7 @@ pub fn plan_random_walk(
 mod tests {
     use super::*;
     use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
+    use smartsage_store::CsrView;
 
     fn graph() -> CsrGraph {
         generate_power_law(&PowerLawConfig {
@@ -115,7 +116,7 @@ mod tests {
         let roots: Vec<NodeId> = (5..15u32).map(NodeId::new).collect();
         let mut rng = Xoshiro256::seed_from_u64(2);
         let plan = plan_random_walk(&g, &roots, 3, &mut rng);
-        let batch = plan.resolve(&g);
+        let batch = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
         // Step k's parents must equal step k-1's sampled nodes.
         for k in 1..batch.hops.len() {
             assert_eq!(batch.hops[k].parents, batch.hops[k - 1].neighbors);
@@ -137,7 +138,7 @@ mod tests {
         let g = CsrGraph::from_edges(2, [(0, 1)]); // node 1 is a sink
         let mut rng = Xoshiro256::seed_from_u64(1);
         let plan = plan_random_walk(&g, &[NodeId::new(0)], 3, &mut rng);
-        let batch = plan.resolve(&g);
+        let batch = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
         // Walk: 0 -> 1 -> 1 -> 1.
         assert_eq!(batch.hops[0].neighbors, vec![NodeId::new(1)]);
         assert_eq!(batch.hops[1].neighbors, vec![NodeId::new(1)]);

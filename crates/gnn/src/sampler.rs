@@ -1,39 +1,38 @@
 //! GraphSAGE neighbor sampling (paper §II-B, Algorithm 1).
 //!
-//! Sampling is split into two phases so that every system's cost
-//! policy prices exactly the same random choices:
+//! A mini-batch is sampled in **one pass** through a
+//! [`TopologyStore`]: per hop, [`sample_on`] reads the frontier's
+//! degrees, draws the **positions** of the sampled neighbors within
+//! each node's neighbor list, and resolves those picks to neighbor ids
+//! — the way SmartSAGE's ISP builds the subgraph inside the device once
+//! (Fig 10(b)). The pass yields two views of the same random choices:
 //!
-//! 1. [`plan_sample`] draws, for each edge-list access, the **positions**
-//!    of the sampled neighbors within the node's neighbor list, producing
-//!    a [`SamplePlan`]. The plan is the ground truth for both the
-//!    functional result and the storage access pattern (which blocks of
-//!    the edge-list array each system must touch).
-//! 2. [`SamplePlan::resolve`] materializes the sampled neighbor IDs (the
-//!    subgraph) by reading the graph — on the host systems this models
-//!    (simulated) host memory, on the ISP it happens inside the SSD;
-//!    both get byte-identical results because they share the plan.
+//! * the [`SamplePlan`] — every edge-list access and its drawn
+//!   positions, the ground truth for the storage access pattern each
+//!   system's cost policy prices;
+//! * the [`SampledBatch`] — the resolved subgraph training consumes.
+//!
+//! [`plan_sample_on`] keeps only the plan and [`sample_many_on`] runs
+//! many requests through the same loop with their frontiers merged, so
+//! there is one hop-expansion implementation and the graph half of the
+//! dataset can live in memory ([`CsrView`](smartsage_store::CsrView)),
+//! on storage ([`FileTopology`](smartsage_store::FileTopology)) or
+//! resolve inside the modeled SSD
+//! ([`IspSampleTopology`](smartsage_store::IspSampleTopology)) without
+//! the tiers drifting: bit-identical plans and batches are asserted
+//! across tiers by `tests/topology_store_conformance.rs`.
+//!
+//! [`SamplePlan::resolve_on`] re-materializes a batch from a finished
+//! plan. GraphSAINT walk plans ([`crate::saint::plan_random_walk`],
+//! drawn on the in-memory CSR) resolve through it, and the conformance
+//! suites use it as the independent reference `sample_on` must equal.
 //!
 //! The paper's default configuration samples 25 neighbors at the first
 //! GNN layer and 10 at the second (§VI-F); mini-batch size is 1024 (§V).
-//!
-//! Both phases are generic over a
-//! [`TopologyStore`]: [`plan_sample_on`]
-//! draws the plan reading degrees and frontier neighbors through the
-//! store, and [`SamplePlan::resolve_on`] materializes the subgraph the
-//! same way — so the graph half of the dataset can live on storage
-//! ([`FileTopology`](smartsage_store::FileTopology)) or resolve inside
-//! the modeled SSD
-//! ([`IspSampleTopology`](smartsage_store::IspSampleTopology)). The
-//! historical in-memory entry points ([`plan_sample`],
-//! [`SamplePlan::resolve`]) are shims over the same code path through a
-//! zero-copy [`CsrView`], so the tiers cannot
-//! drift: bit-identical batches are a property of the shared
-//! implementation, asserted across tiers by
-//! `tests/topology_store_conformance.rs`.
 
-use smartsage_graph::{CsrGraph, NodeId};
+use smartsage_graph::NodeId;
 use smartsage_sim::Xoshiro256;
-use smartsage_store::{CsrView, StoreError, TopologyStore};
+use smartsage_store::{StoreError, TopologyStore};
 
 /// Per-layer sampling fan-outs, outermost (target) layer first.
 ///
@@ -140,58 +139,28 @@ impl SamplePlan {
             .sum()
     }
 
-    /// Materializes sampled neighbor IDs from the in-memory graph — a
-    /// shim over [`SamplePlan::resolve_on`] through a zero-copy
-    /// [`CsrView`], so the in-memory and storage tiers share one code
-    /// path.
-    ///
+    /// Re-materializes the sampled neighbor IDs of a finished plan
+    /// through a [`TopologyStore`]: each hop's picks are resolved as
+    /// **one coalesced batch** (the file tier merges their pages into
+    /// contiguous runs, the ISP tier issues one device command per hop).
     /// Positions index into each node's neighbor list; nodes without
-    /// neighbors contribute self-loops. The result is deterministic given
-    /// the plan.
-    pub fn resolve(&self, graph: &CsrGraph) -> SampledBatch {
-        self.resolve_on(&mut CsrView::new(graph))
-            .expect("in-memory topology cannot fail")
-    }
-
-    /// Materializes sampled neighbor IDs through a [`TopologyStore`]:
-    /// each hop's picks are resolved as **one coalesced batch** (the
-    /// file tier merges their pages into contiguous runs, the ISP tier
-    /// issues one device command per hop), and the resulting batch is
-    /// bit-identical to [`SamplePlan::resolve`] on the in-memory CSR by
-    /// the store determinism contract.
+    /// neighbors contribute self-loops. The result is deterministic
+    /// given the plan and — by the store determinism contract — equal
+    /// to the batch [`sample_on`] produced alongside the plan.
     pub fn resolve_on(&self, topology: &mut dyn TopologyStore) -> Result<SampledBatch, StoreError> {
         let mut hops = Vec::with_capacity(self.hops.len());
         for hop in &self.hops {
-            let mut parents = Vec::with_capacity(hop.accesses.len());
-            // Plan the hop's picks, then resolve them in one batch.
-            let mut picks: Vec<(NodeId, u64)> = Vec::with_capacity(hop.accesses.len() * hop.fanout);
-            for access in &hop.accesses {
-                parents.push(access.node);
-                if !access.positions.is_empty() {
-                    debug_assert_eq!(access.positions.len(), hop.fanout);
-                    picks.extend(access.positions.iter().map(|&pos| (access.node, pos)));
-                }
-            }
+            let picks: Vec<(NodeId, u64)> = hop
+                .accesses
+                .iter()
+                .flat_map(|a| a.positions.iter().map(|&pos| (a.node, pos)))
+                .collect();
             let mut resolved = vec![NodeId::default(); picks.len()];
             topology.pick_neighbors_into(&picks, &mut resolved)?;
-            // Reassemble in access order, substituting self-loops for
-            // isolated nodes.
-            let mut neighbors = Vec::with_capacity(hop.accesses.len() * hop.fanout);
-            let mut next = resolved.iter();
-            for access in &hop.accesses {
-                if access.positions.is_empty() {
-                    // Isolated node: self-loops keep the tree shape.
-                    neighbors.extend(std::iter::repeat_n(access.node, hop.fanout));
-                } else {
-                    for _ in &access.positions {
-                        neighbors.push(*next.next().expect("one answer per pick"));
-                    }
-                }
-            }
             hops.push(HopSample {
                 fanout: hop.fanout,
-                parents,
-                neighbors,
+                parents: hop.accesses.iter().map(|a| a.node).collect(),
+                neighbors: hop_neighbors(&hop.accesses, hop.fanout, &mut resolved.iter()),
             });
         }
         Ok(SampledBatch {
@@ -199,6 +168,27 @@ impl SamplePlan {
             hops,
         })
     }
+}
+
+/// Reassembles one request's hop in access order from the store's
+/// pick answers (`resolved` yields one id per drawn position),
+/// substituting self-loops for isolated nodes so the tree keeps its
+/// shape.
+fn hop_neighbors<'a>(
+    accesses: &[EdgeListAccess],
+    fanout: usize,
+    resolved: &mut impl Iterator<Item = &'a NodeId>,
+) -> Vec<NodeId> {
+    let mut neighbors = Vec::with_capacity(accesses.len() * fanout);
+    for access in accesses {
+        if access.positions.is_empty() {
+            neighbors.extend(std::iter::repeat_n(access.node, fanout));
+        } else {
+            debug_assert_eq!(access.positions.len(), fanout);
+            neighbors.extend(resolved.take(fanout).copied());
+        }
+    }
+    neighbors
 }
 
 /// One resolved hop: each parent's `fanout` sampled neighbors,
@@ -223,6 +213,12 @@ pub struct SampledBatch {
 }
 
 impl SampledBatch {
+    /// The nodes the next hop expands: the last resolved hop's
+    /// neighbors, or the targets before any hop.
+    fn frontier(&self) -> &[NodeId] {
+        self.hops.last().map_or(&self.targets, |h| &h.neighbors)
+    }
+
     /// All distinct nodes in the subgraph (targets + sampled), sorted.
     pub fn all_nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.targets.clone();
@@ -246,73 +242,106 @@ impl SampledBatch {
     }
 }
 
-/// Draws the sampling plan for one mini-batch (paper Algorithm 1,
-/// applied per hop) from the in-memory graph — a shim over
-/// [`plan_sample_on`] through a zero-copy [`CsrView`].
+/// The hop-expansion loop (paper Algorithm 1, applied per hop), for
+/// any number of independent requests at once.
 ///
-/// Hop 0 reads each target's edge list and samples `fanouts[0]` positions
-/// with replacement; hop `k` does the same for every neighbor sampled at
-/// hop `k-1`.
-pub fn plan_sample(
-    graph: &CsrGraph,
+/// Per hop, every request's frontier merges into **one coalesced**
+/// `degrees_into` batch; each request then draws `fanout` positions
+/// with replacement per non-isolated frontier node from its own RNG, in
+/// frontier order; and all drawn picks resolve as **one coalesced**
+/// `pick_neighbors_into` batch whose answers are both the hop's sampled
+/// neighbors and the next hop's frontier. Hop 0's frontier is the
+/// request's targets.
+fn expand_hops(
+    topology: &mut dyn TopologyStore,
+    requests: &mut [(&[NodeId], &mut Xoshiro256)],
+    fanouts: &Fanouts,
+) -> Result<Vec<(SamplePlan, SampledBatch)>, StoreError> {
+    let mut out: Vec<(SamplePlan, SampledBatch)> = requests
+        .iter()
+        .map(|(targets, _)| {
+            (
+                SamplePlan {
+                    targets: targets.to_vec(),
+                    hops: Vec::with_capacity(fanouts.hops()),
+                },
+                SampledBatch {
+                    targets: targets.to_vec(),
+                    hops: Vec::with_capacity(fanouts.hops()),
+                },
+            )
+        })
+        .collect();
+    for &fanout in fanouts.as_slice() {
+        let merged: Vec<NodeId> = out
+            .iter()
+            .flat_map(|(_, batch)| batch.frontier())
+            .copied()
+            .collect();
+        let mut degrees = vec![0u64; merged.len()];
+        topology.degrees_into(&merged, &mut degrees)?;
+        let mut picks: Vec<(NodeId, u64)> = Vec::with_capacity(merged.len() * fanout);
+        let mut degrees = degrees.iter();
+        for ((plan, batch), (_, rng)) in out.iter_mut().zip(requests.iter_mut()) {
+            let accesses = batch
+                .frontier()
+                .iter()
+                .zip(&mut degrees)
+                .map(|(&node, &degree)| {
+                    let positions: Vec<u64> = if degree == 0 {
+                        Vec::new()
+                    } else {
+                        (0..fanout).map(|_| rng.range_u64(degree)).collect()
+                    };
+                    picks.extend(positions.iter().map(|&p| (node, p)));
+                    EdgeListAccess { node, positions }
+                })
+                .collect();
+            plan.hops.push(HopPlan { fanout, accesses });
+        }
+        let mut resolved = vec![NodeId::default(); picks.len()];
+        topology.pick_neighbors_into(&picks, &mut resolved)?;
+        let mut resolved = resolved.iter();
+        for (plan, batch) in &mut out {
+            let accesses = &plan.hops[batch.hops.len()].accesses;
+            let hop = HopSample {
+                fanout,
+                parents: batch.frontier().to_vec(),
+                neighbors: hop_neighbors(accesses, fanout, &mut resolved),
+            };
+            batch.hops.push(hop);
+        }
+    }
+    Ok(out)
+}
+
+/// Samples one mini-batch through a [`TopologyStore`] in a single pass
+/// (two batched store calls per hop), returning the plan and the
+/// resolved batch together.
+///
+/// `rng` is consumed per hop, per frontier node in frontier order,
+/// `fanout` draws per non-isolated node — so for the same seed, plans
+/// and batches are bit-identical across tiers, and the batch equals
+/// [`SamplePlan::resolve_on`] of the plan.
+pub fn sample_on(
+    topology: &mut dyn TopologyStore,
     targets: &[NodeId],
     fanouts: &Fanouts,
     rng: &mut Xoshiro256,
-) -> SamplePlan {
-    plan_sample_on(&mut CsrView::new(graph), targets, fanouts, rng)
-        .expect("in-memory topology cannot fail")
+) -> Result<(SamplePlan, SampledBatch), StoreError> {
+    let mut sampled = expand_hops(topology, &mut [(targets, rng)], fanouts)?;
+    Ok(sampled.pop().expect("one request in, one sample out"))
 }
 
 /// Draws the sampling plan for one mini-batch through a
-/// [`TopologyStore`].
-///
-/// Per hop, the frontier's degrees are read as **one coalesced batch**
-/// (position draws need them), positions are drawn per node in frontier
-/// order — the RNG consumption order is exactly [`plan_sample`]'s, so
-/// plans are bit-identical across tiers for the same seed — and the
-/// next frontier's neighbor picks resolve as a second coalesced batch.
+/// [`TopologyStore`]: [`sample_on`], keeping only the plan.
 pub fn plan_sample_on(
     topology: &mut dyn TopologyStore,
     targets: &[NodeId],
     fanouts: &Fanouts,
     rng: &mut Xoshiro256,
 ) -> Result<SamplePlan, StoreError> {
-    let mut hops = Vec::with_capacity(fanouts.hops());
-    let mut frontier: Vec<NodeId> = targets.to_vec();
-    for &fanout in fanouts.as_slice() {
-        let mut degrees = vec![0u64; frontier.len()];
-        topology.degrees_into(&frontier, &mut degrees)?;
-        let mut accesses = Vec::with_capacity(frontier.len());
-        let mut picks: Vec<(NodeId, u64)> = Vec::with_capacity(frontier.len() * fanout);
-        for (&node, &degree) in frontier.iter().zip(&degrees) {
-            let positions: Vec<u64> = if degree == 0 {
-                Vec::new()
-            } else {
-                (0..fanout).map(|_| rng.range_u64(degree)).collect()
-            };
-            picks.extend(positions.iter().map(|&p| (node, p)));
-            accesses.push(EdgeListAccess { node, positions });
-        }
-        let mut resolved = vec![NodeId::default(); picks.len()];
-        topology.pick_neighbors_into(&picks, &mut resolved)?;
-        let mut next_frontier = Vec::with_capacity(frontier.len() * fanout);
-        let mut next = resolved.iter();
-        for access in &accesses {
-            if access.positions.is_empty() {
-                next_frontier.extend(std::iter::repeat_n(access.node, fanout));
-            } else {
-                for _ in &access.positions {
-                    next_frontier.push(*next.next().expect("one answer per pick"));
-                }
-            }
-        }
-        hops.push(HopPlan { fanout, accesses });
-        frontier = next_frontier;
-    }
-    Ok(SamplePlan {
-        targets: targets.to_vec(),
-        hops,
-    })
+    sample_on(topology, targets, fanouts, rng).map(|(plan, _)| plan)
 }
 
 /// One independent sampling request inside a merged, coalesced pass —
@@ -333,14 +362,13 @@ pub struct SampleSpec {
 ///
 /// Each request draws its neighbor positions from its own
 /// [`Xoshiro256`] seeded with `spec.seed`, consumed in exactly the
-/// order [`plan_sample_on`] would consume it — so every returned batch
-/// is bit-identical to running that request alone:
+/// order [`sample_on`] consumes it — so every returned batch is
+/// bit-identical to running that request alone:
 ///
 /// ```text
 /// sample_many_on(t, specs, f)[i]
-///     == plan_sample_on(t, &specs[i].targets, f,
-///                       &mut Xoshiro256::seed_from_u64(specs[i].seed))?
-///            .resolve_on(t)?
+///     == sample_on(t, &specs[i].targets, f,
+///                  &mut Xoshiro256::seed_from_u64(specs[i].seed))?.1
 /// ```
 ///
 /// Only the store's I/O accounting differs (fewer, larger batched
@@ -355,71 +383,13 @@ pub fn sample_many_on(
         .iter()
         .map(|s| Xoshiro256::seed_from_u64(s.seed))
         .collect();
-    let mut frontiers: Vec<Vec<NodeId>> = specs.iter().map(|s| s.targets.clone()).collect();
-    let mut hops: Vec<Vec<HopSample>> = specs.iter().map(|_| Vec::new()).collect();
-    for &fanout in fanouts.as_slice() {
-        // One merged degree read across every request's frontier.
-        let merged: Vec<NodeId> = frontiers.iter().flatten().copied().collect();
-        let mut degrees = vec![0u64; merged.len()];
-        topology.degrees_into(&merged, &mut degrees)?;
-        // Per request (in request order), draw positions from its own
-        // RNG — the consumption order within a request is exactly
-        // `plan_sample_on`'s, so merging cannot change any request's
-        // sample.
-        let mut picks: Vec<(NodeId, u64)> = Vec::with_capacity(merged.len() * fanout);
-        let mut accesses: Vec<Vec<EdgeListAccess>> = Vec::with_capacity(specs.len());
-        let mut offset = 0;
-        for (frontier, rng) in frontiers.iter().zip(&mut rngs) {
-            let mut request_accesses = Vec::with_capacity(frontier.len());
-            for (&node, &degree) in frontier
-                .iter()
-                .zip(&degrees[offset..offset + frontier.len()])
-            {
-                let positions: Vec<u64> = if degree == 0 {
-                    Vec::new()
-                } else {
-                    (0..fanout).map(|_| rng.range_u64(degree)).collect()
-                };
-                picks.extend(positions.iter().map(|&p| (node, p)));
-                request_accesses.push(EdgeListAccess { node, positions });
-            }
-            offset += frontier.len();
-            accesses.push(request_accesses);
-        }
-        // One merged pick resolution, then split back per request,
-        // substituting self-loops for isolated nodes.
-        let mut resolved = vec![NodeId::default(); picks.len()];
-        topology.pick_neighbors_into(&picks, &mut resolved)?;
-        let mut next = resolved.iter();
-        for ((request_accesses, frontier), request_hops) in
-            accesses.iter().zip(&mut frontiers).zip(&mut hops)
-        {
-            let mut neighbors = Vec::with_capacity(request_accesses.len() * fanout);
-            for access in request_accesses {
-                if access.positions.is_empty() {
-                    neighbors.extend(std::iter::repeat_n(access.node, fanout));
-                } else {
-                    for _ in &access.positions {
-                        neighbors.push(*next.next().expect("one answer per pick"));
-                    }
-                }
-            }
-            request_hops.push(HopSample {
-                fanout,
-                parents: std::mem::take(frontier),
-                neighbors: neighbors.clone(),
-            });
-            *frontier = neighbors;
-        }
-    }
-    Ok(specs
+    let mut requests: Vec<(&[NodeId], &mut Xoshiro256)> = specs
         .iter()
-        .zip(hops)
-        .map(|(spec, hops)| SampledBatch {
-            targets: spec.targets.clone(),
-            hops,
-        })
-        .collect())
+        .zip(&mut rngs)
+        .map(|(spec, rng)| (&spec.targets[..], rng))
+        .collect();
+    let sampled = expand_hops(topology, &mut requests, fanouts)?;
+    Ok(sampled.into_iter().map(|(_, batch)| batch).collect())
 }
 
 /// Concatenates independent [`SampledBatch`]es (same hop structure)
@@ -507,6 +477,18 @@ mod tests {
     use super::*;
     use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
     use smartsage_graph::traversal::k_hop_neighborhood;
+    use smartsage_graph::CsrGraph;
+    use smartsage_store::CsrView;
+
+    fn sample(
+        g: &CsrGraph,
+        targets: &[NodeId],
+        f: &Fanouts,
+        seed: u64,
+    ) -> (SamplePlan, SampledBatch) {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        sample_on(&mut CsrView::new(g), targets, f, &mut rng).unwrap()
+    }
 
     fn graph() -> CsrGraph {
         generate_power_law(&PowerLawConfig {
@@ -537,8 +519,7 @@ mod tests {
         let g = graph();
         let targets: Vec<NodeId> = (0..16u32).map(NodeId::new).collect();
         let f = Fanouts::new(vec![4, 3]);
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        let plan = plan_sample(&g, &targets, &f, &mut rng);
+        let (plan, _) = sample(&g, &targets, &f, 1);
         assert_eq!(plan.hops.len(), 2);
         assert_eq!(plan.hops[0].accesses.len(), 16);
         assert_eq!(plan.hops[1].accesses.len(), 16 * 4);
@@ -551,11 +532,11 @@ mod tests {
         let g = graph();
         let targets: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
         let f = Fanouts::new(vec![5, 2]);
-        let mut rng = Xoshiro256::seed_from_u64(9);
-        let plan = plan_sample(&g, &targets, &f, &mut rng);
-        let a = plan.resolve(&g);
-        let b = plan.resolve(&g);
+        let (plan, sampled) = sample(&g, &targets, &f, 9);
+        let a = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
+        let b = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
         assert_eq!(a, b);
+        assert_eq!(a, sampled, "the pass's batch is its plan, resolved");
         // Hop-1 parents are exactly hop-0's flattened neighbors.
         assert_eq!(a.hops[1].parents, a.hops[0].neighbors);
         assert_eq!(a.num_sampled(), plan.num_sampled());
@@ -567,8 +548,7 @@ mod tests {
         let g = graph();
         let targets: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
         let f = Fanouts::new(vec![4, 4]);
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        let batch = plan_sample(&g, &targets, &f, &mut rng).resolve(&g);
+        let (_, batch) = sample(&g, &targets, &f, 3);
         for hop in &batch.hops {
             for (i, &parent) in hop.parents.iter().enumerate() {
                 let nbrs = g.neighbors(parent);
@@ -588,8 +568,7 @@ mod tests {
         let g = graph();
         let targets: Vec<NodeId> = (0..4u32).map(NodeId::new).collect();
         let f = Fanouts::new(vec![6, 6]);
-        let mut rng = Xoshiro256::seed_from_u64(4);
-        let batch = plan_sample(&g, &targets, &f, &mut rng).resolve(&g);
+        let (_, batch) = sample(&g, &targets, &f, 4);
         let hood = k_hop_neighborhood(&g, &targets, 2);
         for n in batch.all_nodes() {
             assert!(hood.contains(&n), "{n} escaped the 2-hop neighborhood");
@@ -600,11 +579,10 @@ mod tests {
     fn isolated_nodes_self_loop() {
         let g = CsrGraph::from_edges(3, [(0, 1)]); // node 2 isolated
         let f = Fanouts::new(vec![3]);
-        let mut rng = Xoshiro256::seed_from_u64(5);
-        let plan = plan_sample(&g, &[NodeId::new(2)], &f, &mut rng);
+        let (plan, batch) = sample(&g, &[NodeId::new(2)], &f, 5);
         assert!(plan.hops[0].accesses[0].positions.is_empty());
-        let batch = plan.resolve(&g);
         assert_eq!(batch.hops[0].neighbors, vec![NodeId::new(2); 3]);
+        assert_eq!(plan.resolve_on(&mut CsrView::new(&g)).unwrap(), batch);
     }
 
     #[test]
@@ -635,29 +613,19 @@ mod tests {
         let mut merged_topo = CsrView::new(&g);
         let merged = sample_many_on(&mut merged_topo, &specs, &f).unwrap();
         assert_eq!(merged.len(), specs.len());
+        let mut solo_answers = 0;
         for (spec, batch) in specs.iter().zip(&merged) {
             let mut solo_topo = CsrView::new(&g);
             let mut rng = Xoshiro256::seed_from_u64(spec.seed);
-            let solo = plan_sample_on(&mut solo_topo, &spec.targets, &f, &mut rng)
-                .unwrap()
-                .resolve_on(&mut solo_topo)
-                .unwrap();
+            let (_, solo) = sample_on(&mut solo_topo, &spec.targets, &f, &mut rng).unwrap();
             assert_eq!(batch, &solo, "merged sampling must not change results");
+            assert_eq!(solo_topo.stats().gathers, 2 * f.hops() as u64);
+            solo_answers += solo_topo.stats().nodes_gathered;
         }
-        // Merging answers the same node count as the plans alone (the
-        // plan+resolve serial path re-resolves picks, so it reads
-        // strictly more) through only two batched ops per hop.
+        // Merging answers exactly the solo passes' node count through
+        // only two batched ops per hop.
         let merged_stats = merged_topo.stats();
-        let solo_plan_total: u64 = specs
-            .iter()
-            .map(|spec| {
-                let mut topo = CsrView::new(&g);
-                let mut rng = Xoshiro256::seed_from_u64(spec.seed);
-                plan_sample_on(&mut topo, &spec.targets, &f, &mut rng).unwrap();
-                topo.stats().nodes_gathered
-            })
-            .sum();
-        assert_eq!(merged_stats.nodes_gathered, solo_plan_total);
+        assert_eq!(merged_stats.nodes_gathered, solo_answers);
         assert_eq!(merged_stats.gathers, 2 * f.hops() as u64);
     }
 
@@ -719,8 +687,6 @@ mod tests {
         let g = graph();
         let targets: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
         let f = Fanouts::paper_default();
-        let p1 = plan_sample(&g, &targets, &f, &mut Xoshiro256::seed_from_u64(1));
-        let p2 = plan_sample(&g, &targets, &f, &mut Xoshiro256::seed_from_u64(2));
-        assert_ne!(p1, p2);
+        assert_ne!(sample(&g, &targets, &f, 1), sample(&g, &targets, &f, 2));
     }
 }

@@ -486,6 +486,36 @@ mod tests {
     }
 
     #[test]
+    fn a_large_batch_keeps_two_reads_in_flight() {
+        // The occupancy contract: one batch of 64 × 128 KiB reads
+        // cannot finish inside a single worker's turn, so a 2-worker
+        // engine overlaps them. The peak is sticky, so a round lost to
+        // an unlucky schedule (one worker draining the queue before
+        // the other wakes) is simply followed by another.
+        const CHUNK: usize = 128 << 10;
+        let (source, _keep) = temp_file(&vec![0x5Au8; CHUNK * 8]);
+        let engine = ReadEngine::new(2);
+        for _ in 0..20 {
+            let requests = (0..64u64)
+                .map(|i| ReadRequest {
+                    source: source.clone(),
+                    offset: (i % 8) * CHUNK as u64,
+                    len: CHUNK,
+                })
+                .collect();
+            for result in engine.submit(requests).wait() {
+                assert_eq!(result.expect("read ok").len(), CHUNK);
+            }
+            if engine.stats().max_inflight >= 2 {
+                break;
+            }
+        }
+        let stats = engine.stats();
+        assert!(stats.max_inflight >= 2, "reads never overlapped: {stats:?}");
+        assert!(stats.max_queue_depth >= 2);
+    }
+
+    #[test]
     fn drop_joins_workers_after_draining() {
         let (source, _keep) = temp_file(&[0u8; 4096]);
         let engine = ReadEngine::new(2);

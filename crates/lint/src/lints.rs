@@ -150,7 +150,7 @@ pub fn in_scope(code: Code, path: &str) -> bool {
         }
         // Result-producing modules: experiment tables, report cells,
         // cost policies, sample traces, plus the registry (occupancy
-        // reports) and the bench harness (BENCH_<pr>.json).
+        // reports).
         Code::Ssl002 => {
             matches!(
                 path,
@@ -158,7 +158,6 @@ pub fn in_scope(code: Code, path: &str) -> bool {
                     | "crates/core/src/report.rs"
                     | "crates/store/src/trace.rs"
                     | "crates/store/src/registry.rs"
-                    | "crates/serve/src/bin/serve_bench.rs"
             ) || within("crates/core/src/cost/")
         }
         // Modeled-time code: cost policies and the SSD device models.
@@ -166,13 +165,11 @@ pub fn in_scope(code: Code, path: &str) -> bool {
         Code::Ssl004 | Code::Ssl005 => true,
         // Known lock families: serve (batcher queue, engine, stop
         // flags), store (registry per-key locks, scratchpad), hostio
-        // (page-cache shards, prefetch), and the pipeline's paired
-        // store/topology mutexes.
+        // (page-cache shards, prefetch).
         Code::Ssl006 => {
             within("crates/serve/src/")
                 || within("crates/store/src/")
                 || within("crates/hostio/src/")
-                || path == "crates/core/src/pipeline.rs"
         }
     }
 }

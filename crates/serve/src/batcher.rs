@@ -210,8 +210,8 @@ impl Drop for Batcher {
 ///
 /// The pre-fix executor slept the *full* window after the first
 /// request of every pass — even when `max_batch` was already queued
-/// and even for a solo request at low load (BENCH_6.json: coalesced
-/// p50 2.9 ms vs 0.2 ms serial, with a 2 ms window). This waits on
+/// and even for a solo request at low load (coalesced p50 2.9 ms vs
+/// 0.2 ms serial, with a 2 ms window). This waits on
 /// `arrived` against the `window` deadline and fires early when:
 ///
 /// * the queue reaches `max_batch` — the pass is full, waiting longer

@@ -482,6 +482,10 @@ mod tests {
             merged.topology_stats().nodes_gathered,
             serial.topology_stats().nodes_gathered
         );
+        // One sampling pass per execute: a degree read and a pick batch
+        // per hop, whether it served four requests or one.
+        assert_eq!(merged.topology_stats().gathers, 2 * 2);
+        assert_eq!(serial.topology_stats().gathers, 4 * 2 * 2);
         // The feature half dedups across the group: never more nodes
         // than serial, and both ship 4 bytes x dim per gathered node.
         let (ms, ss) = (merged.store_stats(), serial.store_stats());

@@ -104,28 +104,11 @@ pub use sharded::{
 pub use shared::SharedFileStore;
 pub use stats::AtomicStoreStats;
 pub use topology::{
-    share_topology, CsrTopology, CsrView, FileTopology, InMemoryTopology, SharedTopology,
-    TopologyKind, TopologyStore,
+    CsrTopology, CsrView, FileTopology, InMemoryTopology, TopologyKind, TopologyStore,
 };
 pub use trace::{SampleTrace, TraceAccess, TraceHop, TracingTopology};
 
 use smartsage_graph::NodeId;
-use std::sync::{Arc, Mutex};
-
-/// A dynamically typed feature store shared across threads.
-///
-/// This is the hand-off type between subsystems: the pipeline builds
-/// one per run (an [`InMemoryStore`] or a scoped [`StoreHandle`] onto a
-/// registry-shared [`SharedFileStore`]) and every producer worker —
-/// and any concurrent trainer — gathers through it. The mutex guards
-/// the *handle* (its scoped counters); file-backed I/O underneath is
-/// already concurrent via the shared store's sharded cache.
-pub type SharedDynStore = Arc<Mutex<Box<dyn FeatureStore + Send>>>;
-
-/// Wraps a concrete store in the shared dynamic hand-off type.
-pub fn share_store(store: impl FeatureStore + Send + 'static) -> SharedDynStore {
-    Arc::new(Mutex::new(Box::new(store)))
-}
 
 /// Which feature-store implementation an experiment trains through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -13,9 +13,8 @@
 //!
 //! * [`InMemoryTopology`] / [`CsrView`] — wrap a [`CsrGraph`] (owned /
 //!   borrowed); answers come straight from host memory with no I/O.
-//!   `CsrView` is how the historical `plan_sample`/`resolve` functions
-//!   are implemented, so every tier shares one code path by
-//!   construction.
+//!   `CsrView` is how in-memory callers run the store-generic sampler,
+//!   so every tier shares one code path by construction.
 //! * [`FileTopology`] — a scoped handle onto a registry-shared
 //!   [`SharedCsrFile`]: offset and edge slices
 //!   are read page-aligned through the lock-striped
@@ -42,7 +41,7 @@ use crate::error::StoreError;
 use crate::graph_file::{SharedCsrFile, GRAPH_ENTRY_BYTES};
 use crate::StoreStats;
 use smartsage_graph::{CsrGraph, NodeId};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Which topology-store implementation an experiment samples through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,16 +141,6 @@ pub trait TopologyStore: std::fmt::Debug {
     }
 }
 
-/// A dynamically typed topology store shared across threads — the
-/// hand-off type between the pipeline and its samplers, mirroring
-/// [`SharedDynStore`](crate::SharedDynStore).
-pub type SharedTopology = Arc<Mutex<Box<dyn TopologyStore + Send>>>;
-
-/// Wraps a concrete topology store in the shared dynamic hand-off type.
-pub fn share_topology(topo: impl TopologyStore + Send + 'static) -> SharedTopology {
-    Arc::new(Mutex::new(Box::new(topo)))
-}
-
 pub(crate) fn check_out_len<T>(expected: usize, out: &[T]) -> Result<(), StoreError> {
     if out.len() != expected {
         return Err(StoreError::BadBuffer {
@@ -231,10 +220,9 @@ pub type InMemoryTopology = CsrTopology<Arc<CsrGraph>>;
 
 /// A zero-copy [`TopologyStore`] view over a borrowed [`CsrGraph`].
 ///
-/// This is how the historical in-memory sampling entry points
-/// (`plan_sample`, `SamplePlan::resolve`) run: they wrap the graph in
-/// a `CsrView` and call the storage-generic path, so the in-memory and
-/// storage tiers cannot drift apart.
+/// This is how in-memory callers sample: they wrap the graph in a
+/// `CsrView` and call the storage-generic path (`sample_on`), so the
+/// in-memory and storage tiers cannot drift apart.
 pub type CsrView<'a> = CsrTopology<&'a CsrGraph>;
 
 impl InMemoryTopology {
@@ -435,6 +423,12 @@ mod tests {
         mem.pick_neighbors_into(&picks, &mut want_n).unwrap();
         disk.pick_neighbors_into(&picks, &mut got_n).unwrap();
         assert_eq!(got_n, want_n, "picks resolve identically");
+        // The single-node conveniences answer like the batches.
+        let (node, k) = picks[0];
+        for topo in [&mut mem as &mut dyn TopologyStore, &mut disk] {
+            assert_eq!(topo.degree(nodes[0]).unwrap(), want[0]);
+            assert_eq!(topo.neighbor(node, k).unwrap(), want_n[0]);
+        }
         assert!(disk.stats().bytes_read > 0);
         assert_eq!(mem.stats().bytes_read, 0, "memory does no I/O");
         // Access counters are uniform across tiers.
@@ -482,14 +476,5 @@ mod tests {
             }
         ));
         assert_eq!(mem.stats().gathers, 0, "failed reads count nothing");
-    }
-
-    #[test]
-    fn shared_topology_hand_off_works() {
-        let g = graph(16, 0x73);
-        let topo = share_topology(InMemoryTopology::new(g));
-        let mut guard = topo.lock().unwrap();
-        guard.degree(NodeId::new(0)).unwrap();
-        assert!(guard.stats().gathers > 0);
     }
 }

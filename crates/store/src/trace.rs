@@ -86,7 +86,7 @@ impl SampleTrace {
 /// as a [`SampleTrace`] while forwarding every request to the inner
 /// store — the trace **export hook**.
 ///
-/// Designed for `plan_sample_on`'s call discipline: one
+/// Designed for `sample_on`'s call discipline: one
 /// [`degrees_into`](TopologyStore::degrees_into) opens a hop (the
 /// frontier and its degrees), and the following
 /// [`pick_neighbors_into`](TopologyStore::pick_neighbors_into) closes

@@ -14,6 +14,7 @@ use smartsage::gnn::saint::{plan_random_walk, WalkConfig};
 use smartsage::gnn::Fanouts;
 use smartsage::graph::{Dataset, DatasetProfile, GraphScale, NodeId};
 use smartsage::sim::Xoshiro256;
+use smartsage::store::CsrView;
 use std::sync::Arc;
 
 fn main() {
@@ -31,7 +32,9 @@ fn main() {
     let roots: Vec<NodeId> = (0..cfg.roots as u32).map(NodeId::new).collect();
     let mut rng = Xoshiro256::seed_from_u64(99);
     let plan = plan_random_walk(graph, &roots, cfg.length, &mut rng);
-    let batch = plan.resolve(graph);
+    let batch = plan
+        .resolve_on(&mut CsrView::new(graph))
+        .expect("in-memory topology cannot fail");
     println!("== Random walks from {} roots ==", cfg.roots);
     for (i, &root) in roots.iter().enumerate() {
         let mut path = vec![root];

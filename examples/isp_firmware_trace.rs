@@ -13,10 +13,11 @@ use smartsage::core::context::{Devices, RunContext};
 use smartsage::core::cost::{make_policy, trace_of_plan, StepOutcome};
 use smartsage::core::metrics::TransferStats;
 use smartsage::core::nsconfig::{NsConfig, TargetDescriptor};
-use smartsage::gnn::sampler::plan_sample;
+use smartsage::gnn::sampler::sample_on;
 use smartsage::gnn::Fanouts;
 use smartsage::graph::{Dataset, DatasetProfile, GraphScale, NodeId};
 use smartsage::sim::{SimTime, Xoshiro256};
+use smartsage::store::CsrView;
 use std::sync::Arc;
 
 fn main() {
@@ -80,7 +81,13 @@ fn main() {
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(&ctx, 1);
     let mut rng = Xoshiro256::seed_from_u64(1);
-    let plan = plan_sample(graph, &targets, &Fanouts::paper_default(), &mut rng);
+    let (plan, batch) = sample_on(
+        &mut CsrView::new(graph),
+        &targets,
+        &Fanouts::paper_default(),
+        &mut rng,
+    )
+    .expect("in-memory topology cannot fail");
     let trace = trace_of_plan(&plan, graph);
     println!(
         "  trace: {} edge-list accesses across {} hops, {} ids to sample",
@@ -99,7 +106,6 @@ fn main() {
         steps += 1;
     }
     let result = policy.take_result(0);
-    let batch = plan.resolve(graph);
     println!("  done at {} after {} firmware steps", result.done, steps);
     println!("\n== Device-side accounting ==");
     println!(

@@ -16,6 +16,7 @@ use smartsage::gnn::Fanouts;
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::{Dataset, DatasetProfile, FeatureTable, GraphScale, NodeId};
 use smartsage::sim::Xoshiro256;
+use smartsage::store::{CsrView, InMemoryStore};
 use std::sync::Arc;
 
 fn main() {
@@ -32,7 +33,10 @@ fn main() {
         seed: 42,
         ..PowerLawConfig::default()
     });
-    let features = FeatureTable::new(16, 4, 7);
+    // Both halves of the dataset sit behind stores; swap in
+    // `FileTopology` / `StoreHandle` to train through real storage I/O.
+    let mut topology = CsrView::new(&graph);
+    let mut features = InMemoryStore::unbounded(FeatureTable::new(16, 4, 7));
     let mut rng = Xoshiro256::seed_from_u64(1);
     let mut trainer = Trainer::new(
         ModelDims {
@@ -49,11 +53,15 @@ fn main() {
         &mut rng,
     );
     for epoch in 0..4 {
-        let loss = trainer.train_epoch(&graph, &features, epoch, &mut rng);
+        let loss = trainer
+            .train_epoch_via(&mut topology, &mut features, epoch, &mut rng)
+            .expect("in-memory stores cannot fail");
         println!("  epoch {epoch}: mean batch loss {loss:.4}");
     }
     let eval: Vec<NodeId> = (0..400u32).map(NodeId::new).collect();
-    let acc = trainer.accuracy(&graph, &features, &eval, &mut rng);
+    let acc = trainer
+        .accuracy_via(&mut topology, &mut features, &eval, &mut rng)
+        .expect("in-memory stores cannot fail");
     println!(
         "  accuracy on 400 nodes: {:.1}% (chance 25%)\n",
         acc * 100.0

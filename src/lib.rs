@@ -40,7 +40,8 @@
 //! * [`serve`] — the online serving path: a std-only HTTP/1.1 service
 //!   (`/v1/sample`, `/v1/infer`, `/stats`) over the same shared store
 //!   tiers, with a request-coalescing batcher, typed admission
-//!   control, and a closed-loop load harness (`serve_bench`).
+//!   control (the closed-loop load harness is `sagebench`'s
+//!   `serve_infer_file` workload, under `benchmark/`).
 //!
 //! # Quickstart
 //!
@@ -113,7 +114,7 @@
 //! "Topology tiers" snippet, kept honest by `cargo test`):
 //!
 //! ```
-//! use smartsage::gnn::sampler::plan_sample_on;
+//! use smartsage::gnn::sampler::sample_on;
 //! use smartsage::gnn::Fanouts;
 //! use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 //! use smartsage::graph::NodeId;
@@ -130,20 +131,20 @@
 //! let file = ScratchFile::new("readme-topology-tiers");
 //! write_graph_file(file.path(), &graph).unwrap();
 //!
-//! // Sample two hops from scattered targets through all three tiers.
+//! // Sample two hops from scattered targets through all three tiers:
+//! // one pass yields the plan (what was read) and the batch (the ids).
 //! let targets: Vec<NodeId> = (0..16u32).map(|i| NodeId::new(i * 127)).collect();
 //! let fanouts = Fanouts::new(vec![3, 2]);
 //! let sample = |topo: &mut dyn TopologyStore| {
 //!     let mut rng = Xoshiro256::seed_from_u64(42);
-//!     let plan = plan_sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
-//!     plan.resolve_on(topo).unwrap()
+//!     sample_on(topo, &targets, &fanouts, &mut rng).unwrap()
 //! };
 //! let mut mem = InMemoryTopology::new(graph.clone());
 //! let mut disk = FileTopology::open(file.path()).unwrap();
 //! let mut isp = IspSampleTopology::open(file.path()).unwrap();
 //! let want = sample(&mut mem);
-//! assert_eq!(sample(&mut disk), want); // same batch off the page path
-//! assert_eq!(sample(&mut isp), want); // same batch off the ISP path
+//! assert_eq!(sample(&mut disk), want); // same plan + batch off the page path
+//! assert_eq!(sample(&mut isp), want); // same plan + batch off the ISP path
 //!
 //! // The file tier ships every touched offset/edge page whole; the ISP
 //! // tier resolves the hop inside the device and ships 8 B per answer.

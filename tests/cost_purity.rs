@@ -19,15 +19,15 @@ use proptest::prelude::*;
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::{Devices, RunContext};
 use smartsage::core::cost::{make_policy, trace_of_plan, BatchCost, CostPolicy, StepOutcome};
-use smartsage::gnn::sampler::{plan_sample_on, Fanouts};
+use smartsage::gnn::sampler::{plan_sample_on, sample_on, Fanouts};
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::{CsrGraph, Dataset, DatasetProfile, GraphScale, NodeId};
 use smartsage::sim::{SimTime, Xoshiro256};
 use smartsage::store::topology::{FileTopology, InMemoryTopology};
 use smartsage::store::trace::TracingTopology;
 use smartsage::store::{
-    shard_ranges, write_graph_file, write_graph_shard, IspGatherOptions, IspSampleTopology,
-    ScratchFile, ShardManifest, ShardedTopology, TopologyStore,
+    shard_ranges, write_graph_file, write_graph_shard, CsrView, IspGatherOptions,
+    IspSampleTopology, ScratchFile, ShardManifest, ShardedTopology, TopologyStore,
 };
 use std::sync::Arc;
 
@@ -42,8 +42,9 @@ fn arbitrary_graph(nodes: usize, seed: u64) -> CsrGraph {
     })
 }
 
-/// Plans through `topology` behind the trace export hook; returns the
-/// recorded trace and the plan's own trace.
+/// Samples one full pass through `topology` behind the trace export
+/// hook; returns the recorded trace and the plan's own trace. Every
+/// call that reached the store is in the recording: two per hop.
 fn traced_plan(
     topology: &mut dyn TopologyStore,
     graph: &CsrGraph,
@@ -52,9 +53,16 @@ fn traced_plan(
     seed: u64,
 ) -> (smartsage::store::SampleTrace, smartsage::store::SampleTrace) {
     let mut rng = Xoshiro256::seed_from_u64(seed);
+    let calls_before = topology.stats().gathers;
     let mut tracer = TracingTopology::new(topology);
-    let plan = plan_sample_on(&mut tracer, targets, fanouts, &mut rng).expect("planning succeeds");
-    (tracer.into_trace(), trace_of_plan(&plan, graph))
+    let (plan, _) = sample_on(&mut tracer, targets, fanouts, &mut rng).expect("sampling succeeds");
+    let seen = tracer.into_trace();
+    assert_eq!(
+        seen.hops.len() as u64 * 2,
+        topology.stats().gathers - calls_before,
+        "the tracer dropped a store call"
+    );
+    (seen, trace_of_plan(&plan, graph))
 }
 
 fn drive(
@@ -168,12 +176,13 @@ proptest! {
             let ctx = Arc::new(RunContext::new(data.clone(), SystemConfig::new(kind)));
             let t: Vec<NodeId> = (0..targets as u32).map(NodeId::new).collect();
             let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xC057);
-            let plan = smartsage::gnn::sampler::plan_sample(
-                ctx.graph(),
+            let plan = plan_sample_on(
+                &mut CsrView::new(ctx.graph()),
                 &t,
                 &Fanouts::new(vec![4, 3]),
                 &mut rng,
-            );
+            )
+            .unwrap();
             let trace = trace_of_plan(&plan, ctx.graph());
             let run = |worker: usize, workers: usize| {
                 let mut devices = Devices::new(&ctx.config);

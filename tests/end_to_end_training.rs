@@ -8,12 +8,13 @@ use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::{Devices, RunContext};
 use smartsage::core::cost::{make_policy, trace_of_plan, StepOutcome};
 use smartsage::gnn::model::{GraphSageModel, ModelDims};
-use smartsage::gnn::sampler::plan_sample;
+use smartsage::gnn::sampler::{plan_sample_on, sample_on};
 use smartsage::gnn::Fanouts;
 use smartsage::graph::datasets::DEFAULT_NUM_CLASSES;
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::{Dataset, DatasetProfile, FeatureTable, GraphScale, NodeId};
 use smartsage::sim::{SimTime, Xoshiro256};
+use smartsage::store::{CsrView, FeatureStore, InMemoryStore};
 use std::sync::Arc;
 
 /// Samples one batch, prices its trace on `kind`'s policy, and returns
@@ -27,14 +28,14 @@ fn sample_via(
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(ctx, 1);
     let mut rng = Xoshiro256::seed_from_u64(seed);
-    let plan = plan_sample(ctx.graph(), targets, &Fanouts::new(vec![5, 3]), &mut rng);
+    let mut topo = CsrView::new(ctx.graph());
+    let (plan, batch) = sample_on(&mut topo, targets, &Fanouts::new(vec![5, 3]), &mut rng).unwrap();
     policy.begin(0, SimTime::ZERO, trace_of_plan(&plan, ctx.graph()));
     let mut now = SimTime::ZERO;
     while let StepOutcome::Running { next } = policy.step(0, &mut devices, now) {
         now = next.max(now);
     }
     let _cost = policy.take_result(0);
-    let batch = plan.resolve(ctx.graph());
     assert_eq!(batch.targets, targets, "{kind}: targets preserved");
     batch
 }
@@ -49,7 +50,7 @@ fn training_on_isp_produced_subgraphs_reduces_loss() {
         SystemConfig::new(SystemKind::SmartSageHwSw),
     ));
     // Use a small feature table for the functional model.
-    let table = FeatureTable::new(12, DEFAULT_NUM_CLASSES, 3);
+    let mut table = InMemoryStore::unbounded(FeatureTable::new(12, DEFAULT_NUM_CLASSES, 3));
     let mut rng = Xoshiro256::seed_from_u64(2);
     let mut model = GraphSageModel::new(
         ModelDims {
@@ -65,7 +66,7 @@ fn training_on_isp_produced_subgraphs_reduces_loss() {
     let mut last_loss = 0.0;
     for step in 0..60 {
         let batch = sample_via(SystemKind::SmartSageHwSw, &ctx, &targets, 100 + step);
-        let (x0, x1, x2) = model.gather_features(&batch, &table);
+        let (x0, x1, x2) = model.gather_features_from(&batch, &mut table).unwrap();
         let cache = model.forward(&batch, x0, x1, x2);
         let labels: Vec<usize> = batch.targets.iter().map(|&t| table.label(t)).collect();
         let (loss, grads) = model.loss_and_gradients(&cache, &labels);
@@ -95,7 +96,7 @@ fn every_system_trains_to_the_same_loss_trajectory() {
         let data =
             DatasetProfile::of(Dataset::ProteinPi).materialize(GraphScale::LargeScale, 25_000, 4);
         let ctx = Arc::new(RunContext::new(data, SystemConfig::new(kind)));
-        let table = FeatureTable::new(8, DEFAULT_NUM_CLASSES, 5);
+        let mut table = InMemoryStore::unbounded(FeatureTable::new(8, DEFAULT_NUM_CLASSES, 5));
         let mut rng = Xoshiro256::seed_from_u64(7);
         let mut model = GraphSageModel::new(
             ModelDims {
@@ -110,7 +111,7 @@ fn every_system_trains_to_the_same_loss_trajectory() {
         let mut losses = Vec::new();
         for step in 0..5 {
             let batch = sample_via(kind, &ctx, &targets, 50 + step);
-            let (x0, x1, x2) = model.gather_features(&batch, &table);
+            let (x0, x1, x2) = model.gather_features_from(&batch, &mut table).unwrap();
             let cache = model.forward(&batch, x0, x1, x2);
             let labels: Vec<usize> = batch.targets.iter().map(|&t| table.label(t)).collect();
             let (loss, grads) = model.loss_and_gradients(&cache, &labels);
@@ -153,7 +154,9 @@ fn exact_mode_small_graph_runs_without_analytic_locality() {
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(&ctx, 1);
     let mut rng = Xoshiro256::seed_from_u64(1);
-    let plan = plan_sample(ctx.graph(), &targets, &Fanouts::new(vec![5, 3]), &mut rng);
+    let fanouts = Fanouts::new(vec![5, 3]);
+    let plan =
+        plan_sample_on(&mut CsrView::new(ctx.graph()), &targets, &fanouts, &mut rng).unwrap();
     let trace = trace_of_plan(&plan, ctx.graph());
     let run = |policy: &mut Box<dyn smartsage::core::cost::CostPolicy>,
                devices: &mut Devices,

@@ -10,7 +10,7 @@
 //! this suite is the proof.
 
 use proptest::prelude::*;
-use smartsage::gnn::sampler::{plan_sample, plan_sample_on};
+use smartsage::gnn::sampler::plan_sample_on;
 use smartsage::gnn::Fanouts;
 use smartsage::graph::generate::{generate_power_law, generate_seed_graph, PowerLawConfig};
 use smartsage::graph::kronecker::{expand, KroneckerConfig};
@@ -18,7 +18,7 @@ use smartsage::graph::{CsrGraph, FeatureTable, NodeId};
 use smartsage::hostio::ReadEngine;
 use smartsage::sim::Xoshiro256;
 use smartsage::store::{
-    shard_ranges, write_feature_file, write_feature_shard, write_graph_file, FeatureStore,
+    shard_ranges, write_feature_file, write_feature_shard, write_graph_file, CsrView, FeatureStore,
     FileStoreOptions, FileTopology, InMemoryStore, ScratchFile, ShardedFeatureStore, SharedCsrFile,
     SharedFileStore, StoreStats, TopologyStore,
 };
@@ -299,7 +299,8 @@ proptest! {
             .collect();
         let fanouts = Fanouts::new(vec![4, 3]);
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        let reference = plan_sample(&graph, &targets, &fanouts, &mut rng);
+        let reference =
+            plan_sample_on(&mut CsrView::new(&graph), &targets, &fanouts, &mut rng).unwrap();
 
         let mut warm_baseline: Option<StoreStats> = None;
         for workers in WORKER_COUNTS {

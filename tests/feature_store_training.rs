@@ -16,7 +16,7 @@ use smartsage::graph::{CsrGraph, Dataset, FeatureTable, NodeId};
 use smartsage::sim::Xoshiro256;
 use smartsage::store::file::{write_feature_file, FileStoreOptions};
 use smartsage::store::{
-    FeatureStore, InMemoryStore, IspGatherStore, ScratchFile, SharedFileStore, StoreHandle,
+    CsrView, FeatureStore, InMemoryStore, IspGatherStore, ScratchFile, SharedFileStore, StoreHandle,
 };
 use std::sync::Arc;
 
@@ -52,15 +52,16 @@ fn trainer(rng: &mut Xoshiro256) -> Trainer {
 /// losses as bit patterns plus a final accuracy.
 fn run_training(store: &mut dyn FeatureStore, epochs: u64) -> (Vec<u32>, f64) {
     let g = graph();
+    let mut topo = CsrView::new(&g);
     let mut rng = Xoshiro256::seed_from_u64(5);
     let mut t = trainer(&mut rng);
     let mut losses = Vec::new();
     for e in 0..epochs {
-        let loss = t.train_epoch_on(&g, store, e, &mut rng).unwrap();
+        let loss = t.train_epoch_via(&mut topo, store, e, &mut rng).unwrap();
         losses.push(loss.to_bits());
     }
     let eval: Vec<NodeId> = (0..200u32).map(NodeId::new).collect();
-    let acc = t.accuracy_on(&g, store, &eval, &mut rng).unwrap();
+    let acc = t.accuracy_via(&mut topo, store, &eval, &mut rng).unwrap();
     (losses, acc)
 }
 

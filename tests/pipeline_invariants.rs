@@ -3,10 +3,14 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
-use smartsage::core::pipeline::{run_pipeline, PipelineConfig, PipelineReport, SamplerKind};
-use smartsage::gnn::Fanouts;
+use smartsage::core::pipeline::{
+    run_pipeline, sample_once, PipelineConfig, PipelineReport, SamplerKind,
+};
+use smartsage::gnn::sampler::{epoch_targets, plan_sample_on};
+use smartsage::gnn::{Fanouts, SamplePlan};
 use smartsage::graph::{Dataset, DatasetProfile, GraphScale};
-use smartsage::sim::SimDuration;
+use smartsage::sim::{SimDuration, Xoshiro256};
+use smartsage::store::CsrView;
 use std::sync::Arc;
 
 fn run(kind: SystemKind, workers: usize, train: bool, seed: u64) -> PipelineReport {
@@ -192,4 +196,98 @@ fn transfer_accounting_is_consistent() {
     assert!(isp.transfers.host_to_ssd_bytes > 0, "NSconfig bytes");
     // ISP moves exactly the dense subgraph.
     assert_eq!(isp.transfers.ssd_to_host_bytes, isp.transfers.useful_bytes);
+}
+
+fn one_pass_ctx() -> Arc<RunContext> {
+    let data = DatasetProfile::of(Dataset::Amazon).materialize(GraphScale::LargeScale, 30_000, 8);
+    Arc::new(RunContext::new(data, SystemConfig::new(SystemKind::Dram)))
+}
+
+fn one_pass_cfg(sampler: SamplerKind) -> PipelineConfig {
+    PipelineConfig {
+        workers: 3,
+        total_batches: 8,
+        batch_size: 24,
+        fanouts: Fanouts::new(vec![5, 4]),
+        seed: 21,
+        sampler,
+        train: false,
+        ..PipelineConfig::default()
+    }
+}
+
+/// Batch `index` of `cfg`'s epoch, drawn independently of the pipeline
+/// on a borrowed view of the graph.
+fn reference_plan(ctx: &RunContext, cfg: &PipelineConfig, index: usize) -> SamplePlan {
+    let graph = ctx.graph();
+    let targets = epoch_targets(graph.num_nodes(), cfg.batch_size, index, cfg.seed);
+    let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
+    plan_sample_on(&mut CsrView::new(graph), &targets, &cfg.fanouts, &mut rng).unwrap()
+}
+
+#[test]
+fn graphsage_batches_are_sampled_through_the_topology_store_exactly_once() {
+    let ctx = one_pass_ctx();
+    let cfg = one_pass_cfg(SamplerKind::GraphSage);
+    let report = run_pipeline(&ctx, &cfg);
+    let topo = report.topology_stats;
+    // One degree read and one pick batch per hop per batch...
+    let hops = cfg.fanouts.hops() as u64;
+    assert_eq!(topo.gathers, 2 * hops * cfg.total_batches as u64);
+    // ...answering each frontier degree and each drawn pick once.
+    let answers: u64 = (0..cfg.total_batches)
+        .map(|index| {
+            let plan = reference_plan(&ctx, &cfg, index);
+            let picks: usize = plan
+                .hops
+                .iter()
+                .flat_map(|h| &h.accesses)
+                .map(|a| a.positions.len())
+                .sum();
+            plan.num_accesses() + picks as u64
+        })
+        .sum();
+    assert_eq!(topo.nodes_gathered, answers);
+}
+
+#[test]
+fn saint_walk_batches_resolve_with_one_pick_call_per_step() {
+    let ctx = one_pass_ctx();
+    let length = 4;
+    let cfg = one_pass_cfg(SamplerKind::SaintWalk { length });
+    let report = run_pipeline(&ctx, &cfg);
+    // Walk plans are drawn on the in-memory CSR (no degree reads); the
+    // store only resolves them, once.
+    assert_eq!(
+        report.topology_stats.gathers,
+        (length * cfg.total_batches) as u64
+    );
+}
+
+#[test]
+fn sample_once_is_batch_zero_of_the_pipeline() {
+    let ctx = one_pass_ctx();
+    let cfg = PipelineConfig {
+        workers: 1,
+        total_batches: 1,
+        ..one_pass_cfg(SamplerKind::GraphSage)
+    };
+    let once = sample_once(&ctx, &cfg);
+    // The same subgraph the independent plan-then-resolve path builds...
+    let plan = reference_plan(&ctx, &cfg, 0);
+    let batch = plan.resolve_on(&mut CsrView::new(ctx.graph())).unwrap();
+    assert_eq!(once.batch, batch);
+    assert_eq!(once.features.nodes, batch.all_nodes());
+    assert_eq!(
+        once.features.data.len(),
+        once.features.nodes.len() * once.features.dim
+    );
+    // ...at the modeled cost the one-batch pipeline reports.
+    let report = run_pipeline(&ctx, &cfg);
+    assert_eq!(once.sampling_time, report.avg_sampling_time);
+    assert_eq!(once.transfers, report.transfers);
+    assert_eq!(
+        report.store_stats.nodes_gathered,
+        once.features.nodes.len() as u64
+    );
 }

@@ -6,12 +6,13 @@ use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
 use smartsage::core::nsconfig::{NsConfig, TargetDescriptor};
 use smartsage::core::pipeline::{sample_once, PipelineConfig};
-use smartsage::gnn::sampler::{plan_sample, Fanouts};
+use smartsage::gnn::sampler::{sample_on, Fanouts};
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::traversal::k_hop_neighborhood;
 use smartsage::graph::{CsrGraph, DatasetProfile, FeatureTable, GraphScale, NodeId};
 use smartsage::hostio::{GraphFile, LruSet};
 use smartsage::sim::Xoshiro256;
+use smartsage::store::CsrView;
 use std::sync::Arc;
 
 fn arbitrary_graph(nodes: usize, avg_degree: f64, seed: u64) -> CsrGraph {
@@ -38,8 +39,8 @@ proptest! {
         let g = arbitrary_graph(nodes, 6.0, seed);
         let targets: Vec<NodeId> = (0..8.min(nodes) as u32).map(NodeId::new).collect();
         let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xABCD);
-        let plan = plan_sample(&g, &targets, &Fanouts::new(vec![fanout1, fanout2]), &mut rng);
-        let batch = plan.resolve(&g);
+        let fanouts = Fanouts::new(vec![fanout1, fanout2]);
+        let (plan, batch) = sample_on(&mut CsrView::new(&g), &targets, &fanouts, &mut rng).unwrap();
         let hood = k_hop_neighborhood(&g, &targets, 2);
         for n in batch.all_nodes() {
             prop_assert!(hood.contains(&n), "{n} escaped 2-hop neighborhood");

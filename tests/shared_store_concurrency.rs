@@ -12,8 +12,8 @@ use smartsage::graph::{CsrGraph, FeatureTable, NodeId};
 use smartsage::sim::Xoshiro256;
 use smartsage::store::file::FileStoreOptions;
 use smartsage::store::{
-    share_store, FeatureStore, FileTopology, InMemoryStore, InMemoryTopology, SharedDynStore,
-    SharedFileStore, StoreHandle, StoreRegistry, StoreStats, TopologyStore,
+    CsrView, FeatureStore, FileTopology, InMemoryStore, InMemoryTopology, SharedFileStore,
+    StoreHandle, StoreRegistry, StoreStats, TopologyStore,
 };
 use std::sync::Arc;
 
@@ -117,7 +117,7 @@ fn hammering_threads_gather_bit_identically_to_serial_memory() {
 }
 
 #[test]
-fn concurrent_training_through_one_shared_handle_matches_memory() {
+fn concurrent_training_through_one_shared_file_store_matches_memory() {
     let graph: CsrGraph = generate_power_law(&PowerLawConfig {
         nodes: NODES,
         avg_degree: 8.0,
@@ -138,59 +138,52 @@ fn concurrent_training_through_one_shared_handle_matches_memory() {
         learning_rate: 0.2,
     };
     let targets: Vec<NodeId> = (0..64u32).map(NodeId::new).collect();
+    // One worker: its own trainer and RNG, three steps through `store`;
+    // returns the last loss, bit-cast.
+    let worker = |w: u64, store: &mut dyn FeatureStore| -> u32 {
+        let mut rng = Xoshiro256::seed_from_u64(w);
+        let mut trainer = Trainer::new(dims, config.clone(), &mut rng);
+        let mut topo = CsrView::new(&graph);
+        let mut bits = 0;
+        for _ in 0..3 {
+            let loss = trainer
+                .train_step_via(&mut topo, store, &targets, &mut rng)
+                .unwrap();
+            bits = loss.to_bits();
+        }
+        bits
+    };
 
     // Serial reference: in-memory store, one trainer per "worker".
     let serial_losses: Vec<u32> = (0..6u64)
-        .map(|w| {
-            let mut rng = Xoshiro256::seed_from_u64(w);
-            let mut trainer = Trainer::new(dims, config.clone(), &mut rng);
-            let mut store = InMemoryStore::new(table(0xF11E), NODES);
-            let mut bits = 0;
-            for _ in 0..3 {
-                let loss = trainer
-                    .train_step_on(&graph, &mut store, &targets, &mut rng)
-                    .unwrap();
-                bits = loss.to_bits();
-            }
-            bits
-        })
+        .map(|w| worker(w, &mut InMemoryStore::new(table(0xF11E), NODES)))
         .collect();
 
-    // Concurrent run: six threads, ONE shared store handle between
-    // them (`SharedDynStore`), file-backed through the sharded cache.
-    let shared: SharedDynStore = share_store(StoreHandle::new(open_shared(0xF11E, 16)));
-    let concurrent_losses: Vec<u32> = std::thread::scope(|s| {
+    // Concurrent run: six threads, each owning a scoped `StoreHandle`
+    // onto ONE shared file store (one descriptor, one sharded cache).
+    let shared = open_shared(0xF11E, 16);
+    let (concurrent_losses, per_thread): (Vec<u32>, Vec<StoreStats>) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..6u64)
             .map(|w| {
-                let shared = Arc::clone(&shared);
-                let graph = &graph;
-                let targets = &targets;
-                let config = config.clone();
-                s.spawn(move || {
-                    let mut rng = Xoshiro256::seed_from_u64(w);
-                    let mut trainer = Trainer::new(dims, config, &mut rng);
-                    let mut bits = 0;
-                    for _ in 0..3 {
-                        let loss = trainer
-                            .train_step_shared(graph, &shared, targets, &mut rng)
-                            .unwrap();
-                        bits = loss.to_bits();
-                    }
-                    bits
-                })
+                let mut handle = StoreHandle::new(Arc::clone(&shared));
+                let worker = &worker;
+                s.spawn(move || (worker(w, &mut handle), handle.stats()))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles.into_iter().map(|h| h.join().unwrap()).unzip()
     });
     assert_eq!(
         serial_losses, concurrent_losses,
         "disk-backed concurrent training must be bit-identical to serial memory"
     );
 
-    // The one shared handle's counters are the exact union of all six
-    // workers: 3 gathers per step (three hop matrices), 3 steps, 6
-    // workers.
-    let stats = shared.lock().unwrap().stats();
+    // The handles' scoped counters sum to the exact union of all six
+    // workers: 3 gathers per step (three hop matrices), 3 steps each.
+    let mut stats = StoreStats::default();
+    for handle_stats in &per_thread {
+        assert_eq!(handle_stats.gathers, 3 * 3);
+        stats.accumulate(handle_stats);
+    }
     assert_eq!(stats.gathers, 6 * 3 * 3);
     assert!(stats.bytes_read > 0, "training really read from disk");
     assert_eq!(stats.pages_read, stats.page_misses);

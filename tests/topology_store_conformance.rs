@@ -3,7 +3,9 @@
 //! `SampledBatch`es to `InMemoryTopology` for the same seeds, across
 //! random Kronecker graphs, page sizes, and cache sizes — the
 //! determinism contract neighbor sampling relies on — with exact,
-//! uniform access counters on every tier. The ISP tier must
+//! uniform access counters on every tier — and the one-pass
+//! `sample_on` must equal the plan-then-resolve reference and the
+//! 1-request `sample_many_on`, sharded or not. The ISP tier must
 //! additionally keep its transfer split honest: device bytes are its
 //! page reads, host bytes are only the packed degrees and sampled ids
 //! that crossed the modeled link, strictly below the file tier's page
@@ -15,8 +17,8 @@
 //! a `StoreError` naming the file.
 
 use proptest::prelude::*;
-use smartsage::gnn::sampler::{plan_sample, plan_sample_on};
-use smartsage::gnn::Fanouts;
+use smartsage::gnn::sampler::{plan_sample_on, sample_on};
+use smartsage::gnn::{sample_many_on, Fanouts, SampleSpec};
 use smartsage::graph::generate::{generate_power_law, generate_seed_graph, PowerLawConfig};
 use smartsage::graph::kronecker::{expand, KroneckerConfig};
 use smartsage::graph::{CsrGraph, FeatureTable, NodeId};
@@ -24,9 +26,10 @@ use smartsage::sim::Xoshiro256;
 use smartsage::store::file::FileStoreOptions;
 use smartsage::store::graph_file::{GRAPH_ENTRY_BYTES, GRAPH_HEADER_BYTES};
 use smartsage::store::{
-    check_sharded_population, write_feature_file, write_graph_file, FileTopology, InMemoryTopology,
-    IspGatherOptions, IspSampleTopology, ScratchFile, SharedCsrFile, SharedFileStore, StoreError,
-    TopologyStore,
+    check_sharded_population, shard_ranges, write_feature_file, write_graph_file,
+    write_graph_shard, CsrView, FileTopology, InMemoryTopology, IspGatherOptions,
+    IspSampleTopology, ScratchFile, ShardManifest, ShardedTopology, SharedCsrFile, SharedFileStore,
+    StoreError, TopologyStore,
 };
 use std::sync::Arc;
 
@@ -52,6 +55,58 @@ fn kronecker_graph(base_nodes: usize, seed: u64) -> CsrGraph {
 }
 
 const PAGE_SIZES: [u64; 5] = [512, 1024, 2048, 4096, 8192];
+
+/// A labelled topology store ("file x3").
+type Tier = (String, Box<dyn TopologyStore>);
+
+/// `graph` behind every topology tier, unsharded and 3-way sharded,
+/// with the scratch files that back them.
+fn every_tier(graph: &CsrGraph, opts: FileStoreOptions) -> (Vec<Tier>, Vec<ScratchFile>) {
+    let whole = ScratchFile::new("topo-one-pass");
+    write_graph_file(whole.path(), graph).unwrap();
+    let isp = IspGatherOptions::default;
+    let mut tiers: Vec<Tier> = vec![
+        (
+            "mem x1".into(),
+            Box::new(InMemoryTopology::new(graph.clone())),
+        ),
+        (
+            "file x1".into(),
+            Box::new(FileTopology::new(Arc::new(
+                SharedCsrFile::open_with(whole.path(), opts, 1).unwrap(),
+            ))),
+        ),
+        (
+            "isp x1".into(),
+            Box::new(IspSampleTopology::open_with(whole.path(), opts, isp()).unwrap()),
+        ),
+    ];
+    let ranges = shard_ranges(graph.num_nodes(), 3);
+    let mut files = vec![whole];
+    for &(start, end) in &ranges {
+        let shard = ScratchFile::new("topo-one-pass-shard");
+        write_graph_shard(shard.path(), graph, start, end).unwrap();
+        files.push(shard);
+    }
+    let manifest = ShardManifest::for_paths(
+        graph.num_nodes(),
+        files[1..].iter().map(|f| f.path().to_path_buf()).collect(),
+    );
+    let shards = manifest.open_graph_shards(opts).unwrap();
+    tiers.push((
+        "mem x3".into(),
+        Box::new(ShardedTopology::mem(Arc::new(graph.clone()), 3)),
+    ));
+    tiers.push((
+        "file x3".into(),
+        Box::new(ShardedTopology::over_files(&shards, &ranges).unwrap()),
+    ));
+    tiers.push((
+        "isp x3".into(),
+        Box::new(ShardedTopology::over_isp(&shards, &ranges, isp()).unwrap()),
+    ));
+    (tiers, files)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -103,21 +158,20 @@ proptest! {
         let (plan_mem, batch_mem) = plan_on(&mut mem);
         let (plan_disk, batch_disk) = plan_on(&mut disk);
         let (plan_isp, batch_isp) = plan_on(&mut isp);
-        // The historical in-memory entry points are the same code path.
-        let mut rng = Xoshiro256::seed_from_u64(sample_seed);
-        let plan_legacy = plan_sample(&graph, &targets, &fanouts, &mut rng);
-        let batch_legacy = plan_legacy.resolve(&graph);
+        // A borrowed view of the graph is the same code path.
+        let (plan_view, batch_view) = plan_on(&mut CsrView::new(&graph));
 
         prop_assert_eq!(&plan_disk, &plan_mem, "file plan diverged (page={}, cache={})", opts.page_bytes, cache_pages);
         prop_assert_eq!(&plan_isp, &plan_mem, "isp plan diverged (page={}, cache={})", opts.page_bytes, cache_pages);
-        prop_assert_eq!(&plan_legacy, &plan_mem);
+        prop_assert_eq!(&plan_view, &plan_mem);
         prop_assert_eq!(&batch_disk, &batch_mem, "file batch diverged (page={}, cache={})", opts.page_bytes, cache_pages);
         prop_assert_eq!(&batch_isp, &batch_mem, "isp batch diverged (page={}, cache={})", opts.page_bytes, cache_pages);
-        prop_assert_eq!(&batch_legacy, &batch_mem);
+        prop_assert_eq!(&batch_view, &batch_mem);
 
-        // Exact, uniform access counters: per hop, plan drawing is one
-        // degrees batch + one picks batch and resolution is one picks
-        // batch; every answer is 8 bytes on every tier.
+        // Exact, uniform access counters: per hop, the sampling pass is
+        // one degrees batch + one picks batch and the reference
+        // re-resolution is one more picks batch; every answer is 8
+        // bytes on every tier.
         let mut expect_gathers = 0u64;
         let mut expect_answers = 0u64;
         for hop in &plan_mem.hops {
@@ -156,6 +210,69 @@ proptest! {
         // traffic.
         prop_assert_eq!(i.page_hits + i.page_misses, d.page_hits + d.page_misses);
         prop_assert_eq!(i.bytes_read, d.bytes_read);
+    }
+
+    #[test]
+    fn topology_store_one_pass_sampling_equals_plan_then_resolve_on_every_tier(
+        base_nodes in 8usize..40,
+        graph_seed in any::<u64>(),
+        page_pick in 0usize..5,
+        cache_pages in 0usize..48,
+        fanout1 in 1usize..5,
+        fanout2 in 1usize..4,
+        raw_targets in proptest::collection::vec(0u32..100_000, 1..24),
+        sample_seed in any::<u64>(),
+    ) {
+        let graph = kronecker_graph(base_nodes, graph_seed);
+        let opts = FileStoreOptions {
+            page_bytes: PAGE_SIZES[page_pick],
+            cache_pages,
+        };
+        let targets: Vec<NodeId> = raw_targets
+            .iter()
+            .map(|&r| NodeId::new(r % graph.num_nodes() as u32))
+            .collect();
+        let fanouts = Fanouts::new(vec![fanout1, fanout2]);
+        let spec = [SampleSpec {
+            targets: targets.clone(),
+            seed: sample_seed,
+        }];
+        let hops = fanouts.hops() as u64;
+        let (tiers, _files) = every_tier(&graph, opts);
+        let mut reference = None;
+        for (what, mut topo) in tiers {
+            let topo = topo.as_mut();
+            // The one pass: plan and batch together, two calls per hop.
+            let mut rng = Xoshiro256::seed_from_u64(sample_seed);
+            let (plan, batch) = sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
+            let one_pass = topo.stats();
+            prop_assert_eq!(one_pass.gathers, 2 * hops, "{}", &what);
+            prop_assert_eq!(
+                one_pass.nodes_gathered,
+                plan.num_accesses()
+                    + plan.hops.iter().flat_map(|h| &h.accesses).map(|a| a.positions.len() as u64).sum::<u64>(),
+                "{}: one answer per frontier degree and per drawn pick", &what
+            );
+            // Plan-only is the same pass; re-resolving the plan is the
+            // independent reference.
+            let mut rng_plan = Xoshiro256::seed_from_u64(sample_seed);
+            let plan_only = plan_sample_on(topo, &targets, &fanouts, &mut rng_plan).unwrap();
+            prop_assert_eq!(topo.stats().gathers, 4 * hops, "{}", &what);
+            let resolved = plan_only.resolve_on(topo).unwrap();
+            prop_assert_eq!(topo.stats().gathers, 5 * hops, "{}", &what);
+            prop_assert_eq!(&plan_only, &plan, "{}: plan_sample_on diverged", &what);
+            prop_assert_eq!(&resolved, &batch, "{}: resolve_on diverged", &what);
+            prop_assert_eq!(rng_plan.next_u64(), rng.next_u64(), "{}: RNG consumption differs", &what);
+            // The merged loop's one-request case.
+            let many = sample_many_on(topo, &spec, &fanouts).unwrap();
+            prop_assert_eq!(topo.stats().gathers, 7 * hops, "{}", &what);
+            prop_assert_eq!(many.len(), 1);
+            prop_assert_eq!(&many[0], &batch, "{}: sample_many_on diverged", &what);
+            // ...and every tier and shard count agrees with mem x1.
+            let (want_plan, want_batch) = reference.get_or_insert((plan.clone(), batch.clone()));
+            prop_assert_eq!(&plan, &*want_plan, "{}: plan differs from mem x1", &what);
+            prop_assert_eq!(&batch, &*want_batch, "{}: batch differs from mem x1", &what);
+        }
     }
 }
 

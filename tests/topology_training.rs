@@ -2,7 +2,8 @@
 //! sampling through a `FileTopology` over the on-disk `SSGRPH01` graph
 //! and gathering through a `StoreHandle` over the on-disk `SSFEAT01`
 //! features must produce a **bit-identical** loss trajectory to the
-//! all-in-memory run, and a full pipeline configured with
+//! all-in-memory run, evaluation must sample through the same tier
+//! (and report its I/O), and a full pipeline configured with
 //! `--graph file --store file` must report nonzero topology I/O and a
 //! nonzero topology page-cache hit rate.
 
@@ -37,9 +38,7 @@ fn setup() -> (CsrGraph, FeatureTable) {
     (graph, FeatureTable::new(DIM, CLASSES, 0x7A1))
 }
 
-/// Trains 3 workers × 4 steps through the given stores and returns
-/// every loss, bit-cast.
-fn losses(topo: &mut dyn TopologyStore, store: &mut dyn FeatureStore) -> Vec<u32> {
+fn trainer(rng: &mut Xoshiro256) -> Trainer {
     let dims = ModelDims {
         features: DIM,
         hidden1: 8,
@@ -51,11 +50,17 @@ fn losses(topo: &mut dyn TopologyStore, store: &mut dyn FeatureStore) -> Vec<u32
         fanouts: Fanouts::new(vec![4, 3]),
         learning_rate: 0.2,
     };
+    Trainer::new(dims, config, rng)
+}
+
+/// Trains 3 workers × 4 steps through the given stores and returns
+/// every loss, bit-cast.
+fn losses(topo: &mut dyn TopologyStore, store: &mut dyn FeatureStore) -> Vec<u32> {
     let targets: Vec<NodeId> = (0..64u32).map(NodeId::new).collect();
     let mut out = Vec::new();
     for w in 0..3u64 {
         let mut rng = Xoshiro256::seed_from_u64(w);
-        let mut trainer = Trainer::new(dims, config.clone(), &mut rng);
+        let mut trainer = trainer(&mut rng);
         for _ in 0..4 {
             let loss = trainer
                 .train_step_via(topo, store, &targets, &mut rng)
@@ -112,6 +117,56 @@ fn topology_training_loss_trajectory_is_bit_identical_to_memory() {
         isp_topo.stats().feature_bytes,
         "isp ships exactly the packed answers"
     );
+}
+
+#[test]
+fn evaluation_samples_through_the_topology_tier() {
+    let (graph, table) = setup();
+    let gfile = ScratchFile::new("topo-eval-g");
+    write_graph_file(gfile.path(), &graph).unwrap();
+    let ffile = ScratchFile::new("topo-eval-f");
+    write_feature_file(ffile.path(), &table, NODES).unwrap();
+    let eval: Vec<NodeId> = (100..300u32).map(NodeId::new).collect();
+    // Accuracy of the untrained model, then again after a few steps —
+    // every sample drawn through `topo`.
+    let accuracies = |topo: &mut dyn TopologyStore, store: &mut dyn FeatureStore| {
+        let mut rng = Xoshiro256::seed_from_u64(0xE7A1);
+        let mut t = trainer(&mut rng);
+        let before = t.accuracy_via(topo, store, &eval, &mut rng).unwrap();
+        let evaluation_io = topo.stats();
+        for _ in 0..4 {
+            t.train_step_via(topo, store, &eval[..64], &mut rng)
+                .unwrap();
+        }
+        let after = t.accuracy_via(topo, store, &eval, &mut rng).unwrap();
+        ([before.to_bits(), after.to_bits()], evaluation_io)
+    };
+
+    let mut mem_topo = InMemoryTopology::new(graph.clone());
+    let mut mem_store = InMemoryStore::new(table.clone(), NODES);
+    let (want, mem_io) = accuracies(&mut mem_topo, &mut mem_store);
+
+    let mut disk_topo = FileTopology::open(gfile.path()).unwrap();
+    let mut disk_store = StoreHandle::new(Arc::new(SharedFileStore::open(ffile.path()).unwrap()));
+    let (got, disk_io) = accuracies(&mut disk_topo, &mut disk_store);
+    assert_eq!(got, want, "accuracy must be bit-identical across tiers");
+    // One evaluation = one sampling pass through the tier it was given.
+    assert_eq!(disk_io.gathers, 4, "a degree read and a pick batch per hop");
+    assert_eq!(disk_io.nodes_gathered, mem_io.nodes_gathered);
+    assert!(
+        disk_io.bytes_read > 0,
+        "evaluation really read the graph from disk"
+    );
+    assert_eq!(mem_io.bytes_read, 0);
+
+    // A failing tier surfaces as a typed error, not a wrong number: a
+    // target outside the graph is caught by the store.
+    let mut rng = Xoshiro256::seed_from_u64(1);
+    let t = trainer(&mut rng);
+    let outside = [NodeId::new(NODES as u32)];
+    assert!(t
+        .accuracy_via(&mut disk_topo, &mut disk_store, &outside, &mut rng)
+        .is_err());
 }
 
 #[test]
