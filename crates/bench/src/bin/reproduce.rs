@@ -7,7 +7,7 @@
 //! reproduce [EXPERIMENT...] [--list] [--filter SUBSTR]
 //!           [--scale tiny|default|paper] [--format text|csv|json]
 //!           [--jobs N] [--store mem|file|isp] [--graph mem|file|isp]
-//!           [--readahead] [--shards N] [--clean-store]
+//!           [--shards N] [--clean-store]
 //! ```
 //!
 //! With no experiment names, everything runs in paper (registry) order.
@@ -28,8 +28,7 @@
 //! sweeps in the same process. `file` ships every fetched page to the
 //! host whole (the Fig 10(a) baseline); `isp` gathers device-side and
 //! ships only the packed feature rows (Fig 10(b)), so its host bytes
-//! undercut `file`'s for the same sweep. `--readahead` adds background
-//! page read-ahead to the file store. Tables are byte-identical with
+//! undercut `file`'s for the same sweep. Tables are byte-identical with
 //! and without a store, serial or parallel (the determinism contract);
 //! only the I/O accounting changes.
 //!
@@ -65,9 +64,10 @@
 
 use smartsage_bench::{graph_from_flag, scale_from_flag, store_from_flag};
 use smartsage_core::experiments::{registry, Experiment, ExperimentScale};
+use smartsage_core::report::Table;
 use smartsage_core::runner::{OutputFormat, Runner};
 use smartsage_core::{StoreKind, TopologyKind};
-use smartsage_store::remove_cached_feature_files;
+use smartsage_store::{remove_cached_feature_files, StoreStats};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Mutex;
@@ -77,7 +77,7 @@ fn fail_usage(message: &str) -> ! {
     eprintln!(
         "usage: reproduce [EXPERIMENT...] [--list] [--filter SUBSTR] \
          [--scale tiny|default|paper] [--format text|csv|json] [--jobs N] \
-         [--store mem|file|isp] [--graph mem|file|isp] [--readahead] [--shards N] \
+         [--store mem|file|isp] [--graph mem|file|isp] [--shards N] \
          [--clean-store]"
     );
     std::process::exit(2);
@@ -119,7 +119,6 @@ struct Cli {
     list: bool,
     store: Option<StoreKind>,
     graph: Option<TopologyKind>,
-    readahead: bool,
     shards: usize,
     clean_store: bool,
 }
@@ -134,7 +133,6 @@ fn parse_args(args: Vec<String>) -> Cli {
         list: false,
         store: None,
         graph: None,
-        readahead: false,
         shards: 1,
         clean_store: false,
     };
@@ -176,7 +174,6 @@ fn parse_args(args: Vec<String>) -> Cli {
                     fail_usage(&format!("unknown graph tier '{value}' (mem|file|isp)"))
                 }));
             }
-            "--readahead" => cli.readahead = true,
             "--shards" => {
                 let value = value_of("--shards");
                 cli.shards = value.parse().unwrap_or_else(|_| {
@@ -195,15 +192,52 @@ fn parse_args(args: Vec<String>) -> Cli {
     cli
 }
 
+/// The end-of-sweep stderr report of one dataset half: totals, the
+/// device-vs-host split, the typed table, then the per-device breakdown
+/// of a sharded sweep (exact, scoped, and summing to the totals — the
+/// shard-conformance contract). `[axis, verb, payload]` are the three
+/// nouns the feature and topology reports differ in.
+fn report_axis(
+    [axis, verb, payload]: [&str; 3],
+    tier: &str,
+    s: &StoreStats,
+    table: &Table,
+    shards: &[StoreStats],
+) {
+    eprintln!(
+        "[{axis} {tier}: {} {verb}, {} {payload} bytes, {} bytes read from disk \
+         ({} pages), page-cache hit rate {:.1}%]",
+        s.gathers,
+        s.feature_bytes,
+        s.bytes_read,
+        s.pages_read,
+        s.hit_rate() * 100.0
+    );
+    eprintln!(
+        "[{axis} {tier}: device {} bytes read, host {} bytes transferred, \
+         transfer reduction {:.2}x, modeled device time {:.3} ms]",
+        s.device_bytes_read,
+        s.host_bytes_transferred,
+        s.transfer_reduction(),
+        s.device_ns as f64 / 1e6
+    );
+    eprint!("{table}");
+    for (i, s) in shards.iter().enumerate() {
+        eprintln!(
+            "[{axis} shard {i}: {} sub-{verb}, {} bytes read from disk \
+             ({} pages), host {} bytes transferred, modeled device time \
+             {:.3} ms]",
+            s.gathers,
+            s.bytes_read,
+            s.pages_read,
+            s.host_bytes_transferred,
+            s.device_ns as f64 / 1e6
+        );
+    }
+}
+
 fn main() {
     let cli = parse_args(std::env::args().skip(1).collect());
-
-    // Validate flag combinations up front, like everything else: a
-    // silent no-op would let a user read a plain run's numbers as a
-    // read-ahead measurement.
-    if cli.readahead && cli.store != Some(StoreKind::File) {
-        fail_usage("--readahead requires --store file (read-ahead warms the file store's shared page cache)");
-    }
 
     if cli.clean_store {
         // A standalone action: combining it with a selection would
@@ -213,7 +247,6 @@ fn main() {
             || cli.filter.is_some()
             || cli.store.is_some()
             || cli.graph.is_some()
-            || cli.readahead
             || cli.shards != 1
         {
             fail_usage("--clean-store is a standalone action and cannot be combined with a sweep");
@@ -262,7 +295,6 @@ fn main() {
     if let Some(kind) = cli.graph {
         scale.topology = kind;
     }
-    scale.readahead = cli.readahead;
     scale.shards = cli.shards;
     let runner = Runner::builder()
         .scale(scale)
@@ -300,96 +332,37 @@ fn main() {
     let sweep = runner.sweep();
     emit(format.epilogue());
 
-    // Report this sweep's exact, scoped feature-store I/O — never a
-    // process-lifetime aggregate, so back-to-back sweeps report
+    // Report this sweep's exact, scoped I/O on each axis a flag chose —
+    // never a process-lifetime aggregate, so back-to-back sweeps report
     // independently. Stderr, like the timing lines, so every --format
     // stays machine-parseable.
     if let Some(kind) = cli.store {
-        let s = sweep.store_stats;
-        eprintln!(
-            "[store {}: {} gathers, {} feature bytes, {} bytes read from disk \
-             ({} pages), page-cache hit rate {:.1}%]",
+        report_axis(
+            ["store", "gathers", "feature"],
             kind.label(),
-            s.gathers,
-            s.feature_bytes,
-            s.bytes_read,
-            s.pages_read,
-            s.hit_rate() * 100.0
+            &sweep.store_stats,
+            &sweep.store_table(kind),
+            &sweep.store_shards,
         );
-        eprintln!(
-            "[store {}: device {} bytes read, host {} bytes transferred, \
-             transfer reduction {:.2}x, modeled device time {:.3} ms]",
-            kind.label(),
-            s.device_bytes_read,
-            s.host_bytes_transferred,
-            s.transfer_reduction(),
-            s.device_ns as f64 / 1e6
-        );
-        eprint!("{}", sweep.store_table(kind));
-        // The per-device breakdown of a sharded sweep: exact, scoped,
-        // and summing to the totals above (the shard-conformance
-        // contract).
-        for (i, s) in sweep.store_shards.iter().enumerate() {
-            eprintln!(
-                "[store shard {i}: {} sub-gathers, {} bytes read from disk \
-                 ({} pages), host {} bytes transferred, modeled device time \
-                 {:.3} ms]",
-                s.gathers,
-                s.bytes_read,
-                s.pages_read,
-                s.host_bytes_transferred,
-                s.device_ns as f64 / 1e6
-            );
-        }
     }
-    // The topology half gets the same exact, scoped per-sweep report.
     if let Some(kind) = cli.graph {
-        let t = sweep.topology_stats;
-        eprintln!(
-            "[graph {}: {} reads, {} topology bytes, {} bytes read from disk \
-             ({} pages), page-cache hit rate {:.1}%]",
+        report_axis(
+            ["graph", "reads", "topology"],
             kind.label(),
-            t.gathers,
-            t.feature_bytes,
-            t.bytes_read,
-            t.pages_read,
-            t.hit_rate() * 100.0
+            &sweep.topology_stats,
+            &sweep.topology_table(kind),
+            &sweep.topology_shards,
         );
-        eprintln!(
-            "[graph {}: device {} bytes read, host {} bytes transferred, \
-             transfer reduction {:.2}x, modeled device time {:.3} ms]",
-            kind.label(),
-            t.device_bytes_read,
-            t.host_bytes_transferred,
-            t.transfer_reduction(),
-            t.device_ns as f64 / 1e6
-        );
-        eprint!("{}", sweep.topology_table(kind));
-        // Per-device breakdown, mirroring the feature side.
-        for (i, t) in sweep.topology_shards.iter().enumerate() {
-            eprintln!(
-                "[graph shard {i}: {} sub-reads, {} bytes read from disk \
-                 ({} pages), host {} bytes transferred, modeled device time \
-                 {:.3} ms]",
-                t.gathers,
-                t.bytes_read,
-                t.pages_read,
-                t.host_bytes_transferred,
-                t.device_ns as f64 / 1e6
-            );
-        }
     }
     if cli.store.is_some() || cli.graph.is_some() {
         for occ in &sweep.stores {
             let shards: Vec<String> = occ.shard_pages.iter().map(usize::to_string).collect();
             eprintln!(
-                "[store cache {}: {}/{} pages resident, shards [{}], \
-                 {} pages prefetched]",
+                "[store cache {}: {}/{} pages resident, shards [{}]]",
                 occ.path.display(),
                 occ.resident_pages(),
                 occ.capacity_pages,
-                shards.join(" "),
-                occ.prefetch_pages
+                shards.join(" ")
             );
         }
     }

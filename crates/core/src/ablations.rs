@@ -61,7 +61,7 @@ fn run_mode(
             train,
             store: scale.store,
             topology: scale.topology,
-            readahead: scale.readahead,
+            readahead: false,
             shards: scale.shards,
         },
     );

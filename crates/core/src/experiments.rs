@@ -53,11 +53,6 @@ pub struct ExperimentScale {
     /// Results are identical across tiers — only the topology I/O
     /// counters differ (see [`PipelineConfig::topology`]).
     pub topology: TopologyKind,
-    /// Background page read-ahead for the file store (see
-    /// [`PipelineConfig::readahead`]). Results and simulated timing are
-    /// identical either way; only the hit/miss split of the I/O
-    /// counters shifts.
-    pub readahead: bool,
     /// Modeled storage devices the file-backed dataset is partitioned
     /// across (see [`PipelineConfig::shards`]). Results are identical
     /// at every shard count — only the I/O accounting gains a
@@ -75,7 +70,6 @@ impl Default for ExperimentScale {
             seed: 2022,
             store: StoreKind::Mem,
             topology: TopologyKind::Mem,
-            readahead: false,
             shards: 1,
         }
     }
@@ -113,12 +107,6 @@ impl ExperimentScale {
     /// The same scale with neighbor sampling routed through `kind`.
     pub fn with_topology(mut self, kind: TopologyKind) -> Self {
         self.topology = kind;
-        self
-    }
-
-    /// The same scale with background read-ahead switched on or off.
-    pub fn with_readahead(mut self, on: bool) -> Self {
-        self.readahead = on;
         self
     }
 
@@ -316,7 +304,7 @@ fn pipe_cfg(scale: &ExperimentScale, workers: usize, train: bool) -> PipelineCon
         train,
         store: scale.store,
         topology: scale.topology,
-        readahead: scale.readahead,
+        readahead: false,
         shards: scale.shards,
     }
 }

@@ -24,7 +24,6 @@ use smartsage_gnn::saint::plan_random_walk;
 use smartsage_gnn::sampler::{epoch_targets, sample_on};
 use smartsage_gnn::{Fanouts, SampledBatch};
 use smartsage_graph::NodeId;
-use smartsage_hostio::PrefetchQueue;
 use smartsage_sim::{EventQueue, SimDuration, SimTime, Xoshiro256};
 use smartsage_store::{
     FeatureStore, FileStoreOptions, OpenTiers, SampleTrace, StoreKind, StoreRegistry, StoreStats,
@@ -89,16 +88,10 @@ pub struct PipelineConfig {
     /// [`PipelineConfig::store`], the tier never perturbs simulated
     /// time.
     pub topology: TopologyKind,
-    /// With the file store, overlap storage with compute: each batch's
-    /// pages are resolved by a background read-ahead worker
-    /// ([`smartsage_hostio::PrefetchQueue`]) from the moment the batch
-    /// is planned, so they are warm by the time its gather runs.
-    /// Gathered *values* and simulated timing are unchanged (the
-    /// determinism contract); only the split of page lookups into hits
-    /// and misses — and therefore demand bytes read — shifts, with
-    /// prefetch I/O accounted separately in
-    /// [`smartsage_store::SharedFileStore::prefetch_stats`]. Only the
-    /// file tiers are warmed (`store` / `topology` = `File`).
+    // Read-ahead is gone: accepted, read by nothing. The field leaves
+    // with its last caller (`benchmark/`, frozen for one PR) in the
+    // next `benchmark` PR.
+    #[doc(hidden)]
     pub readahead: bool,
     /// Number of modeled storage devices the dataset is partitioned
     /// across. At `1` (the default; `0` means the same) the run uses
@@ -188,13 +181,6 @@ enum Event {
 /// feature files do not fit, so runs report both hits and misses.
 const FILE_STORE_CACHE_PAGES: usize = 1024;
 
-/// Workers in the read-ahead pool: one can resolve a batch's feature
-/// warm while the other issues the next batch's offset warm, so the
-/// two [`PrefetchItem`] kinds overlap instead of queueing behind each
-/// other. Per-item work is already batched through the read engine, so
-/// more pool workers would only contend on the shard caches.
-const PREFETCH_POOL_WORKERS: usize = 2;
-
 /// Opens the run's tier pair through the one store-crate entry point
 /// ([`StoreRegistry::open_tiers`]), against the registry of the sweep
 /// this run belongs to (installed by
@@ -237,7 +223,8 @@ fn open_tiers(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> OpenTiers {
 
 /// One mini-batch as sampled at plan time: the subgraph and its sorted
 /// distinct node list (what the feature gather fetches). Parked per
-/// worker between [`begin_batch`] and [`finish_batch`].
+/// worker from the moment its trace is handed to the cost policy until
+/// [`finish_batch`].
 struct PlannedBatch {
     batch: SampledBatch,
     nodes: Vec<NodeId>,
@@ -278,20 +265,6 @@ fn plan_batch(
     };
     let nodes = batch.all_nodes();
     (trace_of_plan(&plan, graph), PlannedBatch { batch, nodes })
-}
-
-/// Installs a planned batch for `worker`: the policy receives the
-/// plan's byte trace and the sampled batch is parked until the worker
-/// finishes stepping it.
-fn begin_batch(
-    policy: &mut dyn CostPolicy,
-    parked: &mut [Option<PlannedBatch>],
-    worker: usize,
-    at: SimTime,
-    (trace, planned): (SampleTrace, PlannedBatch),
-) {
-    policy.begin(worker, at, trace);
-    parked[worker] = Some(planned);
 }
 
 /// Joins a worker's finished [`BatchCost`](crate::cost::BatchCost) with
@@ -355,19 +328,6 @@ struct ReadyBatch {
     compute: SimDuration,
 }
 
-/// One unit of background read-ahead work. The pool drains these while
-/// the simulation is still stepping earlier batches, so the warm I/O
-/// overlaps the modeled compute exactly as the paper's pipelined
-/// design intends.
-enum PrefetchItem {
-    /// Warm batch N's gathered feature pages: route each of its
-    /// distinct nodes to its feature shard's cache.
-    Features(Vec<NodeId>),
-    /// Plan-ahead for batch N+1: warm the offset/degree pages its hop
-    /// expansion will read first through the file topology tier.
-    OffsetsAhead(Vec<NodeId>),
-}
-
 /// Runs the pipeline for `ctx` and returns its report.
 ///
 /// # Panics
@@ -385,57 +345,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     let OpenTiers {
         features: mut store,
         mut topology,
-        feature_files,
-        graph_files,
     } = open_tiers(ctx, cfg);
-    // Read-ahead: a small worker pool resolves each planned batch's
-    // page runs and warms the shared caches while the simulation is
-    // still stepping that batch toward its gather. Two item kinds
-    // share the pool: feature warms for the batch just planned, and
-    // plan-ahead offset/degree warms for the *next* batch (its targets
-    // are a pure function of the epoch index and seed, so the warm is
-    // issued before that batch is even planned). Each shard's nodes
-    // are routed to that shard's cache; feature shards index by local
-    // row, graph shards by global node id (their headers declare the
-    // full population). Only the host-path *file* tiers are warmed:
-    // read-ahead under an ISP tier would pull pages through the host
-    // block path and corrupt its device-vs-host transfer split. Both warms
-    // ride the batched read engine, so a pool worker keeps several
-    // shard files busy at once.
-    let warm_features = cfg.store == StoreKind::File;
-    let warm_offsets = cfg.topology == TopologyKind::File;
-    let prefetcher: Option<PrefetchQueue<PrefetchItem>> =
-        (cfg.readahead && (warm_features || warm_offsets)).then(|| {
-            PrefetchQueue::spawn_pool(
-                PREFETCH_POOL_WORKERS,
-                move |item: PrefetchItem| match item {
-                    PrefetchItem::Features(nodes) => {
-                        for (range, shared) in &feature_files {
-                            let local: Vec<NodeId> = nodes
-                                .iter()
-                                .filter(|n| range.contains(&n.index()))
-                                .map(|n| NodeId::new((n.index() - range.start) as u32))
-                                .collect();
-                            if !local.is_empty() {
-                                shared.prefetch_nodes(&local);
-                            }
-                        }
-                    }
-                    PrefetchItem::OffsetsAhead(targets) => {
-                        for (range, file) in &graph_files {
-                            let mine: Vec<NodeId> = targets
-                                .iter()
-                                .filter(|n| range.contains(&n.index()))
-                                .copied()
-                                .collect();
-                            if !mine.is_empty() {
-                                file.prefetch_offsets(&mine);
-                            }
-                        }
-                    }
-                },
-            )
-        });
     let gpu_params = ctx.config.devices.gpu.clone();
     let feat_dim = ctx.data.features.dim() as u64;
     let feat_bytes = ctx.data.features.bytes_per_node();
@@ -458,37 +368,27 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     // gather).
     let mut parked: Vec<Option<PlannedBatch>> = (0..cfg.workers).map(|_| None).collect();
 
-    let mut make_plan = |index: usize| -> (SampleTrace, PlannedBatch) {
-        let (trace, planned) = plan_batch(ctx, cfg, topology.as_mut(), index);
-        // The batch begins stepping (virtually) as soon as it is
-        // planned; hand its node list to the read-ahead pool so its
-        // feature pages are warm by the time the gather runs, and —
-        // since the next batch's targets are already determined — warm
-        // that batch's offset/degree pages while this one runs.
-        if let Some(queue) = &prefetcher {
-            if warm_features {
-                queue.enqueue(PrefetchItem::Features(planned.nodes.clone()));
-            }
-            if warm_offsets && index + 1 < cfg.total_batches {
-                queue.enqueue(PrefetchItem::OffsetsAhead(epoch_targets(
-                    ctx.graph().num_nodes(),
-                    cfg.batch_size,
-                    index + 1,
-                    cfg.seed,
-                )));
-            }
+    // Hands `worker` the epoch's next batch, if any remain: sample it
+    // through the topology store, give its byte trace to the policy at
+    // `at`, park the batch until the worker finishes stepping it, and
+    // schedule the worker's first step.
+    let mut start_next = |policy: &mut dyn CostPolicy,
+                          parked: &mut [Option<PlannedBatch>],
+                          events: &mut EventQueue<Event>,
+                          worker: usize,
+                          at: SimTime| {
+        if next_batch < cfg.total_batches {
+            let (trace, planned) = plan_batch(ctx, cfg, topology.as_mut(), next_batch);
+            next_batch += 1;
+            policy.begin(worker, at, trace);
+            parked[worker] = Some(planned);
+            events.schedule(at, Event::Worker(worker));
         }
-        (trace, planned)
     };
 
     // Seed each worker with its first batch.
     for w in 0..cfg.workers {
-        if next_batch < cfg.total_batches {
-            let plan = make_plan(next_batch);
-            begin_batch(policy.as_mut(), &mut parked, w, SimTime::ZERO, plan);
-            next_batch += 1;
-            events.schedule(SimTime::ZERO, Event::Worker(w));
-        }
+        start_next(policy.as_mut(), &mut parked, &mut events, w, SimTime::ZERO);
     }
 
     while let Some((now, event)) = events.pop() {
@@ -538,22 +438,12 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                                 gpu_scheduled = true;
                                 events.schedule(t, Event::Gpu);
                             }
-                            if next_batch < cfg.total_batches {
-                                let plan = make_plan(next_batch);
-                                begin_batch(policy.as_mut(), &mut parked, w, t, plan);
-                                next_batch += 1;
-                                events.schedule(t, Event::Worker(w));
-                            }
+                            start_next(policy.as_mut(), &mut parked, &mut events, w, t);
                         }
                     } else {
                         makespan_end = makespan_end.max(t);
                         consumed += 1;
-                        if next_batch < cfg.total_batches {
-                            let plan = make_plan(next_batch);
-                            begin_batch(policy.as_mut(), &mut parked, w, t, plan);
-                            next_batch += 1;
-                            events.schedule(t, Event::Worker(w));
-                        }
+                        start_next(policy.as_mut(), &mut parked, &mut events, w, t);
                     }
                 }
             },
@@ -578,12 +468,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                     // Queue space opened: admit a blocked worker.
                     if let Some((bw, payload)) = blocked.pop_front() {
                         queue.push_back(payload);
-                        if next_batch < cfg.total_batches {
-                            let plan = make_plan(next_batch);
-                            begin_batch(policy.as_mut(), &mut parked, bw, now, plan);
-                            next_batch += 1;
-                            events.schedule(now, Event::Worker(bw));
-                        }
+                        start_next(policy.as_mut(), &mut parked, &mut events, bw, now);
                     }
                     if !queue.is_empty() {
                         gpu_scheduled = true;
@@ -597,9 +482,6 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
         }
     }
 
-    // Quiesce background read-ahead before reading counters, so the
-    // report's prefetch/demand split is settled.
-    drop(prefetcher);
     let store_stats = store.stats();
     store_metrics::record(&store_stats);
     let topology_stats = topology.stats();

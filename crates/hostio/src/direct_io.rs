@@ -7,9 +7,9 @@
 //! software path — the "latency first, locality second" design point.
 
 use crate::layout::ByteRange;
-use crate::lru::LruSet;
 use crate::mmap::ReadOutcome;
 use crate::params::HostIoParams;
+use smartsage_sim::LruSet;
 use smartsage_sim::SimTime;
 use smartsage_storage::Ssd;
 

@@ -6,8 +6,8 @@
 //! `queue_depth`-deep flash arrays; this module gives the *host* tiers
 //! the matching machinery: callers hand a whole per-batch page-run
 //! plan to [`ReadEngine::submit`] and a fixed pool of I/O workers
-//! executes the positioned reads concurrently — across runs, across
-//! shard files, and across demand/prefetch callers.
+//! executes the positioned reads concurrently — across runs and across
+//! shard files.
 //!
 //! # Ordering guarantee
 //!
@@ -23,10 +23,10 @@
 //!
 //! The engine itself counts only transport-level totals
 //! ([`EngineStats`]: batches, jobs, bytes, peak queue depth and peak
-//! in-flight reads). Store-level accounting (pages read, cache misses,
-//! demand vs prefetch attribution) stays with the callers, which count
-//! each run from its plan exactly as the serial path did — so
-//! `StoreStats` deltas are unchanged by engine adoption.
+//! in-flight reads). Store-level accounting (pages read, cache misses)
+//! stays with the callers, which count each run from its plan exactly
+//! as the serial path did — so `StoreStats` deltas are unchanged by
+//! engine adoption.
 
 use std::collections::VecDeque;
 use std::fs::File;

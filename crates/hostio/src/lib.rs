@@ -12,7 +12,9 @@
 //! * [`layout::GraphFile`] — the on-SSD byte layout of the neighbor
 //!   edge-list array (and feature table), mapping nodes to logical block
 //!   addresses.
-//! * [`lru::LruSet`] — the generic exact-LRU used by both caches.
+//! * [`LruSet`] — the generic exact-LRU used by both caches (it lives
+//!   in `smartsage-sim`, shared with the SSD page buffer; re-exported
+//!   here).
 //! * [`page_cache::PageCache`] — the OS page cache: 4 KiB pages, page
 //!   faults with kernel-crossing costs, minor-hit costs.
 //! * [`mmap::MmapReader`] — the baseline `SSD (mmap)` read path.
@@ -21,9 +23,6 @@
 //! * [`sharded_cache::ShardedPageCache`] — a lock-striped payload page
 //!   cache (N exact-LRU shards) for the *shared* feature store, so
 //!   parallel gathers don't serialize on one cache lock.
-//! * [`prefetch::PrefetchQueue`] — a background read-ahead worker (or
-//!   pool) with a drain barrier, used by the pipeline to warm the shared
-//!   cache with the next batch's pages while the current batch computes.
 //! * [`engine::ReadEngine`] — the submission-queue batched read engine:
 //!   a fixed pool of I/O workers executing positioned reads
 //!   concurrently per file, with an order-preserving completion handle
@@ -43,11 +42,9 @@ pub mod direct_io;
 pub mod engine;
 pub mod layout;
 pub mod locality;
-pub mod lru;
 pub mod mmap;
 pub mod page_cache;
 pub mod params;
-pub mod prefetch;
 pub mod sharded_cache;
 pub mod sync;
 
@@ -56,10 +53,9 @@ pub use direct_io::DirectIoReader;
 pub use engine::{Completion, EngineStats, ReadEngine, ReadRequest, ReadSource};
 pub use layout::{ByteRange, GraphFile};
 pub use locality::lru_hit_rate;
-pub use lru::LruSet;
 pub use mmap::MmapReader;
 pub use page_cache::PageCache;
 pub use params::HostIoParams;
-pub use prefetch::PrefetchQueue;
 pub use sharded_cache::ShardedPageCache;
+pub use smartsage_sim::LruSet;
 pub use sync::{CondvarExt, LockExt};

@@ -8,8 +8,8 @@
 //! outweighed by the high latency overheads of maintaining the OS managed
 //! page cache itself", §III-C).
 
-use crate::lru::LruSet;
 use crate::params::HostIoParams;
+use smartsage_sim::LruSet;
 
 /// Outcome of consulting the page cache for one OS page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

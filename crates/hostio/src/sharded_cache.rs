@@ -1,6 +1,6 @@
 //! Lock-striped sharded page cache with payloads.
 //!
-//! [`crate::lru::LruSet`] is a single-threaded recency set; wrapping one
+//! [`LruSet`] is a single-threaded recency set; wrapping one
 //! instance (plus its payload map) in a single mutex would serialize
 //! every concurrent gather on the shared feature store. This cache
 //! splits the page-id space across `N` independent shards, each an
@@ -22,7 +22,7 @@
 //!   immutable file), which is what lets the shared feature store keep
 //!   its determinism contract under concurrency.
 
-use crate::lru::LruSet;
+use smartsage_sim::LruSet;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 

@@ -165,7 +165,7 @@ pub fn in_scope(code: Code, path: &str) -> bool {
         Code::Ssl004 | Code::Ssl005 => true,
         // Known lock families: serve (batcher queue, engine, stop
         // flags), store (registry per-key locks, scratchpad), hostio
-        // (page-cache shards, prefetch).
+        // (page-cache shards, read engine).
         Code::Ssl006 => {
             within("crates/serve/src/")
                 || within("crates/store/src/")

@@ -16,6 +16,8 @@
 //!   links, host CPU cores).
 //! * [`bandwidth`] — serialized bandwidth links ([`Link`]) for bulk data
 //!   movement (PCIe DMA, flash channel buses).
+//! * [`lru`] — the one exact-LRU key set ([`LruSet`]) behind every
+//!   modeled cache (OS page cache, scratchpads, SSD page buffer).
 //! * [`stats`] — online statistics ([`RunningStats`]) and log-scale
 //!   histograms ([`Histogram`]) for metric collection.
 //!
@@ -40,6 +42,7 @@
 
 pub mod bandwidth;
 pub mod events;
+pub mod lru;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -47,6 +50,7 @@ pub mod time;
 
 pub use bandwidth::Link;
 pub use events::EventQueue;
+pub use lru::LruSet;
 pub use resource::Server;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use stats::{Histogram, RunningStats};

@@ -1,7 +1,8 @@
 //! Generic exact-LRU membership cache.
 //!
-//! Both host-side caches (the OS page cache and the direct-I/O
-//! scratchpad) are key-only LRU sets: the simulator needs residency and
+//! The host-side caches (the OS page cache, the direct-I/O scratchpad,
+//! the payload page cache's recency order) and the SSD's DRAM page
+//! buffer are key-only LRU sets: the simulator needs residency and
 //! eviction order, not payloads. O(1) access/insert via a hash map over
 //! an intrusive doubly-linked list of slots.
 
@@ -15,7 +16,7 @@ const NIL: usize = usize::MAX;
 /// # Example
 ///
 /// ```
-/// use smartsage_hostio::LruSet;
+/// use smartsage_sim::LruSet;
 /// let mut lru = LruSet::new(2);
 /// lru.insert(1u64);
 /// lru.insert(2);

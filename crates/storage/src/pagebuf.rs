@@ -5,31 +5,20 @@
 //! buffer; SmartSAGE's ISP runs neighbor sampling *directly against it*,
 //! which is the source of its fine-grained-gather advantage (Fig 10b).
 //!
-//! The buffer is an exact LRU over physical page numbers with O(1)
-//! touch/insert via an intrusive doubly-linked list on a hash map.
+//! The buffer is the workspace's one exact LRU ([`LruSet`]) over
+//! physical page numbers, plus the hit/miss counters of its accesses.
 
 use crate::flash::PhysPage;
-use std::collections::HashMap;
+use smartsage_sim::LruSet;
 
 /// An exact LRU cache of flash pages (keys only; the simulator does not
 /// need page payloads, the graph data is read from the functional layer).
 #[derive(Debug, Clone)]
 pub struct PageBuffer {
-    capacity_pages: usize,
-    // node index maps
-    map: HashMap<PhysPage, usize>,
-    // doubly linked list over slot indices; usize::MAX = nil
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    keys: Vec<PhysPage>,
-    head: usize, // most-recently used
-    tail: usize, // least-recently used
-    free: Vec<usize>,
+    pages: LruSet<PhysPage>,
     hits: u64,
     misses: u64,
 }
-
-const NIL: usize = usize::MAX;
 
 impl PageBuffer {
     /// Creates a buffer holding at most `capacity_pages` pages.
@@ -38,14 +27,7 @@ impl PageBuffer {
     /// access misses).
     pub fn new(capacity_pages: usize) -> Self {
         PageBuffer {
-            capacity_pages,
-            map: HashMap::with_capacity(capacity_pages.min(1 << 20)),
-            prev: Vec::new(),
-            next: Vec::new(),
-            keys: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            free: Vec::new(),
+            pages: LruSet::new(capacity_pages),
             hits: 0,
             misses: 0,
         }
@@ -53,27 +35,25 @@ impl PageBuffer {
 
     /// Buffer capacity in pages.
     pub fn capacity(&self) -> usize {
-        self.capacity_pages
+        self.pages.capacity()
     }
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.pages.len()
     }
 
     /// `true` if no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.pages.is_empty()
     }
 
     /// Looks up `page`, recording a hit (and promoting it to MRU) or a
     /// miss. Returns `true` on hit. On miss the page is **not** inserted;
     /// call [`PageBuffer::insert`] once the flash read completes.
     pub fn access(&mut self, page: PhysPage) -> bool {
-        if let Some(&slot) = self.map.get(&page) {
+        if self.pages.touch(&page) {
             self.hits += 1;
-            self.unlink(slot);
-            self.push_front(slot);
             true
         } else {
             self.misses += 1;
@@ -83,43 +63,14 @@ impl PageBuffer {
 
     /// Checks residency without touching recency or counters.
     pub fn contains(&self, page: PhysPage) -> bool {
-        self.map.contains_key(&page)
+        self.pages.contains(&page)
     }
 
     /// Inserts `page` as MRU, evicting the LRU page if at capacity.
     /// Returns the evicted page, if any. Inserting a resident page just
     /// promotes it.
     pub fn insert(&mut self, page: PhysPage) -> Option<PhysPage> {
-        if self.capacity_pages == 0 {
-            return None;
-        }
-        if let Some(&slot) = self.map.get(&page) {
-            self.unlink(slot);
-            self.push_front(slot);
-            return None;
-        }
-        let mut evicted = None;
-        if self.map.len() >= self.capacity_pages {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL);
-            let victim = self.keys[lru];
-            self.unlink(lru);
-            self.map.remove(&victim);
-            self.free.push(lru);
-            evicted = Some(victim);
-        }
-        let slot = if let Some(s) = self.free.pop() {
-            self.keys[s] = page;
-            s
-        } else {
-            self.keys.push(page);
-            self.prev.push(NIL);
-            self.next.push(NIL);
-            self.keys.len() - 1
-        };
-        self.map.insert(page, slot);
-        self.push_front(slot);
-        evicted
+        self.pages.insert(page)
     }
 
     /// Hit count since creation/reset.
@@ -144,44 +95,9 @@ impl PageBuffer {
 
     /// Drops all pages and counters, keeping capacity.
     pub fn reset(&mut self) {
-        self.map.clear();
-        self.prev.clear();
-        self.next.clear();
-        self.keys.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.pages.clear();
         self.hits = 0;
         self.misses = 0;
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        let p = self.prev[slot];
-        let n = self.next[slot];
-        if p != NIL {
-            self.next[p] = n;
-        } else if self.head == slot {
-            self.head = n;
-        }
-        if n != NIL {
-            self.prev[n] = p;
-        } else if self.tail == slot {
-            self.tail = p;
-        }
-        self.prev[slot] = NIL;
-        self.next[slot] = NIL;
-    }
-
-    fn push_front(&mut self, slot: usize) {
-        self.prev[slot] = NIL;
-        self.next[slot] = self.head;
-        if self.head != NIL {
-            self.prev[self.head] = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
     }
 }
 

@@ -505,28 +505,11 @@ impl SharedCsrFile {
         Ok((targets, edges, io))
     }
 
-    /// Advisory read-ahead for the *next* hop: loads the offset-pair
-    /// (degree) pages of `nodes` that are not yet resident, without
-    /// promoting pages that are. This is the topology half of
-    /// plan-ahead pipelining — the pipeline warms hop N+1's
-    /// offset/degree pages while hop N's gathers run. I/O is counted
-    /// in [`SharedCsrFile::prefetch_stats`], never in any caller's
-    /// scoped stats; errors (including out-of-range nodes) are
-    /// swallowed — the demand path surfaces real failures with full
-    /// context.
-    pub fn prefetch_offsets(&self, nodes: &[NodeId]) {
-        let ranges: Vec<ByteRange> = nodes
-            .iter()
-            .filter(|node| node.index() < self.num_nodes)
-            .map(|&node| self.offset_pair_range(node))
-            .collect();
-        self.paged.warm(&ranges);
-    }
-
-    /// I/O performed by background offset prefetches so far (never
-    /// part of any caller's scoped stats).
+    // Read-ahead is gone; this stub leaves with its last caller
+    // (`benchmark/`, frozen for one PR) in the next `benchmark` PR.
+    #[doc(hidden)]
     pub fn prefetch_stats(&self) -> StoreStats {
-        self.paged.prefetch_stats()
+        StoreStats::default()
     }
 
     /// The page plan of an offset-pair batch (for the ISP timing

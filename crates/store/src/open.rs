@@ -10,7 +10,6 @@
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
-use crate::graph_file::SharedCsrFile;
 use crate::handle::StoreHandle;
 use crate::isp::{IspGatherOptions, IspGatherStore};
 use crate::isp_topology::IspSampleTopology;
@@ -19,11 +18,9 @@ use crate::registry::StoreRegistry;
 use crate::sharded::{
     check_sharded_population, shard_ranges, ShardedFeatureStore, ShardedTopology,
 };
-use crate::shared::SharedFileStore;
 use crate::topology::{FileTopology, InMemoryTopology, TopologyKind, TopologyStore};
 use crate::{FeatureStore, StoreKind};
 use smartsage_graph::{CsrGraph, FeatureTable};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Which tier pair to open, and across how many modeled devices.
@@ -43,21 +40,14 @@ pub struct TierSpec {
 }
 
 /// An opened tier pair. The stores carry this caller's scoped counters;
-/// the shard maps name the registry-shared files underneath (one
-/// full-range entry when unsharded, empty for a mem tier) so the caller
-/// can route read-ahead per device and read their prefetch counters.
+/// the registry-shared files underneath are visible through
+/// [`StoreRegistry::occupancy`].
 #[derive(Debug)]
 pub struct OpenTiers {
     /// The feature store gathers go through.
     pub features: Box<dyn FeatureStore + Send>,
     /// The topology store sampling goes through.
     pub topology: Box<dyn TopologyStore + Send>,
-    /// Each feature file with the global node range whose rows it holds
-    /// (at local indices: global node `range.start + j` is row `j`).
-    pub feature_files: Vec<(Range<usize>, Arc<SharedFileStore>)>,
-    /// Each graph file with the global node range it answers for (by
-    /// global id — graph shards keep the global node space).
-    pub graph_files: Vec<(Range<usize>, Arc<SharedCsrFile>)>,
 }
 
 impl StoreRegistry {
@@ -166,14 +156,6 @@ impl StoreRegistry {
         if !graph_files.is_empty() && !feature_files.is_empty() {
             check_sharded_population(&graph_files, &feature_files)?;
         }
-        let with_ranges = |ranges: Vec<(usize, usize)>| ranges.into_iter().map(|(s, e)| s..e);
-        Ok(OpenTiers {
-            features,
-            topology,
-            feature_files: with_ranges(shard_ranges(rows, shards))
-                .zip(feature_files)
-                .collect(),
-            graph_files: with_ranges(graph_ranges).zip(graph_files).collect(),
-        })
+        Ok(OpenTiers { features, topology })
     }
 }

@@ -21,12 +21,9 @@
 //!    bit-identical to reading the stretches serially.
 //! 4. **Commit** — fetched pages enter the cache in ascending page
 //!    order.
-//!
-//! [`PagedFile::warm`] is the advisory (read-ahead) variant.
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
-use crate::stats::AtomicStoreStats;
 use crate::StoreStats;
 use smartsage_hostio::{
     merge_page_runs, ByteRange, PageRun, ReadEngine, ReadRequest, ReadSource, ShardedPageCache,
@@ -43,7 +40,6 @@ pub(crate) struct PagedFile {
     opts: FileStoreOptions,
     cache: ShardedPageCache,
     engine: Arc<ReadEngine>,
-    prefetch: AtomicStoreStats,
 }
 
 /// The pages one [`PagedFile::read`] resolved, held by `Arc` until the
@@ -92,7 +88,6 @@ impl PagedFile {
             opts,
             cache: ShardedPageCache::new(opts.cache_pages, stripes),
             engine,
-            prefetch: AtomicStoreStats::default(),
         }
     }
 
@@ -120,11 +115,6 @@ impl PagedFile {
         self.cache.clear();
     }
 
-    /// I/O performed by [`PagedFile::warm`] so far.
-    pub fn prefetch_stats(&self) -> StoreStats {
-        self.prefetch.snapshot()
-    }
-
     fn page_runs(&self, ranges: &[ByteRange]) -> Vec<PageRun> {
         let mut pages = Vec::with_capacity(ranges.len() * 2);
         for range in ranges {
@@ -144,34 +134,6 @@ impl PagedFile {
             plan.extend(run.first..run.end());
         }
         plan
-    }
-
-    /// Splits `runs` into maximal stretches of non-resident pages as
-    /// `(first_page, page_count)`. `resident` decides (and handles) the
-    /// page that would open a stretch; a stretch then extends while the
-    /// cache does not hold the next page.
-    fn miss_stretches(
-        &self,
-        runs: &[PageRun],
-        mut resident: impl FnMut(u64) -> bool,
-    ) -> Vec<(u64, u64)> {
-        let mut stretches = Vec::new();
-        for run in runs {
-            let mut p = run.first;
-            while p < run.end() {
-                if resident(p) {
-                    p += 1;
-                    continue;
-                }
-                let mut q = p + 1;
-                while q < run.end() && !self.cache.contains(q) {
-                    q += 1;
-                }
-                stretches.push((p, q - p));
-                p = q;
-            }
-        }
-        stretches
     }
 
     /// Submits one positioned read per stretch as a single engine batch
@@ -226,16 +188,28 @@ impl PagedFile {
         ranges: &[ByteRange],
         io: &mut StoreStats,
     ) -> Result<StagedPages, StoreError> {
-        let runs = self.page_runs(ranges);
         let mut pages: HashMap<u64, Arc<[u8]>> = HashMap::new();
-        let stretches = self.miss_stretches(&runs, |p| match self.cache.get(p) {
-            Some(buf) => {
-                io.page_hits += 1;
-                pages.insert(p, buf);
-                true
+        // Classify: a resident page is a hit; a missing one opens a
+        // stretch `(first_page, page_count)` that extends while the
+        // cache does not hold the next page of the run.
+        let mut stretches: Vec<(u64, u64)> = Vec::new();
+        for run in self.page_runs(ranges) {
+            let mut p = run.first;
+            while p < run.end() {
+                if let Some(buf) = self.cache.get(p) {
+                    io.page_hits += 1;
+                    pages.insert(p, buf);
+                    p += 1;
+                    continue;
+                }
+                let mut q = p + 1;
+                while q < run.end() && !self.cache.contains(q) {
+                    q += 1;
+                }
+                stretches.push((p, q - p));
+                p = q;
             }
-            None => false,
-        });
+        }
         let mut fetched: Vec<(u64, Arc<[u8]>)> = Vec::new();
         for (&(first, _), result) in stretches.iter().zip(self.fetch(&stretches, io)) {
             let bufs = result.map_err(|source| StoreError::Io {
@@ -256,27 +230,6 @@ impl PagedFile {
             pages,
             page_bytes: self.opts.page_bytes,
         })
-    }
-
-    /// Advisory read-ahead: loads the pages backing `ranges` that are
-    /// not yet resident, without promoting pages that are (a prefetch
-    /// must not distort recency). I/O is counted in
-    /// [`PagedFile::prefetch_stats`], never in a caller's scoped stats.
-    /// A failed stretch is skipped (and uncounted) while the rest still
-    /// land, so the prefetch counters always explain every page this
-    /// call made resident; the demand path surfaces real failures with
-    /// full context.
-    pub fn warm(&self, ranges: &[ByteRange]) {
-        let runs = self.page_runs(ranges);
-        let stretches = self.miss_stretches(&runs, |p| self.cache.contains(p));
-        let mut io = StoreStats::default();
-        for (&(first, _), result) in stretches.iter().zip(self.fetch(&stretches, &mut io)) {
-            let Ok(bufs) = result else { continue };
-            for (i, buf) in bufs.into_iter().enumerate() {
-                self.cache.insert(first + i as u64, buf);
-            }
-        }
-        self.prefetch.add(&io);
     }
 }
 
@@ -389,16 +342,12 @@ mod tests {
         // read leaves the cache untouched.
         assert_eq!((io.pages_read, io.bytes_read), (1, 512));
         assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 0);
-        // The advisory path skips the failed stretch, lands the rest,
-        // and its counters explain exactly the resident pages.
-        paged.warm(&ranges);
-        let warmed = paged.prefetch_stats();
-        assert_eq!((warmed.pages_read, warmed.bytes_read), (1, 512));
+        // A demand read of the surviving page alone lands it, and the
+        // next one hits it without reading.
+        let mut landed = StoreStats::default();
+        paged.read(&[range(0, 8)], &mut landed).unwrap();
+        assert_eq!((landed.pages_read, landed.bytes_read), (1, 512));
         assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 1);
-        // Warming again reads nothing new and never promotes.
-        paged.warm(&[range(0, 8)]);
-        assert_eq!(paged.prefetch_stats(), warmed);
-        // The demand path now hits the warmed page and reads nothing.
         let mut demand = StoreStats::default();
         paged.read(&[range(0, 8)], &mut demand).unwrap();
         assert_eq!((demand.page_hits, demand.pages_read), (1, 0));

@@ -63,11 +63,6 @@ pub struct StoreOccupancy {
     pub shard_pages: Vec<usize>,
     /// Total page capacity of the cache.
     pub capacity_pages: usize,
-    /// Pages loaded by background read-ahead (demand I/O lives in the
-    /// handles' scoped stats, prefetch I/O here).
-    pub prefetch_pages: u64,
-    /// Bytes loaded by background read-ahead.
-    pub prefetch_bytes: u64,
 }
 
 impl StoreOccupancy {
@@ -231,7 +226,7 @@ impl StoreRegistry {
     /// materialization that produced the graph, paid once per
     /// `open_graph_csr` (a per-run cost, like materialization itself).
     pub fn graph_content_key_path(graph: &CsrGraph) -> PathBuf {
-        graph_key_path(graph, "")
+        graph_key_path(graph, graph_fingerprint(graph), "")
     }
 
     /// The content-keyed path for shard `shard` of a `shards`-way
@@ -252,7 +247,11 @@ impl StoreRegistry {
     /// topology partition of `graph` — the graph analogue of
     /// [`StoreRegistry::feature_shard_key_path`].
     pub fn graph_shard_key_path(graph: &CsrGraph, shard: usize, shards: usize) -> PathBuf {
-        graph_key_path(graph, &format!("-p{shard}of{shards}"))
+        graph_key_path(
+            graph,
+            graph_fingerprint(graph),
+            &format!("-p{shard}of{shards}"),
+        )
     }
 
     /// Opens (publishing first if needed) the shared store for
@@ -333,18 +332,20 @@ impl StoreRegistry {
     /// global node count and its own range's edges (see
     /// [`write_graph_shard`]), each deduplicated like
     /// [`StoreRegistry::open_graph_csr`]. The returned files are in
-    /// shard order.
+    /// shard order, at the paths [`StoreRegistry::graph_shard_key_path`]
+    /// names; the O(edges) fingerprint they share is computed once.
     pub fn open_graph_shards(
         &self,
         graph: &CsrGraph,
         shards: usize,
         opts: FileStoreOptions,
     ) -> Result<Vec<Arc<SharedCsrFile>>, StoreError> {
+        let fingerprint = graph_fingerprint(graph);
         shard_ranges(graph.num_nodes(), shards)
             .into_iter()
             .enumerate()
             .map(|(i, (start, end))| {
-                let path = StoreRegistry::graph_shard_key_path(graph, i, shards);
+                let path = graph_key_path(graph, fingerprint, &format!("-p{i}of{shards}"));
                 self.open_graph_range(path, graph, start, end, opts)
             })
             .collect()
@@ -386,15 +387,10 @@ impl StoreRegistry {
     pub fn occupancy(&self) -> Vec<StoreOccupancy> {
         let mut out: Vec<StoreOccupancy> = open_files(&self.entries)
             .iter()
-            .map(|s| {
-                let prefetch = s.prefetch_stats();
-                StoreOccupancy {
-                    path: s.path().to_path_buf(),
-                    shard_pages: s.cache_occupancy(),
-                    capacity_pages: s.cache_capacity(),
-                    prefetch_pages: prefetch.pages_read,
-                    prefetch_bytes: prefetch.bytes_read,
-                }
+            .map(|s| StoreOccupancy {
+                path: s.path().to_path_buf(),
+                shard_pages: s.cache_occupancy(),
+                capacity_pages: s.cache_capacity(),
             })
             .collect();
         out.extend(
@@ -404,8 +400,6 @@ impl StoreRegistry {
                     path: g.path().to_path_buf(),
                     shard_pages: g.cache_occupancy(),
                     capacity_pages: g.cache_capacity(),
-                    prefetch_pages: 0,
-                    prefetch_bytes: 0,
                 }),
         );
         out.sort_by(|a, b| a.path.cmp(&b.path));
@@ -444,13 +438,13 @@ fn feature_key_path(table: &FeatureTable, num_nodes: usize, suffix: &str) -> Pat
     ))
 }
 
-/// The one graph content-key format; `suffix` is empty or `-p{i}of{k}`.
-fn graph_key_path(graph: &CsrGraph, suffix: &str) -> PathBuf {
+/// The one graph content-key format; `fingerprint` is `graph`'s
+/// [`graph_fingerprint`], `suffix` is empty or `-p{i}of{k}`.
+fn graph_key_path(graph: &CsrGraph, fingerprint: u64, suffix: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
-        "{GRAPH_PREFIX}n{}-e{}-h{:016x}{suffix}.gbin",
+        "{GRAPH_PREFIX}n{}-e{}-h{fingerprint:016x}{suffix}.gbin",
         graph.num_nodes(),
         graph.num_edges(),
-        graph_fingerprint(graph),
     ))
 }
 
@@ -778,6 +772,33 @@ mod tests {
         assert!(reg.is_empty());
         for p in [a.path(), c.path()] {
             let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn graph_shards_open_exactly_the_published_shard_key_paths() {
+        use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
+        let g = generate_power_law(&PowerLawConfig {
+            nodes: 50,
+            avg_degree: 4.0,
+            seed: 0x6B2,
+            ..PowerLawConfig::default()
+        });
+        let reg = StoreRegistry::new();
+        for n in [2usize, 3] {
+            let files = reg
+                .open_graph_shards(&g, n, FileStoreOptions::default())
+                .unwrap();
+            let opened: Vec<&Path> = files.iter().map(|f| f.path()).collect();
+            let named: Vec<PathBuf> = (0..n)
+                .map(|i| StoreRegistry::graph_shard_key_path(&g, i, n))
+                .collect();
+            assert_eq!(opened, named, "{n}-way shard files");
+        }
+        // The registry holds exactly those five files, nothing else.
+        assert_eq!(reg.len(), 5);
+        for o in reg.occupancy() {
+            let _ = std::fs::remove_file(&o.path);
         }
     }
 

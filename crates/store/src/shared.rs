@@ -15,9 +15,7 @@
 //! * every operation takes `&self` and returns its **exact per-call
 //!   I/O deltas**, which the caller's [`StoreHandle`](crate::StoreHandle)
 //!   accumulates into *scoped* counters — no process-global state, no
-//!   contamination between runs or sweeps;
-//! * an advisory [`SharedFileStore::prefetch_nodes`] warms the cache in
-//!   the background (accounted separately, never in a handle's stats).
+//!   contamination between runs or sweeps.
 //!
 //! The determinism contract holds under any interleaving: page bytes
 //! come from an immutable file, so gathers are bit-identical to
@@ -46,7 +44,7 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// usual path — deduplicated through a
 /// [`StoreRegistry`](crate::StoreRegistry). Per-caller access goes
 /// through [`StoreHandle`](crate::StoreHandle)s, which own the scoped
-/// counters; this type itself only counts its background prefetch I/O.
+/// counters; this type itself counts nothing.
 #[derive(Debug)]
 pub struct SharedFileStore {
     paged: PagedFile,
@@ -158,10 +156,11 @@ impl SharedFileStore {
         self.paged.clear_cache();
     }
 
-    /// I/O performed by background prefetches so far (never part of any
-    /// handle's scoped stats).
+    // Read-ahead is gone; this stub leaves with its last caller
+    // (`benchmark/`, frozen for one PR) in the next `benchmark` PR.
+    #[doc(hidden)]
     pub fn prefetch_stats(&self) -> StoreStats {
-        self.paged.prefetch_stats()
+        StoreStats::default()
     }
 
     /// Byte range of `node`'s row within the file.
@@ -221,19 +220,6 @@ impl SharedFileStore {
         io.feature_bytes = nodes.len() as u64 * self.dim as u64 * 4;
         Ok(io)
     }
-
-    /// Advisory read-ahead of the pages backing `nodes` (see
-    /// `PagedFile::warm`): I/O is counted in
-    /// [`SharedFileStore::prefetch_stats`], and out-of-range nodes are
-    /// skipped — prefetching is a hint, and the demand path will
-    /// surface any real failure with full context.
-    pub fn prefetch_nodes(&self, nodes: &[NodeId]) {
-        let ranges: Vec<ByteRange> = nodes
-            .iter()
-            .filter_map(|&node| self.row_range(node).ok())
-            .collect();
-        self.paged.warm(&ranges);
-    }
 }
 
 #[cfg(test)]
@@ -281,26 +267,6 @@ mod tests {
             store.cache_occupancy().iter().sum::<usize>() as u64,
             cold.pages_read
         );
-    }
-
-    #[test]
-    fn prefetch_warms_the_cache_without_touching_gather_stats() {
-        let (path, _) = write_table("shared-prefetch", 8, 32);
-        let store = SharedFileStore::open(path.path()).unwrap();
-        let nodes: Vec<NodeId> = (0..32u32).map(NodeId::new).collect();
-        store.prefetch_nodes(&nodes);
-        let pf = store.prefetch_stats();
-        assert!(pf.pages_read > 0 && pf.bytes_read > 0);
-        let mut buf = vec![0.0; 32 * 8];
-        let io = store.gather_into(&nodes, &mut buf).unwrap();
-        assert_eq!(io.page_misses, 0, "everything was prefetched");
-        assert_eq!(io.pages_read, 0);
-        assert!(io.page_hits > 0);
-        // Prefetching resident pages again is a no-op.
-        store.prefetch_nodes(&nodes);
-        assert_eq!(store.prefetch_stats().pages_read, pf.pages_read);
-        // Out-of-range nodes are ignored, not fatal.
-        store.prefetch_nodes(&[NodeId::new(1000)]);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Thread-safe stats accumulation.
 //!
 //! Per-handle counters are plain [`StoreStats`] (a handle belongs to
-//! one run on one thread); anything shared — the sweep accumulator a
-//! `Runner` owns, the prefetch counters of a
-//! [`SharedFileStore`](crate::SharedFileStore) — accumulates into an
+//! one run on one thread); the one shared counter set — the sweep
+//! accumulator a `Runner` owns — accumulates into an
 //! [`AtomicStoreStats`] instead, so concurrent recorders never lose an
 //! increment and a snapshot is always a sum of exact per-handle deltas.
 

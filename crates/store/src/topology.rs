@@ -125,20 +125,6 @@ pub trait TopologyStore: std::fmt::Debug {
     fn shard_stats(&self) -> Vec<StoreStats> {
         vec![self.stats()]
     }
-
-    /// The out-degree of one node.
-    fn degree(&mut self, node: NodeId) -> Result<u64, StoreError> {
-        let mut out = [0u64];
-        self.degrees_into(&[node], &mut out)?;
-        Ok(out[0])
-    }
-
-    /// The `k`-th neighbor of one node.
-    fn neighbor(&mut self, node: NodeId, k: u64) -> Result<NodeId, StoreError> {
-        let mut out = [NodeId::default()];
-        self.pick_neighbors_into(&[(node, k)], &mut out)?;
-        Ok(out[0])
-    }
 }
 
 pub(crate) fn check_out_len<T>(expected: usize, out: &[T]) -> Result<(), StoreError> {
@@ -423,11 +409,13 @@ mod tests {
         mem.pick_neighbors_into(&picks, &mut want_n).unwrap();
         disk.pick_neighbors_into(&picks, &mut got_n).unwrap();
         assert_eq!(got_n, want_n, "picks resolve identically");
-        // The single-node conveniences answer like the batches.
-        let (node, k) = picks[0];
+        // A one-element batch answers like the full batches.
         for topo in [&mut mem as &mut dyn TopologyStore, &mut disk] {
-            assert_eq!(topo.degree(nodes[0]).unwrap(), want[0]);
-            assert_eq!(topo.neighbor(node, k).unwrap(), want_n[0]);
+            let (mut degree, mut neighbor) = ([0u64], [NodeId::default()]);
+            topo.degrees_into(&nodes[..1], &mut degree).unwrap();
+            topo.pick_neighbors_into(&picks[..1], &mut neighbor)
+                .unwrap();
+            assert_eq!((degree[0], neighbor[0]), (want[0], want_n[0]));
         }
         assert!(disk.stats().bytes_read > 0);
         assert_eq!(mem.stats().bytes_read, 0, "memory does no I/O");

@@ -3,11 +3,13 @@
 //! counters**. A store reading through a 1-worker engine (effectively
 //! serial) and the same store reading through a wide worker pool must
 //! produce bit-identical gathers, bit-identical sample plans, and
-//! *identical* demand/prefetch stat attribution — across random
-//! Kronecker graphs, page sizes, shard counts, and engine worker
-//! counts. The engine's ordering guarantee (completion slots indexed
-//! by submission order over immutable files) is what makes this hold;
-//! this suite is the proof.
+//! *identical* scoped stats — across random Kronecker graphs, page
+//! sizes, shard counts, and engine worker counts. The engine's
+//! ordering guarantee (completion slots indexed by submission order
+//! over immutable files) is what makes this hold; this suite is the
+//! proof. It also pins that the paged read path is the only reader of a
+//! store file: a private engine's byte total equals what the handles
+//! reading through it counted.
 
 use proptest::prelude::*;
 use smartsage::gnn::sampler::plan_sample_on;
@@ -69,9 +71,10 @@ fn replay(store: &SharedFileStore, batches: &[Vec<NodeId>]) -> (Vec<Vec<u32>>, S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Demand gathers: same file, same batches, engines of every
-    /// width — values bit-identical to the in-memory reference, and
-    /// the per-call demand counters identical across widths.
+    /// Gathers: same file, same batches, engines of every width —
+    /// values bit-identical to the in-memory reference, the per-call
+    /// counters identical across widths, and every byte the engine
+    /// read counted by the caller that asked for it.
     #[test]
     fn gathers_are_bit_identical_across_engine_worker_counts(
         num_nodes in 1usize..180,
@@ -105,14 +108,17 @@ proptest! {
 
         let mut baseline: Option<(Vec<Vec<u32>>, StoreStats)> = None;
         for workers in WORKER_COUNTS {
-            let store = SharedFileStore::open_with_engine(
-                file.path(),
-                opts,
-                4,
-                Arc::new(ReadEngine::new(workers)),
-            )
-            .unwrap();
+            let engine = Arc::new(ReadEngine::new(workers));
+            let store =
+                SharedFileStore::open_with_engine(file.path(), opts, 4, Arc::clone(&engine))
+                    .unwrap();
             let (got, stats) = replay(&store, &batches);
+            prop_assert_eq!(
+                engine.stats().bytes_read,
+                stats.bytes_read,
+                "the engine read bytes no gather counted (workers={})",
+                workers
+            );
             prop_assert_eq!(
                 &got,
                 &reference,
@@ -128,82 +134,6 @@ proptest! {
                     workers
                 ),
             }
-        }
-    }
-
-    /// Prefetch attribution: an advisory warm of the whole batch is
-    /// charged entirely to `prefetch_stats` — exactly the I/O a cold
-    /// demand gather would have paid — and the demand gather that
-    /// follows reads zero bytes at every engine width.
-    #[test]
-    fn prefetch_attribution_is_exact_at_every_engine_width(
-        num_nodes in 1usize..150,
-        dim in 1usize..32,
-        seed in any::<u64>(),
-        page_pick in 0usize..5,
-        raw in proptest::collection::vec(0u32..100_000, 1..40),
-    ) {
-        let table = FeatureTable::new(dim, 3, seed);
-        let file = ScratchFile::new("engine-pref");
-        write_feature_file(file.path(), &table, num_nodes).unwrap();
-        // Cache big enough to hold the whole warm, so the demand pass
-        // afterwards must be all hits.
-        let opts = FileStoreOptions {
-            page_bytes: PAGE_SIZES[page_pick],
-            cache_pages: 4096,
-        };
-        let nodes: Vec<NodeId> = raw
-            .iter()
-            .map(|&r| NodeId::new(r % num_nodes as u32))
-            .collect();
-
-        // What a cold demand gather pays (the attribution reference).
-        let cold = SharedFileStore::open_with_engine(
-            file.path(),
-            opts,
-            4,
-            Arc::new(ReadEngine::new(1)),
-        )
-        .unwrap();
-        let mut out = vec![0.0f32; nodes.len() * dim];
-        let cold_io = cold.gather_into(&nodes, &mut out).unwrap();
-        let reference = bits(&out);
-
-        let mut baseline: Option<StoreStats> = None;
-        for workers in WORKER_COUNTS {
-            let store = SharedFileStore::open_with_engine(
-                file.path(),
-                opts,
-                4,
-                Arc::new(ReadEngine::new(workers)),
-            )
-            .unwrap();
-            store.prefetch_nodes(&nodes);
-            let warm = store.prefetch_stats();
-            prop_assert_eq!(
-                (warm.pages_read, warm.bytes_read, warm.page_misses),
-                (cold_io.pages_read, cold_io.bytes_read, cold_io.page_misses),
-                "prefetch did not pay exactly the cold demand I/O (workers={})",
-                workers
-            );
-            match &baseline {
-                None => baseline = Some(warm),
-                Some(serial) => prop_assert_eq!(
-                    &warm, serial,
-                    "prefetch stats drifted across engine widths (workers={})",
-                    workers
-                ),
-            }
-            let mut warm_out = vec![0.0f32; nodes.len() * dim];
-            let demand = store.gather_into(&nodes, &mut warm_out).unwrap();
-            prop_assert_eq!(bits(&warm_out), reference.clone());
-            prop_assert_eq!(demand.bytes_read, 0, "warm demand gather still read bytes");
-            prop_assert_eq!(demand.page_misses, 0);
-            prop_assert_eq!(
-                demand.page_hits,
-                cold_io.page_hits + cold_io.page_misses,
-                "every planned page lookup must be a hit after the warm"
-            );
         }
     }
 
@@ -277,9 +207,9 @@ proptest! {
     }
 
     /// The file topology tier: hop-expansion plans stay bit-identical
-    /// to the in-memory planner at every engine width, and the
-    /// advisory offset warm is charged to the file's prefetch stats
-    /// identically across widths.
+    /// to the in-memory planner at every engine width, the handle's
+    /// scoped stats are identical across widths, and they account for
+    /// every byte the engine read.
     #[test]
     fn topology_plans_and_offset_warms_survive_any_engine_width(
         base_nodes in 8usize..40,
@@ -302,28 +232,14 @@ proptest! {
         let reference =
             plan_sample_on(&mut CsrView::new(&graph), &targets, &fanouts, &mut rng).unwrap();
 
-        let mut warm_baseline: Option<StoreStats> = None;
+        let mut baseline: Option<StoreStats> = None;
         for workers in WORKER_COUNTS {
+            let engine = Arc::new(ReadEngine::new(workers));
             let shared = Arc::new(
-                SharedCsrFile::open_with_engine(
-                    file.path(),
-                    opts,
-                    4,
-                    Arc::new(ReadEngine::new(workers)),
-                )
-                .unwrap(),
+                SharedCsrFile::open_with_engine(file.path(), opts, 4, Arc::clone(&engine))
+                    .unwrap(),
             );
-            shared.prefetch_offsets(&targets);
-            let warm = shared.prefetch_stats();
-            match &warm_baseline {
-                None => warm_baseline = Some(warm),
-                Some(serial) => prop_assert_eq!(
-                    &warm, serial,
-                    "offset-warm stats drifted across engine widths (workers={})",
-                    workers
-                ),
-            }
-            let mut topo = FileTopology::new(Arc::clone(&shared));
+            let mut topo = FileTopology::new(shared);
             let mut rng = Xoshiro256::seed_from_u64(seed);
             let plan = plan_sample_on(&mut topo as &mut dyn TopologyStore, &targets, &fanouts, &mut rng)
                 .unwrap();
@@ -332,6 +248,16 @@ proptest! {
                 "file-tier plan diverged from mem (workers={})",
                 workers
             );
+            let stats = topo.stats();
+            prop_assert_eq!(engine.stats().bytes_read, stats.bytes_read);
+            match &baseline {
+                None => baseline = Some(stats),
+                Some(serial) => prop_assert_eq!(
+                    &stats, serial,
+                    "topology stats drifted across engine widths (workers={})",
+                    workers
+                ),
+            }
         }
     }
 }

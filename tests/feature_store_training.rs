@@ -152,7 +152,6 @@ fn feature_store_pipeline_run_reports_nonzero_io_without_timing_drift() {
         seed: 11,
         store: StoreKind::Mem,
         topology: TopologyKind::Mem,
-        readahead: false,
         shards: 1,
     };
     let plain = run_system(Dataset::Amazon, SystemKind::Dram, &scale, 2, true);
@@ -223,7 +222,6 @@ fn feature_store_works_under_every_cost_policy() {
         seed: 3,
         store: StoreKind::File,
         topology: TopologyKind::Mem,
-        readahead: false,
         shards: 1,
     };
     let mut reference = None;

@@ -106,10 +106,10 @@ fn assert_io_sums(per_shard: &[StoreStats], total: StoreStats, what: &str) {
     }
 }
 
-fn paths_of(tiers: &OpenTiers) -> Vec<PathBuf> {
-    let features = tiers.feature_files.iter().map(|(_, f)| f.path());
-    let graphs = tiers.graph_files.iter().map(|(_, g)| g.path());
-    features.chain(graphs).map(PathBuf::from).collect()
+/// The files open in `registry`, as its occupancy report names them
+/// (sorted by path).
+fn paths_of(registry: &StoreRegistry) -> Vec<PathBuf> {
+    registry.occupancy().into_iter().map(|o| o.path).collect()
 }
 
 fn remove_published(paths: impl IntoIterator<Item = PathBuf>) {
@@ -125,18 +125,20 @@ fn every_tier_pair_and_shard_count_matches_the_mem_pair_with_exact_breakdowns() 
     let table = FeatureTable::new(9, 4, 0x7AB1E);
     let open = |store, topology, shards| {
         // A fresh registry per open: cold caches, no options conflicts.
-        StoreRegistry::new()
+        let registry = StoreRegistry::new();
+        let tiers = registry
             .open_tiers(&graph, &table, n, &spec(store, topology, shards))
-            .unwrap()
+            .unwrap();
+        (registry, tiers)
     };
-    let want = run_batch(&mut open(StoreKind::Mem, TopologyKind::Mem, 1), n);
+    let want = run_batch(&mut open(StoreKind::Mem, TopologyKind::Mem, 1).1, n);
     let mut published = Vec::new();
     for (store, _) in KINDS {
         for (_, topology) in KINDS {
             // 0 means unsharded, exactly like 1.
             for shards in [0usize, 1, 3] {
                 let what = format!("{store:?}/{topology:?} x{shards}");
-                let mut tiers = open(store, topology, shards);
+                let (registry, mut tiers) = open(store, topology, shards);
                 assert_eq!(run_batch(&mut tiers, n), want, "{what} diverged");
 
                 let devices = shards.max(1);
@@ -156,26 +158,28 @@ fn every_tier_pair_and_shard_count_matches_the_mem_pair_with_exact_breakdowns() 
                     assert_io_sums(&per_shard, total, &what);
                     assert_eq!(total.bytes_read > 0, file_backed, "{what}: {total:?}");
                 }
-                // The shard maps name one file per device on a
-                // file-backed half (none on a mem half), tiling 0..n.
-                let feature_ranges: Vec<_> = tiers.feature_files.iter().map(|(r, _)| r).collect();
-                let graph_ranges: Vec<_> = tiers.graph_files.iter().map(|(r, _)| r).collect();
-                for (ranges, file_backed) in [
-                    (feature_ranges, store != StoreKind::Mem),
-                    (graph_ranges, topology != TopologyKind::Mem),
-                ] {
-                    assert_eq!(ranges.len(), if file_backed { devices } else { 0 });
-                    let mut next = 0;
-                    for range in &ranges {
-                        assert_eq!(range.start, next, "{what}: ranges must tile");
-                        next = range.end;
+                // The registry holds one content-keyed file per device
+                // on a file-backed half (none on a mem half): exactly
+                // the published key paths, the unsharded key at one
+                // device and the `-p{i}of{n}` keys above it.
+                let mut keys = Vec::new();
+                for i in 0..devices {
+                    if store != StoreKind::Mem {
+                        keys.push(match devices {
+                            1 => StoreRegistry::content_key_path(&table, n),
+                            d => StoreRegistry::feature_shard_key_path(&table, n, i, d),
+                        });
                     }
-                    assert!(
-                        ranges.is_empty() || next == n,
-                        "{what}: ranges must cover 0..n"
-                    );
+                    if topology != TopologyKind::Mem {
+                        keys.push(match devices {
+                            1 => StoreRegistry::graph_content_key_path(&graph),
+                            d => StoreRegistry::graph_shard_key_path(&graph, i, d),
+                        });
+                    }
                 }
-                published.extend(paths_of(&tiers));
+                keys.sort();
+                assert_eq!(paths_of(&registry), keys, "{what}");
+                published.extend(keys);
             }
         }
     }
@@ -191,14 +195,27 @@ fn reopening_the_same_keys_with_different_options_is_an_options_conflict() {
     for shards in [1usize, 3] {
         let registry = StoreRegistry::new();
         let first = spec(StoreKind::File, TopologyKind::Isp, shards);
-        let tiers = registry.open_tiers(&graph, &table, n, &first).unwrap();
-        // Same options (any tier over the same files): shared, fine.
+        let mut tiers = registry.open_tiers(&graph, &table, n, &first).unwrap();
+        assert_eq!(registry.len(), 2 * shards);
+        // Same options (any tier over the same files): shared, fine —
+        // no second open of any file.
         let again = spec(StoreKind::Isp, TopologyKind::File, shards);
-        let shared = registry.open_tiers(&graph, &table, n, &again).unwrap();
-        assert!(Arc::ptr_eq(
-            &tiers.feature_files[0].1,
-            &shared.feature_files[0].1
-        ));
+        registry.open_tiers(&graph, &table, n, &again).unwrap();
+        let mut reopened = registry.open_tiers(&graph, &table, n, &first).unwrap();
+        assert_eq!(registry.len(), 2 * shards);
+        // One page cache per key: the page the first pair's gather
+        // loaded is resident for the re-opened pair's.
+        let node = [NodeId::new(0)];
+        tiers.features.gather(&node).unwrap();
+        let resident = || -> usize {
+            let occupancy = registry.occupancy();
+            occupancy.iter().map(|o| o.resident_pages()).sum()
+        };
+        assert_eq!(resident(), 1);
+        reopened.features.gather(&node).unwrap();
+        let io = reopened.features.stats();
+        assert_eq!((io.pages_read, io.page_hits), (0, 1));
+        assert_eq!(resident(), 1);
         // A different page size for the same content keys: refused.
         let mut other = first;
         other.file.page_bytes = 1024;
@@ -211,7 +228,7 @@ fn reopening_the_same_keys_with_different_options_is_an_options_conflict() {
             ),
             "{err}"
         );
-        published.extend(paths_of(&tiers));
+        published.extend(paths_of(&registry));
     }
     remove_published(published);
 }

@@ -6,6 +6,8 @@ use smartsage::core::context::RunContext;
 use smartsage::core::pipeline::{
     run_pipeline, sample_once, PipelineConfig, PipelineReport, SamplerKind,
 };
+use smartsage::core::store_metrics::{self, SweepScope};
+use smartsage::core::{StoreKind, TopologyKind};
 use smartsage::gnn::sampler::{epoch_targets, plan_sample_on};
 use smartsage::gnn::{Fanouts, SamplePlan};
 use smartsage::graph::{Dataset, DatasetProfile, GraphScale};
@@ -290,4 +292,31 @@ fn sample_once_is_batch_zero_of_the_pipeline() {
         report.store_stats.nodes_gathered,
         once.features.nodes.len() as u64
     );
+}
+
+#[test]
+fn the_inert_readahead_field_changes_nothing_in_the_report() {
+    // `PipelineConfig::readahead` is read by nothing: with cold caches
+    // (a private registry per run) the whole report — the exact I/O
+    // counters of both file-backed halves included — is the same with
+    // the field on and off, unsharded and across three devices.
+    let ctx = one_pass_ctx();
+    for shards in [1usize, 3] {
+        let report = |readahead: bool| {
+            let _cold = store_metrics::install_scope(SweepScope::new());
+            let cfg = PipelineConfig {
+                store: StoreKind::File,
+                topology: TopologyKind::File,
+                shards,
+                readahead,
+                ..one_pass_cfg(SamplerKind::GraphSage)
+            };
+            run_pipeline(&ctx, &cfg)
+        };
+        let (off, on) = (report(false), report(true));
+        assert!(off.store_stats.bytes_read > 0 && off.topology_stats.bytes_read > 0);
+        assert_eq!(off.store_stats, on.store_stats, "x{shards}");
+        assert_eq!(off.topology_stats, on.topology_stats, "x{shards}");
+        assert_eq!(format!("{off:?}"), format!("{on:?}"), "x{shards}");
+    }
 }

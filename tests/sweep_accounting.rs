@@ -25,7 +25,6 @@ fn sweep(jobs: usize, names: &[&str]) -> SweepOutcome {
         seed: 0x5EED5,
         store: StoreKind::File,
         topology: TopologyKind::Mem,
-        readahead: false,
         shards: 1,
     };
     Runner::builder()
@@ -87,53 +86,6 @@ fn parallel_jobs_share_one_registry_entry_and_tables_are_identical() {
     assert_eq!(p.pages_read, p.page_misses);
 }
 
-#[test]
-fn readahead_changes_only_the_io_split_never_results() {
-    let scale = ExperimentScale {
-        edge_budget: 20_000,
-        batch_size: 8,
-        batches: 2,
-        workers: 1,
-        seed: 0x5EED8,
-        store: StoreKind::File,
-        topology: TopologyKind::Mem,
-        readahead: false,
-        shards: 1,
-    };
-    let run = |readahead: bool| {
-        Runner::builder()
-            .scale(ExperimentScale { readahead, ..scale })
-            .filter(|e| e.name == "fig7")
-            .build()
-            .sweep()
-    };
-    let plain = run(false);
-    let ahead = run(true);
-    // Results — and simulated timing inside them — are identical.
-    assert_eq!(
-        OutputFormat::Text.render(&plain.outcomes),
-        OutputFormat::Text.render(&ahead.outcomes)
-    );
-    let (p, a) = (plain.store_stats, ahead.store_stats);
-    // What training asked for is interleaving-independent...
-    assert_eq!(p.gathers, a.gathers);
-    assert_eq!(p.nodes_gathered, a.nodes_gathered);
-    assert_eq!(p.feature_bytes, a.feature_bytes);
-    // ...and every demand lookup is still classified exactly once;
-    // read-ahead only shifts the hit/miss split.
-    assert_eq!(p.page_hits + p.page_misses, a.page_hits + a.page_misses);
-    assert_eq!(a.pages_read, a.page_misses);
-    // The prefetcher actually ran: its I/O is accounted per store,
-    // outside the sweep's demand counters.
-    let prefetched: u64 = ahead.stores.iter().map(|s| s.prefetch_pages).sum();
-    assert!(prefetched > 0, "read-ahead sweep never prefetched a page");
-    assert_eq!(
-        plain.stores.iter().map(|s| s.prefetch_pages).sum::<u64>(),
-        0,
-        "no prefetch without --readahead"
-    );
-}
-
 /// A deliberately small graph-topology sweep (distinct seed, same
 /// scoping rules as the feature sweeps above).
 fn graph_sweep(jobs: usize, names: &[&str]) -> SweepOutcome {
@@ -145,7 +97,6 @@ fn graph_sweep(jobs: usize, names: &[&str]) -> SweepOutcome {
         seed: 0x5EED9,
         store: StoreKind::Mem,
         topology: TopologyKind::File,
-        readahead: false,
         shards: 1,
     };
     Runner::builder()
@@ -210,7 +161,6 @@ fn memory_store_sweeps_scope_their_stats_too() {
         seed: 0x5EED6,
         store: StoreKind::Mem,
         topology: TopologyKind::Mem,
-        readahead: false,
         shards: 1,
     };
     let run = || {
@@ -246,7 +196,6 @@ fn default_mem_tier_sweep_counts_accesses_without_any_io() {
             seed: 0x5EED7,
             store: StoreKind::Mem,
             topology: TopologyKind::Mem,
-            readahead: false,
             shards: 1,
         })
         .filter(|e| e.name == "fig7")
@@ -276,7 +225,6 @@ fn modeled_time_is_a_pure_function_of_the_trace_across_tiers_and_jobs() {
                 seed: 0x5EEDA,
                 store,
                 topology,
-                readahead: false,
                 shards: 1,
             })
             .filter(|e| names(e.name))
@@ -313,7 +261,6 @@ fn sharded_sweep(jobs: usize, shards: usize, names: &[&str]) -> SweepOutcome {
         seed: 0x5EEDB,
         store: StoreKind::File,
         topology: TopologyKind::File,
-        readahead: false,
         shards,
     };
     Runner::builder()
@@ -415,69 +362,4 @@ fn per_shard_breakdowns_sum_exactly_to_the_sweep_totals() {
             "a three-shard sweep must spread I/O over at least two devices"
         );
     }
-}
-
-#[test]
-fn readahead_prefetches_into_each_shards_cache_without_changing_results() {
-    // The prefetch-routing regression: `--readahead --shards N` must
-    // translate each prefetched node to its owning shard's local id
-    // and warm THAT device's cache — and, like unsharded read-ahead,
-    // never change results.
-    let scale = ExperimentScale {
-        edge_budget: 20_000,
-        batch_size: 8,
-        batches: 2,
-        workers: 1,
-        seed: 0x5EEDC,
-        store: StoreKind::File,
-        topology: TopologyKind::Mem,
-        readahead: false,
-        shards: 3,
-    };
-    let run = |readahead: bool| {
-        Runner::builder()
-            .scale(ExperimentScale { readahead, ..scale })
-            .filter(|e| e.name == "fig7")
-            .build()
-            .sweep()
-    };
-    let plain = run(false);
-    let ahead = run(true);
-    assert_eq!(
-        OutputFormat::Text.render(&plain.outcomes),
-        OutputFormat::Text.render(&ahead.outcomes),
-        "read-ahead over shards changed results"
-    );
-    // The demand-side contract is unchanged: what training asked for
-    // is identical, and every lookup is classified exactly once.
-    let (p, a) = (plain.store_stats, ahead.store_stats);
-    assert_eq!(p.gathers, a.gathers);
-    assert_eq!(p.nodes_gathered, a.nodes_gathered);
-    assert_eq!(p.feature_bytes, a.feature_bytes);
-    assert_eq!(p.page_hits + p.page_misses, a.page_hits + a.page_misses);
-    // Prefetched pages landed in the per-shard caches: at least two of
-    // the three per-shard feature files saw prefetch I/O, and every
-    // prefetching file IS a shard file.
-    let prefetched: Vec<_> = ahead
-        .stores
-        .iter()
-        .filter(|occ| occ.prefetch_pages > 0)
-        .collect();
-    assert!(
-        prefetched.len() >= 2,
-        "read-ahead reached {} of 3 shard devices",
-        prefetched.len()
-    );
-    for occ in &prefetched {
-        let path = occ.path.to_string_lossy().into_owned();
-        assert!(
-            path.contains("of3"),
-            "prefetch hit a non-shard file: {path}"
-        );
-    }
-    assert_eq!(
-        plain.stores.iter().map(|s| s.prefetch_pages).sum::<u64>(),
-        0,
-        "no prefetch without --readahead"
-    );
 }
