@@ -161,7 +161,7 @@ impl CostPolicy for HostPolicy {
         let hop = &cursor.trace.hops[cursor.hop];
         let access = &hop.accesses[cursor.access];
         // Offset-table lookup: resident in host DRAM for all systems
-        // (it is ~1% of the edge array; see DESIGN.md).
+        // (it is ~1% of the edge array).
         t += SimDuration::from_nanos(30);
         // Fetch the node's neighbor-ID chunk in block granularity.
         let range = graph.layout.edge_list_range(graph.graph(), access.node);

@@ -103,19 +103,6 @@ impl ExperimentScale {
         self.store = kind;
         self
     }
-
-    /// The same scale with neighbor sampling routed through `kind`.
-    pub fn with_topology(mut self, kind: TopologyKind) -> Self {
-        self.topology = kind;
-        self
-    }
-
-    /// The same scale partitioned across `n` modeled storage devices
-    /// (floored at one).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -360,7 +347,7 @@ fn table1_driver(_scale: &ExperimentScale) -> Table {
 // ---------------------------------------------------------------------
 
 /// Fig 5 driver. The LLC is scaled by the materialization factor so
-/// cache coverage matches full scale (see DESIGN.md §5).
+/// cache coverage matches full scale.
 fn fig5_driver(scale: &ExperimentScale) -> Table {
     let mut t = Table::new(
         "Fig 5: LLC miss rate and DRAM BW utilization (in-memory sampling)",

@@ -22,6 +22,7 @@
 //!   immutable file), which is what lets the shared feature store keep
 //!   its determinism contract under concurrency.
 
+use crate::sync::LockExt;
 use smartsage_sim::LruSet;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -91,7 +92,9 @@ impl ShardedPageCache {
     }
 
     fn lock(&self, page: u64) -> std::sync::MutexGuard<'_, Shard> {
-        self.shard(page).lock().expect("page-cache shard poisoned")
+        // Poison-free: one panicking gather must not turn every later
+        // read of this stripe into a panic.
+        self.shard(page).safe_lock()
     }
 
     /// Number of shards (always a power of two).
@@ -107,16 +110,15 @@ impl ShardedPageCache {
 
     /// Residency probe + payload fetch, promoting the page to MRU of
     /// its shard. The returned `Arc` stays valid even if the page is
-    /// evicted immediately after.
+    /// evicted immediately after. A tracked page whose payload is
+    /// missing (an insert that died half-way) is a miss: the caller
+    /// re-reads it and [`ShardedPageCache::insert`] restores the pair.
     pub fn get(&self, page: u64) -> Option<Arc<[u8]>> {
         let mut shard = self.lock(page);
-        if shard.order.touch(&page) {
-            Some(Arc::clone(
-                shard.data.get(&page).expect("tracked page has payload"),
-            ))
-        } else {
-            None
+        if !shard.order.touch(&page) {
+            return None;
         }
+        shard.data.get(&page).cloned()
     }
 
     /// Residency probe without recency side effects.
@@ -152,14 +154,14 @@ impl ShardedPageCache {
     pub fn occupancy(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("page-cache shard poisoned").order.len())
+            .map(|s| s.safe_lock().order.len())
             .collect()
     }
 
     /// Drops every resident page in every shard, keeping capacity.
     pub fn clear(&self) {
         for s in &self.shards {
-            let mut shard = s.lock().expect("page-cache shard poisoned");
+            let mut shard = s.safe_lock();
             shard.order.clear();
             shard.data.clear();
         }
@@ -252,6 +254,31 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.capacity(), 8);
+    }
+
+    #[test]
+    fn a_poisoned_stripe_with_a_lost_payload_still_serves_reads() {
+        let c = ShardedPageCache::new(4, 1);
+        c.insert(0, page(1));
+        c.insert(1, page(2));
+        // A holder dies mid-update: the stripe is poisoned, and page 0
+        // is still tracked but its payload is gone.
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut shard = c.shards[0].lock().unwrap();
+                shard.data.remove(&0);
+                panic!("gather died holding the stripe");
+            })
+            .join()
+        });
+        assert!(died.is_err() && c.shards[0].is_poisoned());
+        assert_eq!(c.get(1).as_deref(), Some(&[2u8; 8][..]));
+        assert!(c.get(0).is_none(), "a lost payload reads as a miss");
+        c.insert(0, page(3));
+        assert_eq!(c.get(0).as_deref(), Some(&[3u8; 8][..]));
+        assert_eq!(c.occupancy(), vec![2]);
+        c.clear();
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -32,7 +32,7 @@ usage: serve [options]
   --hidden N           GraphSage hidden width (default 32)
   --fanouts A,B        default per-hop fan-outs (default 25,10)
   --seed N             model weight seed (default 1234)
-  --cache-pages N      file/isp page-cache capacity in pages (default 1024)
+  --cache-pages N      file/isp page-cache capacity in pages (default 1024; 0 = uncached)
   --shards N           modeled storage devices the dataset is partitioned
                        across; responses are identical at every count (default 1)
   --page-bytes N       file/isp page size (default 4096)

@@ -70,11 +70,6 @@ impl Link {
         SimDuration::from_picos(ps as u64)
     }
 
-    /// Pure serialization + latency delay for `bytes`, ignoring queueing.
-    pub fn unloaded_delay(&self, bytes: u64) -> SimDuration {
-        self.occupancy(bytes) + self.latency
-    }
-
     /// Schedules a transfer of `bytes` starting no earlier than `at`;
     /// returns the completion time (data fully delivered).
     ///
@@ -107,14 +102,6 @@ impl Link {
         let end = start + occ;
         self.horizon = self.horizon.max(end);
         end + self.latency
-    }
-
-    /// Earliest time the wire has no remaining reservations.
-    pub fn next_free(&self) -> SimTime {
-        self.reservations
-            .back()
-            .map(|&(_, end)| end)
-            .unwrap_or(self.horizon.min(SimTime::ZERO))
     }
 
     /// Total bytes moved.

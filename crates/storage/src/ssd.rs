@@ -106,11 +106,6 @@ impl Ssd {
         self.page_bytes
     }
 
-    /// Logical flash page containing byte offset `byte_offset`.
-    pub fn page_of_byte(&self, byte_offset: u64) -> u64 {
-        byte_offset / self.page_bytes
-    }
-
     /// Serves one host block-read command for `lba`, arriving at the
     /// device at `at`.
     ///

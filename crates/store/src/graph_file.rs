@@ -43,7 +43,7 @@
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
-use crate::paged::PagedFile;
+use crate::paged::{PagedFile, Planned};
 use crate::StoreStats;
 use smartsage_graph::{CsrGraph, NodeId};
 use smartsage_hostio::{ByteRange, ReadEngine, ReadSource};
@@ -66,12 +66,6 @@ pub const GRAPH_ENTRY_BYTES: u64 = 8;
 /// offset array padded out to the next page boundary.
 pub fn edge_array_base(num_nodes: u64) -> u64 {
     (GRAPH_HEADER_BYTES + (num_nodes + 1) * GRAPH_ENTRY_BYTES).next_multiple_of(GRAPH_HEADER_BYTES)
-}
-
-/// Exact length of a graph file holding `num_nodes` nodes and
-/// `num_edges` edges.
-pub fn graph_file_len(num_nodes: u64, num_edges: u64) -> u64 {
-    edge_array_base(num_nodes) + num_edges * GRAPH_ENTRY_BYTES
 }
 
 /// Serializes `graph` to `path` in the layout above. Overwrites any
@@ -364,64 +358,55 @@ impl SharedCsrFile {
         Ok(())
     }
 
-    /// Byte range of the two adjacent offset entries of `node`
-    /// (start + end of its neighbor slice; one 16-byte range).
-    fn offset_pair_range(&self, node: NodeId) -> ByteRange {
-        ByteRange {
-            offset: GRAPH_HEADER_BYTES + node.index() as u64 * GRAPH_ENTRY_BYTES,
-            len: 2 * GRAPH_ENTRY_BYTES,
-        }
-    }
-
-    /// Byte range of edge entry `e` within the edge array.
-    fn edge_entry_range(&self, e: u64) -> ByteRange {
-        ByteRange {
-            offset: self.edge_base + e * GRAPH_ENTRY_BYTES,
-            len: GRAPH_ENTRY_BYTES,
-        }
-    }
-
     /// Resolves `ranges` (each one or two whole u64 entries) to their
-    /// LE values through the paged read path; an entry may straddle a
-    /// page boundary under odd page sizes.
+    /// LE values through the paged read path, returning them beside
+    /// the read's plan — the ascending, distinct pages it resolved; an
+    /// entry may straddle a page boundary under odd page sizes.
     fn read_entries(
         &self,
         ranges: &[ByteRange],
         io: &mut StoreStats,
-    ) -> Result<Vec<u64>, StoreError> {
+    ) -> Result<(Vec<u64>, Vec<u64>), StoreError> {
         let staged = self.paged.read(ranges, io)?;
         let mut out = Vec::with_capacity(ranges.len() * 2);
+        let mut buf = [0u8; 2 * GRAPH_ENTRY_BYTES as usize];
         let mut entry = [0u8; GRAPH_ENTRY_BYTES as usize];
-        for range in ranges {
-            debug_assert_eq!(range.len % GRAPH_ENTRY_BYTES, 0, "ranges are whole entries");
-            for at in (range.offset..range.offset + range.len).step_by(GRAPH_ENTRY_BYTES as usize) {
-                let one = ByteRange {
-                    offset: at,
-                    len: GRAPH_ENTRY_BYTES,
-                };
-                staged.copy_range(one, &mut entry);
+        for &range in ranges {
+            let bytes = &mut buf[..range.len as usize];
+            staged.copy_range(range, bytes);
+            for raw in bytes.chunks_exact(entry.len()) {
+                entry.copy_from_slice(raw);
                 out.push(u64::from_le_bytes(entry));
             }
         }
-        Ok(out)
+        Ok((out, staged.into_plan()))
     }
 
     /// Reads the `(start, end)` offset pair of every node in `nodes`,
-    /// returning the pairs plus this call's exact **I/O** deltas (the
+    /// returning the pairs, this call's exact **I/O** deltas (the
     /// caller owns the access-level counters — a topology tier may
-    /// chain several raw reads into one logical operation). Validates
-    /// node bounds before any I/O and the CSR monotone/EOF invariants
-    /// on every pair it returns.
-    pub fn offset_pairs(
+    /// chain several raw reads into one logical operation) and the
+    /// read's plan (the ISP tier's timing-model input). Validates node
+    /// bounds before any I/O and the CSR monotone/EOF invariants on
+    /// every pair it returns.
+    pub(crate) fn offset_pairs(
         &self,
         nodes: &[NodeId],
-    ) -> Result<(Vec<(u64, u64)>, StoreStats), StoreError> {
+    ) -> Result<Planned<Vec<(u64, u64)>>, StoreError> {
         for &node in nodes {
             self.check_node(node)?;
         }
-        let ranges: Vec<ByteRange> = nodes.iter().map(|&n| self.offset_pair_range(n)).collect();
+        // The two adjacent offset entries of a node (start + end of
+        // its neighbor slice) are one 16-byte range.
+        let ranges: Vec<ByteRange> = nodes
+            .iter()
+            .map(|&node| ByteRange {
+                offset: GRAPH_HEADER_BYTES + node.index() as u64 * GRAPH_ENTRY_BYTES,
+                len: 2 * GRAPH_ENTRY_BYTES,
+            })
+            .collect();
         let mut io = StoreStats::default();
-        let entries = self.read_entries(&ranges, &mut io)?;
+        let (entries, plan) = self.read_entries(&ranges, &mut io)?;
         let mut pairs = Vec::with_capacity(nodes.len());
         for (i, pair) in entries.chunks_exact(2).enumerate() {
             let (start, end) = (pair[0], pair[1]);
@@ -440,16 +425,15 @@ impl SharedCsrFile {
             }
             pairs.push((start, end));
         }
-        Ok((pairs, io))
+        Ok((pairs, io, plan))
     }
 
     /// Reads the neighbor ids at absolute edge indices `edges`,
-    /// returning the ids plus this call's exact **I/O** deltas (access
-    /// counters belong to the caller, as with
-    /// [`SharedCsrFile::offset_pairs`]). Indices must already be
-    /// validated against the owning node's offset pair (the callers
-    /// do, via [`SharedCsrFile::offset_pairs`]).
-    pub fn edge_targets(&self, edges: &[u64]) -> Result<(Vec<NodeId>, StoreStats), StoreError> {
+    /// returning the ids, this call's exact **I/O** deltas (access
+    /// counters belong to the caller) and the read's plan, as
+    /// [`SharedCsrFile::offset_pairs`] does. Indices must already be
+    /// validated against the owning node's offset pair.
+    fn edge_targets(&self, edges: &[u64]) -> Result<Planned<Vec<NodeId>>, StoreError> {
         for &e in edges {
             if e >= self.num_edges {
                 return Err(self.corrupt(format!(
@@ -458,9 +442,15 @@ impl SharedCsrFile {
                 )));
             }
         }
-        let ranges: Vec<ByteRange> = edges.iter().map(|&e| self.edge_entry_range(e)).collect();
+        let ranges: Vec<ByteRange> = edges
+            .iter()
+            .map(|&e| ByteRange {
+                offset: self.edge_base + e * GRAPH_ENTRY_BYTES,
+                len: GRAPH_ENTRY_BYTES,
+            })
+            .collect();
         let mut io = StoreStats::default();
-        let entries = self.read_entries(&ranges, &mut io)?;
+        let (entries, plan) = self.read_entries(&ranges, &mut io)?;
         let mut out = Vec::with_capacity(edges.len());
         for (i, &raw) in entries.iter().enumerate() {
             if raw >= self.num_nodes as u64 {
@@ -471,24 +461,23 @@ impl SharedCsrFile {
             }
             out.push(NodeId::new(raw as u32));
         }
-        Ok((out, io))
+        Ok((out, io, plan))
     }
 
     /// Resolves `(node, position)` picks end to end: the picked
     /// nodes' offset pairs locate (and validate) their slices, then
     /// the picked edge entries resolve in one run-merged read.
-    /// Returns the neighbor ids, the absolute edge indices that were
-    /// read (the ISP tier's page plan needs them), and the combined
-    /// exact I/O deltas. Shared by
-    /// [`FileTopology`](crate::FileTopology) and
+    /// Returns the neighbor ids, the combined exact I/O deltas and the
+    /// batch's plan: the offset read's pages, then the edge read's.
+    /// Shared by [`FileTopology`](crate::FileTopology) and
     /// [`IspSampleTopology`](crate::IspSampleTopology) so the two
     /// tiers' validation and error wording can never drift.
-    pub fn resolve_picks(
+    pub(crate) fn resolve_picks(
         &self,
         picks: &[(NodeId, u64)],
-    ) -> Result<(Vec<NodeId>, Vec<u64>, StoreStats), StoreError> {
+    ) -> Result<Planned<Vec<NodeId>>, StoreError> {
         let nodes: Vec<NodeId> = picks.iter().map(|&(n, _)| n).collect();
-        let (pairs, mut io) = self.offset_pairs(&nodes)?;
+        let (pairs, mut io, mut plan) = self.offset_pairs(&nodes)?;
         let mut edges = Vec::with_capacity(picks.len());
         for (&(node, k), &(start, end)) in picks.iter().zip(&pairs) {
             if k >= end - start {
@@ -500,9 +489,15 @@ impl SharedCsrFile {
             }
             edges.push(start + k);
         }
-        let (targets, edge_io) = self.edge_targets(&edges)?;
+        let (targets, edge_io, edge_plan) = self.edge_targets(&edges)?;
         io.accumulate(&edge_io);
-        Ok((targets, edges, io))
+        // The edge array begins where the offset array ends, so the two
+        // plans concatenate ascending. A page size that does not divide
+        // the arrays' 4096-byte alignment puts that boundary inside one
+        // page, which both reads may have resolved: it is kept once.
+        let shared = plan.last().is_some_and(|p| edge_plan.first() == Some(p));
+        plan.extend_from_slice(&edge_plan[usize::from(shared)..]);
+        Ok((targets, io, plan))
     }
 
     // Read-ahead is gone; this stub leaves with its last caller
@@ -510,27 +505,6 @@ impl SharedCsrFile {
     #[doc(hidden)]
     pub fn prefetch_stats(&self) -> StoreStats {
         StoreStats::default()
-    }
-
-    /// The page plan of an offset-pair batch (for the ISP timing
-    /// model): the same distinct, run-merged pages
-    /// [`SharedCsrFile::offset_pairs`] resolves.
-    pub(crate) fn plan_offset_pages(&self, nodes: &[NodeId]) -> Vec<u64> {
-        let ranges: Vec<ByteRange> = nodes.iter().map(|&n| self.offset_pair_range(n)).collect();
-        self.paged.plan_pages(&ranges)
-    }
-
-    /// The combined device page plan of one pick batch — every
-    /// offset-pair and edge-entry page the picks touch, run-merged in
-    /// a single pass (the ISP tier's timing-model input after
-    /// [`SharedCsrFile::resolve_picks`]).
-    pub(crate) fn plan_pick_pages(&self, picks: &[(NodeId, u64)], edges: &[u64]) -> Vec<u64> {
-        let mut ranges: Vec<ByteRange> = picks
-            .iter()
-            .map(|&(n, _)| self.offset_pair_range(n))
-            .collect();
-        ranges.extend(edges.iter().map(|&e| self.edge_entry_range(e)));
-        self.paged.plan_pages(&ranges)
     }
 }
 
@@ -563,7 +537,7 @@ mod tests {
         assert_eq!(shared.num_nodes(), 120);
         assert_eq!(shared.num_edges(), g.num_edges());
         let nodes: Vec<NodeId> = (0..120u32).map(NodeId::new).collect();
-        let (pairs, io) = shared.offset_pairs(&nodes).unwrap();
+        let (pairs, io, _) = shared.offset_pairs(&nodes).unwrap();
         assert!(io.bytes_read > 0);
         let mut picks = Vec::new();
         for (node, &(start, end)) in nodes.iter().zip(&pairs) {
@@ -573,7 +547,7 @@ mod tests {
             }
         }
         let edges: Vec<u64> = picks.iter().map(|&(_, e)| e).collect();
-        let (targets, _) = shared.edge_targets(&edges).unwrap();
+        let (targets, _, _) = shared.edge_targets(&edges).unwrap();
         let mut want = Vec::new();
         for node in g.node_ids() {
             want.extend_from_slice(g.neighbors(node));
@@ -587,11 +561,11 @@ mod tests {
         let file = write_graph("cache", &g);
         let shared = SharedCsrFile::open(file.path()).unwrap();
         let nodes: Vec<NodeId> = (0..200u32).map(NodeId::new).collect();
-        let (_, cold) = shared.offset_pairs(&nodes).unwrap();
+        let (_, cold, _) = shared.offset_pairs(&nodes).unwrap();
         assert!(cold.pages_read > 0);
         assert_eq!(cold.page_hits, 0);
         assert_eq!(cold.pages_read, cold.page_misses);
-        let (_, warm) = shared.offset_pairs(&nodes).unwrap();
+        let (_, warm, _) = shared.offset_pairs(&nodes).unwrap();
         assert_eq!(warm.pages_read, 0, "second pass reads nothing");
         assert_eq!(warm.page_hits + warm.page_misses, cold.page_misses);
         assert_eq!(

@@ -33,8 +33,13 @@
 //!   [`IspGatherOptions::queue_depth`] requests in flight (channel
 //!   parallelism, exactly like the edge-list ISP cost policy), page-buffer
 //!   hits served from SSD DRAM, a per-row pack cost on the cores, and
-//!   finally the result DMA. The accumulated busy time is reported in
-//!   [`StoreStats::device_ns`] and [`IspGatherStore::device_time`].
+//!   finally the result DMA. The pages it is costed for are not
+//!   derived here: they are the plan of the media read that just
+//!   resolved the missing rows — the ascending, distinct pages the one
+//!   paged read path (`paged.rs`) handed back through
+//!   [`SharedFileStore`] — so the model can only be priced for pages
+//!   that were actually resolved. The accumulated busy time is reported
+//!   in [`StoreStats::device_ns`] and [`IspGatherStore::device_time`].
 //!
 //! The device timing model keeps its *own* page-buffer LRU
 //! ([`smartsage_storage::PageBuffer`]) seeded only by this store's
@@ -237,7 +242,8 @@ impl IspDevice {
 
     /// Costs one ISP pass against the device model — command decode on
     /// the embedded cores, FTL translation + flash read (or page-buffer
-    /// hit) per planned page with at most `queue_depth` reads in
+    /// hit) per page of `pages` (the plan of the read(s) that produced
+    /// `io`, in the order given) with at most `queue_depth` reads in
     /// flight, per-row pack work on the cores, and the packed-result
     /// DMA of `shipped` bytes — and re-scopes `io`'s transfer split:
     /// the shared file accounted its page reads as host traffic (it is
@@ -423,12 +429,10 @@ impl FeatureStore for IspGatherStore {
             // Device-side resolution through the shared store: real
             // media I/O, bit-identical values. Its per-call deltas are
             // the device reads of this gather.
-            let media = self.shared.gather_into(&missing, &mut miss_buf)?;
-            // The missing rows' distinct pages (the same plan the
-            // shared store just resolved) drive the timing model's
+            let (media, plan) = self.shared.gather_planned(&missing, &mut miss_buf)?;
+            // The pages that read resolved drive the timing model's
             // FTL/flash/buffer sequence; only the packed missing rows
             // cross the link.
-            let plan = self.shared.plan_pages(&missing)?;
             let shipped = missing.len() as u64 * dim as u64 * 4;
             io = self
                 .device

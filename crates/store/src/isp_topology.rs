@@ -27,7 +27,11 @@
 //!   [`IspGatherOptions::queue_depth`](crate::IspGatherOptions) in
 //!   flight — the same device pass the ISP feature tier pays
 //!   ([`mod@crate::isp`]), accumulated in [`StoreStats::device_ns`] and
-//!   [`IspSampleTopology::device_time`].
+//!   [`IspSampleTopology::device_time`]. The pass is handed the plan of
+//!   the read(s) it prices — the pages [`SharedCsrFile`]'s paged reads
+//!   just resolved: a degree batch's offset pages; a pick batch's
+//!   offset pages followed by its edge pages. This tier never turns an
+//!   id into a page itself.
 //!
 //! Like [`IspGatherStore`](crate::IspGatherStore), the device timing
 //! model keeps its own page-buffer LRU seeded only by this store's
@@ -134,11 +138,10 @@ impl TopologyStore for IspSampleTopology {
         check_out_len(nodes.len(), out)?;
         // Device-side offset walk; the host receives one packed 8-byte
         // degree per node (it draws the sample positions).
-        let (pairs, io) = self.shared.offset_pairs(nodes)?;
+        let (pairs, io, pages) = self.shared.offset_pairs(nodes)?;
         for (slot, (start, end)) in out.iter_mut().zip(pairs) {
             *slot = end - start;
         }
-        let pages = self.shared.plan_offset_pages(nodes);
         let shipped = nodes.len() as u64 * ENTRY_BYTES;
         let mut io = self.device.pass(io, &pages, nodes.len() as u64, shipped);
         io.gathers = 1;
@@ -158,11 +161,11 @@ impl TopologyStore for IspSampleTopology {
         // the slices, edge entries resolve the picks (shared with the
         // file tier via [`SharedCsrFile::resolve_picks`]), and only
         // the dense sampled-id list is DMAed back.
-        let (targets, edges, io) = self.shared.resolve_picks(picks)?;
+        let (targets, io, pages) = self.shared.resolve_picks(picks)?;
         out.copy_from_slice(&targets);
-        // One device pass covers both the offset walk and the edge
-        // reads (firmware chains them without surfacing to the host).
-        let pages = self.shared.plan_pick_pages(picks, &edges);
+        // One device pass covers the pages of both the offset walk and
+        // the edge reads (firmware chains them without surfacing to the
+        // host).
         let shipped = picks.len() as u64 * ENTRY_BYTES;
         let mut io = self.device.pass(io, &pages, picks.len() as u64, shipped);
         // One logical device command per batch, uniform with the other

@@ -34,8 +34,9 @@ pub struct TierSpec {
     /// (contiguous node ranges). `0` and `1` both mean unsharded.
     pub shards: usize,
     /// Page size and **total** page-cache budget of each file-backed
-    /// half; the budget is sliced evenly across the devices, so it
-    /// stays constant as the shard count changes.
+    /// half; the budget is sliced evenly across the devices (at least
+    /// one page each), so it stays constant as the shard count changes.
+    /// A zero budget runs every device uncached.
     pub file: FileStoreOptions,
 }
 
@@ -74,7 +75,12 @@ impl StoreRegistry {
     ) -> Result<OpenTiers, StoreError> {
         let shards = spec.shards.max(1);
         let opts = FileStoreOptions {
-            cache_pages: (spec.file.cache_pages / shards).max(1),
+            // Zero stays zero — "retain nothing", as everywhere below;
+            // any other budget leaves each device at least one page.
+            cache_pages: match spec.file.cache_pages {
+                0 => 0,
+                pages => (pages / shards).max(1),
+            },
             ..spec.file
         };
         let isp = IspGatherOptions::default;

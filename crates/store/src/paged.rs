@@ -5,16 +5,22 @@
 //! through. It knows nothing about what the bytes mean — the format
 //! layers ([`SharedFileStore`](crate::SharedFileStore) rows,
 //! [`SharedCsrFile`](crate::SharedCsrFile) `u64` entries) turn a
-//! request into byte ranges and decode what comes back. What it owns is
-//! the algorithm every read follows:
+//! request into byte ranges and decode what comes back. It is the only
+//! code that turns a byte range into page numbers, and the pages a
+//! [`PagedFile::read`] resolved are handed back as that read's **plan**
+//! ([`StagedPages::into_plan`]): the format layers pass it up beside
+//! their I/O deltas, and the ISP tiers cost exactly that list — nobody
+//! derives the pages of a request a second time. Every read follows
+//! one algorithm:
 //!
 //! 1. **Plan** — the distinct pages the ranges touch, merged into
 //!    maximal contiguous runs ([`merge_page_runs`]); pure address
 //!    arithmetic.
-//! 2. **Classify** — resident pages are hits (promoted, and staged as
-//!    `Arc` clones so a concurrent eviction can never invalidate bytes
-//!    mid-assembly); each maximal stretch of missing pages becomes one
-//!    positioned read.
+//! 2. **Classify** — walking the runs in ascending order, resident
+//!    pages are hits (promoted, and staged as `Arc` clones so a
+//!    concurrent eviction can never invalidate bytes mid-assembly);
+//!    each maximal stretch of missing pages becomes one positioned
+//!    read and holds its place in the staging vector.
 //! 3. **Fetch** — the whole miss plan goes to the engine as one batch.
 //!    Stretches resolve concurrently across I/O workers, but the
 //!    completion hands results back in submission order, so staging is
@@ -26,11 +32,14 @@ use crate::error::StoreError;
 use crate::file::FileStoreOptions;
 use crate::StoreStats;
 use smartsage_hostio::{
-    merge_page_runs, ByteRange, PageRun, ReadEngine, ReadRequest, ReadSource, ShardedPageCache,
+    merge_page_runs, ByteRange, ReadEngine, ReadRequest, ReadSource, ShardedPageCache,
 };
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
+
+/// What a format layer hands back for one request: the decoded values,
+/// the call's exact I/O deltas, and the plan of the read(s) it ran.
+pub(crate) type Planned<T> = (T, StoreStats, Vec<u64>);
 
 /// An open file read page-wise through a shared cache (module docs).
 #[derive(Debug)]
@@ -42,32 +51,39 @@ pub(crate) struct PagedFile {
     engine: Arc<ReadEngine>,
 }
 
-/// The pages one [`PagedFile::read`] resolved, held by `Arc` until the
-/// format layer has copied what it needs out of them.
+/// The pages one [`PagedFile::read`] resolved — `(page number, bytes)`,
+/// ascending and distinct — held by `Arc` until the format layer has
+/// copied what it needs out of them.
 #[derive(Debug)]
 pub(crate) struct StagedPages {
-    pages: HashMap<u64, Arc<[u8]>>,
+    pages: Vec<(u64, Arc<[u8]>)>,
     page_bytes: u64,
 }
 
 impl StagedPages {
     /// Copies the bytes of `range` into `out` (`out.len() ==
     /// range.len`); the range may straddle page boundaries. `range`
-    /// must be one of the ranges the read was planned from.
+    /// must be one of the ranges the read was planned from, so its
+    /// pages are staged, and staged next to each other.
     pub fn copy_range(&self, range: ByteRange, out: &mut [u8]) {
-        let Some((first, last)) = range.blocks(self.page_bytes) else {
-            return;
-        };
-        for page in first..=last {
-            let page_start = page * self.page_bytes;
-            // ssl::allow(SSL001): read() staged every page of every
-            // planned run before returning.
-            let src = self.pages.get(&page).expect("planned page is staged");
-            let lo = range.offset.max(page_start);
-            let hi = (range.offset + range.len).min(page_start + src.len() as u64);
-            out[(lo - range.offset) as usize..(hi - range.offset) as usize]
-                .copy_from_slice(&src[(lo - page_start) as usize..(hi - page_start) as usize]);
+        let first = range.offset / self.page_bytes;
+        let mut at = self.pages.partition_point(|&(page, _)| page < first);
+        let mut done = 0;
+        while done < out.len() {
+            let (page, src) = &self.pages[at];
+            let lo = (range.offset + done as u64 - page * self.page_bytes) as usize;
+            let n = (src.len() - lo).min(out.len() - done);
+            out[done..done + n].copy_from_slice(&src[lo..lo + n]);
+            done += n;
+            at += 1;
         }
+    }
+
+    /// The read's plan: every page it resolved, ascending and distinct
+    /// — each one counted exactly once into the read's `page_hits` or
+    /// `pages_read`.
+    pub fn into_plan(self) -> Vec<u64> {
+        self.pages.into_iter().map(|(page, _)| page).collect()
     }
 }
 
@@ -113,27 +129,6 @@ impl PagedFile {
 
     pub fn clear_cache(&self) {
         self.cache.clear();
-    }
-
-    fn page_runs(&self, ranges: &[ByteRange]) -> Vec<PageRun> {
-        let mut pages = Vec::with_capacity(ranges.len() * 2);
-        for range in ranges {
-            if let Some((first, last)) = range.blocks(self.opts.page_bytes) {
-                pages.extend(first..=last);
-            }
-        }
-        merge_page_runs(&pages)
-    }
-
-    /// The distinct pages backing `ranges`, ascending — the plan
-    /// [`PagedFile::read`] resolves, exposed for the ISP tiers' timing
-    /// models.
-    pub fn plan_pages(&self, ranges: &[ByteRange]) -> Vec<u64> {
-        let mut plan = Vec::new();
-        for run in self.page_runs(ranges) {
-            plan.extend(run.first..run.end());
-        }
-        plan
     }
 
     /// Submits one positioned read per stretch as a single engine batch
@@ -188,17 +183,26 @@ impl PagedFile {
         ranges: &[ByteRange],
         io: &mut StoreStats,
     ) -> Result<StagedPages, StoreError> {
-        let mut pages: HashMap<u64, Arc<[u8]>> = HashMap::new();
+        let mut touched = Vec::with_capacity(ranges.len() * 2);
+        for range in ranges {
+            if let Some((first, last)) = range.blocks(self.opts.page_bytes) {
+                touched.extend(first..=last);
+            }
+        }
         // Classify: a resident page is a hit; a missing one opens a
         // stretch `(first_page, page_count)` that extends while the
-        // cache does not hold the next page of the run.
+        // cache does not hold the next page of the run. Its pages hold
+        // their place in the staging vector as holes — empty, which no
+        // page of a file is — until the stretch is fetched.
+        let hole: Arc<[u8]> = Arc::from([]);
+        let mut pages: Vec<(u64, Arc<[u8]>)> = Vec::new();
         let mut stretches: Vec<(u64, u64)> = Vec::new();
-        for run in self.page_runs(ranges) {
+        for run in merge_page_runs(&touched) {
             let mut p = run.first;
             while p < run.end() {
                 if let Some(buf) = self.cache.get(p) {
                     io.page_hits += 1;
-                    pages.insert(p, buf);
+                    pages.push((p, buf));
                     p += 1;
                     continue;
                 }
@@ -207,24 +211,24 @@ impl PagedFile {
                     q += 1;
                 }
                 stretches.push((p, q - p));
+                pages.extend((p..q).map(|page| (page, Arc::clone(&hole))));
                 p = q;
             }
         }
-        let mut fetched: Vec<(u64, Arc<[u8]>)> = Vec::new();
-        for (&(first, _), result) in stretches.iter().zip(self.fetch(&stretches, io)) {
-            let bufs = result.map_err(|source| StoreError::Io {
+        let mut fetched = Vec::new();
+        for result in self.fetch(&stretches, io) {
+            fetched.extend(result.map_err(|source| StoreError::Io {
                 path: self.path().to_path_buf(),
                 action: "read run",
                 source,
-            })?;
-            for (i, buf) in bufs.into_iter().enumerate() {
-                pages.insert(first + i as u64, Arc::clone(&buf));
-                fetched.push((first + i as u64, buf));
-            }
+            })?);
         }
-        // Ascending page order: stretches were collected run by run.
-        for (page, buf) in fetched {
-            self.cache.insert(page, buf);
+        // Every stretch succeeded: fill the holes and commit, both in
+        // ascending page order.
+        let holes = pages.iter_mut().filter(|(_, buf)| buf.is_empty());
+        for ((page, slot), buf) in holes.zip(fetched) {
+            self.cache.insert(*page, Arc::clone(&buf));
+            *slot = buf;
         }
         Ok(StagedPages {
             pages,
@@ -280,6 +284,15 @@ mod tests {
             range(505, 1_100),
         ];
         for page_bytes in [512u64, 1000, 4096, 16_384] {
+            // The plan, derived independently of `read`: every page a
+            // range touches, once, ascending.
+            let mut plan: Vec<u64> = ranges
+                .iter()
+                .flat_map(|r| r.offset / page_bytes..=(r.offset + r.len - 1) / page_bytes)
+                .collect();
+            plan.sort_unstable();
+            plan.dedup();
+            let planned = plan.len() as u64;
             for cache_pages in [0usize, 1, 64] {
                 let paged = open(&file, 10_001, page_bytes, cache_pages);
                 let mut cold = StoreStats::default();
@@ -290,16 +303,19 @@ mod tests {
                     let want = &bytes[r.offset as usize..(r.offset + r.len) as usize];
                     assert_eq!(got, want, "page {page_bytes} cache {cache_pages} {r:?}");
                 }
-                let planned = paged.plan_pages(&ranges).len() as u64;
+                assert_eq!(staged.into_plan(), plan, "page {page_bytes} cold");
                 assert_eq!(cold.page_hits, 0);
                 assert_eq!(cold.pages_read, planned, "every planned page read once");
                 assert_eq!(cold.page_misses, planned);
                 assert_eq!(cold.host_bytes_transferred, cold.bytes_read);
                 // The short final page is read short, not padded.
                 assert!(cold.bytes_read < planned * page_bytes);
+                // The plan is the same list whatever the cache held.
                 let mut again = StoreStats::default();
-                paged.read(&ranges, &mut again).unwrap();
-                assert_eq!(again.page_hits + again.page_misses, planned);
+                let restaged = paged.read(&ranges, &mut again).unwrap();
+                assert_eq!(restaged.into_plan(), plan, "page {page_bytes} warm");
+                assert_eq!(again.page_hits + again.pages_read, planned);
+                assert_eq!(again.pages_read, again.page_misses);
                 match cache_pages {
                     // No cache: every read goes back to the file.
                     0 => assert_eq!(again, cold),

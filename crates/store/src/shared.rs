@@ -178,32 +178,34 @@ impl SharedFileStore {
         })
     }
 
-    /// The row ranges of `nodes`, in request order; fails on the first
-    /// out-of-range node, before any I/O.
-    fn row_ranges(&self, nodes: &[NodeId]) -> Result<Vec<ByteRange>, StoreError> {
-        nodes.iter().map(|&node| self.row_range(node)).collect()
-    }
-
-    /// The distinct pages backing `nodes`' rows, ascending — the same
-    /// plan `gather_into` resolves, exposed for the ISP tier's timing
-    /// model. Validates row bounds before returning anything.
-    pub(crate) fn plan_pages(&self, nodes: &[NodeId]) -> Result<Vec<u64>, StoreError> {
-        Ok(self.paged.plan_pages(&self.row_ranges(nodes)?))
-    }
-
     /// Gathers the feature rows of `nodes` into `out` (row-major,
     /// `nodes.len() × dim`), returning this call's **exact** counter
     /// deltas — access counts and the I/O it caused. The caller (a
     /// [`StoreHandle`](crate::StoreHandle)) owns where those deltas
     /// accumulate; the shared store keeps no per-caller state.
     pub fn gather_into(&self, nodes: &[NodeId], out: &mut [f32]) -> Result<StoreStats, StoreError> {
+        Ok(self.gather_planned(nodes, out)?.0)
+    }
+
+    /// [`SharedFileStore::gather_into`], plus the plan of the read it
+    /// executed: the ascending, distinct pages backing `nodes`' rows
+    /// (the ISP tier's timing-model input).
+    pub(crate) fn gather_planned(
+        &self,
+        nodes: &[NodeId],
+        out: &mut [f32],
+    ) -> Result<(StoreStats, Vec<u64>), StoreError> {
         if out.len() != nodes.len() * self.dim {
             return Err(StoreError::BadBuffer {
                 expected: nodes.len() * self.dim,
                 actual: out.len(),
             });
         }
-        let ranges = self.row_ranges(nodes)?;
+        // Fails on the first out-of-range node, before any I/O.
+        let ranges: Vec<ByteRange> = nodes
+            .iter()
+            .map(|&node| self.row_range(node))
+            .collect::<Result<_, _>>()?;
         let mut io = StoreStats::default();
         let staged = self.paged.read(&ranges, &mut io)?;
         let mut row_buf = vec![0u8; self.dim * 4];
@@ -218,7 +220,7 @@ impl SharedFileStore {
         io.gathers = 1;
         io.nodes_gathered = nodes.len() as u64;
         io.feature_bytes = nodes.len() as u64 * self.dim as u64 * 4;
-        Ok(io)
+        Ok((io, staged.into_plan()))
     }
 }
 

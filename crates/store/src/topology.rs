@@ -324,7 +324,7 @@ impl TopologyStore for FileTopology {
 
     fn degrees_into(&mut self, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
         check_out_len(nodes.len(), out)?;
-        let (pairs, io) = self.shared.offset_pairs(nodes)?;
+        let (pairs, io, _) = self.shared.offset_pairs(nodes)?;
         for (slot, (start, end)) in out.iter_mut().zip(pairs) {
             *slot = end - start;
         }
@@ -342,7 +342,7 @@ impl TopologyStore for FileTopology {
         // Two coalesced passes per batch (offset pairs, then edge
         // entries), shared with the ISP tier via
         // [`SharedCsrFile::resolve_picks`].
-        let (targets, _, io) = self.shared.resolve_picks(picks)?;
+        let (targets, io, _) = self.shared.resolve_picks(picks)?;
         out.copy_from_slice(&targets);
         self.stats.accumulate(&io);
         count_answers(&mut self.stats, picks.len() as u64);

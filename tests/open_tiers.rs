@@ -187,6 +187,52 @@ fn every_tier_pair_and_shard_count_matches_the_mem_pair_with_exact_breakdowns() 
 }
 
 #[test]
+fn a_zero_cache_budget_runs_every_device_uncached() {
+    let graph = kronecker(0x0D44);
+    let n = graph.num_nodes();
+    let table = FeatureTable::new(7, 3, 0x2E80);
+    let mut mem = StoreRegistry::new()
+        .open_tiers(
+            &graph,
+            &table,
+            n,
+            &spec(StoreKind::Mem, TopologyKind::Mem, 1),
+        )
+        .unwrap();
+    let want = run_batch(&mut mem, n);
+    let mut published = Vec::new();
+    for (store, topology) in [KINDS[1], KINDS[2]] {
+        for shards in [1usize, 3] {
+            let what = format!("{store:?}/{topology:?} x{shards}");
+            let mut uncached = spec(store, topology, shards);
+            uncached.file.cache_pages = 0;
+            let registry = StoreRegistry::new();
+            let mut tiers = registry.open_tiers(&graph, &table, n, &uncached).unwrap();
+            // Twice: nothing the first batch read is kept for the
+            // second, on the files or in the ISP row scratchpad.
+            for _ in 0..2 {
+                assert_eq!(run_batch(&mut tiers, n), want, "{what} diverged");
+            }
+            for io in [tiers.features.stats(), tiers.topology.stats()] {
+                assert!(io.pages_read > 0, "{what}: {io:?}");
+                assert_eq!((io.page_hits, io.page_misses), (0, io.pages_read), "{what}");
+            }
+            let occupancy = registry.occupancy();
+            assert_eq!(occupancy.len(), 2 * shards, "{what}");
+            for file in &occupancy {
+                assert_eq!(
+                    (file.resident_pages(), file.capacity_pages),
+                    (0, 0),
+                    "{what}"
+                );
+            }
+            published.extend(paths_of(&registry));
+        }
+    }
+    remove_published(published);
+}
+
+#[test]
 fn reopening_the_same_keys_with_different_options_is_an_options_conflict() {
     let graph = kronecker(0x0B22);
     let n = graph.num_nodes();
