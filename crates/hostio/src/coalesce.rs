@@ -33,9 +33,10 @@ impl PageRun {
 /// The input may be unsorted and may contain duplicates (overlapping
 /// requests from different rows of a batch gather); the output is the
 /// minimal set of disjoint runs covering every requested page. An empty
-/// input yields no runs. This is the host-side analogue of the NVMe
-/// command coalescing above: a batch feature gather plans all the pages
-/// it needs, merges them, and issues one read per run.
+/// input yields no runs. A strictly ascending input is walked as it
+/// stands; any other is copied and sorted first. This is the host-side
+/// analogue of the NVMe command coalescing above: a batch feature gather
+/// plans all the pages it needs, merges them, and issues one read per run.
 ///
 /// # Example
 ///
@@ -48,11 +49,17 @@ impl PageRun {
 /// );
 /// ```
 pub fn merge_page_runs(pages: &[u64]) -> Vec<PageRun> {
-    let mut sorted: Vec<u64> = pages.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
+    let mut owned = Vec::new();
+    let sorted = if pages.windows(2).all(|w| w[0] < w[1]) {
+        pages
+    } else {
+        owned.extend_from_slice(pages);
+        owned.sort_unstable();
+        owned.dedup();
+        &owned
+    };
     let mut runs: Vec<PageRun> = Vec::new();
-    for page in sorted {
+    for &page in sorted {
         match runs.last_mut() {
             Some(run) if run.end() == page => run.count += 1,
             _ => runs.push(PageRun {

@@ -36,7 +36,10 @@
 //! layer over the same crate-private `PagedFile` (`paged.rs`). The
 //! file is opened once per registry; a batch of offset or edge entries
 //! becomes byte ranges (pure address arithmetic) that the paged read
-//! path resolves through its lock-striped page cache. Every operation
+//! path resolves through its lock-striped page cache, and the entries
+//! decode straight out of the staged pages into the caller's output. A
+//! pick batch reads one offset pair per maximal run of equal consecutive
+//! parents and checks every pick of the run against it. Every operation
 //! takes `&self` and returns its exact per-call I/O deltas, which the
 //! caller's [`FileTopology`](crate::FileTopology) handle accumulates
 //! into scoped counters.
@@ -358,28 +361,30 @@ impl SharedCsrFile {
         Ok(())
     }
 
-    /// Resolves `ranges` (each one or two whole u64 entries) to their
-    /// LE values through the paged read path, returning them beside
-    /// the read's plan — the ascending, distinct pages it resolved; an
-    /// entry may straddle a page boundary under odd page sizes.
-    fn read_entries(
+    /// Resolves `ranges` (each `N` whole u64 entries) through the paged
+    /// read path and hands `each` the range's index and LE values, in
+    /// request order (an entry may straddle a page boundary under odd
+    /// page sizes). Returns the read's plan — the ascending, distinct
+    /// pages it resolved.
+    fn read_entries<const N: usize>(
         &self,
         ranges: &[ByteRange],
         io: &mut StoreStats,
-    ) -> Result<(Vec<u64>, Vec<u64>), StoreError> {
-        let staged = self.paged.read(ranges, io)?;
-        let mut out = Vec::with_capacity(ranges.len() * 2);
-        let mut buf = [0u8; 2 * GRAPH_ENTRY_BYTES as usize];
-        let mut entry = [0u8; GRAPH_ENTRY_BYTES as usize];
-        for &range in ranges {
-            let bytes = &mut buf[..range.len as usize];
-            staged.copy_range(range, bytes);
-            for raw in bytes.chunks_exact(entry.len()) {
-                entry.copy_from_slice(raw);
-                out.push(u64::from_le_bytes(entry));
+        mut each: impl FnMut(usize, [u64; N]) -> Result<(), StoreError>,
+    ) -> Result<Vec<u64>, StoreError> {
+        let mut staged = self.paged.read(ranges, io)?;
+        let mut spill = [0u8; 2 * GRAPH_ENTRY_BYTES as usize];
+        let mut raw = [0u8; GRAPH_ENTRY_BYTES as usize];
+        for (i, &range) in ranges.iter().enumerate() {
+            let bytes = staged.bytes(range, &mut spill[..raw.len() * N]);
+            let mut entries = [0u64; N];
+            for (entry, chunk) in entries.iter_mut().zip(bytes.chunks_exact(raw.len())) {
+                raw.copy_from_slice(chunk);
+                *entry = u64::from_le_bytes(raw);
             }
+            each(i, entries)?;
         }
-        Ok((out, staged.into_plan()))
+        Ok(staged.into_plan())
     }
 
     /// Reads the `(start, end)` offset pair of every node in `nodes`,
@@ -406,10 +411,8 @@ impl SharedCsrFile {
             })
             .collect();
         let mut io = StoreStats::default();
-        let (entries, plan) = self.read_entries(&ranges, &mut io)?;
         let mut pairs = Vec::with_capacity(nodes.len());
-        for (i, pair) in entries.chunks_exact(2).enumerate() {
-            let (start, end) = (pair[0], pair[1]);
+        let plan = self.read_entries(&ranges, &mut io, |i, [start, end]| {
             if start > end {
                 return Err(self.corrupt(format!(
                     "offsets out of monotone order at node {}: {start} > {end}",
@@ -424,16 +427,21 @@ impl SharedCsrFile {
                 )));
             }
             pairs.push((start, end));
-        }
+            Ok(())
+        })?;
         Ok((pairs, io, plan))
     }
 
-    /// Reads the neighbor ids at absolute edge indices `edges`,
-    /// returning the ids, this call's exact **I/O** deltas (access
-    /// counters belong to the caller) and the read's plan, as
-    /// [`SharedCsrFile::offset_pairs`] does. Indices must already be
-    /// validated against the owning node's offset pair.
-    fn edge_targets(&self, edges: &[u64]) -> Result<Planned<Vec<NodeId>>, StoreError> {
+    /// Reads the neighbor ids at absolute edge indices `edges` into
+    /// `out` (`out.len() == edges.len()`), returning this call's exact
+    /// **I/O** deltas (access counters belong to the caller) and the
+    /// read's plan, as [`SharedCsrFile::offset_pairs`] does. Indices
+    /// must already be validated against the owning node's offset pair.
+    fn edge_targets(
+        &self,
+        edges: &[u64],
+        out: &mut [NodeId],
+    ) -> Result<(StoreStats, Vec<u64>), StoreError> {
         for &e in edges {
             if e >= self.num_edges {
                 return Err(self.corrupt(format!(
@@ -450,46 +458,50 @@ impl SharedCsrFile {
             })
             .collect();
         let mut io = StoreStats::default();
-        let (entries, plan) = self.read_entries(&ranges, &mut io)?;
-        let mut out = Vec::with_capacity(edges.len());
-        for (i, &raw) in entries.iter().enumerate() {
+        let plan = self.read_entries(&ranges, &mut io, |i, [raw]| {
             if raw >= self.num_nodes as u64 {
                 return Err(self.corrupt(format!(
                     "neighbor id {raw} at edge index {} is past the {}-node bound",
                     edges[i], self.num_nodes
                 )));
             }
-            out.push(NodeId::new(raw as u32));
-        }
-        Ok((out, io, plan))
+            out[i] = NodeId::new(raw as u32);
+            Ok(())
+        })?;
+        Ok((io, plan))
     }
 
-    /// Resolves `(node, position)` picks end to end: the picked
-    /// nodes' offset pairs locate (and validate) their slices, then
-    /// the picked edge entries resolve in one run-merged read.
-    /// Returns the neighbor ids, the combined exact I/O deltas and the
-    /// batch's plan: the offset read's pages, then the edge read's.
-    /// Shared by [`FileTopology`](crate::FileTopology) and
+    /// Resolves `(node, position)` picks end to end into `out`
+    /// (`out.len() == picks.len()`): one offset pair per maximal run
+    /// of equal consecutive nodes locates and validates that run's
+    /// picks, then the picked edge entries resolve in one read.
+    /// Returns the combined exact I/O deltas and the batch's plan: the
+    /// offset read's pages, then the edge read's. Shared by
+    /// [`FileTopology`](crate::FileTopology) and
     /// [`IspSampleTopology`](crate::IspSampleTopology) so the two
     /// tiers' validation and error wording can never drift.
     pub(crate) fn resolve_picks(
         &self,
         picks: &[(NodeId, u64)],
-    ) -> Result<Planned<Vec<NodeId>>, StoreError> {
-        let nodes: Vec<NodeId> = picks.iter().map(|&(n, _)| n).collect();
-        let (pairs, mut io, mut plan) = self.offset_pairs(&nodes)?;
+        out: &mut [NodeId],
+    ) -> Result<(StoreStats, Vec<u64>), StoreError> {
+        let same_parent = |a: &(NodeId, u64), b: &(NodeId, u64)| a.0 == b.0;
+        let parents: Vec<NodeId> = picks.chunk_by(same_parent).map(|run| run[0].0).collect();
+        let (pairs, mut io, mut plan) = self.offset_pairs(&parents)?;
         let mut edges = Vec::with_capacity(picks.len());
-        for (&(node, k), &(start, end)) in picks.iter().zip(&pairs) {
-            if k >= end - start {
-                return Err(StoreError::PickOutOfRange {
-                    node,
-                    position: k,
-                    degree: end - start,
-                });
+        for (run, &(start, end)) in picks.chunk_by(same_parent).zip(&pairs) {
+            for &(node, k) in run {
+                if k >= end - start {
+                    return Err(StoreError::PickOutOfRange {
+                        node,
+                        position: k,
+                        degree: end - start,
+                    });
+                }
+                edges.push(start + k);
             }
-            edges.push(start + k);
         }
-        let (targets, edge_io, edge_plan) = self.edge_targets(&edges)?;
+        let (edge_io, edge_plan) = self.edge_targets(&edges, out)?;
         io.accumulate(&edge_io);
         // The edge array begins where the offset array ends, so the two
         // plans concatenate ascending. A page size that does not divide
@@ -497,7 +509,7 @@ impl SharedCsrFile {
         // page, which both reads may have resolved: it is kept once.
         let shared = plan.last().is_some_and(|p| edge_plan.first() == Some(p));
         plan.extend_from_slice(&edge_plan[usize::from(shared)..]);
-        Ok((targets, io, plan))
+        Ok((io, plan))
     }
 
     // Read-ahead is gone; this stub leaves with its last caller
@@ -547,7 +559,8 @@ mod tests {
             }
         }
         let edges: Vec<u64> = picks.iter().map(|&(_, e)| e).collect();
-        let (targets, _, _) = shared.edge_targets(&edges).unwrap();
+        let mut targets = vec![NodeId::default(); edges.len()];
+        shared.edge_targets(&edges, &mut targets).unwrap();
         let mut want = Vec::new();
         for node in g.node_ids() {
             want.extend_from_slice(g.neighbors(node));
@@ -578,15 +591,32 @@ mod tests {
 
     #[test]
     fn odd_page_sizes_resolve_identically() {
-        let g = graph(64, 0xC);
+        let g = graph(300, 0xC);
         let file = write_graph("pagesizes", &g);
-        let nodes: Vec<NodeId> = [63u32, 0, 17, 17, 5].map(NodeId::new).to_vec();
-        let want = SharedCsrFile::open(file.path())
-            .unwrap()
-            .offset_pairs(&nodes)
-            .unwrap()
-            .0;
-        for page_bytes in [512u64, 1024, 4096, 16384] {
+        let degree_one = g.node_ids().find(|&n| g.degree(n) == 1).unwrap();
+        let hub = g.node_ids().max_by_key(|&n| g.degree(n)).unwrap();
+        assert!(g.degree(hub) >= 3);
+        // Every node in id order, then stragglers: repeats, a descent,
+        // and the nodes whose pair a page boundary below splits.
+        let mut nodes: Vec<NodeId> = g.node_ids().collect();
+        nodes.extend([299u32, 0, 63, 63, 113, 112, 0].map(NodeId::new));
+        // Every pick of every node, grouped per parent; then the hub
+        // interleaved with another parent (A, B, A), repeated in a
+        // second run of its own, and a degree-1 parent.
+        let mut picks: Vec<(NodeId, u64)> = g
+            .node_ids()
+            .flat_map(|n| (0..g.degree(n)).map(move |k| (n, k)))
+            .collect();
+        picks.extend([(hub, 0), (degree_one, 0), (hub, 2), (hub, 1), (hub, 1)]);
+        let want_pairs: Vec<(u64, u64)> = nodes
+            .iter()
+            .map(|&n| (edge_offset(&g, n.index()), edge_offset(&g, n.index() + 1)))
+            .collect();
+        let want_targets: Vec<NodeId> = picks.iter().map(|&(n, k)| g.neighbor(n, k)).collect();
+        // 1001 splits 8-byte entries (offset entry 113, edge entries),
+        // 4100 splits offset entry 0, 512 splits node 63's pair between
+        // its two entries.
+        for page_bytes in [512u64, 1001, 1024, 4096, 4100, 16384] {
             let shared = SharedCsrFile::open_with(
                 file.path(),
                 FileStoreOptions {
@@ -598,10 +628,33 @@ mod tests {
             .unwrap();
             assert_eq!(
                 shared.offset_pairs(&nodes).unwrap().0,
-                want,
+                want_pairs,
                 "page size {page_bytes} diverged"
             );
+            let mut targets = vec![NodeId::default(); picks.len()];
+            shared.resolve_picks(&picks, &mut targets).unwrap();
+            assert_eq!(targets, want_targets, "page size {page_bytes} diverged");
         }
+    }
+
+    #[test]
+    fn a_bad_position_inside_a_run_names_its_pick_and_counts_nothing() {
+        use crate::{FileTopology, TopologyStore};
+        let g = graph(120, 0x10);
+        let file = write_graph("midrun", &g);
+        let hub = g.node_ids().max_by_key(|&n| g.degree(n)).unwrap();
+        let degree = g.degree(hub);
+        let other = g.node_ids().find(|&n| n != hub && g.degree(n) > 0).unwrap();
+        let mut topology = FileTopology::open(file.path()).unwrap();
+        let picks = [(other, 0), (hub, 0), (hub, degree), (hub, 1)];
+        let mut out = [NodeId::default(); 4];
+        let err = topology.pick_neighbors_into(&picks, &mut out).unwrap_err();
+        assert!(
+            matches!(err, StoreError::PickOutOfRange { node, position, degree: d }
+                if node == hub && position == degree && d == degree),
+            "{err}"
+        );
+        assert_eq!(topology.stats(), StoreStats::default());
     }
 
     #[test]

@@ -142,6 +142,13 @@ impl RowScratchpad {
         }
         inner.rows.insert(node.raw(), row);
     }
+
+    /// Drops every resident row, keeping capacity.
+    pub fn clear(&self) {
+        let mut inner = self.inner.safe_lock();
+        inner.order.clear();
+        inner.rows.clear();
+    }
 }
 
 /// Tuning knobs for the ISP gather tier (on top of the file geometry,

@@ -161,8 +161,7 @@ impl TopologyStore for IspSampleTopology {
         // the slices, edge entries resolve the picks (shared with the
         // file tier via [`SharedCsrFile::resolve_picks`]), and only
         // the dense sampled-id list is DMAed back.
-        let (targets, io, pages) = self.shared.resolve_picks(picks)?;
-        out.copy_from_slice(&targets);
+        let (io, pages) = self.shared.resolve_picks(picks, out)?;
         // One device pass covers the pages of both the offset walk and
         // the edge reads (firmware chains them without surfacing to the
         // host).

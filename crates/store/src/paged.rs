@@ -15,7 +15,10 @@
 //!
 //! 1. **Plan** — the distinct pages the ranges touch, merged into
 //!    maximal contiguous runs ([`merge_page_runs`]); pure address
-//!    arithmetic.
+//!    arithmetic. A range inside the page just listed lists nothing
+//!    and an ascending list is not sorted, so grouped picks and sorted
+//!    rows pay per page here, not per range — exploited, never
+//!    required: any order sorts and dedups to the same runs.
 //! 2. **Classify** — walking the runs in ascending order, resident
 //!    pages are hits (promoted, and staged as `Arc` clones so a
 //!    concurrent eviction can never invalidate bytes mid-assembly);
@@ -27,6 +30,9 @@
 //!    bit-identical to reading the stretches serially.
 //! 4. **Commit** — fetched pages enter the cache in ascending page
 //!    order.
+//!
+//! Decoding pays per range, inside one page: [`StagedPages::bytes`]
+//! searches the staged pages only when a range leaves its cursor's page.
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
@@ -37,8 +43,7 @@ use smartsage_hostio::{
 use std::path::Path;
 use std::sync::Arc;
 
-/// What a format layer hands back for one request: the decoded values,
-/// the call's exact I/O deltas, and the plan of the read(s) it ran.
+/// Decoded values, the call's exact I/O deltas, and the read's plan.
 pub(crate) type Planned<T> = (T, StoreStats, Vec<u64>);
 
 /// An open file read page-wise through a shared cache (module docs).
@@ -52,31 +57,47 @@ pub(crate) struct PagedFile {
 }
 
 /// The pages one [`PagedFile::read`] resolved — `(page number, bytes)`,
-/// ascending and distinct — held by `Arc` until the format layer has
-/// copied what it needs out of them.
+/// ascending and distinct — held by `Arc` while the format layer decodes
+/// them, and `at`, the index of the page the previous range resolved to.
 #[derive(Debug)]
 pub(crate) struct StagedPages {
     pages: Vec<(u64, Arc<[u8]>)>,
     page_bytes: u64,
+    at: usize,
 }
 
 impl StagedPages {
-    /// Copies the bytes of `range` into `out` (`out.len() ==
-    /// range.len`); the range may straddle page boundaries. `range`
-    /// must be one of the ranges the read was planned from, so its
-    /// pages are staged, and staged next to each other.
-    pub fn copy_range(&self, range: ByteRange, out: &mut [u8]) {
-        let first = range.offset / self.page_bytes;
-        let mut at = self.pages.partition_point(|&(page, _)| page < first);
-        let mut done = 0;
-        while done < out.len() {
-            let (page, src) = &self.pages[at];
-            let lo = (range.offset + done as u64 - page * self.page_bytes) as usize;
-            let n = (src.len() - lo).min(out.len() - done);
-            out[done..done + n].copy_from_slice(&src[lo..lo + n]);
-            done += n;
-            at += 1;
+    /// The bytes of `range`: a slice of its staged page when it lies
+    /// within one (searched for only if it is not the previous range's),
+    /// otherwise copied across the boundary into `spill` (`spill.len()
+    /// == range.len`). `range` must be one of the ranges the read was
+    /// planned from, so its pages are staged, and staged side by side.
+    pub fn bytes<'a>(&'a mut self, range: ByteRange, spill: &'a mut [u8]) -> &'a [u8] {
+        if range.len == 0 {
+            return &[];
         }
+        let pb = self.page_bytes;
+        let cursor = self.pages[self.at].0 * pb;
+        if !(cursor..cursor + pb).contains(&range.offset) {
+            let first = range.offset / pb;
+            self.at = self.pages.partition_point(|&(page, _)| page < first);
+        }
+        let (page, src) = &self.pages[self.at];
+        let lo = (range.offset - page * pb) as usize;
+        if let Some(within) = src.get(lo..lo + range.len as usize) {
+            return within;
+        }
+        let mut done = 0;
+        while done < spill.len() {
+            let (page, src) = &self.pages[self.at];
+            let lo = (range.offset + done as u64 - page * pb) as usize;
+            let n = (src.len() - lo).min(spill.len() - done);
+            spill[done..done + n].copy_from_slice(&src[lo..lo + n]);
+            done += n;
+            self.at += 1;
+        }
+        self.at -= 1;
+        spill
     }
 
     /// The read's plan: every page it resolved, ascending and distinct
@@ -183,10 +204,19 @@ impl PagedFile {
         ranges: &[ByteRange],
         io: &mut StoreStats,
     ) -> Result<StagedPages, StoreError> {
-        let mut touched = Vec::with_capacity(ranges.len() * 2);
+        // A range inside the page just listed costs one compare and
+        // lists nothing; `merge_page_runs` sorts only a list that needs it.
+        let pb = self.opts.page_bytes;
+        let mut touched: Vec<u64> = Vec::new();
+        let mut listed = 0..0;
         for range in ranges {
-            if let Some((first, last)) = range.blocks(self.opts.page_bytes) {
-                touched.extend(first..=last);
+            if listed.start <= range.offset && range.offset + range.len <= listed.end {
+                continue;
+            }
+            if let Some((first, last)) = range.blocks(pb) {
+                let relisted = touched.last() == Some(&first);
+                touched.extend(first + u64::from(relisted)..=last);
+                listed = last * pb..(last + 1) * pb;
             }
         }
         // Classify: a resident page is a hit; a missing one opens a
@@ -232,7 +262,8 @@ impl PagedFile {
         }
         Ok(StagedPages {
             pages,
-            page_bytes: self.opts.page_bytes,
+            page_bytes: pb,
+            at: 0,
         })
     }
 }
@@ -274,36 +305,63 @@ mod tests {
     fn every_page_size_cache_size_and_the_short_final_page_resolve_the_same_bytes() {
         // 10_001 bytes: no page size below divides it, so the final
         // page is always short. The ranges straddle page boundaries,
-        // repeat, run backwards, and end on the file's last byte.
+        // repeat, sit grouped inside one page, run backwards, and end
+        // on the file's last byte.
         let (file, bytes) = patterned("paged-sizes", 10_001);
-        let ranges = [
+        let grouped = vec![
             range(9_991, 10),
             range(0, 7),
             range(4_090, 12),
             range(4_090, 12),
+            range(4_104, 8),
+            range(4_096, 8),
+            range(4_112, 16),
             range(505, 1_100),
+            range(999, 2),
+            range(8_000, 16),
+            range(8_000, 16),
         ];
+        // The same multiset in three more orders: order and grouping
+        // are exploited by the read, never required.
+        let mut sorted = grouped.clone();
+        sorted.sort_by_key(|r| (r.offset, r.len));
+        let reversed: Vec<ByteRange> = sorted.iter().rev().copied().collect();
+        let mut shuffled = grouped.clone();
+        let mut rng = smartsage_sim::Xoshiro256::seed_from_u64(0x5EED);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.range_usize(i + 1));
+        }
+        let orders = [grouped, sorted, reversed, shuffled];
+        // Decodes every range, in the order presented, and checks it.
+        let check = |staged: &mut StagedPages, ranges: &[ByteRange], what: &str| {
+            for &r in ranges {
+                let mut spill = vec![0u8; r.len as usize];
+                let want = &bytes[r.offset as usize..(r.offset + r.len) as usize];
+                assert_eq!(staged.bytes(r, &mut spill), want, "{what} {r:?}");
+            }
+        };
         for page_bytes in [512u64, 1000, 4096, 16_384] {
             // The plan, derived independently of `read`: every page a
             // range touches, once, ascending.
-            let mut plan: Vec<u64> = ranges
+            let mut plan: Vec<u64> = orders[0]
                 .iter()
                 .flat_map(|r| r.offset / page_bytes..=(r.offset + r.len - 1) / page_bytes)
                 .collect();
             plan.sort_unstable();
             plan.dedup();
             let planned = plan.len() as u64;
-            for cache_pages in [0usize, 1, 64] {
+            for (cache_pages, ranges) in [0usize, 1, 64]
+                .into_iter()
+                .flat_map(|c| orders.iter().map(move |o| (c, o)))
+            {
+                let what = format!("page {page_bytes} cache {cache_pages}");
                 let paged = open(&file, 10_001, page_bytes, cache_pages);
                 let mut cold = StoreStats::default();
-                let staged = paged.read(&ranges, &mut cold).unwrap();
-                for r in ranges {
-                    let mut got = vec![0u8; r.len as usize];
-                    staged.copy_range(r, &mut got);
-                    let want = &bytes[r.offset as usize..(r.offset + r.len) as usize];
-                    assert_eq!(got, want, "page {page_bytes} cache {cache_pages} {r:?}");
-                }
-                assert_eq!(staged.into_plan(), plan, "page {page_bytes} cold");
+                let mut staged = paged.read(ranges, &mut cold).unwrap();
+                check(&mut staged, ranges, &what);
+                // The cursor follows any order, not just the read's.
+                check(&mut staged, &orders[0], &what);
+                assert_eq!(staged.into_plan(), plan, "{what} cold");
                 assert_eq!(cold.page_hits, 0);
                 assert_eq!(cold.pages_read, planned, "every planned page read once");
                 assert_eq!(cold.page_misses, planned);
@@ -312,8 +370,9 @@ mod tests {
                 assert!(cold.bytes_read < planned * page_bytes);
                 // The plan is the same list whatever the cache held.
                 let mut again = StoreStats::default();
-                let restaged = paged.read(&ranges, &mut again).unwrap();
-                assert_eq!(restaged.into_plan(), plan, "page {page_bytes} warm");
+                let mut restaged = paged.read(ranges, &mut again).unwrap();
+                check(&mut restaged, ranges, &what);
+                assert_eq!(restaged.into_plan(), plan, "{what} warm");
                 assert_eq!(again.page_hits + again.pages_read, planned);
                 assert_eq!(again.pages_read, again.page_misses);
                 match cache_pages {

@@ -406,10 +406,10 @@ impl StoreRegistry {
         out
     }
 
-    /// Drops every cached page of every open store (the files stay
-    /// open and published). A sweep calls this on its own registry —
-    /// a no-op there, but it is also how tests cold-start the global
-    /// one.
+    /// Drops every cached page of every open store, and every row of
+    /// their ISP scratchpads (the files stay open and published). A
+    /// sweep calls this on its own registry — a no-op there, but it is
+    /// also how tests cold-start the global one.
     pub fn clear_caches(&self) {
         for store in open_files(&self.entries) {
             store.clear_cache();
@@ -724,6 +724,31 @@ mod tests {
         assert!(reg.is_empty());
         // Outstanding Arcs still work after close_all.
         h.gather(&[NodeId::new(1)]).unwrap();
+        let _ = std::fs::remove_file(store.path());
+    }
+
+    #[test]
+    fn clear_caches_reaches_the_isp_row_scratchpad() {
+        use crate::{FeatureStore, IspGatherOptions, IspGatherStore};
+        let reg = StoreRegistry::new();
+        let store = reg
+            .open_feature_table(&table(0xC01D), 40, FileStoreOptions::default())
+            .unwrap();
+        let nodes: Vec<NodeId> = (0..40u32).map(NodeId::new).collect();
+        // A fresh ISP run's counters for one gather of `nodes`.
+        let gather = || {
+            let mut isp = IspGatherStore::over(Arc::clone(&store), IspGatherOptions::default());
+            isp.gather(&nodes).unwrap();
+            let io = isp.stats();
+            (io.host_bytes_transferred, io.device_bytes_read)
+        };
+        let cold = gather();
+        assert!(cold.0 > 0 && cold.1 > 0);
+        assert_eq!(store.isp_scratchpad().len(), 40);
+        assert_eq!(gather(), (0, 0), "resident rows are never re-shipped");
+        reg.clear_caches();
+        assert_eq!(store.isp_scratchpad().len(), 0);
+        assert_eq!(gather(), cold, "a cleared registry starts cold");
         let _ = std::fs::remove_file(store.path());
     }
 

@@ -150,10 +150,14 @@ impl SharedFileStore {
         self.paged.cache_capacity()
     }
 
-    /// Drops every cached page; the next gather starts cold. Counters
-    /// are unaffected (they belong to handles, not the store).
+    /// Drops every cached page and ISP scratchpad row; the next gather
+    /// starts cold on either tier. Counters are unaffected (they belong
+    /// to handles, not the store).
     pub fn clear_cache(&self) {
         self.paged.clear_cache();
+        if let Some(scratchpad) = self.scratchpad.get() {
+            scratchpad.clear();
+        }
     }
 
     // Read-ahead is gone; this stub leaves with its last caller
@@ -207,11 +211,12 @@ impl SharedFileStore {
             .map(|&node| self.row_range(node))
             .collect::<Result<_, _>>()?;
         let mut io = StoreStats::default();
-        let staged = self.paged.read(&ranges, &mut io)?;
-        let mut row_buf = vec![0u8; self.dim * 4];
+        let mut staged = self.paged.read(&ranges, &mut io)?;
+        // `spill` only carries a row that straddles a page boundary.
+        let mut spill = vec![0u8; self.dim * 4];
         for (&range, out_row) in ranges.iter().zip(out.chunks_exact_mut(self.dim)) {
-            staged.copy_range(range, &mut row_buf);
-            for (v, chunk) in out_row.iter_mut().zip(row_buf.chunks_exact(4)) {
+            let row = staged.bytes(range, &mut spill);
+            for (v, chunk) in out_row.iter_mut().zip(row.chunks_exact(4)) {
                 // ssl::allow(SSL001): chunks_exact(4) yields 4-byte
                 // slices by construction.
                 *v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));

@@ -342,8 +342,7 @@ impl TopologyStore for FileTopology {
         // Two coalesced passes per batch (offset pairs, then edge
         // entries), shared with the ISP tier via
         // [`SharedCsrFile::resolve_picks`].
-        let (targets, io, _) = self.shared.resolve_picks(picks)?;
-        out.copy_from_slice(&targets);
+        let (io, _) = self.shared.resolve_picks(picks, out)?;
         self.stats.accumulate(&io);
         count_answers(&mut self.stats, picks.len() as u64);
         Ok(())
