@@ -26,7 +26,6 @@
 
 use crate::error::StoreError;
 use smartsage_graph::{FeatureTable, NodeId};
-use smartsage_hostio::ReadSource;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -114,7 +113,7 @@ pub fn write_feature_shard(
 /// header fields.
 #[derive(Debug)]
 pub(crate) struct RawFeatureFile {
-    pub source: ReadSource,
+    pub file: File,
     pub dim: usize,
     pub num_nodes: usize,
     pub num_classes: usize,
@@ -187,7 +186,7 @@ impl RawFeatureFile {
             });
         }
         Ok(RawFeatureFile {
-            source: ReadSource::new(file, path.to_path_buf()),
+            file,
             dim: dim as usize,
             num_nodes: num_nodes as usize,
             num_classes: num_classes as usize,

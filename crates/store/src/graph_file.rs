@@ -49,9 +49,9 @@ use crate::file::FileStoreOptions;
 use crate::paged::{PagedFile, Planned};
 use crate::StoreStats;
 use smartsage_graph::{CsrGraph, NodeId};
-use smartsage_hostio::{ByteRange, ReadEngine, ReadSource};
+use smartsage_hostio::{ByteRange, ReadEngine};
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -149,7 +149,7 @@ pub fn write_graph_shard(
 /// An opened, validated graph file: the read handle plus header fields.
 #[derive(Debug)]
 pub(crate) struct RawGraphFile {
-    pub source: ReadSource,
+    pub file: File,
     pub num_nodes: usize,
     pub num_edges: u64,
     pub file_len: u64,
@@ -213,18 +213,17 @@ impl RawGraphFile {
                 actual: file_len,
             });
         }
-        // End-point CSR invariants are one positioned read each; the
-        // interior (monotonicity, targets in range) is validated lazily
-        // by the reads that touch it.
+        // End-point CSR invariants are one read each; the interior
+        // (monotonicity, targets in range) is validated lazily by the
+        // reads that touch it.
         let corrupt = |reason: String| StoreError::CorruptGraph {
             path: path.to_path_buf(),
             reason,
         };
-        let source = ReadSource::new(file, path.to_path_buf());
-        let read_u64_at = |offset: u64| -> Result<u64, StoreError> {
+        let mut read_u64_at = |offset: u64| -> Result<u64, StoreError> {
             let mut buf = [0u8; 8];
-            source
-                .read_exact_at(&mut buf, offset)
+            file.seek(SeekFrom::Start(offset))
+                .and_then(|_| file.read_exact(&mut buf))
                 .map_err(io_err("read offsets"))?;
             Ok(u64::from_le_bytes(buf))
         };
@@ -239,7 +238,7 @@ impl RawGraphFile {
             )));
         }
         Ok(RawGraphFile {
-            source,
+            file,
             num_nodes: num_nodes as usize,
             num_edges,
             file_len,
@@ -298,7 +297,7 @@ impl SharedCsrFile {
         let raw = RawGraphFile::open(path)?;
         Ok(SharedCsrFile {
             edge_base: edge_array_base(raw.num_nodes as u64),
-            paged: PagedFile::new(raw.source, raw.file_len, opts, shards, engine),
+            paged: PagedFile::new(raw.file, path, raw.file_len, opts, shards, engine),
             num_nodes: raw.num_nodes,
             num_edges: raw.num_edges,
         })

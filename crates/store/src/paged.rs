@@ -25,8 +25,11 @@
 //!    each maximal stretch of missing pages becomes one positioned
 //!    read and holds its place in the staging vector.
 //! 3. **Fetch** — the whole miss plan goes to the engine as one batch.
-//!    Stretches resolve concurrently across I/O workers, but the
-//!    completion hands results back in submission order, so staging is
+//!    Stretches resolve concurrently across I/O workers, and the worker
+//!    that read a stretch also cut it into this file's pages
+//!    ([`ReadSource::paged`]) — the one copy a fetched byte sees — so
+//!    the reading thread only counts what came back. The completion
+//!    hands results back in submission order, so staging is
 //!    bit-identical to reading the stretches serially.
 //! 4. **Commit** — fetched pages enter the cache in ascending page
 //!    order.
@@ -40,6 +43,7 @@ use crate::StoreStats;
 use smartsage_hostio::{
     merge_page_runs, ByteRange, ReadEngine, ReadRequest, ReadSource, ShardedPageCache,
 };
+use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -109,10 +113,12 @@ impl StagedPages {
 }
 
 impl PagedFile {
-    /// Wraps an open file of exactly `file_len` bytes, striping its
-    /// page cache over `stripes` locks (rounded up to a power of two).
+    /// Wraps an open file of exactly `file_len` bytes whose reads
+    /// complete in `opts.page_bytes` pages, striping its page cache over
+    /// `stripes` locks (rounded up to a power of two).
     pub fn new(
-        source: ReadSource,
+        file: File,
+        path: &Path,
         file_len: u64,
         opts: FileStoreOptions,
         stripes: usize,
@@ -120,7 +126,7 @@ impl PagedFile {
     ) -> PagedFile {
         assert!(opts.page_bytes > 0, "page size must be positive");
         PagedFile {
-            source,
+            source: ReadSource::paged(file, path.to_path_buf(), opts.page_bytes as usize),
             file_len,
             opts,
             cache: ShardedPageCache::new(opts.cache_pages, stripes),
@@ -153,12 +159,13 @@ impl PagedFile {
     }
 
     /// Submits one positioned read per stretch as a single engine batch
-    /// and returns the per-stretch page buffers **in submission order**
-    /// (the file's final page may be short). A successful stretch
-    /// counts into `io` — pages, misses, and bytes, which on this host
-    /// path (Fig 10(a)) the device read from media and shipped to the
-    /// host whole; the ISP tiers re-scope the host side afterwards. A
-    /// failed stretch surfaces as its `Err` slot and counts nothing.
+    /// and forwards the per-stretch pages — cut by the worker that read
+    /// them — **in submission order** (the file's final page may be
+    /// short). A successful stretch counts into `io` — pages, misses,
+    /// and bytes, which on this host path (Fig 10(a)) the device read
+    /// from media and shipped to the host whole; the ISP tiers re-scope
+    /// the host side afterwards. A failed stretch surfaces as its `Err`
+    /// slot and counts nothing.
     fn fetch(
         &self,
         stretches: &[(u64, u64)],
@@ -168,31 +175,27 @@ impl PagedFile {
             return Vec::new();
         }
         let pb = self.opts.page_bytes;
+        let len_of = |first: u64, count: u64| (count * pb).min(self.file_len - first * pb);
         let requests = stretches
             .iter()
-            .map(|&(first, count)| {
-                let start = first * pb;
-                ReadRequest {
-                    source: self.source.clone(),
-                    offset: start,
-                    len: (count * pb).min(self.file_len - start) as usize,
-                }
+            .map(|&(first, count)| ReadRequest {
+                source: self.source.clone(),
+                offset: first * pb,
+                len: len_of(first, count) as usize,
             })
             .collect();
         let results = self.engine.submit(requests).wait();
-        stretches
-            .iter()
-            .zip(results)
-            .map(|(&(_, count), result)| {
-                let buf = result?;
+        for (&(first, count), result) in stretches.iter().zip(&results) {
+            if result.is_ok() {
+                let len = len_of(first, count);
                 io.pages_read += count;
                 io.page_misses += count;
-                io.bytes_read += buf.len() as u64;
-                io.device_bytes_read += buf.len() as u64;
-                io.host_bytes_transferred += buf.len() as u64;
-                Ok(buf.chunks(pb as usize).map(Arc::from).collect())
-            })
-            .collect()
+                io.bytes_read += len;
+                io.device_bytes_read += len;
+                io.host_bytes_transferred += len;
+            }
+        }
+        results
     }
 
     /// Resolves every page `ranges` touch through the cache (module
@@ -283,10 +286,8 @@ mod tests {
 
     fn open(file: &ScratchFile, len: u64, page_bytes: u64, cache_pages: usize) -> PagedFile {
         PagedFile::new(
-            ReadSource::new(
-                std::fs::File::open(file.path()).unwrap(),
-                file.path().to_path_buf(),
-            ),
+            File::open(file.path()).unwrap(),
+            file.path(),
             len,
             FileStoreOptions {
                 page_bytes,
@@ -388,43 +389,51 @@ mod tests {
 
     #[test]
     fn a_failed_stretch_counts_nothing_and_commits_nothing() {
-        // Five pages at open time, truncated to three underneath: the
-        // stretch covering page 4 now fails, the one covering page 0
-        // still succeeds.
-        let (file, _) = patterned("paged-fail", 5 * 512);
-        let paged = open(&file, 5 * 512, 512, 16);
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(file.path())
-            .unwrap()
-            .set_len(3 * 512)
-            .unwrap();
-        let ranges = [range(0, 8), range(4 * 512, 8)];
-        let mut io = StoreStats::default();
-        let err = paged.read(&ranges, &mut io).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreError::Io {
-                    action: "read run",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        assert!(err.to_string().contains(file.path().to_str().unwrap()));
-        // Only the stretch that succeeded was counted, and a failed
-        // read leaves the cache untouched.
-        assert_eq!((io.pages_read, io.bytes_read), (1, 512));
-        assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 0);
-        // A demand read of the surviving page alone lands it, and the
-        // next one hits it without reading.
-        let mut landed = StoreStats::default();
-        paged.read(&[range(0, 8)], &mut landed).unwrap();
-        assert_eq!((landed.pages_read, landed.bytes_read), (1, 512));
-        assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 1);
-        let mut demand = StoreStats::default();
-        paged.read(&[range(0, 8)], &mut demand).unwrap();
-        assert_eq!((demand.page_hits, demand.pages_read), (1, 0));
+        // (pages at open time, pages left after truncating underneath,
+        // the range whose stretch now fails). First a stretch wholly
+        // past the new end; then one 4 MiB stretch cut at 3.5 MiB, so
+        // it fails pieces after a worker's first buffer-full was read
+        // and cut into pages. The stretch covering page 0 succeeds
+        // either way.
+        for (pages, kept, failing) in [
+            (5, 3, range(4 * 512, 8)),
+            (8192, 7168, range(2 * 512, 8190 * 512)),
+        ] {
+            let (file, _) = patterned("paged-fail", pages * 512);
+            let paged = open(&file, pages * 512, 512, 16);
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(file.path())
+                .unwrap()
+                .set_len(kept * 512)
+                .unwrap();
+            let ranges = [range(0, 8), failing];
+            let mut io = StoreStats::default();
+            let err = paged.read(&ranges, &mut io).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StoreError::Io {
+                        action: "read run",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            assert!(err.to_string().contains(file.path().to_str().unwrap()));
+            // Only the stretch that succeeded was counted, and a failed
+            // read leaves the cache untouched.
+            assert_eq!((io.pages_read, io.bytes_read), (1, 512));
+            assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 0);
+            // A demand read of the surviving page alone lands it, and
+            // the next one hits it without reading.
+            let mut landed = StoreStats::default();
+            paged.read(&[range(0, 8)], &mut landed).unwrap();
+            assert_eq!((landed.pages_read, landed.bytes_read), (1, 512));
+            assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 1);
+            let mut demand = StoreStats::default();
+            paged.read(&[range(0, 8)], &mut demand).unwrap();
+            assert_eq!((demand.page_hits, demand.pages_read), (1, 0));
+        }
     }
 }

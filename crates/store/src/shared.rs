@@ -82,7 +82,7 @@ impl SharedFileStore {
     ) -> Result<SharedFileStore, StoreError> {
         let raw = RawFeatureFile::open(path)?;
         Ok(SharedFileStore {
-            paged: PagedFile::new(raw.source, raw.file_len, opts, shards, engine),
+            paged: PagedFile::new(raw.file, path, raw.file_len, opts, shards, engine),
             dim: raw.dim,
             num_nodes: raw.num_nodes,
             num_classes: raw.num_classes,

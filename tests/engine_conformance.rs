@@ -68,15 +68,79 @@ fn replay(store: &SharedFileStore, batches: &[Vec<NodeId>]) -> (Vec<Vec<u32>>, S
     (all_bits, acc.snapshot())
 }
 
+/// Same file, same batches, engines of every width: values
+/// bit-identical to the in-memory reference, the per-call counters
+/// identical across widths, and every job and byte of the engine
+/// accounted for by the caller that asked for it.
+fn gathers_agree_across_widths(
+    num_nodes: usize,
+    dim: usize,
+    seed: u64,
+    opts: FileStoreOptions,
+    batches: &[Vec<NodeId>],
+) -> (StoreStats, u64) {
+    let table = FeatureTable::new(dim, 3, seed);
+    let file = ScratchFile::new("engine-conf");
+    write_feature_file(file.path(), &table, num_nodes).unwrap();
+
+    // In-memory reference.
+    let mut in_mem = InMemoryStore::new(table, num_nodes);
+    let mut reference = Vec::new();
+    for nodes in batches {
+        reference.push(bits(&in_mem.gather(nodes).unwrap()));
+    }
+
+    let mut baseline: Option<(StoreStats, u64)> = None;
+    for workers in WORKER_COUNTS {
+        let engine = Arc::new(ReadEngine::new(workers));
+        let store =
+            SharedFileStore::open_with_engine(file.path(), opts, 4, Arc::clone(&engine)).unwrap();
+        let (got, stats) = replay(&store, batches);
+        let engine = engine.stats();
+        assert_eq!(
+            engine.bytes_read, stats.bytes_read,
+            "the engine read bytes no gather counted (workers={workers})"
+        );
+        assert!(
+            got == reference,
+            "gather diverged from mem (workers={workers}, page={}, cache={})",
+            opts.page_bytes,
+            opts.cache_pages
+        );
+        let (serial_stats, serial_jobs) = baseline.get_or_insert((stats, engine.jobs));
+        assert_eq!(
+            (&stats, engine.jobs),
+            (&*serial_stats, *serial_jobs),
+            "demand stats or job count drifted across engine widths (workers={workers})"
+        );
+    }
+    baseline.expect("at least one engine width")
+}
+
+/// Gathers through engines of every width: random small files and
+/// batches, then one dense batch — every row, ascending, on an empty
+/// cache, so the whole multi-MiB table is a single stretch and a
+/// single job that a worker reads in many pieces.
+#[test]
+fn gathers_are_bit_identical_across_engine_worker_counts() {
+    random_gathers_agree_across_widths();
+    let (num_nodes, dim) = (6_000, 160);
+    let opts = FileStoreOptions {
+        page_bytes: 4096,
+        cache_pages: 8,
+    };
+    let every_row: Vec<NodeId> = (0..num_nodes as u32).map(NodeId::new).collect();
+    let (stats, jobs) = gathers_agree_across_widths(num_nodes, dim, 0xD15E, opts, &[every_row]);
+    assert_eq!(jobs, 1, "a dense ascending gather is one stretch");
+    assert!(stats.bytes_read >= (num_nodes * dim * 4) as u64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Gathers: same file, same batches, engines of every width —
-    /// values bit-identical to the in-memory reference, the per-call
-    /// counters identical across widths, and every byte the engine
-    /// read counted by the caller that asked for it.
-    #[test]
-    fn gathers_are_bit_identical_across_engine_worker_counts(
+    /// The random half of
+    /// `gathers_are_bit_identical_across_engine_worker_counts`.
+    fn random_gathers_agree_across_widths(
         num_nodes in 1usize..180,
         dim in 1usize..40,
         seed in any::<u64>(),
@@ -87,9 +151,6 @@ proptest! {
             1..4,
         ),
     ) {
-        let table = FeatureTable::new(dim, 3, seed);
-        let file = ScratchFile::new("engine-conf");
-        write_feature_file(file.path(), &table, num_nodes).unwrap();
         let opts = FileStoreOptions {
             page_bytes: PAGE_SIZES[page_pick],
             cache_pages,
@@ -98,43 +159,7 @@ proptest! {
             .iter()
             .map(|raw| raw.iter().map(|&r| NodeId::new(r % num_nodes as u32)).collect())
             .collect();
-
-        // In-memory reference.
-        let mut in_mem = InMemoryStore::new(table, num_nodes);
-        let mut reference = Vec::new();
-        for nodes in &batches {
-            reference.push(bits(&in_mem.gather(nodes).unwrap()));
-        }
-
-        let mut baseline: Option<(Vec<Vec<u32>>, StoreStats)> = None;
-        for workers in WORKER_COUNTS {
-            let engine = Arc::new(ReadEngine::new(workers));
-            let store =
-                SharedFileStore::open_with_engine(file.path(), opts, 4, Arc::clone(&engine))
-                    .unwrap();
-            let (got, stats) = replay(&store, &batches);
-            prop_assert_eq!(
-                engine.stats().bytes_read,
-                stats.bytes_read,
-                "the engine read bytes no gather counted (workers={})",
-                workers
-            );
-            prop_assert_eq!(
-                &got,
-                &reference,
-                "gather diverged from mem (workers={}, page={}, cache={})",
-                workers, opts.page_bytes, cache_pages
-            );
-            match &baseline {
-                None => baseline = Some((got, stats)),
-                Some((_, serial_stats)) => prop_assert_eq!(
-                    &stats,
-                    serial_stats,
-                    "demand stats drifted across engine widths (workers={})",
-                    workers
-                ),
-            }
-        }
+        gathers_agree_across_widths(num_nodes, dim, seed, opts, &batches);
     }
 
     /// The sharded scatter/gather layer over engines of every width:
