@@ -153,23 +153,22 @@ impl GraphSageModel {
 
         // Layer 1 on hop-1 nodes.
         let n1_mean = x2.group_mean(m * s1, s2);
-        let mut h1 = x1
-            .matmul(&self.w1_self)
-            .add(&n1_mean.matmul(&self.w1_neigh));
+        let mut h1 = x1.matmul(&self.w1_self);
+        h1.add_scaled_inplace(&n1_mean.matmul(&self.w1_neigh), 1.0);
         h1.add_bias_inplace(&self.b1);
         let mask1 = h1.relu_inplace();
 
         // Layer 1 on targets (their neighbors are the hop-1 nodes).
         let t_mean = x1.group_mean(m, s1);
-        let mut ht = x0.matmul(&self.w1_self).add(&t_mean.matmul(&self.w1_neigh));
+        let mut ht = x0.matmul(&self.w1_self);
+        ht.add_scaled_inplace(&t_mean.matmul(&self.w1_neigh), 1.0);
         ht.add_bias_inplace(&self.b1);
         let mask_t = ht.relu_inplace();
 
         // Layer 2 on targets.
         let h1_mean = h1.group_mean(m, s1);
-        let mut h2 = ht
-            .matmul(&self.w2_self)
-            .add(&h1_mean.matmul(&self.w2_neigh));
+        let mut h2 = ht.matmul(&self.w2_self);
+        h2.add_scaled_inplace(&h1_mean.matmul(&self.w2_neigh), 1.0);
         h2.add_bias_inplace(&self.b2);
         let mask2 = h2.relu_inplace();
 

@@ -1,10 +1,36 @@
 //! Minimal dense-matrix kernel set for GraphSAGE training.
 //!
 //! Row-major `f32` matrices with exactly the operations the SAGE layers
-//! need. No BLAS dependency: the matrices in play (thousands of rows,
-//! tens-to-hundreds of columns) are comfortably handled by a blocked
-//! triple loop, and keeping the kernels local makes the backward-pass
-//! tests (numeric gradient checking) self-contained.
+//! need. No BLAS dependency: the matrices in play are thousands of rows
+//! by tens-to-hundreds of columns, and keeping the kernels local makes
+//! the backward-pass tests (numeric gradient checking) self-contained.
+//!
+//! # Dense kernels
+//!
+//! [`Matrix::matmul`] and [`Matrix::t_matmul`] are one accumulator
+//! kernel: for one output row, a block of 32 columns (then 8, then a
+//! plain loop for the last < 8) is held in a fixed-size array — which
+//! the compiler keeps in vector registers — for the whole reduction, so
+//! a step loads one scalar and one block of the right-hand row and
+//! stores nothing. `t_matmul` walks its reduction in slabs of 64 rows
+//! so both inputs' slabs stay in L1 while every output row sweeps them,
+//! the accumulators resuming from the output between slabs. Safe Rust,
+//! default target features, no FMA.
+//!
+//! **Summation order is a contract**: every output element is the sum
+//! of its products in ascending reduction index, starting from `+0.0`,
+//! one rounding per multiply and per add. Blocking only changes which
+//! *elements* are worked on together, never the order within one, so
+//! results are bit-for-bit those of the textbook triple loop — the
+//! tests compare `to_bits()` against that loop over ragged shapes, and
+//! `trainer`'s tests pin a six-step loss trajectory. Training through
+//! any store tier reproduces the same losses because of it.
+//!
+//! Zero operands are not skipped. For finite inputs skipping them would
+//! change no bit (a sum that starts at `+0.0` can never become `-0.0`,
+//! so adding a `±0.0` product is the identity) and costs a mispredicted
+//! branch per ReLU output; a non-finite operand therefore always
+//! propagates — `0.0 · inf` is NaN, whichever side the zero is on.
 
 use smartsage_sim::Xoshiro256;
 
@@ -128,18 +154,12 @@ impl Matrix {
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
+        if self.cols == 0 || other.cols == 0 {
+            return out;
+        }
+        let arows = self.data.chunks_exact(self.cols);
+        for (arow, orow) in arows.zip(out.data.chunks_exact_mut(other.cols)) {
+            accumulate_row(orow, arow.iter(), &other.data);
         }
         out
     }
@@ -148,17 +168,20 @@ impl Matrix {
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            for i in 0..self.cols {
-                let a = self.data[r * self.cols + i];
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[r * other.cols..(r + 1) * other.cols];
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
+        if self.cols == 0 || other.cols == 0 {
+            return out;
+        }
+        // The reduction runs over the rows of both inputs; a slab of
+        // `REDUCTION_ROWS` of them is swept once per output row while it
+        // is still in L1, the accumulators resuming from `out`.
+        let aslabs = self.data.chunks(REDUCTION_ROWS * self.cols);
+        for (aslab, bslab) in aslabs.zip(other.data.chunks(REDUCTION_ROWS * other.cols)) {
+            for (i, orow) in out.data.chunks_exact_mut(other.cols).enumerate() {
+                accumulate_row(
+                    orow,
+                    aslab.chunks_exact(self.cols).map(|arow| &arow[i]),
+                    bslab,
+                );
             }
         }
         out
@@ -182,26 +205,6 @@ impl Matrix {
         out
     }
 
-    /// Elementwise sum with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// `self += other * scale` (used by SGD).
     pub fn add_scaled_inplace(&mut self, other: &Matrix, scale: f32) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -217,35 +220,33 @@ impl Matrix {
     /// Panics if `bias.len() != cols`.
     pub fn add_bias_inplace(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        for r in 0..self.rows {
-            for (c, &b) in bias.iter().enumerate() {
-                self.data[r * self.cols + c] += b;
+        if self.cols == 0 {
+            return;
+        }
+        for row in self.data.chunks_exact_mut(self.cols) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
             }
         }
     }
 
     /// In-place ReLU; returns the activation mask for the backward pass.
+    /// Anything that is not `> 0.0` (negatives, `-0.0`, NaN) becomes
+    /// `+0.0` with a `false` mask.
     pub fn relu_inplace(&mut self) -> Vec<bool> {
-        self.data
-            .iter_mut()
-            .map(|v| {
-                if *v > 0.0 {
-                    true
-                } else {
-                    *v = 0.0;
-                    false
-                }
-            })
-            .collect()
+        let mut mask = vec![false; self.data.len()];
+        for (v, m) in self.data.iter_mut().zip(&mut mask) {
+            *m = *v > 0.0;
+            *v = keep_if(*m, *v);
+        }
+        mask
     }
 
     /// Masks a gradient by a ReLU activation mask (backward of ReLU).
     pub fn relu_backward_inplace(&mut self, mask: &[bool]) {
         assert_eq!(mask.len(), self.data.len());
         for (v, &m) in self.data.iter_mut().zip(mask) {
-            if !m {
-                *v = 0.0;
-            }
+            *v = keep_if(m, *v);
         }
     }
 
@@ -300,6 +301,66 @@ impl Matrix {
     }
 }
 
+/// `v` where `keep`, `+0.0` elsewhere — a bit mask, not a branch: the
+/// ReLU passes see coin-flip signs, and the loops around this vectorize.
+#[inline(always)]
+fn keep_if(keep: bool, v: f32) -> f32 {
+    f32::from_bits(v.to_bits() & (keep as u32).wrapping_neg())
+}
+
+/// Reduction rows per [`Matrix::t_matmul`] slab: 64 rows of a 128-wide
+/// and a 64-wide input are 48 KiB, swept once per output row.
+const REDUCTION_ROWS: usize = 64;
+
+/// `orow[j] += Σₖ scalars[k] · b[k][j]` for every column `j` of one
+/// output row; `b` is row-major, `orow.len()` columns wide, one row per
+/// scalar. Columns go 32 at a time, then 8 at a time (the serving
+/// model's 8 classes, training's 16), and what is left (< 8) by the
+/// plain row loop — every column is summed in ascending `k` either way.
+fn accumulate_row<'a>(orow: &mut [f32], scalars: impl Iterator<Item = &'a f32> + Clone, b: &[f32]) {
+    let n = orow.len();
+    let mut j0 = 0;
+    while n - j0 >= 32 {
+        accumulate_block::<32>(&mut orow[j0..j0 + 32], scalars.clone(), b, n, j0);
+        j0 += 32;
+    }
+    while n - j0 >= 8 {
+        accumulate_block::<8>(&mut orow[j0..j0 + 8], scalars.clone(), b, n, j0);
+        j0 += 8;
+    }
+    if j0 < n {
+        let tail = &mut orow[j0..];
+        for (&a, brow) in scalars.zip(b.chunks_exact(n)) {
+            for (o, &bv) in tail.iter_mut().zip(&brow[j0..]) {
+                *o += a * bv;
+            }
+        }
+    }
+}
+
+/// One `1 × W` block of [`accumulate_row`]: the `W` partial sums live in
+/// a fixed-size array — registers, once the inner loop is unrolled — for
+/// the whole reduction, so each step loads `W` lanes of `b` and stores
+/// nothing.
+#[inline(always)]
+fn accumulate_block<'a, const W: usize>(
+    out: &mut [f32],
+    scalars: impl Iterator<Item = &'a f32>,
+    b: &[f32],
+    n: usize,
+    j0: usize,
+) {
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(out);
+    for (&a, brow) in scalars.zip(b.chunks_exact(n)) {
+        let lanes: &[f32; W] = brow[j0..j0 + W].try_into().expect("W columns of b");
+        for (o, &bv) in acc.iter_mut().zip(lanes) {
+            *o += a * bv;
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
 /// Softmax cross-entropy over rows: returns `(mean_loss, dlogits)`.
 ///
 /// # Panics
@@ -330,6 +391,140 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The triple loops — zero-skip included — that the kernels must
+    /// equal bit for bit.
+    fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for k in 0..a.cols {
+                let av = a.data[i * a.cols + k];
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = &b.data[k * b.cols..(k + 1) * b.cols];
+                let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    fn t_matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        for r in 0..a.rows {
+            for i in 0..a.cols {
+                let av = a.data[r * a.cols + i];
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = &b.data[r * b.cols..(r + 1) * b.cols];
+                let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// Random values with exact `0.0` and `-0.0` entries mixed in and
+    /// every third row zero throughout — what a ReLU output and a
+    /// masked gradient look like.
+    fn ragged(rows: usize, cols: usize, rng: &mut Xoshiro256) -> Matrix {
+        let mut m = Matrix::randn(rows, cols, rng);
+        for (i, v) in m.data.iter_mut().enumerate() {
+            match rng.next_u64() % 8 {
+                0 | 1 => *v = 0.0,
+                2 => *v = -0.0,
+                _ => {}
+            }
+            if cols > 0 && (i / cols) % 3 == 2 {
+                *v = 0.0;
+            }
+        }
+        m
+    }
+
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!((got.rows, got.cols), (want.rows, want.cols), "{what}");
+        for (i, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn products_equal_the_reference_loops_bit_for_bit() {
+        let mut rng = Xoshiro256::seed_from_u64(18);
+        for rows in [0, 1, 3, 64, 193] {
+            for inner in [0, 1, 63, 64, 65, 128] {
+                for cols in [0, 1, 3, 8, 16, 31, 32, 33, 64, 65] {
+                    let b = ragged(inner, cols, &mut rng);
+                    let a = ragged(rows, inner, &mut rng);
+                    let what = format!("matmul {rows}x{inner}x{cols}");
+                    assert_same_bits(&a.matmul(&b), &matmul_reference(&a, &b), &what);
+                    // The reduction of `t_matmul` runs over the rows of
+                    // both inputs: `inner` crosses its 64-row slabs.
+                    let at = ragged(inner, rows, &mut rng);
+                    let what = format!("t_matmul {rows}x{inner}x{cols}");
+                    assert_same_bits(&at.t_matmul(&b), &t_matmul_reference(&at, &b), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn elementwise_passes_equal_their_branchy_references() {
+        let mut rng = Xoshiro256::seed_from_u64(19);
+        for (rows, cols) in [(0, 0), (3, 0), (0, 5), (1, 1), (7, 1), (5, 3), (193, 65)] {
+            let mut x = ragged(rows, cols, &mut rng);
+            let specials = [-1.5, -0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (v, s) in x.data.iter_mut().zip(specials) {
+                *v = s;
+            }
+
+            let mut got = x.clone();
+            let mask = got.relu_inplace();
+            let mut want = x.clone();
+            let want_mask: Vec<bool> = want
+                .data
+                .iter_mut()
+                .map(|v| {
+                    if *v > 0.0 {
+                        true
+                    } else {
+                        *v = 0.0;
+                        false
+                    }
+                })
+                .collect();
+            assert_eq!(mask, want_mask, "relu mask {rows}x{cols}");
+            assert_same_bits(&got, &want, "relu values");
+
+            let mut got = x.clone();
+            got.relu_backward_inplace(&mask);
+            let mut want = x.clone();
+            for (v, &m) in want.data.iter_mut().zip(&mask) {
+                if !m {
+                    *v = 0.0;
+                }
+            }
+            assert_same_bits(&got, &want, "relu backward");
+
+            let bias = ragged(1, cols, &mut rng).data;
+            let mut got = x.clone();
+            got.add_bias_inplace(&bias);
+            let mut want = x.clone();
+            for r in 0..rows {
+                for (c, &b) in bias.iter().enumerate() {
+                    want.data[r * cols + c] += b;
+                }
+            }
+            assert_same_bits(&got, &want, "add bias");
+        }
+    }
 
     #[test]
     fn matmul_matches_by_hand() {
@@ -454,8 +649,6 @@ mod tests {
         let g = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
         m.add_scaled_inplace(&g, -0.5);
         assert_eq!(m.row(0), &[0.5, 1.5]);
-        let s = m.add(&g);
-        assert_eq!(s.row(0), &[1.5, 2.5]);
     }
 
     #[test]

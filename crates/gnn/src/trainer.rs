@@ -218,6 +218,58 @@ mod tests {
         assert!(acc > 0.5, "accuracy {acc} should beat 0.25 chance easily");
     }
 
+    /// The loss of each of six steps, bit for bit, at `fit_mem`'s layer
+    /// widths (128/64/64/16, fan-outs 25/10) on a 2 000-node graph; the
+    /// constants are those of the textbook triple-loop kernels. Every
+    /// output element of a product is summed in ascending reduction
+    /// order from `+0.0`, and a kernel edit that reorders a sum moves
+    /// these bits at the step named in the failure.
+    #[test]
+    fn loss_trajectory_is_pinned_bit_for_bit() {
+        const PINNED: [u32; 6] = [
+            0x402e_e59b,
+            0x402b_7c49,
+            0x402a_04da,
+            0x4029_433f,
+            0x4025_0794,
+            0x4022_92c0,
+        ];
+        const SEED: u64 = 7;
+        let g = generate_power_law(&PowerLawConfig {
+            nodes: 2_000,
+            seed: SEED,
+            ..PowerLawConfig::default()
+        });
+        let mut topo = CsrView::new(&g);
+        let mut store = InMemoryStore::new(FeatureTable::new(128, 16, SEED), g.num_nodes());
+        let mut rng = Xoshiro256::seed_from_u64(SEED);
+        let dims = ModelDims {
+            features: 128,
+            hidden1: 64,
+            hidden2: 64,
+            classes: 16,
+        };
+        let config = TrainConfig {
+            batch_size: 64,
+            fanouts: Fanouts::new(vec![25, 10]),
+            learning_rate: 0.05,
+        };
+        let mut trainer = Trainer::new(dims, config, &mut rng);
+        for (step, &want) in PINNED.iter().enumerate() {
+            let targets = epoch_targets(g.num_nodes(), 64, step, SEED);
+            let loss = trainer
+                .train_step_via(&mut topo, &mut store, &targets, &mut rng)
+                .unwrap();
+            assert_eq!(
+                loss.to_bits(),
+                want,
+                "step {step}: loss {loss} = {:#010x}, pinned {:#010x}",
+                loss.to_bits(),
+                want
+            );
+        }
+    }
+
     #[test]
     fn single_step_runs_on_tiny_batches() {
         let (g, mut store) = setup();

@@ -90,15 +90,36 @@ impl FeatureStore for InMemoryStore {
                 actual: out.len(),
             });
         }
-        for (row, &node) in nodes.iter().enumerate() {
-            if node.index() >= self.num_nodes {
-                return Err(StoreError::NodeOutOfRange {
-                    node,
-                    num_nodes: self.num_nodes,
-                });
+        if let Some(&node) = nodes.iter().find(|n| n.index() >= self.num_nodes) {
+            return Err(StoreError::NodeOutOfRange {
+                node,
+                num_nodes: self.num_nodes,
+            });
+        }
+        // A sampled hop names its hot nodes many times over. Sorted
+        // `(node, row)` keys put a node's rows side by side, lowest row
+        // first; `out` is then filled front to back, a node synthesized
+        // at its first row and copied from there to its later ones.
+        assert!(nodes.len() <= u32::MAX as usize, "a row index is 32 bits");
+        let mut keys: Vec<u64> = (0u64..)
+            .zip(nodes)
+            .map(|(row, n)| (n.raw() as u64) << 32 | row)
+            .collect();
+        keys.sort_unstable();
+        let mut first_row = vec![0u32; nodes.len()];
+        for rows in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            for &key in rows {
+                first_row[key as u32 as usize] = rows[0] as u32;
             }
-            self.table
-                .features_into(self.global(node), &mut out[row * dim..(row + 1) * dim]);
+        }
+        for (row, (&node, &first)) in nodes.iter().zip(&first_row).enumerate() {
+            let first = first as usize;
+            if first == row {
+                self.table
+                    .features_into(self.global(node), &mut out[row * dim..(row + 1) * dim]);
+            } else {
+                out.copy_within(first * dim..(first + 1) * dim, row * dim);
+            }
         }
         self.stats.gathers += 1;
         self.stats.nodes_gathered += nodes.len() as u64;
@@ -150,6 +171,33 @@ mod tests {
         assert!(matches!(err, StoreError::NodeOutOfRange { .. }));
         // A failed gather leaves the counters untouched.
         assert_eq!(store.stats().gathers, 0);
+        // ... and the caller's buffer too, however late the bad id comes.
+        let mut buf = vec![7.0; 3 * 4];
+        let late = [NodeId::new(0), NodeId::new(1), NodeId::new(3)];
+        let err = store.gather_into(&late, &mut buf).unwrap_err();
+        assert!(matches!(err, StoreError::NodeOutOfRange { node, .. } if node == late[2]));
+        assert_eq!(buf, vec![7.0; 3 * 4]);
+        assert_eq!(store.stats(), StoreStats::default());
+    }
+
+    #[test]
+    fn duplicates_are_copies_of_one_synthesis_and_still_counted() {
+        let table = FeatureTable::new(6, 3, 9);
+        let (a, b) = (7u32, 2u32);
+        // Unsharded, and as a shard window whose row 0 is global node 40.
+        for start in [0u32, 40] {
+            let mut store = InMemoryStore::window(table.clone(), start as usize, 50);
+            let local = [a, b, a, a, b].map(NodeId::new);
+            let global = local.map(|n| NodeId::new(start + n.raw()));
+            let got = store.gather(&local).unwrap();
+            let want = table.gather(&global);
+            for (row, (g, w)) in got.chunks(6).zip(want.chunks(6)).enumerate() {
+                assert_eq!(g, w, "row {row} at start {start}");
+            }
+            let s = store.stats();
+            assert_eq!((s.gathers, s.nodes_gathered), (1, 5));
+            assert_eq!(s.feature_bytes, 5 * 6 * 4);
+        }
     }
 
     #[test]

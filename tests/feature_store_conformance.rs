@@ -48,6 +48,7 @@ proptest! {
             proptest::collection::vec(0u32..100_000, 0..40),
             1..5,
         ),
+        hot in 0u32..5,
     ) {
         let table = FeatureTable::new(dim, classes, seed);
         let file = ScratchFile::new("gather");
@@ -67,11 +68,16 @@ proptest! {
         let mut expect_gathers = 0u64;
         let mut expect_nodes = 0u64;
         for raw in &raw_batches {
-            // Arbitrary batch order, duplicates allowed, ids wrapped
-            // into range.
+            // Arbitrary batch order, ids wrapped into range. With
+            // `hot > 0` two picks in three land on `hot` ids scattered
+            // over the file — the duplicate-heavy shape of a sampled
+            // hop, where a few high-degree nodes are named many times.
             let nodes: Vec<NodeId> = raw
                 .iter()
-                .map(|&r| NodeId::new(r % num_nodes as u32))
+                .map(|&r| {
+                    let id = if hot > 0 && r % 3 != 0 { r % hot * 37 } else { r };
+                    NodeId::new(id % num_nodes as u32)
+                })
                 .collect();
             let from_disk = on_disk.gather(&nodes).unwrap();
             let from_shared = shared.gather(&nodes).unwrap();
