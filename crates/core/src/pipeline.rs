@@ -94,15 +94,15 @@ pub struct PipelineConfig {
     #[doc(hidden)]
     pub readahead: bool,
     /// Number of modeled storage devices the dataset is partitioned
-    /// across. At `1` (the default; `0` means the same) the run uses
-    /// the single-device stores; above `1` both axes open a
-    /// `shards`-way contiguous node-range partition — one per-shard
-    /// file, page-cache budget slice, and (on the ISP tiers) SSD timing
-    /// model per device.
+    /// across (default `1`; `open_tiers` reads `0` as `1`). Both axes
+    /// open a `shards`-way contiguous node-range partition — one
+    /// per-shard file, page-cache budget slice, and (on the ISP tiers)
+    /// SSD timing model per device; one device is the 1-way case of
+    /// that same construction.
     /// Gathered values, sampled plans, and modeled costs are
     /// bit-identical at every shard count (the store determinism
-    /// contract; costs price the merged trace); only the I/O
-    /// accounting gains a per-shard breakdown.
+    /// contract; costs price the merged trace); above one device the
+    /// I/O accounting gains a per-shard breakdown.
     pub shards: usize,
 }
 
@@ -486,6 +486,8 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     store_metrics::record(&store_stats);
     let topology_stats = topology.stats();
     store_metrics::record_topology(&topology_stats);
+    // The one count-dependent rule: at one device the breakdown would
+    // repeat the totals, so a sweep records (and prints) none.
     if cfg.shards > 1 {
         store_metrics::record_shards(&store.shard_stats());
         store_metrics::record_topology_shards(&topology.shard_stats());

@@ -75,7 +75,8 @@ pub struct SweepOutcome {
     /// every run. The I/O-level fields (and
     /// `nodes_gathered`/`feature_bytes`) sum exactly to
     /// [`SweepOutcome::store_stats`]; per-shard `gathers` counts the
-    /// sub-calls routed to that device. Empty for unsharded sweeps.
+    /// sub-calls routed to that device. Empty at one device, where
+    /// it would only repeat the totals.
     pub store_shards: Vec<StoreStats>,
     /// Per-shard graph-topology breakdown, mirroring
     /// [`SweepOutcome::store_shards`] against
@@ -214,7 +215,8 @@ impl RunnerBuilder {
     /// sweep's per-device breakdown comes back in
     /// [`SweepOutcome::store_shards`] /
     /// [`SweepOutcome::topology_shards`]. Tables are unchanged by
-    /// construction at every shard count (the determinism contract).
+    /// construction at every shard count (the determinism contract);
+    /// `n` is handed on as given (`open_tiers` alone reads `0` as `1`).
     /// Composes with [`RunnerBuilder::scale`] in either order, like
     /// [`RunnerBuilder::store`].
     pub fn shards(mut self, n: usize) -> RunnerBuilder {
@@ -264,7 +266,7 @@ impl RunnerBuilder {
             scale.topology = kind;
         }
         if let Some(n) = self.shards {
-            scale.shards = n.max(1);
+            scale.shards = n;
         }
         Runner {
             scale,

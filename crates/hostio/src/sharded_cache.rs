@@ -1,17 +1,16 @@
 //! Lock-striped sharded page cache with payloads.
 //!
-//! [`LruSet`] is a single-threaded recency set; wrapping one
-//! instance (plus its payload map) in a single mutex would serialize
-//! every concurrent gather on the shared feature store. This cache
-//! splits the page-id space across `N` independent shards, each an
-//! exact-LRU [`LruSet`] over `Arc<[u8]>` page payloads behind its own
-//! mutex, so parallel gathers contend only when they touch pages of the
-//! same shard.
+//! [`LruMap`] is a single-threaded recency map; wrapping one instance
+//! in a single mutex would serialize every concurrent gather on the
+//! shared feature store. This cache splits the page-id space across
+//! `N` independent shards, each an exact-LRU [`LruMap`] of
+//! `Arc<[u8]>` page payloads behind its own mutex, so parallel gathers
+//! contend only when they touch pages of the same shard.
 //!
 //! Properties:
 //!
 //! * **Exact LRU per shard.** Each shard runs the same exact-recency
-//!   discipline as [`LruSet`]; globally the cache is
+//!   discipline as [`LruMap`]; globally the cache is
 //!   shard-local-LRU (the standard lock-striping trade: eviction order
 //!   is exact within a shard, approximate across shards).
 //! * **Immutable payloads.** Pages are `Arc<[u8]>`: a hit hands the
@@ -23,25 +22,11 @@
 //!   its determinism contract under concurrency.
 
 use crate::sync::LockExt;
-use smartsage_sim::LruSet;
-use std::collections::HashMap;
+use smartsage_sim::LruMap;
 use std::sync::{Arc, Mutex};
 
-/// One lock-striped shard: recency bookkeeping plus payload storage.
-#[derive(Debug)]
-struct Shard {
-    order: LruSet<u64>,
-    data: HashMap<u64, Arc<[u8]>>,
-}
-
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard {
-            order: LruSet::new(capacity),
-            data: HashMap::new(),
-        }
-    }
-}
+/// One lock-striped shard: a page and its payload are one LRU record.
+type Shard = LruMap<u64, Arc<[u8]>>;
 
 /// A sharded, thread-safe page cache keyed by page id.
 ///
@@ -68,7 +53,7 @@ impl ShardedPageCache {
     /// capacity is split evenly, rounding each shard up — so
     /// [`ShardedPageCache::capacity`] reports the *actual* total
     /// (never below the request), and occupancy can never exceed it.
-    /// Zero capacity retains nothing, as with [`LruSet`].
+    /// Zero capacity retains nothing, as with [`LruMap`].
     pub fn new(capacity: usize, shards: usize) -> ShardedPageCache {
         let shards = shards.max(1).next_power_of_two();
         let per_shard = if capacity == 0 {
@@ -110,33 +95,20 @@ impl ShardedPageCache {
 
     /// Residency probe + payload fetch, promoting the page to MRU of
     /// its shard. The returned `Arc` stays valid even if the page is
-    /// evicted immediately after. A tracked page whose payload is
-    /// missing (an insert that died half-way) is a miss: the caller
-    /// re-reads it and [`ShardedPageCache::insert`] restores the pair.
+    /// evicted immediately after.
     pub fn get(&self, page: u64) -> Option<Arc<[u8]>> {
-        let mut shard = self.lock(page);
-        if !shard.order.touch(&page) {
-            return None;
-        }
-        shard.data.get(&page).cloned()
+        self.lock(page).get(&page).cloned()
     }
 
     /// Residency probe without recency side effects.
     pub fn contains(&self, page: u64) -> bool {
-        self.lock(page).order.contains(&page)
+        self.lock(page).contains(&page)
     }
 
     /// Inserts (or refreshes) `page`, evicting its shard's LRU page if
     /// that shard is full. A no-op at zero capacity.
     pub fn insert(&self, page: u64, payload: Arc<[u8]>) {
-        let mut shard = self.lock(page);
-        if shard.order.capacity() == 0 {
-            return;
-        }
-        if let Some(evicted) = shard.order.insert(page) {
-            shard.data.remove(&evicted);
-        }
-        shard.data.insert(page, payload);
+        self.lock(page).put(page, payload);
     }
 
     /// Total resident pages across all shards.
@@ -152,18 +124,13 @@ impl ShardedPageCache {
     /// Resident pages per shard, in shard order — the occupancy view
     /// surfaced by `reproduce`'s store report.
     pub fn occupancy(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.safe_lock().order.len())
-            .collect()
+        self.shards.iter().map(|s| s.safe_lock().len()).collect()
     }
 
     /// Drops every resident page in every shard, keeping capacity.
     pub fn clear(&self) {
         for s in &self.shards {
-            let mut shard = s.safe_lock();
-            shard.order.clear();
-            shard.data.clear();
+            s.safe_lock().clear();
         }
     }
 }
@@ -261,19 +228,19 @@ mod tests {
         let c = ShardedPageCache::new(4, 1);
         c.insert(0, page(1));
         c.insert(1, page(2));
-        // A holder dies mid-update: the stripe is poisoned, and page 0
-        // is still tracked but its payload is gone.
+        // A holder dies holding the stripe: the lock is poisoned. (A
+        // page and its payload are one record, so there is no
+        // half-updated state for it to leave behind.)
         let died = std::thread::scope(|s| {
             s.spawn(|| {
-                let mut shard = c.shards[0].lock().unwrap();
-                shard.data.remove(&0);
+                let _shard = c.shards[0].lock().unwrap();
                 panic!("gather died holding the stripe");
             })
             .join()
         });
         assert!(died.is_err() && c.shards[0].is_poisoned());
         assert_eq!(c.get(1).as_deref(), Some(&[2u8; 8][..]));
-        assert!(c.get(0).is_none(), "a lost payload reads as a miss");
+        assert!(c.get(2).is_none());
         c.insert(0, page(3));
         assert_eq!(c.get(0).as_deref(), Some(&[3u8; 8][..]));
         assert_eq!(c.occupancy(), vec![2]);

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use smartsage_hostio::coalesce::CoalescingPlan;
 use smartsage_hostio::locality::{lru_hit_rate, PopularityBucket};
 use smartsage_hostio::page_cache::PageCache;
-use smartsage_hostio::{HostIoParams, LruSet};
+use smartsage_hostio::{HostIoParams, LruSet, ShardedPageCache};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -38,6 +38,45 @@ proptest! {
             prop_assert_eq!(lru.touch(&k), was_resident);
             lru.insert(k);
             prop_assert!(lru.contains(&k), "inserted key must be resident");
+        }
+    }
+
+    /// One stripe of the payload cache against the naive reference: a
+    /// `Vec` of `(page, payload)` records, MRU first. Hits, the payload
+    /// a hit returns (each insert carries its op index, so a stale one
+    /// shows), eviction victims and occupancy all agree.
+    #[test]
+    fn payload_cache_stripe_matches_a_naive_record_list(
+        capacity in 0usize..6,
+        ops in proptest::collection::vec((0u8..2, 0u64..8), 1..120),
+    ) {
+        let cache = ShardedPageCache::new(capacity, 1);
+        let mut model: Vec<(u64, u8)> = Vec::new();
+        for (i, (op, page)) in ops.into_iter().enumerate() {
+            let resident = model.iter().position(|&(p, _)| p == page);
+            if op == 0 {
+                let payload = i as u8;
+                cache.insert(page, vec![payload].into());
+                if capacity > 0 {
+                    match resident {
+                        Some(at) => drop(model.remove(at)),
+                        None if model.len() == capacity => drop(model.pop()),
+                        None => {}
+                    }
+                    model.insert(0, (page, payload));
+                }
+            } else {
+                let want = resident.map(|at| {
+                    let record = model.remove(at);
+                    model.insert(0, record);
+                    vec![record.1]
+                });
+                prop_assert_eq!(cache.get(page).map(|p| p.to_vec()), want);
+            }
+            prop_assert_eq!(cache.occupancy(), vec![model.len()]);
+            for p in 0..8u64 {
+                prop_assert_eq!(cache.contains(p), model.iter().any(|&(q, _)| q == p));
+            }
         }
     }
 

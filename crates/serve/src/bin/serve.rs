@@ -144,7 +144,10 @@ fn main() {
         model_seed: parse("--seed", 1234),
         page_bytes: parse("--page-bytes", 4096),
         cache_pages: parse("--cache-pages", 1024) as usize,
-        shards: parse("--shards", 1).max(1) as usize,
+        shards: match parse("--shards", 1) {
+            0 => fail_usage("--shards expects at least one device"),
+            n => n as usize,
+        },
     };
     let policy = BatchPolicy {
         window: Duration::from_micros(parse("--window-us", 2000)),

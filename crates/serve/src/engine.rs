@@ -82,8 +82,10 @@ pub struct EngineConfig {
     pub cache_pages: usize,
     /// Modeled storage devices the dataset is partitioned across
     /// (contiguous node ranges, one per-shard file and cache-budget
-    /// slice per device). Responses are identical at every shard
-    /// count; only the I/O accounting gains a per-shard breakdown.
+    /// slice per device; a request one device owns — every request at
+    /// one device — is answered by it in place). Responses are
+    /// identical at every shard count; only the I/O accounting gains a
+    /// per-shard breakdown.
     pub shards: usize,
 }
 
@@ -208,9 +210,9 @@ impl Engine {
         self.topology.stats()
     }
 
-    /// Per-device feature-store breakdown of a sharded engine (one
-    /// entry, equal to [`Engine::store_stats`], when unsharded). The
-    /// I/O-level fields sum exactly to the totals.
+    /// Per-device feature-store breakdown (at one device, one entry
+    /// whose I/O fields equal [`Engine::store_stats`]). The I/O-level
+    /// fields sum exactly to the totals.
     pub fn store_shard_stats(&self) -> Vec<StoreStats> {
         self.store.shard_stats()
     }

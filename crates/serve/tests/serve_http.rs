@@ -273,3 +273,21 @@ fn shutdown_endpoint_releases_wait_and_drains() {
     // The drained server is really gone: fresh requests cannot complete.
     assert!(oneshot(server.addr(), "GET", "/health", None).is_err());
 }
+
+#[test]
+fn a_zero_shard_count_is_a_usage_error_naming_the_flag() {
+    // The same usage error `reproduce --shards 0` is: refused before
+    // anything is opened, never served as one device.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--shards", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--shards expects at least one device"),
+        "{err}"
+    );
+    assert!(err.contains("usage: serve"), "{err}");
+}

@@ -16,8 +16,9 @@
 //!   links, host CPU cores).
 //! * [`bandwidth`] — serialized bandwidth links ([`Link`]) for bulk data
 //!   movement (PCIe DMA, flash channel buses).
-//! * [`lru`] — the one exact-LRU key set ([`LruSet`]) behind every
-//!   modeled cache (OS page cache, scratchpads, SSD page buffer).
+//! * [`lru`] — the one exact LRU: a key set ([`LruSet`]) behind every
+//!   modeled cache (OS page cache, scratchpads, SSD page buffer), and
+//!   its payload-carrying form ([`LruMap`]) behind the real ones.
 //! * [`stats`] — online statistics ([`RunningStats`]) and log-scale
 //!   histograms ([`Histogram`]) for metric collection.
 //!
@@ -50,7 +51,7 @@ pub mod time;
 
 pub use bandwidth::Link;
 pub use events::EventQueue;
-pub use lru::LruSet;
+pub use lru::{LruMap, LruSet};
 pub use resource::Server;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use stats::{Histogram, RunningStats};

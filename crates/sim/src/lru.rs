@@ -1,17 +1,46 @@
-//! Generic exact-LRU membership cache.
+//! Generic exact-LRU cache: one linked list, with or without payloads.
 //!
-//! The host-side caches (the OS page cache, the direct-I/O scratchpad,
-//! the payload page cache's recency order) and the SSD's DRAM page
-//! buffer are key-only LRU sets: the simulator needs residency and
-//! eviction order, not payloads. O(1) access/insert via a hash map over
-//! an intrusive doubly-linked list of slots.
+//! The simulator's caches (the OS page cache, the direct-I/O scratchpad,
+//! the SSD's DRAM page buffer) need residency and eviction order, not
+//! payloads: they are [`LruSet`]s. The real caches (the payload page
+//! cache's stripes, the ISP row scratchpad) keep a value per resident
+//! key: they are [`LruMap`]s. Both are the same structure — `LruSet<K>`
+//! is `LruMap<K, ()>` — so a key and its payload are one record and
+//! cannot drift apart. O(1) access/insert via a hash map over an
+//! intrusive doubly-linked list of slots.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
 
-/// An exact-LRU set of keys with bounded capacity.
+/// An exact-LRU map of keys to payloads with bounded capacity.
+///
+/// # Example
+///
+/// ```
+/// use smartsage_sim::LruMap;
+/// let mut lru = LruMap::new(2);
+/// lru.put(1u64, "one");
+/// lru.put(2, "two");
+/// assert_eq!(lru.get(&1), Some(&"one")); // 1 becomes MRU, 2 is now LRU
+/// assert_eq!(lru.put(3, "three"), Some((2, "two")));
+/// assert!(lru.contains(&1));
+/// ```
+#[derive(Debug, Clone)]
+pub struct LruMap<K, V> {
+    capacity: usize,
+    map: HashMap<K, usize>,
+    keys: Vec<K>,
+    values: Vec<V>,
+    prev: Vec<usize>,
+    next: Vec<usize>,
+    head: usize,
+    tail: usize,
+}
+
+/// An exact-LRU set of keys with bounded capacity: the payload-free
+/// case of [`LruMap`].
 ///
 /// # Example
 ///
@@ -24,31 +53,33 @@ const NIL: usize = usize::MAX;
 /// assert_eq!(lru.insert(3), Some(2));
 /// assert!(lru.contains(&1));
 /// ```
-#[derive(Debug, Clone)]
-pub struct LruSet<K> {
-    capacity: usize,
-    map: HashMap<K, usize>,
-    keys: Vec<K>,
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    head: usize,
-    tail: usize,
-    free: Vec<usize>,
-}
+pub type LruSet<K> = LruMap<K, ()>;
 
 impl<K: Hash + Eq + Copy> LruSet<K> {
-    /// Creates a set holding at most `capacity` keys. Zero capacity is
+    /// Inserts `key` as MRU; returns the evicted LRU key when full.
+    ///
+    /// Two audited edge cases (asserted against a naive reference model
+    /// in the tests): re-inserting a *resident* key only promotes it —
+    /// it never reports a phantom eviction, even at full capacity — and
+    /// zero capacity accepts every insert as a no-op.
+    pub fn insert(&mut self, key: K) -> Option<K> {
+        self.put(key, ()).map(|(victim, ())| victim)
+    }
+}
+
+impl<K: Hash + Eq + Copy, V> LruMap<K, V> {
+    /// Creates a cache holding at most `capacity` keys. Zero capacity is
     /// legal (nothing is ever retained).
     pub fn new(capacity: usize) -> Self {
-        LruSet {
+        LruMap {
             capacity,
             map: HashMap::new(),
             keys: Vec::new(),
+            values: Vec::new(),
             prev: Vec::new(),
             next: Vec::new(),
             head: NIL,
             tail: NIL,
-            free: Vec::new(),
         }
     }
 
@@ -69,13 +100,14 @@ impl<K: Hash + Eq + Copy> LruSet<K> {
 
     /// Returns `true` and promotes `key` to MRU if resident.
     pub fn touch(&mut self, key: &K) -> bool {
-        if let Some(&slot) = self.map.get(key) {
-            self.unlink(slot);
-            self.push_front(slot);
-            true
-        } else {
-            false
-        }
+        self.get(key).is_some()
+    }
+
+    /// The payload of `key`, promoting it to MRU, if resident.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
+        let slot = *self.map.get(key)?;
+        self.promote(slot);
+        Some(&self.values[slot])
     }
 
     /// Residency check without recency side effects.
@@ -83,41 +115,38 @@ impl<K: Hash + Eq + Copy> LruSet<K> {
         self.map.contains_key(key)
     }
 
-    /// Inserts `key` as MRU; returns the evicted LRU key when full.
-    ///
-    /// Two audited edge cases (asserted against a naive reference model
-    /// in the tests): re-inserting a *resident* key only promotes it —
-    /// it never reports a phantom eviction, even at full capacity — and
-    /// zero capacity accepts every insert as a no-op.
-    pub fn insert(&mut self, key: K) -> Option<K> {
+    /// Inserts `key` with `value` as MRU; returns the evicted LRU
+    /// record when full. A resident key is promoted and its payload
+    /// replaced (no eviction); zero capacity accepts every insert as a
+    /// no-op.
+    pub fn put(&mut self, key: K, value: V) -> Option<(K, V)> {
         if self.capacity == 0 {
             return None;
         }
-        if self.touch(&key) {
+        if let Some(&slot) = self.map.get(&key) {
+            self.promote(slot);
+            self.values[slot] = value;
             return None;
         }
-        let mut evicted = None;
         if self.map.len() >= self.capacity {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL);
-            let victim = self.keys[lru];
-            self.unlink(lru);
+            // Full: the LRU slot is recycled in place for the new key.
+            let slot = self.tail;
+            debug_assert_ne!(slot, NIL);
+            let victim = std::mem::replace(&mut self.keys[slot], key);
+            let payload = std::mem::replace(&mut self.values[slot], value);
             self.map.remove(&victim);
-            self.free.push(lru);
-            evicted = Some(victim);
+            self.map.insert(key, slot);
+            self.promote(slot);
+            return Some((victim, payload));
         }
-        let slot = if let Some(s) = self.free.pop() {
-            self.keys[s] = key;
-            s
-        } else {
-            self.keys.push(key);
-            self.prev.push(NIL);
-            self.next.push(NIL);
-            self.keys.len() - 1
-        };
+        let slot = self.keys.len();
+        self.keys.push(key);
+        self.values.push(value);
+        self.prev.push(NIL);
+        self.next.push(NIL);
         self.map.insert(key, slot);
         self.push_front(slot);
-        evicted
+        None
     }
 
     /// The key that would be evicted next (the least-recently used), if
@@ -143,11 +172,17 @@ impl<K: Hash + Eq + Copy> LruSet<K> {
     pub fn clear(&mut self) {
         self.map.clear();
         self.keys.clear();
+        self.values.clear();
         self.prev.clear();
         self.next.clear();
-        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
+    }
+
+    /// Moves a linked slot to the MRU end.
+    fn promote(&mut self, slot: usize) {
+        self.unlink(slot);
+        self.push_front(slot);
     }
 
     fn unlink(&mut self, slot: usize) {
@@ -320,27 +355,28 @@ mod tests {
         assert_eq!(l.lru_key(), None);
     }
 
-    /// Naive reference model: a `Vec` in MRU-first order with O(n) ops.
-    /// Deliberately too slow to ship and too simple to be wrong.
-    struct NaiveLru {
+    /// Naive reference model: a `Vec` of records in MRU-first order with
+    /// O(n) ops. Deliberately too slow to ship and too simple to be
+    /// wrong.
+    struct NaiveLru<V> {
         capacity: usize,
-        order: Vec<u8>, // MRU first
+        order: Vec<(u8, V)>, // MRU first
     }
 
-    impl NaiveLru {
-        fn touch(&mut self, key: u8) -> bool {
-            match self.order.iter().position(|&k| k == key) {
-                Some(i) => {
-                    let k = self.order.remove(i);
-                    self.order.insert(0, k);
-                    true
-                }
-                None => false,
-            }
+    impl<V> NaiveLru<V> {
+        fn get(&mut self, key: u8) -> Option<&V> {
+            let i = self.order.iter().position(|(k, _)| *k == key)?;
+            let record = self.order.remove(i);
+            self.order.insert(0, record);
+            Some(&self.order[0].1)
         }
 
-        fn insert(&mut self, key: u8) -> Option<u8> {
-            if self.capacity == 0 || self.touch(key) {
+        fn put(&mut self, key: u8, value: V) -> Option<(u8, V)> {
+            if self.capacity == 0 {
+                return None;
+            }
+            if self.get(key).is_some() {
+                self.order[0].1 = value;
                 return None;
             }
             let evicted = if self.order.len() >= self.capacity {
@@ -348,8 +384,12 @@ mod tests {
             } else {
                 None
             };
-            self.order.insert(0, key);
+            self.order.insert(0, (key, value));
             evicted
+        }
+
+        fn keys(&self) -> Vec<u8> {
+            self.order.iter().map(|(k, _)| *k).collect()
         }
     }
 
@@ -369,15 +409,41 @@ mod tests {
             let mut model = NaiveLru { capacity, order: Vec::new() };
             for (op, key) in ops {
                 match op {
-                    0 => prop_assert_eq!(real.insert(key), model.insert(key)),
-                    _ => prop_assert_eq!(real.touch(&key), model.touch(key)),
+                    0 => prop_assert_eq!(real.insert(key), model.put(key, ()).map(|(k, ())| k)),
+                    _ => prop_assert_eq!(real.touch(&key), model.get(key).is_some()),
                 }
                 prop_assert_eq!(real.len(), model.order.len());
-                prop_assert_eq!(&real.keys_mru_first(), &model.order);
-                prop_assert_eq!(real.lru_key(), model.order.last().copied());
+                prop_assert_eq!(&real.keys_mru_first(), &model.keys());
+                prop_assert_eq!(real.lru_key(), model.keys().last().copied());
                 for k in 0..8u8 {
-                    prop_assert_eq!(real.contains(&k), model.order.contains(&k));
+                    prop_assert_eq!(real.contains(&k), model.keys().contains(&k));
                 }
+            }
+        }
+
+        /// The same, with payloads: each put carries its op index, so a
+        /// refreshed, evicted or slot-recycled record that kept a stale
+        /// payload is seen by the next get of that key.
+        #[test]
+        fn lru_map_matches_naive_reference_model_with_payloads(
+            capacity in 0usize..6,
+            ops in proptest::collection::vec((0u8..2, 0u8..8), 1..120),
+        ) {
+            use proptest::prelude::*;
+            let mut real = LruMap::new(capacity);
+            let mut model = NaiveLru { capacity, order: Vec::new() };
+            for (i, (op, key)) in ops.into_iter().enumerate() {
+                match op {
+                    0 => prop_assert_eq!(real.put(key, i), model.put(key, i)),
+                    _ => prop_assert_eq!(real.get(&key), model.get(key)),
+                }
+                prop_assert_eq!(real.len(), model.order.len());
+                prop_assert_eq!(&real.keys_mru_first(), &model.keys());
+            }
+            // Every resident key still maps to the payload last put
+            // under it.
+            for (key, value) in model.order.clone() {
+                prop_assert_eq!(real.get(&key), Some(&value));
             }
         }
     }

@@ -57,8 +57,8 @@ use crate::file::FileStoreOptions;
 use crate::shared::SharedFileStore;
 use crate::{FeatureStore, StoreStats};
 use smartsage_graph::NodeId;
-use smartsage_hostio::{LockExt, LruSet};
-use smartsage_sim::{SimDuration, SimTime};
+use smartsage_hostio::LockExt;
+use smartsage_sim::{LruMap, SimDuration, SimTime};
 use smartsage_storage::{Ssd, SsdParams};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
@@ -83,13 +83,7 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug)]
 pub struct RowScratchpad {
     capacity_rows: usize,
-    inner: Mutex<ScratchInner>,
-}
-
-#[derive(Debug)]
-struct ScratchInner {
-    order: LruSet<u32>,
-    rows: HashMap<u32, Arc<[f32]>>,
+    rows: Mutex<LruMap<u32, Arc<[f32]>>>,
 }
 
 impl RowScratchpad {
@@ -99,10 +93,7 @@ impl RowScratchpad {
         let capacity_rows = (budget_bytes / row_bytes.max(1)) as usize;
         RowScratchpad {
             capacity_rows,
-            inner: Mutex::new(ScratchInner {
-                order: LruSet::new(capacity_rows),
-                rows: HashMap::new(),
-            }),
+            rows: Mutex::new(LruMap::new(capacity_rows)),
         }
     }
 
@@ -113,7 +104,7 @@ impl RowScratchpad {
 
     /// Resident rows.
     pub fn len(&self) -> usize {
-        self.inner.safe_lock().rows.len()
+        self.rows.safe_lock().len()
     }
 
     /// `true` when nothing is resident.
@@ -123,31 +114,18 @@ impl RowScratchpad {
 
     /// The resident row of `node`, promoting it to most-recently-used.
     pub fn get(&self, node: NodeId) -> Option<Arc<[f32]>> {
-        let mut inner = self.inner.safe_lock();
-        if !inner.order.touch(&node.raw()) {
-            return None;
-        }
-        inner.rows.get(&node.raw()).cloned()
+        self.rows.safe_lock().get(&node.raw()).cloned()
     }
 
     /// Inserts (or refreshes) `node`'s row, evicting the LRU row if the
     /// budget is exhausted. A zero-capacity scratchpad stays empty.
     pub fn insert(&self, node: NodeId, row: Arc<[f32]>) {
-        if self.capacity_rows == 0 {
-            return;
-        }
-        let mut inner = self.inner.safe_lock();
-        if let Some(evicted) = inner.order.insert(node.raw()) {
-            inner.rows.remove(&evicted);
-        }
-        inner.rows.insert(node.raw(), row);
+        self.rows.safe_lock().put(node.raw(), row);
     }
 
     /// Drops every resident row, keeping capacity.
     pub fn clear(&self) {
-        let mut inner = self.inner.safe_lock();
-        inner.order.clear();
-        inner.rows.clear();
+        self.rows.safe_lock().clear();
     }
 }
 

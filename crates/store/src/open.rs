@@ -1,24 +1,24 @@
 //! Opening a dataset: the one place a tier pair is chosen.
 //!
 //! A dataset has two halves (feature table, graph topology), each half
-//! has three tiers (mem / file / isp), and either half may be
-//! partitioned across N modeled devices. [`StoreRegistry::open_tiers`]
-//! is the only code that turns that choice — a [`TierSpec`] — into
-//! stores, with the workspace's single `tier × shards` match per half.
-//! The offline pipeline and the serving engine both call it, so they
-//! cannot drift in what they open or what they reject.
+//! has three tiers (mem / file / isp), and both halves are partitioned
+//! across N ≥ 1 modeled devices. [`StoreRegistry::open_tiers`] is the
+//! only code that turns that choice — a [`TierSpec`] — into stores,
+//! with the workspace's single tier match per half: one construction
+//! per tier, a routed store ([`ShardedFeatureStore`] /
+//! [`ShardedTopology`]) over one member per device. Unsharded is the
+//! one-device case of it (same file, each request answered by the one
+//! member in place). The offline pipeline and the serving engine both
+//! call it, so they cannot drift in what they open or what they reject.
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
-use crate::handle::StoreHandle;
-use crate::isp::{IspGatherOptions, IspGatherStore};
-use crate::isp_topology::IspSampleTopology;
-use crate::mem::InMemoryStore;
+use crate::isp::IspGatherOptions;
 use crate::registry::StoreRegistry;
 use crate::sharded::{
     check_sharded_population, shard_ranges, ShardedFeatureStore, ShardedTopology,
 };
-use crate::topology::{FileTopology, InMemoryTopology, TopologyKind, TopologyStore};
+use crate::topology::{TopologyKind, TopologyStore};
 use crate::{FeatureStore, StoreKind};
 use smartsage_graph::{CsrGraph, FeatureTable};
 use std::sync::Arc;
@@ -31,7 +31,8 @@ pub struct TierSpec {
     /// Topology-store tier.
     pub topology: TopologyKind,
     /// Modeled storage devices the dataset is partitioned across
-    /// (contiguous node ranges). `0` and `1` both mean unsharded.
+    /// (contiguous node ranges). One device is the 1-way partition;
+    /// `0` is read as `1` — here and nowhere else.
     pub shards: usize,
     /// Page size and **total** page-cache budget of each file-backed
     /// half; the budget is sliced evenly across the devices (at least
@@ -56,12 +57,14 @@ impl StoreRegistry {
     /// `rows` rows of `table`, publishing the content-keyed files
     /// through this registry first where needed.
     ///
-    /// File-backed halves share one open file and one page cache per
-    /// content key with every other caller of this registry; the ISP
-    /// tiers layer a caller-private device model (its virtual clock
-    /// belongs to the caller) over those same shared files, one per
-    /// device. When both halves are file-backed their populations are
-    /// cross-checked up front, so a mismatched pair fails here with
+    /// Each half is a routed store over `spec.shards` members of its
+    /// tier, at every device count. File-backed halves
+    /// share one open file and one page cache per content key with
+    /// every other caller of this registry; the ISP tiers layer a
+    /// caller-private device model (its virtual clock belongs to the
+    /// caller) over those same shared files, one per device. When both
+    /// halves are file-backed their populations are cross-checked up
+    /// front, so a mismatched pair fails here with
     /// [`StoreError::NodeCountMismatch`] /
     /// [`StoreError::ShardCountMismatch`] naming both files — never a
     /// `NodeOutOfRange` deep inside the first gather. A key already
@@ -86,32 +89,17 @@ impl StoreRegistry {
         let isp = IspGatherOptions::default;
 
         type Features = Box<dyn FeatureStore + Send>;
-        let (features, feature_files): (Features, Vec<_>) = match (spec.store, shards) {
-            (StoreKind::Mem, 1) => (
-                Box::new(InMemoryStore::new(table.clone(), rows)),
+        let (features, feature_files): (Features, Vec<_>) = match spec.store {
+            StoreKind::Mem => (
+                Box::new(ShardedFeatureStore::mem(table.clone(), rows, shards)),
                 Vec::new(),
             ),
-            (StoreKind::Mem, n) => (
-                Box::new(ShardedFeatureStore::mem(table.clone(), rows, n)),
-                Vec::new(),
-            ),
-            (StoreKind::File, 1) => {
-                let file = self.open_feature_table(table, rows, opts)?;
-                (Box::new(StoreHandle::new(Arc::clone(&file))), vec![file])
-            }
-            (StoreKind::File, n) => {
-                let files = self.open_feature_shards(table, rows, n, opts)?;
+            StoreKind::File => {
+                let files = self.open_feature_shards(table, rows, shards, opts)?;
                 (Box::new(ShardedFeatureStore::over_files(&files)?), files)
             }
-            (StoreKind::Isp, 1) => {
-                let file = self.open_feature_table(table, rows, opts)?;
-                (
-                    Box::new(IspGatherStore::over(Arc::clone(&file), isp())),
-                    vec![file],
-                )
-            }
-            (StoreKind::Isp, n) => {
-                let files = self.open_feature_shards(table, rows, n, opts)?;
+            StoreKind::Isp => {
+                let files = self.open_feature_shards(table, rows, shards, opts)?;
                 (
                     Box::new(ShardedFeatureStore::over_isp(&files, isp())?),
                     files,
@@ -121,37 +109,22 @@ impl StoreRegistry {
 
         type Topology = Box<dyn TopologyStore + Send>;
         let graph_ranges = shard_ranges(graph.num_nodes(), shards);
-        let (topology, graph_files): (Topology, Vec<_>) = match (spec.topology, shards) {
+        let (topology, graph_files): (Topology, Vec<_>) = match spec.topology {
             // Arc clones of the caller's graph — never a copy of the
             // CSR arrays.
-            (TopologyKind::Mem, 1) => (
-                Box::new(InMemoryTopology::from_arc(Arc::clone(graph))),
+            TopologyKind::Mem => (
+                Box::new(ShardedTopology::mem(Arc::clone(graph), shards)),
                 Vec::new(),
             ),
-            (TopologyKind::Mem, n) => (
-                Box::new(ShardedTopology::mem(Arc::clone(graph), n)),
-                Vec::new(),
-            ),
-            (TopologyKind::File, 1) => {
-                let file = self.open_graph_csr(graph, opts)?;
-                (Box::new(FileTopology::new(Arc::clone(&file))), vec![file])
-            }
-            (TopologyKind::File, n) => {
-                let files = self.open_graph_shards(graph, n, opts)?;
+            TopologyKind::File => {
+                let files = self.open_graph_shards(graph, shards, opts)?;
                 (
                     Box::new(ShardedTopology::over_files(&files, &graph_ranges)?),
                     files,
                 )
             }
-            (TopologyKind::Isp, 1) => {
-                let file = self.open_graph_csr(graph, opts)?;
-                (
-                    Box::new(IspSampleTopology::over(Arc::clone(&file), isp())),
-                    vec![file],
-                )
-            }
-            (TopologyKind::Isp, n) => {
-                let files = self.open_graph_shards(graph, n, opts)?;
+            TopologyKind::Isp => {
+                let files = self.open_graph_shards(graph, shards, opts)?;
                 (
                     Box::new(ShardedTopology::over_isp(&files, &graph_ranges, isp())?),
                     files,

@@ -214,50 +214,53 @@ impl StoreRegistry {
         GLOBAL.get_or_init(StoreRegistry::new)
     }
 
-    /// The content-keyed path for `table`'s first `num_nodes` rows.
+    /// The content-keyed path for `table`'s first `num_nodes` rows: the
+    /// one file of its 1-way partition.
     pub fn content_key_path(table: &FeatureTable, num_nodes: usize) -> PathBuf {
-        feature_key_path(table, num_nodes, "")
+        StoreRegistry::feature_shard_key_path(table, num_nodes, 0, 1)
     }
 
-    /// The content-keyed path for `graph`'s topology file: node/edge
-    /// counts plus an FNV-1a fingerprint of the full CSR content, so
-    /// distinct graphs can never collide on a key. The fingerprint is
-    /// one O(edges) pass per call — the same order of work as the
-    /// materialization that produced the graph, paid once per
-    /// `open_graph_csr` (a per-run cost, like materialization itself).
+    /// The content-keyed path for `graph`'s topology file (its 1-way
+    /// partition): node/edge counts plus an FNV-1a fingerprint of the
+    /// full CSR content, so distinct graphs can never collide on a key.
+    /// The fingerprint is one O(edges) pass per call — the same order
+    /// of work as the materialization that produced the graph, paid
+    /// once per open (a per-run cost, like materialization itself).
     pub fn graph_content_key_path(graph: &CsrGraph) -> PathBuf {
-        graph_key_path(graph, graph_fingerprint(graph), "")
+        StoreRegistry::graph_shard_key_path(graph, 0, 1)
     }
 
     /// The content-keyed path for shard `shard` of a `shards`-way
-    /// feature partition of `table`'s first `num_nodes` rows. The key
-    /// extends [`StoreRegistry::content_key_path`] with a `-p{i}of{k}`
-    /// suffix, so every partition width publishes its own immutable
-    /// file set and shard files never collide with the unsharded file.
+    /// feature partition of `table`'s first `num_nodes` rows: the
+    /// content key, with a `-p{i}of{k}` suffix above one device — so
+    /// every partition width publishes its own immutable file set, and
+    /// the 1-way partition *is* the unsharded file.
     pub fn feature_shard_key_path(
         table: &FeatureTable,
         num_nodes: usize,
         shard: usize,
         shards: usize,
     ) -> PathBuf {
-        feature_key_path(table, num_nodes, &format!("-p{shard}of{shards}"))
+        std::env::temp_dir().join(format!(
+            "{FILE_PREFIX}n{num_nodes}-d{}-c{}-s{:x}{}.fbin",
+            table.dim(),
+            table.num_classes(),
+            table.seed(),
+            partition_suffix(shard, shards),
+        ))
     }
 
     /// The content-keyed path for shard `shard` of a `shards`-way
     /// topology partition of `graph` — the graph analogue of
     /// [`StoreRegistry::feature_shard_key_path`].
     pub fn graph_shard_key_path(graph: &CsrGraph, shard: usize, shards: usize) -> PathBuf {
-        graph_key_path(
-            graph,
-            graph_fingerprint(graph),
-            &format!("-p{shard}of{shards}"),
-        )
+        graph_key_path(graph, graph_fingerprint(graph), shard, shards)
     }
 
     /// Opens (publishing first if needed) the shared store for
-    /// `table`'s first `num_nodes` rows: one file descriptor and one
-    /// page cache per content key, [`StoreError::OptionsConflict`] if
-    /// the key is already open with different options.
+    /// `table`'s first `num_nodes` rows — the one-element case of
+    /// [`StoreRegistry::open_feature_shards`], so both spell the same
+    /// registry slot, file and page cache.
     pub fn open_feature_table(
         &self,
         table: &FeatureTable,
@@ -271,9 +274,9 @@ impl StoreRegistry {
     /// Opens (publishing first if needed) the `shards`-way feature
     /// partition of `table`'s first `num_nodes` rows: one shard file
     /// per contiguous [`shard_ranges`] range, each holding its range's
-    /// rows at local indices, each deduplicated like
-    /// [`StoreRegistry::open_feature_table`]. The returned stores are
-    /// in shard order.
+    /// rows at local indices, in shard order. One file descriptor and
+    /// one page cache per content key; [`StoreError::OptionsConflict`]
+    /// if a key is already open with different options.
     pub fn open_feature_shards(
         &self,
         table: &FeatureTable,
@@ -292,7 +295,7 @@ impl StoreRegistry {
     }
 
     /// The file at `path` holding rows `start..end` of `table` at local
-    /// indices (the unsharded file is the full-range case).
+    /// indices.
     fn open_feature_rows(
         &self,
         path: PathBuf,
@@ -315,8 +318,8 @@ impl StoreRegistry {
     }
 
     /// Opens (publishing first if needed) the shared topology file for
-    /// `graph` — the graph analogue of
-    /// [`StoreRegistry::open_feature_table`].
+    /// `graph` — the one-element case of
+    /// [`StoreRegistry::open_graph_shards`].
     pub fn open_graph_csr(
         &self,
         graph: &CsrGraph,
@@ -331,7 +334,7 @@ impl StoreRegistry {
     /// [`shard_ranges`] range, each an `SSGRPH01` file carrying the
     /// global node count and its own range's edges (see
     /// [`write_graph_shard`]), each deduplicated like
-    /// [`StoreRegistry::open_graph_csr`]. The returned files are in
+    /// [`StoreRegistry::open_feature_shards`]. The returned files are in
     /// shard order, at the paths [`StoreRegistry::graph_shard_key_path`]
     /// names; the O(edges) fingerprint they share is computed once.
     pub fn open_graph_shards(
@@ -345,14 +348,14 @@ impl StoreRegistry {
             .into_iter()
             .enumerate()
             .map(|(i, (start, end))| {
-                let path = graph_key_path(graph, fingerprint, &format!("-p{i}of{shards}"));
+                let path = graph_key_path(graph, fingerprint, i, shards);
                 self.open_graph_range(path, graph, start, end, opts)
             })
             .collect()
     }
 
     /// The file at `path` holding the edge lists of nodes `start..end`
-    /// of `graph` (the unsharded file is the full-range case).
+    /// of `graph`.
     fn open_graph_range(
         &self,
         path: PathBuf,
@@ -428,23 +431,23 @@ impl StoreRegistry {
     }
 }
 
-/// The one feature content-key format; `suffix` is empty or `-p{i}of{k}`.
-fn feature_key_path(table: &FeatureTable, num_nodes: usize, suffix: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "{FILE_PREFIX}n{num_nodes}-d{}-c{}-s{:x}{suffix}.fbin",
-        table.dim(),
-        table.num_classes(),
-        table.seed(),
-    ))
+/// What a partition's width adds to a content key: `-p{i}of{k}`, and
+/// nothing at one device (the 1-way partition is the unsharded file).
+fn partition_suffix(shard: usize, shards: usize) -> String {
+    match shards {
+        1 => String::new(),
+        _ => format!("-p{shard}of{shards}"),
+    }
 }
 
 /// The one graph content-key format; `fingerprint` is `graph`'s
-/// [`graph_fingerprint`], `suffix` is empty or `-p{i}of{k}`.
-fn graph_key_path(graph: &CsrGraph, fingerprint: u64, suffix: &str) -> PathBuf {
+/// [`graph_fingerprint`].
+fn graph_key_path(graph: &CsrGraph, fingerprint: u64, shard: usize, shards: usize) -> PathBuf {
     std::env::temp_dir().join(format!(
-        "{GRAPH_PREFIX}n{}-e{}-h{fingerprint:016x}{suffix}.gbin",
+        "{GRAPH_PREFIX}n{}-e{}-h{fingerprint:016x}{}.gbin",
         graph.num_nodes(),
         graph.num_edges(),
+        partition_suffix(shard, shards),
     ))
 }
 

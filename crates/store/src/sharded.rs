@@ -1,26 +1,34 @@
-//! Sharded stores: the dataset partitioned by node range across N
+//! Routed stores: the dataset partitioned by node range across N
 //! modeled SSDs behind the ordinary store interfaces.
 //!
 //! SmartSAGE's single-SSD in-storage model is a one-device ceiling;
 //! this module lifts it by partitioning the node space into contiguous
-//! ranges, one per shard, with each shard backed by its own file — and
-//! therefore its own page cache, its own [`smartsage_storage::Ssd`]
-//! timing model, and its own ISP cores. A [`ShardedFeatureStore`] /
-//! [`ShardedTopology`] then scatter/gathers each batched call:
+//! ranges, one per device, with each device backed by its own file —
+//! and therefore its own page cache, its own [`smartsage_storage::Ssd`]
+//! timing model, and its own ISP cores. One device is the 1-way
+//! partition of the same construction — what `open_tiers` opens for an
+//! unsharded dataset — not a second code path. A
+//! [`ShardedFeatureStore`] / [`ShardedTopology`] answers each batched
+//! call through one private router:
 //!
-//! 1. **Scatter** — split the request by shard (a binary search per
-//!    node over the contiguous ranges), remembering each element's
-//!    original position.
-//! 2. **Resolve** — run each shard's sub-batch through that shard's
-//!    ordinary single-device store (so all existing coalescing —
-//!    [`smartsage_hostio::merge_page_runs`], the ISP cost pass — is
-//!    reused unchanged, per device).
-//! 3. **Gather** — copy each shard's answers back to the request-order
-//!    positions.
+//! 1. **Place** — one pass validates every node id (so a bad id fails
+//!    before any member does I/O) and finds each element's owning
+//!    member (a binary search over the contiguous ranges).
+//! 2. **Owned request** — when one member owns the whole request
+//!    (always, at one device; often, for a small serve request at N)
+//!    it answers straight into the caller's buffer: no sub-batch, no
+//!    answer buffer, no copy back. So does each member of a request
+//!    ordered by owner (a sorted gather), for its own run of it.
+//! 3. **Split request** — otherwise the request is scattered into
+//!    per-member sub-batches (in scratch kept across calls), each
+//!    resolved by its member's ordinary single-device store (so all
+//!    existing coalescing — [`smartsage_hostio::merge_page_runs`], the
+//!    ISP cost pass — is reused unchanged, per device), and the answers
+//!    are merged back by recorded request position.
 //!
-//! Because every member store is bit-deterministic and the scatter is a
-//! pure function of the node list, the merged answer is bit-identical
-//! to the single-shard path *by construction*; the conformance suite
+//! Because every member store is bit-deterministic and the placement is
+//! a pure function of the node list, the merged answer is bit-identical
+//! at every device count *by construction*; the conformance suite
 //! (`tests/sharded_store_conformance.rs`) asserts it by measurement.
 //!
 //! # Shard layout
@@ -33,7 +41,8 @@
 //!   each shard file is an ordinary `SSGRPH01` file that answers its
 //!   own nodes exactly and reports degree 0 elsewhere (the router never
 //!   asks a shard about nodes outside its range). Neighbor ids stay
-//!   global — no id translation on the topology axis.
+//!   global — no id translation on the topology axis; a feature
+//!   sub-batch is translated only for a range that does not start at 0.
 //!
 //! A [`ShardManifest`] names the per-shard files and their ranges and
 //! validates the whole layout (tiling, on-disk geometry) with typed
@@ -42,13 +51,14 @@
 //! # Stats scoping
 //!
 //! The merged [`StoreStats`] keeps the access-level counters
-//! (`gathers`, `nodes_gathered`, `feature_bytes`) at the sharded store
-//! itself — one per caller-visible call, identical to the unsharded
-//! path at any shard count — and sums the I/O-level counters over the
-//! members. `shard_stats()` exposes the per-member breakdown; its I/O
-//! fields (and `nodes_gathered`/`feature_bytes`) sum exactly to the
-//! merged totals, while per-shard `gathers` counts the *sub*-calls
-//! routed to that device.
+//! (`gathers`, `nodes_gathered`, `feature_bytes`) at the routed store
+//! itself — one per caller-visible call, identical at any device count
+//! (an empty request counts one access and asks no member) — and sums
+//! the I/O-level counters over the members. `shard_stats()` exposes
+//! the per-member breakdown; its I/O fields (and
+//! `nodes_gathered`/`feature_bytes`) sum exactly to the merged totals,
+//! while per-shard `gathers` counts the *sub*-calls routed to that
+//! device.
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
@@ -91,18 +101,130 @@ fn shard_of(ranges: &[(usize, usize)], idx: usize) -> usize {
     ranges.partition_point(|&(_, end)| end <= idx)
 }
 
-/// Adds `member`'s I/O-level counters into `total`, leaving the
-/// access-level counters (`gathers`, `nodes_gathered`, `feature_bytes`)
-/// alone — those are kept once at the sharded store (see the module
-/// docs on stats scoping).
-fn merge_io(total: &mut StoreStats, member: &StoreStats) {
-    total.pages_read += member.pages_read;
-    total.bytes_read += member.bytes_read;
-    total.page_hits += member.page_hits;
-    total.page_misses += member.page_misses;
-    total.device_bytes_read += member.device_bytes_read;
-    total.host_bytes_transferred += member.host_bytes_transferred;
-    total.device_ns += member.device_ns;
+/// A routed store's totals: the members' I/O-level counters summed,
+/// under the access-level counters (`gathers`, `nodes_gathered`,
+/// `feature_bytes`) kept once at the routed store itself (see the
+/// module docs on stats scoping).
+fn merged(access: StoreStats, members: &[StoreStats]) -> StoreStats {
+    let mut io = StoreStats::default();
+    for member in members {
+        io.accumulate(member);
+    }
+    StoreStats {
+        gathers: access.gathers,
+        nodes_gathered: access.nodes_gathered,
+        feature_bytes: access.feature_bytes,
+        ..io
+    }
+}
+
+/// What a split request is scattered through, kept across calls so a
+/// store allocates only while its largest request is still growing.
+#[derive(Debug, Default)]
+struct Scratch<Q, A> {
+    /// Owning member of each request element.
+    owners: Vec<u32>,
+    /// Per member: its element count, then the end of its sub-batch.
+    ends: Vec<usize>,
+    /// The sub-batches, grouped by member in member order.
+    routed: Vec<Q>,
+    /// Request position of each routed element.
+    positions: Vec<usize>,
+    /// One member's answers at a time.
+    answers: Vec<A>,
+}
+
+/// The one scatter/merge implementation behind both routed stores (see
+/// the module docs), over the partition's geometry.
+#[derive(Debug)]
+struct Router {
+    /// Contiguous node range per member, tiling `0..num_nodes`.
+    ranges: Vec<(usize, usize)>,
+    /// Answer elements per request element (the feature dimension; 1
+    /// on the topology axis).
+    width: usize,
+}
+
+impl Router {
+    fn num_nodes(&self) -> usize {
+        self.ranges.last().map_or(0, |&(_, end)| end)
+    }
+
+    /// Answers `requests` — each owned by the member holding
+    /// `node_of(request)` — into `out` through `resolve(member,
+    /// sub-batch, answers)`; sub-batches keep global ids. The whole
+    /// request is validated *first*, and an empty one asks no member.
+    fn route<Q: Copy, A: Copy + Default>(
+        &self,
+        s: &mut Scratch<Q, A>,
+        requests: &[Q],
+        node_of: impl Fn(&Q) -> NodeId,
+        out: &mut [A],
+        mut resolve: impl FnMut(usize, &[Q], &mut [A]) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let (width, num_nodes) = (self.width, self.num_nodes());
+        check_out_len(requests.len() * width, out)?;
+        s.owners.clear();
+        s.ends.clear();
+        s.ends.resize(self.ranges.len(), 0);
+        let (mut ascending, mut last) = (true, 0);
+        for node in requests.iter().map(node_of) {
+            if node.index() >= num_nodes {
+                return Err(StoreError::NodeOutOfRange { node, num_nodes });
+            }
+            let member = shard_of(&self.ranges, node.index());
+            ascending &= member >= last;
+            last = member;
+            s.owners.push(member as u32);
+            s.ends[member] += 1;
+        }
+        if ascending {
+            // Each member's elements are one run of the request, in
+            // member order: every owner answers its run in place. One
+            // member owning the whole request is the one-run case.
+            let mut start = 0;
+            for run in s.owners.chunk_by(|a, b| a == b) {
+                let end = start + run.len();
+                let answers = &mut out[start * width..end * width];
+                resolve(run[0] as usize, &requests[start..end], answers)?;
+                start = end;
+            }
+            return Ok(());
+        }
+        // Counts become sub-batch starts; placing an element advances
+        // its member's start, leaving each member's end behind.
+        let mut start = 0;
+        for end in s.ends.iter_mut() {
+            start += *end;
+            *end = start - *end;
+        }
+        s.routed.resize(requests.len(), requests[0]);
+        s.positions.resize(requests.len(), 0);
+        for (pos, (&request, &owner)) in requests.iter().zip(&s.owners).enumerate() {
+            let slot = &mut s.ends[owner as usize];
+            s.routed[*slot] = request;
+            s.positions[*slot] = pos;
+            *slot += 1;
+        }
+        let mut start = 0;
+        for (member, &end) in s.ends.iter().enumerate() {
+            if end == start {
+                continue;
+            }
+            // Members write every answer, so stale scratch never shows.
+            let need = (end - start) * width;
+            if s.answers.len() < need {
+                s.answers.resize(need, A::default());
+            }
+            let answers = &mut s.answers[..need];
+            resolve(member, &s.routed[start..end], answers)?;
+            for (answer, &pos) in answers.chunks_exact(width).zip(&s.positions[start..end]) {
+                out[pos * width..(pos + 1) * width].copy_from_slice(answer);
+            }
+            start = end;
+        }
+        Ok(())
+    }
 }
 
 /// One shard's entry in a [`ShardManifest`]: the per-shard file and the
@@ -325,19 +447,21 @@ pub fn check_sharded_population(
     Ok(())
 }
 
-/// A [`FeatureStore`] over N per-shard member stores, each holding one
-/// contiguous node range at local indices. Gathers are scattered by
-/// shard, resolved per device, and merged back in request order —
-/// bit-identical to the single-shard path by construction (module
-/// docs). The merged stats keep access counters here and sum the
-/// members' I/O counters; `shard_stats()` is the per-device breakdown.
+/// A [`FeatureStore`] over N ≥ 1 per-device member stores, each holding
+/// one contiguous node range at local indices. Gathers are routed by
+/// owner — in place when one member owns them all, else scattered and
+/// merged back in request order — bit-identical at every device count
+/// by construction (module docs). The merged stats keep access
+/// counters here and sum the members' I/O counters; `shard_stats()` is
+/// the per-device breakdown.
 #[derive(Debug)]
 pub struct ShardedFeatureStore {
     members: Vec<Box<dyn FeatureStore + Send>>,
-    ranges: Vec<(usize, usize)>,
-    dim: usize,
+    router: Router,
+    scratch: Scratch<NodeId, f32>,
+    /// One sub-batch in its member's local ids.
+    locals: Vec<NodeId>,
     num_classes: usize,
-    num_nodes: usize,
     access: StoreStats,
 }
 
@@ -356,14 +480,7 @@ impl ShardedFeatureStore {
                     as Box<dyn FeatureStore + Send>
             })
             .collect();
-        ShardedFeatureStore {
-            members,
-            ranges,
-            dim,
-            num_classes,
-            num_nodes,
-            access: StoreStats::default(),
-        }
+        ShardedFeatureStore::new(members, ranges, dim, num_classes)
     }
 
     /// The host-path file tier: one scoped [`StoreHandle`] per shard
@@ -381,6 +498,22 @@ impl ShardedFeatureStore {
         ShardedFeatureStore::build_over(files, move |f| {
             Box::new(IspGatherStore::over(Arc::clone(f), opts.clone()))
         })
+    }
+
+    fn new(
+        members: Vec<Box<dyn FeatureStore + Send>>,
+        ranges: Vec<(usize, usize)>,
+        dim: usize,
+        num_classes: usize,
+    ) -> ShardedFeatureStore {
+        ShardedFeatureStore {
+            members,
+            router: Router { ranges, width: dim },
+            scratch: Scratch::default(),
+            locals: Vec::new(),
+            num_classes,
+            access: StoreStats::default(),
+        }
     }
 
     fn build_over(
@@ -412,14 +545,7 @@ impl ShardedFeatureStore {
             start += f.num_nodes();
         }
         let members = files.iter().map(make).collect();
-        Ok(ShardedFeatureStore {
-            members,
-            ranges,
-            dim,
-            num_classes,
-            num_nodes: start,
-            access: StoreStats::default(),
-        })
+        Ok(ShardedFeatureStore::new(members, ranges, dim, num_classes))
     }
 
     /// Number of shards.
@@ -429,13 +555,13 @@ impl ShardedFeatureStore {
 
     /// The contiguous `(start, end)` node range of each shard.
     pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
+        &self.router.ranges
     }
 }
 
 impl FeatureStore for ShardedFeatureStore {
     fn dim(&self) -> usize {
-        self.dim
+        self.router.width
     }
 
     fn num_classes(&self) -> usize {
@@ -443,7 +569,7 @@ impl FeatureStore for ShardedFeatureStore {
     }
 
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.router.num_nodes()
     }
 
     fn label(&self, node: NodeId) -> usize {
@@ -453,55 +579,29 @@ impl FeatureStore for ShardedFeatureStore {
     }
 
     fn gather_into(&mut self, nodes: &[NodeId], out: &mut [f32]) -> Result<(), StoreError> {
-        let dim = self.dim;
-        if out.len() != nodes.len() * dim {
-            return Err(StoreError::BadBuffer {
-                expected: nodes.len() * dim,
-                actual: out.len(),
-            });
-        }
-        // Validate the whole batch before any member does I/O, so a
-        // failed gather counts nothing anywhere.
-        for &node in nodes {
-            if node.index() >= self.num_nodes {
-                return Err(StoreError::NodeOutOfRange {
-                    node,
-                    num_nodes: self.num_nodes,
-                });
+        let (members, locals, ranges) = (&mut self.members, &mut self.locals, &self.router.ranges);
+        let resolve = |member: usize, nodes: &[NodeId], rows: &mut [f32]| {
+            // A member holds its rows at local indices: ids are
+            // translated only when its range does not start at 0.
+            let start = ranges[member].0;
+            if start == 0 {
+                return members[member].gather_into(nodes, rows);
             }
-        }
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.members.len()];
-        let mut locals: Vec<Vec<NodeId>> = vec![Vec::new(); self.members.len()];
-        for (pos, &node) in nodes.iter().enumerate() {
-            let s = shard_of(&self.ranges, node.index());
-            positions[s].push(pos);
-            locals[s].push(NodeId::new((node.index() - self.ranges[s].0) as u32));
-        }
-        let mut shard_rows = Vec::new();
-        for (s, member) in self.members.iter_mut().enumerate() {
-            if locals[s].is_empty() {
-                continue;
-            }
-            shard_rows.clear();
-            shard_rows.resize(locals[s].len() * dim, 0.0);
-            member.gather_into(&locals[s], &mut shard_rows)?;
-            for (j, &pos) in positions[s].iter().enumerate() {
-                out[pos * dim..(pos + 1) * dim]
-                    .copy_from_slice(&shard_rows[j * dim..(j + 1) * dim]);
-            }
-        }
+            let local = |node: &NodeId| NodeId::new((node.index() - start) as u32);
+            locals.clear();
+            locals.extend(nodes.iter().map(local));
+            members[member].gather_into(locals, rows)
+        };
+        self.router
+            .route(&mut self.scratch, nodes, |&node| node, out, resolve)?;
         self.access.gathers += 1;
         self.access.nodes_gathered += nodes.len() as u64;
-        self.access.feature_bytes += nodes.len() as u64 * dim as u64 * 4;
+        self.access.feature_bytes += nodes.len() as u64 * self.router.width as u64 * 4;
         Ok(())
     }
 
     fn stats(&self) -> StoreStats {
-        let mut total = self.access;
-        for m in &self.members {
-            merge_io(&mut total, &m.stats());
-        }
-        total
+        merged(self.access, &self.shard_stats())
     }
 
     fn reset_stats(&mut self) {
@@ -516,16 +616,16 @@ impl FeatureStore for ShardedFeatureStore {
     }
 }
 
-/// A [`TopologyStore`] over N per-shard member topologies, each
+/// A [`TopologyStore`] over N ≥ 1 per-device member topologies, each
 /// answering the nodes of one contiguous range (by *global* id — the
 /// topology axis needs no translation, see the module docs on the
-/// graph shard layout). Requests scatter by shard, resolve per device,
-/// and merge back in request order.
+/// graph shard layout). Requests are routed like the feature store's.
 #[derive(Debug)]
 pub struct ShardedTopology {
     members: Vec<Box<dyn TopologyStore + Send>>,
-    ranges: Vec<(usize, usize)>,
-    num_nodes: usize,
+    router: Router,
+    degrees: Scratch<NodeId, u64>,
+    picks: Scratch<(NodeId, u64), NodeId>,
     num_edges: u64,
     access: StoreStats,
 }
@@ -534,9 +634,7 @@ impl ShardedTopology {
     /// The mem tier: `shards` wrappers over one shared graph, split by
     /// [`shard_ranges`]. No I/O, same routing as the file tiers.
     pub fn mem(graph: Arc<CsrGraph>, shards: usize) -> ShardedTopology {
-        let num_nodes = graph.num_nodes();
-        let num_edges = graph.num_edges();
-        let ranges = shard_ranges(num_nodes, shards);
+        let ranges = shard_ranges(graph.num_nodes(), shards);
         let members = ranges
             .iter()
             .map(|_| {
@@ -544,13 +642,7 @@ impl ShardedTopology {
                     as Box<dyn TopologyStore + Send>
             })
             .collect();
-        ShardedTopology {
-            members,
-            ranges,
-            num_nodes,
-            num_edges,
-            access: StoreStats::default(),
-        }
+        ShardedTopology::new(members, ranges, graph.num_edges())
     }
 
     /// The host-path file tier: one [`FileTopology`] per shard file.
@@ -574,6 +666,21 @@ impl ShardedTopology {
         ShardedTopology::build_over(files, ranges, move |f| {
             Box::new(IspSampleTopology::over(Arc::clone(f), opts.clone()))
         })
+    }
+
+    fn new(
+        members: Vec<Box<dyn TopologyStore + Send>>,
+        ranges: Vec<(usize, usize)>,
+        num_edges: u64,
+    ) -> ShardedTopology {
+        ShardedTopology {
+            members,
+            router: Router { ranges, width: 1 },
+            degrees: Scratch::default(),
+            picks: Scratch::default(),
+            num_edges,
+            access: StoreStats::default(),
+        }
     }
 
     fn build_over(
@@ -613,13 +720,7 @@ impl ShardedTopology {
             num_edges += f.num_edges();
         }
         let members = files.iter().map(make).collect();
-        Ok(ShardedTopology {
-            members,
-            ranges: ranges.to_vec(),
-            num_nodes,
-            num_edges,
-            access: StoreStats::default(),
-        })
+        Ok(ShardedTopology::new(members, ranges.to_vec(), num_edges))
     }
 
     /// Number of shards.
@@ -629,57 +730,13 @@ impl ShardedTopology {
 
     /// The contiguous `(start, end)` node range of each shard.
     pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
-    }
-
-    /// The scatter/gather behind both batched reads: validates the
-    /// whole request *first* (so a bad id fails before any member does
-    /// I/O), routes each element to the shard owning `node_of(element)`,
-    /// resolves per shard, and merges the answers back into request
-    /// order.
-    fn scatter<Q: Copy, A: Copy + Default>(
-        &mut self,
-        requests: &[Q],
-        node_of: impl Fn(&Q) -> NodeId,
-        out: &mut [A],
-        mut resolve: impl FnMut(&mut dyn TopologyStore, &[Q], &mut [A]) -> Result<(), StoreError>,
-    ) -> Result<(), StoreError> {
-        check_out_len(requests.len(), out)?;
-        for node in requests.iter().map(&node_of) {
-            if node.index() >= self.num_nodes {
-                return Err(StoreError::NodeOutOfRange {
-                    node,
-                    num_nodes: self.num_nodes,
-                });
-            }
-        }
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.members.len()];
-        let mut routed: Vec<Vec<Q>> = vec![Vec::new(); self.members.len()];
-        for (pos, &request) in requests.iter().enumerate() {
-            let s = shard_of(&self.ranges, node_of(&request).index());
-            positions[s].push(pos);
-            routed[s].push(request);
-        }
-        let mut answers = Vec::new();
-        for (s, member) in self.members.iter_mut().enumerate() {
-            if routed[s].is_empty() {
-                continue;
-            }
-            answers.clear();
-            answers.resize(routed[s].len(), A::default());
-            resolve(member.as_mut(), &routed[s], &mut answers)?;
-            for (j, &pos) in positions[s].iter().enumerate() {
-                out[pos] = answers[j];
-            }
-        }
-        count_answers(&mut self.access, requests.len() as u64);
-        Ok(())
+        &self.router.ranges
     }
 }
 
 impl TopologyStore for ShardedTopology {
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.router.num_nodes()
     }
 
     fn num_edges(&self) -> u64 {
@@ -687,7 +744,14 @@ impl TopologyStore for ShardedTopology {
     }
 
     fn degrees_into(&mut self, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
-        self.scatter(nodes, |&node| node, out, |m, q, a| m.degrees_into(q, a))
+        let members = &mut self.members;
+        let resolve = |member: usize, nodes: &[NodeId], out: &mut [u64]| {
+            members[member].degrees_into(nodes, out)
+        };
+        self.router
+            .route(&mut self.degrees, nodes, |&node| node, out, resolve)?;
+        count_answers(&mut self.access, nodes.len() as u64);
+        Ok(())
     }
 
     fn pick_neighbors_into(
@@ -695,20 +759,18 @@ impl TopologyStore for ShardedTopology {
         picks: &[(NodeId, u64)],
         out: &mut [NodeId],
     ) -> Result<(), StoreError> {
-        self.scatter(
-            picks,
-            |&(node, _)| node,
-            out,
-            |m, q, a| m.pick_neighbors_into(q, a),
-        )
+        let members = &mut self.members;
+        let resolve = |member: usize, picks: &[(NodeId, u64)], out: &mut [NodeId]| {
+            members[member].pick_neighbors_into(picks, out)
+        };
+        self.router
+            .route(&mut self.picks, picks, |&(node, _)| node, out, resolve)?;
+        count_answers(&mut self.access, picks.len() as u64);
+        Ok(())
     }
 
     fn stats(&self) -> StoreStats {
-        let mut total = self.access;
-        for m in &self.members {
-            merge_io(&mut total, &m.stats());
-        }
-        total
+        merged(self.access, &self.shard_stats())
     }
 
     fn reset_stats(&mut self) {
@@ -825,6 +887,29 @@ mod tests {
         let err = topo.degrees_into(&[NodeId::new(10)], &mut out).unwrap_err();
         assert!(matches!(err, StoreError::NodeOutOfRange { .. }), "{err}");
         assert_eq!(topo.stats(), StoreStats::default());
+    }
+
+    #[test]
+    fn an_empty_request_counts_one_access_and_asks_no_member() {
+        let g = Arc::new(graph(10, 1));
+        for shards in [1, 3] {
+            let mut store = ShardedFeatureStore::mem(FeatureTable::new(3, 2, 1), 10, shards);
+            let mut solo = InMemoryStore::new(FeatureTable::new(3, 2, 1), 10);
+            assert_eq!(store.gather(&[]).unwrap(), solo.gather(&[]).unwrap());
+            assert_eq!(store.stats(), solo.stats(), "x{shards}");
+            assert_eq!(store.stats().gathers, 1);
+            assert_eq!(store.shard_stats(), vec![StoreStats::default(); shards]);
+
+            let mut topo = ShardedTopology::mem(Arc::clone(&g), shards);
+            let mut solo = CsrView::new(&g);
+            topo.degrees_into(&[], &mut []).unwrap();
+            topo.pick_neighbors_into(&[], &mut []).unwrap();
+            solo.degrees_into(&[], &mut []).unwrap();
+            solo.pick_neighbors_into(&[], &mut []).unwrap();
+            assert_eq!(topo.stats(), solo.stats(), "x{shards}");
+            assert_eq!(topo.stats().gathers, 2);
+            assert_eq!(topo.shard_stats(), vec![StoreStats::default(); shards]);
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Whatever tier pair and shard count a `TierSpec` names, the opened
 //! stores must plan, resolve and gather **bit-identically** to the
 //! in-memory pair, and their per-shard I/O breakdowns must sum exactly
-//! to their totals. The failure paths are typed: re-opening the same
+//! to their totals. One device is the 1-way partition of the same
+//! construction: same key functions, same registry slot, same file.
+//! The failure paths are typed: re-opening the same
 //! content keys with different options is an `OptionsConflict`, and a
 //! graph whose population disagrees with the feature rows is a
 //! `NodeCountMismatch` naming both files — from `open_tiers` itself and
@@ -160,21 +162,14 @@ fn every_tier_pair_and_shard_count_matches_the_mem_pair_with_exact_breakdowns() 
                 }
                 // The registry holds one content-keyed file per device
                 // on a file-backed half (none on a mem half): exactly
-                // the published key paths, the unsharded key at one
-                // device and the `-p{i}of{n}` keys above it.
+                // the partition's published key paths.
                 let mut keys = Vec::new();
                 for i in 0..devices {
                     if store != StoreKind::Mem {
-                        keys.push(match devices {
-                            1 => StoreRegistry::content_key_path(&table, n),
-                            d => StoreRegistry::feature_shard_key_path(&table, n, i, d),
-                        });
+                        keys.push(StoreRegistry::feature_shard_key_path(&table, n, i, devices));
                     }
                     if topology != TopologyKind::Mem {
-                        keys.push(match devices {
-                            1 => StoreRegistry::graph_content_key_path(&graph),
-                            d => StoreRegistry::graph_shard_key_path(&graph, i, d),
-                        });
+                        keys.push(StoreRegistry::graph_shard_key_path(&graph, i, devices));
                     }
                 }
                 keys.sort();
@@ -184,6 +179,56 @@ fn every_tier_pair_and_shard_count_matches_the_mem_pair_with_exact_breakdowns() 
         }
     }
     remove_published(published);
+}
+
+#[test]
+fn the_one_way_partition_is_the_unsharded_file_slot_and_cache() {
+    let graph = kronecker(0x0E55);
+    let n = graph.num_nodes();
+    let table = FeatureTable::new(6, 3, 0x1DE7);
+    // One key format: the 1-way partition's name is the unsuffixed
+    // content key, and wider partitions carry their `-p{i}of{k}`.
+    let feature_key = StoreRegistry::content_key_path(&table, n);
+    let graph_key = StoreRegistry::graph_content_key_path(&graph);
+    assert_eq!(
+        StoreRegistry::feature_shard_key_path(&table, n, 0, 1),
+        feature_key
+    );
+    assert_eq!(StoreRegistry::graph_shard_key_path(&graph, 0, 1), graph_key);
+    for key in [&feature_key, &graph_key] {
+        assert!(!key.to_str().unwrap().contains("-p0of1"), "{key:?}");
+    }
+    let wide = StoreRegistry::feature_shard_key_path(&table, n, 1, 3);
+    assert!(wide.to_str().unwrap().ends_with("-p1of3.fbin"), "{wide:?}");
+    let wide = StoreRegistry::graph_shard_key_path(&graph, 2, 3);
+    assert!(wide.to_str().unwrap().ends_with("-p2of3.gbin"), "{wide:?}");
+
+    // One registry slot: the single-file opens, the 1-way shard opens
+    // and `open_tiers` at one device all share a file and a cache.
+    let registry = StoreRegistry::new();
+    let opts = spec(StoreKind::File, TopologyKind::File, 1).file;
+    let features = registry.open_feature_table(&table, n, opts).unwrap();
+    let shards = registry.open_feature_shards(&table, n, 1, opts).unwrap();
+    assert_eq!(shards.len(), 1);
+    assert!(Arc::ptr_eq(&features, &shards[0]));
+    let csr = registry.open_graph_csr(&graph, opts).unwrap();
+    let shards = registry.open_graph_shards(&graph, 1, opts).unwrap();
+    assert_eq!(shards.len(), 1);
+    assert!(Arc::ptr_eq(&csr, &shards[0]));
+    let mut tiers = registry
+        .open_tiers(
+            &graph,
+            &table,
+            n,
+            &spec(StoreKind::File, TopologyKind::Isp, 1),
+        )
+        .unwrap();
+    assert_eq!(paths_of(&registry), [feature_key, graph_key]);
+    // A page the tier pair loads is resident in the file the
+    // single-file open returned.
+    tiers.features.gather(&[NodeId::new(0)]).unwrap();
+    assert_eq!(features.cache_occupancy().iter().sum::<usize>(), 1);
+    remove_published(paths_of(&registry));
 }
 
 #[test]
@@ -328,16 +373,11 @@ fn a_population_mismatch_is_typed_from_open_tiers_and_from_the_engine() {
     // The files were published before the check refused the pair.
     let mut published = Vec::new();
     for shards in [1usize, 3] {
-        if shards == 1 {
-            published.push(StoreRegistry::content_key_path(&table, rows));
-            published.push(StoreRegistry::graph_content_key_path(&graph));
-        } else {
-            for i in 0..shards {
-                published.push(StoreRegistry::feature_shard_key_path(
-                    &table, rows, i, shards,
-                ));
-                published.push(StoreRegistry::graph_shard_key_path(&graph, i, shards));
-            }
+        for i in 0..shards {
+            published.push(StoreRegistry::feature_shard_key_path(
+                &table, rows, i, shards,
+            ));
+            published.push(StoreRegistry::graph_shard_key_path(&graph, i, shards));
         }
     }
     remove_published(published);

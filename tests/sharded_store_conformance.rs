@@ -8,7 +8,12 @@
 //! counts above the node count, i.e. empty tail shards), page sizes,
 //! cache budgets, and batches that straddle shard boundaries — while
 //! the per-shard [`StoreStats`] breakdown sums *exactly* to the
-//! unsharded totals. The negative paths are typed too: a missing shard
+//! unsharded totals. A request that one device owns is answered by that
+//! device alone, in place — every request, at one device — and must be
+//! just as invisible: requests drawn wholly inside one member's range,
+//! straddling two, and spread over all (as drawn, and sorted so each
+//! member's share is one run) are checked against the unsharded store
+//! of the same tier. The negative paths are typed too: a missing shard
 //! file, a manifest whose ranges overlap or gap, a shard file with the
 //! wrong geometry, and mismatched feature-vs-graph shard counts each
 //! fail with a [`StoreError`] naming the file — never a panic.
@@ -19,8 +24,9 @@ use smartsage::graph::kronecker::{expand, KroneckerConfig};
 use smartsage::graph::{CsrGraph, FeatureTable, NodeId};
 use smartsage::store::{
     check_sharded_population, shard_ranges, write_feature_shard, write_graph_shard, CsrView,
-    FeatureStore, FileStoreOptions, InMemoryStore, IspGatherOptions, ScratchFile, ShardEntry,
-    ShardManifest, ShardedFeatureStore, ShardedTopology, StoreError, StoreStats, TopologyStore,
+    FeatureStore, FileStoreOptions, FileTopology, InMemoryStore, InMemoryTopology,
+    IspGatherOptions, IspGatherStore, IspSampleTopology, ScratchFile, ShardEntry, ShardManifest,
+    ShardedFeatureStore, ShardedTopology, StoreError, StoreHandle, StoreStats, TopologyStore,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -129,6 +135,104 @@ fn assert_shards_sum_to_total(per_shard: &[StoreStats], total: StoreStats, shard
         total.host_bytes_transferred
     );
     assert_eq!(sum(|s| s.device_ns), total.device_ns);
+}
+
+/// A request of one of four shapes over `ranges`, and the member that
+/// owns all of it when one does:
+///
+/// * `0` — wholly inside one non-empty member's range: the last one
+///   every third draw, else any (so ranges that do not start at 0 come
+///   up as soon as there are two);
+/// * `1` — straddling two adjacent non-empty members, alternating
+///   between them and touching both sides of the seam;
+/// * `2` — spread over the whole population, touching every non-empty
+///   member;
+/// * `3` — the same, sorted by node: each member's share is one run of
+///   the request, which that member answers in place.
+///
+/// With a single non-empty member every shape is an owned request.
+fn shaped_request(
+    shape: usize,
+    pick: usize,
+    raw: &[u32],
+    ranges: &[(usize, usize)],
+) -> (Vec<NodeId>, Option<usize>) {
+    let live: Vec<usize> = (0..ranges.len())
+        .filter(|&i| ranges[i].1 > ranges[i].0)
+        .collect();
+    let inside = |member: usize, r: u32| {
+        let (start, end) = ranges[member];
+        NodeId::new((start + r as usize % (end - start)) as u32)
+    };
+    if shape == 0 || live.len() == 1 {
+        let owner = match pick % 3 {
+            0 => live[live.len() - 1],
+            _ => live[pick % live.len()],
+        };
+        return (raw.iter().map(|&r| inside(owner, r)).collect(), Some(owner));
+    }
+    let mut nodes: Vec<NodeId> = match shape {
+        1 => {
+            let left = pick % (live.len() - 1);
+            let seam = ranges[live[left + 1]].0 as u32;
+            raw.iter()
+                .enumerate()
+                .map(|(j, &r)| inside(live[left + j % 2], r))
+                .chain([NodeId::new(seam), NodeId::new(seam - 1)])
+                .collect()
+        }
+        _ => {
+            let num_nodes = ranges[ranges.len() - 1].1 as u32;
+            raw.iter()
+                .map(|&r| NodeId::new(r % num_nodes))
+                .chain(live.iter().map(|&m| NodeId::new(ranges[m].0 as u32)))
+                .collect()
+        }
+    };
+    if shape == 3 {
+        nodes.sort();
+    }
+    (nodes, None)
+}
+
+/// After an owned request of `asked` elements, only the owner's
+/// counters moved: one sub-call, `asked` answers — and nothing at all
+/// for an empty request. Every other member is untouched.
+fn assert_only_the_owner_was_asked(
+    before: &[StoreStats],
+    after: &[StoreStats],
+    owner: Option<usize>,
+    asked: usize,
+) {
+    let Some(owner) = owner else { return };
+    for (i, (before, after)) in before.iter().zip(after).enumerate() {
+        if i == owner && asked > 0 {
+            assert_eq!(after.gathers, before.gathers + 1, "member {i} sub-calls");
+            assert_eq!(after.nodes_gathered, before.nodes_gathered + asked as u64);
+        } else {
+            assert_eq!(after, before, "member {i} was not asked");
+        }
+    }
+}
+
+/// The routed store's merged stats against the unsharded store of the
+/// same tier: the access counters at every device count (an access
+/// counted twice, or not at all, shows here), every field where the
+/// I/O is the same I/O — one device, or no I/O at all — and a
+/// per-member breakdown that sums exactly.
+fn assert_merged_stats_match(
+    total: StoreStats,
+    per_shard: &[StoreStats],
+    unsharded: StoreStats,
+    shards: usize,
+) {
+    assert_eq!(total.gathers, unsharded.gathers);
+    assert_eq!(total.nodes_gathered, unsharded.nodes_gathered);
+    assert_eq!(total.feature_bytes, unsharded.feature_bytes);
+    if shards == 1 || unsharded.bytes_read == 0 {
+        assert_eq!(total, unsharded);
+    }
+    assert_shards_sum_to_total(per_shard, total, shards);
 }
 
 proptest! {
@@ -313,6 +417,131 @@ proptest! {
             prop_assert_eq!(total.nodes_gathered, want.nodes_gathered);
             prop_assert_eq!(total.feature_bytes, want.feature_bytes);
             assert_shards_sum_to_total(&topo.shard_stats(), total, shards);
+        }
+    }
+
+    #[test]
+    fn owned_straddling_and_spread_requests_match_the_unsharded_store_of_each_tier(
+        base_nodes in 2usize..8,
+        seed_nodes in 2usize..4,
+        seed in any::<u64>(),
+        dim in 1usize..12,
+        shard_pick in 0usize..5,
+        page_pick in 0usize..6,
+        cache_pages in 0usize..48,
+        requests in proptest::collection::vec(
+            (
+                0usize..4,
+                0usize..64,
+                proptest::collection::vec((0u32..100_000, 0u64..100), 1..16),
+            ),
+            1..6,
+        ),
+    ) {
+        let graph = Arc::new(kronecker(base_nodes, seed_nodes, seed));
+        let num_nodes = graph.num_nodes();
+        // One device, a few, and more devices than nodes.
+        let shards = [1, 2, 3, 5, num_nodes + 2][shard_pick];
+        let ranges = shard_ranges(num_nodes, shards);
+        let table = FeatureTable::new(dim, 3, seed);
+        let opts = FileStoreOptions {
+            page_bytes: PAGE_SIZES[page_pick],
+            cache_pages,
+        };
+        let isp = IspGatherOptions::default;
+        // Each routed store beside the unsharded store of its tier;
+        // every store opens its own files' caches.
+        let (parts, _keep) = feature_shards(&table, num_nodes, shards);
+        let (whole, _keep) = feature_shards(&table, num_nodes, 1);
+        let whole_file = || whole.open_feature_shards(opts).unwrap().remove(0);
+        let mut features: [(ShardedFeatureStore, Box<dyn FeatureStore>); 3] = [
+            (
+                ShardedFeatureStore::mem(table.clone(), num_nodes, shards),
+                Box::new(InMemoryStore::new(table.clone(), num_nodes)),
+            ),
+            (
+                parts.open_features(opts).unwrap(),
+                Box::new(StoreHandle::new(whole_file())),
+            ),
+            (
+                ShardedFeatureStore::over_isp(&parts.open_feature_shards(opts).unwrap(), isp())
+                    .unwrap(),
+                Box::new(IspGatherStore::over(whole_file(), isp())),
+            ),
+        ];
+        let (parts, _keep) = graph_shards(&graph, shards);
+        let (whole, _keep) = graph_shards(&graph, 1);
+        let whole_file = || whole.open_graph_shards(opts).unwrap().remove(0);
+        let mut topologies: [(ShardedTopology, Box<dyn TopologyStore>); 3] = [
+            (
+                ShardedTopology::mem(Arc::clone(&graph), shards),
+                Box::new(InMemoryTopology::from_arc(Arc::clone(&graph))),
+            ),
+            (
+                parts.open_topology(opts).unwrap(),
+                Box::new(FileTopology::new(whole_file())),
+            ),
+            (
+                ShardedTopology::over_isp(&parts.open_graph_shards(opts).unwrap(), &ranges, isp())
+                    .unwrap(),
+                Box::new(IspSampleTopology::over(whole_file(), isp())),
+            ),
+        ];
+
+        for (shape, pick, raw) in &requests {
+            let raw_nodes: Vec<u32> = raw.iter().map(|&(n, _)| n).collect();
+            let (nodes, owner) = shaped_request(*shape, *pick, &raw_nodes, &ranges);
+            for (routed, unsharded) in &mut features {
+                let before = routed.shard_stats();
+                prop_assert_eq!(
+                    bits(&routed.gather(&nodes).unwrap()),
+                    bits(&unsharded.gather(&nodes).unwrap()),
+                    "rows diverged (shape={}, shards={}, owner={:?})", shape, shards, owner
+                );
+                assert_only_the_owner_was_asked(
+                    &before, &routed.shard_stats(), owner, nodes.len(),
+                );
+            }
+            for (routed, unsharded) in &mut topologies {
+                let before = routed.shard_stats();
+                let (mut got, mut want) = (vec![0u64; nodes.len()], vec![0u64; nodes.len()]);
+                routed.degrees_into(&nodes, &mut got).unwrap();
+                unsharded.degrees_into(&nodes, &mut want).unwrap();
+                prop_assert_eq!(&got, &want, "degrees diverged (shards={})", shards);
+                assert_only_the_owner_was_asked(
+                    &before, &routed.shard_stats(), owner, nodes.len(),
+                );
+                // The picks of an owned request are owned by the same
+                // member (and are an empty request when every degree
+                // is zero).
+                let picks: Vec<(NodeId, u64)> = nodes
+                    .iter()
+                    .zip(&want)
+                    .zip(raw.iter().map(|&(_, k)| k).chain(0u64..))
+                    .filter(|((_, &d), _)| d > 0)
+                    .map(|((&n, &d), k)| (n, k % d))
+                    .collect();
+                let before = routed.shard_stats();
+                let mut got = vec![NodeId::default(); picks.len()];
+                let mut want = vec![NodeId::default(); picks.len()];
+                routed.pick_neighbors_into(&picks, &mut got).unwrap();
+                unsharded.pick_neighbors_into(&picks, &mut want).unwrap();
+                prop_assert_eq!(&got, &want, "picks diverged (shards={})", shards);
+                assert_only_the_owner_was_asked(
+                    &before, &routed.shard_stats(), owner, picks.len(),
+                );
+            }
+        }
+
+        for (routed, unsharded) in &features {
+            assert_merged_stats_match(
+                routed.stats(), &routed.shard_stats(), unsharded.stats(), shards,
+            );
+        }
+        for (routed, unsharded) in &topologies {
+            assert_merged_stats_match(
+                routed.stats(), &routed.shard_stats(), unsharded.stats(), shards,
+            );
         }
     }
 }
