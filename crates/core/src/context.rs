@@ -83,14 +83,11 @@ impl Devices {
     pub fn new(config: &SystemConfig) -> Devices {
         let d = &config.devices;
         let ssd_params = SsdParams {
-            flash: d.ssd.flash.clone(),
-            ftl: d.ssd.ftl.clone(),
-            cores: d.ssd.cores.clone(),
-            nvme: d.ssd.nvme.clone(),
             // The *exact* buffer is sized for the scaled graph; analytic
             // hit rates override its decisions for paper experiments.
             buffer_pages: (d.ssd_buffer_bytes / d.ssd.flash.page_bytes) as usize,
             pcie: config.ssd_pcie.clone(),
+            ..d.ssd.clone()
         };
         Devices {
             ssd: Ssd::new(ssd_params),

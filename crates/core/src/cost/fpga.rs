@@ -9,7 +9,7 @@
 //! over-fetch the firmware ISP eliminates, so the FPGA CSD fails to beat
 //! even the software-only direct-I/O design.
 
-use super::{BatchCost, CostPolicy, StepOutcome};
+use super::{fetch_pages, BatchCost, CostPolicy, StepOutcome};
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
 use crate::metrics::FpgaPhases;
@@ -76,9 +76,9 @@ impl CostPolicy for FpgaPolicy {
     }
 
     fn step(&mut self, worker: usize, devices: &mut Devices, now: SimTime) -> StepOutcome {
-        let params = self.ctx.config.devices.clone();
-        let isp_hit_rate = self.ctx.locality.map(|l| l.ssd_buffer_hit_isp);
-        let ctx = Arc::clone(&self.ctx);
+        let ctx = &*self.ctx;
+        let params = &ctx.config.devices;
+        let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit_isp);
         let cursor = self.cursors[worker].as_mut().expect("no active batch");
         let mut t = now.max(cursor.now);
 
@@ -95,48 +95,19 @@ impl CostPolicy for FpgaPolicy {
             // block-granular chunks to the FPGA, then the gather.
             let hop = &cursor.trace.hops[cursor.hop];
             let chunk_end = (cursor.access + params.fpga.p2p_queue_depth).min(hop.accesses.len());
-            let page_bytes = devices.ssd.page_bytes();
             let block = params.hostio.os_page_bytes;
             let mut flash_done = t;
             let mut p2p_bytes = 0u64;
             let mut samples = 0u64;
-            for idx in cursor.access..chunk_end {
-                let access = &hop.accesses[idx];
+            for access in &hop.accesses[cursor.access..chunk_end] {
                 samples += access.picks.max(1) as u64;
                 let range = ctx.layout.edge_list_range(ctx.graph(), access.node);
                 if range.len == 0 {
                     continue;
                 }
                 p2p_bytes += range.block_count(block) * block;
-                let first = range.offset / page_bytes;
-                let last = (range.offset + range.len - 1) / page_bytes;
-                for lpn in first..=last {
-                    let ppn = devices.ssd.ftl.translate(lpn);
-                    let hit = match isp_hit_rate {
-                        Some(p) => {
-                            let h = self.rng.chance(p);
-                            if h {
-                                devices.ssd.buffer.insert(ppn);
-                                let _ = devices.ssd.buffer.access(ppn);
-                            } else {
-                                let _ = devices.ssd.buffer.access(ppn);
-                                devices.ssd.buffer.insert(ppn);
-                            }
-                            h
-                        }
-                        None => {
-                            let h = devices.ssd.buffer.access(ppn);
-                            if !h {
-                                devices.ssd.buffer.insert(ppn);
-                            }
-                            h
-                        }
-                    };
-                    if !hit {
-                        let done = devices.ssd.flash.read_page(t, ppn);
-                        flash_done = flash_done.max(done);
-                    }
-                }
+                let fetched = fetch_pages(&mut devices.ssd, &mut self.rng, isp_hit_rate, t, range);
+                flash_done = flash_done.max(fetched);
                 // Firmware still shepherds each P2P block command.
                 let (_, fw) = devices
                     .ssd
@@ -188,7 +159,7 @@ impl CostPolicy for FpgaPolicy {
 mod tests {
     use super::*;
     use crate::cost::testutil::{drive, test_context, test_trace};
-    use crate::cost::{DirectIoHostPolicy, IspPolicy};
+    use crate::cost::{HostPolicy, IspPolicy};
 
     #[test]
     fn fpga_reports_phase_breakdown() {
@@ -254,7 +225,7 @@ mod tests {
         );
         let ctx_s = test_context(SystemKind::SmartSageSw);
         let mut dev_s = Devices::new(&ctx_s.config);
-        let mut ps = DirectIoHostPolicy::new(Arc::clone(&ctx_s), 1);
+        let mut ps = HostPolicy::new(Arc::clone(&ctx_s), 1, SystemKind::SmartSageSw);
         let rs = drive(
             &mut ps,
             &mut dev_s,

@@ -4,10 +4,12 @@
 //! the SSD, fetching each accessed node's neighbor-ID chunk in block
 //! granularity (paper Fig 10a). They differ only in the software path:
 //!
-//! * [`MmapHostPolicy`] goes through the OS page cache — faults cost
-//!   "several tens of microseconds" of kernel time per missing page;
-//! * [`DirectIoHostPolicy`] uses `O_DIRECT` + a user-space scratchpad —
-//!   the paper's latency-optimized software runtime (SmartSAGE (SW)).
+//! * `SsdMmap` goes through the OS page cache — faults cost "several
+//!   tens of microseconds" of kernel time per missing page;
+//! * `SmartSageSw` uses `O_DIRECT` + a user-space scratchpad — the
+//!   paper's latency-optimized software runtime (SmartSAGE (SW)).
+//!
+//! Both are one [`HostPolicy`] over the reader its kind selects.
 //!
 //! Accesses step one at a time per worker (queue depth 1 per sampling
 //! thread: each edge-list read depends on the previous control flow),
@@ -50,50 +52,29 @@ pub struct HostPolicy {
     finished: Vec<Option<BatchCost>>,
 }
 
-/// The baseline mmap-based SSD system.
-pub type MmapHostPolicy = HostPolicy;
-
-/// Constructor support for both host paths.
 impl HostPolicy {
-    /// Builds the `SSD (mmap)` policy.
-    pub fn new(ctx: Arc<RunContext>, workers: usize) -> HostPolicy {
-        // Page cache sized for the scaled graph when running exact; the
-        // analytic mode overrides hit decisions anyway.
-        let cache_bytes = Self::scaled_cache_bytes(&ctx, ctx.config.devices.host_cache_bytes);
-        let reader = Reader::Mmap(MmapReader::new(
-            cache_bytes,
-            ctx.config.devices.hostio.clone(),
-        ));
-        Self::with_reader(ctx, workers, SystemKind::SsdMmap, reader)
-    }
-
-    /// Builds the `SmartSAGE (SW)` direct-I/O policy.
-    pub fn new_direct_io(ctx: Arc<RunContext>, workers: usize) -> HostPolicy {
-        let cache_bytes = Self::scaled_cache_bytes(&ctx, ctx.config.devices.scratchpad_bytes);
-        let reader = Reader::DirectIo(DirectIoReader::new(
-            cache_bytes,
-            ctx.config.devices.hostio.clone(),
-        ));
-        Self::with_reader(ctx, workers, SystemKind::SmartSageSw, reader)
-    }
-
-    /// Exact-mode cache sizing: scale the full-size cache down by the
-    /// dataset's materialization factor so coverage fractions match.
-    fn scaled_cache_bytes(ctx: &RunContext, full_bytes: u64) -> u64 {
-        if ctx.locality.is_some() {
-            // Analytic mode: the exact cache is bypassed; keep it small.
-            full_bytes.min(64 * 1024 * 1024)
-        } else {
-            full_bytes
-        }
-    }
-
-    fn with_reader(
-        ctx: Arc<RunContext>,
-        workers: usize,
-        kind: SystemKind,
-        reader: Reader,
-    ) -> HostPolicy {
+    /// Builds the host policy for `kind`: `SsdMmap` reads through the
+    /// OS page cache, `SmartSageSw` through direct I/O and its
+    /// scratchpad.
+    pub fn new(ctx: Arc<RunContext>, workers: usize, kind: SystemKind) -> HostPolicy {
+        let devices = &ctx.config.devices;
+        // Caches sized for the scaled graph when running exact; the
+        // analytic mode imposes hit decisions anyway, so keep the
+        // exact cache under it small.
+        let cache_bytes = |full_bytes: u64| match ctx.locality {
+            Some(_) => full_bytes.min(64 * 1024 * 1024),
+            None => full_bytes,
+        };
+        let reader = match kind {
+            SystemKind::SsdMmap => Reader::Mmap(MmapReader::new(
+                cache_bytes(devices.host_cache_bytes),
+                devices.hostio.clone(),
+            )),
+            _ => Reader::DirectIo(DirectIoReader::new(
+                cache_bytes(devices.scratchpad_bytes),
+                devices.hostio.clone(),
+            )),
+        };
         let rng = Xoshiro256::seed_from_u64(0x5EED_0001 ^ ctx.layout.total_bytes());
         HostPolicy {
             ctx,
@@ -120,18 +101,6 @@ impl HostPolicy {
     }
 }
 
-/// Builder alias so `make_policy` reads naturally.
-#[derive(Debug)]
-pub struct DirectIoHostPolicy;
-
-impl DirectIoHostPolicy {
-    /// Builds the `SmartSAGE (SW)` policy (`HostPolicy::new_direct_io`).
-    #[allow(clippy::new_ret_no_self)] // intentionally an alias constructor
-    pub fn new(ctx: Arc<RunContext>, workers: usize) -> HostPolicy {
-        HostPolicy::new_direct_io(ctx, workers)
-    }
-}
-
 impl CostPolicy for HostPolicy {
     fn kind(&self) -> SystemKind {
         self.kind
@@ -153,8 +122,8 @@ impl CostPolicy for HostPolicy {
     fn step(&mut self, worker: usize, devices: &mut Devices, now: SimTime) -> StepOutcome {
         let host_override = self.host_hit_override();
         let ssd_override = self.ssd_hit_override();
-        let params = self.ctx.config.devices.hostio.clone();
-        let graph = Arc::clone(&self.ctx);
+        let ctx = &*self.ctx;
+        let params = &ctx.config.devices.hostio;
         let cursor = self.cursors[worker].as_mut().expect("no active batch");
         let mut t = now.max(cursor.now);
 
@@ -164,7 +133,7 @@ impl CostPolicy for HostPolicy {
         // (it is ~1% of the edge array).
         t += SimDuration::from_nanos(30);
         // Fetch the node's neighbor-ID chunk in block granularity.
-        let range = graph.layout.edge_list_range(graph.graph(), access.node);
+        let range = ctx.layout.edge_list_range(ctx.graph(), access.node);
         if range.len > 0 {
             let out = match &mut self.reader {
                 Reader::Mmap(r) => r.read(&mut devices.ssd, t, range, host_override, ssd_override),
@@ -223,7 +192,7 @@ mod tests {
     fn mmap_is_orders_of_magnitude_slower_than_dram_sampling() {
         let ctx = test_context(SystemKind::SsdMmap);
         let mut devices = Devices::new(&ctx.config);
-        let mut p = HostPolicy::new(Arc::clone(&ctx), 1);
+        let mut p = HostPolicy::new(Arc::clone(&ctx), 1, SystemKind::SsdMmap);
         let trace = test_trace(&ctx, 32, 5);
         let accesses = trace.num_accesses();
         let r = drive(&mut p, &mut devices, 0, SimTime::ZERO, trace);
@@ -242,7 +211,7 @@ mod tests {
     fn direct_io_beats_mmap() {
         let ctx_m = test_context(SystemKind::SsdMmap);
         let mut dev_m = Devices::new(&ctx_m.config);
-        let mut pm = HostPolicy::new(Arc::clone(&ctx_m), 1);
+        let mut pm = HostPolicy::new(Arc::clone(&ctx_m), 1, SystemKind::SsdMmap);
         let rm = drive(
             &mut pm,
             &mut dev_m,
@@ -252,7 +221,7 @@ mod tests {
         );
         let ctx_d = test_context(SystemKind::SmartSageSw);
         let mut dev_d = Devices::new(&ctx_d.config);
-        let mut pd = HostPolicy::new_direct_io(Arc::clone(&ctx_d), 1);
+        let mut pd = HostPolicy::new(Arc::clone(&ctx_d), 1, SystemKind::SmartSageSw);
         let rd = drive(
             &mut pd,
             &mut dev_d,
@@ -271,7 +240,7 @@ mod tests {
     fn transfers_are_block_granular() {
         let ctx = test_context(SystemKind::SsdMmap);
         let mut devices = Devices::new(&ctx.config);
-        let mut p = HostPolicy::new(Arc::clone(&ctx), 1);
+        let mut p = HostPolicy::new(Arc::clone(&ctx), 1, SystemKind::SsdMmap);
         let trace = test_trace(&ctx, 16, 9);
         let useful = trace.num_sampled() * 8;
         let r = drive(&mut p, &mut devices, 0, SimTime::ZERO, trace);

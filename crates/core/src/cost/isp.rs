@@ -21,7 +21,7 @@
 //! work on a dedicated core complex instead of the firmware-shared one
 //! (§VI-C: "dedicated, ISP-purposed embedded cores like Newport").
 
-use super::{BatchCost, CostPolicy, StepOutcome};
+use super::{fetch_pages, BatchCost, CostPolicy, StepOutcome};
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
 use crate::nsconfig::{NsConfig, TargetDescriptor};
@@ -158,21 +158,15 @@ impl CostPolicy for IspPolicy {
     }
 
     fn step(&mut self, worker: usize, devices: &mut Devices, now: SimTime) -> StepOutcome {
-        let g = self.ctx.config.coalescing_granularity as usize;
-        let params = self.ctx.config.devices.clone();
-        let locality = self.ctx.locality;
-        // Pre-draw buffer-hit verdicts outside the cursor borrow.
-        let isp_hit_rate = locality.map(|l| l.ssd_buffer_hit_isp);
+        let ctx = &*self.ctx;
+        let g = ctx.config.coalescing_granularity as usize;
+        let params = &ctx.config.devices;
+        let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit_isp);
 
         let nscfg = {
             let cursor = self.cursors[worker].as_ref().expect("no active batch");
-            if cursor.phase == Phase::Issue {
-                Some(self.build_nsconfig(cursor, g))
-            } else {
-                None
-            }
+            (cursor.phase == Phase::Issue).then(|| self.build_nsconfig(cursor, g))
         };
-        let ctx = Arc::clone(&self.ctx);
         let cursor = self.cursors[worker].as_mut().expect("no active batch");
         let mut t = now.max(cursor.now);
 
@@ -183,7 +177,7 @@ impl CostPolicy for IspPolicy {
                 t += params.hostio.ioctl_cost;
                 cursor.overhead += params.hostio.ioctl_cost;
                 t += params.ssd.nvme.isp_pickup_delay();
-                let cores: &mut smartsage_storage::EmbeddedCores = if self.oracle {
+                let cores = if self.oracle {
                     &mut devices.oracle_cores
                 } else {
                     &mut devices.ssd.cores
@@ -203,50 +197,19 @@ impl CostPolicy for IspPolicy {
                 let chunk_end = (cursor.access + params.isp_queue_depth).min(hop_end);
                 let hop = &cursor.trace.hops[cursor.hop];
                 // Core work for the chunk: per-access bookkeeping + FTL
-                // translation + per-sample gather cost.
+                // translation + per-sample gather cost. Its pages are
+                // all queued at the chunk start: the generator keeps
+                // the whole chunk in flight simultaneously.
                 let mut core_work = SimDuration::ZERO;
                 let mut flash_done = t;
-                let page_bytes = devices.ssd.page_bytes();
-                for idx in cursor.access..chunk_end {
-                    let access = &hop.accesses[idx];
+                for access in &hop.accesses[cursor.access..chunk_end] {
                     core_work += params.isp_access_cost
                         + devices.ssd.ftl.translate_cost()
                         + params.isp_sample_cost.mul_u64(access.picks as u64);
                     let range = ctx.layout.edge_list_range(ctx.graph(), access.node);
-                    if range.len == 0 {
-                        continue;
-                    }
-                    let first = range.offset / page_bytes;
-                    let last = (range.offset + range.len - 1) / page_bytes;
-                    for lpn in first..=last {
-                        let ppn = devices.ssd.ftl.translate(lpn);
-                        let hit = match isp_hit_rate {
-                            Some(p) => {
-                                let h = self.rng.chance(p);
-                                if h {
-                                    devices.ssd.buffer.insert(ppn);
-                                    let _ = devices.ssd.buffer.access(ppn);
-                                } else {
-                                    let _ = devices.ssd.buffer.access(ppn);
-                                    devices.ssd.buffer.insert(ppn);
-                                }
-                                h
-                            }
-                            None => {
-                                let h = devices.ssd.buffer.access(ppn);
-                                if !h {
-                                    devices.ssd.buffer.insert(ppn);
-                                }
-                                h
-                            }
-                        };
-                        if !hit {
-                            // Queued at chunk start: the generator keeps
-                            // the whole chunk in flight simultaneously.
-                            let done = devices.ssd.flash.read_page(t, ppn);
-                            flash_done = flash_done.max(done);
-                        }
-                    }
+                    let fetched =
+                        fetch_pages(&mut devices.ssd, &mut self.rng, isp_hit_rate, t, range);
+                    flash_done = flash_done.max(fetched);
                 }
                 let cores = if self.oracle {
                     &mut devices.oracle_cores

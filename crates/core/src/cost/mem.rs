@@ -31,17 +31,8 @@ pub struct MemPolicy {
 }
 
 impl MemPolicy {
-    /// Oracular DRAM-resident policy.
-    pub fn new_dram(ctx: Arc<RunContext>, workers: usize) -> Self {
-        Self::new(ctx, workers, SystemKind::Dram)
-    }
-
-    /// Optane PMEM policy.
-    pub fn new_pmem(ctx: Arc<RunContext>, workers: usize) -> Self {
-        Self::new(ctx, workers, SystemKind::Pmem)
-    }
-
-    fn new(ctx: Arc<RunContext>, workers: usize, kind: SystemKind) -> Self {
+    /// The policy for `kind`: oracular `Dram`, or Optane `Pmem`.
+    pub fn new(ctx: Arc<RunContext>, workers: usize, kind: SystemKind) -> Self {
         MemPolicy {
             ctx,
             kind,
@@ -120,7 +111,7 @@ mod tests {
     fn dram_batch_time_is_latency_dominated() {
         let ctx = test_context(SystemKind::Dram);
         let mut devices = Devices::new(&ctx.config);
-        let mut p = MemPolicy::new_dram(Arc::clone(&ctx), 1);
+        let mut p = MemPolicy::new(Arc::clone(&ctx), 1, SystemKind::Dram);
         let trace = test_trace(&ctx, 32, 1);
         let accesses = trace.num_accesses();
         let cost = drive(&mut p, &mut devices, 0, SimTime::ZERO, trace);
@@ -138,11 +129,11 @@ mod tests {
         let trace_of = |ctx: &Arc<RunContext>| test_trace(ctx, 64, 2);
         let ctx_d = test_context(SystemKind::Dram);
         let mut dev_d = Devices::new(&ctx_d.config);
-        let mut pd = MemPolicy::new_dram(Arc::clone(&ctx_d), 1);
+        let mut pd = MemPolicy::new(Arc::clone(&ctx_d), 1, SystemKind::Dram);
         let rd = drive(&mut pd, &mut dev_d, 0, SimTime::ZERO, trace_of(&ctx_d));
         let ctx_p = test_context(SystemKind::Pmem);
         let mut dev_p = Devices::new(&ctx_p.config);
-        let mut pp = MemPolicy::new_pmem(Arc::clone(&ctx_p), 1);
+        let mut pp = MemPolicy::new(Arc::clone(&ctx_p), 1, SystemKind::Pmem);
         let rp = drive(&mut pp, &mut dev_p, 0, SimTime::ZERO, trace_of(&ctx_p));
         let ratio = rp.sampling_time.ratio(rd.sampling_time);
         assert!(
@@ -155,7 +146,7 @@ mod tests {
     #[should_panic(expected = "busy")]
     fn double_begin_panics() {
         let ctx = test_context(SystemKind::Dram);
-        let mut p = MemPolicy::new_dram(Arc::clone(&ctx), 1);
+        let mut p = MemPolicy::new(Arc::clone(&ctx), 1, SystemKind::Dram);
         let t = test_trace(&ctx, 2, 3);
         p.begin(0, SimTime::ZERO, t.clone());
         p.begin(0, SimTime::ZERO, t);

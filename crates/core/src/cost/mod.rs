@@ -30,7 +30,7 @@ mod mem;
 mod trace;
 
 pub use fpga::FpgaPolicy;
-pub use host::{DirectIoHostPolicy, MmapHostPolicy};
+pub use host::HostPolicy;
 pub use isp::IspPolicy;
 pub use mem::MemPolicy;
 pub use trace::trace_of_plan;
@@ -38,7 +38,9 @@ pub use trace::trace_of_plan;
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
 use crate::metrics::FpgaPhases;
-use smartsage_sim::{SimDuration, SimTime};
+use smartsage_hostio::ByteRange;
+use smartsage_sim::{SimDuration, SimTime, Xoshiro256};
+use smartsage_storage::Ssd;
 use smartsage_store::SampleTrace;
 use std::sync::Arc;
 
@@ -108,16 +110,52 @@ pub trait CostPolicy {
     fn take_result(&mut self, worker: usize) -> BatchCost;
 }
 
+/// The flash leg the in-device policies ([`IspPolicy`], [`FpgaPolicy`])
+/// share, and their queueing discipline over the device's one page
+/// fetch ([`Ssd::fetch_page`]): every flash page `range` touches is
+/// issued at `at` — the chunk start, so a whole access chunk is in
+/// flight together and ends behind a barrier on its slowest read —
+/// under a verdict drawn at `hit_rate` when the full-scale locality
+/// model imposes one. Buffer hits are free and FTL cost is the
+/// caller's (pooled into the chunk's core work). Returns when the
+/// slowest *missing* page is in the buffer, `at` when none missed.
+///
+/// The store-side ISP tiers (`smartsage_store`'s `IspDevice::pass`)
+/// run the same fetch under a page-granular sliding window with
+/// per-page FTL time on the cores. Making either discipline the other
+/// moves the figure fixture or the `isp_golden` constants, so both are
+/// kept and pinned.
+fn fetch_pages(
+    ssd: &mut Ssd,
+    rng: &mut Xoshiro256,
+    hit_rate: Option<f64>,
+    at: SimTime,
+    range: ByteRange,
+) -> SimTime {
+    let Some((first, last)) = range.blocks(ssd.page_bytes()) else {
+        return at;
+    };
+    (first..=last).fold(at, |done, lpn| {
+        let forced = hit_rate.map(|p| rng.chance(p));
+        match ssd.fetch_page(at, lpn, forced) {
+            (true, _) => done,
+            (false, ready) => done.max(ready),
+        }
+    })
+}
+
 /// Instantiates the cost policy for `ctx.config.kind`.
 pub fn make_policy(ctx: &Arc<RunContext>, workers: usize) -> Box<dyn CostPolicy> {
-    match ctx.config.kind {
-        SystemKind::Dram => Box::new(MemPolicy::new_dram(Arc::clone(ctx), workers)),
-        SystemKind::Pmem => Box::new(MemPolicy::new_pmem(Arc::clone(ctx), workers)),
-        SystemKind::SsdMmap => Box::new(MmapHostPolicy::new(Arc::clone(ctx), workers)),
-        SystemKind::SmartSageSw => Box::new(DirectIoHostPolicy::new(Arc::clone(ctx), workers)),
-        SystemKind::SmartSageHwSw => Box::new(IspPolicy::new(Arc::clone(ctx), workers, false)),
-        SystemKind::SmartSageOracle => Box::new(IspPolicy::new(Arc::clone(ctx), workers, true)),
-        SystemKind::FpgaCsd => Box::new(FpgaPolicy::new(Arc::clone(ctx), workers)),
+    let kind = ctx.config.kind;
+    let ctx = Arc::clone(ctx);
+    match kind {
+        SystemKind::Dram | SystemKind::Pmem => Box::new(MemPolicy::new(ctx, workers, kind)),
+        SystemKind::SsdMmap | SystemKind::SmartSageSw => {
+            Box::new(HostPolicy::new(ctx, workers, kind))
+        }
+        SystemKind::SmartSageHwSw => Box::new(IspPolicy::new(ctx, workers, false)),
+        SystemKind::SmartSageOracle => Box::new(IspPolicy::new(ctx, workers, true)),
+        SystemKind::FpgaCsd => Box::new(FpgaPolicy::new(ctx, workers)),
     }
 }
 

@@ -9,29 +9,24 @@
 use crate::layout::ByteRange;
 use crate::mmap::ReadOutcome;
 use crate::params::HostIoParams;
-use smartsage_sim::LruSet;
-use smartsage_sim::SimTime;
+use smartsage_sim::{CountedLru, SimTime};
 use smartsage_storage::Ssd;
 
 /// The direct-I/O reader with a user-space scratchpad.
 #[derive(Debug, Clone)]
 pub struct DirectIoReader {
-    scratchpad: LruSet<u64>,
+    /// The scratchpad's resident device blocks, keyed by block index.
+    scratchpad: CountedLru<u64>,
     params: HostIoParams,
-    hits: u64,
-    misses: u64,
 }
 
 impl DirectIoReader {
     /// Creates a reader whose scratchpad holds `scratchpad_bytes` of
     /// device blocks.
     pub fn new(scratchpad_bytes: u64, params: HostIoParams) -> Self {
-        let blocks = (scratchpad_bytes / params.os_page_bytes) as usize;
         DirectIoReader {
-            scratchpad: LruSet::new(blocks),
+            scratchpad: CountedLru::new((scratchpad_bytes / params.os_page_bytes) as usize),
             params,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -40,24 +35,9 @@ impl DirectIoReader {
         &self.params
     }
 
-    /// Scratchpad hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Scratchpad misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Scratchpad hit ratio.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+    /// The scratchpad (for statistics).
+    pub fn scratchpad(&self) -> &CountedLru<u64> {
+        &self.scratchpad
     }
 
     /// Reads `range` at time `at`.
@@ -87,25 +67,10 @@ impl DirectIoReader {
         let mut hits = 0;
         let mut missing: Vec<u64> = Vec::new();
         for block in first..=last {
-            let resident = match host_hit_override {
-                Some(forced) => {
-                    self.scratchpad.insert(block);
-                    forced
-                }
-                None => {
-                    let r = self.scratchpad.touch(&block);
-                    if !r {
-                        self.scratchpad.insert(block);
-                    }
-                    r
-                }
-            };
-            if resident {
+            if self.scratchpad.lookup(block, host_hit_override) {
                 hits += 1;
-                self.hits += 1;
                 now += self.params.scratchpad_hit_cost;
             } else {
-                self.misses += 1;
                 missing.push(block);
             }
         }
@@ -139,9 +104,7 @@ impl DirectIoReader {
 
     /// Drops scratchpad contents and counters.
     pub fn reset(&mut self) {
-        self.scratchpad.clear();
-        self.hits = 0;
-        self.misses = 0;
+        self.scratchpad.reset();
     }
 }
 
@@ -230,7 +193,7 @@ mod tests {
             second.done - first.done,
             HostIoParams::default().scratchpad_hit_cost
         );
-        assert!(r.hit_ratio() > 0.0);
+        assert!(r.scratchpad().hit_ratio() > 0.0);
     }
 
     #[test]
@@ -261,7 +224,7 @@ mod tests {
         };
         r.read(&mut dev, SimTime::ZERO, range, None, None);
         r.reset();
-        assert_eq!(r.hits(), 0);
+        assert_eq!(r.scratchpad().hits(), 0);
         let out = r.read(&mut dev, SimTime::ZERO, range, None, None);
         assert_eq!(out.ssd_blocks, 1, "scratchpad must be cold after reset");
     }

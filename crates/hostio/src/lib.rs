@@ -12,12 +12,14 @@
 //! * [`layout::GraphFile`] — the on-SSD byte layout of the neighbor
 //!   edge-list array (and feature table), mapping nodes to logical block
 //!   addresses.
-//! * [`LruSet`] — the generic exact-LRU used by both caches (it lives
-//!   in `smartsage-sim`, shared with the SSD page buffer; re-exported
-//!   here).
-//! * [`page_cache::PageCache`] — the OS page cache: 4 KiB pages, page
-//!   faults with kernel-crossing costs, minor-hit costs.
-//! * [`mmap::MmapReader`] — the baseline `SSD (mmap)` read path.
+//! * [`LruSet`] — the generic exact-LRU under both host caches (it
+//!   lives in `smartsage-sim`; re-exported here). The OS page cache and
+//!   the scratchpad are each a `smartsage_sim::CountedLru<u64>` — the
+//!   one counted model cache, shared with the SSD page buffer — held by
+//!   their reader.
+//! * [`mmap::MmapReader`] — the baseline `SSD (mmap)` read path: the OS
+//!   page cache over 4 KiB pages, page faults with kernel-crossing
+//!   costs, minor-hit costs.
 //! * [`direct_io::DirectIoReader`] — SmartSAGE(SW)'s `O_DIRECT` path with
 //!   a user-space scratchpad buffer.
 //! * [`sharded_cache::ShardedPageCache`] — a lock-striped payload page
@@ -43,7 +45,6 @@ pub mod engine;
 pub mod layout;
 pub mod locality;
 pub mod mmap;
-pub mod page_cache;
 pub mod params;
 pub mod sharded_cache;
 pub mod sync;
@@ -54,7 +55,6 @@ pub use engine::{Completion, EngineStats, ReadEngine, ReadRequest, ReadSource};
 pub use layout::{ByteRange, GraphFile};
 pub use locality::lru_hit_rate;
 pub use mmap::MmapReader;
-pub use page_cache::PageCache;
 pub use params::HostIoParams;
 pub use sharded_cache::ShardedPageCache;
 pub use smartsage_sim::LruSet;

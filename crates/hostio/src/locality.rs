@@ -7,7 +7,9 @@
 //! overstating locality. We therefore compute the hit rate an LRU cache
 //! of the real capacity would achieve against the real population, using
 //! **Che's approximation** [Che et al., 2002], and impose that probability
-//! on the exact cache models via their `force_access` hooks.
+//! on the exact cache models: each lookup carries a verdict drawn at
+//! that rate (`smartsage_sim::CountedLru::lookup`'s `forced`), which
+//! the cache answers and counts while still tracking residency.
 //!
 //! Popularity is degree-weighted: sampling touches a node's edge list
 //! when the node is drawn as a neighbor, which happens in proportion to

@@ -1,15 +1,17 @@
 //! The baseline `SSD (mmap)` read path (paper Fig 12, left).
 //!
 //! The graph file is memory-mapped; reading a byte range touches its OS
-//! pages one by one. Resident pages cost a near-memory touch; missing
-//! pages take a major fault — kernel entry, page-cache maintenance, a
-//! 4 KiB block read from the SSD, page-table fixup — which is the
-//! "several tens of microseconds" overhead the paper measures.
+//! pages one by one, each consulting the kernel's page cache. Resident
+//! pages cost a near-memory touch; missing pages take a major fault —
+//! kernel entry, page-cache maintenance, a 4 KiB block read from the
+//! SSD, page-table fixup — which is the "several tens of microseconds"
+//! overhead the paper measures ("the merits of utilizing the page cache
+//! to reap locality benefits are outweighed by the high latency
+//! overheads of maintaining the OS managed page cache itself", §III-C).
 
 use crate::layout::ByteRange;
-use crate::page_cache::{PageCache, PageLookup};
 use crate::params::HostIoParams;
-use smartsage_sim::SimTime;
+use smartsage_sim::{CountedLru, SimTime};
 use smartsage_storage::Ssd;
 
 /// Outcome of one ranged read on a host path.
@@ -28,21 +30,23 @@ pub struct ReadOutcome {
 /// The mmap-based reader: OS page cache in front of the SSD.
 #[derive(Debug, Clone)]
 pub struct MmapReader {
-    cache: PageCache,
+    /// The OS page cache over the file's pages, keyed by page index.
+    cache: CountedLru<u64>,
     params: HostIoParams,
 }
 
 impl MmapReader {
-    /// Creates a reader whose page cache holds `cache_bytes`.
+    /// Creates a reader whose page cache holds `cache_bytes` (rounded
+    /// down to whole OS pages).
     pub fn new(cache_bytes: u64, params: HostIoParams) -> Self {
         MmapReader {
-            cache: PageCache::new(cache_bytes, &params),
+            cache: CountedLru::new((cache_bytes / params.os_page_bytes) as usize),
             params,
         }
     }
 
     /// The underlying page cache (for statistics).
-    pub fn cache(&self) -> &PageCache {
+    pub fn cache(&self) -> &CountedLru<u64> {
         &self.cache
     }
 
@@ -80,34 +84,29 @@ impl MmapReader {
         };
         let mut prev_flash_page: Option<u64> = None;
         for page in first..=last {
-            let lookup = match host_hit_override {
-                Some(forced) => self.cache.force_access(page, forced),
-                None => self.cache.access_page(page),
-            };
-            match lookup {
-                PageLookup::Hit => {
-                    hits += 1;
-                    now += self.params.minor_hit_cost;
-                }
-                PageLookup::Fault => {
-                    misses += 1;
-                    // Kernel fault path, then a synchronous block read.
-                    now += self.params.fault_cost;
-                    // Consecutive blocks of one chunk usually share a
-                    // flash page: once the first block's page is read it
-                    // is resident in the SSD buffer for the rest.
-                    let flash_page = page * self.params.os_page_bytes / ssd.page_bytes();
-                    let override_here = if prev_flash_page == Some(flash_page) {
-                        Some(true)
-                    } else {
-                        ssd_hit_override
-                    };
-                    prev_flash_page = Some(flash_page);
-                    // OS page == device block here (both 4 KiB).
-                    let r = ssd.read_block(now, page, override_here);
-                    now = r.done;
-                    ssd_blocks += 1;
-                }
+            // A fault brings the page in: the kernel reads it before
+            // returning, so it is resident either way.
+            if self.cache.lookup(page, host_hit_override) {
+                hits += 1;
+                now += self.params.minor_hit_cost;
+            } else {
+                misses += 1;
+                // Kernel fault path, then a synchronous block read.
+                now += self.params.fault_cost;
+                // Consecutive blocks of one chunk usually share a
+                // flash page: once the first block's page is read it
+                // is resident in the SSD buffer for the rest.
+                let flash_page = page * self.params.os_page_bytes / ssd.page_bytes();
+                let override_here = if prev_flash_page == Some(flash_page) {
+                    Some(true)
+                } else {
+                    ssd_hit_override
+                };
+                prev_flash_page = Some(flash_page);
+                // OS page == device block here (both 4 KiB).
+                let r = ssd.read_block(now, page, override_here);
+                now = r.done;
+                ssd_blocks += 1;
             }
         }
         ReadOutcome {
@@ -136,6 +135,12 @@ mod tests {
 
     fn reader(cache_pages: u64) -> MmapReader {
         MmapReader::new(cache_pages * 4096, HostIoParams::default())
+    }
+
+    #[test]
+    fn cache_capacity_rounds_down_to_whole_pages() {
+        let r = MmapReader::new(3 * 4096 + 100, HostIoParams::default());
+        assert_eq!(r.cache().keys().capacity(), 3);
     }
 
     #[test]

@@ -4,26 +4,38 @@
 use proptest::prelude::*;
 use smartsage_hostio::coalesce::CoalescingPlan;
 use smartsage_hostio::locality::{lru_hit_rate, PopularityBucket};
-use smartsage_hostio::page_cache::PageCache;
-use smartsage_hostio::{HostIoParams, LruSet, ShardedPageCache};
+use smartsage_hostio::{LruSet, ShardedPageCache};
+use smartsage_sim::CountedLru;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// The model page cache (and scratchpad, and SSD page buffer — all
+    /// one `CountedLru`): every lookup is counted once, as the verdict
+    /// it returned, imposed or exact, and residency stays in capacity.
     #[test]
     fn page_cache_accounting_is_conserved(
-        capacity_pages in 0u64..64,
-        accesses in proptest::collection::vec(0u64..200, 1..300),
+        capacity_pages in 0usize..64,
+        accesses in proptest::collection::vec((0u64..200, 0u8..3), 1..300),
     ) {
-        let params = HostIoParams::default();
-        let mut cache = PageCache::new(capacity_pages * params.os_page_bytes, &params);
-        for &page in &accesses {
-            cache.access_page(page);
-            prop_assert!(cache.resident_pages() as u64 <= capacity_pages);
+        let mut cache = CountedLru::new(capacity_pages);
+        let mut hits = 0;
+        let mut imposed_hits = 0;
+        for &(page, verdict) in &accesses {
+            let forced = [None, Some(false), Some(true)][verdict as usize];
+            let hit = cache.lookup(page, forced);
+            if let Some(imposed) = forced {
+                prop_assert_eq!(hit, imposed, "an imposed verdict is the answer");
+            }
+            hits += hit as u64;
+            imposed_hits += (forced == Some(true)) as u64;
+            prop_assert!(cache.keys().len() <= capacity_pages);
+            prop_assert_eq!(cache.keys().contains(&page), capacity_pages > 0);
         }
-        prop_assert_eq!(cache.hits() + cache.faults(), accesses.len() as u64);
+        prop_assert_eq!(cache.hits(), hits);
+        prop_assert_eq!(cache.hits() + cache.misses(), accesses.len() as u64);
         if capacity_pages == 0 {
-            prop_assert_eq!(cache.hits(), 0);
+            prop_assert_eq!(cache.hits(), imposed_hits);
         }
     }
 

@@ -16,9 +16,10 @@
 //!   links, host CPU cores).
 //! * [`bandwidth`] — serialized bandwidth links ([`Link`]) for bulk data
 //!   movement (PCIe DMA, flash channel buses).
-//! * [`lru`] — the one exact LRU: a key set ([`LruSet`]) behind every
-//!   modeled cache (OS page cache, scratchpads, SSD page buffer), and
-//!   its payload-carrying form ([`LruMap`]) behind the real ones.
+//! * [`lru`] — the one exact LRU: a key set ([`LruSet`]) with hit/miss
+//!   counters ([`CountedLru`]) behind every modeled cache (OS page
+//!   cache, scratchpads, SSD page buffer), and its payload-carrying
+//!   form ([`LruMap`]) behind the real ones.
 //! * [`stats`] — online statistics ([`RunningStats`]) and log-scale
 //!   histograms ([`Histogram`]) for metric collection.
 //!
@@ -51,7 +52,7 @@ pub mod time;
 
 pub use bandwidth::Link;
 pub use events::EventQueue;
-pub use lru::{LruMap, LruSet};
+pub use lru::{CountedLru, LruMap, LruSet};
 pub use resource::Server;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use stats::{Histogram, RunningStats};

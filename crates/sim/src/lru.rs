@@ -2,7 +2,9 @@
 //!
 //! The simulator's caches (the OS page cache, the direct-I/O scratchpad,
 //! the SSD's DRAM page buffer) need residency and eviction order, not
-//! payloads: they are [`LruSet`]s. The real caches (the payload page
+//! payloads: they are [`LruSet`]s — each behind the one [`CountedLru`],
+//! which adds the hit/miss counters and the imposed-verdict rule every
+//! modeled cache shares. The real caches (the payload page
 //! cache's stripes, the ISP row scratchpad) keep a value per resident
 //! key: they are [`LruMap`]s. Both are the same structure — `LruSet<K>`
 //! is `LruMap<K, ()>` — so a key and its payload are one record and
@@ -64,6 +66,89 @@ impl<K: Hash + Eq + Copy> LruSet<K> {
     /// zero capacity accepts every insert as a no-op.
     pub fn insert(&mut self, key: K) -> Option<K> {
         self.put(key, ()).map(|(victim, ())| victim)
+    }
+}
+
+/// The one modeled cache: an [`LruSet`] plus the hit/miss counters of
+/// its lookups. The SSD's DRAM page buffer, the OS page cache and the
+/// direct-I/O scratchpad are this type over their page key.
+///
+/// # Example
+///
+/// ```
+/// use smartsage_sim::CountedLru;
+/// let mut cache = CountedLru::new(2);
+/// assert!(!cache.lookup(7u64, None)); // miss: 7 is brought in
+/// assert!(cache.lookup(7, None));
+/// assert!(!cache.lookup(7, Some(false))); // imposed miss, counted as one
+/// assert_eq!((cache.hits(), cache.misses()), (1, 2));
+/// ```
+#[derive(Debug, Clone)]
+pub struct CountedLru<K> {
+    keys: LruSet<K>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<K: Hash + Eq + Copy> CountedLru<K> {
+    /// Creates a cache holding at most `capacity` keys. Zero capacity
+    /// is legal: nothing is retained, every unforced lookup misses.
+    pub fn new(capacity: usize) -> Self {
+        CountedLru {
+            keys: LruSet::new(capacity),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Looks `key` up and leaves it resident as MRU either way (a miss
+    /// brings it in, evicting the LRU key when full). `forced` imposes
+    /// the verdict — the full-scale locality model's draw — in place of
+    /// the exact residency; the recency update is the same. The verdict
+    /// returned is the verdict counted.
+    pub fn lookup(&mut self, key: K, forced: Option<bool>) -> bool {
+        let resident = self.keys.touch(&key);
+        if !resident {
+            self.keys.insert(key);
+        }
+        let hit = forced.unwrap_or(resident);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// The resident keys (capacity, length, residency and recency
+    /// order, none of which a read disturbs).
+    pub fn keys(&self) -> &LruSet<K> {
+        &self.keys
+    }
+
+    /// Hit count since creation/reset.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Miss count since creation/reset.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Hit ratio over all lookups (0.0 when there were none).
+    pub fn hit_ratio(&self) -> f64 {
+        match self.hits + self.misses {
+            0 => 0.0,
+            total => self.hits as f64 / total as f64,
+        }
+    }
+
+    /// Drops all keys and counters, keeping capacity.
+    pub fn reset(&mut self) {
+        self.keys.clear();
+        self.hits = 0;
+        self.misses = 0;
     }
 }
 
@@ -353,6 +438,76 @@ mod tests {
         }
         assert!(l.is_empty());
         assert_eq!(l.lru_key(), None);
+    }
+
+    #[test]
+    fn counted_lookup_misses_bring_the_key_in_and_evict_by_recency() {
+        let mut c = CountedLru::new(2);
+        assert!(!c.lookup(1u64, None));
+        assert!(c.lookup(1, None));
+        assert_eq!((c.hits(), c.misses()), (1, 1));
+        assert_eq!(c.hit_ratio(), 0.5);
+        assert!(!c.lookup(2, None));
+        assert!(c.lookup(1, None)); // 2 is now LRU
+        assert!(!c.lookup(3, None)); // evicts 2
+        assert_eq!(c.keys().keys_mru_first(), [3, 1]);
+        assert!(!c.lookup(2, None), "the evicted key misses again");
+        assert_eq!(c.keys().len(), 2);
+    }
+
+    #[test]
+    fn counted_zero_capacity_never_holds_and_never_hits() {
+        let mut c = CountedLru::new(0);
+        for _ in 0..3 {
+            assert!(!c.lookup(1u64, None));
+        }
+        assert!(c.keys().is_empty());
+        assert_eq!((c.hits(), c.misses()), (0, 3));
+        // An imposed hit is still answered and counted; nothing is held.
+        assert!(c.lookup(1, Some(true)));
+        assert!(c.keys().is_empty());
+        assert_eq!(c.hits(), 1);
+    }
+
+    #[test]
+    fn counted_reset_drops_keys_and_counters_and_keeps_capacity() {
+        let mut c = CountedLru::new(2);
+        c.lookup(1u64, None);
+        c.lookup(1, None);
+        c.reset();
+        assert!(c.keys().is_empty());
+        assert_eq!((c.hits(), c.misses()), (0, 0));
+        assert_eq!(c.hit_ratio(), 0.0);
+        assert_eq!(c.keys().capacity(), 2);
+        assert!(!c.lookup(1, None), "cold after reset");
+        assert!(c.lookup(1, None), "and usable");
+    }
+
+    #[test]
+    fn counted_forced_lookups_count_the_verdict_and_order_like_plain_inserts() {
+        // Keys repeat, so imposed misses land on resident keys and
+        // imposed hits on absent ones: the counters must follow the
+        // imposed verdicts, never the residency underneath.
+        let sequence = [
+            (1u64, true),
+            (2, false),
+            (1, false), // resident, imposed miss
+            (3, true),  // absent, imposed hit; evicts 2
+            (3, false),
+            (4, true), // evicts 1
+        ];
+        let mut c = CountedLru::new(2);
+        let mut plain = LruSet::new(2);
+        for (key, verdict) in sequence {
+            assert_eq!(c.lookup(key, Some(verdict)), verdict);
+            plain.insert(key);
+            assert_eq!(c.keys().keys_mru_first(), plain.keys_mru_first());
+        }
+        assert_eq!((c.hits(), c.misses()), (3, 3));
+        // Residency left behind by forced lookups is real: an unforced
+        // lookup afterwards sees it.
+        assert!(c.lookup(3, None));
+        assert!(!c.lookup(1, None));
     }
 
     /// Naive reference model: a `Vec` of records in MRU-first order with

@@ -19,7 +19,9 @@
 //!   concurrent workers reproduces Fig 17's declining speedup.
 //! * [`nvme`] — NVMe command cost model (submission/completion,
 //!   in-firmware handling, polling-loop pickup latency).
-//! * [`ssd`] — the composed device, plus its PCIe link.
+//! * [`ssd`] — the composed device, plus its PCIe link, and the one
+//!   in-device page path every model runs: [`Ssd::fetch_page`] (FTL
+//!   translate → page-buffer lookup → flash read on a miss).
 //! * [`memdev`] — DRAM and Optane-PMEM main-memory device models used by
 //!   the in-memory baselines.
 //!

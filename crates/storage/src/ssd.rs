@@ -5,10 +5,11 @@
 //! stack (and the SmartSAGE ISP) talks to. The baseline block-read path
 //! matches Fig 10(a): every host block read consumes firmware time on the
 //! embedded cores, possibly a flash page read, and a PCIe transfer of the
-//! whole block. SmartSAGE's ISP path drives the *components* directly
-//! (`ftl`/`flash`/`buffer`/`cores`), which is exactly the point of the
-//! design — sampling happens next to the page buffer, and only sampled
-//! node IDs cross PCIe.
+//! whole block. SmartSAGE's ISP paths schedule the `cores` and the PCIe
+//! link themselves, which is exactly the point of the design — sampling
+//! happens next to the page buffer, and only sampled node IDs cross
+//! PCIe. Underneath every path, host block read or ISP, a page is
+//! brought to the buffer by the one [`Ssd::fetch_page`].
 
 use crate::cores::{CoreParams, EmbeddedCores};
 use crate::flash::{FlashArray, FlashParams};
@@ -53,6 +54,9 @@ pub struct SsdParams {
     pub pcie: PcieParams,
 }
 
+/// Controller-side touch of a page already resident in SSD DRAM.
+pub const BUFFER_TOUCH: SimDuration = SimDuration::from_nanos(500);
+
 /// Result of a host block read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockRead {
@@ -62,9 +66,10 @@ pub struct BlockRead {
     pub buffer_hit: bool,
 }
 
-/// The composed device. Fields are public: the SmartSAGE ISP model in
-/// `smartsage-core` orchestrates the components directly, mirroring how
-/// the real firmware owns them.
+/// The composed device. Fields are public: the SmartSAGE ISP models
+/// (`smartsage-core`'s cost policies, `smartsage-store`'s ISP tiers)
+/// schedule the cores and read the component counters directly,
+/// mirroring how the real firmware owns them.
 #[derive(Debug, Clone)]
 pub struct Ssd {
     /// NAND array.
@@ -106,17 +111,34 @@ impl Ssd {
         self.page_bytes
     }
 
+    /// The one in-device page fetch (paper Fig 11): FTL translation,
+    /// page-buffer lookup, and on a miss the NAND page read that fills
+    /// the buffer. Returns whether the buffer hit and when the page is
+    /// ready in SSD DRAM — `at` + [`BUFFER_TOUCH`] on a hit, the flash
+    /// read's completion on a miss.
+    ///
+    /// `forced` imposes the buffer verdict — the full-scale locality
+    /// model uses this to impose analytically derived hit rates (see
+    /// `smartsage-hostio::locality`); `None` consults the exact LRU
+    /// buffer. Core time (firmware, FTL lookup cost) is the caller's to
+    /// schedule: the callers differ in exactly that.
+    pub fn fetch_page(&mut self, at: SimTime, lpn: u64, forced: Option<bool>) -> (bool, SimTime) {
+        let ppn = self.ftl.translate(lpn);
+        let hit = self.buffer.lookup(ppn, forced);
+        let ready = if hit {
+            at + BUFFER_TOUCH
+        } else {
+            self.flash.read_page(at, ppn)
+        };
+        (hit, ready)
+    }
+
     /// Serves one host block-read command for `lba`, arriving at the
-    /// device at `at`.
+    /// device at `at`; `buffer_hit_override` is [`Ssd::fetch_page`]'s
+    /// `forced`.
     ///
-    /// `buffer_hit_override` forces the page-buffer outcome — the
-    /// full-scale locality model uses this to impose analytically derived
-    /// hit rates (see `smartsage-hostio::locality`); `None` consults the
-    /// exact LRU buffer.
-    ///
-    /// Steps: firmware command handling on the embedded cores, FTL
-    /// translation, page-buffer lookup (miss ⇒ NAND page read + buffer
-    /// fill), then DMA of the block to host memory over PCIe.
+    /// Steps: firmware command handling on the embedded cores, the page
+    /// fetch, then DMA of the block to host memory over PCIe.
     pub fn read_block(
         &mut self,
         at: SimTime,
@@ -126,40 +148,11 @@ impl Ssd {
         // Firmware: command decode + FTL + DMA setup, on the shared cores.
         let (_, fw_done) = self.cores.exec_raw(at, self.nvme.per_io_firmware_cost);
         let lpn = lba * self.nvme.block_bytes / self.page_bytes;
-        let ppn = self.ftl.translate(lpn);
-        let hit = match buffer_hit_override {
-            Some(forced) => {
-                // Keep the LRU's counters truthful even when forced.
-                if forced {
-                    self.buffer.insert(ppn);
-                    let _ = self.buffer.access(ppn);
-                } else {
-                    let _ = self.buffer.access(ppn);
-                    self.buffer.insert(ppn);
-                }
-                forced
-            }
-            None => {
-                let hit = self.buffer.access(ppn);
-                if !hit {
-                    self.buffer.insert(ppn);
-                }
-                hit
-            }
-        };
-        let data_ready = if hit {
-            // Served from SSD DRAM: a short controller-side touch.
-            fw_done + SimDuration::from_nanos(500)
-        } else {
-            self.flash.read_page(fw_done, ppn)
-        };
+        let (buffer_hit, data_ready) = self.fetch_page(fw_done, lpn, buffer_hit_override);
         let done = self.pcie.transfer(data_ready, self.nvme.block_bytes);
         self.blocks_served += 1;
         self.bytes_to_host += self.nvme.block_bytes;
-        BlockRead {
-            done,
-            buffer_hit: hit,
-        }
+        BlockRead { done, buffer_hit }
     }
 
     /// Records an outbound DMA of `bytes` (ISP results, completion data)
@@ -255,6 +248,18 @@ mod tests {
         assert!(r.buffer_hit, "override must force a hit");
         let r2 = ssd.read_block(r.done, 900, Some(false));
         assert!(!r2.buffer_hit);
+        assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (1, 1));
+        // The verdict imposed is the verdict counted, whatever the
+        // exact LRU holds: block 7's page is resident by now, and an
+        // imposed miss on it is a miss (and a flash read), not a hit.
+        let reads = ssd.flash.pages_read();
+        let r3 = ssd.read_block(r2.done, 7, Some(false));
+        assert!(!r3.buffer_hit);
+        assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (1, 2));
+        assert_eq!(ssd.flash.pages_read(), reads + 1);
+        // Forced lookups leave real residency behind.
+        assert!(ssd.read_block(r3.done, 900, None).buffer_hit);
+        assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (2, 2));
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!   ISP command decode on the embedded cores, an FTL lookup per page,
 //!   flash page reads issued with up to
 //!   [`IspGatherOptions::queue_depth`] requests in flight (channel
-//!   parallelism, exactly like the edge-list ISP cost policy), page-buffer
+//!   parallelism, the same page fetch as the edge-list ISP cost policy
+//!   under a page-granular window — see `IspDevice::pass`), page-buffer
 //!   hits served from SSD DRAM, a per-row pack cost on the cores, and
 //!   finally the result DMA. The pages it is costed for are not
 //!   derived here: they are the plan of the media read that just
@@ -42,10 +43,11 @@
 //!   in [`StoreStats::device_ns`] and [`IspGatherStore::device_time`].
 //!
 //! The device timing model keeps its *own* page-buffer LRU
-//! ([`smartsage_storage::PageBuffer`]) seeded only by this store's
-//! gathers, so the modeled cost of a gather is a deterministic
-//! function of the rows it had to ship — the residency of the shared
-//! *payload* cache can never leak scheduling noise into virtual time.
+//! ([`smartsage_storage::PageBuffer`], looked up only through
+//! [`Ssd::fetch_page`]) seeded only by this store's gathers, so the
+//! modeled cost of a gather is a deterministic function of the rows it
+//! had to ship — the residency of the shared *payload* cache can never
+//! leak scheduling noise into virtual time.
 //! Which rows miss, however, is decided by the shared [`RowScratchpad`]
 //! (and hence, under concurrent runs over one file, by interleaving —
 //! exactly like the hit/miss split of the shared page cache): a serial
@@ -246,9 +248,14 @@ impl IspDevice {
         // Firmware picks the command off the queue and decodes its
         // descriptor.
         let (_, mut t) = ssd.cores.exec_raw(start, ssd.nvme.isp_command_cost);
-        // Page fetches: the in-device unit keeps up to `queue_depth`
-        // flash requests outstanding; a new issue waits for the oldest
-        // in-flight one once the window is full.
+        // Page fetches, each the device's one `Ssd::fetch_page`, under
+        // this tier's queueing discipline: a page-granular sliding
+        // window — up to `queue_depth` fetches outstanding, a new issue
+        // waiting for the oldest once the window is full — with each
+        // page's FTL lookup scheduled on the cores and a buffer hit
+        // costing its DRAM touch. (The edge-list cost policy in
+        // `smartsage-core` issues an access chunk's pages together
+        // behind a barrier instead; `isp_golden` pins this one.)
         let mut inflight: VecDeque<SimTime> = VecDeque::with_capacity(self.queue_depth);
         let mut ready = t;
         for &lpn in pages {
@@ -258,18 +265,7 @@ impl IspDevice {
                 t
             };
             let (_, translated) = ssd.cores.exec_raw(issue, ssd.ftl.translate_cost());
-            let ppn = ssd.ftl.translate(lpn);
-            let hit = ssd.buffer.access(ppn);
-            if !hit {
-                ssd.buffer.insert(ppn);
-            }
-            let done = if hit {
-                // Served from SSD DRAM: a short controller-side touch,
-                // same as the baseline block path's buffer hits.
-                translated + SimDuration::from_nanos(500)
-            } else {
-                ssd.flash.read_page(translated, ppn)
-            };
+            let (_, done) = ssd.fetch_page(translated, lpn, None);
             ready = ready.max(done);
             inflight.push_back(done);
             t = t.max(issue);
