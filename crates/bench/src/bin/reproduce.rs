@@ -62,7 +62,7 @@
 
 #![forbid(unsafe_code)]
 
-use smartsage_bench::{graph_from_flag, scale_from_flag, store_from_flag};
+use smartsage_bench::scale_from_flag;
 use smartsage_core::experiments::{registry, Experiment, ExperimentScale};
 use smartsage_core::report::Table;
 use smartsage_core::runner::{OutputFormat, Runner};
@@ -164,13 +164,13 @@ fn parse_args(args: Vec<String>) -> Cli {
             }
             "--store" => {
                 let value = value_of("--store");
-                cli.store = Some(store_from_flag(&value).unwrap_or_else(|| {
+                cli.store = Some(StoreKind::parse(&value).unwrap_or_else(|| {
                     fail_usage(&format!("unknown store '{value}' (mem|file|isp)"))
                 }));
             }
             "--graph" => {
                 let value = value_of("--graph");
-                cli.graph = Some(graph_from_flag(&value).unwrap_or_else(|| {
+                cli.graph = Some(TopologyKind::parse(&value).unwrap_or_else(|| {
                     fail_usage(&format!("unknown graph tier '{value}' (mem|file|isp)"))
                 }));
             }

@@ -9,12 +9,11 @@
 //!
 //! The set of experiment names is owned by
 //! [`smartsage_core::experiments::registry`]; this crate only re-derives
-//! views of it and parses CLI flag values.
+//! views of it and parses the `--scale` flag value.
 
 #![forbid(unsafe_code)]
 
 use smartsage_core::experiments::{registry, ExperimentScale};
-use smartsage_core::{StoreKind, TopologyKind};
 
 /// Parses an experiment scale from a CLI flag value.
 ///
@@ -26,20 +25,6 @@ pub fn scale_from_flag(flag: &str) -> Option<ExperimentScale> {
         "paper" => Some(ExperimentScale::paper()),
         _ => None,
     }
-}
-
-/// Parses a feature-store selection from a CLI flag value.
-///
-/// Accepts `mem`, `file`, or `isp`.
-pub fn store_from_flag(flag: &str) -> Option<StoreKind> {
-    StoreKind::parse(flag)
-}
-
-/// Parses a graph-topology selection from a CLI flag value (`--graph`).
-///
-/// Accepts `mem`, `file`, or `isp`.
-pub fn graph_from_flag(flag: &str) -> Option<TopologyKind> {
-    TopologyKind::parse(flag)
 }
 
 /// The experiment names the `reproduce` binary understands, derived
@@ -58,22 +43,6 @@ mod tests {
         assert!(scale_from_flag("default").is_some());
         assert!(scale_from_flag("paper").is_some());
         assert!(scale_from_flag("bogus").is_none());
-    }
-
-    #[test]
-    fn store_flags_parse() {
-        assert_eq!(store_from_flag("mem"), Some(StoreKind::Mem));
-        assert_eq!(store_from_flag("file"), Some(StoreKind::File));
-        assert_eq!(store_from_flag("isp"), Some(StoreKind::Isp));
-        assert_eq!(store_from_flag("ramdisk"), None);
-    }
-
-    #[test]
-    fn graph_flags_parse() {
-        assert_eq!(graph_from_flag("mem"), Some(TopologyKind::Mem));
-        assert_eq!(graph_from_flag("file"), Some(TopologyKind::File));
-        assert_eq!(graph_from_flag("isp"), Some(TopologyKind::Isp));
-        assert_eq!(graph_from_flag("csr"), None);
     }
 
     #[test]

@@ -94,14 +94,14 @@ impl CostPolicy for FpgaPolicy {
             // Process one chunk of accesses: flash fill, P2P move of the
             // block-granular chunks to the FPGA, then the gather.
             let hop = &cursor.trace.hops[cursor.hop];
-            let chunk_end = (cursor.access + params.fpga.p2p_queue_depth).min(hop.accesses.len());
+            let chunk_end = (cursor.access + params.fpga.p2p_queue_depth).min(hop.nodes.len());
             let block = params.hostio.os_page_bytes;
             let mut flash_done = t;
             let mut p2p_bytes = 0u64;
             let mut samples = 0u64;
-            for access in &hop.accesses[cursor.access..chunk_end] {
-                samples += access.picks.max(1) as u64;
-                let range = ctx.layout.edge_list_range(ctx.graph(), access.node);
+            for i in cursor.access..chunk_end {
+                samples += hop.picks(i).max(1) as u64;
+                let range = ctx.layout.edge_list_range(ctx.graph(), hop.nodes[i]);
                 if range.len == 0 {
                     continue;
                 }
@@ -125,7 +125,7 @@ impl CostPolicy for FpgaPolicy {
             t = p2p_done + gather;
             cursor.now = t;
             cursor.access = chunk_end;
-            if cursor.access >= hop.accesses.len() {
+            if cursor.access >= hop.nodes.len() {
                 cursor.access = 0;
                 cursor.hop += 1;
             }

@@ -128,12 +128,12 @@ impl CostPolicy for HostPolicy {
         let mut t = now.max(cursor.now);
 
         let hop = &cursor.trace.hops[cursor.hop];
-        let access = &hop.accesses[cursor.access];
+        let node = hop.nodes[cursor.access];
         // Offset-table lookup: resident in host DRAM for all systems
         // (it is ~1% of the edge array).
         t += SimDuration::from_nanos(30);
         // Fetch the node's neighbor-ID chunk in block granularity.
-        let range = ctx.layout.edge_list_range(ctx.graph(), access.node);
+        let range = ctx.layout.edge_list_range(ctx.graph(), node);
         if range.len > 0 {
             let out = match &mut self.reader {
                 Reader::Mmap(r) => r.read(&mut devices.ssd, t, range, host_override, ssd_override),
@@ -159,7 +159,7 @@ impl CostPolicy for HostPolicy {
         // Advance the cursor.
         cursor.now = t;
         cursor.access += 1;
-        if cursor.access >= hop.accesses.len() {
+        if cursor.access >= hop.nodes.len() {
             cursor.access = 0;
             cursor.hop += 1;
         }

@@ -62,7 +62,7 @@ struct Cursor {
 impl Cursor {
     /// Targets covered by command `c` at coalescing granularity `g`.
     fn cmd_targets(&self, g: usize) -> (usize, usize) {
-        let total = self.trace.num_targets;
+        let total = self.trace.num_targets();
         let start = self.cmd * g;
         (start.min(total), ((self.cmd + 1) * g).min(total))
     }
@@ -106,15 +106,16 @@ impl IspPolicy {
         let (t0, t1) = cursor.cmd_targets(g);
         let graph = self.ctx.graph();
         let block = self.ctx.config.devices.hostio.os_page_bytes;
-        let targets = cursor.trace.hops[0].accesses[t0..t1]
-            .iter()
-            .map(|access| {
-                let range = self.ctx.layout.edge_list_range(graph, access.node);
+        let hop0 = &cursor.trace.hops[0];
+        let targets = (t0..t1)
+            .map(|i| {
+                let node = hop0.nodes[i];
+                let range = self.ctx.layout.edge_list_range(graph, node);
                 TargetDescriptor {
-                    node: access.node,
+                    node,
                     lba: range.offset / block,
                     offset_in_block: (range.offset % block) as u16,
-                    degree: access.degree,
+                    degree: hop0.degrees[i],
                 }
             })
             .collect();
@@ -137,10 +138,10 @@ impl CostPolicy for IspPolicy {
 
     fn begin(&mut self, worker: usize, at: SimTime, trace: SampleTrace) {
         assert!(self.cursors[worker].is_none(), "worker {worker} is busy");
-        let m = trace.num_targets.max(1);
-        let per_target: Vec<usize> = trace.hops.iter().map(|h| h.accesses.len() / m).collect();
+        let m = trace.num_targets().max(1);
+        let per_target: Vec<usize> = trace.hops.iter().map(|h| h.nodes.len() / m).collect();
         let g = self.ctx.config.coalescing_granularity as usize;
-        let num_cmds = trace.num_targets.div_ceil(g).max(1);
+        let num_cmds = trace.num_targets().div_ceil(g).max(1);
         self.cursors[worker] = Some(Cursor {
             trace,
             per_target,
@@ -202,11 +203,11 @@ impl CostPolicy for IspPolicy {
                 // the whole chunk in flight simultaneously.
                 let mut core_work = SimDuration::ZERO;
                 let mut flash_done = t;
-                for access in &hop.accesses[cursor.access..chunk_end] {
+                for i in cursor.access..chunk_end {
                     core_work += params.isp_access_cost
                         + devices.ssd.ftl.translate_cost()
-                        + params.isp_sample_cost.mul_u64(access.picks as u64);
-                    let range = ctx.layout.edge_list_range(ctx.graph(), access.node);
+                        + params.isp_sample_cost.mul_u64(hop.picks(i) as u64);
+                    let range = ctx.layout.edge_list_range(ctx.graph(), hop.nodes[i]);
                     let fetched =
                         fetch_pages(&mut devices.ssd, &mut self.rng, isp_hit_rate, t, range);
                     flash_done = flash_done.max(fetched);
@@ -350,9 +351,9 @@ mod tests {
         let ctx = test_context(SystemKind::SmartSageHwSw);
         let p = IspPolicy::new(Arc::clone(&ctx), 1, false);
         let trace = test_trace(&ctx, 8, 1);
-        let m = trace.num_targets.max(1);
+        let m = trace.num_targets().max(1);
         let cursor = Cursor {
-            per_target: trace.hops.iter().map(|h| h.accesses.len() / m).collect(),
+            per_target: trace.hops.iter().map(|h| h.nodes.len() / m).collect(),
             trace,
             cmd: 0,
             num_cmds: 1,

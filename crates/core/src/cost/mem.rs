@@ -63,8 +63,9 @@ impl CostPolicy for MemPolicy {
         let hop = &cursor.trace.hops[cursor.hop];
         // Reads this hop: per access, two offset-table entries plus one
         // 8-byte load per sampled position.
-        let accesses = hop.accesses.len() as u64;
-        let reads: u64 = accesses * 2 + hop.accesses.iter().map(|a| a.picks as u64).sum::<u64>();
+        let accesses = hop.nodes.len() as u64;
+        let drawn: usize = (0..hop.nodes.len()).map(|i| hop.picks(i)).sum();
+        let reads = accesses * 2 + drawn as u64;
         let device = match self.kind {
             SystemKind::Dram => &mut devices.host_dram,
             _ => &mut devices.pmem,

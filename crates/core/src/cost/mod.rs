@@ -5,7 +5,7 @@
 //! tiers (`smartsage_store`); what distinguishes the paper's seven
 //! design points is *what that access stream costs* on each system's
 //! hardware. A [`SampleTrace`] captures the stream — every edge-list
-//! access, its degree, its drawn picks, hop by hop — and a
+//! access and its degree, hop by hop, as the sampler recorded it — and a
 //! [`CostPolicy`] maps it through that system's device models
 //! (DRAM/PMEM random access, mmap page faults, direct I/O, ISP
 //! firmware cores + flash channels, FPGA P2P links) to modeled time
@@ -186,7 +186,7 @@ pub(crate) mod testutil {
 
     /// The byte trace of [`test_plan`], the form policies consume.
     pub fn test_trace(ctx: &RunContext, targets: usize, seed: u64) -> SampleTrace {
-        trace_of_plan(&test_plan(ctx, targets, seed), ctx.graph())
+        test_plan(ctx, targets, seed).trace
     }
 
     /// Drives one worker's batch to completion; returns its cost.

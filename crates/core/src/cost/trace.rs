@@ -1,44 +1,25 @@
-//! Rebuilding the sample byte trace from a finished [`SamplePlan`].
+//! The byte trace of a finished [`SamplePlan`].
 //!
-//! A plan *is* the complete record of planning's storage access
-//! stream: one edge-list access per frontier node per hop, with the
-//! drawn positions attached. [`trace_of_plan`] folds that record into
-//! the [`SampleTrace`] form the cost policies consume.
-//!
-//! This is the pipeline's hot-path producer — uniform across samplers
-//! (the random-walk planner never touches a topology store, so the
-//! plan is the one source both samplers share). The store-side
-//! [`TracingTopology`](smartsage_store::TracingTopology) decorator
-//! records the identical trace at the storage interface; the
-//! conformance suite (`tests/cost_purity.rs`) holds the two equal on
-//! random graphs across every tier.
+//! The sampler is the trace's one writer: a plan carries the
+//! [`SampleTrace`] its pass recorded — each hop's frontier and the
+//! degrees the store answered — and the pipeline moves `plan.trace`
+//! into the cost policy. The store-side
+//! [`TracingTopology`](smartsage_store::TracingTopology) decorator is
+//! the independent reference recorder; the conformance suite
+//! (`tests/cost_purity.rs`) holds the two equal on random graphs across
+//! every tier and shard count.
 
 use smartsage_gnn::SamplePlan;
 use smartsage_graph::CsrGraph;
-use smartsage_store::{SampleTrace, TraceAccess, TraceHop};
+use smartsage_store::SampleTrace;
 
-/// The byte trace of `plan`: every edge-list access planning made, in
-/// hop order, with the node's degree and the number of drawn picks.
-pub fn trace_of_plan(plan: &SamplePlan, graph: &CsrGraph) -> SampleTrace {
-    SampleTrace {
-        num_targets: plan.targets.len(),
-        hops: plan
-            .hops
-            .iter()
-            .map(|hop| TraceHop {
-                fanout: hop.fanout,
-                accesses: hop
-                    .accesses
-                    .iter()
-                    .map(|access| TraceAccess {
-                        node: access.node,
-                        degree: graph.degree(access.node),
-                        picks: access.positions.len(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
+/// A copy of the trace `plan` recorded — the frozen `benchmark/`
+/// package's spelling of `plan.trace.clone()`.
+// `_graph` is read by nothing (the degrees are the store's answers,
+// kept in the plan). The parameter leaves with its last caller
+// (`benchmark/`) in the next `benchmark` PR — ROADMAP item 1.
+pub fn trace_of_plan(plan: &SamplePlan, _graph: &CsrGraph) -> SampleTrace {
+    plan.trace.clone()
 }
 
 #[cfg(test)]
@@ -52,18 +33,14 @@ mod tests {
         let ctx = test_context(SystemKind::Dram);
         let plan = test_plan(&ctx, 16, 5);
         let trace = trace_of_plan(&plan, ctx.graph());
-        assert_eq!(trace.num_targets, plan.targets.len());
-        assert_eq!(trace.hops.len(), plan.hops.len());
-        assert_eq!(trace.num_accesses(), plan.num_accesses());
-        assert_eq!(trace.num_sampled(), plan.num_sampled());
-        // Hop 0's frontier is the target list itself.
-        let hop0: Vec<_> = trace.hops[0].accesses.iter().map(|a| a.node).collect();
-        assert_eq!(hop0, plan.targets);
-        for hop in &trace.hops {
-            for access in &hop.accesses {
-                assert_eq!(access.degree, ctx.graph().degree(access.node));
-                let want = if access.degree > 0 { hop.fanout } else { 0 };
-                assert_eq!(access.picks, want);
+        assert_eq!(trace, plan.trace);
+        assert_eq!(trace.num_targets(), 16);
+        assert_eq!(trace.num_accesses(), 16 + 16 * 4);
+        assert_eq!(trace.num_sampled(), 16 * 4 + 16 * 4 * 3);
+        for (k, hop) in trace.hops.iter().enumerate() {
+            for (i, (node, drawn)) in plan.accesses(k).enumerate() {
+                assert_eq!(node, hop.nodes[i]);
+                assert_eq!(drawn.len(), hop.picks(i));
             }
         }
     }

@@ -387,12 +387,12 @@ fn fig5_driver(scale: &ExperimentScale) -> Table {
             .iter()
             .map(|p| {
                 let mut trace = Vec::new();
-                for hop in &p.hops {
-                    for a in &hop.accesses {
-                        let off = ctx.layout.offset_entry_range(a.node);
+                for k in 0..p.trace.hops.len() {
+                    for (node, positions) in p.accesses(k) {
+                        let off = ctx.layout.offset_entry_range(node);
                         trace.push((off.offset, off.len));
-                        let base = ctx.layout.edge_list_range(graph, a.node);
-                        for &pos in &a.positions {
+                        let base = ctx.layout.edge_list_range(graph, node);
+                        for &pos in positions {
                             trace.push((base.offset + pos * 8, 8));
                         }
                     }

@@ -16,7 +16,7 @@
 
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
-use crate::cost::{make_policy, trace_of_plan, CostPolicy, StepOutcome};
+use crate::cost::{make_policy, CostPolicy, StepOutcome};
 use crate::metrics::{FinishedBatch, GatheredFeatures, StageBreakdown, TransferStats};
 use crate::store_metrics;
 use smartsage_gnn::gpu::BatchDims;
@@ -235,8 +235,8 @@ struct PlannedBatch {
 /// one [`sample_on`] pass — both bit-identical across tiers by the
 /// determinism contract, only the I/O accounting differs — while
 /// GraphSAINT walk plans, drawn on the in-memory CSR, resolve through
-/// the store. Returns the plan's byte trace (the modeled-cost input)
-/// with the batch. Shared by [`run_pipeline`] and [`sample_once`] so
+/// the store. Returns the byte trace the pass recorded (the
+/// modeled-cost input), moved out of the plan, with the batch. Shared by [`run_pipeline`] and [`sample_once`] so
 /// they cannot drift.
 ///
 /// # Panics
@@ -264,7 +264,7 @@ fn plan_batch(
         }
     };
     let nodes = batch.all_nodes();
-    (trace_of_plan(&plan, graph), PlannedBatch { batch, nodes })
+    (plan.trace, PlannedBatch { batch, nodes })
 }
 
 /// Joins a worker's finished [`BatchCost`](crate::cost::BatchCost) with

@@ -30,6 +30,7 @@
 use crate::experiments::{registry, Experiment, ExperimentScale};
 use crate::report::{json_string, num, pct, speedup, Table};
 use crate::store_metrics::{self, SweepScope};
+use smartsage_hostio::LockExt;
 use smartsage_store::{StoreKind, StoreOccupancy, StoreStats, TopologyKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -151,9 +152,6 @@ pub struct RunnerBuilder {
     selection: Vec<&'static Experiment>,
     jobs: usize,
     observer: Option<Observer>,
-    store: Option<smartsage_store::StoreKind>,
-    topology: Option<TopologyKind>,
-    shards: Option<usize>,
 }
 
 impl RunnerBuilder {
@@ -164,63 +162,17 @@ impl RunnerBuilder {
             selection: registry().iter().collect(),
             jobs: 1,
             observer: None,
-            store: None,
-            topology: None,
-            shards: None,
         }
     }
 
-    /// Sets the experiment scale.
+    /// Sets the experiment scale — dataset size, batch shape, and the
+    /// store tiers and device count every run reads through
+    /// ([`ExperimentScale::store`], [`ExperimentScale::topology`],
+    /// [`ExperimentScale::shards`]). Tables are unchanged by the tier
+    /// choice (the store determinism contract); a file-backed tier
+    /// fills in [`SweepOutcome::store_stats`] and friends.
     pub fn scale(mut self, scale: ExperimentScale) -> RunnerBuilder {
         self.scale = scale;
-        self
-    }
-
-    /// Routes every run's feature gathers through `kind`
-    /// (`--store mem|file|isp`): pipeline producers gather features
-    /// through the selected
-    /// [`FeatureStore`](smartsage_store::FeatureStore); with `file` or
-    /// `isp`, all of the sweep's jobs share one registry-opened feature
-    /// file and the sweep's exact I/O totals come back in
-    /// [`SweepOutcome::store_stats`] — for `isp`, with the
-    /// device-vs-host byte split and modeled device time filled in.
-    /// Tables are unchanged by construction (the store determinism
-    /// contract). Kept separately from the scale until
-    /// [`RunnerBuilder::build`], so `.store(..)` and `.scale(..)`
-    /// compose in either order.
-    pub fn store(mut self, kind: smartsage_store::StoreKind) -> RunnerBuilder {
-        self.store = Some(kind);
-        self
-    }
-
-    /// Routes every run's neighbor sampling through `kind`
-    /// (`--graph mem|file|isp`): hop expansion and batch resolution
-    /// read the graph through the selected
-    /// [`TopologyStore`](smartsage_store::TopologyStore); with `file`
-    /// or `isp`, all of the sweep's jobs share one registry-opened
-    /// graph file per content key and the sweep's exact topology I/O
-    /// totals come back in [`SweepOutcome::topology_stats`]. Tables
-    /// are unchanged by construction (the determinism contract).
-    /// Composes with [`RunnerBuilder::scale`] in either order, like
-    /// [`RunnerBuilder::store`].
-    pub fn topology(mut self, kind: TopologyKind) -> RunnerBuilder {
-        self.topology = Some(kind);
-        self
-    }
-
-    /// Partitions every run's file-backed dataset across `n` modeled
-    /// storage devices (`--shards N`): both axes open a contiguous
-    /// node-range partition — one per-shard file, cache-budget slice,
-    /// and (on the isp tiers) SSD timing model per device — and the
-    /// sweep's per-device breakdown comes back in
-    /// [`SweepOutcome::store_shards`] /
-    /// [`SweepOutcome::topology_shards`]. Tables are unchanged by
-    /// construction at every shard count (the determinism contract);
-    /// `n` is handed on as given (`open_tiers` alone reads `0` as `1`).
-    /// Composes with [`RunnerBuilder::scale`] in either order, like
-    /// [`RunnerBuilder::store`].
-    pub fn shards(mut self, n: usize) -> RunnerBuilder {
-        self.shards = Some(n);
         self
     }
 
@@ -258,18 +210,8 @@ impl RunnerBuilder {
         } else {
             self.jobs
         };
-        let mut scale = self.scale;
-        if let Some(kind) = self.store {
-            scale.store = kind;
-        }
-        if let Some(kind) = self.topology {
-            scale.topology = kind;
-        }
-        if let Some(n) = self.shards {
-            scale.shards = n;
-        }
         Runner {
-            scale,
+            scale: self.scale,
             selection: self.selection,
             jobs,
             observer: self.observer,
@@ -325,8 +267,7 @@ impl Runner {
     ///
     /// Each sweep owns a **private**
     /// [`StoreRegistry`](smartsage_store::StoreRegistry) and fresh
-    /// [`AtomicStoreStats`](smartsage_store::AtomicStoreStats)
-    /// accumulators; all are installed as a
+    /// [`StoreStats`] accumulators; all are installed as a
     /// [`SweepScope`] on every worker thread for the duration of its
     /// runs. Consequences, by design:
     ///
@@ -380,10 +321,12 @@ impl Runner {
                 })
                 .collect()
         };
+        let store_stats = *scope.stats.safe_lock();
+        let topology_stats = *scope.topology.safe_lock();
         SweepOutcome {
             outcomes,
-            store_stats: scope.stats.snapshot(),
-            topology_stats: scope.topology.snapshot(),
+            store_stats,
+            topology_stats,
             stores: scope.registry.occupancy(),
             store_shards: scope.store_shards_snapshot(),
             topology_shards: scope.topology_shards_snapshot(),
@@ -492,26 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn store_survives_scale_in_either_order() {
-        use smartsage_store::StoreKind;
-        let store_then_scale = Runner::builder()
-            .store(StoreKind::File)
-            .scale(ExperimentScale::tiny())
-            .build();
-        assert_eq!(store_then_scale.scale().store, StoreKind::File);
-        let scale_then_store = Runner::builder()
-            .scale(ExperimentScale::tiny())
-            .store(StoreKind::File)
-            .build();
-        assert_eq!(scale_then_store.scale().store, StoreKind::File);
-        // An explicit scale.store wins only when .store() is not used.
-        let via_scale = Runner::builder()
-            .scale(ExperimentScale::tiny().with_store(StoreKind::Isp))
-            .build();
-        assert_eq!(via_scale.scale().store, StoreKind::Isp);
-    }
-
-    #[test]
     fn filter_and_explicit_selection_compose() {
         let runner = Runner::builder()
             .filter(|e| e.name.starts_with("fig1"))
@@ -565,8 +488,7 @@ mod tests {
     fn store_table_carries_the_transfer_reduction_column() {
         use crate::report::Cell;
         let sweep = Runner::builder()
-            .scale(ExperimentScale::tiny())
-            .store(StoreKind::Isp)
+            .scale(ExperimentScale::tiny().with_store(StoreKind::Isp))
             .filter(|e| e.name == "fig7")
             .build()
             .sweep();
@@ -587,6 +509,8 @@ mod tests {
             "last column is the Cell-typed transfer reduction"
         );
         assert!(t.headers().iter().any(|h| h == "Transfer reduction"));
+        let graph = sweep.topology_table(TopologyKind::Mem);
+        assert_eq!(graph.title(), "Sweep graph-topology I/O");
     }
 
     #[test]

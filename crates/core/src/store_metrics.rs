@@ -7,8 +7,8 @@
 //! the first sweep's bytes on top of its own, and concurrent sweeps
 //! must not contaminate each other. A sweep installs a [`SweepScope`]
 //! on each of its worker threads (see
-//! [`Runner::sweep`](crate::runner::Runner::sweep)): an
-//! [`AtomicStoreStats`] accumulator plus the sweep's private
+//! [`Runner::sweep`](crate::runner::Runner::sweep)): shared
+//! [`StoreStats`] accumulators plus the sweep's private
 //! [`StoreRegistry`]. Every pipeline run [`record`]s its exact per-run
 //! counters into the scopes on its thread, and [`current_registry`]
 //! routes the run's store opens through the sweep's registry — one
@@ -17,7 +17,7 @@
 //! [`SweepOutcome::store_stats`](crate::runner::SweepOutcome).
 
 use smartsage_hostio::LockExt;
-use smartsage_store::{AtomicStoreStats, StoreRegistry, StoreStats};
+use smartsage_store::{StoreRegistry, StoreStats};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
@@ -34,11 +34,11 @@ thread_local! {
 #[derive(Debug, Clone)]
 pub struct SweepScope {
     /// Where this sweep's per-run feature-store stats accumulate.
-    pub stats: Arc<AtomicStoreStats>,
+    pub stats: Arc<Mutex<StoreStats>>,
     /// Where this sweep's per-run graph-topology stats accumulate —
     /// kept separate from the feature side so a sweep's report can
     /// split the two halves of the dataset.
-    pub topology: Arc<AtomicStoreStats>,
+    pub topology: Arc<Mutex<StoreStats>>,
     /// The sweep's private store registry: every job of the sweep
     /// shares one open store (feature file and graph file alike) and
     /// one page cache per content key through it.
@@ -56,11 +56,11 @@ impl SweepScope {
     /// registry.
     pub fn new() -> SweepScope {
         SweepScope {
-            stats: Arc::new(AtomicStoreStats::default()),
-            topology: Arc::new(AtomicStoreStats::default()),
+            stats: Arc::default(),
+            topology: Arc::default(),
             registry: Arc::new(StoreRegistry::new()),
-            store_shards: Arc::new(Mutex::new(Vec::new())),
-            topology_shards: Arc::new(Mutex::new(Vec::new())),
+            store_shards: Arc::default(),
+            topology_shards: Arc::default(),
         }
     }
 
@@ -77,9 +77,6 @@ impl SweepScope {
 
 /// Adds `per_shard` index-wise into `acc`, growing it as needed.
 fn accumulate_shards(acc: &Mutex<Vec<StoreStats>>, per_shard: &[StoreStats]) {
-    // A job that panicked mid-accumulate leaves whole `StoreStats`
-    // entries behind (each `accumulate` is plain integer adds), so the
-    // recovered vector is still valid to add into and to snapshot.
     let mut acc = acc.safe_lock();
     if acc.len() < per_shard.len() {
         acc.resize(per_shard.len(), StoreStats::default());
@@ -123,44 +120,36 @@ pub fn current_registry() -> Option<Arc<StoreRegistry>> {
     SCOPES.with(|s| s.borrow().last().map(|scope| Arc::clone(&scope.registry)))
 }
 
+/// Runs `add` on every scope active on this thread. A run records
+/// once, at its end, so the accumulators' locks are never contended
+/// for long; a recorder that panicked mid-add leaves whole integer
+/// adds behind, so a recovered accumulator is still valid.
+fn each_scope(add: impl Fn(&SweepScope)) {
+    SCOPES.with(|s| s.borrow().iter().for_each(add));
+}
+
 /// Adds one run's exact feature-store counters to every active scope
 /// on this thread.
 pub fn record(stats: &StoreStats) {
-    SCOPES.with(|s| {
-        for scope in s.borrow().iter() {
-            scope.stats.add(stats);
-        }
-    });
+    each_scope(|scope| scope.stats.safe_lock().accumulate(stats));
 }
 
 /// Adds one run's exact graph-topology counters to every active scope
 /// on this thread.
 pub fn record_topology(stats: &StoreStats) {
-    SCOPES.with(|s| {
-        for scope in s.borrow().iter() {
-            scope.topology.add(stats);
-        }
-    });
+    each_scope(|scope| scope.topology.safe_lock().accumulate(stats));
 }
 
 /// Adds one sharded run's per-device feature-store breakdown to every
 /// active scope on this thread, index-wise (shard `i` into entry `i`).
 pub fn record_shards(per_shard: &[StoreStats]) {
-    SCOPES.with(|s| {
-        for scope in s.borrow().iter() {
-            accumulate_shards(&scope.store_shards, per_shard);
-        }
-    });
+    each_scope(|scope| accumulate_shards(&scope.store_shards, per_shard));
 }
 
 /// Adds one sharded run's per-device graph-topology breakdown to every
 /// active scope on this thread, mirroring [`record_shards`].
 pub fn record_topology_shards(per_shard: &[StoreStats]) {
-    SCOPES.with(|s| {
-        for scope in s.borrow().iter() {
-            accumulate_shards(&scope.topology_shards, per_shard);
-        }
-    });
+    each_scope(|scope| accumulate_shards(&scope.topology_shards, per_shard));
 }
 
 #[cfg(test)]
@@ -188,9 +177,9 @@ mod tests {
             assert!(Arc::ptr_eq(&current_registry().unwrap(), &outer.registry));
         }
         record(&one); // outside any scope: nobody sees it
-        assert_eq!(outer.stats.snapshot().gathers, 3);
+        assert_eq!(outer.stats.safe_lock().gathers, 3);
         assert_eq!(
-            inner.stats.snapshot().gathers,
+            inner.stats.safe_lock().gathers,
             1,
             "nested records feed both"
         );
@@ -214,7 +203,7 @@ mod tests {
             });
         });
         assert_eq!(
-            scope.stats.snapshot().gathers,
+            scope.stats.safe_lock().gathers,
             0,
             "other threads' records don't reach this scope"
         );

@@ -10,9 +10,10 @@
 //! The walk plan reuses [`SamplePlan`] with fan-out 1 per hop, so every
 //! sampler and the ISP firmware replay walks identically.
 
-use crate::sampler::{EdgeListAccess, Fanouts, HopPlan, SamplePlan};
+use crate::sampler::{Fanouts, SamplePlan};
 use smartsage_graph::{CsrGraph, NodeId};
 use smartsage_sim::Xoshiro256;
+use smartsage_store::{SampleTrace, TraceHop};
 
 /// GraphSAINT random-walk configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +40,8 @@ pub fn walk_fanouts(cfg: &WalkConfig) -> Fanouts {
     Fanouts::new(vec![1; cfg.length.max(1)])
 }
 
-/// Plans random walks from `roots` (one access per step per walk).
+/// Plans random walks from `roots` (one access per step per walk),
+/// recording each step's frontier and the CSR degrees it read.
 ///
 /// Dead ends (zero-degree nodes) stay in place, mirroring the self-loop
 /// convention of the fan-out sampler.
@@ -49,35 +51,32 @@ pub fn plan_random_walk(
     length: usize,
     rng: &mut Xoshiro256,
 ) -> SamplePlan {
-    let mut hops = Vec::with_capacity(length);
+    let mut plan = SamplePlan {
+        trace: SampleTrace::default(),
+        positions: Vec::with_capacity(length),
+    };
     let mut current: Vec<NodeId> = roots.to_vec();
     for _ in 0..length {
-        let mut accesses = Vec::with_capacity(current.len());
+        let degrees: Vec<u64> = current.iter().map(|&node| graph.degree(node)).collect();
+        let mut positions = Vec::with_capacity(current.len());
         let mut next = Vec::with_capacity(current.len());
-        for &node in &current {
-            let degree = graph.degree(node);
-            let positions = if degree == 0 {
-                Vec::new()
+        for (&node, &degree) in current.iter().zip(&degrees) {
+            next.push(if degree == 0 {
+                node
             } else {
-                vec![rng.range_u64(degree)]
-            };
-            let step_to = positions
-                .first()
-                .map(|&p| graph.neighbor(node, p))
-                .unwrap_or(node);
-            next.push(step_to);
-            accesses.push(EdgeListAccess { node, positions });
+                let pos = rng.range_u64(degree);
+                positions.push(pos);
+                graph.neighbor(node, pos)
+            });
         }
-        hops.push(HopPlan {
+        plan.positions.push(positions);
+        plan.trace.hops.push(TraceHop {
             fanout: 1,
-            accesses,
+            nodes: std::mem::replace(&mut current, next),
+            degrees,
         });
-        current = next;
     }
-    SamplePlan {
-        targets: roots.to_vec(),
-        hops,
-    }
+    plan
 }
 
 #[cfg(test)]
@@ -101,13 +100,14 @@ mod tests {
         let roots: Vec<NodeId> = (0..10u32).map(NodeId::new).collect();
         let mut rng = Xoshiro256::seed_from_u64(8);
         let plan = plan_random_walk(&g, &roots, 4, &mut rng);
-        assert_eq!(plan.hops.len(), 4);
-        for hop in &plan.hops {
+        assert_eq!(plan.targets(), &roots[..]);
+        assert_eq!(plan.trace.hops.len(), 4);
+        for hop in &plan.trace.hops {
             assert_eq!(hop.fanout, 1);
-            assert_eq!(hop.accesses.len(), 10);
+            assert_eq!(hop.nodes.len(), 10);
         }
-        assert_eq!(plan.num_accesses(), 40);
-        assert_eq!(plan.num_sampled(), 40);
+        assert_eq!(plan.trace.num_accesses(), 40);
+        assert_eq!(plan.trace.num_sampled(), 40);
     }
 
     #[test]
@@ -117,13 +117,13 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(2);
         let plan = plan_random_walk(&g, &roots, 3, &mut rng);
         let batch = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
-        // Step k's parents must equal step k-1's sampled nodes.
+        // Step k starts from step k-1's sampled nodes.
         for k in 1..batch.hops.len() {
-            assert_eq!(batch.hops[k].parents, batch.hops[k - 1].neighbors);
+            assert_eq!(plan.trace.hops[k].nodes, batch.hops[k - 1].neighbors);
         }
         // Each step moves along a real edge (or self-loops at dead ends).
-        for hop in &batch.hops {
-            for (i, &from) in hop.parents.iter().enumerate() {
+        for (hop, step) in batch.hops.iter().zip(&plan.trace.hops) {
+            for (i, &from) in step.nodes.iter().enumerate() {
                 let to = hop.neighbors[i];
                 assert!(
                     g.neighbors(from).contains(&to) || (g.degree(from) == 0 && to == from),

@@ -5,11 +5,12 @@
 //! degrees, draws the **positions** of the sampled neighbors within
 //! each node's neighbor list, and resolves those picks to neighbor ids
 //! — the way SmartSAGE's ISP builds the subgraph inside the device once
-//! (Fig 10(b)). The pass yields two views of the same random choices:
+//! (Fig 10(b)). The pass writes what it did once, as flat per-hop arrays:
 //!
-//! * the [`SamplePlan`] — every edge-list access and its drawn
-//!   positions, the ground truth for the storage access pattern each
-//!   system's cost policy prices;
+//! * the [`SamplePlan`] — the [`SampleTrace`] the pass recorded as it
+//!   asked the store (each hop's frontier and the degrees the store
+//!   answered: the access stream each system's cost policy prices)
+//!   plus the positions it drew;
 //! * the [`SampledBatch`] — the resolved subgraph training consumes.
 //!
 //! [`plan_sample_on`] keeps only the plan and [`sample_many_on`] runs
@@ -24,15 +25,16 @@
 //!
 //! [`SamplePlan::resolve_on`] re-materializes a batch from a finished
 //! plan. GraphSAINT walk plans ([`crate::saint::plan_random_walk`],
-//! drawn on the in-memory CSR) resolve through it, and the conformance
-//! suites use it as the independent reference `sample_on` must equal.
+//! the same record filled from the in-memory CSR) resolve through it,
+//! and the conformance suites use it as the independent reference
+//! `sample_on` must equal.
 //!
 //! The paper's default configuration samples 25 neighbors at the first
 //! GNN layer and 10 at the second (§VI-F); mini-batch size is 1024 (§V).
 
 use smartsage_graph::NodeId;
 use smartsage_sim::Xoshiro256;
-use smartsage_store::{StoreError, TopologyStore};
+use smartsage_store::{SampleTrace, StoreError, TopologyStore, TraceHop};
 
 /// Per-layer sampling fan-outs, outermost (target) layer first.
 ///
@@ -96,47 +98,37 @@ impl Fanouts {
     }
 }
 
-/// One edge-list access: the node whose neighbor list is read and the
-/// sampled positions within it. Empty positions mean the node had no
-/// neighbors (the resolver substitutes self-loops).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgeListAccess {
-    /// The node whose edge list is read.
-    pub node: NodeId,
-    /// Sampled indices into the node's neighbor list (with replacement).
-    pub positions: Vec<u64>,
-}
-
-/// All edge-list accesses of one hop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HopPlan {
-    /// Fan-out at this hop.
-    pub fanout: usize,
-    /// One access per parent node (in parent order).
-    pub accesses: Vec<EdgeListAccess>,
-}
-
-/// The complete sampling plan for one mini-batch.
+/// The complete sampling plan for one mini-batch: what the pass asked
+/// the store, what the store answered, and the random choices drawn
+/// from those answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SamplePlan {
-    /// The mini-batch target nodes.
-    pub targets: Vec<NodeId>,
-    /// Hop plans, outermost first.
-    pub hops: Vec<HopPlan>,
+    /// Per hop, the frontier and its degrees — the byte trace the cost
+    /// policies price. Hop 0's frontier is the mini-batch's targets.
+    pub trace: SampleTrace,
+    /// Per hop, the sampled indices into the frontier nodes' neighbor
+    /// lists (with replacement): `fanout` per non-isolated node, in
+    /// frontier order. Isolated nodes draw none (the resolver
+    /// substitutes self-loops).
+    pub positions: Vec<Vec<u64>>,
 }
 
 impl SamplePlan {
-    /// Total number of edge-list accesses across hops.
-    pub fn num_accesses(&self) -> u64 {
-        self.hops.iter().map(|h| h.accesses.len() as u64).sum()
+    /// The mini-batch target nodes.
+    pub fn targets(&self) -> &[NodeId] {
+        self.trace.hops.first().map_or(&[], |h| &h.nodes)
     }
 
-    /// Total number of sampled neighbor IDs.
-    pub fn num_sampled(&self) -> u64 {
-        self.hops
-            .iter()
-            .map(|h| (h.accesses.len() * h.fanout) as u64)
-            .sum()
+    /// Hop `k`'s edge-list accesses in frontier order: each node with
+    /// the positions drawn from its neighbor list (none when isolated).
+    pub fn accesses(&self, k: usize) -> impl Iterator<Item = (NodeId, &[u64])> + '_ {
+        let hop = &self.trace.hops[k];
+        let mut undrawn = &self.positions[k][..];
+        (0..hop.nodes.len()).map(move |i| {
+            let (drawn, rest) = undrawn.split_at(hop.picks(i));
+            undrawn = rest;
+            (hop.nodes[i], drawn)
+        })
     }
 
     /// Re-materializes the sampled neighbor IDs of a finished plan
@@ -148,58 +140,53 @@ impl SamplePlan {
     /// given the plan and — by the store determinism contract — equal
     /// to the batch [`sample_on`] produced alongside the plan.
     pub fn resolve_on(&self, topology: &mut dyn TopologyStore) -> Result<SampledBatch, StoreError> {
-        let mut hops = Vec::with_capacity(self.hops.len());
-        for hop in &self.hops {
-            let picks: Vec<(NodeId, u64)> = hop
-                .accesses
-                .iter()
-                .flat_map(|a| a.positions.iter().map(|&pos| (a.node, pos)))
+        let mut hops = Vec::with_capacity(self.trace.hops.len());
+        for (k, hop) in self.trace.hops.iter().enumerate() {
+            let picks: Vec<(NodeId, u64)> = self
+                .accesses(k)
+                .flat_map(|(node, drawn)| drawn.iter().map(move |&pos| (node, pos)))
                 .collect();
             let mut resolved = vec![NodeId::default(); picks.len()];
             topology.pick_neighbors_into(&picks, &mut resolved)?;
             hops.push(HopSample {
                 fanout: hop.fanout,
-                parents: hop.accesses.iter().map(|a| a.node).collect(),
-                neighbors: hop_neighbors(&hop.accesses, hop.fanout, &mut resolved.iter()),
+                neighbors: hop_neighbors(hop, &mut resolved.iter()),
             });
         }
         Ok(SampledBatch {
-            targets: self.targets.clone(),
+            targets: self.targets().to_vec(),
             hops,
         })
     }
 }
 
-/// Reassembles one request's hop in access order from the store's
+/// Reassembles one request's hop in frontier order from the store's
 /// pick answers (`resolved` yields one id per drawn position),
 /// substituting self-loops for isolated nodes so the tree keeps its
 /// shape.
 fn hop_neighbors<'a>(
-    accesses: &[EdgeListAccess],
-    fanout: usize,
+    hop: &TraceHop,
     resolved: &mut impl Iterator<Item = &'a NodeId>,
 ) -> Vec<NodeId> {
-    let mut neighbors = Vec::with_capacity(accesses.len() * fanout);
-    for access in accesses {
-        if access.positions.is_empty() {
-            neighbors.extend(std::iter::repeat_n(access.node, fanout));
+    let mut neighbors = Vec::with_capacity(hop.nodes.len() * hop.fanout);
+    for (&node, &degree) in hop.nodes.iter().zip(&hop.degrees) {
+        if degree == 0 {
+            neighbors.extend(std::iter::repeat_n(node, hop.fanout));
         } else {
-            debug_assert_eq!(access.positions.len(), fanout);
-            neighbors.extend(resolved.take(fanout).copied());
+            neighbors.extend(resolved.take(hop.fanout).copied());
         }
     }
     neighbors
 }
 
-/// One resolved hop: each parent's `fanout` sampled neighbors,
-/// flattened in parent order.
+/// One resolved hop: each frontier node's `fanout` sampled neighbors,
+/// flattened in frontier order. The frontier is the previous hop's
+/// `neighbors` (the batch's targets for hop 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HopSample {
     /// Fan-out at this hop.
     pub fanout: usize,
-    /// Parent nodes (hop k-1's neighbor list, or the targets for hop 0).
-    pub parents: Vec<NodeId>,
-    /// Sampled neighbors; `parents.len() * fanout` entries.
+    /// Sampled neighbors; frontier length × `fanout` entries.
     pub neighbors: Vec<NodeId>,
 }
 
@@ -251,7 +238,8 @@ impl SampledBatch {
 /// frontier order; and all drawn picks resolve as **one coalesced**
 /// `pick_neighbors_into` batch whose answers are both the hop's sampled
 /// neighbors and the next hop's frontier. Hop 0's frontier is the
-/// request's targets.
+/// request's targets. Each request's frontier and the degrees the store
+/// answered for it are kept as that hop of the request's trace.
 fn expand_hops(
     topology: &mut dyn TopologyStore,
     requests: &mut [(&[NodeId], &mut Xoshiro256)],
@@ -262,8 +250,8 @@ fn expand_hops(
         .map(|(targets, _)| {
             (
                 SamplePlan {
-                    targets: targets.to_vec(),
-                    hops: Vec::with_capacity(fanouts.hops()),
+                    trace: SampleTrace::default(),
+                    positions: Vec::with_capacity(fanouts.hops()),
                 },
                 SampledBatch {
                     targets: targets.to_vec(),
@@ -281,35 +269,37 @@ fn expand_hops(
         let mut degrees = vec![0u64; merged.len()];
         topology.degrees_into(&merged, &mut degrees)?;
         let mut picks: Vec<(NodeId, u64)> = Vec::with_capacity(merged.len() * fanout);
-        let mut degrees = degrees.iter();
+        let mut answered = degrees.as_slice();
         for ((plan, batch), (_, rng)) in out.iter_mut().zip(requests.iter_mut()) {
-            let accesses = batch
-                .frontier()
-                .iter()
-                .zip(&mut degrees)
-                .map(|(&node, &degree)| {
-                    let positions: Vec<u64> = if degree == 0 {
-                        Vec::new()
-                    } else {
-                        (0..fanout).map(|_| rng.range_u64(degree)).collect()
-                    };
-                    picks.extend(positions.iter().map(|&p| (node, p)));
-                    EdgeListAccess { node, positions }
-                })
-                .collect();
-            plan.hops.push(HopPlan { fanout, accesses });
+            let nodes = batch.frontier().to_vec();
+            let (degrees, rest) = answered.split_at(nodes.len());
+            answered = rest;
+            let mut positions = Vec::with_capacity(nodes.len() * fanout);
+            for (&node, &degree) in nodes.iter().zip(degrees) {
+                if degree > 0 {
+                    for _ in 0..fanout {
+                        let pos = rng.range_u64(degree);
+                        positions.push(pos);
+                        picks.push((node, pos));
+                    }
+                }
+            }
+            plan.positions.push(positions);
+            plan.trace.hops.push(TraceHop {
+                fanout,
+                nodes,
+                degrees: degrees.to_vec(),
+            });
         }
         let mut resolved = vec![NodeId::default(); picks.len()];
         topology.pick_neighbors_into(&picks, &mut resolved)?;
         let mut resolved = resolved.iter();
         for (plan, batch) in &mut out {
-            let accesses = &plan.hops[batch.hops.len()].accesses;
-            let hop = HopSample {
+            let hop = &plan.trace.hops[batch.hops.len()];
+            batch.hops.push(HopSample {
                 fanout,
-                parents: batch.frontier().to_vec(),
-                neighbors: hop_neighbors(accesses, fanout, &mut resolved),
-            };
-            batch.hops.push(hop);
+                neighbors: hop_neighbors(hop, &mut resolved),
+            });
         }
     }
     Ok(out)
@@ -419,7 +409,6 @@ pub fn merge_batches(batches: &[SampledBatch]) -> SampledBatch {
             .iter()
             .map(|&fanout| HopSample {
                 fanout,
-                parents: Vec::new(),
                 neighbors: Vec::new(),
             })
             .collect(),
@@ -427,7 +416,6 @@ pub fn merge_batches(batches: &[SampledBatch]) -> SampledBatch {
     for b in batches {
         merged.targets.extend_from_slice(&b.targets);
         for (into, hop) in merged.hops.iter_mut().zip(&b.hops) {
-            into.parents.extend_from_slice(&hop.parents);
             into.neighbors.extend_from_slice(&hop.neighbors);
         }
     }
@@ -520,11 +508,16 @@ mod tests {
         let targets: Vec<NodeId> = (0..16u32).map(NodeId::new).collect();
         let f = Fanouts::new(vec![4, 3]);
         let (plan, _) = sample(&g, &targets, &f, 1);
-        assert_eq!(plan.hops.len(), 2);
-        assert_eq!(plan.hops[0].accesses.len(), 16);
-        assert_eq!(plan.hops[1].accesses.len(), 16 * 4);
-        assert_eq!(plan.num_accesses(), 16 + 64);
-        assert_eq!(plan.num_sampled(), 16 * 4 + 64 * 3);
+        assert_eq!(plan.targets(), &targets[..]);
+        assert_eq!(plan.trace.hops.len(), 2);
+        assert_eq!(plan.accesses(0).count(), 16);
+        assert_eq!(plan.accesses(1).count(), 16 * 4);
+        assert_eq!(plan.trace.num_accesses(), 16 + 64);
+        assert_eq!(plan.trace.num_sampled(), 16 * 4 + 64 * 3);
+        for hop in &plan.trace.hops {
+            let degrees: Vec<u64> = hop.nodes.iter().map(|&n| g.degree(n)).collect();
+            assert_eq!(hop.degrees, degrees, "the store's answers are kept");
+        }
     }
 
     #[test]
@@ -537,10 +530,10 @@ mod tests {
         let b = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, sampled, "the pass's batch is its plan, resolved");
-        // Hop-1 parents are exactly hop-0's flattened neighbors.
-        assert_eq!(a.hops[1].parents, a.hops[0].neighbors);
-        assert_eq!(a.num_sampled(), plan.num_sampled());
-        assert_eq!(a.subgraph_bytes(), plan.num_sampled() * 8);
+        // Hop 1's frontier is exactly hop 0's flattened neighbors.
+        assert_eq!(plan.trace.hops[1].nodes, a.hops[0].neighbors);
+        assert_eq!(a.num_sampled(), plan.trace.num_sampled());
+        assert_eq!(a.subgraph_bytes(), plan.trace.num_sampled() * 8);
     }
 
     #[test]
@@ -548,9 +541,9 @@ mod tests {
         let g = graph();
         let targets: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
         let f = Fanouts::new(vec![4, 4]);
-        let (_, batch) = sample(&g, &targets, &f, 3);
-        for hop in &batch.hops {
-            for (i, &parent) in hop.parents.iter().enumerate() {
+        let (plan, batch) = sample(&g, &targets, &f, 3);
+        for (hop, asked) in batch.hops.iter().zip(&plan.trace.hops) {
+            for (i, &parent) in asked.nodes.iter().enumerate() {
                 let nbrs = g.neighbors(parent);
                 for k in 0..hop.fanout {
                     let sampled = hop.neighbors[i * hop.fanout + k];
@@ -580,9 +573,54 @@ mod tests {
         let g = CsrGraph::from_edges(3, [(0, 1)]); // node 2 isolated
         let f = Fanouts::new(vec![3]);
         let (plan, batch) = sample(&g, &[NodeId::new(2)], &f, 5);
-        assert!(plan.hops[0].accesses[0].positions.is_empty());
+        assert_eq!(plan.accesses(0).next(), Some((NodeId::new(2), &[][..])));
         assert_eq!(batch.hops[0].neighbors, vec![NodeId::new(2); 3]);
         assert_eq!(plan.resolve_on(&mut CsrView::new(&g)).unwrap(), batch);
+    }
+
+    #[test]
+    fn isolated_nodes_inside_a_frontier_are_skipped_by_the_position_cursor() {
+        // Nodes 1 and 3 are sinks between connected nodes, in hop 0's
+        // frontier and again (reached from 0 and 2) in hop 1's.
+        let g = CsrGraph::from_edges(5, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 0)]);
+        let targets: Vec<NodeId> = (0..5u32).map(NodeId::new).collect();
+        let f = Fanouts::new(vec![3, 2]);
+        let (plan, batch) = sample(&g, &targets, &f, 11);
+        assert_eq!(plan.trace.hops[0].degrees, vec![2, 0, 2, 0, 1]);
+        assert_eq!(plan.positions[0].len(), 3 * 3, "three non-isolated nodes");
+        for (k, hop) in plan.trace.hops.iter().enumerate() {
+            for (i, (node, drawn)) in plan.accesses(k).enumerate() {
+                assert_eq!(drawn.len(), hop.picks(i));
+                let resolved = &batch.hops[k].neighbors[i * hop.fanout..][..hop.fanout];
+                let want: Vec<NodeId> = if drawn.is_empty() {
+                    vec![node; hop.fanout]
+                } else {
+                    drawn.iter().map(|&p| g.neighbor(node, p)).collect()
+                };
+                assert_eq!(resolved, &want[..], "hop {k} access {i}");
+            }
+        }
+        assert!(
+            plan.trace.hops[1].degrees.contains(&0),
+            "sinks recur mid-frontier"
+        );
+        assert_eq!(plan.resolve_on(&mut CsrView::new(&g)).unwrap(), batch);
+    }
+
+    #[test]
+    fn merged_requests_record_what_solo_passes_record() {
+        let g = graph();
+        let f = Fanouts::new(vec![4, 3]);
+        let targets: Vec<Vec<NodeId>> = (0..3u32)
+            .map(|i| (0..5u32).map(|t| NodeId::new(t * 11 + i)).collect())
+            .collect();
+        let mut rngs: Vec<Xoshiro256> = (0..3).map(|i| Xoshiro256::seed_from_u64(70 + i)).collect();
+        let mut requests: Vec<(&[NodeId], &mut Xoshiro256)> =
+            targets.iter().map(Vec::as_slice).zip(&mut rngs).collect();
+        let merged = expand_hops(&mut CsrView::new(&g), &mut requests, &f).unwrap();
+        for (i, (t, record)) in targets.iter().zip(&merged).enumerate() {
+            assert_eq!(record, &sample(&g, t, &f, 70 + i as u64), "request {i}");
+        }
     }
 
     #[test]
@@ -665,8 +703,11 @@ mod tests {
             &merged.hops[1].neighbors[12..24],
             &batches[1].hops[1].neighbors[..]
         );
-        // Hop-1 parents are still exactly hop-0's flattened neighbors.
-        assert_eq!(merged.hops[1].parents, merged.hops[0].neighbors);
+        // Hop 1 still holds `fanout` neighbors per hop-0 neighbor.
+        assert_eq!(
+            merged.hops[1].neighbors.len(),
+            merged.hops[0].neighbors.len() * merged.hops[1].fanout
+        );
     }
 
     #[test]

@@ -447,7 +447,6 @@ mod tests {
             targets: vec![NodeId::new(1), NodeId::new(2)],
             hops: vec![HopSample {
                 fanout: 2,
-                parents: vec![NodeId::new(1), NodeId::new(2)],
                 neighbors: vec![NodeId::new(3); 4],
             }],
         };

@@ -20,8 +20,8 @@
 //!   counters ([`CountedLru`]) behind every modeled cache (OS page
 //!   cache, scratchpads, SSD page buffer), and its payload-carrying
 //!   form ([`LruMap`]) behind the real ones.
-//! * [`stats`] — online statistics ([`RunningStats`]) and log-scale
-//!   histograms ([`Histogram`]) for metric collection.
+//! * [`stats`] — log-scale histograms ([`Histogram`]) for metric
+//!   collection.
 //!
 //! # Example
 //!
@@ -55,5 +55,5 @@ pub use events::EventQueue;
 pub use lru::{CountedLru, LruMap, LruSet};
 pub use resource::Server;
 pub use rng::{SplitMix64, Xoshiro256};
-pub use stats::{Histogram, RunningStats};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};

@@ -81,7 +81,6 @@ pub mod registry;
 pub mod scratch;
 pub mod sharded;
 pub mod shared;
-pub mod stats;
 pub mod topology;
 pub mod trace;
 
@@ -102,11 +101,10 @@ pub use sharded::{
     ShardedTopology,
 };
 pub use shared::SharedFileStore;
-pub use stats::AtomicStoreStats;
 pub use topology::{
     CsrTopology, CsrView, FileTopology, InMemoryTopology, TopologyKind, TopologyStore,
 };
-pub use trace::{SampleTrace, TraceAccess, TraceHop, TracingTopology};
+pub use trace::{SampleTrace, TraceHop, TracingTopology};
 
 use smartsage_graph::NodeId;
 

@@ -1,98 +1,94 @@
-//! The sample **byte trace**: the exact access stream neighbor-sampling
-//! planning drives through a [`TopologyStore`], exported for cost
-//! modeling.
+//! The sample **byte trace**: the exact access stream neighbor sampling
+//! drives through a [`TopologyStore`], recorded for cost modeling.
 //!
-//! Planning asks a topology store two batched questions per hop — the
+//! Sampling asks a topology store two batched questions per hop — the
 //! frontier's degrees, then the drawn neighbor picks — and that call
 //! stream *is* the storage workload of a mini-batch: which edge lists
 //! are read, how long each one is, and how many fine-grained 8-byte
-//! entries each contributes. [`SampleTrace`] records it per hop and per
-//! access; `smartsage-core`'s cost policies replay the trace against
+//! entries each contributes. [`SampleTrace`] holds it as flat per-hop
+//! arrays; `smartsage-core`'s cost policies replay the trace against
 //! per-system device models to turn one real storage execution into the
 //! paper's Figs 14–21 numbers.
 //!
-//! Two producers exist, by design equal on the same plan:
+//! One writer, one reference recorder:
 //!
-//! * [`TracingTopology`] wraps any store and records the stream exactly
-//!   as the storage interface observes it (the export hook);
-//! * `smartsage-core` rebuilds the identical trace from a finished
-//!   `SamplePlan` (every access and every drawn position is in the
-//!   plan), which is what the pipeline uses on the hot path — the walk
-//!   planner never touches the store, so the plan is the one uniform
-//!   source.
+//! * the sampler (`smartsage-gnn`) fills a trace as it asks the store —
+//!   the frontier it sent and the degrees the store answered — and the
+//!   pipeline moves that record into the cost policy;
+//! * [`TracingTopology`] wraps any store and records the stream as the
+//!   storage interface observes it, independently of the sampler.
 //!
-//! The conformance suite asserts the two agree access-for-access.
+//! `tests/cost_purity.rs` asserts the two agree access for access on
+//! every tier and shard count.
 
 use crate::error::StoreError;
 use crate::topology::TopologyStore;
 use crate::StoreStats;
 use smartsage_graph::NodeId;
 
-/// One planned edge-list access as the store observed it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceAccess {
-    /// The node whose neighbor list is read.
-    pub node: NodeId,
-    /// The node's out-degree (the answer to the degree read).
-    pub degree: u64,
-    /// Neighbor positions drawn from this access (0 for isolated
-    /// nodes, the hop's fan-out otherwise).
-    pub picks: usize,
-}
-
-/// All accesses of one hop, in frontier order.
+/// One hop's accesses in frontier order, as parallel arrays: access
+/// `i` reads the edge list of `nodes[i]`, which is `degrees[i]` long.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceHop {
     /// Fan-out at this hop.
     pub fanout: usize,
-    /// One access per frontier node.
-    pub accesses: Vec<TraceAccess>,
+    /// The frontier: one node per access.
+    pub nodes: Vec<NodeId>,
+    /// Each frontier node's out-degree, as the store answered it.
+    pub degrees: Vec<u64>,
 }
 
-/// The complete byte trace of one mini-batch's sampling plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
+impl TraceHop {
+    /// Neighbor positions drawn from access `i`: the hop's fan-out, or
+    /// none for an isolated node.
+    pub fn picks(&self, i: usize) -> usize {
+        if self.degrees[i] > 0 {
+            self.fanout
+        } else {
+            0
+        }
+    }
+}
+
+/// The complete byte trace of one mini-batch's sampling pass.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SampleTrace {
-    /// Number of mini-batch targets (hop 0's frontier length).
-    pub num_targets: usize,
     /// Per-hop access streams, outermost first.
     pub hops: Vec<TraceHop>,
 }
 
 impl SampleTrace {
-    /// An empty trace (no targets, no hops).
-    pub fn empty() -> SampleTrace {
-        SampleTrace {
-            num_targets: 0,
-            hops: Vec::new(),
-        }
+    /// Number of mini-batch targets (hop 0's frontier length).
+    pub fn num_targets(&self) -> usize {
+        self.hops.first().map_or(0, |h| h.nodes.len())
     }
 
     /// Total edge-list accesses across hops.
     pub fn num_accesses(&self) -> u64 {
-        self.hops.iter().map(|h| h.accesses.len() as u64).sum()
+        self.hops.iter().map(|h| h.nodes.len() as u64).sum()
     }
 
-    /// Total sampled neighbor IDs the plan produces (isolated accesses
+    /// Total sampled neighbor IDs the pass produces (isolated accesses
     /// contribute `fanout` self-loops, exactly as resolution does).
     pub fn num_sampled(&self) -> u64 {
         self.hops
             .iter()
-            .map(|h| (h.accesses.len() * h.fanout) as u64)
+            .map(|h| (h.nodes.len() * h.fanout) as u64)
             .sum()
     }
 }
 
-/// A [`TopologyStore`] decorator that records the planning call stream
+/// A [`TopologyStore`] decorator that records the sampling call stream
 /// as a [`SampleTrace`] while forwarding every request to the inner
-/// store — the trace **export hook**.
+/// store — the reference recorder the sampler's own record is tested
+/// against.
 ///
 /// Designed for `sample_on`'s call discipline: one
 /// [`degrees_into`](TopologyStore::degrees_into) opens a hop (the
 /// frontier and its degrees), and the following
 /// [`pick_neighbors_into`](TopologyStore::pick_neighbors_into) closes
-/// it (the drawn picks, `fanout` per non-isolated access, attributed in
-/// frontier order). Values returned to the caller are the inner
-/// store's, untouched.
+/// it (the drawn picks, `fanout` per non-isolated access). Values
+/// returned to the caller are the inner store's, untouched.
 #[derive(Debug)]
 pub struct TracingTopology<'a> {
     inner: &'a mut dyn TopologyStore,
@@ -104,7 +100,7 @@ impl<'a> TracingTopology<'a> {
     pub fn new(inner: &'a mut dyn TopologyStore) -> TracingTopology<'a> {
         TracingTopology {
             inner,
-            trace: SampleTrace::empty(),
+            trace: SampleTrace::default(),
         }
     }
 
@@ -125,20 +121,10 @@ impl TopologyStore for TracingTopology<'_> {
 
     fn degrees_into(&mut self, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
         self.inner.degrees_into(nodes, out)?;
-        if self.trace.hops.is_empty() {
-            self.trace.num_targets = nodes.len();
-        }
         self.trace.hops.push(TraceHop {
             fanout: 0,
-            accesses: nodes
-                .iter()
-                .zip(out.iter())
-                .map(|(&node, &degree)| TraceAccess {
-                    node,
-                    degree,
-                    picks: 0,
-                })
-                .collect(),
+            nodes: nodes.to_vec(),
+            degrees: out.to_vec(),
         });
         Ok(())
     }
@@ -150,18 +136,11 @@ impl TopologyStore for TracingTopology<'_> {
     ) -> Result<(), StoreError> {
         self.inner.pick_neighbors_into(picks, out)?;
         // Close the hop the preceding degree read opened: `fanout`
-        // picks per non-isolated access, in frontier order.
+        // picks per non-isolated access.
         if let Some(hop) = self.trace.hops.last_mut() {
             if hop.fanout == 0 {
-                let nonzero = hop.accesses.iter().filter(|a| a.degree > 0).count();
-                if let Some(fanout) = picks.len().checked_div(nonzero) {
-                    hop.fanout = fanout;
-                    for access in hop.accesses.iter_mut() {
-                        if access.degree > 0 {
-                            access.picks = fanout;
-                        }
-                    }
-                }
+                let nonzero = hop.degrees.iter().filter(|&&d| d > 0).count();
+                hop.fanout = picks.len().checked_div(nonzero).unwrap_or(0);
             }
         }
         Ok(())
@@ -208,11 +187,13 @@ mod tests {
         let mut neighbors = vec![NodeId::default(); picks.len()];
         tracer.pick_neighbors_into(&picks, &mut neighbors).unwrap();
         let trace = tracer.into_trace();
-        assert_eq!(trace.num_targets, 8);
+        assert_eq!(trace.num_targets(), 8);
         assert_eq!(trace.hops.len(), 1);
         assert_eq!(trace.hops[0].fanout, 2);
-        for access in &trace.hops[0].accesses {
-            assert_eq!(access.picks, if access.degree > 0 { 2 } else { 0 });
+        let hop = &trace.hops[0];
+        assert_eq!((&hop.nodes, &hop.degrees), (&frontier, &got));
+        for (i, &degree) in hop.degrees.iter().enumerate() {
+            assert_eq!(hop.picks(i), if degree > 0 { 2 } else { 0 });
         }
         assert_eq!(trace.num_sampled(), 16);
     }

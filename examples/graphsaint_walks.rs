@@ -46,8 +46,8 @@ fn main() {
     }
     println!(
         "  plan: {} edge-list accesses, {} sampled ids\n",
-        plan.num_accesses(),
-        plan.num_sampled()
+        plan.trace.num_accesses(),
+        plan.trace.num_sampled()
     );
 
     // ------------------------------------------------------------------

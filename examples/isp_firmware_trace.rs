@@ -10,7 +10,7 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::{Devices, RunContext};
-use smartsage::core::cost::{make_policy, trace_of_plan, StepOutcome};
+use smartsage::core::cost::{make_policy, StepOutcome};
 use smartsage::core::metrics::TransferStats;
 use smartsage::core::nsconfig::{NsConfig, TargetDescriptor};
 use smartsage::gnn::sampler::sample_on;
@@ -88,7 +88,7 @@ fn main() {
         &mut rng,
     )
     .expect("in-memory topology cannot fail");
-    let trace = trace_of_plan(&plan, graph);
+    let trace = plan.trace;
     println!(
         "  trace: {} edge-list accesses across {} hops, {} ids to sample",
         trace.num_accesses(),

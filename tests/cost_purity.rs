@@ -3,11 +3,12 @@
 //!
 //! The unification contract has two halves, and each gets a property:
 //!
-//! 1. *One trace.* Planning through any storage tier (in-memory CSR,
-//!    paged graph file, in-storage sampler) produces the identical
-//!    plan, and the trace the storage interface observes (the
-//!    [`TracingTopology`] export hook) equals the trace the hot path
-//!    rebuilds from the plan (`trace_of_plan`) — access for access.
+//! 1. *One trace.* Sampling through any storage tier (in-memory CSR,
+//!    paged graph file, in-storage sampler), at any shard count,
+//!    produces the identical plan, and the trace the sampler recorded
+//!    in it (`plan.trace`, from the degrees the routed store answered)
+//!    equals the trace the storage interface observes (the
+//!    [`TracingTopology`] reference recorder) — access for access.
 //! 2. *One cost per trace.* Feeding the same trace to a fresh policy
 //!    yields the identical [`BatchCost`] — independent of which worker
 //!    slot drives it and of how many slots the policy was built with.
@@ -18,7 +19,7 @@
 use proptest::prelude::*;
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::{Devices, RunContext};
-use smartsage::core::cost::{make_policy, trace_of_plan, BatchCost, CostPolicy, StepOutcome};
+use smartsage::core::cost::{make_policy, BatchCost, CostPolicy, StepOutcome};
 use smartsage::gnn::sampler::{plan_sample_on, sample_on, Fanouts};
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::{CsrGraph, Dataset, DatasetProfile, GraphScale, NodeId};
@@ -42,9 +43,11 @@ fn arbitrary_graph(nodes: usize, seed: u64) -> CsrGraph {
     })
 }
 
-/// Samples one full pass through `topology` behind the trace export
-/// hook; returns the recorded trace and the plan's own trace. Every
-/// call that reached the store is in the recording: two per hop.
+/// Samples one full pass through `topology` behind the reference
+/// recorder; returns the recorder's trace and the one the sampler wrote
+/// into the plan. Every call that reached the store is in the
+/// recording: two per hop. The degrees the plan kept are the store's
+/// answers, so they must also be the graph's.
 fn traced_plan(
     topology: &mut dyn TopologyStore,
     graph: &CsrGraph,
@@ -62,7 +65,11 @@ fn traced_plan(
         topology.stats().gathers - calls_before,
         "the tracer dropped a store call"
     );
-    (seen, trace_of_plan(&plan, graph))
+    for hop in &plan.trace.hops {
+        let degrees: Vec<u64> = hop.nodes.iter().map(|&n| graph.degree(n)).collect();
+        assert_eq!(hop.degrees, degrees, "a tier answered a wrong degree");
+    }
+    (seen, plan.trace)
 }
 
 fn drive(
@@ -103,21 +110,21 @@ proptest! {
         let (mem_seen, mem_plan) = traced_plan(&mut mem, &graph, &t, &fanouts, seed);
         prop_assert_eq!(
             &mem_seen, &mem_plan,
-            "mem tier: export hook and plan rebuild disagree"
+            "mem tier: recorder and sampler disagree"
         );
 
         let mut disk = FileTopology::open(file.path()).expect("open file topology");
         let (disk_seen, disk_plan) = traced_plan(&mut disk, &graph, &t, &fanouts, seed);
         prop_assert_eq!(
             &disk_seen, &disk_plan,
-            "file tier: export hook and plan rebuild disagree"
+            "file tier: recorder and sampler disagree"
         );
 
         let mut isp = IspSampleTopology::open(file.path()).expect("open isp topology");
         let (isp_seen, isp_plan) = traced_plan(&mut isp, &graph, &t, &fanouts, seed);
         prop_assert_eq!(
             &isp_seen, &isp_plan,
-            "isp tier: export hook and plan rebuild disagree"
+            "isp tier: recorder and sampler disagree"
         );
 
         // The determinism contract across tiers: one plan, one trace.
@@ -127,8 +134,9 @@ proptest! {
         // And across *shard counts*: partitioning the topology over N
         // modeled devices routes each hop to its owning shard but never
         // changes the plan — so the (merged) trace a cost policy prices
-        // is shard-agnostic by construction.
-        for shards in [2usize, 3] {
+        // is shard-agnostic by construction, the one-device partition
+        // included.
+        for shards in [1usize, 2, 3] {
             let ranges = shard_ranges(graph.num_nodes(), shards);
             let shard_files: Vec<ScratchFile> = (0..shards)
                 .map(|i| ScratchFile::new(&format!("cost-purity-shard-{i}of{shards}")))
@@ -183,7 +191,7 @@ proptest! {
                 &mut rng,
             )
             .unwrap();
-            let trace = trace_of_plan(&plan, ctx.graph());
+            let trace = plan.trace;
             let run = |worker: usize, workers: usize| {
                 let mut devices = Devices::new(&ctx.config);
                 let mut policy = make_policy(&ctx, workers);

@@ -6,7 +6,7 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::{Devices, RunContext};
-use smartsage::core::cost::{make_policy, trace_of_plan, StepOutcome};
+use smartsage::core::cost::{make_policy, StepOutcome};
 use smartsage::gnn::model::{GraphSageModel, ModelDims};
 use smartsage::gnn::sampler::{plan_sample_on, sample_on};
 use smartsage::gnn::Fanouts;
@@ -30,7 +30,7 @@ fn sample_via(
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut topo = CsrView::new(ctx.graph());
     let (plan, batch) = sample_on(&mut topo, targets, &Fanouts::new(vec![5, 3]), &mut rng).unwrap();
-    policy.begin(0, SimTime::ZERO, trace_of_plan(&plan, ctx.graph()));
+    policy.begin(0, SimTime::ZERO, plan.trace);
     let mut now = SimTime::ZERO;
     while let StepOutcome::Running { next } = policy.step(0, &mut devices, now) {
         now = next.max(now);
@@ -157,7 +157,7 @@ fn exact_mode_small_graph_runs_without_analytic_locality() {
     let fanouts = Fanouts::new(vec![5, 3]);
     let plan =
         plan_sample_on(&mut CsrView::new(ctx.graph()), &targets, &fanouts, &mut rng).unwrap();
-    let trace = trace_of_plan(&plan, ctx.graph());
+    let trace = plan.trace;
     let run = |policy: &mut Box<dyn smartsage::core::cost::CostPolicy>,
                devices: &mut Devices,
                at: SimTime,

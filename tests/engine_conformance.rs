@@ -58,14 +58,14 @@ fn kronecker_graph(base_nodes: usize, seed: u64) -> CsrGraph {
 fn replay(store: &SharedFileStore, batches: &[Vec<NodeId>]) -> (Vec<Vec<u32>>, StoreStats) {
     let dim = store.dim();
     let mut all_bits = Vec::with_capacity(batches.len());
-    let acc = smartsage::store::AtomicStoreStats::default();
+    let mut acc = StoreStats::default();
     for nodes in batches {
         let mut out = vec![0.0f32; nodes.len() * dim];
         let io = store.gather_into(nodes, &mut out).unwrap();
-        acc.add(&io);
+        acc.accumulate(&io);
         all_bits.push(bits(&out));
     }
-    (all_bits, acc.snapshot())
+    (all_bits, acc)
 }
 
 /// Same file, same batches, engines of every width: values

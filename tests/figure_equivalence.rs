@@ -86,6 +86,7 @@ fn isp_tier_ships_strictly_fewer_host_bytes_than_the_file_tier() {
         file.store_stats.nodes_gathered, isp.store_stats.nodes_gathered,
         "same access stream"
     );
+    assert!(isp.store_stats.device_ns > 0 && isp.topology_stats.device_ns > 0);
     assert!(
         isp.store_stats.host_bytes_transferred <= file.store_stats.host_bytes_transferred,
         "isp feature bytes {} must not exceed file's {}",

@@ -240,13 +240,8 @@ fn graphsage_batches_are_sampled_through_the_topology_store_exactly_once() {
     let answers: u64 = (0..cfg.total_batches)
         .map(|index| {
             let plan = reference_plan(&ctx, &cfg, index);
-            let picks: usize = plan
-                .hops
-                .iter()
-                .flat_map(|h| &h.accesses)
-                .map(|a| a.positions.len())
-                .sum();
-            plan.num_accesses() + picks as u64
+            let picks: usize = plan.positions.iter().map(Vec::len).sum();
+            plan.trace.num_accesses() + picks as u64
         })
         .sum();
     assert_eq!(topo.nodes_gathered, answers);

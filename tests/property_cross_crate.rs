@@ -45,7 +45,7 @@ proptest! {
         for n in batch.all_nodes() {
             prop_assert!(hood.contains(&n), "{n} escaped 2-hop neighborhood");
         }
-        prop_assert_eq!(batch.num_sampled(), plan.num_sampled());
+        prop_assert_eq!(batch.num_sampled(), plan.trace.num_sampled());
     }
 
     #[test]

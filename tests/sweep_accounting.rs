@@ -43,6 +43,7 @@ fn second_sweep_in_one_process_reports_exactly_its_solo_stats() {
     let second = sweep(1, &["fig7"]);
     assert!(first.store_stats.bytes_read > 0, "sweep did real I/O");
     assert!(first.store_stats.gathers > 0);
+    assert!(first.store_stats.page_hits > 0, "the page cache saw reuse");
     assert_eq!(
         first.store_stats, second.store_stats,
         "second sweep's report must equal its solo run"

@@ -174,14 +174,9 @@ proptest! {
         // bytes on every tier.
         let mut expect_gathers = 0u64;
         let mut expect_answers = 0u64;
-        for hop in &plan_mem.hops {
-            let picks: u64 = hop
-                .accesses
-                .iter()
-                .map(|a| a.positions.len() as u64)
-                .sum();
+        for (hop, positions) in plan_mem.trace.hops.iter().zip(&plan_mem.positions) {
             expect_gathers += 3;
-            expect_answers += hop.accesses.len() as u64 + 2 * picks;
+            expect_answers += (hop.nodes.len() + 2 * positions.len()) as u64;
         }
         for stats in [mem.stats(), disk.stats(), isp.stats()] {
             prop_assert_eq!(stats.gathers, expect_gathers);
@@ -249,8 +244,7 @@ proptest! {
             prop_assert_eq!(one_pass.gathers, 2 * hops, "{}", &what);
             prop_assert_eq!(
                 one_pass.nodes_gathered,
-                plan.num_accesses()
-                    + plan.hops.iter().flat_map(|h| &h.accesses).map(|a| a.positions.len() as u64).sum::<u64>(),
+                plan.trace.num_accesses() + plan.positions.iter().map(|p| p.len() as u64).sum::<u64>(),
                 "{}: one answer per frontier degree and per drawn pick", &what
             );
             // Plan-only is the same pass; re-resolving the plan is the
