@@ -17,59 +17,26 @@
 //!   paper's "viable option for large-scale GNN training" projection.
 //! * `ablation-buffer` — the SSD DRAM page buffer's contribution to
 //!   in-storage sampling.
+//!
+//! Every cell runs through the experiment layer's one seam
+//! ([`Prepared`]): the dataset is materialized once per driver, the
+//! tweaked [`SystemConfig`] is the cell, and the reported number is the
+//! run's `sampling_throughput` (batches over makespan, training or not).
 
 use crate::config::{SystemConfig, SystemKind};
-use crate::context::RunContext;
-use crate::experiments::ExperimentScale;
-use crate::pipeline::{run_pipeline, PipelineConfig, SamplerKind};
+use crate::experiments::{large_scale, ExperimentScale, Prepared};
 use crate::report::{num, speedup, Table};
-use smartsage_gnn::Fanouts;
-use smartsage_graph::{Dataset, DatasetProfile, GraphScale};
+use smartsage_graph::{Dataset, GraphScale};
 use smartsage_sim::SimDuration;
 use smartsage_storage::cores::CoreParams;
-use std::sync::Arc;
 
-fn run(cfg: SystemConfig, scale: &ExperimentScale, dataset: Dataset, workers: usize) -> f64 {
-    run_mode(cfg, scale, dataset, workers, false)
-}
-
-fn run_mode(
-    cfg: SystemConfig,
-    scale: &ExperimentScale,
-    dataset: Dataset,
-    workers: usize,
-    train: bool,
-) -> f64 {
-    let data = DatasetProfile::of(dataset).materialize(
-        GraphScale::LargeScale,
-        scale.edge_budget,
-        scale.seed,
-    );
-    let ctx = Arc::new(RunContext::new(data, cfg));
-    let report = run_pipeline(
-        &ctx,
-        &PipelineConfig {
-            workers,
-            total_batches: scale.batches.max(2 * workers),
-            batch_size: scale.batch_size,
-            fanouts: Fanouts::paper_default(),
-            queue_depth: 4,
-            hidden_dim: 256,
-            classes: 16,
-            seed: scale.seed,
-            sampler: SamplerKind::GraphSage,
-            train,
-            store: scale.store,
-            topology: scale.topology,
-            readahead: false,
-            shards: scale.shards,
-        },
-    );
-    if train {
-        scale.batches.max(2 * workers) as f64 / report.makespan.as_secs_f64()
-    } else {
-        report.sampling_throughput
-    }
+/// Throughput (batches/s) of one ablation cell. Ablations run at least
+/// two batches per worker so every worker reaches steady state.
+fn throughput(p: &Prepared, config: impl Into<SystemConfig>, workers: usize, train: bool) -> f64 {
+    p.run_with(config, workers, train, |cfg| {
+        cfg.total_batches = cfg.total_batches.max(2 * workers)
+    })
+    .sampling_throughput
 }
 
 /// Decomposes the HW/SW design's speedup into its three mechanisms
@@ -86,16 +53,12 @@ pub(crate) fn contribution_breakdown_driver(scale: &ExperimentScale) -> Table {
             "+coalescing (full HW/SW)",
         ],
     );
-    for d in Dataset::ALL {
-        let mmap = run(SystemConfig::new(SystemKind::SsdMmap), scale, d, 1);
-        let sw = run(SystemConfig::new(SystemKind::SmartSageSw), scale, d, 1);
-        let isp_fine = run(
-            SystemConfig::new(SystemKind::SmartSageHwSw).with_coalescing(1),
-            scale,
-            d,
-            1,
-        );
-        let full = run(SystemConfig::new(SystemKind::SmartSageHwSw), scale, d, 1);
+    for (d, p) in large_scale(scale) {
+        let mmap = throughput(&p, SystemKind::SsdMmap, 1, false);
+        let sw = throughput(&p, SystemKind::SmartSageSw, 1, false);
+        let fine = SystemConfig::new(SystemKind::SmartSageHwSw).with_coalescing(1);
+        let isp_fine = throughput(&p, fine, 1, false);
+        let full = throughput(&p, SystemKind::SmartSageHwSw, 1, false);
         t.row(vec![
             d.name().into(),
             speedup(sw / mmap),
@@ -164,19 +127,14 @@ pub(crate) fn future_csd_driver(scale: &ExperimentScale) -> Table {
             "Fraction of DRAM",
         ],
     );
-    let dram = run_mode(
-        SystemConfig::new(SystemKind::Dram),
-        scale,
-        Dataset::Reddit,
-        scale.workers,
-        true,
-    );
+    let p = Prepared::of(Dataset::Reddit, GraphScale::LargeScale, scale);
+    let dram = throughput(&p, SystemKind::Dram, scale.workers, true);
     for generation in csd_generations() {
         let mut cfg = SystemConfig::new(SystemKind::SmartSageOracle);
         cfg.devices.oracle_cores = generation.cores.clone();
         cfg.devices.ssd.flash.read_latency = generation.flash_read_latency;
         cfg.ssd_pcie.bytes_per_sec = generation.pcie_bytes_per_sec;
-        let thr = run_mode(cfg, scale, Dataset::Reddit, scale.workers, true);
+        let thr = throughput(&p, cfg, scale.workers, true);
         t.row(vec![
             generation.name.into(),
             num(thr, 1),
@@ -198,11 +156,12 @@ pub(crate) fn buffer_sensitivity_driver(scale: &ExperimentScale) -> Table {
             "Relative",
         ],
     );
+    let p = Prepared::of(Dataset::Movielens, GraphScale::LargeScale, scale);
     let mut base = None;
     for gib in [0u64, 1, 2, 8, 32] {
         let mut cfg = SystemConfig::new(SystemKind::SmartSageHwSw);
         cfg.devices.ssd_buffer_bytes = gib << 30;
-        let thr = run(cfg, scale, Dataset::Movielens, 1);
+        let thr = throughput(&p, cfg, 1, false);
         let b = *base.get_or_insert(thr);
         t.row(vec![gib.into(), num(thr, 1), num(thr / b, 3)]);
     }

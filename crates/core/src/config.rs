@@ -195,6 +195,13 @@ impl SystemConfig {
     }
 }
 
+/// A design point stands for its default configuration.
+impl From<SystemKind> for SystemConfig {
+    fn from(kind: SystemKind) -> Self {
+        SystemConfig::new(kind)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

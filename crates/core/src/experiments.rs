@@ -8,6 +8,17 @@
 //! registry ([`Experiment::find`]), so experiment lists can never drift
 //! apart.
 //!
+//! A sweep cell is run one way. A driver prepares each dataset once
+//! ([`Prepared::of`]) and runs its cells — systems, worker counts,
+//! granularities, rates — through [`Prepared::run`] /
+//! [`Prepared::run_with`], the only code here or in
+//! [`crate::ablations`] that materializes a dataset (Fig 13's
+//! custom-budget base graph aside), builds a [`RunContext`] or spells a
+//! [`PipelineConfig`]. The per-batch figures (Fig 19, the transfer
+//! table) are one-batch cells of the same path
+//! ([`Prepared::one_batch`]), so they record their I/O into the sweep's
+//! scope like every other run.
+//!
 //! Drivers return typed [`Table`]s (see [`crate::report`]) whose rows
 //! mirror the paper's series and render as text, CSV, or JSON. To sweep
 //! several experiments — optionally in parallel — use
@@ -17,11 +28,11 @@
 use crate::ablations;
 use crate::config::{SystemConfig, SystemKind};
 use crate::context::RunContext;
-use crate::metrics::FinishedBatch;
 use crate::pipeline::{run_pipeline, PipelineConfig, PipelineReport, SamplerKind};
-use crate::report::{num, pct, speedup, Table};
+use crate::report::{num, pct, speedup, Cell, Table};
 use smartsage_gnn::sampler::{epoch_targets, plan_sample_on};
 use smartsage_gnn::Fanouts;
+use smartsage_graph::datasets::MaterializedDataset;
 use smartsage_graph::degree::DegreeStats;
 use smartsage_graph::kronecker::{expand, KroneckerConfig};
 use smartsage_graph::{Dataset, DatasetProfile, GraphScale};
@@ -266,37 +277,98 @@ pub fn registry() -> &'static [Experiment] {
     &REGISTRY
 }
 
-/// Builds a run context for `dataset` under `kind`.
-pub fn context_for(
-    dataset: Dataset,
-    kind: SystemKind,
-    scale: &ExperimentScale,
-    graph_scale: GraphScale,
-) -> Arc<RunContext> {
-    let data = DatasetProfile::of(dataset).materialize(graph_scale, scale.edge_budget, scale.seed);
-    Arc::new(RunContext::new(data, SystemConfig::new(kind)))
+/// One dataset materialized once for every cell a driver runs on it:
+/// the seam between the experiment drivers and [`run_pipeline`]. A
+/// driver's systems, worker counts, granularities and rates all share
+/// the one `Arc<CsrGraph>` behind [`Prepared::context`].
+///
+/// (This example is the README's `Prepared` snippet, kept honest by
+/// `cargo test`.)
+///
+/// ```
+/// use smartsage_core::config::{SystemConfig, SystemKind};
+/// use smartsage_core::experiments::{ExperimentScale, Prepared};
+/// use smartsage_graph::{Dataset, GraphScale};
+///
+/// let scale = ExperimentScale::tiny();
+/// let amazon = Prepared::of(Dataset::Amazon, GraphScale::LargeScale, &scale);
+/// // One graph, three cells: a design point, a tweaked config, a tweaked pipeline.
+/// let mmap = amazon.run(SystemKind::SsdMmap, scale.workers, true);
+/// let fine = SystemConfig::new(SystemKind::SmartSageHwSw).with_coalescing(64);
+/// let isp = amazon.run(fine, scale.workers, true);
+/// let two = amazon.run_with(SystemKind::Dram, 1, false, |cfg| cfg.total_batches = 2);
+/// assert!(isp.speedup_over(&mmap) > 1.0);
+/// assert_eq!(two.batches, 2);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    data: MaterializedDataset,
+    scale: ExperimentScale,
 }
 
-fn pipe_cfg(scale: &ExperimentScale, workers: usize, train: bool) -> PipelineConfig {
-    PipelineConfig {
-        workers,
-        total_batches: scale.batches,
-        batch_size: scale.batch_size,
-        fanouts: Fanouts::paper_default(),
-        queue_depth: 4,
-        hidden_dim: 256,
-        classes: 16,
-        seed: scale.seed,
-        sampler: SamplerKind::GraphSage,
-        train,
-        store: scale.store,
-        topology: scale.topology,
-        readahead: false,
-        shards: scale.shards,
+impl Prepared {
+    /// Materializes `dataset`'s `graph_scale` variant at `scale`'s edge
+    /// budget and seed.
+    pub fn of(dataset: Dataset, graph_scale: GraphScale, scale: &ExperimentScale) -> Prepared {
+        let data =
+            DatasetProfile::of(dataset).materialize(graph_scale, scale.edge_budget, scale.seed);
+        Prepared {
+            data,
+            scale: *scale,
+        }
+    }
+
+    /// A run context for the dataset under `config` (a [`SystemKind`]
+    /// or a tweaked [`SystemConfig`]): the graph is shared, the locality
+    /// rates are `config`'s own.
+    pub fn context(&self, config: impl Into<SystemConfig>) -> Arc<RunContext> {
+        Arc::new(RunContext::new(self.data.clone(), config.into()))
+    }
+
+    /// Runs one cell: the dataset under `config`, end-to-end (`train`)
+    /// or data-preparation-only, at the scale's batch shape and tiers.
+    pub fn run(
+        &self,
+        config: impl Into<SystemConfig>,
+        workers: usize,
+        train: bool,
+    ) -> PipelineReport {
+        self.run_with(config, workers, train, |_| {})
+    }
+
+    /// [`Prepared::run`] with the cell's [`PipelineConfig`] adjusted by
+    /// `tweak` first (batch shape, sampler, fan-outs).
+    pub fn run_with(
+        &self,
+        config: impl Into<SystemConfig>,
+        workers: usize,
+        train: bool,
+        tweak: impl FnOnce(&mut PipelineConfig),
+    ) -> PipelineReport {
+        let mut cfg = PipelineConfig {
+            workers,
+            total_batches: self.scale.batches,
+            batch_size: self.scale.batch_size,
+            seed: self.scale.seed,
+            train,
+            store: self.scale.store,
+            topology: self.scale.topology,
+            shards: self.scale.shards,
+            ..PipelineConfig::default()
+        };
+        tweak(&mut cfg);
+        run_pipeline(&self.context(config), &cfg)
+    }
+
+    /// One single-worker, data-preparation-only batch (epoch index 0):
+    /// the per-batch cells of Fig 19 and the transfer table.
+    pub fn one_batch(&self, config: impl Into<SystemConfig>) -> PipelineReport {
+        self.run_with(config, 1, false, |cfg| cfg.total_batches = 1)
     }
 }
 
-/// Runs one system end-to-end (train) or data-preparation-only.
+/// Runs one system end-to-end (train) or data-preparation-only: the
+/// one-cell spelling of [`Prepared::run`] on the large-scale variant.
 pub fn run_system(
     dataset: Dataset,
     kind: SystemKind,
@@ -304,8 +376,45 @@ pub fn run_system(
     workers: usize,
     train: bool,
 ) -> PipelineReport {
-    let ctx = context_for(dataset, kind, scale, GraphScale::LargeScale);
-    run_pipeline(&ctx, &pipe_cfg(scale, workers, train))
+    Prepared::of(dataset, GraphScale::LargeScale, scale).run(kind, workers, train)
+}
+
+/// Every dataset's large-scale variant, prepared in paper order.
+pub(crate) fn large_scale(
+    scale: &ExperimentScale,
+) -> impl Iterator<Item = (Dataset, Prepared)> + '_ {
+    Dataset::ALL
+        .into_iter()
+        .map(|d| (d, Prepared::of(d, GraphScale::LargeScale, scale)))
+}
+
+fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len() as f64
+}
+
+/// The "avg (max)" summary cell of a speedup series; `max_label`
+/// prefixes the maximum (`"max "` in Figs 6/18, nothing in Figs 14/16).
+fn avg_max(v: &[f64], max_label: &str) -> Cell {
+    let max = v.iter().cloned().fold(0.0, f64::max);
+    let (avg, max) = (speedup(mean(v)).text(), speedup(max).text());
+    format!("{avg} ({max_label}{max})").into()
+}
+
+/// One row of the stage-breakdown tables (Figs 6 and 18): the report's
+/// per-stage fractions, ending in its `latency` cell.
+fn stage_row(d: Dataset, r: &PipelineReport, latency: Cell) -> Vec<Cell> {
+    let mut row = vec![d.name().into(), r.kind.label().into()];
+    row.extend(r.breakdown.fractions().map(pct));
+    row.push(latency);
+    row
+}
+
+/// The closing "average" row of a stage-breakdown table.
+fn stage_summary(label: &str, speedups: &[f64]) -> Vec<Cell> {
+    let mut row: Vec<Cell> = vec!["average".into(), label.into()];
+    row.resize(7, "".into());
+    row.push(avg_max(speedups, "max "));
+    row
 }
 
 // ---------------------------------------------------------------------
@@ -354,7 +463,7 @@ fn fig5_driver(scale: &ExperimentScale) -> Table {
         &["Dataset", "LLC miss rate", "DRAM BW utilization"],
     );
     for d in Dataset::ALL {
-        let ctx = context_for(d, SystemKind::Dram, scale, GraphScale::InMemory);
+        let ctx = Prepared::of(d, GraphScale::InMemory, scale).context(SystemKind::Dram);
         let graph = ctx.graph();
         // Scale the 22 MiB LLC by materialized/full byte ratio.
         let full_bytes = ctx.data.full_stats().edge_array_bytes() as f64;
@@ -438,36 +547,15 @@ fn fig6_driver(scale: &ExperimentScale) -> Table {
         ],
     );
     let mut slowdowns = Vec::new();
-    for d in Dataset::ALL {
-        let dram = run_system(d, SystemKind::Dram, scale, scale.workers, true);
-        let mmap = run_system(d, SystemKind::SsdMmap, scale, scale.workers, true);
+    for (d, p) in large_scale(scale) {
+        let dram = p.run(SystemKind::Dram, scale.workers, true);
+        let mmap = p.run(SystemKind::SsdMmap, scale.workers, true);
         for r in [&dram, &mmap] {
-            let f = r.breakdown.fractions();
-            t.row(vec![
-                d.name().into(),
-                r.kind.label().into(),
-                pct(f[0]),
-                pct(f[1]),
-                pct(f[2]),
-                pct(f[3]),
-                pct(f[4]),
-                speedup(r.makespan.ratio(dram.makespan)),
-            ]);
+            t.row(stage_row(d, r, speedup(r.makespan.ratio(dram.makespan))));
         }
         slowdowns.push(mmap.makespan.ratio(dram.makespan));
     }
-    let avg = slowdowns.iter().sum::<f64>() / slowdowns.len() as f64;
-    let max = slowdowns.iter().cloned().fold(0.0, f64::max);
-    t.row(vec![
-        "average".into(),
-        "SSD(mmap) slowdown".into(),
-        "".into(),
-        "".into(),
-        "".into(),
-        "".into(),
-        "".into(),
-        format!("{} (max {})", speedup(avg).text(), speedup(max).text()).into(),
-    ]);
+    t.row(stage_summary("SSD(mmap) slowdown", &slowdowns));
     t
 }
 
@@ -476,9 +564,9 @@ fn fig7_driver(scale: &ExperimentScale) -> Table {
         "Fig 7: GPU idle time (%)",
         &["Dataset", "DRAM", "SSD (mmap)"],
     );
-    for d in Dataset::ALL {
-        let dram = run_system(d, SystemKind::Dram, scale, scale.workers, true);
-        let mmap = run_system(d, SystemKind::SsdMmap, scale, scale.workers, true);
+    for (d, p) in large_scale(scale) {
+        let dram = p.run(SystemKind::Dram, scale.workers, true);
+        let mmap = p.run(SystemKind::SsdMmap, scale.workers, true);
         t.row(vec![
             d.name().into(),
             pct(dram.gpu_idle_frac),
@@ -576,10 +664,10 @@ fn sampling_speedups(scale: &ExperimentScale, workers: usize, title: &str) -> Ta
     );
     let mut sw_all = Vec::new();
     let mut hw_all = Vec::new();
-    for d in Dataset::ALL {
-        let mmap = run_system(d, SystemKind::SsdMmap, scale, workers, false);
-        let sw = run_system(d, SystemKind::SmartSageSw, scale, workers, false);
-        let hw = run_system(d, SystemKind::SmartSageHwSw, scale, workers, false);
+    for (d, p) in large_scale(scale) {
+        let mmap = p.run(SystemKind::SsdMmap, workers, false);
+        let sw = p.run(SystemKind::SmartSageSw, workers, false);
+        let hw = p.run(SystemKind::SmartSageHwSw, workers, false);
         let s_sw = sw.sampling_throughput / mmap.sampling_throughput;
         let s_hw = hw.sampling_throughput / mmap.sampling_throughput;
         sw_all.push(s_sw);
@@ -591,23 +679,11 @@ fn sampling_speedups(scale: &ExperimentScale, workers: usize, title: &str) -> Ta
             speedup(s_hw),
         ]);
     }
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    let max = |v: &[f64]| v.iter().cloned().fold(0.0, f64::max);
     t.row(vec![
         "average (max)".into(),
         speedup(1.0),
-        format!(
-            "{} ({})",
-            speedup(avg(&sw_all)).text(),
-            speedup(max(&sw_all)).text()
-        )
-        .into(),
-        format!(
-            "{} ({})",
-            speedup(avg(&hw_all)).text(),
-            speedup(max(&hw_all)).text()
-        )
-        .into(),
+        avg_max(&sw_all, ""),
+        avg_max(&hw_all, ""),
     ]);
     t
 }
@@ -644,28 +720,16 @@ fn fig15_driver(scale: &ExperimentScale) -> Table {
         &["Dataset", "Granularity", "Performance (norm.)"],
     );
     let grans: [u32; 6] = [1024, 512, 256, 64, 16, 1];
-    for d in Dataset::ALL {
+    for (d, p) in large_scale(scale) {
         let mut base = None;
         for &g in &grans {
-            let data = DatasetProfile::of(d).materialize(
-                GraphScale::LargeScale,
-                scale.edge_budget,
-                scale.seed,
-            );
             let cfg = SystemConfig::new(SystemKind::SmartSageHwSw).with_coalescing(g);
-            let ctx = Arc::new(RunContext::new(data, cfg));
-            let mut pc = pipe_cfg(scale, 1, false);
-            pc.batch_size = 1024;
-            pc.total_batches = 2;
-            let report = run_pipeline(&ctx, &pc);
+            let report = p.run_with(cfg, 1, false, |pc| {
+                pc.batch_size = 1024;
+                pc.total_batches = 2;
+            });
             let perf = report.sampling_throughput;
-            let norm = match base {
-                None => {
-                    base = Some(perf);
-                    1.0
-                }
-                Some(b0) => perf / b0,
-            };
+            let norm = perf / *base.get_or_insert(perf);
             t.row(vec![d.name().into(), g.into(), num(norm, 3)]);
         }
     }
@@ -681,11 +745,11 @@ fn fig17_driver(scale: &ExperimentScale) -> Table {
         "Fig 17: HW/SW speedup over SW vs worker count",
         &["Dataset", "1", "2", "4", "8", "12"],
     );
-    for d in Dataset::ALL {
+    for (d, p) in large_scale(scale) {
         let mut cells = vec![d.name().into()];
         for workers in [1usize, 2, 4, 8, 12] {
-            let sw = run_system(d, SystemKind::SmartSageSw, scale, workers, false);
-            let hw = run_system(d, SystemKind::SmartSageHwSw, scale, workers, false);
+            let sw = p.run(SystemKind::SmartSageSw, workers, false);
+            let hw = p.run(SystemKind::SmartSageHwSw, workers, false);
             cells.push(speedup(hw.sampling_throughput / sw.sampling_throughput));
         }
         t.row(cells);
@@ -713,51 +777,21 @@ fn fig18_driver(scale: &ExperimentScale) -> Table {
         ],
     );
     let mut hw_speedups = Vec::new();
-    for d in Dataset::ALL {
-        let reports: Vec<PipelineReport> = systems
-            .iter()
-            .map(|&k| run_system(d, k, scale, scale.workers, true))
-            .collect();
+    for (d, p) in large_scale(scale) {
+        let reports = systems.map(|k| p.run(k, scale.workers, true));
         let mmap_time = reports[0].makespan;
         for r in &reports {
-            let f = r.breakdown.fractions();
-            t.row(vec![
-                d.name().into(),
-                r.kind.label().into(),
-                pct(f[0]),
-                pct(f[1]),
-                pct(f[2]),
-                pct(f[3]),
-                pct(f[4]),
-                num(r.makespan.ratio(mmap_time), 3),
-            ]);
+            t.row(stage_row(d, r, num(r.makespan.ratio(mmap_time), 3)));
         }
         hw_speedups.push(mmap_time.ratio(reports[2].makespan));
     }
-    let avg = hw_speedups.iter().sum::<f64>() / hw_speedups.len() as f64;
-    let max = hw_speedups.iter().cloned().fold(0.0, f64::max);
-    t.row(vec![
-        "average".into(),
-        "HW/SW speedup vs mmap".into(),
-        "".into(),
-        "".into(),
-        "".into(),
-        "".into(),
-        "".into(),
-        format!("{} (max {})", speedup(avg).text(), speedup(max).text()).into(),
-    ]);
+    t.row(stage_summary("HW/SW speedup vs mmap", &hw_speedups));
     t
 }
 
 // ---------------------------------------------------------------------
 // Fig 19: FPGA-based CSD comparison
 // ---------------------------------------------------------------------
-
-/// Drives one single-worker batch through the scale's store tiers and
-/// the context's cost policy (see [`crate::pipeline::sample_once`]).
-fn sample_once(ctx: &Arc<RunContext>, scale: &ExperimentScale) -> FinishedBatch {
-    crate::pipeline::sample_once(ctx, &pipe_cfg(scale, 1, false))
-}
 
 fn fig19_driver(scale: &ExperimentScale) -> Table {
     let mut t = Table::new(
@@ -773,41 +807,38 @@ fn fig19_driver(scale: &ExperimentScale) -> Table {
             "Total",
         ],
     );
-    for d in Dataset::ALL {
-        let mk = |k: SystemKind| context_for(d, k, scale, GraphScale::LargeScale);
-        let mmap = sample_once(&mk(SystemKind::SsdMmap), scale);
-        let sw = sample_once(&mk(SystemKind::SmartSageSw), scale);
-        let fpga = sample_once(&mk(SystemKind::FpgaCsd), scale);
-        let base = mmap.sampling_time;
-        let host_row = |name: &str, r: &FinishedBatch, t: &mut Table| {
+    for (d, p) in large_scale(scale) {
+        let mmap = p.one_batch(SystemKind::SsdMmap);
+        let sw = p.one_batch(SystemKind::SmartSageSw);
+        let fpga = p.one_batch(SystemKind::FpgaCsd);
+        let base = mmap.avg_sampling_time;
+        for r in [&mmap, &sw] {
             let compute = r
-                .sampling_time
-                .saturating_sub(r.overhead_time)
+                .avg_sampling_time
+                .saturating_sub(r.breakdown.other)
                 .mul_f64(0.05);
-            let io = r.sampling_time.saturating_sub(compute);
+            let io = r.avg_sampling_time.saturating_sub(compute);
             t.row(vec![
                 d.name().into(),
-                name.into(),
+                r.kind.label().into(),
                 num(io.ratio(base), 3),
                 "-".into(),
                 "-".into(),
                 "-".into(),
                 num(compute.ratio(base), 3),
-                num(r.sampling_time.ratio(base), 3),
+                num(r.avg_sampling_time.ratio(base), 3),
             ]);
-        };
-        host_row("SSD (mmap)", &mmap, &mut t);
-        host_row("SmartSAGE (SW)", &sw, &mut t);
+        }
         let ph = fpga.fpga.expect("fpga phases");
         t.row(vec![
             d.name().into(),
-            "FPGA-CSD".into(),
+            fpga.kind.label().into(),
             "-".into(),
             num(ph.ssd_to_fpga.ratio(base), 3),
             num(ph.fpga_to_cpu.ratio(base), 3),
             num(ph.sampling.ratio(base), 3),
             "-".into(),
-            num(fpga.sampling_time.ratio(base), 3),
+            num(fpga.avg_sampling_time.ratio(base), 3),
         ]);
     }
     t
@@ -828,12 +859,11 @@ fn fig20_driver(scale: &ExperimentScale) -> Table {
         ],
     );
     let mut hw_all = Vec::new();
-    for d in Dataset::ALL {
+    for (d, p) in large_scale(scale) {
         let run = |k: SystemKind| {
-            let ctx = context_for(d, k, scale, GraphScale::LargeScale);
-            let mut cfg = pipe_cfg(scale, scale.workers, true);
-            cfg.sampler = SamplerKind::SaintWalk { length: 4 };
-            run_pipeline(&ctx, &cfg)
+            p.run_with(k, scale.workers, true, |cfg| {
+                cfg.sampler = SamplerKind::SaintWalk { length: 4 }
+            })
         };
         let mmap = run(SystemKind::SsdMmap);
         let sw = run(SystemKind::SmartSageSw);
@@ -847,8 +877,8 @@ fn fig20_driver(scale: &ExperimentScale) -> Table {
             speedup(s_hw),
         ]);
     }
-    let avg = hw_all.iter().sum::<f64>() / hw_all.len() as f64;
-    t.row(vec!["average".into(), "".into(), "".into(), speedup(avg)]);
+    let avg = speedup(mean(&hw_all));
+    t.row(vec!["average".into(), "".into(), "".into(), avg]);
     t
 }
 
@@ -861,13 +891,12 @@ fn fig21_driver(scale: &ExperimentScale) -> Table {
         "Fig 21: Sensitivity to sampling rate (speedup vs SSD(mmap))",
         &["Dataset", "Rate", "SmartSAGE (SW)", "SmartSAGE (HW/SW)"],
     );
-    for d in Dataset::ALL {
+    for (d, p) in large_scale(scale) {
         for (label, factor) in [("0.5x", 0.5), ("1.0x", 1.0), ("2.0x", 2.0)] {
             let run = |k: SystemKind| {
-                let ctx = context_for(d, k, scale, GraphScale::LargeScale);
-                let mut cfg = pipe_cfg(scale, scale.workers, true);
-                cfg.fanouts = Fanouts::paper_default().scaled(factor);
-                run_pipeline(&ctx, &cfg)
+                p.run_with(k, scale.workers, true, |cfg| {
+                    cfg.fanouts = cfg.fanouts.scaled(factor)
+                })
             };
             let mmap = run(SystemKind::SsdMmap);
             let sw = run(SystemKind::SmartSageSw);
@@ -898,27 +927,20 @@ fn transfer_driver(scale: &ExperimentScale) -> Table {
         ],
     );
     let mut all = Vec::new();
-    for d in Dataset::ALL {
-        let mmap = sample_once(
-            &context_for(d, SystemKind::SsdMmap, scale, GraphScale::LargeScale),
-            scale,
-        );
-        let isp = sample_once(
-            &context_for(d, SystemKind::SmartSageHwSw, scale, GraphScale::LargeScale),
-            scale,
-        );
-        let reduction =
-            mmap.transfers.ssd_to_host_bytes as f64 / isp.transfers.ssd_to_host_bytes.max(1) as f64;
+    for (d, p) in large_scale(scale) {
+        let moved = |k: SystemKind| p.one_batch(k).transfers.ssd_to_host_bytes;
+        let (mmap, isp) = (moved(SystemKind::SsdMmap), moved(SystemKind::SmartSageHwSw));
+        let reduction = mmap as f64 / isp.max(1) as f64;
         all.push(reduction);
         t.row(vec![
             d.name().into(),
-            mmap.transfers.ssd_to_host_bytes.into(),
-            isp.transfers.ssd_to_host_bytes.into(),
+            mmap.into(),
+            isp.into(),
             speedup(reduction),
         ]);
     }
-    let avg = all.iter().sum::<f64>() / all.len() as f64;
-    t.row(vec!["average".into(), "".into(), "".into(), speedup(avg)]);
+    let avg = speedup(mean(&all));
+    t.row(vec!["average".into(), "".into(), "".into(), avg]);
     t
 }
 
@@ -946,11 +968,8 @@ fn energy_driver(scale: &ExperimentScale) -> Table {
         "Sec VI-E: Energy per workload (normalized to SSD(mmap))",
         &["Dataset", "System", "Power (W)", "Energy (norm.)"],
     );
-    for d in Dataset::ALL {
-        let reports: Vec<PipelineReport> = systems
-            .iter()
-            .map(|&k| run_system(d, k, scale, scale.workers, true))
-            .collect();
+    for (d, p) in large_scale(scale) {
+        let reports = systems.map(|k| p.run(k, scale.workers, true));
         let base_energy = base_watts * reports[0].makespan.as_secs_f64();
         for r in &reports {
             let watts = base_watts + extra(r.kind);
@@ -989,6 +1008,37 @@ mod tests {
             assert!(Experiment::find(name).is_some(), "{name} not findable");
         }
         assert!(Experiment::find("nope").is_none());
+    }
+
+    #[test]
+    fn one_prepared_dataset_serves_every_cell_of_a_driver() {
+        let scale = ExperimentScale::tiny();
+        let p = Prepared::of(Dataset::Amazon, GraphScale::LargeScale, &scale);
+        // Contexts share the graph; config and locality are their own.
+        let mut unbuffered = SystemConfig::new(SystemKind::SmartSageHwSw);
+        unbuffered.devices.ssd_buffer_bytes = 0;
+        let (a, b) = (p.context(SystemKind::SsdMmap), p.context(unbuffered));
+        assert!(Arc::ptr_eq(&a.data.graph, &b.data.graph));
+        assert_ne!(a.config, b.config);
+        assert_ne!(a.locality, b.locality);
+        // `run_system` is the seam's `run`, field for field.
+        let cell = run_system(Dataset::Amazon, SystemKind::SmartSageSw, &scale, 2, true);
+        let seam = p.run(SystemKind::SmartSageSw, 2, true);
+        assert_eq!(format!("{cell:?}"), format!("{seam:?}"));
+        assert_eq!(seam.batches, scale.batches);
+        assert!(seam.fpga.is_none(), "only the FPGA policy reports phases");
+        // A `run_with` tweak reaches the run (Fig 15's cell).
+        let fine = SystemConfig::new(SystemKind::SmartSageHwSw).with_coalescing(64);
+        let fig15 = p.run_with(fine, 1, false, |pc| {
+            pc.batch_size = 1024;
+            pc.total_batches = 2;
+        });
+        assert_eq!(fig15.batches, 2);
+        // The one-batch cell is one batch, and the FPGA's carries its phases.
+        let fpga = p.one_batch(SystemKind::FpgaCsd);
+        assert_eq!(fpga.batches, 1);
+        assert_eq!(fpga.store_stats.gathers, 1);
+        assert!(fpga.fpga.expect("fpga phases").ssd_to_fpga_bytes > 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Measurement records shared by the pipeline and experiment drivers.
+//! Measurement records a pipeline run reports and the experiment
+//! drivers read: stage breakdown, transfer accounting, FPGA phases.
 
-use smartsage_graph::NodeId;
-use smartsage_sim::{SimDuration, SimTime};
+use smartsage_sim::SimDuration;
 
 /// Time attributed to each stage of the training pipeline (paper Fig 6 /
 /// Fig 18 stacked bars).
@@ -88,39 +88,14 @@ pub struct FpgaPhases {
     pub fpga_to_cpu: SimDuration,
 }
 
-/// Feature rows gathered for one batch's distinct subgraph nodes
-/// through the run's feature store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GatheredFeatures {
-    /// The distinct subgraph nodes, sorted ascending (the gather plan).
-    pub nodes: Vec<NodeId>,
-    /// Feature dimensionality of each row.
-    pub dim: usize,
-    /// Row-major `nodes.len() × dim` feature matrix.
-    pub data: Vec<f32>,
-}
-
-/// Outcome of one produced batch: the modeled cost of its byte trace
-/// (from the system's [`CostPolicy`](crate::cost::CostPolicy)) joined
-/// with the real storage results (subgraph resolved and features
-/// gathered through the run's store tiers, by the pipeline, once).
-#[derive(Debug, Clone)]
-pub struct FinishedBatch {
-    /// When sampling finished.
-    pub done: SimTime,
-    /// Wall time the worker spent on neighbor sampling.
-    pub sampling_time: SimDuration,
-    /// Host-stack overhead included in sampling (faults, syscalls,
-    /// command issue) — reported separately for the breakdown's "else".
-    pub overhead_time: SimDuration,
-    /// The resolved subgraph.
-    pub batch: smartsage_gnn::SampledBatch,
-    /// Data movement caused by this batch.
-    pub transfers: TransferStats,
-    /// FPGA-CSD phase detail (only set by that policy).
-    pub fpga: Option<FpgaPhases>,
-    /// Features gathered through the run's feature store.
-    pub features: GatheredFeatures,
+impl FpgaPhases {
+    /// Accumulates another batch's phases.
+    pub fn accumulate(&mut self, other: &FpgaPhases) {
+        self.ssd_to_fpga += other.ssd_to_fpga;
+        self.ssd_to_fpga_bytes += other.ssd_to_fpga_bytes;
+        self.sampling += other.sampling;
+        self.fpga_to_cpu += other.fpga_to_cpu;
+    }
 }
 
 #[cfg(test)]

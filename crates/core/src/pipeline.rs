@@ -6,9 +6,10 @@
 //! *costs*. Each planned batch's byte trace
 //! ([`smartsage_store::SampleTrace`]) is handed to the run's
 //! [`CostPolicy`], which replays it against the design point's device
-//! models in virtual time. Finished mini-batches (subgraph + gathered
-//! features + modeled cost) enter a bounded work queue; the GPU consumer
-//! pops them, pays the CPU→GPU transfer, and trains. The simulation is
+//! models in virtual time. Finished mini-batches (subgraph shape +
+//! modeled cost; the gathered rows stay in the producer's one buffer)
+//! enter a bounded work queue; the GPU consumer pops them, pays the
+//! CPU→GPU transfer, and trains. The simulation is
 //! event-driven at the policy's step granularity, so concurrent workers
 //! contend for shared devices in global time order, and GPU idle time
 //! (Fig 7) falls out of the queue dynamics exactly as in the paper:
@@ -16,8 +17,8 @@
 
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
-use crate::cost::{make_policy, CostPolicy, StepOutcome};
-use crate::metrics::{FinishedBatch, GatheredFeatures, StageBreakdown, TransferStats};
+use crate::cost::{make_policy, BatchCost, CostPolicy, StepOutcome};
+use crate::metrics::{FpgaPhases, StageBreakdown, TransferStats};
 use crate::store_metrics;
 use smartsage_gnn::gpu::BatchDims;
 use smartsage_gnn::saint::plan_random_walk;
@@ -153,6 +154,9 @@ pub struct PipelineReport {
     /// Graph-topology store counters of the run's sampling and batch
     /// resolution (exact, per run).
     pub topology_stats: StoreStats,
+    /// The FPGA-CSD policy's phase detail summed over the run's batches
+    /// (Fig 19's bars); `None` under every other policy.
+    pub fpga: Option<FpgaPhases>,
 }
 
 impl PipelineReport {
@@ -236,8 +240,7 @@ struct PlannedBatch {
 /// determinism contract, only the I/O accounting differs — while
 /// GraphSAINT walk plans, drawn on the in-memory CSR, resolve through
 /// the store. Returns the byte trace the pass recorded (the
-/// modeled-cost input), moved out of the plan, with the batch. Shared by [`run_pipeline`] and [`sample_once`] so
-/// they cannot drift.
+/// modeled-cost input), moved out of the plan, with the batch.
 ///
 /// # Panics
 ///
@@ -267,9 +270,10 @@ fn plan_batch(
     (plan.trace, PlannedBatch { batch, nodes })
 }
 
-/// Joins a worker's finished [`BatchCost`](crate::cost::BatchCost) with
-/// the real storage results: the batch sampled at plan time, and its
-/// distinct nodes' features gathered through the feature store.
+/// Finishes `worker`'s batch: takes its modeled [`BatchCost`] from the
+/// policy and gathers the batch's distinct nodes' features through the
+/// feature store into `rows`, the one buffer the producer keeps for the
+/// run (resized, never reallocated once it has seen the largest batch).
 ///
 /// # Panics
 ///
@@ -278,48 +282,16 @@ fn plan_batch(
 fn finish_batch(
     policy: &mut dyn CostPolicy,
     store: &mut dyn FeatureStore,
+    rows: &mut Vec<f32>,
     worker: usize,
-    PlannedBatch { batch, nodes }: PlannedBatch,
-) -> FinishedBatch {
+    nodes: &[NodeId],
+) -> BatchCost {
     let cost = policy.take_result(worker);
-    let data = store
-        .gather(&nodes)
+    rows.resize(nodes.len() * store.dim(), 0.0);
+    store
+        .gather_into(nodes, rows)
         .unwrap_or_else(|e| panic!("producer feature gather failed: {e}"));
-    FinishedBatch {
-        done: cost.done,
-        sampling_time: cost.sampling_time,
-        overhead_time: cost.overhead_time,
-        transfers: TransferStats {
-            ssd_to_host_bytes: cost.ssd_to_host_bytes,
-            host_to_ssd_bytes: cost.host_to_ssd_bytes,
-            useful_bytes: batch.subgraph_bytes(),
-        },
-        batch,
-        fpga: cost.fpga,
-        features: GatheredFeatures {
-            nodes,
-            dim: store.dim(),
-            data,
-        },
-    }
-}
-
-/// Drives one single-worker batch (epoch index 0) through the
-/// configured store tiers and the context's cost policy; returns the
-/// full result. The single-batch analogue of [`run_pipeline`], used by
-/// the per-batch experiment drivers (Fig 19's latency breakdown, the
-/// Fig 10 transfer-reduction table).
-pub fn sample_once(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> FinishedBatch {
-    let mut devices = Devices::new(&ctx.config);
-    let mut policy = make_policy(ctx, 1);
-    let mut tiers = open_tiers(ctx, cfg);
-    let (trace, planned) = plan_batch(ctx, cfg, tiers.topology.as_mut(), 0);
-    policy.begin(0, SimTime::ZERO, trace);
-    let mut now = SimTime::ZERO;
-    while let StepOutcome::Running { next } = policy.step(0, &mut devices, now) {
-        now = next.max(now);
-    }
-    finish_batch(policy.as_mut(), tiers.features.as_mut(), 0, planned)
+    cost
 }
 
 struct ReadyBatch {
@@ -362,7 +334,9 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     let mut breakdown = StageBreakdown::default();
     let mut transfers = TransferStats::default();
     let mut sampling_total = SimDuration::ZERO;
+    let mut fpga: Option<FpgaPhases> = None;
     let mut makespan_end = SimTime::ZERO;
+    let mut rows: Vec<f32> = Vec::new();
     // The in-flight batch of each worker, parked between begin (where
     // its plan's trace is priced) and finish (where its features
     // gather).
@@ -398,31 +372,31 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                     events.schedule(next.max(now), Event::Worker(w));
                 }
                 StepOutcome::Finished => {
-                    let planned = parked[w].take().expect("finished worker has a batch");
-                    let result = finish_batch(policy.as_mut(), store.as_mut(), w, planned);
-                    sampling_total += result.sampling_time;
-                    breakdown.sampling += result.sampling_time.saturating_sub(result.overhead_time);
-                    breakdown.other += result.overhead_time;
-                    transfers.ssd_to_host_bytes += result.transfers.ssd_to_host_bytes;
-                    transfers.host_to_ssd_bytes += result.transfers.host_to_ssd_bytes;
-                    transfers.useful_bytes += result.transfers.useful_bytes;
+                    let PlannedBatch { batch, nodes } =
+                        parked[w].take().expect("finished worker has a batch");
+                    let cost = finish_batch(policy.as_mut(), store.as_mut(), &mut rows, w, &nodes);
+                    sampling_total += cost.sampling_time;
+                    breakdown.sampling += cost.sampling_time.saturating_sub(cost.overhead_time);
+                    breakdown.other += cost.overhead_time;
+                    transfers.ssd_to_host_bytes += cost.ssd_to_host_bytes;
+                    transfers.host_to_ssd_bytes += cost.host_to_ssd_bytes;
+                    transfers.useful_bytes += batch.subgraph_bytes();
+                    if let Some(phases) = &cost.fpga {
+                        fpga.get_or_insert_with(FpgaPhases::default)
+                            .accumulate(phases);
+                    }
                     produced_done += 1;
 
-                    let mut t = result.done;
+                    let mut t = cost.done;
                     if cfg.train {
-                        // Feature table lookup (always host DRAM); the
-                        // gather already built the sorted-distinct node
-                        // list.
-                        let distinct = result.features.nodes.len() as u64;
+                        // Feature table lookup (always host DRAM) over
+                        // the batch's sorted-distinct nodes.
+                        let distinct = nodes.len() as u64;
                         let f_done = devices.host_dram.random_access(t, distinct, feat_bytes);
                         breakdown.feature_lookup += f_done.saturating_elapsed_since(t);
                         t = f_done;
-                        let dims = BatchDims::of_batch(
-                            &result.batch,
-                            feat_dim,
-                            cfg.hidden_dim,
-                            cfg.classes,
-                        );
+                        let dims =
+                            BatchDims::of_batch(&batch, feat_dim, cfg.hidden_dim, cfg.classes);
                         let cost = gpu_params.batch_cost(&dims);
                         let ready = ReadyBatch {
                             ready: t,
@@ -520,6 +494,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
         },
         store_stats,
         topology_stats,
+        fpga,
     }
 }
 
@@ -663,8 +638,8 @@ mod tests {
 
     #[test]
     fn plan_batch_is_all_the_topology_traffic_of_a_batch() {
-        // `sample_once` and `run_pipeline` touch the topology store
-        // only through `plan_batch`: one degree read and one pick batch
+        // `run_pipeline` touches the topology store only through
+        // `plan_batch`: one degree read and one pick batch
         // per GraphSAGE hop, one pick batch per walk step.
         let ctx = ctx(SystemKind::Dram);
         let mut cfg = small_cfg(false);
@@ -677,29 +652,5 @@ mod tests {
         let mut topo = smartsage_store::CsrView::new(ctx.graph());
         plan_batch(&ctx, &cfg, &mut topo, 0);
         assert_eq!(topo.stats().gathers, 3);
-    }
-
-    #[test]
-    fn sample_once_matches_the_single_batch_pipeline_cost() {
-        // One batch through sample_once equals the first batch of a
-        // one-worker pipeline: same plan (epoch index 0, same seed),
-        // same trace, same policy state — so the same modeled cost.
-        let ctx = ctx(SystemKind::SsdMmap);
-        let cfg = PipelineConfig {
-            workers: 1,
-            total_batches: 1,
-            batch_size: 32,
-            fanouts: Fanouts::new(vec![5, 4]),
-            train: false,
-            ..PipelineConfig::default()
-        };
-        let once = sample_once(&ctx, &cfg);
-        let report = run_pipeline(&ctx, &cfg);
-        assert_eq!(once.sampling_time, report.avg_sampling_time);
-        assert_eq!(
-            once.transfers.ssd_to_host_bytes,
-            report.transfers.ssd_to_host_bytes
-        );
-        assert_eq!(once.transfers.useful_bytes, report.transfers.useful_bytes);
     }
 }

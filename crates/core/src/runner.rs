@@ -33,7 +33,6 @@ use crate::store_metrics::{self, SweepScope};
 use smartsage_hostio::LockExt;
 use smartsage_store::{StoreKind, StoreOccupancy, StoreStats, TopologyKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The result of one experiment run.
@@ -291,35 +290,34 @@ impl Runner {
                 .map(|(i, exp)| self.run_one(i, exp))
                 .collect()
         } else {
+            // Workers claim the next unrun experiment as they free up
+            // (driver costs differ tenfold) and hand what they ran back
+            // through their join handles; a panicking driver resurfaces
+            // here, at the join.
             let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<RunOutcome>>> =
-                (0..total).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|thread_scope| {
-                let next = &next;
-                let slots = &slots;
-                for _ in 0..workers {
-                    let sweep_scope = scope.clone();
-                    thread_scope.spawn(move || {
-                        let _guard = store_metrics::install_scope(sweep_scope);
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
+            let mut outcomes: Vec<RunOutcome> = std::thread::scope(|thread_scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        thread_scope.spawn(|| {
+                            let _guard = store_metrics::install_scope(scope.clone());
+                            let mut ran = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                if i >= total {
+                                    break ran;
+                                }
+                                ran.push(self.run_one(i, self.selection[i]));
                             }
-                            let outcome = self.run_one(i, self.selection[i]);
-                            *slots[i].lock().expect("result slot") = Some(outcome);
-                        }
-                    });
-                }
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
             });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("result slot")
-                        .expect("worker filled every claimed slot")
-                })
-                .collect()
+            outcomes.sort_by_key(|o| o.index);
+            outcomes
         };
         let store_stats = *scope.stats.safe_lock();
         let topology_stats = *scope.topology.safe_lock();

@@ -3,9 +3,7 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
-use smartsage::core::pipeline::{
-    run_pipeline, sample_once, PipelineConfig, PipelineReport, SamplerKind,
-};
+use smartsage::core::pipeline::{run_pipeline, PipelineConfig, PipelineReport, SamplerKind};
 use smartsage::core::store_metrics::{self, SweepScope};
 use smartsage::core::{StoreKind, TopologyKind};
 use smartsage::gnn::sampler::{epoch_targets, plan_sample_on};
@@ -262,31 +260,29 @@ fn saint_walk_batches_resolve_with_one_pick_call_per_step() {
 }
 
 #[test]
-fn sample_once_is_batch_zero_of_the_pipeline() {
+fn a_one_batch_run_is_batch_zero_of_the_epoch() {
     let ctx = one_pass_ctx();
     let cfg = PipelineConfig {
         workers: 1,
         total_batches: 1,
         ..one_pass_cfg(SamplerKind::GraphSage)
     };
-    let once = sample_once(&ctx, &cfg);
-    // The same subgraph the independent plan-then-resolve path builds...
+    let report = run_pipeline(&ctx, &cfg);
+    assert_eq!(report.batches, 1);
+    // The same subgraph the independent plan-then-resolve path builds:
+    // its dense id list is the run's useful bytes, its distinct nodes
+    // are the one gather the feature store answered.
     let plan = reference_plan(&ctx, &cfg, 0);
     let batch = plan.resolve_on(&mut CsrView::new(ctx.graph())).unwrap();
-    assert_eq!(once.batch, batch);
-    assert_eq!(once.features.nodes, batch.all_nodes());
-    assert_eq!(
-        once.features.data.len(),
-        once.features.nodes.len() * once.features.dim
-    );
-    // ...at the modeled cost the one-batch pipeline reports.
-    let report = run_pipeline(&ctx, &cfg);
-    assert_eq!(once.sampling_time, report.avg_sampling_time);
-    assert_eq!(once.transfers, report.transfers);
+    assert_eq!(report.transfers.useful_bytes, batch.subgraph_bytes());
+    assert_eq!(report.store_stats.gathers, 1);
     assert_eq!(
         report.store_stats.nodes_gathered,
-        once.features.nodes.len() as u64
+        batch.all_nodes().len() as u64
     );
+    // One batch: the mean sampling time is that batch's, and the run
+    // ends when it does.
+    assert_eq!(report.avg_sampling_time, report.makespan);
 }
 
 #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
 use smartsage::core::nsconfig::{NsConfig, TargetDescriptor};
-use smartsage::core::pipeline::{sample_once, PipelineConfig};
+use smartsage::core::pipeline::{run_pipeline, PipelineConfig};
 use smartsage::gnn::sampler::{sample_on, Fanouts};
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::traversal::k_hop_neighborhood;
@@ -55,8 +55,8 @@ proptest! {
     ) {
         // Unified-path contract: the system kind only prices the byte
         // trace; sampling and resolution run on the one real storage
-        // path, so every design point yields the same subgraph and the
-        // same gathered features for the same seed.
+        // path, so every design point's one-batch run samples the same
+        // subgraph and gathers the same rows for the same seed.
         let data = DatasetProfile::of(smartsage::graph::Dataset::Amazon)
             .materialize(GraphScale::LargeScale, 15_000, seed);
         let mut results = Vec::new();
@@ -71,10 +71,11 @@ proptest! {
                 train: false,
                 ..PipelineConfig::default()
             };
-            results.push(sample_once(&ctx, &cfg));
+            results.push(run_pipeline(&ctx, &cfg));
         }
-        prop_assert_eq!(&results[0].batch, &results[1].batch, "mmap vs ISP subgraph mismatch");
-        prop_assert_eq!(&results[0].features, &results[1].features, "mmap vs ISP features mismatch");
+        prop_assert_eq!(results[0].transfers.useful_bytes, results[1].transfers.useful_bytes, "mmap vs ISP subgraph mismatch");
+        prop_assert_eq!(results[0].topology_stats, results[1].topology_stats, "mmap vs ISP sampling mismatch");
+        prop_assert_eq!(results[0].store_stats, results[1].store_stats, "mmap vs ISP gather mismatch");
         // The costs differ in the expected direction: the ISP ships
         // only the dense sample ids, mmap ships whole blocks.
         prop_assert!(results[0].transfers.ssd_to_host_bytes >= results[1].transfers.ssd_to_host_bytes);

@@ -364,3 +364,28 @@ fn per_shard_breakdowns_sum_exactly_to_the_sweep_totals() {
         );
     }
 }
+
+#[test]
+fn one_batch_cells_record_their_io_like_every_other_run() {
+    // Regression: Fig 19 and the transfer table once ran their batches
+    // on a second pipeline that never recorded into the sweep's scope,
+    // so a sweep of them reported zero I/O beside warm caches. They are
+    // one-batch `run_pipeline` cells now: 5 datasets x 2 systems, one
+    // gather each, every resident page read by a counted miss.
+    let outcome = Runner::builder()
+        .scale(ExperimentScale {
+            seed: 0x5EEDC,
+            store: StoreKind::File,
+            topology: TopologyKind::File,
+            ..ExperimentScale::tiny()
+        })
+        .filter(|e| e.name == "transfer")
+        .build()
+        .sweep();
+    let (features, topology) = (outcome.store_stats, outcome.topology_stats);
+    assert_eq!(features.gathers, 10);
+    assert!(features.bytes_read > 0 && topology.bytes_read > 0);
+    let resident: usize = outcome.stores.iter().map(|o| o.resident_pages()).sum();
+    assert!(resident > 0, "the sweep warmed its caches");
+    assert!(features.pages_read + topology.pages_read >= resident as u64);
+}
