@@ -133,7 +133,7 @@ pub(crate) fn future_csd_driver(scale: &ExperimentScale) -> Table {
         let mut cfg = SystemConfig::new(SystemKind::SmartSageOracle);
         cfg.devices.oracle_cores = generation.cores.clone();
         cfg.devices.ssd.flash.read_latency = generation.flash_read_latency;
-        cfg.ssd_pcie.bytes_per_sec = generation.pcie_bytes_per_sec;
+        cfg.devices.ssd.pcie.bytes_per_sec = generation.pcie_bytes_per_sec;
         let thr = throughput(&p, cfg, scale.workers, true);
         t.row(vec![
             generation.name.into(),

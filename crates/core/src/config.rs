@@ -5,7 +5,7 @@ use smartsage_hostio::HostIoParams;
 use smartsage_sim::SimDuration;
 use smartsage_storage::cores::CoreParams;
 use smartsage_storage::memdev::MemDeviceParams;
-use smartsage_storage::ssd::{PcieParams, SsdParams};
+use smartsage_storage::ssd::SsdParams;
 
 /// The training-system design points of the evaluation (paper §VI).
 /// `Ord` follows declaration order so keyed collections iterate in the
@@ -170,11 +170,9 @@ pub struct SystemConfig {
     /// NVMe command coalescing granularity in targets per command
     /// (Fig 15's sweep; 1024 = whole batch, the default).
     pub coalescing_granularity: u32,
-    /// Device and stack parameters.
+    /// Device and stack parameters (the SSD's PCIe link is
+    /// `devices.ssd.pcie`).
     pub devices: DeviceParams,
-    /// PCIe link override for the SSD (kept here so experiments can
-    /// explore faster interfaces).
-    pub ssd_pcie: PcieParams,
 }
 
 impl SystemConfig {
@@ -184,7 +182,6 @@ impl SystemConfig {
             kind,
             coalescing_granularity: 1024,
             devices: DeviceParams::default(),
-            ssd_pcie: PcieParams::default(),
         }
     }
 

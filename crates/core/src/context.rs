@@ -86,7 +86,6 @@ impl Devices {
             // The *exact* buffer is sized for the scaled graph; analytic
             // hit rates override its decisions for paper experiments.
             buffer_pages: (d.ssd_buffer_bytes / d.ssd.flash.page_bytes) as usize,
-            pcie: config.ssd_pcie.clone(),
             ..d.ssd.clone()
         };
         Devices {

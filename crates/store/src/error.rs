@@ -105,35 +105,24 @@ pub enum StoreError {
         /// Provided element count.
         actual: usize,
     },
-    /// A shard manifest names a file that does not exist (or cannot be
-    /// opened). Raised per shard so the message always names the
-    /// missing file and its position in the manifest.
-    ShardMissing {
-        /// The shard file the manifest points at.
-        path: PathBuf,
-        /// The shard's index in the manifest.
-        shard: usize,
-        /// The OS error that surfaced when opening it.
-        source: io::Error,
-    },
-    /// A shard manifest's node ranges do not tile the node space:
-    /// a gap, an overlap, an inverted range, or endpoints that miss
-    /// `0..num_nodes`.
+    /// The node ranges a routed topology is built over do not tile the
+    /// node space: a range that does not continue from its
+    /// predecessor (a gap or an overlap) or is inverted.
     ShardLayout {
         /// The shard file whose range is at fault.
         path: PathBuf,
-        /// The shard's index in the manifest.
+        /// The shard's index in the partition.
         shard: usize,
         /// What is wrong with the layout.
         reason: String,
     },
-    /// A shard file's on-disk geometry disagrees with the manifest or
-    /// its sibling shards (wrong node count for its range, mismatched
-    /// feature dim/classes, mismatched global node count).
+    /// A shard file's on-disk geometry disagrees with its sibling
+    /// shards or with the partition it is routed in (mismatched feature
+    /// dim/classes, mismatched global node count).
     ShardGeometry {
         /// The offending shard file.
         path: PathBuf,
-        /// The shard's index in the manifest.
+        /// The shard's index in the partition.
         shard: usize,
         /// What disagrees.
         reason: String,
@@ -236,17 +225,6 @@ impl fmt::Display for StoreError {
                     "gather buffer holds {actual} elements, need exactly {expected}"
                 )
             }
-            StoreError::ShardMissing {
-                path,
-                shard,
-                source,
-            } => {
-                write!(
-                    f,
-                    "shard {shard} file '{}' is missing or unopenable: {source}",
-                    path.display()
-                )
-            }
             StoreError::ShardLayout {
                 path,
                 shard,
@@ -291,7 +269,7 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StoreError::Io { source, .. } | StoreError::ShardMissing { source, .. } => Some(source),
+            StoreError::Io { source, .. } => Some(source),
             _ => None,
         }
     }

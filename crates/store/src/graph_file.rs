@@ -644,7 +644,7 @@ mod tests {
         let hub = g.node_ids().max_by_key(|&n| g.degree(n)).unwrap();
         let degree = g.degree(hub);
         let other = g.node_ids().find(|&n| n != hub && g.degree(n) > 0).unwrap();
-        let mut topology = FileTopology::open(file.path()).unwrap();
+        let mut topology = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
         let picks = [(other, 0), (hub, 0), (hub, degree), (hub, 1)];
         let mut out = [NodeId::default(); 4];
         let err = topology.pick_neighbors_into(&picks, &mut out).unwrap_err();

@@ -165,11 +165,10 @@ impl Default for IspGatherOptions {
 /// A [`FeatureStore`] whose gathers execute device-side against an SSD
 /// timing model, shipping only packed feature rows to the host.
 ///
-/// Construct one over a registry-shared [`SharedFileStore`] with
-/// [`IspGatherStore::over`] (the pipeline's path — concurrent runs then
-/// share one open file and one payload cache), or open a private one
-/// straight from a feature file with [`IspGatherStore::open`] /
-/// [`IspGatherStore::open_with`].
+/// Construct one with [`IspGatherStore::over`] a [`SharedFileStore`]:
+/// registry-shared on the pipeline's path (concurrent runs then share
+/// one open file and one payload cache), or a private
+/// [`SharedFileStore::open_with`] of its own.
 #[derive(Debug)]
 pub struct IspGatherStore {
     shared: Arc<SharedFileStore>,
@@ -297,27 +296,6 @@ impl IspGatherStore {
             shared,
             stats: StoreStats::default(),
         }
-    }
-
-    /// Opens `path` privately with default file geometry and device
-    /// parameters.
-    pub fn open(path: &Path) -> Result<IspGatherStore, StoreError> {
-        IspGatherStore::open_with(
-            path,
-            FileStoreOptions::default(),
-            IspGatherOptions::default(),
-        )
-    }
-
-    /// Opens `path` privately (its own file handle and single-shard
-    /// payload cache) through the usual magic/header/length validation.
-    pub fn open_with(
-        path: &Path,
-        file_opts: FileStoreOptions,
-        opts: IspGatherOptions,
-    ) -> Result<IspGatherStore, StoreError> {
-        let shared = Arc::new(SharedFileStore::open_with(path, file_opts, 1)?);
-        Ok(IspGatherStore::over(shared, opts))
     }
 
     /// The shared store serving this tier's media reads.
@@ -460,6 +438,24 @@ mod tests {
     use crate::{write_feature_file, InMemoryStore, ScratchFile, StoreHandle};
     use smartsage_graph::FeatureTable;
 
+    /// An ISP tier over its own one-stripe open of `path`.
+    fn isp_over(
+        path: &Path,
+        file_opts: FileStoreOptions,
+        opts: IspGatherOptions,
+    ) -> IspGatherStore {
+        let shared = SharedFileStore::open_with(path, file_opts, 1).unwrap();
+        IspGatherStore::over(Arc::new(shared), opts)
+    }
+
+    fn isp_default(path: &Path) -> IspGatherStore {
+        isp_over(
+            path,
+            FileStoreOptions::default(),
+            IspGatherOptions::default(),
+        )
+    }
+
     fn write_table(tag: &str, dim: usize, nodes: usize) -> (ScratchFile, FeatureTable) {
         let table = FeatureTable::new(dim, 3, 0x15B);
         let path = ScratchFile::new(tag);
@@ -470,7 +466,7 @@ mod tests {
     #[test]
     fn isp_gathers_match_memory_bit_for_bit() {
         let (path, table) = write_table("isp-equiv", 7, 40);
-        let mut isp = IspGatherStore::open(path.path()).unwrap();
+        let mut isp = isp_default(path.path());
         let nodes: Vec<NodeId> = [3u32, 0, 39, 3, 17].map(NodeId::new).to_vec();
         let got = isp.gather(&nodes).unwrap();
         let want = InMemoryStore::new(table, 40).gather(&nodes).unwrap();
@@ -487,7 +483,7 @@ mod tests {
         // gather (one row per page) costs the device a whole page per
         // row, but the host sees only the packed payload.
         let (path, _) = write_table("isp-host", 8, 1024);
-        let mut isp = IspGatherStore::open(path.path()).unwrap();
+        let mut isp = isp_default(path.path());
         let nodes: Vec<NodeId> = (0..8u32).map(|i| NodeId::new(i * 128)).collect();
         isp.gather(&nodes).unwrap();
         let s = isp.stats();
@@ -508,7 +504,7 @@ mod tests {
     #[test]
     fn host_bytes_stay_strictly_below_the_file_store_host_path() {
         let (path, _) = write_table("isp-vs-file", 8, 1024);
-        let mut isp = IspGatherStore::open(path.path()).unwrap();
+        let mut isp = isp_default(path.path());
         let mut file = StoreHandle::new(Arc::new(SharedFileStore::open(path.path()).unwrap()));
         let nodes: Vec<NodeId> = (0..8u32).map(|i| NodeId::new(i * 128)).collect();
         isp.gather(&nodes).unwrap();
@@ -536,7 +532,7 @@ mod tests {
         // flash) must be paid, and must be far cheaper than the cold
         // one.
         let (path, _) = write_table("isp-time", 16, 1024);
-        let mut isp = IspGatherStore::open(path.path()).unwrap();
+        let mut isp = isp_default(path.path());
         let even: Vec<NodeId> = (0..16u32).map(|i| NodeId::new(i * 64)).collect();
         let odd: Vec<NodeId> = (0..16u32).map(|i| NodeId::new(i * 64 + 1)).collect();
         isp.gather(&even).unwrap();
@@ -564,7 +560,7 @@ mod tests {
         let (path, _) = write_table("isp-qd", 32, 256);
         let nodes: Vec<NodeId> = (0..256u32).map(NodeId::new).collect();
         let time_at = |qd: usize| {
-            let mut isp = IspGatherStore::open_with(
+            let mut isp = isp_over(
                 path.path(),
                 FileStoreOptions {
                     cache_pages: 0, // every gather re-reads: pure flash path
@@ -574,8 +570,7 @@ mod tests {
                     queue_depth: qd,
                     ..IspGatherOptions::default()
                 },
-            )
-            .unwrap();
+            );
             isp.gather(&nodes).unwrap();
             isp.device_time()
         };
@@ -590,7 +585,7 @@ mod tests {
     #[test]
     fn failed_gathers_cost_nothing() {
         let (path, _) = write_table("isp-err", 4, 5);
-        let mut isp = IspGatherStore::open(path.path()).unwrap();
+        let mut isp = isp_default(path.path());
         assert!(isp.gather(&[NodeId::new(5)]).is_err());
         assert_eq!(isp.stats(), StoreStats::default());
         assert!(isp.device_time().is_zero());
@@ -600,7 +595,7 @@ mod tests {
     #[should_panic(expected = "queue depth")]
     fn zero_queue_depth_is_rejected() {
         let (path, _) = write_table("isp-zeroqd", 4, 5);
-        let _ = IspGatherStore::open_with(
+        let _ = isp_over(
             path.path(),
             FileStoreOptions::default(),
             IspGatherOptions {

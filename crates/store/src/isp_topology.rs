@@ -40,10 +40,9 @@
 //! leak scheduling noise into virtual time.
 
 use crate::error::StoreError;
-use crate::file::FileStoreOptions;
 use crate::graph_file::SharedCsrFile;
 use crate::isp::{IspDevice, IspGatherOptions};
-use crate::topology::{check_out_len, TopologyStore};
+use crate::topology::{check_out_len, count_answers, TopologyStore};
 use crate::StoreStats;
 use smartsage_graph::NodeId;
 use smartsage_sim::SimDuration;
@@ -58,11 +57,10 @@ const ENTRY_BYTES: u64 = crate::graph_file::GRAPH_ENTRY_BYTES;
 /// timing model, shipping only packed degrees and sampled neighbor ids
 /// to the host.
 ///
-/// Construct one over a registry-shared [`SharedCsrFile`] with
-/// [`IspSampleTopology::over`] (the pipeline's path — concurrent runs
-/// then share one open file and one payload cache), or open a private
-/// one straight from a graph file with [`IspSampleTopology::open`] /
-/// [`IspSampleTopology::open_with`].
+/// Construct one with [`IspSampleTopology::over`] a [`SharedCsrFile`]:
+/// registry-shared on the pipeline's path (concurrent runs then share
+/// one open file and one payload cache), or a private
+/// [`SharedCsrFile::open_with`] of its own.
 #[derive(Debug)]
 pub struct IspSampleTopology {
     shared: Arc<SharedCsrFile>,
@@ -79,27 +77,6 @@ impl IspSampleTopology {
             shared,
             stats: StoreStats::default(),
         }
-    }
-
-    /// Opens `path` privately with default file geometry and device
-    /// parameters.
-    pub fn open(path: &Path) -> Result<IspSampleTopology, StoreError> {
-        IspSampleTopology::open_with(
-            path,
-            FileStoreOptions::default(),
-            IspGatherOptions::default(),
-        )
-    }
-
-    /// Opens `path` privately (its own file handle and single-shard
-    /// payload cache) through the usual validation.
-    pub fn open_with(
-        path: &Path,
-        file_opts: FileStoreOptions,
-        opts: IspGatherOptions,
-    ) -> Result<IspSampleTopology, StoreError> {
-        let shared = Arc::new(SharedCsrFile::open_with(path, file_opts, 1)?);
-        Ok(IspSampleTopology::over(shared, opts))
     }
 
     /// The shared graph file serving this tier's media reads.
@@ -143,11 +120,9 @@ impl TopologyStore for IspSampleTopology {
             *slot = end - start;
         }
         let shipped = nodes.len() as u64 * ENTRY_BYTES;
-        let mut io = self.device.pass(io, &pages, nodes.len() as u64, shipped);
-        io.gathers = 1;
-        io.nodes_gathered = nodes.len() as u64;
-        io.feature_bytes = shipped;
+        let io = self.device.pass(io, &pages, nodes.len() as u64, shipped);
         self.stats.accumulate(&io);
+        count_answers(&mut self.stats, nodes.len() as u64);
         Ok(())
     }
 
@@ -166,13 +141,11 @@ impl TopologyStore for IspSampleTopology {
         // the edge reads (firmware chains them without surfacing to the
         // host).
         let shipped = picks.len() as u64 * ENTRY_BYTES;
-        let mut io = self.device.pass(io, &pages, picks.len() as u64, shipped);
+        let io = self.device.pass(io, &pages, picks.len() as u64, shipped);
+        self.stats.accumulate(&io);
         // One logical device command per batch, uniform with the other
         // tiers' access-counter convention.
-        io.gathers = 1;
-        io.nodes_gathered = picks.len() as u64;
-        io.feature_bytes = shipped;
-        self.stats.accumulate(&io);
+        count_answers(&mut self.stats, picks.len() as u64);
         Ok(())
     }
 
@@ -188,6 +161,7 @@ impl TopologyStore for IspSampleTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file::FileStoreOptions;
     use crate::graph_file::write_graph_file;
     use crate::topology::{FileTopology, InMemoryTopology};
     use crate::ScratchFile;
@@ -203,6 +177,12 @@ mod tests {
         })
     }
 
+    /// An ISP tier over its own one-stripe open of `path`.
+    fn isp_over(path: &Path, opts: IspGatherOptions) -> IspSampleTopology {
+        let shared = SharedCsrFile::open_with(path, FileStoreOptions::default(), 1).unwrap();
+        IspSampleTopology::over(Arc::new(shared), opts)
+    }
+
     fn write_graph(tag: &str, g: &CsrGraph) -> ScratchFile {
         let file = ScratchFile::new(tag);
         write_graph_file(file.path(), g).unwrap();
@@ -214,7 +194,7 @@ mod tests {
         let g = graph(80, 0x90);
         let file = write_graph("isp-topo-equiv", &g);
         let mut mem = InMemoryTopology::new(g);
-        let mut isp = IspSampleTopology::open(file.path()).unwrap();
+        let mut isp = isp_over(file.path(), IspGatherOptions::default());
         assert_eq!(isp.num_nodes(), mem.num_nodes());
         assert_eq!(isp.num_edges(), mem.num_edges());
         let nodes: Vec<NodeId> = (0..80u32).map(NodeId::new).collect();
@@ -240,8 +220,8 @@ mod tests {
     fn only_packed_ids_cross_the_host_link() {
         let g = graph(600, 0x91);
         let file = write_graph("isp-topo-host", &g);
-        let mut isp = IspSampleTopology::open(file.path()).unwrap();
-        let mut disk = FileTopology::open(file.path()).unwrap();
+        let mut isp = isp_over(file.path(), IspGatherOptions::default());
+        let mut disk = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
         // Scattered picks across the whole id space: the file tier
         // pays whole offset+edge pages per pick, the ISP tier ships
         // 8 bytes per answer.
@@ -286,7 +266,7 @@ mod tests {
     fn failed_reads_cost_nothing() {
         let g = graph(10, 0x92);
         let file = write_graph("isp-topo-err", &g);
-        let mut isp = IspSampleTopology::open(file.path()).unwrap();
+        let mut isp = isp_over(file.path(), IspGatherOptions::default());
         let mut out = [0u64];
         assert!(isp.degrees_into(&[NodeId::new(10)], &mut out).is_err());
         assert_eq!(isp.stats(), StoreStats::default());
@@ -298,9 +278,8 @@ mod tests {
     fn zero_queue_depth_is_rejected() {
         let g = graph(10, 0x93);
         let file = write_graph("isp-topo-qd", &g);
-        let _ = IspSampleTopology::open_with(
+        let _ = isp_over(
             file.path(),
-            FileStoreOptions::default(),
             IspGatherOptions {
                 queue_depth: 0,
                 ..IspGatherOptions::default()

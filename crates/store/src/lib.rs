@@ -96,10 +96,7 @@ pub use registry::{
     remove_cached_feature_files, sweep_stale_tmp_files, StoreOccupancy, StoreRegistry,
 };
 pub use scratch::ScratchFile;
-pub use sharded::{
-    check_sharded_population, shard_ranges, ShardEntry, ShardManifest, ShardedFeatureStore,
-    ShardedTopology,
-};
+pub use sharded::{check_sharded_population, shard_ranges, ShardedFeatureStore, ShardedTopology};
 pub use shared::SharedFileStore;
 pub use topology::{
     CsrTopology, CsrView, FileTopology, InMemoryTopology, TopologyKind, TopologyStore,

@@ -6,10 +6,13 @@
 //! only code that turns that choice — a [`TierSpec`] — into stores,
 //! with the workspace's single tier match per half: one construction
 //! per tier, a routed store ([`ShardedFeatureStore`] /
-//! [`ShardedTopology`]) over one member per device. Unsharded is the
-//! one-device case of it (same file, each request answered by the one
-//! member in place). The offline pipeline and the serving engine both
-//! call it, so they cannot drift in what they open or what they reject.
+//! [`ShardedTopology`]) over one member per device, each file-backed
+//! member over the registry's own file for its range
+//! ([`StoreRegistry::open_feature_shards`] /
+//! [`StoreRegistry::open_graph_shards`]). Unsharded is the one-device
+//! case of it (same file, each request answered by the one member in
+//! place). The offline pipeline and the serving engine both call it,
+//! so they cannot drift in what they open or what they reject.
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;

@@ -831,6 +831,54 @@ mod tests {
     }
 
     #[test]
+    fn shard_files_hold_their_ranges_and_route_like_the_unsharded_store() {
+        use crate::topology::CsrView;
+        use crate::{InMemoryStore, ShardedFeatureStore, ShardedTopology, TopologyStore};
+        use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
+        let g = generate_power_law(&PowerLawConfig {
+            nodes: 20,
+            avg_degree: 4.0,
+            seed: 0x6B3,
+            ..PowerLawConfig::default()
+        });
+        let t = table(0x5A4E);
+        let reg = StoreRegistry::new();
+        let opts = FileStoreOptions::default();
+        // Every node, in reverse: each seam is crossed, out of order.
+        let nodes: Vec<NodeId> = (0..20u32).rev().map(NodeId::new).collect();
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        // 24 shards over 20 nodes leaves four empty tail shards.
+        for shards in [1usize, 3, 24] {
+            let ranges = shard_ranges(20, shards);
+            let features = reg.open_feature_shards(&t, 20, shards, opts).unwrap();
+            let rows: Vec<usize> = features.iter().map(|f| f.num_nodes()).collect();
+            let want: Vec<usize> = ranges.iter().map(|&(start, end)| end - start).collect();
+            assert_eq!(rows, want, "{shards}-way feature shards hold their ranges");
+            let graphs = reg.open_graph_shards(&g, shards, opts).unwrap();
+            assert!(
+                graphs.iter().all(|f| f.num_nodes() == 20),
+                "{shards}-way graph shards carry the global node count"
+            );
+
+            let mut sharded = ShardedFeatureStore::over_files(&features).unwrap();
+            let mut solo = InMemoryStore::new(t.clone(), 20);
+            assert_eq!(
+                bits(sharded.gather(&nodes).unwrap()),
+                bits(solo.gather(&nodes).unwrap()),
+                "{shards}-way gather"
+            );
+            let mut topology = ShardedTopology::over_files(&graphs, &ranges).unwrap();
+            let (mut got, mut want) = (vec![0u64; 20], vec![0u64; 20]);
+            topology.degrees_into(&nodes, &mut got).unwrap();
+            CsrView::new(&g).degrees_into(&nodes, &mut want).unwrap();
+            assert_eq!(got, want, "{shards}-way degrees");
+        }
+        for o in reg.occupancy() {
+            let _ = std::fs::remove_file(&o.path);
+        }
+    }
+
+    #[test]
     fn stale_foreign_graph_file_is_republished() {
         use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
         let g = generate_power_law(&PowerLawConfig {

@@ -44,9 +44,17 @@
 //!   global — no id translation on the topology axis; a feature
 //!   sub-batch is translated only for a range that does not start at 0.
 //!
-//! A [`ShardManifest`] names the per-shard files and their ranges and
-//! validates the whole layout (tiling, on-disk geometry) with typed
-//! [`StoreError`]s before anything is read.
+//! The files are the registry's: [`StoreRegistry::open_feature_shards`]
+//! / [`StoreRegistry::open_graph_shards`] publish one per
+//! [`shard_ranges`] range under a `-p{i}of{k}` content key, and
+//! [`ShardedFeatureStore::over_files`] / [`ShardedTopology::over_files`]
+//! check them against each other before anything is read — a range that
+//! does not continue from its predecessor is [`StoreError::ShardLayout`],
+//! a file whose geometry disagrees is [`StoreError::ShardGeometry`],
+//! both naming the file and shard.
+//!
+//! [`StoreRegistry::open_feature_shards`]: crate::StoreRegistry::open_feature_shards
+//! [`StoreRegistry::open_graph_shards`]: crate::StoreRegistry::open_graph_shards
 //!
 //! # Stats scoping
 //!
@@ -61,19 +69,16 @@
 //! device.
 
 use crate::error::StoreError;
-use crate::file::FileStoreOptions;
 use crate::graph_file::SharedCsrFile;
 use crate::handle::StoreHandle;
 use crate::isp::{IspGatherOptions, IspGatherStore};
 use crate::isp_topology::IspSampleTopology;
 use crate::mem::InMemoryStore;
-use crate::shared::{SharedFileStore, DEFAULT_CACHE_SHARDS};
+use crate::shared::SharedFileStore;
 use crate::topology::{check_out_len, count_answers, FileTopology, InMemoryTopology};
 use crate::{FeatureStore, StoreStats, TopologyStore};
 use smartsage_graph::generate::community_of;
 use smartsage_graph::{CsrGraph, FeatureTable, NodeId};
-use std::io;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The contiguous node ranges of an N-way partition: an even split
@@ -227,192 +232,6 @@ impl Router {
     }
 }
 
-/// One shard's entry in a [`ShardManifest`]: the per-shard file and the
-/// global node range `start..end` it holds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardEntry {
-    /// The per-shard file.
-    pub path: PathBuf,
-    /// First global node id the shard holds.
-    pub start: usize,
-    /// One past the last global node id the shard holds.
-    pub end: usize,
-}
-
-/// How one axis of a dataset (features or topology) is partitioned
-/// across per-shard files. [`ShardManifest::validate`] checks that the
-/// ranges tile `0..num_nodes`; the open methods additionally check
-/// each file's on-disk geometry against its manifest entry — every
-/// failure is a typed [`StoreError`] naming the file and shard index,
-/// never a panic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardManifest {
-    /// Global node count the shards tile.
-    pub num_nodes: usize,
-    /// Per-shard files and ranges, in node order.
-    pub shards: Vec<ShardEntry>,
-}
-
-impl ShardManifest {
-    /// The even-split manifest over `paths` (one shard per path),
-    /// with ranges from [`shard_ranges`].
-    pub fn for_paths(num_nodes: usize, paths: Vec<PathBuf>) -> ShardManifest {
-        let ranges = shard_ranges(num_nodes, paths.len().max(1));
-        let shards = paths
-            .into_iter()
-            .zip(ranges)
-            .map(|(path, (start, end))| ShardEntry { path, start, end })
-            .collect();
-        ShardManifest { num_nodes, shards }
-    }
-
-    /// The `(start, end)` ranges of the shards, in order.
-    pub fn ranges(&self) -> Vec<(usize, usize)> {
-        self.shards.iter().map(|e| (e.start, e.end)).collect()
-    }
-
-    /// Checks that the shard ranges tile `0..num_nodes` exactly: no
-    /// empty manifest, no inverted range, no gap, no overlap, and
-    /// endpoints that meet `0` and `num_nodes`.
-    pub fn validate(&self) -> Result<(), StoreError> {
-        let Some(first) = self.shards.first() else {
-            return Err(StoreError::ShardLayout {
-                path: PathBuf::from("<empty manifest>"),
-                shard: 0,
-                reason: "manifest lists no shards".to_string(),
-            });
-        };
-        if first.start != 0 {
-            return Err(StoreError::ShardLayout {
-                path: first.path.clone(),
-                shard: 0,
-                reason: format!("first shard starts at node {} instead of 0", first.start),
-            });
-        }
-        let mut expected = 0usize;
-        for (i, e) in self.shards.iter().enumerate() {
-            if e.start > e.end {
-                return Err(StoreError::ShardLayout {
-                    path: e.path.clone(),
-                    shard: i,
-                    reason: format!("inverted range {}..{}", e.start, e.end),
-                });
-            }
-            if e.start != expected {
-                let kind = if e.start < expected {
-                    "overlaps the previous shard"
-                } else {
-                    "leaves a gap after the previous shard"
-                };
-                return Err(StoreError::ShardLayout {
-                    path: e.path.clone(),
-                    shard: i,
-                    reason: format!(
-                        "range {}..{} {kind} (previous shard ends at node {expected})",
-                        e.start, e.end
-                    ),
-                });
-            }
-            expected = e.end;
-        }
-        if expected != self.num_nodes {
-            let last = self.shards.len() - 1;
-            return Err(StoreError::ShardLayout {
-                path: self.shards[last].path.clone(),
-                shard: last,
-                reason: format!("shards cover {expected} of {} nodes", self.num_nodes),
-            });
-        }
-        Ok(())
-    }
-
-    /// Opens every feature shard file, checking each file's row count
-    /// against its manifest range. A missing file is
-    /// [`StoreError::ShardMissing`]; a wrong row count is
-    /// [`StoreError::ShardGeometry`] — both name the file.
-    pub fn open_feature_shards(
-        &self,
-        opts: FileStoreOptions,
-    ) -> Result<Vec<Arc<SharedFileStore>>, StoreError> {
-        self.validate()?;
-        let mut out = Vec::with_capacity(self.shards.len());
-        for (i, e) in self.shards.iter().enumerate() {
-            let shared = SharedFileStore::open_with(&e.path, opts, DEFAULT_CACHE_SHARDS)
-                .map_err(|err| mark_missing(err, i))?;
-            if shared.num_nodes() != e.end - e.start {
-                return Err(StoreError::ShardGeometry {
-                    path: e.path.clone(),
-                    shard: i,
-                    reason: format!(
-                        "file holds {} rows but the manifest range {}..{} needs {}",
-                        shared.num_nodes(),
-                        e.start,
-                        e.end,
-                        e.end - e.start
-                    ),
-                });
-            }
-            out.push(Arc::new(shared));
-        }
-        Ok(out)
-    }
-
-    /// Opens every graph shard file, checking each file's global node
-    /// count against the manifest. A missing file is
-    /// [`StoreError::ShardMissing`]; a wrong node count is
-    /// [`StoreError::ShardGeometry`] — both name the file.
-    pub fn open_graph_shards(
-        &self,
-        opts: FileStoreOptions,
-    ) -> Result<Vec<Arc<SharedCsrFile>>, StoreError> {
-        self.validate()?;
-        let mut out = Vec::with_capacity(self.shards.len());
-        for (i, e) in self.shards.iter().enumerate() {
-            let shared = SharedCsrFile::open_with(&e.path, opts, DEFAULT_CACHE_SHARDS)
-                .map_err(|err| mark_missing(err, i))?;
-            if shared.num_nodes() != self.num_nodes {
-                return Err(StoreError::ShardGeometry {
-                    path: e.path.clone(),
-                    shard: i,
-                    reason: format!(
-                        "graph shard header says {} global nodes, manifest says {}",
-                        shared.num_nodes(),
-                        self.num_nodes
-                    ),
-                });
-            }
-            out.push(Arc::new(shared));
-        }
-        Ok(out)
-    }
-
-    /// Opens the manifest as a host-path [`ShardedFeatureStore`].
-    pub fn open_features(&self, opts: FileStoreOptions) -> Result<ShardedFeatureStore, StoreError> {
-        ShardedFeatureStore::over_files(&self.open_feature_shards(opts)?)
-    }
-
-    /// Opens the manifest as a host-path [`ShardedTopology`].
-    pub fn open_topology(&self, opts: FileStoreOptions) -> Result<ShardedTopology, StoreError> {
-        ShardedTopology::over_files(&self.open_graph_shards(opts)?, &self.ranges())
-    }
-}
-
-/// Rewrites a not-found open error into [`StoreError::ShardMissing`]
-/// so the message carries the shard index; every other error passes
-/// through unchanged.
-fn mark_missing(err: StoreError, shard: usize) -> StoreError {
-    match err {
-        StoreError::Io { path, source, .. } if source.kind() == io::ErrorKind::NotFound => {
-            StoreError::ShardMissing {
-                path,
-                shard,
-                source,
-            }
-        }
-        other => other,
-    }
-}
-
 /// Checks that the graph and feature sides of a dataset (one file each
 /// when unsharded) are partitioned compatibly: same shard count
 /// ([`StoreError::ShardCountMismatch`] otherwise) and the feature rows
@@ -552,11 +371,6 @@ impl ShardedFeatureStore {
     pub fn num_shards(&self) -> usize {
         self.members.len()
     }
-
-    /// The contiguous `(start, end)` node range of each shard.
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.router.ranges
-    }
 }
 
 impl FeatureStore for ShardedFeatureStore {
@@ -646,7 +460,9 @@ impl ShardedTopology {
     }
 
     /// The host-path file tier: one [`FileTopology`] per shard file.
-    /// `ranges` must tile `0..num_nodes` (the manifest's ranges).
+    /// `ranges` must tile `0..num_nodes` (the [`shard_ranges`] the
+    /// files were published for); a gap or overlap is
+    /// [`StoreError::ShardLayout`].
     pub fn over_files(
         files: &[Arc<SharedCsrFile>],
         ranges: &[(usize, usize)],
@@ -726,11 +542,6 @@ impl ShardedTopology {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.members.len()
-    }
-
-    /// The contiguous `(start, end)` node range of each shard.
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.router.ranges
     }
 }
 
@@ -910,44 +721,5 @@ mod tests {
             assert_eq!(topo.stats().gathers, 2);
             assert_eq!(topo.shard_stats(), vec![StoreStats::default(); shards]);
         }
-    }
-
-    #[test]
-    fn manifest_layout_errors_name_file_and_shard() {
-        let entry = |p: &str, start, end| ShardEntry {
-            path: PathBuf::from(p),
-            start,
-            end,
-        };
-        let gap = ShardManifest {
-            num_nodes: 10,
-            shards: vec![entry("a", 0, 4), entry("b", 5, 10)],
-        };
-        let err = gap.validate().unwrap_err();
-        assert!(
-            matches!(err, StoreError::ShardLayout { shard: 1, .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains('b'), "{err}");
-        assert!(err.to_string().contains("gap"), "{err}");
-        let overlap = ShardManifest {
-            num_nodes: 10,
-            shards: vec![entry("a", 0, 6), entry("b", 5, 10)],
-        };
-        let err = overlap.validate().unwrap_err();
-        assert!(err.to_string().contains("overlap"), "{err}");
-        let short = ShardManifest {
-            num_nodes: 10,
-            shards: vec![entry("a", 0, 9)],
-        };
-        assert!(short.validate().is_err());
-        let empty = ShardManifest {
-            num_nodes: 0,
-            shards: vec![],
-        };
-        assert!(empty.validate().is_err());
-        let ok = ShardManifest::for_paths(10, vec!["a".into(), "b".into(), "c".into()]);
-        ok.validate().unwrap();
-        assert_eq!(ok.ranges(), shard_ranges(10, 3));
     }
 }

@@ -301,12 +301,6 @@ impl FileTopology {
         }
     }
 
-    /// Opens `path` privately (its own shared file with default
-    /// geometry) through the full validation path.
-    pub fn open(path: &std::path::Path) -> Result<FileTopology, StoreError> {
-        Ok(FileTopology::new(Arc::new(SharedCsrFile::open(path)?)))
-    }
-
     /// The shared graph file behind this handle.
     pub fn shared(&self) -> &Arc<SharedCsrFile> {
         &self.shared
@@ -388,7 +382,7 @@ mod tests {
         let file = ScratchFile::new("topo-equiv");
         write_graph_file(file.path(), &g).unwrap();
         let mut mem = InMemoryTopology::new(g.clone());
-        let mut disk = FileTopology::open(file.path()).unwrap();
+        let mut disk = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
         assert_eq!(disk.num_nodes(), mem.num_nodes());
         assert_eq!(disk.num_edges(), mem.num_edges());
         let nodes: Vec<NodeId> = (0..90u32).map(NodeId::new).collect();

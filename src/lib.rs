@@ -72,8 +72,8 @@
 //! ```
 //! use smartsage::graph::{FeatureTable, NodeId};
 //! use smartsage::store::{
-//!     write_feature_file, FeatureStore, InMemoryStore, IspGatherStore, ScratchFile,
-//!     SharedFileStore, StoreHandle,
+//!     write_feature_file, FeatureStore, FileStoreOptions, InMemoryStore, IspGatherOptions,
+//!     IspGatherStore, ScratchFile, SharedFileStore, StoreHandle,
 //! };
 //! use std::sync::Arc;
 //!
@@ -82,11 +82,13 @@
 //! let file = ScratchFile::new("readme-store-tiers");
 //! write_feature_file(file.path(), &table, 2048).unwrap();
 //!
-//! // A scattered gather: one requested row per 4 KiB page.
+//! // A scattered gather: one requested row per 4 KiB page. Each tier
+//! // opens the file for itself, so neither warms the other's cache.
 //! let nodes: Vec<NodeId> = (0..16u32).map(|i| NodeId::new(i * 128)).collect();
 //! let mut mem = InMemoryStore::new(table, 2048);
 //! let mut disk = StoreHandle::new(Arc::new(SharedFileStore::open(file.path()).unwrap()));
-//! let mut isp = IspGatherStore::open(file.path()).unwrap();
+//! let own = SharedFileStore::open_with(file.path(), FileStoreOptions::default(), 1).unwrap();
+//! let mut isp = IspGatherStore::over(Arc::new(own), IspGatherOptions::default());
 //!
 //! let want = mem.gather(&nodes).unwrap();
 //! assert_eq!(disk.gather(&nodes).unwrap(), want); // same bytes off the page path
@@ -120,9 +122,10 @@
 //! use smartsage::graph::NodeId;
 //! use smartsage::sim::Xoshiro256;
 //! use smartsage::store::{
-//!     write_graph_file, FileTopology, InMemoryTopology, IspSampleTopology, ScratchFile,
-//!     TopologyStore,
+//!     write_graph_file, FileStoreOptions, FileTopology, InMemoryTopology, IspGatherOptions,
+//!     IspSampleTopology, ScratchFile, SharedCsrFile, TopologyStore,
 //! };
+//! use std::sync::Arc;
 //!
 //! // Publish a synthetic power-law graph to an SSGRPH01 file.
 //! let graph = generate_power_law(&PowerLawConfig {
@@ -140,8 +143,9 @@
 //!     sample_on(topo, &targets, &fanouts, &mut rng).unwrap()
 //! };
 //! let mut mem = InMemoryTopology::new(graph.clone());
-//! let mut disk = FileTopology::open(file.path()).unwrap();
-//! let mut isp = IspSampleTopology::open(file.path()).unwrap();
+//! let mut disk = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
+//! let own = SharedCsrFile::open_with(file.path(), FileStoreOptions::default(), 1).unwrap();
+//! let mut isp = IspSampleTopology::over(Arc::new(own), IspGatherOptions::default());
 //! let want = sample(&mut mem);
 //! assert_eq!(sample(&mut disk), want); // same plan + batch off the page path
 //! assert_eq!(sample(&mut isp), want); // same plan + batch off the ISP path
@@ -160,40 +164,37 @@
 //!
 //! Either axis can be partitioned across N modeled SSDs: contiguous
 //! node ranges, one per-shard file and page-cache budget per device.
-//! Batched requests scatter to their owning shards and merge back in
-//! request order, so an N-shard store is bit-identical to the 1-shard
-//! and in-memory tiers — only the I/O accounting gains a per-shard
-//! breakdown that sums exactly to the totals (this example is the
-//! README's "Sharded stores" snippet, kept honest by `cargo test`):
+//! A dataset is opened one way, sharded or not — `open_tiers` with a
+//! `TierSpec` naming the shard count. Batched requests scatter to their
+//! owning shards and merge back in request order, so an N-shard store
+//! is bit-identical to the 1-shard and in-memory tiers — only the I/O
+//! accounting gains a per-shard breakdown that sums exactly to the
+//! totals (this example is the README's "Sharded stores" snippet, kept
+//! honest by `cargo test`):
 //!
 //! ```
+//! use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 //! use smartsage::graph::{FeatureTable, NodeId};
-//! use smartsage::store::{
-//!     shard_ranges, write_feature_shard, FeatureStore, InMemoryStore, ScratchFile,
-//!     ShardManifest,
-//! };
+//! use smartsage::store::{StoreKind, StoreRegistry, TierSpec, TopologyKind};
+//! use std::sync::Arc;
 //!
-//! // Publish 256 nodes of 8-dim features as three shard files.
+//! // A 256-node dataset, its features on 3 devices:
+//! // shard_ranges(256, 3) = [(0,86),(86,171),(171,256)].
+//! let graph = Arc::new(generate_power_law(&PowerLawConfig {
+//!     nodes: 256, avg_degree: 4.0, seed: 7, ..PowerLawConfig::default()
+//! }));
 //! let table = FeatureTable::new(8, 4, 7);
-//! let ranges = shard_ranges(256, 3); // [(0,86),(86,171),(171,256)]
-//! let files: Vec<ScratchFile> = (0..3)
-//!     .map(|i| ScratchFile::new(&format!("readme-shard-{i}")))
-//!     .collect();
-//! for (f, &(start, end)) in files.iter().zip(&ranges) {
-//!     write_feature_shard(f.path(), &table, start, end).unwrap();
-//! }
-//!
-//! // The manifest validates the layout and opens the sharded store.
-//! let manifest = ShardManifest::for_paths(
-//!     256,
-//!     files.iter().map(|f| f.path().to_path_buf()).collect(),
-//! );
-//! let mut sharded = manifest.open_features(Default::default()).unwrap();
+//! let spec = |store, shards| TierSpec {
+//!     store, topology: TopologyKind::Mem, shards, file: Default::default(),
+//! };
+//! let registry = StoreRegistry::new();
+//! let mut sharded = registry.open_tiers(&graph, &table, 256, &spec(StoreKind::File, 3)).unwrap();
+//! let mut mem = registry.open_tiers(&graph, &table, 256, &spec(StoreKind::Mem, 1)).unwrap();
 //!
 //! // A batch straddling every shard boundary: bit-identical to the
-//! // unsharded mem tier, merged back in request order.
+//! // mem tier, merged back in request order.
 //! let nodes: Vec<NodeId> = [255u32, 0, 86, 85, 171, 170].map(NodeId::new).to_vec();
-//! let mut mem = InMemoryStore::new(table, 256);
+//! let (sharded, mem) = (&mut sharded.features, &mut mem.features);
 //! assert_eq!(sharded.gather(&nodes).unwrap(), mem.gather(&nodes).unwrap());
 //!
 //! // Per-device accounting: each shard resolved two of the six rows,
@@ -205,6 +206,7 @@
 //!     per_shard.iter().map(|s| s.bytes_read).sum::<u64>(),
 //!     sharded.stats().bytes_read,
 //! );
+//! # for file in registry.occupancy() { let _ = std::fs::remove_file(file.path); }
 //! ```
 
 #![forbid(unsafe_code)]

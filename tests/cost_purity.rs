@@ -27,8 +27,8 @@ use smartsage::sim::{SimTime, Xoshiro256};
 use smartsage::store::topology::{FileTopology, InMemoryTopology};
 use smartsage::store::trace::TracingTopology;
 use smartsage::store::{
-    shard_ranges, write_graph_file, write_graph_shard, CsrView, IspGatherOptions,
-    IspSampleTopology, ScratchFile, ShardManifest, ShardedTopology, TopologyStore,
+    shard_ranges, write_graph_file, CsrView, FileStoreOptions, IspGatherOptions, IspSampleTopology,
+    ScratchFile, ShardedTopology, SharedCsrFile, StoreRegistry, TopologyStore,
 };
 use std::sync::Arc;
 
@@ -113,14 +113,22 @@ proptest! {
             "mem tier: recorder and sampler disagree"
         );
 
-        let mut disk = FileTopology::open(file.path()).expect("open file topology");
+        let mut disk = FileTopology::new(Arc::new(
+            SharedCsrFile::open(file.path()).expect("open graph file"),
+        ));
         let (disk_seen, disk_plan) = traced_plan(&mut disk, &graph, &t, &fanouts, seed);
         prop_assert_eq!(
             &disk_seen, &disk_plan,
             "file tier: recorder and sampler disagree"
         );
 
-        let mut isp = IspSampleTopology::open(file.path()).expect("open isp topology");
+        let mut isp = IspSampleTopology::over(
+            Arc::new(
+                SharedCsrFile::open_with(file.path(), FileStoreOptions::default(), 1)
+                    .expect("open graph file"),
+            ),
+            IspGatherOptions::default(),
+        );
         let (isp_seen, isp_plan) = traced_plan(&mut isp, &graph, &t, &fanouts, seed);
         prop_assert_eq!(
             &isp_seen, &isp_plan,
@@ -138,38 +146,36 @@ proptest! {
         // included.
         for shards in [1usize, 2, 3] {
             let ranges = shard_ranges(graph.num_nodes(), shards);
-            let shard_files: Vec<ScratchFile> = (0..shards)
-                .map(|i| ScratchFile::new(&format!("cost-purity-shard-{i}of{shards}")))
-                .collect();
-            for (file, &(start, end)) in shard_files.iter().zip(&ranges) {
-                write_graph_shard(file.path(), &graph, start, end).expect("write graph shard");
-            }
-            let manifest = ShardManifest::for_paths(
-                graph.num_nodes(),
-                shard_files.iter().map(|f| f.path().to_path_buf()).collect(),
-            );
+            // The registry's own partition — the files `open_tiers`
+            // opens — once for the file tier and once, with its own
+            // caches, for the isp tier.
+            let open = || {
+                StoreRegistry::new()
+                    .open_graph_shards(&graph, shards, Default::default())
+                    .expect("open shard files")
+            };
 
             let mut sharded_mem = ShardedTopology::mem(Arc::new(graph.clone()), shards);
             let (seen, plan) = traced_plan(&mut sharded_mem, &graph, &t, &fanouts, seed);
             prop_assert_eq!(&seen, &plan, "sharded mem tier ({} shards)", shards);
             prop_assert_eq!(&plan, &mem_plan, "sharded mem vs unsharded trace");
 
-            let mut sharded_disk = manifest
-                .open_topology(Default::default())
-                .expect("open sharded file topology");
+            let mut sharded_disk =
+                ShardedTopology::over_files(&open(), &ranges).expect("assemble sharded file topology");
             let (seen, plan) = traced_plan(&mut sharded_disk, &graph, &t, &fanouts, seed);
             prop_assert_eq!(&seen, &plan, "sharded file tier ({} shards)", shards);
             prop_assert_eq!(&plan, &mem_plan, "sharded file vs unsharded trace");
 
-            let files = manifest
-                .open_graph_shards(Default::default())
-                .expect("open shard files");
+            let files = open();
             let mut sharded_isp =
                 ShardedTopology::over_isp(&files, &ranges, IspGatherOptions::default())
                     .expect("assemble sharded isp topology");
             let (seen, plan) = traced_plan(&mut sharded_isp, &graph, &t, &fanouts, seed);
             prop_assert_eq!(&seen, &plan, "sharded isp tier ({} shards)", shards);
             prop_assert_eq!(&plan, &mem_plan, "sharded isp vs unsharded trace");
+            for file in &files {
+                let _ = std::fs::remove_file(file.path());
+            }
         }
     }
 

@@ -27,6 +27,16 @@ fn open_solo(path: &Path, opts: FileStoreOptions) -> Result<StoreHandle, StoreEr
     Ok(StoreHandle::new(Arc::new(shared)))
 }
 
+/// A single-owner ISP tier: default device parameters over a private
+/// shared store with a one-stripe cache.
+fn open_isp(path: &Path, opts: FileStoreOptions) -> Result<IspGatherStore, StoreError> {
+    let shared = SharedFileStore::open_with(path, opts, 1)?;
+    Ok(IspGatherStore::over(
+        Arc::new(shared),
+        IspGatherOptions::default(),
+    ))
+}
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -61,8 +71,7 @@ proptest! {
         let mut shared = StoreHandle::new(Arc::new(
             SharedFileStore::open_with(file.path(), opts, 4).unwrap(),
         ));
-        let mut isp =
-            IspGatherStore::open_with(file.path(), opts, IspGatherOptions::default()).unwrap();
+        let mut isp = open_isp(file.path(), opts).unwrap();
         let mut in_mem = InMemoryStore::new(table, num_nodes);
 
         let mut expect_gathers = 0u64;
@@ -206,7 +215,7 @@ fn feature_store_isp_host_bytes_strictly_undercut_the_file_store() {
     write_feature_file(file.path(), &table, 2048).unwrap();
     let nodes: Vec<NodeId> = (0..16u32).map(|i| NodeId::new(i * 128)).collect();
     let mut disk = open_solo(file.path(), FileStoreOptions::default()).unwrap();
-    let mut isp = IspGatherStore::open(file.path()).unwrap();
+    let mut isp = open_isp(file.path(), FileStoreOptions::default()).unwrap();
     let want = disk.gather(&nodes).unwrap();
     assert_eq!(bits(&isp.gather(&nodes).unwrap()), bits(&want));
     let (d, i) = (disk.stats(), isp.stats());

@@ -16,7 +16,8 @@ use smartsage::graph::{CsrGraph, Dataset, FeatureTable, NodeId};
 use smartsage::sim::Xoshiro256;
 use smartsage::store::file::{write_feature_file, FileStoreOptions};
 use smartsage::store::{
-    CsrView, FeatureStore, InMemoryStore, IspGatherStore, ScratchFile, SharedFileStore, StoreHandle,
+    CsrView, FeatureStore, InMemoryStore, IspGatherOptions, IspGatherStore, ScratchFile,
+    SharedFileStore, StoreHandle,
 };
 use std::sync::Arc;
 
@@ -120,7 +121,8 @@ fn feature_store_training_through_isp_is_bit_identical_to_memory() {
     let table = FeatureTable::new(12, 4, 7);
     let file = ScratchFile::new("isp-equiv");
     write_feature_file(file.path(), &table, 500).unwrap();
-    let mut isp = IspGatherStore::open(file.path()).unwrap();
+    let shared = SharedFileStore::open_with(file.path(), FileStoreOptions::default(), 1).unwrap();
+    let mut isp = IspGatherStore::over(Arc::new(shared), IspGatherOptions::default());
     let mut mem = InMemoryStore::new(table, 500);
 
     let (isp_losses, isp_acc) = run_training(&mut isp, 4);

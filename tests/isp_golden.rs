@@ -107,12 +107,15 @@ fn replay(page_bytes: u64) -> [(StoreStats, SsdCounters); 2] {
         page_bytes,
         cache_pages: 6,
     };
-    let mut topology =
-        IspSampleTopology::open_with(graph_file.path(), file_opts, IspGatherOptions::default())
-            .unwrap();
-    let mut features =
-        IspGatherStore::open_with(feature_file.path(), file_opts, IspGatherOptions::default())
-            .unwrap();
+    let isp = IspGatherOptions::default;
+    let mut topology = IspSampleTopology::over(
+        Arc::new(SharedCsrFile::open_with(graph_file.path(), file_opts, 1).unwrap()),
+        isp(),
+    );
+    let mut features = IspGatherStore::over(
+        Arc::new(SharedFileStore::open_with(feature_file.path(), file_opts, 1).unwrap()),
+        isp(),
+    );
     run_rounds(&mut topology, &mut features, false, |_| {});
     let counters = |ssd: &smartsage::storage::Ssd| {
         [

@@ -13,22 +13,25 @@
 //! just as invisible: requests drawn wholly inside one member's range,
 //! straddling two, and spread over all (as drawn, and sorted so each
 //! member's share is one run) are checked against the unsharded store
-//! of the same tier. The negative paths are typed too: a missing shard
-//! file, a manifest whose ranges overlap or gap, a shard file with the
-//! wrong geometry, and mismatched feature-vs-graph shard counts each
-//! fail with a [`StoreError`] naming the file — never a panic.
+//! of the same tier. Every shard file is the registry's own — the
+//! `-p{i}of{k}` files `StoreRegistry::open_tiers` opens — so the suite
+//! proves the product's partition, not one built by hand. The negative
+//! paths are typed too: node ranges that leave a gap, a shard file with
+//! the wrong geometry, mismatched feature-vs-graph shard counts and an
+//! unopenable shard path each fail with a [`StoreError`] naming the
+//! file — never a panic.
 
 use proptest::prelude::*;
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::kronecker::{expand, KroneckerConfig};
 use smartsage::graph::{CsrGraph, FeatureTable, NodeId};
 use smartsage::store::{
-    check_sharded_population, shard_ranges, write_feature_shard, write_graph_shard, CsrView,
-    FeatureStore, FileStoreOptions, FileTopology, InMemoryStore, InMemoryTopology,
-    IspGatherOptions, IspGatherStore, IspSampleTopology, ScratchFile, ShardEntry, ShardManifest,
-    ShardedFeatureStore, ShardedTopology, StoreError, StoreHandle, StoreStats, TopologyStore,
+    check_sharded_population, shard_ranges, CsrView, FeatureStore, FileStoreOptions, FileTopology,
+    InMemoryStore, InMemoryTopology, IspGatherOptions, IspGatherStore, IspSampleTopology,
+    ShardedFeatureStore, ShardedTopology, SharedCsrFile, SharedFileStore, StoreError, StoreHandle,
+    StoreRegistry, StoreStats, TopologyStore,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -63,41 +66,46 @@ fn kronecker(base_nodes: usize, seed_nodes: usize, seed: u64) -> CsrGraph {
     )
 }
 
-/// Writes one feature shard file per range and returns the manifest
-/// (the scratch files keep the shards alive).
+/// Registry files a test published, removed when it is done with them
+/// (content-keyed files otherwise outlive the process by design).
+struct Published(Vec<PathBuf>);
+
+impl Drop for Published {
+    fn drop(&mut self) {
+        for path in &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// The registry's `shards`-way feature partition of `table`'s first
+/// `num_nodes` rows — the files `open_tiers` opens — through a fresh
+/// registry, so every call opens its own page caches.
 fn feature_shards(
     table: &FeatureTable,
     num_nodes: usize,
     shards: usize,
-) -> (ShardManifest, Vec<ScratchFile>) {
-    let ranges = shard_ranges(num_nodes, shards);
-    let files: Vec<ScratchFile> = (0..shards)
-        .map(|i| ScratchFile::new(&format!("conf-feat-{i}of{shards}")))
-        .collect();
-    for (file, &(start, end)) in files.iter().zip(&ranges) {
-        write_feature_shard(file.path(), table, start, end).unwrap();
-    }
-    let manifest = ShardManifest::for_paths(
-        num_nodes,
-        files.iter().map(|f| f.path().to_path_buf()).collect(),
-    );
-    (manifest, files)
+    opts: FileStoreOptions,
+) -> (Vec<Arc<SharedFileStore>>, Published) {
+    let files = StoreRegistry::new()
+        .open_feature_shards(table, num_nodes, shards, opts)
+        .unwrap();
+    let published = Published(files.iter().map(|f| f.path().to_path_buf()).collect());
+    (files, published)
 }
 
-/// Writes one graph shard file per range and returns the manifest.
-fn graph_shards(graph: &CsrGraph, shards: usize) -> (ShardManifest, Vec<ScratchFile>) {
-    let ranges = shard_ranges(graph.num_nodes(), shards);
-    let files: Vec<ScratchFile> = (0..shards)
-        .map(|i| ScratchFile::new(&format!("conf-graph-{i}of{shards}")))
-        .collect();
-    for (file, &(start, end)) in files.iter().zip(&ranges) {
-        write_graph_shard(file.path(), graph, start, end).unwrap();
-    }
-    let manifest = ShardManifest::for_paths(
-        graph.num_nodes(),
-        files.iter().map(|f| f.path().to_path_buf()).collect(),
-    );
-    (manifest, files)
+/// The registry's `shards`-way topology partition of `graph`, opened
+/// like [`feature_shards`].
+fn graph_shards(
+    graph: &CsrGraph,
+    shards: usize,
+    opts: FileStoreOptions,
+) -> (Vec<Arc<SharedCsrFile>>, Published) {
+    let files = StoreRegistry::new()
+        .open_graph_shards(graph, shards, opts)
+        .unwrap();
+    let published = Published(files.iter().map(|f| f.path().to_path_buf()).collect());
+    (files, published)
 }
 
 /// Every request batch deliberately straddles shard boundaries: the
@@ -255,19 +263,17 @@ proptest! {
         let shards = SHARD_COUNTS[shard_pick];
         let ranges = shard_ranges(num_nodes, shards);
         let table = FeatureTable::new(dim, classes, seed);
-        let (manifest, _files) = feature_shards(&table, num_nodes, shards);
         let opts = FileStoreOptions {
             page_bytes: PAGE_SIZES[page_pick],
             cache_pages,
         };
+        let (files, _published) = feature_shards(&table, num_nodes, shards, opts);
+        let (isp_files, _isp_published) = feature_shards(&table, num_nodes, shards, opts);
         let mut reference = InMemoryStore::new(table.clone(), num_nodes);
         let mut sharded_mem = ShardedFeatureStore::mem(table, num_nodes, shards);
-        let mut sharded_file = manifest.open_features(opts).unwrap();
-        let mut sharded_isp = ShardedFeatureStore::over_isp(
-            &manifest.open_feature_shards(opts).unwrap(),
-            IspGatherOptions::default(),
-        )
-        .unwrap();
+        let mut sharded_file = ShardedFeatureStore::over_files(&files).unwrap();
+        let mut sharded_isp =
+            ShardedFeatureStore::over_isp(&isp_files, IspGatherOptions::default()).unwrap();
         prop_assert_eq!(sharded_file.num_shards(), shards);
 
         for raw in &raw_batches {
@@ -336,17 +342,17 @@ proptest! {
         let graph = Arc::new(kronecker(base_nodes, seed_nodes, seed));
         let num_nodes = graph.num_nodes();
         let ranges = shard_ranges(num_nodes, shards);
-        let (manifest, _files) = graph_shards(&graph, shards);
         let opts = FileStoreOptions {
             page_bytes: PAGE_SIZES[page_pick],
             cache_pages,
         };
+        let (files, _published) = graph_shards(&graph, shards, opts);
+        let (isp_files, _isp_published) = graph_shards(&graph, shards, opts);
         let mut reference = CsrView::new(&graph);
         let mut sharded_mem = ShardedTopology::mem(Arc::clone(&graph), shards);
-        let mut sharded_file = manifest.open_topology(opts).unwrap();
-        let shard_files = manifest.open_graph_shards(opts).unwrap();
+        let mut sharded_file = ShardedTopology::over_files(&files, &ranges).unwrap();
         let mut sharded_isp =
-            ShardedTopology::over_isp(&shard_files, &ranges, IspGatherOptions::default()).unwrap();
+            ShardedTopology::over_isp(&isp_files, &ranges, IspGatherOptions::default()).unwrap();
         prop_assert_eq!(sharded_file.num_shards(), shards);
         prop_assert_eq!(sharded_file.num_edges(), graph.num_edges());
         prop_assert_eq!(sharded_isp.num_edges(), graph.num_edges());
@@ -449,42 +455,43 @@ proptest! {
             cache_pages,
         };
         let isp = IspGatherOptions::default;
-        // Each routed store beside the unsharded store of its tier;
-        // every store opens its own files' caches.
-        let (parts, _keep) = feature_shards(&table, num_nodes, shards);
-        let (whole, _keep) = feature_shards(&table, num_nodes, 1);
-        let whole_file = || whole.open_feature_shards(opts).unwrap().remove(0);
+        // Each routed store beside the unsharded store of its tier (the
+        // 1-way partition's one file); every store opens its own files'
+        // caches.
+        let (parts, _p) = feature_shards(&table, num_nodes, shards, opts);
+        let (isp_parts, _p) = feature_shards(&table, num_nodes, shards, opts);
+        let (mut whole, _p) = feature_shards(&table, num_nodes, 1, opts);
+        let (mut isp_whole, _p) = feature_shards(&table, num_nodes, 1, opts);
         let mut features: [(ShardedFeatureStore, Box<dyn FeatureStore>); 3] = [
             (
                 ShardedFeatureStore::mem(table.clone(), num_nodes, shards),
                 Box::new(InMemoryStore::new(table.clone(), num_nodes)),
             ),
             (
-                parts.open_features(opts).unwrap(),
-                Box::new(StoreHandle::new(whole_file())),
+                ShardedFeatureStore::over_files(&parts).unwrap(),
+                Box::new(StoreHandle::new(whole.remove(0))),
             ),
             (
-                ShardedFeatureStore::over_isp(&parts.open_feature_shards(opts).unwrap(), isp())
-                    .unwrap(),
-                Box::new(IspGatherStore::over(whole_file(), isp())),
+                ShardedFeatureStore::over_isp(&isp_parts, isp()).unwrap(),
+                Box::new(IspGatherStore::over(isp_whole.remove(0), isp())),
             ),
         ];
-        let (parts, _keep) = graph_shards(&graph, shards);
-        let (whole, _keep) = graph_shards(&graph, 1);
-        let whole_file = || whole.open_graph_shards(opts).unwrap().remove(0);
+        let (parts, _p) = graph_shards(&graph, shards, opts);
+        let (isp_parts, _p) = graph_shards(&graph, shards, opts);
+        let (mut whole, _p) = graph_shards(&graph, 1, opts);
+        let (mut isp_whole, _p) = graph_shards(&graph, 1, opts);
         let mut topologies: [(ShardedTopology, Box<dyn TopologyStore>); 3] = [
             (
                 ShardedTopology::mem(Arc::clone(&graph), shards),
                 Box::new(InMemoryTopology::from_arc(Arc::clone(&graph))),
             ),
             (
-                parts.open_topology(opts).unwrap(),
-                Box::new(FileTopology::new(whole_file())),
+                ShardedTopology::over_files(&parts, &ranges).unwrap(),
+                Box::new(FileTopology::new(whole.remove(0))),
             ),
             (
-                ShardedTopology::over_isp(&parts.open_graph_shards(opts).unwrap(), &ranges, isp())
-                    .unwrap(),
-                Box::new(IspSampleTopology::over(whole_file(), isp())),
+                ShardedTopology::over_isp(&isp_parts, &ranges, isp()).unwrap(),
+                Box::new(IspSampleTopology::over(isp_whole.remove(0), isp())),
             ),
         ];
 
@@ -552,123 +559,58 @@ proptest! {
 // ---------------------------------------------------------------------
 
 #[test]
-fn missing_shard_file_is_a_typed_error_naming_file_and_shard() {
-    let table = FeatureTable::new(4, 2, 7);
-    let (manifest, files) = feature_shards(&table, 30, 3);
-    let missing = files[1].path().to_path_buf();
-    std::fs::remove_file(&missing).unwrap();
-    let err = manifest
-        .open_features(FileStoreOptions::default())
-        .unwrap_err();
-    assert!(
-        matches!(err, StoreError::ShardMissing { shard: 1, .. }),
-        "{err}"
-    );
-    let msg = err.to_string();
-    assert!(msg.contains(missing.to_str().unwrap()), "{msg}");
-    assert!(msg.contains("shard 1"), "{msg}");
-
-    let graph = kronecker(4, 3, 1);
-    let (manifest, files) = graph_shards(&graph, 3);
-    let missing = files[2].path().to_path_buf();
-    std::fs::remove_file(&missing).unwrap();
-    let err = manifest
-        .open_topology(FileStoreOptions::default())
-        .unwrap_err();
-    assert!(
-        matches!(err, StoreError::ShardMissing { shard: 2, .. }),
-        "{err}"
-    );
-    assert!(
-        err.to_string().contains(missing.to_str().unwrap()),
-        "{}",
-        err
-    );
-}
-
-#[test]
-fn overlapping_and_gapped_manifests_are_typed_layout_errors() {
-    let table = FeatureTable::new(4, 2, 8);
-    let (mut manifest, _files) = feature_shards(&table, 30, 3);
-    // Overlap: shard 1 reaches back into shard 0's range.
-    manifest.shards[1].start -= 3;
-    let err = manifest
-        .open_features(FileStoreOptions::default())
-        .unwrap_err();
-    assert!(
-        matches!(err, StoreError::ShardLayout { shard: 1, .. }),
-        "{err}"
-    );
-    let msg = err.to_string();
-    assert!(msg.contains("overlaps"), "{msg}");
-    assert!(
-        msg.contains(manifest.shards[1].path.to_str().unwrap()),
-        "{msg}"
-    );
-
-    // Gap: shard 2 starts past where shard 1 ended.
-    let (mut manifest, _files) = feature_shards(&table, 30, 3);
-    manifest.shards[2].start += 2;
-    let err = manifest
-        .open_features(FileStoreOptions::default())
-        .unwrap_err();
+fn gapped_ranges_are_a_typed_layout_error_naming_file_and_shard() {
+    // The registry's graph shards, routed over ranges in which shard 2
+    // starts two nodes past where shard 1 ended.
+    let graph = kronecker(4, 3, 8);
+    let (files, _published) = graph_shards(&graph, 3, FileStoreOptions::default());
+    let mut ranges = shard_ranges(graph.num_nodes(), 3);
+    ranges[2].0 += 2;
+    let err = ShardedTopology::over_files(&files, &ranges).unwrap_err();
     assert!(
         matches!(err, StoreError::ShardLayout { shard: 2, .. }),
         "{err}"
     );
-    assert!(err.to_string().contains("gap"), "{}", err);
-
-    // Short coverage: the shards never reach num_nodes.
-    let (mut manifest, _files) = feature_shards(&table, 30, 3);
-    manifest.num_nodes = 31;
-    let err = manifest.validate().unwrap_err();
-    assert!(
-        matches!(err, StoreError::ShardLayout { shard: 2, .. }),
-        "{err}"
-    );
-
-    // An empty manifest is rejected too, not indexed into.
-    let empty = ShardManifest {
-        num_nodes: 10,
-        shards: Vec::new(),
-    };
-    let err = empty.validate().unwrap_err();
-    assert!(matches!(err, StoreError::ShardLayout { .. }), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains(files[2].path().to_str().unwrap()), "{msg}");
+    assert!(msg.contains("shard 2"), "{msg}");
 }
 
 #[test]
 fn shard_geometry_mismatch_is_a_typed_error_naming_the_file() {
-    // A feature shard file holding the wrong number of rows for its
-    // manifest range: rewrite shard 1 (10 rows) with only 4 rows.
-    let table = FeatureTable::new(4, 2, 9);
-    let (manifest, files) = feature_shards(&table, 30, 3);
-    write_feature_shard(files[1].path(), &table, 10, 14).unwrap();
-    let err = manifest
-        .open_features(FileStoreOptions::default())
-        .unwrap_err();
+    // Feature shards of different dim: shard 1 comes from a 5-wide
+    // partition of the same node range.
+    let opts = FileStoreOptions::default();
+    let (narrow, _n) = feature_shards(&FeatureTable::new(4, 2, 9), 30, 3, opts);
+    let (wide, _w) = feature_shards(&FeatureTable::new(5, 2, 9), 30, 3, opts);
+    let mixed = [
+        Arc::clone(&narrow[0]),
+        Arc::clone(&wide[1]),
+        Arc::clone(&narrow[2]),
+    ];
+    let err = ShardedFeatureStore::over_files(&mixed).unwrap_err();
     assert!(
         matches!(err, StoreError::ShardGeometry { shard: 1, .. }),
         "{err}"
     );
     let msg = err.to_string();
-    assert!(msg.contains(files[1].path().to_str().unwrap()), "{msg}");
-    assert!(msg.contains("4 rows"), "{msg}");
+    assert!(msg.contains(wide[1].path().to_str().unwrap()), "{msg}");
+    assert!(msg.contains("dim 5"), "{msg}");
 
     // A graph shard whose global node count disagrees with the
-    // manifest: shard 0 written from a smaller graph.
+    // partition: shard 0 comes from a smaller graph's partition.
     let graph = kronecker(4, 3, 2);
-    let (manifest, files) = graph_shards(&graph, 2);
     let smaller = kronecker(3, 3, 2);
-    write_graph_shard(files[0].path(), &smaller, 0, smaller.num_nodes() / 2).unwrap();
-    let err = manifest
-        .open_topology(FileStoreOptions::default())
-        .unwrap_err();
+    let (files, _g) = graph_shards(&graph, 2, opts);
+    let (small, _s) = graph_shards(&smaller, 2, opts);
+    let mixed = [Arc::clone(&small[0]), Arc::clone(&files[1])];
+    let err = ShardedTopology::over_files(&mixed, &shard_ranges(graph.num_nodes(), 2)).unwrap_err();
     assert!(
         matches!(err, StoreError::ShardGeometry { shard: 0, .. }),
         "{err}"
     );
     assert!(
-        err.to_string().contains(files[0].path().to_str().unwrap()),
+        err.to_string().contains(small[0].path().to_str().unwrap()),
         "{}",
         err
     );
@@ -678,11 +620,9 @@ fn shard_geometry_mismatch_is_a_typed_error_naming_the_file() {
 fn feature_vs_graph_shard_count_mismatch_is_typed_and_names_both_files() {
     let graph = kronecker(4, 3, 3);
     let table = FeatureTable::new(4, 2, 3);
-    let (graph_manifest, _gf) = graph_shards(&graph, 2);
-    let (feat_manifest, _ff) = feature_shards(&table, graph.num_nodes(), 3);
     let opts = FileStoreOptions::default();
-    let graphs = graph_manifest.open_graph_shards(opts).unwrap();
-    let features = feat_manifest.open_feature_shards(opts).unwrap();
+    let (graphs, _g) = graph_shards(&graph, 2, opts);
+    let (features, _f) = feature_shards(&table, graph.num_nodes(), 3, opts);
     let err = check_sharded_population(&graphs, &features).unwrap_err();
     assert!(
         matches!(
@@ -701,8 +641,7 @@ fn feature_vs_graph_shard_count_mismatch_is_typed_and_names_both_files() {
 
     // Same shard count but mismatched populations stays a typed
     // node-count error.
-    let (small_manifest, _sf) = feature_shards(&table, graph.num_nodes() - 1, 2);
-    let small = small_manifest.open_feature_shards(opts).unwrap();
+    let (small, _s) = feature_shards(&table, graph.num_nodes() - 1, 2, opts);
     let err = check_sharded_population(&graphs, &small).unwrap_err();
     assert!(matches!(err, StoreError::NodeCountMismatch { .. }), "{err}");
 }
@@ -712,9 +651,9 @@ fn empty_shards_resolve_nothing_but_stay_in_the_breakdown() {
     // 7 shards over 4 nodes: shards 4..7 hold no rows. They must open,
     // answer nothing, and appear (all-zero) in the per-shard stats.
     let table = FeatureTable::new(3, 2, 11);
-    let (manifest, _files) = feature_shards(&table, 4, 7);
+    let (files, _published) = feature_shards(&table, 4, 7, FileStoreOptions::default());
     let mut reference = InMemoryStore::new(table.clone(), 4);
-    let mut sharded = manifest.open_features(FileStoreOptions::default()).unwrap();
+    let mut sharded = ShardedFeatureStore::over_files(&files).unwrap();
     let nodes: Vec<NodeId> = [3u32, 0, 1, 2, 3].map(NodeId::new).to_vec();
     let want = reference.gather(&nodes).unwrap();
     assert_eq!(bits(&sharded.gather(&nodes).unwrap()), bits(&want));
@@ -737,40 +676,23 @@ fn empty_shards_resolve_nothing_but_stay_in_the_breakdown() {
 #[test]
 fn manifest_paths_survive_in_every_error_message() {
     // The SSL001 contract behind the negative paths: errors carry the
-    // offending path so operators can fix the layout, and nothing in
-    // the validation path can panic on untrusted manifests.
-    let bogus = ShardManifest {
-        num_nodes: 12,
-        shards: vec![
-            ShardEntry {
-                path: PathBuf::from("/nonexistent/shard-0.fbin"),
-                start: 0,
-                end: 6,
-            },
-            ShardEntry {
-                path: PathBuf::from("/nonexistent/shard-1.fbin"),
-                start: 6,
-                end: 12,
-            },
-        ],
-    };
-    let err = bogus
-        .open_features(FileStoreOptions::default())
-        .unwrap_err();
-    assert!(
-        matches!(err, StoreError::ShardMissing { shard: 0, .. }),
-        "{err}"
-    );
+    // offending path so operators can fix the layout, and nothing on
+    // the way from a shard path to a routed store can panic on an
+    // untrusted one — an unopenable shard file is a typed I/O error
+    // naming it on either axis.
+    let opts = FileStoreOptions::default();
+    let feature = Path::new("/nonexistent/shard-0.fbin");
+    let err = SharedFileStore::open_with(feature, opts, 1).unwrap_err();
+    assert!(matches!(err, StoreError::Io { .. }), "{err}");
     assert!(
         err.to_string().contains("/nonexistent/shard-0.fbin"),
-        "{}",
-        err
+        "{err}"
     );
-    let err = bogus
-        .open_graph_shards(FileStoreOptions::default())
-        .unwrap_err();
+    let graph = Path::new("/nonexistent/shard-1.gbin");
+    let err = SharedCsrFile::open_with(graph, opts, 1).unwrap_err();
+    assert!(matches!(err, StoreError::Io { .. }), "{err}");
     assert!(
-        matches!(err, StoreError::ShardMissing { shard: 0, .. }),
+        err.to_string().contains("/nonexistent/shard-1.gbin"),
         "{err}"
     );
 }

@@ -26,11 +26,11 @@ use smartsage::sim::Xoshiro256;
 use smartsage::store::file::FileStoreOptions;
 use smartsage::store::graph_file::{GRAPH_ENTRY_BYTES, GRAPH_HEADER_BYTES};
 use smartsage::store::{
-    check_sharded_population, shard_ranges, write_feature_file, write_graph_file,
-    write_graph_shard, CsrView, FileTopology, InMemoryTopology, IspGatherOptions,
-    IspSampleTopology, ScratchFile, ShardManifest, ShardedTopology, SharedCsrFile, SharedFileStore,
-    StoreError, TopologyStore,
+    check_sharded_population, shard_ranges, write_feature_file, write_graph_file, CsrView,
+    FileTopology, InMemoryTopology, IspGatherOptions, IspSampleTopology, ScratchFile,
+    ShardedTopology, SharedCsrFile, SharedFileStore, StoreError, StoreRegistry, TopologyStore,
 };
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A random Kronecker-expanded graph: a small power-law base fractally
@@ -59,9 +59,17 @@ const PAGE_SIZES: [u64; 5] = [512, 1024, 2048, 4096, 8192];
 /// A labelled topology store ("file x3").
 type Tier = (String, Box<dyn TopologyStore>);
 
-/// `graph` behind every topology tier, unsharded and 3-way sharded,
-/// with the scratch files that back them.
-fn every_tier(graph: &CsrGraph, opts: FileStoreOptions) -> (Vec<Tier>, Vec<ScratchFile>) {
+/// An ISP sampling tier over its own one-stripe open of `path`.
+fn isp_over(path: &Path, opts: FileStoreOptions) -> IspSampleTopology {
+    let shared = SharedCsrFile::open_with(path, opts, 1).unwrap();
+    IspSampleTopology::over(Arc::new(shared), IspGatherOptions::default())
+}
+
+/// `graph` behind every topology tier, unsharded and 3-way sharded —
+/// the 3-way tiers over the registry's own shard files — with the
+/// scratch file behind the unsharded ones and the paths the registry
+/// published (the caller removes them).
+fn every_tier(graph: &CsrGraph, opts: FileStoreOptions) -> (Vec<Tier>, ScratchFile, Vec<PathBuf>) {
     let whole = ScratchFile::new("topo-one-pass");
     write_graph_file(whole.path(), graph).unwrap();
     let isp = IspGatherOptions::default;
@@ -76,23 +84,13 @@ fn every_tier(graph: &CsrGraph, opts: FileStoreOptions) -> (Vec<Tier>, Vec<Scrat
                 SharedCsrFile::open_with(whole.path(), opts, 1).unwrap(),
             ))),
         ),
-        (
-            "isp x1".into(),
-            Box::new(IspSampleTopology::open_with(whole.path(), opts, isp()).unwrap()),
-        ),
+        ("isp x1".into(), Box::new(isp_over(whole.path(), opts))),
     ];
     let ranges = shard_ranges(graph.num_nodes(), 3);
-    let mut files = vec![whole];
-    for &(start, end) in &ranges {
-        let shard = ScratchFile::new("topo-one-pass-shard");
-        write_graph_shard(shard.path(), graph, start, end).unwrap();
-        files.push(shard);
-    }
-    let manifest = ShardManifest::for_paths(
-        graph.num_nodes(),
-        files[1..].iter().map(|f| f.path().to_path_buf()).collect(),
-    );
-    let shards = manifest.open_graph_shards(opts).unwrap();
+    let shards = StoreRegistry::new()
+        .open_graph_shards(graph, 3, opts)
+        .unwrap();
+    let published = shards.iter().map(|f| f.path().to_path_buf()).collect();
     tiers.push((
         "mem x3".into(),
         Box::new(ShardedTopology::mem(Arc::new(graph.clone()), 3)),
@@ -105,7 +103,7 @@ fn every_tier(graph: &CsrGraph, opts: FileStoreOptions) -> (Vec<Tier>, Vec<Scrat
         "isp x3".into(),
         Box::new(ShardedTopology::over_isp(&shards, &ranges, isp()).unwrap()),
     ));
-    (tiers, files)
+    (tiers, whole, published)
 }
 
 proptest! {
@@ -135,8 +133,7 @@ proptest! {
         // discipline, their page traffic must agree to the byte.
         let mut disk =
             FileTopology::new(Arc::new(SharedCsrFile::open_with(file.path(), opts, 1).unwrap()));
-        let mut isp =
-            IspSampleTopology::open_with(file.path(), opts, IspGatherOptions::default()).unwrap();
+        let mut isp = isp_over(file.path(), opts);
         prop_assert_eq!(disk.num_nodes(), graph.num_nodes());
         prop_assert_eq!(isp.num_edges(), graph.num_edges());
 
@@ -233,7 +230,7 @@ proptest! {
             seed: sample_seed,
         }];
         let hops = fanouts.hops() as u64;
-        let (tiers, _files) = every_tier(&graph, opts);
+        let (tiers, _file, published) = every_tier(&graph, opts);
         let mut reference = None;
         for (what, mut topo) in tiers {
             let topo = topo.as_mut();
@@ -267,6 +264,9 @@ proptest! {
             prop_assert_eq!(&plan, &*want_plan, "{}: plan differs from mem x1", &what);
             prop_assert_eq!(&batch, &*want_batch, "{}: batch differs from mem x1", &what);
         }
+        for path in published {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }
 
@@ -292,8 +292,8 @@ fn topology_store_isp_host_bytes_strictly_undercut_the_file_tier_for_scattered_h
         plan.resolve_on(topo).unwrap()
     };
     let mut mem = InMemoryTopology::new(graph.clone());
-    let mut disk = FileTopology::open(file.path()).unwrap();
-    let mut isp = IspSampleTopology::open(file.path()).unwrap();
+    let mut disk = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
+    let mut isp = isp_over(file.path(), FileStoreOptions::default());
     let want = run(&mut mem);
     assert_eq!(run(&mut disk), want);
     assert_eq!(run(&mut isp), want);
@@ -364,7 +364,7 @@ fn topology_store_nonmonotone_offsets_fail_typed_at_the_read() {
     // (offsets[2], offsets[3]) = (7, 4) out of monotone order. The
     // end-point checks at open still pass.
     corrupt_offset(file.path(), 2, 7);
-    let mut topo = FileTopology::open(file.path()).unwrap();
+    let mut topo = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
     let mut out = [0u64];
     let err = topo.degrees_into(&[NodeId::new(2)], &mut out).unwrap_err();
     assert!(matches!(err, StoreError::CorruptGraph { .. }), "{err}");
@@ -388,7 +388,7 @@ fn topology_store_edge_index_past_eof_fails_typed_at_the_read() {
     // (offsets[3], offsets[4]) = (11, 13).
     corrupt_offset(file.path(), 3, 11);
     corrupt_offset(file.path(), 4, 13);
-    let mut topo = FileTopology::open(file.path()).unwrap();
+    let mut topo = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
     let mut out = [0u64];
     let err = topo.degrees_into(&[NodeId::new(3)], &mut out).unwrap_err();
     assert!(matches!(err, StoreError::CorruptGraph { .. }), "{err}");
@@ -411,7 +411,7 @@ fn topology_store_corrupt_neighbor_id_fails_typed_at_the_pick() {
     let mut bytes = std::fs::read(file.path()).unwrap();
     bytes[edge_base as usize..edge_base as usize + 8].copy_from_slice(&999u64.to_le_bytes());
     std::fs::write(file.path(), &bytes).unwrap();
-    let mut topo = FileTopology::open(file.path()).unwrap();
+    let mut topo = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
     let mut out = [NodeId::default()];
     let err = topo
         .pick_neighbors_into(&[(NodeId::new(0), 0)], &mut out)

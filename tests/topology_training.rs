@@ -17,8 +17,9 @@ use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::{CsrGraph, Dataset, DatasetProfile, FeatureTable, GraphScale, NodeId};
 use smartsage::sim::Xoshiro256;
 use smartsage::store::{
-    write_feature_file, write_graph_file, FeatureStore, FileTopology, InMemoryStore,
-    InMemoryTopology, IspSampleTopology, ScratchFile, SharedFileStore, StoreHandle, TopologyStore,
+    write_feature_file, write_graph_file, FeatureStore, FileStoreOptions, FileTopology,
+    InMemoryStore, InMemoryTopology, IspGatherOptions, IspSampleTopology, ScratchFile,
+    SharedCsrFile, SharedFileStore, StoreHandle, TopologyStore,
 };
 use std::sync::Arc;
 
@@ -85,7 +86,7 @@ fn topology_training_loss_trajectory_is_bit_identical_to_memory() {
     let want = losses(&mut mem_topo, &mut mem_store);
 
     // Both halves on disk: graph file + feature file.
-    let mut disk_topo = FileTopology::open(gfile.path()).unwrap();
+    let mut disk_topo = FileTopology::new(Arc::new(SharedCsrFile::open(gfile.path()).unwrap()));
     let mut disk_store = StoreHandle::new(Arc::new(SharedFileStore::open(ffile.path()).unwrap()));
     let got = losses(&mut disk_topo, &mut disk_store);
     assert_eq!(
@@ -103,7 +104,8 @@ fn topology_training_loss_trajectory_is_bit_identical_to_memory() {
     assert!(disk_topo.stats().hit_rate() > 0.0);
 
     // The ISP sampling tier trains to the same trajectory too.
-    let mut isp_topo = IspSampleTopology::open(gfile.path()).unwrap();
+    let shared = SharedCsrFile::open_with(gfile.path(), FileStoreOptions::default(), 1).unwrap();
+    let mut isp_topo = IspSampleTopology::over(Arc::new(shared), IspGatherOptions::default());
     let mut disk_store2 = StoreHandle::new(Arc::new(SharedFileStore::open(ffile.path()).unwrap()));
     assert_eq!(losses(&mut isp_topo, &mut disk_store2), want);
     assert!(isp_topo.stats().device_ns > 0);
@@ -146,7 +148,7 @@ fn evaluation_samples_through_the_topology_tier() {
     let mut mem_store = InMemoryStore::new(table.clone(), NODES);
     let (want, mem_io) = accuracies(&mut mem_topo, &mut mem_store);
 
-    let mut disk_topo = FileTopology::open(gfile.path()).unwrap();
+    let mut disk_topo = FileTopology::new(Arc::new(SharedCsrFile::open(gfile.path()).unwrap()));
     let mut disk_store = StoreHandle::new(Arc::new(SharedFileStore::open(ffile.path()).unwrap()));
     let (got, disk_io) = accuracies(&mut disk_topo, &mut disk_store);
     assert_eq!(got, want, "accuracy must be bit-identical across tiers");
