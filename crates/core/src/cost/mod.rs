@@ -5,26 +5,36 @@
 //! tiers (`smartsage_store`); what distinguishes the paper's seven
 //! design points is *what that access stream costs* on each system's
 //! hardware. A [`SampleTrace`] captures the stream — every edge-list
-//! access and its degree, hop by hop, as the sampler recorded it — and a
-//! [`CostPolicy`] maps it through that system's device models
+//! access and its degree, hop by hop, as the sampler recorded it — and
+//! the run's [`CostPolicy`] maps it through that system's device models
 //! (DRAM/PMEM random access, mmap page faults, direct I/O, ISP
 //! firmware cores + flash channels, FPGA P2P links) to modeled time
 //! and modeled link traffic ([`BatchCost`]). The Figs 14–21 numbers
 //! are these costs, so every figure is auditable against the actual
 //! I/O the run performed.
 //!
-//! The pipeline drives policies through a cursor-style interface:
-//! [`CostPolicy::begin`] installs a batch's trace for a worker, and
-//! repeated [`CostPolicy::step`] calls advance it through virtual
-//! time, so that concurrent workers interleave their accesses on the
-//! shared devices in global time order (the property the queueing
-//! models rely on). Policies never touch the stores: a policy's output
-//! is a pure function of the traces it is fed and the step times it is
-//! driven at — the purity the figure-equivalence and proptest suites
-//! pin down.
+//! [`CostPolicy`] is one driver over four pricing states (`mem`,
+//! `host`, `isp`, `fpga`). The driver owns every batch in flight — one
+//! slot per worker, idle, running a cursor, or done with its cost —
+//! and a pricing state owns only its devices' private state and RNG,
+//! plus one step function over the cursor. [`CostPolicy::begin`]
+//! installs a batch's trace for a worker, and repeated
+//! [`CostPolicy::step`] calls advance it through virtual time, so that
+//! concurrent workers interleave their accesses on the shared devices
+//! in global time order (the property the queueing models rely on).
+//! Policies never touch the stores: a policy's output is a pure
+//! function of the traces it is fed and the step times it is driven
+//! at — the purity the figure-equivalence and proptest suites pin down.
 
-// Modeled time is a pure function of the trace: no host clock.
-#![deny(clippy::disallowed_methods)]
+// Modeled time is a pure function of the trace: no host clock. Pricing
+// cannot fail on any trace; the only panics are the driver's two
+// misuse checks.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 mod fpga;
 mod host;
@@ -32,15 +42,15 @@ mod isp;
 mod mem;
 mod trace;
 
-pub use fpga::FpgaPolicy;
-pub use host::HostPolicy;
-pub use isp::IspPolicy;
-pub use mem::MemPolicy;
 pub use trace::trace_of_plan;
 
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
 use crate::metrics::FpgaPhases;
+use fpga::FpgaPricing;
+use host::HostPricing;
+use isp::IspPricing;
+use mem::MemPricing;
 use smartsage_hostio::ByteRange;
 use smartsage_sim::{SimDuration, SimTime, Xoshiro256};
 use smartsage_storage::Ssd;
@@ -83,45 +93,175 @@ pub struct BatchCost {
     pub fpga: Option<FpgaPhases>,
 }
 
-/// A per-system cost model over the sample byte trace.
-///
-/// Implementations hold per-worker cursors internally; the pipeline
-/// addresses them by worker index. A policy instance owns the system's
-/// RNG state (cache-hit draws), so draws interleave across workers in
-/// global virtual-time order exactly as concurrent accesses would.
-pub trait CostPolicy {
-    /// Which design point this policy prices.
-    fn kind(&self) -> SystemKind;
+/// A batch in flight: its trace, how far pricing has got, and the
+/// running totals its [`BatchCost`] is assembled from.
+#[derive(Debug)]
+struct Cursor {
+    trace: SampleTrace,
+    hop: usize,
+    /// Access index within hop `hop`.
+    access: usize,
+    started: SimTime,
+    /// Virtual time the last step's work ended.
+    now: SimTime,
+    overhead: SimDuration,
+    host_to_ssd: u64,
+    ssd_to_host: u64,
+    /// The ISP policy's command progress.
+    cmd: isp::Command,
+    /// The FPGA policy's phase breakdown, `Some` once its kernel is
+    /// issued.
+    fpga: Option<FpgaPhases>,
+}
 
+impl Cursor {
+    /// The outcome of a step ending at `t` that may have finished the
+    /// last hop.
+    fn after_hop(&self, t: SimTime) -> Priced {
+        if self.hop < self.trace.hops.len() {
+            Priced::More(t)
+        } else {
+            Priced::Last(t)
+        }
+    }
+}
+
+/// What one pricing step did, by the virtual time its work ended.
+enum Priced {
+    /// More steps follow.
+    More(SimTime),
+    /// The batch is finished.
+    Last(SimTime),
+}
+
+/// One worker's batch, from `begin` to `take_result`.
+#[derive(Debug)]
+enum Slot {
+    Idle,
+    Running(Cursor),
+    Done(BatchCost),
+}
+
+/// The device state one design point prices with.
+#[derive(Debug)]
+enum Pricing {
+    Mem(MemPricing),
+    Host(HostPricing),
+    Isp(IspPricing),
+    Fpga(FpgaPricing),
+}
+
+/// The cost model of one design point over the sample byte trace.
+///
+/// Batches in flight are addressed by worker index. The policy owns the
+/// system's RNG state (cache-hit draws), so draws interleave across
+/// workers in global virtual-time order exactly as concurrent accesses
+/// would.
+#[derive(Debug)]
+pub struct CostPolicy {
+    ctx: Arc<RunContext>,
+    pricing: Pricing,
+    slots: Vec<Slot>,
+}
+
+impl CostPolicy {
     /// Installs a new batch's trace for `worker`, starting at `at`.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if the worker already has an active
-    /// batch.
-    fn begin(&mut self, worker: usize, at: SimTime, trace: SampleTrace);
+    /// Panics if the worker's previous batch was not taken.
+    pub fn begin(&mut self, worker: usize, at: SimTime, trace: SampleTrace) {
+        #[expect(clippy::panic, reason = "a busy worker is a driver bug, not input")]
+        let Slot::Idle = self.slots[worker] else {
+            panic!("worker {worker} is busy")
+        };
+        self.slots[worker] = Slot::Running(Cursor {
+            trace,
+            hop: 0,
+            access: 0,
+            started: at,
+            now: at,
+            overhead: SimDuration::ZERO,
+            host_to_ssd: 0,
+            ssd_to_host: 0,
+            cmd: isp::Command::default(),
+            fpga: None,
+        });
+    }
 
-    /// Advances `worker`'s batch. `now` is the current virtual time (at
-    /// or after the previously returned `next`).
-    fn step(&mut self, worker: usize, devices: &mut Devices, now: SimTime) -> StepOutcome;
+    /// Advances `worker`'s batch by one step. `now` is the current
+    /// virtual time (at or after the previously returned `next`). A
+    /// trace with no hops finishes on its first step, at its start
+    /// time, having moved nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker has no running batch.
+    pub fn step(&mut self, worker: usize, devices: &mut Devices, now: SimTime) -> StepOutcome {
+        let Slot::Running(c) = &mut self.slots[worker] else {
+            misuse(worker, "running")
+        };
+        let t = now.max(c.now);
+        let ctx = &*self.ctx;
+        let priced = if c.trace.hops.is_empty() {
+            Priced::Last(c.now)
+        } else {
+            match &mut self.pricing {
+                Pricing::Mem(p) => p.step(ctx, c, devices, t),
+                Pricing::Host(p) => p.step(ctx, c, devices, t),
+                Pricing::Isp(p) => p.step(ctx, c, devices, t),
+                Pricing::Fpga(p) => p.step(ctx, c, devices, t),
+            }
+        };
+        match priced {
+            Priced::More(next) => {
+                c.now = next;
+                StepOutcome::Running { next }
+            }
+            Priced::Last(done) => {
+                let cost = BatchCost {
+                    done,
+                    sampling_time: done - c.started,
+                    overhead_time: c.overhead,
+                    ssd_to_host_bytes: c.ssd_to_host,
+                    host_to_ssd_bytes: c.host_to_ssd,
+                    fpga: c.fpga,
+                };
+                self.slots[worker] = Slot::Done(cost);
+                StepOutcome::Finished
+            }
+        }
+    }
 
     /// Removes and returns the finished batch cost of `worker`.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if the worker's batch is not finished.
-    fn take_result(&mut self, worker: usize) -> BatchCost;
+    /// Panics if the worker's batch is not finished.
+    pub fn take_result(&mut self, worker: usize) -> BatchCost {
+        let Slot::Done(cost) = self.slots[worker] else {
+            misuse(worker, "finished")
+        };
+        self.slots[worker] = Slot::Idle;
+        cost
+    }
 }
 
-/// The flash leg the in-device policies ([`IspPolicy`], [`FpgaPolicy`])
-/// share, and their queueing discipline over the device's one page
-/// fetch ([`Ssd::fetch_page`]): every flash page `range` touches is
-/// issued at `at` — the chunk start, so a whole access chunk is in
-/// flight together and ends behind a barrier on its slowest read —
-/// under a verdict drawn at `hit_rate` when the full-scale locality
-/// model imposes one. Buffer hits are free and FTL cost is the
-/// caller's (pooled into the chunk's core work). Returns when the
-/// slowest *missing* page is in the buffer, `at` when none missed.
+/// The driver's report of a call without the batch it needs.
+#[expect(clippy::panic, reason = "a call out of order is a driver bug")]
+fn misuse(worker: usize, wanted: &str) -> ! {
+    panic!("worker {worker} has no {wanted} batch")
+}
+
+/// The flash leg the in-device policies (`isp`, `fpga`) share, and
+/// their queueing discipline over the device's one page fetch
+/// ([`Ssd::fetch_page`]): every flash page `range` touches is issued at
+/// `at` — the chunk start, so a whole access chunk is in flight
+/// together and ends behind a barrier on its slowest read — under a
+/// verdict drawn at `hit_rate` when the full-scale locality model
+/// imposes one. Buffer hits are free and FTL cost is the caller's
+/// (pooled into the chunk's core work). Returns when the slowest
+/// *missing* page is in the buffer, `at` when none missed.
 ///
 /// The store-side ISP tiers (`smartsage_store`'s `IspDevice::pass`)
 /// run the same fetch under a page-granular sliding window with
@@ -147,18 +287,21 @@ fn fetch_pages(
     })
 }
 
-/// Instantiates the cost policy for `ctx.config.kind`.
-pub fn make_policy(ctx: &Arc<RunContext>, workers: usize) -> Box<dyn CostPolicy> {
+/// The cost policy for `ctx.config.kind`, with `workers` idle slots.
+pub fn make_policy(ctx: &Arc<RunContext>, workers: usize) -> CostPolicy {
     let kind = ctx.config.kind;
-    let ctx = Arc::clone(ctx);
-    match kind {
-        SystemKind::Dram | SystemKind::Pmem => Box::new(MemPolicy::new(ctx, workers, kind)),
-        SystemKind::SsdMmap | SystemKind::SmartSageSw => {
-            Box::new(HostPolicy::new(ctx, workers, kind))
+    let pricing = match kind {
+        SystemKind::Dram | SystemKind::Pmem => Pricing::Mem(MemPricing::new(kind)),
+        SystemKind::SsdMmap | SystemKind::SmartSageSw => Pricing::Host(HostPricing::new(ctx, kind)),
+        SystemKind::SmartSageHwSw | SystemKind::SmartSageOracle => {
+            Pricing::Isp(IspPricing::new(ctx, kind))
         }
-        SystemKind::SmartSageHwSw => Box::new(IspPolicy::new(ctx, workers, false)),
-        SystemKind::SmartSageOracle => Box::new(IspPolicy::new(ctx, workers, true)),
-        SystemKind::FpgaCsd => Box::new(FpgaPolicy::new(ctx, workers)),
+        SystemKind::FpgaCsd => Pricing::Fpga(FpgaPricing::new(ctx)),
+    };
+    CostPolicy {
+        ctx: Arc::clone(ctx),
+        pricing,
+        slots: (0..workers).map(|_| Slot::Idle).collect(),
     }
 }
 
@@ -194,7 +337,7 @@ pub(crate) mod testutil {
 
     /// Drives one worker's batch to completion; returns its cost.
     pub fn drive(
-        policy: &mut dyn CostPolicy,
+        policy: &mut CostPolicy,
         devices: &mut Devices,
         worker: usize,
         at: SimTime,
@@ -214,6 +357,18 @@ pub(crate) mod testutil {
             assert!(guard < 10_000_000, "cost policy failed to terminate");
         }
     }
+
+    /// Prices `trace` on a fresh policy and fresh devices for `ctx`.
+    pub fn price(ctx: &Arc<RunContext>, trace: SampleTrace) -> BatchCost {
+        let mut devices = Devices::new(&ctx.config);
+        drive(
+            &mut make_policy(ctx, 1),
+            &mut devices,
+            0,
+            SimTime::ZERO,
+            trace,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -229,12 +384,7 @@ mod tests {
         // depend on the byte trace, never on hidden state.
         for kind in SystemKind::ALL {
             let ctx = test_context(kind);
-            let run = || {
-                let mut devices = Devices::new(&ctx.config);
-                let mut policy = make_policy(&ctx, 1);
-                let trace = test_trace(&ctx, 8, 42);
-                drive(&mut *policy, &mut devices, 0, SimTime::ZERO, trace)
-            };
+            let run = || price(&ctx, test_trace(&ctx, 8, 42));
             assert_eq!(run(), run(), "{kind} cost is not trace-pure");
         }
     }
@@ -252,10 +402,7 @@ mod tests {
             SystemKind::SsdMmap,
         ] {
             let ctx = test_context(kind);
-            let mut devices = Devices::new(&ctx.config);
-            let mut policy = make_policy(&ctx, 1);
-            let trace = test_trace(&ctx, 64, 7);
-            let cost = drive(&mut *policy, &mut devices, 0, SimTime::ZERO, trace);
+            let cost = price(&ctx, test_trace(&ctx, 64, 7));
             times.insert(kind, cost.sampling_time);
         }
         assert!(times[&SystemKind::Dram] < times[&SystemKind::Pmem]);
@@ -268,10 +415,7 @@ mod tests {
     fn isp_moves_far_fewer_bytes_than_mmap() {
         let run = |kind| {
             let ctx = test_context(kind);
-            let mut devices = Devices::new(&ctx.config);
-            let mut policy = make_policy(&ctx, 1);
-            let trace = test_trace(&ctx, 64, 3);
-            drive(&mut *policy, &mut devices, 0, SimTime::ZERO, trace)
+            price(&ctx, test_trace(&ctx, 64, 3))
         };
         let mmap = run(SystemKind::SsdMmap);
         let isp = run(SystemKind::SmartSageHwSw);
@@ -281,5 +425,96 @@ mod tests {
             mmap.ssd_to_host_bytes,
             isp.ssd_to_host_bytes
         );
+    }
+
+    #[test]
+    fn step_counts_per_system_are_pinned() {
+        // Step granularity is part of the model: concurrent workers
+        // interleave on the shared devices once per step. One hop per
+        // step (mem), one access per step (host), issue / chunk /
+        // return per command (isp), issue / chunk / return per batch
+        // (fpga) — counted for one fixed 16-target trace.
+        for (kind, want) in [
+            (SystemKind::Dram, 2),
+            (SystemKind::Pmem, 2),
+            (SystemKind::SsdMmap, 80),
+            (SystemKind::SmartSageSw, 80),
+            (SystemKind::SmartSageHwSw, 22),
+            (SystemKind::SmartSageOracle, 22),
+            (SystemKind::FpgaCsd, 42),
+        ] {
+            let ctx = test_context(kind);
+            let mut devices = Devices::new(&ctx.config);
+            let mut policy = make_policy(&ctx, 1);
+            policy.begin(0, SimTime::ZERO, test_trace(&ctx, 16, 3));
+            let mut now = SimTime::ZERO;
+            let mut steps = 1;
+            while let StepOutcome::Running { next } = policy.step(0, &mut devices, now) {
+                now = next;
+                steps += 1;
+            }
+            assert_eq!(steps, want, "{kind} step count");
+        }
+    }
+
+    #[test]
+    fn a_trace_with_no_hops_finishes_at_its_start_having_moved_nothing() {
+        let at = SimTime::ZERO + SimDuration::from_micros(7);
+        for kind in SystemKind::ALL {
+            let ctx = test_context(kind);
+            let mut devices = Devices::new(&ctx.config);
+            let mut policy = make_policy(&ctx, 1);
+            policy.begin(0, at, SampleTrace::default());
+            assert_eq!(
+                policy.step(0, &mut devices, at),
+                StepOutcome::Finished,
+                "{kind}"
+            );
+            let cost = policy.take_result(0);
+            assert_eq!(
+                cost,
+                BatchCost {
+                    done: at,
+                    sampling_time: SimDuration::ZERO,
+                    overhead_time: SimDuration::ZERO,
+                    ssd_to_host_bytes: 0,
+                    host_to_ssd_bytes: 0,
+                    fpga: None,
+                },
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "busy")]
+    fn double_begin_panics() {
+        let ctx = test_context(SystemKind::Dram);
+        let mut p = make_policy(&ctx, 1);
+        let t = test_trace(&ctx, 2, 3);
+        p.begin(0, SimTime::ZERO, t.clone());
+        p.begin(0, SimTime::ZERO, t);
+    }
+
+    #[test]
+    #[should_panic(expected = "no finished batch")]
+    fn take_result_before_finished_panics() {
+        let ctx = test_context(SystemKind::SsdMmap);
+        let mut devices = Devices::new(&ctx.config);
+        let mut p = make_policy(&ctx, 1);
+        p.begin(0, SimTime::ZERO, test_trace(&ctx, 2, 3));
+        assert!(matches!(
+            p.step(0, &mut devices, SimTime::ZERO),
+            StepOutcome::Running { .. }
+        ));
+        p.take_result(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no running batch")]
+    fn step_without_begin_panics() {
+        let ctx = test_context(SystemKind::FpgaCsd);
+        let mut devices = Devices::new(&ctx.config);
+        make_policy(&ctx, 2).step(1, &mut devices, SimTime::ZERO);
     }
 }

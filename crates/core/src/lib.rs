@@ -11,8 +11,9 @@
 //!   encode/decode round trip.
 //! * [`context`] — per-run shared state: the materialized dataset, the
 //!   on-SSD layout, and full-scale locality rates (Che approximation).
-//! * [`cost`] — one cost policy per system: per-system device models
-//!   replayed over the [`smartsage_store::SampleTrace`] byte trace of
+//! * [`cost`] — the one cost-policy driver ([`CostPolicy`]) over a
+//!   step function per system: device models replayed over the
+//!   [`smartsage_store::SampleTrace`] byte trace of
 //!   the single real storage path, producing each design point's
 //!   modeled time and link traffic.
 //! * [`pipeline`] — the producer/consumer discrete-event simulator

@@ -280,7 +280,7 @@ fn plan_batch(
 /// Panics if the store fails (a real I/O error on the file-backed
 /// tiers) — producers have no recovery path mid-simulation.
 fn finish_batch(
-    policy: &mut dyn CostPolicy,
+    policy: &mut CostPolicy,
     store: &mut dyn FeatureStore,
     rows: &mut Vec<f32>,
     worker: usize,
@@ -346,7 +346,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     // through the topology store, give its byte trace to the policy at
     // `at`, park the batch until the worker finishes stepping it, and
     // schedule the worker's first step.
-    let mut start_next = |policy: &mut dyn CostPolicy,
+    let mut start_next = |policy: &mut CostPolicy,
                           parked: &mut [Option<PlannedBatch>],
                           events: &mut EventQueue<Event>,
                           worker: usize,
@@ -362,7 +362,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
 
     // Seed each worker with its first batch.
     for w in 0..cfg.workers {
-        start_next(policy.as_mut(), &mut parked, &mut events, w, SimTime::ZERO);
+        start_next(&mut policy, &mut parked, &mut events, w, SimTime::ZERO);
     }
 
     while let Some((now, event)) = events.pop() {
@@ -374,7 +374,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                 StepOutcome::Finished => {
                     let PlannedBatch { batch, nodes } =
                         parked[w].take().expect("finished worker has a batch");
-                    let cost = finish_batch(policy.as_mut(), store.as_mut(), &mut rows, w, &nodes);
+                    let cost = finish_batch(&mut policy, store.as_mut(), &mut rows, w, &nodes);
                     sampling_total += cost.sampling_time;
                     breakdown.sampling += cost.sampling_time.saturating_sub(cost.overhead_time);
                     breakdown.other += cost.overhead_time;
@@ -412,12 +412,12 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                                 gpu_scheduled = true;
                                 events.schedule(t, Event::Gpu);
                             }
-                            start_next(policy.as_mut(), &mut parked, &mut events, w, t);
+                            start_next(&mut policy, &mut parked, &mut events, w, t);
                         }
                     } else {
                         makespan_end = makespan_end.max(t);
                         consumed += 1;
-                        start_next(policy.as_mut(), &mut parked, &mut events, w, t);
+                        start_next(&mut policy, &mut parked, &mut events, w, t);
                     }
                 }
             },
@@ -442,7 +442,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                     // Queue space opened: admit a blocked worker.
                     if let Some((bw, payload)) = blocked.pop_front() {
                         queue.push_back(payload);
-                        start_next(policy.as_mut(), &mut parked, &mut events, bw, now);
+                        start_next(&mut policy, &mut parked, &mut events, bw, now);
                     }
                     if !queue.is_empty() {
                         gpu_scheduled = true;

@@ -101,11 +101,6 @@ impl DirectIoReader {
             host_misses: ssd_blocks,
         }
     }
-
-    /// Drops scratchpad contents and counters.
-    pub fn reset(&mut self) {
-        self.scratchpad.reset();
-    }
 }
 
 #[cfg(test)]
@@ -212,20 +207,5 @@ mod tests {
         );
         assert_eq!(out.ssd_blocks, 0);
         assert_eq!(out.host_hits, 1);
-    }
-
-    #[test]
-    fn reset_clears_scratchpad() {
-        let mut r = reader(64);
-        let mut dev = ssd();
-        let range = ByteRange {
-            offset: 0,
-            len: 4096,
-        };
-        r.read(&mut dev, SimTime::ZERO, range, None, None);
-        r.reset();
-        assert_eq!(r.scratchpad().hits(), 0);
-        let out = r.read(&mut dev, SimTime::ZERO, range, None, None);
-        assert_eq!(out.ssd_blocks, 1, "scratchpad must be cold after reset");
     }
 }

@@ -116,11 +116,6 @@ impl MmapReader {
             host_misses: misses,
         }
     }
-
-    /// Resets the page cache.
-    pub fn reset(&mut self) {
-        self.cache.reset();
-    }
 }
 
 #[cfg(test)]

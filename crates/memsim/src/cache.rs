@@ -166,15 +166,6 @@ impl SetAssocCache {
             self.misses as f64 / total as f64
         }
     }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        self.tags.fill(INVALID);
-        self.stamps.fill(0);
-        self.clock = 0;
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -263,14 +254,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reset_restores_cold_cache() {
-        let mut c = tiny();
-        c.access(0);
-        c.reset();
-        assert_eq!(c.hits() + c.misses(), 0);
-        assert!(!c.access(0));
     }
 }

@@ -128,15 +128,6 @@ impl Link {
     pub fn latency(&self) -> SimDuration {
         self.latency
     }
-
-    /// Clears counters and frees the wire, keeping the link parameters.
-    pub fn reset(&mut self) {
-        self.reservations.clear();
-        self.bytes_moved = 0;
-        self.transfers = 0;
-        self.busy_time = SimDuration::ZERO;
-        self.horizon = SimTime::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -205,21 +196,6 @@ mod tests {
                                     // 1ms transfer arriving at 2ms fits in the [1, 10) gap.
         let done = link.transfer(t(2), 1000);
         assert_eq!(done, t(3));
-    }
-
-    #[test]
-    fn reset_restores_fresh_state() {
-        let mut link = Link::new(500, SimDuration::from_nanos(5));
-        link.transfer(SimTime::ZERO, 500);
-        link.reset();
-        assert_eq!(link.bytes_moved(), 0);
-        assert_eq!(link.latency(), SimDuration::from_nanos(5));
-        assert_eq!(link.bytes_per_sec(), 500);
-        let done = link.transfer(SimTime::ZERO, 500);
-        assert_eq!(
-            done,
-            SimTime::ZERO + SimDuration::from_secs(1) + SimDuration::from_nanos(5)
-        );
     }
 
     #[test]

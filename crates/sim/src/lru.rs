@@ -128,12 +128,12 @@ impl<K: Hash + Eq + Copy> CountedLru<K> {
         &self.keys
     }
 
-    /// Hit count since creation/reset.
+    /// Hit count since creation.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Miss count since creation/reset.
+    /// Miss count since creation.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -144,13 +144,6 @@ impl<K: Hash + Eq + Copy> CountedLru<K> {
             0 => 0.0,
             total => self.hits as f64 / total as f64,
         }
-    }
-
-    /// Drops all keys and counters, keeping capacity.
-    pub fn reset(&mut self) {
-        self.keys.clear();
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -469,20 +462,6 @@ mod tests {
         assert!(c.lookup(1, Some(true)));
         assert!(c.keys().is_empty());
         assert_eq!(c.hits(), 1);
-    }
-
-    #[test]
-    fn counted_reset_drops_keys_and_counters_and_keeps_capacity() {
-        let mut c = CountedLru::new(2);
-        c.lookup(1u64, None);
-        c.lookup(1, None);
-        c.reset();
-        assert!(c.keys().is_empty());
-        assert_eq!((c.hits(), c.misses()), (0, 0));
-        assert_eq!(c.hit_ratio(), 0.0);
-        assert_eq!(c.keys().capacity(), 2);
-        assert!(!c.lookup(1, None), "cold after reset");
-        assert!(c.lookup(1, None), "and usable");
     }
 
     #[test]

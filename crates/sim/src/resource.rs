@@ -139,14 +139,6 @@ impl Server {
         }
         self.busy_time.ratio(span.mul_u64(self.capacity as u64))
     }
-
-    /// Clears all state, keeping the capacity.
-    pub fn reset(&mut self) {
-        self.busy_until.clear();
-        self.busy_time = SimDuration::ZERO;
-        self.jobs = 0;
-        self.horizon = SimTime::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -226,17 +218,6 @@ mod tests {
         // After everything drains, a late arrival starts immediately.
         let (start2, _) = s.schedule(at(50), us(1));
         assert_eq!(start2, at(50));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = Server::new(2);
-        s.schedule(at(0), us(10));
-        s.reset();
-        assert_eq!(s.jobs(), 0);
-        assert_eq!(s.busy_time(), SimDuration::ZERO);
-        let (start, _) = s.schedule(at(0), us(1));
-        assert_eq!(start, at(0));
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl EmbeddedCores {
     pub fn busy_time(&self) -> SimDuration {
         self.server.busy_time()
     }
-
-    /// Resets scheduling state.
-    pub fn reset(&mut self) {
-        self.server.reset();
-    }
 }
 
 #[cfg(test)]

@@ -155,19 +155,6 @@ impl FlashArray {
         }
         self.dies.iter().map(|d| d.utilization()).sum::<f64>() / self.dies.len() as f64
     }
-
-    /// Clears all scheduling state and counters.
-    pub fn reset(&mut self) {
-        for d in &mut self.dies {
-            d.reset();
-        }
-        for b in &mut self.buses {
-            b.reset();
-        }
-        self.pages_read = 0;
-        self.inflight.clear();
-        self.coalesced = 0;
-    }
 }
 
 #[cfg(test)]
@@ -236,15 +223,6 @@ mod tests {
         let bw = p.internal_bandwidth();
         assert!(bw > 0);
         assert!(bw <= p.channel_bw * p.channels as u64);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut f = small();
-        f.read_page(SimTime::ZERO, PhysPage(0));
-        f.reset();
-        assert_eq!(f.pages_read(), 0);
-        assert_eq!(f.die_utilization(), 0.0);
     }
 
     #[test]

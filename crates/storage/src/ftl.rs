@@ -91,11 +91,6 @@ impl Ftl {
     pub fn translations(&self) -> u64 {
         self.translations
     }
-
-    /// Resets counters.
-    pub fn reset(&mut self) {
-        self.translations = 0;
-    }
 }
 
 #[cfg(test)]
@@ -138,13 +133,5 @@ mod tests {
     #[should_panic(expected = "outside logical space")]
     fn out_of_range_lpn_panics() {
         ftl(16, 4).translate(16);
-    }
-
-    #[test]
-    fn reset_clears_count() {
-        let mut f = ftl(16, 4);
-        f.translate(3);
-        f.reset();
-        assert_eq!(f.translations(), 0);
     }
 }

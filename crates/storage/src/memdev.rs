@@ -128,12 +128,6 @@ impl MemDevice {
         let achieved = self.channel.bytes_moved() as f64 / over.as_secs_f64();
         achieved / self.params.bytes_per_sec as f64
     }
-
-    /// Resets counters and frees the channel.
-    pub fn reset(&mut self) {
-        self.channel.reset();
-        self.accesses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -187,8 +181,6 @@ mod tests {
         let done = m.random_access(SimTime::ZERO, 10_000, 8);
         let util = m.bandwidth_utilization(done.since_epoch());
         assert!(util > 0.0 && util < 1.0, "utilization {util}");
-        m.reset();
-        assert_eq!(m.bytes_moved(), 0);
     }
 
     #[test]

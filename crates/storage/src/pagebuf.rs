@@ -85,21 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_empty_state() {
-        let mut b = PageBuffer::new(2);
-        b.lookup(PhysPage(1), None);
-        b.lookup(PhysPage(1), None);
-        b.reset();
-        assert!(b.keys().is_empty());
-        assert_eq!(b.hits(), 0);
-        assert_eq!(b.misses(), 0);
-        assert_eq!(b.keys().capacity(), 2);
-        // Still usable after reset.
-        b.lookup(PhysPage(9), None);
-        assert!(b.lookup(PhysPage(9), None));
-    }
-
-    #[test]
     fn scan_workload_hit_ratio_matches_expectation() {
         // Cyclic scan over capacity+1 pages under LRU: always miss.
         let mut b = PageBuffer::new(4);

@@ -177,17 +177,6 @@ impl Ssd {
     pub fn bytes_to_host(&self) -> u64 {
         self.bytes_to_host
     }
-
-    /// Resets all component state and counters.
-    pub fn reset(&mut self) {
-        self.flash.reset();
-        self.ftl.reset();
-        self.buffer.reset();
-        self.cores.reset();
-        self.pcie.reset();
-        self.blocks_served = 0;
-        self.bytes_to_host = 0;
-    }
 }
 
 #[cfg(test)]
@@ -271,17 +260,6 @@ mod tests {
         let _ = ssd.dma_from_host(done, 64 * 1024);
         // Inbound doesn't count toward host-bound bytes.
         assert_eq!(ssd.bytes_to_host(), 1_000_000);
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut ssd = test_ssd(1024);
-        ssd.read_block(SimTime::ZERO, 0, None);
-        ssd.reset();
-        assert_eq!(ssd.blocks_served(), 0);
-        assert_eq!(ssd.bytes_to_host(), 0);
-        let r = ssd.read_block(SimTime::ZERO, 0, None);
-        assert!(!r.buffer_hit, "buffer must be cold after reset");
     }
 
     #[test]

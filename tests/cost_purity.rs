@@ -73,7 +73,7 @@ fn traced_plan(
 }
 
 fn drive(
-    policy: &mut dyn CostPolicy,
+    policy: &mut CostPolicy,
     devices: &mut Devices,
     worker: usize,
     trace: smartsage::store::SampleTrace,
@@ -201,7 +201,7 @@ proptest! {
             let run = |worker: usize, workers: usize| {
                 let mut devices = Devices::new(&ctx.config);
                 let mut policy = make_policy(&ctx, workers);
-                drive(&mut *policy, &mut devices, worker, trace.clone())
+                drive(&mut policy, &mut devices, worker, trace.clone())
             };
             let reference = run(0, 1);
             // Re-running on a fresh instance reproduces the cost...

@@ -6,7 +6,7 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::{Devices, RunContext};
-use smartsage::core::cost::{make_policy, StepOutcome};
+use smartsage::core::cost::{make_policy, CostPolicy, StepOutcome};
 use smartsage::gnn::model::{GraphSageModel, ModelDims};
 use smartsage::gnn::sampler::{plan_sample_on, sample_on};
 use smartsage::gnn::Fanouts;
@@ -158,7 +158,7 @@ fn exact_mode_small_graph_runs_without_analytic_locality() {
     let plan =
         plan_sample_on(&mut CsrView::new(ctx.graph()), &targets, &fanouts, &mut rng).unwrap();
     let trace = plan.trace;
-    let run = |policy: &mut Box<dyn smartsage::core::cost::CostPolicy>,
+    let run = |policy: &mut CostPolicy,
                devices: &mut Devices,
                at: SimTime,
                trace: smartsage::store::SampleTrace| {

@@ -11,7 +11,7 @@
 //! plans inside the device: the targets' degrees arrive host→SSD in
 //! `NSconfig`, deeper hops' degrees are read next to the page buffer,
 //! and none is ever shipped back. This is the minimal form of ROADMAP
-//! item 6(a); the file-tier and flash-page legs of the audit are still
+//! item 8(b); the file-tier and flash-page legs of the audit are still
 //! open there.
 
 use smartsage::core::config::{SystemConfig, SystemKind};
