@@ -69,7 +69,8 @@ pub(crate) fn contribution_breakdown_driver(scale: &ExperimentScale) -> Table {
     t
 }
 
-/// A CSD generation for the `ablation-csd` sweep.
+/// A CSD generation for the `ablation-csd` sweep. Generations differ in
+/// core count, firmware share, flash latency and PCIe bandwidth.
 #[derive(Debug, Clone)]
 pub struct CsdGeneration {
     /// Display name.
@@ -96,7 +97,6 @@ pub fn csd_generations() -> Vec<CsdGeneration> {
             cores: CoreParams {
                 cores: 4,
                 firmware_share: 0.0,
-                speed_vs_host: 0.5,
             },
             flash_read_latency: SimDuration::from_micros(25),
             pcie_bytes_per_sec: 3_200_000_000,
@@ -106,7 +106,6 @@ pub fn csd_generations() -> Vec<CsdGeneration> {
             cores: CoreParams {
                 cores: 8,
                 firmware_share: 0.0,
-                speed_vs_host: 0.7,
             },
             flash_read_latency: SimDuration::from_micros(10),
             pcie_bytes_per_sec: 7_000_000_000,

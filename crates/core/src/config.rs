@@ -52,11 +52,6 @@ impl SystemKind {
             SystemKind::FpgaCsd => "FPGA-CSD",
         }
     }
-
-    /// Whether the edge-list array lives on the SSD for this system.
-    pub fn edge_list_on_ssd(self) -> bool {
-        !matches!(self, SystemKind::Dram | SystemKind::Pmem)
-    }
 }
 
 impl std::fmt::Display for SystemKind {
@@ -153,7 +148,6 @@ impl Default for DeviceParams {
             oracle_cores: CoreParams {
                 cores: 4,
                 firmware_share: 0.0,
-                speed_vs_host: 0.5,
             },
             isp_queue_depth: 4,
             isp_sample_cost: SimDuration::from_nanos(350),
@@ -211,20 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn edge_list_placement() {
-        assert!(!SystemKind::Dram.edge_list_on_ssd());
-        assert!(!SystemKind::Pmem.edge_list_on_ssd());
-        assert!(SystemKind::SsdMmap.edge_list_on_ssd());
-        assert!(SystemKind::SmartSageHwSw.edge_list_on_ssd());
-        assert!(SystemKind::FpgaCsd.edge_list_on_ssd());
-    }
-
-    #[test]
     fn oracle_cores_strictly_better_than_shared() {
         let d = DeviceParams::default();
         assert!(d.oracle_cores.firmware_share < d.ssd.cores.firmware_share);
         assert!(d.oracle_cores.cores >= d.ssd.cores.cores);
-        assert!(d.oracle_cores.speed_vs_host >= d.ssd.cores.speed_vs_host);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::{DeviceParams, SystemConfig};
 use smartsage_graph::datasets::MaterializedDataset;
-use smartsage_graph::{CsrGraph, GraphScale};
+use smartsage_graph::CsrGraph;
 use smartsage_hostio::locality::{degree_buckets, lru_hit_rate};
 use smartsage_hostio::GraphFile;
 use smartsage_sim::{Link, Server};
@@ -20,10 +20,9 @@ pub struct LocalityRates {
     pub page_cache_hit: f64,
     /// User scratchpad hit probability (direct-I/O path).
     pub scratchpad_hit: f64,
-    /// SSD-internal page-buffer hit probability for host block reads.
-    pub ssd_buffer_hit_host: f64,
-    /// SSD-internal page-buffer hit probability for ISP page fetches.
-    pub ssd_buffer_hit_isp: f64,
+    /// SSD-internal page-buffer hit probability per flash page fetch,
+    /// for host block reads and ISP fetches alike.
+    pub ssd_buffer_hit: f64,
 }
 
 impl LocalityRates {
@@ -51,12 +50,10 @@ impl LocalityRates {
         // Objects for the SSD page buffer: flash pages.
         let chunk_pages = |d: u64| ((d * 8).div_ceil(page).max(1)) * page;
         let ssd_buckets = degree_buckets(graph, full_nodes, chunk_pages);
-        let ssd_buffer = lru_hit_rate(&ssd_buckets, devices.ssd_buffer_bytes);
         LocalityRates {
             page_cache_hit,
             scratchpad_hit,
-            ssd_buffer_hit_host: ssd_buffer,
-            ssd_buffer_hit_isp: ssd_buffer,
+            ssd_buffer_hit: lru_hit_rate(&ssd_buckets, devices.ssd_buffer_bytes),
         }
     }
 }
@@ -144,18 +141,13 @@ impl RunContext {
     pub fn graph(&self) -> &CsrGraph {
         &self.data.graph
     }
-
-    /// Convenience: is this a large-scale (SSD-resident) variant?
-    pub fn is_large_scale(&self) -> bool {
-        self.data.scale == GraphScale::LargeScale
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SystemKind;
-    use smartsage_graph::{Dataset, DatasetProfile};
+    use smartsage_graph::{Dataset, DatasetProfile, GraphScale};
 
     fn data() -> MaterializedDataset {
         DatasetProfile::of(Dataset::Amazon).materialize(GraphScale::LargeScale, 60_000, 3)
@@ -168,13 +160,12 @@ mod tests {
         for r in [
             rates.page_cache_hit,
             rates.scratchpad_hit,
-            rates.ssd_buffer_hit_host,
-            rates.ssd_buffer_hit_isp,
+            rates.ssd_buffer_hit,
         ] {
             assert!((0.0..=1.0).contains(&r), "rate {r} out of range");
         }
         // SSD buffer (2 GB) must hit far less than the 160 GB host cache.
-        assert!(rates.ssd_buffer_hit_host < rates.page_cache_hit);
+        assert!(rates.ssd_buffer_hit < rates.page_cache_hit);
     }
 
     #[test]
@@ -199,14 +190,12 @@ mod tests {
     fn context_construction() {
         let ctx = RunContext::new(data(), SystemConfig::new(SystemKind::SmartSageHwSw));
         assert!(ctx.locality.is_some());
-        assert!(ctx.is_large_scale());
         assert!(ctx.layout.total_bytes() > 0);
         let exact = RunContext::new_exact(
             DatasetProfile::of(Dataset::Amazon).materialize(GraphScale::InMemory, 10_000, 1),
             SystemConfig::new(SystemKind::Dram),
         );
         assert!(exact.locality.is_none());
-        assert!(!exact.is_large_scale());
     }
 
     #[test]

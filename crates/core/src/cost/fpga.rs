@@ -53,7 +53,7 @@ impl FpgaPricing {
             // block-granular chunks to the FPGA, then the gather.
             let chunk_end = (c.access + params.fpga.p2p_queue_depth).min(hop.nodes.len());
             let block = params.hostio.os_page_bytes;
-            let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit_isp);
+            let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit);
             let mut flash_done = t;
             let mut p2p_bytes = 0u64;
             let mut samples = 0u64;

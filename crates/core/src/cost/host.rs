@@ -77,7 +77,7 @@ impl HostPricing {
                 Reader::DirectIo(_) => l.scratchpad_hit,
             })
         });
-        let ssd_override = ctx.locality.map(|l| self.rng.chance(l.ssd_buffer_hit_host));
+        let ssd_override = ctx.locality.map(|l| self.rng.chance(l.ssd_buffer_hit));
         let params = &ctx.config.devices.hostio;
         let hop = &c.trace.hops[c.hop];
         // Offset-table lookup: resident in host DRAM for all systems

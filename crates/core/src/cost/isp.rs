@@ -49,10 +49,16 @@ pub(super) struct Command {
     phase: Phase,
 }
 
-/// Targets covered by command `cmd` at coalescing granularity `g`.
-fn cmd_targets(trace: &SampleTrace, cmd: usize, g: usize) -> (usize, usize) {
-    let total = trace.num_targets();
-    ((cmd * g).min(total), ((cmd + 1) * g).min(total))
+/// ISP commands a batch of `n` targets needs at coalescing granularity
+/// `g` (Fig 15's x-axis): one per `g` targets, and at least one.
+fn commands(n: usize, g: usize) -> usize {
+    n.div_ceil(g).max(1)
+}
+
+/// Targets `[t0, t1)` of a batch of `n` covered by command `cmd` at
+/// coalescing granularity `g`.
+fn cmd_targets(n: usize, cmd: usize, g: usize) -> (usize, usize) {
+    ((cmd * g).min(n), ((cmd + 1) * g).min(n))
 }
 
 /// Accesses per target at hop `h` (the sampling tree's block size).
@@ -62,7 +68,7 @@ fn per_target(trace: &SampleTrace, h: usize) -> usize {
 
 /// Command `cmd`'s access-index range within hop `h`.
 fn cmd_hop_range(trace: &SampleTrace, cmd: usize, g: usize, h: usize) -> (usize, usize) {
-    let (t0, t1) = cmd_targets(trace, cmd, g);
+    let (t0, t1) = cmd_targets(trace.num_targets(), cmd, g);
     let block = per_target(trace, h);
     (t0 * block, t1 * block)
 }
@@ -72,7 +78,7 @@ fn cmd_hop_range(trace: &SampleTrace, cmd: usize, g: usize, h: usize) -> (usize,
 /// Targets and degrees come straight from the trace — hop 0's frontier
 /// *is* the target list, for both samplers.
 fn nsconfig(ctx: &RunContext, trace: &SampleTrace, cmd: usize, g: usize) -> NsConfig {
-    let (t0, t1) = cmd_targets(trace, cmd, g);
+    let (t0, t1) = cmd_targets(trace.num_targets(), cmd, g);
     let block = ctx.config.devices.hostio.os_page_bytes;
     let hop0 = &trace.hops[0];
     let targets = (t0..t1)
@@ -153,7 +159,7 @@ impl IspPricing {
                 let hop_end = cmd_hop_range(&c.trace, cmd, g, c.hop).1;
                 let chunk_end = (c.access + params.isp_queue_depth).min(hop_end);
                 let hop = &c.trace.hops[c.hop];
-                let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit_isp);
+                let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit);
                 // Core work for the chunk: per-access bookkeeping + FTL
                 // translation + per-sample gather cost. Its pages are
                 // all queued at the chunk start: the generator keeps
@@ -169,14 +175,10 @@ impl IspPricing {
                         fetch_pages(&mut devices.ssd, &mut self.rng, isp_hit_rate, t, range);
                     flash_done = flash_done.max(fetched);
                 }
-                let cores = self.cores(devices);
-                // The HW/SW design time-shares the firmware cores: every
-                // cycle of ISP work displaces FTL/host-interface duties,
-                // inflating effective service time (paper §VI-B). The
-                // oracle's dedicated cores have no such share.
-                let share = cores.params().firmware_share;
-                let core_work = core_work.mul_f64(1.0 / (1.0 - share));
-                let (_, core_done) = cores.exec_raw(t, core_work);
+                // On the HW/SW design's shared cores `exec` inflates the
+                // work by the firmware share (paper §VI-B); the oracle's
+                // dedicated cores have none.
+                let (_, core_done) = self.cores(devices).exec(t, core_work);
                 c.access = chunk_end;
                 if c.access >= hop_end {
                     c.hop += 1;
@@ -192,7 +194,7 @@ impl IspPricing {
                 // Completion pickup by the firmware polling loop, then a
                 // single dense DMA of the command's sampled IDs.
                 t += params.ssd.nvme.isp_pickup_delay();
-                let (t0, t1) = cmd_targets(&c.trace, cmd, g);
+                let (t0, t1) = cmd_targets(c.trace.num_targets(), cmd, g);
                 let sampled: u64 = (0..c.trace.hops.len())
                     .map(|h| ((t1 - t0) * per_target(&c.trace, h) * c.trace.hops[h].fanout) as u64)
                     .sum();
@@ -203,7 +205,7 @@ impl IspPricing {
                     index: cmd + 1,
                     phase: Phase::Issue,
                 };
-                if c.cmd.index < c.trace.num_targets().div_ceil(g).max(1) {
+                if c.cmd.index < commands(c.trace.num_targets(), g) {
                     Priced::More(done)
                 } else {
                     Priced::Last(done)
@@ -262,6 +264,31 @@ mod tests {
             fine > coarse.mul_f64(1.5),
             "granularity 1 ({fine}) should be much slower than 64 ({coarse})"
         );
+    }
+
+    #[test]
+    fn coalescing_conserves_targets() {
+        // The split that prices Fig 15, over every batch below 2048
+        // targets at every granularity: max(1, ceil(n / g)) commands,
+        // whose target ranges tile 0..n in order, at most g each.
+        for n in 0..2048 {
+            for g in 1..2048 {
+                let cmds = commands(n, g);
+                assert_eq!(
+                    cmds,
+                    if n == 0 { 1 } else { (n - 1) / g + 1 },
+                    "n {n} g {g}"
+                );
+                let mut next = 0;
+                for cmd in 0..cmds {
+                    let (t0, t1) = cmd_targets(n, cmd, g);
+                    assert_eq!(t0, next, "n {n} g {g} cmd {cmd} leaves a gap");
+                    assert!(t1 - t0 <= g, "n {n} g {g} cmd {cmd} holds {}", t1 - t0);
+                    next = t1;
+                }
+                assert_eq!(next, n, "n {n} g {g} drops targets");
+            }
+        }
     }
 
     #[test]

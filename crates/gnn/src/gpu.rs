@@ -120,12 +120,6 @@ impl GpuParams {
             transfer_bytes: dims.transfer_bytes(),
         }
     }
-
-    /// Pure transfer delay of `bytes` over the host→GPU link (unloaded).
-    pub fn transfer_delay(&self, bytes: u64) -> SimDuration {
-        let occupancy = SimDuration::from_secs_f64(bytes as f64 / self.pcie_bytes_per_sec as f64);
-        occupancy + self.pcie_latency
-    }
 }
 
 #[cfg(test)]
@@ -172,14 +166,6 @@ mod tests {
         };
         // nodes = 2 + 4 + 8 = 14; features 14*4*4 = 224; ids (4+8)*8 = 96.
         assert_eq!(d.transfer_bytes(), 224 + 96);
-    }
-
-    #[test]
-    fn transfer_delay_includes_latency() {
-        let p = GpuParams::default();
-        let d = p.transfer_delay(12_000_000); // 1 ms of occupancy
-        assert!(d >= SimDuration::from_millis(1));
-        assert!(d <= SimDuration::from_micros(1100));
     }
 
     #[test]

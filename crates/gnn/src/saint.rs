@@ -10,7 +10,7 @@
 //! The walk plan reuses [`SamplePlan`] with fan-out 1 per hop, so every
 //! sampler and the ISP firmware replay walks identically.
 
-use crate::sampler::{Fanouts, SamplePlan};
+use crate::sampler::SamplePlan;
 use smartsage_graph::{CsrGraph, NodeId};
 use smartsage_sim::Xoshiro256;
 use smartsage_store::{SampleTrace, TraceHop};
@@ -22,22 +22,6 @@ pub struct WalkConfig {
     pub roots: usize,
     /// Steps per walk.
     pub length: usize,
-}
-
-impl Default for WalkConfig {
-    /// GraphSAINT-RW defaults per the paper's setting: 1024-root batches
-    /// (matching the GraphSAGE mini-batch) with 4-step walks.
-    fn default() -> Self {
-        WalkConfig {
-            roots: 1024,
-            length: 4,
-        }
-    }
-}
-
-/// Fan-out view of a walk: `length` hops of fan-out 1.
-pub fn walk_fanouts(cfg: &WalkConfig) -> Fanouts {
-    Fanouts::new(vec![1; cfg.length.max(1)])
 }
 
 /// Plans random walks from `roots` (one access per step per walk),
@@ -143,15 +127,5 @@ mod tests {
         assert_eq!(batch.hops[0].neighbors, vec![NodeId::new(1)]);
         assert_eq!(batch.hops[1].neighbors, vec![NodeId::new(1)]);
         assert_eq!(batch.hops[2].neighbors, vec![NodeId::new(1)]);
-    }
-
-    #[test]
-    fn walk_fanouts_match_config() {
-        let f = walk_fanouts(&WalkConfig {
-            roots: 16,
-            length: 5,
-        });
-        assert_eq!(f.as_slice(), &[1, 1, 1, 1, 1]);
-        assert_eq!(WalkConfig::default().roots, 1024);
     }
 }

@@ -85,17 +85,6 @@ impl Fanouts {
                 .collect(),
         )
     }
-
-    /// Total sampled nodes per target (s1 + s1*s2 + ...).
-    pub fn sampled_per_target(&self) -> u64 {
-        let mut total = 0u64;
-        let mut layer = 1u64;
-        for &f in &self.0 {
-            layer *= f as u64;
-            total += layer;
-        }
-        total
-    }
 }
 
 /// The complete sampling plan for one mini-batch: what the pass asked
@@ -491,9 +480,7 @@ mod tests {
     fn fanout_arithmetic() {
         let f = Fanouts::paper_default();
         assert_eq!(f.hops(), 2);
-        assert_eq!(f.sampled_per_target(), 25 + 25 * 10);
         assert_eq!(f.scaled(0.5).as_slice(), &[13, 5]);
-        assert_eq!(Fanouts::new(vec![3]).sampled_per_target(), 3);
     }
 
     #[test]

@@ -295,11 +295,6 @@ impl MaterializedDataset {
     pub fn full_stats(&self) -> ScaleStats {
         self.profile.stats(self.scale)
     }
-
-    /// Ratio of materialized to full-scale node count.
-    pub fn scale_factor(&self) -> f64 {
-        self.graph.num_nodes() as f64 / self.full_stats().nodes as f64
-    }
 }
 
 #[cfg(test)]
@@ -365,7 +360,7 @@ mod tests {
             (got - want).abs() / want < 0.35,
             "avg degree {got} vs target {want}"
         );
-        assert!(m.scale_factor() < 1.0);
+        assert!(m.graph.num_nodes() < m.full_stats().nodes as usize);
         assert_eq!(m.features.dim(), 32);
     }
 

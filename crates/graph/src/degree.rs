@@ -77,16 +77,6 @@ impl DegreeStats {
     }
 }
 
-/// Verifies the densification relation between two graphs: the larger
-/// graph should have a strictly higher average degree (Leskovec et al.
-/// \[53\], reproduced by Kronecker expansion). Returns the degree ratio.
-pub fn densification_ratio(small: &CsrGraph, large: &CsrGraph) -> f64 {
-    if small.avg_degree() == 0.0 {
-        return 0.0;
-    }
-    large.avg_degree() / small.avg_degree()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,15 +122,6 @@ mod tests {
         let s = DegreeStats::from_graph(&g);
         let total: u64 = s.series().iter().map(|&(_, c)| c).sum();
         assert_eq!(total, 1_000);
-    }
-
-    #[test]
-    fn densification_ratio_compares_avg_degree() {
-        let small = CsrGraph::from_edges(4, [(0, 1), (1, 2)]);
-        let large = CsrGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert!((densification_ratio(&small, &large) - 2.0).abs() < 1e-12);
-        let empty = CsrGraph::from_edges(1, []);
-        assert_eq!(densification_ratio(&empty, &large), 0.0);
     }
 
     #[test]

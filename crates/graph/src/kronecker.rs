@@ -16,7 +16,7 @@
 //!   `avg_deg(K) > 1`, matching the observation \[53\] that larger
 //!   real-world graphs are denser.
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::CsrGraph;
 use smartsage_sim::Xoshiro256;
 
 /// Configuration for [`expand`].
@@ -107,17 +107,10 @@ pub fn expand(base: &CsrGraph, seed: &CsrGraph, cfg: &KroneckerConfig) -> CsrGra
     CsrGraph::from_edges(expanded_nodes, edges)
 }
 
-/// Maps an expanded node id back to its `(base, seed)` coordinates.
-#[inline]
-pub fn unexpand(node: NodeId, seed_nodes: usize) -> (NodeId, NodeId) {
-    let base = node.index() / seed_nodes;
-    let inner = node.index() % seed_nodes;
-    (NodeId::new(base as u32), NodeId::new(inner as u32))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::NodeId;
     use crate::degree::DegreeStats;
     use crate::generate::{generate_power_law, generate_seed_graph, PowerLawConfig};
 
@@ -214,20 +207,6 @@ mod tests {
             (a_base - a_exp).abs() < 0.8,
             "alpha drifted: base {a_base} expanded {a_exp}"
         );
-    }
-
-    #[test]
-    fn unexpand_inverts_the_id_mapping() {
-        let seed_nodes = 5;
-        for u in 0..7u32 {
-            for i in 0..seed_nodes as u32 {
-                let expanded = NodeId::new(u * seed_nodes as u32 + i);
-                assert_eq!(
-                    unexpand(expanded, seed_nodes),
-                    (NodeId::new(u), NodeId::new(i))
-                );
-            }
-        }
     }
 
     #[test]

@@ -29,11 +29,6 @@ pub fn k_hop_neighborhood(graph: &CsrGraph, roots: &[NodeId], k: usize) -> BTree
     visited
 }
 
-/// Counts nodes reachable from `root` within `k` hops.
-pub fn k_hop_size(graph: &CsrGraph, root: NodeId, k: usize) -> usize {
-    k_hop_neighborhood(graph, &[root], k).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +49,7 @@ mod tests {
     fn path_graph_hops_extend_linearly() {
         let g = path_graph(10);
         for k in 0..5 {
-            assert_eq!(k_hop_size(&g, NodeId::new(0), k), k + 1);
+            assert_eq!(k_hop_neighborhood(&g, &[NodeId::new(0)], k).len(), k + 1);
         }
     }
 

@@ -1,13 +1,10 @@
-//! NVMe command coalescing (paper §IV-C, Fig 12 right; swept in Fig 15).
+//! Page-run merging: the host-side coalescing of a batch's page reads.
 //!
-//! The baseline ISP interface would issue one NVMe command per sampling
-//! request; SmartSAGE's driver packs the whole mini-batch's target nodes
-//! into a single `NSconfig` blob behind one vendor command. This module
-//! computes, for a given coalescing granularity, how many commands a
-//! batch needs and what host/driver overhead each one carries.
-
-use crate::params::HostIoParams;
-use smartsage_sim::SimDuration;
+//! A batch gather plans every page it needs, merges them into maximal
+//! contiguous runs with [`merge_page_runs`], and issues one read per
+//! run instead of one per page. (The ISP side's coalescing, many
+//! targets per `NSconfig` command as swept in Fig 15, is priced by the
+//! ISP cost policy in `smartsage-core`.)
 
 /// A maximal contiguous run of page indices `[first, first + count)`.
 ///
@@ -34,9 +31,7 @@ impl PageRun {
 /// requests from different rows of a batch gather); the output is the
 /// minimal set of disjoint runs covering every requested page. An empty
 /// input yields no runs. A strictly ascending input is walked as it
-/// stands; any other is copied and sorted first. This is the host-side
-/// analogue of the NVMe command coalescing above: a batch feature gather
-/// plans all the pages it needs, merges them, and issues one read per run.
+/// stands; any other is copied and sorted first.
 ///
 /// # Example
 ///
@@ -71,123 +66,9 @@ pub fn merge_page_runs(pages: &[u64]) -> Vec<PageRun> {
     runs
 }
 
-/// A coalescing plan for one mini-batch of sampling requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalescingPlan {
-    /// Targets per ISP command (the granularity of Fig 15's x-axis).
-    pub granularity: u32,
-    /// Number of NVMe commands needed for the batch.
-    pub commands: u32,
-    /// Targets carried by the final (possibly partial) command.
-    pub last_command_targets: u32,
-}
-
-impl CoalescingPlan {
-    /// Plans `batch_targets` sampling requests at `granularity` targets
-    /// per command.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `granularity` is zero.
-    pub fn new(batch_targets: u32, granularity: u32) -> Self {
-        assert!(granularity > 0, "coalescing granularity must be positive");
-        let commands = batch_targets.div_ceil(granularity).max(1);
-        let rem = batch_targets % granularity;
-        CoalescingPlan {
-            granularity,
-            commands,
-            last_command_targets: if rem == 0 {
-                granularity.min(batch_targets)
-            } else {
-                rem
-            },
-        }
-    }
-
-    /// Targets carried by command `i` (0-based).
-    pub fn targets_of(&self, i: u32) -> u32 {
-        if i + 1 == self.commands {
-            self.last_command_targets
-        } else {
-            self.granularity
-        }
-    }
-
-    /// Host driver time spent issuing all commands of the batch (one
-    /// `ioctl` each).
-    pub fn host_issue_time(&self, params: &HostIoParams) -> SimDuration {
-        params.ioctl_cost.mul_u64(self.commands as u64)
-    }
-
-    /// Total `NSconfig` bytes DMA'd for the batch (header per command +
-    /// per-target descriptors).
-    pub fn nsconfig_bytes(&self, params: &HostIoParams) -> u64 {
-        (0..self.commands)
-            .map(|i| params.nsconfig_bytes(self.targets_of(i) as u64))
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn full_coalescing_is_one_command() {
-        let p = CoalescingPlan::new(1024, 1024);
-        assert_eq!(p.commands, 1);
-        assert_eq!(p.targets_of(0), 1024);
-    }
-
-    #[test]
-    fn fine_granularity_explodes_command_count() {
-        let p = CoalescingPlan::new(1024, 1);
-        assert_eq!(p.commands, 1024);
-        assert_eq!(p.targets_of(0), 1);
-        assert_eq!(p.targets_of(1023), 1);
-    }
-
-    #[test]
-    fn partial_last_command() {
-        let p = CoalescingPlan::new(1000, 256);
-        assert_eq!(p.commands, 4);
-        assert_eq!(p.targets_of(0), 256);
-        assert_eq!(p.targets_of(3), 232);
-        let total: u32 = (0..p.commands).map(|i| p.targets_of(i)).sum();
-        assert_eq!(total, 1000);
-    }
-
-    #[test]
-    fn issue_time_scales_with_commands() {
-        let params = HostIoParams::default();
-        let coarse = CoalescingPlan::new(1024, 1024).host_issue_time(&params);
-        let fine = CoalescingPlan::new(1024, 16).host_issue_time(&params);
-        assert_eq!(fine, coarse * 64);
-    }
-
-    #[test]
-    fn nsconfig_bytes_conserve_targets_but_duplicate_headers() {
-        let params = HostIoParams::default();
-        let one = CoalescingPlan::new(1024, 1024).nsconfig_bytes(&params);
-        let many = CoalescingPlan::new(1024, 64).nsconfig_bytes(&params);
-        // Same per-target bytes, 15 extra headers.
-        assert_eq!(many - one, 15 * params.nsconfig_header_bytes);
-    }
-
-    #[test]
-    #[should_panic(expected = "granularity must be positive")]
-    fn zero_granularity_panics() {
-        CoalescingPlan::new(16, 0);
-    }
-
-    #[test]
-    fn paper_sweep_points_are_representable() {
-        // Fig 15 sweeps these granularities for a 1024-target batch.
-        for g in [1024u32, 512, 256, 64, 16, 1] {
-            let p = CoalescingPlan::new(1024, g);
-            assert_eq!(p.commands, 1024 / g);
-        }
-    }
 
     #[test]
     fn merge_runs_empty_input_yields_no_runs() {

@@ -93,29 +93,6 @@ impl GraphFile {
         }
     }
 
-    /// Byte range of a *slice* of `node`'s neighbor list: entries
-    /// `[first, first + count)`. Used when the reader fetches only the
-    /// blocks containing sampled positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the slice exceeds the node's degree.
-    pub fn edge_slice_range(
-        &self,
-        graph: &CsrGraph,
-        node: NodeId,
-        first: u64,
-        count: u64,
-    ) -> ByteRange {
-        debug_assert!(first + count <= graph.degree(node));
-        ByteRange {
-            offset: self.edge_array_base
-                + (graph.edge_list_start(node) + first)
-                    * smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES,
-            len: count * smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES,
-        }
-    }
-
     /// Base of the edge-list array region.
     pub fn edge_array_base(&self) -> u64 {
         self.edge_array_base
@@ -174,16 +151,6 @@ mod tests {
             len: 4096,
         };
         assert_eq!(exact.blocks(4096), Some((2, 2)));
-    }
-
-    #[test]
-    fn edge_slice_narrows_the_range() {
-        let g = graph();
-        let f = GraphFile::new(&g);
-        let full = f.edge_list_range(&g, NodeId::new(0));
-        let slice = f.edge_slice_range(&g, NodeId::new(0), 1, 1);
-        assert_eq!(slice.offset, full.offset + 8);
-        assert_eq!(slice.len, 8);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   a fixed pool of I/O workers executing positioned reads
 //!   concurrently per file, with an order-preserving completion handle
 //!   so batched results stay bit-identical to serial reads.
-//! * [`coalesce`] — NVMe command coalescing cost model (Fig 15).
+//! * [`coalesce`] — page-run merging: a batch's page reads coalesced
+//!   into one read per contiguous run.
 //! * [`locality`] — Che's approximation for LRU hit rates at *full-scale*
 //!   capacities. Scaled-down materializations would otherwise overstate
 //!   locality (a thousand-node graph fits in any cache); experiments

@@ -33,11 +33,6 @@ pub struct HostIoParams {
     /// access on CPU-side sampling paths, per the characterization that
     /// sampling has "little compute intensity" (§III-B).
     pub sample_compute_per_access: SimDuration,
-    /// Bytes of `NSconfig` metadata per target node (LBA, degree, fanout
-    /// and bookkeeping; paper Fig 11).
-    pub nsconfig_bytes_per_target: u64,
-    /// Fixed `NSconfig` header bytes per ISP command.
-    pub nsconfig_header_bytes: u64,
 }
 
 impl Default for HostIoParams {
@@ -50,16 +45,7 @@ impl Default for HostIoParams {
             scratchpad_hit_cost: SimDuration::from_nanos(150),
             ioctl_cost: SimDuration::from_micros(5),
             sample_compute_per_access: SimDuration::from_nanos(100),
-            nsconfig_bytes_per_target: 32,
-            nsconfig_header_bytes: 256,
         }
-    }
-}
-
-impl HostIoParams {
-    /// Size of the `NSconfig` blob describing `targets` target nodes.
-    pub fn nsconfig_bytes(&self, targets: u64) -> u64 {
-        self.nsconfig_header_bytes + targets * self.nsconfig_bytes_per_target
     }
 }
 
@@ -75,12 +61,5 @@ mod tests {
         assert!(p.fault_cost > p.direct_io_syscall_cost);
         assert!(p.direct_io_syscall_cost > p.minor_hit_cost);
         assert!(p.minor_hit_cost > p.scratchpad_hit_cost);
-    }
-
-    #[test]
-    fn nsconfig_scales_with_targets() {
-        let p = HostIoParams::default();
-        assert_eq!(p.nsconfig_bytes(0), 256);
-        assert_eq!(p.nsconfig_bytes(1024), 256 + 1024 * 32);
     }
 }

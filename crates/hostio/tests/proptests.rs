@@ -1,8 +1,7 @@
-//! Property tests for the host I/O stack: cache conservation, coalescing
-//! arithmetic, and the Che-approximation's analytic guarantees.
+//! Property tests for the host I/O stack: cache conservation and the
+//! Che-approximation's analytic guarantees.
 
 use proptest::prelude::*;
-use smartsage_hostio::coalesce::CoalescingPlan;
 use smartsage_hostio::locality::{lru_hit_rate, PopularityBucket};
 use smartsage_hostio::{LruSet, ShardedPageCache};
 use smartsage_sim::CountedLru;
@@ -89,20 +88,6 @@ proptest! {
             for p in 0..8u64 {
                 prop_assert_eq!(cache.contains(p), model.iter().any(|&(q, _)| q == p));
             }
-        }
-    }
-
-    #[test]
-    fn coalescing_conserves_targets(
-        batch in 1u32..2048,
-        granularity in 1u32..2048,
-    ) {
-        let plan = CoalescingPlan::new(batch, granularity);
-        let total: u32 = (0..plan.commands).map(|i| plan.targets_of(i)).sum();
-        prop_assert_eq!(total, batch);
-        for i in 0..plan.commands {
-            prop_assert!(plan.targets_of(i) <= granularity);
-            prop_assert!(plan.targets_of(i) > 0);
         }
     }
 

@@ -98,6 +98,14 @@ fn main() {
                 .unwrap_or_else(|_| fail_usage(&format!("{flag} wants an integer, got '{v}'")))
         })
     };
+    // Sizes and counts that cannot be zero: refused here, before the
+    // dataset is materialized, instead of panicking inside it.
+    let positive = |flag: &str, default: u64| -> u64 {
+        match parse(flag, default) {
+            0 => fail_usage(&format!("{flag} must be at least 1")),
+            n => n,
+        }
+    };
     let store = match value_of("--store").unwrap_or("mem") {
         "mem" => StoreKind::Mem,
         "file" => StoreKind::File,
@@ -128,11 +136,11 @@ fn main() {
     });
     let config = EngineConfig {
         dataset: DatasetConfig {
-            nodes: parse("--nodes", 4096) as usize,
+            nodes: positive("--nodes", 4096) as usize,
             avg_degree,
             graph_seed: 42,
-            feature_dim: parse("--dim", 32) as usize,
-            classes: parse("--classes", 8) as usize,
+            feature_dim: positive("--dim", 32) as usize,
+            classes: positive("--classes", 8) as usize,
             feature_seed: 7,
         },
         store,
@@ -140,7 +148,7 @@ fn main() {
         fanouts,
         hidden: parse("--hidden", 32) as usize,
         model_seed: parse("--seed", 1234),
-        page_bytes: parse("--page-bytes", 4096),
+        page_bytes: positive("--page-bytes", 4096),
         cache_pages: parse("--cache-pages", 1024) as usize,
         shards: match parse("--shards", 1) {
             0 => fail_usage("--shards expects at least one device"),
@@ -149,11 +157,11 @@ fn main() {
     };
     let policy = BatchPolicy {
         window: Duration::from_micros(parse("--window-us", 2000)),
-        max_batch: parse("--max-batch", 64) as usize,
-        queue_depth: parse("--queue-depth", 256) as usize,
+        max_batch: positive("--max-batch", 64) as usize,
+        queue_depth: positive("--queue-depth", 256) as usize,
     };
     let options = HttpOptions {
-        workers: parse("--workers", 16) as usize,
+        workers: positive("--workers", 16) as usize,
         max_body_bytes: parse("--max-body-bytes", 1 << 20) as usize,
     };
     let bind = format!(

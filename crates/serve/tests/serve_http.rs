@@ -291,3 +291,29 @@ fn a_zero_shard_count_is_a_usage_error_naming_the_flag() {
     );
     assert!(err.contains("usage: serve"), "{err}");
 }
+
+#[test]
+fn zero_sizes_and_counts_are_usage_errors_naming_the_flag() {
+    // Past the flag parser each zero would panic (exit 101) in the HTTP
+    // pool, the batcher, the dataset generator or the paged file.
+    for args in [
+        &["--workers", "0"][..],
+        &["--max-batch", "0"],
+        &["--queue-depth", "0"],
+        &["--dim", "0"],
+        &["--classes", "0"],
+        &["--nodes", "0"],
+        &["--store", "file", "--page-bytes", "0"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let flag = args[args.len() - 2];
+        assert!(err.contains(&format!("{flag} must be at least 1")), "{err}");
+        assert!(err.contains("usage: serve"), "{err}");
+    }
+}

@@ -98,11 +98,6 @@ impl<T> EventQueue<T> {
         Some((at, entry.payload))
     }
 
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at.max(self.now))
-    }
-
     /// Virtual time of the most recently popped event.
     pub fn now(&self) -> SimTime {
         self.now
@@ -168,13 +163,11 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_tracks_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule(at(7), ());
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(at(7)));
         q.pop();
         assert!(q.is_empty());
     }

@@ -99,22 +99,6 @@ impl Server {
         (start, end)
     }
 
-    /// Earliest time a new arrival at `at` could start service.
-    pub fn next_start(&self, at: SimTime) -> SimTime {
-        let in_flight = self.busy_until.iter().filter(|&&Reverse(t)| t > at).count();
-        if in_flight < self.capacity {
-            at
-        } else {
-            let earliest = self
-                .busy_until
-                .iter()
-                .map(|&Reverse(t)| t)
-                .min()
-                .unwrap_or(at);
-            at.max(earliest)
-        }
-    }
-
     /// Total service time accumulated across all jobs.
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
@@ -196,14 +180,6 @@ mod tests {
         assert!((s.utilization() - 0.375).abs() < 1e-12);
         assert_eq!(s.jobs(), 3);
         assert_eq!(s.busy_time(), us(30));
-    }
-
-    #[test]
-    fn next_start_predicts_schedule() {
-        let mut s = Server::new(1);
-        s.schedule(at(0), us(10));
-        assert_eq!(s.next_start(at(3)), at(10));
-        assert_eq!(s.next_start(at(15)), at(15));
     }
 
     #[test]

@@ -96,12 +96,6 @@ impl Xoshiro256 {
         result
     }
 
-    /// Returns the next 32-bit output.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `u64` in `[0, bound)` using Lemire's multiply-shift method
     /// (with rejection to remove modulo bias).
     ///
@@ -174,24 +168,6 @@ impl Xoshiro256 {
             let j = self.range_usize(i + 1);
             slice.swap(i, j);
         }
-    }
-
-    /// Samples `k` distinct indices from `[0, n)` (reservoir sampling when
-    /// `k < n`, identity permutation prefix otherwise). Output order is
-    /// unspecified but deterministic for a given RNG state.
-    pub fn sample_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
-        if k >= n {
-            return (0..n).collect();
-        }
-        // Reservoir sampling (Algorithm R).
-        let mut reservoir: Vec<usize> = (0..k).collect();
-        for i in k..n {
-            let j = self.range_usize(i + 1);
-            if j < k {
-                reservoir[j] = i;
-            }
-        }
-        reservoir
     }
 
     /// Derives an independent generator for a subsystem, keyed by `stream`.
@@ -300,21 +276,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_distinct_properties() {
-        let mut rng = Xoshiro256::seed_from_u64(9);
-        let s = rng.sample_distinct(100, 10);
-        assert_eq!(s.len(), 10);
-        let mut dedup = s.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 10, "samples must be distinct");
-        assert!(s.iter().all(|&i| i < 100));
-        // k >= n returns everything.
-        let all = rng.sample_distinct(5, 10);
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -70,16 +70,6 @@ impl SimDuration {
         SimDuration(s * PS_PER_S)
     }
 
-    /// Creates a duration from a floating-point nanosecond count,
-    /// rounding to the nearest picosecond. Negative inputs clamp to zero.
-    #[inline]
-    pub fn from_nanos_f64(ns: f64) -> Self {
-        if ns <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((ns * PS_PER_NS as f64).round() as u64)
-    }
-
     /// Creates a duration from a floating-point second count,
     /// rounding to the nearest picosecond. Negative inputs clamp to zero.
     #[inline]
@@ -412,8 +402,6 @@ mod tests {
 
     #[test]
     fn duration_from_float_rounds_and_clamps() {
-        assert_eq!(SimDuration::from_nanos_f64(1.5).as_picos(), 1_500);
-        assert_eq!(SimDuration::from_nanos_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(0.001).as_picos(), PS_PER_MS);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }

@@ -9,11 +9,13 @@
 //! firmware".
 //!
 //! We model the cores as a capacity-`n` [`Server`] and express the
-//! firmware reservation as a *service-time inflation*: when the cores are
-//! shared (HW/SW design), every unit of ISP work costs
-//! `1 / (1 - firmware_share)` units of core time. The oracle design
-//! (dedicated ISP cores, like NGD Newport's Cortex-A53 complex) uses an
-//! inflation of 1 and typically more cores.
+//! firmware reservation as a *service-time inflation*, applied by
+//! [`EmbeddedCores::exec`]: when the cores are shared (HW/SW design),
+//! every unit of ISP work costs `1 / (1 - firmware_share)` units of core
+//! time. The oracle design (dedicated ISP cores, like NGD Newport's
+//! Cortex-A53 complex) has a share of zero, so no inflation, and
+//! typically more cores. Firmware's own duties (command decode, block
+//! I/O handling) run uninflated through [`EmbeddedCores::exec_raw`].
 
 use smartsage_sim::{Server, SimDuration, SimTime};
 
@@ -25,21 +27,15 @@ pub struct CoreParams {
     /// Fraction of each core reserved for baseline firmware duties
     /// (`0.0 <= share < 1.0`). Zero models dedicated ISP cores.
     pub firmware_share: f64,
-    /// Relative speed of one embedded core vs. the host CPU core
-    /// (a Cortex-A9 retires the sampling inner loop several times slower
-    /// than a Xeon). Service times for "host-equivalent work" are scaled
-    /// by `1 / speed_vs_host`.
-    pub speed_vs_host: f64,
 }
 
 impl Default for CoreParams {
-    /// OpenSSD-like defaults: 2 shared cores at ~1/4 host speed with 30%
-    /// of cycles reserved for firmware.
+    /// OpenSSD-like defaults: 2 shared cores with 30% of cycles reserved
+    /// for firmware.
     fn default() -> Self {
         CoreParams {
             cores: 2,
             firmware_share: 0.30,
-            speed_vs_host: 0.25,
         }
     }
 }
@@ -56,39 +52,28 @@ impl EmbeddedCores {
     ///
     /// # Panics
     ///
-    /// Panics if `cores == 0`, `firmware_share` is outside `[0, 1)`, or
-    /// `speed_vs_host` is not positive.
+    /// Panics if `cores == 0` or `firmware_share` is outside `[0, 1)`.
     pub fn new(params: CoreParams) -> Self {
         assert!(params.cores > 0, "must have at least one core");
         assert!(
             (0.0..1.0).contains(&params.firmware_share),
             "firmware share must be in [0, 1)"
         );
-        assert!(params.speed_vs_host > 0.0, "core speed must be positive");
         let server = Server::new(params.cores);
         EmbeddedCores { params, server }
     }
 
-    /// The core parameters.
-    pub fn params(&self) -> &CoreParams {
-        &self.params
+    /// Executes ISP work `core_work` arriving at `at` on the core
+    /// complex; returns `(start, end)`. Every cycle of ISP work displaces
+    /// firmware duties, so it is inflated by `1 / (1 - firmware_share)`
+    /// (paper §VI-B); dedicated cores (share zero) run it as is.
+    pub fn exec(&mut self, at: SimTime, core_work: SimDuration) -> (SimTime, SimTime) {
+        let share = self.params.firmware_share;
+        self.server
+            .schedule(at, core_work.mul_f64(1.0 / (1.0 - share)))
     }
 
-    /// Converts "host-equivalent work" into embedded-core service time,
-    /// applying both the speed ratio and the firmware-share inflation.
-    pub fn service_time(&self, host_equivalent_work: SimDuration) -> SimDuration {
-        let inflation = 1.0 / ((1.0 - self.params.firmware_share) * self.params.speed_vs_host);
-        host_equivalent_work.mul_f64(inflation)
-    }
-
-    /// Executes `host_equivalent_work` arriving at `at` on the core
-    /// complex; returns `(start, end)`.
-    pub fn exec(&mut self, at: SimTime, host_equivalent_work: SimDuration) -> (SimTime, SimTime) {
-        let service = self.service_time(host_equivalent_work);
-        self.server.schedule(at, service)
-    }
-
-    /// Executes pre-scaled embedded-core service time (no conversion).
+    /// Executes firmware service time as given (no inflation).
     pub fn exec_raw(&mut self, at: SimTime, service: SimDuration) -> (SimTime, SimTime) {
         self.server.schedule(at, service)
     }
@@ -113,24 +98,22 @@ mod tests {
     }
 
     #[test]
-    fn service_time_applies_speed_and_share() {
-        let cores = EmbeddedCores::new(CoreParams {
+    fn exec_inflates_work_by_the_firmware_share() {
+        let mut cores = EmbeddedCores::new(CoreParams {
             cores: 2,
             firmware_share: 0.5,
-            speed_vs_host: 0.25,
         });
-        // 1us of host work => 1 / (0.5 * 0.25) = 8us of core time.
-        assert_eq!(cores.service_time(us(1)), us(8));
+        // 1us of ISP work => 1 / 0.5 = 2us of core time.
+        assert_eq!(cores.exec(SimTime::ZERO, us(1)).1, SimTime::ZERO + us(2));
     }
 
     #[test]
     fn dedicated_cores_have_no_share_inflation() {
-        let cores = EmbeddedCores::new(CoreParams {
+        let mut cores = EmbeddedCores::new(CoreParams {
             cores: 4,
             firmware_share: 0.0,
-            speed_vs_host: 0.5,
         });
-        assert_eq!(cores.service_time(us(1)), us(2));
+        assert_eq!(cores.exec(SimTime::ZERO, us(1)).1, SimTime::ZERO + us(1));
     }
 
     #[test]
@@ -138,7 +121,6 @@ mod tests {
         let mut cores = EmbeddedCores::new(CoreParams {
             cores: 2,
             firmware_share: 0.0,
-            speed_vs_host: 1.0,
         });
         let ends: Vec<SimTime> = (0..4)
             .map(|_| cores.exec(SimTime::ZERO, us(10)).1)
@@ -164,7 +146,6 @@ mod tests {
         EmbeddedCores::new(CoreParams {
             cores: 1,
             firmware_share: 1.0,
-            speed_vs_host: 1.0,
         });
     }
 }

@@ -41,19 +41,6 @@ impl Default for FlashParams {
     }
 }
 
-impl FlashParams {
-    /// Aggregate internal read bandwidth (all channels streaming).
-    pub fn internal_bandwidth(&self) -> u64 {
-        // Per channel the throughput is min(bus rate, one page per tR per die set).
-        let per_channel_pages_per_sec = {
-            let by_bus = self.channel_bw as f64 / self.page_bytes as f64;
-            let by_tr = self.dies_per_channel as f64 / self.read_latency.as_secs_f64();
-            by_bus.min(by_tr)
-        };
-        (per_channel_pages_per_sec * self.channels as f64 * self.page_bytes as f64) as u64
-    }
-}
-
 /// A physical page address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PhysPage(pub u64);
@@ -147,14 +134,6 @@ impl FlashArray {
     pub fn bytes_read(&self) -> u64 {
         self.pages_read * self.params.page_bytes
     }
-
-    /// Mean utilization of the die servers across channels.
-    pub fn die_utilization(&self) -> f64 {
-        if self.dies.is_empty() {
-            return 0.0;
-        }
-        self.dies.iter().map(|d| d.utilization()).sum::<f64>() / self.dies.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -215,14 +194,6 @@ mod tests {
         // Both sense in parallel; bus serializes the two 10us transfers.
         assert_eq!(a, SimTime::ZERO + SimDuration::from_micros(60));
         assert_eq!(b, SimTime::ZERO + SimDuration::from_micros(70));
-    }
-
-    #[test]
-    fn internal_bandwidth_is_positive_and_bus_capped() {
-        let p = FlashParams::default();
-        let bw = p.internal_bandwidth();
-        assert!(bw > 0);
-        assert!(bw <= p.channel_bw * p.channels as u64);
     }
 
     #[test]

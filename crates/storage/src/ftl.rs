@@ -16,8 +16,6 @@ use smartsage_sim::SimDuration;
 pub struct FtlParams {
     /// Logical pages managed by the device.
     pub logical_pages: u64,
-    /// Channels to stripe consecutive logical pages across.
-    pub channels: u64,
     /// Embedded-core work per translation (map lookup in SSD DRAM).
     pub translate_cost: SimDuration,
 }
@@ -26,7 +24,6 @@ impl Default for FtlParams {
     fn default() -> Self {
         FtlParams {
             logical_pages: 128 * 1024 * 1024, // 2 TB of 16 KiB pages
-            channels: 16,
             translate_cost: SimDuration::from_nanos(300),
         }
     }
@@ -44,10 +41,9 @@ impl Ftl {
     ///
     /// # Panics
     ///
-    /// Panics if `logical_pages` or `channels` is zero.
+    /// Panics if `logical_pages` is zero.
     pub fn new(params: FtlParams) -> Self {
         assert!(params.logical_pages > 0, "logical space must be non-empty");
-        assert!(params.channels > 0, "channel count must be positive");
         Ftl {
             params,
             translations: 0,
@@ -63,7 +59,8 @@ impl Ftl {
     ///
     /// Physical placement follows the standard dynamic-allocation layout
     /// in which consecutive logical pages land on consecutive channels
-    /// ([`crate::flash::FlashArray`] assigns channel = `ppn % channels`),
+    /// ([`FlashArray::channel_of`](crate::flash::FlashArray::channel_of)
+    /// stripes by `ppn % channels`),
     /// so the mapping is the identity permutation; what the model charges
     /// for is the *work* of the map lookup ([`Ftl::translate_cost`]),
     /// which the ISP path must spend on the embedded cores per request
@@ -98,17 +95,16 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    fn ftl(pages: u64, channels: u64) -> Ftl {
+    fn ftl(pages: u64) -> Ftl {
         Ftl::new(FtlParams {
             logical_pages: pages,
-            channels,
             translate_cost: SimDuration::from_nanos(300),
         })
     }
 
     #[test]
     fn mapping_is_injective() {
-        let mut f = ftl(1024, 8);
+        let mut f = ftl(1024);
         let mut seen = BTreeSet::new();
         for lpn in 0..1024 {
             assert!(seen.insert(f.translate(lpn)), "collision at lpn {lpn}");
@@ -118,8 +114,8 @@ mod tests {
 
     #[test]
     fn consecutive_lpns_hit_distinct_channels() {
-        let mut f = ftl(1024, 8);
-        // FlashArray assigns channel = ppn % channels, so 8 consecutive
+        let mut f = ftl(1024);
+        // FlashArray::channel_of stripes by ppn % channels, so 8 consecutive
         // LPNs must land on all 8 channels.
         let channels: BTreeSet<u64> = (0..8).map(|l| f.translate(l).0 % 8).collect();
         assert_eq!(
@@ -132,6 +128,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside logical space")]
     fn out_of_range_lpn_panics() {
-        ftl(16, 4).translate(16);
+        ftl(16).translate(16);
     }
 }

@@ -49,47 +49,11 @@ impl NvmeParams {
     pub fn isp_pickup_delay(&self) -> SimDuration {
         self.isp_poll_interval / 2
     }
-
-    /// Number of logical blocks covering `bytes` starting at `byte_offset`
-    /// (i.e., blocks touched by the byte range, accounting for alignment).
-    pub fn blocks_spanning(&self, byte_offset: u64, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let first = byte_offset / self.block_bytes;
-        let last = (byte_offset + bytes - 1) / self.block_bytes;
-        last - first + 1
-    }
-
-    /// The logical block address containing `byte_offset`.
-    pub fn lba_of(&self, byte_offset: u64) -> u64 {
-        byte_offset / self.block_bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocks_spanning_counts_alignment() {
-        let p = NvmeParams::default();
-        assert_eq!(p.blocks_spanning(0, 0), 0);
-        assert_eq!(p.blocks_spanning(0, 1), 1);
-        assert_eq!(p.blocks_spanning(0, 4096), 1);
-        assert_eq!(p.blocks_spanning(0, 4097), 2);
-        assert_eq!(p.blocks_spanning(4095, 2), 2, "straddles a boundary");
-        assert_eq!(p.blocks_spanning(4096, 4096), 1);
-        assert_eq!(p.blocks_spanning(100, 8192), 3);
-    }
-
-    #[test]
-    fn lba_of_divides_by_block() {
-        let p = NvmeParams::default();
-        assert_eq!(p.lba_of(0), 0);
-        assert_eq!(p.lba_of(4095), 0);
-        assert_eq!(p.lba_of(4096), 1);
-    }
 
     #[test]
     fn pickup_delay_is_half_period() {

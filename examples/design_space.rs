@@ -61,7 +61,6 @@ fn main() {
     for channels in [4usize, 8, 16, 32] {
         let mut cfg = SystemConfig::new(SystemKind::SmartSageHwSw);
         cfg.devices.ssd.flash.channels = channels;
-        cfg.devices.ssd.ftl.channels = channels as u64;
         let thr = sampling_throughput(cfg, 12);
         println!("  {channels} channels: {thr:>8.1} batches/s");
     }

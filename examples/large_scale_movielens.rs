@@ -54,7 +54,7 @@ fn main() {
         "  full-scale locality: page cache {:.1}%, scratchpad {:.1}%, SSD buffer {:.1}%",
         rates.page_cache_hit * 100.0,
         rates.scratchpad_hit * 100.0,
-        rates.ssd_buffer_hit_host * 100.0
+        rates.ssd_buffer_hit * 100.0
     );
 
     println!("\n== End-to-end training comparison (8 workers) ==");

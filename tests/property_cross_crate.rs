@@ -93,7 +93,7 @@ proptest! {
             fanouts: (0..n_hops).map(|_| rng.range_u64(64) as u16).collect(),
             targets: (0..n_targets)
                 .map(|_| TargetDescriptor {
-                    node: NodeId::new(rng.next_u32()),
+                    node: NodeId::new((rng.next_u64() >> 32) as u32),
                     lba: rng.next_u64(),
                     offset_in_block: rng.range_u64(4096) as u16,
                     degree: rng.range_u64(1 << 40),
