@@ -9,7 +9,7 @@
 //! over-fetch the firmware ISP eliminates, so the FPGA CSD fails to beat
 //! even the software-only direct-I/O design.
 
-use super::{fetch_pages, Cursor, Priced};
+use super::{pages, Cursor, Priced};
 use crate::context::{Devices, RunContext};
 use crate::metrics::FpgaPhases;
 use smartsage_sim::{Link, SimTime, Xoshiro256};
@@ -53,7 +53,9 @@ impl FpgaPricing {
             // block-granular chunks to the FPGA, then the gather.
             let chunk_end = (c.access + params.fpga.p2p_queue_depth).min(hop.nodes.len());
             let block = params.hostio.os_page_bytes;
+            let page_bytes = devices.ssd.page_bytes();
             let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit);
+            let rng = &mut self.rng;
             let mut flash_done = t;
             let mut p2p_bytes = 0u64;
             let mut samples = 0u64;
@@ -64,7 +66,9 @@ impl FpgaPricing {
                     continue;
                 }
                 p2p_bytes += range.block_count(block) * block;
-                let fetched = fetch_pages(&mut devices.ssd, &mut self.rng, isp_hit_rate, t, range);
+                let fetched = devices.ssd.fetch_pages(t, pages(page_bytes, range), |_| {
+                    isp_hit_rate.map(|p| rng.chance(p))
+                });
                 flash_done = flash_done.max(fetched);
                 // Firmware still shepherds each P2P block command.
                 let (_, fw) = devices

@@ -21,7 +21,7 @@
 //! work on a dedicated core complex instead of the firmware-shared one
 //! (§VI-C: "dedicated, ISP-purposed embedded cores like Newport").
 
-use super::{fetch_pages, Cursor, Priced};
+use super::{pages, Cursor, Priced};
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
 use crate::nsconfig::{NsConfig, TargetDescriptor};
@@ -161,20 +161,27 @@ impl IspPricing {
                 let hop = &c.trace.hops[c.hop];
                 let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit);
                 // Core work for the chunk: per-access bookkeeping + FTL
-                // translation + per-sample gather cost. Its pages are
-                // all queued at the chunk start: the generator keeps
-                // the whole chunk in flight simultaneously.
-                let mut core_work = SimDuration::ZERO;
-                let mut flash_done = t;
-                for i in c.access..chunk_end {
-                    core_work += params.isp_access_cost
-                        + devices.ssd.ftl.translate_cost()
-                        + params.isp_sample_cost.mul_u64(hop.picks(i) as u64);
-                    let range = ctx.layout.edge_list_range(ctx.graph(), hop.nodes[i]);
-                    let fetched =
-                        fetch_pages(&mut devices.ssd, &mut self.rng, isp_hit_rate, t, range);
-                    flash_done = flash_done.max(fetched);
-                }
+                // translation + per-sample gather cost.
+                let ssd = &mut devices.ssd;
+                let core_work: SimDuration = (c.access..chunk_end)
+                    .map(|i| {
+                        params.isp_access_cost
+                            + ssd.ftl.translate_cost()
+                            + params.isp_sample_cost.mul_u64(hop.picks(i) as u64)
+                    })
+                    .sum();
+                // The generator keeps the whole chunk in flight: every
+                // page of its accesses is issued at the chunk start.
+                let page_bytes = ssd.page_bytes();
+                let chunk_pages = (c.access..chunk_end).flat_map(|i| {
+                    pages(
+                        page_bytes,
+                        ctx.layout.edge_list_range(ctx.graph(), hop.nodes[i]),
+                    )
+                });
+                let rng = &mut self.rng;
+                let flash_done =
+                    ssd.fetch_pages(t, chunk_pages, |_| isp_hit_rate.map(|p| rng.chance(p)));
                 // On the HW/SW design's shared cores `exec` inflates the
                 // work by the firmware share (paper §VI-B); the oracle's
                 // dedicated cores have none.

@@ -25,6 +25,12 @@
 //! Policies never touch the stores: a policy's output is a pure
 //! function of the traces it is fed and the step times it is driven
 //! at — the purity the figure-equivalence and proptest suites pin down.
+//!
+//! The in-device policies (`isp`, `fpga`) queue flash pages one way:
+//! each chunk's pages go to the device's one batch fetch,
+//! [`Ssd::fetch_pages`](smartsage_storage::Ssd::fetch_pages), issued at
+//! the chunk start and done on the slowest miss. The store-side ISP
+//! tiers price their `device_ns` with the same call.
 
 // Modeled time is a pure function of the trace: no host clock. Pricing
 // cannot fail on any trace; the only panics are the driver's two
@@ -52,8 +58,7 @@ use host::HostPricing;
 use isp::IspPricing;
 use mem::MemPricing;
 use smartsage_hostio::ByteRange;
-use smartsage_sim::{SimDuration, SimTime, Xoshiro256};
-use smartsage_storage::Ssd;
+use smartsage_sim::{SimDuration, SimTime};
 use smartsage_store::SampleTrace;
 use std::sync::Arc;
 
@@ -253,38 +258,15 @@ fn misuse(worker: usize, wanted: &str) -> ! {
     panic!("worker {worker} has no {wanted} batch")
 }
 
-/// The flash leg the in-device policies (`isp`, `fpga`) share, and
-/// their queueing discipline over the device's one page fetch
-/// ([`Ssd::fetch_page`]): every flash page `range` touches is issued at
-/// `at` — the chunk start, so a whole access chunk is in flight
-/// together and ends behind a barrier on its slowest read — under a
-/// verdict drawn at `hit_rate` when the full-scale locality model
-/// imposes one. Buffer hits are free and FTL cost is the caller's
-/// (pooled into the chunk's core work). Returns when the slowest
-/// *missing* page is in the buffer, `at` when none missed.
-///
-/// The store-side ISP tiers (`smartsage_store`'s `IspDevice::pass`)
-/// run the same fetch under a page-granular sliding window with
-/// per-page FTL time on the cores. Making either discipline the other
-/// moves the figure fixture or the `isp_golden` constants, so both are
-/// kept and pinned.
-fn fetch_pages(
-    ssd: &mut Ssd,
-    rng: &mut Xoshiro256,
-    hit_rate: Option<f64>,
-    at: SimTime,
-    range: ByteRange,
-) -> SimTime {
-    let Some((first, last)) = range.blocks(ssd.page_bytes()) else {
-        return at;
-    };
-    (first..=last).fold(at, |done, lpn| {
-        let forced = hit_rate.map(|p| rng.chance(p));
-        match ssd.fetch_page(at, lpn, forced) {
-            (true, _) => done,
-            (false, ready) => done.max(ready),
-        }
-    })
+/// The flash pages of `page_bytes` each that `range` touches, ascending:
+/// what the in-device policies (`isp`, `fpga`) hand
+/// [`Ssd::fetch_pages`](smartsage_storage::Ssd::fetch_pages) for one
+/// edge-list access.
+fn pages(page_bytes: u64, range: ByteRange) -> impl Iterator<Item = u64> {
+    range
+        .blocks(page_bytes)
+        .into_iter()
+        .flat_map(|(first, last)| first..=last)
 }
 
 /// The cost policy for `ctx.config.kind`, with `workers` idle slots.

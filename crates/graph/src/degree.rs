@@ -70,11 +70,6 @@ impl DegreeStats {
             xmin,
         }
     }
-
-    /// Rows of the Fig 13-style log-log series: `(degree_bucket_hi, count)`.
-    pub fn series(&self) -> Vec<(u64, u64)> {
-        self.histogram.iter().map(|(_, hi, c)| (hi, c)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -110,18 +105,6 @@ mod tests {
             "alpha {} out of plausible band",
             s.power_law_alpha
         );
-    }
-
-    #[test]
-    fn series_is_nonempty_and_sums_to_node_count() {
-        let g = generate_power_law(&PowerLawConfig {
-            nodes: 1_000,
-            seed: 2,
-            ..PowerLawConfig::default()
-        });
-        let s = DegreeStats::from_graph(&g);
-        let total: u64 = s.series().iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 1_000);
     }
 
     #[test]

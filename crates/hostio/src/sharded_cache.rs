@@ -82,11 +82,6 @@ impl ShardedPageCache {
         self.shard(page).safe_lock()
     }
 
-    /// Number of shards (always a power of two).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Actual total capacity in pages (the request rounded up to a
     /// whole number of pages per shard).
     pub fn capacity(&self) -> usize {
@@ -145,10 +140,11 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_up_to_power_of_two() {
-        assert_eq!(ShardedPageCache::new(16, 1).num_shards(), 1);
-        assert_eq!(ShardedPageCache::new(16, 3).num_shards(), 4);
-        assert_eq!(ShardedPageCache::new(16, 8).num_shards(), 8);
-        assert_eq!(ShardedPageCache::new(16, 0).num_shards(), 1);
+        let shards = |n| ShardedPageCache::new(16, n).occupancy().len();
+        assert_eq!(shards(1), 1);
+        assert_eq!(shards(3), 4);
+        assert_eq!(shards(8), 8);
+        assert_eq!(shards(0), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! is the whole point: overlapping neighborhoods share page fetches,
 //! cache hits, and ISP passes.
 
-use crate::api::{sample_response, ApiRequest, ServeError};
+use crate::api::{sample_response, ApiRequest, ServeError, MAX_REQUEST_NODES};
 use smartsage_gnn::model::ModelDims;
 use smartsage_gnn::{
     merge_batches, sample_many_on, Fanouts, GraphSageModel, Matrix, SampleSpec, SampledBatch,
@@ -291,6 +291,19 @@ impl Engine {
                 fanouts.hops()
             )));
         }
+        // Hop expansion sizes its buffers by the tree: one request must
+        // not be able to ask for more than a full-size request at the
+        // paper's fan-outs.
+        let tree = sample_tree(sample.nodes.len(), &fanouts);
+        let limit = sample_tree(MAX_REQUEST_NODES, &Fanouts::paper_default());
+        if tree > limit {
+            return Err(ServeError::BadRequest(format!(
+                "{} targets at fan-outs {:?} sample {tree} nodes; the per-request limit is \
+                 {limit} ({MAX_REQUEST_NODES} targets at the paper's fan-outs)",
+                sample.nodes.len(),
+                fanouts.as_slice()
+            )));
+        }
         Ok(fanouts)
     }
 
@@ -415,6 +428,19 @@ impl Engine {
             fill(&batch.hops[1].neighbors)?,
         ))
     }
+}
+
+/// Nodes a request of `targets` targets samples at `fanouts`:
+/// `targets × Σₖ Πⱼ≤ₖ fanoutⱼ`, saturating.
+fn sample_tree(targets: usize, fanouts: &Fanouts) -> u64 {
+    fanouts
+        .as_slice()
+        .iter()
+        .scan(targets as u64, |width, &f| {
+            *width = width.saturating_mul(f as u64);
+            Some(*width)
+        })
+        .fold(0, u64::saturating_add)
 }
 
 #[cfg(test)]

@@ -140,6 +140,37 @@ fn out_of_range_node_is_a_422_naming_the_id() {
 }
 
 #[test]
+fn an_oversized_sample_tree_is_a_400_naming_the_limit_and_the_server_keeps_serving() {
+    // Each request is within the parser's per-field limits, but its tree
+    // (billions of picks) would take the host's memory down with it.
+    let server = start(BatchPolicy::default(), HttpOptions::default());
+    let nodes = vec!["1"; 4096].join(",");
+    for (path, body) in [
+        (
+            "/v1/sample",
+            r#"{"nodes":[0],"fanouts":[1024,1024,1024,1024]}"#.to_string(),
+        ),
+        (
+            "/v1/infer",
+            format!(r#"{{"nodes":[{nodes}],"fanouts":[1024,1024]}}"#),
+        ),
+    ] {
+        let (status, reply) = oneshot(server.addr(), "POST", path, Some(&body)).unwrap();
+        assert_eq!(status, 400, "{path} -> {reply}");
+        let err = json::parse(&reply).expect("error body is valid JSON");
+        assert_eq!(
+            err.get("error").and_then(|v| v.as_str()),
+            Some("bad_request")
+        );
+        let message = err.get("message").and_then(|v| v.as_str()).unwrap();
+        assert!(message.contains("limit is 1126400"), "{message}");
+    }
+    let (status, body) = oneshot(server.addr(), "GET", "/health", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+#[test]
 fn oversized_body_is_a_413_on_the_declared_length() {
     let server = start(
         BatchPolicy::default(),

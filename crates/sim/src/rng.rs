@@ -162,14 +162,6 @@ impl Xoshiro256 {
         self.f64() < p
     }
 
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.range_usize(i + 1);
-            slice.swap(i, j);
-        }
-    }
-
     /// Derives an independent generator for a subsystem, keyed by `stream`.
     ///
     /// Deriving rather than cloning prevents accidental stream correlation
@@ -266,16 +258,6 @@ mod tests {
         let var = s2 / n as f64 - mean * mean;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -110,17 +110,6 @@ impl Histogram {
         }
         Some(Self::bucket_hi(self.buckets.len().saturating_sub(1)))
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, &c) in other.buckets.iter().enumerate() {
-            self.buckets[i] += c;
-        }
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
@@ -167,17 +156,5 @@ mod tests {
         assert!(h.quantile(1.0).unwrap() >= 1000);
         assert_eq!(Histogram::new().quantile(0.5), None);
         assert_eq!(h.quantile(1.5), None);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(3);
-        b.record(300);
-        b.record(4);
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.count_in_bucket(Histogram::bucket_of(300)), 1);
     }
 }

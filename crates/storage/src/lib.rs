@@ -21,7 +21,8 @@
 //!   in-firmware handling, polling-loop pickup latency).
 //! * [`ssd`] — the composed device, plus its PCIe link, and the one
 //!   in-device page path every model runs: [`Ssd::fetch_page`] (FTL
-//!   translate → page-buffer lookup → flash read on a miss).
+//!   translate → page-buffer lookup → flash read on a miss), queued
+//!   for every in-device page batch by [`Ssd::fetch_pages`].
 //! * [`memdev`] — DRAM and Optane-PMEM main-memory device models used by
 //!   the in-memory baselines.
 //!

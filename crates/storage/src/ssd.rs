@@ -9,7 +9,8 @@
 //! link themselves, which is exactly the point of the design — sampling
 //! happens next to the page buffer, and only sampled node IDs cross
 //! PCIe. Underneath every path, host block read or ISP, a page is
-//! brought to the buffer by the one [`Ssd::fetch_page`].
+//! brought to the buffer by the one [`Ssd::fetch_page`], and every
+//! in-device page batch is queued one way, by [`Ssd::fetch_pages`].
 
 use crate::cores::{CoreParams, EmbeddedCores};
 use crate::flash::{FlashArray, FlashParams};
@@ -85,7 +86,6 @@ pub struct Ssd {
     /// NVMe costs.
     pub nvme: NvmeParams,
     page_bytes: u64,
-    blocks_served: u64,
     bytes_to_host: u64,
 }
 
@@ -101,7 +101,6 @@ impl Ssd {
             pcie: Link::new(params.pcie.bytes_per_sec, params.pcie.latency),
             nvme: params.nvme,
             page_bytes,
-            blocks_served: 0,
             bytes_to_host: 0,
         }
     }
@@ -133,6 +132,27 @@ impl Ssd {
         (hit, ready)
     }
 
+    /// The one queueing discipline over [`Ssd::fetch_page`] for in-device
+    /// page batches (paper Fig 11, steps 3–4): every page of `pages` is
+    /// issued at `at`, so the batch is in flight together and ends on
+    /// its slowest read. `verdict` is each page's `forced`, called once
+    /// per page in the order given. Buffer hits are free here and FTL
+    /// cost is the caller's to pool into its core work. Returns when the
+    /// slowest *missing* page is in the buffer, `at` if none missed.
+    pub fn fetch_pages(
+        &mut self,
+        at: SimTime,
+        pages: impl IntoIterator<Item = u64>,
+        mut verdict: impl FnMut(u64) -> Option<bool>,
+    ) -> SimTime {
+        pages.into_iter().fold(at, |done, lpn| {
+            match self.fetch_page(at, lpn, verdict(lpn)) {
+                (true, _) => done,
+                (false, ready) => done.max(ready),
+            }
+        })
+    }
+
     /// Serves one host block-read command for `lba`, arriving at the
     /// device at `at`; `buffer_hit_override` is [`Ssd::fetch_page`]'s
     /// `forced`.
@@ -150,7 +170,6 @@ impl Ssd {
         let lpn = lba * self.nvme.block_bytes / self.page_bytes;
         let (buffer_hit, data_ready) = self.fetch_page(fw_done, lpn, buffer_hit_override);
         let done = self.pcie.transfer(data_ready, self.nvme.block_bytes);
-        self.blocks_served += 1;
         self.bytes_to_host += self.nvme.block_bytes;
         BlockRead { done, buffer_hit }
     }
@@ -166,11 +185,6 @@ impl Ssd {
     /// its completion time. Inbound traffic shares the link.
     pub fn dma_from_host(&mut self, at: SimTime, bytes: u64) -> SimTime {
         self.pcie.transfer(at, bytes)
-    }
-
-    /// Blocks served over the host block interface.
-    pub fn blocks_served(&self) -> u64 {
-        self.blocks_served
     }
 
     /// Total bytes shipped to the host (blocks + DMA payloads).
@@ -201,7 +215,6 @@ mod tests {
             "cold read too fast: {}",
             r.done
         );
-        assert_eq!(ssd.blocks_served(), 1);
         assert_eq!(ssd.bytes_to_host(), 4096);
     }
 
@@ -249,6 +262,48 @@ mod tests {
         // Forced lookups leave real residency behind.
         assert!(ssd.read_block(r3.done, 900, None).buffer_hit);
         assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (2, 2));
+    }
+
+    #[test]
+    fn a_batch_that_only_hits_is_ready_at_its_issue() {
+        let mut ssd = test_ssd(1024);
+        let filled = ssd.fetch_pages(SimTime::ZERO, 0..8, |_| None);
+        assert!(filled > SimTime::ZERO);
+        assert_eq!(ssd.fetch_pages(filled, 0..8, |_| None), filled);
+        assert_eq!(ssd.fetch_pages(filled, [900, 901], |_| Some(true)), filled);
+        assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (10, 8));
+    }
+
+    #[test]
+    fn misses_issued_together_finish_at_the_slowest_not_the_sum() {
+        let single = test_ssd(0).fetch_pages(SimTime::ZERO, [0], |_| None);
+        let mut ssd = test_ssd(0);
+        let mut twin = test_ssd(0);
+        let batch = ssd.fetch_pages(SimTime::ZERO, 0..8, |_| None);
+        let slowest = (0..8)
+            .map(|lpn| twin.fetch_pages(SimTime::ZERO, [lpn], |_| None))
+            .max()
+            .unwrap();
+        assert_eq!(batch, slowest);
+        assert!(batch >= single);
+        assert!(
+            batch.since_epoch() < single.since_epoch().mul_u64(8),
+            "8 parallel misses ({batch}) must beat 8 serial ones (8 x {single})"
+        );
+        assert_eq!(ssd.flash.pages_read(), 8);
+    }
+
+    #[test]
+    fn the_verdict_is_asked_once_per_page_in_order() {
+        let mut ssd = test_ssd(1024);
+        let mut asked = Vec::new();
+        ssd.fetch_pages(SimTime::ZERO, 10..=13, |lpn| {
+            asked.push(lpn);
+            Some(lpn % 2 == 0)
+        });
+        assert_eq!(asked, [10, 11, 12, 13]);
+        assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (2, 2));
+        assert_eq!(ssd.flash.pages_read(), 2);
     }
 
     #[test]

@@ -28,13 +28,13 @@
 //!   file tier's for the same gather sequence.
 //! * **Time** is costed per gather against a real
 //!   [`smartsage_storage::Ssd`] component model in virtual time: one
-//!   ISP command decode on the embedded cores, an FTL lookup per page,
-//!   flash page reads issued with up to
-//!   [`IspGatherOptions::queue_depth`] requests in flight (channel
-//!   parallelism, the same page fetch as the edge-list ISP cost policy
-//!   under a page-granular window — see `IspDevice::pass`), page-buffer
-//!   hits served from SSD DRAM, a per-row pack cost on the cores, and
-//!   finally the result DMA. The pages it is costed for are not
+//!   ISP command decode on the embedded cores, then the pages in chunks
+//!   of [`IspGatherOptions::queue_depth`] — each chunk's pages issued
+//!   together through [`Ssd::fetch_pages`], the edge-list ISP cost
+//!   policy's discipline (a chunk ends on its slowest flash read or its
+//!   pooled FTL lookups, whichever is later; page-buffer hits are
+//!   free) — then a per-row pack cost on the cores, and finally the
+//!   result DMA. The pages it is costed for are not
 //!   derived here: they are the plan of the media read that just
 //!   resolved the missing rows — the ascending, distinct pages the one
 //!   paged read path (`paged.rs`) handed back through
@@ -54,8 +54,6 @@
 //! run's `device_ns` is fully reproducible, a parallel sweep's is an
 //! exact account of what happened.
 
-#![expect(clippy::disallowed_types, reason = "lookup-only: never iterated")]
-
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
 use crate::shared::SharedFileStore;
@@ -64,7 +62,7 @@ use smartsage_graph::NodeId;
 use smartsage_hostio::LockExt;
 use smartsage_sim::{LruMap, SimDuration, SimTime};
 use smartsage_storage::{Ssd, SsdParams};
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -86,7 +84,6 @@ use std::sync::{Arc, Mutex};
 /// refcount bump and eviction can never invalidate bytes mid-copy.
 #[derive(Debug)]
 pub struct RowScratchpad {
-    capacity_rows: usize,
     rows: Mutex<LruMap<u32, Arc<[f32]>>>,
 }
 
@@ -96,14 +93,8 @@ impl RowScratchpad {
     pub fn new(budget_bytes: u64, row_bytes: u64) -> RowScratchpad {
         let capacity_rows = (budget_bytes / row_bytes.max(1)) as usize;
         RowScratchpad {
-            capacity_rows,
             rows: Mutex::new(LruMap::new(capacity_rows)),
         }
-    }
-
-    /// Row capacity.
-    pub fn capacity_rows(&self) -> usize {
-        self.capacity_rows
     }
 
     /// Resident rows.
@@ -137,9 +128,10 @@ impl RowScratchpad {
 /// which comes from the wrapped store's [`FileStoreOptions`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IspGatherOptions {
-    /// Flash page requests the in-device gather unit keeps in flight
-    /// simultaneously — the channel parallelism the ISP taps (paper
-    /// Fig 11, steps 3–4).
+    /// Pages per chunk of an ISP pass: the flash page requests the
+    /// in-device unit issues together and waits on before the next
+    /// chunk — the channel parallelism the ISP taps (paper Fig 11,
+    /// steps 3–4).
     pub queue_depth: usize,
     /// Device model parameters. The flash page size, FTL logical space,
     /// and page-buffer capacity are overridden at open time to match
@@ -152,7 +144,7 @@ pub struct IspGatherOptions {
 }
 
 impl Default for IspGatherOptions {
-    /// 16 in-flight pages (one per flash channel of the default
+    /// 16 pages per chunk (one per flash channel of the default
     /// geometry), OpenSSD-class device parameters, 120 ns per packed
     /// row.
     fn default() -> Self {
@@ -228,15 +220,14 @@ impl IspDevice {
         &self.ssd
     }
 
-    /// Costs one ISP pass against the device model — command decode on
-    /// the embedded cores, FTL translation + flash read (or page-buffer
-    /// hit) per page of `pages` (the plan of the read(s) that produced
-    /// `io`, in the order given) with at most `queue_depth` reads in
-    /// flight, per-row pack work on the cores, and the packed-result
-    /// DMA of `shipped` bytes — and re-scopes `io`'s transfer split:
-    /// the shared file accounted its page reads as host traffic (it is
-    /// a host-path reader); here they happened inside the device, and
-    /// only the `shipped` packed bytes crossed the link.
+    /// Costs one ISP pass against the device model and re-scopes `io`'s
+    /// transfer split. The pass is command decode on the embedded cores,
+    /// then `pages` (the plan of the read(s) that produced `io`, in the
+    /// order given) in chunks of `queue_depth`, then per-row pack work on
+    /// the cores and the packed-result DMA of `shipped` bytes. The shared
+    /// file accounted its page reads as host traffic (it is a host-path
+    /// reader); here they happened inside the device, and only the
+    /// `shipped` packed bytes crossed the link.
     pub fn pass(
         &mut self,
         mut io: StoreStats,
@@ -249,33 +240,18 @@ impl IspDevice {
         // Firmware picks the command off the queue and decodes its
         // descriptor.
         let (_, mut t) = ssd.cores.exec_raw(start, ssd.nvme.isp_command_cost);
-        // Page fetches, each the device's one `Ssd::fetch_page`, under
-        // this tier's queueing discipline: a page-granular sliding
-        // window — up to `queue_depth` fetches outstanding, a new issue
-        // waiting for the oldest once the window is full — with each
-        // page's FTL lookup scheduled on the cores and a buffer hit
-        // costing its DRAM touch. (The edge-list cost policy in
-        // `smartsage-core` issues an access chunk's pages together
-        // behind a barrier instead; `isp_golden` pins this one.)
-        let mut inflight: VecDeque<SimTime> = VecDeque::with_capacity(self.queue_depth);
-        let mut ready = t;
-        for &lpn in pages {
-            let issue = if inflight.len() >= self.queue_depth {
-                inflight.pop_front().expect("window is full").max(t)
-            } else {
-                t
-            };
-            let (_, translated) = ssd.cores.exec_raw(issue, ssd.ftl.translate_cost());
-            let (_, done) = ssd.fetch_page(translated, lpn, None);
-            ready = ready.max(done);
-            inflight.push_back(done);
-            t = t.max(issue);
+        // The ISP cost policy's chunk loop: a chunk's pages are issued
+        // together at its start, its FTL lookups are one stretch of core
+        // work, and it ends at the later of the cores and the flash.
+        for chunk in pages.chunks(self.queue_depth) {
+            let ftl = ssd.ftl.translate_cost().mul_u64(chunk.len() as u64);
+            let (_, translated) = ssd.cores.exec_raw(t, ftl);
+            let fetched = ssd.fetch_pages(t, chunk.iter().copied(), |_| None);
+            t = translated.max(fetched);
         }
         // Gather/pack next to the page buffer, then one dense DMA of
         // the packed payload back to the host.
-        let (_, packed) = ssd
-            .cores
-            .exec_raw(ready, self.pack_cost_per_row.mul_u64(rows));
+        let (_, packed) = ssd.cores.exec_raw(t, self.pack_cost_per_row.mul_u64(rows));
         let done = ssd.dma_to_host(packed, shipped);
         self.clock = done;
         let busy = done.elapsed_since(start);
@@ -368,7 +344,7 @@ impl FeatureStore for IspGatherStore {
         // (they crossed PCIe on an earlier gather); the rest — first
         // occurrence of each missing node — go to the device.
         let mut missing: Vec<NodeId> = Vec::new();
-        let mut miss_index: HashMap<u32, usize> = HashMap::new();
+        let mut miss_index: BTreeMap<u32, usize> = BTreeMap::new();
         let mut resolved: Vec<Option<Arc<[f32]>>> = Vec::with_capacity(nodes.len());
         for &node in nodes {
             if miss_index.contains_key(&node.raw()) {
@@ -581,6 +557,37 @@ mod tests {
         assert!(
             parallel.as_nanos_f64() * 2.0 < serial.as_nanos_f64(),
             "queue depth 16 ({parallel}) should far outrun depth 1 ({serial})"
+        );
+    }
+
+    #[test]
+    fn a_pass_no_longer_than_its_queue_depth_prices_as_one_chunk() {
+        let pages: Vec<u64> = (0..12).collect();
+        let file_opts = FileStoreOptions::default();
+        let file_len = 12 * file_opts.page_bytes;
+        let device_ns = |queue_depth| {
+            let opts = IspGatherOptions {
+                queue_depth,
+                ..IspGatherOptions::default()
+            };
+            let mut device = IspDevice::new(opts, file_opts, file_len);
+            device.pass(StoreStats::default(), &pages, 5, 160).device_ns
+        };
+        // One chunk by hand on a twin device: decode; all 12 fetches and
+        // the pooled FTL lookups from the same instant; pack; DMA.
+        let opts = IspGatherOptions::default();
+        let pack = opts.pack_cost_per_row.mul_u64(5);
+        let ssd = &mut IspDevice::new(opts, file_opts, file_len).ssd;
+        let (_, t) = ssd.cores.exec_raw(SimTime::ZERO, ssd.nvme.isp_command_cost);
+        let (_, translated) = ssd.cores.exec_raw(t, ssd.ftl.translate_cost().mul_u64(12));
+        let fetched = ssd.fetch_pages(t, pages.iter().copied(), |_| None);
+        let (_, packed) = ssd.cores.exec_raw(translated.max(fetched), pack);
+        let one_chunk = ssd.dma_to_host(packed, 160).since_epoch().as_nanos();
+        assert_eq!(device_ns(12), one_chunk);
+        assert_eq!(device_ns(64), one_chunk);
+        assert!(
+            device_ns(4) > one_chunk,
+            "three chunks queue behind each other"
         );
     }
 

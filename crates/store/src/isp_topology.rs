@@ -23,9 +23,9 @@
 //!   8 bytes per sampled neighbor id — never the pages they came from.
 //! * **Time** is costed per batched read against a real
 //!   [`smartsage_storage::Ssd`] component model in virtual time, with
-//!   flash reads issued at up to
-//!   [`IspGatherOptions::queue_depth`](crate::IspGatherOptions) in
-//!   flight — the same device pass the ISP feature tier pays
+//!   flash reads issued in chunks of
+//!   [`IspGatherOptions::queue_depth`](crate::IspGatherOptions) pages
+//!   — the same device pass the ISP feature tier pays
 //!   ([`mod@crate::isp`]), accumulated in [`StoreStats::device_ns`] and
 //!   [`IspSampleTopology::device_time`]. The pass is handed the plan of
 //!   the read(s) it prices — the pages [`SharedCsrFile`]'s paged reads

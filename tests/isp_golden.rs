@@ -197,14 +197,14 @@ fn isp_stats_and_device_counters_of_a_fixed_sequence_are_pinned() {
     #[rustfmt::skip]
     let golden: [(u64, Tier, Tier); 3] = [
         (512,
-         ([6, 252, 2016, 161, 81016, 18, 161, 81016, 2016, 418530], [179, 91648, 0, 179]),
-         ([3, 252, 24192, 200, 102144, 3, 200, 102144, 21408, 444710], [203, 103936, 0, 203])),
+         ([6, 252, 2016, 161, 81016, 18, 161, 81016, 2016, 435030], [179, 91648, 0, 179]),
+         ([3, 252, 24192, 200, 102144, 3, 200, 102144, 21408, 470450], [203, 103936, 0, 203])),
         (4096,
-         ([6, 252, 2016, 31, 122960, 14, 31, 122960, 2016, 260790], [39, 159744, 6, 39]),
-         ([3, 252, 24192, 52, 209280, 12, 52, 209280, 19776, 235920], [64, 262144, 0, 64])),
+         ([6, 252, 2016, 31, 122960, 14, 31, 122960, 2016, 253590], [39, 159744, 6, 39]),
+         ([3, 252, 24192, 52, 209280, 12, 52, 209280, 19776, 237740], [64, 262144, 0, 64])),
         (8192,
-         ([6, 252, 2016, 11, 88104, 19, 11, 88104, 2016, 288810], [21, 172032, 6, 21]),
-         ([3, 252, 24192, 23, 180608, 12, 23, 180608, 19776, 163020], [35, 286720, 0, 35])),
+         ([6, 252, 2016, 11, 88104, 19, 11, 88104, 2016, 284310], [21, 172032, 6, 21]),
+         ([3, 252, 24192, 23, 180608, 12, 23, 180608, 19776, 157620], [35, 286720, 0, 35])),
     ];
     for (page_bytes, topology, features) in golden {
         let want = [topology, features].map(|(fields, ssd)| (stats(fields), ssd));

@@ -3,7 +3,8 @@
 //! same batches) on the one number both report — bytes over the
 //! SSD→host link.
 //!
-//! Both run the device's one page fetch (`Ssd::fetch_page`) and both
+//! Both queue the device's page fetches one way (`Ssd::fetch_pages`:
+//! a chunk's pages issued together, done on the slowest miss) and both
 //! ship 8 bytes per sampled id. They differ on the link by a single
 //! term: a frontier node's degree. The real tier plans on the host, so
 //! it asks the device for every frontier degree (`degrees_into`: one
