@@ -130,7 +130,7 @@ pub(crate) fn future_csd_driver(scale: &ExperimentScale) -> Table {
     let dram = throughput(&p, SystemKind::Dram, scale.workers, true);
     for generation in csd_generations() {
         let mut cfg = SystemConfig::new(SystemKind::SmartSageOracle);
-        cfg.devices.oracle_cores = generation.cores.clone();
+        cfg.devices.ssd.isp.cores = Some(generation.cores.clone());
         cfg.devices.ssd.flash.read_latency = generation.flash_read_latency;
         cfg.devices.ssd.pcie.bytes_per_sec = generation.pcie_bytes_per_sec;
         let thr = throughput(&p, cfg, scale.workers, true);

@@ -113,16 +113,6 @@ pub struct DeviceParams {
     pub scratchpad_bytes: u64,
     /// SSD DRAM page-buffer capacity at full scale.
     pub ssd_buffer_bytes: u64,
-    /// Embedded cores used by the oracle CSD (dedicated, faster complex).
-    pub oracle_cores: CoreParams,
-    /// Flash-read queue depth the ISP subgraph generator sustains
-    /// (pending flash page request queue, Fig 11 step 3).
-    pub isp_queue_depth: usize,
-    /// Embedded-core work per sampled neighbor during in-storage sampling.
-    pub isp_sample_cost: SimDuration,
-    /// Embedded-core work per edge-list access (chunk locate + offset
-    /// lookup in SSD DRAM + bookkeeping).
-    pub isp_access_cost: SimDuration,
 }
 
 impl Default for DeviceParams {
@@ -145,13 +135,6 @@ impl Default for DeviceParams {
             host_cache_bytes: 16 * 1024 * 1024 * 1024,
             scratchpad_bytes: 16 * 1024 * 1024 * 1024,
             ssd_buffer_bytes: 2 * 1024 * 1024 * 1024, // 2 GB device DRAM
-            oracle_cores: CoreParams {
-                cores: 4,
-                firmware_share: 0.0,
-            },
-            isp_queue_depth: 4,
-            isp_sample_cost: SimDuration::from_nanos(350),
-            isp_access_cost: SimDuration::from_nanos(1000),
         }
     }
 }
@@ -170,12 +153,21 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Default configuration for a design point.
+    /// Default configuration for a design point. The oracle CSD runs
+    /// the ISP firmware on a dedicated, faster complex (§VI-C:
+    /// "dedicated, ISP-purposed embedded cores like Newport").
     pub fn new(kind: SystemKind) -> Self {
+        let mut devices = DeviceParams::default();
+        if kind == SystemKind::SmartSageOracle {
+            devices.ssd.isp.cores = Some(CoreParams {
+                cores: 4,
+                firmware_share: 0.0,
+            });
+        }
         SystemConfig {
             kind,
             coalescing_granularity: 1024,
-            devices: DeviceParams::default(),
+            devices,
         }
     }
 
@@ -205,10 +197,13 @@ mod tests {
     }
 
     #[test]
-    fn oracle_cores_strictly_better_than_shared() {
-        let d = DeviceParams::default();
-        assert!(d.oracle_cores.firmware_share < d.ssd.cores.firmware_share);
-        assert!(d.oracle_cores.cores >= d.ssd.cores.cores);
+    fn oracle_isp_cores_strictly_better_than_shared() {
+        let shared = SystemConfig::new(SystemKind::SmartSageHwSw).devices.ssd;
+        assert_eq!(shared.isp.cores, None, "HW/SW shares the firmware cores");
+        let oracle = SystemConfig::new(SystemKind::SmartSageOracle).devices.ssd;
+        let dedicated = oracle.isp.cores.expect("the oracle has its own complex");
+        assert!(dedicated.firmware_share < shared.cores.firmware_share);
+        assert!(dedicated.cores >= shared.cores.cores);
     }
 
     #[test]

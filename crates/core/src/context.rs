@@ -6,7 +6,6 @@ use smartsage_graph::CsrGraph;
 use smartsage_hostio::locality::{degree_buckets, lru_hit_rate};
 use smartsage_hostio::GraphFile;
 use smartsage_sim::{Link, Server};
-use smartsage_storage::cores::EmbeddedCores;
 use smartsage_storage::memdev::MemDevice;
 use smartsage_storage::ssd::SsdParams;
 use smartsage_storage::Ssd;
@@ -71,8 +70,6 @@ pub struct Devices {
     pub gpu_link: Link,
     /// The GPU itself (one training stream).
     pub gpu: Server,
-    /// Dedicated ISP cores for the oracle CSD (separate complex).
-    pub oracle_cores: EmbeddedCores,
 }
 
 impl Devices {
@@ -91,7 +88,6 @@ impl Devices {
             pmem: MemDevice::new(d.pmem.clone()),
             gpu_link: Link::new(d.gpu.pcie_bytes_per_sec, d.gpu.pcie_latency),
             gpu: Server::new(1),
-            oracle_cores: EmbeddedCores::new(d.oracle_cores.clone()),
         }
     }
 }

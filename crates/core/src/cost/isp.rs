@@ -10,23 +10,27 @@
 //!
 //! Two properties distinguish this path from the host policies:
 //!
-//! * **Internal parallelism** — the subgraph generator keeps
-//!   `isp_queue_depth` flash page requests in flight (Fig 11 step 3-4),
-//!   converting the host paths' queue-depth-1 latency chains into
+//! * **Internal parallelism** — the subgraph generator keeps a chunk of
+//!   `ssd.isp.queue_depth` edge-list accesses in flight (Fig 11 step
+//!   3-4), converting the host paths' queue-depth-1 latency chains into
 //!   channel-parallel bandwidth, and
 //! * **Transfer reduction** — only sampled node IDs cross PCIe
 //!   (Fig 10b), cutting SSD→host traffic by an order of magnitude.
 //!
-//! The same implementation serves `SmartSAGE (oracle)` by scheduling ISP
-//! work on a dedicated core complex instead of the firmware-shared one
-//! (§VI-C: "dedicated, ISP-purposed embedded cores like Newport").
+//! The firmware itself is the device's ([`Ssd::isp_decode`],
+//! [`Ssd::isp_chunk`]) — the same calls the ISP store tiers price their
+//! device time with; this policy supplies the command split, the
+//! `NSconfig` DMA, the polling-loop pickups and the result DMA. It
+//! serves `SmartSAGE (oracle)` unchanged: that configuration gives the
+//! device a dedicated ISP core complex (`ssd.isp.cores`).
+//!
+//! [`Ssd::isp_decode`]: smartsage_storage::Ssd::isp_decode
+//! [`Ssd::isp_chunk`]: smartsage_storage::Ssd::isp_chunk
 
 use super::{pages, Cursor, Priced};
-use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
 use crate::nsconfig::{NsConfig, TargetDescriptor};
-use smartsage_sim::{SimDuration, SimTime, Xoshiro256};
-use smartsage_storage::EmbeddedCores;
+use smartsage_sim::{SimTime, Xoshiro256};
 use smartsage_store::SampleTrace;
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,29 +104,17 @@ fn nsconfig(ctx: &RunContext, trace: &SampleTrace, cmd: usize, g: usize) -> NsCo
     }
 }
 
-/// ISP pricing (shared-core HW/SW or dedicated-core oracle).
+/// ISP pricing (HW/SW or oracle: the device's ISP cores decide).
 #[derive(Debug)]
 pub(super) struct IspPricing {
-    oracle: bool,
     rng: Xoshiro256,
 }
 
 impl IspPricing {
-    /// Pricing for `kind`; `SmartSageOracle` selects the dedicated-core
-    /// complex.
-    pub(super) fn new(ctx: &RunContext, kind: SystemKind) -> Self {
+    /// Pricing over `ctx`'s graph layout.
+    pub(super) fn new(ctx: &RunContext) -> Self {
         IspPricing {
-            oracle: kind == SystemKind::SmartSageOracle,
             rng: Xoshiro256::seed_from_u64(0x15B0_0002 ^ ctx.layout.total_bytes()),
-        }
-    }
-
-    /// The cores ISP work runs on.
-    fn cores<'d>(&self, devices: &'d mut Devices) -> &'d mut EmbeddedCores {
-        if self.oracle {
-            &mut devices.oracle_cores
-        } else {
-            &mut devices.ssd.cores
         }
     }
 
@@ -145,9 +137,7 @@ impl IspPricing {
                 t += params.hostio.ioctl_cost;
                 c.overhead += params.hostio.ioctl_cost;
                 t += params.ssd.nvme.isp_pickup_delay();
-                let (_, decoded) = self
-                    .cores(devices)
-                    .exec_raw(t, params.ssd.nvme.isp_command_cost);
+                let decoded = devices.ssd.isp_decode(t);
                 let dma_done = devices.ssd.dma_from_host(decoded, blob.len() as u64);
                 c.host_to_ssd += blob.len() as u64;
                 c.hop = 0;
@@ -156,37 +146,21 @@ impl IspPricing {
                 Priced::More(dma_done)
             }
             Phase::Process => {
+                // One firmware chunk of this hop's accesses: each answers
+                // its picks out of its edge list's pages.
                 let hop_end = cmd_hop_range(&c.trace, cmd, g, c.hop).1;
-                let chunk_end = (c.access + params.isp_queue_depth).min(hop_end);
                 let hop = &c.trace.hops[c.hop];
                 let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit);
-                // Core work for the chunk: per-access bookkeeping + FTL
-                // translation + per-sample gather cost.
-                let ssd = &mut devices.ssd;
-                let core_work: SimDuration = (c.access..chunk_end)
-                    .map(|i| {
-                        params.isp_access_cost
-                            + ssd.ftl.translate_cost()
-                            + params.isp_sample_cost.mul_u64(hop.picks(i) as u64)
-                    })
-                    .sum();
-                // The generator keeps the whole chunk in flight: every
-                // page of its accesses is issued at the chunk start.
-                let page_bytes = ssd.page_bytes();
-                let chunk_pages = (c.access..chunk_end).flat_map(|i| {
-                    pages(
-                        page_bytes,
-                        ctx.layout.edge_list_range(ctx.graph(), hop.nodes[i]),
-                    )
+                let page_bytes = devices.ssd.page_bytes();
+                let mut accesses = (c.access..hop_end).map(|i| {
+                    let range = ctx.layout.edge_list_range(ctx.graph(), hop.nodes[i]);
+                    (hop.picks(i) as u64, pages(page_bytes, range))
                 });
                 let rng = &mut self.rng;
-                let flash_done =
-                    ssd.fetch_pages(t, chunk_pages, |_| isp_hit_rate.map(|p| rng.chance(p)));
-                // On the HW/SW design's shared cores `exec` inflates the
-                // work by the firmware share (paper §VI-B); the oracle's
-                // dedicated cores have none.
-                let (_, core_done) = self.cores(devices).exec(t, core_work);
-                c.access = chunk_end;
+                let done = devices
+                    .ssd
+                    .isp_chunk(t, &mut accesses, |_| isp_hit_rate.map(|p| rng.chance(p)));
+                c.access = hop_end - accesses.len();
                 if c.access >= hop_end {
                     c.hop += 1;
                     if c.hop >= c.trace.hops.len() {
@@ -195,7 +169,7 @@ impl IspPricing {
                         c.access = cmd_hop_range(&c.trace, cmd, g, c.hop).0;
                     }
                 }
-                Priced::More(core_done.max(flash_done))
+                Priced::More(done)
             }
             Phase::Return => {
                 // Completion pickup by the firmware polling loop, then a
@@ -225,7 +199,7 @@ impl IspPricing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::config::{SystemConfig, SystemKind};
     use crate::cost::testutil::{price, test_context, test_trace};
     use smartsage_graph::{Dataset, DatasetProfile, GraphScale};
     use std::sync::Arc;

@@ -29,8 +29,10 @@
 //! The in-device policies (`isp`, `fpga`) queue flash pages one way:
 //! each chunk's pages go to the device's one batch fetch,
 //! [`Ssd::fetch_pages`](smartsage_storage::Ssd::fetch_pages), issued at
-//! the chunk start and done on the slowest miss. The store-side ISP
-//! tiers price their `device_ns` with the same call.
+//! the chunk start and done on the slowest miss. The `isp` policy runs
+//! the device's own ISP firmware
+//! ([`Ssd::isp_chunk`](smartsage_storage::Ssd::isp_chunk)), the same
+//! calls the store-side ISP tiers price their `device_ns` with.
 
 // Modeled time is a pure function of the trace: no host clock. Pricing
 // cannot fail on any trace; the only panics are the driver's two
@@ -276,7 +278,7 @@ pub fn make_policy(ctx: &Arc<RunContext>, workers: usize) -> CostPolicy {
         SystemKind::Dram | SystemKind::Pmem => Pricing::Mem(MemPricing::new(kind)),
         SystemKind::SsdMmap | SystemKind::SmartSageSw => Pricing::Host(HostPricing::new(ctx, kind)),
         SystemKind::SmartSageHwSw | SystemKind::SmartSageOracle => {
-            Pricing::Isp(IspPricing::new(ctx, kind))
+            Pricing::Isp(IspPricing::new(ctx))
         }
         SystemKind::FpgaCsd => Pricing::Fpga(FpgaPricing::new(ctx)),
     };

@@ -100,11 +100,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// `true` when this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
 }
 
 impl fmt::Display for JsonValue {
@@ -435,7 +430,7 @@ mod tests {
         let v = parse(r#"{"a":[1,{"b":null}],"c":"x"}"#).unwrap();
         let a = v.get("a").and_then(JsonValue::as_array).unwrap();
         assert_eq!(a.len(), 2);
-        assert!(a[1].get("b").unwrap().is_null());
+        assert_eq!(a[1].get("b"), Some(&JsonValue::Null));
         assert_eq!(v.get("c").and_then(JsonValue::as_str), Some("x"));
         assert!(v.get("missing").is_none());
     }

@@ -41,7 +41,7 @@ use smartsage_sim::Xoshiro256;
 /// ```
 /// use smartsage_gnn::Matrix;
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::eye(2);
+/// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// let c = a.matmul(&b);
 /// assert_eq!(c.at(1, 0), 3.0);
 /// ```
@@ -60,15 +60,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// The `n x n` identity.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
     }
 
     /// Builds from row slices.

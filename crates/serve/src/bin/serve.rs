@@ -106,18 +106,11 @@ fn main() {
             n => n,
         }
     };
-    let store = match value_of("--store").unwrap_or("mem") {
-        "mem" => StoreKind::Mem,
-        "file" => StoreKind::File,
-        "isp" => StoreKind::Isp,
-        other => fail_usage(&format!("--store must be mem|file|isp, got '{other}'")),
-    };
-    let topology = match value_of("--graph").unwrap_or("mem") {
-        "mem" => TopologyKind::Mem,
-        "file" => TopologyKind::File,
-        "isp" => TopologyKind::Isp,
-        other => fail_usage(&format!("--graph must be mem|file|isp, got '{other}'")),
-    };
+    let bad_tier = |flag: &str, v: &str| format!("{flag} must be mem|file|isp, got '{v}'");
+    let v = value_of("--store").unwrap_or("mem");
+    let store = StoreKind::parse(v).unwrap_or_else(|| fail_usage(&bad_tier("--store", v)));
+    let v = value_of("--graph").unwrap_or("mem");
+    let topology = TopologyKind::parse(v).unwrap_or_else(|| fail_usage(&bad_tier("--graph", v)));
     let fanouts = match value_of("--fanouts") {
         None => Fanouts::paper_default(),
         Some(spec) => {
@@ -130,9 +123,13 @@ fn main() {
             }
         }
     };
-    let avg_degree: f64 = value_of("--avg-degree").map_or(12.0, |v| {
-        v.parse()
-            .unwrap_or_else(|_| fail_usage(&format!("--avg-degree wants a number, got '{v}'")))
+    // Zero, negative and non-finite degrees fail the generator's assert
+    // or its allocation: refused here instead.
+    let avg_degree = value_of("--avg-degree").map_or(12.0, |v| match v.parse::<f64>() {
+        Ok(d) if d.is_finite() && d > 0.0 => d,
+        _ => fail_usage(&format!(
+            "--avg-degree wants a finite number above 0, got '{v}'"
+        )),
     });
     let config = EngineConfig {
         dataset: DatasetConfig {
@@ -146,7 +143,7 @@ fn main() {
         store,
         topology,
         fanouts,
-        hidden: parse("--hidden", 32) as usize,
+        hidden: positive("--hidden", 32) as usize,
         model_seed: parse("--seed", 1234),
         page_bytes: positive("--page-bytes", 4096),
         cache_pages: parse("--cache-pages", 1024) as usize,

@@ -324,18 +324,28 @@ fn a_zero_shard_count_is_a_usage_error_naming_the_flag() {
 }
 
 #[test]
+fn an_unknown_tier_is_a_usage_error_naming_the_flag() {
+    for flag in ["--store", "--graph"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args([flag, "disk"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(out.stdout.is_empty());
+        assert!(
+            err.contains(&format!("{flag} must be mem|file|isp, got 'disk'")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn zero_sizes_and_counts_are_usage_errors_naming_the_flag() {
     // Past the flag parser each zero would panic (exit 101) in the HTTP
-    // pool, the batcher, the dataset generator or the paged file.
-    for args in [
-        &["--workers", "0"][..],
-        &["--max-batch", "0"],
-        &["--queue-depth", "0"],
-        &["--dim", "0"],
-        &["--classes", "0"],
-        &["--nodes", "0"],
-        &["--store", "file", "--page-bytes", "0"],
-    ] {
+    // pool, the batcher, the dataset generator or the paged file — or,
+    // for `--hidden`, serve all-zero logits.
+    let refused = |args: &[&str], wanted: &str| {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
             .args(args)
             .output()
@@ -343,8 +353,28 @@ fn zero_sizes_and_counts_are_usage_errors_naming_the_flag() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?}");
-        let flag = args[args.len() - 2];
-        assert!(err.contains(&format!("{flag} must be at least 1")), "{err}");
+        assert!(err.contains(wanted), "{err}");
         assert!(err.contains("usage: serve"), "{err}");
+    };
+    for args in [
+        &["--workers", "0"][..],
+        &["--max-batch", "0"],
+        &["--queue-depth", "0"],
+        &["--dim", "0"],
+        &["--classes", "0"],
+        &["--nodes", "0"],
+        &["--hidden", "0"],
+        &["--store", "file", "--page-bytes", "0"],
+    ] {
+        let flag = args[args.len() - 2];
+        refused(args, &format!("{flag} must be at least 1"));
+    }
+    // A degree the generator cannot build a graph at: its assert, or an
+    // allocation failure at `inf`.
+    for degree in ["0", "-3", "nan", "inf"] {
+        refused(
+            &["--avg-degree", degree],
+            &format!("--avg-degree wants a finite number above 0, got '{degree}'"),
+        );
     }
 }

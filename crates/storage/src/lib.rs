@@ -22,7 +22,10 @@
 //! * [`ssd`] — the composed device, plus its PCIe link, and the one
 //!   in-device page path every model runs: [`Ssd::fetch_page`] (FTL
 //!   translate → page-buffer lookup → flash read on a miss), queued
-//!   for every in-device page batch by [`Ssd::fetch_pages`].
+//!   for every in-device page batch by [`Ssd::fetch_pages`]. The one
+//!   ISP firmware lives here too: [`Ssd::isp_decode`] and
+//!   [`Ssd::isp_chunk`], with their knobs in [`IspParams`], driven by
+//!   the ISP cost policy and both ISP store tiers alike.
 //! * [`memdev`] — DRAM and Optane-PMEM main-memory device models used by
 //!   the in-memory baselines.
 //!
@@ -48,4 +51,4 @@ pub use ftl::{Ftl, FtlParams};
 pub use memdev::{MemDevice, MemDeviceParams};
 pub use nvme::NvmeParams;
 pub use pagebuf::PageBuffer;
-pub use ssd::{Ssd, SsdParams};
+pub use ssd::{IspParams, Ssd, SsdParams};

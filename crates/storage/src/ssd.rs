@@ -11,6 +11,14 @@
 //! PCIe. Underneath every path, host block read or ISP, a page is
 //! brought to the buffer by the one [`Ssd::fetch_page`], and every
 //! in-device page batch is queued one way, by [`Ssd::fetch_pages`].
+//!
+//! The ISP firmware (paper Fig 11) is written once, here, with one set
+//! of knobs ([`IspParams`]): [`Ssd::isp_decode`] picks a command up and
+//! decodes it on the ISP cores, and [`Ssd::isp_chunk`] runs up to
+//! `queue_depth` of its accesses at a time — their core work pooled,
+//! their pages in flight together. The ISP cost policy and both ISP
+//! store tiers drive a command through these two calls and
+//! [`Ssd::dma_to_host`].
 
 use crate::cores::{CoreParams, EmbeddedCores};
 use crate::flash::{FlashArray, FlashParams};
@@ -38,6 +46,37 @@ impl Default for PcieParams {
     }
 }
 
+/// The ISP firmware's knobs (paper Fig 11).
+#[derive(Debug, Clone, PartialEq)]
+pub struct IspParams {
+    /// Accesses the subgraph generator keeps in flight: the pending
+    /// flash page request queue (Fig 11 step 3) holds one chunk of
+    /// this many accesses.
+    pub queue_depth: usize,
+    /// Core work per access (chunk locate + offset lookup in SSD DRAM
+    /// + bookkeeping).
+    pub access_cost: SimDuration,
+    /// Core work per answer an access produces (a sampled neighbor, a
+    /// degree, a feature row).
+    pub sample_cost: SimDuration,
+    /// A dedicated ISP core complex (Newport-like, §VI-C); `None` runs
+    /// the firmware on the shared cores.
+    pub cores: Option<CoreParams>,
+}
+
+impl Default for IspParams {
+    /// Four accesses in flight, 1 us per access, 350 ns per answer, on
+    /// the shared cores.
+    fn default() -> Self {
+        IspParams {
+            queue_depth: 4,
+            access_cost: SimDuration::from_nanos(1000),
+            sample_cost: SimDuration::from_nanos(350),
+            cores: None,
+        }
+    }
+}
+
 /// Full SSD configuration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SsdParams {
@@ -53,6 +92,8 @@ pub struct SsdParams {
     pub buffer_pages: usize,
     /// Host PCIe interface.
     pub pcie: PcieParams,
+    /// The ISP firmware.
+    pub isp: IspParams,
 }
 
 /// Controller-side touch of a page already resident in SSD DRAM.
@@ -67,10 +108,10 @@ pub struct BlockRead {
     pub buffer_hit: bool,
 }
 
-/// The composed device. Fields are public: the SmartSAGE ISP models
-/// (`smartsage-core`'s cost policies, `smartsage-store`'s ISP tiers)
-/// schedule the cores and read the component counters directly,
-/// mirroring how the real firmware owns them.
+/// The composed device. Component fields are public so the models
+/// around it (the cost policies, the ISP store tiers, the examples) can
+/// read their counters; the ISP firmware's scheduling is the device's
+/// own ([`Ssd::isp_decode`], [`Ssd::isp_chunk`]).
 #[derive(Debug, Clone)]
 pub struct Ssd {
     /// NAND array.
@@ -79,19 +120,28 @@ pub struct Ssd {
     pub ftl: Ftl,
     /// DRAM page buffer.
     pub buffer: PageBuffer,
-    /// Embedded cores (firmware + ISP).
+    /// Embedded cores (firmware, and ISP work unless a dedicated complex
+    /// is configured).
     pub cores: EmbeddedCores,
     /// Host PCIe link.
     pub pcie: Link,
     /// NVMe costs.
     pub nvme: NvmeParams,
+    isp: IspParams,
+    isp_cores: Option<EmbeddedCores>,
     page_bytes: u64,
     bytes_to_host: u64,
 }
 
 impl Ssd {
     /// Builds the device from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ISP queue depth is zero, or on a core complex
+    /// [`EmbeddedCores::new`] rejects.
     pub fn new(params: SsdParams) -> Self {
+        assert!(params.isp.queue_depth > 0, "ISP queue depth is zero");
         let page_bytes = params.flash.page_bytes;
         Ssd {
             flash: FlashArray::new(params.flash),
@@ -100,6 +150,8 @@ impl Ssd {
             cores: EmbeddedCores::new(params.cores),
             pcie: Link::new(params.pcie.bytes_per_sec, params.pcie.latency),
             nvme: params.nvme,
+            isp_cores: params.isp.cores.clone().map(EmbeddedCores::new),
+            isp: params.isp,
             page_bytes,
             bytes_to_host: 0,
         }
@@ -108,6 +160,45 @@ impl Ssd {
     /// Flash page size in bytes.
     pub fn page_bytes(&self) -> u64 {
         self.page_bytes
+    }
+
+    /// The cores the ISP firmware runs on: the dedicated complex when
+    /// one is configured, otherwise the shared [`Ssd::cores`].
+    fn isp_cores(&mut self) -> &mut EmbeddedCores {
+        self.isp_cores.as_mut().unwrap_or(&mut self.cores)
+    }
+
+    /// ISP firmware, command decode (paper Fig 11 step 2): the command
+    /// picked up at `at` is decoded on the ISP cores — firmware duty,
+    /// run as given. Returns when decoding ends.
+    pub fn isp_decode(&mut self, at: SimTime) -> SimTime {
+        let cost = self.nvme.isp_command_cost;
+        self.isp_cores().exec_raw(at, cost).1
+    }
+
+    /// ISP firmware, one chunk of a command (paper Fig 11 steps 3–5):
+    /// takes at most `queue_depth` accesses off the front of `accesses`,
+    /// each an `(answers, pages)` pair. Their core work — per access
+    /// `access_cost`, an FTL lookup and `sample_cost` per answer — is
+    /// pooled into one [`EmbeddedCores::exec`] on the ISP cores, and
+    /// their pages are issued together at `at` through
+    /// [`Ssd::fetch_pages`] (`verdict` as there). The chunk is done at
+    /// the later of the cores and the flash.
+    pub fn isp_chunk<P: IntoIterator<Item = u64>>(
+        &mut self,
+        at: SimTime,
+        accesses: &mut impl Iterator<Item = (u64, P)>,
+        verdict: impl FnMut(u64) -> Option<bool>,
+    ) -> SimTime {
+        let (queue_depth, sample_cost) = (self.isp.queue_depth, self.isp.sample_cost);
+        let per_access = self.isp.access_cost + self.ftl.translate_cost();
+        let mut work = SimDuration::ZERO;
+        let pages = accesses.take(queue_depth).flat_map(|(answers, pages)| {
+            work += per_access + sample_cost.mul_u64(answers);
+            pages
+        });
+        let flash = self.fetch_pages(at, pages, verdict);
+        self.isp_cores().exec(at, work).1.max(flash)
     }
 
     /// The one in-device page fetch (paper Fig 11): FTL translation,
@@ -304,6 +395,102 @@ mod tests {
         assert_eq!(asked, [10, 11, 12, 13]);
         assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (2, 2));
         assert_eq!(ssd.flash.pages_read(), 2);
+    }
+
+    /// One access's core work under the default ISP knobs.
+    fn access_work(ssd: &Ssd, answers: u64) -> SimDuration {
+        let isp = IspParams::default();
+        isp.access_cost + ssd.ftl.translate_cost() + isp.sample_cost.mul_u64(answers)
+    }
+
+    #[test]
+    fn a_chunk_pools_access_and_answer_work_and_ends_at_the_later_of_cores_and_flash() {
+        let mut ssd = test_ssd(1024);
+        let accesses = || [(3u64, vec![0u64, 1]), (0, vec![2])].into_iter();
+        let work = access_work(&ssd, 3) + access_work(&ssd, 0);
+        // The twins: one pooled stretch on the shared cores, the three
+        // pages issued together.
+        let mut cores = EmbeddedCores::new(CoreParams::default());
+        let (_, pooled) = cores.exec(SimTime::ZERO, work);
+        let flash = test_ssd(1024).fetch_pages(SimTime::ZERO, [0, 1, 2], |_| None);
+        let cold = ssd.isp_chunk(SimTime::ZERO, &mut accesses(), |_| None);
+        assert!(flash > pooled, "cold pages: the flash is the later");
+        assert_eq!(cold, flash);
+        // Every page is buffered now: the chunk ends with its cores.
+        let warm = ssd.isp_chunk(cold, &mut accesses(), |_| None);
+        assert_eq!(warm, cores.exec(cold, work).1);
+        assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (3, 3));
+    }
+
+    #[test]
+    fn a_dedicated_complex_runs_its_work_uninflated_and_leaves_the_shared_cores_idle() {
+        let dedicated = CoreParams {
+            cores: 4,
+            firmware_share: 0.0,
+        };
+        let mut ssd = Ssd::new(SsdParams {
+            buffer_pages: 1024,
+            isp: IspParams {
+                cores: Some(dedicated),
+                ..IspParams::default()
+            },
+            ..SsdParams::default()
+        });
+        let decoded = ssd.isp_decode(SimTime::ZERO);
+        assert_eq!(decoded, SimTime::ZERO + ssd.nvme.isp_command_cost);
+        let work = access_work(&ssd, 2);
+        let hit = |_| Some(true);
+        let done = ssd.isp_chunk(decoded, &mut [(2, [7])].into_iter(), hit);
+        assert_eq!(done, decoded + work, "no firmware-share inflation");
+        assert_eq!(
+            ssd.isp_cores().busy_time(),
+            ssd.nvme.isp_command_cost + work
+        );
+        assert!(ssd.cores.busy_time().is_zero(), "shared cores stay idle");
+        // Without a dedicated complex the same chunk runs inflated on
+        // the shared cores.
+        let mut shared = test_ssd(1024);
+        let done = shared.isp_chunk(SimTime::ZERO, &mut [(2, [7])].into_iter(), hit);
+        assert_eq!(done, SimTime::ZERO + work.mul_f64(1.0 / 0.7));
+        assert_eq!(shared.cores.busy_time(), shared.isp_cores().busy_time());
+    }
+
+    #[test]
+    fn a_command_of_n_accesses_at_queue_depth_q_prices_as_ceil_n_over_q_chunks() {
+        for q in 1..=5 {
+            for n in 0..=12usize {
+                let mut ssd = Ssd::new(SsdParams {
+                    buffer_pages: 64,
+                    isp: IspParams {
+                        queue_depth: q,
+                        ..IspParams::default()
+                    },
+                    ..SsdParams::default()
+                });
+                let mut accesses = (0..n).map(|i| (1, [i as u64]));
+                let (mut t, mut chunks) = (SimTime::ZERO, 0);
+                while accesses.len() > 0 {
+                    let before = accesses.len();
+                    t = ssd.isp_chunk(t, &mut accesses, |_| None);
+                    assert_eq!(before - accesses.len(), q.min(before), "q {q} n {n}");
+                    chunks += 1;
+                }
+                assert_eq!(chunks, n.div_ceil(q), "q {q} n {n}");
+                assert_eq!(ssd.flash.pages_read(), n as u64);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "queue depth")]
+    fn zero_queue_depth_is_rejected() {
+        Ssd::new(SsdParams {
+            isp: IspParams {
+                queue_depth: 0,
+                ..IspParams::default()
+            },
+            ..SsdParams::default()
+        });
     }
 
     #[test]

@@ -50,7 +50,7 @@
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
-use crate::paged::{PagedFile, Planned};
+use crate::paged::{PagedFile, Plan, Planned};
 use crate::StoreStats;
 use smartsage_graph::{CsrGraph, NodeId};
 use smartsage_hostio::{ByteRange, ReadEngine};
@@ -366,15 +366,14 @@ impl SharedCsrFile {
     /// Resolves `ranges` (each `N` whole u64 entries) through the paged
     /// read path and hands `each` the range's index and LE values, in
     /// request order (an entry may straddle a page boundary under odd
-    /// page sizes). Returns the read's plan — the ascending, distinct
-    /// pages it resolved.
+    /// page sizes). Returns the read's plan.
     fn read_entries<const N: usize>(
         &self,
-        ranges: &[ByteRange],
+        ranges: Vec<ByteRange>,
         io: &mut StoreStats,
         mut each: impl FnMut(usize, [u64; N]) -> Result<(), StoreError>,
-    ) -> Result<Vec<u64>, StoreError> {
-        let mut staged = self.paged.read(ranges, io)?;
+    ) -> Result<Plan, StoreError> {
+        let mut staged = self.paged.read(&ranges, io)?;
         let mut spill = [0u8; 2 * GRAPH_ENTRY_BYTES as usize];
         let mut raw = [0u8; GRAPH_ENTRY_BYTES as usize];
         for (i, &range) in ranges.iter().enumerate() {
@@ -386,7 +385,7 @@ impl SharedCsrFile {
             }
             each(i, entries)?;
         }
-        Ok(staged.into_plan())
+        Ok(staged.into_plan(ranges))
     }
 
     /// Reads the `(start, end)` offset pair of every node in `nodes`,
@@ -414,7 +413,7 @@ impl SharedCsrFile {
             .collect();
         let mut io = StoreStats::default();
         let mut pairs = Vec::with_capacity(nodes.len());
-        let plan = self.read_entries(&ranges, &mut io, |i, [start, end]| {
+        let plan = self.read_entries(ranges, &mut io, |i, [start, end]| {
             if start > end {
                 return Err(self.corrupt(format!(
                     "offsets out of monotone order at node {}: {start} > {end}",
@@ -443,7 +442,7 @@ impl SharedCsrFile {
         &self,
         edges: &[u64],
         out: &mut [NodeId],
-    ) -> Result<(StoreStats, Vec<u64>), StoreError> {
+    ) -> Result<(StoreStats, Plan), StoreError> {
         for &e in edges {
             if e >= self.num_edges {
                 return Err(self.corrupt(format!(
@@ -460,7 +459,7 @@ impl SharedCsrFile {
             })
             .collect();
         let mut io = StoreStats::default();
-        let plan = self.read_entries(&ranges, &mut io, |i, [raw]| {
+        let plan = self.read_entries(ranges, &mut io, |i, [raw]| {
             if raw >= self.num_nodes as u64 {
                 return Err(self.corrupt(format!(
                     "neighbor id {raw} at edge index {} is past the {}-node bound",
@@ -477,19 +476,19 @@ impl SharedCsrFile {
     /// (`out.len() == picks.len()`): one offset pair per maximal run
     /// of equal consecutive nodes locates and validates that run's
     /// picks, then the picked edge entries resolve in one read.
-    /// Returns the combined exact I/O deltas and the batch's plan: the
-    /// offset read's pages, then the edge read's. Shared by
-    /// [`FileTopology`](crate::FileTopology) and
+    /// Returns the combined exact I/O deltas and the plans of the offset
+    /// read (a range per run) and the edge read (a range per pick).
+    /// Shared by [`FileTopology`](crate::FileTopology) and
     /// [`IspSampleTopology`](crate::IspSampleTopology) so the two
     /// tiers' validation and error wording can never drift.
     pub(crate) fn resolve_picks(
         &self,
         picks: &[(NodeId, u64)],
         out: &mut [NodeId],
-    ) -> Result<(StoreStats, Vec<u64>), StoreError> {
+    ) -> Result<(StoreStats, [Plan; 2]), StoreError> {
         let same_parent = |a: &(NodeId, u64), b: &(NodeId, u64)| a.0 == b.0;
         let parents: Vec<NodeId> = picks.chunk_by(same_parent).map(|run| run[0].0).collect();
-        let (pairs, mut io, mut plan) = self.offset_pairs(&parents)?;
+        let (pairs, mut io, offset_plan) = self.offset_pairs(&parents)?;
         let mut edges = Vec::with_capacity(picks.len());
         for (run, &(start, end)) in picks.chunk_by(same_parent).zip(&pairs) {
             for &(node, k) in run {
@@ -505,13 +504,7 @@ impl SharedCsrFile {
         }
         let (edge_io, edge_plan) = self.edge_targets(&edges, out)?;
         io.accumulate(&edge_io);
-        // The edge array begins where the offset array ends, so the two
-        // plans concatenate ascending. A page size that does not divide
-        // the arrays' 4096-byte alignment puts that boundary inside one
-        // page, which both reads may have resolved: it is kept once.
-        let shared = plan.last().is_some_and(|p| edge_plan.first() == Some(p));
-        plan.extend_from_slice(&edge_plan[usize::from(shared)..]);
-        Ok((io, plan))
+        Ok((io, [offset_plan, edge_plan]))
     }
 
     // Read-ahead is gone; this stub leaves with its last caller

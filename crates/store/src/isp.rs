@@ -27,20 +27,21 @@
 //!   holds only requested rows, the ISP tier's host bytes undercut the
 //!   file tier's for the same gather sequence.
 //! * **Time** is costed per gather against a real
-//!   [`smartsage_storage::Ssd`] component model in virtual time: one
-//!   ISP command decode on the embedded cores, then the pages in chunks
-//!   of [`IspGatherOptions::queue_depth`] — each chunk's pages issued
-//!   together through [`Ssd::fetch_pages`], the edge-list ISP cost
-//!   policy's discipline (a chunk ends on its slowest flash read or its
-//!   pooled FTL lookups, whichever is later; page-buffer hits are
-//!   free) — then a per-row pack cost on the cores, and finally the
-//!   result DMA. The pages it is costed for are not
-//!   derived here: they are the plan of the media read that just
-//!   resolved the missing rows — the ascending, distinct pages the one
-//!   paged read path (`paged.rs`) handed back through
-//!   [`SharedFileStore`] — so the model can only be priced for pages
-//!   that were actually resolved. The accumulated busy time is reported
-//!   in [`StoreStats::device_ns`] and [`IspGatherStore::device_time`].
+//!   [`smartsage_storage::Ssd`] component model in virtual time, run
+//!   through the one ISP firmware the edge-list cost policy prices the
+//!   figures with: the gather is one command of one access per missing
+//!   row, in request order — [`Ssd::isp_decode`], then
+//!   [`Ssd::isp_chunk`] over `ssd.isp.queue_depth` accesses at a time
+//!   (each row one answer; a chunk's core work pooled, its pages issued
+//!   together, done at the later of the cores and the flash), then the
+//!   packed-result DMA. The pages an access is costed for are not
+//!   derived here: they are the pages its row was the first to need in
+//!   the plan of the media read that just resolved the missing rows,
+//!   handed back by the one paged read path (`paged.rs`) through
+//!   [`SharedFileStore`] — so each resolved page is fetched once per
+//!   command, and the model can only be priced for pages that were
+//!   actually resolved. The accumulated busy time is reported in
+//!   [`StoreStats::device_ns`] and [`IspGatherStore::device_time`].
 //!
 //! The device timing model keeps its *own* page-buffer LRU
 //! ([`smartsage_storage::PageBuffer`], looked up only through
@@ -63,7 +64,6 @@ use smartsage_hostio::LockExt;
 use smartsage_sim::{LruMap, SimDuration, SimTime};
 use smartsage_storage::{Ssd, SsdParams};
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// The host driver's row-granular gather scratchpad.
@@ -124,37 +124,13 @@ impl RowScratchpad {
     }
 }
 
-/// Tuning knobs for the ISP gather tier (on top of the file geometry,
-/// which comes from the wrapped store's [`FileStoreOptions`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IspGatherOptions {
-    /// Pages per chunk of an ISP pass: the flash page requests the
-    /// in-device unit issues together and waits on before the next
-    /// chunk — the channel parallelism the ISP taps (paper Fig 11,
-    /// steps 3–4).
-    pub queue_depth: usize,
-    /// Device model parameters. The flash page size, FTL logical space,
-    /// and page-buffer capacity are overridden at open time to match
-    /// the feature file's geometry; everything else (channel counts,
-    /// latencies, PCIe link) is taken as configured.
-    pub ssd: SsdParams,
-    /// Embedded-core work to locate and pack one feature row out of the
-    /// page buffer.
-    pub pack_cost_per_row: SimDuration,
-}
-
-impl Default for IspGatherOptions {
-    /// 16 pages per chunk (one per flash channel of the default
-    /// geometry), OpenSSD-class device parameters, 120 ns per packed
-    /// row.
-    fn default() -> Self {
-        IspGatherOptions {
-            queue_depth: 16,
-            ssd: SsdParams::default(),
-            pack_cost_per_row: SimDuration::from_nanos(120),
-        }
-    }
-}
+/// Knobs of the ISP tiers: none. The device model is the default
+/// [`SsdParams`] aligned to the file's geometry, and its firmware knobs
+/// are [`SsdParams::isp`]. The constructors still take this because the
+/// `benchmark/` package passes it; it goes when that package is ported.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IspGatherOptions {}
 
 /// A [`FeatureStore`] whose gathers execute device-side against an SSD
 /// timing model, shipping only packed feature rows to the host.
@@ -177,86 +153,70 @@ pub struct IspGatherStore {
 /// ([`crate::IspSampleTopology`]), one per member device.
 #[derive(Debug)]
 pub(crate) struct IspDevice {
-    ssd: Ssd,
-    queue_depth: usize,
-    pack_cost_per_row: SimDuration,
+    pub ssd: Ssd,
     /// Each pass starts where the previous one finished, so
     /// shared-resource contention (cores, channels, PCIe) accumulates
-    /// across a run exactly like in the edge-list policies.
+    /// across a run exactly like in the edge-list policies — and the
+    /// clock is the device's total busy time.
     clock: SimTime,
-    device_time: SimDuration,
 }
 
 impl IspDevice {
-    /// A device aligned to the geometry of the `file_len`-byte file it
-    /// serves: flash pages are the store's I/O pages, the FTL covers
-    /// the whole file, and the device page buffer matches the payload
-    /// cache capacity.
-    pub fn new(opts: IspGatherOptions, file_opts: FileStoreOptions, file_len: u64) -> IspDevice {
-        assert!(opts.queue_depth > 0, "queue depth must be positive");
-        let mut params = opts.ssd;
+    /// A default device aligned to the geometry of the `file_len`-byte
+    /// file it serves: flash pages are the store's I/O pages, the FTL
+    /// covers the whole file, and the device page buffer matches the
+    /// payload cache capacity.
+    pub fn new(file_opts: FileStoreOptions, file_len: u64) -> IspDevice {
+        let mut params = SsdParams::default();
         params.flash.page_bytes = file_opts.page_bytes;
         params.ftl.logical_pages = params
             .ftl
             .logical_pages
             .max(file_len.div_ceil(file_opts.page_bytes).max(1));
         params.buffer_pages = file_opts.cache_pages;
+        IspDevice::from_params(params)
+    }
+
+    /// A device over exactly `params`, its clock at zero. Panics, as
+    /// [`Ssd::new`] does, on parameters the model rejects.
+    pub fn from_params(params: SsdParams) -> IspDevice {
         IspDevice {
             ssd: Ssd::new(params),
-            queue_depth: opts.queue_depth,
-            pack_cost_per_row: opts.pack_cost_per_row,
             clock: SimTime::ZERO,
-            device_time: SimDuration::ZERO,
         }
     }
 
     /// Total modeled busy time across all passes so far.
     pub fn device_time(&self) -> SimDuration {
-        self.device_time
+        self.clock.since_epoch()
     }
 
-    /// The composed device model.
-    pub fn ssd(&self) -> &Ssd {
-        &self.ssd
-    }
-
-    /// Costs one ISP pass against the device model and re-scopes `io`'s
-    /// transfer split. The pass is command decode on the embedded cores,
-    /// then `pages` (the plan of the read(s) that produced `io`, in the
-    /// order given) in chunks of `queue_depth`, then per-row pack work on
-    /// the cores and the packed-result DMA of `shipped` bytes. The shared
-    /// file accounted its page reads as host traffic (it is a host-path
-    /// reader); here they happened inside the device, and only the
-    /// `shipped` packed bytes crossed the link.
-    pub fn pass(
+    /// Costs one ISP command against the device's firmware and re-scopes
+    /// `io`'s transfer split. The command is `accesses` in request
+    /// order, each `(answers, pages)` — the pages it was the first to
+    /// need in the read(s) that produced `io`. The firmware decodes the
+    /// command, runs its accesses a chunk at a time, and DMAs the
+    /// `shipped` packed bytes back. The shared file accounted its page
+    /// reads as host traffic (it is a host-path reader); here they
+    /// happened inside the device, and only the `shipped` bytes crossed
+    /// the link.
+    pub fn pass<P: IntoIterator<Item = u64>>(
         &mut self,
         mut io: StoreStats,
-        pages: &[u64],
-        rows: u64,
+        accesses: impl Iterator<Item = (u64, P)>,
         shipped: u64,
     ) -> StoreStats {
         let ssd = &mut self.ssd;
         let start = self.clock;
-        // Firmware picks the command off the queue and decodes its
-        // descriptor.
-        let (_, mut t) = ssd.cores.exec_raw(start, ssd.nvme.isp_command_cost);
-        // The ISP cost policy's chunk loop: a chunk's pages are issued
-        // together at its start, its FTL lookups are one stretch of core
-        // work, and it ends at the later of the cores and the flash.
-        for chunk in pages.chunks(self.queue_depth) {
-            let ftl = ssd.ftl.translate_cost().mul_u64(chunk.len() as u64);
-            let (_, translated) = ssd.cores.exec_raw(t, ftl);
-            let fetched = ssd.fetch_pages(t, chunk.iter().copied(), |_| None);
-            t = translated.max(fetched);
+        let mut t = ssd.isp_decode(start);
+        let mut accesses = accesses.peekable();
+        while accesses.peek().is_some() {
+            t = ssd.isp_chunk(t, &mut accesses, |_| None);
         }
-        // Gather/pack next to the page buffer, then one dense DMA of
-        // the packed payload back to the host.
-        let (_, packed) = ssd.cores.exec_raw(t, self.pack_cost_per_row.mul_u64(rows));
-        let done = ssd.dma_to_host(packed, shipped);
-        self.clock = done;
-        let busy = done.elapsed_since(start);
-        self.device_time += busy;
-        io.device_ns = busy.as_nanos();
+        self.clock = ssd.dma_to_host(t, shipped);
+        // Whole nanoseconds of the clock, so the passes' `device_ns` sum
+        // to `device_time` exactly.
+        io.device_ns = self.clock.since_epoch().as_nanos() - start.since_epoch().as_nanos();
         io.device_bytes_read = io.bytes_read;
         io.host_bytes_transferred = shipped;
         io
@@ -267,29 +227,13 @@ impl IspGatherStore {
     /// Wraps an already-open shared store in the ISP gather tier,
     /// joining the host row scratchpad every ISP run of that store
     /// shares ([`SharedFileStore::isp_scratchpad`]).
-    pub fn over(shared: Arc<SharedFileStore>, opts: IspGatherOptions) -> IspGatherStore {
+    pub fn over(shared: Arc<SharedFileStore>, _: IspGatherOptions) -> IspGatherStore {
         IspGatherStore {
-            device: IspDevice::new(opts, shared.options(), shared.file_len()),
+            device: IspDevice::new(shared.options(), shared.file_len()),
             scratchpad: shared.isp_scratchpad(),
             shared,
             stats: StoreStats::default(),
         }
-    }
-
-    /// The shared store serving this tier's media reads.
-    pub fn shared(&self) -> &Arc<SharedFileStore> {
-        &self.shared
-    }
-
-    /// The host row scratchpad this run shares with every other ISP
-    /// run over the same feature file.
-    pub fn scratchpad(&self) -> &Arc<RowScratchpad> {
-        &self.scratchpad
-    }
-
-    /// The file this store reads from.
-    pub fn path(&self) -> &Path {
-        self.shared.path()
     }
 
     /// Total modeled device-side time across all gathers so far.
@@ -302,7 +246,7 @@ impl IspGatherStore {
     /// The composed device model (for inspecting component counters —
     /// flash pages read, buffer hit ratio, PCIe bytes moved).
     pub fn ssd(&self) -> &Ssd {
-        self.device.ssd()
+        &self.device.ssd
     }
 }
 
@@ -367,13 +311,14 @@ impl FeatureStore for IspGatherStore {
             // media I/O, bit-identical values. Its per-call deltas are
             // the device reads of this gather.
             let (media, plan) = self.shared.gather_planned(&missing, &mut miss_buf)?;
-            // The pages that read resolved drive the timing model's
-            // FTL/flash/buffer sequence; only the packed missing rows
+            // One firmware access per missing row, answering its row out
+            // of the pages it first needed; only the packed missing rows
             // cross the link.
+            let (pages, ends) = plan.first_needs();
+            let row = |i: usize| (1, pages[ends[i]..ends[i + 1]].iter().copied());
             let shipped = missing.len() as u64 * dim as u64 * 4;
-            io = self
-                .device
-                .pass(media, &plan, missing.len() as u64, shipped);
+            let accesses = (0..missing.len()).map(row);
+            io = self.device.pass(media, accesses, shipped);
             // Publish the freshly shipped rows to the scratchpad.
             for (j, &node) in missing.iter().enumerate() {
                 let row: Arc<[f32]> = miss_buf[j * dim..(j + 1) * dim].into();
@@ -415,23 +360,26 @@ mod tests {
     use super::*;
     use crate::{write_feature_file, InMemoryStore, ScratchFile, StoreHandle};
     use smartsage_graph::FeatureTable;
+    use std::path::Path;
 
     /// An ISP tier over its own one-stripe open of `path`.
-    fn isp_over(
-        path: &Path,
-        file_opts: FileStoreOptions,
-        opts: IspGatherOptions,
-    ) -> IspGatherStore {
-        let shared = SharedFileStore::open_with(path, file_opts, 1).unwrap();
-        IspGatherStore::over(Arc::new(shared), opts)
+    fn isp_default(path: &Path) -> IspGatherStore {
+        let shared = SharedFileStore::open_with(path, FileStoreOptions::default(), 1).unwrap();
+        IspGatherStore::over(Arc::new(shared), IspGatherOptions::default())
     }
 
-    fn isp_default(path: &Path) -> IspGatherStore {
-        isp_over(
-            path,
-            FileStoreOptions::default(),
-            IspGatherOptions::default(),
-        )
+    /// A device at ISP queue depth `queue_depth` with 4 KiB pages and no
+    /// page buffer.
+    fn device_at(queue_depth: usize) -> IspDevice {
+        let mut params = SsdParams::default();
+        params.flash.page_bytes = 4096;
+        params.isp.queue_depth = queue_depth;
+        IspDevice::from_params(params)
+    }
+
+    /// `n` accesses of one answer, each first needing its own page.
+    fn one_page_each(n: u64) -> impl Iterator<Item = (u64, [u64; 1])> {
+        (0..n).map(|page| (1, [page]))
     }
 
     fn write_table(tag: &str, dim: usize, nodes: usize) -> (ScratchFile, FeatureTable) {
@@ -535,22 +483,11 @@ mod tests {
 
     #[test]
     fn queue_depth_widens_flash_parallelism() {
-        let (path, _) = write_table("isp-qd", 32, 256);
-        let nodes: Vec<NodeId> = (0..256u32).map(NodeId::new).collect();
-        let time_at = |qd: usize| {
-            let mut isp = isp_over(
-                path.path(),
-                FileStoreOptions {
-                    cache_pages: 0, // every gather re-reads: pure flash path
-                    ..FileStoreOptions::default()
-                },
-                IspGatherOptions {
-                    queue_depth: qd,
-                    ..IspGatherOptions::default()
-                },
-            );
-            isp.gather(&nodes).unwrap();
-            isp.device_time()
+        // 256 accesses, each missing its own page: pure flash path.
+        let time_at = |queue_depth| {
+            let mut device = device_at(queue_depth);
+            device.pass(StoreStats::default(), one_page_each(256), 0);
+            device.device_time()
         };
         let serial = time_at(1);
         let parallel = time_at(16);
@@ -562,27 +499,18 @@ mod tests {
 
     #[test]
     fn a_pass_no_longer_than_its_queue_depth_prices_as_one_chunk() {
-        let pages: Vec<u64> = (0..12).collect();
-        let file_opts = FileStoreOptions::default();
-        let file_len = 12 * file_opts.page_bytes;
         let device_ns = |queue_depth| {
-            let opts = IspGatherOptions {
-                queue_depth,
-                ..IspGatherOptions::default()
-            };
-            let mut device = IspDevice::new(opts, file_opts, file_len);
-            device.pass(StoreStats::default(), &pages, 5, 160).device_ns
+            let mut device = device_at(queue_depth);
+            device
+                .pass(StoreStats::default(), one_page_each(12), 160)
+                .device_ns
         };
-        // One chunk by hand on a twin device: decode; all 12 fetches and
-        // the pooled FTL lookups from the same instant; pack; DMA.
-        let opts = IspGatherOptions::default();
-        let pack = opts.pack_cost_per_row.mul_u64(5);
-        let ssd = &mut IspDevice::new(opts, file_opts, file_len).ssd;
-        let (_, t) = ssd.cores.exec_raw(SimTime::ZERO, ssd.nvme.isp_command_cost);
-        let (_, translated) = ssd.cores.exec_raw(t, ssd.ftl.translate_cost().mul_u64(12));
-        let fetched = ssd.fetch_pages(t, pages.iter().copied(), |_| None);
-        let (_, packed) = ssd.cores.exec_raw(translated.max(fetched), pack);
-        let one_chunk = ssd.dma_to_host(packed, 160).since_epoch().as_nanos();
+        // One chunk by hand on a twin device: decode, all 12 accesses,
+        // the DMA.
+        let ssd = &mut device_at(12).ssd;
+        let decoded = ssd.isp_decode(SimTime::ZERO);
+        let chunk = ssd.isp_chunk(decoded, &mut one_page_each(12), |_| None);
+        let one_chunk = ssd.dma_to_host(chunk, 160).since_epoch().as_nanos();
         assert_eq!(device_ns(12), one_chunk);
         assert_eq!(device_ns(64), one_chunk);
         assert!(
@@ -603,14 +531,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "queue depth")]
     fn zero_queue_depth_is_rejected() {
-        let (path, _) = write_table("isp-zeroqd", 4, 5);
-        let _ = isp_over(
-            path.path(),
-            FileStoreOptions::default(),
-            IspGatherOptions {
-                queue_depth: 0,
-                ..IspGatherOptions::default()
-            },
-        );
+        let _ = device_at(0);
     }
 }

@@ -22,16 +22,17 @@
 //!   answer (the host RNG needs the degrees to draw positions) and
 //!   8 bytes per sampled neighbor id — never the pages they came from.
 //! * **Time** is costed per batched read against a real
-//!   [`smartsage_storage::Ssd`] component model in virtual time, with
-//!   flash reads issued in chunks of
-//!   [`IspGatherOptions::queue_depth`](crate::IspGatherOptions) pages
-//!   — the same device pass the ISP feature tier pays
-//!   ([`mod@crate::isp`]), accumulated in [`StoreStats::device_ns`] and
-//!   [`IspSampleTopology::device_time`]. The pass is handed the plan of
-//!   the read(s) it prices — the pages [`SharedCsrFile`]'s paged reads
-//!   just resolved: a degree batch's offset pages; a pick batch's
-//!   offset pages followed by its edge pages. This tier never turns an
-//!   id into a page itself.
+//!   [`smartsage_storage::Ssd`] component model in virtual time: each
+//!   call is one command through the device's ISP firmware, the same
+//!   pass the ISP feature tier pays ([`mod@crate::isp`]), accumulated
+//!   in [`StoreStats::device_ns`] and [`IspSampleTopology::device_time`].
+//!   A degree batch is one access per node, answering its degree out
+//!   of its offset pages; a pick batch is one access per run of equal
+//!   consecutive parents, answering the run's picks out of its offset
+//!   pair's pages and its picks' edge pages. An access brings only the
+//!   pages it was the first to need in [`SharedCsrFile`]'s paged reads,
+//!   so each resolved page is fetched once per command. This tier never
+//!   turns an id into a page itself.
 //!
 //! Like [`IspGatherStore`](crate::IspGatherStore), the device timing
 //! model keeps its own page-buffer LRU seeded only by this store's
@@ -47,7 +48,6 @@ use crate::StoreStats;
 use smartsage_graph::NodeId;
 use smartsage_sim::SimDuration;
 use smartsage_storage::Ssd;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Bytes per id/degree answer shipped over the modeled link.
@@ -71,22 +71,12 @@ pub struct IspSampleTopology {
 impl IspSampleTopology {
     /// Wraps an already-open shared graph file in the ISP sampling
     /// tier, with a device model aligned to the file geometry.
-    pub fn over(shared: Arc<SharedCsrFile>, opts: IspGatherOptions) -> IspSampleTopology {
+    pub fn over(shared: Arc<SharedCsrFile>, _: IspGatherOptions) -> IspSampleTopology {
         IspSampleTopology {
-            device: IspDevice::new(opts, shared.options(), shared.file_len()),
+            device: IspDevice::new(shared.options(), shared.file_len()),
             shared,
             stats: StoreStats::default(),
         }
-    }
-
-    /// The shared graph file serving this tier's media reads.
-    pub fn shared(&self) -> &Arc<SharedCsrFile> {
-        &self.shared
-    }
-
-    /// The file this store reads from.
-    pub fn path(&self) -> &Path {
-        self.shared.path()
     }
 
     /// Total modeled device-side time across all reads so far.
@@ -98,7 +88,7 @@ impl IspSampleTopology {
 
     /// The composed device model (for inspecting component counters).
     pub fn ssd(&self) -> &Ssd {
-        self.device.ssd()
+        &self.device.ssd
     }
 }
 
@@ -113,14 +103,17 @@ impl TopologyStore for IspSampleTopology {
 
     fn degrees_into(&mut self, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
         check_out_len(nodes.len(), out)?;
-        // Device-side offset walk; the host receives one packed 8-byte
-        // degree per node (it draws the sample positions).
-        let (pairs, io, pages) = self.shared.offset_pairs(nodes)?;
+        // Device-side offset walk, one access per node; the host
+        // receives one packed 8-byte degree per node (it draws the
+        // sample positions).
+        let (pairs, io, plan) = self.shared.offset_pairs(nodes)?;
         for (slot, (start, end)) in out.iter_mut().zip(pairs) {
             *slot = end - start;
         }
+        let (pages, ends) = plan.first_needs();
+        let accesses = (0..nodes.len()).map(|i| (1, pages[ends[i]..ends[i + 1]].iter().copied()));
         let shipped = nodes.len() as u64 * ENTRY_BYTES;
-        let io = self.device.pass(io, &pages, nodes.len() as u64, shipped);
+        let io = self.device.pass(io, accesses, shipped);
         self.stats.accumulate(&io);
         count_answers(&mut self.stats, nodes.len() as u64);
         Ok(())
@@ -136,12 +129,20 @@ impl TopologyStore for IspSampleTopology {
         // the slices, edge entries resolve the picks (shared with the
         // file tier via [`SharedCsrFile::resolve_picks`]), and only
         // the dense sampled-id list is DMAed back.
-        let (io, pages) = self.shared.resolve_picks(picks, out)?;
-        // One device pass covers the pages of both the offset walk and
-        // the edge reads (firmware chains them without surfacing to the
-        // host).
+        let (io, [offsets, edges]) = self.shared.resolve_picks(picks, out)?;
+        // One device command covers the offset walk and the edge reads
+        // (firmware chains them without surfacing to the host): one
+        // access per run of equal parents — its offset pair, then its
+        // picks' edges — answering the run's picks.
+        let runs: Vec<usize> = picks.chunk_by(|a, b| a.0 == b.0).map(<[_]>::len).collect();
+        let plan = offsets.interleave(edges, runs.iter().copied());
+        let (pages, ends) = plan.first_needs();
+        let accesses = runs.iter().scan(0, |at, &n| {
+            let first = std::mem::replace(at, *at + 1 + n);
+            Some((n as u64, pages[ends[first]..ends[*at]].iter().copied()))
+        });
         let shipped = picks.len() as u64 * ENTRY_BYTES;
-        let io = self.device.pass(io, &pages, picks.len() as u64, shipped);
+        let io = self.device.pass(io, accesses, shipped);
         self.stats.accumulate(&io);
         // One logical device command per batch, uniform with the other
         // tiers' access-counter convention.
@@ -167,6 +168,8 @@ mod tests {
     use crate::ScratchFile;
     use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
     use smartsage_graph::CsrGraph;
+    use smartsage_storage::SsdParams;
+    use std::path::Path;
 
     fn graph(nodes: usize, seed: u64) -> CsrGraph {
         generate_power_law(&PowerLawConfig {
@@ -178,9 +181,9 @@ mod tests {
     }
 
     /// An ISP tier over its own one-stripe open of `path`.
-    fn isp_over(path: &Path, opts: IspGatherOptions) -> IspSampleTopology {
+    fn isp_over(path: &Path) -> IspSampleTopology {
         let shared = SharedCsrFile::open_with(path, FileStoreOptions::default(), 1).unwrap();
-        IspSampleTopology::over(Arc::new(shared), opts)
+        IspSampleTopology::over(Arc::new(shared), IspGatherOptions::default())
     }
 
     fn write_graph(tag: &str, g: &CsrGraph) -> ScratchFile {
@@ -194,7 +197,7 @@ mod tests {
         let g = graph(80, 0x90);
         let file = write_graph("isp-topo-equiv", &g);
         let mut mem = InMemoryTopology::new(g);
-        let mut isp = isp_over(file.path(), IspGatherOptions::default());
+        let mut isp = isp_over(file.path());
         assert_eq!(isp.num_nodes(), mem.num_nodes());
         assert_eq!(isp.num_edges(), mem.num_edges());
         let nodes: Vec<NodeId> = (0..80u32).map(NodeId::new).collect();
@@ -220,7 +223,7 @@ mod tests {
     fn only_packed_ids_cross_the_host_link() {
         let g = graph(600, 0x91);
         let file = write_graph("isp-topo-host", &g);
-        let mut isp = isp_over(file.path(), IspGatherOptions::default());
+        let mut isp = isp_over(file.path());
         let mut disk = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
         // Scattered picks across the whole id space: the file tier
         // pays whole offset+edge pages per pick, the ISP tier ships
@@ -266,7 +269,7 @@ mod tests {
     fn failed_reads_cost_nothing() {
         let g = graph(10, 0x92);
         let file = write_graph("isp-topo-err", &g);
-        let mut isp = isp_over(file.path(), IspGatherOptions::default());
+        let mut isp = isp_over(file.path());
         let mut out = [0u64];
         assert!(isp.degrees_into(&[NodeId::new(10)], &mut out).is_err());
         assert_eq!(isp.stats(), StoreStats::default());
@@ -274,16 +277,57 @@ mod tests {
     }
 
     #[test]
+    fn a_page_that_two_accesses_need_is_fetched_once_per_command() {
+        // 600 nodes: at 8192-byte pages the offset array ends inside
+        // page 1, where the edge array (at 12288) begins.
+        let g = graph(600, 0x93);
+        let file = write_graph("isp-topo-once", &g);
+        let opts = FileStoreOptions {
+            page_bytes: 8192,
+            cache_pages: 64,
+        };
+        let shared = SharedCsrFile::open_with(file.path(), opts, 1).unwrap();
+        let mut isp = IspSampleTopology::over(Arc::new(shared), IspGatherOptions::default());
+        let lookups = |isp: &IspSampleTopology| isp.ssd().buffer.hits() + isp.ssd().buffer.misses();
+        // Nodes 0 and 1 share offset page 0, and node 0 is asked twice.
+        let mut degrees = [0u64; 3];
+        isp.degrees_into(&[0u32, 1, 0].map(NodeId::new), &mut degrees)
+            .unwrap();
+        assert_eq!(lookups(&isp), 1);
+        // A low parent: offset pair on page 0, first edge on page 1. A
+        // high one: offset pair on page 1, first edge past it. Page 1
+        // is fetched for whichever run needs it first, once.
+        let low = g.node_ids().find(|&n| g.degree(n) > 0).unwrap();
+        let high = NodeId::new(599);
+        assert!(g.degree(high) > 0 && g.edge_list_start(high) >= 512);
+        assert!(g.edge_list_start(low) < 512);
+        let mut out = [NodeId::default(); 2];
+        for (round, picks) in [[(low, 0), (high, 0)], [(high, 0), (low, 0)]]
+            .into_iter()
+            .enumerate()
+        {
+            let before = lookups(&isp);
+            isp.pick_neighbors_into(&picks, &mut out).unwrap();
+            assert_eq!(
+                lookups(&isp) - before,
+                3,
+                "round {round}: pages 0, 1, high's edge"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "queue depth")]
     fn zero_queue_depth_is_rejected() {
         let g = graph(10, 0x93);
         let file = write_graph("isp-topo-qd", &g);
-        let _ = isp_over(
-            file.path(),
-            IspGatherOptions {
-                queue_depth: 0,
-                ..IspGatherOptions::default()
-            },
-        );
+        let shared = SharedCsrFile::open_with(file.path(), FileStoreOptions::default(), 1).unwrap();
+        let mut params = SsdParams::default();
+        params.isp.queue_depth = 0;
+        let _ = IspSampleTopology {
+            shared: Arc::new(shared),
+            device: IspDevice::from_params(params),
+            stats: StoreStats::default(),
+        };
     }
 }

@@ -7,11 +7,12 @@
 //! [`SharedCsrFile`](crate::SharedCsrFile) `u64` entries) turn a
 //! request into byte ranges and decode what comes back. It is the only
 //! code that turns a byte range into page numbers, and the pages a
-//! [`PagedFile::read`] resolved are handed back as that read's **plan**
-//! ([`StagedPages::into_plan`]): the format layers pass it up beside
-//! their I/O deltas, and the ISP tiers cost exactly that list — nobody
-//! derives the pages of a request a second time. Every read follows
-//! one algorithm:
+//! [`PagedFile::read`] resolved are handed back with its ranges as that
+//! read's **plan** ([`StagedPages::into_plan`]): the format layers pass
+//! it up beside their I/O deltas, and the ISP tiers cost exactly those
+//! pages, each with the first range to need it ([`Plan::first_needs`])
+//! — nobody derives the pages of a request a second time. Every read
+//! follows one algorithm:
 //!
 //! 1. **Plan** — the distinct pages the ranges touch, merged into
 //!    maximal contiguous runs ([`merge_page_runs`]); pure address
@@ -52,7 +53,62 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Decoded values, the call's exact I/O deltas, and the read's plan.
-pub(crate) type Planned<T> = (T, StoreStats, Vec<u64>);
+pub(crate) type Planned<T> = (T, StoreStats, Plan);
+
+/// A read's plan: the ranges it was planned from, in request order, and
+/// every page it resolved for them, ascending and distinct — each
+/// counted exactly once into the read's `page_hits` or `pages_read`.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    ranges: Vec<ByteRange>,
+    pages: Vec<u64>,
+    page_bytes: u64,
+}
+
+impl Plan {
+    /// The pages each range was the first to need, in request order, as
+    /// `(pages, ends)`: range `i` first needed `pages[ends[i]..ends[i +
+    /// 1]]`, so every page of the plan is listed once, with the first
+    /// range that touches it. Only the ISP tiers ask, so only they pay.
+    pub fn first_needs(&self) -> (Vec<u64>, Vec<usize>) {
+        let mut needed = vec![false; self.pages.len()];
+        let (mut pages, mut ends, mut at) = (Vec::new(), vec![0], 0);
+        for range in &self.ranges {
+            if let Some((first, last)) = range.blocks(self.page_bytes) {
+                // Ascending ranges step to the next staged page; others
+                // search.
+                if self.pages[at] != first {
+                    at = if self.pages.get(at + 1) == Some(&first) {
+                        at + 1
+                    } else {
+                        self.pages.partition_point(|&page| page < first)
+                    };
+                }
+                let staged = at..=at + (last - first) as usize;
+                let new = staged.filter(|&i| !std::mem::replace(&mut needed[i], true));
+                pages.extend(new.map(|i| self.pages[i]));
+            }
+            ends.push(pages.len());
+        }
+        (pages, ends)
+    }
+
+    /// This plan with `next`'s interleaved in: each range of this plan
+    /// followed by as many of `next`'s as `counts` gives it, so first
+    /// needs run in that order. `next` reads at or past this plan's last
+    /// page (the edge array follows the offset array); a page both reads
+    /// resolved is listed once.
+    pub fn interleave(mut self, next: Plan, counts: impl Iterator<Item = usize>) -> Plan {
+        let mut later = next.ranges.into_iter();
+        for (range, count) in std::mem::take(&mut self.ranges).into_iter().zip(counts) {
+            self.ranges.push(range);
+            self.ranges.extend(later.by_ref().take(count));
+        }
+        self.pages.extend(next.pages);
+        self.pages.dedup();
+        self
+    }
+}
 
 /// An open file read page-wise through a shared cache (module docs).
 #[derive(Debug)]
@@ -108,11 +164,13 @@ impl StagedPages {
         spill
     }
 
-    /// The read's plan: every page it resolved, ascending and distinct
-    /// — each one counted exactly once into the read's `page_hits` or
-    /// `pages_read`.
-    pub fn into_plan(self) -> Vec<u64> {
-        self.pages.into_iter().map(|(page, _)| page).collect()
+    /// The read's plan, over the `ranges` it was planned from.
+    pub fn into_plan(self, ranges: Vec<ByteRange>) -> Plan {
+        Plan {
+            ranges,
+            pages: self.pages.into_iter().map(|(page, _)| page).collect(),
+            page_bytes: self.page_bytes,
+        }
     }
 }
 
@@ -355,6 +413,18 @@ mod tests {
             plan.sort_unstable();
             plan.dedup();
             let planned = plan.len() as u64;
+            // The first needs, derived independently: each range's pages
+            // that no earlier range touched.
+            let first_needs = |ranges: &[ByteRange]| {
+                let mut seen = std::collections::BTreeSet::new();
+                let (mut pages, mut ends) = (Vec::new(), vec![0]);
+                for r in ranges {
+                    let touched = r.offset / page_bytes..=(r.offset + r.len - 1) / page_bytes;
+                    pages.extend(touched.filter(|&p| seen.insert(p)));
+                    ends.push(pages.len());
+                }
+                (pages, ends)
+            };
             for (cache_pages, ranges) in [0usize, 1, 64]
                 .into_iter()
                 .flat_map(|c| orders.iter().map(move |o| (c, o)))
@@ -366,7 +436,9 @@ mod tests {
                 check(&mut staged, ranges, &what);
                 // The cursor follows any order, not just the read's.
                 check(&mut staged, &orders[0], &what);
-                assert_eq!(staged.into_plan(), plan, "{what} cold");
+                let cold_plan = staged.into_plan(ranges.clone());
+                assert_eq!(cold_plan.pages, plan, "{what} cold");
+                assert_eq!(cold_plan.first_needs(), first_needs(ranges), "{what}");
                 assert_eq!(cold.page_hits, 0);
                 assert_eq!(cold.pages_read, planned, "every planned page read once");
                 assert_eq!(cold.page_misses, planned);
@@ -377,7 +449,11 @@ mod tests {
                 let mut again = StoreStats::default();
                 let mut restaged = paged.read(ranges, &mut again).unwrap();
                 check(&mut restaged, ranges, &what);
-                assert_eq!(restaged.into_plan(), plan, "{what} warm");
+                assert_eq!(
+                    restaged.into_plan(ranges.clone()).pages,
+                    plan,
+                    "{what} warm"
+                );
                 assert_eq!(again.page_hits + again.pages_read, planned);
                 assert_eq!(again.pages_read, again.page_misses);
                 match cache_pages {

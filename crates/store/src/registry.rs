@@ -413,19 +413,6 @@ impl StoreRegistry {
         out
     }
 
-    /// Drops every cached page of every open store, and every row of
-    /// their ISP scratchpads (the files stay open and published). A
-    /// sweep calls this on its own registry — a no-op there, but it is
-    /// also how tests cold-start the global one.
-    pub fn clear_caches(&self) {
-        for store in open_files(&self.entries) {
-            store.clear_cache();
-        }
-        for graph in open_files(&self.graph_entries) {
-            graph.clear_cache();
-        }
-    }
-
     /// Closes every open store. Outstanding handles keep their `Arc`s
     /// alive; the registry just forgets them, so the next open is
     /// fresh.
@@ -711,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_and_clear_caches() {
+    fn occupancy_follows_residency_and_close_all_forgets() {
         let reg = StoreRegistry::new();
         let t = table(0xCAFE);
         let store = reg
@@ -725,7 +712,7 @@ mod tests {
         assert!(occ[0].resident_pages() > 0);
         assert_eq!(occ[0].capacity_pages, store.cache_capacity());
         assert_eq!(occ[0].path, store.path());
-        reg.clear_caches();
+        store.clear_cache();
         assert_eq!(reg.occupancy()[0].resident_pages(), 0);
         reg.close_all();
         assert!(reg.is_empty());
@@ -735,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_caches_reaches_the_isp_row_scratchpad() {
+    fn clear_cache_reaches_the_isp_row_scratchpad() {
         use crate::{FeatureStore, IspGatherOptions, IspGatherStore};
         let reg = StoreRegistry::new();
         let store = reg
@@ -753,9 +740,9 @@ mod tests {
         assert!(cold.0 > 0 && cold.1 > 0);
         assert_eq!(store.isp_scratchpad().len(), 40);
         assert_eq!(gather(), (0, 0), "resident rows are never re-shipped");
-        reg.clear_caches();
+        store.clear_cache();
         assert_eq!(store.isp_scratchpad().len(), 0);
-        assert_eq!(gather(), cold, "a cleared registry starts cold");
+        assert_eq!(gather(), cold, "a cleared store starts cold");
         let _ = std::fs::remove_file(store.path());
     }
 
@@ -798,7 +785,7 @@ mod tests {
         assert!(occ
             .iter()
             .any(|o| o.path == a.path() && o.resident_pages() > 0));
-        reg.clear_caches();
+        a.clear_cache();
         assert!(reg.occupancy().iter().all(|o| o.resident_pages() == 0));
         reg.close_all();
         assert!(reg.is_empty());

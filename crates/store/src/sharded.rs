@@ -315,7 +315,7 @@ impl ShardedFeatureStore {
         opts: IspGatherOptions,
     ) -> Result<ShardedFeatureStore, StoreError> {
         ShardedFeatureStore::build_over(files, move |f| {
-            Box::new(IspGatherStore::over(Arc::clone(f), opts.clone()))
+            Box::new(IspGatherStore::over(Arc::clone(f), opts))
         })
     }
 
@@ -480,7 +480,7 @@ impl ShardedTopology {
         opts: IspGatherOptions,
     ) -> Result<ShardedTopology, StoreError> {
         ShardedTopology::build_over(files, ranges, move |f| {
-            Box::new(IspSampleTopology::over(Arc::clone(f), opts.clone()))
+            Box::new(IspSampleTopology::over(Arc::clone(f), opts))
         })
     }
 

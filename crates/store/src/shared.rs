@@ -31,7 +31,7 @@
 use crate::error::StoreError;
 use crate::file::{FileStoreOptions, RawFeatureFile, HEADER_BYTES};
 use crate::isp::RowScratchpad;
-use crate::paged::PagedFile;
+use crate::paged::{PagedFile, Plan};
 use crate::StoreStats;
 use smartsage_graph::generate::community_of;
 use smartsage_graph::NodeId;
@@ -196,13 +196,13 @@ impl SharedFileStore {
     }
 
     /// [`SharedFileStore::gather_into`], plus the plan of the read it
-    /// executed: the ascending, distinct pages backing `nodes`' rows
+    /// executed: a range per row of `nodes` and the pages backing them
     /// (the ISP tier's timing-model input).
     pub(crate) fn gather_planned(
         &self,
         nodes: &[NodeId],
         out: &mut [f32],
-    ) -> Result<(StoreStats, Vec<u64>), StoreError> {
+    ) -> Result<(StoreStats, Plan), StoreError> {
         if out.len() != nodes.len() * self.dim {
             return Err(StoreError::BadBuffer {
                 expected: nodes.len() * self.dim,
@@ -228,7 +228,7 @@ impl SharedFileStore {
         io.gathers = 1;
         io.nodes_gathered = nodes.len() as u64;
         io.feature_bytes = nodes.len() as u64 * self.dim as u64 * 4;
-        Ok((io, staged.into_plan()))
+        Ok((io, staged.into_plan(ranges)))
     }
 }
 

@@ -76,7 +76,7 @@ fn main() {
     println!("\n== Ablation 4: ISP flash queue depth (single worker) ==");
     for depth in [1usize, 2, 4, 8, 16, 32] {
         let mut cfg = SystemConfig::new(SystemKind::SmartSageHwSw);
-        cfg.devices.isp_queue_depth = depth;
+        cfg.devices.ssd.isp.queue_depth = depth;
         let thr = sampling_throughput(cfg, 1);
         println!("  depth {depth:>2}: {thr:>8.1} batches/s");
     }

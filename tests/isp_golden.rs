@@ -2,14 +2,15 @@
 //! device model's flash / page-buffer traffic of one fixed, seeded
 //! request sequence, pinned digit for digit.
 //!
-//! `device_ns` is a pure function of the page plan each read hands
-//! [`IspGatherStore`] / [`IspSampleTopology`]'s device model, in order.
-//! Every other suite only checks it is positive; this one fails when a
-//! change to the paged read path alters which pages a read reports, or
-//! the order it reports them in. Page size 8192 does not divide the
-//! graph file's 4096-byte array alignment, so there the last offset
-//! page is also the first edge page and a pick batch must count it
-//! once.
+//! `device_ns` is a pure function of the accesses each call hands
+//! [`IspGatherStore`] / [`IspSampleTopology`]'s device firmware: their
+//! answers and the pages each was the first to need, in order. Every
+//! other suite only checks it is positive; this one fails when a change
+//! to the paged read path alters which pages a read reports, or the
+//! order it reports them in, or when the firmware's pricing moves. Page
+//! size 8192 does not divide the graph file's 4096-byte array
+//! alignment, so there the last offset page is also the first edge page
+//! and a pick batch must fetch it once.
 //!
 //! A second table pins the same sequence through the file tiers
 //! ([`FileTopology`] + [`StoreHandle`]) on a private engine: every
@@ -197,14 +198,14 @@ fn isp_stats_and_device_counters_of_a_fixed_sequence_are_pinned() {
     #[rustfmt::skip]
     let golden: [(u64, Tier, Tier); 3] = [
         (512,
-         ([6, 252, 2016, 161, 81016, 18, 161, 81016, 2016, 435030], [179, 91648, 0, 179]),
-         ([3, 252, 24192, 200, 102144, 3, 200, 102144, 21408, 470450], [203, 103936, 0, 203])),
+         ([6, 252, 2016, 161, 81016, 18, 161, 81016, 2016, 1546092], [179, 91648, 0, 179]),
+         ([3, 252, 24192, 200, 102144, 3, 200, 102144, 21408, 1500690], [203, 103936, 0, 203])),
         (4096,
-         ([6, 252, 2016, 31, 122960, 14, 31, 122960, 2016, 253590], [39, 159744, 6, 39]),
-         ([3, 252, 24192, 52, 209280, 12, 52, 209280, 19776, 237740], [64, 262144, 0, 64])),
+         ([6, 252, 2016, 31, 122960, 14, 31, 122960, 2016, 967692], [38, 155648, 7, 38]),
+         ([3, 252, 24192, 52, 209280, 12, 52, 209280, 19776, 1169545], [61, 249856, 3, 61])),
         (8192,
-         ([6, 252, 2016, 11, 88104, 19, 11, 88104, 2016, 284310], [21, 172032, 6, 21]),
-         ([3, 252, 24192, 23, 180608, 12, 23, 180608, 19776, 157620], [35, 286720, 0, 35])),
+         ([6, 252, 2016, 11, 88104, 19, 11, 88104, 2016, 920555], [19, 155648, 8, 19]),
+         ([3, 252, 24192, 23, 180608, 12, 23, 180608, 19776, 1028979], [29, 237568, 6, 29])),
     ];
     for (page_bytes, topology, features) in golden {
         let want = [topology, features].map(|(fields, ssd)| (stats(fields), ssd));

@@ -3,17 +3,20 @@
 //! same batches) on the one number both report — bytes over the
 //! SSD→host link.
 //!
-//! Both queue the device's page fetches one way (`Ssd::fetch_pages`:
-//! a chunk's pages issued together, done on the slowest miss) and both
-//! ship 8 bytes per sampled id. They differ on the link by a single
-//! term: a frontier node's degree. The real tier plans on the host, so
-//! it asks the device for every frontier degree (`degrees_into`: one
-//! 8-byte answer per node, SSD→host). The model's subgraph generator
-//! plans inside the device: the targets' degrees arrive host→SSD in
-//! `NSconfig`, deeper hops' degrees are read next to the page buffer,
-//! and none is ever shipped back. This is the minimal form of ROADMAP
-//! item 8(b); the file-tier and flash-page legs of the audit are still
-//! open there.
+//! Both run the device's one ISP firmware (`Ssd::isp_decode`, then
+//! `Ssd::isp_chunk` over `ssd.isp.queue_depth` accesses at a time: core
+//! work pooled, pages issued together, done at the later of the cores
+//! and the flash) and both ship 8 bytes per sampled id. They differ on
+//! the link by a single term: a frontier node's degree. The real tier
+//! plans on the host, so it asks the device for every frontier degree
+//! (`degrees_into`: one command per hop, one 8-byte answer per node,
+//! SSD→host) — the known term device-side sampling (ROADMAP item
+//! 11(b)) removes, from the link and the device time alike. The
+//! model's subgraph generator plans inside the device: the targets'
+//! degrees arrive host→SSD in `NSconfig`, deeper hops' degrees are read
+//! next to the page buffer, and none is ever shipped back. This is the
+//! minimal form of ROADMAP item 8(b); the file-tier and flash-page legs
+//! of the audit are still open there.
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
