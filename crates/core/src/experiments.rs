@@ -28,7 +28,7 @@
 use crate::ablations;
 use crate::config::{SystemConfig, SystemKind};
 use crate::context::RunContext;
-use crate::pipeline::{run_pipeline, PipelineConfig, PipelineReport, SamplerKind};
+use crate::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
 use crate::report::{num, pct, speedup, Cell, Table};
 use smartsage_gnn::sampler::{epoch_targets, plan_sample_on};
 use smartsage_gnn::Fanouts;
@@ -337,7 +337,7 @@ impl Prepared {
     }
 
     /// [`Prepared::run`] with the cell's [`PipelineConfig`] adjusted by
-    /// `tweak` first (batch shape, sampler, fan-outs).
+    /// `tweak` first (batch shape, fan-outs).
     pub fn run_with(
         &self,
         config: impl Into<SystemConfig>,
@@ -365,18 +365,6 @@ impl Prepared {
     pub fn one_batch(&self, config: impl Into<SystemConfig>) -> PipelineReport {
         self.run_with(config, 1, false, |cfg| cfg.total_batches = 1)
     }
-}
-
-/// Runs one system end-to-end (train) or data-preparation-only: the
-/// one-cell spelling of [`Prepared::run`] on the large-scale variant.
-pub fn run_system(
-    dataset: Dataset,
-    kind: SystemKind,
-    scale: &ExperimentScale,
-    workers: usize,
-    train: bool,
-) -> PipelineReport {
-    Prepared::of(dataset, GraphScale::LargeScale, scale).run(kind, workers, train)
 }
 
 /// Every dataset's large-scale variant, prepared in paper order.
@@ -860,9 +848,10 @@ fn fig20_driver(scale: &ExperimentScale) -> Table {
     );
     let mut hw_all = Vec::new();
     for (d, p) in large_scale(scale) {
+        // Four-step random walks: one neighbor per step.
         let run = |k: SystemKind| {
             p.run_with(k, scale.workers, true, |cfg| {
-                cfg.sampler = SamplerKind::SaintWalk { length: 4 }
+                cfg.fanouts = Fanouts::new(vec![1; 4])
             })
         };
         let mmap = run(SystemKind::SsdMmap);
@@ -1021,8 +1010,12 @@ mod tests {
         assert!(Arc::ptr_eq(&a.data.graph, &b.data.graph));
         assert_ne!(a.config, b.config);
         assert_ne!(a.locality, b.locality);
-        // `run_system` is the seam's `run`, field for field.
-        let cell = run_system(Dataset::Amazon, SystemKind::SmartSageSw, &scale, 2, true);
+        // A freshly prepared dataset runs the same cell, field for field.
+        let cell = Prepared::of(Dataset::Amazon, GraphScale::LargeScale, &scale).run(
+            SystemKind::SmartSageSw,
+            2,
+            true,
+        );
         let seam = p.run(SystemKind::SmartSageSw, 2, true);
         assert_eq!(format!("{cell:?}"), format!("{seam:?}"));
         assert_eq!(seam.batches, scale.batches);

@@ -21,7 +21,6 @@ use crate::cost::{make_policy, BatchCost, CostPolicy, StepOutcome};
 use crate::metrics::{FpgaPhases, StageBreakdown, TransferStats};
 use crate::store_metrics;
 use smartsage_gnn::gpu::BatchDims;
-use smartsage_gnn::saint::plan_random_walk;
 use smartsage_gnn::sampler::{epoch_targets, sample_on};
 use smartsage_gnn::{Fanouts, SampledBatch};
 use smartsage_graph::NodeId;
@@ -33,16 +32,13 @@ use smartsage_store::{
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Which sampling algorithm drives the pipeline.
+// Every sampler is a fan-out spec now (`PipelineConfig::fanouts`), so
+// this is accepted and read by nothing. The enum and
+// `PipelineConfig::sampler` stay only while `benchmark/` spells them.
+#[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SamplerKind {
-    /// GraphSAGE fan-out sampling (the paper's default).
     GraphSage,
-    /// GraphSAINT random walks (Fig 20).
-    SaintWalk {
-        /// Steps per walk.
-        length: usize,
-    },
 }
 
 /// Pipeline configuration.
@@ -54,7 +50,9 @@ pub struct PipelineConfig {
     pub total_batches: usize,
     /// Targets per mini-batch.
     pub batch_size: usize,
-    /// Sampling fan-outs.
+    /// Sampling fan-outs, the run's one hop spec: `[25, 10]` is the
+    /// paper's GraphSAGE tree, and `[1; L]` is a GraphSAINT random walk
+    /// of `L` steps (Fig 20).
     pub fanouts: Fanouts,
     /// Work-queue depth (mini-batches buffered ahead of the GPU).
     pub queue_depth: usize,
@@ -64,7 +62,7 @@ pub struct PipelineConfig {
     pub classes: u64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Sampling algorithm.
+    #[doc(hidden)]
     pub sampler: SamplerKind,
     /// `false` measures data preparation only (Figs 14-17): batches are
     /// consumed instantly and the GPU plays no part.
@@ -81,11 +79,9 @@ pub struct PipelineConfig {
     /// report's I/O section changes.
     pub store: StoreKind,
     /// Topology-store tier neighbor sampling reads the graph through;
-    /// [`PipelineReport::topology_stats`] records the exact I/O.
-    /// GraphSAGE batches are sampled through the store in one pass
-    /// (plan and subgraph together); the GraphSAINT walk planner stays
-    /// on the in-memory CSR (walks are control-flow-dependent per
-    /// step), and its plans resolve through the store. Like
+    /// [`PipelineReport::topology_stats`] records the exact I/O. Every
+    /// batch, fan-out tree or walk, is sampled through the store in one
+    /// pass (plan and subgraph together). Like
     /// [`PipelineConfig::store`], the tier never perturbs simulated
     /// time.
     pub topology: TopologyKind,
@@ -174,9 +170,11 @@ impl PipelineReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A worker's event carries its in-flight batch from the moment the
+/// batch's trace is handed to the cost policy until the policy reports
+/// it finished, so the batch has exactly one owner.
 enum Event {
-    Worker(usize),
+    Worker(usize, PlannedBatch),
     Gpu,
 }
 
@@ -226,21 +224,19 @@ fn open_tiers(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> OpenTiers {
 }
 
 /// One mini-batch as sampled at plan time: the subgraph and its sorted
-/// distinct node list (what the feature gather fetches). Parked per
-/// worker from the moment its trace is handed to the cost policy until
-/// [`finish_batch`].
+/// distinct node list (what the feature gather fetches). It rides its
+/// worker's [`Event::Worker`] until [`finish_batch`].
 struct PlannedBatch {
     batch: SampledBatch,
     nodes: Vec<NodeId>,
 }
 
-/// Samples batch `index` of the epoch through the topology store, once:
-/// GraphSAGE hop expansion draws the plan and resolves the subgraph in
-/// one [`sample_on`] pass — both bit-identical across tiers by the
-/// determinism contract, only the I/O accounting differs — while
-/// GraphSAINT walk plans, drawn on the in-memory CSR, resolve through
-/// the store. Returns the byte trace the pass recorded (the
-/// modeled-cost input), moved out of the plan, with the batch.
+/// Samples batch `index` of the epoch through the topology store in
+/// one [`sample_on`] pass over `cfg.fanouts` (a walk is fan-out 1 per
+/// step): the plan and the subgraph together, both bit-identical across
+/// tiers by the determinism contract, only the I/O accounting differs.
+/// Returns the byte trace the pass recorded (the modeled-cost input),
+/// moved out of the plan, with the batch.
 ///
 /// # Panics
 ///
@@ -252,20 +248,10 @@ fn plan_batch(
     topology: &mut dyn TopologyStore,
     index: usize,
 ) -> (SampleTrace, PlannedBatch) {
-    let graph = ctx.graph();
-    let targets = epoch_targets(graph.num_nodes(), cfg.batch_size, index, cfg.seed);
+    let targets = epoch_targets(ctx.graph().num_nodes(), cfg.batch_size, index, cfg.seed);
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
-    let (plan, batch) = match &cfg.sampler {
-        SamplerKind::GraphSage => sample_on(topology, &targets, &cfg.fanouts, &mut rng)
-            .unwrap_or_else(|e| panic!("producer topology sampling failed: {e}")),
-        SamplerKind::SaintWalk { length } => {
-            let plan = plan_random_walk(graph, &targets, *length, &mut rng);
-            let batch = plan
-                .resolve_on(topology)
-                .unwrap_or_else(|e| panic!("producer topology resolve failed: {e}"));
-            (plan, batch)
-        }
-    };
+    let (plan, batch) = sample_on(topology, &targets, &cfg.fanouts, &mut rng)
+        .unwrap_or_else(|e| panic!("producer topology sampling failed: {e}"));
     let nodes = batch.all_nodes();
     (plan.trace, PlannedBatch { batch, nodes })
 }
@@ -294,6 +280,7 @@ fn finish_batch(
     cost
 }
 
+#[derive(Clone, Copy)]
 struct ReadyBatch {
     ready: SimTime,
     transfer_bytes: u64,
@@ -304,10 +291,12 @@ struct ReadyBatch {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.workers` or `cfg.total_batches` is zero.
+/// Panics if `cfg.workers`, `cfg.total_batches` or `cfg.queue_depth`
+/// is zero.
 pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineReport {
     assert!(cfg.workers > 0, "need at least one worker");
     assert!(cfg.total_batches > 0, "need at least one batch");
+    assert!(cfg.queue_depth > 0, "need a non-empty work queue");
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(ctx, cfg.workers);
     // The one real storage path: every batch is sampled once through
@@ -337,43 +326,33 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     let mut fpga: Option<FpgaPhases> = None;
     let mut makespan_end = SimTime::ZERO;
     let mut rows: Vec<f32> = Vec::new();
-    // The in-flight batch of each worker, parked between begin (where
-    // its plan's trace is priced) and finish (where its features
-    // gather).
-    let mut parked: Vec<Option<PlannedBatch>> = (0..cfg.workers).map(|_| None).collect();
 
     // Hands `worker` the epoch's next batch, if any remain: sample it
     // through the topology store, give its byte trace to the policy at
-    // `at`, park the batch until the worker finishes stepping it, and
-    // schedule the worker's first step.
-    let mut start_next = |policy: &mut CostPolicy,
-                          parked: &mut [Option<PlannedBatch>],
-                          events: &mut EventQueue<Event>,
-                          worker: usize,
-                          at: SimTime| {
-        if next_batch < cfg.total_batches {
-            let (trace, planned) = plan_batch(ctx, cfg, topology.as_mut(), next_batch);
-            next_batch += 1;
-            policy.begin(worker, at, trace);
-            parked[worker] = Some(planned);
-            events.schedule(at, Event::Worker(worker));
-        }
-    };
+    // `at`, and schedule the worker's first step, carrying the batch.
+    let mut start_next =
+        |policy: &mut CostPolicy, events: &mut EventQueue<Event>, worker: usize, at: SimTime| {
+            if next_batch < cfg.total_batches {
+                let (trace, planned) = plan_batch(ctx, cfg, topology.as_mut(), next_batch);
+                next_batch += 1;
+                policy.begin(worker, at, trace);
+                events.schedule(at, Event::Worker(worker, planned));
+            }
+        };
 
     // Seed each worker with its first batch.
     for w in 0..cfg.workers {
-        start_next(&mut policy, &mut parked, &mut events, w, SimTime::ZERO);
+        start_next(&mut policy, &mut events, w, SimTime::ZERO);
     }
 
     while let Some((now, event)) = events.pop() {
         match event {
-            Event::Worker(w) => match policy.step(w, &mut devices, now) {
+            Event::Worker(w, planned) => match policy.step(w, &mut devices, now) {
                 StepOutcome::Running { next } => {
-                    events.schedule(next.max(now), Event::Worker(w));
+                    events.schedule(next.max(now), Event::Worker(w, planned));
                 }
                 StepOutcome::Finished => {
-                    let PlannedBatch { batch, nodes } =
-                        parked[w].take().expect("finished worker has a batch");
+                    let PlannedBatch { batch, nodes } = planned;
                     let cost = finish_batch(&mut policy, store.as_mut(), &mut rows, w, &nodes);
                     sampling_total += cost.sampling_time;
                     breakdown.sampling += cost.sampling_time.saturating_sub(cost.overhead_time);
@@ -412,42 +391,43 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                                 gpu_scheduled = true;
                                 events.schedule(t, Event::Gpu);
                             }
-                            start_next(&mut policy, &mut parked, &mut events, w, t);
+                            start_next(&mut policy, &mut events, w, t);
                         }
                     } else {
                         makespan_end = makespan_end.max(t);
                         consumed += 1;
-                        start_next(&mut policy, &mut parked, &mut events, w, t);
+                        start_next(&mut policy, &mut events, w, t);
                     }
                 }
             },
             Event::Gpu => {
                 gpu_scheduled = false;
-                if let Some(head) = queue.front() {
-                    let start = now.max(head.ready).max(gpu_next_free);
-                    if start > now {
-                        gpu_scheduled = true;
-                        events.schedule(start, Event::Gpu);
-                        continue;
-                    }
-                    let batch = queue.pop_front().expect("non-empty");
-                    let transferred = devices.gpu_link.transfer(start, batch.transfer_bytes);
-                    let (_, end) = devices.gpu.schedule(transferred, batch.compute);
-                    breakdown.cpu_to_gpu += transferred.saturating_elapsed_since(start);
-                    breakdown.gnn_train += end.saturating_elapsed_since(transferred);
-                    gpu_busy += end.saturating_elapsed_since(start);
-                    gpu_next_free = end;
-                    consumed += 1;
-                    makespan_end = makespan_end.max(end);
-                    // Queue space opened: admit a blocked worker.
-                    if let Some((bw, payload)) = blocked.pop_front() {
-                        queue.push_back(payload);
-                        start_next(&mut policy, &mut parked, &mut events, bw, now);
-                    }
-                    if !queue.is_empty() {
-                        gpu_scheduled = true;
-                        events.schedule(gpu_next_free, Event::Gpu);
-                    }
+                let Some(&head) = queue.front() else {
+                    continue;
+                };
+                let start = now.max(head.ready).max(gpu_next_free);
+                if start > now {
+                    gpu_scheduled = true;
+                    events.schedule(start, Event::Gpu);
+                    continue;
+                }
+                queue.pop_front();
+                let transferred = devices.gpu_link.transfer(start, head.transfer_bytes);
+                let (_, end) = devices.gpu.schedule(transferred, head.compute);
+                breakdown.cpu_to_gpu += transferred.saturating_elapsed_since(start);
+                breakdown.gnn_train += end.saturating_elapsed_since(transferred);
+                gpu_busy += end.saturating_elapsed_since(start);
+                gpu_next_free = end;
+                consumed += 1;
+                makespan_end = makespan_end.max(end);
+                // Queue space opened: admit a blocked worker.
+                if let Some((bw, payload)) = blocked.pop_front() {
+                    queue.push_back(payload);
+                    start_next(&mut policy, &mut events, bw, now);
+                }
+                if !queue.is_empty() {
+                    gpu_scheduled = true;
+                    events.schedule(gpu_next_free, Event::Gpu);
                 }
             }
         }
@@ -631,7 +611,7 @@ mod tests {
     fn saint_walks_run_end_to_end() {
         let ctx = ctx(SystemKind::SmartSageHwSw);
         let mut cfg = small_cfg(false);
-        cfg.sampler = SamplerKind::SaintWalk { length: 3 };
+        cfg.fanouts = Fanouts::new(vec![1; 3]);
         let report = run_pipeline(&ctx, &cfg);
         assert_eq!(report.batches, 6);
     }
@@ -639,8 +619,8 @@ mod tests {
     #[test]
     fn plan_batch_is_all_the_topology_traffic_of_a_batch() {
         // `run_pipeline` touches the topology store only through
-        // `plan_batch`: one degree read and one pick batch
-        // per GraphSAGE hop, one pick batch per walk step.
+        // `plan_batch`: one degree read and one pick batch per hop,
+        // a walk's steps included.
         let ctx = ctx(SystemKind::Dram);
         let mut cfg = small_cfg(false);
         let mut topo = smartsage_store::CsrView::new(ctx.graph());
@@ -648,9 +628,21 @@ mod tests {
         assert_eq!(topo.stats().gathers, 2 * cfg.fanouts.hops() as u64);
         assert_eq!(trace.num_sampled(), planned.batch.num_sampled());
         assert_eq!(planned.nodes, planned.batch.all_nodes());
-        cfg.sampler = SamplerKind::SaintWalk { length: 3 };
+        cfg.fanouts = Fanouts::new(vec![1; 3]);
         let mut topo = smartsage_store::CsrView::new(ctx.graph());
         plan_batch(&ctx, &cfg, &mut topo, 0);
-        assert_eq!(topo.stats().gathers, 3);
+        assert_eq!(topo.stats().gathers, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "work queue")]
+    fn zero_queue_depth_is_rejected() {
+        // A queue that can never admit would block every worker and
+        // drain the event queue into a short, zero-makespan report.
+        let cfg = PipelineConfig {
+            queue_depth: 0,
+            ..small_cfg(true)
+        };
+        run_pipeline(&ctx(SystemKind::Dram), &cfg);
     }
 }

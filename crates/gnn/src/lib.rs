@@ -14,9 +14,9 @@
 //!   loop. Every system (DRAM, mmap, direct-I/O, ISP) prices that one
 //!   plan and trains on that one batch — so the property "the ISP
 //!   produces byte-identical subgraphs to the host sampler" holds by
-//!   construction and is also asserted by tests.
-//! * [`saint`] — the GraphSAINT random-walk sampler used by the paper's
-//!   robustness study (Fig 20).
+//!   construction and is also asserted by tests. A GraphSAINT random
+//!   walk (the paper's robustness study, Fig 20) is the same loop at
+//!   fan-out 1 per hop: one neighbor per step, a sink staying in place.
 //! * [`model`] — a 2-layer GraphSAGE (mean aggregator) with full
 //!   forward/backward and SGD.
 //! * [`trainer`] — the mini-batch training loop (loss provably decreases
@@ -26,7 +26,6 @@
 
 pub mod gpu;
 pub mod model;
-pub mod saint;
 pub mod sampler;
 pub mod tensor;
 pub mod trainer;

@@ -24,13 +24,14 @@
 //! across tiers by `tests/topology_store_conformance.rs`.
 //!
 //! [`SamplePlan::resolve_on`] re-materializes a batch from a finished
-//! plan. GraphSAINT walk plans ([`crate::saint::plan_random_walk`],
-//! the same record filled from the in-memory CSR) resolve through it,
-//! and the conformance suites use it as the independent reference
+//! plan; the conformance suites use it as the independent reference
 //! `sample_on` must equal.
 //!
 //! The paper's default configuration samples 25 neighbors at the first
 //! GNN layer and 10 at the second (§VI-F); mini-batch size is 1024 (§V).
+//! A GraphSAINT random walk of length `L` (Fig 20) is fan-outs
+//! `[1; L]`: one uniformly random neighbor per step, and a sink's
+//! self-loop keeps its walk in place.
 
 use smartsage_graph::NodeId;
 use smartsage_sim::Xoshiro256;
@@ -505,39 +506,53 @@ mod tests {
             let degrees: Vec<u64> = hop.nodes.iter().map(|&n| g.degree(n)).collect();
             assert_eq!(hop.degrees, degrees, "the store's answers are kept");
         }
+        // A 4-step walk from 10 roots: one access and one id per step.
+        let roots = &targets[..10];
+        let (walk, _) = sample(&g, roots, &Fanouts::new(vec![1; 4]), 8);
+        assert_eq!(walk.targets(), roots);
+        for hop in &walk.trace.hops {
+            assert_eq!((hop.fanout, hop.nodes.len()), (1, 10));
+        }
+        assert_eq!(walk.trace.num_accesses(), 40);
+        assert_eq!(walk.trace.num_sampled(), 40);
     }
 
     #[test]
     fn resolve_is_deterministic_and_consistent() {
         let g = graph();
         let targets: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
-        let f = Fanouts::new(vec![5, 2]);
-        let (plan, sampled) = sample(&g, &targets, &f, 9);
-        let a = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
-        let b = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, sampled, "the pass's batch is its plan, resolved");
-        // Hop 1's frontier is exactly hop 0's flattened neighbors.
-        assert_eq!(plan.trace.hops[1].nodes, a.hops[0].neighbors);
-        assert_eq!(a.num_sampled(), plan.trace.num_sampled());
-        assert_eq!(a.subgraph_bytes(), plan.trace.num_sampled() * 8);
+        for (f, seed) in [(Fanouts::new(vec![5, 2]), 9), (Fanouts::new(vec![1; 3]), 2)] {
+            let (plan, sampled) = sample(&g, &targets, &f, seed);
+            let a = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
+            let b = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(a, sampled, "the pass's batch is its plan, resolved");
+            // Hop k's frontier is exactly hop k-1's flattened neighbors.
+            for k in 1..f.hops() {
+                assert_eq!(plan.trace.hops[k].nodes, a.hops[k - 1].neighbors);
+            }
+            assert_eq!(a.num_sampled(), plan.trace.num_sampled());
+            assert_eq!(a.subgraph_bytes(), plan.trace.num_sampled() * 8);
+        }
     }
 
     #[test]
     fn sampled_nodes_are_real_neighbors() {
         let g = graph();
         let targets: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
-        let f = Fanouts::new(vec![4, 4]);
-        let (plan, batch) = sample(&g, &targets, &f, 3);
-        for (hop, asked) in batch.hops.iter().zip(&plan.trace.hops) {
-            for (i, &parent) in asked.nodes.iter().enumerate() {
-                let nbrs = g.neighbors(parent);
-                for k in 0..hop.fanout {
-                    let sampled = hop.neighbors[i * hop.fanout + k];
-                    assert!(
-                        nbrs.contains(&sampled) || (nbrs.is_empty() && sampled == parent),
-                        "{sampled} is not a neighbor of {parent}"
-                    );
+        // A fan-out tree, and walks: each step moves along a real edge.
+        for (f, seed) in [(Fanouts::new(vec![4, 4]), 3), (Fanouts::new(vec![1; 3]), 2)] {
+            let (plan, batch) = sample(&g, &targets, &f, seed);
+            for (hop, asked) in batch.hops.iter().zip(&plan.trace.hops) {
+                for (i, &parent) in asked.nodes.iter().enumerate() {
+                    let nbrs = g.neighbors(parent);
+                    for k in 0..hop.fanout {
+                        let sampled = hop.neighbors[i * hop.fanout + k];
+                        assert!(
+                            nbrs.contains(&sampled) || (nbrs.is_empty() && sampled == parent),
+                            "{sampled} is not a neighbor of {parent}"
+                        );
+                    }
                 }
             }
         }
@@ -562,6 +577,12 @@ mod tests {
         let (plan, batch) = sample(&g, &[NodeId::new(2)], &f, 5);
         assert_eq!(plan.accesses(0).next(), Some((NodeId::new(2), &[][..])));
         assert_eq!(batch.hops[0].neighbors, vec![NodeId::new(2); 3]);
+        assert_eq!(plan.resolve_on(&mut CsrView::new(&g)).unwrap(), batch);
+        // A walk that reaches the sink stays there: 0 -> 1 -> 1 -> 1.
+        let (plan, batch) = sample(&g, &[NodeId::new(0)], &Fanouts::new(vec![1; 3]), 1);
+        for hop in &batch.hops {
+            assert_eq!(hop.neighbors, vec![NodeId::new(1)]);
+        }
         assert_eq!(plan.resolve_on(&mut CsrView::new(&g)).unwrap(), batch);
     }
 

@@ -166,7 +166,7 @@ impl Server {
         }
         // Close the queue to new work and drain what was admitted.
         self.inner.batcher.close();
-        // Unblock workers parked in accept().
+        // Unblock workers waiting in accept().
         let workers: Vec<_> = self.workers.safe_lock().drain(..).collect();
         for _ in 0..workers.len() {
             let _ = TcpStream::connect(self.addr);

@@ -18,7 +18,7 @@
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
 use smartsage::core::experiments::ExperimentScale;
-use smartsage::core::pipeline::{run_pipeline, PipelineConfig, SamplerKind};
+use smartsage::core::pipeline::{run_pipeline, PipelineConfig};
 use smartsage::core::runner::{OutputFormat, Runner};
 use smartsage::gnn::Fanouts;
 use smartsage::graph::{Dataset, DatasetProfile, GraphScale};
@@ -40,7 +40,6 @@ fn sampling_throughput(mut cfg: SystemConfig, workers: usize) -> f64 {
             hidden_dim: 256,
             classes: 16,
             seed: 5,
-            sampler: SamplerKind::GraphSage,
             train: false,
             ..PipelineConfig::default()
         },

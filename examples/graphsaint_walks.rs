@@ -1,16 +1,16 @@
 //! GraphSAINT random-walk sampling on SmartSAGE (paper §VI-F, Fig 20).
 //!
-//! Demonstrates that the ISP generalizes across sampling algorithms: the
-//! same `SamplePlan` machinery drives random walks, whose serial
-//! per-walk access pattern stresses latency even harder than fan-out
-//! sampling.
+//! Demonstrates that the ISP generalizes across sampling algorithms: a
+//! random walk is the GraphSAGE hop loop at fan-out 1 per step, whose
+//! serial per-walk access pattern stresses latency even harder than
+//! fan-out sampling.
 //!
 //! Run with `cargo run --release --example graphsaint_walks`.
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
-use smartsage::core::pipeline::{run_pipeline, PipelineConfig, SamplerKind};
-use smartsage::gnn::saint::{plan_random_walk, WalkConfig};
+use smartsage::core::pipeline::{run_pipeline, PipelineConfig};
+use smartsage::gnn::sampler::sample_on;
 use smartsage::gnn::Fanouts;
 use smartsage::graph::{Dataset, DatasetProfile, GraphScale, NodeId};
 use smartsage::sim::Xoshiro256;
@@ -21,21 +21,17 @@ fn main() {
     let data =
         DatasetProfile::of(Dataset::ProteinPi).materialize(GraphScale::LargeScale, 150_000, 21);
     let graph = &data.graph;
+    // Four steps per walk: one neighbor per hop.
+    let walk = Fanouts::new(vec![1; 4]);
 
     // ------------------------------------------------------------------
-    // 1. Walk mechanics: plan a batch of walks and inspect them.
+    // 1. Walk mechanics: sample a batch of walks and inspect them.
     // ------------------------------------------------------------------
-    let cfg = WalkConfig {
-        roots: 8,
-        length: 4,
-    };
-    let roots: Vec<NodeId> = (0..cfg.roots as u32).map(NodeId::new).collect();
+    let roots: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
     let mut rng = Xoshiro256::seed_from_u64(99);
-    let plan = plan_random_walk(graph, &roots, cfg.length, &mut rng);
-    let batch = plan
-        .resolve_on(&mut CsrView::new(graph))
+    let (plan, batch) = sample_on(&mut CsrView::new(graph), &roots, &walk, &mut rng)
         .expect("in-memory topology cannot fail");
-    println!("== Random walks from {} roots ==", cfg.roots);
+    println!("== Random walks from {} roots ==", roots.len());
     for (i, &root) in roots.iter().enumerate() {
         let mut path = vec![root];
         for hop in &batch.hops {
@@ -67,12 +63,11 @@ fn main() {
                 workers: 4,
                 total_batches: 8,
                 batch_size: 128,
-                fanouts: Fanouts::paper_default(), // unused by walks
+                fanouts: walk.clone(),
                 queue_depth: 4,
                 hidden_dim: 256,
                 classes: 16,
                 seed: 17,
-                sampler: SamplerKind::SaintWalk { length: 4 },
                 train: true,
                 ..PipelineConfig::default()
             },

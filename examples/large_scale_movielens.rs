@@ -10,7 +10,7 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::{LocalityRates, RunContext};
-use smartsage::core::pipeline::{run_pipeline, PipelineConfig, SamplerKind};
+use smartsage::core::pipeline::{run_pipeline, PipelineConfig};
 use smartsage::gnn::Fanouts;
 use smartsage::graph::{Dataset, DatasetProfile, GraphScale};
 use std::sync::Arc;
@@ -79,7 +79,6 @@ fn main() {
                 hidden_dim: 256,
                 classes: 16,
                 seed: 3,
-                sampler: SamplerKind::GraphSage,
                 train: true,
                 ..PipelineConfig::default()
             },

@@ -9,7 +9,7 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
-use smartsage::core::pipeline::{run_pipeline, PipelineConfig, SamplerKind};
+use smartsage::core::pipeline::{run_pipeline, PipelineConfig};
 use smartsage::gnn::model::ModelDims;
 use smartsage::gnn::trainer::{TrainConfig, Trainer};
 use smartsage::gnn::Fanouts;
@@ -93,7 +93,6 @@ fn main() {
                 hidden_dim: 256,
                 classes: 16,
                 seed: 11,
-                sampler: SamplerKind::GraphSage,
                 train: true,
                 ..PipelineConfig::default()
             },

@@ -31,8 +31,9 @@
 //!   storage too.
 //! * [`memsim`] — LLC simulation and DRAM bandwidth accounting used by the
 //!   paper's characterization (Fig 5).
-//! * [`gnn`] — GraphSAGE/GraphSAINT samplers, dense layers, the functional
-//!   trainer and the GPU timing model.
+//! * [`gnn`] — the one-pass GraphSAGE sampler (a GraphSAINT walk is
+//!   fan-out 1 per step), dense layers, the functional trainer and the
+//!   GPU timing model.
 //! * [`core`] — the SmartSAGE system itself: NSconfig, the ISP firmware
 //!   model, the per-system cost policies over the sample byte trace,
 //!   the producer/consumer pipeline simulator, and one experiment

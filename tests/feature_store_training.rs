@@ -6,13 +6,13 @@
 //! read without changing any simulated timing.
 
 use smartsage::core::config::SystemKind;
-use smartsage::core::experiments::{run_system, ExperimentScale};
+use smartsage::core::experiments::{ExperimentScale, Prepared};
 use smartsage::core::{StoreKind, TopologyKind};
 use smartsage::gnn::model::ModelDims;
 use smartsage::gnn::trainer::{TrainConfig, Trainer};
 use smartsage::gnn::Fanouts;
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
-use smartsage::graph::{CsrGraph, Dataset, FeatureTable, NodeId};
+use smartsage::graph::{CsrGraph, Dataset, FeatureTable, GraphScale, NodeId};
 use smartsage::sim::Xoshiro256;
 use smartsage::store::file::{write_feature_file, FileStoreOptions};
 use smartsage::store::{
@@ -156,29 +156,14 @@ fn feature_store_pipeline_run_reports_nonzero_io_without_timing_drift() {
         topology: TopologyKind::Mem,
         shards: 1,
     };
-    let plain = run_system(Dataset::Amazon, SystemKind::Dram, &scale, 2, true);
+    let run = |scale: &ExperimentScale| {
+        Prepared::of(Dataset::Amazon, GraphScale::LargeScale, scale).run(SystemKind::Dram, 2, true)
+    };
+    let plain = run(&scale);
     assert_eq!(plain.store_stats.bytes_read, 0, "mem tier does no disk I/O");
-    let mem = run_system(
-        Dataset::Amazon,
-        SystemKind::Dram,
-        &scale.with_store(StoreKind::Mem),
-        2,
-        true,
-    );
-    let file = run_system(
-        Dataset::Amazon,
-        SystemKind::Dram,
-        &scale.with_store(StoreKind::File),
-        2,
-        true,
-    );
-    let isp = run_system(
-        Dataset::Amazon,
-        SystemKind::Dram,
-        &scale.with_store(StoreKind::Isp),
-        2,
-        true,
-    );
+    let mem = run(&scale.with_store(StoreKind::Mem));
+    let file = run(&scale.with_store(StoreKind::File));
+    let isp = run(&scale.with_store(StoreKind::Isp));
 
     // The determinism contract: the store changes reporting, never
     // simulated time.
@@ -226,6 +211,7 @@ fn feature_store_works_under_every_cost_policy() {
         topology: TopologyKind::Mem,
         shards: 1,
     };
+    let protein = Prepared::of(Dataset::ProteinPi, GraphScale::LargeScale, &scale);
     let mut reference = None;
     let mut total = smartsage::store::StoreStats::default();
     for kind in [
@@ -235,7 +221,7 @@ fn feature_store_works_under_every_cost_policy() {
         SystemKind::SmartSageHwSw,
         SystemKind::FpgaCsd,
     ] {
-        let report = run_system(Dataset::ProteinPi, kind, &scale, 1, true);
+        let report = protein.run(kind, 1, true);
         let stats = report.store_stats;
         // Ad-hoc runs share the process-wide registry store: the first
         // system pays the disk reads, later ones may ride its warm

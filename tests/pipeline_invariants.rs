@@ -3,7 +3,7 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
-use smartsage::core::pipeline::{run_pipeline, PipelineConfig, PipelineReport, SamplerKind};
+use smartsage::core::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
 use smartsage::core::store_metrics::{self, SweepScope};
 use smartsage::core::{StoreKind, TopologyKind};
 use smartsage::gnn::sampler::{epoch_targets, plan_sample_on};
@@ -27,7 +27,6 @@ fn run(kind: SystemKind, workers: usize, train: bool, seed: u64) -> PipelineRepo
             hidden_dim: 64,
             classes: 16,
             seed,
-            sampler: SamplerKind::GraphSage,
             train,
             ..PipelineConfig::default()
         },
@@ -140,7 +139,6 @@ fn bounded_queue_blocks_producers_not_correctness() {
                 hidden_dim: 64,
                 classes: 16,
                 seed: 9,
-                sampler: SamplerKind::GraphSage,
                 train: true,
                 ..PipelineConfig::default()
             },
@@ -171,12 +169,11 @@ fn saint_walks_complete_on_ssd_systems() {
             workers: 2,
             total_batches: 4,
             batch_size: 32,
-            fanouts: Fanouts::paper_default(),
+            fanouts: Fanouts::new(vec![1; 4]),
             queue_depth: 2,
             hidden_dim: 64,
             classes: 16,
             seed: 3,
-            sampler: SamplerKind::SaintWalk { length: 4 },
             train: true,
             ..PipelineConfig::default()
         },
@@ -203,14 +200,13 @@ fn one_pass_ctx() -> Arc<RunContext> {
     Arc::new(RunContext::new(data, SystemConfig::new(SystemKind::Dram)))
 }
 
-fn one_pass_cfg(sampler: SamplerKind) -> PipelineConfig {
+fn one_pass_cfg() -> PipelineConfig {
     PipelineConfig {
         workers: 3,
         total_batches: 8,
         batch_size: 24,
         fanouts: Fanouts::new(vec![5, 4]),
         seed: 21,
-        sampler,
         train: false,
         ..PipelineConfig::default()
     }
@@ -228,35 +224,27 @@ fn reference_plan(ctx: &RunContext, cfg: &PipelineConfig, index: usize) -> Sampl
 #[test]
 fn graphsage_batches_are_sampled_through_the_topology_store_exactly_once() {
     let ctx = one_pass_ctx();
-    let cfg = one_pass_cfg(SamplerKind::GraphSage);
-    let report = run_pipeline(&ctx, &cfg);
-    let topo = report.topology_stats;
-    // One degree read and one pick batch per hop per batch...
-    let hops = cfg.fanouts.hops() as u64;
-    assert_eq!(topo.gathers, 2 * hops * cfg.total_batches as u64);
-    // ...answering each frontier degree and each drawn pick once.
-    let answers: u64 = (0..cfg.total_batches)
-        .map(|index| {
-            let plan = reference_plan(&ctx, &cfg, index);
-            let picks: usize = plan.positions.iter().map(Vec::len).sum();
-            plan.trace.num_accesses() + picks as u64
-        })
-        .sum();
-    assert_eq!(topo.nodes_gathered, answers);
-}
-
-#[test]
-fn saint_walk_batches_resolve_with_one_pick_call_per_step() {
-    let ctx = one_pass_ctx();
-    let length = 4;
-    let cfg = one_pass_cfg(SamplerKind::SaintWalk { length });
-    let report = run_pipeline(&ctx, &cfg);
-    // Walk plans are drawn on the in-memory CSR (no degree reads); the
-    // store only resolves them, once.
-    assert_eq!(
-        report.topology_stats.gathers,
-        (length * cfg.total_batches) as u64
-    );
+    // A fan-out tree and a 4-step random walk take the same path.
+    for fanouts in [Fanouts::new(vec![5, 4]), Fanouts::new(vec![1; 4])] {
+        let cfg = PipelineConfig {
+            fanouts,
+            ..one_pass_cfg()
+        };
+        let report = run_pipeline(&ctx, &cfg);
+        let topo = report.topology_stats;
+        // One degree read and one pick batch per hop per batch...
+        let hops = cfg.fanouts.hops() as u64;
+        assert_eq!(topo.gathers, 2 * hops * cfg.total_batches as u64);
+        // ...answering each frontier degree and each drawn pick once.
+        let answers: u64 = (0..cfg.total_batches)
+            .map(|index| {
+                let plan = reference_plan(&ctx, &cfg, index);
+                let picks: usize = plan.positions.iter().map(Vec::len).sum();
+                plan.trace.num_accesses() + picks as u64
+            })
+            .sum();
+        assert_eq!(topo.nodes_gathered, answers, "{:?}", cfg.fanouts);
+    }
 }
 
 #[test]
@@ -265,7 +253,7 @@ fn a_one_batch_run_is_batch_zero_of_the_epoch() {
     let cfg = PipelineConfig {
         workers: 1,
         total_batches: 1,
-        ..one_pass_cfg(SamplerKind::GraphSage)
+        ..one_pass_cfg()
     };
     let report = run_pipeline(&ctx, &cfg);
     assert_eq!(report.batches, 1);
@@ -300,7 +288,7 @@ fn the_inert_readahead_field_changes_nothing_in_the_report() {
                 topology: TopologyKind::File,
                 shards,
                 readahead,
-                ..one_pass_cfg(SamplerKind::GraphSage)
+                ..one_pass_cfg()
             };
             run_pipeline(&ctx, &cfg)
         };

@@ -212,6 +212,7 @@ proptest! {
         cache_pages in 0usize..48,
         fanout1 in 1usize..5,
         fanout2 in 1usize..4,
+        walk_steps in 1usize..6,
         raw_targets in proptest::collection::vec(0u32..100_000, 1..24),
         sample_seed in any::<u64>(),
     ) {
@@ -224,48 +225,52 @@ proptest! {
             .iter()
             .map(|&r| NodeId::new(r % graph.num_nodes() as u32))
             .collect();
-        let fanouts = Fanouts::new(vec![fanout1, fanout2]);
         let spec = [SampleSpec {
             targets: targets.clone(),
             seed: sample_seed,
         }];
-        let hops = fanouts.hops() as u64;
-        let (tiers, _file, published) = every_tier(&graph, opts);
-        let mut reference = None;
-        for (what, mut topo) in tiers {
-            let topo = topo.as_mut();
-            // The one pass: plan and batch together, two calls per hop.
-            let mut rng = Xoshiro256::seed_from_u64(sample_seed);
-            let (plan, batch) = sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
-            let one_pass = topo.stats();
-            prop_assert_eq!(one_pass.gathers, 2 * hops, "{}", &what);
-            prop_assert_eq!(
-                one_pass.nodes_gathered,
-                plan.trace.num_accesses() + plan.positions.iter().map(|p| p.len() as u64).sum::<u64>(),
-                "{}: one answer per frontier degree and per drawn pick", &what
-            );
-            // Plan-only is the same pass; re-resolving the plan is the
-            // independent reference.
-            let mut rng_plan = Xoshiro256::seed_from_u64(sample_seed);
-            let plan_only = plan_sample_on(topo, &targets, &fanouts, &mut rng_plan).unwrap();
-            prop_assert_eq!(topo.stats().gathers, 4 * hops, "{}", &what);
-            let resolved = plan_only.resolve_on(topo).unwrap();
-            prop_assert_eq!(topo.stats().gathers, 5 * hops, "{}", &what);
-            prop_assert_eq!(&plan_only, &plan, "{}: plan_sample_on diverged", &what);
-            prop_assert_eq!(&resolved, &batch, "{}: resolve_on diverged", &what);
-            prop_assert_eq!(rng_plan.next_u64(), rng.next_u64(), "{}: RNG consumption differs", &what);
-            // The merged loop's one-request case.
-            let many = sample_many_on(topo, &spec, &fanouts).unwrap();
-            prop_assert_eq!(topo.stats().gathers, 7 * hops, "{}", &what);
-            prop_assert_eq!(many.len(), 1);
-            prop_assert_eq!(&many[0], &batch, "{}: sample_many_on diverged", &what);
-            // ...and every tier and shard count agrees with mem x1.
-            let (want_plan, want_batch) = reference.get_or_insert((plan.clone(), batch.clone()));
-            prop_assert_eq!(&plan, &*want_plan, "{}: plan differs from mem x1", &what);
-            prop_assert_eq!(&batch, &*want_batch, "{}: batch differs from mem x1", &what);
-        }
-        for path in published {
-            let _ = std::fs::remove_file(path);
+        // A fan-out tree, and a GraphSAINT walk (fan-out 1 per step).
+        let walk = Fanouts::new(vec![1; walk_steps]);
+        for fanouts in [Fanouts::new(vec![fanout1, fanout2]), walk] {
+            let hops = fanouts.hops() as u64;
+            let (tiers, _file, published) = every_tier(&graph, opts);
+            let mut reference = None;
+            for (what, mut topo) in tiers {
+                let what = format!("{what} {:?}", fanouts.as_slice());
+                let topo = topo.as_mut();
+                // The one pass: plan and batch together, two calls per hop.
+                let mut rng = Xoshiro256::seed_from_u64(sample_seed);
+                let (plan, batch) = sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
+                let one_pass = topo.stats();
+                prop_assert_eq!(one_pass.gathers, 2 * hops, "{}", &what);
+                prop_assert_eq!(
+                    one_pass.nodes_gathered,
+                    plan.trace.num_accesses() + plan.positions.iter().map(|p| p.len() as u64).sum::<u64>(),
+                    "{}: one answer per frontier degree and per drawn pick", &what
+                );
+                // Plan-only is the same pass; re-resolving the plan is the
+                // independent reference.
+                let mut rng_plan = Xoshiro256::seed_from_u64(sample_seed);
+                let plan_only = plan_sample_on(topo, &targets, &fanouts, &mut rng_plan).unwrap();
+                prop_assert_eq!(topo.stats().gathers, 4 * hops, "{}", &what);
+                let resolved = plan_only.resolve_on(topo).unwrap();
+                prop_assert_eq!(topo.stats().gathers, 5 * hops, "{}", &what);
+                prop_assert_eq!(&plan_only, &plan, "{}: plan_sample_on diverged", &what);
+                prop_assert_eq!(&resolved, &batch, "{}: resolve_on diverged", &what);
+                prop_assert_eq!(rng_plan.next_u64(), rng.next_u64(), "{}: RNG consumption differs", &what);
+                // The merged loop's one-request case.
+                let many = sample_many_on(topo, &spec, &fanouts).unwrap();
+                prop_assert_eq!(topo.stats().gathers, 7 * hops, "{}", &what);
+                prop_assert_eq!(many.len(), 1);
+                prop_assert_eq!(&many[0], &batch, "{}: sample_many_on diverged", &what);
+                // ...and every tier and shard count agrees with mem x1.
+                let (want_plan, want_batch) = reference.get_or_insert((plan.clone(), batch.clone()));
+                prop_assert_eq!(&plan, &*want_plan, "{}: plan differs from mem x1", &what);
+                prop_assert_eq!(&batch, &*want_batch, "{}: batch differs from mem x1", &what);
+            }
+            for path in published {
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
 }
