@@ -250,9 +250,7 @@ fn main() {
             fail_usage("--clean-store is a standalone action and cannot be combined with a sweep");
         }
         let removed = remove_cached_feature_files();
-        eprintln!(
-            "[clean-store: removed {removed} cached feature file(s) from the temp directory]"
-        );
+        eprintln!("[clean-store: removed {removed} cached store file(s) from the temp directory]");
         return;
     }
 

@@ -464,7 +464,9 @@ fn fig5_driver(scale: &ExperimentScale) -> Table {
             capacity_bytes: capacity,
             ..base
         });
-        let mut meter = BandwidthMeter::new(scale.workers as u32);
+        let dram = &ctx.config.devices.dram;
+        let mut meter =
+            BandwidthMeter::new(scale.workers as u32, dram.bytes_per_sec, dram.line_bytes);
         // Interleave the access traces of `workers` concurrent samplers.
         let mut plans = Vec::new();
         for w in 0..scale.workers {
@@ -488,9 +490,10 @@ fn fig5_driver(scale: &ExperimentScale) -> Table {
                     for (node, positions) in p.accesses(k) {
                         let off = ctx.layout.offset_entry_range(node);
                         trace.push((off.offset, off.len));
-                        let base = ctx.layout.edge_list_range(graph, node);
+                        let first = graph.edge_list_start(node);
                         for &pos in positions {
-                            trace.push((base.offset + pos * 8, 8));
+                            let pick = ctx.layout.edge_entries(first + pos, 1);
+                            trace.push((pick.offset, pick.len));
                         }
                     }
                 }
@@ -502,7 +505,7 @@ fn fig5_driver(scale: &ExperimentScale) -> Table {
             for trace in &traces {
                 if let Some(&(addr, len)) = trace.get(i) {
                     let missed = cache.access_range(addr, len);
-                    let lines = len.div_ceil(64).max(1);
+                    let lines = len.div_ceil(base.line_bytes).max(1);
                     meter.record(lines - missed.min(lines), missed);
                 }
             }

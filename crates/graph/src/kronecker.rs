@@ -39,33 +39,6 @@ impl Default for KroneckerConfig {
     }
 }
 
-/// Analytic (non-materialized) expansion statistics, used for Table I's
-/// full-scale rows where the expanded graph would not fit in memory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExpansionStats {
-    /// Nodes in the expanded graph.
-    pub nodes: u64,
-    /// Edges in the expanded graph (before sub-sampling).
-    pub edges: u64,
-    /// Average degree of the expanded graph.
-    pub avg_degree: f64,
-}
-
-/// Computes expansion statistics without materializing the product.
-pub fn expansion_stats(base_nodes: u64, base_edges: u64, seed: &CsrGraph) -> ExpansionStats {
-    let nodes = base_nodes * seed.num_nodes() as u64;
-    let edges = base_edges * seed.num_edges();
-    ExpansionStats {
-        nodes,
-        edges,
-        avg_degree: if nodes == 0 {
-            0.0
-        } else {
-            edges as f64 / nodes as f64
-        },
-    }
-}
-
 /// Materializes the Kronecker product `base ⊗ seed`.
 ///
 /// Expanded node `(u, i)` receives id `u * |V_seed| + i`; expanded edge
@@ -88,7 +61,7 @@ pub fn expand(base: &CsrGraph, seed: &CsrGraph, cfg: &KroneckerConfig) -> CsrGra
         .expect("expanded node count overflows usize");
     assert!(
         expanded_nodes <= u32::MAX as usize,
-        "expanded graph too large to materialize; use expansion_stats"
+        "expanded graph too large to materialize"
     );
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
     let keep_all = cfg.edge_keep_probability >= 1.0;
@@ -147,17 +120,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn analytic_stats_match_materialized() {
-        let base = tiny_base();
-        let seed = tiny_seed();
-        let stats = expansion_stats(base.num_nodes() as u64, base.num_edges(), &seed);
-        let g = expand(&base, &seed, &KroneckerConfig::default());
-        assert_eq!(stats.nodes, g.num_nodes() as u64);
-        assert_eq!(stats.edges, g.num_edges());
-        assert!((stats.avg_degree - g.avg_degree()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! On-SSD graph file layout.
 //!
-//! The graph dataset is serialized into one logical byte space on the SSD
-//! (paper Fig 10): the offset table first, then the neighbor edge-list
-//! array. [`GraphFile`] answers the address arithmetic every system
-//! needs: *where do node `u`'s neighbor IDs live, and which logical
-//! blocks does that span?*
+//! The graph dataset is serialized into one logical byte space (paper
+//! Fig 10): the offset table first, then the neighbor edge-list array
+//! from the next 4 KiB boundary. [`GraphFile`] answers the address
+//! arithmetic every system needs: *where do node `u`'s offset entries
+//! and neighbor IDs live, and which logical blocks does that span?* The
+//! modeled SSD lays the graph out from byte 0; the store's real
+//! `SSGRPH01` file is the same layout placed after its header
+//! ([`GraphFile::at`]).
 
+use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::{CsrGraph, NodeId};
+
+/// Alignment of the edge-list array.
+const BLOCK_BYTES: u64 = 4096;
 
 /// A contiguous byte range within the graph file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +59,7 @@ impl ByteRange {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphFile {
-    /// Byte offset where the offset table begins (always 0).
+    /// Byte offset where the offset table begins.
     offset_table_base: u64,
     /// Byte offset where the edge-list array begins.
     edge_array_base: u64,
@@ -60,42 +67,52 @@ pub struct GraphFile {
     total_bytes: u64,
 }
 
-/// Bytes per entry in the offset table (u64 offsets).
-pub const OFFSET_ENTRY_BYTES: u64 = 8;
-
 impl GraphFile {
-    /// Computes the layout for `graph`.
+    /// Computes the layout for `graph` from byte 0.
     pub fn new(graph: &CsrGraph) -> Self {
-        let offset_table_bytes = (graph.num_nodes() as u64 + 1) * OFFSET_ENTRY_BYTES;
-        // Edge array starts block-aligned after the offset table.
-        let edge_array_base = offset_table_bytes.next_multiple_of(4096);
-        GraphFile {
-            offset_table_base: 0,
+        GraphFile::at(0, graph.num_nodes() as u64, graph.num_edges())
+            .expect("an in-memory graph's layout fits in u64")
+    }
+
+    /// The layout of a `nodes`-node, `edges`-edge graph whose offset
+    /// table begins at byte `base` (block-aligned, so the edge array
+    /// is too), or `None` when its end does not fit in a `u64`.
+    pub fn at(base: u64, nodes: u64, edges: u64) -> Option<GraphFile> {
+        let offset_table_end = nodes
+            .checked_add(1)?
+            .checked_mul(NEIGHBOR_ENTRY_BYTES)?
+            .checked_add(base)?;
+        let edge_array_base = offset_table_end.checked_next_multiple_of(BLOCK_BYTES)?;
+        Some(GraphFile {
+            offset_table_base: base,
             edge_array_base,
-            total_bytes: edge_array_base + graph.edge_array_bytes(),
-        }
+            total_bytes: edges
+                .checked_mul(NEIGHBOR_ENTRY_BYTES)?
+                .checked_add(edge_array_base)?,
+        })
     }
 
     /// Byte range of the two offset-table entries for `node` (degree +
     /// start position; they are adjacent, so one 16-byte range).
     pub fn offset_entry_range(&self, node: NodeId) -> ByteRange {
         ByteRange {
-            offset: self.offset_table_base + node.index() as u64 * OFFSET_ENTRY_BYTES,
-            len: 2 * OFFSET_ENTRY_BYTES,
+            offset: self.offset_table_base + node.index() as u64 * NEIGHBOR_ENTRY_BYTES,
+            len: 2 * NEIGHBOR_ENTRY_BYTES,
+        }
+    }
+
+    /// Byte range of `count` consecutive edge-list entries starting at
+    /// absolute edge index `first`.
+    pub fn edge_entries(&self, first: u64, count: u64) -> ByteRange {
+        ByteRange {
+            offset: self.edge_array_base + first * NEIGHBOR_ENTRY_BYTES,
+            len: count * NEIGHBOR_ENTRY_BYTES,
         }
     }
 
     /// Byte range of `node`'s neighbor-ID list in the edge-list array.
     pub fn edge_list_range(&self, graph: &CsrGraph, node: NodeId) -> ByteRange {
-        ByteRange {
-            offset: self.edge_array_base + graph.edge_list_byte_offset(node),
-            len: graph.edge_list_byte_len(node),
-        }
-    }
-
-    /// Base of the edge-list array region.
-    pub fn edge_array_base(&self) -> u64 {
-        self.edge_array_base
+        self.edge_entries(graph.edge_list_start(node), graph.degree(node))
     }
 
     /// Total file size in bytes.
@@ -117,10 +134,11 @@ mod tests {
     fn layout_regions_do_not_overlap() {
         let g = graph();
         let f = GraphFile::new(&g);
-        let offset_end = (g.num_nodes() as u64 + 1) * OFFSET_ENTRY_BYTES;
-        assert!(f.edge_array_base() >= offset_end);
-        assert_eq!(f.edge_array_base() % 4096, 0, "edge array is block-aligned");
-        assert_eq!(f.total_bytes(), f.edge_array_base() + g.edge_array_bytes());
+        let offset_end = (g.num_nodes() as u64 + 1) * NEIGHBOR_ENTRY_BYTES;
+        let edge_array = f.edge_entries(0, g.num_edges());
+        assert!(edge_array.offset >= offset_end);
+        assert_eq!(edge_array.offset % 4096, 0, "edge array is block-aligned");
+        assert_eq!(f.total_bytes(), edge_array.offset + edge_array.len);
     }
 
     #[test]
@@ -160,5 +178,28 @@ mod tests {
         let e = f.offset_entry_range(NodeId::new(2));
         assert_eq!(e.offset, 16);
         assert_eq!(e.len, 16);
+    }
+
+    #[test]
+    fn a_based_layout_is_the_modeled_one_shifted_and_overflow_is_none() {
+        let g = graph();
+        let modeled = GraphFile::new(&g);
+        let based = GraphFile::at(4096, 4, 6).unwrap();
+        let shifted = |r: ByteRange| ByteRange {
+            offset: r.offset + 4096,
+            ..r
+        };
+        for node in g.node_ids() {
+            assert_eq!(
+                based.offset_entry_range(node),
+                shifted(modeled.offset_entry_range(node))
+            );
+            assert_eq!(
+                based.edge_list_range(&g, node),
+                shifted(modeled.edge_list_range(&g, node))
+            );
+        }
+        assert_eq!(based.total_bytes(), modeled.total_bytes() + 4096);
+        assert_eq!(GraphFile::at(4096, u32::MAX as u64, u64::MAX / 8), None);
     }
 }

@@ -9,9 +9,10 @@
 //!
 //! This crate models both paths:
 //!
-//! * [`layout::GraphFile`] — the on-SSD byte layout of the neighbor
-//!   edge-list array (and feature table), mapping nodes to logical block
-//!   addresses.
+//! * [`layout::GraphFile`] — the on-SSD byte layout of the graph (the
+//!   offset table, then the neighbor edge-list array), mapping nodes to
+//!   logical block addresses; the store's real `SSGRPH01` file is this
+//!   same layout placed after its header.
 //! * [`LruSet`] — the generic exact-LRU under both host caches (it
 //!   lives in `smartsage-sim`; re-exported here). The OS page cache and
 //!   the scratchpad are each a `smartsage_sim::CountedLru<u64>` — the

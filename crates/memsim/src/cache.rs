@@ -1,9 +1,12 @@
 //! Set-associative LLC model.
 //!
 //! A classic tag-array simulation: physical addresses map to sets by
-//! line-index bits; each set holds `associativity` tags with true-LRU
-//! replacement. Only residency is tracked (no data), which is all miss
-//! rates need.
+//! line-index bits; each set is the workspace's one exact LRU
+//! ([`smartsage_sim::CountedLru`]) over `associativity` line tags, so
+//! replacement is true LRU and a set counts its own hits and misses.
+//! Only residency is tracked (no data), which is all miss rates need.
+
+use smartsage_sim::CountedLru;
 
 /// Geometry of the simulated cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,17 +55,9 @@ impl CacheParams {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     params: CacheParams,
-    num_sets: usize,
-    /// tags[set * assoc + way]; u64::MAX = invalid.
-    tags: Vec<u64>,
-    /// Per-way LRU stamp; larger = more recent.
-    stamps: Vec<u64>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
+    /// One LRU of line tags per set.
+    sets: Vec<CountedLru<u64>>,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl SetAssocCache {
     /// Builds the cache.
@@ -76,15 +71,9 @@ impl SetAssocCache {
             "line size must be a power of two"
         );
         assert!(params.associativity > 0, "associativity must be positive");
-        let num_sets = params.num_sets();
         SetAssocCache {
             params,
-            num_sets,
-            tags: vec![INVALID; num_sets * params.associativity],
-            stamps: vec![0; num_sets * params.associativity],
-            clock: 0,
-            hits: 0,
-            misses: 0,
+            sets: vec![CountedLru::new(params.associativity); params.num_sets()],
         }
     }
 
@@ -96,38 +85,9 @@ impl SetAssocCache {
     /// Accesses the line containing `addr`; returns `true` on hit.
     /// Misses allocate (fill) the line, evicting the set's LRU way.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         let line = addr / self.params.line_bytes;
-        let set = (line % self.num_sets as u64) as usize;
-        let tag = line / self.num_sets as u64;
-        let base = set * self.params.associativity;
-        let ways = &mut self.tags[base..base + self.params.associativity];
-        // Hit?
-        for (w, &t) in ways.iter().enumerate() {
-            if t == tag {
-                self.stamps[base + w] = self.clock;
-                self.hits += 1;
-                return true;
-            }
-        }
-        // Miss: fill LRU way.
-        self.misses += 1;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.params.associativity {
-            let s = self.stamps[base + w];
-            if self.tags[base + w] == INVALID {
-                victim = w;
-                break;
-            }
-            if s < oldest {
-                oldest = s;
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = self.clock;
-        false
+        let sets = self.sets.len() as u64;
+        self.sets[(line % sets) as usize].lookup(line / sets, None)
     }
 
     /// Accesses a byte range, touching every line it spans. Returns the
@@ -149,21 +109,21 @@ impl SetAssocCache {
 
     /// Hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.sets.iter().map(CountedLru::hits).sum()
     }
 
     /// Misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.sets.iter().map(CountedLru::misses).sum()
     }
 
     /// Miss rate over all accesses (0.0 when untouched).
     pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
+        let (hits, misses) = (self.hits(), self.misses());
+        if hits + misses == 0 {
             0.0
         } else {
-            self.misses as f64 / total as f64
+            misses as f64 / (hits + misses) as f64
         }
     }
 }

@@ -7,10 +7,12 @@
 //! workload. This crate provides the pieces to regenerate that figure
 //! from the *actual address trace* of our sampler:
 //!
-//! * [`cache::SetAssocCache`] — a set-associative, LRU, write-allocate
-//!   last-level cache model (Xeon Gold 6242-like defaults),
+//! * [`cache::SetAssocCache`] — a set-associative, write-allocate
+//!   last-level cache model (Xeon Gold 6242-like defaults) whose sets
+//!   are the workspace's one exact LRU, `smartsage_sim::CountedLru`,
 //! * [`meter::BandwidthMeter`] — achieved-vs-peak DRAM bandwidth
-//!   accounting given the miss stream.
+//!   accounting given the miss stream, over the modeled DRAM's peak
+//!   bandwidth and line size.
 
 pub mod cache;
 pub mod meter;

@@ -25,16 +25,17 @@ pub struct BandwidthMeter {
 }
 
 impl BandwidthMeter {
-    /// Creates a meter with paper-platform defaults: 125 GB/s peak,
-    /// 25 ns effective miss latency (90 ns loads overlapped by the
-    /// out-of-order window, plus dependent address generation), 6 ns hit
-    /// cost, 64 B lines, for a given number of concurrent workers.
-    pub fn new(workers: u32) -> Self {
+    /// Creates a meter for `workers` concurrent workers over a DRAM of
+    /// `peak_bytes_per_sec` peak bandwidth filled in `line_bytes` lines
+    /// (Fig 5 passes the modeled DRAM's), with a 25 ns effective miss
+    /// latency (90 ns loads overlapped by the out-of-order window, plus
+    /// dependent address generation) and a 6 ns hit cost.
+    pub fn new(workers: u32, peak_bytes_per_sec: u64, line_bytes: u64) -> Self {
         BandwidthMeter {
-            peak_bytes_per_sec: 125_000_000_000.0,
+            peak_bytes_per_sec: peak_bytes_per_sec as f64,
             miss_latency: SimDuration::from_nanos(25),
             hit_cost: SimDuration::from_nanos(6),
-            line_bytes: 64,
+            line_bytes,
             hits: 0,
             misses: 0,
             workers: workers.max(1),
@@ -75,9 +76,14 @@ impl BandwidthMeter {
 mod tests {
     use super::*;
 
+    /// A meter over the paper platform's DRAM: 125 GB/s, 64 B lines.
+    fn meter(workers: u32) -> BandwidthMeter {
+        BandwidthMeter::new(workers, 125_000_000_000, 64)
+    }
+
     #[test]
     fn empty_meter_reports_zero() {
-        let m = BandwidthMeter::new(1);
+        let m = meter(1);
         assert_eq!(m.utilization(), 0.0);
         assert_eq!(m.bytes_filled(), 0);
         assert!(m.elapsed().is_zero());
@@ -85,7 +91,7 @@ mod tests {
 
     #[test]
     fn all_miss_stream_utilization() {
-        let mut m = BandwidthMeter::new(1);
+        let mut m = meter(1);
         m.record(0, 1_000_000);
         // 64 MB over 15 ms = ~4.27 GB/s = ~3.4% of peak.
         let util = m.utilization();
@@ -94,8 +100,8 @@ mod tests {
 
     #[test]
     fn workers_scale_throughput() {
-        let mut one = BandwidthMeter::new(1);
-        let mut twelve = BandwidthMeter::new(12);
+        let mut one = meter(1);
+        let mut twelve = meter(12);
         one.record(400_000, 600_000);
         twelve.record(400_000, 600_000);
         assert!((twelve.utilization() / one.utilization() - 12.0).abs() < 0.01);
@@ -105,7 +111,7 @@ mod tests {
     fn paper_band_is_reachable() {
         // ~62% miss rate, 12 workers: should land in the paper's 10-40%
         // utilization band.
-        let mut m = BandwidthMeter::new(12);
+        let mut m = meter(12);
         m.record(380_000, 620_000);
         let util = m.utilization();
         assert!(util > 0.1 && util < 0.5, "utilization {util}");
@@ -113,7 +119,7 @@ mod tests {
 
     #[test]
     fn utilization_is_clamped() {
-        let mut m = BandwidthMeter::new(1000);
+        let mut m = meter(1000);
         m.record(0, 10_000_000);
         assert!(m.utilization() <= 1.0);
     }

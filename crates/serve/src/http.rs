@@ -17,6 +17,13 @@
 //! Oversized bodies are rejected with a 413 *before* the body is read;
 //! malformed framing gets a 400 and the connection closes; everything
 //! after framing flows through [`crate::api`]'s typed errors.
+//!
+//! There is one shutdown path, [`Server::shutdown`] (also run when a
+//! [`Server`] drops, so a failed start unwinds through it): stop
+//! accepting, drain the batcher, join the workers, release
+//! [`Server::wait`]. A connection idle between requests closes at the
+//! next read poll; one stalled mid-request is answered 503
+//! `shutting_down` and closed, so no client can hold shutdown open.
 
 use crate::api::{ApiRequest, SampleRequest, ServeError};
 use crate::batcher::{BatchPolicy, Batcher};
@@ -66,6 +73,15 @@ struct Inner {
     stop_signal: Condvar,
 }
 
+impl Inner {
+    /// Releases [`Server::wait`]: set the flag, then notify without
+    /// holding its lock.
+    fn signal_stop(&self) {
+        *self.stop_requested.safe_lock() = true;
+        self.stop_signal.notify_all();
+    }
+}
+
 /// A running server: the listener, its worker pool, and the batcher +
 /// engine behind them.
 pub struct Server {
@@ -77,7 +93,8 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), starts the
     /// batcher executor and `options.workers` connection workers, and
-    /// returns immediately.
+    /// returns immediately. A worker that fails to spawn fails the
+    /// start; dropping the half-built server shuts down the rest.
     pub fn start(
         engine: Engine,
         policy: BatchPolicy,
@@ -88,49 +105,27 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let engine = Arc::new(Mutex::new(engine));
-        let inner = Arc::new(Inner {
-            engine: Arc::clone(&engine),
-            batcher: Batcher::start(engine, policy)?,
-            options,
-            shutting_down: AtomicBool::new(false),
-            stop_requested: Mutex::new(false),
-            stop_signal: Condvar::new(),
-        });
-        let mut workers = Vec::with_capacity(options.workers);
-        let mut spawn_error = None;
-        for i in 0..options.workers {
-            let spawned = listener.try_clone().and_then(|listener| {
-                let inner = Arc::clone(&inner);
-                thread::Builder::new()
-                    .name(format!("serve-http-{i}"))
-                    .spawn(move || accept_loop(listener, inner))
-            });
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                Err(e) => {
-                    spawn_error = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = spawn_error {
-            // Partial startup: unwind the workers that did spawn so
-            // the caller gets a clean error, not a half-alive server.
-            inner.shutting_down.store(true, Ordering::SeqCst);
-            inner.batcher.close();
-            for _ in 0..workers.len() {
-                let _ = TcpStream::connect(addr);
-            }
-            for worker in workers {
-                let _ = worker.join();
-            }
-            return Err(e);
-        }
-        Ok(Server {
-            inner,
+        let server = Server {
+            inner: Arc::new(Inner {
+                engine: Arc::clone(&engine),
+                batcher: Batcher::start(engine, policy)?,
+                options,
+                shutting_down: AtomicBool::new(false),
+                stop_requested: Mutex::new(false),
+                stop_signal: Condvar::new(),
+            }),
             addr,
-            workers: Mutex::new(workers),
-        })
+            workers: Mutex::new(Vec::with_capacity(options.workers)),
+        };
+        for i in 0..options.workers {
+            let listener = listener.try_clone()?;
+            let inner = Arc::clone(&server.inner);
+            let worker = thread::Builder::new()
+                .name(format!("serve-http-{i}"))
+                .spawn(move || accept_loop(listener, inner))?;
+            server.workers.safe_lock().push(worker);
+        }
+        Ok(server)
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -177,12 +172,7 @@ impl Server {
             let _ = worker.join();
         }
         // Release anything blocked in wait().
-        self.signal_stop();
-    }
-
-    fn signal_stop(&self) {
-        *self.inner.stop_requested.safe_lock() = true;
-        self.inner.stop_signal.notify_all();
+        self.inner.signal_stop();
     }
 }
 
@@ -225,7 +215,8 @@ struct HttpRequest {
 enum FrameError {
     /// The connection is done (clean EOF or I/O failure) — no response.
     Disconnect,
-    /// Shutdown was signaled while the connection idled.
+    /// Shutdown was signaled while the connection idled between
+    /// requests — no response.
     ShuttingDown,
     /// The frame is unusable; respond with this and close.
     Reject(ServeError),
@@ -271,7 +262,7 @@ fn read_request(
                 "request head exceeds {MAX_HEAD_BYTES} bytes"
             ))));
         }
-        fill(stream, buffer, buffer.is_empty(), inner)?;
+        fill(stream, buffer, inner)?;
     };
     let head = std::str::from_utf8(&buffer[..head_end])
         .map_err(|_| FrameError::Reject(ServeError::BadRequest("non-UTF-8 request head".into())))?;
@@ -313,7 +304,7 @@ fn read_request(
     }
     let body_start = head_end + 4;
     while buffer.len() < body_start + content_length {
-        fill(stream, buffer, false, inner)?;
+        fill(stream, buffer, inner)?;
     }
     let body = String::from_utf8(buffer[body_start..body_start + content_length].to_vec())
         .map_err(|_| FrameError::Reject(ServeError::BadRequest("non-UTF-8 request body".into())))?;
@@ -326,13 +317,12 @@ fn read_request(
     })
 }
 
-/// Appends more bytes from the socket. While a connection sits idle
-/// between requests (`idle`), read timeouts poll the shutdown flag;
-/// mid-frame timeouts just retry.
+/// Appends more bytes from the socket. Every read timeout polls the
+/// shutdown flag: once it is set, an idle connection (nothing
+/// buffered) closes silently and a partial frame is answered 503.
 fn fill(
     stream: &mut TcpStream,
     buffer: &mut Vec<u8>,
-    idle: bool,
     inner: &Arc<Inner>,
 ) -> Result<(), FrameError> {
     let mut chunk = [0u8; 4096];
@@ -355,8 +345,12 @@ fn fill(
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if inner.shutting_down.load(Ordering::SeqCst) && idle && buffer.is_empty() {
-                    return Err(FrameError::ShuttingDown);
+                if inner.shutting_down.load(Ordering::SeqCst) {
+                    return Err(if buffer.is_empty() {
+                        FrameError::ShuttingDown
+                    } else {
+                        FrameError::Reject(ServeError::ShuttingDown)
+                    });
                 }
             }
             Err(_) => return Err(FrameError::Disconnect),
@@ -377,7 +371,7 @@ fn route(request: &HttpRequest, inner: &Arc<Inner>) -> (u16, String) {
         ("POST", "/v1/shutdown") => {
             // Acknowledge first; the owner thread (in `wait()`) runs
             // the actual drain + join.
-            inner.stop_signal.notify_all_with(&inner.stop_requested);
+            inner.signal_stop();
             (200, "{\"status\":\"shutting down\"}".to_string())
         }
         (_, "/health" | "/stats" | "/v1/sample" | "/v1/infer" | "/v1/shutdown") => {
@@ -493,17 +487,4 @@ fn respond(stream: &mut TcpStream, status: u16, body: &str, close: bool) -> std:
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
-}
-
-/// Tiny extension so `route` can signal the owner thread without
-/// holding the lock across `notify`.
-trait NotifyWith {
-    fn notify_all_with(&self, flag: &Mutex<bool>);
-}
-
-impl NotifyWith for Condvar {
-    fn notify_all_with(&self, flag: &Mutex<bool>) {
-        *flag.safe_lock() = true;
-        self.notify_all();
-    }
 }

@@ -306,6 +306,43 @@ fn shutdown_endpoint_releases_wait_and_drains() {
 }
 
 #[test]
+fn a_half_sent_request_cannot_hold_shutdown_open() {
+    use std::io::{Read, Write};
+    let server = start(BatchPolicy::default(), HttpOptions::default());
+    let mut stalled = std::net::TcpStream::connect(server.addr()).unwrap();
+    // A whole request, then half of the next one on the same
+    // keep-alive connection: the first response byte proves a worker
+    // owns the connection with the partial head behind it.
+    stalled
+        .write_all(b"GET /health HTTP/1.1\r\n\r\nPOST /v1/sample HTTP/1.1\r\n")
+        .unwrap();
+    let mut first = [0u8; 1];
+    stalled.read_exact(&mut first).unwrap();
+    let (done, returned) = std::sync::mpsc::channel();
+    let shutdown = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    returned
+        .recv_timeout(Duration::from_secs(3))
+        .expect("shutdown returns within 3 s with a half-sent request open");
+    shutdown.join().unwrap();
+    let mut rest = String::new();
+    stalled.read_to_string(&mut rest).unwrap();
+    // `rest` is the 200's tail (its first byte was read above), then
+    // the stalled request's response.
+    let stalled_response = &rest[rest.find("HTTP/1.1 ").unwrap()..];
+    assert!(
+        stalled_response.starts_with("HTTP/1.1 503"),
+        "{stalled_response}"
+    );
+    assert!(
+        stalled_response.contains("shutting_down"),
+        "{stalled_response}"
+    );
+}
+
+#[test]
 fn a_zero_shard_count_is_a_usage_error_naming_the_flag() {
     // The same usage error `reproduce --shards 0` is: refused before
     // anything is opened, never served as one device.

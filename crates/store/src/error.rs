@@ -1,4 +1,4 @@
-//! Typed errors for feature-store I/O.
+//! Typed errors for store-file I/O.
 //!
 //! Every fallible store operation returns a [`StoreError`] — no store
 //! implementation is allowed to `unwrap` an I/O result. Errors carry
@@ -8,7 +8,7 @@
 use smartsage_graph::NodeId;
 use std::fmt;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// An error raised by a [`FeatureStore`](crate::FeatureStore).
 #[derive(Debug)]
@@ -22,19 +22,19 @@ pub enum StoreError {
         /// The OS error.
         source: io::Error,
     },
-    /// The feature file's magic bytes are wrong — not a feature file.
+    /// The store file's magic bytes are wrong — not the expected format.
     BadMagic {
         /// The file that was opened.
         path: PathBuf,
     },
-    /// The feature file's header fields are inconsistent.
+    /// The store file's header fields are inconsistent.
     BadHeader {
         /// The file that was opened.
         path: PathBuf,
         /// What is wrong with it.
         reason: String,
     },
-    /// The feature file is shorter (or longer) than its header promises.
+    /// The store file is shorter (or longer) than its header promises.
     Truncated {
         /// The file that was opened.
         path: PathBuf,
@@ -49,7 +49,7 @@ pub enum StoreError {
     /// accounting against a geometry (page size, cache capacity) it
     /// did not configure.
     OptionsConflict {
-        /// The feature file both callers want.
+        /// The store file both callers want.
         path: PathBuf,
         /// The options this open requested.
         requested: crate::file::FileStoreOptions,
@@ -142,6 +142,20 @@ pub enum StoreError {
     },
 }
 
+impl StoreError {
+    /// A `map_err` adapter: the OS error of doing `action` on `path`.
+    pub(crate) fn io<'a>(
+        path: &'a Path,
+        action: &'static str,
+    ) -> impl FnOnce(io::Error) -> StoreError + 'a {
+        move |source| StoreError::Io {
+            path: path.to_path_buf(),
+            action,
+            source,
+        }
+    }
+}
+
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -150,19 +164,19 @@ impl fmt::Display for StoreError {
                 action,
                 source,
             } => {
-                write!(f, "feature file '{}': {action}: {source}", path.display())
+                write!(f, "store file '{}': {action}: {source}", path.display())
             }
             StoreError::BadMagic { path } => {
                 write!(
                     f,
-                    "feature file '{}': bad magic (not a SmartSAGE feature file)",
+                    "store file '{}': bad magic (not the expected SmartSAGE store format)",
                     path.display()
                 )
             }
             StoreError::BadHeader { path, reason } => {
                 write!(
                     f,
-                    "feature file '{}': invalid header: {reason}",
+                    "store file '{}': invalid header: {reason}",
                     path.display()
                 )
             }
@@ -172,7 +186,7 @@ impl fmt::Display for StoreError {
                 actual,
             } => write!(
                 f,
-                "feature file '{}' is truncated or corrupt: expected exactly \
+                "store file '{}' is truncated or corrupt: expected exactly \
                  {expected} bytes, found {actual}",
                 path.display()
             ),
@@ -183,7 +197,7 @@ impl fmt::Display for StoreError {
             } => {
                 write!(
                     f,
-                    "feature file '{}' is already open with {open:?}; refusing to hand it \
+                    "store file '{}' is already open with {open:?}; refusing to hand it \
                      out for a request with {requested:?}",
                     path.display()
                 )

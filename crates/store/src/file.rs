@@ -1,12 +1,19 @@
-//! The `SSFEAT01` feature-file format: layout, writers, and the
-//! validating open.
+//! The store-file container both on-disk formats share, and the
+//! `SSFEAT01` feature-file format: layout, writers, and the validating
+//! open.
+//!
+//! # The container
+//!
+//! `SSFEAT01` and `SSGRPH01` ([`mod@crate::graph_file`]) are one
+//! container: a [`HEADER_BYTES`] header holding an 8-byte magic and
+//! u64 LE fields, zero-padded, then the payload. One writer
+//! (`create_with_header`), one reader (`open_header`) and one length
+//! check (`check_len`) serve both; each format checks only its own
+//! fields.
 //!
 //! # On-disk layout
 //!
-//! A feature file is one page-aligned header followed by the dense
-//! row-major feature matrix (mirroring the on-SSD graph layout of
-//! [`smartsage_hostio::layout`], where the edge array starts
-//! block-aligned after the offset table):
+//! A feature file's payload is the dense row-major feature matrix:
 //!
 //! ```text
 //! offset 0      magic  "SSFEAT01"            (8 bytes)
@@ -30,6 +37,7 @@
 
 use crate::error::StoreError;
 use smartsage_graph::{FeatureTable, NodeId};
+use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -37,8 +45,9 @@ use std::path::Path;
 /// Magic bytes identifying a feature file (versioned).
 pub const FEATURE_FILE_MAGIC: [u8; 8] = *b"SSFEAT01";
 
-/// Bytes reserved for the header; the feature matrix starts here, so
-/// rows are page-aligned with respect to the default 4 KiB page.
+/// Bytes reserved for the header of either store-file format; the
+/// payload starts here, page-aligned with respect to the default 4 KiB
+/// page.
 pub const HEADER_BYTES: u64 = 4096;
 
 /// Page geometry and cache budget of one file-backed store.
@@ -58,6 +67,84 @@ impl Default for FileStoreOptions {
             cache_pages: 1024,
         }
     }
+}
+
+/// Creates `path` (overwriting it) and writes a store-file header:
+/// `magic`, then `fields` as u64 LE, zero-padded to [`HEADER_BYTES`].
+/// The caller writes the payload behind it and flushes.
+pub(crate) fn create_with_header(
+    path: &Path,
+    magic: [u8; 8],
+    fields: &[u64],
+) -> Result<BufWriter<File>, StoreError> {
+    let mut header = [0u8; HEADER_BYTES as usize];
+    header[..8].copy_from_slice(&magic);
+    for (slot, field) in header[8..].chunks_exact_mut(8).zip(fields) {
+        slot.copy_from_slice(&field.to_le_bytes());
+    }
+    let mut w = BufWriter::new(File::create(path).map_err(StoreError::io(path, "create"))?);
+    w.write_all(&header)
+        .map_err(StoreError::io(path, "write header"))?;
+    Ok(w)
+}
+
+/// Opens `path` as a store file whose header starts with `magic`,
+/// returning the handle, the file length and the header's first `N`
+/// fields. A file too short to hold the header is
+/// [`StoreError::Truncated`]; a foreign one [`StoreError::BadMagic`].
+pub(crate) fn open_header<const N: usize>(
+    path: &Path,
+    magic: [u8; 8],
+) -> Result<(File, u64, [u64; N]), StoreError> {
+    let mut file = File::open(path).map_err(StoreError::io(path, "open"))?;
+    let file_len = file.metadata().map_err(StoreError::io(path, "stat"))?.len();
+    if file_len < HEADER_BYTES {
+        return Err(StoreError::Truncated {
+            path: path.to_path_buf(),
+            expected: HEADER_BYTES,
+            actual: file_len,
+        });
+    }
+    let mut header = [0u8; HEADER_BYTES as usize];
+    file.read_exact(&mut header)
+        .map_err(StoreError::io(path, "read header"))?;
+    if header[..8] != magic {
+        return Err(StoreError::BadMagic {
+            path: path.to_path_buf(),
+        });
+    }
+    let mut fields = [0u64; N];
+    for (field, bytes) in fields.iter_mut().zip(header[8..].chunks_exact(8)) {
+        *field = u64::from_le_bytes(bytes.try_into().unwrap_or_default());
+    }
+    Ok((file, file_len, fields))
+}
+
+/// The one length check: `layout` is what the header implies, `None`
+/// when its size overflows `u64` (a [`StoreError::BadHeader`] naming
+/// `sizes`), and a file that is not exactly `len(layout)` bytes is
+/// [`StoreError::Truncated`]. Checked arithmetic upstream means a
+/// corrupt header fails typed, never wraps past this check.
+pub(crate) fn check_len<L>(
+    path: &Path,
+    file_len: u64,
+    layout: Option<L>,
+    len: impl FnOnce(&L) -> u64,
+    sizes: fmt::Arguments<'_>,
+) -> Result<L, StoreError> {
+    let layout = layout.ok_or_else(|| StoreError::BadHeader {
+        path: path.to_path_buf(),
+        reason: format!("header implies an impossible size ({sizes})"),
+    })?;
+    let expected = len(&layout);
+    if file_len != expected {
+        return Err(StoreError::Truncated {
+            path: path.to_path_buf(),
+            expected,
+            actual: file_len,
+        });
+    }
+    Ok(layout)
 }
 
 /// Serializes `table`'s first `num_nodes` rows to `path` in the layout
@@ -85,21 +172,8 @@ pub fn write_feature_shard(
     end: usize,
 ) -> Result<(), StoreError> {
     assert!(start <= end, "inverted shard range {start}..{end}");
-    let io_err = |action: &'static str| {
-        move |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            action,
-            source,
-        }
-    };
-    let file = File::create(path).map_err(io_err("create"))?;
-    let mut w = BufWriter::new(file);
-    let mut header = [0u8; HEADER_BYTES as usize];
-    header[0..8].copy_from_slice(&FEATURE_FILE_MAGIC);
-    header[8..16].copy_from_slice(&(table.dim() as u64).to_le_bytes());
-    header[16..24].copy_from_slice(&((end - start) as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&(table.num_classes() as u64).to_le_bytes());
-    w.write_all(&header).map_err(io_err("write header"))?;
+    let fields = [table.dim(), end - start, table.num_classes()].map(|f| f as u64);
+    let mut w = create_with_header(path, FEATURE_FILE_MAGIC, &fields)?;
     let mut row = vec![0.0f32; table.dim()];
     let mut bytes = vec![0u8; table.dim() * 4];
     for i in start..end {
@@ -107,10 +181,10 @@ pub fn write_feature_shard(
         for (chunk, v) in bytes.chunks_exact_mut(4).zip(&row) {
             chunk.copy_from_slice(&v.to_le_bytes());
         }
-        w.write_all(&bytes).map_err(io_err("write row"))?;
+        w.write_all(&bytes)
+            .map_err(StoreError::io(path, "write row"))?;
     }
-    w.flush().map_err(io_err("flush"))?;
-    Ok(())
+    w.flush().map_err(StoreError::io(path, "flush"))
 }
 
 /// An opened, fully validated feature file: the read handle plus its
@@ -128,35 +202,8 @@ impl RawFeatureFile {
     /// Opens `path`, validating magic, header consistency, and the
     /// exact file length before any row can be read.
     pub fn open(path: &Path) -> Result<RawFeatureFile, StoreError> {
-        let io_err = |action: &'static str| {
-            move |source: std::io::Error| StoreError::Io {
-                path: path.to_path_buf(),
-                action,
-                source,
-            }
-        };
-        let mut file = File::open(path).map_err(io_err("open"))?;
-        let file_len = file.metadata().map_err(io_err("stat"))?.len();
-        if file_len < HEADER_BYTES {
-            return Err(StoreError::Truncated {
-                path: path.to_path_buf(),
-                expected: HEADER_BYTES,
-                actual: file_len,
-            });
-        }
-        let mut header = [0u8; 32];
-        file.read_exact(&mut header)
-            .map_err(io_err("read header"))?;
-        if header[0..8] != FEATURE_FILE_MAGIC {
-            return Err(StoreError::BadMagic {
-                path: path.to_path_buf(),
-            });
-        }
-        #[expect(clippy::expect_used, reason = "[u8; 32] header, every `at` <= 24")]
-        let field = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
-        let dim = field(8);
-        let num_nodes = field(16);
-        let num_classes = field(24);
+        let (file, file_len, [dim, num_nodes, num_classes]) =
+            open_header(path, FEATURE_FILE_MAGIC)?;
         let bad = |reason: String| StoreError::BadHeader {
             path: path.to_path_buf(),
             reason,
@@ -170,24 +217,17 @@ impl RawFeatureFile {
         if num_nodes > u32::MAX as u64 {
             return Err(bad(format!("node count {num_nodes} exceeds u32 ids")));
         }
-        // Checked arithmetic: a corrupt header must fail typed, not
-        // overflow past the truncation check.
         let expected = num_nodes
             .checked_mul(dim)
             .and_then(|b| b.checked_mul(4))
-            .and_then(|b| b.checked_add(HEADER_BYTES))
-            .ok_or_else(|| {
-                bad(format!(
-                    "header implies an impossible size ({num_nodes} nodes × {dim} features)"
-                ))
-            })?;
-        if file_len != expected {
-            return Err(StoreError::Truncated {
-                path: path.to_path_buf(),
-                expected,
-                actual: file_len,
-            });
-        }
+            .and_then(|b| b.checked_add(HEADER_BYTES));
+        check_len(
+            path,
+            file_len,
+            expected,
+            |&len| len,
+            format_args!("{num_nodes} nodes × {dim} features"),
+        )?;
         Ok(RawFeatureFile {
             file,
             dim: dim as usize,

@@ -3,10 +3,12 @@
 //!
 //! # On-disk layout (`SSGRPH01`)
 //!
-//! A graph file is one page-aligned header, the offset array, and the
-//! neighbor edge-list array — the paper's Fig 10 byte space made real
-//! (the feature half lives in the sibling `SSFEAT01` format of
-//! [`mod@crate::file`]):
+//! A graph file is the store-file header of [`mod@crate::file`] (the
+//! sibling `SSFEAT01` format holds the feature half) followed by the
+//! paper's Fig 10 byte space exactly as the modeled SSD lays it out:
+//! [`smartsage_hostio::GraphFile`] placed at [`HEADER_BYTES`]. Every
+//! offset and neighbor address below is that layout's; this module
+//! does no address arithmetic of its own.
 //!
 //! ```text
 //! offset 0      magic  "SSGRPH01"             (8 bytes)
@@ -18,16 +20,14 @@
 //! offset E      edge array: num_edges × u64 LE neighbor ids
 //! ```
 //!
-//! Every neighbor entry is 8 bytes
-//! ([`smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES`], the paper's
-//! "fine-grained 8 byte read transactions"), and the edge array starts
-//! page-aligned, exactly like the simulated on-SSD layout of
-//! [`smartsage_hostio::GraphFile`]. A file whose length disagrees with
-//! its header fails to open with [`StoreError::Truncated`] naming the
-//! file and the expected length; internally inconsistent CSR content —
-//! offsets out of monotone order, an edge index past the end of the
-//! edge array, a neighbor id past the node count — fails the read that
-//! discovers it with [`StoreError::CorruptGraph`], never a panic.
+//! Every entry is 8 bytes ([`NEIGHBOR_ENTRY_BYTES`], the paper's
+//! "fine-grained 8 byte read transactions"). A file whose length
+//! disagrees with its header fails to open with
+//! [`StoreError::Truncated`] naming the file and the expected length;
+//! internally inconsistent CSR content — offsets out of monotone order,
+//! an edge index past the end of the edge array, a neighbor id past the
+//! node count — fails the read that discovers it with
+//! [`StoreError::CorruptGraph`], never a panic.
 //!
 //! # Read path
 //!
@@ -35,45 +35,33 @@
 //! [`SharedFileStore`](crate::SharedFileStore): the `u64`-entry format
 //! layer over the same crate-private `PagedFile` (`paged.rs`). The
 //! file is opened once per registry; a batch of offset or edge entries
-//! becomes byte ranges (pure address arithmetic) that the paged read
-//! path resolves through its lock-striped page cache, and the entries
-//! decode straight out of the staged pages into the caller's output. A
-//! pick batch reads one offset pair per maximal run of equal consecutive
-//! parents and checks every pick of the run against it. Every operation
-//! takes `&self` and returns its exact per-call I/O deltas, which the
-//! caller's [`FileTopology`](crate::FileTopology) handle accumulates
-//! into scoped counters.
+//! becomes the layout's byte ranges that the paged read path resolves
+//! through its lock-striped page cache, and the entries decode straight
+//! out of the staged pages into the caller's output. A pick batch reads
+//! one offset pair per maximal run of equal consecutive parents and
+//! checks every pick of the run against it. Every operation takes
+//! `&self` and returns its exact per-call I/O deltas, which the caller's
+//! [`FileTopology`](crate::FileTopology) handle accumulates into scoped
+//! counters.
 
 // Untrusted input fails as a typed error, never a panic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::error::StoreError;
-use crate::file::FileStoreOptions;
+use crate::file::{check_len, create_with_header, open_header, FileStoreOptions, HEADER_BYTES};
 use crate::paged::{PagedFile, Plan, Planned};
 use crate::StoreStats;
+use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::{CsrGraph, NodeId};
-use smartsage_hostio::{ByteRange, ReadEngine};
+use smartsage_hostio::{ByteRange, GraphFile, ReadEngine};
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Magic bytes identifying a graph topology file (versioned).
 pub const GRAPH_FILE_MAGIC: [u8; 8] = *b"SSGRPH01";
-
-/// Bytes reserved for the header; the offset array starts here.
-pub const GRAPH_HEADER_BYTES: u64 = 4096;
-
-/// Bytes per offset / neighbor entry (u64 LE, matching the 8-byte
-/// neighbor entries of the simulated on-SSD layout).
-pub const GRAPH_ENTRY_BYTES: u64 = 8;
-
-/// Byte offset where the edge array of an `n`-node graph begins: the
-/// offset array padded out to the next page boundary.
-pub fn edge_array_base(num_nodes: u64) -> u64 {
-    (GRAPH_HEADER_BYTES + (num_nodes + 1) * GRAPH_ENTRY_BYTES).next_multiple_of(GRAPH_HEADER_BYTES)
-}
 
 /// Serializes `graph` to `path` in the layout above. Overwrites any
 /// existing file.
@@ -114,48 +102,43 @@ pub fn write_graph_shard(
 ) -> Result<(), StoreError> {
     let n = graph.num_nodes();
     assert!(start <= end && end <= n, "bad shard range {start}..{end}");
-    let io_err = |action: &'static str| {
-        move |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            action,
-            source,
-        }
-    };
     let base = edge_offset(graph, start);
     let top = edge_offset(graph, end);
-    let shard_edges = top - base;
-    let file = File::create(path).map_err(io_err("create"))?;
-    let mut w = BufWriter::new(file);
-    let mut header = [0u8; GRAPH_HEADER_BYTES as usize];
-    header[0..8].copy_from_slice(&GRAPH_FILE_MAGIC);
-    header[8..16].copy_from_slice(&(n as u64).to_le_bytes());
-    header[16..24].copy_from_slice(&shard_edges.to_le_bytes());
-    w.write_all(&header).map_err(io_err("write header"))?;
+    #[expect(
+        clippy::expect_used,
+        reason = "an in-memory graph's layout fits in u64"
+    )]
+    let layout = GraphFile::at(HEADER_BYTES, n as u64, top - base).expect("layout fits");
+    let mut w = create_with_header(path, GRAPH_FILE_MAGIC, &[n as u64, top - base])?;
     for i in 0..=n {
         let off = edge_offset(graph, i).clamp(base, top) - base;
         w.write_all(&off.to_le_bytes())
-            .map_err(io_err("write offsets"))?;
+            .map_err(StoreError::io(path, "write offsets"))?;
     }
-    let n64 = n as u64;
-    let pad = edge_array_base(n64) - (GRAPH_HEADER_BYTES + (n64 + 1) * GRAPH_ENTRY_BYTES);
+    // Zero-pad up to where the layout starts the edge array.
+    let table_end = w
+        .stream_position()
+        .map_err(StoreError::io(path, "write offsets"))?;
+    let pad = layout.edge_entries(0, 0).offset - table_end;
     w.write_all(&vec![0u8; pad as usize])
-        .map_err(io_err("write padding"))?;
+        .map_err(StoreError::io(path, "write padding"))?;
     for i in start..end {
         for &t in graph.neighbors(NodeId::new(i as u32)) {
             w.write_all(&(t.raw() as u64).to_le_bytes())
-                .map_err(io_err("write edges"))?;
+                .map_err(StoreError::io(path, "write edges"))?;
         }
     }
-    w.flush().map_err(io_err("flush"))?;
-    Ok(())
+    w.flush().map_err(StoreError::io(path, "flush"))
 }
 
-/// An opened, validated graph file: the read handle plus header fields.
+/// An opened, validated graph file: the read handle, its header fields
+/// and the layout they imply.
 #[derive(Debug)]
 pub(crate) struct RawGraphFile {
     pub file: File,
     pub num_nodes: usize,
     pub num_edges: u64,
+    pub layout: GraphFile,
     pub file_len: u64,
 }
 
@@ -164,58 +147,20 @@ impl RawGraphFile {
     /// file length, and the cheap end-point CSR invariants (first
     /// offset 0, last offset = edge count) before any slice is read.
     pub fn open(path: &Path) -> Result<RawGraphFile, StoreError> {
-        let io_err = |action: &'static str| {
-            move |source: std::io::Error| StoreError::Io {
-                path: path.to_path_buf(),
-                action,
-                source,
-            }
-        };
-        let mut file = File::open(path).map_err(io_err("open"))?;
-        let file_len = file.metadata().map_err(io_err("stat"))?.len();
-        if file_len < GRAPH_HEADER_BYTES {
-            return Err(StoreError::Truncated {
-                path: path.to_path_buf(),
-                expected: GRAPH_HEADER_BYTES,
-                actual: file_len,
-            });
-        }
-        let mut header = [0u8; 24];
-        file.read_exact(&mut header)
-            .map_err(io_err("read header"))?;
-        if header[0..8] != GRAPH_FILE_MAGIC {
-            return Err(StoreError::BadMagic {
-                path: path.to_path_buf(),
-            });
-        }
-        #[expect(clippy::expect_used, reason = "[u8; 24] header, every `at` <= 16")]
-        let field = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
-        let num_nodes = field(8);
-        let num_edges = field(16);
-        let bad = |reason: String| StoreError::BadHeader {
-            path: path.to_path_buf(),
-            reason,
-        };
+        let (mut file, file_len, [num_nodes, num_edges]) = open_header(path, GRAPH_FILE_MAGIC)?;
         if num_nodes > u32::MAX as u64 {
-            return Err(bad(format!("node count {num_nodes} exceeds u32 ids")));
-        }
-        // Checked arithmetic: a corrupt header must fail typed, not
-        // overflow past the truncation check.
-        let expected = num_edges
-            .checked_mul(GRAPH_ENTRY_BYTES)
-            .and_then(|b| b.checked_add(edge_array_base(num_nodes)))
-            .ok_or_else(|| {
-                bad(format!(
-                    "header implies an impossible size ({num_nodes} nodes, {num_edges} edges)"
-                ))
-            })?;
-        if file_len != expected {
-            return Err(StoreError::Truncated {
+            return Err(StoreError::BadHeader {
                 path: path.to_path_buf(),
-                expected,
-                actual: file_len,
+                reason: format!("node count {num_nodes} exceeds u32 ids"),
             });
         }
+        let layout = check_len(
+            path,
+            file_len,
+            GraphFile::at(HEADER_BYTES, num_nodes, num_edges),
+            GraphFile::total_bytes,
+            format_args!("{num_nodes} nodes, {num_edges} edges"),
+        )?;
         // End-point CSR invariants are one read each; the interior
         // (monotonicity, targets in range) is validated lazily by the
         // reads that touch it.
@@ -223,18 +168,20 @@ impl RawGraphFile {
             path: path.to_path_buf(),
             reason,
         };
-        let mut read_u64_at = |offset: u64| -> Result<u64, StoreError> {
-            let mut buf = [0u8; 8];
-            file.seek(SeekFrom::Start(offset))
-                .and_then(|_| file.read_exact(&mut buf))
-                .map_err(io_err("read offsets"))?;
+        let mut offset_of = |node: u64| -> Result<u64, StoreError> {
+            let mut buf = [0u8; NEIGHBOR_ENTRY_BYTES as usize];
+            file.seek(SeekFrom::Start(
+                layout.offset_entry_range(NodeId::new(node as u32)).offset,
+            ))
+            .and_then(|_| file.read_exact(&mut buf))
+            .map_err(StoreError::io(path, "read offsets"))?;
             Ok(u64::from_le_bytes(buf))
         };
-        let first = read_u64_at(GRAPH_HEADER_BYTES)?;
+        let first = offset_of(0)?;
         if first != 0 {
             return Err(corrupt(format!("first offset is {first}, expected 0")));
         }
-        let last = read_u64_at(GRAPH_HEADER_BYTES + num_nodes * GRAPH_ENTRY_BYTES)?;
+        let last = offset_of(num_nodes)?;
         if last != num_edges {
             return Err(corrupt(format!(
                 "last offset {last} disagrees with edge count {num_edges}"
@@ -244,6 +191,7 @@ impl RawGraphFile {
             file,
             num_nodes: num_nodes as usize,
             num_edges,
+            layout,
             file_len,
         })
     }
@@ -264,7 +212,7 @@ pub struct SharedCsrFile {
     paged: PagedFile,
     num_nodes: usize,
     num_edges: u64,
-    edge_base: u64,
+    layout: GraphFile,
 }
 
 impl SharedCsrFile {
@@ -299,10 +247,10 @@ impl SharedCsrFile {
     ) -> Result<SharedCsrFile, StoreError> {
         let raw = RawGraphFile::open(path)?;
         Ok(SharedCsrFile {
-            edge_base: edge_array_base(raw.num_nodes as u64),
             paged: PagedFile::new(raw.file, path, raw.file_len, opts, shards, engine),
             num_nodes: raw.num_nodes,
             num_edges: raw.num_edges,
+            layout: raw.layout,
         })
     }
 
@@ -374,8 +322,8 @@ impl SharedCsrFile {
         mut each: impl FnMut(usize, [u64; N]) -> Result<(), StoreError>,
     ) -> Result<Plan, StoreError> {
         let mut staged = self.paged.read(&ranges, io)?;
-        let mut spill = [0u8; 2 * GRAPH_ENTRY_BYTES as usize];
-        let mut raw = [0u8; GRAPH_ENTRY_BYTES as usize];
+        let mut spill = [0u8; 2 * NEIGHBOR_ENTRY_BYTES as usize];
+        let mut raw = [0u8; NEIGHBOR_ENTRY_BYTES as usize];
         for (i, &range) in ranges.iter().enumerate() {
             let bytes = staged.bytes(range, &mut spill[..raw.len() * N]);
             let mut entries = [0u64; N];
@@ -406,10 +354,7 @@ impl SharedCsrFile {
         // its neighbor slice) are one 16-byte range.
         let ranges: Vec<ByteRange> = nodes
             .iter()
-            .map(|&node| ByteRange {
-                offset: GRAPH_HEADER_BYTES + node.index() as u64 * GRAPH_ENTRY_BYTES,
-                len: 2 * GRAPH_ENTRY_BYTES,
-            })
+            .map(|&node| self.layout.offset_entry_range(node))
             .collect();
         let mut io = StoreStats::default();
         let mut pairs = Vec::with_capacity(nodes.len());
@@ -453,10 +398,7 @@ impl SharedCsrFile {
         }
         let ranges: Vec<ByteRange> = edges
             .iter()
-            .map(|&e| ByteRange {
-                offset: self.edge_base + e * GRAPH_ENTRY_BYTES,
-                len: GRAPH_ENTRY_BYTES,
-            })
+            .map(|&e| self.layout.edge_entries(e, 1))
             .collect();
         let mut io = StoreStats::default();
         let plan = self.read_entries(ranges, &mut io, |i, [raw]| {
@@ -674,7 +616,7 @@ mod tests {
     #[test]
     fn bad_magic_and_corrupt_endpoints_are_typed() {
         let file = ScratchFile::new("graph-magic");
-        std::fs::write(file.path(), vec![0u8; GRAPH_HEADER_BYTES as usize]).unwrap();
+        std::fs::write(file.path(), vec![0u8; HEADER_BYTES as usize]).unwrap();
         assert!(matches!(
             SharedCsrFile::open(file.path()).unwrap_err(),
             StoreError::BadMagic { .. }
@@ -683,13 +625,29 @@ mod tests {
         // count is corrupt, not truncated.
         let g = graph(10, 0xE);
         let file = write_graph("graph-endpoint", &g);
-        let at = GRAPH_HEADER_BYTES + 10 * GRAPH_ENTRY_BYTES;
+        let layout = GraphFile::at(HEADER_BYTES, 10, g.num_edges()).unwrap();
+        let at = layout.offset_entry_range(NodeId::new(10)).offset;
         let mut bytes = std::fs::read(file.path()).unwrap();
         bytes[at as usize..at as usize + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(file.path(), &bytes).unwrap();
         let err = SharedCsrFile::open(file.path()).unwrap_err();
         assert!(matches!(err, StoreError::CorruptGraph { .. }), "{err}");
         assert!(err.to_string().contains("last offset"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_header_size_is_rejected_not_wrapped() {
+        // num_edges × 8 overflows u64: must fail typed, never wrap
+        // around the truncation check.
+        let file = ScratchFile::new("graph-overflow");
+        let mut bytes = vec![0u8; HEADER_BYTES as usize];
+        bytes[0..8].copy_from_slice(&GRAPH_FILE_MAGIC);
+        bytes[8..16].copy_from_slice(&4u64.to_le_bytes()); // nodes
+        bytes[16..24].copy_from_slice(&(u64::MAX / 4).to_le_bytes()); // edges
+        std::fs::write(file.path(), &bytes).unwrap();
+        let err = SharedCsrFile::open(file.path()).unwrap_err();
+        assert!(matches!(err, StoreError::BadHeader { .. }), "{err}");
+        assert!(err.to_string().contains("impossible size"), "{err}");
     }
 
     #[test]

@@ -45,13 +45,11 @@ use crate::graph_file::SharedCsrFile;
 use crate::isp::{IspDevice, IspGatherOptions};
 use crate::topology::{check_out_len, count_answers, TopologyStore};
 use crate::StoreStats;
+use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::NodeId;
 use smartsage_sim::SimDuration;
 use smartsage_storage::Ssd;
 use std::sync::Arc;
-
-/// Bytes per id/degree answer shipped over the modeled link.
-const ENTRY_BYTES: u64 = crate::graph_file::GRAPH_ENTRY_BYTES;
 
 /// A [`TopologyStore`] whose reads execute device-side against an SSD
 /// timing model, shipping only packed degrees and sampled neighbor ids
@@ -112,7 +110,7 @@ impl TopologyStore for IspSampleTopology {
         }
         let (pages, ends) = plan.first_needs();
         let accesses = (0..nodes.len()).map(|i| (1, pages[ends[i]..ends[i + 1]].iter().copied()));
-        let shipped = nodes.len() as u64 * ENTRY_BYTES;
+        let shipped = nodes.len() as u64 * NEIGHBOR_ENTRY_BYTES;
         let io = self.device.pass(io, accesses, shipped);
         self.stats.accumulate(&io);
         count_answers(&mut self.stats, nodes.len() as u64);
@@ -141,7 +139,7 @@ impl TopologyStore for IspSampleTopology {
             let first = std::mem::replace(at, *at + 1 + n);
             Some((n as u64, pages[ends[first]..ends[*at]].iter().copied()))
         });
-        let shipped = picks.len() as u64 * ENTRY_BYTES;
+        let shipped = picks.len() as u64 * NEIGHBOR_ENTRY_BYTES;
         let io = self.device.pass(io, accesses, shipped);
         self.stats.accumulate(&io);
         // One logical device command per batch, uniform with the other

@@ -13,7 +13,8 @@
 //!   [`FeatureTable`](smartsage_graph::FeatureTable); features are
 //!   produced straight into the caller's buffer with no I/O.
 //! * [`SharedFileStore`] + [`StoreHandle`] — the file tier: one open
-//!   on-disk feature file ([`mod@file`] documents the layout) and one
+//!   on-disk feature file ([`mod@file`] documents the layout and the
+//!   one header codec both file formats share) and one
 //!   lock-striped, exact-LRU
 //!   [`ShardedPageCache`](smartsage_hostio::ShardedPageCache) shared by
 //!   every thread; batch gathers coalesce their page reads into
@@ -43,9 +44,10 @@
 //! * [`InMemoryTopology`] / [`CsrView`] — wrap a
 //!   [`CsrGraph`](smartsage_graph::CsrGraph); no I/O.
 //! * [`FileTopology`] — a scoped handle onto a registry-shared
-//!   [`SharedCsrFile`] (`SSGRPH01` on-disk CSR, [`mod@graph_file`]):
-//!   coalesced page-aligned offset/edge reads through the same sharded
-//!   page cache discipline.
+//!   [`SharedCsrFile`] (`SSGRPH01` on-disk CSR, [`mod@graph_file`]: the
+//!   modeled [`smartsage_hostio::GraphFile`] layout behind the shared
+//!   header): coalesced page-aligned offset/edge reads through the same
+//!   sharded page cache discipline.
 //! * [`IspSampleTopology`] — in-storage sampling: hop expansion
 //!   resolves device-side against the SSD timing model and only the
 //!   sampled neighbor ids cross the modeled link.

@@ -312,11 +312,7 @@ impl PagedFile {
         }
         let mut fetched = Vec::new();
         for result in self.fetch(&stretches, io) {
-            fetched.extend(result.map_err(|source| StoreError::Io {
-                path: self.path().to_path_buf(),
-                action: "read run",
-                source,
-            })?);
+            fetched.extend(result.map_err(StoreError::io(self.path(), "read run"))?);
         }
         // Every stretch succeeded: fill the holes and commit, both in
         // ascending page order.

@@ -167,11 +167,7 @@ fn open_or_publish<F: Published>(
                 SEQ.fetch_add(1, Ordering::Relaxed)
             ));
             write(&tmp)?;
-            std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-                path: path.clone(),
-                action: "publish",
-                source,
-            })?;
+            std::fs::rename(&tmp, &path).map_err(StoreError::io(&path, "publish"))?;
             F::open_published(&path, opts)?
         }
     };
@@ -880,7 +876,19 @@ mod tests {
         });
         let reg = StoreRegistry::new();
         let path = StoreRegistry::graph_content_key_path(&g);
-        std::fs::write(&path, b"not a graph file").unwrap();
+        // A foreign and a truncated `.gbin` fail typed, naming the path
+        // as a store file, never as a feature file.
+        for (bytes, foreign) in [
+            (vec![0u8; 4096], true),
+            (b"not a graph file".to_vec(), false),
+        ] {
+            std::fs::write(&path, bytes).unwrap();
+            let err = SharedCsrFile::open(&path).unwrap_err();
+            assert_eq!(matches!(err, StoreError::BadMagic { .. }), foreign, "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(path.to_str().unwrap()), "{msg}");
+            assert!(!msg.contains("feature"), "{msg}");
+        }
         let store = reg.open_graph_csr(&g, FileStoreOptions::default()).unwrap();
         assert_eq!(store.num_nodes(), 12);
         assert_eq!(store.num_edges(), g.num_edges());

@@ -38,8 +38,9 @@
 //! sizes.
 
 use crate::error::StoreError;
-use crate::graph_file::{SharedCsrFile, GRAPH_ENTRY_BYTES};
+use crate::graph_file::SharedCsrFile;
 use crate::StoreStats;
+use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::{CsrGraph, NodeId};
 use std::sync::Arc;
 
@@ -189,7 +190,7 @@ fn csr_picks_into(
 pub(crate) fn count_answers(stats: &mut StoreStats, answers: u64) {
     stats.gathers += 1;
     stats.nodes_gathered += answers;
-    stats.feature_bytes += answers * GRAPH_ENTRY_BYTES;
+    stats.feature_bytes += answers * NEIGHBOR_ENTRY_BYTES;
 }
 
 /// A [`TopologyStore`] over an in-memory [`CsrGraph`] held as `G` —

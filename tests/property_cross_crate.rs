@@ -141,7 +141,7 @@ proptest! {
         let mut prev_end = None;
         for node in g.node_ids() {
             let r = f.edge_list_range(&g, node);
-            prop_assert!(r.offset >= f.edge_array_base());
+            prop_assert!(r.offset >= f.edge_entries(0, 0).offset);
             prop_assert!(r.offset + r.len <= f.total_bytes());
             if let Some(end) = prev_end {
                 prop_assert_eq!(r.offset, end, "edge lists must be contiguous");

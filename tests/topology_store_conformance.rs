@@ -19,16 +19,18 @@
 use proptest::prelude::*;
 use smartsage::gnn::sampler::{plan_sample_on, sample_on};
 use smartsage::gnn::{sample_many_on, Fanouts, SampleSpec};
+use smartsage::graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage::graph::generate::{generate_power_law, generate_seed_graph, PowerLawConfig};
 use smartsage::graph::kronecker::{expand, KroneckerConfig};
 use smartsage::graph::{CsrGraph, FeatureTable, NodeId};
+use smartsage::hostio::{ByteRange, GraphFile};
 use smartsage::sim::Xoshiro256;
-use smartsage::store::file::FileStoreOptions;
-use smartsage::store::graph_file::{GRAPH_ENTRY_BYTES, GRAPH_HEADER_BYTES};
+use smartsage::store::file::{FileStoreOptions, HEADER_BYTES};
 use smartsage::store::{
-    check_sharded_population, shard_ranges, write_feature_file, write_graph_file, CsrView,
-    FileTopology, InMemoryTopology, IspGatherOptions, IspSampleTopology, ScratchFile,
-    ShardedTopology, SharedCsrFile, SharedFileStore, StoreError, StoreRegistry, TopologyStore,
+    check_sharded_population, shard_ranges, write_feature_file, write_graph_file,
+    write_graph_shard, CsrView, FileTopology, InMemoryTopology, IspGatherOptions,
+    IspSampleTopology, ScratchFile, ShardedTopology, SharedCsrFile, SharedFileStore, StoreError,
+    StoreRegistry, TopologyStore,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -178,7 +180,7 @@ proptest! {
         for stats in [mem.stats(), disk.stats(), isp.stats()] {
             prop_assert_eq!(stats.gathers, expect_gathers);
             prop_assert_eq!(stats.nodes_gathered, expect_answers);
-            prop_assert_eq!(stats.feature_bytes, expect_answers * GRAPH_ENTRY_BYTES);
+            prop_assert_eq!(stats.feature_bytes, expect_answers * NEIGHBOR_ENTRY_BYTES);
         }
 
         // Memory does no I/O; the file tier's accounting is consistent
@@ -273,6 +275,48 @@ proptest! {
             }
         }
     }
+
+    /// One layout: a written `SSGRPH01` shard holds its rebased CSR
+    /// offsets at `offset_entry_range(v)` and its neighbor ids at the
+    /// edge-entry ranges of the modeled `GraphFile` placed at
+    /// `HEADER_BYTES`, and nothing past its end.
+    #[test]
+    fn topology_store_graph_file_bytes_sit_at_the_modeled_layout(
+        base_nodes in 8usize..40,
+        graph_seed in any::<u64>(),
+        cut_a in 0usize..1000,
+        cut_b in 0usize..1000,
+    ) {
+        let graph = kronecker_graph(base_nodes, graph_seed);
+        let n = graph.num_nodes();
+        let (start, end) = ((cut_a % (n + 1)).min(cut_b % (n + 1)), (cut_a % (n + 1)).max(cut_b % (n + 1)));
+        let file = ScratchFile::new("topo-layout");
+        write_graph_shard(file.path(), &graph, start, end).unwrap();
+        let bytes = std::fs::read(file.path()).unwrap();
+        let entries = |r: ByteRange| -> Vec<u64> {
+            bytes[r.offset as usize..(r.offset + r.len) as usize]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                .collect()
+        };
+        // Global edge offset of node index `i` (`n` is the array's end).
+        let edge_offset = |i: usize| match i {
+            i if i == n => graph.num_edges(),
+            i => graph.edge_list_start(NodeId::new(i as u32)),
+        };
+        let (lo, hi) = (edge_offset(start), edge_offset(end));
+        let layout = GraphFile::at(HEADER_BYTES, n as u64, hi - lo).unwrap();
+        prop_assert_eq!(bytes.len() as u64, layout.total_bytes());
+        let rebased = |i: usize| edge_offset(i).clamp(lo, hi) - lo;
+        for v in graph.node_ids() {
+            let i = v.index();
+            prop_assert_eq!(entries(layout.offset_entry_range(v)), vec![rebased(i), rebased(i + 1)]);
+            if (start..end).contains(&i) {
+                let ids: Vec<u64> = graph.neighbors(v).iter().map(|t| t.raw() as u64).collect();
+                prop_assert_eq!(entries(layout.edge_entries(rebased(i), graph.degree(v))), ids);
+            }
+        }
+    }
 }
 
 #[test]
@@ -335,8 +379,15 @@ fn tiny_graph() -> CsrGraph {
     )
 }
 
-fn corrupt_offset(path: &std::path::Path, index: u64, value: u64) {
-    let at = (GRAPH_HEADER_BYTES + index * GRAPH_ENTRY_BYTES) as usize;
+/// Where `SSGRPH01` lays out `graph`: the modeled layout at the header.
+fn file_layout(graph: &CsrGraph) -> GraphFile {
+    GraphFile::at(HEADER_BYTES, graph.num_nodes() as u64, graph.num_edges()).unwrap()
+}
+
+fn corrupt_offset(path: &std::path::Path, index: u32, value: u64) {
+    let at = file_layout(&tiny_graph())
+        .offset_entry_range(NodeId::new(index))
+        .offset as usize;
     let mut bytes = std::fs::read(path).unwrap();
     bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
     std::fs::write(path, &bytes).unwrap();
@@ -412,9 +463,9 @@ fn topology_store_corrupt_neighbor_id_fails_typed_at_the_pick() {
     write_graph_file(file.path(), &g).unwrap();
     // Overwrite edge entry 0 (node 0's first neighbor) with an id past
     // the 6-node bound.
-    let edge_base = smartsage::store::graph_file::edge_array_base(6);
+    let edge = file_layout(&g).edge_entries(0, 1).offset as usize;
     let mut bytes = std::fs::read(file.path()).unwrap();
-    bytes[edge_base as usize..edge_base as usize + 8].copy_from_slice(&999u64.to_le_bytes());
+    bytes[edge..edge + 8].copy_from_slice(&999u64.to_le_bytes());
     std::fs::write(file.path(), &bytes).unwrap();
     let mut topo = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
     let mut out = [NodeId::default()];
