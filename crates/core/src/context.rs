@@ -1,4 +1,9 @@
 //! Per-run shared state: dataset, on-SSD layout, locality rates, devices.
+//!
+//! The locality rates are the run's caches: the host page cache, the
+//! scratchpad and the SSD page buffer each answer a cost policy's
+//! lookup with a verdict drawn at the full-scale rate, never from the
+//! scaled graph's residency.
 
 use crate::config::{DeviceParams, SystemConfig};
 use smartsage_graph::datasets::MaterializedDataset;
@@ -77,8 +82,8 @@ impl Devices {
     pub fn new(config: &SystemConfig) -> Devices {
         let d = &config.devices;
         let ssd_params = SsdParams {
-            // The *exact* buffer is sized for the scaled graph; analytic
-            // hit rates override its decisions for paper experiments.
+            // The buffer still tracks residency, but every cost-policy
+            // lookup imposes its full-scale verdict.
             buffer_pages: (d.ssd_buffer_bytes / d.ssd.flash.page_bytes) as usize,
             ..d.ssd.clone()
         };
@@ -99,36 +104,23 @@ pub struct RunContext {
     pub data: MaterializedDataset,
     /// The on-SSD layout of the graph file.
     pub layout: GraphFile,
-    /// Full-scale locality rates, or `None` to use the exact caches
-    /// (small-graph demos and tests).
-    pub locality: Option<LocalityRates>,
+    /// Full-scale locality rates: every modeled cache lookup carries a
+    /// verdict drawn at these rates.
+    pub locality: LocalityRates,
     /// The system configuration.
     pub config: SystemConfig,
 }
 
 impl RunContext {
-    /// Builds a context for `data` under `config`, using analytic
-    /// full-scale locality (the paper-experiment mode).
+    /// Builds a context for `data` under `config`, with the full-scale
+    /// locality rates of `config`'s cache capacities.
     pub fn new(data: MaterializedDataset, config: SystemConfig) -> RunContext {
         let layout = GraphFile::new(&data.graph);
-        let locality = Some(LocalityRates::compute(&data, &config.devices));
+        let locality = LocalityRates::compute(&data, &config.devices);
         RunContext {
             data,
             layout,
             locality,
-            config,
-        }
-    }
-
-    /// Builds a context that uses the exact cache models instead of the
-    /// analytic locality rates (appropriate when the materialized graph
-    /// *is* the full graph, e.g. unit tests and small demos).
-    pub fn new_exact(data: MaterializedDataset, config: SystemConfig) -> RunContext {
-        let layout = GraphFile::new(&data.graph);
-        RunContext {
-            data,
-            layout,
-            locality: None,
             config,
         }
     }
@@ -185,13 +177,11 @@ mod tests {
     #[test]
     fn context_construction() {
         let ctx = RunContext::new(data(), SystemConfig::new(SystemKind::SmartSageHwSw));
-        assert!(ctx.locality.is_some());
-        assert!(ctx.layout.total_bytes() > 0);
-        let exact = RunContext::new_exact(
-            DatasetProfile::of(Dataset::Amazon).materialize(GraphScale::InMemory, 10_000, 1),
-            SystemConfig::new(SystemKind::Dram),
+        assert_eq!(
+            ctx.locality,
+            LocalityRates::compute(&ctx.data, &ctx.config.devices)
         );
-        assert!(exact.locality.is_none());
+        assert!(ctx.layout.total_bytes() > 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl FpgaPricing {
             let chunk_end = (c.access + params.fpga.p2p_queue_depth).min(hop.nodes.len());
             let block = params.hostio.os_page_bytes;
             let page_bytes = devices.ssd.page_bytes();
-            let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit);
+            let isp_hit_rate = ctx.locality.ssd_buffer_hit;
             let rng = &mut self.rng;
             let mut flash_done = t;
             let mut p2p_bytes = 0u64;
@@ -67,7 +67,7 @@ impl FpgaPricing {
                 }
                 p2p_bytes += range.block_count(block) * block;
                 let fetched = devices.ssd.fetch_pages(t, pages(page_bytes, range), |_| {
-                    isp_hit_rate.map(|p| rng.chance(p))
+                    Some(rng.chance(isp_hit_rate))
                 });
                 flash_done = flash_done.max(fetched);
                 // Firmware still shepherds each P2P block command.

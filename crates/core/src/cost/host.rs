@@ -2,14 +2,13 @@
 //!
 //! Both keep sampling on the host CPU and read the edge-list array from
 //! the SSD, fetching each accessed node's neighbor-ID chunk in block
-//! granularity (paper Fig 10a). They differ only in the software path:
+//! granularity (paper Fig 10a). They differ only in the software path
+//! ([`HostPath`]):
 //!
 //! * `SsdMmap` goes through the OS page cache — faults cost "several
 //!   tens of microseconds" of kernel time per missing page;
 //! * `SmartSageSw` uses `O_DIRECT` + a user-space scratchpad — the
 //!   paper's latency-optimized software runtime (SmartSAGE (SW)).
-//!
-//! Both are one [`HostPricing`] over the reader its kind selects.
 //!
 //! Accesses step one at a time per worker (queue depth 1 per sampling
 //! thread: each edge-list read depends on the previous control flow),
@@ -18,20 +17,13 @@
 use super::{Cursor, Priced};
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
-use smartsage_hostio::{DirectIoReader, MmapReader};
+use smartsage_hostio::HostPath;
 use smartsage_sim::{SimDuration, SimTime, Xoshiro256};
 
-/// Which reader a host policy drives.
-#[derive(Debug)]
-enum Reader {
-    Mmap(MmapReader),
-    DirectIo(DirectIoReader),
-}
-
-/// The two host paths: the reader and its cache-hit draws.
+/// The two host paths: the path its kind selects and its cache-hit draws.
 #[derive(Debug)]
 pub(super) struct HostPricing {
-    reader: Reader,
+    path: HostPath,
     rng: Xoshiro256,
 }
 
@@ -39,26 +31,12 @@ impl HostPricing {
     /// Pricing for `kind`: `SsdMmap` reads through the OS page cache,
     /// `SmartSageSw` through direct I/O and its scratchpad.
     pub(super) fn new(ctx: &RunContext, kind: SystemKind) -> HostPricing {
-        let devices = &ctx.config.devices;
-        // Caches sized for the scaled graph when running exact; the
-        // analytic mode imposes hit decisions anyway, so keep the
-        // exact cache under it small.
-        let cache_bytes = |full_bytes: u64| match ctx.locality {
-            Some(_) => full_bytes.min(64 * 1024 * 1024),
-            None => full_bytes,
-        };
-        let reader = match kind {
-            SystemKind::SsdMmap => Reader::Mmap(MmapReader::new(
-                cache_bytes(devices.host_cache_bytes),
-                devices.hostio.clone(),
-            )),
-            _ => Reader::DirectIo(DirectIoReader::new(
-                cache_bytes(devices.scratchpad_bytes),
-                devices.hostio.clone(),
-            )),
+        let path = match kind {
+            SystemKind::SsdMmap => HostPath::Mmap,
+            _ => HostPath::DirectIo,
         };
         let rng = Xoshiro256::seed_from_u64(0x5EED_0001 ^ ctx.layout.total_bytes());
-        HostPricing { reader, rng }
+        HostPricing { path, rng }
     }
 
     /// Prices access `c.access` of hop `c.hop`.
@@ -69,15 +47,13 @@ impl HostPricing {
         devices: &mut Devices,
         mut t: SimTime,
     ) -> Priced {
-        // Under the locality model both verdicts are drawn on every
-        // step, host cache first, whether or not the access reads.
-        let host_override = ctx.locality.map(|l| {
-            self.rng.chance(match self.reader {
-                Reader::Mmap(_) => l.page_cache_hit,
-                Reader::DirectIo(_) => l.scratchpad_hit,
-            })
+        // Both verdicts are drawn on every step, host cache first,
+        // whether or not the access reads.
+        let host_hit = self.rng.chance(match self.path {
+            HostPath::Mmap => ctx.locality.page_cache_hit,
+            HostPath::DirectIo => ctx.locality.scratchpad_hit,
         });
-        let ssd_override = ctx.locality.map(|l| self.rng.chance(l.ssd_buffer_hit));
+        let ssd_hit = self.rng.chance(ctx.locality.ssd_buffer_hit);
         let params = &ctx.config.devices.hostio;
         let hop = &c.trace.hops[c.hop];
         // Offset-table lookup: resident in host DRAM for all systems
@@ -85,25 +61,13 @@ impl HostPricing {
         t += SimDuration::from_nanos(30);
         // Fetch the node's neighbor-ID chunk in block granularity.
         let range = ctx.layout.edge_list_range(ctx.graph(), hop.nodes[c.access]);
-        if range.len > 0 {
-            let ssd = &mut devices.ssd;
-            let (out, sw) = match &mut self.reader {
-                Reader::Mmap(r) => {
-                    let out = r.read(ssd, t, range, host_override, ssd_override);
-                    (out, params.fault_cost.mul_u64(out.host_misses))
-                }
-                Reader::DirectIo(r) => {
-                    let out = r.read(ssd, t, range, host_override, ssd_override);
-                    (out, params.direct_io_syscall_cost)
-                }
-            };
-            c.ssd_to_host += out.ssd_blocks * params.os_page_bytes;
-            // Attribute non-device time as software overhead.
-            if out.host_misses > 0 {
-                c.overhead += sw.min(out.done - t);
-            }
-            t = out.done;
-        }
+        let out = self
+            .path
+            .read(params, &mut devices.ssd, t, range, host_hit, ssd_hit);
+        c.ssd_to_host += out.blocks_read * params.os_page_bytes;
+        // Attribute non-device time as software overhead.
+        c.overhead += out.software.min(out.done - t);
+        t = out.done;
         // Host-side sampling compute for this access.
         t += params.sample_compute_per_access;
         c.access += 1;
@@ -120,6 +84,7 @@ mod tests {
     use crate::config::SystemKind;
     use crate::cost::testutil::{price, test_context, test_trace};
     use smartsage_sim::SimDuration;
+    use std::sync::Arc;
 
     #[test]
     fn mmap_is_orders_of_magnitude_slower_than_dram_sampling() {
@@ -136,6 +101,34 @@ mod tests {
         );
         assert!(r.ssd_to_host_bytes > 0);
         assert!(r.overhead_time > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn a_missed_access_pays_a_fault_per_block_or_one_syscall() {
+        for kind in [SystemKind::SsdMmap, SystemKind::SmartSageSw] {
+            let mut ctx = (*test_context(kind)).clone();
+            ctx.locality.page_cache_hit = 0.0;
+            ctx.locality.scratchpad_hit = 0.0;
+            let ctx = Arc::new(ctx);
+            let trace = test_trace(&ctx, 16, 4);
+            let p = &ctx.config.devices.hostio;
+            let want: SimDuration = trace
+                .hops
+                .iter()
+                .flat_map(|hop| &hop.nodes)
+                .map(|&node| {
+                    let range = ctx.layout.edge_list_range(ctx.graph(), node);
+                    match range.block_count(p.os_page_bytes) {
+                        0 => SimDuration::ZERO,
+                        blocks if kind == SystemKind::SsdMmap => p.fault_cost.mul_u64(blocks),
+                        _ => p.direct_io_syscall_cost,
+                    }
+                })
+                .sum();
+            let r = price(&ctx, trace);
+            assert_eq!(r.overhead_time, want, "{kind}");
+            assert!(r.overhead_time < r.sampling_time, "{kind}");
+        }
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl IspPricing {
                 // its picks out of its edge list's pages.
                 let hop_end = cmd_hop_range(&c.trace, cmd, g, c.hop).1;
                 let hop = &c.trace.hops[c.hop];
-                let isp_hit_rate = ctx.locality.map(|l| l.ssd_buffer_hit);
+                let isp_hit_rate = ctx.locality.ssd_buffer_hit;
                 let page_bytes = devices.ssd.page_bytes();
                 let mut accesses = (c.access..hop_end).map(|i| {
                     let range = ctx.layout.edge_list_range(ctx.graph(), hop.nodes[i]);
@@ -159,7 +159,7 @@ impl IspPricing {
                 let rng = &mut self.rng;
                 let done = devices
                     .ssd
-                    .isp_chunk(t, &mut accesses, |_| isp_hit_rate.map(|p| rng.chance(p)));
+                    .isp_chunk(t, &mut accesses, |_| Some(rng.chance(isp_hit_rate)));
                 c.access = hop_end - accesses.len();
                 if c.access >= hop_end {
                     c.hop += 1;

@@ -40,15 +40,6 @@ impl StageBreakdown {
             self.other.ratio(total),
         ]
     }
-
-    /// Accumulates another breakdown.
-    pub fn accumulate(&mut self, other: &StageBreakdown) {
-        self.sampling += other.sampling;
-        self.feature_lookup += other.feature_lookup;
-        self.cpu_to_gpu += other.cpu_to_gpu;
-        self.gnn_train += other.gnn_train;
-        self.other += other.other;
-    }
 }
 
 /// Data-movement accounting for one run (paper Fig 10 / the ~20x
@@ -127,18 +118,22 @@ mod tests {
 
     #[test]
     fn accumulate_adds_fields() {
-        let mut a = StageBreakdown {
+        let mut a = FpgaPhases {
             sampling: SimDuration::from_micros(1),
-            ..StageBreakdown::default()
+            ssd_to_fpga_bytes: 10,
+            ..FpgaPhases::default()
         };
-        let b = StageBreakdown {
+        let b = FpgaPhases {
             sampling: SimDuration::from_micros(2),
-            gnn_train: SimDuration::from_micros(3),
-            ..StageBreakdown::default()
+            ssd_to_fpga_bytes: 5,
+            fpga_to_cpu: SimDuration::from_micros(3),
+            ..FpgaPhases::default()
         };
         a.accumulate(&b);
         assert_eq!(a.sampling, SimDuration::from_micros(3));
-        assert_eq!(a.gnn_train, SimDuration::from_micros(3));
+        assert_eq!(a.ssd_to_fpga_bytes, 15);
+        assert_eq!(a.fpga_to_cpu, SimDuration::from_micros(3));
+        assert!(a.ssd_to_fpga.is_zero());
     }
 
     #[test]

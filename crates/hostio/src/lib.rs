@@ -13,16 +13,14 @@
 //!   offset table, then the neighbor edge-list array), mapping nodes to
 //!   logical block addresses; the store's real `SSGRPH01` file is this
 //!   same layout placed after its header.
-//! * [`LruSet`] — the generic exact-LRU under both host caches (it
-//!   lives in `smartsage-sim`; re-exported here). The OS page cache and
-//!   the scratchpad are each a `smartsage_sim::CountedLru<u64>` — the
-//!   one counted model cache, shared with the SSD page buffer — held by
-//!   their reader.
-//! * [`mmap::MmapReader`] — the baseline `SSD (mmap)` read path: the OS
-//!   page cache over 4 KiB pages, page faults with kernel-crossing
-//!   costs, minor-hit costs.
-//! * [`direct_io::DirectIoReader`] — SmartSAGE(SW)'s `O_DIRECT` path with
-//!   a user-space scratchpad buffer.
+//! * [`HostPath`] — the one modeled host read of an edge-list chunk:
+//!   `SSD (mmap)` (a page fault per missing 4 KiB page, minor-hit costs)
+//!   and SmartSAGE(SW) (one `O_DIRECT` syscall per missing run, a
+//!   user-space scratchpad) differ only in the software around the same
+//!   block reads. The host caches are not modeled exactly: each access
+//!   carries a hit verdict drawn at the [`locality`] rate.
+//! * [`LruSet`] — the generic exact-LRU key set (it lives in
+//!   `smartsage-sim`; re-exported here).
 //! * [`sharded_cache::ShardedPageCache`] — a lock-striped payload page
 //!   cache (N exact-LRU shards) for the *shared* feature store, so
 //!   parallel gathers don't serialize on one cache lock.
@@ -41,21 +39,19 @@
 #![warn(missing_docs)]
 
 pub mod coalesce;
-pub mod direct_io;
 pub mod engine;
+pub mod host_path;
 pub mod layout;
 pub mod locality;
-pub mod mmap;
 pub mod params;
 pub mod sharded_cache;
 pub mod sync;
 
 pub use coalesce::{merge_page_runs, PageRun};
-pub use direct_io::DirectIoReader;
 pub use engine::{Completion, EngineStats, ReadEngine, ReadRequest, ReadSource};
+pub use host_path::{HostPath, HostRead};
 pub use layout::{ByteRange, GraphFile};
 pub use locality::lru_hit_rate;
-pub use mmap::MmapReader;
 pub use params::HostIoParams;
 pub use sharded_cache::ShardedPageCache;
 pub use smartsage_sim::LruSet;

@@ -7,9 +7,11 @@
 //! overstating locality. We therefore compute the hit rate an LRU cache
 //! of the real capacity would achieve against the real population, using
 //! **Che's approximation** [Che et al., 2002], and impose that probability
-//! on the exact cache models: each lookup carries a verdict drawn at
-//! that rate (`smartsage_sim::CountedLru::lookup`'s `forced`), which
-//! the cache answers and counts while still tracking residency.
+//! instead of modeling the host caches: each access's host-cache verdict
+//! is drawn at that rate and handed to [`crate::HostPath::read`]. The
+//! SSD page buffer alone stays an exact model (the store-side ISP tiers
+//! ask it); the cost policies force its verdict the same way
+//! (`smartsage_sim::CountedLru::lookup`'s `forced`).
 //!
 //! Popularity is degree-weighted: sampling touches a node's edge list
 //! when the node is drawn as a neighbor, which happens in proportion to

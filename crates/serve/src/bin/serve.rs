@@ -47,51 +47,55 @@ fn fail_usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Every flag but `--help`; each takes one value.
+const FLAGS: [&str; 19] = [
+    "--addr",
+    "--port",
+    "--store",
+    "--graph",
+    "--nodes",
+    "--avg-degree",
+    "--dim",
+    "--classes",
+    "--hidden",
+    "--fanouts",
+    "--seed",
+    "--cache-pages",
+    "--shards",
+    "--page-bytes",
+    "--window-us",
+    "--max-batch",
+    "--queue-depth",
+    "--workers",
+    "--max-body-bytes",
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return;
-    }
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| {
-                args.get(i + 1)
-                    .unwrap_or_else(|| fail_usage(&format!("{flag} needs a value")))
+    // One pass: each known flag at most once, each with a value that is
+    // not itself a flag.
+    let mut values = std::collections::BTreeMap::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            print!("{USAGE}");
+            return;
+        }
+        let Some(flag) = FLAGS.into_iter().find(|f| *f == arg) else {
+            fail_usage(&if arg.starts_with("--") {
+                format!("unknown flag '{arg}'")
+            } else {
+                format!("unexpected argument '{arg}'")
             })
-            .map(|s| s.as_str())
-    };
-    for (i, a) in args.iter().enumerate() {
-        if a.starts_with("--") {
-            let known = [
-                "--addr",
-                "--port",
-                "--store",
-                "--graph",
-                "--nodes",
-                "--avg-degree",
-                "--dim",
-                "--classes",
-                "--hidden",
-                "--fanouts",
-                "--seed",
-                "--cache-pages",
-                "--shards",
-                "--page-bytes",
-                "--window-us",
-                "--max-batch",
-                "--queue-depth",
-                "--workers",
-                "--max-body-bytes",
-            ];
-            if !known.contains(&a.as_str()) {
-                fail_usage(&format!("unknown flag '{a}'"));
-            }
-        } else if i == 0 || !args[i - 1].starts_with("--") {
-            fail_usage(&format!("unexpected argument '{a}'"));
+        };
+        let value = args
+            .next()
+            .filter(|v| !v.starts_with("--"))
+            .unwrap_or_else(|| fail_usage(&format!("{flag} needs a value")));
+        if values.insert(flag, value).is_some() {
+            fail_usage(&format!("{flag} given more than once"));
         }
     }
+    let value_of = |flag: &str| values.get(flag).map(String::as_str);
     let parse = |flag: &str, default: u64| -> u64 {
         value_of(flag).map_or(default, |v| {
             v.parse()
@@ -161,11 +165,10 @@ fn main() {
         workers: positive("--workers", 16) as usize,
         max_body_bytes: parse("--max-body-bytes", 1 << 20) as usize,
     };
-    let bind = format!(
-        "{}:{}",
-        value_of("--addr").unwrap_or("127.0.0.1"),
-        parse("--port", 0)
-    );
+    let port = parse("--port", 0);
+    let port = u16::try_from(port)
+        .unwrap_or_else(|_| fail_usage(&format!("--port must be at most 65535, got {port}")));
+    let bind = format!("{}:{port}", value_of("--addr").unwrap_or("127.0.0.1"));
 
     let engine = match Engine::new(config.clone()) {
         Ok(engine) => engine,

@@ -15,7 +15,8 @@
 //! | `POST /v1/shutdown`| acknowledge, then signal [`Server::wait`]      |
 //!
 //! Oversized bodies are rejected with a 413 *before* the body is read;
-//! malformed framing gets a 400 and the connection closes; everything
+//! malformed framing, and any `Transfer-Encoding` body, gets a 400 and
+//! the connection closes; everything
 //! after framing flows through [`crate::api`]'s typed errors.
 //!
 //! There is one shutdown path, [`Server::shutdown`] (also run when a
@@ -292,6 +293,12 @@ fn read_request(
             })?;
         } else if name.eq_ignore_ascii_case("connection") {
             close = value.eq_ignore_ascii_case("close");
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // Unframeable here: its body would be read as the next
+            // request. One 400, then the connection closes.
+            return Err(FrameError::Reject(ServeError::BadRequest(format!(
+                "Transfer-Encoding '{value}' is not supported; send a Content-Length body"
+            ))));
         }
     }
     // Oversized bodies are rejected on the *declared* length — the

@@ -118,6 +118,27 @@ fn malformed_json_is_a_typed_400() {
 }
 
 #[test]
+fn a_chunked_request_gets_exactly_one_400_naming_the_header() {
+    use std::io::{Read, Write};
+    let server = start(BatchPolicy::default(), HttpOptions::default());
+    let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+    let body = r#"{"nodes":[1,2,3,4,5,6,7,8,9,10]}"#;
+    let request = format!(
+        "POST /v1/sample HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n",
+        body.len()
+    );
+    conn.write_all(request.as_bytes()).unwrap();
+    // Keep-alive was not asked to end: only the server closing the
+    // connection ends this read.
+    let mut response = String::new();
+    conn.read_to_string(&mut response).unwrap();
+    assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("Transfer-Encoding"), "{response}");
+    server.shutdown();
+}
+
+#[test]
 fn out_of_range_node_is_a_422_naming_the_id() {
     let server = start(BatchPolicy::default(), HttpOptions::default());
     let (status, body) = oneshot(
@@ -405,6 +426,21 @@ fn zero_sizes_and_counts_are_usage_errors_naming_the_flag() {
     ] {
         let flag = args[args.len() - 2];
         refused(args, &format!("{flag} must be at least 1"));
+    }
+    // Refused by the flag parser itself, before the dataset is built:
+    // an out-of-range port, a flag where a value belongs, a repeat.
+    for (args, wanted) in [
+        (
+            &["--port", "70000"][..],
+            "--port must be at most 65535, got 70000",
+        ),
+        (&["--addr", "--port", "0"], "--addr needs a value"),
+        (
+            &["--nodes", "10", "--nodes", "20"],
+            "--nodes given more than once",
+        ),
+    ] {
+        refused(args, wanted);
     }
     // A degree the generator cannot build a graph at: its assert, or an
     // allocation failure at `inf`.

@@ -92,12 +92,6 @@ impl SimDuration {
         self.0 / PS_PER_NS
     }
 
-    /// Duration in (truncated) microseconds.
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / PS_PER_US
-    }
-
     /// Duration in nanoseconds as `f64`.
     #[inline]
     pub fn as_nanos_f64(self) -> f64 {
@@ -156,26 +150,6 @@ impl SimDuration {
             0.0
         } else {
             self.0 as f64 / rhs.0 as f64
-        }
-    }
-
-    /// The larger of two durations.
-    #[inline]
-    pub fn max(self, rhs: SimDuration) -> SimDuration {
-        if self.0 >= rhs.0 {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// The smaller of two durations.
-    #[inline]
-    pub fn min(self, rhs: SimDuration) -> SimDuration {
-        if self.0 <= rhs.0 {
-            self
-        } else {
-            rhs
         }
     }
 
@@ -309,26 +283,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_elapsed_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, rhs: SimTime) -> SimTime {
-        if self.0 >= rhs.0 {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, rhs: SimTime) -> SimTime {
-        if self.0 <= rhs.0 {
-            self
-        } else {
-            rhs
-        }
     }
 }
 

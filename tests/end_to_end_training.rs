@@ -6,12 +6,11 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::{Devices, RunContext};
-use smartsage::core::cost::{make_policy, CostPolicy, StepOutcome};
+use smartsage::core::cost::{make_policy, StepOutcome};
 use smartsage::gnn::model::{GraphSageModel, ModelDims};
-use smartsage::gnn::sampler::{plan_sample_on, sample_on};
+use smartsage::gnn::sampler::sample_on;
 use smartsage::gnn::Fanouts;
 use smartsage::graph::datasets::DEFAULT_NUM_CLASSES;
-use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::{Dataset, DatasetProfile, FeatureTable, GraphScale, NodeId};
 use smartsage::sim::{SimTime, Xoshiro256};
 use smartsage::store::{CsrView, FeatureStore, InMemoryStore};
@@ -123,60 +122,4 @@ fn every_system_trains_to_the_same_loss_trajectory() {
             Some(want) => assert_eq!(&losses, want, "{kind} diverged from reference"),
         }
     }
-}
-
-#[test]
-fn exact_mode_small_graph_runs_without_analytic_locality() {
-    // When the materialized graph IS the whole dataset, the exact LRU
-    // caches drive locality (RunContext::new_exact).
-    let graph = generate_power_law(&PowerLawConfig {
-        nodes: 500,
-        avg_degree: 8.0,
-        seed: 9,
-        ..PowerLawConfig::default()
-    });
-    let data = smartsage::graph::datasets::MaterializedDataset {
-        profile: DatasetProfile::of(Dataset::Reddit),
-        scale: GraphScale::InMemory,
-        graph: std::sync::Arc::new(graph),
-        features: FeatureTable::new(8, 4, 0),
-    };
-    let ctx = Arc::new(RunContext::new_exact(
-        data,
-        SystemConfig::new(SystemKind::SsdMmap),
-    ));
-    assert!(ctx.locality.is_none());
-    let targets: Vec<NodeId> = (0..16u32).map(NodeId::new).collect();
-    let batch = sample_via(SystemKind::SsdMmap, &ctx, &targets, 1);
-    assert_eq!(batch.targets.len(), 16);
-    // Repeat pricing warms the exact caches inside the policy: the
-    // second pass with the same trace must not be slower.
-    let mut devices = Devices::new(&ctx.config);
-    let mut policy = make_policy(&ctx, 1);
-    let mut rng = Xoshiro256::seed_from_u64(1);
-    let fanouts = Fanouts::new(vec![5, 3]);
-    let plan =
-        plan_sample_on(&mut CsrView::new(ctx.graph()), &targets, &fanouts, &mut rng).unwrap();
-    let trace = plan.trace;
-    let run = |policy: &mut CostPolicy,
-               devices: &mut Devices,
-               at: SimTime,
-               trace: smartsage::store::SampleTrace| {
-        policy.begin(0, at, trace);
-        let mut now = at;
-        loop {
-            match policy.step(0, devices, now) {
-                StepOutcome::Running { next } => now = next.max(now),
-                StepOutcome::Finished => return policy.take_result(0),
-            }
-        }
-    };
-    let cold = run(&mut policy, &mut devices, SimTime::ZERO, trace.clone());
-    let warm = run(&mut policy, &mut devices, cold.done, trace);
-    assert!(
-        warm.sampling_time <= cold.sampling_time,
-        "warm pass {} should not exceed cold pass {}",
-        warm.sampling_time,
-        cold.sampling_time
-    );
 }
