@@ -8,10 +8,10 @@
 //! (`sagebench`).
 //!
 //! The set of experiment names is owned by
-//! [`smartsage_core::experiments::registry`]; this crate only re-derives
-//! views of it and parses the `--scale` flag value.
+//! [`smartsage_core::experiments::registry`], which `reproduce` reads
+//! directly; this crate only parses the `--scale` flag value.
 
-use smartsage_core::experiments::{registry, ExperimentScale};
+use smartsage_core::experiments::ExperimentScale;
 
 /// Parses an experiment scale from a CLI flag value.
 ///
@@ -25,12 +25,6 @@ pub fn scale_from_flag(flag: &str) -> Option<ExperimentScale> {
     }
 }
 
-/// The experiment names the `reproduce` binary understands, derived
-/// from the registry (registry order).
-pub fn experiment_names() -> Vec<&'static str> {
-    registry().iter().map(|e| e.name).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,15 +35,5 @@ mod tests {
         assert!(scale_from_flag("default").is_some());
         assert!(scale_from_flag("paper").is_some());
         assert!(scale_from_flag("bogus").is_none());
-    }
-
-    #[test]
-    fn experiment_names_mirror_the_registry() {
-        // Uniqueness itself is asserted next to the registry (core) and
-        // in tests/registry_runner.rs; here only the derivation matters.
-        let names = experiment_names();
-        assert_eq!(names.len(), registry().len());
-        assert!(names.contains(&"fig18"));
-        assert!(names.contains(&"ablation-buffer"));
     }
 }

@@ -72,19 +72,19 @@ pub(crate) fn contribution_breakdown_driver(scale: &ExperimentScale) -> Table {
 /// A CSD generation for the `ablation-csd` sweep. Generations differ in
 /// core count, firmware share, flash latency and PCIe bandwidth.
 #[derive(Debug, Clone)]
-pub struct CsdGeneration {
+struct CsdGeneration {
     /// Display name.
-    pub name: &'static str,
+    name: &'static str,
     /// Embedded-core complex.
-    pub cores: CoreParams,
+    cores: CoreParams,
     /// Flash sense latency.
-    pub flash_read_latency: SimDuration,
+    flash_read_latency: SimDuration,
     /// SSD PCIe bandwidth (bytes/s).
-    pub pcie_bytes_per_sec: u64,
+    pcie_bytes_per_sec: u64,
 }
 
 /// The generations swept by `ablation-csd`.
-pub fn csd_generations() -> Vec<CsdGeneration> {
+fn csd_generations() -> Vec<CsdGeneration> {
     vec![
         CsdGeneration {
             name: "OpenSSD (eval platform)",

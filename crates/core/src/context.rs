@@ -12,7 +12,6 @@ use smartsage_hostio::locality::{degree_buckets, lru_hit_rate};
 use smartsage_hostio::GraphFile;
 use smartsage_sim::{Link, Server};
 use smartsage_storage::memdev::MemDevice;
-use smartsage_storage::ssd::SsdParams;
 use smartsage_storage::Ssd;
 
 /// Analytic full-scale cache hit probabilities (see
@@ -81,14 +80,11 @@ impl Devices {
     /// Instantiates devices from a system configuration.
     pub fn new(config: &SystemConfig) -> Devices {
         let d = &config.devices;
-        let ssd_params = SsdParams {
-            // The buffer still tracks residency, but every cost-policy
-            // lookup imposes its full-scale verdict.
-            buffer_pages: (d.ssd_buffer_bytes / d.ssd.flash.page_bytes) as usize,
-            ..d.ssd.clone()
-        };
         Devices {
-            ssd: Ssd::new(ssd_params),
+            // Every cost-policy lookup imposes its full-scale verdict
+            // (`ssd_buffer_bytes` sizes that rate), so the SSD's page
+            // buffer decides nothing: it holds no pages and only counts.
+            ssd: Ssd::new(d.ssd.clone()),
             host_dram: MemDevice::new(d.dram.clone()),
             pmem: MemDevice::new(d.pmem.clone()),
             gpu_link: Link::new(d.gpu.pcie_bytes_per_sec, d.gpu.pcie_latency),

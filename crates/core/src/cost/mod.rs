@@ -442,6 +442,32 @@ mod tests {
     }
 
     #[test]
+    fn a_full_size_ssd_page_buffer_prices_and_counts_like_the_empty_one() {
+        // Every lookup imposes its full-scale verdict, so the buffer's
+        // residency decides nothing and `Devices::new` holds no pages.
+        use smartsage_storage::{ssd::SsdParams, Ssd};
+        for kind in SystemKind::ALL {
+            let ctx = test_context(kind);
+            let d = &ctx.config.devices;
+            let mut full = Devices::new(&ctx.config);
+            full.ssd = Ssd::new(SsdParams {
+                buffer_pages: (d.ssd_buffer_bytes / d.ssd.flash.page_bytes) as usize,
+                ..d.ssd.clone()
+            });
+            let run = |devices: &mut Devices| {
+                let trace = test_trace(&ctx, 16, 3);
+                let cost = drive(&mut make_policy(&ctx, 1), devices, 0, SimTime::ZERO, trace);
+                (cost, devices.ssd.buffer.hits(), devices.ssd.buffer.misses())
+            };
+            assert_eq!(
+                run(&mut Devices::new(&ctx.config)),
+                run(&mut full),
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
     fn a_trace_with_no_hops_finishes_at_its_start_having_moved_nothing() {
         let at = SimTime::ZERO + SimDuration::from_micros(7);
         for kind in SystemKind::ALL {

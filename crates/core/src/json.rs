@@ -1,13 +1,20 @@
-//! Minimal shared JSON support: a strict, panic-free parser into
-//! [`JsonValue`] trees plus the escaping/number-formatting primitives
-//! the typed-table renderer ([`crate::report`]) and the serving layer
-//! share.
+//! The workspace's one JSON emitter and its strict, panic-free parser.
+//!
+//! Every JSON document the product writes — paper tables
+//! ([`crate::report`]), `reproduce --format json` sweeps
+//! ([`crate::runner`]) and every serving body — is built as a
+//! [`JsonValue`] (with [`JsonValue::obj`], the `From` impls and
+//! `collect()`) and rendered by its one compact `Display`. No other
+//! module writes a brace, comma or escape. Integers travel as
+//! [`JsonValue::Num`], which is exact up to 2^53 — the same bound
+//! [`JsonValue::as_u64`] reads back; every integer the product emits
+//! (u32 node ids, counts, byte totals, nanoseconds) is below it.
 //!
 //! The workspace is offline, so this is a deliberate subset of a JSON
-//! library: enough to parse request bodies and render stats/reports,
-//! with every malformed input rejected as a typed [`JsonError`] naming
-//! the byte offset — never a panic. That property is what lets the
-//! HTTP layer map bad bodies to a `400` instead of killing a worker.
+//! library, with every malformed input rejected as a typed
+//! [`JsonError`] naming the byte offset — never a panic. That property
+//! is what lets the HTTP layer map bad bodies to a `400` instead of
+//! killing a worker.
 //!
 //! # Example
 //!
@@ -17,6 +24,11 @@
 //! assert_eq!(v.get("seed").and_then(JsonValue::as_u64), Some(7));
 //! assert_eq!(v.get("nodes").and_then(JsonValue::as_array).unwrap().len(), 2);
 //! assert!(parse("{\"nodes\":").is_err()); // typed error, no panic
+//! let doc = JsonValue::obj([
+//!     ("seed", 7u64.into()),
+//!     ("nodes", [1u64, 2].into_iter().collect()),
+//! ]);
+//! assert_eq!(doc.to_string(), r#"{"seed":7,"nodes":[1,2]}"#);
 //! ```
 
 // Untrusted input fails as a typed error, never a panic.
@@ -48,6 +60,16 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// An object of `fields`, in the order given.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+        JsonValue::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Object field lookup (last occurrence wins); `None` on non-objects.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -99,6 +121,32 @@ impl JsonValue {
             JsonValue::Arr(items) => Some(items),
             _ => None,
         }
+    }
+}
+
+impl From<u64> for JsonValue {
+    /// An integer; exact up to 2^53.
+    fn from(v: u64) -> JsonValue {
+        JsonValue::Num(v as f64)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(v: f64) -> JsonValue {
+        JsonValue::Num(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> JsonValue {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+impl<T: Into<JsonValue>> FromIterator<T> for JsonValue {
+    /// An array of the items.
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> JsonValue {
+        JsonValue::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -507,6 +555,34 @@ mod tests {
         assert_eq!(v.to_string(), r#"{"n":1.25,"a":[true,null]}"#);
         // Round-trips through the parser.
         assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn construction_sugar_renders_and_round_trips() {
+        const TWO_POW_53: u64 = 1 << 53;
+        let v = JsonValue::obj([
+            ("id", 7u64.into()),
+            ("big", TWO_POW_53.into()),
+            ("x", 0.5f64.into()),
+            ("nan", f64::NAN.into()),
+            ("s", "a\"b".into()),
+            ("ids", [3u64, 1, 4].into_iter().collect()),
+            ("none", Vec::<u64>::new().into_iter().collect()),
+        ]);
+        let text = v.to_string();
+        assert_eq!(
+            text,
+            r#"{"id":7,"big":9007199254740992,"x":0.5,"nan":null,"s":"a\"b","ids":[3,1,4],"none":[]}"#
+        );
+        let back = parse(&text).unwrap();
+        assert_eq!(
+            back.get("big").and_then(JsonValue::as_u64),
+            Some(TWO_POW_53)
+        );
+        assert_eq!(back.get("id").and_then(JsonValue::as_u64), Some(7));
+        assert_eq!(back.get("s").and_then(JsonValue::as_str), Some("a\"b"));
+        assert_eq!(back.get("nan"), Some(&JsonValue::Null));
+        assert_eq!(back.get("ids"), v.get("ids"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! formatting. Consumers that need numbers use [`Cell::value`], never
 //! string parsing.
 
-use std::error::Error;
+use crate::json::JsonValue;
 use std::fmt;
 
 /// One typed value in a [`Table`] row.
@@ -79,14 +79,13 @@ impl Cell {
         }
     }
 
-    /// JSON value: numbers stay numbers (non-finite becomes `null`),
+    /// JSON value: numbers stay numbers (non-finite renders as `null`),
     /// text becomes a JSON string.
-    fn json_value(&self) -> String {
+    fn json_value(&self) -> JsonValue {
         match self {
-            Cell::Text(s) => json_string(s),
-            Cell::Int(v) => v.to_string(),
-            Cell::Num { value, .. } => json_number(*value),
-            Cell::Pct(v) | Cell::Speedup(v) => json_number(*v),
+            Cell::Text(s) => s.as_str().into(),
+            Cell::Int(v) => (*v).into(),
+            Cell::Num { value: v, .. } | Cell::Pct(v) | Cell::Speedup(v) => (*v).into(),
         }
     }
 
@@ -131,12 +130,6 @@ impl From<usize> for Cell {
     }
 }
 
-// JSON escaping/number formatting live in the shared [`crate::json`]
-// module (also consumed by `smartsage-serve`); these aliases keep the
-// renderer and the runner's sweep-level rendering on one implementation.
-pub(crate) use crate::json::escape_string as json_string;
-use crate::json::number as json_number;
-
 fn raw_number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -152,29 +145,6 @@ fn csv_quote(s: &str) -> String {
         s.to_string()
     }
 }
-
-/// A driver handed a row whose width differs from the header width.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowWidthError {
-    /// Title of the table that rejected the row.
-    pub table: String,
-    /// Header (expected) width.
-    pub expected: usize,
-    /// Offered row width.
-    pub got: usize,
-}
-
-impl fmt::Display for RowWidthError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "table '{}': row has {} cells, headers have {}",
-            self.table, self.got, self.expected
-        )
-    }
-}
-
-impl Error for RowWidthError {}
 
 /// A titled table of typed cells.
 ///
@@ -218,31 +188,20 @@ impl Table {
         }
     }
 
-    /// Appends a row, rejecting width mismatches with a diagnosable
-    /// error naming the table.
-    pub fn try_row(&mut self, cells: Vec<Cell>) -> Result<(), RowWidthError> {
-        if cells.len() != self.headers.len() {
-            return Err(RowWidthError {
-                table: self.title.clone(),
-                expected: self.headers.len(),
-                got: cells.len(),
-            });
-        }
-        self.rows.push(cells);
-        Ok(())
-    }
-
     /// Appends a row.
     ///
     /// # Panics
     ///
     /// Panics (naming the table) if the row width differs from the
-    /// header width; drivers with fallible row sources should prefer
-    /// [`Table::try_row`].
+    /// header width.
     pub fn row(&mut self, cells: Vec<Cell>) {
-        if let Err(e) = self.try_row(cells) {
-            panic!("row width mismatch: {e}");
-        }
+        let (got, want) = (cells.len(), self.headers.len());
+        let title = &self.title;
+        assert!(
+            got == want,
+            "table '{title}': row has {got} cells, headers have {want}"
+        );
+        self.rows.push(cells);
     }
 
     /// The table's title.
@@ -297,33 +256,22 @@ impl Table {
     /// JSON object: `{"title", "headers", "rows"}` with each row an
     /// object keyed by header and numeric cells as JSON numbers.
     pub fn to_json(&self) -> String {
-        let headers_json = self
-            .headers
-            .iter()
-            .map(|h| json_string(h))
-            .collect::<Vec<_>>()
-            .join(",");
-        let rows_json = self
-            .rows
-            .iter()
-            .map(|row| {
-                let fields = self
-                    .headers
-                    .iter()
-                    .zip(row)
-                    .map(|(h, c)| format!("{}:{}", json_string(h), c.json_value()))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!("{{{fields}}}")
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"title\":{},\"headers\":[{}],\"rows\":[{}]}}",
-            json_string(&self.title),
-            headers_json,
-            rows_json
-        )
+        JsonValue::from(self).to_string()
+    }
+}
+
+impl From<&Table> for JsonValue {
+    /// The document [`Table::to_json`] renders.
+    fn from(t: &Table) -> JsonValue {
+        let rows = t.rows.iter().map(|row| {
+            let keys = t.headers.iter().map(String::as_str);
+            JsonValue::obj(keys.zip(row.iter().map(Cell::json_value)))
+        });
+        JsonValue::obj([
+            ("title", t.title.as_str().into()),
+            ("headers", t.headers.iter().map(String::as_str).collect()),
+            ("rows", rows.collect()),
+        ])
     }
 }
 
@@ -427,18 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn try_row_reports_widths() {
-        let mut t = Table::new("Widths", &["a", "b"]);
-        let err = t.try_row(vec!["1".into()]).unwrap_err();
-        assert_eq!(err.table, "Widths");
-        assert_eq!(err.expected, 2);
-        assert_eq!(err.got, 1);
-        assert!(err.to_string().contains("Widths"));
-        assert!(t.try_row(vec!["1".into(), "2".into()]).is_ok());
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
     fn cell_text_formatting() {
         assert_eq!(num(1.23456, 2).text(), "1.23");
         assert_eq!(speedup(2.5).text(), "2.50x");
@@ -474,6 +410,20 @@ mod tests {
             j,
             "{\"title\":\"T\\\"x\",\"headers\":[\"name\",\"miss\"],\
              \"rows\":[{\"name\":\"r\",\"miss\":0.25}]}"
+        );
+        // Integers (up to 2^53, exact), non-finite floats and ratios.
+        let mut t = Table::new("N", &["n", "v", "x"]);
+        t.row(vec![
+            Cell::Int(1 << 53),
+            num(f64::INFINITY, 2),
+            speedup(2.5),
+        ]);
+        t.row(vec![Cell::Int(0), num(f64::NAN, 0), speedup(0.125)]);
+        assert_eq!(
+            t.to_json(),
+            "{\"title\":\"N\",\"headers\":[\"n\",\"v\",\"x\"],\"rows\":[\
+             {\"n\":9007199254740992,\"v\":null,\"x\":2.5},\
+             {\"n\":0,\"v\":null,\"x\":0.125}]}"
         );
     }
 

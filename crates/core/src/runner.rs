@@ -28,7 +28,8 @@
 //! fan-out safe.
 
 use crate::experiments::{registry, Experiment, ExperimentScale};
-use crate::report::{json_string, num, pct, speedup, Table};
+use crate::json::JsonValue;
+use crate::report::{num, pct, speedup, Table};
 use crate::store_metrics::{self, SweepScope};
 use smartsage_hostio::LockExt;
 use smartsage_store::{StoreKind, StoreOccupancy, StoreStats, TopologyKind};
@@ -399,13 +400,14 @@ impl OutputFormat {
                 outcome.table.title(),
                 outcome.table.to_csv()
             ),
-            OutputFormat::Json => format!(
-                "{}{{\"name\":{},\"artifact\":{},\"table\":{}}}",
-                if first { "" } else { "," },
-                json_string(outcome.experiment.name),
-                json_string(outcome.experiment.artifact),
-                outcome.table.to_json()
-            ),
+            OutputFormat::Json => {
+                let doc = JsonValue::obj([
+                    ("name", outcome.experiment.name.into()),
+                    ("artifact", outcome.experiment.artifact.into()),
+                    ("table", (&outcome.table).into()),
+                ]);
+                format!("{}{doc}", if first { "" } else { "," })
+            }
         }
     }
 

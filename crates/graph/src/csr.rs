@@ -131,17 +131,6 @@ impl CsrGraph {
         g
     }
 
-    /// Builds a graph directly from CSR arrays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CsrError`] if the arrays violate CSR invariants.
-    pub fn from_parts(offsets: Vec<u64>, targets: Vec<NodeId>) -> Result<Self, CsrError> {
-        let g = CsrGraph { offsets, targets };
-        g.validate()?;
-        Ok(g)
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -274,7 +263,7 @@ impl CsrGraph {
     }
 }
 
-/// Errors from [`CsrGraph::from_parts`] / [`CsrGraph::validate`].
+/// Errors from [`CsrGraph::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CsrError {
     /// The offsets array was empty (must contain at least `[0]`).
@@ -392,25 +381,26 @@ mod tests {
 
     #[test]
     fn from_parts_validates() {
-        assert!(CsrGraph::from_parts(vec![0, 1], vec![NodeId::new(0)]).is_ok());
+        let check = |offsets: Vec<u64>, targets: Vec<u32>| {
+            let targets = targets.into_iter().map(NodeId::new).collect();
+            CsrGraph { offsets, targets }.validate()
+        };
+        assert!(check(vec![0, 1], vec![0]).is_ok());
+        assert_eq!(check(vec![], vec![]).unwrap_err(), CsrError::EmptyOffsets);
         assert_eq!(
-            CsrGraph::from_parts(vec![], vec![]).unwrap_err(),
-            CsrError::EmptyOffsets
-        );
-        assert_eq!(
-            CsrGraph::from_parts(vec![1, 1], vec![NodeId::new(0)]).unwrap_err(),
+            check(vec![1, 1], vec![0]).unwrap_err(),
             CsrError::BadFirstOffset(1)
         );
         assert_eq!(
-            CsrGraph::from_parts(vec![0, 2, 1], vec![NodeId::new(0)]).unwrap_err(),
+            check(vec![0, 2, 1], vec![0]).unwrap_err(),
             CsrError::DecreasingOffsets
         );
         assert!(matches!(
-            CsrGraph::from_parts(vec![0, 2], vec![NodeId::new(0)]).unwrap_err(),
+            check(vec![0, 2], vec![0]).unwrap_err(),
             CsrError::OffsetTargetMismatch { .. }
         ));
         assert!(matches!(
-            CsrGraph::from_parts(vec![0, 1], vec![NodeId::new(9)]).unwrap_err(),
+            check(vec![0, 1], vec![9]).unwrap_err(),
             CsrError::TargetOutOfBounds { .. }
         ));
     }

@@ -110,7 +110,7 @@ impl ReadSource {
     /// Fills `buf` from byte `offset`, exactly — a positioned read
     /// that does not move any shared cursor, so concurrent jobs on
     /// the same file never interfere.
-    pub fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
         #[cfg(unix)]
         {
             use std::os::unix::fs::FileExt;

@@ -89,11 +89,11 @@ impl ServeError {
 
     /// The JSON error body: `{"error": label, "message": human text}`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"error\":{},\"message\":{}}}",
-            json::escape_string(self.label()),
-            json::escape_string(&self.to_string())
-        )
+        JsonValue::obj([
+            ("error", self.label().into()),
+            ("message", self.to_string().as_str().into()),
+        ])
+        .to_string()
     }
 }
 
@@ -256,20 +256,13 @@ impl SampleRequest {
 
 /// Renders a sampled subgraph as the `/v1/sample` response body.
 pub fn sample_response(batch: &smartsage_gnn::SampledBatch) -> String {
-    let mut out = String::with_capacity(64 + batch.num_sampled() as usize * 8);
-    out.push_str("{\"targets\":");
-    push_nodes(&mut out, &batch.targets);
-    out.push_str(",\"hops\":[");
-    for (i, hop) in batch.hops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"fanout\":{},\"neighbors\":", hop.fanout));
-        push_nodes(&mut out, &hop.neighbors);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    let hops = batch.hops.iter().map(|hop| {
+        JsonValue::obj([
+            ("fanout", (hop.fanout as u64).into()),
+            ("neighbors", nodes(&hop.neighbors)),
+        ])
+    });
+    JsonValue::obj([("targets", nodes(&batch.targets)), ("hops", hops.collect())]).to_string()
 }
 
 /// Renders per-target logits and predictions as the `/v1/infer`
@@ -279,46 +272,22 @@ pub fn infer_response(
     logits: impl Iterator<Item = Vec<f32>>,
     predictions: &[usize],
 ) -> String {
-    let mut out = String::with_capacity(64 + targets.len() * 64);
-    out.push_str("{\"targets\":");
-    push_nodes(&mut out, targets);
-    out.push_str(",\"logits\":[");
-    for (i, row) in logits.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, v) in row.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            // f32 → f64 is exact; the shortest-round-trip f64 form
-            // re-parses to the same bits, keeping responses
-            // bit-comparable across serial and coalesced execution.
-            out.push_str(&json::number(f64::from(*v)));
-        }
-        out.push(']');
-    }
-    out.push_str("],\"predictions\":[");
-    for (i, p) in predictions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&p.to_string());
-    }
-    out.push_str("]}");
-    out
+    // f32 → f64 is exact; the shortest-round-trip f64 form re-parses to
+    // the same bits, keeping responses bit-comparable across serial and
+    // coalesced execution.
+    let logits = logits.map(|row| row.into_iter().map(f64::from).collect::<JsonValue>());
+    let predictions = predictions.iter().map(|&p| p as u64);
+    JsonValue::obj([
+        ("targets", nodes(targets)),
+        ("logits", logits.collect()),
+        ("predictions", predictions.collect()),
+    ])
+    .to_string()
 }
 
-fn push_nodes(out: &mut String, nodes: &[NodeId]) {
-    out.push('[');
-    for (i, n) in nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&n.raw().to_string());
-    }
-    out.push(']');
+/// Node ids as a JSON array of integers.
+fn nodes(ids: &[NodeId]) -> JsonValue {
+    ids.iter().map(|n| u64::from(n.raw())).collect()
 }
 
 #[cfg(test)]
@@ -450,33 +419,25 @@ mod tests {
                 neighbors: vec![NodeId::new(3); 4],
             }],
         };
-        let doc = json::parse(&sample_response(&batch)).unwrap();
+        let sample = sample_response(&batch);
         assert_eq!(
-            doc.get("targets")
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .len(),
-            2
+            sample,
+            r#"{"targets":[1,2],"hops":[{"fanout":2,"neighbors":[3,3,3,3]}]}"#
         );
         let infer = infer_response(
             &batch.targets,
-            vec![vec![0.5f32, -1.0], vec![2.0, 3.5]].into_iter(),
-            &[1, 1],
+            vec![vec![0.5f32, -1.0], vec![2.0, 0.1]].into_iter(),
+            &[1, 0],
         );
-        let doc = json::parse(&infer).unwrap();
+        // 0.1f32 widens exactly; its shortest f64 form re-parses to it.
         assert_eq!(
-            doc.get("logits")
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .len(),
-            2
+            infer,
+            r#"{"targets":[1,2],"logits":[[0.5,-1],[2,0.10000000149011612]],"predictions":[1,0]}"#
         );
-        assert_eq!(
-            doc.get("predictions")
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .len(),
-            2
-        );
+        let error = ServeError::BadRequest("bad \"x\"\n".to_string()).to_json();
+        assert_eq!(error, r#"{"error":"bad_request","message":"bad \"x\"\n"}"#);
+        for body in [sample, infer, error] {
+            assert!(json::parse(&body).is_ok(), "{body}");
+        }
     }
 }

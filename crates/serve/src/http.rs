@@ -15,7 +15,8 @@
 //! | `POST /v1/shutdown`| acknowledge, then signal [`Server::wait`]      |
 //!
 //! Oversized bodies are rejected with a 413 *before* the body is read;
-//! malformed framing, and any `Transfer-Encoding` body, gets a 400 and
+//! malformed framing — any `Transfer-Encoding` body, a repeated
+//! `Content-Length` or one that is not plain digits — gets a 400 and
 //! the connection closes; everything
 //! after framing flows through [`crate::api`]'s typed errors.
 //!
@@ -29,7 +30,7 @@
 use crate::api::{ApiRequest, SampleRequest, ServeError};
 use crate::batcher::{BatchPolicy, Batcher};
 use crate::engine::Engine;
-use smartsage_core::json;
+use smartsage_core::json::JsonValue;
 use smartsage_hostio::{CondvarExt, LockExt};
 use smartsage_store::StoreStats;
 use std::io::{Read, Write};
@@ -278,7 +279,7 @@ fn read_request(
             ))))
         }
     };
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut close = false;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -286,11 +287,18 @@ fn read_request(
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().map_err(|_| {
-                FrameError::Reject(ServeError::BadRequest(format!(
-                    "unparseable Content-Length '{value}'"
-                )))
-            })?;
+            // Plain digits, once: a second length, or a `+13` that
+            // `parse` would take, makes the body boundary a guess, and a
+            // wrong guess desyncs the connection.
+            let digits = value.bytes().all(|b| b.is_ascii_digit());
+            match value.parse() {
+                Ok(n) if digits && content_length.is_none() => content_length = Some(n),
+                _ => {
+                    return Err(FrameError::Reject(ServeError::BadRequest(format!(
+                        "invalid or repeated Content-Length '{value}'"
+                    ))))
+                }
+            }
         } else if name.eq_ignore_ascii_case("connection") {
             close = value.eq_ignore_ascii_case("close");
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
@@ -301,6 +309,7 @@ fn read_request(
             ))));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     // Oversized bodies are rejected on the *declared* length — the
     // server never reads them in.
     if content_length > inner.options.max_body_bytes {
@@ -379,7 +388,8 @@ fn route(request: &HttpRequest, inner: &Arc<Inner>) -> (u16, String) {
             // Acknowledge first; the owner thread (in `wait()`) runs
             // the actual drain + join.
             inner.signal_stop();
-            (200, "{\"status\":\"shutting down\"}".to_string())
+            let ack = JsonValue::obj([("status", "shutting down".into())]);
+            (200, ack.to_string())
         }
         (_, "/health" | "/stats" | "/v1/sample" | "/v1/infer" | "/v1/shutdown") => {
             let e = ServeError::MethodNotAllowed;
@@ -417,59 +427,56 @@ fn dispatch(
 
 fn health_json(inner: &Arc<Inner>) -> String {
     let engine = inner.engine.safe_lock();
-    format!(
-        "{{\"status\":\"ok\",\"store\":{},\"graph\":{},\"nodes\":{}}}",
-        json::escape_string(engine.config().store.label()),
-        json::escape_string(engine.config().topology.label()),
-        engine.num_nodes()
-    )
+    JsonValue::obj([
+        ("status", "ok".into()),
+        ("store", engine.config().store.label().into()),
+        ("graph", engine.config().topology.label().into()),
+        ("nodes", (engine.num_nodes() as u64).into()),
+    ])
+    .to_string()
 }
 
 /// The `GET /stats` body: service counters plus per-tier I/O stats,
 /// all from this engine's scoped handles.
 fn stats_json(inner: &Arc<Inner>) -> String {
     let engine = inner.engine.safe_lock();
-    let c = engine.counters();
-    let service = format!(
-        "{{\"requests\":{},\"sample_requests\":{},\"infer_requests\":{},\
-         \"merged_batches\":{},\"coalesced_requests\":{},\
-         \"rejected_queue_full\":{},\"queued\":{}}}",
-        c.requests,
-        c.sample_requests,
-        c.infer_requests,
-        c.merged_batches,
-        c.coalesced_requests,
-        inner.batcher.rejected_queue_full(),
-        inner.batcher.queued(),
-    );
-    format!(
-        "{{\"service\":{service},\"store\":{},\"topology\":{}}}",
-        tier_stats_json(engine.config().store.label(), &engine.store_stats()),
-        tier_stats_json(engine.config().topology.label(), &engine.topology_stats()),
-    )
+    let (c, batcher, config) = (engine.counters(), &inner.batcher, engine.config());
+    let service = JsonValue::obj([
+        ("requests", c.requests.into()),
+        ("sample_requests", c.sample_requests.into()),
+        ("infer_requests", c.infer_requests.into()),
+        ("merged_batches", c.merged_batches.into()),
+        ("coalesced_requests", c.coalesced_requests.into()),
+        ("rejected_queue_full", batcher.rejected_queue_full().into()),
+        ("queued", (batcher.queued() as u64).into()),
+    ]);
+    let store = tier_stats(config.store.label(), &engine.store_stats());
+    let topology = tier_stats(config.topology.label(), &engine.topology_stats());
+    JsonValue::obj([
+        ("service", service),
+        ("store", store),
+        ("topology", topology),
+    ])
+    .to_string()
 }
 
-/// One store tier's counters as a JSON object.
-pub fn tier_stats_json(tier: &str, s: &StoreStats) -> String {
-    format!(
-        "{{\"tier\":{},\"gathers\":{},\"nodes_gathered\":{},\"feature_bytes\":{},\
-         \"pages_read\":{},\"bytes_read\":{},\"page_hits\":{},\"page_misses\":{},\
-         \"device_bytes_read\":{},\"host_bytes_transferred\":{},\"device_ns\":{},\
-         \"hit_rate\":{},\"transfer_reduction\":{}}}",
-        json::escape_string(tier),
-        s.gathers,
-        s.nodes_gathered,
-        s.feature_bytes,
-        s.pages_read,
-        s.bytes_read,
-        s.page_hits,
-        s.page_misses,
-        s.device_bytes_read,
-        s.host_bytes_transferred,
-        s.device_ns,
-        json::number(s.hit_rate()),
-        json::number(s.transfer_reduction()),
-    )
+/// One store tier's counters.
+fn tier_stats(tier: &str, s: &StoreStats) -> JsonValue {
+    JsonValue::obj([
+        ("tier", tier.into()),
+        ("gathers", s.gathers.into()),
+        ("nodes_gathered", s.nodes_gathered.into()),
+        ("feature_bytes", s.feature_bytes.into()),
+        ("pages_read", s.pages_read.into()),
+        ("bytes_read", s.bytes_read.into()),
+        ("page_hits", s.page_hits.into()),
+        ("page_misses", s.page_misses.into()),
+        ("device_bytes_read", s.device_bytes_read.into()),
+        ("host_bytes_transferred", s.host_bytes_transferred.into()),
+        ("device_ns", s.device_ns.into()),
+        ("hit_rate", s.hit_rate().into()),
+        ("transfer_reduction", s.transfer_reduction().into()),
+    ])
 }
 
 fn respond(stream: &mut TcpStream, status: u16, body: &str, close: bool) -> std::io::Result<()> {

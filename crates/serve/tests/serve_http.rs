@@ -139,6 +139,34 @@ fn a_chunked_request_gets_exactly_one_400_naming_the_header() {
 }
 
 #[test]
+fn an_ambiguous_content_length_gets_exactly_one_400_naming_the_header() {
+    use std::io::{Read, Write};
+    let server = start(BatchPolicy::default(), HttpOptions::default());
+    let body = r#"{"nodes":[1]}"#;
+    for lengths in [
+        format!("Content-Length: {}\r\nContent-Length: 2\r\n", body.len()),
+        format!("Content-Length: +{}\r\n", body.len()),
+    ] {
+        let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+        // A server that guessed a length keeps the connection open, so
+        // a timeout ends the read there (with two answers in hand).
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let request =
+            format!("POST /v1/sample HTTP/1.1\r\n{lengths}\r\n{body}GET /health HTTP/1.1\r\n\r\n");
+        conn.write_all(request.as_bytes()).unwrap();
+        let mut response = Vec::new();
+        let _ = conn.read_to_end(&mut response);
+        let response = String::from_utf8_lossy(&response);
+        assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        // The head carries its own Content-Length; the body must name it.
+        let (_, reply) = response.split_once("\r\n\r\n").unwrap();
+        assert!(reply.contains("Content-Length"), "{response}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn out_of_range_node_is_a_422_naming_the_id() {
     let server = start(BatchPolicy::default(), HttpOptions::default());
     let (status, body) = oneshot(

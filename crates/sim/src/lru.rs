@@ -229,12 +229,6 @@ impl<K: Hash + Eq + Copy, V> LruMap<K, V> {
         None
     }
 
-    /// The key that would be evicted next (the least-recently used), if
-    /// any.
-    pub fn lru_key(&self) -> Option<K> {
-        (self.tail != NIL).then(|| self.keys[self.tail])
-    }
-
     /// All resident keys in recency order, most-recently used first.
     /// The last element is the next eviction victim. O(len); intended
     /// for tests and introspection, not hot paths.
@@ -368,7 +362,7 @@ mod tests {
             l.insert(k);
         }
         assert_eq!(l.keys_mru_first(), ['d', 'c', 'b', 'a']);
-        assert_eq!(l.lru_key(), Some('a'));
+        assert_eq!(l.keys_mru_first().last(), Some(&'a'));
         // A touch moves exactly one key to the front, preserving the
         // relative order of the rest.
         assert!(l.touch(&'b'));
@@ -376,7 +370,7 @@ mod tests {
         // A promote-by-reinsert behaves identically to a touch.
         l.insert('c');
         assert_eq!(l.keys_mru_first(), ['c', 'b', 'd', 'a']);
-        assert_eq!(l.lru_key(), Some('a'));
+        assert_eq!(l.keys_mru_first().last(), Some(&'a'));
     }
 
     #[test]
@@ -403,7 +397,7 @@ mod tests {
     #[test]
     fn untouched_set_reports_no_order() {
         let l: LruSet<u8> = LruSet::new(2);
-        assert_eq!(l.lru_key(), None);
+        assert_eq!(l.keys_mru_first().last(), None);
         assert!(l.keys_mru_first().is_empty());
     }
 
@@ -432,7 +426,7 @@ mod tests {
             assert!(!l.touch(&i));
         }
         assert!(l.is_empty());
-        assert_eq!(l.lru_key(), None);
+        assert_eq!(l.keys_mru_first().last(), None);
     }
 
     #[test]
@@ -550,7 +544,7 @@ mod tests {
                 }
                 prop_assert_eq!(real.len(), model.order.len());
                 prop_assert_eq!(&real.keys_mru_first(), &model.keys());
-                prop_assert_eq!(real.lru_key(), model.keys().last().copied());
+                prop_assert_eq!(real.keys_mru_first().last(), model.keys().last());
                 for k in 0..8u8 {
                     prop_assert_eq!(real.contains(&k), model.keys().contains(&k));
                 }

@@ -256,12 +256,6 @@ impl SimTime {
         SimTime(ps)
     }
 
-    /// Raw picoseconds since the epoch.
-    #[inline]
-    pub const fn as_picos(self) -> u64 {
-        self.0
-    }
-
     /// Time since the epoch as a duration.
     #[inline]
     pub const fn since_epoch(self) -> SimDuration {

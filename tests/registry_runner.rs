@@ -14,8 +14,6 @@ fn registry_names_are_unique_and_match_cli_listing() {
     let names: Vec<&str> = registry().iter().map(|e| e.name).collect();
     let unique: BTreeSet<&str> = names.iter().copied().collect();
     assert_eq!(unique.len(), names.len(), "duplicate experiment names");
-    // The CLI's `--list` derives its names from the same registry.
-    assert_eq!(smartsage_bench::experiment_names(), names);
     for e in registry() {
         assert!(!e.artifact.is_empty(), "{} has no artifact", e.name);
         assert!(!e.description.is_empty(), "{} has no description", e.name);
