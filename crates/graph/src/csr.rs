@@ -7,6 +7,7 @@
 //! logical block addresses the SSD systems fetch.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a graph node.
 ///
@@ -85,11 +86,24 @@ pub const NEIGHBOR_ENTRY_BYTES: u64 = 8;
 /// assert_eq!(g.neighbors(NodeId::new(0)), &[NodeId::new(1), NodeId::new(2)]);
 /// assert_eq!(g.num_edges(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CsrGraph {
     offsets: Vec<u64>,
     targets: Vec<NodeId>,
+    /// [`CsrGraph::content_hash`], computed on first use: a built graph
+    /// never changes.
+    content_hash: OnceLock<u64>,
 }
+
+/// Two graphs are equal when their CSR arrays are; whether either has
+/// been hashed yet does not matter.
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &CsrGraph) -> bool {
+        self.offsets == other.offsets && self.targets == other.targets
+    }
+}
+
+impl Eq for CsrGraph {}
 
 impl CsrGraph {
     /// Builds a graph from an edge iterator over raw `(src, dst)` pairs.
@@ -126,7 +140,11 @@ impl CsrGraph {
             targets[pos as usize] = NodeId::new(d);
             cursor[s as usize] += 1;
         }
-        let g = CsrGraph { offsets, targets };
+        let g = CsrGraph {
+            offsets,
+            targets,
+            content_hash: OnceLock::new(),
+        };
         debug_assert!(g.validate().is_ok());
         g
     }
@@ -261,6 +279,31 @@ impl CsrGraph {
     pub fn max_degree(&self) -> u64 {
         self.node_ids().map(|n| self.degree(n)).max().unwrap_or(0)
     }
+
+    /// FNV-1a hash of the full CSR content (node and edge counts, each
+    /// node's edge-list start, every neighbor id), so distinct graphs
+    /// cannot collide on a content key. One O(edges) pass, paid once per
+    /// graph: the value is kept for later calls.
+    pub fn content_hash(&self) -> u64 {
+        *self.content_hash.get_or_init(|| {
+            let mut h: u64 = 0xcbf29ce484222325;
+            let mut mix = |v: u64| {
+                for b in v.to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x100000001b3);
+                }
+            };
+            mix(self.num_nodes() as u64);
+            mix(self.num_edges());
+            for node in self.node_ids() {
+                mix(self.edge_list_start(node));
+                for &t in self.neighbors(node) {
+                    mix(t.raw() as u64);
+                }
+            }
+            h
+        })
+    }
 }
 
 /// Errors from [`CsrGraph::validate`].
@@ -383,7 +426,12 @@ mod tests {
     fn from_parts_validates() {
         let check = |offsets: Vec<u64>, targets: Vec<u32>| {
             let targets = targets.into_iter().map(NodeId::new).collect();
-            CsrGraph { offsets, targets }.validate()
+            CsrGraph {
+                offsets,
+                targets,
+                content_hash: OnceLock::new(),
+            }
+            .validate()
         };
         assert!(check(vec![0, 1], vec![0]).is_ok());
         assert_eq!(check(vec![], vec![]).unwrap_err(), CsrError::EmptyOffsets);
@@ -411,6 +459,22 @@ mod tests {
         let g = CsrGraph::from_edges(4, input.clone());
         let out: Vec<(u32, u32)> = g.edges().map(|(a, b)| (a.raw(), b.raw())).collect();
         assert_eq!(out, input);
+    }
+
+    #[test]
+    fn content_hash_is_pinned_and_does_not_affect_equality() {
+        // The FNV-1a value the store's content-keyed graph file names
+        // carry: a changed hash renames every published `.gbin`.
+        let hashed = diamond();
+        assert_eq!(hashed.content_hash(), 0xc31990ef72236f02);
+        let fresh = diamond();
+        assert_eq!(hashed, fresh);
+        assert_eq!(hashed.clone(), fresh);
+        assert_eq!(fresh.clone(), hashed);
+        assert_ne!(
+            CsrGraph::from_edges(4, [(0, 1)]).content_hash(),
+            hashed.content_hash()
+        );
     }
 
     #[test]

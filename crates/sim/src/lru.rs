@@ -195,6 +195,11 @@ impl<K: Hash + Eq + Copy, V> LruMap<K, V> {
         self.map.contains_key(key)
     }
 
+    /// The payload of `key`, if resident, without recency side effects.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|&slot| &self.values[slot])
+    }
+
     /// Inserts `key` with `value` as MRU; returns the evicted LRU
     /// record when full. A resident key is promoted and its payload
     /// replaced (no eviction); zero capacity accepts every insert as a
@@ -568,6 +573,12 @@ mod tests {
                     _ => prop_assert_eq!(real.get(&key), model.get(key)),
                 }
                 prop_assert_eq!(real.len(), model.order.len());
+                prop_assert_eq!(&real.keys_mru_first(), &model.keys());
+                // A peek sees the same payload and moves nothing.
+                for k in 0..8u8 {
+                    let want = model.order.iter().find(|(m, _)| *m == k).map(|(_, v)| v);
+                    prop_assert_eq!(real.peek(&k), want);
+                }
                 prop_assert_eq!(&real.keys_mru_first(), &model.keys());
             }
             // Every resident key still maps to the payload last put

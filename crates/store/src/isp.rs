@@ -63,7 +63,6 @@ use smartsage_graph::NodeId;
 use smartsage_hostio::LockExt;
 use smartsage_sim::{LruMap, SimDuration, SimTime};
 use smartsage_storage::{Ssd, SsdParams};
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// The host driver's row-granular gather scratchpad.
@@ -80,11 +79,14 @@ use std::sync::{Arc, Mutex};
 /// one host.
 ///
 /// Residency is exact-LRU in rows (capacity = budget bytes ÷ row
-/// bytes); payloads are immutable `Arc<[f32]>` rows, so a hit is a
-/// refcount bump and eviction can never invalidate bytes mid-copy.
+/// bytes). A gather takes the lock twice, not once per row: its lookup
+/// copies resident rows straight into the caller's buffer without
+/// promoting them, and once its device read has succeeded it publishes
+/// every lookup's recency update in request order, then the rows it
+/// shipped — the order a row-at-a-time lookup-then-insert leaves.
 #[derive(Debug)]
 pub struct RowScratchpad {
-    rows: Mutex<LruMap<u32, Arc<[f32]>>>,
+    rows: Mutex<LruMap<u32, Box<[f32]>>>,
 }
 
 impl RowScratchpad {
@@ -105,17 +107,6 @@ impl RowScratchpad {
     /// `true` when nothing is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The resident row of `node`, promoting it to most-recently-used.
-    pub fn get(&self, node: NodeId) -> Option<Arc<[f32]>> {
-        self.rows.safe_lock().get(&node.raw()).cloned()
-    }
-
-    /// Inserts (or refreshes) `node`'s row, evicting the LRU row if the
-    /// budget is exhausted. A zero-capacity scratchpad stays empty.
-    pub fn insert(&self, node: NodeId, row: Arc<[f32]>) {
-        self.rows.safe_lock().put(node.raw(), row);
     }
 
     /// Drops every resident row, keeping capacity.
@@ -284,26 +275,38 @@ impl FeatureStore for IspGatherStore {
                 return Err(StoreError::NodeOutOfRange { node, num_nodes });
             }
         }
-        // Partition: scratchpad-resident rows are served from host DRAM
-        // (they crossed PCIe on an earlier gather); the rest — first
-        // occurrence of each missing node — go to the device.
-        let mut missing: Vec<NodeId> = Vec::new();
-        let mut miss_index: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut resolved: Vec<Option<Arc<[f32]>>> = Vec::with_capacity(nodes.len());
-        for &node in nodes {
-            if miss_index.contains_key(&node.raw()) {
-                resolved.push(None);
-                continue;
-            }
-            match self.scratchpad.get(node) {
-                Some(row) => resolved.push(Some(row)),
-                None => {
-                    miss_index.insert(node.raw(), missing.len());
-                    missing.push(node);
-                    resolved.push(None);
+        // Each node's request positions, grouped by one sort. An
+        // ascending request (every pipeline and serve gather) is already
+        // sorted, and the sort finishes it in one linear pass.
+        let mut by_node: Vec<(u32, usize)> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| (node.raw(), i))
+            .collect();
+        by_node.sort_unstable();
+        let row_of = |i: usize| i * dim..(i + 1) * dim;
+        // Lookup: a resident row is served from host DRAM (it crossed
+        // PCIe on an earlier gather) into every position asking for it;
+        // a missing node goes to the device once. Nothing is promoted
+        // yet, so a failed read leaves the scratchpad as it was.
+        let mut misses: Vec<&[(u32, usize)]> = Vec::new();
+        {
+            let rows = self.scratchpad.rows.safe_lock();
+            for group in by_node.chunk_by(|a, b| a.0 == b.0) {
+                match rows.peek(&group[0].0) {
+                    Some(row) => {
+                        for &(_, i) in group {
+                            out[row_of(i)].copy_from_slice(row);
+                        }
+                    }
+                    None => misses.push(group),
                 }
             }
         }
+        // The device resolves the missing rows in request order (of
+        // their first occurrence).
+        misses.sort_unstable_by_key(|group| group[0].1);
+        let missing: Vec<NodeId> = misses.iter().map(|g| NodeId::new(g[0].0)).collect();
         let mut io = StoreStats::default();
         let mut miss_buf = vec![0.0f32; missing.len() * dim];
         if !missing.is_empty() {
@@ -319,22 +322,22 @@ impl FeatureStore for IspGatherStore {
             let shipped = missing.len() as u64 * dim as u64 * 4;
             let accesses = (0..missing.len()).map(row);
             io = self.device.pass(media, accesses, shipped);
-            // Publish the freshly shipped rows to the scratchpad.
-            for (j, &node) in missing.iter().enumerate() {
-                let row: Arc<[f32]> = miss_buf[j * dim..(j + 1) * dim].into();
-                self.scratchpad.insert(node, row);
+        }
+        // Publish: every lookup's recency update in request order (a
+        // node that missed is not resident, or is re-put just below),
+        // then the freshly shipped rows.
+        {
+            let mut rows = self.scratchpad.rows.safe_lock();
+            for node in nodes {
+                rows.touch(&node.raw());
+            }
+            for (j, group) in misses.iter().enumerate() {
+                rows.put(group[0].0, miss_buf[row_of(j)].into());
             }
         }
-        // Assemble the caller's buffer: resident rows from the
-        // scratchpad, missing rows from the device gather.
-        for (i, &node) in nodes.iter().enumerate() {
-            let out_row = &mut out[i * dim..(i + 1) * dim];
-            match &resolved[i] {
-                Some(row) => out_row.copy_from_slice(row),
-                None => {
-                    let j = miss_index[&node.raw()];
-                    out_row.copy_from_slice(&miss_buf[j * dim..(j + 1) * dim]);
-                }
+        for (j, group) in misses.iter().enumerate() {
+            for &(_, i) in *group {
+                out[row_of(i)].copy_from_slice(&miss_buf[row_of(j)]);
             }
         }
         // Access counters describe the whole gather, not just the
@@ -358,8 +361,10 @@ impl FeatureStore for IspGatherStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file::HEADER_BYTES;
     use crate::{write_feature_file, InMemoryStore, ScratchFile, StoreHandle};
     use smartsage_graph::FeatureTable;
+    use std::collections::BTreeMap;
     use std::path::Path;
 
     /// An ISP tier over its own one-stripe open of `path`.
@@ -532,5 +537,145 @@ mod tests {
     #[should_panic(expected = "queue depth")]
     fn zero_queue_depth_is_rejected() {
         let _ = device_at(0);
+    }
+
+    /// The gather as it was written one row at a time — a scratchpad
+    /// lookup (and promotion) per row, a `BTreeMap` of the first
+    /// occurrence of each miss, one insert per shipped row — kept as the
+    /// reference the batched [`IspGatherStore::gather_into`] must match
+    /// on every successful call.
+    fn gather_reference(isp: &mut IspGatherStore, nodes: &[NodeId], out: &mut [f32]) {
+        let dim = isp.shared.dim();
+        assert_eq!(out.len(), nodes.len() * dim);
+        let mut missing: Vec<NodeId> = Vec::new();
+        let mut miss_index: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut resolved: Vec<Option<Box<[f32]>>> = Vec::with_capacity(nodes.len());
+        for &node in nodes {
+            if miss_index.contains_key(&node.raw()) {
+                resolved.push(None);
+                continue;
+            }
+            match isp.scratchpad.rows.safe_lock().get(&node.raw()).cloned() {
+                Some(row) => resolved.push(Some(row)),
+                None => {
+                    miss_index.insert(node.raw(), missing.len());
+                    missing.push(node);
+                    resolved.push(None);
+                }
+            }
+        }
+        let mut io = StoreStats::default();
+        let mut miss_buf = vec![0.0f32; missing.len() * dim];
+        if !missing.is_empty() {
+            let (media, plan) = isp.shared.gather_planned(&missing, &mut miss_buf).unwrap();
+            let (pages, ends) = plan.first_needs();
+            let row = |i: usize| (1, pages[ends[i]..ends[i + 1]].iter().copied());
+            let shipped = missing.len() as u64 * dim as u64 * 4;
+            io = isp.device.pass(media, (0..missing.len()).map(row), shipped);
+            for (j, &node) in missing.iter().enumerate() {
+                let row: Box<[f32]> = miss_buf[j * dim..(j + 1) * dim].into();
+                isp.scratchpad.rows.safe_lock().put(node.raw(), row);
+            }
+        }
+        for (i, &node) in nodes.iter().enumerate() {
+            let out_row = &mut out[i * dim..(i + 1) * dim];
+            match &resolved[i] {
+                Some(row) => out_row.copy_from_slice(row),
+                None => {
+                    let j = miss_index[&node.raw()];
+                    out_row.copy_from_slice(&miss_buf[j * dim..(j + 1) * dim]);
+                }
+            }
+        }
+        io.gathers = 1;
+        io.nodes_gathered = nodes.len() as u64;
+        io.feature_bytes = nodes.len() as u64 * dim as u64 * 4;
+        isp.stats.accumulate(&io);
+    }
+
+    fn scratchpad_keys(isp: &IspGatherStore) -> Vec<u32> {
+        isp.scratchpad.rows.safe_lock().keys_mru_first()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The batched gather and the per-row reference, each on its own
+        /// open of one file (512-byte pages, a 4-page cache: pages and
+        /// rows churn), agree after every call on the rows, all ten
+        /// counters, the device time and the scratchpad's recency order.
+        /// Requests are ascending-distinct, unsorted, duplicate-heavy or
+        /// empty; scratchpads hold 0, 1, 7 or every row.
+        #[test]
+        fn batched_gather_matches_the_per_row_reference(
+            capacity in 0usize..4,
+            requests in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec(0u32..96, 0..40)),
+                1..8,
+            ),
+        ) {
+            use proptest::prelude::*;
+            let (path, _) = write_table("isp-reference", 8, 96);
+            let opts = FileStoreOptions {
+                page_bytes: 512,
+                cache_pages: 4,
+            };
+            let rows = [0u64, 1, 7, 96][capacity];
+            let open = || {
+                let shared = SharedFileStore::open_with(path.path(), opts, 1).unwrap();
+                let mut isp = IspGatherStore::over(Arc::new(shared), IspGatherOptions::default());
+                isp.scratchpad = Arc::new(RowScratchpad::new(rows * 32, 32));
+                isp
+            };
+            let (mut batched, mut reference) = (open(), open());
+            for (kind, mut raw) in requests {
+                match kind {
+                    0 => {
+                        raw.sort_unstable();
+                        raw.dedup();
+                    }
+                    1 => {}
+                    2 => raw.iter_mut().for_each(|n| *n %= 6),
+                    _ => raw.clear(),
+                }
+                let nodes: Vec<NodeId> = raw.into_iter().map(NodeId::new).collect();
+                let mut got = vec![f32::NAN; nodes.len() * 8];
+                let mut want = vec![0.0f32; nodes.len() * 8];
+                batched.gather_into(&nodes, &mut got).unwrap();
+                gather_reference(&mut reference, &nodes, &mut want);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want));
+                prop_assert_eq!(batched.stats(), reference.stats());
+                prop_assert_eq!(batched.device_time(), reference.device_time());
+                prop_assert_eq!(scratchpad_keys(&batched), scratchpad_keys(&reference));
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_media_read_leaves_the_scratchpad_untouched() {
+        // 32-byte rows, 16 to a 512-byte page. Rows 5, 1, 3 are warmed
+        // (MRU first: 3, 1, 5), then the file is cut after row 63, under
+        // the open store: a gather of hits 1 and 5 plus the lost row 200
+        // must fail without promoting either hit.
+        let (path, _) = write_table("isp-cut", 8, 256);
+        let opts = FileStoreOptions {
+            page_bytes: 512,
+            cache_pages: 4,
+        };
+        let shared = SharedFileStore::open_with(path.path(), opts, 1).unwrap();
+        let mut isp = IspGatherStore::over(Arc::new(shared), IspGatherOptions::default());
+        isp.gather(&[5u32, 1, 3].map(NodeId::new)).unwrap();
+        let (keys, stats, device) = (scratchpad_keys(&isp), isp.stats(), isp.device_time());
+        assert_eq!(keys, [3, 1, 5]);
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(path.path())
+            .unwrap();
+        file.set_len(HEADER_BYTES + 64 * 32).unwrap();
+        assert!(isp.gather(&[1u32, 200, 5].map(NodeId::new)).is_err());
+        assert_eq!(scratchpad_keys(&isp), keys);
+        assert_eq!(isp.stats(), stats);
+        assert_eq!(isp.device_time(), device);
     }
 }

@@ -221,11 +221,10 @@ impl StoreRegistry {
     }
 
     /// The content-keyed path for `graph`'s topology file (its 1-way
-    /// partition): node/edge counts plus an FNV-1a fingerprint of the
-    /// full CSR content, so distinct graphs can never collide on a key.
-    /// The fingerprint is one O(edges) pass per call — the same order
-    /// of work as the materialization that produced the graph, paid
-    /// once per open (a per-run cost, like materialization itself).
+    /// partition): node/edge counts plus the graph's
+    /// [`CsrGraph::content_hash`], so distinct graphs can never collide
+    /// on a key. The hash is one O(edges) pass, paid once per graph —
+    /// every later key of the same graph reuses it.
     pub fn graph_content_key_path(graph: &CsrGraph) -> PathBuf {
         StoreRegistry::graph_shard_key_path(graph, 0, 1)
     }
@@ -254,7 +253,13 @@ impl StoreRegistry {
     /// topology partition of `graph` — the graph analogue of
     /// [`StoreRegistry::feature_shard_key_path`].
     pub fn graph_shard_key_path(graph: &CsrGraph, shard: usize, shards: usize) -> PathBuf {
-        graph_key_path(graph, graph_fingerprint(graph), shard, shards)
+        std::env::temp_dir().join(format!(
+            "{GRAPH_PREFIX}n{}-e{}-h{:016x}{}.gbin",
+            graph.num_nodes(),
+            graph.num_edges(),
+            graph.content_hash(),
+            partition_suffix(shard, shards),
+        ))
     }
 
     /// Opens (publishing first if needed) the shared store for
@@ -336,19 +341,19 @@ impl StoreRegistry {
     /// [`write_graph_shard`]), each deduplicated like
     /// [`StoreRegistry::open_feature_shards`]. The returned files are in
     /// shard order, at the paths [`StoreRegistry::graph_shard_key_path`]
-    /// names; the O(edges) fingerprint they share is computed once.
+    /// names; the O(edges) content hash they share is computed once per
+    /// graph.
     pub fn open_graph_shards(
         &self,
         graph: &CsrGraph,
         shards: usize,
         opts: FileStoreOptions,
     ) -> Result<Vec<Arc<SharedCsrFile>>, StoreError> {
-        let fingerprint = graph_fingerprint(graph);
         shard_ranges(graph.num_nodes(), shards)
             .into_iter()
             .enumerate()
             .map(|(i, (start, end))| {
-                let path = graph_key_path(graph, fingerprint, i, shards);
+                let path = StoreRegistry::graph_shard_key_path(graph, i, shards);
                 self.open_graph_range(path, graph, start, end, opts)
             })
             .collect()
@@ -425,40 +430,6 @@ fn partition_suffix(shard: usize, shards: usize) -> String {
         1 => String::new(),
         _ => format!("-p{shard}of{shards}"),
     }
-}
-
-/// The one graph content-key format; `fingerprint` is `graph`'s
-/// [`graph_fingerprint`].
-fn graph_key_path(graph: &CsrGraph, fingerprint: u64, shard: usize, shards: usize) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "{GRAPH_PREFIX}n{}-e{}-h{fingerprint:016x}{}.gbin",
-        graph.num_nodes(),
-        graph.num_edges(),
-        partition_suffix(shard, shards),
-    ))
-}
-
-/// FNV-1a fingerprint of a graph's full CSR content (node/edge counts,
-/// offsets, neighbor ids), so distinct graphs can never collide on a
-/// content key. One O(edges) pass per call — the same order of work as
-/// the materialization that produced the graph.
-fn graph_fingerprint(graph: &CsrGraph) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    mix(graph.num_nodes() as u64);
-    mix(graph.num_edges());
-    for node in graph.node_ids() {
-        mix(graph.edge_list_start(node));
-        for &t in graph.neighbors(node) {
-            mix(t.raw() as u64);
-        }
-    }
-    h
 }
 
 /// Parses the pid out of a publish-temporary file name
@@ -814,6 +785,24 @@ mod tests {
         assert_eq!(reg.len(), 5);
         for o in reg.occupancy() {
             let _ = std::fs::remove_file(&o.path);
+        }
+    }
+
+    #[test]
+    fn graph_file_names_are_pinned() {
+        // A published `.gbin` is found again by name, so the content key
+        // must spell the same name on every build.
+        let g = CsrGraph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]);
+        let name = |shard, shards| {
+            let path = StoreRegistry::graph_shard_key_path(&g, shard, shards);
+            path.file_name().unwrap().to_string_lossy().into_owned()
+        };
+        assert_eq!(name(0, 1), "smartsage-graph-n4-e5-hc31990ef72236f02.gbin");
+        for i in 0..3 {
+            assert_eq!(
+                name(i, 3),
+                format!("smartsage-graph-n4-e5-hc31990ef72236f02-p{i}of3.gbin")
+            );
         }
     }
 

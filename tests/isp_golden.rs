@@ -18,9 +18,19 @@
 //! that churns (hit/miss splits then depend on the order hits are
 //! promoted in) and under one that holds both files (the replayed
 //! round then is the hit path and must submit no read).
+//!
+//! A third case runs a small `run_pipeline` on the ISP tiers over four
+//! devices, so the gathers are the pipeline's own: each batch's sorted,
+//! deduplicated node list.
 
+use smartsage::core::config::{SystemConfig, SystemKind};
+use smartsage::core::context::RunContext;
+use smartsage::core::pipeline::{run_pipeline, PipelineConfig};
+use smartsage::core::store_metrics::{self, SweepScope};
+use smartsage::core::{StoreKind, TopologyKind};
+use smartsage::gnn::Fanouts;
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
-use smartsage::graph::{FeatureTable, NodeId};
+use smartsage::graph::{Dataset, DatasetProfile, FeatureTable, GraphScale, NodeId};
 use smartsage::hostio::ReadEngine;
 use smartsage::sim::Xoshiro256;
 use smartsage::store::{
@@ -236,4 +246,39 @@ fn file_tier_stats_and_engine_reads_of_a_fixed_sequence_are_pinned() {
             "page size {page_bytes}, cache {cache_pages}"
         );
     }
+}
+
+#[test]
+fn isp_pipeline_stats_are_pinned() {
+    // Six batches of 64 targets at fan-outs [10, 5] over a 1120-node
+    // graph, on the ISP tiers across 4 devices. A private registry keeps
+    // the files' page caches and row scratchpads cold at the start, so
+    // the counters do not depend on what else this binary ran.
+    let data =
+        DatasetProfile::of(Dataset::Amazon).materialize(GraphScale::LargeScale, 40_000, 0x601D);
+    let ctx = Arc::new(RunContext::new(
+        data,
+        SystemConfig::new(SystemKind::SmartSageHwSw),
+    ));
+    let cfg = PipelineConfig {
+        workers: 3,
+        total_batches: 6,
+        batch_size: 64,
+        fanouts: Fanouts::new(vec![10, 5]),
+        queue_depth: 2,
+        seed: 0x601D,
+        train: false,
+        store: StoreKind::Isp,
+        topology: TopologyKind::Isp,
+        shards: 4,
+        ..PipelineConfig::default()
+    };
+    let _cold = store_metrics::install_scope(SweepScope::new());
+    let report = run_pipeline(&ctx, &cfg);
+    #[rustfmt::skip]
+    let want = [
+        stats([24, 27264, 218112, 85, 344536, 900, 85, 344536, 218112, 29111315]),
+        stats([6, 5191, 664448, 36, 143360, 95, 36, 143360, 142592, 3576306]),
+    ];
+    assert_eq!([report.topology_stats, report.store_stats], want);
 }
