@@ -178,22 +178,17 @@ impl Matrix {
         out
     }
 
-    /// `self @ otherᵀ` without materializing the transpose.
+    /// `self @ otherᵀ`: [`Matrix::matmul`] over a copy of `otherᵀ`, so
+    /// each element is the same ascending-`k` sum from `+0.0`.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..other.rows {
-                let brow = &other.data[j * other.cols..(j + 1) * other.cols];
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                out.data[i * other.rows + j] = acc;
-            }
-        }
-        out
+        self.matmul(&other.transposed())
+    }
+
+    /// `selfᵀ` as a new matrix.
+    fn transposed(&self) -> Matrix {
+        let at = |k: usize| self.data[(k % self.rows) * self.cols + k / self.rows];
+        Matrix::from_vec(self.cols, self.rows, (0..self.data.len()).map(at).collect())
     }
 
     /// `self += other * scale` (used by SGD).
@@ -421,6 +416,22 @@ mod tests {
         out
     }
 
+    fn matmul_t_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.rows);
+        for i in 0..a.rows {
+            let arow = &a.data[i * a.cols..(i + 1) * a.cols];
+            for j in 0..b.rows {
+                let brow = &b.data[j * b.cols..(j + 1) * b.cols];
+                let mut acc = 0.0;
+                for (x, y) in arow.iter().zip(brow) {
+                    acc += x * y;
+                }
+                out.data[i * b.rows + j] = acc;
+            }
+        }
+        out
+    }
+
     /// Random values with exact `0.0` and `-0.0` entries mixed in and
     /// every third row zero throughout — what a ReLU output and a
     /// masked gradient look like.
@@ -461,6 +472,9 @@ mod tests {
                     let at = ragged(inner, rows, &mut rng);
                     let what = format!("t_matmul {rows}x{inner}x{cols}");
                     assert_same_bits(&at.t_matmul(&b), &t_matmul_reference(&at, &b), &what);
+                    let bt = ragged(cols, inner, &mut rng);
+                    let what = format!("matmul_t {rows}x{inner}x{cols}");
+                    assert_same_bits(&a.matmul_t(&bt), &matmul_t_reference(&a, &bt), &what);
                 }
             }
         }

@@ -211,18 +211,6 @@ impl CsrGraph {
         self.offsets[node.index()]
     }
 
-    /// Byte offset of `node`'s edge list within the on-SSD edge-list array.
-    #[inline]
-    pub fn edge_list_byte_offset(&self, node: NodeId) -> u64 {
-        self.edge_list_start(node) * NEIGHBOR_ENTRY_BYTES
-    }
-
-    /// Byte length of `node`'s edge list in the on-SSD layout.
-    #[inline]
-    pub fn edge_list_byte_len(&self, node: NodeId) -> u64 {
-        self.degree(node) * NEIGHBOR_ENTRY_BYTES
-    }
-
     /// Total size of the edge-list array in bytes (on-SSD layout).
     pub fn edge_array_bytes(&self) -> u64 {
         self.num_edges() * NEIGHBOR_ENTRY_BYTES
@@ -411,15 +399,9 @@ mod tests {
     fn byte_layout_matches_entry_width() {
         let g = diamond();
         assert_eq!(g.edge_array_bytes(), 5 * NEIGHBOR_ENTRY_BYTES);
-        assert_eq!(g.edge_list_byte_offset(NodeId::new(0)), 0);
-        assert_eq!(
-            g.edge_list_byte_offset(NodeId::new(1)),
-            2 * NEIGHBOR_ENTRY_BYTES
-        );
-        assert_eq!(
-            g.edge_list_byte_len(NodeId::new(0)),
-            2 * NEIGHBOR_ENTRY_BYTES
-        );
+        assert_eq!(g.edge_list_start(NodeId::new(0)), 0);
+        assert_eq!(g.edge_list_start(NodeId::new(1)), 2);
+        assert_eq!(g.degree(NodeId::new(0)), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the graph substrate.
 
 use proptest::prelude::*;
-use smartsage_graph::csr::CsrGraph;
+use smartsage_graph::csr::{CsrGraph, NEIGHBOR_ENTRY_BYTES};
 use smartsage_graph::degree::DegreeStats;
 use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage_graph::kronecker::{expand, KroneckerConfig};
@@ -87,11 +87,12 @@ proptest! {
             seed,
             ..PowerLawConfig::default()
         });
+        // The edge lists tile the edge array, in node order.
         let mut cursor = 0u64;
         for n in g.node_ids() {
-            prop_assert_eq!(g.edge_list_byte_offset(n), cursor);
-            cursor += g.edge_list_byte_len(n);
+            prop_assert_eq!(g.edge_list_start(n), cursor);
+            cursor += g.degree(n);
         }
-        prop_assert_eq!(cursor, g.edge_array_bytes());
+        prop_assert_eq!(cursor * NEIGHBOR_ENTRY_BYTES, g.edge_array_bytes());
     }
 }

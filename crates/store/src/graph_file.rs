@@ -51,7 +51,7 @@
 use crate::error::StoreError;
 use crate::file::{check_len, create_with_header, open_header, FileStoreOptions, HEADER_BYTES};
 use crate::paged::{PagedFile, Plan, Planned};
-use crate::StoreStats;
+use crate::{check_ids, check_pick, StoreStats};
 use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::{CsrGraph, NodeId};
 use smartsage_hostio::{ByteRange, GraphFile, ReadEngine};
@@ -301,16 +301,6 @@ impl SharedCsrFile {
         }
     }
 
-    fn check_node(&self, node: NodeId) -> Result<(), StoreError> {
-        if node.index() >= self.num_nodes {
-            return Err(StoreError::NodeOutOfRange {
-                node,
-                num_nodes: self.num_nodes,
-            });
-        }
-        Ok(())
-    }
-
     /// Resolves `ranges` (each `N` whole u64 entries) through the paged
     /// read path and hands `each` the range's index and LE values, in
     /// request order (an entry may straddle a page boundary under odd
@@ -347,9 +337,7 @@ impl SharedCsrFile {
         &self,
         nodes: &[NodeId],
     ) -> Result<Planned<Vec<(u64, u64)>>, StoreError> {
-        for &node in nodes {
-            self.check_node(node)?;
-        }
+        check_ids(nodes.iter().copied(), self.num_nodes)?;
         // The two adjacent offset entries of a node (start + end of
         // its neighbor slice) are one 16-byte range.
         let ranges: Vec<ByteRange> = nodes
@@ -433,15 +421,9 @@ impl SharedCsrFile {
         let (pairs, mut io, offset_plan) = self.offset_pairs(&parents)?;
         let mut edges = Vec::with_capacity(picks.len());
         for (run, &(start, end)) in picks.chunk_by(same_parent).zip(&pairs) {
-            for &(node, k) in run {
-                if k >= end - start {
-                    return Err(StoreError::PickOutOfRange {
-                        node,
-                        position: k,
-                        degree: end - start,
-                    });
-                }
-                edges.push(start + k);
+            for &pick in run {
+                check_pick(pick, end - start)?;
+                edges.push(start + pick.1);
             }
         }
         let (edge_io, edge_plan) = self.edge_targets(&edges, out)?;

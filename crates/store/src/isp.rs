@@ -30,15 +30,18 @@
 //!   [`smartsage_storage::Ssd`] component model in virtual time, run
 //!   through the one ISP firmware the edge-list cost policy prices the
 //!   figures with: the gather is one command of one access per missing
-//!   row, in request order — [`Ssd::isp_decode`], then
+//!   row, in request order, priced by `IspDevice::command` (the one
+//!   command entry of both ISP tiers) — [`Ssd::isp_decode`], then
 //!   [`Ssd::isp_chunk`] over `ssd.isp.queue_depth` accesses at a time
 //!   (each row one answer; a chunk's core work pooled, its pages issued
 //!   together, done at the later of the cores and the flash), then the
 //!   packed-result DMA. The pages an access is costed for are not
-//!   derived here: they are the pages its row was the first to need in
-//!   the plan of the media read that just resolved the missing rows,
-//!   handed back by the one paged read path (`paged.rs`) through
-//!   [`SharedFileStore`] — so each resolved page is fetched once per
+//!   derived here: the command takes the plan of the media read that
+//!   just resolved the missing rows, handed back by the one paged read
+//!   path (`paged.rs`) through [`SharedFileStore`], and each access as
+//!   the plan ranges it spans and its answers (a row is one range, one
+//!   answer); its pages are the ones those ranges were the first to
+//!   need — so each resolved page is fetched once per
 //!   command, and the model can only be priced for pages that were
 //!   actually resolved. The accumulated busy time is reported in
 //!   [`StoreStats::device_ns`] and [`IspGatherStore::device_time`].
@@ -57,8 +60,9 @@
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
+use crate::paged::Plan;
 use crate::shared::SharedFileStore;
-use crate::{FeatureStore, StoreStats};
+use crate::{check_buffer, check_ids, count_call, FeatureStore, StoreStats};
 use smartsage_graph::NodeId;
 use smartsage_hostio::LockExt;
 use smartsage_sim::{LruMap, SimDuration, SimTime};
@@ -139,13 +143,13 @@ pub struct IspGatherStore {
 }
 
 /// One modeled in-storage device under an ISP tier: the SSD component
-/// model plus the virtual clock its passes advance. Shared by the ISP
+/// model plus the virtual clock its commands advance. Shared by the ISP
 /// feature-gather tier and the ISP sampling topology
 /// ([`crate::IspSampleTopology`]), one per member device.
 #[derive(Debug)]
 pub(crate) struct IspDevice {
     pub ssd: Ssd,
-    /// Each pass starts where the previous one finished, so
+    /// Each command starts where the previous one finished, so
     /// shared-resource contention (cores, channels, PCIe) accumulates
     /// across a run exactly like in the edge-list policies — and the
     /// clock is the device's total busy time.
@@ -177,36 +181,49 @@ impl IspDevice {
         }
     }
 
-    /// Total modeled busy time across all passes so far.
+    /// Total modeled busy time across all commands so far.
     pub fn device_time(&self) -> SimDuration {
         self.clock.since_epoch()
     }
 
     /// Costs one ISP command against the device's firmware and re-scopes
-    /// `io`'s transfer split. The command is `accesses` in request
-    /// order, each `(answers, pages)` — the pages it was the first to
-    /// need in the read(s) that produced `io`. The firmware decodes the
-    /// command, runs its accesses a chunk at a time, and DMAs the
+    /// `io`'s transfer split. `plan` is the plan of the read(s) that
+    /// produced `io`, and the command is `accesses` in request order,
+    /// each `(spans, answers)`: it covers the next `spans` ranges of
+    /// `plan` and answers `answers` results out of the pages those
+    /// ranges were the first to need ([`Plan::first_needs`]), so each
+    /// resolved page is fetched once per command. The firmware decodes
+    /// the command, runs its accesses a chunk at a time, and DMAs the
     /// `shipped` packed bytes back. The shared file accounted its page
     /// reads as host traffic (it is a host-path reader); here they
     /// happened inside the device, and only the `shipped` bytes crossed
     /// the link.
-    pub fn pass<P: IntoIterator<Item = u64>>(
+    pub fn command(
         &mut self,
         mut io: StoreStats,
-        accesses: impl Iterator<Item = (u64, P)>,
+        plan: &Plan,
+        accesses: impl IntoIterator<Item = (usize, u64)>,
         shipped: u64,
     ) -> StoreStats {
+        let (pages, ends) = plan.first_needs();
+        let mut at = 0;
+        let mut accesses = accesses
+            .into_iter()
+            .map(|(spans, answers)| {
+                let first = at;
+                at += spans;
+                (answers, pages[ends[first]..ends[at]].iter().copied())
+            })
+            .peekable();
         let ssd = &mut self.ssd;
         let start = self.clock;
         let mut t = ssd.isp_decode(start);
-        let mut accesses = accesses.peekable();
         while accesses.peek().is_some() {
             t = ssd.isp_chunk(t, &mut accesses, |_| None);
         }
         self.clock = ssd.dma_to_host(t, shipped);
-        // Whole nanoseconds of the clock, so the passes' `device_ns` sum
-        // to `device_time` exactly.
+        // Whole nanoseconds of the clock, so the commands' `device_ns`
+        // sum to `device_time` exactly.
         io.device_ns = self.clock.since_epoch().as_nanos() - start.since_epoch().as_nanos();
         io.device_bytes_read = io.bytes_read;
         io.host_bytes_transferred = shipped;
@@ -260,21 +277,11 @@ impl FeatureStore for IspGatherStore {
 
     fn gather_into(&mut self, nodes: &[NodeId], out: &mut [f32]) -> Result<(), StoreError> {
         let dim = self.shared.dim();
-        if out.len() != nodes.len() * dim {
-            return Err(StoreError::BadBuffer {
-                expected: nodes.len() * dim,
-                actual: out.len(),
-            });
-        }
         // Validate every node before touching any state (including the
         // scratchpad's recency order), so a failed gather costs — and
         // counts — nothing.
-        let num_nodes = self.shared.num_nodes();
-        for &node in nodes {
-            if node.index() >= num_nodes {
-                return Err(StoreError::NodeOutOfRange { node, num_nodes });
-            }
-        }
+        check_buffer(nodes.len() * dim, out)?;
+        check_ids(nodes.iter().copied(), self.shared.num_nodes())?;
         // Each node's request positions, grouped by one sort. An
         // ascending request (every pipeline and serve gather) is already
         // sorted, and the sort finishes it in one linear pass.
@@ -317,11 +324,9 @@ impl FeatureStore for IspGatherStore {
             // One firmware access per missing row, answering its row out
             // of the pages it first needed; only the packed missing rows
             // cross the link.
-            let (pages, ends) = plan.first_needs();
-            let row = |i: usize| (1, pages[ends[i]..ends[i + 1]].iter().copied());
             let shipped = missing.len() as u64 * dim as u64 * 4;
-            let accesses = (0..missing.len()).map(row);
-            io = self.device.pass(media, accesses, shipped);
+            let accesses = std::iter::repeat_n((1, 1), missing.len());
+            io = self.device.command(media, &plan, accesses, shipped);
         }
         // Publish: every lookup's recency update in request order (a
         // node that missed is not resident, or is re-put just below),
@@ -342,10 +347,8 @@ impl FeatureStore for IspGatherStore {
         }
         // Access counters describe the whole gather, not just the
         // device's share of it.
-        io.gathers = 1;
-        io.nodes_gathered = nodes.len() as u64;
-        io.feature_bytes = nodes.len() as u64 * dim as u64 * 4;
         self.stats.accumulate(&io);
+        count_call(&mut self.stats, nodes.len(), dim as u64 * 4);
         Ok(())
     }
 
@@ -364,6 +367,7 @@ mod tests {
     use crate::file::HEADER_BYTES;
     use crate::{write_feature_file, InMemoryStore, ScratchFile, StoreHandle};
     use smartsage_graph::FeatureTable;
+    use smartsage_hostio::ByteRange;
     use std::collections::BTreeMap;
     use std::path::Path;
 
@@ -385,6 +389,18 @@ mod tests {
     /// `n` accesses of one answer, each first needing its own page.
     fn one_page_each(n: u64) -> impl Iterator<Item = (u64, [u64; 1])> {
         (0..n).map(|page| (1, [page]))
+    }
+
+    /// [`one_page_each`] as a command: `n` one-byte ranges on 4 KiB
+    /// pages `0..n`, costed on `device`.
+    fn command_one_page_each(device: &mut IspDevice, n: u64, shipped: u64) -> StoreStats {
+        let ranges = (0..n).map(|page| ByteRange {
+            offset: page * 4096,
+            len: 1,
+        });
+        let plan = crate::paged::tests::plan_covering(ranges.collect(), 4096);
+        let accesses = std::iter::repeat_n((1, 1), n as usize);
+        device.command(StoreStats::default(), &plan, accesses, shipped)
     }
 
     fn write_table(tag: &str, dim: usize, nodes: usize) -> (ScratchFile, FeatureTable) {
@@ -491,7 +507,7 @@ mod tests {
         // 256 accesses, each missing its own page: pure flash path.
         let time_at = |queue_depth| {
             let mut device = device_at(queue_depth);
-            device.pass(StoreStats::default(), one_page_each(256), 0);
+            command_one_page_each(&mut device, 256, 0);
             device.device_time()
         };
         let serial = time_at(1);
@@ -506,9 +522,7 @@ mod tests {
     fn a_pass_no_longer_than_its_queue_depth_prices_as_one_chunk() {
         let device_ns = |queue_depth| {
             let mut device = device_at(queue_depth);
-            device
-                .pass(StoreStats::default(), one_page_each(12), 160)
-                .device_ns
+            command_one_page_each(&mut device, 12, 160).device_ns
         };
         // One chunk by hand on a twin device: decode, all 12 accesses,
         // the DMA.
@@ -568,10 +582,9 @@ mod tests {
         let mut miss_buf = vec![0.0f32; missing.len() * dim];
         if !missing.is_empty() {
             let (media, plan) = isp.shared.gather_planned(&missing, &mut miss_buf).unwrap();
-            let (pages, ends) = plan.first_needs();
-            let row = |i: usize| (1, pages[ends[i]..ends[i + 1]].iter().copied());
             let shipped = missing.len() as u64 * dim as u64 * 4;
-            io = isp.device.pass(media, (0..missing.len()).map(row), shipped);
+            let accesses = missing.iter().map(|_| (1, 1));
+            io = isp.device.command(media, &plan, accesses, shipped);
             for (j, &node) in missing.iter().enumerate() {
                 let row: Box<[f32]> = miss_buf[j * dim..(j + 1) * dim].into();
                 isp.scratchpad.rows.safe_lock().put(node.raw(), row);

@@ -24,15 +24,17 @@
 //! * **Time** is costed per batched read against a real
 //!   [`smartsage_storage::Ssd`] component model in virtual time: each
 //!   call is one command through the device's ISP firmware, the same
-//!   pass the ISP feature tier pays ([`mod@crate::isp`]), accumulated
-//!   in [`StoreStats::device_ns`] and [`IspSampleTopology::device_time`].
-//!   A degree batch is one access per node, answering its degree out
-//!   of its offset pages; a pick batch is one access per run of equal
-//!   consecutive parents, answering the run's picks out of its offset
-//!   pair's pages and its picks' edge pages. An access brings only the
-//!   pages it was the first to need in [`SharedCsrFile`]'s paged reads,
-//!   so each resolved page is fetched once per command. This tier never
-//!   turns an id into a page itself.
+//!   `IspDevice::command` the ISP feature tier pays ([`mod@crate::isp`]),
+//!   accumulated in [`StoreStats::device_ns`] and
+//!   [`IspSampleTopology::device_time`]. The command takes the read's
+//!   plan and each access as `(plan ranges it spans, answers)`. A degree
+//!   batch is one `(1, 1)` access per node, answering its degree out of
+//!   its offset pages; a pick batch is one `(1 + n, n)` access per run
+//!   of `n` equal consecutive parents over the interleaved plan (its
+//!   offset pair, then its picks' edges), answering the run's picks. An
+//!   access brings only the pages its ranges were the first to need in
+//!   [`SharedCsrFile`]'s paged reads, so each resolved page is fetched
+//!   once per command. This tier never turns an id into a page itself.
 //!
 //! Like [`IspGatherStore`](crate::IspGatherStore), the device timing
 //! model keeps its own page-buffer LRU seeded only by this store's
@@ -43,8 +45,8 @@
 use crate::error::StoreError;
 use crate::graph_file::SharedCsrFile;
 use crate::isp::{IspDevice, IspGatherOptions};
-use crate::topology::{check_out_len, count_answers, TopologyStore};
-use crate::StoreStats;
+use crate::topology::TopologyStore;
+use crate::{check_buffer, count_call, StoreStats};
 use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::NodeId;
 use smartsage_sim::SimDuration;
@@ -100,7 +102,7 @@ impl TopologyStore for IspSampleTopology {
     }
 
     fn degrees_into(&mut self, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
-        check_out_len(nodes.len(), out)?;
+        check_buffer(nodes.len(), out)?;
         // Device-side offset walk, one access per node; the host
         // receives one packed 8-byte degree per node (it draws the
         // sample positions).
@@ -108,12 +110,11 @@ impl TopologyStore for IspSampleTopology {
         for (slot, (start, end)) in out.iter_mut().zip(pairs) {
             *slot = end - start;
         }
-        let (pages, ends) = plan.first_needs();
-        let accesses = (0..nodes.len()).map(|i| (1, pages[ends[i]..ends[i + 1]].iter().copied()));
+        let accesses = std::iter::repeat_n((1, 1), nodes.len());
         let shipped = nodes.len() as u64 * NEIGHBOR_ENTRY_BYTES;
-        let io = self.device.pass(io, accesses, shipped);
+        let io = self.device.command(io, &plan, accesses, shipped);
         self.stats.accumulate(&io);
-        count_answers(&mut self.stats, nodes.len() as u64);
+        count_call(&mut self.stats, nodes.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())
     }
 
@@ -122,7 +123,7 @@ impl TopologyStore for IspSampleTopology {
         picks: &[(NodeId, u64)],
         out: &mut [NodeId],
     ) -> Result<(), StoreError> {
-        check_out_len(picks.len(), out)?;
+        check_buffer(picks.len(), out)?;
         // The whole hop resolves inside the device: offset pairs locate
         // the slices, edge entries resolve the picks (shared with the
         // file tier via [`SharedCsrFile::resolve_picks`]), and only
@@ -134,17 +135,11 @@ impl TopologyStore for IspSampleTopology {
         // picks' edges — answering the run's picks.
         let runs: Vec<usize> = picks.chunk_by(|a, b| a.0 == b.0).map(<[_]>::len).collect();
         let plan = offsets.interleave(edges, runs.iter().copied());
-        let (pages, ends) = plan.first_needs();
-        let accesses = runs.iter().scan(0, |at, &n| {
-            let first = std::mem::replace(at, *at + 1 + n);
-            Some((n as u64, pages[ends[first]..ends[*at]].iter().copied()))
-        });
+        let accesses = runs.iter().map(|&n| (1 + n, n as u64));
         let shipped = picks.len() as u64 * NEIGHBOR_ENTRY_BYTES;
-        let io = self.device.pass(io, accesses, shipped);
+        let io = self.device.command(io, &plan, accesses, shipped);
         self.stats.accumulate(&io);
-        // One logical device command per batch, uniform with the other
-        // tiers' access-counter convention.
-        count_answers(&mut self.stats, picks.len() as u64);
+        count_call(&mut self.stats, picks.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())
     }
 

@@ -225,6 +225,57 @@ impl StoreStats {
     }
 }
 
+// The tier-call contract. Every tier call — a gather, a degree batch, a
+// pick batch, on every tier and both routed stores — checks the buffer,
+// then every id of the request, then every pick position, and only then
+// touches state; a call that got through counts once.
+
+/// Fails unless `out` holds exactly `expected` elements.
+pub(crate) fn check_buffer<T>(expected: usize, out: &[T]) -> Result<(), StoreError> {
+    if out.len() != expected {
+        return Err(StoreError::BadBuffer {
+            expected,
+            actual: out.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Fails on the first of `ids` at or past `num_nodes`.
+pub(crate) fn check_ids(
+    ids: impl IntoIterator<Item = NodeId>,
+    num_nodes: usize,
+) -> Result<(), StoreError> {
+    match ids.into_iter().find(|node| node.index() >= num_nodes) {
+        Some(node) => Err(StoreError::NodeOutOfRange { node, num_nodes }),
+        None => Ok(()),
+    }
+}
+
+/// Fails unless the pick's position is below its node's `degree`: an
+/// out-of-range position is a typed error on every tier, never a
+/// silently wrong neighbor.
+pub(crate) fn check_pick((node, position): (NodeId, u64), degree: u64) -> Result<(), StoreError> {
+    if position >= degree {
+        return Err(StoreError::PickOutOfRange {
+            node,
+            position,
+            degree,
+        });
+    }
+    Ok(())
+}
+
+/// Counts one call of `answers` answers of `answer_bytes` bytes each:
+/// `gathers` counts calls, `nodes_gathered` answers, `feature_bytes`
+/// delivered payload — the same on every tier, so access counters agree
+/// across tiers exactly.
+pub(crate) fn count_call(stats: &mut StoreStats, answers: usize, answer_bytes: u64) {
+    stats.gathers += 1;
+    stats.nodes_gathered += answers as u64;
+    stats.feature_bytes += answers as u64 * answer_bytes;
+}
+
 /// A source of node feature vectors (and labels) for training.
 ///
 /// Implementations must be deterministic: the same node list must

@@ -1,7 +1,7 @@
 //! The in-memory feature store: today's `FeatureTable`, zero I/O.
 
 use crate::error::StoreError;
-use crate::{FeatureStore, StoreStats};
+use crate::{check_buffer, check_ids, count_call, FeatureStore, StoreStats};
 use smartsage_graph::{FeatureTable, NodeId};
 
 /// A [`FeatureStore`] over the synthetic [`FeatureTable`].
@@ -84,18 +84,8 @@ impl FeatureStore for InMemoryStore {
 
     fn gather_into(&mut self, nodes: &[NodeId], out: &mut [f32]) -> Result<(), StoreError> {
         let dim = self.table.dim();
-        if out.len() != nodes.len() * dim {
-            return Err(StoreError::BadBuffer {
-                expected: nodes.len() * dim,
-                actual: out.len(),
-            });
-        }
-        if let Some(&node) = nodes.iter().find(|n| n.index() >= self.num_nodes) {
-            return Err(StoreError::NodeOutOfRange {
-                node,
-                num_nodes: self.num_nodes,
-            });
-        }
+        check_buffer(nodes.len() * dim, out)?;
+        check_ids(nodes.iter().copied(), self.num_nodes)?;
         // A sampled hop names its hot nodes many times over. Sorted
         // `(node, row)` keys put a node's rows side by side, lowest row
         // first; `out` is then filled front to back, a node synthesized
@@ -121,9 +111,7 @@ impl FeatureStore for InMemoryStore {
                 out.copy_within(first * dim..(first + 1) * dim, row * dim);
             }
         }
-        self.stats.gathers += 1;
-        self.stats.nodes_gathered += nodes.len() as u64;
-        self.stats.feature_bytes += nodes.len() as u64 * self.table.bytes_per_node();
+        count_call(&mut self.stats, nodes.len(), self.table.bytes_per_node());
         Ok(())
     }
 

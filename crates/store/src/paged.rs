@@ -69,7 +69,8 @@ impl Plan {
     /// The pages each range was the first to need, in request order, as
     /// `(pages, ends)`: range `i` first needed `pages[ends[i]..ends[i +
     /// 1]]`, so every page of the plan is listed once, with the first
-    /// range that touches it. Only the ISP tiers ask, so only they pay.
+    /// range that touches it. Only the ISP tiers' one command entry
+    /// (`IspDevice::command`) asks, so only they pay.
     pub fn first_needs(&self) -> (Vec<u64>, Vec<usize>) {
         let mut needed = vec![false; self.pages.len()];
         let (mut pages, mut ends, mut at) = (Vec::new(), vec![0], 0);
@@ -330,9 +331,26 @@ impl PagedFile {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ScratchFile;
+
+    /// A plan of `ranges` that resolved every page they touch, for
+    /// tests that price a command without reading a file.
+    pub(crate) fn plan_covering(ranges: Vec<ByteRange>, page_bytes: u64) -> Plan {
+        let mut pages: Vec<u64> = ranges
+            .iter()
+            .filter_map(|r| r.blocks(page_bytes))
+            .flat_map(|(first, last)| first..=last)
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        Plan {
+            ranges,
+            pages,
+            page_bytes,
+        }
+    }
 
     /// A file of `len` bytes where byte `i` is `i % 251`.
     fn patterned(tag: &str, len: u64) -> (ScratchFile, Vec<u8>) {

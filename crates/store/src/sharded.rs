@@ -75,8 +75,9 @@ use crate::isp::{IspGatherOptions, IspGatherStore};
 use crate::isp_topology::IspSampleTopology;
 use crate::mem::InMemoryStore;
 use crate::shared::SharedFileStore;
-use crate::topology::{check_out_len, count_answers, FileTopology, InMemoryTopology};
-use crate::{FeatureStore, StoreStats, TopologyStore};
+use crate::topology::{FileTopology, InMemoryTopology};
+use crate::{check_buffer, check_ids, count_call, FeatureStore, StoreStats, TopologyStore};
+use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::generate::community_of;
 use smartsage_graph::{CsrGraph, FeatureTable, NodeId};
 use std::sync::Arc;
@@ -167,16 +168,14 @@ impl Router {
         out: &mut [A],
         mut resolve: impl FnMut(usize, &[Q], &mut [A]) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
-        let (width, num_nodes) = (self.width, self.num_nodes());
-        check_out_len(requests.len() * width, out)?;
+        let width = self.width;
+        check_buffer(requests.len() * width, out)?;
+        check_ids(requests.iter().map(&node_of), self.num_nodes())?;
         s.owners.clear();
         s.ends.clear();
         s.ends.resize(self.ranges.len(), 0);
         let (mut ascending, mut last) = (true, 0);
         for node in requests.iter().map(node_of) {
-            if node.index() >= num_nodes {
-                return Err(StoreError::NodeOutOfRange { node, num_nodes });
-            }
             let member = shard_of(&self.ranges, node.index());
             ascending &= member >= last;
             last = member;
@@ -408,9 +407,7 @@ impl FeatureStore for ShardedFeatureStore {
         };
         self.router
             .route(&mut self.scratch, nodes, |&node| node, out, resolve)?;
-        self.access.gathers += 1;
-        self.access.nodes_gathered += nodes.len() as u64;
-        self.access.feature_bytes += nodes.len() as u64 * self.router.width as u64 * 4;
+        count_call(&mut self.access, nodes.len(), self.router.width as u64 * 4);
         Ok(())
     }
 
@@ -561,7 +558,7 @@ impl TopologyStore for ShardedTopology {
         };
         self.router
             .route(&mut self.degrees, nodes, |&node| node, out, resolve)?;
-        count_answers(&mut self.access, nodes.len() as u64);
+        count_call(&mut self.access, nodes.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())
     }
 
@@ -576,7 +573,7 @@ impl TopologyStore for ShardedTopology {
         };
         self.router
             .route(&mut self.picks, picks, |&(node, _)| node, out, resolve)?;
-        count_answers(&mut self.access, picks.len() as u64);
+        count_call(&mut self.access, picks.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())
     }
 

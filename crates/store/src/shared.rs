@@ -32,7 +32,7 @@ use crate::error::StoreError;
 use crate::file::{FileStoreOptions, RawFeatureFile, HEADER_BYTES};
 use crate::isp::RowScratchpad;
 use crate::paged::{PagedFile, Plan};
-use crate::StoreStats;
+use crate::{check_buffer, check_ids, count_call, StoreStats};
 use smartsage_graph::generate::community_of;
 use smartsage_graph::NodeId;
 use smartsage_hostio::{ByteRange, ReadEngine};
@@ -171,19 +171,13 @@ impl SharedFileStore {
         StoreStats::default()
     }
 
-    /// Byte range of `node`'s row within the file.
-    fn row_range(&self, node: NodeId) -> Result<ByteRange, StoreError> {
-        if node.index() >= self.num_nodes {
-            return Err(StoreError::NodeOutOfRange {
-                node,
-                num_nodes: self.num_nodes,
-            });
-        }
+    /// Byte range of `node`'s row within the file (`node` is in range).
+    fn row_range(&self, node: NodeId) -> ByteRange {
         let row_bytes = self.dim as u64 * 4;
-        Ok(ByteRange {
+        ByteRange {
             offset: HEADER_BYTES + node.index() as u64 * row_bytes,
             len: row_bytes,
-        })
+        }
     }
 
     /// Gathers the feature rows of `nodes` into `out` (row-major,
@@ -192,28 +186,24 @@ impl SharedFileStore {
     /// [`StoreHandle`](crate::StoreHandle)) owns where those deltas
     /// accumulate; the shared store keeps no per-caller state.
     pub fn gather_into(&self, nodes: &[NodeId], out: &mut [f32]) -> Result<StoreStats, StoreError> {
-        Ok(self.gather_planned(nodes, out)?.0)
+        let (mut io, _) = self.gather_planned(nodes, out)?;
+        count_call(&mut io, nodes.len(), self.dim as u64 * 4);
+        Ok(io)
     }
 
-    /// [`SharedFileStore::gather_into`], plus the plan of the read it
-    /// executed: a range per row of `nodes` and the pages backing them
-    /// (the ISP tier's timing-model input).
+    /// [`SharedFileStore::gather_into`]'s values and **I/O** deltas (the
+    /// caller counts the call), plus the plan of the read it executed: a
+    /// range per row of `nodes` and the pages backing them (the ISP
+    /// tier's timing-model input).
     pub(crate) fn gather_planned(
         &self,
         nodes: &[NodeId],
         out: &mut [f32],
     ) -> Result<(StoreStats, Plan), StoreError> {
-        if out.len() != nodes.len() * self.dim {
-            return Err(StoreError::BadBuffer {
-                expected: nodes.len() * self.dim,
-                actual: out.len(),
-            });
-        }
+        check_buffer(nodes.len() * self.dim, out)?;
         // Fails on the first out-of-range node, before any I/O.
-        let ranges: Vec<ByteRange> = nodes
-            .iter()
-            .map(|&node| self.row_range(node))
-            .collect::<Result<_, _>>()?;
+        check_ids(nodes.iter().copied(), self.num_nodes)?;
+        let ranges: Vec<ByteRange> = nodes.iter().map(|&node| self.row_range(node)).collect();
         let mut io = StoreStats::default();
         let mut staged = self.paged.read(&ranges, &mut io)?;
         // `spill` only carries a row that straddles a page boundary.
@@ -225,9 +215,6 @@ impl SharedFileStore {
                 *v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
             }
         }
-        io.gathers = 1;
-        io.nodes_gathered = nodes.len() as u64;
-        io.feature_bytes = nodes.len() as u64 * self.dim as u64 * 4;
         Ok((io, staged.into_plan(ranges)))
     }
 }
@@ -324,7 +311,7 @@ mod tests {
         // Every planned page lookup is classified exactly once.
         let lookups_per_gather = {
             let range_pages = |n: u32| {
-                let r = store.row_range(NodeId::new(n)).unwrap();
+                let r = store.row_range(NodeId::new(n));
                 let (f, l) = r.blocks(512).unwrap();
                 f..=l
             };

@@ -36,10 +36,20 @@
 //! bit-identical [`SampledBatch`](../../smartsage_gnn/sampler/struct.SampledBatch.html)es
 //! across tiers for random Kronecker graphs, page sizes, and cache
 //! sizes.
+//!
+//! # The tier-call contract
+//!
+//! Every tier checks a call the same way, through the crate's one copy
+//! of each check: the output buffer's length, then every id of the
+//! request, then every pick position — so a pick past its node's degree
+//! followed by an id past the graph is
+//! [`StoreError::NodeOutOfRange`] on every tier — and a call that got
+//! through counts one access of `n` 8-byte answers. A failed call
+//! counts nothing.
 
 use crate::error::StoreError;
 use crate::graph_file::SharedCsrFile;
-use crate::StoreStats;
+use crate::{check_buffer, check_ids, check_pick, count_call, StoreStats};
 use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::{CsrGraph, NodeId};
 use std::sync::Arc;
@@ -128,26 +138,11 @@ pub trait TopologyStore: std::fmt::Debug {
     }
 }
 
-pub(crate) fn check_out_len<T>(expected: usize, out: &[T]) -> Result<(), StoreError> {
-    if out.len() != expected {
-        return Err(StoreError::BadBuffer {
-            expected,
-            actual: out.len(),
-        });
-    }
-    Ok(())
-}
-
 /// The CSR answer path of [`CsrTopology`].
 fn csr_degrees_into(graph: &CsrGraph, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
-    check_out_len(nodes.len(), out)?;
+    check_buffer(nodes.len(), out)?;
+    check_ids(nodes.iter().copied(), graph.num_nodes())?;
     for (slot, &node) in out.iter_mut().zip(nodes) {
-        if node.index() >= graph.num_nodes() {
-            return Err(StoreError::NodeOutOfRange {
-                node,
-                num_nodes: graph.num_nodes(),
-            });
-        }
         *slot = graph.degree(node);
     }
     Ok(())
@@ -158,39 +153,13 @@ fn csr_picks_into(
     picks: &[(NodeId, u64)],
     out: &mut [NodeId],
 ) -> Result<(), StoreError> {
-    check_out_len(picks.len(), out)?;
+    check_buffer(picks.len(), out)?;
+    check_ids(picks.iter().map(|&(node, _)| node), graph.num_nodes())?;
     for (slot, &(node, k)) in out.iter_mut().zip(picks) {
-        if node.index() >= graph.num_nodes() {
-            return Err(StoreError::NodeOutOfRange {
-                node,
-                num_nodes: graph.num_nodes(),
-            });
-        }
-        // The same pick validation the file tiers apply: an
-        // out-of-range position is a typed error on every tier, never
-        // a silently wrong neighbor.
-        let degree = graph.degree(node);
-        if k >= degree {
-            return Err(StoreError::PickOutOfRange {
-                node,
-                position: k,
-                degree,
-            });
-        }
+        check_pick((node, k), graph.degree(node))?;
         *slot = graph.neighbor(node, k);
     }
     Ok(())
-}
-
-/// Uniform access-counter convention for one logical topology read of
-/// `answers` 8-byte results (degrees or neighbor ids), identical on
-/// every tier so exact cross-tier counter equality holds: `gathers`
-/// counts batched operations, `nodes_gathered` counts answers,
-/// `feature_bytes` counts delivered payload.
-pub(crate) fn count_answers(stats: &mut StoreStats, answers: u64) {
-    stats.gathers += 1;
-    stats.nodes_gathered += answers;
-    stats.feature_bytes += answers * NEIGHBOR_ENTRY_BYTES;
 }
 
 /// A [`TopologyStore`] over an in-memory [`CsrGraph`] held as `G` —
@@ -256,7 +225,7 @@ where
 
     fn degrees_into(&mut self, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
         csr_degrees_into(&self.graph, nodes, out)?;
-        count_answers(&mut self.stats, nodes.len() as u64);
+        count_call(&mut self.stats, nodes.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())
     }
 
@@ -266,7 +235,7 @@ where
         out: &mut [NodeId],
     ) -> Result<(), StoreError> {
         csr_picks_into(&self.graph, picks, out)?;
-        count_answers(&mut self.stats, picks.len() as u64);
+        count_call(&mut self.stats, picks.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())
     }
 
@@ -318,13 +287,13 @@ impl TopologyStore for FileTopology {
     }
 
     fn degrees_into(&mut self, nodes: &[NodeId], out: &mut [u64]) -> Result<(), StoreError> {
-        check_out_len(nodes.len(), out)?;
+        check_buffer(nodes.len(), out)?;
         let (pairs, io, _) = self.shared.offset_pairs(nodes)?;
         for (slot, (start, end)) in out.iter_mut().zip(pairs) {
             *slot = end - start;
         }
         self.stats.accumulate(&io);
-        count_answers(&mut self.stats, nodes.len() as u64);
+        count_call(&mut self.stats, nodes.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())
     }
 
@@ -333,13 +302,13 @@ impl TopologyStore for FileTopology {
         picks: &[(NodeId, u64)],
         out: &mut [NodeId],
     ) -> Result<(), StoreError> {
-        check_out_len(picks.len(), out)?;
+        check_buffer(picks.len(), out)?;
         // Two coalesced passes per batch (offset pairs, then edge
         // entries), shared with the ISP tier via
         // [`SharedCsrFile::resolve_picks`].
         let (io, _) = self.shared.resolve_picks(picks, out)?;
         self.stats.accumulate(&io);
-        count_answers(&mut self.stats, picks.len() as u64);
+        count_call(&mut self.stats, picks.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())
     }
 

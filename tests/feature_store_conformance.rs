@@ -11,11 +11,11 @@
 //! scattered multi-node gathers.
 
 use proptest::prelude::*;
-use smartsage::graph::{FeatureTable, NodeId};
+use smartsage::graph::{CsrGraph, FeatureTable, NodeId};
 use smartsage::store::file::{write_feature_file, FileStoreOptions};
 use smartsage::store::{
     FeatureStore, InMemoryStore, IspGatherOptions, IspGatherStore, ScratchFile, SharedFileStore,
-    StoreError, StoreHandle,
+    StoreError, StoreHandle, StoreKind, StoreRegistry, TierSpec, TopologyKind,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -242,6 +242,82 @@ fn feature_store_isp_host_bytes_strictly_undercut_the_file_store() {
     // either (page cache) — the split stays consistent.
     isp.gather(&nodes).unwrap();
     assert_eq!(isp.stats().host_bytes_transferred, i.host_bytes_transferred);
+}
+
+#[test]
+fn feature_store_every_tier_checks_the_buffer_then_each_id_in_order() {
+    // The tier-call contract on the feature axis: a mis-sized buffer is
+    // reported before a bad id, the first of two bad ids is the one
+    // named, and a failed gather counts nothing.
+    let (rows, dim) = (40usize, 5usize);
+    let table = FeatureTable::new(dim, 3, 0xC0DE);
+    let file = ScratchFile::new("feature-contract");
+    write_feature_file(file.path(), &table, rows).unwrap();
+    let opts = FileStoreOptions {
+        page_bytes: 512,
+        cache_pages: 4,
+    };
+    let graph = Arc::new(CsrGraph::from_edges(rows, [(0, 1)]));
+    let registry = StoreRegistry::new();
+    let mut tiers: Vec<(String, Box<dyn FeatureStore>)> = vec![
+        (
+            "mem".into(),
+            Box::new(InMemoryStore::new(table.clone(), rows)),
+        ),
+        (
+            "file".into(),
+            Box::new(open_solo(file.path(), opts).unwrap()),
+        ),
+        ("isp".into(), Box::new(open_isp(file.path(), opts).unwrap())),
+    ];
+    let mut published = Vec::new();
+    for store in [StoreKind::Mem, StoreKind::File, StoreKind::Isp] {
+        for shards in [1, 3] {
+            let spec = TierSpec {
+                store,
+                topology: TopologyKind::Mem,
+                shards,
+                file: opts,
+            };
+            let opened = registry.open_tiers(&graph, &table, rows, &spec).unwrap();
+            tiers.push((format!("routed {store:?} x{shards}"), opened.features));
+            if store != StoreKind::Mem {
+                published.extend(
+                    (0..shards)
+                        .map(|i| StoreRegistry::feature_shard_key_path(&table, rows, i, shards)),
+                );
+            }
+        }
+    }
+    let (first, second) = (NodeId::new(rows as u32 + 1), NodeId::new(rows as u32));
+    for (what, tier) in &mut tiers {
+        tier.gather(&[NodeId::new(3)]).unwrap();
+        let before = tier.stats();
+        let mut short = vec![0.0f32; dim];
+        let err = tier
+            .gather_into(&[NodeId::new(0), first], &mut short)
+            .unwrap_err();
+        assert!(
+            matches!(err, StoreError::BadBuffer { expected, actual }
+                if expected == 2 * dim && actual == dim),
+            "{what}: {err}"
+        );
+        let err = tier.gather(&[NodeId::new(2), first, second]).unwrap_err();
+        assert!(
+            matches!(err, StoreError::NodeOutOfRange { node, num_nodes }
+                if node == first && num_nodes == rows),
+            "{what}: {err}"
+        );
+        assert_eq!(
+            tier.stats(),
+            before,
+            "{what}: a failed gather counts nothing"
+        );
+    }
+    drop(tiers);
+    for path in published {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

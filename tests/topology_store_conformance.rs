@@ -30,7 +30,7 @@ use smartsage::store::{
     check_sharded_population, shard_ranges, write_feature_file, write_graph_file,
     write_graph_shard, CsrView, FileTopology, InMemoryTopology, IspGatherOptions,
     IspSampleTopology, ScratchFile, ShardedTopology, SharedCsrFile, SharedFileStore, StoreError,
-    StoreRegistry, TopologyStore,
+    StoreKind, StoreRegistry, TierSpec, TopologyKind, TopologyStore,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -356,6 +356,113 @@ fn topology_store_isp_host_bytes_strictly_undercut_the_file_tier_for_scattered_h
     assert_eq!(i.host_bytes_transferred, i.feature_bytes);
     assert!(i.transfer_reduction() > 1.0);
     assert!(i.device_ns > 0);
+}
+
+#[test]
+fn topology_store_every_tier_checks_the_buffer_then_ids_then_pick_positions() {
+    // The tier-call contract: a request is checked buffer first, then
+    // every id, then every pick position, and a failed call counts
+    // nothing. The double fault — a position past node 0's degree, then
+    // an id past the graph — is the bad id on every tier.
+    let graph = Arc::new(kronecker_graph(24, 0xC0DE));
+    let n = graph.num_nodes();
+    let opts = FileStoreOptions {
+        page_bytes: 512,
+        cache_pages: 8,
+    };
+    let whole = ScratchFile::new("topo-contract");
+    write_graph_file(whole.path(), &graph).unwrap();
+    let table = FeatureTable::new(4, 2, 0xC0DE);
+    let registry = StoreRegistry::new();
+    let mut tiers: Vec<(String, Box<dyn TopologyStore + '_>)> = vec![
+        ("csr view".into(), Box::new(CsrView::new(&graph))),
+        (
+            "mem".into(),
+            Box::new(InMemoryTopology::from_arc(Arc::clone(&graph))),
+        ),
+        (
+            "file".into(),
+            Box::new(FileTopology::new(Arc::new(
+                SharedCsrFile::open_with(whole.path(), opts, 1).unwrap(),
+            ))),
+        ),
+        ("isp".into(), Box::new(isp_over(whole.path(), opts))),
+    ];
+    let mut published = Vec::new();
+    for topology in [TopologyKind::Mem, TopologyKind::File, TopologyKind::Isp] {
+        for shards in [1, 3] {
+            let spec = TierSpec {
+                store: StoreKind::Mem,
+                topology,
+                shards,
+                file: opts,
+            };
+            let opened = registry.open_tiers(&graph, &table, n, &spec).unwrap();
+            tiers.push((format!("routed {topology:?} x{shards}"), opened.topology));
+            if topology != TopologyKind::Mem {
+                published.extend(
+                    (0..shards).map(|i| StoreRegistry::graph_shard_key_path(&graph, i, shards)),
+                );
+            }
+        }
+    }
+    let first = NodeId::new(0);
+    let past = NodeId::new(n as u32);
+    let degree = graph.degree(first);
+    for (what, tier) in &mut tiers {
+        let mut degrees = [0u64; 1];
+        tier.degrees_into(&[first], &mut degrees).unwrap();
+        let before = tier.stats();
+        let mut one = [NodeId::default(); 1];
+        let errors = [
+            tier.degrees_into(&[past, first], &mut degrees).unwrap_err(),
+            tier.pick_neighbors_into(&[(past, 0), (first, 0)], &mut one)
+                .unwrap_err(),
+            tier.pick_neighbors_into(&[(first, degree), (past, 0)], &mut [one[0]; 2])
+                .unwrap_err(),
+            tier.pick_neighbors_into(&[(first, degree)], &mut one)
+                .unwrap_err(),
+        ];
+        assert!(
+            matches!(
+                errors[0],
+                StoreError::BadBuffer {
+                    expected: 2,
+                    actual: 1
+                }
+            ),
+            "{what}: {}",
+            errors[0]
+        );
+        assert!(
+            matches!(
+                errors[1],
+                StoreError::BadBuffer {
+                    expected: 2,
+                    actual: 1
+                }
+            ),
+            "{what}: {}",
+            errors[1]
+        );
+        assert!(
+            matches!(errors[2], StoreError::NodeOutOfRange { node, num_nodes }
+                if node == past && num_nodes == n),
+            "{what}: {}",
+            errors[2]
+        );
+        assert!(
+            matches!(errors[3], StoreError::PickOutOfRange { node, position, degree: d }
+                if node == first && position == degree && d == degree),
+            "{what}: {}",
+            errors[3]
+        );
+        assert_eq!(tier.stats(), before, "{what}: a failed call counts nothing");
+    }
+    drop(tiers);
+    for path in published {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 // ---------------------------------------------------------------------
