@@ -9,6 +9,15 @@
 //! a queue that cannot accept them. Shutdown is graceful: the queue
 //! closes to new work, the executor drains everything already
 //! admitted, then exits.
+//!
+//! The HTTP front end holds a `Seat` for each connection it serves,
+//! for exactly that connection's lifetime, so the queue knows how many
+//! connections could still send it work. A connection reads its next
+//! request only after it has answered the last one; once every held
+//! connection has a request queued and each of them has been answered
+//! before, no held connection can send another until this pass answers
+//! it, and the linger ends there instead of waiting for arrivals that
+//! cannot happen.
 
 use crate::api::{ApiRequest, ServeError};
 use crate::engine::Engine;
@@ -79,11 +88,27 @@ struct Pending {
     request: ApiRequest,
     admitted: Instant,
     reply: mpsc::SyncSender<Result<String, ServeError>>,
+    /// Submitted through a [`Seat`] whose connection was answered
+    /// before.
+    returning: bool,
 }
 
 struct State {
     queue: VecDeque<Pending>,
     open: bool,
+    /// Seats held: the connections the front end currently serves.
+    connections: usize,
+}
+
+impl State {
+    /// Every held connection has a request queued and was answered
+    /// before, so none of them can send more until this pass answers
+    /// it. Each seat queues at most one request at a time, so the
+    /// count plus the all-returning check is exact; a direct submit is
+    /// never returning and keeps the plain linger.
+    fn every_connection_waiting(&self) -> bool {
+        self.queue.len() >= self.connections && self.queue.iter().all(|p| p.returning)
+    }
 }
 
 struct Shared {
@@ -115,6 +140,7 @@ impl Batcher {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 open: true,
+                connections: 0,
             }),
             arrived: Condvar::new(),
             policy,
@@ -135,11 +161,27 @@ impl Batcher {
     }
 
     /// Admits one request, returning the channel its response will
-    /// arrive on — or rejects immediately with a typed 429/503.
+    /// arrive on — or rejects immediately with a typed 429/503. The
+    /// caller holds no seat, so the request lingers as a one-shot.
     pub fn submit(
         &self,
         request: ApiRequest,
     ) -> Result<mpsc::Receiver<Result<String, ServeError>>, ServeError> {
+        self.admit(request, false)
+    }
+
+    /// Registers one connection for as long as the returned seat lives.
+    pub(crate) fn seat(&self) -> Seat<'_> {
+        self.shared.state.safe_lock().connections += 1;
+        Seat {
+            batcher: self,
+            answered: false,
+        }
+    }
+
+    /// The one admission path behind [`Batcher::submit`] and
+    /// [`Seat::submit`].
+    fn admit(&self, request: ApiRequest, returning: bool) -> Result<Reply, ServeError> {
         let (reply, receiver) = mpsc::sync_channel(1);
         let mut state = self.shared.state.safe_lock();
         if !state.open {
@@ -157,6 +199,7 @@ impl Batcher {
             request,
             admitted: Instant::now(),
             reply,
+            returning,
         });
         drop(state);
         self.shared.arrived.notify_one();
@@ -206,6 +249,38 @@ impl Drop for Batcher {
     }
 }
 
+/// The channel a submitted request's response arrives on.
+type Reply = mpsc::Receiver<Result<String, ServeError>>;
+
+/// One connection's place in the batcher's connection count, held by
+/// the HTTP front end for exactly the connection's lifetime. Dropping
+/// it wakes the executor, since a linger may have been waiting on this
+/// connection alone.
+pub(crate) struct Seat<'a> {
+    batcher: &'a Batcher,
+    answered: bool,
+}
+
+impl Seat<'_> {
+    /// Admits one request from this connection (see [`Batcher::submit`]).
+    pub(crate) fn submit(&self, request: ApiRequest) -> Result<Reply, ServeError> {
+        self.batcher.admit(request, self.answered)
+    }
+
+    /// Records that this connection has written a response: from now
+    /// on it sends its next request only after reading an answer.
+    pub(crate) fn mark_answered(&mut self) {
+        self.answered = true;
+    }
+}
+
+impl Drop for Seat<'_> {
+    fn drop(&mut self) {
+        self.batcher.shared.state.safe_lock().connections -= 1;
+        self.batcher.shared.arrived.notify_one();
+    }
+}
+
 /// The coalescing linger: a condvar deadline wait, never a blind sleep.
 ///
 /// The pre-fix executor slept the *full* window after the first
@@ -216,11 +291,21 @@ impl Drop for Batcher {
 ///
 /// * the queue reaches `max_batch` — the pass is full, waiting longer
 ///   buys nothing;
+/// * every connection the front end holds has a request queued and was
+///   answered before — a connection reads its next request only after
+///   its last one is answered, so no held connection can add to this
+///   pass; waiting longer buys nothing either (a connection that has
+///   not been answered yet may be one of a fresh burst, so it keeps
+///   the linger);
 /// * a quarter-window grace slice passes with **no new arrivals** —
 ///   traffic has gone quiet, so the requests already queued should
 ///   not be charged the rest of the window (this is what bounds a
 ///   solo request's latency to well under the window);
 /// * the batcher starts draining for shutdown.
+///
+/// The window therefore bounds the linger only for traffic that can
+/// still arrive. A connection closing wakes the linger (its seat's
+/// drop notifies `arrived`) without restarting the grace slice.
 fn linger<'a>(shared: &Shared, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
     let window = shared.policy.window;
     if window.is_zero() {
@@ -228,21 +313,24 @@ fn linger<'a>(shared: &Shared, mut state: MutexGuard<'a, State>) -> MutexGuard<'
     }
     let grace = window / 4;
     let started = Instant::now();
+    let (mut seen, mut quiet_since) = (state.queue.len(), started);
     loop {
-        if !state.open || state.queue.len() >= shared.policy.max_batch {
+        if !state.open
+            || state.queue.len() >= shared.policy.max_batch
+            || state.every_connection_waiting()
+        {
             return state;
         }
-        let elapsed = started.elapsed();
-        if elapsed >= window {
-            return state;
+        let now = Instant::now();
+        if state.queue.len() != seen {
+            (seen, quiet_since) = (state.queue.len(), now);
         }
-        let seen = state.queue.len();
-        let slice = grace.min(window - elapsed);
-        let (next, timed_out) = shared.arrived.safe_wait_timeout(state, slice);
-        state = next;
-        if timed_out && state.queue.len() == seen {
-            return state; // a whole grace slice with no arrivals
+        let (elapsed, quiet) = (now - started, now - quiet_since);
+        if elapsed >= window || quiet >= grace {
+            return state; // the window is spent, or a grace slice went quiet
         }
+        let slice = (grace - quiet).min(window - elapsed);
+        state = shared.arrived.safe_wait_timeout(state, slice).0;
     }
 }
 
@@ -482,6 +570,125 @@ mod tests {
         let counters = engine.lock().unwrap().counters();
         assert_eq!(counters.requests, 3);
         batcher.close();
+    }
+
+    /// A long window (4 s, so a 1 s grace slice): a linger that waits
+    /// the slice out is unmistakable next to one that does not.
+    fn long_window(engine: &Arc<Mutex<Engine>>) -> Batcher {
+        Batcher::start(
+            Arc::clone(engine),
+            BatchPolicy {
+                window: Duration::from_secs(4),
+                max_batch: 64,
+                queue_depth: 16,
+            },
+        )
+        .expect("start batcher")
+    }
+
+    const GRACE: Duration = Duration::from_secs(1);
+
+    /// A seat whose connection has been answered once.
+    fn returning(batcher: &Batcher) -> Seat<'_> {
+        let mut seat = batcher.seat();
+        seat.mark_answered();
+        seat
+    }
+
+    /// Submits one request per seat and waits for every response: the
+    /// time from the last submit to the last response, and the passes
+    /// the engine ran.
+    fn run_seats(engine: &Arc<Mutex<Engine>>, seats: &[Seat<'_>]) -> (Duration, u64) {
+        let before = engine.lock().unwrap().counters().merged_batches;
+        let mut receivers = Vec::new();
+        for (i, seat) in seats.iter().enumerate() {
+            receivers.push(seat.submit(sample(&[i as u32])).unwrap());
+        }
+        let started = Instant::now();
+        for rx in receivers {
+            rx.recv().unwrap().unwrap();
+        }
+        let passes = engine.lock().unwrap().counters().merged_batches - before;
+        (started.elapsed(), passes)
+    }
+
+    #[test]
+    fn a_pass_starts_once_every_returning_connection_is_queued() {
+        let engine = engine();
+        let batcher = long_window(&engine);
+        let seats = [returning(&batcher), returning(&batcher)];
+        let (elapsed, passes) = run_seats(&engine, &seats);
+        assert!(
+            elapsed < GRACE / 2,
+            "both held connections were queued, yet the pass waited {elapsed:?}"
+        );
+        assert_eq!(passes, 1, "both requests ride one pass");
+    }
+
+    #[test]
+    fn an_idle_connection_keeps_the_grace_slice() {
+        let engine = engine();
+        let batcher = long_window(&engine);
+        let _idle = returning(&batcher);
+        let seats = [returning(&batcher), returning(&batcher)];
+        let (elapsed, passes) = run_seats(&engine, &seats);
+        assert!(
+            elapsed >= GRACE - GRACE / 10,
+            "a third connection could still send, yet the pass started after {elapsed:?}"
+        );
+        assert_eq!(passes, 1);
+    }
+
+    #[test]
+    fn fresh_connections_keep_the_grace_slice() {
+        // A burst of new connections: none was answered yet, so none
+        // of them says it is the last one coming.
+        let engine = engine();
+        let batcher = long_window(&engine);
+        let seats = [batcher.seat(), batcher.seat()];
+        let (elapsed, passes) = run_seats(&engine, &seats);
+        assert!(
+            elapsed >= GRACE - GRACE / 10,
+            "fresh connections must linger as before, the pass started after {elapsed:?}"
+        );
+        assert_eq!(passes, 1);
+    }
+
+    #[test]
+    fn a_closing_idle_connection_ends_the_linger() {
+        let engine = engine();
+        let batcher = long_window(&engine);
+        let seat = returning(&batcher);
+        let idle = batcher.seat();
+        let rx = seat.submit(sample(&[1])).unwrap();
+        // Most likely the executor is lingering on the one queued
+        // request by now, so the drop's wake-up ends it; if the drop
+        // lands first, the linger's first check does. Either way the
+        // pass must not wait out the slice.
+        std::thread::sleep(GRACE / 10);
+        let started = Instant::now();
+        drop(idle);
+        rx.recv().unwrap().unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < GRACE / 2,
+            "the only other connection closed, yet the pass waited {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn a_direct_submit_is_a_one_shot_and_lingers() {
+        // No seat is held, so nothing says the request is the last one.
+        let engine = engine();
+        let batcher = long_window(&engine);
+        let started = Instant::now();
+        batcher
+            .submit(sample(&[1]))
+            .unwrap()
+            .recv()
+            .unwrap()
+            .unwrap();
+        assert!(started.elapsed() >= GRACE - GRACE / 10);
     }
 
     /// The timing split separates window-wait from service: requests

@@ -34,7 +34,10 @@ usage: serve [options]
   --shards N           modeled storage devices the dataset is partitioned
                        across; responses are identical at every count (default 1)
   --page-bytes N       file/isp page size (default 4096)
-  --window-us N        batcher coalescing window in microseconds (default 2000)
+  --window-us N        batcher coalescing window in microseconds: the longest a
+                       pass lingers for requests that can still arrive; it
+                       starts at once when every open connection is waiting
+                       in it (default 2000)
   --max-batch N        most requests merged per pass (default 64)
   --queue-depth N      admission queue capacity (default 256)
   --workers N          HTTP worker threads (default 16)

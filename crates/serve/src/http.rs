@@ -16,9 +16,16 @@
 //!
 //! Oversized bodies are rejected with a 413 *before* the body is read;
 //! malformed framing — any `Transfer-Encoding` body, a repeated
-//! `Content-Length` or one that is not plain digits — gets a 400 and
-//! the connection closes; everything
+//! `Content-Length` or one that is not plain digits, a head longer than
+//! 16 KiB — gets a 400 and the connection closes; everything
 //! after framing flows through [`crate::api`]'s typed errors.
+//! `Connection` is read as a case-insensitive option list: a connection
+//! closes after its response when `close` is listed, or when the
+//! request is HTTP/1.0 and `keep-alive` is not.
+//!
+//! Each worker holds a batcher seat for the connection it serves, so
+//! the batcher can start a pass as soon as every held connection is
+//! waiting in it (see [`crate::batcher`]).
 //!
 //! There is one shutdown path, [`Server::shutdown`] (also run when a
 //! [`Server`] drops, so a failed start unwinds through it): stop
@@ -28,7 +35,7 @@
 //! `shutting_down` and closed, so no client can hold shutdown open.
 
 use crate::api::{ApiRequest, SampleRequest, ServeError};
-use crate::batcher::{BatchPolicy, Batcher};
+use crate::batcher::{BatchPolicy, Batcher, Seat};
 use crate::engine::Engine;
 use smartsage_core::json::JsonValue;
 use smartsage_hostio::{CondvarExt, LockExt};
@@ -194,8 +201,9 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                 if inner.shutting_down.load(Ordering::SeqCst) {
                     return; // the wake-up connection during shutdown
                 }
-                // Connection failures only end that connection.
-                let _ = handle_connection(stream, &inner);
+                // Connection failures only end that connection; the
+                // seat counts it for the batcher until then.
+                let _ = handle_connection(stream, &inner, &mut inner.batcher.seat());
             }
             Err(_) => {
                 if inner.shutting_down.load(Ordering::SeqCst) {
@@ -224,7 +232,11 @@ enum FrameError {
     Reject(ServeError),
 }
 
-fn handle_connection(mut stream: TcpStream, inner: &Arc<Inner>) -> std::io::Result<()> {
+fn handle_connection(
+    mut stream: TcpStream,
+    inner: &Arc<Inner>,
+    seat: &mut Seat<'_>,
+) -> std::io::Result<()> {
     stream.set_read_timeout(Some(READ_POLL))?;
     stream.set_nodelay(true)?;
     let mut buffer: Vec<u8> = Vec::new();
@@ -232,8 +244,9 @@ fn handle_connection(mut stream: TcpStream, inner: &Arc<Inner>) -> std::io::Resu
         match read_request(&mut stream, &mut buffer, inner) {
             Ok(request) => {
                 let close = request.close;
-                let (status, body) = route(&request, inner);
+                let (status, body) = route(&request, inner, seat);
                 respond(&mut stream, status, &body, close)?;
+                seat.mark_answered();
                 if close {
                     return Ok(());
                 }
@@ -255,24 +268,28 @@ fn read_request(
     buffer: &mut Vec<u8>,
     inner: &Arc<Inner>,
 ) -> Result<HttpRequest, FrameError> {
+    // The head runs through its blank line; with none in the first
+    // `MAX_HEAD_BYTES` buffered, it is longer than that.
     let head_end = loop {
-        if let Some(pos) = find_head_end(buffer) {
-            break pos;
+        match find_head_end(buffer) {
+            Some(pos) if pos + 4 <= MAX_HEAD_BYTES => break pos,
+            None if buffer.len() < MAX_HEAD_BYTES => fill(stream, buffer, inner)?,
+            _ => {
+                return Err(FrameError::Reject(ServeError::BadRequest(format!(
+                    "request head exceeds {MAX_HEAD_BYTES} bytes"
+                ))))
+            }
         }
-        if buffer.len() > MAX_HEAD_BYTES {
-            return Err(FrameError::Reject(ServeError::BadRequest(format!(
-                "request head exceeds {MAX_HEAD_BYTES} bytes"
-            ))));
-        }
-        fill(stream, buffer, inner)?;
     };
     let head = std::str::from_utf8(&buffer[..head_end])
         .map_err(|_| FrameError::Reject(ServeError::BadRequest("non-UTF-8 request head".into())))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
-    let (method, path) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => (m.to_string(), p.to_string()),
+    let (method, path, http10) = match (parts.next(), parts.next(), parts.next()) {
+        (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => {
+            (m.to_string(), p.to_string(), v == "HTTP/1.0")
+        }
         _ => {
             return Err(FrameError::Reject(ServeError::BadRequest(format!(
                 "malformed request line '{request_line}'"
@@ -280,7 +297,9 @@ fn read_request(
         }
     };
     let mut content_length = None;
-    let mut close = false;
+    // `Connection` is a comma-separated, case-insensitive option list
+    // and may repeat (RFC 9110 §7.6.1).
+    let (mut close_listed, mut keep_alive_listed) = (false, false);
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
@@ -300,7 +319,10 @@ fn read_request(
                 }
             }
         } else if name.eq_ignore_ascii_case("connection") {
-            close = value.eq_ignore_ascii_case("close");
+            for option in value.split(',').map(str::trim) {
+                close_listed |= option.eq_ignore_ascii_case("close");
+                keep_alive_listed |= option.eq_ignore_ascii_case("keep-alive");
+            }
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             // Unframeable here: its body would be read as the next
             // request. One 400, then the connection closes.
@@ -309,6 +331,9 @@ fn read_request(
             ))));
         }
     }
+    // HTTP/1.1 persists unless `close` is listed; HTTP/1.0 closes
+    // unless `keep-alive` is (RFC 9112 §9.3).
+    let close = close_listed || (http10 && !keep_alive_listed);
     let content_length = content_length.unwrap_or(0);
     // Oversized bodies are rejected on the *declared* length — the
     // server never reads them in.
@@ -378,12 +403,12 @@ fn find_head_end(buffer: &[u8]) -> Option<usize> {
     buffer.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-fn route(request: &HttpRequest, inner: &Arc<Inner>) -> (u16, String) {
+fn route(request: &HttpRequest, inner: &Arc<Inner>, seat: &Seat<'_>) -> (u16, String) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => (200, health_json(inner)),
         ("GET", "/stats") => (200, stats_json(inner)),
-        ("POST", "/v1/sample") => dispatch(inner, &request.body, ApiRequest::Sample),
-        ("POST", "/v1/infer") => dispatch(inner, &request.body, ApiRequest::Infer),
+        ("POST", "/v1/sample") => dispatch(seat, &request.body, ApiRequest::Sample),
+        ("POST", "/v1/infer") => dispatch(seat, &request.body, ApiRequest::Infer),
         ("POST", "/v1/shutdown") => {
             // Acknowledge first; the owner thread (in `wait()`) runs
             // the actual drain + join.
@@ -405,13 +430,13 @@ fn route(request: &HttpRequest, inner: &Arc<Inner>) -> (u16, String) {
 /// Parses, admits, and awaits one request — every failure mode is a
 /// typed [`ServeError`]; nothing here can panic a worker.
 fn dispatch(
-    inner: &Arc<Inner>,
+    seat: &Seat<'_>,
     body: &str,
     verb: impl FnOnce(SampleRequest) -> ApiRequest,
 ) -> (u16, String) {
     let outcome = SampleRequest::parse(body)
         .map(verb)
-        .and_then(|request| inner.batcher.submit(request))
+        .and_then(|request| seat.submit(request))
         .and_then(|receiver| {
             receiver
                 .recv()

@@ -97,6 +97,147 @@ fn health_stats_sample_and_infer_round_trip_on_one_connection() {
 }
 
 #[test]
+fn a_closed_loop_of_held_connections_does_not_wait_out_the_grace_slice() {
+    // Two keep-alive clients, each sending its next request only after
+    // its last answer: once both are queued nothing else can arrive,
+    // so a pass must not linger a 1 s grace slice for more.
+    let window = Duration::from_secs(4);
+    let policy = BatchPolicy {
+        window,
+        ..BatchPolicy::default()
+    };
+    let server = start(policy, HttpOptions::default());
+    let bodies: Vec<Vec<String>> = (0..2)
+        .map(|client| {
+            (0..10)
+                .map(|i| format!(r#"{{"nodes":[{client},{}],"seed":{i}}}"#, 20 + 10 * i))
+                .collect()
+        })
+        .collect();
+    let barrier = Barrier::new(2);
+    let started = std::time::Instant::now();
+    let replies: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = bodies
+            .iter()
+            .map(|bodies| {
+                let (addr, barrier) = (server.addr(), &barrier);
+                scope.spawn(move || {
+                    let mut conn = HttpClient::connect(addr).unwrap();
+                    barrier.wait();
+                    bodies
+                        .iter()
+                        .map(|body| {
+                            let (status, reply) =
+                                conn.request("POST", "/v1/infer", Some(body)).unwrap();
+                            assert_eq!(status, 200, "{reply}");
+                            reply
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < window,
+        "20 requests took {elapsed:?}: passes lingered for requests that could not arrive"
+    );
+    let (_, stats) = oneshot(server.addr(), "GET", "/stats", None).unwrap();
+    let stats = json::parse(&stats).unwrap();
+    let coalesced = stats
+        .get("service")
+        .and_then(|s| s.get("coalesced_requests"))
+        .and_then(|v| v.as_u64());
+    assert!(coalesced > Some(0), "{stats:?}");
+    server.shutdown();
+
+    let serial = start(BatchPolicy::serial(), HttpOptions::default());
+    let mut conn = HttpClient::connect(serial.addr()).unwrap();
+    for (client, replies) in bodies.iter().zip(&replies) {
+        for (body, reply) in client.iter().zip(replies) {
+            let (status, expected) = conn.request("POST", "/v1/infer", Some(body)).unwrap();
+            assert_eq!(status, 200, "{expected}");
+            assert_eq!(reply, &expected, "merged response differs for {body}");
+        }
+    }
+    serial.shutdown();
+}
+
+/// Writes `request` on a fresh connection and reads until the server
+/// closes it, failing if that takes longer than `timeout`. A server
+/// that closes with request bytes still unread resets the connection
+/// after its response, which is a close too.
+fn send_and_read_to_close(server: &Server, request: &[u8], timeout: Duration) -> String {
+    use std::io::{ErrorKind, Read, Write};
+    let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(timeout)).unwrap();
+    conn.write_all(request).unwrap();
+    let mut response = Vec::new();
+    match conn.read_to_end(&mut response) {
+        Err(e) if e.kind() != ErrorKind::ConnectionReset => panic!(
+            "the server kept the connection open ({e}) after: {}",
+            String::from_utf8_lossy(&response)
+        ),
+        _ => String::from_utf8(response).unwrap(),
+    }
+}
+
+#[test]
+fn http10_without_keep_alive_and_a_close_option_both_close_after_the_response() {
+    let server = start(BatchPolicy::default(), HttpOptions::default());
+    for head in [
+        "GET /health HTTP/1.0\r\n\r\n",
+        "GET /health HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n",
+        "GET /health HTTP/1.1\r\nconnection: Upgrade , CLOSE\r\n\r\n",
+    ] {
+        let response = send_and_read_to_close(&server, head.as_bytes(), Duration::from_secs(2));
+        assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
+        assert!(response.starts_with("HTTP/1.1 200"), "{head:?}: {response}");
+        assert!(response.contains("Connection: close\r\n"), "{response}");
+    }
+    // HTTP/1.0 that asks for keep-alive keeps it: both answers arrive
+    // on one connection.
+    let mut conn = HttpClient::connect(server.addr()).unwrap();
+    for _ in 0..2 {
+        let (status, body) = conn.request("GET", "/health", None).unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    let response = send_and_read_to_close(
+        &server,
+        b"GET /health HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n\
+          GET /health HTTP/1.0\r\n\r\n",
+        Duration::from_secs(2),
+    );
+    assert_eq!(response.matches("HTTP/1.1 200").count(), 2, "{response}");
+    assert!(
+        response.contains("Connection: keep-alive\r\n"),
+        "{response}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_request_head_past_the_limit_is_a_400_naming_it() {
+    let server = start(BatchPolicy::default(), HttpOptions::default());
+    for (pad, status) in [(18_000, "HTTP/1.1 400"), (15_000, "HTTP/1.1 200")] {
+        let head = format!(
+            "GET /health HTTP/1.1\r\nX-Pad: {}\r\nConnection: close\r\n\r\n",
+            "a".repeat(pad)
+        );
+        let response = send_and_read_to_close(&server, head.as_bytes(), Duration::from_secs(5));
+        assert!(response.starts_with(status), "{pad}: {response}");
+        if status.ends_with("400") {
+            assert!(
+                response.contains("request head exceeds 16384 bytes"),
+                "{response}"
+            );
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn malformed_json_is_a_typed_400() {
     let server = start(BatchPolicy::default(), HttpOptions::default());
     for bad in [
