@@ -60,9 +60,7 @@
 //! All flags are validated (and unknown experiment names rejected with
 //! the list of valid names, exit code 2) before any experiment runs.
 
-use smartsage_bench::scale_from_flag;
 use smartsage_core::experiments::{registry, Experiment, ExperimentScale};
-use smartsage_core::report::Table;
 use smartsage_core::runner::{OutputFormat, Runner};
 use smartsage_core::{StoreKind, TopologyKind};
 use smartsage_store::{remove_cached_feature_files, StoreStats};
@@ -82,11 +80,11 @@ fn fail_usage(message: &str) -> ! {
 }
 
 fn fail_unknown_experiment(name: &str) -> ! {
-    eprintln!("unknown experiment '{name}'; valid names:");
+    let mut message = format!("unknown experiment '{name}'; valid names:");
     for e in registry() {
-        eprintln!("  {:<20} {}", e.name, e.artifact);
+        message.push_str(&format!("\n  {:<20} {}", e.name, e.artifact));
     }
-    std::process::exit(2);
+    fail_usage(&message)
 }
 
 /// Writes to stdout, treating a closed pipe (e.g. `reproduce | head`)
@@ -144,7 +142,7 @@ fn parse_args(args: Vec<String>) -> Cli {
             "--list" => cli.list = true,
             "--scale" => {
                 let value = value_of("--scale");
-                cli.scale = scale_from_flag(&value).unwrap_or_else(|| {
+                cli.scale = ExperimentScale::parse(&value).unwrap_or_else(|| {
                     fail_usage(&format!("unknown scale '{value}' (tiny|default|paper)"))
                 });
             }
@@ -191,15 +189,14 @@ fn parse_args(args: Vec<String>) -> Cli {
 }
 
 /// The end-of-sweep stderr report of one dataset half: totals, the
-/// device-vs-host split, the typed table, then the per-device breakdown
-/// of a sharded sweep (exact, scoped, and summing to the totals — the
+/// device-vs-host split, then the per-device breakdown of a sharded
+/// sweep (exact, scoped, and summing to the totals — the
 /// shard-conformance contract). `[axis, verb, payload]` are the three
 /// nouns the feature and topology reports differ in.
 fn report_axis(
     [axis, verb, payload]: [&str; 3],
     tier: &str,
     s: &StoreStats,
-    table: &Table,
     shards: &[StoreStats],
 ) {
     eprintln!(
@@ -219,7 +216,6 @@ fn report_axis(
         s.transfer_reduction(),
         s.device_ns as f64 / 1e6
     );
-    eprint!("{table}");
     for (i, s) in shards.iter().enumerate() {
         eprintln!(
             "[{axis} shard {i}: {} sub-{verb}, {} bytes read from disk \
@@ -337,7 +333,6 @@ fn main() {
             ["store", "gathers", "feature"],
             kind.label(),
             &sweep.store_stats,
-            &sweep.store_table(kind),
             &sweep.store_shards,
         );
     }
@@ -346,7 +341,6 @@ fn main() {
             ["graph", "reads", "topology"],
             kind.label(),
             &sweep.topology_stats,
-            &sweep.topology_table(kind),
             &sweep.topology_shards,
         );
     }

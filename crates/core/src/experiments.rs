@@ -109,10 +109,14 @@ impl ExperimentScale {
         }
     }
 
-    /// The same scale with feature gathers routed through `kind`.
-    pub fn with_store(mut self, kind: StoreKind) -> Self {
-        self.store = kind;
-        self
+    /// Parses a `--scale` flag value: `tiny`, `default` or `paper`.
+    pub fn parse(s: &str) -> Option<ExperimentScale> {
+        match s {
+            "tiny" => Some(ExperimentScale::tiny()),
+            "default" => Some(ExperimentScale::default()),
+            "paper" => Some(ExperimentScale::paper()),
+            _ => None,
+        }
     }
 }
 
@@ -1000,6 +1004,23 @@ mod tests {
             assert!(Experiment::find(name).is_some(), "{name} not findable");
         }
         assert!(Experiment::find("nope").is_none());
+    }
+
+    #[test]
+    fn scale_flags_parse() {
+        assert_eq!(
+            ExperimentScale::parse("tiny"),
+            Some(ExperimentScale::tiny())
+        );
+        assert_eq!(
+            ExperimentScale::parse("default"),
+            Some(ExperimentScale::default())
+        );
+        assert_eq!(
+            ExperimentScale::parse("paper"),
+            Some(ExperimentScale::paper())
+        );
+        assert_eq!(ExperimentScale::parse("bogus"), None);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   paper artifact (`table1`, `fig5` … ablations), each driving a
 //!   typed [`report::Table`].
 //! * [`runner`] — the sweep API: select registered experiments, run
-//!   them serially or across a thread pool, observe typed outcomes.
+//!   them on a pool of worker threads, observe typed outcomes.
 //! * [`report`] — typed-cell tables rendering to text, CSV, and JSON.
 //! * [`json`] — the minimal shared JSON parser/writer behind the
 //!   report renderers and the `smartsage-serve` request bodies: strict,
@@ -34,6 +34,9 @@
 //!   install a per-sweep accumulator + private store registry on their
 //!   worker threads, and every pipeline run records its exact counters
 //!   into the scopes on its thread.
+//!
+//! The `reproduce` binary (`src/bin/reproduce.rs`) is the CLI over the
+//! registry and runner: `cargo run --release --bin reproduce -- --list`.
 
 pub mod ablations;
 pub mod config;

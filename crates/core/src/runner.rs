@@ -1,5 +1,6 @@
-//! Sweep execution: run a selection of registered experiments, serially
-//! or across a thread pool, with typed outcomes.
+//! Sweep execution: run a selection of registered experiments across a
+//! pool of worker threads (one worker runs them in order), with typed
+//! outcomes.
 //!
 //! The paper's evaluation is a grid sweep (systems × datasets ×
 //! scales); [`Runner`] is the API that executes it. Configure a run
@@ -29,10 +30,10 @@
 
 use crate::experiments::{registry, Experiment, ExperimentScale};
 use crate::json::JsonValue;
-use crate::report::{num, pct, speedup, Table};
+use crate::report::Table;
 use crate::store_metrics::{self, SweepScope};
 use smartsage_hostio::LockExt;
-use smartsage_store::{StoreKind, StoreOccupancy, StoreStats, TopologyKind};
+use smartsage_store::{StoreOccupancy, StoreStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -85,65 +86,6 @@ pub struct SweepOutcome {
     pub topology_shards: Vec<StoreStats>,
 }
 
-impl SweepOutcome {
-    /// Renders the sweep's scoped store accounting as a typed
-    /// [`Table`]: one row of exact totals — gathers, payload bytes,
-    /// the device-vs-host byte split, page-cache hit rate, modeled
-    /// device time — ending in a [`Cell::Speedup`]-typed
-    /// transfer-reduction column
-    /// ([`StoreStats::transfer_reduction`]). `kind` labels which tier
-    /// produced the numbers; the table renders through the usual
-    /// text/CSV/JSON surfaces like any experiment table.
-    ///
-    /// [`Cell::Speedup`]: crate::report::Cell
-    pub fn store_table(&self, kind: StoreKind) -> Table {
-        io_table("Sweep feature-store I/O", kind.label(), &self.store_stats)
-    }
-
-    /// Renders the sweep's scoped graph-topology accounting as a typed
-    /// [`Table`] — the same columns as [`SweepOutcome::store_table`],
-    /// measured on the edge-list half of the dataset (`feature bytes`
-    /// here is delivered topology payload: degrees + sampled ids at
-    /// 8 bytes each).
-    pub fn topology_table(&self, kind: TopologyKind) -> Table {
-        io_table(
-            "Sweep graph-topology I/O",
-            kind.label(),
-            &self.topology_stats,
-        )
-    }
-}
-
-/// One-row exact-I/O table shared by the feature-store and topology
-/// reports, ending in a [`Cell::Speedup`](crate::report::Cell)-typed
-/// transfer-reduction column ([`StoreStats::transfer_reduction`]).
-fn io_table(title: &str, label: &str, s: &StoreStats) -> Table {
-    let mut t = Table::new(
-        title,
-        &[
-            "Store",
-            "Gathers",
-            "Feature bytes",
-            "Device bytes read",
-            "Host bytes transferred",
-            "Page hit rate",
-            "Device time (ms)",
-            "Transfer reduction",
-        ],
-    );
-    t.row(vec![
-        label.into(),
-        s.gathers.into(),
-        s.feature_bytes.into(),
-        s.device_bytes_read.into(),
-        s.host_bytes_transferred.into(),
-        pct(s.hit_rate()),
-        num(s.device_ns as f64 / 1e6, 3),
-        speedup(s.transfer_reduction()),
-    ]);
-    t
-}
-
 type Observer = Box<dyn Fn(&RunOutcome) + Send + Sync>;
 
 /// Builder-style configuration for a [`Runner`].
@@ -188,15 +130,15 @@ impl RunnerBuilder {
         self
     }
 
-    /// Worker threads for the sweep. `1` runs serially on the calling
-    /// thread; `0` means one worker per available CPU.
+    /// Worker threads for the sweep. `1` runs the selection in order on
+    /// one worker; `0` means one worker per available CPU.
     pub fn jobs(mut self, jobs: usize) -> RunnerBuilder {
         self.jobs = jobs;
         self
     }
 
     /// Observer invoked as each experiment finishes (in completion
-    /// order, possibly from a worker thread). Useful for progress
+    /// order, from the worker thread that ran it). Useful for progress
     /// reporting; the ordered results still come from [`Runner::run`].
     pub fn on_result(mut self, f: impl Fn(&RunOutcome) + Send + Sync + 'static) -> RunnerBuilder {
         self.observer = Some(Box::new(f));
@@ -283,43 +225,33 @@ impl Runner {
         let scope = SweepScope::new();
         let total = self.selection.len();
         let workers = self.jobs.clamp(1, total.max(1));
-        let outcomes = if workers <= 1 {
-            let _guard = store_metrics::install_scope(scope.clone());
-            self.selection
-                .iter()
-                .enumerate()
-                .map(|(i, exp)| self.run_one(i, exp))
-                .collect()
-        } else {
-            // Workers claim the next unrun experiment as they free up
-            // (driver costs differ tenfold) and hand what they ran back
-            // through their join handles; a panicking driver resurfaces
-            // here, at the join.
-            let next = AtomicUsize::new(0);
-            let mut outcomes: Vec<RunOutcome> = std::thread::scope(|thread_scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        thread_scope.spawn(|| {
-                            let _guard = store_metrics::install_scope(scope.clone());
-                            let mut ran = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= total {
-                                    break ran;
-                                }
-                                ran.push(self.run_one(i, self.selection[i]));
+        // Workers claim the next unrun experiment as they free up
+        // (driver costs differ tenfold) and hand what they ran back
+        // through their join handles; a panicking driver resurfaces
+        // here, at the join.
+        let next = AtomicUsize::new(0);
+        let mut outcomes: Vec<RunOutcome> = std::thread::scope(|thread_scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    thread_scope.spawn(|| {
+                        let _guard = store_metrics::install_scope(scope.clone());
+                        let mut ran = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= total {
+                                break ran;
                             }
-                        })
+                            ran.push(self.run_one(i, self.selection[i]));
+                        }
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-            outcomes.sort_by_key(|o| o.index);
-            outcomes
-        };
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        outcomes.sort_by_key(|o| o.index);
         let store_stats = *scope.stats.safe_lock();
         let topology_stats = *scope.topology.safe_lock();
         SweepOutcome {
@@ -425,6 +357,7 @@ impl OutputFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartsage_store::StoreKind;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -485,10 +418,12 @@ mod tests {
     }
 
     #[test]
-    fn store_table_carries_the_transfer_reduction_column() {
-        use crate::report::Cell;
+    fn an_isp_sweep_reports_its_scoped_store_stats() {
         let sweep = Runner::builder()
-            .scale(ExperimentScale::tiny().with_store(StoreKind::Isp))
+            .scale(ExperimentScale {
+                store: StoreKind::Isp,
+                ..ExperimentScale::tiny()
+            })
             .filter(|e| e.name == "fig7")
             .build()
             .sweep();
@@ -500,17 +435,6 @@ mod tests {
             "isp ships at most the packed payload (scratchpad dedups repeats)"
         );
         assert!(s.device_ns > 0, "modeled device time accumulates");
-        let t = sweep.store_table(StoreKind::Isp);
-        assert_eq!(t.len(), 1);
-        let row = &t.rows()[0];
-        assert_eq!(row[0].as_str(), Some("isp"));
-        assert!(
-            matches!(row[7], Cell::Speedup(r) if r == s.transfer_reduction()),
-            "last column is the Cell-typed transfer reduction"
-        );
-        assert!(t.headers().iter().any(|h| h == "Transfer reduction"));
-        let graph = sweep.topology_table(TopologyKind::Mem);
-        assert_eq!(graph.title(), "Sweep graph-topology I/O");
     }
 
     #[test]

@@ -104,8 +104,9 @@ impl State {
     /// Every held connection has a request queued and was answered
     /// before, so none of them can send more until this pass answers
     /// it. Each seat queues at most one request at a time, so the
-    /// count plus the all-returning check is exact; a direct submit is
-    /// never returning and keeps the plain linger.
+    /// count plus the all-returning check is exact; a fresh
+    /// connection's request is never returning and keeps the plain
+    /// linger.
     fn every_connection_waiting(&self) -> bool {
         self.queue.len() >= self.connections && self.queue.iter().all(|p| p.returning)
     }
@@ -123,7 +124,7 @@ struct Shared {
 }
 
 /// The batcher: owns the admission queue and the executor thread.
-pub struct Batcher {
+pub(crate) struct Batcher {
     shared: Arc<Shared>,
     executor: Mutex<Option<thread::JoinHandle<()>>>,
 }
@@ -133,7 +134,10 @@ impl Batcher {
     /// reachable (for `GET /stats`) through the returned `Arc`; the
     /// executor takes the lock only while running a window. Fails only
     /// if the OS refuses the executor thread.
-    pub fn start(engine: Arc<Mutex<Engine>>, policy: BatchPolicy) -> std::io::Result<Batcher> {
+    pub(crate) fn start(
+        engine: Arc<Mutex<Engine>>,
+        policy: BatchPolicy,
+    ) -> std::io::Result<Batcher> {
         assert!(policy.max_batch > 0, "max_batch must be positive");
         assert!(policy.queue_depth > 0, "queue_depth must be positive");
         let shared = Arc::new(Shared {
@@ -160,16 +164,6 @@ impl Batcher {
         })
     }
 
-    /// Admits one request, returning the channel its response will
-    /// arrive on — or rejects immediately with a typed 429/503. The
-    /// caller holds no seat, so the request lingers as a one-shot.
-    pub fn submit(
-        &self,
-        request: ApiRequest,
-    ) -> Result<mpsc::Receiver<Result<String, ServeError>>, ServeError> {
-        self.admit(request, false)
-    }
-
     /// Registers one connection for as long as the returned seat lives.
     pub(crate) fn seat(&self) -> Seat<'_> {
         self.shared.state.safe_lock().connections += 1;
@@ -179,40 +173,13 @@ impl Batcher {
         }
     }
 
-    /// The one admission path behind [`Batcher::submit`] and
-    /// [`Seat::submit`].
-    fn admit(&self, request: ApiRequest, returning: bool) -> Result<Reply, ServeError> {
-        let (reply, receiver) = mpsc::sync_channel(1);
-        let mut state = self.shared.state.safe_lock();
-        if !state.open {
-            return Err(ServeError::ShuttingDown);
-        }
-        if state.queue.len() >= self.shared.policy.queue_depth {
-            self.shared
-                .rejected_queue_full
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::QueueFull {
-                depth: self.shared.policy.queue_depth,
-            });
-        }
-        state.queue.push_back(Pending {
-            request,
-            admitted: Instant::now(),
-            reply,
-            returning,
-        });
-        drop(state);
-        self.shared.arrived.notify_one();
-        Ok(receiver)
-    }
-
     /// Requests admitted but rejected for queue overflow so far.
-    pub fn rejected_queue_full(&self) -> u64 {
+    pub(crate) fn rejected_queue_full(&self) -> u64 {
         self.shared.rejected_queue_full.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the executor's window-wait vs service-time split.
-    pub fn timing(&self) -> BatchTiming {
+    pub(crate) fn timing(&self) -> BatchTiming {
         BatchTiming {
             requests: self.shared.executed_requests.load(Ordering::Relaxed),
             batches: self.shared.executed_batches.load(Ordering::Relaxed),
@@ -222,13 +189,13 @@ impl Batcher {
     }
 
     /// Requests currently waiting for an executor pass.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.shared.state.safe_lock().queue.len()
     }
 
     /// Closes the queue to new work, drains everything already
     /// admitted, and joins the executor. Idempotent.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         {
             let mut state = self.shared.state.safe_lock();
             state.open = false;
@@ -262,9 +229,31 @@ pub(crate) struct Seat<'a> {
 }
 
 impl Seat<'_> {
-    /// Admits one request from this connection (see [`Batcher::submit`]).
+    /// Admits one request from this connection, returning the channel
+    /// its response will arrive on — or rejects immediately with a
+    /// typed 429/503.
     pub(crate) fn submit(&self, request: ApiRequest) -> Result<Reply, ServeError> {
-        self.batcher.admit(request, self.answered)
+        let shared = &self.batcher.shared;
+        let (reply, receiver) = mpsc::sync_channel(1);
+        let mut state = shared.state.safe_lock();
+        if !state.open {
+            return Err(ServeError::ShuttingDown);
+        }
+        if state.queue.len() >= shared.policy.queue_depth {
+            shared.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::QueueFull {
+                depth: shared.policy.queue_depth,
+            });
+        }
+        state.queue.push_back(Pending {
+            request,
+            admitted: Instant::now(),
+            reply,
+            returning: self.answered,
+        });
+        drop(state);
+        shared.arrived.notify_one();
+        Ok(receiver)
     }
 
     /// Records that this connection has written a response: from now
@@ -359,20 +348,22 @@ fn run_executor(shared: Arc<Shared>, engine: Arc<Mutex<Engine>>) {
             .iter()
             .map(|p| begun.saturating_duration_since(p.admitted).as_nanos() as u64)
             .sum();
-        let requests: Vec<ApiRequest> = window.iter().map(|p| p.request.clone()).collect();
+        let executed = window.len() as u64;
+        let (requests, replies): (Vec<ApiRequest>, Vec<_>) =
+            window.into_iter().map(|p| (p.request, p.reply)).unzip();
         let responses = engine.safe_lock().execute(&requests);
         let service_each_ns = begun.elapsed().as_nanos() as u64;
         shared.window_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
         shared
             .service_ns
-            .fetch_add(service_each_ns * window.len() as u64, Ordering::Relaxed);
+            .fetch_add(service_each_ns * executed, Ordering::Relaxed);
         shared
             .executed_requests
-            .fetch_add(window.len() as u64, Ordering::Relaxed);
+            .fetch_add(executed, Ordering::Relaxed);
         shared.executed_batches.fetch_add(1, Ordering::Relaxed);
-        for (pending, response) in window.into_iter().zip(responses) {
+        for (reply, response) in replies.into_iter().zip(responses) {
             // A client that hung up just discards its response.
-            let _ = pending.reply.send(response);
+            let _ = reply.send(response);
         }
     }
 }
@@ -401,6 +392,13 @@ mod tests {
         ))
     }
 
+    /// Submits `request` through a fresh seat, dropped once it is
+    /// queued: never answered, so never returning, and the request
+    /// lingers as a one-shot.
+    fn submit(batcher: &Batcher, request: ApiRequest) -> Result<Reply, ServeError> {
+        batcher.seat().submit(request)
+    }
+
     fn sample(nodes: &[u32]) -> ApiRequest {
         let body = format!(
             "{{\"nodes\":[{}]}}",
@@ -416,7 +414,7 @@ mod tests {
     #[test]
     fn submits_resolve_through_the_executor() {
         let batcher = Batcher::start(engine(), BatchPolicy::serial()).expect("start batcher");
-        let rx = batcher.submit(sample(&[1, 2])).unwrap();
+        let rx = submit(&batcher, sample(&[1, 2])).unwrap();
         let response = rx.recv().unwrap().unwrap();
         assert!(response.contains("\"targets\":[1,2]"), "{response}");
         batcher.close();
@@ -437,13 +435,13 @@ mod tests {
             },
         )
         .expect("start batcher");
-        let _rx1 = batcher.submit(sample(&[1])).unwrap();
+        let _rx1 = submit(&batcher, sample(&[1])).unwrap();
         // Give the executor a moment to pull the first request out of
         // the queue (it then blocks on the engine lock we hold).
         std::thread::sleep(Duration::from_millis(50));
-        let _rx2 = batcher.submit(sample(&[2])).unwrap();
-        let _rx3 = batcher.submit(sample(&[3])).unwrap();
-        let err = batcher.submit(sample(&[4])).unwrap_err();
+        let _rx2 = submit(&batcher, sample(&[2])).unwrap();
+        let _rx3 = submit(&batcher, sample(&[3])).unwrap();
+        let err = submit(&batcher, sample(&[4])).unwrap_err();
         assert_eq!(err.status(), 429);
         assert!(err.to_string().contains('2'), "{err}");
         assert_eq!(batcher.rejected_queue_full(), 1);
@@ -463,13 +461,13 @@ mod tests {
         )
         .expect("start batcher");
         let receivers: Vec<_> = (0..4)
-            .map(|i| batcher.submit(sample(&[i])).unwrap())
+            .map(|i| submit(&batcher, sample(&[i])).unwrap())
             .collect();
         batcher.close();
         for rx in receivers {
             assert!(rx.recv().unwrap().is_ok(), "admitted work must complete");
         }
-        let err = batcher.submit(sample(&[1])).unwrap_err();
+        let err = submit(&batcher, sample(&[1])).unwrap_err();
         assert_eq!(err.status(), 503);
     }
 
@@ -486,7 +484,7 @@ mod tests {
         )
         .expect("start batcher");
         let receivers: Vec<_> = (0..6)
-            .map(|i| batcher.submit(sample(&[i, i + 1])).unwrap())
+            .map(|i| submit(&batcher, sample(&[i, i + 1])).unwrap())
             .collect();
         for rx in receivers {
             rx.recv().unwrap().unwrap();
@@ -519,7 +517,7 @@ mod tests {
         .expect("start batcher");
         for _ in 0..3 {
             let started = Instant::now();
-            let rx = batcher.submit(sample(&[1, 2])).unwrap();
+            let rx = submit(&batcher, sample(&[1, 2])).unwrap();
             rx.recv().unwrap().unwrap();
             let elapsed = started.elapsed();
             assert!(
@@ -556,7 +554,7 @@ mod tests {
         .expect("start batcher");
         let started = Instant::now();
         let receivers: Vec<_> = (0..3)
-            .map(|i| batcher.submit(sample(&[i])).unwrap())
+            .map(|i| submit(&batcher, sample(&[i])).unwrap())
             .collect();
         drop(guard);
         for rx in receivers {
@@ -677,13 +675,13 @@ mod tests {
     }
 
     #[test]
-    fn a_direct_submit_is_a_one_shot_and_lingers() {
-        // No seat is held, so nothing says the request is the last one.
+    fn a_one_shot_seat_lingers() {
+        // Its seat is gone before the pass, and it was never answered,
+        // so nothing says the request is the last one.
         let engine = engine();
         let batcher = long_window(&engine);
         let started = Instant::now();
-        batcher
-            .submit(sample(&[1]))
+        submit(&batcher, sample(&[1]))
             .unwrap()
             .recv()
             .unwrap()
@@ -706,7 +704,7 @@ mod tests {
         )
         .expect("start batcher");
         let receivers: Vec<_> = (0..5)
-            .map(|i| batcher.submit(sample(&[i])).unwrap())
+            .map(|i| submit(&batcher, sample(&[i])).unwrap())
             .collect();
         for rx in receivers {
             rx.recv().unwrap().unwrap();

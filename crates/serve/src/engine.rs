@@ -210,19 +210,6 @@ impl Engine {
         self.topology.stats()
     }
 
-    /// Per-device feature-store breakdown (at one device, one entry
-    /// whose I/O fields equal [`Engine::store_stats`]). The I/O-level
-    /// fields sum exactly to the totals.
-    pub fn store_shard_stats(&self) -> Vec<StoreStats> {
-        self.store.shard_stats()
-    }
-
-    /// Per-device topology breakdown, mirroring
-    /// [`Engine::store_shard_stats`].
-    pub fn topology_shard_stats(&self) -> Vec<StoreStats> {
-        self.topology.shard_stats()
-    }
-
     /// Executes one admission window of requests and returns one
     /// response (or typed error) per request, in request order.
     ///
@@ -581,8 +568,8 @@ mod tests {
             // The per-device breakdown is exact: I/O-level fields sum
             // to the engine totals.
             for (per_shard, total) in [
-                (engine.store_shard_stats(), engine.store_stats()),
-                (engine.topology_shard_stats(), engine.topology_stats()),
+                (engine.store.shard_stats(), engine.store_stats()),
+                (engine.topology.shard_stats(), engine.topology_stats()),
             ] {
                 assert_eq!(per_shard.len(), 3);
                 assert_eq!(

@@ -16,8 +16,9 @@
 //!
 //! Oversized bodies are rejected with a 413 *before* the body is read;
 //! malformed framing — any `Transfer-Encoding` body, a repeated
-//! `Content-Length` or one that is not plain digits, a head longer than
-//! 16 KiB — gets a 400 and the connection closes; everything
+//! `Content-Length` or one that is not plain digits, a header line with
+//! no colon, a folded line or whitespace in its name, a head longer
+//! than 16 KiB — gets a 400 and the connection closes; everything
 //! after framing flows through [`crate::api`]'s typed errors.
 //! `Connection` is read as a case-insensitive option list: a connection
 //! closes after its response when `close` is listed, or when the
@@ -301,8 +302,20 @@ fn read_request(
     // and may repeat (RFC 9110 §7.6.1).
     let (mut close_listed, mut keep_alive_listed) = (false, false);
     for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
+        // A line with no colon (a folded continuation among them) or a
+        // name with whitespace in it is not a field line this server can
+        // read; skipping it could skip a framing header (RFC 9112 §5.1,
+        // §5.2). One 400, then the connection closes.
+        let (name, value) = match line.split_once(':') {
+            Some((name, value)) if !name.is_empty() && !name.contains(char::is_whitespace) => {
+                (name, value)
+            }
+            _ => {
+                return Err(FrameError::Reject(ServeError::BadRequest(format!(
+                    "malformed header field line '{line}' (want 'Name: value', no whitespace \
+                     in the name, no line folding)"
+                ))))
+            }
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {

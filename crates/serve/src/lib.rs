@@ -9,7 +9,7 @@
 //! architecture put in front of live traffic.
 //!
 //! The interesting mechanism is the **coalescing batcher**
-//! ([`batcher::Batcher`]): requests that arrive within a configurable
+//! ([`batcher`]): requests that arrive within a configurable
 //! time/size window are merged into one
 //! [`sample_many_on`](smartsage_gnn::sample_many_on) pass, so
 //! overlapping neighborhoods share degree reads, page-cache hits, and
@@ -72,6 +72,6 @@ pub mod engine;
 pub mod http;
 
 pub use api::{ApiRequest, SampleRequest, ServeError};
-pub use batcher::{BatchPolicy, BatchTiming, Batcher};
+pub use batcher::{BatchPolicy, BatchTiming};
 pub use engine::{DatasetConfig, Engine, EngineConfig, EngineCounters};
 pub use http::{HttpOptions, Server};

@@ -1,8 +1,8 @@
 //! HTTP framing under structured mutation, over real sockets: valid
 //! requests with headers dropped, repeated or re-cased, a
 //! `Content-Length` off by one, the version switched between HTTP/1.0
-//! and 1.1, `Connection` option lists, and the write split at random
-//! offsets. Every case must be answered by exactly the well-formed
+//! and 1.1, `Connection` option lists, a space before a header's colon,
+//! a folded header line, and the write split at random offsets. Every case must be answered by exactly the well-formed
 //! responses its bytes call for (or a clean close), never hang, and
 //! leave the server answering `GET /health`.
 //!
@@ -115,6 +115,8 @@ impl Request {
                 }
             }
             4 => self.http10 = !self.http10,
+            5 if !self.headers.is_empty() => self.headers[at].0.push(' '),
+            6 if !self.headers.is_empty() => self.headers[at].1.push_str("\r\n folded"),
             _ => {
                 let list = CONNECTION_LISTS[(pick as usize) % CONNECTION_LISTS.len()];
                 self.headers
@@ -144,6 +146,13 @@ impl Request {
     /// The `(status, closes)` of each response this request's bytes
     /// call for, read the way RFC 9112 frames them.
     fn expected(&self) -> Vec<(u16, bool)> {
+        if self
+            .headers
+            .iter()
+            .any(|(name, value)| name.contains(' ') || value.contains("\r\n"))
+        {
+            return vec![(400, true)]; // a field line the server cannot read
+        }
         let lengths: Vec<usize> = self
             .values("content-length")
             .map(|v| v.parse().unwrap())
@@ -258,7 +267,7 @@ fn mutated_requests_get_well_formed_answers_and_the_server_keeps_serving() {
     let server = Server::start(engine, BatchPolicy::default(), options, "127.0.0.1:0")
         .expect("bind ephemeral port");
     let mut rng = TestRng::from_name(concat!(module_path!(), "::mutated_requests"));
-    let mutations = collection::vec((0u8..6, any::<u64>()), 1..5);
+    let mutations = collection::vec((0u8..8, any::<u64>()), 1..5);
     let splits = collection::vec(any::<u16>(), 0..4);
     for case in 0..CASES {
         let mut request = Request::base(BASES[(0..BASES.len()).sample(&mut rng)]);

@@ -308,6 +308,30 @@ fn an_ambiguous_content_length_gets_exactly_one_400_naming_the_header() {
 }
 
 #[test]
+fn a_malformed_header_field_line_gets_exactly_one_400_then_a_close() {
+    let server = start(BatchPolicy::default(), HttpOptions::default());
+    let body = r#"{"nodes":[1]}"#;
+    // Whitespace before the colon (RFC 9112 §5.1) and a folded line
+    // (§5.2). A server that skips either line reads the body as the
+    // next request and answers twice.
+    for fields in [
+        format!("Content-Length : {}\r\n", body.len()),
+        format!("Content-Length: {}\r\nX-Note: a\r\n b\r\n", body.len()),
+    ] {
+        let request =
+            format!("POST /v1/sample HTTP/1.1\r\n{fields}\r\n{body}GET /health HTTP/1.1\r\n\r\n");
+        let response = send_and_read_to_close(&server, request.as_bytes(), Duration::from_secs(5));
+        assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert!(
+            response.contains("malformed header field line"),
+            "{response}"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
 fn out_of_range_node_is_a_422_naming_the_id() {
     let server = start(BatchPolicy::default(), HttpOptions::default());
     let (status, body) = oneshot(

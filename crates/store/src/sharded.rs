@@ -365,11 +365,6 @@ impl ShardedFeatureStore {
         let members = files.iter().map(make).collect();
         Ok(ShardedFeatureStore::new(members, ranges, dim, num_classes))
     }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.members.len()
-    }
 }
 
 impl FeatureStore for ShardedFeatureStore {
@@ -534,11 +529,6 @@ impl ShardedTopology {
         }
         let members = files.iter().map(make).collect();
         Ok(ShardedTopology::new(members, ranges.to_vec(), num_edges))
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.members.len()
     }
 }
 

@@ -106,5 +106,5 @@ fn main() {
             report.gpu_idle_frac * 100.0
         );
     }
-    println!("\nSee `cargo run --release -p smartsage-bench --bin reproduce` for the full paper reproduction.");
+    println!("\nSee `cargo run --release --bin reproduce` for the full paper reproduction.");
 }

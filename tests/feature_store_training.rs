@@ -161,9 +161,18 @@ fn feature_store_pipeline_run_reports_nonzero_io_without_timing_drift() {
     };
     let plain = run(&scale);
     assert_eq!(plain.store_stats.bytes_read, 0, "mem tier does no disk I/O");
-    let mem = run(&scale.with_store(StoreKind::Mem));
-    let file = run(&scale.with_store(StoreKind::File));
-    let isp = run(&scale.with_store(StoreKind::Isp));
+    let mem = run(&ExperimentScale {
+        store: StoreKind::Mem,
+        ..scale
+    });
+    let file = run(&ExperimentScale {
+        store: StoreKind::File,
+        ..scale
+    });
+    let isp = run(&ExperimentScale {
+        store: StoreKind::Isp,
+        ..scale
+    });
 
     // The determinism contract: the store changes reporting, never
     // simulated time.

@@ -274,7 +274,7 @@ proptest! {
         let mut sharded_file = ShardedFeatureStore::over_files(&files).unwrap();
         let mut sharded_isp =
             ShardedFeatureStore::over_isp(&isp_files, IspGatherOptions::default()).unwrap();
-        prop_assert_eq!(sharded_file.num_shards(), shards);
+        prop_assert_eq!(sharded_file.shard_stats().len(), shards);
 
         for raw in &raw_batches {
             let nodes = straddling_batch(raw, num_nodes, &ranges);
@@ -353,7 +353,7 @@ proptest! {
         let mut sharded_file = ShardedTopology::over_files(&files, &ranges).unwrap();
         let mut sharded_isp =
             ShardedTopology::over_isp(&isp_files, &ranges, IspGatherOptions::default()).unwrap();
-        prop_assert_eq!(sharded_file.num_shards(), shards);
+        prop_assert_eq!(sharded_file.shard_stats().len(), shards);
         prop_assert_eq!(sharded_file.num_edges(), graph.num_edges());
         prop_assert_eq!(sharded_isp.num_edges(), graph.num_edges());
 
