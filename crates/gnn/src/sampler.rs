@@ -34,7 +34,7 @@
 //! self-loop keeps its walk in place.
 
 use smartsage_graph::NodeId;
-use smartsage_sim::Xoshiro256;
+use smartsage_sim::{RankSet, Xoshiro256};
 use smartsage_store::{SampleTrace, StoreError, TopologyStore, TraceHop};
 
 /// Per-layer sampling fan-outs, outermost (target) layer first.
@@ -196,14 +196,14 @@ impl SampledBatch {
         self.hops.last().map_or(&self.targets, |h| &h.neighbors)
     }
 
-    /// All distinct nodes in the subgraph (targets + sampled), sorted.
+    /// All distinct nodes in the subgraph (targets + sampled), sorted:
+    /// the members of the [`RankSet`] of their ids, so a batch dense in
+    /// the id space is a bitmap walk, not a sort.
     pub fn all_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.targets.clone();
-        for hop in &self.hops {
-            nodes.extend_from_slice(&hop.neighbors);
-        }
-        nodes.sort_unstable();
-        nodes.dedup();
+        let sampled = self.hops.iter().flat_map(|hop| &hop.neighbors);
+        let set = RankSet::new(sampled.chain(&self.targets).map(|n| u64::from(n.raw())));
+        let mut nodes = Vec::with_capacity(set.len());
+        nodes.extend(set.iter().map(|id| NodeId::new(id as u32)));
         nodes
     }
 
@@ -729,6 +729,50 @@ mod tests {
         let a = sample_many_on(&mut CsrView::new(&g), &spec, &Fanouts::new(vec![2])).unwrap();
         let b = sample_many_on(&mut CsrView::new(&g), &spec, &Fanouts::new(vec![3])).unwrap();
         merge_batches(&[a[0].clone(), b[0].clone()]);
+    }
+
+    #[test]
+    fn all_nodes_is_the_sorted_deduplicated_id_list() {
+        // 16 targets and fan-outs 5, 3: 336 ids drawn from a span 40 ×
+        // or 40 000 × that — the first a bitmap, the second a sorted
+        // list (beyond 64 ×) — near the bottom and the top of the id
+        // space; and an empty batch.
+        let mut rng = Xoshiro256::seed_from_u64(0xA11);
+        let top = u64::from(u32::MAX);
+        for (spread, base, targets) in [
+            (40u64, 0u64, 16usize),
+            (40, top - 40 * 336, 16),
+            (40_000, 0, 16),
+            (40_000, top - 40_000 * 336, 16),
+            (40, 0, 0),
+        ] {
+            let fanouts = [5usize, 3];
+            let mut draw = |n: usize| -> Vec<NodeId> {
+                (0..n)
+                    .map(|_| NodeId::new((base + rng.range_u64(spread * 336)) as u32))
+                    .collect()
+            };
+            let batch = SampledBatch {
+                targets: draw(targets),
+                hops: vec![
+                    HopSample {
+                        fanout: fanouts[0],
+                        neighbors: draw(targets * fanouts[0]),
+                    },
+                    HopSample {
+                        fanout: fanouts[1],
+                        neighbors: draw(targets * fanouts[0] * fanouts[1]),
+                    },
+                ],
+            };
+            let mut want = batch.targets.clone();
+            for hop in &batch.hops {
+                want.extend_from_slice(&hop.neighbors);
+            }
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(batch.all_nodes(), want, "spread {spread} base {base}");
+        }
     }
 
     #[test]

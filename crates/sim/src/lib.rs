@@ -20,6 +20,10 @@
 //!   counters ([`CountedLru`]) behind every modeled cache (OS page
 //!   cache, scratchpads, SSD page buffer), and its payload-carrying
 //!   form ([`LruMap`]) behind the real ones.
+//! * [`rank_set`] — the sorted-distinct integer set ([`RankSet`]) the
+//!   paged read path plans and stages pages with, and a sampled batch
+//!   lists its distinct nodes with: a bitmap with O(1) ranks when its
+//!   values are dense in their span, a sorted list otherwise.
 //! * [`stats`] — log-scale histograms ([`Histogram`]) for metric
 //!   collection.
 //!
@@ -43,6 +47,7 @@
 pub mod bandwidth;
 pub mod events;
 pub mod lru;
+pub mod rank_set;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -51,6 +56,7 @@ pub mod time;
 pub use bandwidth::Link;
 pub use events::EventQueue;
 pub use lru::{CountedLru, LruMap, LruSet};
+pub use rank_set::RankSet;
 pub use resource::Server;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use stats::Histogram;

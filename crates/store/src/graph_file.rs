@@ -311,7 +311,7 @@ impl SharedCsrFile {
         io: &mut StoreStats,
         mut each: impl FnMut(usize, [u64; N]) -> Result<(), StoreError>,
     ) -> Result<Plan, StoreError> {
-        let mut staged = self.paged.read(&ranges, io)?;
+        let staged = self.paged.read(&ranges, io)?;
         let mut spill = [0u8; 2 * NEIGHBOR_ENTRY_BYTES as usize];
         let mut raw = [0u8; NEIGHBOR_ENTRY_BYTES as usize];
         for (i, &range) in ranges.iter().enumerate() {
@@ -366,42 +366,6 @@ impl SharedCsrFile {
         Ok((pairs, io, plan))
     }
 
-    /// Reads the neighbor ids at absolute edge indices `edges` into
-    /// `out` (`out.len() == edges.len()`), returning this call's exact
-    /// **I/O** deltas (access counters belong to the caller) and the
-    /// read's plan, as [`SharedCsrFile::offset_pairs`] does. Indices
-    /// must already be validated against the owning node's offset pair.
-    fn edge_targets(
-        &self,
-        edges: &[u64],
-        out: &mut [NodeId],
-    ) -> Result<(StoreStats, Plan), StoreError> {
-        for &e in edges {
-            if e >= self.num_edges {
-                return Err(self.corrupt(format!(
-                    "edge index {e} is past the end of the {}-entry edge array",
-                    self.num_edges
-                )));
-            }
-        }
-        let ranges: Vec<ByteRange> = edges
-            .iter()
-            .map(|&e| self.layout.edge_entries(e, 1))
-            .collect();
-        let mut io = StoreStats::default();
-        let plan = self.read_entries(ranges, &mut io, |i, [raw]| {
-            if raw >= self.num_nodes as u64 {
-                return Err(self.corrupt(format!(
-                    "neighbor id {raw} at edge index {} is past the {}-node bound",
-                    edges[i], self.num_nodes
-                )));
-            }
-            out[i] = NodeId::new(raw as u32);
-            Ok(())
-        })?;
-        Ok((io, plan))
-    }
-
     /// Resolves `(node, position)` picks end to end into `out`
     /// (`out.len() == picks.len()`): one offset pair per maximal run
     /// of equal consecutive nodes locates and validates that run's
@@ -419,15 +383,27 @@ impl SharedCsrFile {
         let same_parent = |a: &(NodeId, u64), b: &(NodeId, u64)| a.0 == b.0;
         let parents: Vec<NodeId> = picks.chunk_by(same_parent).map(|run| run[0].0).collect();
         let (pairs, mut io, offset_plan) = self.offset_pairs(&parents)?;
+        // Every pair lies inside the edge array, so every pick inside its
+        // parent's pair does too.
         let mut edges = Vec::with_capacity(picks.len());
         for (run, &(start, end)) in picks.chunk_by(same_parent).zip(&pairs) {
             for &pick in run {
                 check_pick(pick, end - start)?;
-                edges.push(start + pick.1);
+                edges.push(self.layout.edge_entries(start + pick.1, 1));
             }
         }
-        let (edge_io, edge_plan) = self.edge_targets(&edges, out)?;
-        io.accumulate(&edge_io);
+        let edge_plan = self.read_entries(edges, &mut io, |i, [raw]| {
+            if raw >= self.num_nodes as u64 {
+                let (node, position) = picks[i];
+                return Err(self.corrupt(format!(
+                    "neighbor id {raw} at position {position} of node {node} is past the \
+                     {}-node bound",
+                    self.num_nodes
+                )));
+            }
+            out[i] = NodeId::new(raw as u32);
+            Ok(())
+        })?;
         Ok((io, [offset_plan, edge_plan]))
     }
 
@@ -473,13 +449,10 @@ mod tests {
         let mut picks = Vec::new();
         for (node, &(start, end)) in nodes.iter().zip(&pairs) {
             assert_eq!(end - start, g.degree(*node));
-            for e in start..end {
-                picks.push((*node, e));
-            }
+            picks.extend((0..end - start).map(|position| (*node, position)));
         }
-        let edges: Vec<u64> = picks.iter().map(|&(_, e)| e).collect();
-        let mut targets = vec![NodeId::default(); edges.len()];
-        shared.edge_targets(&edges, &mut targets).unwrap();
+        let mut targets = vec![NodeId::default(); picks.len()];
+        shared.resolve_picks(&picks, &mut targets).unwrap();
         let mut want = Vec::new();
         for node in g.node_ids() {
             want.extend_from_slice(g.neighbors(node));

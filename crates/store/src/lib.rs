@@ -18,7 +18,7 @@
 //!   lock-striped, exact-LRU
 //!   [`ShardedPageCache`](smartsage_hostio::ShardedPageCache) shared by
 //!   every thread; batch gathers coalesce their page reads into
-//!   contiguous runs ([`smartsage_hostio::merge_page_runs`]), and exact
+//!   contiguous runs (a [`smartsage_sim::RankSet`] of the pages), and exact
 //!   per-call I/O deltas accumulate in per-handle *scoped* counters. A
 //!   [`StoreRegistry`] deduplicates opens by content key, so a whole
 //!   sweep of parallel jobs shares one store.

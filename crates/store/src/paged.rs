@@ -14,17 +14,17 @@
 //! — nobody derives the pages of a request a second time. Every read
 //! follows one algorithm:
 //!
-//! 1. **Plan** — the distinct pages the ranges touch, merged into
-//!    maximal contiguous runs ([`merge_page_runs`]); pure address
-//!    arithmetic. A range inside the page just listed lists nothing
-//!    and an ascending list is not sorted, so grouped picks and sorted
-//!    rows pay per page here, not per range — exploited, never
-//!    required: any order sorts and dedups to the same runs.
+//! 1. **Plan** — the distinct pages the ranges touch, as one
+//!    [`RankSet`] walked in maximal contiguous runs; pure address
+//!    arithmetic. Every range lists its pages straight into the set: a
+//!    read dense in its span is a bitmap and is never sorted, a sparse
+//!    one sorts its list once, and any order lists the same pages.
 //! 2. **Classify** — walking the runs in ascending order, resident
 //!    pages are hits (promoted, and staged as `Arc` clones so a
 //!    concurrent eviction can never invalidate bytes mid-assembly);
 //!    each maximal stretch of missing pages becomes one positioned
-//!    read and holds its place in the staging vector.
+//!    read and holds its place in the staging vector, where a page's
+//!    slot is its rank in the plan's set.
 //! 3. **Fetch** — the whole miss plan goes to the engine as one batch.
 //!    Stretches resolve concurrently across I/O workers, and the worker
 //!    that read a stretch also cut it into this file's pages
@@ -36,7 +36,8 @@
 //!    order.
 //!
 //! Decoding pays per range, inside one page: [`StagedPages::bytes`]
-//! searches the staged pages only when a range leaves its cursor's page.
+//! asks the read's set for the slot of the range's page — one word and
+//! one popcount on a dense set, a bisection on a sparse one.
 
 // Untrusted input fails as a typed error, never a panic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -45,9 +46,8 @@
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
 use crate::StoreStats;
-use smartsage_hostio::{
-    merge_page_runs, ByteRange, ReadEngine, ReadRequest, ReadSource, ShardedPageCache,
-};
+use smartsage_hostio::{ByteRange, ReadEngine, ReadRequest, ReadSource, ShardedPageCache};
+use smartsage_sim::RankSet;
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -56,12 +56,12 @@ use std::sync::Arc;
 pub(crate) type Planned<T> = (T, StoreStats, Plan);
 
 /// A read's plan: the ranges it was planned from, in request order, and
-/// every page it resolved for them, ascending and distinct — each
-/// counted exactly once into the read's `page_hits` or `pages_read`.
+/// the set of every page it resolved for them — each counted exactly
+/// once into the read's `page_hits` or `pages_read`.
 #[derive(Debug)]
 pub(crate) struct Plan {
     ranges: Vec<ByteRange>,
-    pages: Vec<u64>,
+    pages: RankSet,
     page_bytes: u64,
 }
 
@@ -73,21 +73,13 @@ impl Plan {
     /// (`IspDevice::command`) asks, so only they pay.
     pub fn first_needs(&self) -> (Vec<u64>, Vec<usize>) {
         let mut needed = vec![false; self.pages.len()];
-        let (mut pages, mut ends, mut at) = (Vec::new(), vec![0], 0);
+        let (mut pages, mut ends) = (Vec::new(), vec![0]);
         for range in &self.ranges {
             if let Some((first, last)) = range.blocks(self.page_bytes) {
-                // Ascending ranges step to the next staged page; others
-                // search.
-                if self.pages[at] != first {
-                    at = if self.pages.get(at + 1) == Some(&first) {
-                        at + 1
-                    } else {
-                        self.pages.partition_point(|&page| page < first)
-                    };
-                }
-                let staged = at..=at + (last - first) as usize;
-                let new = staged.filter(|&i| !std::mem::replace(&mut needed[i], true));
-                pages.extend(new.map(|i| self.pages[i]));
+                // A range's pages are consecutive members of the set.
+                let staged = (first..=last).zip(self.pages.rank(first)..);
+                let new = staged.filter(|&(_, i)| !std::mem::replace(&mut needed[i], true));
+                pages.extend(new.map(|(page, _)| page));
             }
             ends.push(pages.len());
         }
@@ -105,8 +97,7 @@ impl Plan {
             self.ranges.push(range);
             self.ranges.extend(later.by_ref().take(count));
         }
-        self.pages.extend(next.pages);
-        self.pages.dedup();
+        self.pages = RankSet::new(self.pages.iter().chain(next.pages.iter()));
         self
     }
 }
@@ -121,47 +112,41 @@ pub(crate) struct PagedFile {
     engine: Arc<ReadEngine>,
 }
 
-/// The pages one [`PagedFile::read`] resolved — `(page number, bytes)`,
-/// ascending and distinct — held by `Arc` while the format layer decodes
-/// them, and `at`, the index of the page the previous range resolved to.
+/// The pages one [`PagedFile::read`] resolved: their set, and their
+/// bytes in the set's order — held by `Arc` while the format layer
+/// decodes them, so a page's slot is its rank.
 #[derive(Debug)]
 pub(crate) struct StagedPages {
-    pages: Vec<(u64, Arc<[u8]>)>,
+    pages: RankSet,
+    staged: Vec<Arc<[u8]>>,
     page_bytes: u64,
-    at: usize,
 }
 
 impl StagedPages {
     /// The bytes of `range`: a slice of its staged page when it lies
-    /// within one (searched for only if it is not the previous range's),
-    /// otherwise copied across the boundary into `spill` (`spill.len()
-    /// == range.len`). `range` must be one of the ranges the read was
-    /// planned from, so its pages are staged, and staged side by side.
-    pub fn bytes<'a>(&'a mut self, range: ByteRange, spill: &'a mut [u8]) -> &'a [u8] {
-        if range.len == 0 {
+    /// within one, otherwise copied across the boundary into `spill`
+    /// (`spill.len() == range.len`). `range` must be one of the ranges
+    /// the read was planned from, so its pages are staged, and staged
+    /// side by side. Its first page's slot is that page's rank in the
+    /// read's set.
+    pub fn bytes<'a>(&'a self, range: ByteRange, spill: &'a mut [u8]) -> &'a [u8] {
+        let Some((page, _)) = range.blocks(self.page_bytes) else {
             return &[];
-        }
-        let pb = self.page_bytes;
-        let cursor = self.pages[self.at].0 * pb;
-        if !(cursor..cursor + pb).contains(&range.offset) {
-            let first = range.offset / pb;
-            self.at = self.pages.partition_point(|&(page, _)| page < first);
-        }
-        let (page, src) = &self.pages[self.at];
-        let lo = (range.offset - page * pb) as usize;
-        if let Some(within) = src.get(lo..lo + range.len as usize) {
+        };
+        let (at, lo) = (
+            self.pages.rank(page),
+            (range.offset - page * self.page_bytes) as usize,
+        );
+        if let Some(within) = self.staged[at].get(lo..lo + range.len as usize) {
             return within;
         }
-        let mut done = 0;
+        let (mut done, mut lo, mut at) = (0, lo, at);
         while done < spill.len() {
-            let (page, src) = &self.pages[self.at];
-            let lo = (range.offset + done as u64 - page * pb) as usize;
+            let src = &self.staged[at];
             let n = (src.len() - lo).min(spill.len() - done);
             spill[done..done + n].copy_from_slice(&src[lo..lo + n]);
-            done += n;
-            self.at += 1;
+            (done, lo, at) = (done + n, 0, at + 1);
         }
-        self.at -= 1;
         spill
     }
 
@@ -169,7 +154,7 @@ impl StagedPages {
     pub fn into_plan(self, ranges: Vec<ByteRange>) -> Plan {
         Plan {
             ranges,
-            pages: self.pages.into_iter().map(|(page, _)| page).collect(),
+            pages: self.pages,
             page_bytes: self.page_bytes,
         }
     }
@@ -270,44 +255,33 @@ impl PagedFile {
         ranges: &[ByteRange],
         io: &mut StoreStats,
     ) -> Result<StagedPages, StoreError> {
-        // A range inside the page just listed costs one compare and
-        // lists nothing; `merge_page_runs` sorts only a list that needs it.
+        // The pages each range touches, listed straight into the set.
         let pb = self.opts.page_bytes;
-        let mut touched: Vec<u64> = Vec::new();
-        let mut listed = 0..0;
-        for range in ranges {
-            if listed.start <= range.offset && range.offset + range.len <= listed.end {
-                continue;
-            }
-            if let Some((first, last)) = range.blocks(pb) {
-                let relisted = touched.last() == Some(&first);
-                touched.extend(first + u64::from(relisted)..=last);
-                listed = last * pb..(last + 1) * pb;
-            }
-        }
+        let touched = ranges.iter().filter_map(|r| r.blocks(pb));
+        let pages = RankSet::new(touched.flat_map(|(first, last)| first..=last));
         // Classify: a resident page is a hit; a missing one opens a
         // stretch `(first_page, page_count)` that extends while the
         // cache does not hold the next page of the run. Its pages hold
         // their place in the staging vector as holes — empty, which no
         // page of a file is — until the stretch is fetched.
         let hole: Arc<[u8]> = Arc::from([]);
-        let mut pages: Vec<(u64, Arc<[u8]>)> = Vec::new();
+        let mut staged: Vec<Arc<[u8]>> = Vec::with_capacity(pages.len());
         let mut stretches: Vec<(u64, u64)> = Vec::new();
-        for run in merge_page_runs(&touched) {
-            let mut p = run.first;
-            while p < run.end() {
+        for run in pages.runs() {
+            let (mut p, end) = (*run.start(), *run.end() + 1);
+            while p < end {
                 if let Some(buf) = self.cache.get(p) {
                     io.page_hits += 1;
-                    pages.push((p, buf));
+                    staged.push(buf);
                     p += 1;
                     continue;
                 }
                 let mut q = p + 1;
-                while q < run.end() && !self.cache.contains(q) {
+                while q < end && !self.cache.contains(q) {
                     q += 1;
                 }
                 stretches.push((p, q - p));
-                pages.extend((p..q).map(|page| (page, Arc::clone(&hole))));
+                staged.extend((p..q).map(|_| Arc::clone(&hole)));
                 p = q;
             }
         }
@@ -317,15 +291,16 @@ impl PagedFile {
         }
         // Every stretch succeeded: fill the holes and commit, both in
         // ascending page order.
-        let holes = pages.iter_mut().filter(|(_, buf)| buf.is_empty());
+        let slots = pages.iter().zip(&mut staged);
+        let holes = slots.filter(|(_, buf)| buf.is_empty());
         for ((page, slot), buf) in holes.zip(fetched) {
-            self.cache.insert(*page, Arc::clone(&buf));
+            self.cache.insert(page, Arc::clone(&buf));
             *slot = buf;
         }
         Ok(StagedPages {
             pages,
+            staged,
             page_bytes: pb,
-            at: 0,
         })
     }
 }
@@ -338,16 +313,14 @@ pub(crate) mod tests {
     /// A plan of `ranges` that resolved every page they touch, for
     /// tests that price a command without reading a file.
     pub(crate) fn plan_covering(ranges: Vec<ByteRange>, page_bytes: u64) -> Plan {
-        let mut pages: Vec<u64> = ranges
+        let pages: Vec<u64> = ranges
             .iter()
             .filter_map(|r| r.blocks(page_bytes))
             .flat_map(|(first, last)| first..=last)
             .collect();
-        pages.sort_unstable();
-        pages.dedup();
         Plan {
             ranges,
-            pages,
+            pages: RankSet::new(pages),
             page_bytes,
         }
     }
@@ -383,99 +356,122 @@ pub(crate) mod tests {
         // 10_001 bytes: no page size below divides it, so the final
         // page is always short. The ranges straddle page boundaries,
         // repeat, sit grouped inside one page, run backwards, and end
-        // on the file's last byte.
-        let (file, bytes) = patterned("paged-sizes", 10_001);
-        let grouped = vec![
-            range(9_991, 10),
-            range(0, 7),
-            range(4_090, 12),
-            range(4_090, 12),
-            range(4_104, 8),
-            range(4_096, 8),
-            range(4_112, 16),
-            range(505, 1_100),
-            range(999, 2),
-            range(8_000, 16),
-            range(8_000, 16),
+        // on the file's last byte; their pages are dense in their span.
+        // 8_000_001 bytes: a few ranges spread over the whole file, so
+        // at every page size their pages are sparse in their span; two
+        // straddle 512-, 1000- and 4096-byte boundaries.
+        let sparse_len = 8_000_001;
+        let cases = [
+            (
+                10_001,
+                vec![
+                    range(9_991, 10),
+                    range(0, 7),
+                    range(4_090, 12),
+                    range(4_090, 12),
+                    range(4_104, 8),
+                    range(4_096, 8),
+                    range(4_112, 16),
+                    range(505, 1_100),
+                    range(999, 2),
+                    range(8_000, 16),
+                    range(8_000, 16),
+                ],
+            ),
+            (
+                sparse_len,
+                vec![
+                    range(sparse_len - 10, 10),
+                    range(0, 7),
+                    range(3_999_997, 6),
+                    range(2_559_998, 4),
+                    range(sparse_len - 10, 10),
+                ],
+            ),
         ];
-        // The same multiset in three more orders: order and grouping
-        // are exploited by the read, never required.
-        let mut sorted = grouped.clone();
-        sorted.sort_by_key(|r| (r.offset, r.len));
-        let reversed: Vec<ByteRange> = sorted.iter().rev().copied().collect();
-        let mut shuffled = grouped.clone();
-        let mut rng = smartsage_sim::Xoshiro256::seed_from_u64(0x5EED);
-        for i in (1..shuffled.len()).rev() {
-            shuffled.swap(i, rng.range_usize(i + 1));
-        }
-        let orders = [grouped, sorted, reversed, shuffled];
-        // Decodes every range, in the order presented, and checks it.
-        let check = |staged: &mut StagedPages, ranges: &[ByteRange], what: &str| {
-            for &r in ranges {
-                let mut spill = vec![0u8; r.len as usize];
-                let want = &bytes[r.offset as usize..(r.offset + r.len) as usize];
-                assert_eq!(staged.bytes(r, &mut spill), want, "{what} {r:?}");
+        for (len, grouped) in cases {
+            let (file, bytes) = patterned("paged-sizes", len);
+            // The same multiset in three more orders: order and grouping
+            // are exploited by the read, never required.
+            let mut sorted = grouped.clone();
+            sorted.sort_by_key(|r| (r.offset, r.len));
+            let reversed: Vec<ByteRange> = sorted.iter().rev().copied().collect();
+            let mut shuffled = grouped.clone();
+            let mut rng = smartsage_sim::Xoshiro256::seed_from_u64(0x5EED);
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.range_usize(i + 1));
             }
-        };
-        for page_bytes in [512u64, 1000, 4096, 16_384] {
-            // The plan, derived independently of `read`: every page a
-            // range touches, once, ascending.
-            let mut plan: Vec<u64> = orders[0]
-                .iter()
-                .flat_map(|r| r.offset / page_bytes..=(r.offset + r.len - 1) / page_bytes)
-                .collect();
-            plan.sort_unstable();
-            plan.dedup();
-            let planned = plan.len() as u64;
-            // The first needs, derived independently: each range's pages
-            // that no earlier range touched.
-            let first_needs = |ranges: &[ByteRange]| {
-                let mut seen = std::collections::BTreeSet::new();
-                let (mut pages, mut ends) = (Vec::new(), vec![0]);
-                for r in ranges {
-                    let touched = r.offset / page_bytes..=(r.offset + r.len - 1) / page_bytes;
-                    pages.extend(touched.filter(|&p| seen.insert(p)));
-                    ends.push(pages.len());
+            let orders = [grouped, sorted, reversed, shuffled];
+            // Decodes every range, in the order presented, and checks it.
+            let check = |staged: &StagedPages, ranges: &[ByteRange], what: &str| {
+                for &r in ranges {
+                    let mut spill = vec![0u8; r.len as usize];
+                    let want = &bytes[r.offset as usize..(r.offset + r.len) as usize];
+                    assert_eq!(staged.bytes(r, &mut spill), want, "{what} {r:?}");
                 }
-                (pages, ends)
             };
-            for (cache_pages, ranges) in [0usize, 1, 64]
-                .into_iter()
-                .flat_map(|c| orders.iter().map(move |o| (c, o)))
-            {
-                let what = format!("page {page_bytes} cache {cache_pages}");
-                let paged = open(&file, 10_001, page_bytes, cache_pages);
-                let mut cold = StoreStats::default();
-                let mut staged = paged.read(ranges, &mut cold).unwrap();
-                check(&mut staged, ranges, &what);
-                // The cursor follows any order, not just the read's.
-                check(&mut staged, &orders[0], &what);
-                let cold_plan = staged.into_plan(ranges.clone());
-                assert_eq!(cold_plan.pages, plan, "{what} cold");
-                assert_eq!(cold_plan.first_needs(), first_needs(ranges), "{what}");
-                assert_eq!(cold.page_hits, 0);
-                assert_eq!(cold.pages_read, planned, "every planned page read once");
-                assert_eq!(cold.page_misses, planned);
-                assert_eq!(cold.host_bytes_transferred, cold.bytes_read);
-                // The short final page is read short, not padded.
-                assert!(cold.bytes_read < planned * page_bytes);
-                // The plan is the same list whatever the cache held.
-                let mut again = StoreStats::default();
-                let mut restaged = paged.read(ranges, &mut again).unwrap();
-                check(&mut restaged, ranges, &what);
-                assert_eq!(
-                    restaged.into_plan(ranges.clone()).pages,
-                    plan,
-                    "{what} warm"
-                );
-                assert_eq!(again.page_hits + again.pages_read, planned);
-                assert_eq!(again.pages_read, again.page_misses);
-                match cache_pages {
-                    // No cache: every read goes back to the file.
-                    0 => assert_eq!(again, cold),
-                    // Everything fits: the second pass reads nothing.
-                    64 => assert_eq!((again.page_hits, again.bytes_read), (planned, 0)),
-                    _ => {}
+            for page_bytes in [512u64, 1000, 4096, 16_384] {
+                // The plan, derived independently of `read`: every page a
+                // range touches, once, ascending.
+                let mut plan: Vec<u64> = orders[0]
+                    .iter()
+                    .flat_map(|r| r.offset / page_bytes..=(r.offset + r.len - 1) / page_bytes)
+                    .collect();
+                plan.sort_unstable();
+                plan.dedup();
+                let planned = plan.len() as u64;
+                // A read lists at most every page of every range.
+                let listed: u64 = orders[0].iter().map(|r| r.block_count(page_bytes)).sum();
+                let span = plan[plan.len() - 1] - plan[0] + 1;
+                assert_eq!(span > 64 * listed, len == sparse_len, "page {page_bytes}");
+                // The first needs, derived independently: each range's pages
+                // that no earlier range touched.
+                let first_needs = |ranges: &[ByteRange]| {
+                    let mut seen = std::collections::BTreeSet::new();
+                    let (mut pages, mut ends) = (Vec::new(), vec![0]);
+                    for r in ranges {
+                        let touched = r.offset / page_bytes..=(r.offset + r.len - 1) / page_bytes;
+                        pages.extend(touched.filter(|&p| seen.insert(p)));
+                        ends.push(pages.len());
+                    }
+                    (pages, ends)
+                };
+                for (cache_pages, ranges) in [0usize, 1, 64]
+                    .into_iter()
+                    .flat_map(|c| orders.iter().map(move |o| (c, o)))
+                {
+                    let what = format!("file {len} page {page_bytes} cache {cache_pages}");
+                    let paged = open(&file, len, page_bytes, cache_pages);
+                    let mut cold = StoreStats::default();
+                    let staged = paged.read(ranges, &mut cold).unwrap();
+                    check(&staged, ranges, &what);
+                    // Any order decodes, not just the read's.
+                    check(&staged, &orders[0], &what);
+                    let cold_plan = staged.into_plan(ranges.clone());
+                    let pages_of = |plan: Plan| plan.pages.iter().collect::<Vec<u64>>();
+                    assert_eq!(cold_plan.first_needs(), first_needs(ranges), "{what}");
+                    assert_eq!(pages_of(cold_plan), plan, "{what} cold");
+                    assert_eq!(cold.page_hits, 0);
+                    assert_eq!(cold.pages_read, planned, "every planned page read once");
+                    assert_eq!(cold.page_misses, planned);
+                    assert_eq!(cold.host_bytes_transferred, cold.bytes_read);
+                    // The short final page is read short, not padded.
+                    assert!(cold.bytes_read < planned * page_bytes);
+                    // The plan is the same list whatever the cache held.
+                    let mut again = StoreStats::default();
+                    let restaged = paged.read(ranges, &mut again).unwrap();
+                    check(&restaged, ranges, &what);
+                    let warm_plan = restaged.into_plan(ranges.clone());
+                    assert_eq!(pages_of(warm_plan), plan, "{what} warm");
+                    assert_eq!(again.page_hits + again.pages_read, planned);
+                    assert_eq!(again.pages_read, again.page_misses);
+                    match cache_pages {
+                        // No cache: every read goes back to the file.
+                        0 => assert_eq!(again, cold),
+                        // Everything fits: the second pass reads nothing.
+                        64 => assert_eq!((again.page_hits, again.bytes_read), (planned, 0)),
+                        _ => {}
+                    }
                 }
             }
         }

@@ -22,7 +22,7 @@
 //! 3. **Split request** — otherwise the request is scattered into
 //!    per-member sub-batches (in scratch kept across calls), each
 //!    resolved by its member's ordinary single-device store (so all
-//!    existing coalescing — [`smartsage_hostio::merge_page_runs`], the
+//!    existing coalescing — the paged read's page runs, the
 //!    ISP cost pass — is reused unchanged, per device), and the answers
 //!    are merged back by recorded request position.
 //!

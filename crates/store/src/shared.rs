@@ -205,7 +205,7 @@ impl SharedFileStore {
         check_ids(nodes.iter().copied(), self.num_nodes)?;
         let ranges: Vec<ByteRange> = nodes.iter().map(|&node| self.row_range(node)).collect();
         let mut io = StoreStats::default();
-        let mut staged = self.paged.read(&ranges, &mut io)?;
+        let staged = self.paged.read(&ranges, &mut io)?;
         // `spill` only carries a row that straddles a page boundary.
         let mut spill = vec![0u8; self.dim * 4];
         for (&range, out_row) in ranges.iter().zip(out.chunks_exact_mut(self.dim)) {

@@ -465,6 +465,97 @@ fn topology_store_every_tier_checks_the_buffer_then_ids_then_pick_positions() {
     }
 }
 
+/// A [`StoreStats`](smartsage::store::StoreStats)'s ten fields in
+/// declaration order.
+fn fields(s: smartsage::store::StoreStats) -> [u64; 10] {
+    [
+        s.gathers,
+        s.nodes_gathered,
+        s.feature_bytes,
+        s.pages_read,
+        s.bytes_read,
+        s.page_hits,
+        s.page_misses,
+        s.device_bytes_read,
+        s.host_bytes_transferred,
+        s.device_ns,
+    ]
+}
+
+#[test]
+fn topology_store_hub_picks_that_bounce_across_a_lists_pages_are_pinned() {
+    // Node 0 is a hub of 2000 entries (16 000 bytes: 32 pages at 512,
+    // 16 at 1001, 4 at 4096); node 1's short run and node 29's (the
+    // last shard's) list sit between its runs. Each hub run bounces
+    // between the far ends and the middle of its list, so nearly every
+    // pick lands on another page than the one before. 1001-byte pages
+    // cut entries across page boundaries. A 4-page cache churns, so the
+    // counters also pin the order hits are promoted in; the second pass
+    // reads what the first evicted.
+    let mut edges: Vec<(u32, u32)> = (0..2000).map(|i| (0, (i * 7 + 3) % 30)).collect();
+    edges.extend((0..40).map(|i| (1, (i * 11 + 1) % 30)));
+    edges.extend((0..700).map(|i| (29, (i * 13 + 5) % 30)));
+    edges.extend((2..29).map(|n| (n, (n * 3) % 30)));
+    let graph = CsrGraph::from_edges(30, edges);
+    let bounce = |n: u64, phase: u64| (0..n).map(move |i| (0u32, (i * 613 + phase) % 2000));
+    let picks: Vec<(NodeId, u64)> = bounce(24, 0)
+        .chain((0..10).map(|i| (1, i * 3 % 40)))
+        .chain(bounce(12, 997))
+        .chain((0..8).map(|i| (29, i * 89 % 700)))
+        .chain(bounce(16, 41))
+        .map(|(node, pos)| (NodeId::new(node), pos))
+        .collect();
+    let mut want = vec![NodeId::default(); picks.len()];
+    CsrView::new(&graph)
+        .pick_neighbors_into(&picks, &mut want)
+        .unwrap();
+    // (page size, tier, shards, the tier's stats after both passes).
+    #[rustfmt::skip]
+    let golden: [(u64, TopologyKind, usize, [u64; 10]); 12] = [
+        (512, TopologyKind::File, 1, [2, 140, 1120, 75, 38400, 7, 75, 38400, 38400, 0]),
+        (512, TopologyKind::File, 3, [2, 140, 1120, 72, 36864, 12, 72, 36864, 36864, 0]),
+        (512, TopologyKind::Isp, 1, [2, 140, 1120, 75, 38400, 7, 75, 38400, 1120, 166910]),
+        (512, TopologyKind::Isp, 3, [2, 140, 1120, 72, 36864, 12, 72, 36864, 1120, 182190]),
+        (1001, TopologyKind::File, 1, [2, 140, 1120, 39, 39039, 7, 39, 39039, 39039, 0]),
+        (1001, TopologyKind::File, 3, [2, 140, 1120, 38, 37439, 12, 38, 37439, 37439, 0]),
+        (1001, TopologyKind::Isp, 1, [2, 140, 1120, 39, 39039, 7, 39, 39039, 1120, 102921]),
+        (1001, TopologyKind::Isp, 3, [2, 140, 1120, 38, 37439, 12, 38, 37439, 1120, 153994]),
+        (4096, TopologyKind::File, 1, [2, 140, 1120, 7, 26232, 7, 7, 26232, 26232, 0]),
+        (4096, TopologyKind::File, 3, [2, 140, 1120, 8, 30248, 8, 8, 30248, 30248, 0]),
+        (4096, TopologyKind::Isp, 1, [2, 140, 1120, 7, 26232, 7, 7, 26232, 1120, 102921]),
+        (4096, TopologyKind::Isp, 3, [2, 140, 1120, 8, 30248, 8, 8, 30248, 1120, 137469]),
+    ];
+    let mut published = Vec::new();
+    for (page_bytes, topology, shards, pinned) in golden {
+        let what = format!("page {page_bytes} {topology:?} x{shards}");
+        let opts = FileStoreOptions {
+            page_bytes,
+            cache_pages: 4,
+        };
+        // A private registry: every run starts with cold caches.
+        let files = StoreRegistry::new()
+            .open_graph_shards(&graph, shards, opts)
+            .unwrap();
+        published.extend(files.iter().map(|f| f.path().to_path_buf()));
+        let ranges = shard_ranges(graph.num_nodes(), shards);
+        let mut tier: Box<dyn TopologyStore> = match topology {
+            TopologyKind::Isp => Box::new(
+                ShardedTopology::over_isp(&files, &ranges, IspGatherOptions::default()).unwrap(),
+            ),
+            _ => Box::new(ShardedTopology::over_files(&files, &ranges).unwrap()),
+        };
+        for pass in 0..2 {
+            let mut got = vec![NodeId::default(); picks.len()];
+            tier.pick_neighbors_into(&picks, &mut got).unwrap();
+            assert_eq!(got, want, "{what} pass {pass}");
+        }
+        assert_eq!(fields(tier.stats()), pinned, "{what}");
+    }
+    for path in published {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Negative paths: typed errors naming the file, no panics.
 // ---------------------------------------------------------------------
