@@ -3,13 +3,17 @@
 //! CPU-side producer workers sample and gather every mini-batch through
 //! the **one real storage path** (the run's topology and feature store
 //! tiers); the system under test only decides what that access stream
-//! *costs*. Each planned batch's byte trace
+//! *costs*. Batches are sampled in index order, and their features are
+//! gathered per **window** of `queue_depth` consecutive batches, in
+//! index order too: once a window's last batch is sampled, the sorted
+//! union of its nodes is read in one slice per batch, so a page the
+//! window's batches share is read once (the gathered rows stay in the
+//! producer's one buffer). Each planned batch's byte trace
 //! ([`smartsage_store::SampleTrace`]) is handed to the run's
 //! [`CostPolicy`], which replays it against the design point's device
 //! models in virtual time. Finished mini-batches (subgraph shape +
-//! modeled cost; the gathered rows stay in the producer's one buffer)
-//! enter a bounded work queue; the GPU consumer pops them, pays the
-//! CPU→GPU transfer, and trains. The simulation is
+//! modeled cost) enter a bounded work queue; the GPU consumer pops
+//! them, pays the CPU→GPU transfer, and trains. The simulation is
 //! event-driven at the policy's step granularity, so concurrent workers
 //! contend for shared devices in global time order, and GPU idle time
 //! (Fig 7) falls out of the queue dynamics exactly as in the paper:
@@ -17,14 +21,14 @@
 
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
-use crate::cost::{make_policy, BatchCost, CostPolicy, StepOutcome};
+use crate::cost::{make_policy, CostPolicy, StepOutcome};
 use crate::metrics::{FpgaPhases, StageBreakdown, TransferStats};
 use crate::store_metrics;
 use smartsage_gnn::gpu::BatchDims;
 use smartsage_gnn::sampler::{epoch_targets, sample_on};
-use smartsage_gnn::{Fanouts, SampledBatch};
+use smartsage_gnn::Fanouts;
 use smartsage_graph::NodeId;
-use smartsage_sim::{EventQueue, SimDuration, SimTime, Xoshiro256};
+use smartsage_sim::{EventQueue, RankSet, SimDuration, SimTime, Xoshiro256};
 use smartsage_store::{
     FeatureStore, FileStoreOptions, OpenTiers, SampleTrace, StoreKind, StoreRegistry, StoreStats,
     TierSpec, TopologyKind, TopologyStore,
@@ -170,9 +174,9 @@ impl PipelineReport {
     }
 }
 
-/// A worker's event carries its in-flight batch from the moment the
-/// batch's trace is handed to the cost policy until the policy reports
-/// it finished, so the batch has exactly one owner.
+/// A worker's event carries its in-flight batch's record from the
+/// moment the batch's trace is handed to the cost policy until the
+/// policy reports it finished, so the record has exactly one owner.
 enum Event {
     Worker(usize, PlannedBatch),
     Gpu,
@@ -223,12 +227,14 @@ fn open_tiers(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> OpenTiers {
         .unwrap_or_else(|e| panic!("opening the {spec:?} store tiers failed: {e}"))
 }
 
-/// One mini-batch as sampled at plan time: the subgraph and its sorted
-/// distinct node list (what the feature gather fetches). It rides its
-/// worker's [`Event::Worker`] until [`finish_batch`].
+/// One mini-batch's record as sampled at plan time: what the modeled
+/// pipeline reads of it once the policy has priced its trace. Its node
+/// list goes to the batch's window, which gathers the features.
 struct PlannedBatch {
-    batch: SampledBatch,
-    nodes: Vec<NodeId>,
+    /// Distinct nodes (the feature lookup's row count).
+    distinct: u64,
+    dims: BatchDims,
+    subgraph_bytes: u64,
 }
 
 /// Samples batch `index` of the epoch through the topology store in
@@ -236,7 +242,8 @@ struct PlannedBatch {
 /// step): the plan and the subgraph together, both bit-identical across
 /// tiers by the determinism contract, only the I/O accounting differs.
 /// Returns the byte trace the pass recorded (the modeled-cost input),
-/// moved out of the plan, with the batch.
+/// moved out of the plan, the batch's record and its sorted distinct
+/// node list.
 ///
 /// # Panics
 ///
@@ -247,37 +254,45 @@ fn plan_batch(
     cfg: &PipelineConfig,
     topology: &mut dyn TopologyStore,
     index: usize,
-) -> (SampleTrace, PlannedBatch) {
+) -> (SampleTrace, PlannedBatch, Vec<NodeId>) {
     let targets = epoch_targets(ctx.graph().num_nodes(), cfg.batch_size, index, cfg.seed);
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
     let (plan, batch) = sample_on(topology, &targets, &cfg.fanouts, &mut rng)
         .unwrap_or_else(|e| panic!("producer topology sampling failed: {e}"));
     let nodes = batch.all_nodes();
-    (plan.trace, PlannedBatch { batch, nodes })
+    let feat_dim = ctx.data.features.dim() as u64;
+    let planned = PlannedBatch {
+        distinct: nodes.len() as u64,
+        dims: BatchDims::of_batch(&batch, feat_dim, cfg.hidden_dim, cfg.classes),
+        subgraph_bytes: batch.subgraph_bytes(),
+    };
+    (plan.trace, planned, nodes)
 }
 
-/// Finishes `worker`'s batch: takes its modeled [`BatchCost`] from the
-/// policy and gathers the batch's distinct nodes' features through the
-/// feature store into `rows`, the one buffer the producer keeps for the
-/// run (resized, never reallocated once it has seen the largest batch).
+/// Gathers a closed window's features through the feature store into
+/// `rows`, the one buffer the producer keeps for the run, and empties
+/// the window. The window's batches' node lists are read as their
+/// sorted-distinct union, in one ascending slice per batch: no slice is
+/// longer than the window's largest batch, so neither is the buffer,
+/// and a page two slices share is the last the first slice read, still
+/// cached for the second.
 ///
 /// # Panics
 ///
 /// Panics if the store fails (a real I/O error on the file-backed
 /// tiers) — producers have no recovery path mid-simulation.
-fn finish_batch(
-    policy: &mut CostPolicy,
-    store: &mut dyn FeatureStore,
-    rows: &mut Vec<f32>,
-    worker: usize,
-    nodes: &[NodeId],
-) -> BatchCost {
-    let cost = policy.take_result(worker);
-    rows.resize(nodes.len() * store.dim(), 0.0);
-    store
-        .gather_into(nodes, rows)
-        .unwrap_or_else(|e| panic!("producer feature gather failed: {e}"));
-    cost
+fn gather_window(store: &mut dyn FeatureStore, rows: &mut Vec<f32>, window: &mut Vec<Vec<NodeId>>) {
+    let set = RankSet::new(window.iter().flatten().map(|n| u64::from(n.raw())));
+    let union: Vec<NodeId> = set.iter().map(|id| NodeId::new(id as u32)).collect();
+    let k = window.len();
+    for i in 0..k {
+        let part = &union[union.len() * i / k..union.len() * (i + 1) / k];
+        rows.resize(part.len() * store.dim(), 0.0);
+        store
+            .gather_into(part, rows)
+            .unwrap_or_else(|e| panic!("producer feature gather failed: {e}"));
+    }
+    window.clear();
 }
 
 #[derive(Clone, Copy)]
@@ -288,6 +303,12 @@ struct ReadyBatch {
 }
 
 /// Runs the pipeline for `ctx` and returns its report.
+///
+/// The real pass runs in batch-index order whatever the system: each
+/// batch is sampled when a worker takes it, and the features of every
+/// `cfg.queue_depth` consecutive batches (a window; the last may be
+/// shorter) are gathered as soon as the window's last batch is sampled.
+/// The modeled event loop prices each batch on its own.
 ///
 /// # Panics
 ///
@@ -300,15 +321,14 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(ctx, cfg.workers);
     // The one real storage path: every batch is sampled once through
-    // the topology store and its features gather through the feature
-    // store (real I/O for the File tier, device-side resolution for
-    // Isp). The event loop is single-threaded, so it owns both.
+    // the topology store and its window's features gather through the
+    // feature store (real I/O for the File tier, device-side resolution
+    // for Isp). The event loop is single-threaded, so it owns both.
     let OpenTiers {
         features: mut store,
         mut topology,
     } = open_tiers(ctx, cfg);
     let gpu_params = ctx.config.devices.gpu.clone();
-    let feat_dim = ctx.data.features.dim() as u64;
     let feat_bytes = ctx.data.features.bytes_per_node();
 
     let mut events: EventQueue<Event> = EventQueue::new();
@@ -326,15 +346,21 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     let mut fpga: Option<FpgaPhases> = None;
     let mut makespan_end = SimTime::ZERO;
     let mut rows: Vec<f32> = Vec::new();
+    let mut window: Vec<Vec<NodeId>> = Vec::new();
 
     // Hands `worker` the epoch's next batch, if any remain: sample it
-    // through the topology store, give its byte trace to the policy at
-    // `at`, and schedule the worker's first step, carrying the batch.
+    // through the topology store, gather its window if it closes it,
+    // give its byte trace to the policy at `at`, and schedule the
+    // worker's first step, carrying the batch's record.
     let mut start_next =
         |policy: &mut CostPolicy, events: &mut EventQueue<Event>, worker: usize, at: SimTime| {
             if next_batch < cfg.total_batches {
-                let (trace, planned) = plan_batch(ctx, cfg, topology.as_mut(), next_batch);
+                let (trace, planned, nodes) = plan_batch(ctx, cfg, topology.as_mut(), next_batch);
                 next_batch += 1;
+                window.push(nodes);
+                if window.len() == cfg.queue_depth || next_batch == cfg.total_batches {
+                    gather_window(store.as_mut(), &mut rows, &mut window);
+                }
                 policy.begin(worker, at, trace);
                 events.schedule(at, Event::Worker(worker, planned));
             }
@@ -352,14 +378,18 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                     events.schedule(next.max(now), Event::Worker(w, planned));
                 }
                 StepOutcome::Finished => {
-                    let PlannedBatch { batch, nodes } = planned;
-                    let cost = finish_batch(&mut policy, store.as_mut(), &mut rows, w, &nodes);
+                    let PlannedBatch {
+                        distinct,
+                        dims,
+                        subgraph_bytes,
+                    } = planned;
+                    let cost = policy.take_result(w);
                     sampling_total += cost.sampling_time;
                     breakdown.sampling += cost.sampling_time.saturating_sub(cost.overhead_time);
                     breakdown.other += cost.overhead_time;
                     transfers.ssd_to_host_bytes += cost.ssd_to_host_bytes;
                     transfers.host_to_ssd_bytes += cost.host_to_ssd_bytes;
-                    transfers.useful_bytes += batch.subgraph_bytes();
+                    transfers.useful_bytes += subgraph_bytes;
                     if let Some(phases) = &cost.fpga {
                         fpga.get_or_insert_with(FpgaPhases::default)
                             .accumulate(phases);
@@ -370,12 +400,9 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                     if cfg.train {
                         // Feature table lookup (always host DRAM) over
                         // the batch's sorted-distinct nodes.
-                        let distinct = nodes.len() as u64;
                         let f_done = devices.host_dram.random_access(t, distinct, feat_bytes);
                         breakdown.feature_lookup += f_done.saturating_elapsed_since(t);
                         t = f_done;
-                        let dims =
-                            BatchDims::of_batch(&batch, feat_dim, cfg.hidden_dim, cfg.classes);
                         let cost = gpu_params.batch_cost(&dims);
                         let ready = ReadyBatch {
                             ready: t,
@@ -624,10 +651,11 @@ mod tests {
         let ctx = ctx(SystemKind::Dram);
         let mut cfg = small_cfg(false);
         let mut topo = smartsage_store::CsrView::new(ctx.graph());
-        let (trace, planned) = plan_batch(&ctx, &cfg, &mut topo, 0);
+        let (trace, planned, nodes) = plan_batch(&ctx, &cfg, &mut topo, 0);
         assert_eq!(topo.stats().gathers, 2 * cfg.fanouts.hops() as u64);
-        assert_eq!(trace.num_sampled(), planned.batch.num_sampled());
-        assert_eq!(planned.nodes, planned.batch.all_nodes());
+        let entry = smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
+        assert_eq!(trace.num_sampled() * entry, planned.subgraph_bytes);
+        assert_eq!(planned.distinct, nodes.len() as u64);
         cfg.fanouts = Fanouts::new(vec![1; 3]);
         let mut topo = smartsage_store::CsrView::new(ctx.graph());
         plan_batch(&ctx, &cfg, &mut topo, 0);

@@ -278,7 +278,7 @@ fn isp_pipeline_stats_are_pinned() {
     #[rustfmt::skip]
     let want = [
         stats([24, 27264, 218112, 85, 344536, 900, 85, 344536, 218112, 29111315]),
-        stats([6, 5191, 664448, 36, 143360, 95, 36, 143360, 142592, 3576306]),
+        stats([6, 3072, 393216, 36, 143360, 50, 36, 143360, 142592, 3513378]),
     ];
     assert_eq!([report.topology_stats, report.store_stats], want);
 }

@@ -7,10 +7,12 @@ use smartsage::core::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
 use smartsage::core::store_metrics::{self, SweepScope};
 use smartsage::core::{StoreKind, TopologyKind};
 use smartsage::gnn::sampler::{epoch_targets, plan_sample_on};
-use smartsage::gnn::{Fanouts, SamplePlan};
-use smartsage::graph::{Dataset, DatasetProfile, GraphScale};
+use smartsage::gnn::{Fanouts, SamplePlan, SampledBatch};
+use smartsage::graph::{Dataset, DatasetProfile, GraphScale, NodeId};
 use smartsage::sim::{SimDuration, Xoshiro256};
-use smartsage::store::CsrView;
+use smartsage::store::file::HEADER_BYTES;
+use smartsage::store::{CsrView, FileStoreOptions, TierSpec};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn run(kind: SystemKind, workers: usize, train: bool, seed: u64) -> PipelineReport {
@@ -297,5 +299,131 @@ fn the_inert_readahead_field_changes_nothing_in_the_report() {
         assert_eq!(off.store_stats, on.store_stats, "x{shards}");
         assert_eq!(off.topology_stats, on.topology_stats, "x{shards}");
         assert_eq!(format!("{off:?}"), format!("{on:?}"), "x{shards}");
+    }
+}
+
+/// Batch `index` of `cfg`'s epoch, sampled and resolved independently
+/// of the pipeline.
+fn reference_batch(ctx: &RunContext, cfg: &PipelineConfig, index: usize) -> SampledBatch {
+    let plan = reference_plan(ctx, cfg, index);
+    plan.resolve_on(&mut CsrView::new(ctx.graph())).unwrap()
+}
+
+#[test]
+fn features_are_gathered_once_per_window_of_queue_depth_batches() {
+    // Seven batches on cold file tiers: at depths 2 and 4 the last
+    // window is short. Each window's sorted union is read in one slice
+    // per batch, so the gathers still count the batches, the rows count
+    // each window's distinct nodes once, and no page is read twice in a
+    // window.
+    let ctx = one_pass_ctx();
+    let total = 7;
+    let page = FileStoreOptions::default().page_bytes;
+    let row = ctx.data.features.bytes_per_node();
+    let pages_of = |n: NodeId| {
+        let start = HEADER_BYTES + u64::from(n.raw()) * row;
+        start / page..=(start + row - 1) / page
+    };
+    let batches: Vec<Vec<NodeId>> = (0..total)
+        .map(|i| reference_batch(&ctx, &one_pass_cfg(), i).all_nodes())
+        .collect();
+    for queue_depth in [1usize, 2, 4] {
+        let cfg = PipelineConfig {
+            total_batches: total,
+            queue_depth,
+            store: StoreKind::File,
+            topology: TopologyKind::File,
+            ..one_pass_cfg()
+        };
+        let stats = {
+            let _cold = store_metrics::install_scope(SweepScope::new());
+            run_pipeline(&ctx, &cfg).store_stats
+        };
+        let unions: Vec<BTreeSet<NodeId>> = batches
+            .chunks(queue_depth)
+            .map(|window| window.iter().flatten().copied().collect())
+            .collect();
+        let rows: usize = unions.iter().map(BTreeSet::len).sum();
+        let pages: usize = unions
+            .iter()
+            .map(|union| {
+                union
+                    .iter()
+                    .flat_map(|&n| pages_of(n))
+                    .collect::<BTreeSet<u64>>()
+                    .len()
+            })
+            .sum();
+        assert_eq!(stats.gathers, total as u64, "depth {queue_depth}");
+        assert_eq!(stats.nodes_gathered, rows as u64, "depth {queue_depth}");
+        assert!(stats.pages_read > 0, "depth {queue_depth}: cold tiers read");
+        assert!(
+            stats.pages_read <= pages as u64,
+            "depth {queue_depth}: {} pages read, the windows span {pages}",
+            stats.pages_read
+        );
+        if queue_depth == 1 {
+            // A one-batch window is the batch: the same counters as
+            // gathering each batch's nodes by hand, in index order.
+            let scope = SweepScope::new();
+            let spec = TierSpec {
+                store: StoreKind::File,
+                topology: TopologyKind::Mem,
+                shards: 1,
+                // The page cache `run_pipeline` gives a file tier.
+                file: FileStoreOptions {
+                    cache_pages: 1024,
+                    ..FileStoreOptions::default()
+                },
+            };
+            let graph = &ctx.data.graph;
+            let mut tiers = scope
+                .registry
+                .open_tiers(graph, &ctx.data.features, graph.num_nodes(), &spec)
+                .unwrap();
+            let mut out = Vec::new();
+            for nodes in &batches {
+                out.resize(nodes.len() * tiers.features.dim(), 0.0);
+                tiers.features.gather_into(nodes, &mut out).unwrap();
+            }
+            assert_eq!(stats, tiers.features.stats());
+        }
+    }
+}
+
+#[test]
+fn feature_io_does_not_depend_on_the_system() {
+    // Three workers finish their batches in a different order on every
+    // design point, but the real pass gathers each window in index
+    // order, so the tiers' exact counters are the same for every system
+    // — on both file-backed tiers, unsharded and across three devices.
+    let data = DatasetProfile::of(Dataset::Amazon).materialize(GraphScale::LargeScale, 30_000, 8);
+    for (store, topology) in [
+        (StoreKind::File, TopologyKind::File),
+        (StoreKind::Isp, TopologyKind::Isp),
+    ] {
+        for shards in [1usize, 3] {
+            let stats: Vec<_> = SystemKind::ALL
+                .into_iter()
+                .map(|kind| {
+                    let ctx = Arc::new(RunContext::new(data.clone(), SystemConfig::new(kind)));
+                    let cfg = PipelineConfig {
+                        store,
+                        topology,
+                        shards,
+                        ..one_pass_cfg()
+                    };
+                    let _cold = store_metrics::install_scope(SweepScope::new());
+                    let report = run_pipeline(&ctx, &cfg);
+                    (kind, report.store_stats, report.topology_stats)
+                })
+                .collect();
+            let (_, store_stats, topology_stats) = stats[0];
+            assert!(store_stats.pages_read > 0, "{store:?} x{shards}");
+            for (kind, features, graph) in &stats[1..] {
+                assert_eq!(*features, store_stats, "{kind} {store:?} x{shards}");
+                assert_eq!(*graph, topology_stats, "{kind} {topology:?} x{shards}");
+            }
+        }
     }
 }
