@@ -69,50 +69,6 @@ pub(crate) fn contribution_breakdown_driver(scale: &ExperimentScale) -> Table {
     t
 }
 
-/// A CSD generation for the `ablation-csd` sweep. Generations differ in
-/// core count, firmware share, flash latency and PCIe bandwidth.
-#[derive(Debug, Clone)]
-struct CsdGeneration {
-    /// Display name.
-    name: &'static str,
-    /// Embedded-core complex.
-    cores: CoreParams,
-    /// Flash sense latency.
-    flash_read_latency: SimDuration,
-    /// SSD PCIe bandwidth (bytes/s).
-    pcie_bytes_per_sec: u64,
-}
-
-/// The generations swept by `ablation-csd`.
-fn csd_generations() -> Vec<CsdGeneration> {
-    vec![
-        CsdGeneration {
-            name: "OpenSSD (eval platform)",
-            cores: CoreParams::default(),
-            flash_read_latency: SimDuration::from_micros(25),
-            pcie_bytes_per_sec: 3_200_000_000,
-        },
-        CsdGeneration {
-            name: "Newport-class (oracle)",
-            cores: CoreParams {
-                cores: 4,
-                firmware_share: 0.0,
-            },
-            flash_read_latency: SimDuration::from_micros(25),
-            pcie_bytes_per_sec: 3_200_000_000,
-        },
-        CsdGeneration {
-            name: "future gen4 CSD",
-            cores: CoreParams {
-                cores: 8,
-                firmware_share: 0.0,
-            },
-            flash_read_latency: SimDuration::from_micros(10),
-            pcie_bytes_per_sec: 7_000_000_000,
-        },
-    ]
-}
-
 /// §VI-C extrapolation: end-to-end training throughput per CSD
 /// generation, as a fraction of the DRAM bound (12 workers, Reddit
 /// profile) — the paper's "an NVMe SSD based system can become a viable
@@ -128,17 +84,30 @@ pub(crate) fn future_csd_driver(scale: &ExperimentScale) -> Table {
     );
     let p = Prepared::of(Dataset::Reddit, GraphScale::LargeScale, scale);
     let dram = throughput(&p, SystemKind::Dram, scale.workers, true);
-    for generation in csd_generations() {
+    // Generations differ in their embedded-core complex (core count and
+    // firmware share), flash sense latency (µs) and SSD PCIe bandwidth
+    // (bytes/s).
+    let dedicated = |cores| CoreParams {
+        cores,
+        firmware_share: 0.0,
+    };
+    let generations = [
+        (
+            "OpenSSD (eval platform)",
+            CoreParams::default(),
+            25,
+            3_200_000_000,
+        ),
+        ("Newport-class (oracle)", dedicated(4), 25, 3_200_000_000),
+        ("future gen4 CSD", dedicated(8), 10, 7_000_000_000),
+    ];
+    for (name, cores, flash_us, pcie_bytes_per_sec) in generations {
         let mut cfg = SystemConfig::new(SystemKind::SmartSageOracle);
-        cfg.devices.ssd.isp.cores = Some(generation.cores.clone());
-        cfg.devices.ssd.flash.read_latency = generation.flash_read_latency;
-        cfg.devices.ssd.pcie.bytes_per_sec = generation.pcie_bytes_per_sec;
+        cfg.devices.ssd.isp.cores = Some(cores);
+        cfg.devices.ssd.flash.read_latency = SimDuration::from_micros(flash_us);
+        cfg.devices.ssd.pcie.bytes_per_sec = pcie_bytes_per_sec;
         let thr = throughput(&p, cfg, scale.workers, true);
-        t.row(vec![
-            generation.name.into(),
-            num(thr, 1),
-            num(thr / dram, 3),
-        ]);
+        t.row(vec![name.into(), num(thr, 1), num(thr / dram, 3)]);
     }
     t.row(vec!["DRAM bound".into(), num(dram, 1), num(1.0, 3)]);
     t

@@ -28,7 +28,7 @@
 use crate::ablations;
 use crate::config::{SystemConfig, SystemKind};
 use crate::context::RunContext;
-use crate::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
+use crate::pipeline::{price, sample_epoch_or_panic, Epoch, PipelineConfig, PipelineReport};
 use crate::report::{num, pct, speedup, Cell, Table};
 use smartsage_gnn::sampler::{epoch_targets, plan_sample_on};
 use smartsage_gnn::Fanouts;
@@ -39,6 +39,7 @@ use smartsage_graph::{Dataset, DatasetProfile, GraphScale};
 use smartsage_memsim::{BandwidthMeter, CacheParams, SetAssocCache};
 use smartsage_sim::Xoshiro256;
 use smartsage_store::{CsrView, StoreKind, TopologyKind};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// How big the scaled experiments are. Defaults favour fast iteration;
@@ -282,9 +283,18 @@ pub fn registry() -> &'static [Experiment] {
 }
 
 /// One dataset materialized once for every cell a driver runs on it:
-/// the seam between the experiment drivers and [`run_pipeline`]. A
+/// the seam between the experiment drivers and the pipeline. A
 /// driver's systems, worker counts, granularities and rates all share
-/// the one `Arc<CsrGraph>` behind [`Prepared::context`].
+/// the one `Arc<CsrGraph>` behind [`Prepared::context`], and every
+/// epoch is sampled once: a cell runs the pipeline's real pass only if
+/// no earlier cell sampled the same epoch (same fan-outs, batch size
+/// and count, seed, queue depth, tiers and shards), then prices the
+/// epoch for its own system, worker count and mode. A cell's
+/// [`PipelineReport::store_stats`] / `topology_stats` are its epoch's,
+/// identical for every cell that shares it, and the sweep's scope
+/// counts each epoch's I/O once. Field for field, a cell reports what
+/// its own [`run_pipeline`](crate::pipeline::run_pipeline) would, the
+/// I/O counters aside.
 ///
 /// (This example is the README's `Prepared` snippet, kept honest by
 /// `cargo test`.)
@@ -308,6 +318,11 @@ pub fn registry() -> &'static [Experiment] {
 pub struct Prepared {
     data: MaterializedDataset,
     scale: ExperimentScale,
+    /// The driver's epochs, each sampled once and priced by every cell
+    /// that shares it, keyed by the config of its real pass. A driver's
+    /// `Prepared` never leaves its thread, so a plain `RefCell`
+    /// suffices, and `--jobs N` stays deterministic.
+    epochs: RefCell<Vec<(PipelineConfig, Epoch)>>,
 }
 
 impl Prepared {
@@ -319,6 +334,7 @@ impl Prepared {
         Prepared {
             data,
             scale: *scale,
+            epochs: RefCell::default(),
         }
     }
 
@@ -361,7 +377,18 @@ impl Prepared {
             ..PipelineConfig::default()
         };
         tweak(&mut cfg);
-        run_pipeline(&self.context(config), &cfg)
+        let ctx = self.context(config);
+        // Everything but the two fields only the pricing loop reads
+        // shapes the real pass.
+        let mut key = cfg.clone();
+        (key.workers, key.train) = (1, false);
+        let mut epochs = self.epochs.borrow_mut();
+        let at = epochs.iter().position(|(k, _)| *k == key);
+        let at = at.unwrap_or_else(|| {
+            epochs.push((key, sample_epoch_or_panic(&ctx, &cfg)));
+            epochs.len() - 1
+        });
+        price(&ctx, &cfg, &epochs[at].1)
     }
 
     /// One single-worker, data-preparation-only batch (epoch index 0):
@@ -1056,6 +1083,26 @@ mod tests {
         assert_eq!(fpga.batches, 1);
         assert_eq!(fpga.store_stats.gathers, 1);
         assert!(fpga.fpga.expect("fpga phases").ssd_to_fpga_bytes > 0);
+    }
+
+    #[test]
+    fn a_prepared_cell_run_twice_reports_the_same() {
+        let scale = ExperimentScale {
+            store: StoreKind::File,
+            topology: TopologyKind::File,
+            ..ExperimentScale::tiny()
+        };
+        let p = Prepared::of(Dataset::Amazon, GraphScale::LargeScale, &scale);
+        let first = p.run(SystemKind::SmartSageHwSw, 2, true);
+        let again = p.run(SystemKind::SmartSageHwSw, 2, true);
+        assert_eq!(format!("{first:?}"), format!("{again:?}"));
+        assert!(first.store_stats.bytes_read > 0);
+        // Other systems, worker counts and modes price the same epoch;
+        // another batch count samples its own.
+        p.run(SystemKind::Dram, 1, false);
+        assert_eq!(p.epochs.borrow().len(), 1);
+        p.one_batch(SystemKind::Dram);
+        assert_eq!(p.epochs.borrow().len(), 2);
     }
 
     #[test]

@@ -1,23 +1,34 @@
-//! Producer/consumer training-pipeline simulator (paper Fig 4).
+//! Producer/consumer training-pipeline simulator (paper Fig 4), in two
+//! halves: the producers' real work, and what it costs on the system
+//! under test.
 //!
-//! CPU-side producer workers sample and gather every mini-batch through
-//! the **one real storage path** (the run's topology and feature store
-//! tiers); the system under test only decides what that access stream
-//! *costs*. Batches are sampled in index order, and their features are
-//! gathered per **window** of `queue_depth` consecutive batches, in
-//! index order too: once a window's last batch is sampled, the sorted
-//! union of its nodes is read in one slice per batch, so a page the
-//! window's batches share is read once (the gathered rows stay in the
-//! producer's one buffer). Each planned batch's byte trace
-//! ([`smartsage_store::SampleTrace`]) is handed to the run's
-//! [`CostPolicy`], which replays it against the design point's device
-//! models in virtual time. Finished mini-batches (subgraph shape +
-//! modeled cost) enter a bounded work queue; the GPU consumer pops
-//! them, pays the CPU→GPU transfer, and trains. The simulation is
-//! event-driven at the policy's step granularity, so concurrent workers
-//! contend for shared devices in global time order, and GPU idle time
-//! (Fig 7) falls out of the queue dynamics exactly as in the paper:
-//! when producers cannot keep up, the GPU starves.
+//! The **real pass** (`sample_epoch`) samples and gathers every
+//! mini-batch of an epoch through the **one real storage path** (the
+//! run's topology and feature store tiers). Batches are sampled in
+//! index order, and their features are gathered per **window** of
+//! `queue_depth` consecutive batches, in index order too: once a
+//! window's last batch is sampled, the sorted union of its nodes is
+//! read in one slice per batch, so a page the window's batches share is
+//! read once (the gathered rows stay in the pass's one buffer). It
+//! returns an `Epoch`: each batch's byte trace
+//! ([`smartsage_store::SampleTrace`]) and shape, and the tiers' exact
+//! I/O counters. Nothing in it depends on the system.
+//!
+//! The **pricing loop** (`price`) holds no store. It hands each
+//! batch's trace to the run's [`CostPolicy`], which replays it against
+//! the design point's device models in virtual time. Finished
+//! mini-batches (subgraph shape + modeled cost) enter a bounded work
+//! queue; the GPU consumer pops them, pays the CPU→GPU transfer, and
+//! trains. The simulation is event-driven at the policy's step
+//! granularity, so concurrent workers contend for shared devices in
+//! global time order, and GPU idle time (Fig 7) falls out of the queue
+//! dynamics exactly as in the paper: when producers cannot keep up, the
+//! GPU starves.
+//!
+//! [`run_pipeline`] is the two halves in sequence. The experiment
+//! drivers price every cell that shares an epoch over one real pass
+//! ([`Prepared`](crate::experiments::Prepared) keeps the driver's
+//! epochs).
 
 use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
@@ -30,8 +41,8 @@ use smartsage_gnn::Fanouts;
 use smartsage_graph::NodeId;
 use smartsage_sim::{EventQueue, RankSet, SimDuration, SimTime, Xoshiro256};
 use smartsage_store::{
-    FeatureStore, FileStoreOptions, OpenTiers, SampleTrace, StoreKind, StoreRegistry, StoreStats,
-    TierSpec, TopologyKind, TopologyStore,
+    FeatureStore, FileStoreOptions, OpenTiers, SampleTrace, StoreError, StoreKind, StoreRegistry,
+    StoreStats, TierSpec, TopologyKind, TopologyStore,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -149,10 +160,14 @@ pub struct PipelineReport {
     pub avg_sampling_time: SimDuration,
     /// Data-preparation throughput in batches/second.
     pub sampling_throughput: f64,
-    /// Feature-store counters of the run's gathers (exact, per run).
+    /// Feature-store counters of the gathers of the epoch's real pass
+    /// (exact). Every cell priced over one memoized epoch (see
+    /// [`Prepared`](crate::experiments::Prepared)) carries that epoch's
+    /// counters.
     pub store_stats: StoreStats,
-    /// Graph-topology store counters of the run's sampling and batch
-    /// resolution (exact, per run).
+    /// Graph-topology store counters of the epoch's sampling (exact;
+    /// shared by the cells of a memoized epoch like
+    /// [`PipelineReport::store_stats`]).
     pub topology_stats: StoreStats,
     /// The FPGA-CSD policy's phase detail summed over the run's batches
     /// (Fig 19's bars); `None` under every other policy.
@@ -174,11 +189,11 @@ impl PipelineReport {
     }
 }
 
-/// A worker's event carries its in-flight batch's record from the
-/// moment the batch's trace is handed to the cost policy until the
-/// policy reports it finished, so the record has exactly one owner.
-enum Event {
-    Worker(usize, PlannedBatch),
+/// A worker's event carries a reference to its in-flight batch's
+/// record in the epoch, from the moment the batch's trace is handed to
+/// the cost policy until the policy reports it finished.
+enum Event<'e> {
+    Worker(usize, &'e PlannedBatch),
     Gpu,
 }
 
@@ -194,16 +209,10 @@ const FILE_STORE_CACHE_PAGES: usize = 1024;
 /// [`store_metrics::install_scope`]) or the process-wide
 /// [`StoreRegistry::global`] for ad-hoc runs — so every concurrent run
 /// of a sweep shares one file descriptor and one page cache per content
-/// key while keeping exact per-run counters in its own handles.
-///
-/// # Panics
-///
-/// Panics if a store file cannot be written or opened, or if the two
-/// halves' populations disagree — the pipeline has no error channel,
-/// so this is its one up-front failure site, carrying the typed
-/// [`StoreError`](smartsage_store::StoreError) message that names the
-/// files.
-fn open_tiers(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> OpenTiers {
+/// key while keeping exact per-run counters in its own handles. Fails
+/// if a store file cannot be written or opened, or if the two halves'
+/// populations disagree (the typed error names the files).
+fn open_tiers(ctx: &RunContext, cfg: &PipelineConfig) -> Result<OpenTiers, StoreError> {
     let scope_registry = store_metrics::current_registry();
     let registry: &StoreRegistry = scope_registry
         .as_deref()
@@ -217,126 +226,172 @@ fn open_tiers(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> OpenTiers {
             ..FileStoreOptions::default()
         },
     };
-    registry
-        .open_tiers(
-            &ctx.data.graph,
-            &ctx.data.features,
-            ctx.graph().num_nodes(),
-            &spec,
-        )
-        .unwrap_or_else(|e| panic!("opening the {spec:?} store tiers failed: {e}"))
+    registry.open_tiers(
+        &ctx.data.graph,
+        &ctx.data.features,
+        ctx.graph().num_nodes(),
+        &spec,
+    )
 }
 
-/// One mini-batch's record as sampled at plan time: what the modeled
-/// pipeline reads of it once the policy has priced its trace. Its node
-/// list goes to the batch's window, which gathers the features.
-struct PlannedBatch {
+/// One mini-batch's record as sampled by the real pass: the byte trace
+/// the cost policy prices, and what the modeled pipeline reads of the
+/// batch once the policy has priced it.
+#[derive(Debug, Clone)]
+pub(crate) struct PlannedBatch {
+    trace: SampleTrace,
     /// Distinct nodes (the feature lookup's row count).
     distinct: u64,
     dims: BatchDims,
     subgraph_bytes: u64,
 }
 
+/// One epoch's real pass ([`sample_epoch`]): every batch's record in
+/// index order, and the exact I/O counters of the tiers that sampled
+/// and gathered it. Nothing in it depends on the system under test, so
+/// one epoch prices every [`SystemKind`].
+#[derive(Debug, Clone)]
+pub(crate) struct Epoch {
+    batches: Vec<PlannedBatch>,
+    store_stats: StoreStats,
+    topology_stats: StoreStats,
+}
+
 /// Samples batch `index` of the epoch through the topology store in
 /// one [`sample_on`] pass over `cfg.fanouts` (a walk is fan-out 1 per
 /// step): the plan and the subgraph together, both bit-identical across
 /// tiers by the determinism contract, only the I/O accounting differs.
-/// Returns the byte trace the pass recorded (the modeled-cost input),
-/// moved out of the plan, the batch's record and its sorted distinct
-/// node list.
-///
-/// # Panics
-///
-/// Panics if the topology store fails (a real I/O error on the
-/// file-backed tiers) — producers have no recovery path mid-simulation.
+/// Returns the batch's record, holding the byte trace the pass recorded
+/// (moved out of the plan), and its sorted distinct node list.
 fn plan_batch(
     ctx: &RunContext,
     cfg: &PipelineConfig,
     topology: &mut dyn TopologyStore,
     index: usize,
-) -> (SampleTrace, PlannedBatch, Vec<NodeId>) {
+) -> Result<(PlannedBatch, Vec<NodeId>), StoreError> {
     let targets = epoch_targets(ctx.graph().num_nodes(), cfg.batch_size, index, cfg.seed);
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
-    let (plan, batch) = sample_on(topology, &targets, &cfg.fanouts, &mut rng)
-        .unwrap_or_else(|e| panic!("producer topology sampling failed: {e}"));
+    let (plan, batch) = sample_on(topology, &targets, &cfg.fanouts, &mut rng)?;
     let nodes = batch.all_nodes();
     let feat_dim = ctx.data.features.dim() as u64;
     let planned = PlannedBatch {
+        trace: plan.trace,
         distinct: nodes.len() as u64,
         dims: BatchDims::of_batch(&batch, feat_dim, cfg.hidden_dim, cfg.classes),
         subgraph_bytes: batch.subgraph_bytes(),
     };
-    (plan.trace, planned, nodes)
+    Ok((planned, nodes))
 }
 
 /// Gathers a closed window's features through the feature store into
-/// `rows`, the one buffer the producer keeps for the run, and empties
-/// the window. The window's batches' node lists are read as their
-/// sorted-distinct union, in one ascending slice per batch: no slice is
-/// longer than the window's largest batch, so neither is the buffer,
-/// and a page two slices share is the last the first slice read, still
-/// cached for the second.
-///
-/// # Panics
-///
-/// Panics if the store fails (a real I/O error on the file-backed
-/// tiers) — producers have no recovery path mid-simulation.
-fn gather_window(store: &mut dyn FeatureStore, rows: &mut Vec<f32>, window: &mut Vec<Vec<NodeId>>) {
+/// `rows`, the one buffer the real pass keeps, and empties the window.
+/// The window's batches' node lists are read as their sorted-distinct
+/// union, in one ascending slice per batch: no slice is longer than the
+/// window's largest batch, so neither is the buffer, and a page two
+/// slices share is the last the first slice read, still cached for the
+/// second.
+fn gather_window(
+    store: &mut dyn FeatureStore,
+    rows: &mut Vec<f32>,
+    window: &mut Vec<Vec<NodeId>>,
+) -> Result<(), StoreError> {
     let set = RankSet::new(window.iter().flatten().map(|n| u64::from(n.raw())));
     let union: Vec<NodeId> = set.iter().map(|id| NodeId::new(id as u32)).collect();
     let k = window.len();
     for i in 0..k {
         let part = &union[union.len() * i / k..union.len() * (i + 1) / k];
         rows.resize(part.len() * store.dim(), 0.0);
-        store
-            .gather_into(part, rows)
-            .unwrap_or_else(|e| panic!("producer feature gather failed: {e}"));
+        store.gather_into(part, rows)?;
     }
     window.clear();
+    Ok(())
 }
 
-#[derive(Clone, Copy)]
-struct ReadyBatch {
-    ready: SimTime,
-    transfer_bytes: u64,
-    compute: SimDuration,
-}
-
-/// Runs the pipeline for `ctx` and returns its report.
-///
-/// The real pass runs in batch-index order whatever the system: each
-/// batch is sampled when a worker takes it, and the features of every
+/// The real pass: samples every batch of the epoch in index order
+/// through the run's topology tier, and gathers the features of every
 /// `cfg.queue_depth` consecutive batches (a window; the last may be
-/// shorter) are gathered as soon as the window's last batch is sampled.
-/// The modeled event loop prices each batch on its own.
+/// shorter) through its feature tier once the window's last batch is
+/// sampled. The gathered rows go to one buffer nothing reads: the pass
+/// exists for its I/O, which it records into the sweep's scope (once
+/// per epoch) and into the returned [`Epoch`].
+pub(crate) fn sample_epoch(ctx: &RunContext, cfg: &PipelineConfig) -> Result<Epoch, StoreError> {
+    let mut tiers = open_tiers(ctx, cfg)?;
+    let mut batches = Vec::with_capacity(cfg.total_batches);
+    let mut rows: Vec<f32> = Vec::new();
+    let mut window: Vec<Vec<NodeId>> = Vec::new();
+    for index in 0..cfg.total_batches {
+        let (planned, nodes) = plan_batch(ctx, cfg, tiers.topology.as_mut(), index)?;
+        batches.push(planned);
+        window.push(nodes);
+        if window.len() == cfg.queue_depth || index + 1 == cfg.total_batches {
+            gather_window(tiers.features.as_mut(), &mut rows, &mut window)?;
+        }
+    }
+    let epoch = Epoch {
+        batches,
+        store_stats: tiers.features.stats(),
+        topology_stats: tiers.topology.stats(),
+    };
+    store_metrics::record(&epoch.store_stats);
+    store_metrics::record_topology(&epoch.topology_stats);
+    // The one count-dependent rule: at one device the breakdown would
+    // repeat the totals, so a sweep records (and prints) none.
+    if cfg.shards > 1 {
+        store_metrics::record_shards(&tiers.features.shard_stats());
+        store_metrics::record_topology_shards(&tiers.topology.shard_stats());
+    }
+    Ok(epoch)
+}
+
+/// [`sample_epoch`] for the callers with no error channel
+/// ([`run_pipeline`] and [`Prepared`](crate::experiments::Prepared)'s
+/// epoch memo).
+///
+/// # Panics
+///
+/// Panics if the real pass fails: a store file cannot be written or
+/// opened, the two halves' populations disagree, or a tier hits a real
+/// I/O error mid-pass. The message carries the typed
+/// [`StoreError`], which names the files.
+pub(crate) fn sample_epoch_or_panic(ctx: &RunContext, cfg: &PipelineConfig) -> Epoch {
+    sample_epoch(ctx, cfg).unwrap_or_else(|e| panic!("the pipeline's real pass failed: {e}"))
+}
+
+/// Runs the pipeline for `ctx` and returns its report: the real pass
+/// (`sample_epoch`) and then the modeled event loop over its record
+/// (`price`).
+///
+/// # Panics
+///
+/// Panics if the real pass fails, or if `cfg.workers`,
+/// `cfg.total_batches` or `cfg.queue_depth` is zero.
+pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineReport {
+    price(ctx, cfg, &sample_epoch_or_panic(ctx, cfg))
+}
+
+/// The modeled event loop: prices `epoch` for `ctx`'s system under the
+/// worker count, queue depth and mode (`cfg.train`) of `cfg`. It holds
+/// no store: workers take the epoch's batches in index order, each
+/// batch's trace is handed to the cost policy, and the report carries
+/// the epoch's I/O counters.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.workers`, `cfg.total_batches` or `cfg.queue_depth`
 /// is zero.
-pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineReport {
+pub(crate) fn price(ctx: &Arc<RunContext>, cfg: &PipelineConfig, epoch: &Epoch) -> PipelineReport {
     assert!(cfg.workers > 0, "need at least one worker");
     assert!(cfg.total_batches > 0, "need at least one batch");
     assert!(cfg.queue_depth > 0, "need a non-empty work queue");
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(ctx, cfg.workers);
-    // The one real storage path: every batch is sampled once through
-    // the topology store and its window's features gather through the
-    // feature store (real I/O for the File tier, device-side resolution
-    // for Isp). The event loop is single-threaded, so it owns both.
-    let OpenTiers {
-        features: mut store,
-        mut topology,
-    } = open_tiers(ctx, cfg);
-    let gpu_params = ctx.config.devices.gpu.clone();
     let feat_bytes = ctx.data.features.bytes_per_node();
 
     let mut events: EventQueue<Event> = EventQueue::new();
-    let mut next_batch = 0usize;
-    let mut produced_done = 0usize;
     let mut consumed = 0usize;
-    let mut queue: VecDeque<ReadyBatch> = VecDeque::new();
-    let mut blocked: VecDeque<(usize, ReadyBatch)> = VecDeque::new();
+    // Finished batches wait for the GPU with the time they are ready.
+    let mut queue: VecDeque<(SimTime, &PlannedBatch)> = VecDeque::new();
+    let mut blocked: VecDeque<(usize, (SimTime, &PlannedBatch))> = VecDeque::new();
     let mut gpu_next_free = SimTime::ZERO;
     let mut gpu_scheduled = false;
     let mut gpu_busy = SimDuration::ZERO;
@@ -345,23 +400,15 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     let mut sampling_total = SimDuration::ZERO;
     let mut fpga: Option<FpgaPhases> = None;
     let mut makespan_end = SimTime::ZERO;
-    let mut rows: Vec<f32> = Vec::new();
-    let mut window: Vec<Vec<NodeId>> = Vec::new();
 
-    // Hands `worker` the epoch's next batch, if any remain: sample it
-    // through the topology store, gather its window if it closes it,
-    // give its byte trace to the policy at `at`, and schedule the
-    // worker's first step, carrying the batch's record.
+    // Hands `worker` the epoch's next batch, if any remain: give its
+    // byte trace to the policy at `at`, and schedule the worker's first
+    // step, carrying the batch's record.
+    let mut unstarted = epoch.batches.iter();
     let mut start_next =
-        |policy: &mut CostPolicy, events: &mut EventQueue<Event>, worker: usize, at: SimTime| {
-            if next_batch < cfg.total_batches {
-                let (trace, planned, nodes) = plan_batch(ctx, cfg, topology.as_mut(), next_batch);
-                next_batch += 1;
-                window.push(nodes);
-                if window.len() == cfg.queue_depth || next_batch == cfg.total_batches {
-                    gather_window(store.as_mut(), &mut rows, &mut window);
-                }
-                policy.begin(worker, at, trace);
+        |policy: &mut CostPolicy, events: &mut EventQueue<_>, worker: usize, at: SimTime| {
+            if let Some(planned) = unstarted.next() {
+                policy.begin(worker, at, planned.trace.clone());
                 events.schedule(at, Event::Worker(worker, planned));
             }
         };
@@ -378,42 +425,31 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
                     events.schedule(next.max(now), Event::Worker(w, planned));
                 }
                 StepOutcome::Finished => {
-                    let PlannedBatch {
-                        distinct,
-                        dims,
-                        subgraph_bytes,
-                    } = planned;
                     let cost = policy.take_result(w);
                     sampling_total += cost.sampling_time;
                     breakdown.sampling += cost.sampling_time.saturating_sub(cost.overhead_time);
                     breakdown.other += cost.overhead_time;
                     transfers.ssd_to_host_bytes += cost.ssd_to_host_bytes;
                     transfers.host_to_ssd_bytes += cost.host_to_ssd_bytes;
-                    transfers.useful_bytes += subgraph_bytes;
+                    transfers.useful_bytes += planned.subgraph_bytes;
                     if let Some(phases) = &cost.fpga {
                         fpga.get_or_insert_with(FpgaPhases::default)
                             .accumulate(phases);
                     }
-                    produced_done += 1;
 
                     let mut t = cost.done;
                     if cfg.train {
                         // Feature table lookup (always host DRAM) over
                         // the batch's sorted-distinct nodes.
-                        let f_done = devices.host_dram.random_access(t, distinct, feat_bytes);
+                        let dram = &mut devices.host_dram;
+                        let f_done = dram.random_access(t, planned.distinct, feat_bytes);
                         breakdown.feature_lookup += f_done.saturating_elapsed_since(t);
                         t = f_done;
-                        let cost = gpu_params.batch_cost(&dims);
-                        let ready = ReadyBatch {
-                            ready: t,
-                            transfer_bytes: cost.transfer_bytes,
-                            compute: cost.compute,
-                        };
                         if queue.len() >= cfg.queue_depth {
                             // Worker stalls holding its batch.
-                            blocked.push_back((w, ready));
+                            blocked.push_back((w, (t, planned)));
                         } else {
-                            queue.push_back(ready);
+                            queue.push_back((t, planned));
                             if !gpu_scheduled {
                                 gpu_scheduled = true;
                                 events.schedule(t, Event::Gpu);
@@ -429,18 +465,19 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
             },
             Event::Gpu => {
                 gpu_scheduled = false;
-                let Some(&head) = queue.front() else {
+                let Some(&(ready, head)) = queue.front() else {
                     continue;
                 };
-                let start = now.max(head.ready).max(gpu_next_free);
+                let start = now.max(ready).max(gpu_next_free);
                 if start > now {
                     gpu_scheduled = true;
                     events.schedule(start, Event::Gpu);
                     continue;
                 }
                 queue.pop_front();
-                let transferred = devices.gpu_link.transfer(start, head.transfer_bytes);
-                let (_, end) = devices.gpu.schedule(transferred, head.compute);
+                let cost = ctx.config.devices.gpu.batch_cost(&head.dims);
+                let transferred = devices.gpu_link.transfer(start, cost.transfer_bytes);
+                let (_, end) = devices.gpu.schedule(transferred, cost.compute);
                 breakdown.cpu_to_gpu += transferred.saturating_elapsed_since(start);
                 breakdown.gnn_train += end.saturating_elapsed_since(transferred);
                 gpu_busy += end.saturating_elapsed_since(start);
@@ -463,19 +500,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
         }
     }
 
-    let store_stats = store.stats();
-    store_metrics::record(&store_stats);
-    let topology_stats = topology.stats();
-    store_metrics::record_topology(&topology_stats);
-    // The one count-dependent rule: at one device the breakdown would
-    // repeat the totals, so a sweep records (and prints) none.
-    if cfg.shards > 1 {
-        store_metrics::record_shards(&store.shard_stats());
-        store_metrics::record_topology_shards(&topology.shard_stats());
-    }
-
     let makespan = makespan_end.since_epoch();
-    let batches = consumed.max(produced_done);
     let gpu_idle_frac = if cfg.train && !makespan.is_zero() {
         1.0 - gpu_busy.ratio(makespan)
     } else {
@@ -484,23 +509,19 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
     PipelineReport {
         kind: ctx.config.kind,
         makespan,
-        batches,
+        batches: consumed,
         breakdown,
         gpu_busy,
         gpu_idle_frac: gpu_idle_frac.clamp(0.0, 1.0),
         transfers,
-        avg_sampling_time: if produced_done > 0 {
-            sampling_total / produced_done as u64
-        } else {
-            SimDuration::ZERO
-        },
+        avg_sampling_time: sampling_total / consumed as u64,
         sampling_throughput: if makespan.is_zero() {
             0.0
         } else {
-            batches as f64 / makespan.as_secs_f64()
+            consumed as f64 / makespan.as_secs_f64()
         },
-        store_stats,
-        topology_stats,
+        store_stats: epoch.store_stats,
+        topology_stats: epoch.topology_stats,
         fpga,
     }
 }
@@ -645,21 +666,49 @@ mod tests {
 
     #[test]
     fn plan_batch_is_all_the_topology_traffic_of_a_batch() {
-        // `run_pipeline` touches the topology store only through
+        // The real pass touches the topology store only through
         // `plan_batch`: one degree read and one pick batch per hop,
         // a walk's steps included.
         let ctx = ctx(SystemKind::Dram);
         let mut cfg = small_cfg(false);
         let mut topo = smartsage_store::CsrView::new(ctx.graph());
-        let (trace, planned, nodes) = plan_batch(&ctx, &cfg, &mut topo, 0);
+        let (planned, nodes) = plan_batch(&ctx, &cfg, &mut topo, 0).unwrap();
         assert_eq!(topo.stats().gathers, 2 * cfg.fanouts.hops() as u64);
         let entry = smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
-        assert_eq!(trace.num_sampled() * entry, planned.subgraph_bytes);
+        assert_eq!(planned.trace.num_sampled() * entry, planned.subgraph_bytes);
         assert_eq!(planned.distinct, nodes.len() as u64);
         cfg.fanouts = Fanouts::new(vec![1; 3]);
         let mut topo = smartsage_store::CsrView::new(ctx.graph());
-        plan_batch(&ctx, &cfg, &mut topo, 0);
+        plan_batch(&ctx, &cfg, &mut topo, 0).unwrap();
         assert_eq!(topo.stats().gathers, 6);
+    }
+
+    #[test]
+    fn one_epoch_prices_every_system_as_its_own_run_does() {
+        // The real pass reads no system: one sampled epoch, priced under
+        // each kind, is that kind's own `run_pipeline` field for field
+        // (the I/O counters aside — an own run's file tiers may ride
+        // caches an earlier run warmed).
+        let cfg = PipelineConfig {
+            store: StoreKind::File,
+            topology: TopologyKind::File,
+            ..small_cfg(true)
+        };
+        let epoch = sample_epoch(&ctx(SystemKind::Dram), &cfg).unwrap();
+        assert_eq!(epoch.batches.len(), cfg.total_batches);
+        assert_eq!(epoch.store_stats.gathers, cfg.total_batches as u64);
+        let without_io = |mut r: PipelineReport| {
+            (r.store_stats, r.topology_stats) = Default::default();
+            format!("{r:?}")
+        };
+        for kind in SystemKind::ALL {
+            let ctx = ctx(kind);
+            let priced = price(&ctx, &cfg, &epoch);
+            assert_eq!(priced.store_stats, epoch.store_stats, "{kind}");
+            assert_eq!(priced.topology_stats, epoch.topology_stats, "{kind}");
+            let own = run_pipeline(&ctx, &cfg);
+            assert_eq!(without_io(priced), without_io(own), "{kind}");
+        }
     }
 
     #[test]

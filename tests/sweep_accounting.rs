@@ -370,8 +370,9 @@ fn one_batch_cells_record_their_io_like_every_other_run() {
     // Regression: Fig 19 and the transfer table once ran their batches
     // on a second pipeline that never recorded into the sweep's scope,
     // so a sweep of them reported zero I/O beside warm caches. They are
-    // one-batch `run_pipeline` cells now: 5 datasets x 2 systems, one
-    // gather each, every resident page read by a counted miss.
+    // one-batch cells of the drivers' one path now: 5 datasets, each
+    // one-batch epoch sampled and gathered once for both systems, every
+    // resident page read by a counted miss.
     let outcome = Runner::builder()
         .scale(ExperimentScale {
             seed: 0x5EEDC,
@@ -383,9 +384,33 @@ fn one_batch_cells_record_their_io_like_every_other_run() {
         .build()
         .sweep();
     let (features, topology) = (outcome.store_stats, outcome.topology_stats);
-    assert_eq!(features.gathers, 10);
+    assert_eq!(features.gathers, 5);
     assert!(features.bytes_read > 0 && topology.bytes_read > 0);
     let resident: usize = outcome.stores.iter().map(|o| o.resident_pages()).sum();
     assert!(resident > 0, "the sweep warmed its caches");
     assert!(features.pages_read + topology.pages_read >= resident as u64);
+}
+
+#[test]
+fn a_driver_samples_each_distinct_epoch_once() {
+    // Fig 17 runs 10 cells per dataset (2 systems x 5 worker counts),
+    // all over one epoch: 5 datasets, so 5 epochs are sampled and
+    // gathered, not 50.
+    let scale = ExperimentScale {
+        seed: 0x5EED17,
+        store: StoreKind::File,
+        topology: TopologyKind::File,
+        ..ExperimentScale::tiny()
+    };
+    let outcome = Runner::builder()
+        .scale(scale)
+        .filter(|e| e.name == "fig17")
+        .build()
+        .sweep();
+    let batches = scale.batches as u64;
+    assert_eq!(outcome.store_stats.gathers, 5 * batches);
+    // Every batch's sampling pass reads each hop's degrees and picks
+    // once through the topology tier.
+    let hops = smartsage::gnn::Fanouts::paper_default().hops() as u64;
+    assert_eq!(outcome.topology_stats.gathers, 5 * batches * 2 * hops);
 }
