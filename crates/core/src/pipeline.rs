@@ -36,13 +36,13 @@ use crate::cost::{make_policy, CostPolicy, StepOutcome};
 use crate::metrics::{FpgaPhases, StageBreakdown, TransferStats};
 use crate::store_metrics;
 use smartsage_gnn::gpu::BatchDims;
-use smartsage_gnn::sampler::{epoch_targets, sample_on};
+use smartsage_gnn::sampler::{epoch_targets, gather_union, sample_on};
 use smartsage_gnn::Fanouts;
 use smartsage_graph::NodeId;
-use smartsage_sim::{EventQueue, RankSet, SimDuration, SimTime, Xoshiro256};
+use smartsage_sim::{EventQueue, SimDuration, SimTime, Xoshiro256};
 use smartsage_store::{
-    FeatureStore, FileStoreOptions, OpenTiers, SampleTrace, StoreError, StoreKind, StoreRegistry,
-    StoreStats, TierSpec, TopologyKind, TopologyStore,
+    FileStoreOptions, OpenTiers, SampleTrace, StoreError, StoreKind, StoreRegistry, StoreStats,
+    TierSpec, TopologyKind, TopologyStore,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -283,38 +283,39 @@ fn plan_batch(
     Ok((planned, nodes))
 }
 
-/// Gathers a closed window's features through the feature store into
-/// `rows`, the one buffer the real pass keeps, and empties the window.
-/// The window's batches' node lists are read as their sorted-distinct
-/// union, in one ascending slice per batch: no slice is longer than the
-/// window's largest batch, so neither is the buffer, and a page two
-/// slices share is the last the first slice read, still cached for the
-/// second.
-fn gather_window(
-    store: &mut dyn FeatureStore,
-    rows: &mut Vec<f32>,
-    window: &mut Vec<Vec<NodeId>>,
-) -> Result<(), StoreError> {
-    let set = RankSet::new(window.iter().flatten().map(|n| u64::from(n.raw())));
-    let union: Vec<NodeId> = set.iter().map(|id| NodeId::new(id as u32)).collect();
-    let k = window.len();
-    for i in 0..k {
-        let part = &union[union.len() * i / k..union.len() * (i + 1) / k];
-        rows.resize(part.len() * store.dim(), 0.0);
-        store.gather_into(part, rows)?;
-    }
-    window.clear();
-    Ok(())
+/// Refuses the configurations no epoch can run. Both halves call it
+/// first, so a bad `cfg` is rejected before any tier is opened or
+/// published.
+///
+/// # Panics
+///
+/// Panics if `cfg.workers`, `cfg.total_batches` or `cfg.queue_depth`
+/// is zero (a queue that can never admit would block every worker and
+/// drain the event queue into a short, zero-makespan report).
+fn check_config(cfg: &PipelineConfig) {
+    assert!(cfg.workers > 0, "need at least one worker");
+    assert!(cfg.total_batches > 0, "need at least one batch");
+    assert!(cfg.queue_depth > 0, "need a non-empty work queue");
 }
 
 /// The real pass: samples every batch of the epoch in index order
 /// through the run's topology tier, and gathers the features of every
 /// `cfg.queue_depth` consecutive batches (a window; the last may be
 /// shorter) through its feature tier once the window's last batch is
-/// sampled. The gathered rows go to one buffer nothing reads: the pass
-/// exists for its I/O, which it records into the sweep's scope (once
-/// per epoch) and into the returned [`Epoch`].
+/// sampled: their union read in one ascending slice per batch
+/// ([`gather_union`]), so no slice is longer than the window's largest
+/// batch, and a page two slices share is the last the first slice
+/// read, still cached for the second. The gathered rows go to one
+/// buffer nothing reads: the pass exists for its I/O, which it records
+/// into the sweep's scope (once per epoch) and into the returned
+/// [`Epoch`].
+///
+/// # Panics
+///
+/// Panics if `cfg.workers`, `cfg.total_batches` or `cfg.queue_depth`
+/// is zero, before any tier is opened.
 pub(crate) fn sample_epoch(ctx: &RunContext, cfg: &PipelineConfig) -> Result<Epoch, StoreError> {
+    check_config(cfg);
     let mut tiers = open_tiers(ctx, cfg)?;
     let mut batches = Vec::with_capacity(cfg.total_batches);
     let mut rows: Vec<f32> = Vec::new();
@@ -324,7 +325,9 @@ pub(crate) fn sample_epoch(ctx: &RunContext, cfg: &PipelineConfig) -> Result<Epo
         batches.push(planned);
         window.push(nodes);
         if window.len() == cfg.queue_depth || index + 1 == cfg.total_batches {
-            gather_window(tiers.features.as_mut(), &mut rows, &mut window)?;
+            let lists = window.iter().map(Vec::as_slice);
+            gather_union(tiers.features.as_mut(), lists, window.len(), &mut rows)?;
+            window.clear();
         }
     }
     let epoch = Epoch {
@@ -352,7 +355,8 @@ pub(crate) fn sample_epoch(ctx: &RunContext, cfg: &PipelineConfig) -> Result<Epo
 /// Panics if the real pass fails: a store file cannot be written or
 /// opened, the two halves' populations disagree, or a tier hits a real
 /// I/O error mid-pass. The message carries the typed
-/// [`StoreError`], which names the files.
+/// [`StoreError`], which names the files. Also panics, before any
+/// tier is opened, on a configuration [`sample_epoch`] refuses.
 pub(crate) fn sample_epoch_or_panic(ctx: &RunContext, cfg: &PipelineConfig) -> Epoch {
     sample_epoch(ctx, cfg).unwrap_or_else(|e| panic!("the pipeline's real pass failed: {e}"))
 }
@@ -380,9 +384,7 @@ pub fn run_pipeline(ctx: &Arc<RunContext>, cfg: &PipelineConfig) -> PipelineRepo
 /// Panics if `cfg.workers`, `cfg.total_batches` or `cfg.queue_depth`
 /// is zero.
 pub(crate) fn price(ctx: &Arc<RunContext>, cfg: &PipelineConfig, epoch: &Epoch) -> PipelineReport {
-    assert!(cfg.workers > 0, "need at least one worker");
-    assert!(cfg.total_batches > 0, "need at least one batch");
-    assert!(cfg.queue_depth > 0, "need a non-empty work queue");
+    check_config(cfg);
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(ctx, cfg.workers);
     let feat_bytes = ctx.data.features.bytes_per_node();
@@ -709,6 +711,18 @@ mod tests {
             let own = run_pipeline(&ctx, &cfg);
             assert_eq!(without_io(priced), without_io(own), "{kind}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "work queue")]
+    fn the_real_pass_rejects_a_zero_queue_depth_before_it_samples() {
+        // A zero depth never closes a window: without the check the
+        // pass would sample the whole epoch and gather it as one.
+        let cfg = PipelineConfig {
+            queue_depth: 0,
+            ..small_cfg(true)
+        };
+        let _ = sample_epoch(&ctx(SystemKind::Dram), &cfg);
     }
 
     #[test]

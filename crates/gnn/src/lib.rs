@@ -32,5 +32,7 @@ pub mod trainer;
 
 pub use gpu::{GpuParams, TrainingCost};
 pub use model::GraphSageModel;
-pub use sampler::{merge_batches, sample_many_on, Fanouts, SamplePlan, SampleSpec, SampledBatch};
+pub use sampler::{
+    gather_union, merge_batches, sample_many_on, Fanouts, SamplePlan, SampleSpec, SampledBatch,
+};
 pub use tensor::Matrix;

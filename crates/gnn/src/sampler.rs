@@ -35,7 +35,7 @@
 
 use smartsage_graph::NodeId;
 use smartsage_sim::{RankSet, Xoshiro256};
-use smartsage_store::{SampleTrace, StoreError, TopologyStore, TraceHop};
+use smartsage_store::{FeatureStore, SampleTrace, StoreError, TopologyStore, TraceHop};
 
 /// Per-layer sampling fan-outs, outermost (target) layer first.
 ///
@@ -410,6 +410,35 @@ pub fn merge_batches(batches: &[SampledBatch]) -> SampledBatch {
         }
     }
     merged
+}
+
+/// Gathers a group's features as **one** sorted-distinct union of its
+/// node lists (a [`RankSet`] of their ids), so a row the lists share
+/// crosses the store interface once — the hyperbatch idea both group
+/// gathers use: the offline pass reads a window of batches, serve a
+/// merged infer group.
+///
+/// The union is read in `slices` ascending parts
+/// `union[len·i/slices .. len·(i+1)/slices]`, one
+/// [`FeatureStore::gather_into`] call each, empty parts included (so a
+/// window read in one slice per batch still counts one `gathers` per
+/// batch). `rows` is resized to each part and holds the last one: at
+/// one slice that is the whole union in rank order, so `id`'s row is
+/// the returned set's `rank(id)`.
+pub fn gather_union<'a>(
+    store: &mut dyn FeatureStore,
+    lists: impl Iterator<Item = &'a [NodeId]> + Clone,
+    slices: usize,
+    rows: &mut Vec<f32>,
+) -> Result<RankSet, StoreError> {
+    let set = RankSet::new(lists.flatten().map(|n| u64::from(n.raw())));
+    let union: Vec<NodeId> = set.iter().map(|id| NodeId::new(id as u32)).collect();
+    for i in 0..slices {
+        let part = &union[union.len() * i / slices..union.len() * (i + 1) / slices];
+        rows.resize(part.len() * store.dim(), 0.0);
+        store.gather_into(part, rows)?;
+    }
+    Ok(set)
 }
 
 /// Draws `batch_size` target nodes for step `step` of an epoch-long

@@ -266,16 +266,17 @@ pub fn sample_response(batch: &smartsage_gnn::SampledBatch) -> String {
 }
 
 /// Renders per-target logits and predictions as the `/v1/infer`
-/// response body. `logits` is row-major, one row per target.
-pub fn infer_response(
+/// response body. `logits` yields one row per target (the request's
+/// rows of the logits matrix, borrowed).
+pub fn infer_response<'a>(
     targets: &[NodeId],
-    logits: impl Iterator<Item = Vec<f32>>,
+    logits: impl Iterator<Item = &'a [f32]>,
     predictions: &[usize],
 ) -> String {
     // f32 → f64 is exact; the shortest-round-trip f64 form re-parses to
     // the same bits, keeping responses bit-comparable across serial and
     // coalesced execution.
-    let logits = logits.map(|row| row.into_iter().map(f64::from).collect::<JsonValue>());
+    let logits = logits.map(|row| row.iter().map(|&x| f64::from(x)).collect::<JsonValue>());
     let predictions = predictions.iter().map(|&p| p as u64);
     JsonValue::obj([
         ("targets", nodes(targets)),
@@ -424,11 +425,7 @@ mod tests {
             sample,
             r#"{"targets":[1,2],"hops":[{"fanout":2,"neighbors":[3,3,3,3]}]}"#
         );
-        let infer = infer_response(
-            &batch.targets,
-            vec![vec![0.5f32, -1.0], vec![2.0, 0.1]].into_iter(),
-            &[1, 0],
-        );
+        let infer = infer_response(&batch.targets, [0.5f32, -1.0, 2.0, 0.1].chunks(2), &[1, 0]);
         // 0.1f32 widens exactly; its shortest f64 form re-parses to it.
         assert_eq!(
             infer,

@@ -6,18 +6,24 @@
 //! identical fan-outs sample through one
 //! [`sample_many_on`] pass (one degree batch + one
 //! pick batch per hop for the whole group), and the group's infer
-//! requests share one distinct-node feature gather plus one batched
-//! GraphSage forward. Merging is invisible in the responses — every
-//! request's sample and logits are bit-identical to running it alone
-//! (each request draws from its own seeded RNG, and every matrix op in
-//! the model is row-local) — it only changes the I/O accounting, which
-//! is the whole point: overlapping neighborhoods share page fetches,
-//! cache hits, and ISP passes.
+//! requests share one feature gather plus one batched GraphSage
+//! forward. The gather is [`gather_union`], the one union gather the
+//! offline pipeline's windows use too, read in one slice: the group's
+//! distinct nodes cross the store interface once, and each sampled
+//! node's row is its rank in the union.
+//!
+//! Merging is invisible in the responses — every request's sample and
+//! logits are bit-identical to running it alone (each request draws
+//! from its own seeded RNG, and every matrix op in the model is
+//! row-local) — it only changes the I/O accounting, which is the whole
+//! point: overlapping neighborhoods share page fetches, cache hits, and
+//! ISP passes.
 
-use crate::api::{sample_response, ApiRequest, ServeError, MAX_REQUEST_NODES};
+use crate::api::{infer_response, sample_response, ApiRequest, ServeError, MAX_REQUEST_NODES};
 use smartsage_gnn::model::ModelDims;
 use smartsage_gnn::{
-    merge_batches, sample_many_on, Fanouts, GraphSageModel, Matrix, SampleSpec, SampledBatch,
+    gather_union, merge_batches, sample_many_on, Fanouts, GraphSageModel, Matrix, SampleSpec,
+    SampledBatch,
 };
 use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage_graph::{CsrGraph, FeatureTable, NodeId};
@@ -342,78 +348,48 @@ impl Engine {
             return;
         }
         let merged = merge_batches(&infer_batches);
-        match self.infer_merged(&merged) {
-            Ok(bodies) => {
-                let mut offset = 0;
-                for (&i, batch) in infer_members.iter().zip(&infer_batches) {
-                    responses[i] = Some(Ok(crate::api::infer_response(
-                        &batch.targets,
-                        bodies.0[offset..offset + batch.targets.len()]
-                            .iter()
-                            .cloned(),
-                        &bodies.1[offset..offset + batch.targets.len()],
-                    )));
-                    offset += batch.targets.len();
-                }
-            }
+        // One store gather over the group's distinct nodes: a node five
+        // requests reference crosses the store interface once, and its
+        // row is its rank in the union.
+        let hops = merged.hops.iter().map(|hop| &hop.neighbors[..]);
+        let lists = std::iter::once(&merged.targets[..]).chain(hops);
+        let mut rows = Vec::new();
+        let set = match gather_union(self.store.as_mut(), lists, 1, &mut rows) {
+            Ok(set) => set,
             Err(e) => {
+                let e = ServeError::from(e);
                 for &i in &infer_members {
                     responses[i] = Some(Err(e.clone()));
                 }
+                return;
             }
-        }
-    }
-
-    /// Runs gather + forward on a merged batch; returns per-target
-    /// logit rows and predictions (request-order, so callers split by
-    /// target counts).
-    fn infer_merged(
-        &mut self,
-        merged: &SampledBatch,
-    ) -> Result<(Vec<Vec<f32>>, Vec<usize>), ServeError> {
-        let (x0, x1, x2) = self.gather_distinct(merged)?;
-        let cache = self.model.forward(merged, x0, x1, x2);
-        let predictions = GraphSageModel::predictions(&cache);
-        let logits: Vec<Vec<f32>> = (0..cache.logits.rows())
-            .map(|r| cache.logits.row(r).to_vec())
-            .collect();
-        Ok((logits, predictions))
-    }
-
-    /// Gathers the merged batch's three hop matrices through **one**
-    /// store gather over the distinct node set — the feature half of
-    /// coalescing: a node referenced by five requests crosses the
-    /// store interface once. Row values are bit-identical to
-    /// [`GraphSageModel::gather_features_from`] by the store
-    /// determinism contract.
-    fn gather_distinct(
-        &mut self,
-        batch: &SampledBatch,
-    ) -> Result<(Matrix, Matrix, Matrix), ServeError> {
+        };
         let dim = self.store.dim();
-        let distinct = batch.all_nodes(); // sorted + deduplicated
-        let flat = self.store.gather(&distinct)?;
-        let fill = |nodes: &[NodeId]| -> Result<Matrix, ServeError> {
+        let fill = |nodes: &[NodeId]| {
             let mut data = Vec::with_capacity(nodes.len() * dim);
             for node in nodes {
-                // all_nodes() collects every sampled node, so the
-                // search only misses if the sampler broke its own
-                // contract — a 500, not a panic.
-                let row = distinct.binary_search(node).map_err(|_| {
-                    ServeError::Internal(format!(
-                        "sampled node {} missing from its distinct set",
-                        node.raw()
-                    ))
-                })?;
-                data.extend_from_slice(&flat[row * dim..(row + 1) * dim]);
+                let row = set.rank(u64::from(node.raw()));
+                data.extend_from_slice(&rows[row * dim..(row + 1) * dim]);
             }
-            Ok(Matrix::from_vec(nodes.len(), dim, data))
+            Matrix::from_vec(nodes.len(), dim, data)
         };
-        Ok((
-            fill(&batch.targets)?,
-            fill(&batch.hops[0].neighbors)?,
-            fill(&batch.hops[1].neighbors)?,
-        ))
+        let cache = self.model.forward(
+            &merged,
+            fill(&merged.targets),
+            fill(&merged.hops[0].neighbors),
+            fill(&merged.hops[1].neighbors),
+        );
+        let predictions = GraphSageModel::predictions(&cache);
+        let mut offset = 0;
+        for (&i, batch) in infer_members.iter().zip(&infer_batches) {
+            let own = offset..offset + batch.targets.len();
+            responses[i] = Some(Ok(infer_response(
+                &batch.targets,
+                own.clone().map(|r| cache.logits.row(r)),
+                &predictions[own],
+            )));
+            offset += batch.targets.len();
+        }
     }
 }
 
@@ -434,6 +410,7 @@ fn sample_tree(targets: usize, fanouts: &Fanouts) -> u64 {
 mod tests {
     use super::*;
     use crate::api::SampleRequest;
+    use smartsage_gnn::sampler::sample_on;
 
     fn tiny_config() -> EngineConfig {
         EngineConfig {
@@ -510,6 +487,93 @@ mod tests {
         assert_eq!(merged.counters().requests, 4);
         assert_eq!(merged.counters().infer_requests, 2);
         assert_eq!(merged.counters().sample_requests, 2);
+    }
+
+    #[test]
+    fn merged_infers_equal_the_per_hop_reference_on_dense_and_sparse_unions() {
+        // Two groups in one window. At fan-outs [1, 1], targets 0 and
+        // 1999 list 6 ids over a 2000-id span (more than 64 x 6): the
+        // union's set is sparse. At the default fan-outs the group lists
+        // far more ids than 2000 / 64: the set is dense.
+        let config = EngineConfig {
+            dataset: DatasetConfig {
+                nodes: 2000,
+                feature_dim: 8,
+                classes: 4,
+                ..DatasetConfig::default()
+            },
+            hidden: 8,
+            ..EngineConfig::default()
+        };
+        let parse = |body: &str| ApiRequest::Infer(SampleRequest::parse(body).unwrap());
+        let requests = [
+            parse(r#"{"nodes":[0],"fanouts":[1,1],"seed":3}"#),
+            parse(r#"{"nodes":[5,9,1200],"seed":4}"#),
+            parse(r#"{"nodes":[1999],"fanouts":[1,1],"seed":5}"#),
+            parse(r#"{"nodes":[9,17],"seed":6}"#),
+        ];
+        // The reference: each request's own batch, gathered per hop and
+        // run through one forward on a fresh mem engine.
+        let mut solo = Engine::new(config.clone()).unwrap();
+        // Per group (sparse, dense): ids listed, repeats included, and
+        // their span, which decide the shape of the group's set.
+        let mut listed = [(0usize, u32::MAX, 0u32); 2];
+        let want: Vec<String> = requests
+            .iter()
+            .map(|request| {
+                let s = request.sample();
+                let fanouts = solo.validate(request).unwrap();
+                let mut rng = Xoshiro256::seed_from_u64(s.seed);
+                let topology = solo.topology.as_mut();
+                let (_, batch) = sample_on(topology, &s.nodes, &fanouts, &mut rng).unwrap();
+                let group = &mut listed[usize::from(fanouts == config.fanouts)];
+                let hops = batch.hops.iter().flat_map(|hop| &hop.neighbors);
+                for node in batch.targets.iter().chain(hops) {
+                    *group = (
+                        group.0 + 1,
+                        group.1.min(node.raw()),
+                        group.2.max(node.raw()),
+                    );
+                }
+                let model = &solo.model;
+                let (x0, x1, x2) = model
+                    .gather_features_from(&batch, solo.store.as_mut())
+                    .unwrap();
+                let cache = model.forward(&batch, x0, x1, x2);
+                let logits = (0..batch.targets.len()).map(|r| cache.logits.row(r));
+                infer_response(&batch.targets, logits, &GraphSageModel::predictions(&cache))
+            })
+            .collect();
+        let [(sparse, lo, hi), (dense, dlo, dhi)] = listed;
+        assert!(
+            u64::from(hi - lo) / 64 >= sparse as u64,
+            "{sparse} ids over {lo}..={hi}"
+        );
+        assert!(
+            u64::from(dhi - dlo) / 64 < dense as u64,
+            "{dense} ids over {dlo}..={dhi}"
+        );
+        for (store, topology) in [
+            (StoreKind::Mem, TopologyKind::Mem),
+            (StoreKind::File, TopologyKind::File),
+            (StoreKind::Isp, TopologyKind::Isp),
+        ] {
+            let mut engine = Engine::new(EngineConfig {
+                store,
+                topology,
+                ..config.clone()
+            })
+            .unwrap();
+            let got: Vec<String> = engine
+                .execute(&requests)
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect();
+            assert_eq!(got, want, "{store:?}/{topology:?}");
+            assert_eq!(engine.counters().merged_batches, 2);
+            // One union gather per group.
+            assert_eq!(engine.store_stats().gathers, 2);
+        }
     }
 
     #[test]
