@@ -21,16 +21,20 @@
 //! `--store mem|file|isp` routes every pipeline run's feature gathers
 //! through a feature store. With `file` or `isp`, all jobs of the
 //! sweep share **one** registry-opened feature file per content key
-//! (one open file, one sharded page cache), and the end-of-sweep
+//! (one open file, one exact-LRU page cache), and the end-of-sweep
 //! stderr report carries the sweep's *exact* scoped I/O — the
 //! device-vs-host byte split, page-cache hit rate, modeled device
-//! time, and per-shard cache occupancy — never contaminated by earlier
-//! sweeps in the same process. `file` ships every fetched page to the
-//! host whole (the Fig 10(a) baseline); `isp` gathers device-side and
-//! ships only the packed feature rows (Fig 10(b)), so its host bytes
-//! undercut `file`'s for the same sweep. Tables are byte-identical with
-//! and without a store, serial or parallel (the determinism contract);
-//! only the I/O accounting changes.
+//! time, and each file's cache occupancy — never contaminated by
+//! earlier sweeps in the same process. A serial sweep repeats those
+//! lines exactly; under `--jobs N` the parallel jobs race for the
+//! shared caches, so the hit/miss split (and with it the I/O lines,
+//! never the tables) depends on thread interleaving. `file` ships every
+//! fetched page to the host whole (the Fig 10(a) baseline); `isp`
+//! gathers device-side and ships only the packed feature rows (Fig
+//! 10(b)), so its host bytes undercut `file`'s for the same sweep.
+//! Tables are byte-identical with and without a store, serial or
+//! parallel (the determinism contract); only the I/O accounting
+//! changes.
 //!
 //! `--graph mem|file|isp` does for the *topology* half of the dataset
 //! what `--store` does for features: neighbor sampling reads degrees
@@ -346,13 +350,11 @@ fn main() {
     }
     if cli.store.is_some() || cli.graph.is_some() {
         for occ in &sweep.stores {
-            let shards: Vec<String> = occ.shard_pages.iter().map(usize::to_string).collect();
             eprintln!(
-                "[store cache {}: {}/{} pages resident, shards [{}]]",
+                "[store cache {}: {}/{} pages resident]",
                 occ.path.display(),
-                occ.resident_pages(),
-                occ.capacity_pages,
-                shards.join(" ")
+                occ.resident_pages,
+                occ.capacity_pages
             );
         }
     }

@@ -107,12 +107,12 @@ impl FeatureTable {
         for v in out.iter_mut() {
             *v = (rng.f64() as f32) * 0.5 - 0.25;
         }
-        // Class pattern: each class activates a distinct stripe of
+        // Class pattern: each class activates a distinct band of
         // dimensions with a +1 offset.
         let class = self.label(node);
-        let stripe = (self.dim / self.num_classes).max(1);
-        let start = (class * stripe) % self.dim;
-        for k in 0..stripe {
+        let band = (self.dim / self.num_classes).max(1);
+        let start = (class * band) % self.dim;
+        for k in 0..band {
             let idx = (start + k) % self.dim;
             out[idx] += 1.0;
         }

@@ -45,7 +45,7 @@ impl Default for PowerLawConfig {
 }
 
 /// Community of a node under the deterministic block assignment used by the
-/// generator: nodes are striped across communities.
+/// generator: nodes are dealt round-robin across communities.
 #[inline]
 pub fn community_of(node: NodeId, communities: usize) -> usize {
     if communities <= 1 {

@@ -21,9 +21,6 @@
 //!   carries a hit verdict drawn at the [`locality`] rate.
 //! * [`LruSet`] — the generic exact-LRU key set (it lives in
 //!   `smartsage-sim`; re-exported here).
-//! * [`sharded_cache::ShardedPageCache`] — a lock-striped payload page
-//!   cache (N exact-LRU shards) for the *shared* feature store, so
-//!   parallel gathers don't serialize on one cache lock.
 //! * [`engine::ReadEngine`] — the submission-queue batched read engine:
 //!   a fixed pool of I/O workers executing positioned reads
 //!   concurrently per file, with an order-preserving completion handle
@@ -44,6 +41,7 @@ pub mod host_path;
 pub mod layout;
 pub mod locality;
 pub mod params;
+#[doc(hidden)]
 pub mod sharded_cache;
 pub mod sync;
 
@@ -53,6 +51,7 @@ pub use host_path::{HostPath, HostRead};
 pub use layout::{ByteRange, GraphFile};
 pub use locality::lru_hit_rate;
 pub use params::HostIoParams;
+#[doc(hidden)]
 pub use sharded_cache::ShardedPageCache;
 pub use smartsage_sim::LruSet;
 pub use sync::{CondvarExt, LockExt};

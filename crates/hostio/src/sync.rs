@@ -1,8 +1,8 @@
 //! Poison-free lock acquisition.
 //!
 //! `Mutex::lock` returns `Err` only when another thread panicked while
-//! holding the guard. Every shared structure in this workspace (cache
-//! shards, the store registry, the serve batcher queue) is written so
+//! holding the guard. Every shared structure in this workspace (page
+//! caches, the store registry, the serve batcher queue) is written so
 //! that its invariants hold between statements — a panicking peer
 //! leaves the data consistent, so the right response to poison is to
 //! take the guard anyway, not to propagate a second panic through an
@@ -17,7 +17,7 @@
 //!
 //! 1. the store registry's per-key locks (`StoreRegistry`: its key map,
 //!    then one slot per content key);
-//! 2. the page-cache stripes of [`ShardedPageCache`](crate::ShardedPageCache);
+//! 2. each store file's page cache (one lock per file);
 //! 3. the [`ReadEngine`](crate::ReadEngine) submission queue, and each
 //!    submitted batch's completion slots;
 //! 4. the serve batcher's queue.
@@ -25,8 +25,9 @@
 //! The rule is one guard at a time: a guard from one of these families
 //! is dropped before any other of them is locked, and none is held
 //! while waiting on the read engine. The registry releases its key map
-//! before it locks the key's slot. A gather locks one stripe per lookup
-//! and submits its misses with no stripe held. An engine worker pops a
+//! before it locks the key's slot. A gather locks its file's page
+//! cache twice, to classify and then to publish, and submits its misses
+//! between the two with no cache lock held. An engine worker pops a
 //! job, releases the queue, reads, then fills the completion. The
 //! batcher drains its queue and releases it before executing a window.
 //!

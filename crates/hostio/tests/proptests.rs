@@ -52,8 +52,8 @@ proptest! {
         }
     }
 
-    /// One stripe of the payload cache against the naive reference: a
-    /// `Vec` of `(page, payload)` records, MRU first. Hits, the payload
+    /// The payload cache against the naive reference: a `Vec` of
+    /// `(page, payload)` records, MRU first. Hits, the payload
     /// a hit returns (each insert carries its op index, so a stale one
     /// shows), eviction victims and occupancy all agree.
     #[test]
@@ -84,7 +84,7 @@ proptest! {
                 });
                 prop_assert_eq!(cache.get(page).map(|p| p.to_vec()), want);
             }
-            prop_assert_eq!(cache.occupancy(), vec![model.len()]);
+            prop_assert_eq!(cache.len(), model.len());
             for p in 0..8u64 {
                 prop_assert_eq!(cache.contains(p), model.iter().any(|&(q, _)| q == p));
             }

@@ -4,8 +4,8 @@
 //! the SSD's DRAM page buffer) need residency and eviction order, not
 //! payloads: they are [`LruSet`]s — each behind the one [`CountedLru`],
 //! which adds the hit/miss counters and the imposed-verdict rule every
-//! modeled cache shares. The real caches (the payload page
-//! cache's stripes, the ISP row scratchpad) keep a value per resident
+//! modeled cache shares. The real caches (each store file's
+//! page cache, the ISP row scratchpad) keep a value per resident
 //! key: they are [`LruMap`]s. Both are the same structure — `LruSet<K>`
 //! is `LruMap<K, ()>` — so a key and its payload are one record and
 //! cannot drift apart. O(1) access/insert via a hash map over an

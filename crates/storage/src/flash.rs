@@ -90,7 +90,7 @@ impl FlashArray {
         &self.params
     }
 
-    /// Channel that physical page `page` lives on (striped).
+    /// Channel that physical page `page` lives on (interleaved).
     #[inline]
     pub fn channel_of(&self, page: PhysPage) -> usize {
         (page.0 % self.params.channels as u64) as usize

@@ -60,7 +60,7 @@ impl Ftl {
     /// Physical placement follows the standard dynamic-allocation layout
     /// in which consecutive logical pages land on consecutive channels
     /// ([`FlashArray::channel_of`](crate::flash::FlashArray::channel_of)
-    /// stripes by `ppn % channels`),
+    /// interleaves by `ppn % channels`),
     /// so the mapping is the identity permutation; what the model charges
     /// for is the *work* of the map lookup ([`Ftl::translate_cost`]),
     /// which the ISP path must spend on the embedded cores per request
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn consecutive_lpns_hit_distinct_channels() {
         let mut f = ftl(1024);
-        // FlashArray::channel_of stripes by ppn % channels, so 8 consecutive
+        // FlashArray::channel_of interleaves by ppn % channels, so 8 consecutive
         // LPNs must land on all 8 channels.
         let channels: BTreeSet<u64> = (0..8).map(|l| f.translate(l).0 % 8).collect();
         assert_eq!(

@@ -245,9 +245,9 @@ mod tests {
     use std::sync::Arc;
 
     /// A single-owner store over `path`: one handle on a private
-    /// shared store with a one-stripe cache.
+    /// shared store.
     fn open_with(path: &Path, opts: FileStoreOptions) -> Result<StoreHandle, StoreError> {
-        let shared = SharedFileStore::open_with(path, opts, 1)?;
+        let shared = SharedFileStore::open_with(path, opts)?;
         Ok(StoreHandle::new(Arc::new(shared)))
     }
 

@@ -36,7 +36,7 @@
 //! layer over the same crate-private `PagedFile` (`paged.rs`). The
 //! file is opened once per registry; a batch of offset or edge entries
 //! becomes the layout's byte ranges that the paged read path resolves
-//! through its lock-striped page cache, and the entries decode straight
+//! through its page cache, and the entries decode straight
 //! out of the staged pages into the caller's output. A pick batch reads
 //! one offset pair per maximal run of equal consecutive parents and
 //! checks every pick of the run against it. Every operation takes
@@ -216,24 +216,15 @@ pub struct SharedCsrFile {
 }
 
 impl SharedCsrFile {
-    /// Opens `path` with default options and stripe count.
+    /// Opens `path` with default options.
     pub fn open(path: &Path) -> Result<SharedCsrFile, StoreError> {
-        SharedCsrFile::open_with(
-            path,
-            FileStoreOptions::default(),
-            crate::shared::DEFAULT_CACHE_SHARDS,
-        )
+        SharedCsrFile::open_with(path, FileStoreOptions::default())
     }
 
     /// Opens `path` through the full magic/header/length/end-point
-    /// validation, striping the page cache over `shards` locks. Reads
-    /// go through the process-wide [`ReadEngine`].
-    pub fn open_with(
-        path: &Path,
-        opts: FileStoreOptions,
-        shards: usize,
-    ) -> Result<SharedCsrFile, StoreError> {
-        SharedCsrFile::open_with_engine(path, opts, shards, Arc::clone(ReadEngine::global()))
+    /// validation. Reads go through the process-wide [`ReadEngine`].
+    pub fn open_with(path: &Path, opts: FileStoreOptions) -> Result<SharedCsrFile, StoreError> {
+        SharedCsrFile::open_with_engine(path, opts, Arc::clone(ReadEngine::global()))
     }
 
     /// Like [`SharedCsrFile::open_with`], but reads through a
@@ -242,12 +233,11 @@ impl SharedCsrFile {
     pub fn open_with_engine(
         path: &Path,
         opts: FileStoreOptions,
-        shards: usize,
         engine: Arc<ReadEngine>,
     ) -> Result<SharedCsrFile, StoreError> {
         let raw = RawGraphFile::open(path)?;
         Ok(SharedCsrFile {
-            paged: PagedFile::new(raw.file, path, raw.file_len, opts, shards, engine),
+            paged: PagedFile::new(raw.file, path, raw.file_len, opts, engine),
             num_nodes: raw.num_nodes,
             num_edges: raw.num_edges,
             layout: raw.layout,
@@ -279,9 +269,9 @@ impl SharedCsrFile {
         self.paged.file_len()
     }
 
-    /// Resident pages per cache stripe.
-    pub fn cache_occupancy(&self) -> Vec<usize> {
-        self.paged.cache_occupancy()
+    /// Resident pages of the page cache.
+    pub fn cache_resident(&self) -> usize {
+        self.paged.cache_resident()
     }
 
     /// Total page capacity of the cache.
@@ -473,12 +463,9 @@ mod tests {
         let (_, warm, _) = shared.offset_pairs(&nodes).unwrap();
         assert_eq!(warm.pages_read, 0, "second pass reads nothing");
         assert_eq!(warm.page_hits + warm.page_misses, cold.page_misses);
-        assert_eq!(
-            shared.cache_occupancy().iter().sum::<usize>() as u64,
-            cold.pages_read
-        );
+        assert_eq!(shared.cache_resident() as u64, cold.pages_read);
         shared.clear_cache();
-        assert_eq!(shared.cache_occupancy().iter().sum::<usize>(), 0);
+        assert_eq!(shared.cache_resident(), 0);
     }
 
     #[test]
@@ -515,7 +502,6 @@ mod tests {
                     page_bytes,
                     cache_pages: 2,
                 },
-                2,
             )
             .unwrap();
             assert_eq!(

@@ -371,9 +371,9 @@ mod tests {
     use std::collections::BTreeMap;
     use std::path::Path;
 
-    /// An ISP tier over its own one-stripe open of `path`.
+    /// An ISP tier over its own open of `path`.
     fn isp_default(path: &Path) -> IspGatherStore {
-        let shared = SharedFileStore::open_with(path, FileStoreOptions::default(), 1).unwrap();
+        let shared = SharedFileStore::open_with(path, FileStoreOptions::default()).unwrap();
         IspGatherStore::over(Arc::new(shared), IspGatherOptions::default())
     }
 
@@ -635,7 +635,7 @@ mod tests {
             };
             let rows = [0u64, 1, 7, 96][capacity];
             let open = || {
-                let shared = SharedFileStore::open_with(path.path(), opts, 1).unwrap();
+                let shared = SharedFileStore::open_with(path.path(), opts).unwrap();
                 let mut isp = IspGatherStore::over(Arc::new(shared), IspGatherOptions::default());
                 isp.scratchpad = Arc::new(RowScratchpad::new(rows * 32, 32));
                 isp
@@ -676,7 +676,7 @@ mod tests {
             page_bytes: 512,
             cache_pages: 4,
         };
-        let shared = SharedFileStore::open_with(path.path(), opts, 1).unwrap();
+        let shared = SharedFileStore::open_with(path.path(), opts).unwrap();
         let mut isp = IspGatherStore::over(Arc::new(shared), IspGatherOptions::default());
         isp.gather(&[5u32, 1, 3].map(NodeId::new)).unwrap();
         let (keys, stats, device) = (scratchpad_keys(&isp), isp.stats(), isp.device_time());

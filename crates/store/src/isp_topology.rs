@@ -173,9 +173,9 @@ mod tests {
         })
     }
 
-    /// An ISP tier over its own one-stripe open of `path`.
+    /// An ISP tier over its own open of `path`.
     fn isp_over(path: &Path) -> IspSampleTopology {
-        let shared = SharedCsrFile::open_with(path, FileStoreOptions::default(), 1).unwrap();
+        let shared = SharedCsrFile::open_with(path, FileStoreOptions::default()).unwrap();
         IspSampleTopology::over(Arc::new(shared), IspGatherOptions::default())
     }
 
@@ -279,7 +279,7 @@ mod tests {
             page_bytes: 8192,
             cache_pages: 64,
         };
-        let shared = SharedCsrFile::open_with(file.path(), opts, 1).unwrap();
+        let shared = SharedCsrFile::open_with(file.path(), opts).unwrap();
         let mut isp = IspSampleTopology::over(Arc::new(shared), IspGatherOptions::default());
         let lookups = |isp: &IspSampleTopology| isp.ssd().buffer.hits() + isp.ssd().buffer.misses();
         // Nodes 0 and 1 share offset page 0, and node 0 is asked twice.
@@ -314,7 +314,7 @@ mod tests {
     fn zero_queue_depth_is_rejected() {
         let g = graph(10, 0x93);
         let file = write_graph("isp-topo-qd", &g);
-        let shared = SharedCsrFile::open_with(file.path(), FileStoreOptions::default(), 1).unwrap();
+        let shared = SharedCsrFile::open_with(file.path(), FileStoreOptions::default()).unwrap();
         let mut params = SsdParams::default();
         params.isp.queue_depth = 0;
         let _ = IspSampleTopology {

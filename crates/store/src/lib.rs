@@ -14,10 +14,10 @@
 //!   produced straight into the caller's buffer with no I/O.
 //! * [`SharedFileStore`] + [`StoreHandle`] — the file tier: one open
 //!   on-disk feature file ([`mod@file`] documents the layout and the
-//!   one header codec both file formats share) and one
-//!   lock-striped, exact-LRU
-//!   [`ShardedPageCache`](smartsage_hostio::ShardedPageCache) shared by
-//!   every thread; batch gathers coalesce their page reads into
+//!   one header codec both file formats share) and one exact-LRU page
+//!   cache per file, behind one lock, shared by every thread (a read
+//!   locks it twice: to classify its pages, then to publish them); batch
+//!   gathers coalesce their page reads into
 //!   contiguous runs (a [`smartsage_sim::RankSet`] of the pages), and exact
 //!   per-call I/O deltas accumulate in per-handle *scoped* counters. A
 //!   [`StoreRegistry`] deduplicates opens by content key, so a whole
@@ -47,7 +47,7 @@
 //!   [`SharedCsrFile`] (`SSGRPH01` on-disk CSR, [`mod@graph_file`]: the
 //!   modeled [`smartsage_hostio::GraphFile`] layout behind the shared
 //!   header): coalesced page-aligned offset/edge reads through the same
-//!   sharded page cache discipline.
+//!   exact-LRU page cache discipline.
 //! * [`IspSampleTopology`] — in-storage sampling: hop expansion
 //!   resolves device-side against the SSD timing model and only the
 //!   sampled neighbor ids cross the modeled link.

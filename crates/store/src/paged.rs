@@ -1,9 +1,10 @@
 //! The one paged read path under every file-backed store.
 //!
-//! A [`PagedFile`] is an open, already validated file plus the
-//! lock-striped [`ShardedPageCache`] and [`ReadEngine`] it is read
-//! through. It knows nothing about what the bytes mean — the format
-//! layers ([`SharedFileStore`](crate::SharedFileStore) rows,
+//! A [`PagedFile`] is an open, already validated file plus the page
+//! cache and [`ReadEngine`] it is read through. The cache is one
+//! exact-LRU [`LruMap`] of `Arc<[u8]>` pages behind one lock, sized to
+//! exactly `cache_pages`. It knows nothing about what the bytes mean —
+//! the format layers ([`SharedFileStore`](crate::SharedFileStore) rows,
 //! [`SharedCsrFile`](crate::SharedCsrFile) `u64` entries) turn a
 //! request into byte ranges and decode what comes back. It is the only
 //! code that turns a byte range into page numbers, and the pages a
@@ -19,12 +20,13 @@
 //!    arithmetic. Every range lists its pages straight into the set: a
 //!    read dense in its span is a bitmap and is never sorted, a sparse
 //!    one sorts its list once, and any order lists the same pages.
-//! 2. **Classify** — walking the runs in ascending order, resident
-//!    pages are hits (promoted, and staged as `Arc` clones so a
-//!    concurrent eviction can never invalidate bytes mid-assembly);
-//!    each maximal stretch of missing pages becomes one positioned
-//!    read and holds its place in the staging vector, where a page's
-//!    slot is its rank in the plan's set.
+//! 2. **Classify** — under the cache lock, walking the runs in
+//!    ascending order, resident pages are hits (not promoted yet, and
+//!    staged as `Arc` clones so a concurrent eviction can never
+//!    invalidate bytes mid-assembly); each maximal stretch of missing
+//!    pages becomes one positioned read and holds its place in the
+//!    staging vector, where a page's slot is its rank in the plan's
+//!    set.
 //! 3. **Fetch** — the whole miss plan goes to the engine as one batch.
 //!    Stretches resolve concurrently across I/O workers, and the worker
 //!    that read a stretch also cut it into this file's pages
@@ -32,8 +34,10 @@
 //!    the reading thread only counts what came back. The completion
 //!    hands results back in submission order, so staging is
 //!    bit-identical to reading the stretches serially.
-//! 4. **Commit** — fetched pages enter the cache in ascending page
-//!    order.
+//! 4. **Publish** — only once every stretch was fetched, under the
+//!    cache lock again: the hits are promoted in ascending page order,
+//!    then the fetched pages enter the cache in ascending page order. A
+//!    read whose fetch fails leaves the cache as it found it.
 //!
 //! Decoding pays per range, inside one page: [`StagedPages::bytes`]
 //! asks the read's set for the slot of the range's page — one word and
@@ -46,11 +50,11 @@
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
 use crate::StoreStats;
-use smartsage_hostio::{ByteRange, ReadEngine, ReadRequest, ReadSource, ShardedPageCache};
-use smartsage_sim::RankSet;
+use smartsage_hostio::{ByteRange, LockExt, ReadEngine, ReadRequest, ReadSource};
+use smartsage_sim::{LruMap, RankSet};
 use std::fs::File;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Decoded values, the call's exact I/O deltas, and the read's plan.
 pub(crate) type Planned<T> = (T, StoreStats, Plan);
@@ -108,7 +112,7 @@ pub(crate) struct PagedFile {
     source: ReadSource,
     file_len: u64,
     opts: FileStoreOptions,
-    cache: ShardedPageCache,
+    cache: Mutex<LruMap<u64, Arc<[u8]>>>,
     engine: Arc<ReadEngine>,
 }
 
@@ -162,14 +166,13 @@ impl StagedPages {
 
 impl PagedFile {
     /// Wraps an open file of exactly `file_len` bytes whose reads
-    /// complete in `opts.page_bytes` pages, striping its page cache over
-    /// `stripes` locks (rounded up to a power of two).
+    /// complete in `opts.page_bytes` pages, cached `opts.cache_pages`
+    /// at a time.
     pub fn new(
         file: File,
         path: &Path,
         file_len: u64,
         opts: FileStoreOptions,
-        stripes: usize,
         engine: Arc<ReadEngine>,
     ) -> PagedFile {
         assert!(opts.page_bytes > 0, "page size must be positive");
@@ -177,7 +180,7 @@ impl PagedFile {
             source: ReadSource::paged(file, path.to_path_buf(), opts.page_bytes as usize),
             file_len,
             opts,
-            cache: ShardedPageCache::new(opts.cache_pages, stripes),
+            cache: Mutex::new(LruMap::new(opts.cache_pages)),
             engine,
         }
     }
@@ -194,16 +197,16 @@ impl PagedFile {
         self.file_len
     }
 
-    pub fn cache_occupancy(&self) -> Vec<usize> {
-        self.cache.occupancy()
+    pub fn cache_resident(&self) -> usize {
+        self.cache.safe_lock().len()
     }
 
     pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
+        self.opts.cache_pages
     }
 
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        self.cache.safe_lock().clear();
     }
 
     /// Submits one positioned read per stretch as a single engine batch
@@ -247,9 +250,9 @@ impl PagedFile {
     }
 
     /// Resolves every page `ranges` touch through the cache (module
-    /// docs), adding this call's exact I/O deltas to `io`. The first
-    /// failed stretch fails the read — naming the file — before
-    /// anything is committed to the cache.
+    /// docs), adding this call's exact I/O deltas to `io`. It locks the
+    /// cache twice, to classify and to publish; the first failed
+    /// stretch fails the read — naming the file — before the second.
     pub fn read(
         &self,
         ranges: &[ByteRange],
@@ -267,17 +270,18 @@ impl PagedFile {
         let hole: Arc<[u8]> = Arc::from([]);
         let mut staged: Vec<Arc<[u8]>> = Vec::with_capacity(pages.len());
         let mut stretches: Vec<(u64, u64)> = Vec::new();
+        let cache = self.cache.safe_lock();
         for run in pages.runs() {
             let (mut p, end) = (*run.start(), *run.end() + 1);
             while p < end {
-                if let Some(buf) = self.cache.get(p) {
+                if let Some(buf) = cache.peek(&p) {
                     io.page_hits += 1;
-                    staged.push(buf);
+                    staged.push(Arc::clone(buf));
                     p += 1;
                     continue;
                 }
                 let mut q = p + 1;
-                while q < end && !self.cache.contains(q) {
+                while q < end && !cache.contains(&q) {
                     q += 1;
                 }
                 stretches.push((p, q - p));
@@ -285,16 +289,21 @@ impl PagedFile {
                 p = q;
             }
         }
+        drop(cache);
         let mut fetched = Vec::new();
         for result in self.fetch(&stretches, io) {
             fetched.extend(result.map_err(StoreError::io(self.path(), "read run"))?);
         }
-        // Every stretch succeeded: fill the holes and commit, both in
-        // ascending page order.
+        // Every stretch succeeded: promote the hits, then fill the holes
+        // and publish them, each in ascending page order.
+        let mut cache = self.cache.safe_lock();
+        for (page, _) in pages.iter().zip(&staged).filter(|(_, buf)| !buf.is_empty()) {
+            cache.touch(&page);
+        }
         let slots = pages.iter().zip(&mut staged);
         let holes = slots.filter(|(_, buf)| buf.is_empty());
         for ((page, slot), buf) in holes.zip(fetched) {
-            self.cache.insert(page, Arc::clone(&buf));
+            cache.put(page, Arc::clone(&buf));
             *slot = buf;
         }
         Ok(StagedPages {
@@ -342,7 +351,6 @@ pub(crate) mod tests {
                 page_bytes,
                 cache_pages,
             },
-            2,
             Arc::clone(ReadEngine::global()),
         )
     }
@@ -514,16 +522,73 @@ pub(crate) mod tests {
             // Only the stretch that succeeded was counted, and a failed
             // read leaves the cache untouched.
             assert_eq!((io.pages_read, io.bytes_read), (1, 512));
-            assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 0);
+            assert_eq!(paged.cache_resident(), 0);
             // A demand read of the surviving page alone lands it, and
             // the next one hits it without reading.
             let mut landed = StoreStats::default();
             paged.read(&[range(0, 8)], &mut landed).unwrap();
             assert_eq!((landed.pages_read, landed.bytes_read), (1, 512));
-            assert_eq!(paged.cache_occupancy().iter().sum::<usize>(), 1);
+            assert_eq!(paged.cache_resident(), 1);
             let mut demand = StoreStats::default();
             paged.read(&[range(0, 8)], &mut demand).unwrap();
             assert_eq!((demand.page_hits, demand.pages_read), (1, 0));
         }
+    }
+
+    #[test]
+    fn a_failed_read_promotes_nothing() {
+        // Pages A = 0, B = 1, C = 2 of a 5-page file, in a 2-page
+        // cache; pages 3 and 4 are cut off underneath it.
+        let (file, _) = patterned("paged-no-promote", 5 * 512);
+        let paged = open(&file, 5 * 512, 512, 2);
+        let page = |p: u64| range(p * 512, 8);
+        let read = |p: u64| {
+            let mut io = StoreStats::default();
+            paged.read(&[page(p)], &mut io).unwrap();
+            (io.page_hits, io.pages_read)
+        };
+        assert_eq!((read(0), read(1)), ((0, 1), (0, 1)));
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(file.path())
+            .unwrap()
+            .set_len(3 * 512)
+            .unwrap();
+        // A hits, the stretch past the new end fails: A stays LRU.
+        let mut io = StoreStats::default();
+        assert!(paged.read(&[page(0), page(4)], &mut io).is_err());
+        assert_eq!(io.page_hits, 1);
+        // So C evicts A, and B is still resident.
+        assert_eq!(read(2), (0, 1));
+        assert_eq!(read(1), (1, 0), "B survives");
+        assert_eq!(read(0), (0, 1), "A was the victim");
+    }
+
+    #[test]
+    fn a_poisoned_cache_lock_still_serves_reads() {
+        let (file, bytes) = patterned("paged-poison", 4 * 512);
+        let paged = open(&file, 4 * 512, 512, 4);
+        let mut io = StoreStats::default();
+        paged.read(&[range(0, 8)], &mut io).unwrap();
+        // A reader dies holding the cache lock: the lock is poisoned.
+        // (A page and its payload are one record, so there is no
+        // half-updated state for it to leave behind.)
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _cache = paged.cache.lock().unwrap();
+                panic!("gather died holding the cache lock");
+            })
+            .join()
+        });
+        assert!(died.is_err() && paged.cache.is_poisoned());
+        let ranges = [range(0, 8), range(600, 8)];
+        let mut after = StoreStats::default();
+        let staged = paged.read(&ranges, &mut after).unwrap();
+        assert_eq!((after.page_hits, after.pages_read), (1, 1));
+        let mut spill = [0u8; 8];
+        assert_eq!(staged.bytes(ranges[1], &mut spill), &bytes[600..608]);
+        assert_eq!(paged.cache_resident(), 2);
+        paged.clear_cache();
+        assert_eq!(paged.cache_resident(), 0);
     }
 }

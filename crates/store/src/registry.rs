@@ -6,7 +6,7 @@
 //! the OS temp directory and deduplicates opens: the first caller
 //! publishes (write to a private temp name, then an atomic rename) and
 //! opens; everyone else gets an `Arc` clone of the same
-//! [`SharedFileStore`] — one file descriptor, one sharded page cache.
+//! [`SharedFileStore`] — one file descriptor, one page cache.
 //!
 //! There are two kinds of registry:
 //!
@@ -39,7 +39,7 @@ use crate::error::StoreError;
 use crate::file::{write_feature_shard, FileStoreOptions};
 use crate::graph_file::{edge_offset, write_graph_shard, SharedCsrFile};
 use crate::sharded::shard_ranges;
-use crate::shared::{SharedFileStore, DEFAULT_CACHE_SHARDS};
+use crate::shared::SharedFileStore;
 use smartsage_graph::{CsrGraph, FeatureTable};
 use smartsage_hostio::LockExt;
 use std::collections::BTreeMap;
@@ -63,17 +63,10 @@ const TMP_MARKER: &str = ".tmp-";
 pub struct StoreOccupancy {
     /// The backing feature file.
     pub path: PathBuf,
-    /// Resident pages per cache shard, in shard order.
-    pub shard_pages: Vec<usize>,
+    /// Resident pages of the cache.
+    pub resident_pages: usize,
     /// Total page capacity of the cache.
     pub capacity_pages: usize,
-}
-
-impl StoreOccupancy {
-    /// Total resident pages across shards.
-    pub fn resident_pages(&self) -> usize {
-        self.shard_pages.iter().sum()
-    }
 }
 
 /// One content key's slot: the per-key lock serializes publication of
@@ -88,7 +81,7 @@ type Slots<F> = Mutex<BTreeMap<PathBuf, Slot<F>>>;
 
 /// The two shared file types the registry deduplicates.
 trait Published: Sized {
-    /// The validating open, with the registry's stripe count.
+    /// The validating open.
     fn open_published(path: &Path, opts: FileStoreOptions) -> Result<Self, StoreError>;
     /// The options the file was opened with.
     fn opened_with(&self) -> FileStoreOptions;
@@ -96,7 +89,7 @@ trait Published: Sized {
 
 impl Published for SharedFileStore {
     fn open_published(path: &Path, opts: FileStoreOptions) -> Result<Self, StoreError> {
-        SharedFileStore::open_with(path, opts, DEFAULT_CACHE_SHARDS)
+        SharedFileStore::open_with(path, opts)
     }
     fn opened_with(&self) -> FileStoreOptions {
         self.options()
@@ -105,7 +98,7 @@ impl Published for SharedFileStore {
 
 impl Published for SharedCsrFile {
     fn open_published(path: &Path, opts: FileStoreOptions) -> Result<Self, StoreError> {
-        SharedCsrFile::open_with(path, opts, DEFAULT_CACHE_SHARDS)
+        SharedCsrFile::open_with(path, opts)
     }
     fn opened_with(&self) -> FileStoreOptions {
         self.options()
@@ -397,7 +390,7 @@ impl StoreRegistry {
             .iter()
             .map(|s| StoreOccupancy {
                 path: s.path().to_path_buf(),
-                shard_pages: s.cache_occupancy(),
+                resident_pages: s.cache_resident(),
                 capacity_pages: s.cache_capacity(),
             })
             .collect();
@@ -406,7 +399,7 @@ impl StoreRegistry {
                 .iter()
                 .map(|g| StoreOccupancy {
                     path: g.path().to_path_buf(),
-                    shard_pages: g.cache_occupancy(),
+                    resident_pages: g.cache_resident(),
                     capacity_pages: g.cache_capacity(),
                 }),
         );
@@ -655,9 +648,9 @@ mod tests {
         let nodes: Vec<NodeId> = (0..20u32).map(NodeId::new).collect();
         let mut h = StoreHandle::new(Arc::clone(&a));
         h.gather(&nodes).unwrap();
-        assert!(a.cache_occupancy().iter().sum::<usize>() > 0);
+        assert!(a.cache_resident() > 0);
         assert_eq!(
-            b.cache_occupancy().iter().sum::<usize>(),
+            b.cache_resident(),
             0,
             "a sweep-private registry starts cold"
         );
@@ -676,11 +669,11 @@ mod tests {
             .unwrap();
         let occ = reg.occupancy();
         assert_eq!(occ.len(), 1);
-        assert!(occ[0].resident_pages() > 0);
+        assert!(occ[0].resident_pages > 0);
         assert_eq!(occ[0].capacity_pages, store.cache_capacity());
         assert_eq!(occ[0].path, store.path());
         store.clear_cache();
-        assert_eq!(reg.occupancy()[0].resident_pages(), 0);
+        assert_eq!(reg.occupancy()[0].resident_pages, 0);
         reg.close_all();
         assert!(reg.is_empty());
         // Outstanding Arcs still work after close_all.
@@ -751,9 +744,9 @@ mod tests {
         assert_eq!(occ.len(), 2);
         assert!(occ
             .iter()
-            .any(|o| o.path == a.path() && o.resident_pages() > 0));
+            .any(|o| o.path == a.path() && o.resident_pages > 0));
         a.clear_cache();
-        assert!(reg.occupancy().iter().all(|o| o.resident_pages() == 0));
+        assert!(reg.occupancy().iter().all(|o| o.resident_pages == 0));
         reg.close_all();
         assert!(reg.is_empty());
         for p in [a.path(), c.path()] {

@@ -8,10 +8,10 @@
 //!
 //! * the file is opened once and read with **positioned reads** (no
 //!   shared seek cursor to race on);
-//! * the page cache is a lock-striped
-//!   [`ShardedPageCache`](smartsage_hostio::ShardedPageCache) of
-//!   immutable `Arc<[u8]>` pages, so parallel gathers only contend on
-//!   the stripes they actually touch;
+//! * the page cache is one exact-LRU map of immutable `Arc<[u8]>`
+//!   pages, sized to exactly `cache_pages` behind one lock that a
+//!   gather takes twice — to classify its pages, then to publish them
+//!   once its misses were read with no lock held;
 //! * every operation takes `&self` and returns its **exact per-call
 //!   I/O deltas**, which the caller's [`StoreHandle`](crate::StoreHandle)
 //!   accumulates into *scoped* counters — no process-global state, no
@@ -39,9 +39,6 @@ use smartsage_hostio::{ByteRange, ReadEngine};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-/// Default lock-stripe count of the shared page cache.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
 /// A feature file opened once, shared by any number of threads.
 ///
 /// Constructed directly with [`SharedFileStore::open_with`] or — the
@@ -59,20 +56,15 @@ pub struct SharedFileStore {
 }
 
 impl SharedFileStore {
-    /// Opens `path` with default options and stripe count.
+    /// Opens `path` with default options.
     pub fn open(path: &Path) -> Result<SharedFileStore, StoreError> {
-        SharedFileStore::open_with(path, FileStoreOptions::default(), DEFAULT_CACHE_SHARDS)
+        SharedFileStore::open_with(path, FileStoreOptions::default())
     }
 
-    /// Opens `path` through the magic/header/length validation,
-    /// striping the page cache over `shards` locks (rounded up to a
-    /// power of two). Reads go through the process-wide [`ReadEngine`].
-    pub fn open_with(
-        path: &Path,
-        opts: FileStoreOptions,
-        shards: usize,
-    ) -> Result<SharedFileStore, StoreError> {
-        SharedFileStore::open_with_engine(path, opts, shards, Arc::clone(ReadEngine::global()))
+    /// Opens `path` through the magic/header/length validation. Reads
+    /// go through the process-wide [`ReadEngine`].
+    pub fn open_with(path: &Path, opts: FileStoreOptions) -> Result<SharedFileStore, StoreError> {
+        SharedFileStore::open_with_engine(path, opts, Arc::clone(ReadEngine::global()))
     }
 
     /// Like [`SharedFileStore::open_with`], but reads through a
@@ -81,12 +73,11 @@ impl SharedFileStore {
     pub fn open_with_engine(
         path: &Path,
         opts: FileStoreOptions,
-        shards: usize,
         engine: Arc<ReadEngine>,
     ) -> Result<SharedFileStore, StoreError> {
         let raw = RawFeatureFile::open(path)?;
         Ok(SharedFileStore {
-            paged: PagedFile::new(raw.file, path, raw.file_len, opts, shards, engine),
+            paged: PagedFile::new(raw.file, path, raw.file_len, opts, engine),
             dim: raw.dim,
             num_nodes: raw.num_nodes,
             num_classes: raw.num_classes,
@@ -144,9 +135,10 @@ impl SharedFileStore {
         self.paged.file_len()
     }
 
-    /// Resident pages per cache stripe (`reproduce`'s occupancy report).
-    pub fn cache_occupancy(&self) -> Vec<usize> {
-        self.paged.cache_occupancy()
+    /// Resident pages of the page cache (`reproduce`'s occupancy
+    /// report).
+    pub fn cache_resident(&self) -> usize {
+        self.paged.cache_resident()
     }
 
     /// Total page capacity of the cache.
@@ -260,10 +252,7 @@ mod tests {
         let warm = store.gather_into(&nodes, &mut buf).unwrap();
         assert_eq!(warm.pages_read, 0, "second pass reads nothing");
         assert_eq!(warm.page_hits + warm.page_misses, cold.page_misses);
-        assert_eq!(
-            store.cache_occupancy().iter().sum::<usize>() as u64,
-            cold.pages_read
-        );
+        assert_eq!(store.cache_resident() as u64, cold.pages_read);
     }
 
     #[test]
@@ -276,7 +265,6 @@ mod tests {
                     page_bytes: 512,
                     cache_pages: 8, // smaller than the file: real eviction churn
                 },
-                4,
             )
             .unwrap(),
         );

@@ -17,8 +17,7 @@
 //!   so every tier shares one code path by construction.
 //! * [`FileTopology`] — a scoped handle onto a registry-shared
 //!   [`SharedCsrFile`]: offset and edge slices
-//!   are read page-aligned through the lock-striped
-//!   [`ShardedPageCache`](smartsage_hostio::ShardedPageCache), one
+//!   are read page-aligned through the file's exact-LRU page cache, one
 //!   coalesced batch per hop, every fetched page crossing the host
 //!   link whole (Fig 10(a)).
 //! * [`IspSampleTopology`](crate::IspSampleTopology) — hop expansion

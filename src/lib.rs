@@ -19,8 +19,8 @@
 //!   the modeled host link), and *shared concurrent*
 //!   implementations — a content-keyed `StoreRegistry` opens each
 //!   feature file once (`open_tiers` is its one entry point) and every
-//!   training job holds a scoped `StoreHandle` onto its lock-striped
-//!   sharded page cache — so training can run through actual storage,
+//!   training job holds a scoped `StoreHandle` onto its one exact-LRU
+//!   page cache — so training can run through actual storage,
 //!   in parallel. The same
 //!   architecture covers the *topology* half of the dataset: a
 //!   `TopologyStore` trait with in-memory (`InMemoryTopology`),
@@ -88,7 +88,7 @@
 //! let nodes: Vec<NodeId> = (0..16u32).map(|i| NodeId::new(i * 128)).collect();
 //! let mut mem = InMemoryStore::new(table, 2048);
 //! let mut disk = StoreHandle::new(Arc::new(SharedFileStore::open(file.path()).unwrap()));
-//! let own = SharedFileStore::open_with(file.path(), FileStoreOptions::default(), 1).unwrap();
+//! let own = SharedFileStore::open(file.path()).unwrap();
 //! let mut isp = IspGatherStore::over(Arc::new(own), IspGatherOptions::default());
 //!
 //! let want = mem.gather(&nodes).unwrap();
@@ -145,7 +145,7 @@
 //! };
 //! let mut mem = InMemoryTopology::new(graph.clone());
 //! let mut disk = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
-//! let own = SharedCsrFile::open_with(file.path(), FileStoreOptions::default(), 1).unwrap();
+//! let own = SharedCsrFile::open(file.path()).unwrap();
 //! let mut isp = IspSampleTopology::over(Arc::new(own), IspGatherOptions::default());
 //! let want = sample(&mut mem);
 //! assert_eq!(sample(&mut disk), want); // same plan + batch off the page path

@@ -124,7 +124,7 @@ proptest! {
 
         let mut isp = IspSampleTopology::over(
             Arc::new(
-                SharedCsrFile::open_with(file.path(), FileStoreOptions::default(), 1)
+                SharedCsrFile::open_with(file.path(), FileStoreOptions::default())
                     .expect("open graph file"),
             ),
             IspGatherOptions::default(),

@@ -94,7 +94,7 @@ fn gathers_agree_across_widths(
     for workers in WORKER_COUNTS {
         let engine = Arc::new(ReadEngine::new(workers));
         let store =
-            SharedFileStore::open_with_engine(file.path(), opts, 4, Arc::clone(&engine)).unwrap();
+            SharedFileStore::open_with_engine(file.path(), opts, Arc::clone(&engine)).unwrap();
         let (got, stats) = replay(&store, batches);
         let engine = engine.stats();
         assert_eq!(
@@ -211,7 +211,6 @@ proptest! {
                         SharedFileStore::open_with_engine(
                             f.path(),
                             opts,
-                            2,
                             Arc::new(ReadEngine::new(workers)),
                         )
                         .unwrap(),
@@ -261,7 +260,7 @@ proptest! {
         for workers in WORKER_COUNTS {
             let engine = Arc::new(ReadEngine::new(workers));
             let shared = Arc::new(
-                SharedCsrFile::open_with_engine(file.path(), opts, 4, Arc::clone(&engine))
+                SharedCsrFile::open_with_engine(file.path(), opts, Arc::clone(&engine))
                     .unwrap(),
             );
             let mut topo = FileTopology::new(shared);

@@ -1,6 +1,5 @@
 //! Cross-backend feature-store conformance: the file tier
-//! (`SharedFileStore` via a scoped `StoreHandle`, single-owner with a
-//! one-stripe cache and shared with four), the in-storage-processing
+//! (`SharedFileStore` via a scoped `StoreHandle`), the in-storage-processing
 //! `IspGatherStore`, and `InMemoryStore` must return **byte-identical**
 //! gathers for random graphs, batch orders, and page sizes — the
 //! determinism contract the trainer relies on — and every store's own
@@ -20,17 +19,16 @@ use smartsage::store::{
 use std::path::Path;
 use std::sync::Arc;
 
-/// A single-owner file store: one handle on a private shared store
-/// with a one-stripe cache.
+/// A single-owner file store: one handle on a private shared store.
 fn open_solo(path: &Path, opts: FileStoreOptions) -> Result<StoreHandle, StoreError> {
-    let shared = SharedFileStore::open_with(path, opts, 1)?;
+    let shared = SharedFileStore::open_with(path, opts)?;
     Ok(StoreHandle::new(Arc::new(shared)))
 }
 
 /// A single-owner ISP tier: default device parameters over a private
-/// shared store with a one-stripe cache.
+/// shared store.
 fn open_isp(path: &Path, opts: FileStoreOptions) -> Result<IspGatherStore, StoreError> {
-    let shared = SharedFileStore::open_with(path, opts, 1)?;
+    let shared = SharedFileStore::open_with(path, opts)?;
     Ok(IspGatherStore::over(
         Arc::new(shared),
         IspGatherOptions::default(),
@@ -68,9 +66,6 @@ proptest! {
             cache_pages,
         };
         let mut on_disk = open_solo(file.path(), opts).unwrap();
-        let mut shared = StoreHandle::new(Arc::new(
-            SharedFileStore::open_with(file.path(), opts, 4).unwrap(),
-        ));
         let mut isp = open_isp(file.path(), opts).unwrap();
         let mut in_mem = InMemoryStore::new(table, num_nodes);
 
@@ -89,19 +84,12 @@ proptest! {
                 })
                 .collect();
             let from_disk = on_disk.gather(&nodes).unwrap();
-            let from_shared = shared.gather(&nodes).unwrap();
             let from_isp = isp.gather(&nodes).unwrap();
             let from_mem = in_mem.gather(&nodes).unwrap();
             prop_assert_eq!(
                 bits(&from_disk),
                 bits(&from_mem),
                 "gather diverged (nodes={}, dim={}, page={}, cache={})",
-                num_nodes, dim, opts.page_bytes, cache_pages
-            );
-            prop_assert_eq!(
-                bits(&from_shared),
-                bits(&from_mem),
-                "shared gather diverged (nodes={}, dim={}, page={}, cache={})",
                 num_nodes, dim, opts.page_bytes, cache_pages
             );
             prop_assert_eq!(
@@ -115,7 +103,7 @@ proptest! {
         }
 
         // Counters are exact on every store.
-        for stats in [on_disk.stats(), shared.stats(), isp.stats(), in_mem.stats()] {
+        for stats in [on_disk.stats(), isp.stats(), in_mem.stats()] {
             prop_assert_eq!(stats.gathers, expect_gathers);
             prop_assert_eq!(stats.nodes_gathered, expect_nodes);
             prop_assert_eq!(stats.feature_bytes, expect_nodes * dim as u64 * 4);
@@ -135,27 +123,18 @@ proptest! {
             isp_stats.device_ns > 0,
             isp_stats.host_bytes_transferred > 0
         );
-        // The host-path stores ship exactly what they read.
-        for host in [on_disk.stats(), shared.stats()] {
-            prop_assert_eq!(host.host_bytes_transferred, host.bytes_read);
-            prop_assert_eq!(host.device_bytes_read, host.bytes_read);
-            prop_assert_eq!(host.device_ns, 0);
-        }
+        // The host-path store ships exactly what it read.
+        let disk = on_disk.stats();
+        prop_assert_eq!(disk.host_bytes_transferred, disk.bytes_read);
+        prop_assert_eq!(disk.device_bytes_read, disk.bytes_read);
+        prop_assert_eq!(disk.device_ns, 0);
         // Disk accounting is consistent: misses are exactly the pages
-        // read, every read is page-granular, memory does no I/O. The
-        // single-owner and shared stores agree exactly when driven
-        // serially (same plan, same exact-LRU discipline per page).
-        for disk in [on_disk.stats(), shared.stats()] {
-            prop_assert_eq!(disk.page_misses, disk.pages_read);
-            prop_assert!(disk.bytes_read <= disk.pages_read * opts.page_bytes);
-            if expect_nodes > 0 {
-                prop_assert!(disk.pages_read > 0);
-            }
+        // read, every read is page-granular, memory does no I/O.
+        prop_assert_eq!(disk.page_misses, disk.pages_read);
+        prop_assert!(disk.bytes_read <= disk.pages_read * opts.page_bytes);
+        if expect_nodes > 0 {
+            prop_assert!(disk.pages_read > 0);
         }
-        prop_assert_eq!(
-            on_disk.stats().page_hits + on_disk.stats().page_misses,
-            shared.stats().page_hits + shared.stats().page_misses
-        );
         let mem = in_mem.stats();
         prop_assert_eq!(mem.pages_read + mem.bytes_read + mem.page_hits + mem.page_misses, 0);
     }

@@ -78,7 +78,6 @@ fn feature_store_training_through_disk_is_bit_identical_to_memory() {
                 page_bytes: 4096,
                 cache_pages: 16, // smaller than the file: hits AND misses
             },
-            1,
         )
         .unwrap(),
     ));
@@ -121,7 +120,7 @@ fn feature_store_training_through_isp_is_bit_identical_to_memory() {
     let table = FeatureTable::new(12, 4, 7);
     let file = ScratchFile::new("isp-equiv");
     write_feature_file(file.path(), &table, 500).unwrap();
-    let shared = SharedFileStore::open_with(file.path(), FileStoreOptions::default(), 1).unwrap();
+    let shared = SharedFileStore::open_with(file.path(), FileStoreOptions::default()).unwrap();
     let mut isp = IspGatherStore::over(Arc::new(shared), IspGatherOptions::default());
     let mut mem = InMemoryStore::new(table, 500);
 

@@ -120,11 +120,11 @@ fn replay(page_bytes: u64) -> [(StoreStats, SsdCounters); 2] {
     };
     let isp = IspGatherOptions::default;
     let mut topology = IspSampleTopology::over(
-        Arc::new(SharedCsrFile::open_with(graph_file.path(), file_opts, 1).unwrap()),
+        Arc::new(SharedCsrFile::open_with(graph_file.path(), file_opts).unwrap()),
         isp(),
     );
     let mut features = IspGatherStore::over(
-        Arc::new(SharedFileStore::open_with(feature_file.path(), file_opts, 1).unwrap()),
+        Arc::new(SharedFileStore::open_with(feature_file.path(), file_opts).unwrap()),
         isp(),
     );
     run_rounds(&mut topology, &mut features, false, |_| {});
@@ -162,11 +162,10 @@ fn replay_file(page_bytes: u64, cache_pages: usize) -> ([StoreStats; 2], [u64; 2
     };
     let engine = Arc::new(ReadEngine::new(1));
     let mut topology = FileTopology::new(Arc::new(
-        SharedCsrFile::open_with_engine(graph_file.path(), opts, 2, Arc::clone(&engine)).unwrap(),
+        SharedCsrFile::open_with_engine(graph_file.path(), opts, Arc::clone(&engine)).unwrap(),
     ));
     let mut features = StoreHandle::new(Arc::new(
-        SharedFileStore::open_with_engine(feature_file.path(), opts, 2, Arc::clone(&engine))
-            .unwrap(),
+        SharedFileStore::open_with_engine(feature_file.path(), opts, Arc::clone(&engine)).unwrap(),
     ));
     let mut jobs_after = [0u64; 3];
     run_rounds(&mut topology, &mut features, true, |round| {

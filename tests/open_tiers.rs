@@ -227,7 +227,7 @@ fn the_one_way_partition_is_the_unsharded_file_slot_and_cache() {
     // A page the tier pair loads is resident in the file the
     // single-file open returned.
     tiers.features.gather(&[NodeId::new(0)]).unwrap();
-    assert_eq!(features.cache_occupancy().iter().sum::<usize>(), 1);
+    assert_eq!(features.cache_resident(), 1);
     remove_published(paths_of(&registry));
 }
 
@@ -265,15 +265,21 @@ fn a_zero_cache_budget_runs_every_device_uncached() {
             let occupancy = registry.occupancy();
             assert_eq!(occupancy.len(), 2 * shards, "{what}");
             for file in &occupancy {
-                assert_eq!(
-                    (file.resident_pages(), file.capacity_pages),
-                    (0, 0),
-                    "{what}"
-                );
+                assert_eq!((file.resident_pages, file.capacity_pages), (0, 0), "{what}");
             }
             published.extend(paths_of(&registry));
         }
     }
+    // A nonzero budget is sliced exactly too: 1024 pages over 3
+    // devices is 341 per file, 1023 per half, never rounded up.
+    let mut sliced = spec(StoreKind::File, TopologyKind::File, 3);
+    sliced.file.cache_pages = 1024;
+    let registry = StoreRegistry::new();
+    registry.open_tiers(&graph, &table, n, &sliced).unwrap();
+    let occupancy = registry.occupancy();
+    assert_eq!(occupancy.len(), 6);
+    assert!(occupancy.iter().all(|file| file.capacity_pages == 341));
+    published.extend(paths_of(&registry));
     remove_published(published);
 }
 
@@ -300,7 +306,7 @@ fn reopening_the_same_keys_with_different_options_is_an_options_conflict() {
         tiers.features.gather(&node).unwrap();
         let resident = || -> usize {
             let occupancy = registry.occupancy();
-            occupancy.iter().map(|o| o.resident_pages()).sum()
+            occupancy.iter().map(|o| o.resident_pages).sum()
         };
         assert_eq!(resident(), 1);
         reopened.features.gather(&node).unwrap();

@@ -682,14 +682,14 @@ fn manifest_paths_survive_in_every_error_message() {
     // naming it on either axis.
     let opts = FileStoreOptions::default();
     let feature = Path::new("/nonexistent/shard-0.fbin");
-    let err = SharedFileStore::open_with(feature, opts, 1).unwrap_err();
+    let err = SharedFileStore::open_with(feature, opts).unwrap_err();
     assert!(matches!(err, StoreError::Io { .. }), "{err}");
     assert!(
         err.to_string().contains("/nonexistent/shard-0.fbin"),
         "{err}"
     );
     let graph = Path::new("/nonexistent/shard-1.gbin");
-    let err = SharedCsrFile::open_with(graph, opts, 1).unwrap_err();
+    let err = SharedCsrFile::open_with(graph, opts).unwrap_err();
     assert!(matches!(err, StoreError::Io { .. }), "{err}");
     assert!(
         err.to_string().contains("/nonexistent/shard-1.gbin"),

@@ -64,11 +64,11 @@ fn parallel_jobs_share_one_registry_entry_and_tables_are_identical() {
     assert_eq!(serial.stores.len(), 5);
     for occ in &parallel.stores {
         assert!(
-            occ.resident_pages() > 0,
+            occ.resident_pages > 0,
             "{}: shared cache ended a sweep empty",
             occ.path.display()
         );
-        assert!(occ.resident_pages() <= occ.capacity_pages);
+        assert!(occ.resident_pages <= occ.capacity_pages);
     }
     // Tables are byte-identical serial vs parallel (the determinism
     // contract: stores and threading never change results).
@@ -135,8 +135,8 @@ fn parallel_graph_sweep_shares_one_registry_entry_and_tables_are_identical() {
     assert_eq!(parallel.stores.len(), 5, "one graph entry per dataset");
     assert_eq!(serial.stores.len(), 5);
     for occ in &parallel.stores {
-        assert!(occ.resident_pages() > 0);
-        assert!(occ.resident_pages() <= occ.capacity_pages);
+        assert!(occ.resident_pages > 0);
+        assert!(occ.resident_pages <= occ.capacity_pages);
     }
     assert_eq!(
         OutputFormat::Text.render(&serial.outcomes),
@@ -386,7 +386,7 @@ fn one_batch_cells_record_their_io_like_every_other_run() {
     let (features, topology) = (outcome.store_stats, outcome.topology_stats);
     assert_eq!(features.gathers, 5);
     assert!(features.bytes_read > 0 && topology.bytes_read > 0);
-    let resident: usize = outcome.stores.iter().map(|o| o.resident_pages()).sum();
+    let resident: usize = outcome.stores.iter().map(|o| o.resident_pages).sum();
     assert!(resident > 0, "the sweep warmed its caches");
     assert!(features.pages_read + topology.pages_read >= resident as u64);
 }

@@ -61,9 +61,9 @@ const PAGE_SIZES: [u64; 5] = [512, 1024, 2048, 4096, 8192];
 /// A labelled topology store ("file x3").
 type Tier = (String, Box<dyn TopologyStore>);
 
-/// An ISP sampling tier over its own one-stripe open of `path`.
+/// An ISP sampling tier over its own open of `path`.
 fn isp_over(path: &Path, opts: FileStoreOptions) -> IspSampleTopology {
-    let shared = SharedCsrFile::open_with(path, opts, 1).unwrap();
+    let shared = SharedCsrFile::open_with(path, opts).unwrap();
     IspSampleTopology::over(Arc::new(shared), IspGatherOptions::default())
 }
 
@@ -83,7 +83,7 @@ fn every_tier(graph: &CsrGraph, opts: FileStoreOptions) -> (Vec<Tier>, ScratchFi
         (
             "file x1".into(),
             Box::new(FileTopology::new(Arc::new(
-                SharedCsrFile::open_with(whole.path(), opts, 1).unwrap(),
+                SharedCsrFile::open_with(whole.path(), opts).unwrap(),
             ))),
         ),
         ("isp x1".into(), Box::new(isp_over(whole.path(), opts))),
@@ -130,11 +130,11 @@ proptest! {
             cache_pages,
         };
         let mut mem = InMemoryTopology::new(graph.clone());
-        // One cache shard on both file-backed tiers: driven serially
+        // One page cache each on both file-backed tiers: driven serially
         // with the same request sequence and the same exact-LRU
         // discipline, their page traffic must agree to the byte.
         let mut disk =
-            FileTopology::new(Arc::new(SharedCsrFile::open_with(file.path(), opts, 1).unwrap()));
+            FileTopology::new(Arc::new(SharedCsrFile::open_with(file.path(), opts).unwrap()));
         let mut isp = isp_over(file.path(), opts);
         prop_assert_eq!(disk.num_nodes(), graph.num_nodes());
         prop_assert_eq!(isp.num_edges(), graph.num_edges());
@@ -383,7 +383,7 @@ fn topology_store_every_tier_checks_the_buffer_then_ids_then_pick_positions() {
         (
             "file".into(),
             Box::new(FileTopology::new(Arc::new(
-                SharedCsrFile::open_with(whole.path(), opts, 1).unwrap(),
+                SharedCsrFile::open_with(whole.path(), opts).unwrap(),
             ))),
         ),
         ("isp".into(), Box::new(isp_over(whole.path(), opts))),
@@ -512,18 +512,18 @@ fn topology_store_hub_picks_that_bounce_across_a_lists_pages_are_pinned() {
     // (page size, tier, shards, the tier's stats after both passes).
     #[rustfmt::skip]
     let golden: [(u64, TopologyKind, usize, [u64; 10]); 12] = [
-        (512, TopologyKind::File, 1, [2, 140, 1120, 75, 38400, 7, 75, 38400, 38400, 0]),
-        (512, TopologyKind::File, 3, [2, 140, 1120, 72, 36864, 12, 72, 36864, 36864, 0]),
-        (512, TopologyKind::Isp, 1, [2, 140, 1120, 75, 38400, 7, 75, 38400, 1120, 166910]),
-        (512, TopologyKind::Isp, 3, [2, 140, 1120, 72, 36864, 12, 72, 36864, 1120, 182190]),
-        (1001, TopologyKind::File, 1, [2, 140, 1120, 39, 39039, 7, 39, 39039, 39039, 0]),
-        (1001, TopologyKind::File, 3, [2, 140, 1120, 38, 37439, 12, 38, 37439, 37439, 0]),
-        (1001, TopologyKind::Isp, 1, [2, 140, 1120, 39, 39039, 7, 39, 39039, 1120, 102921]),
-        (1001, TopologyKind::Isp, 3, [2, 140, 1120, 38, 37439, 12, 38, 37439, 1120, 153994]),
-        (4096, TopologyKind::File, 1, [2, 140, 1120, 7, 26232, 7, 7, 26232, 26232, 0]),
-        (4096, TopologyKind::File, 3, [2, 140, 1120, 8, 30248, 8, 8, 30248, 30248, 0]),
-        (4096, TopologyKind::Isp, 1, [2, 140, 1120, 7, 26232, 7, 7, 26232, 1120, 102921]),
-        (4096, TopologyKind::Isp, 3, [2, 140, 1120, 8, 30248, 8, 8, 30248, 1120, 137469]),
+        (512, TopologyKind::File, 1, [2, 140, 1120, 79, 40448, 3, 79, 40448, 40448, 0]),
+        (512, TopologyKind::File, 3, [2, 140, 1120, 78, 39936, 6, 78, 39936, 39936, 0]),
+        (512, TopologyKind::Isp, 1, [2, 140, 1120, 79, 40448, 3, 79, 40448, 1120, 166910]),
+        (512, TopologyKind::Isp, 3, [2, 140, 1120, 78, 39936, 6, 78, 39936, 1120, 182190]),
+        (1001, TopologyKind::File, 1, [2, 140, 1120, 43, 43043, 3, 43, 43043, 43043, 0]),
+        (1001, TopologyKind::File, 3, [2, 140, 1120, 44, 43445, 6, 44, 43445, 43445, 0]),
+        (1001, TopologyKind::Isp, 1, [2, 140, 1120, 43, 43043, 3, 43, 43043, 1120, 102921]),
+        (1001, TopologyKind::Isp, 3, [2, 140, 1120, 44, 43445, 6, 44, 43445, 1120, 153994]),
+        (4096, TopologyKind::File, 1, [2, 140, 1120, 11, 42616, 3, 11, 42616, 42616, 0]),
+        (4096, TopologyKind::File, 3, [2, 140, 1120, 10, 38440, 6, 10, 38440, 38440, 0]),
+        (4096, TopologyKind::Isp, 1, [2, 140, 1120, 11, 42616, 3, 11, 42616, 1120, 102921]),
+        (4096, TopologyKind::Isp, 3, [2, 140, 1120, 10, 38440, 6, 10, 38440, 1120, 137469]),
     ];
     let mut published = Vec::new();
     for (page_bytes, topology, shards, pinned) in golden {

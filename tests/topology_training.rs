@@ -104,7 +104,7 @@ fn topology_training_loss_trajectory_is_bit_identical_to_memory() {
     assert!(disk_topo.stats().hit_rate() > 0.0);
 
     // The ISP sampling tier trains to the same trajectory too.
-    let shared = SharedCsrFile::open_with(gfile.path(), FileStoreOptions::default(), 1).unwrap();
+    let shared = SharedCsrFile::open_with(gfile.path(), FileStoreOptions::default()).unwrap();
     let mut isp_topo = IspSampleTopology::over(Arc::new(shared), IspGatherOptions::default());
     let mut disk_store2 = StoreHandle::new(Arc::new(SharedFileStore::open(ffile.path()).unwrap()));
     assert_eq!(losses(&mut isp_topo, &mut disk_store2), want);
