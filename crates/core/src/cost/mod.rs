@@ -294,7 +294,7 @@ pub(crate) mod testutil {
     use super::*;
     use crate::config::SystemConfig;
     use crate::context::RunContext;
-    use smartsage_gnn::sampler::plan_sample_on;
+    use smartsage_gnn::sampler::sample_on;
     use smartsage_gnn::{Fanouts, SamplePlan};
     use smartsage_graph::{Dataset, DatasetProfile, GraphScale, NodeId};
     use smartsage_sim::Xoshiro256;
@@ -311,7 +311,9 @@ pub(crate) mod testutil {
         let t: Vec<NodeId> = (0..targets as u32).map(NodeId::new).collect();
         let mut rng = Xoshiro256::seed_from_u64(seed);
         let mut topo = smartsage_store::CsrView::new(ctx.graph());
-        plan_sample_on(&mut topo, &t, &Fanouts::new(vec![4, 3]), &mut rng).unwrap()
+        sample_on(&mut topo, &t, &Fanouts::new(vec![4, 3]), &mut rng)
+            .unwrap()
+            .0
     }
 
     /// The byte trace of [`test_plan`], the form policies consume.

@@ -30,14 +30,13 @@ use crate::config::{SystemConfig, SystemKind};
 use crate::context::RunContext;
 use crate::pipeline::{price, sample_epoch_or_panic, Epoch, PipelineConfig, PipelineReport};
 use crate::report::{num, pct, speedup, Cell, Table};
-use smartsage_gnn::sampler::{epoch_targets, plan_sample_on};
+use smartsage_gnn::sampler::{epoch_targets, sample_group_on, SampleSpec};
 use smartsage_gnn::Fanouts;
 use smartsage_graph::datasets::MaterializedDataset;
 use smartsage_graph::degree::DegreeStats;
 use smartsage_graph::kronecker::{expand, KroneckerConfig};
-use smartsage_graph::{Dataset, DatasetProfile, GraphScale};
+use smartsage_graph::{Dataset, DatasetProfile, GraphScale, NodeId};
 use smartsage_memsim::{BandwidthMeter, CacheParams, SetAssocCache};
-use smartsage_sim::Xoshiro256;
 use smartsage_store::{CsrView, StoreKind, TopologyKind};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -498,24 +497,22 @@ fn fig5_driver(scale: &ExperimentScale) -> Table {
         let dram = &ctx.config.devices.dram;
         let mut meter =
             BandwidthMeter::new(scale.workers as u32, dram.bytes_per_sec, dram.line_bytes);
-        // Interleave the access traces of `workers` concurrent samplers.
-        let mut plans = Vec::new();
-        for w in 0..scale.workers {
-            let targets = epoch_targets(graph.num_nodes(), scale.batch_size, w, scale.seed);
-            let mut rng = Xoshiro256::seed_from_u64(scale.seed ^ w as u64);
-            plans.push(
-                plan_sample_on(
-                    &mut CsrView::new(graph),
-                    &targets,
-                    &Fanouts::paper_default(),
-                    &mut rng,
-                )
-                .expect("in-memory topology cannot fail"),
-            );
-        }
-        let traces: Vec<Vec<(u64, u64)>> = plans
+        // Interleave the access traces of `workers` concurrent samplers,
+        // sampled as one group (each on its own seed).
+        let targets: Vec<Vec<NodeId>> = (0..scale.workers)
+            .map(|w| epoch_targets(graph.num_nodes(), scale.batch_size, w, scale.seed))
+            .collect();
+        let seeds = (0..).map(|w| scale.seed ^ w);
+        let specs: Vec<SampleSpec> = targets
             .iter()
-            .map(|p| {
+            .zip(seeds)
+            .map(|(targets, seed)| SampleSpec { targets, seed })
+            .collect();
+        let sampled = sample_group_on(&mut CsrView::new(graph), &specs, &Fanouts::paper_default())
+            .expect("in-memory topology cannot fail");
+        let traces: Vec<Vec<(u64, u64)>> = sampled
+            .iter()
+            .map(|(p, _)| {
                 let mut trace = Vec::new();
                 for k in 0..p.trace.hops.len() {
                     for (node, positions) in p.accesses(k) {

@@ -8,11 +8,14 @@
 //!   grouped means), with gradients verified against numeric
 //!   differentiation in tests.
 //! * [`sampler`] — GraphSAGE neighbor sampling (paper Algorithm 1) in
-//!   one pass through a topology store: [`sampler::sample_on`] draws
-//!   the random *positions* once into a [`sampler::SamplePlan`] and
-//!   resolves them to the [`sampler::SampledBatch`] in the same hop
-//!   loop. Every system (DRAM, mmap, direct-I/O, ISP) prices that one
-//!   plan and trains on that one batch — so the property "the ISP
+//!   one pass through a topology store: [`sample_group_on`] samples a
+//!   group of requests (a merged serve group, Fig 5's samplers) with one
+//!   degree call and one pick call per hop, drawing each request's
+//!   random *positions* once into a [`SamplePlan`] and resolving them
+//!   to its [`SampledBatch`] in the same hop loop; [`sampler::sample_on`]
+//!   is its one-request case, which the offline pipeline samples each
+//!   batch with. Every system (DRAM, mmap, direct-I/O, ISP) prices that
+//!   one plan and trains on that one batch — so the property "the ISP
 //!   produces byte-identical subgraphs to the host sampler" holds by
 //!   construction and is also asserted by tests. A GraphSAINT random
 //!   walk (the paper's robustness study, Fig 20) is the same loop at
@@ -33,6 +36,6 @@ pub mod trainer;
 pub use gpu::{GpuParams, TrainingCost};
 pub use model::GraphSageModel;
 pub use sampler::{
-    gather_union, merge_batches, sample_many_on, Fanouts, SamplePlan, SampleSpec, SampledBatch,
+    gather_union, merge_batches, sample_group_on, Fanouts, SamplePlan, SampleSpec, SampledBatch,
 };
 pub use tensor::Matrix;

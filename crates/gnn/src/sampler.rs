@@ -1,10 +1,10 @@
 //! GraphSAGE neighbor sampling (paper §II-B, Algorithm 1).
 //!
 //! A mini-batch is sampled in **one pass** through a
-//! [`TopologyStore`]: per hop, [`sample_on`] reads the frontier's
-//! degrees, draws the **positions** of the sampled neighbors within
-//! each node's neighbor list, and resolves those picks to neighbor ids
-//! — the way SmartSAGE's ISP builds the subgraph inside the device once
+//! [`TopologyStore`]: per hop, the pass reads the frontier's degrees,
+//! draws the **positions** of the sampled neighbors within each node's
+//! neighbor list, and resolves those picks to neighbor ids — the way
+//! SmartSAGE's ISP builds the subgraph inside the device once
 //! (Fig 10(b)). The pass writes what it did once, as flat per-hop arrays:
 //!
 //! * the [`SamplePlan`] — the [`SampleTrace`] the pass recorded as it
@@ -13,15 +13,22 @@
 //!   plus the positions it drew;
 //! * the [`SampledBatch`] — the resolved subgraph training consumes.
 //!
-//! [`plan_sample_on`] keeps only the plan and [`sample_many_on`] runs
-//! many requests through the same loop with their frontiers merged, so
-//! there is one hop-expansion implementation and the graph half of the
-//! dataset can live in memory ([`CsrView`](smartsage_store::CsrView)),
+//! [`sample_group_on`] is the one group sampler: a group of requests
+//! (serve's merged group, Fig 5's concurrent samplers), each on its own
+//! seeded RNG, shares one `degrees_into` and one `pick_neighbors_into`
+//! call per hop — the paper's one `NSconfig` per command group
+//! (Fig 11) — and every request's plan and batch are the ones it would
+//! get alone. [`sample_on`] is its one-request case for a caller with
+//! a running RNG or one batch at a time (the trainer, the offline
+//! pipeline, the examples). There is one hop-expansion implementation,
+//! so the graph half of the dataset can live in memory
+//! ([`CsrView`](smartsage_store::CsrView)),
 //! on storage ([`FileTopology`](smartsage_store::FileTopology)) or
 //! resolve inside the modeled SSD
 //! ([`IspSampleTopology`](smartsage_store::IspSampleTopology)) without
 //! the tiers drifting: bit-identical plans and batches are asserted
-//! across tiers by `tests/topology_store_conformance.rs`.
+//! across tiers, and group ≡ solo, by
+//! `tests/topology_store_conformance.rs`.
 //!
 //! [`SamplePlan::resolve_on`] re-materializes a batch from a finished
 //! plan; the conformance suites use it as the independent reference
@@ -91,7 +98,7 @@ impl Fanouts {
 /// The complete sampling plan for one mini-batch: what the pass asked
 /// the store, what the store answered, and the random choices drawn
 /// from those answers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SamplePlan {
     /// Per hop, the frontier and its degrees — the byte trace the cost
     /// policies price. Hop 0's frontier is the mini-batch's targets.
@@ -220,7 +227,8 @@ impl SampledBatch {
 }
 
 /// The hop-expansion loop (paper Algorithm 1, applied per hop), for
-/// any number of independent requests at once.
+/// any number of independent requests at once: request `i` samples
+/// `targets[i]` with `rngs[i]`.
 ///
 /// Per hop, every request's frontier merges into **one coalesced**
 /// `degrees_into` batch; each request then draws `fanout` positions
@@ -230,24 +238,19 @@ impl SampledBatch {
 /// neighbors and the next hop's frontier. Hop 0's frontier is the
 /// request's targets. Each request's frontier and the degrees the store
 /// answered for it are kept as that hop of the request's trace.
-fn expand_hops(
+fn expand_hops<'t>(
     topology: &mut dyn TopologyStore,
-    requests: &mut [(&[NodeId], &mut Xoshiro256)],
+    targets: impl Iterator<Item = &'t [NodeId]>,
+    rngs: &mut [Xoshiro256],
     fanouts: &Fanouts,
 ) -> Result<Vec<(SamplePlan, SampledBatch)>, StoreError> {
-    let mut out: Vec<(SamplePlan, SampledBatch)> = requests
-        .iter()
-        .map(|(targets, _)| {
-            (
-                SamplePlan {
-                    trace: SampleTrace::default(),
-                    positions: Vec::with_capacity(fanouts.hops()),
-                },
-                SampledBatch {
-                    targets: targets.to_vec(),
-                    hops: Vec::with_capacity(fanouts.hops()),
-                },
-            )
+    let mut out: Vec<(SamplePlan, SampledBatch)> = targets
+        .map(|targets| {
+            let batch = SampledBatch {
+                targets: targets.to_vec(),
+                hops: Vec::with_capacity(fanouts.hops()),
+            };
+            (SamplePlan::default(), batch)
         })
         .collect();
     for &fanout in fanouts.as_slice() {
@@ -260,7 +263,7 @@ fn expand_hops(
         topology.degrees_into(&merged, &mut degrees)?;
         let mut picks: Vec<(NodeId, u64)> = Vec::with_capacity(merged.len() * fanout);
         let mut answered = degrees.as_slice();
-        for ((plan, batch), (_, rng)) in out.iter_mut().zip(requests.iter_mut()) {
+        for ((plan, batch), rng) in out.iter_mut().zip(rngs.iter_mut()) {
             let nodes = batch.frontier().to_vec();
             let (degrees, rest) = answered.split_at(nodes.len());
             answered = rest;
@@ -297,7 +300,10 @@ fn expand_hops(
 
 /// Samples one mini-batch through a [`TopologyStore`] in a single pass
 /// (two batched store calls per hop), returning the plan and the
-/// resolved batch together.
+/// resolved batch together: the one-request case of
+/// [`sample_group_on`], for callers that carry a running RNG or sample
+/// one batch at a time (the trainer, the offline pipeline's real pass,
+/// the examples).
 ///
 /// `rng` is consumed per hop, per frontier node in frontier order,
 /// `fanout` draws per non-isolated node — so for the same seed, plans
@@ -309,12 +315,14 @@ pub fn sample_on(
     fanouts: &Fanouts,
     rng: &mut Xoshiro256,
 ) -> Result<(SamplePlan, SampledBatch), StoreError> {
-    let mut sampled = expand_hops(topology, &mut [(targets, rng)], fanouts)?;
+    let rngs = std::slice::from_mut(rng);
+    let mut sampled = expand_hops(topology, std::iter::once(targets), rngs, fanouts)?;
     Ok(sampled.pop().expect("one request in, one sample out"))
 }
 
-/// Draws the sampling plan for one mini-batch through a
-/// [`TopologyStore`]: [`sample_on`], keeping only the plan.
+// `sample_on`, keeping only the plan. Nothing in the workspace calls
+// it; it stays while `benchmark/` (frozen) spells it.
+#[doc(hidden)]
 pub fn plan_sample_on(
     topology: &mut dyn TopologyStore,
     targets: &[NodeId],
@@ -324,52 +332,50 @@ pub fn plan_sample_on(
     sample_on(topology, targets, fanouts, rng).map(|(plan, _)| plan)
 }
 
-/// One independent sampling request inside a merged, coalesced pass —
-/// the unit `smartsage-serve`'s batcher hands to [`sample_many_on`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleSpec {
+/// One request of a group [`sample_group_on`] samples together: its
+/// targets, borrowed, and the seed of its own position RNG.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampleSpec<'a> {
     /// The request's mini-batch target nodes.
-    pub targets: Vec<NodeId>,
+    pub targets: &'a [NodeId],
     /// Seed of the request's private position RNG.
     pub seed: u64,
 }
 
-/// Samples many independent requests through a [`TopologyStore`] in
-/// **one coalesced pass per hop**: all requests' frontiers merge into a
-/// single `degrees_into` batch and a single `pick_neighbors_into`
-/// batch, so overlapping neighborhoods share page fetches, cache hits,
-/// and ISP passes.
+/// Samples a group of independent requests through a [`TopologyStore`]
+/// in **one coalesced pass per hop** — the one group sampler: serve
+/// samples each merged group with it, Fig 5 its concurrent samplers. All
+/// requests' frontiers merge into a single `degrees_into` batch and a
+/// single `pick_neighbors_into` batch, so `2 × hops` store calls sample
+/// the whole group, and overlapping neighborhoods share page fetches,
+/// cache hits and ISP commands.
 ///
 /// Each request draws its neighbor positions from its own
 /// [`Xoshiro256`] seeded with `spec.seed`, consumed in exactly the
-/// order [`sample_on`] consumes it — so every returned batch is
-/// bit-identical to running that request alone:
+/// order [`sample_on`] consumes it — so every returned plan and batch
+/// is bit-identical to sampling that request alone:
 ///
 /// ```text
-/// sample_many_on(t, specs, f)[i]
-///     == sample_on(t, &specs[i].targets, f,
-///                  &mut Xoshiro256::seed_from_u64(specs[i].seed))?.1
+/// sample_group_on(t, specs, f)?[i]
+///     == sample_on(t, specs[i].targets, f,
+///                  &mut Xoshiro256::seed_from_u64(specs[i].seed))?
 /// ```
 ///
 /// Only the store's I/O accounting differs (fewer, larger batched
-/// operations); `nodes_gathered`/`feature_bytes` totals are unchanged
-/// because merging neither adds nor drops answers.
-pub fn sample_many_on(
+/// calls); the answers a group is given are the ones its requests
+/// would be given alone, so `nodes_gathered` / `feature_bytes` are
+/// their sums.
+pub fn sample_group_on(
     topology: &mut dyn TopologyStore,
-    specs: &[SampleSpec],
+    specs: &[SampleSpec<'_>],
     fanouts: &Fanouts,
-) -> Result<Vec<SampledBatch>, StoreError> {
+) -> Result<Vec<(SamplePlan, SampledBatch)>, StoreError> {
     let mut rngs: Vec<Xoshiro256> = specs
         .iter()
         .map(|s| Xoshiro256::seed_from_u64(s.seed))
         .collect();
-    let mut requests: Vec<(&[NodeId], &mut Xoshiro256)> = specs
-        .iter()
-        .zip(&mut rngs)
-        .map(|(spec, rng)| (&spec.targets[..], rng))
-        .collect();
-    let sampled = expand_hops(topology, &mut requests, fanouts)?;
-    Ok(sampled.into_iter().map(|(_, batch)| batch).collect())
+    let targets = specs.iter().map(|s| s.targets);
+    expand_hops(topology, targets, &mut rngs, fanouts)
 }
 
 /// Concatenates independent [`SampledBatch`]es (same hop structure)
@@ -652,9 +658,8 @@ mod tests {
             .map(|i| (0..5u32).map(|t| NodeId::new(t * 11 + i)).collect())
             .collect();
         let mut rngs: Vec<Xoshiro256> = (0..3).map(|i| Xoshiro256::seed_from_u64(70 + i)).collect();
-        let mut requests: Vec<(&[NodeId], &mut Xoshiro256)> =
-            targets.iter().map(Vec::as_slice).zip(&mut rngs).collect();
-        let merged = expand_hops(&mut CsrView::new(&g), &mut requests, &f).unwrap();
+        let requests = targets.iter().map(Vec::as_slice);
+        let merged = expand_hops(&mut CsrView::new(&g), requests, &mut rngs, &f).unwrap();
         for (i, (t, record)) in targets.iter().zip(&merged).enumerate() {
             assert_eq!(record, &sample(&g, t, &f, 70 + i as u64), "request {i}");
         }
@@ -679,42 +684,44 @@ mod tests {
     fn sample_many_matches_solo_sampling_bit_for_bit() {
         let g = graph();
         let f = Fanouts::new(vec![4, 3]);
-        let specs: Vec<SampleSpec> = (0..5u64)
-            .map(|i| SampleSpec {
-                targets: (0..6u32).map(|t| NodeId::new(t * 7 + i as u32)).collect(),
-                seed: 1000 + i,
-            })
+        let targets: Vec<Vec<NodeId>> = (0..5u32)
+            .map(|i| (0..6u32).map(|t| NodeId::new(t * 7 + i)).collect())
             .collect();
-        let mut merged_topo = CsrView::new(&g);
-        let merged = sample_many_on(&mut merged_topo, &specs, &f).unwrap();
-        assert_eq!(merged.len(), specs.len());
+        let specs: Vec<SampleSpec> = targets
+            .iter()
+            .zip(1000..)
+            .map(|(targets, seed)| SampleSpec { targets, seed })
+            .collect();
+        let mut group_topo = CsrView::new(&g);
+        let group = sample_group_on(&mut group_topo, &specs, &f).unwrap();
+        assert_eq!(group.len(), specs.len());
         let mut solo_answers = 0;
-        for (spec, batch) in specs.iter().zip(&merged) {
+        for (spec, sampled) in specs.iter().zip(&group) {
             let mut solo_topo = CsrView::new(&g);
             let mut rng = Xoshiro256::seed_from_u64(spec.seed);
-            let (_, solo) = sample_on(&mut solo_topo, &spec.targets, &f, &mut rng).unwrap();
-            assert_eq!(batch, &solo, "merged sampling must not change results");
+            let solo = sample_on(&mut solo_topo, spec.targets, &f, &mut rng).unwrap();
+            assert_eq!(sampled, &solo, "a group must not change plans or batches");
             assert_eq!(solo_topo.stats().gathers, 2 * f.hops() as u64);
             solo_answers += solo_topo.stats().nodes_gathered;
         }
-        // Merging answers exactly the solo passes' node count through
-        // only two batched ops per hop.
-        let merged_stats = merged_topo.stats();
-        assert_eq!(merged_stats.nodes_gathered, solo_answers);
-        assert_eq!(merged_stats.gathers, 2 * f.hops() as u64);
+        // The group answers exactly the solo passes' node count through
+        // only two batched calls per hop.
+        let group_stats = group_topo.stats();
+        assert_eq!(group_stats.nodes_gathered, solo_answers);
+        assert_eq!(group_stats.gathers, 2 * f.hops() as u64);
     }
 
     #[test]
-    fn sample_many_handles_isolated_nodes_and_empty_spec_lists() {
+    fn group_sampling_handles_isolated_nodes_and_empty_spec_lists() {
         let g = CsrGraph::from_edges(3, [(0, 1)]); // node 2 isolated
         let f = Fanouts::new(vec![2]);
-        let specs = vec![SampleSpec {
-            targets: vec![NodeId::new(2)],
+        let specs = [SampleSpec {
+            targets: &[NodeId::new(2)],
             seed: 3,
         }];
-        let out = sample_many_on(&mut CsrView::new(&g), &specs, &f).unwrap();
-        assert_eq!(out[0].hops[0].neighbors, vec![NodeId::new(2); 2]);
-        assert!(sample_many_on(&mut CsrView::new(&g), &[], &f)
+        let out = sample_group_on(&mut CsrView::new(&g), &specs, &f).unwrap();
+        assert_eq!(out[0].1.hops[0].neighbors, vec![NodeId::new(2); 2]);
+        assert!(sample_group_on(&mut CsrView::new(&g), &[], &f)
             .unwrap()
             .is_empty());
     }
@@ -723,13 +730,19 @@ mod tests {
     fn merge_batches_concatenates_per_hop() {
         let g = graph();
         let f = Fanouts::new(vec![3, 2]);
-        let specs: Vec<SampleSpec> = (0..3u64)
-            .map(|i| SampleSpec {
-                targets: vec![NodeId::new(i as u32), NodeId::new(40 + i as u32)],
-                seed: i,
-            })
+        let targets: Vec<[NodeId; 2]> = (0..3u32)
+            .map(|i| [NodeId::new(i), NodeId::new(40 + i)])
             .collect();
-        let batches = sample_many_on(&mut CsrView::new(&g), &specs, &f).unwrap();
+        let specs: Vec<SampleSpec> = targets
+            .iter()
+            .zip(0..)
+            .map(|(targets, seed)| SampleSpec { targets, seed })
+            .collect();
+        let batches: Vec<SampledBatch> = sample_group_on(&mut CsrView::new(&g), &specs, &f)
+            .unwrap()
+            .into_iter()
+            .map(|(_, batch)| batch)
+            .collect();
         let merged = merge_batches(&batches);
         assert_eq!(merged.targets.len(), 6);
         assert_eq!(merged.hops[0].neighbors.len(), 6 * 3);
@@ -751,13 +764,9 @@ mod tests {
     #[should_panic(expected = "identical fan-outs")]
     fn merge_batches_rejects_mismatched_fanouts() {
         let g = graph();
-        let spec = vec![SampleSpec {
-            targets: vec![NodeId::new(1)],
-            seed: 1,
-        }];
-        let a = sample_many_on(&mut CsrView::new(&g), &spec, &Fanouts::new(vec![2])).unwrap();
-        let b = sample_many_on(&mut CsrView::new(&g), &spec, &Fanouts::new(vec![3])).unwrap();
-        merge_batches(&[a[0].clone(), b[0].clone()]);
+        let (_, a) = sample(&g, &[NodeId::new(1)], &Fanouts::new(vec![2]), 1);
+        let (_, b) = sample(&g, &[NodeId::new(1)], &Fanouts::new(vec![3]), 1);
+        merge_batches(&[a, b]);
     }
 
     #[test]

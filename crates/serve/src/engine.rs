@@ -3,12 +3,13 @@
 //!
 //! [`Engine::execute`] takes a whole admission-window's worth of
 //! requests and runs them as **merged groups**: requests with
-//! identical fan-outs sample through one
-//! [`sample_many_on`] pass (one degree batch + one
-//! pick batch per hop for the whole group), and the group's infer
-//! requests share one feature gather plus one batched GraphSage
-//! forward. The gather is [`gather_union`], the one union gather the
-//! offline pipeline's windows use too, read in one slice: the group's
+//! identical fan-outs sample through one [`sample_group_on`] call (one
+//! degree batch + one pick batch per hop for the whole group), and the
+//! group's infer requests share one feature gather plus one batched
+//! GraphSage forward. Both halves are the offline pipeline's too: it
+//! samples each batch through the same hop loop ([`sample_group_on`]'s
+//! one-request case) and gathers each window of batches with
+//! [`gather_union`], which serve reads in one slice: the group's
 //! distinct nodes cross the store interface once, and each sampled
 //! node's row is its rank in the union.
 //!
@@ -22,7 +23,7 @@
 use crate::api::{infer_response, sample_response, ApiRequest, ServeError, MAX_REQUEST_NODES};
 use smartsage_gnn::model::ModelDims;
 use smartsage_gnn::{
-    gather_union, merge_batches, sample_many_on, Fanouts, GraphSageModel, Matrix, SampleSpec,
+    gather_union, merge_batches, sample_group_on, Fanouts, GraphSageModel, Matrix, SampleSpec,
     SampledBatch,
 };
 use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
@@ -312,13 +313,13 @@ impl Engine {
             .map(|&i| {
                 let s = requests[i].sample();
                 SampleSpec {
-                    targets: s.nodes.clone(),
+                    targets: &s.nodes,
                     seed: s.seed,
                 }
             })
             .collect();
-        let batches = match sample_many_on(self.topology.as_mut(), &specs, fanouts) {
-            Ok(batches) => batches,
+        let sampled = match sample_group_on(self.topology.as_mut(), &specs, fanouts) {
+            Ok(sampled) => sampled,
             Err(e) => {
                 // An I/O failure fails the whole merged pass; every
                 // member gets the same typed error.
@@ -335,7 +336,7 @@ impl Engine {
         }
         let mut infer_members: Vec<usize> = Vec::new();
         let mut infer_batches: Vec<SampledBatch> = Vec::new();
-        for (&i, batch) in members.iter().zip(batches) {
+        for (&i, (_, batch)) in members.iter().zip(sampled) {
             match &requests[i] {
                 ApiRequest::Sample(_) => responses[i] = Some(Ok(sample_response(&batch))),
                 ApiRequest::Infer(_) => {

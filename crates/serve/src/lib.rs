@@ -11,14 +11,15 @@
 //! The interesting mechanism is the **coalescing batcher**
 //! ([`batcher`]): requests that arrive within a configurable
 //! time/size window are merged into one
-//! [`sample_many_on`](smartsage_gnn::sample_many_on) pass, so
-//! overlapping neighborhoods share degree reads, page-cache hits, and
-//! ISP passes — and the window's infer requests share one distinct-node
-//! feature gather plus one batched GraphSage forward. Merging is
-//! invisible in the responses: each request draws from its own seeded
-//! RNG and every model matrix op is row-local, so samples and logits
-//! are bit-identical to serial execution (asserted by the conformance
-//! tests). Admission is bounded and typed — queue overflow is a 429,
+//! [`sample_group_on`](smartsage_gnn::sample_group_on) call — the one
+//! group sampler, whose one-request case the offline pipeline samples
+//! each batch with — so overlapping neighborhoods share degree reads,
+//! page-cache hits, and ISP commands; the window's infer requests share
+//! one distinct-node feature gather plus one batched GraphSage forward.
+//! Merging is invisible in the responses: each request draws from its
+//! own seeded RNG and every model matrix op is row-local, so samples
+//! and logits are bit-identical to serial execution (asserted by the
+//! conformance tests). Admission is bounded and typed — queue overflow is a 429,
 //! drain-for-shutdown a 503 — and shutdown completes every admitted
 //! request before the executor exits.
 //!

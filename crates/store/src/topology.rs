@@ -176,8 +176,9 @@ pub type InMemoryTopology = CsrTopology<Arc<CsrGraph>>;
 /// A zero-copy [`TopologyStore`] view over a borrowed [`CsrGraph`].
 ///
 /// This is how in-memory callers sample: they wrap the graph in a
-/// `CsrView` and call the storage-generic path (`sample_on`), so the
-/// in-memory and storage tiers cannot drift apart.
+/// `CsrView` and call the storage-generic path (`sample_group_on` /
+/// `sample_on`), so the in-memory and storage tiers cannot drift
+/// apart.
 pub type CsrView<'a> = CsrTopology<&'a CsrGraph>;
 
 impl InMemoryTopology {

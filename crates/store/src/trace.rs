@@ -83,11 +83,13 @@ impl SampleTrace {
 /// store — the reference recorder the sampler's own record is tested
 /// against.
 ///
-/// Designed for `sample_on`'s call discipline: one
-/// [`degrees_into`](TopologyStore::degrees_into) opens a hop (the
-/// frontier and its degrees), and the following
+/// Designed for the sampler's call discipline (`sample_group_on`, and
+/// `sample_on`, its one-request case): one
+/// [`degrees_into`](TopologyStore::degrees_into) opens a hop for the
+/// whole group (every request's frontier, merged, and its degrees),
+/// and the following
 /// [`pick_neighbors_into`](TopologyStore::pick_neighbors_into) closes
-/// it (the drawn picks, `fanout` per non-isolated access). Values
+/// it (the group's drawn picks, `fanout` per non-isolated access). Values
 /// returned to the caller are the inner store's, untouched.
 #[derive(Debug)]
 pub struct TracingTopology<'a> {

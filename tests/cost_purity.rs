@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::{Devices, RunContext};
 use smartsage::core::cost::{make_policy, BatchCost, CostPolicy, StepOutcome};
-use smartsage::gnn::sampler::{plan_sample_on, sample_on, Fanouts};
+use smartsage::gnn::sampler::{sample_on, Fanouts};
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::{CsrGraph, Dataset, DatasetProfile, GraphScale, NodeId};
 use smartsage::sim::{SimTime, Xoshiro256};
@@ -190,7 +190,7 @@ proptest! {
             let ctx = Arc::new(RunContext::new(data.clone(), SystemConfig::new(kind)));
             let t: Vec<NodeId> = (0..targets as u32).map(NodeId::new).collect();
             let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xC057);
-            let plan = plan_sample_on(
+            let (plan, _) = sample_on(
                 &mut CsrView::new(ctx.graph()),
                 &t,
                 &Fanouts::new(vec![4, 3]),

@@ -12,7 +12,7 @@
 //! reading through it counted.
 
 use proptest::prelude::*;
-use smartsage::gnn::sampler::plan_sample_on;
+use smartsage::gnn::sampler::sample_on;
 use smartsage::gnn::Fanouts;
 use smartsage::graph::generate::{generate_power_law, generate_seed_graph, PowerLawConfig};
 use smartsage::graph::kronecker::{expand, KroneckerConfig};
@@ -253,8 +253,8 @@ proptest! {
             .collect();
         let fanouts = Fanouts::new(vec![4, 3]);
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        let reference =
-            plan_sample_on(&mut CsrView::new(&graph), &targets, &fanouts, &mut rng).unwrap();
+        let (reference, _) =
+            sample_on(&mut CsrView::new(&graph), &targets, &fanouts, &mut rng).unwrap();
 
         let mut baseline: Option<StoreStats> = None;
         for workers in WORKER_COUNTS {
@@ -265,7 +265,7 @@ proptest! {
             );
             let mut topo = FileTopology::new(shared);
             let mut rng = Xoshiro256::seed_from_u64(seed);
-            let plan = plan_sample_on(&mut topo as &mut dyn TopologyStore, &targets, &fanouts, &mut rng)
+            let (plan, _) = sample_on(&mut topo as &mut dyn TopologyStore, &targets, &fanouts, &mut rng)
                 .unwrap();
             prop_assert_eq!(
                 &plan, &reference,

@@ -11,7 +11,7 @@
 //! `NodeCountMismatch` naming both files — from `open_tiers` itself and
 //! from the serving engine that calls it.
 
-use smartsage::gnn::sampler::plan_sample_on;
+use smartsage::gnn::sampler::sample_on;
 use smartsage::gnn::{Fanouts, SamplePlan, SampledBatch};
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::kronecker::{expand, KroneckerConfig};
@@ -74,7 +74,7 @@ fn spec(store: StoreKind, topology: TopologyKind, shards: usize) -> TierSpec {
 fn run_batch(tiers: &mut OpenTiers, num_nodes: usize) -> (SamplePlan, SampledBatch, Vec<u32>) {
     let targets: Vec<NodeId> = (0..num_nodes as u32).step_by(7).map(NodeId::new).collect();
     let mut rng = Xoshiro256::seed_from_u64(0x0BE7);
-    let plan = plan_sample_on(
+    let (plan, _) = sample_on(
         tiers.topology.as_mut(),
         &targets,
         &Fanouts::new(vec![4, 3]),

@@ -6,7 +6,7 @@ use smartsage::core::context::RunContext;
 use smartsage::core::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
 use smartsage::core::store_metrics::{self, SweepScope};
 use smartsage::core::{StoreKind, TopologyKind};
-use smartsage::gnn::sampler::{epoch_targets, plan_sample_on};
+use smartsage::gnn::sampler::{epoch_targets, sample_on};
 use smartsage::gnn::{Fanouts, SamplePlan, SampledBatch};
 use smartsage::graph::{Dataset, DatasetProfile, GraphScale, NodeId};
 use smartsage::sim::{SimDuration, Xoshiro256};
@@ -220,7 +220,9 @@ fn reference_plan(ctx: &RunContext, cfg: &PipelineConfig, index: usize) -> Sampl
     let graph = ctx.graph();
     let targets = epoch_targets(graph.num_nodes(), cfg.batch_size, index, cfg.seed);
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
-    plan_sample_on(&mut CsrView::new(graph), &targets, &cfg.fanouts, &mut rng).unwrap()
+    sample_on(&mut CsrView::new(graph), &targets, &cfg.fanouts, &mut rng)
+        .unwrap()
+        .0
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! random Kronecker graphs, page sizes, and cache sizes — the
 //! determinism contract neighbor sampling relies on — with exact,
 //! uniform access counters on every tier — and the one-pass
-//! `sample_on` must equal the plan-then-resolve reference and the
-//! 1-request `sample_many_on`, sharded or not. The ISP tier must
+//! `sample_on` must equal the plan-then-resolve reference, and each
+//! request of a `sample_group_on` group its own solo pass, sharded or
+//! not. The ISP tier must
 //! additionally keep its transfer split honest: device bytes are its
 //! page reads, host bytes are only the packed degrees and sampled ids
 //! that crossed the modeled link, strictly below the file tier's page
@@ -17,8 +18,8 @@
 //! a `StoreError` naming the file.
 
 use proptest::prelude::*;
-use smartsage::gnn::sampler::{plan_sample_on, sample_on};
-use smartsage::gnn::{sample_many_on, Fanouts, SampleSpec};
+use smartsage::gnn::sampler::sample_on;
+use smartsage::gnn::{sample_group_on, Fanouts, SamplePlan, SampleSpec, SampledBatch};
 use smartsage::graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage::graph::generate::{generate_power_law, generate_seed_graph, PowerLawConfig};
 use smartsage::graph::kronecker::{expand, KroneckerConfig};
@@ -150,7 +151,7 @@ proptest! {
         // contract).
         let plan_on = |topo: &mut dyn TopologyStore| {
             let mut rng = Xoshiro256::seed_from_u64(sample_seed);
-            let plan = plan_sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
+            let (plan, _) = sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
             let batch = plan.resolve_on(topo).unwrap();
             (plan, batch)
         };
@@ -206,6 +207,9 @@ proptest! {
         prop_assert_eq!(i.bytes_read, d.bytes_read);
     }
 
+    /// Each tier's one pass is its plan, re-resolved; and a group of 1–5
+    /// requests (the first the pass's own) samples, through `2 × hops`
+    /// calls, what each request samples alone on a fresh tier.
     #[test]
     fn topology_store_one_pass_sampling_equals_plan_then_resolve_on_every_tier(
         base_nodes in 8usize..40,
@@ -217,26 +221,59 @@ proptest! {
         walk_steps in 1usize..6,
         raw_targets in proptest::collection::vec(0u32..100_000, 1..24),
         sample_seed in any::<u64>(),
+        others in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec(0u32..100_000, 0..6), any::<u64>()),
+            0..5,
+        ),
     ) {
         let graph = kronecker_graph(base_nodes, graph_seed);
         let opts = FileStoreOptions {
             page_bytes: PAGE_SIZES[page_pick],
             cache_pages,
         };
-        let targets: Vec<NodeId> = raw_targets
+        let n = graph.num_nodes() as u32;
+        let targets: Vec<NodeId> = raw_targets.iter().map(|&r| NodeId::new(r % n)).collect();
+        // The group's other requests: random lists (some empty), an
+        // empty list, repeats (of an id of their own and of the whole
+        // first request), and the two ends of the id space.
+        let mut lists = vec![targets.clone()];
+        for (shape, raw, _) in &others {
+            let mut list: Vec<NodeId> = raw.iter().map(|&r| NodeId::new(r % n)).collect();
+            match shape {
+                0 => {}
+                1 => list.clear(),
+                2 => {
+                    list = vec![list.first().copied().unwrap_or(targets[0]); 3];
+                    list.extend_from_slice(&targets);
+                }
+                _ => list = vec![NodeId::new(0), NodeId::new(n - 1), NodeId::new(0)],
+            }
+            lists.push(list);
+        }
+        let seeds = std::iter::once(sample_seed).chain(others.iter().map(|o| o.2));
+        let specs: Vec<SampleSpec> = lists
             .iter()
-            .map(|&r| NodeId::new(r % graph.num_nodes() as u32))
+            .zip(seeds)
+            .map(|(targets, seed)| SampleSpec { targets, seed })
             .collect();
-        let spec = [SampleSpec {
-            targets: targets.clone(),
-            seed: sample_seed,
-        }];
         // A fan-out tree, and a GraphSAINT walk (fan-out 1 per step).
         let walk = Fanouts::new(vec![1; walk_steps]);
         for fanouts in [Fanouts::new(vec![fanout1, fanout2]), walk] {
             let hops = fanouts.hops() as u64;
+            // Each request alone, on a fresh tier, and the answers the
+            // solo passes were given.
+            let mut solo_answers = 0;
+            let solo: Vec<(SamplePlan, SampledBatch)> = specs
+                .iter()
+                .map(|spec| {
+                    let mut fresh = CsrView::new(&graph);
+                    let mut rng = Xoshiro256::seed_from_u64(spec.seed);
+                    let sampled = sample_on(&mut fresh, spec.targets, &fanouts, &mut rng).unwrap();
+                    solo_answers += fresh.stats().nodes_gathered;
+                    sampled
+                })
+                .collect();
             let (tiers, _file, published) = every_tier(&graph, opts);
-            let mut reference = None;
             for (what, mut topo) in tiers {
                 let what = format!("{what} {:?}", fanouts.as_slice());
                 let topo = topo.as_mut();
@@ -250,25 +287,27 @@ proptest! {
                     plan.trace.num_accesses() + plan.positions.iter().map(|p| p.len() as u64).sum::<u64>(),
                     "{}: one answer per frontier degree and per drawn pick", &what
                 );
-                // Plan-only is the same pass; re-resolving the plan is the
-                // independent reference.
-                let mut rng_plan = Xoshiro256::seed_from_u64(sample_seed);
-                let plan_only = plan_sample_on(topo, &targets, &fanouts, &mut rng_plan).unwrap();
-                prop_assert_eq!(topo.stats().gathers, 4 * hops, "{}", &what);
-                let resolved = plan_only.resolve_on(topo).unwrap();
-                prop_assert_eq!(topo.stats().gathers, 5 * hops, "{}", &what);
-                prop_assert_eq!(&plan_only, &plan, "{}: plan_sample_on diverged", &what);
+                // Re-resolving the plan is the independent reference.
+                let resolved = plan.resolve_on(topo).unwrap();
+                prop_assert_eq!(topo.stats().gathers, 3 * hops, "{}", &what);
                 prop_assert_eq!(&resolved, &batch, "{}: resolve_on diverged", &what);
-                prop_assert_eq!(rng_plan.next_u64(), rng.next_u64(), "{}: RNG consumption differs", &what);
-                // The merged loop's one-request case.
-                let many = sample_many_on(topo, &spec, &fanouts).unwrap();
-                prop_assert_eq!(topo.stats().gathers, 7 * hops, "{}", &what);
-                prop_assert_eq!(many.len(), 1);
-                prop_assert_eq!(&many[0], &batch, "{}: sample_many_on diverged", &what);
-                // ...and every tier and shard count agrees with mem x1.
-                let (want_plan, want_batch) = reference.get_or_insert((plan.clone(), batch.clone()));
-                prop_assert_eq!(&plan, &*want_plan, "{}: plan differs from mem x1", &what);
-                prop_assert_eq!(&batch, &*want_batch, "{}: batch differs from mem x1", &what);
+                // ...and every tier and shard count agrees with each
+                // request's solo pass on a fresh mem tier.
+                prop_assert_eq!(&plan, &solo[0].0, "{}: plan differs from mem", &what);
+                prop_assert_eq!(&batch, &solo[0].1, "{}: batch differs from mem", &what);
+                // The group: two calls per hop whatever its size, the
+                // solo passes' answers, and each request's plan (trace
+                // and positions) and batch its solo pass's.
+                let before = topo.stats();
+                let group = sample_group_on(topo, &specs, &fanouts).unwrap();
+                let after = topo.stats();
+                prop_assert_eq!(after.gathers - before.gathers, 2 * hops, "{}: group calls", &what);
+                prop_assert_eq!(after.nodes_gathered - before.nodes_gathered, solo_answers, "{}", &what);
+                prop_assert_eq!(group.len(), specs.len());
+                for (i, (got, want)) in group.iter().zip(&solo).enumerate() {
+                    prop_assert_eq!(&got.0, &want.0, "{}: request {} of {}: plan", &what, i, specs.len());
+                    prop_assert_eq!(&got.1, &want.1, "{}: request {} of {}: batch", &what, i, specs.len());
+                }
             }
             for path in published {
                 let _ = std::fs::remove_file(path);
@@ -337,7 +376,7 @@ fn topology_store_isp_host_bytes_strictly_undercut_the_file_tier_for_scattered_h
     let fanouts = Fanouts::new(vec![3, 2]);
     let run = |topo: &mut dyn TopologyStore| {
         let mut rng = Xoshiro256::seed_from_u64(9);
-        let plan = plan_sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
+        let (plan, _) = sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
         plan.resolve_on(topo).unwrap()
     };
     let mut mem = InMemoryTopology::new(graph.clone());
