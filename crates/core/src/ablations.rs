@@ -128,7 +128,7 @@ pub(crate) fn buffer_sensitivity_driver(scale: &ExperimentScale) -> Table {
     let mut base = None;
     for gib in [0u64, 1, 2, 8, 32] {
         let mut cfg = SystemConfig::new(SystemKind::SmartSageHwSw);
-        cfg.devices.ssd_buffer_bytes = gib << 30;
+        cfg.devices.ssd.buffer_pages = ((gib << 30) / cfg.devices.ssd.flash.page_bytes) as usize;
         let thr = throughput(&p, cfg, 1, false);
         let b = *base.get_or_insert(thr);
         t.row(vec![gib.into(), num(thr, 1), num(thr / b, 3)]);

@@ -91,10 +91,15 @@ impl Default for FpgaParams {
     }
 }
 
-/// Every device/stack parameter of one experiment run.
+/// Every device/stack parameter of one experiment run. The three
+/// full-scale cache sizes — `host_cache_bytes`, `scratchpad_bytes` and
+/// the SSD page buffer's `ssd.buffer_pages` — set the rates
+/// ([`LocalityRates`](crate::context::LocalityRates)) at which the cost
+/// policies draw each lookup's verdict; none of them holds a key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceParams {
-    /// The SSD (shared by all SSD-backed systems).
+    /// The SSD (shared by all SSD-backed systems). Its `buffer_pages`
+    /// is the page buffer's full-scale capacity in flash pages.
     pub ssd: SsdParams,
     /// Host software stack costs.
     pub hostio: HostIoParams,
@@ -111,14 +116,16 @@ pub struct DeviceParams {
     pub host_cache_bytes: u64,
     /// User-space scratchpad capacity at full scale (SmartSAGE SW).
     pub scratchpad_bytes: u64,
-    /// SSD DRAM page-buffer capacity at full scale.
-    pub ssd_buffer_bytes: u64,
 }
 
 impl Default for DeviceParams {
     fn default() -> Self {
         DeviceParams {
-            ssd: SsdParams::default(),
+            ssd: SsdParams {
+                // 2 GiB of device DRAM, in 16 KiB flash pages.
+                buffer_pages: 131_072,
+                ..SsdParams::default()
+            },
             hostio: HostIoParams::default(),
             dram: MemDeviceParams::dram(),
             pmem: MemDeviceParams::pmem(),
@@ -134,7 +141,6 @@ impl Default for DeviceParams {
             // a 3 us syscall instead of a 16 us fault.
             host_cache_bytes: 16 * 1024 * 1024 * 1024,
             scratchpad_bytes: 16 * 1024 * 1024 * 1024,
-            ssd_buffer_bytes: 2 * 1024 * 1024 * 1024, // 2 GB device DRAM
         }
     }
 }

@@ -30,8 +30,9 @@ pub struct LocalityRates {
 
 impl LocalityRates {
     /// Computes the rates for a materialized dataset under `devices`'
-    /// full-scale cache capacities, using Che's approximation over the
-    /// degree-weighted popularity distribution.
+    /// full-scale cache capacities (the SSD buffer's is
+    /// `ssd.buffer_pages` flash pages), using Che's approximation over
+    /// the degree-weighted popularity distribution.
     pub fn compute(data: &MaterializedDataset, devices: &DeviceParams) -> LocalityRates {
         let full_nodes = data.full_stats().nodes;
         let graph = &data.graph;
@@ -56,7 +57,7 @@ impl LocalityRates {
         LocalityRates {
             page_cache_hit,
             scratchpad_hit,
-            ssd_buffer_hit: lru_hit_rate(&ssd_buckets, devices.ssd_buffer_bytes),
+            ssd_buffer_hit: lru_hit_rate(&ssd_buckets, devices.ssd.buffer_pages as u64 * page),
         }
     }
 }
@@ -81,9 +82,8 @@ impl Devices {
     pub fn new(config: &SystemConfig) -> Devices {
         let d = &config.devices;
         Devices {
-            // Every cost-policy lookup imposes its full-scale verdict
-            // (`ssd_buffer_bytes` sizes that rate), so the SSD's page
-            // buffer decides nothing: it holds no pages and only counts.
+            // Carries the modeled buffer size; every cost-policy lookup
+            // imposes its verdict, so the buffer never holds a page.
             ssd: Ssd::new(d.ssd.clone()),
             host_dram: MemDevice::new(d.dram.clone()),
             pmem: MemDevice::new(d.pmem.clone()),
@@ -150,6 +150,77 @@ mod tests {
         }
         // SSD buffer (2 GB) must hit far less than the 160 GB host cache.
         assert!(rates.ssd_buffer_hit < rates.page_cache_hit);
+    }
+
+    #[test]
+    fn each_rate_grows_with_its_cache_and_is_zero_without_one() {
+        use crate::experiments::ExperimentScale;
+        type Cache = (u64, fn(&mut DeviceParams, u64), fn(&LocalityRates) -> f64);
+        let base = DeviceParams::default();
+        let caches: [Cache; 3] = [
+            (
+                base.host_cache_bytes,
+                |d, n| d.host_cache_bytes = n,
+                |r| r.page_cache_hit,
+            ),
+            (
+                base.scratchpad_bytes,
+                |d, n| d.scratchpad_bytes = n,
+                |r| r.scratchpad_hit,
+            ),
+            (
+                base.ssd.buffer_pages as u64,
+                |d, n| d.ssd.buffer_pages = n as usize,
+                |r| r.ssd_buffer_hit,
+            ),
+        ];
+        let scale = ExperimentScale::tiny();
+        for dataset in Dataset::ALL {
+            let data = DatasetProfile::of(dataset).materialize(
+                GraphScale::LargeScale,
+                scale.edge_budget,
+                scale.seed,
+            );
+            for (i, &(default, set, rate)) in caches.iter().enumerate() {
+                let at = |capacity| {
+                    let mut devices = base.clone();
+                    set(&mut devices, capacity);
+                    rate(&LocalityRates::compute(&data, &devices))
+                };
+                assert_eq!(at(0), 0.0, "{dataset:?} cache {i}: no capacity, no hits");
+                // Doublings from 1/16 of the default size to 8 times it.
+                let mut below = 0.0;
+                for capacity in (0..8).map(|k| (default >> 4) << k) {
+                    let r = at(capacity);
+                    assert!(
+                        r >= below,
+                        "{dataset:?} cache {i} at {capacity}: {r} < {below}"
+                    );
+                    below = r;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_default_rates_are_pinned_to_the_bit() {
+        // Amazon at tiny scale; the default SSD buffer, 131 072 pages of
+        // 16 KiB, sizes its rate at 2 GiB.
+        let scale = crate::experiments::ExperimentScale::tiny();
+        let d = DatasetProfile::of(Dataset::Amazon).materialize(
+            GraphScale::LargeScale,
+            scale.edge_budget,
+            scale.seed,
+        );
+        let r = LocalityRates::compute(&d, &DeviceParams::default());
+        assert_eq!(
+            [r.page_cache_hit, r.scratchpad_hit, r.ssd_buffer_hit].map(f64::to_bits),
+            [
+                0x3fa7_9270_0dba_bf22,
+                0x3fcc_76c6_c3fe_1b1c,
+                0x3f57_f346_8009_b5b6
+            ]
+        );
     }
 
     #[test]

@@ -444,17 +444,16 @@ mod tests {
     }
 
     #[test]
-    fn a_full_size_ssd_page_buffer_prices_and_counts_like_the_empty_one() {
+    fn an_empty_ssd_page_buffer_prices_and_counts_like_the_default_one() {
         // Every lookup imposes its full-scale verdict, so the buffer's
-        // residency decides nothing and `Devices::new` holds no pages.
+        // capacity decides nothing a policy prices or counts.
         use smartsage_storage::{ssd::SsdParams, Ssd};
         for kind in SystemKind::ALL {
             let ctx = test_context(kind);
-            let d = &ctx.config.devices;
-            let mut full = Devices::new(&ctx.config);
-            full.ssd = Ssd::new(SsdParams {
-                buffer_pages: (d.ssd_buffer_bytes / d.ssd.flash.page_bytes) as usize,
-                ..d.ssd.clone()
+            let mut empty = Devices::new(&ctx.config);
+            empty.ssd = Ssd::new(SsdParams {
+                buffer_pages: 0,
+                ..ctx.config.devices.ssd.clone()
             });
             let run = |devices: &mut Devices| {
                 let trace = test_trace(&ctx, 16, 3);
@@ -463,9 +462,32 @@ mod tests {
             };
             assert_eq!(
                 run(&mut Devices::new(&ctx.config)),
-                run(&mut full),
+                run(&mut empty),
                 "{kind}"
             );
+        }
+    }
+
+    #[test]
+    fn no_cost_policy_leaves_page_buffer_residency_behind() {
+        // The policies' device carries the full-size buffer; each of
+        // their lookups is counted and holds no page.
+        for kind in SystemKind::ALL {
+            let ctx = test_context(kind);
+            let mut devices = Devices::new(&ctx.config);
+            assert_eq!(devices.ssd.buffer.keys().capacity(), 131_072);
+            let trace = test_trace(&ctx, 16, 3);
+            drive(
+                &mut make_policy(&ctx, 1),
+                &mut devices,
+                0,
+                SimTime::ZERO,
+                trace,
+            );
+            let buffer = &devices.ssd.buffer;
+            assert!(buffer.keys().is_empty(), "{kind}");
+            let ssd_backed = !matches!(kind, SystemKind::Dram | SystemKind::Pmem);
+            assert_eq!(buffer.hits() + buffer.misses() > 0, ssd_backed, "{kind}");
         }
     }
 

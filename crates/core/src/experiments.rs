@@ -1053,7 +1053,7 @@ mod tests {
         let p = Prepared::of(Dataset::Amazon, GraphScale::LargeScale, &scale);
         // Contexts share the graph; config and locality are their own.
         let mut unbuffered = SystemConfig::new(SystemKind::SmartSageHwSw);
-        unbuffered.devices.ssd_buffer_bytes = 0;
+        unbuffered.devices.ssd.buffer_pages = 0;
         let (a, b) = (p.context(SystemKind::SsdMmap), p.context(unbuffered));
         assert!(Arc::ptr_eq(&a.data.graph, &b.data.graph));
         assert_ne!(a.config, b.config);

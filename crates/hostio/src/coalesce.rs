@@ -1,8 +1,10 @@
 //! Page-run merging: the host-side coalescing of a batch's page reads.
 //!
-//! A batch gather plans every page it needs, merges them into maximal
-//! contiguous runs with [`merge_page_runs`], and issues one read per
-//! run instead of one per page. (The ISP side's coalescing, many
+//! [`merge_page_runs`] merges a batch's pages into maximal contiguous
+//! runs, one read per run instead of one per page. No product path
+//! calls it: a paged read plans its pages as a `smartsage_sim::RankSet`
+//! and walks the set's runs. It is kept only for the frozen benchmark's
+//! coalesce probe, until the benchmark drops it. (The ISP side's coalescing, many
 //! targets per `NSconfig` command as swept in Fig 15, is priced by the
 //! ISP cost policy in `smartsage-core`.)
 

@@ -26,7 +26,10 @@
 //!   concurrently per file, with an order-preserving completion handle
 //!   so batched results stay bit-identical to serial reads.
 //! * [`coalesce`] — page-run merging: a batch's page reads coalesced
-//!   into one read per contiguous run.
+//!   into one read per contiguous run. No product path calls it (a
+//!   paged read plans its pages as a `RankSet`); it is kept only for
+//!   the frozen benchmark's coalesce probe, until the benchmark drops
+//!   it.
 //! * [`locality`] — Che's approximation for LRU hit rates at *full-scale*
 //!   capacities. Scaled-down materializations would otherwise overstate
 //!   locality (a thousand-node graph fits in any cache); experiments

@@ -9,9 +9,11 @@ use smartsage_sim::CountedLru;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The model page cache (and scratchpad, and SSD page buffer — all
-    /// one `CountedLru`): every lookup is counted once, as the verdict
-    /// it returned, imposed or exact, and residency stays in capacity.
+    /// The one model cache (`CountedLru`, the SSD page buffer's type):
+    /// every lookup is counted once, as the verdict it returned, imposed
+    /// or exact; an exact lookup leaves its page resident, an imposed
+    /// one leaves residency as it found it, and residency stays in
+    /// capacity.
     #[test]
     fn page_cache_accounting_is_conserved(
         capacity_pages in 0usize..64,
@@ -22,14 +24,17 @@ proptest! {
         let mut imposed_hits = 0;
         for &(page, verdict) in &accesses {
             let forced = [None, Some(false), Some(true)][verdict as usize];
+            let before = cache.keys().keys_mru_first();
             let hit = cache.lookup(page, forced);
             if let Some(imposed) = forced {
                 prop_assert_eq!(hit, imposed, "an imposed verdict is the answer");
+                prop_assert_eq!(&cache.keys().keys_mru_first(), &before);
+            } else {
+                prop_assert_eq!(cache.keys().contains(&page), capacity_pages > 0);
             }
             hits += hit as u64;
             imposed_hits += (forced == Some(true)) as u64;
             prop_assert!(cache.keys().len() <= capacity_pages);
-            prop_assert_eq!(cache.keys().contains(&page), capacity_pages > 0);
         }
         prop_assert_eq!(cache.hits(), hits);
         prop_assert_eq!(cache.hits() + cache.misses(), accesses.len() as u64);

@@ -17,9 +17,11 @@
 //! * [`bandwidth`] — serialized bandwidth links ([`Link`]) for bulk data
 //!   movement (PCIe DMA, flash channel buses).
 //! * [`lru`] — the one exact LRU: a key set ([`LruSet`]) with hit/miss
-//!   counters ([`CountedLru`]) behind every modeled cache (OS page
-//!   cache, scratchpads, SSD page buffer), and its payload-carrying
-//!   form ([`LruMap`]) behind the real ones.
+//!   counters ([`CountedLru`]) behind the modeled caches that keep
+//!   residency (the SSD page buffer, the LLC sets), and its
+//!   payload-carrying form ([`LruMap`]) behind the real ones. The OS
+//!   page cache and the scratchpad are no cache here: their lookups
+//!   are verdicts drawn at a full-scale rate.
 //! * [`rank_set`] — the sorted-distinct integer set ([`RankSet`]) the
 //!   paged read path plans and stages pages with, and a sampled batch
 //!   lists its distinct nodes with: a bitmap with O(1) ranks when its

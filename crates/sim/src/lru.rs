@@ -1,11 +1,13 @@
 //! Generic exact-LRU cache: one linked list, with or without payloads.
 //!
-//! The simulator's caches (the OS page cache, the direct-I/O scratchpad,
-//! the SSD's DRAM page buffer) need residency and eviction order, not
-//! payloads: they are [`LruSet`]s — each behind the one [`CountedLru`],
-//! which adds the hit/miss counters and the imposed-verdict rule every
-//! modeled cache shares. The real caches (each store file's
-//! page cache, the ISP row scratchpad) keep a value per resident
+//! The simulator's modeled caches (the SSD's DRAM page buffer, Fig 5's
+//! LLC sets) need residency and eviction order, not payloads: each is
+//! an [`LruSet`] behind the one [`CountedLru`], which adds the hit/miss
+//! counters and the two kinds of lookup — exact, or with an imposed
+//! verdict that touches no residency. The OS page cache and the
+//! direct-I/O scratchpad are no cache here: each of their lookups is a
+//! verdict drawn at a full-scale rate. The real caches (each store
+//! file's page cache, the ISP row scratchpad) keep a value per resident
 //! key: they are [`LruMap`]s. Both are the same structure — `LruSet<K>`
 //! is `LruMap<K, ()>` — so a key and its payload are one record and
 //! cannot drift apart. O(1) access/insert via a hash map over an
@@ -72,8 +74,8 @@ impl<K: Hash + Eq + Copy> LruSet<K> {
 }
 
 /// The one modeled cache: an [`LruSet`] plus the hit/miss counters of
-/// its lookups. The SSD's DRAM page buffer, the OS page cache and the
-/// direct-I/O scratchpad are this type over their page key.
+/// its lookups. The SSD's DRAM page buffer is this type over physical
+/// pages, and each of Fig 5's LLC sets over its line tags.
 ///
 /// # Example
 ///
@@ -83,7 +85,9 @@ impl<K: Hash + Eq + Copy> LruSet<K> {
 /// assert!(!cache.lookup(7u64, None)); // miss: 7 is brought in
 /// assert!(cache.lookup(7, None));
 /// assert!(!cache.lookup(7, Some(false))); // imposed miss, counted as one
-/// assert_eq!((cache.hits(), cache.misses()), (1, 2));
+/// assert!(cache.lookup(8, Some(true))); // imposed hit: 8 is not brought in
+/// assert_eq!(cache.keys().keys_mru_first(), [7]);
+/// assert_eq!((cache.hits(), cache.misses()), (2, 2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CountedLru<K> {
@@ -94,7 +98,7 @@ pub struct CountedLru<K> {
 
 impl<K: Hash + Eq + Copy> CountedLru<K> {
     /// Creates a cache holding at most `capacity` keys. Zero capacity
-    /// is legal: nothing is retained, every unforced lookup misses.
+    /// is legal: nothing is retained, every exact lookup misses.
     pub fn new(capacity: usize) -> Self {
         CountedLru {
             keys: LruSet::new(capacity),
@@ -103,17 +107,16 @@ impl<K: Hash + Eq + Copy> CountedLru<K> {
         }
     }
 
-    /// Looks `key` up and leaves it resident as MRU either way (a miss
-    /// brings it in, evicting the LRU key when full). `forced` imposes
-    /// the verdict — the full-scale locality model's draw — in place of
-    /// the exact residency; the recency update is the same. The verdict
-    /// returned is the verdict counted.
+    /// Looks `key` up; the verdict returned is the verdict counted.
+    /// With `forced` `None` this is the exact LRU lookup: `key` is left
+    /// resident as MRU either way (a miss brings it in, evicting the
+    /// LRU key when full). `Some(hit)` imposes the verdict — the
+    /// full-scale locality model's draw — and touches no residency.
     pub fn lookup(&mut self, key: K, forced: Option<bool>) -> bool {
-        let resident = self.keys.touch(&key);
-        if !resident {
+        let hit = forced.unwrap_or_else(|| self.keys.touch(&key));
+        if forced.is_none() && !hit {
             self.keys.insert(key);
         }
-        let hit = forced.unwrap_or(resident);
         if hit {
             self.hits += 1;
         } else {
@@ -464,30 +467,33 @@ mod tests {
     }
 
     #[test]
-    fn counted_forced_lookups_count_the_verdict_and_order_like_plain_inserts() {
-        // Keys repeat, so imposed misses land on resident keys and
-        // imposed hits on absent ones: the counters must follow the
-        // imposed verdicts, never the residency underneath.
+    fn counted_imposed_lookups_count_the_verdict_and_hold_nothing() {
+        // Keys repeat, so a key is imposed a miss after an imposed hit
+        // and the reverse: the counters follow the imposed verdicts,
+        // and no imposed lookup promotes or inserts a key.
         let sequence = [
             (1u64, true),
             (2, false),
-            (1, false), // resident, imposed miss
-            (3, true),  // absent, imposed hit; evicts 2
+            (1, false),
+            (3, true),
             (3, false),
-            (4, true), // evicts 1
+            (4, true),
         ];
         let mut c = CountedLru::new(2);
-        let mut plain = LruSet::new(2);
         for (key, verdict) in sequence {
             assert_eq!(c.lookup(key, Some(verdict)), verdict);
-            plain.insert(key);
-            assert_eq!(c.keys().keys_mru_first(), plain.keys_mru_first());
+            assert!(c.keys().is_empty(), "an imposed verdict holds no key");
         }
         assert_eq!((c.hits(), c.misses()), (3, 3));
-        // Residency left behind by forced lookups is real: an unforced
-        // lookup afterwards sees it.
-        assert!(c.lookup(3, None));
+        // Exact lookups afterwards see no residency the imposed ones
+        // could have left behind.
+        assert!(!c.lookup(3, None));
         assert!(!c.lookup(1, None));
+        assert_eq!(c.keys().keys_mru_first(), [1, 3]);
+        // An imposed hit on the LRU key does not promote it either.
+        assert!(c.lookup(3, Some(true)));
+        assert_eq!(c.keys().keys_mru_first(), [1, 3]);
+        assert_eq!((c.hits(), c.misses()), (4, 5));
     }
 
     /// Naive reference model: a `Vec` of records in MRU-first order with
@@ -553,6 +559,36 @@ mod tests {
                 for k in 0..8u8 {
                     prop_assert_eq!(real.contains(&k), model.keys().contains(&k));
                 }
+            }
+        }
+
+        /// A counted cache is the plain set that only its exact lookups
+        /// update: an imposed verdict is answered and counted as given,
+        /// and moves no key.
+        #[test]
+        fn counted_lru_matches_a_set_only_exact_lookups_update(
+            capacity in 0usize..4,
+            ops in proptest::collection::vec((0u8..3, 0u8..8), 1..65),
+        ) {
+            use proptest::prelude::*;
+            let mut real = CountedLru::new(capacity);
+            let mut reference = LruSet::new(capacity);
+            let (mut hits, mut misses) = (0, 0);
+            for (kind, key) in ops {
+                let forced = [None, Some(false), Some(true)][kind as usize];
+                let want = forced.unwrap_or_else(|| {
+                    let resident = reference.touch(&key);
+                    reference.insert(key);
+                    resident
+                });
+                if want {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+                prop_assert_eq!(real.lookup(key, forced), want);
+                prop_assert_eq!((real.hits(), real.misses()), (hits, misses));
+                prop_assert_eq!(&real.keys().keys_mru_first(), &reference.keys_mru_first());
             }
         }
 

@@ -8,6 +8,10 @@
 //! The buffer is the workspace's one counted model cache
 //! ([`CountedLru`]) over physical page numbers; the only code that
 //! looks a page up in it is [`Ssd::fetch_page`](crate::Ssd::fetch_page).
+//! An exact lookup (the ISP store tiers') reads and fills its residency;
+//! an imposed one (every cost policy's) is only counted, so the device a
+//! cost policy prices on carries the modeled buffer size and never holds
+//! a page.
 
 use crate::flash::PhysPage;
 use smartsage_sim::CountedLru;
@@ -74,7 +78,7 @@ mod tests {
         let mut b = PageBuffer::new(2);
         b.lookup(PhysPage(1), None);
         b.lookup(PhysPage(2), None);
-        b.lookup(PhysPage(1), Some(false)); // a refill of a resident page: promote
+        b.lookup(PhysPage(1), None); // a hit on a resident page: promote
         assert_eq!(b.keys().len(), 2);
         b.lookup(PhysPage(3), None);
         assert_eq!(

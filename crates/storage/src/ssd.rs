@@ -88,7 +88,11 @@ pub struct SsdParams {
     pub cores: CoreParams,
     /// NVMe command costs.
     pub nvme: NvmeParams,
-    /// Page-buffer capacity in flash pages.
+    /// Page-buffer capacity in flash pages. A device whose lookups are
+    /// exact (the ISP store tiers) holds this many pages; the cost
+    /// policies impose their verdicts, so for them it only sizes the
+    /// full-scale buffer hit rate they draw at (`buffer_pages ×
+    /// flash.page_bytes` bytes). Zero by default: no buffer.
     pub buffer_pages: usize,
     /// Host PCIe interface.
     pub pcie: PcieParams,
@@ -202,16 +206,18 @@ impl Ssd {
     }
 
     /// The one in-device page fetch (paper Fig 11): FTL translation,
-    /// page-buffer lookup, and on a miss the NAND page read that fills
-    /// the buffer. Returns whether the buffer hit and when the page is
-    /// ready in SSD DRAM — `at` + [`BUFFER_TOUCH`] on a hit, the flash
-    /// read's completion on a miss.
+    /// page-buffer lookup, and on a miss the NAND page read. Returns
+    /// whether the buffer hit and when the page is ready in SSD DRAM —
+    /// `at` + [`BUFFER_TOUCH`] on a hit, the flash read's completion on
+    /// a miss.
     ///
-    /// `forced` imposes the buffer verdict — the full-scale locality
-    /// model uses this to impose analytically derived hit rates (see
-    /// `smartsage-hostio::locality`); `None` consults the exact LRU
-    /// buffer. Core time (firmware, FTL lookup cost) is the caller's to
-    /// schedule: the callers differ in exactly that.
+    /// `None` is the exact LRU lookup: a miss's page fills the buffer.
+    /// `Some(hit)` imposes the verdict — the cost policies' draw at a
+    /// full-scale rate (see `smartsage-hostio::locality`) — and leaves
+    /// the buffer's residency alone. A device takes one kind only: the
+    /// ISP store tiers pass `None`, the cost policies `Some`. Core time
+    /// (firmware, FTL lookup cost) is the caller's to schedule: the
+    /// callers differ in exactly that.
     pub fn fetch_page(&mut self, at: SimTime, lpn: u64, forced: Option<bool>) -> (bool, SimTime) {
         let ppn = self.ftl.translate(lpn);
         let hit = self.buffer.lookup(ppn, forced);
@@ -246,7 +252,8 @@ impl Ssd {
 
     /// Serves one host block-read command for `lba`, arriving at the
     /// device at `at`; `buffer_hit_override` is [`Ssd::fetch_page`]'s
-    /// `forced`.
+    /// `forced`: `None` for an exact buffer lookup, `Some` to impose
+    /// the verdict without touching the buffer's residency.
     ///
     /// Steps: firmware command handling on the embedded cores, the page
     /// fetch, then DMA of the block to host memory over PCIe.
@@ -342,17 +349,19 @@ mod tests {
         let r2 = ssd.read_block(r.done, 900, Some(false));
         assert!(!r2.buffer_hit);
         assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (1, 1));
-        // The verdict imposed is the verdict counted, whatever the
-        // exact LRU holds: block 7's page is resident by now, and an
-        // imposed miss on it is a miss (and a flash read), not a hit.
+        // The verdict imposed is the verdict counted: block 7's page
+        // was imposed a hit before, and an imposed miss on it is a miss
+        // (and a flash read), not a hit.
         let reads = ssd.flash.pages_read();
         let r3 = ssd.read_block(r2.done, 7, Some(false));
         assert!(!r3.buffer_hit);
         assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (1, 2));
         assert_eq!(ssd.flash.pages_read(), reads + 1);
-        // Forced lookups leave real residency behind.
-        assert!(ssd.read_block(r3.done, 900, None).buffer_hit);
-        assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (2, 2));
+        // Imposed lookups leave no residency behind: block 900's page
+        // was only ever imposed a verdict, so an exact lookup misses.
+        assert!(ssd.buffer.keys().is_empty());
+        assert!(!ssd.read_block(r3.done, 900, None).buffer_hit);
+        assert_eq!((ssd.buffer.hits(), ssd.buffer.misses()), (1, 3));
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn main() {
     println!("\n== Ablation 3: SSD page-buffer capacity (single worker) ==");
     for gib in [0u64, 1, 2, 8, 32] {
         let mut cfg = SystemConfig::new(SystemKind::SmartSageHwSw);
-        cfg.devices.ssd_buffer_bytes = gib * 1024 * 1024 * 1024;
+        cfg.devices.ssd.buffer_pages = ((gib << 30) / cfg.devices.ssd.flash.page_bytes) as usize;
         let thr = sampling_throughput(cfg, 1);
         println!("  {gib:>2} GiB buffer: {thr:>8.1} batches/s");
     }
