@@ -4,13 +4,14 @@
 //!
 //! The **real pass** (`sample_epoch`) samples and gathers every
 //! mini-batch of an epoch through the **one real storage path** (the
-//! run's topology and feature store tiers). Batches are sampled in
-//! index order, and their features are gathered per **window** of
-//! `queue_depth` consecutive batches, in index order too: once a
-//! window's last batch is sampled, the sorted union of its nodes is
-//! read in one slice per batch, so a page the window's batches share is
-//! read once (the gathered rows stay in the pass's one buffer). It
-//! returns an `Epoch`: each batch's byte trace
+//! run's topology and feature store tiers), one **window** of
+//! `queue_depth` consecutive batches at a time, in index order. A
+//! window is sampled as one group — the paper's one `NSconfig` per
+//! command group (Fig 11) — and each batch in it on its own targets and
+//! seed, so its record is the one it gets alone; then the sorted union
+//! of the window's nodes is read in one slice per batch. Either way a
+//! page the window's batches share is read once (the gathered rows stay
+//! in the pass's one buffer). It returns an `Epoch`: each batch's byte trace
 //! ([`smartsage_store::SampleTrace`]) and shape, and the tiers' exact
 //! I/O counters. Nothing in it depends on the system.
 //!
@@ -36,13 +37,13 @@ use crate::cost::{make_policy, CostPolicy, StepOutcome};
 use crate::metrics::{FpgaPhases, StageBreakdown, TransferStats};
 use crate::store_metrics;
 use smartsage_gnn::gpu::BatchDims;
-use smartsage_gnn::sampler::{epoch_targets, gather_union, sample_on};
+use smartsage_gnn::sampler::{epoch_targets, gather_union, sample_group_on, SampleSpec};
 use smartsage_gnn::Fanouts;
 use smartsage_graph::NodeId;
-use smartsage_sim::{EventQueue, SimDuration, SimTime, Xoshiro256};
+use smartsage_sim::{EventQueue, SimDuration, SimTime};
 use smartsage_store::{
     FileStoreOptions, OpenTiers, SampleTrace, StoreError, StoreKind, StoreRegistry, StoreStats,
-    TierSpec, TopologyKind, TopologyStore,
+    TierSpec, TopologyKind,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -237,7 +238,7 @@ fn open_tiers(ctx: &RunContext, cfg: &PipelineConfig) -> Result<OpenTiers, Store
 /// One mini-batch's record as sampled by the real pass: the byte trace
 /// the cost policy prices, and what the modeled pipeline reads of the
 /// batch once the policy has priced it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlannedBatch {
     trace: SampleTrace,
     /// Distinct nodes (the feature lookup's row count).
@@ -257,32 +258,6 @@ pub(crate) struct Epoch {
     topology_stats: StoreStats,
 }
 
-/// Samples batch `index` of the epoch through the topology store in
-/// one [`sample_on`] pass over `cfg.fanouts` (a walk is fan-out 1 per
-/// step): the plan and the subgraph together, both bit-identical across
-/// tiers by the determinism contract, only the I/O accounting differs.
-/// Returns the batch's record, holding the byte trace the pass recorded
-/// (moved out of the plan), and its sorted distinct node list.
-fn plan_batch(
-    ctx: &RunContext,
-    cfg: &PipelineConfig,
-    topology: &mut dyn TopologyStore,
-    index: usize,
-) -> Result<(PlannedBatch, Vec<NodeId>), StoreError> {
-    let targets = epoch_targets(ctx.graph().num_nodes(), cfg.batch_size, index, cfg.seed);
-    let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
-    let (plan, batch) = sample_on(topology, &targets, &cfg.fanouts, &mut rng)?;
-    let nodes = batch.all_nodes();
-    let feat_dim = ctx.data.features.dim() as u64;
-    let planned = PlannedBatch {
-        trace: plan.trace,
-        distinct: nodes.len() as u64,
-        dims: BatchDims::of_batch(&batch, feat_dim, cfg.hidden_dim, cfg.classes),
-        subgraph_bytes: batch.subgraph_bytes(),
-    };
-    Ok((planned, nodes))
-}
-
 /// Refuses the configurations no epoch can run. Both halves call it
 /// first, so a bad `cfg` is rejected before any tier is opened or
 /// published.
@@ -298,17 +273,20 @@ fn check_config(cfg: &PipelineConfig) {
     assert!(cfg.queue_depth > 0, "need a non-empty work queue");
 }
 
-/// The real pass: samples every batch of the epoch in index order
-/// through the run's topology tier, and gathers the features of every
-/// `cfg.queue_depth` consecutive batches (a window; the last may be
-/// shorter) through its feature tier once the window's last batch is
-/// sampled: their union read in one ascending slice per batch
-/// ([`gather_union`]), so no slice is longer than the window's largest
-/// batch, and a page two slices share is the last the first slice
-/// read, still cached for the second. The gathered rows go to one
-/// buffer nothing reads: the pass exists for its I/O, which it records
-/// into the sweep's scope (once per epoch) and into the returned
-/// [`Epoch`].
+/// The real pass: samples and gathers the epoch one window of
+/// `cfg.queue_depth` consecutive batches at a time (the last may be
+/// shorter), in index order. A window is sampled as one group through
+/// the run's topology tier ([`sample_group_on`]: `2 × hops` calls, so a
+/// topology page the window's batches share is read once), each batch
+/// on its own targets ([`epoch_targets`]) and seed, so its record is
+/// the one it gets sampled alone. The window's features are then
+/// gathered through the feature tier: their union read in one
+/// ascending slice per batch ([`gather_union`]), so no slice is longer
+/// than the window's largest batch, and a page two slices share is the
+/// last the first slice read, still cached for the second. The gathered
+/// rows go to one buffer nothing reads: the pass exists for its I/O,
+/// which it records into the sweep's scope (once per epoch) and into
+/// the returned [`Epoch`].
 ///
 /// # Panics
 ///
@@ -317,18 +295,33 @@ fn check_config(cfg: &PipelineConfig) {
 pub(crate) fn sample_epoch(ctx: &RunContext, cfg: &PipelineConfig) -> Result<Epoch, StoreError> {
     check_config(cfg);
     let mut tiers = open_tiers(ctx, cfg)?;
+    let feat_dim = ctx.data.features.dim() as u64;
     let mut batches = Vec::with_capacity(cfg.total_batches);
     let mut rows: Vec<f32> = Vec::new();
-    let mut window: Vec<Vec<NodeId>> = Vec::new();
-    for index in 0..cfg.total_batches {
-        let (planned, nodes) = plan_batch(ctx, cfg, tiers.topology.as_mut(), index)?;
-        batches.push(planned);
-        window.push(nodes);
-        if window.len() == cfg.queue_depth || index + 1 == cfg.total_batches {
-            let lists = window.iter().map(Vec::as_slice);
-            gather_union(tiers.features.as_mut(), lists, window.len(), &mut rows)?;
-            window.clear();
+    for first in (0..cfg.total_batches).step_by(cfg.queue_depth) {
+        let window = first..cfg.total_batches.min(first + cfg.queue_depth);
+        let targets: Vec<Vec<NodeId>> = window
+            .clone()
+            .map(|index| epoch_targets(ctx.graph().num_nodes(), cfg.batch_size, index, cfg.seed))
+            .collect();
+        let seeds = window.map(|index| cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
+        let specs: Vec<SampleSpec> = (targets.iter().zip(seeds))
+            .map(|(targets, seed)| SampleSpec { targets, seed })
+            .collect();
+        let sampled = sample_group_on(tiers.topology.as_mut(), &specs, &cfg.fanouts)?;
+        let mut nodes = Vec::with_capacity(sampled.len());
+        for (plan, batch) in sampled {
+            let distinct = batch.all_nodes();
+            batches.push(PlannedBatch {
+                trace: plan.trace,
+                distinct: distinct.len() as u64,
+                dims: BatchDims::of_batch(&batch, feat_dim, cfg.hidden_dim, cfg.classes),
+                subgraph_bytes: batch.subgraph_bytes(),
+            });
+            nodes.push(distinct);
         }
+        let lists = nodes.iter().map(Vec::as_slice);
+        gather_union(tiers.features.as_mut(), lists, nodes.len(), &mut rows)?;
     }
     let epoch = Epoch {
         batches,
@@ -667,22 +660,66 @@ mod tests {
     }
 
     #[test]
-    fn plan_batch_is_all_the_topology_traffic_of_a_batch() {
-        // The real pass touches the topology store only through
-        // `plan_batch`: one degree read and one pick batch per hop,
-        // a walk's steps included.
+    fn a_window_is_all_the_topology_traffic_of_its_batches() {
+        // The real pass touches the topology store only through one
+        // group per window of `queue_depth` batches: one degree read and
+        // one pick batch per hop, a walk's steps included. Each batch's
+        // record is the one it gets sampled alone.
         let ctx = ctx(SystemKind::Dram);
         let mut cfg = small_cfg(false);
-        let mut topo = smartsage_store::CsrView::new(ctx.graph());
-        let (planned, nodes) = plan_batch(&ctx, &cfg, &mut topo, 0).unwrap();
-        assert_eq!(topo.stats().gathers, 2 * cfg.fanouts.hops() as u64);
-        let entry = smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
-        assert_eq!(planned.trace.num_sampled() * entry, planned.subgraph_bytes);
-        assert_eq!(planned.distinct, nodes.len() as u64);
-        cfg.fanouts = Fanouts::new(vec![1; 3]);
-        let mut topo = smartsage_store::CsrView::new(ctx.graph());
-        plan_batch(&ctx, &cfg, &mut topo, 0).unwrap();
-        assert_eq!(topo.stats().gathers, 6);
+        for fanouts in [Fanouts::new(vec![5, 4]), Fanouts::new(vec![1; 3])] {
+            cfg.fanouts = fanouts;
+            let epoch = sample_epoch(&ctx, &cfg).unwrap();
+            let windows = cfg.total_batches.div_ceil(cfg.queue_depth) as u64;
+            let hops = cfg.fanouts.hops() as u64;
+            assert_eq!(epoch.topology_stats.gathers, 2 * hops * windows);
+            let entry = smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
+            for (index, planned) in epoch.batches.iter().enumerate() {
+                let targets =
+                    epoch_targets(ctx.graph().num_nodes(), cfg.batch_size, index, cfg.seed);
+                let seed = cfg.seed ^ (index as u64).wrapping_mul(0x9E37);
+                let mut rng = smartsage_sim::Xoshiro256::seed_from_u64(seed);
+                let mut topo = smartsage_store::CsrView::new(ctx.graph());
+                let (plan, batch) =
+                    smartsage_gnn::sampler::sample_on(&mut topo, &targets, &cfg.fanouts, &mut rng)
+                        .unwrap();
+                assert_eq!(planned.trace, plan.trace, "batch {index}");
+                assert_eq!(planned.trace.num_sampled() * entry, planned.subgraph_bytes);
+                assert_eq!(planned.distinct, batch.all_nodes().len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn an_epoch_does_not_depend_on_its_window_size() {
+        // Seven batches: no depth from 2 to 5 divides them, so every
+        // epoch ends on a short window.
+        let ctx = ctx(SystemKind::Dram);
+        let tiers = [
+            (StoreKind::Mem, TopologyKind::Mem),
+            (StoreKind::File, TopologyKind::File),
+            (StoreKind::Isp, TopologyKind::Isp),
+        ];
+        for ((store, topology), shards) in tiers.into_iter().flat_map(|t| [(t, 1), (t, 3)]) {
+            let cfg = |queue_depth| PipelineConfig {
+                total_batches: 7,
+                queue_depth,
+                store,
+                topology,
+                shards,
+                ..small_cfg(false)
+            };
+            let solo = sample_epoch(&ctx, &cfg(1)).unwrap();
+            for queue_depth in 1..=5 {
+                let cfg = cfg(queue_depth);
+                let what = format!("{topology:?} x{shards} depth {queue_depth}");
+                let epoch = sample_epoch(&ctx, &cfg).unwrap();
+                assert_eq!(epoch.batches, solo.batches, "{what}");
+                let windows = cfg.total_batches.div_ceil(queue_depth) as u64;
+                let calls = 2 * cfg.fanouts.hops() as u64 * windows;
+                assert_eq!(epoch.topology_stats.gathers, calls, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //!   differentiation in tests.
 //! * [`sampler`] — GraphSAGE neighbor sampling (paper Algorithm 1) in
 //!   one pass through a topology store: [`sample_group_on`] samples a
-//!   group of requests (a merged serve group, Fig 5's samplers) with one
+//!   group of requests (a merged serve group, a window of the offline
+//!   pass, Fig 5's samplers) with one
 //!   degree call and one pick call per hop, drawing each request's
 //!   random *positions* once into a [`SamplePlan`] and resolving them
-//!   to its [`SampledBatch`] in the same hop loop; [`sampler::sample_on`]
-//!   is its one-request case, which the offline pipeline samples each
-//!   batch with. Every system (DRAM, mmap, direct-I/O, ISP) prices that
+//!   to its [`SampledBatch`] in the same hop loop; the offline pipeline
+//!   samples each window of `queue_depth` batches as one group, and
+//!   [`sampler::sample_on`] is its one-request case (the trainer, the
+//!   examples). Every system (DRAM, mmap, direct-I/O, ISP) prices that
 //!   one plan and trains on that one batch — so the property "the ISP
 //!   produces byte-identical subgraphs to the host sampler" holds by
 //!   construction and is also asserted by tests. A GraphSAINT random

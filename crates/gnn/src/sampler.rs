@@ -14,14 +14,15 @@
 //! * the [`SampledBatch`] — the resolved subgraph training consumes.
 //!
 //! [`sample_group_on`] is the one group sampler: a group of requests
-//! (serve's merged group, Fig 5's concurrent samplers), each on its own
-//! seeded RNG, shares one `degrees_into` and one `pick_neighbors_into`
-//! call per hop — the paper's one `NSconfig` per command group
-//! (Fig 11) — and every request's plan and batch are the ones it would
-//! get alone. [`sample_on`] is its one-request case for a caller with
-//! a running RNG or one batch at a time (the trainer, the offline
-//! pipeline, the examples). There is one hop-expansion implementation,
-//! so the graph half of the dataset can live in memory
+//! (serve's merged group, the offline pass's window of `queue_depth`
+//! batches, Fig 5's concurrent samplers), each on its own seeded RNG,
+//! shares one `degrees_into` and one `pick_neighbors_into` call per hop
+//! — the paper's one `NSconfig` per command group (Fig 11) — and every
+//! request's plan and batch are the ones it would get alone.
+//! [`sample_on`] is its one-request case for a caller with a running
+//! RNG or one batch at a time (the trainer, the examples). There is one
+//! hop-expansion implementation, so the graph half of the dataset can
+//! live in memory
 //! ([`CsrView`](smartsage_store::CsrView)),
 //! on storage ([`FileTopology`](smartsage_store::FileTopology)) or
 //! resolve inside the modeled SSD
@@ -226,6 +227,19 @@ impl SampledBatch {
     }
 }
 
+/// Draws a hop's positions with `rng`, in frontier order: `fanout`
+/// uniform positions below each non-isolated node's degree, handed to
+/// `each` with the node.
+fn draw(hop: &TraceHop, rng: &mut Xoshiro256, mut each: impl FnMut(NodeId, u64)) {
+    for (&node, &degree) in hop.nodes.iter().zip(&hop.degrees) {
+        if degree > 0 {
+            for _ in 0..hop.fanout {
+                each(node, rng.range_u64(degree));
+            }
+        }
+    }
+}
+
 /// The hop-expansion loop (paper Algorithm 1, applied per hop), for
 /// any number of independent requests at once: request `i` samples
 /// `targets[i]` with `rngs[i]`.
@@ -238,6 +252,12 @@ impl SampledBatch {
 /// neighbors and the next hop's frontier. Hop 0's frontier is the
 /// request's targets. Each request's frontier and the degrees the store
 /// answered for it are kept as that hop of the request's trace.
+///
+/// The pick list (16 B a pick) is the largest buffer of a group, so no
+/// other per-pick buffer lives beside it but the store's answers: the
+/// draws go only into the list, and once the list is dropped each
+/// request's positions are drawn again, from a copy of its RNG taken
+/// before the hop, as its neighbors are read out of the answers.
 fn expand_hops<'t>(
     topology: &mut dyn TopologyStore,
     targets: impl Iterator<Item = &'t [NodeId]>,
@@ -261,38 +281,31 @@ fn expand_hops<'t>(
             .collect();
         let mut degrees = vec![0u64; merged.len()];
         topology.degrees_into(&merged, &mut degrees)?;
+        let redraw = rngs.to_vec();
         let mut picks: Vec<(NodeId, u64)> = Vec::with_capacity(merged.len() * fanout);
-        let mut answered = degrees.as_slice();
+        let mut answered = degrees.into_iter();
         for ((plan, batch), rng) in out.iter_mut().zip(rngs.iter_mut()) {
             let nodes = batch.frontier().to_vec();
-            let (degrees, rest) = answered.split_at(nodes.len());
-            answered = rest;
-            let mut positions = Vec::with_capacity(nodes.len() * fanout);
-            for (&node, &degree) in nodes.iter().zip(degrees) {
-                if degree > 0 {
-                    for _ in 0..fanout {
-                        let pos = rng.range_u64(degree);
-                        positions.push(pos);
-                        picks.push((node, pos));
-                    }
-                }
-            }
-            plan.positions.push(positions);
-            plan.trace.hops.push(TraceHop {
+            let hop = TraceHop {
                 fanout,
+                degrees: answered.by_ref().take(nodes.len()).collect(),
                 nodes,
-                degrees: degrees.to_vec(),
-            });
+            };
+            draw(&hop, rng, |node, pos| picks.push((node, pos)));
+            plan.trace.hops.push(hop);
         }
+        drop((merged, answered));
         let mut resolved = vec![NodeId::default(); picks.len()];
         topology.pick_neighbors_into(&picks, &mut resolved)?;
-        let mut resolved = resolved.iter();
-        for (plan, batch) in &mut out {
+        drop(picks);
+        let mut answers = resolved.iter();
+        for ((plan, batch), mut rng) in out.iter_mut().zip(redraw) {
             let hop = &plan.trace.hops[batch.hops.len()];
-            batch.hops.push(HopSample {
-                fanout,
-                neighbors: hop_neighbors(hop, &mut resolved),
-            });
+            let neighbors = hop_neighbors(hop, &mut answers);
+            let mut positions = Vec::with_capacity(hop.nodes.len() * fanout);
+            draw(hop, &mut rng, |_, pos| positions.push(pos));
+            batch.hops.push(HopSample { fanout, neighbors });
+            plan.positions.push(positions);
         }
     }
     Ok(out)
@@ -302,8 +315,7 @@ fn expand_hops<'t>(
 /// (two batched store calls per hop), returning the plan and the
 /// resolved batch together: the one-request case of
 /// [`sample_group_on`], for callers that carry a running RNG or sample
-/// one batch at a time (the trainer, the offline pipeline's real pass,
-/// the examples).
+/// one batch at a time (the trainer, the examples).
 ///
 /// `rng` is consumed per hop, per frontier node in frontier order,
 /// `fanout` draws per non-isolated node — so for the same seed, plans
@@ -344,7 +356,8 @@ pub struct SampleSpec<'a> {
 
 /// Samples a group of independent requests through a [`TopologyStore`]
 /// in **one coalesced pass per hop** — the one group sampler: serve
-/// samples each merged group with it, Fig 5 its concurrent samplers. All
+/// samples each merged group with it, the offline pass each window of
+/// batches, Fig 5 its concurrent samplers. All
 /// requests' frontiers merge into a single `degrees_into` batch and a
 /// single `pick_neighbors_into` batch, so `2 × hops` store calls sample
 /// the whole group, and overlapping neighborhoods share page fetches,

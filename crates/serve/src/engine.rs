@@ -7,8 +7,8 @@
 //! degree batch + one pick batch per hop for the whole group), and the
 //! group's infer requests share one feature gather plus one batched
 //! GraphSage forward. Both halves are the offline pipeline's too: it
-//! samples each batch through the same hop loop ([`sample_group_on`]'s
-//! one-request case) and gathers each window of batches with
+//! samples each window of `queue_depth` batches as one
+//! [`sample_group_on`] group and gathers the window with
 //! [`gather_union`], which serve reads in one slice: the group's
 //! distinct nodes cross the store interface once, and each sampled
 //! node's row is its rank in the union.

@@ -212,7 +212,7 @@ pub struct SharedCsrFile {
     paged: PagedFile,
     num_nodes: usize,
     num_edges: u64,
-    layout: GraphFile,
+    pub(crate) layout: GraphFile,
 }
 
 impl SharedCsrFile {
@@ -294,17 +294,18 @@ impl SharedCsrFile {
     /// Resolves `ranges` (each `N` whole u64 entries) through the paged
     /// read path and hands `each` the range's index and LE values, in
     /// request order (an entry may straddle a page boundary under odd
-    /// page sizes). Returns the read's plan.
+    /// page sizes). `ranges` is iterated twice, to read and to decode.
+    /// Returns the read's plan.
     fn read_entries<const N: usize>(
         &self,
-        ranges: Vec<ByteRange>,
+        ranges: impl Iterator<Item = ByteRange> + Clone,
         io: &mut StoreStats,
         mut each: impl FnMut(usize, [u64; N]) -> Result<(), StoreError>,
     ) -> Result<Plan, StoreError> {
-        let staged = self.paged.read(&ranges, io)?;
+        let staged = self.paged.read(ranges.clone(), io)?;
         let mut spill = [0u8; 2 * NEIGHBOR_ENTRY_BYTES as usize];
         let mut raw = [0u8; NEIGHBOR_ENTRY_BYTES as usize];
-        for (i, &range) in ranges.iter().enumerate() {
+        for (i, range) in ranges.enumerate() {
             let bytes = staged.bytes(range, &mut spill[..raw.len() * N]);
             let mut entries = [0u64; N];
             for (entry, chunk) in entries.iter_mut().zip(bytes.chunks_exact(raw.len())) {
@@ -313,14 +314,15 @@ impl SharedCsrFile {
             }
             each(i, entries)?;
         }
-        Ok(staged.into_plan(ranges))
+        Ok(staged.into_plan())
     }
 
     /// Reads the `(start, end)` offset pair of every node in `nodes`,
     /// returning the pairs, this call's exact **I/O** deltas (the
     /// caller owns the access-level counters — a topology tier may
     /// chain several raw reads into one logical operation) and the
-    /// read's plan (the ISP tier's timing-model input). Validates node
+    /// read's plan (the ISP tier's timing-model input, over an offset
+    /// range per node). Validates node
     /// bounds before any I/O and the CSR monotone/EOF invariants on
     /// every pair it returns.
     pub(crate) fn offset_pairs(
@@ -330,10 +332,9 @@ impl SharedCsrFile {
         check_ids(nodes.iter().copied(), self.num_nodes)?;
         // The two adjacent offset entries of a node (start + end of
         // its neighbor slice) are one 16-byte range.
-        let ranges: Vec<ByteRange> = nodes
+        let ranges = nodes
             .iter()
-            .map(|&node| self.layout.offset_entry_range(node))
-            .collect();
+            .map(|&node| self.layout.offset_entry_range(node));
         let mut io = StoreStats::default();
         let mut pairs = Vec::with_capacity(nodes.len());
         let plan = self.read_entries(ranges, &mut io, |i, [start, end]| {
@@ -356,12 +357,32 @@ impl SharedCsrFile {
         Ok((pairs, io, plan))
     }
 
+    /// The byte ranges a pick batch reads, run by run: per maximal run
+    /// of equal consecutive parents (whose offset pair `pairs` holds, in
+    /// run order), the parent's offset range when `offsets` is set (the
+    /// ISP command's order), then each pick's edge entry. Derived on the
+    /// fly, never listed.
+    pub(crate) fn pick_ranges<'a>(
+        &self,
+        picks: &'a [(NodeId, u64)],
+        pairs: &'a [(u64, u64)],
+        offsets: bool,
+    ) -> impl Iterator<Item = ByteRange> + Clone + 'a {
+        let (runs, layout) = (picks.chunk_by(|a, b| a.0 == b.0).zip(pairs), self.layout);
+        runs.flat_map(move |(run, &(start, _))| {
+            let parent = offsets.then(|| layout.offset_entry_range(run[0].0));
+            let edges = run.iter().map(move |p| layout.edge_entries(start + p.1, 1));
+            parent.into_iter().chain(edges)
+        })
+    }
+
     /// Resolves `(node, position)` picks end to end into `out`
     /// (`out.len() == picks.len()`): one offset pair per maximal run
     /// of equal consecutive nodes locates and validates that run's
     /// picks, then the picked edge entries resolve in one read.
-    /// Returns the combined exact I/O deltas and the plans of the offset
-    /// read (a range per run) and the edge read (a range per pick).
+    /// Returns the combined exact I/O deltas, the plan of both reads
+    /// together, and the runs' offset pairs, from which
+    /// [`SharedCsrFile::pick_ranges`] re-derives the ranges read.
     /// Shared by [`FileTopology`](crate::FileTopology) and
     /// [`IspSampleTopology`](crate::IspSampleTopology) so the two
     /// tiers' validation and error wording can never drift.
@@ -369,19 +390,18 @@ impl SharedCsrFile {
         &self,
         picks: &[(NodeId, u64)],
         out: &mut [NodeId],
-    ) -> Result<(StoreStats, [Plan; 2]), StoreError> {
+    ) -> Result<Planned<Vec<(u64, u64)>>, StoreError> {
         let same_parent = |a: &(NodeId, u64), b: &(NodeId, u64)| a.0 == b.0;
         let parents: Vec<NodeId> = picks.chunk_by(same_parent).map(|run| run[0].0).collect();
         let (pairs, mut io, offset_plan) = self.offset_pairs(&parents)?;
         // Every pair lies inside the edge array, so every pick inside its
         // parent's pair does too.
-        let mut edges = Vec::with_capacity(picks.len());
         for (run, &(start, end)) in picks.chunk_by(same_parent).zip(&pairs) {
             for &pick in run {
                 check_pick(pick, end - start)?;
-                edges.push(self.layout.edge_entries(start + pick.1, 1));
             }
         }
+        let edges = self.pick_ranges(picks, &pairs, false);
         let edge_plan = self.read_entries(edges, &mut io, |i, [raw]| {
             if raw >= self.num_nodes as u64 {
                 let (node, position) = picks[i];
@@ -394,7 +414,9 @@ impl SharedCsrFile {
             out[i] = NodeId::new(raw as u32);
             Ok(())
         })?;
-        Ok((io, [offset_plan, edge_plan]))
+        // The edge array follows the offset array, so a page both reads
+        // resolved is the offsets' last and the edges' first.
+        Ok((pairs, io, offset_plan.merge(edge_plan)))
     }
 
     // Read-ahead is gone; this stub leaves with its last caller

@@ -38,8 +38,9 @@
 //!   packed-result DMA. The pages an access is costed for are not
 //!   derived here: the command takes the plan of the media read that
 //!   just resolved the missing rows, handed back by the one paged read
-//!   path (`paged.rs`) through [`SharedFileStore`], and each access as
-//!   the plan ranges it spans and its answers (a row is one range, one
+//!   path (`paged.rs`) through [`SharedFileStore`], the read's ranges in
+//!   request order (a row range per missing row), and each access as
+//!   the ranges it spans and its answers (a row is one range, one
 //!   answer); its pages are the ones those ranges were the first to
 //!   need — so each resolved page is fetched once per
 //!   command, and the model can only be priced for pages that were
@@ -64,7 +65,7 @@ use crate::paged::Plan;
 use crate::shared::SharedFileStore;
 use crate::{check_buffer, check_ids, count_call, FeatureStore, StoreStats};
 use smartsage_graph::NodeId;
-use smartsage_hostio::LockExt;
+use smartsage_hostio::{ByteRange, LockExt};
 use smartsage_sim::{LruMap, SimDuration, SimTime};
 use smartsage_storage::{Ssd, SsdParams};
 use std::sync::{Arc, Mutex};
@@ -188,11 +189,12 @@ impl IspDevice {
 
     /// Costs one ISP command against the device's firmware and re-scopes
     /// `io`'s transfer split. `plan` is the plan of the read(s) that
-    /// produced `io`, and the command is `accesses` in request order,
-    /// each `(spans, answers)`: it covers the next `spans` ranges of
-    /// `plan` and answers `answers` results out of the pages those
-    /// ranges were the first to need ([`Plan::first_needs`]), so each
-    /// resolved page is fetched once per command. The firmware decodes
+    /// produced `io`, `ranges` the ranges they read, in request order,
+    /// and the command is `accesses` in request order, each `(spans,
+    /// answers)`: it covers the next `spans` of `ranges` and answers
+    /// `answers` results out of the pages those ranges were the first to
+    /// need ([`Plan::first_needs`]), so each resolved page is fetched
+    /// once per command. The firmware decodes
     /// the command, runs its accesses a chunk at a time, and DMAs the
     /// `shipped` packed bytes back. The shared file accounted its page
     /// reads as host traffic (it is a host-path reader); here they
@@ -202,10 +204,11 @@ impl IspDevice {
         &mut self,
         mut io: StoreStats,
         plan: &Plan,
+        ranges: impl IntoIterator<Item = ByteRange>,
         accesses: impl IntoIterator<Item = (usize, u64)>,
         shipped: u64,
     ) -> StoreStats {
-        let (pages, ends) = plan.first_needs();
+        let (pages, ends) = plan.first_needs(ranges);
         let mut at = 0;
         let mut accesses = accesses
             .into_iter()
@@ -325,8 +328,9 @@ impl FeatureStore for IspGatherStore {
             // of the pages it first needed; only the packed missing rows
             // cross the link.
             let shipped = missing.len() as u64 * dim as u64 * 4;
+            let ranges = missing.iter().map(|&node| self.shared.row_range(node));
             let accesses = std::iter::repeat_n((1, 1), missing.len());
-            io = self.device.command(media, &plan, accesses, shipped);
+            io = self.device.command(media, &plan, ranges, accesses, shipped);
         }
         // Publish: every lookup's recency update in request order (a
         // node that missed is not resident, or is re-put just below),
@@ -398,9 +402,9 @@ mod tests {
             offset: page * 4096,
             len: 1,
         });
-        let plan = crate::paged::tests::plan_covering(ranges.collect(), 4096);
+        let plan = crate::paged::tests::plan_covering(&ranges.clone().collect::<Vec<_>>(), 4096);
         let accesses = std::iter::repeat_n((1, 1), n as usize);
-        device.command(StoreStats::default(), &plan, accesses, shipped)
+        device.command(StoreStats::default(), &plan, ranges, accesses, shipped)
     }
 
     fn write_table(tag: &str, dim: usize, nodes: usize) -> (ScratchFile, FeatureTable) {
@@ -583,8 +587,9 @@ mod tests {
         if !missing.is_empty() {
             let (media, plan) = isp.shared.gather_planned(&missing, &mut miss_buf).unwrap();
             let shipped = missing.len() as u64 * dim as u64 * 4;
+            let ranges = missing.iter().map(|&node| isp.shared.row_range(node));
             let accesses = missing.iter().map(|_| (1, 1));
-            io = isp.device.command(media, &plan, accesses, shipped);
+            io = isp.device.command(media, &plan, ranges, accesses, shipped);
             for (j, &node) in missing.iter().enumerate() {
                 let row: Box<[f32]> = miss_buf[j * dim..(j + 1) * dim].into();
                 isp.scratchpad.rows.safe_lock().put(node.raw(), row);

@@ -30,7 +30,7 @@
 //!   plan and each access as `(plan ranges it spans, answers)`. A degree
 //!   batch is one `(1, 1)` access per node, answering its degree out of
 //!   its offset pages; a pick batch is one `(1 + n, n)` access per run
-//!   of `n` equal consecutive parents over the interleaved plan (its
+//!   of `n` equal consecutive parents over the interleaved ranges (its
 //!   offset pair, then its picks' edges), answering the run's picks. An
 //!   access brings only the pages its ranges were the first to need in
 //!   [`SharedCsrFile`]'s paged reads, so each resolved page is fetched
@@ -110,9 +110,11 @@ impl TopologyStore for IspSampleTopology {
         for (slot, (start, end)) in out.iter_mut().zip(pairs) {
             *slot = end - start;
         }
+        let layout = &self.shared.layout;
+        let ranges = nodes.iter().map(|&node| layout.offset_entry_range(node));
         let accesses = std::iter::repeat_n((1, 1), nodes.len());
         let shipped = nodes.len() as u64 * NEIGHBOR_ENTRY_BYTES;
-        let io = self.device.command(io, &plan, accesses, shipped);
+        let io = self.device.command(io, &plan, ranges, accesses, shipped);
         self.stats.accumulate(&io);
         count_call(&mut self.stats, nodes.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())
@@ -128,16 +130,16 @@ impl TopologyStore for IspSampleTopology {
         // the slices, edge entries resolve the picks (shared with the
         // file tier via [`SharedCsrFile::resolve_picks`]), and only
         // the dense sampled-id list is DMAed back.
-        let (io, [offsets, edges]) = self.shared.resolve_picks(picks, out)?;
+        let (pairs, io, plan) = self.shared.resolve_picks(picks, out)?;
         // One device command covers the offset walk and the edge reads
         // (firmware chains them without surfacing to the host): one
         // access per run of equal parents — its offset pair, then its
         // picks' edges — answering the run's picks.
-        let runs: Vec<usize> = picks.chunk_by(|a, b| a.0 == b.0).map(<[_]>::len).collect();
-        let plan = offsets.interleave(edges, runs.iter().copied());
-        let accesses = runs.iter().map(|&n| (1 + n, n as u64));
+        let ranges = self.shared.pick_ranges(picks, &pairs, true);
+        let runs = picks.chunk_by(|a, b| a.0 == b.0);
+        let accesses = runs.map(|run| (1 + run.len(), run.len() as u64));
         let shipped = picks.len() as u64 * NEIGHBOR_ENTRY_BYTES;
-        let io = self.device.command(io, &plan, accesses, shipped);
+        let io = self.device.command(io, &plan, ranges, accesses, shipped);
         self.stats.accumulate(&io);
         count_call(&mut self.stats, picks.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())

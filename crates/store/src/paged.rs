@@ -8,12 +8,15 @@
 //! [`SharedCsrFile`](crate::SharedCsrFile) `u64` entries) turn a
 //! request into byte ranges and decode what comes back. It is the only
 //! code that turns a byte range into page numbers, and the pages a
-//! [`PagedFile::read`] resolved are handed back with its ranges as that
-//! read's **plan** ([`StagedPages::into_plan`]): the format layers pass
-//! it up beside their I/O deltas, and the ISP tiers cost exactly those
-//! pages, each with the first range to need it ([`Plan::first_needs`])
-//! — nobody derives the pages of a request a second time. Every read
-//! follows one algorithm:
+//! [`PagedFile::read`] resolved are handed back as that read's **plan**
+//! ([`StagedPages::into_plan`]): the format layers pass it up beside
+//! their I/O deltas, and the ISP tiers cost exactly those pages, each
+//! with the first range to need it ([`Plan::first_needs`], over the
+//! ranges re-derived in request order) — nobody derives the pages of a
+//! request a second time. A read takes its ranges as a cloneable
+//! iterator, listed once here and once more by the format layer's
+//! decode, so no per-range list is built. Every read follows one
+//! algorithm:
 //!
 //! 1. **Plan** — the distinct pages the ranges touch, as one
 //!    [`RankSet`] walked in maximal contiguous runs; pure address
@@ -59,26 +62,29 @@ use std::sync::{Arc, Mutex};
 /// Decoded values, the call's exact I/O deltas, and the read's plan.
 pub(crate) type Planned<T> = (T, StoreStats, Plan);
 
-/// A read's plan: the ranges it was planned from, in request order, and
-/// the set of every page it resolved for them — each counted exactly
-/// once into the read's `page_hits` or `pages_read`.
+/// A read's plan: the set of every page it resolved, each counted
+/// exactly once into the read's `page_hits` or `pages_read`. It holds
+/// no ranges: the caller that asks for first needs derives them again.
 #[derive(Debug)]
 pub(crate) struct Plan {
-    ranges: Vec<ByteRange>,
     pages: RankSet,
     page_bytes: u64,
 }
 
 impl Plan {
-    /// The pages each range was the first to need, in request order, as
-    /// `(pages, ends)`: range `i` first needed `pages[ends[i]..ends[i +
-    /// 1]]`, so every page of the plan is listed once, with the first
-    /// range that touches it. Only the ISP tiers' one command entry
+    /// The pages each of `ranges` was the first to need, in the order
+    /// given, as `(pages, ends)`: range `i` first needed `pages[ends[i]..ends[i
+    /// + 1]]`, so every page of the plan is listed once, with the first
+    /// range that touches it. Every range must lie in pages the plan
+    /// resolved. Only the ISP tiers' one command entry
     /// (`IspDevice::command`) asks, so only they pay.
-    pub fn first_needs(&self) -> (Vec<u64>, Vec<usize>) {
+    pub fn first_needs(
+        &self,
+        ranges: impl IntoIterator<Item = ByteRange>,
+    ) -> (Vec<u64>, Vec<usize>) {
         let mut needed = vec![false; self.pages.len()];
         let (mut pages, mut ends) = (Vec::new(), vec![0]);
-        for range in &self.ranges {
+        for range in ranges {
             if let Some((first, last)) = range.blocks(self.page_bytes) {
                 // A range's pages are consecutive members of the set.
                 let staged = (first..=last).zip(self.pages.rank(first)..);
@@ -90,19 +96,13 @@ impl Plan {
         (pages, ends)
     }
 
-    /// This plan with `next`'s interleaved in: each range of this plan
-    /// followed by as many of `next`'s as `counts` gives it, so first
-    /// needs run in that order. `next` reads at or past this plan's last
-    /// page (the edge array follows the offset array); a page both reads
-    /// resolved is listed once.
-    pub fn interleave(mut self, next: Plan, counts: impl Iterator<Item = usize>) -> Plan {
-        let mut later = next.ranges.into_iter();
-        for (range, count) in std::mem::take(&mut self.ranges).into_iter().zip(counts) {
-            self.ranges.push(range);
-            self.ranges.extend(later.by_ref().take(count));
+    /// The plan of this read and `next` together: a page both resolved
+    /// is listed once.
+    pub fn merge(self, next: Plan) -> Plan {
+        Plan {
+            pages: RankSet::new(self.pages.iter().chain(next.pages.iter())),
+            ..self
         }
-        self.pages = RankSet::new(self.pages.iter().chain(next.pages.iter()));
-        self
     }
 }
 
@@ -116,14 +116,13 @@ pub(crate) struct PagedFile {
     engine: Arc<ReadEngine>,
 }
 
-/// The pages one [`PagedFile::read`] resolved: their set, and their
-/// bytes in the set's order — held by `Arc` while the format layer
-/// decodes them, so a page's slot is its rank.
+/// The pages one [`PagedFile::read`] resolved: its plan, and the
+/// pages' bytes in the set's order — held by `Arc` while the format
+/// layer decodes them, so a page's slot is its rank.
 #[derive(Debug)]
 pub(crate) struct StagedPages {
-    pages: RankSet,
+    plan: Plan,
     staged: Vec<Arc<[u8]>>,
-    page_bytes: u64,
 }
 
 impl StagedPages {
@@ -134,12 +133,13 @@ impl StagedPages {
     /// side by side. Its first page's slot is that page's rank in the
     /// read's set.
     pub fn bytes<'a>(&'a self, range: ByteRange, spill: &'a mut [u8]) -> &'a [u8] {
-        let Some((page, _)) = range.blocks(self.page_bytes) else {
+        let Plan { pages, page_bytes } = &self.plan;
+        let Some((page, _)) = range.blocks(*page_bytes) else {
             return &[];
         };
         let (at, lo) = (
-            self.pages.rank(page),
-            (range.offset - page * self.page_bytes) as usize,
+            pages.rank(page),
+            (range.offset - page * page_bytes) as usize,
         );
         if let Some(within) = self.staged[at].get(lo..lo + range.len as usize) {
             return within;
@@ -154,13 +154,9 @@ impl StagedPages {
         spill
     }
 
-    /// The read's plan, over the `ranges` it was planned from.
-    pub fn into_plan(self, ranges: Vec<ByteRange>) -> Plan {
-        Plan {
-            ranges,
-            pages: self.pages,
-            page_bytes: self.page_bytes,
-        }
+    /// The read's plan.
+    pub fn into_plan(self) -> Plan {
+        self.plan
     }
 }
 
@@ -255,12 +251,12 @@ impl PagedFile {
     /// stretch fails the read — naming the file — before the second.
     pub fn read(
         &self,
-        ranges: &[ByteRange],
+        ranges: impl IntoIterator<Item = ByteRange, IntoIter: Clone>,
         io: &mut StoreStats,
     ) -> Result<StagedPages, StoreError> {
         // The pages each range touches, listed straight into the set.
-        let pb = self.opts.page_bytes;
-        let touched = ranges.iter().filter_map(|r| r.blocks(pb));
+        let page_bytes = self.opts.page_bytes;
+        let touched = ranges.into_iter().filter_map(|r| r.blocks(page_bytes));
         let pages = RankSet::new(touched.flat_map(|(first, last)| first..=last));
         // Classify: a resident page is a hit; a missing one opens a
         // stretch `(first_page, page_count)` that extends while the
@@ -306,11 +302,8 @@ impl PagedFile {
             cache.put(page, Arc::clone(&buf));
             *slot = buf;
         }
-        Ok(StagedPages {
-            pages,
-            staged,
-            page_bytes: pb,
-        })
+        let plan = Plan { pages, page_bytes };
+        Ok(StagedPages { plan, staged })
     }
 }
 
@@ -321,14 +314,13 @@ pub(crate) mod tests {
 
     /// A plan of `ranges` that resolved every page they touch, for
     /// tests that price a command without reading a file.
-    pub(crate) fn plan_covering(ranges: Vec<ByteRange>, page_bytes: u64) -> Plan {
+    pub(crate) fn plan_covering(ranges: &[ByteRange], page_bytes: u64) -> Plan {
         let pages: Vec<u64> = ranges
             .iter()
             .filter_map(|r| r.blocks(page_bytes))
             .flat_map(|(first, last)| first..=last)
             .collect();
         Plan {
-            ranges,
             pages: RankSet::new(pages),
             page_bytes,
         }
@@ -451,13 +443,14 @@ pub(crate) mod tests {
                     let what = format!("file {len} page {page_bytes} cache {cache_pages}");
                     let paged = open(&file, len, page_bytes, cache_pages);
                     let mut cold = StoreStats::default();
-                    let staged = paged.read(ranges, &mut cold).unwrap();
+                    let staged = paged.read(ranges.iter().copied(), &mut cold).unwrap();
                     check(&staged, ranges, &what);
                     // Any order decodes, not just the read's.
                     check(&staged, &orders[0], &what);
-                    let cold_plan = staged.into_plan(ranges.clone());
+                    let cold_plan = staged.into_plan();
                     let pages_of = |plan: Plan| plan.pages.iter().collect::<Vec<u64>>();
-                    assert_eq!(cold_plan.first_needs(), first_needs(ranges), "{what}");
+                    let needs = cold_plan.first_needs(ranges.iter().copied());
+                    assert_eq!(needs, first_needs(ranges), "{what}");
                     assert_eq!(pages_of(cold_plan), plan, "{what} cold");
                     assert_eq!(cold.page_hits, 0);
                     assert_eq!(cold.pages_read, planned, "every planned page read once");
@@ -467,9 +460,9 @@ pub(crate) mod tests {
                     assert!(cold.bytes_read < planned * page_bytes);
                     // The plan is the same list whatever the cache held.
                     let mut again = StoreStats::default();
-                    let restaged = paged.read(ranges, &mut again).unwrap();
+                    let restaged = paged.read(ranges.iter().copied(), &mut again).unwrap();
                     check(&restaged, ranges, &what);
-                    let warm_plan = restaged.into_plan(ranges.clone());
+                    let warm_plan = restaged.into_plan();
                     assert_eq!(pages_of(warm_plan), plan, "{what} warm");
                     assert_eq!(again.page_hits + again.pages_read, planned);
                     assert_eq!(again.pages_read, again.page_misses);
@@ -507,7 +500,7 @@ pub(crate) mod tests {
                 .unwrap();
             let ranges = [range(0, 8), failing];
             let mut io = StoreStats::default();
-            let err = paged.read(&ranges, &mut io).unwrap_err();
+            let err = paged.read(ranges, &mut io).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -526,11 +519,11 @@ pub(crate) mod tests {
             // A demand read of the surviving page alone lands it, and
             // the next one hits it without reading.
             let mut landed = StoreStats::default();
-            paged.read(&[range(0, 8)], &mut landed).unwrap();
+            paged.read([range(0, 8)], &mut landed).unwrap();
             assert_eq!((landed.pages_read, landed.bytes_read), (1, 512));
             assert_eq!(paged.cache_resident(), 1);
             let mut demand = StoreStats::default();
-            paged.read(&[range(0, 8)], &mut demand).unwrap();
+            paged.read([range(0, 8)], &mut demand).unwrap();
             assert_eq!((demand.page_hits, demand.pages_read), (1, 0));
         }
     }
@@ -544,7 +537,7 @@ pub(crate) mod tests {
         let page = |p: u64| range(p * 512, 8);
         let read = |p: u64| {
             let mut io = StoreStats::default();
-            paged.read(&[page(p)], &mut io).unwrap();
+            paged.read([page(p)], &mut io).unwrap();
             (io.page_hits, io.pages_read)
         };
         assert_eq!((read(0), read(1)), ((0, 1), (0, 1)));
@@ -556,7 +549,7 @@ pub(crate) mod tests {
             .unwrap();
         // A hits, the stretch past the new end fails: A stays LRU.
         let mut io = StoreStats::default();
-        assert!(paged.read(&[page(0), page(4)], &mut io).is_err());
+        assert!(paged.read([page(0), page(4)], &mut io).is_err());
         assert_eq!(io.page_hits, 1);
         // So C evicts A, and B is still resident.
         assert_eq!(read(2), (0, 1));
@@ -569,7 +562,7 @@ pub(crate) mod tests {
         let (file, bytes) = patterned("paged-poison", 4 * 512);
         let paged = open(&file, 4 * 512, 512, 4);
         let mut io = StoreStats::default();
-        paged.read(&[range(0, 8)], &mut io).unwrap();
+        paged.read([range(0, 8)], &mut io).unwrap();
         // A reader dies holding the cache lock: the lock is poisoned.
         // (A page and its payload are one record, so there is no
         // half-updated state for it to leave behind.)
@@ -583,7 +576,7 @@ pub(crate) mod tests {
         assert!(died.is_err() && paged.cache.is_poisoned());
         let ranges = [range(0, 8), range(600, 8)];
         let mut after = StoreStats::default();
-        let staged = paged.read(&ranges, &mut after).unwrap();
+        let staged = paged.read(ranges, &mut after).unwrap();
         assert_eq!((after.page_hits, after.pages_read), (1, 1));
         let mut spill = [0u8; 8];
         assert_eq!(staged.bytes(ranges[1], &mut spill), &bytes[600..608]);

@@ -12,13 +12,14 @@
 //! call through one private router:
 //!
 //! 1. **Place** — one pass validates every node id (so a bad id fails
-//!    before any member does I/O) and finds each element's owning
-//!    member (a binary search over the contiguous ranges).
+//!    before any member does I/O); an element's owning member is a
+//!    binary search over the contiguous ranges.
 //! 2. **Owned request** — when one member owns the whole request
 //!    (always, at one device; often, for a small serve request at N)
 //!    it answers straight into the caller's buffer: no sub-batch, no
-//!    answer buffer, no copy back. So does each member of a request
-//!    ordered by owner (a sorted gather), for its own run of it.
+//!    answer buffer, no copy back, nothing listed per element. So does
+//!    each member of a request ordered by owner (a sorted gather), for
+//!    its own run of it.
 //! 3. **Split request** — otherwise the request is scattered into
 //!    per-member sub-batches (in scratch kept across calls), each
 //!    resolved by its member's ordinary single-device store (so all
@@ -125,11 +126,10 @@ fn merged(access: StoreStats, members: &[StoreStats]) -> StoreStats {
 }
 
 /// What a split request is scattered through, kept across calls so a
-/// store allocates only while its largest request is still growing.
+/// store allocates only while its largest split request is still
+/// growing. A request ordered by owner never touches it.
 #[derive(Debug, Default)]
 struct Scratch<Q, A> {
-    /// Owning member of each request element.
-    owners: Vec<u32>,
     /// Per member: its element count, then the end of its sub-batch.
     ends: Vec<usize>,
     /// The sub-batches, grouped by member in member order.
@@ -171,29 +171,27 @@ impl Router {
         let width = self.width;
         check_buffer(requests.len() * width, out)?;
         check_ids(requests.iter().map(&node_of), self.num_nodes())?;
-        s.owners.clear();
-        s.ends.clear();
-        s.ends.resize(self.ranges.len(), 0);
-        let (mut ascending, mut last) = (true, 0);
-        for node in requests.iter().map(node_of) {
-            let member = shard_of(&self.ranges, node.index());
-            ascending &= member >= last;
-            last = member;
-            s.owners.push(member as u32);
-            s.ends[member] += 1;
-        }
-        if ascending {
+        let owner = |request: &Q| shard_of(&self.ranges, node_of(request).index());
+        if requests.is_sorted_by_key(owner) {
             // Each member's elements are one run of the request, in
-            // member order: every owner answers its run in place. One
-            // member owning the whole request is the one-run case.
+            // member order: every owner answers its run in place, and
+            // nothing is listed. A run ends where the next owner's
+            // begins (one search per run). One member owning the whole
+            // request is the one-run case.
             let mut start = 0;
-            for run in s.owners.chunk_by(|a, b| a == b) {
-                let end = start + run.len();
+            while let Some(first) = requests.get(start) {
+                let member = owner(first);
+                let end = requests.partition_point(|request| owner(request) <= member);
                 let answers = &mut out[start * width..end * width];
-                resolve(run[0] as usize, &requests[start..end], answers)?;
+                resolve(member, &requests[start..end], answers)?;
                 start = end;
             }
             return Ok(());
+        }
+        s.ends.clear();
+        s.ends.resize(self.ranges.len(), 0);
+        for member in requests.iter().map(owner) {
+            s.ends[member] += 1;
         }
         // Counts become sub-batch starts; placing an element advances
         // its member's start, leaving each member's end behind.
@@ -204,9 +202,9 @@ impl Router {
         }
         s.routed.resize(requests.len(), requests[0]);
         s.positions.resize(requests.len(), 0);
-        for (pos, (&request, &owner)) in requests.iter().zip(&s.owners).enumerate() {
-            let slot = &mut s.ends[owner as usize];
-            s.routed[*slot] = request;
+        for (pos, request) in requests.iter().enumerate() {
+            let slot = &mut s.ends[owner(request)];
+            s.routed[*slot] = *request;
             s.positions[*slot] = pos;
             *slot += 1;
         }
@@ -672,6 +670,47 @@ mod tests {
         sharded.pick_neighbors_into(&picks, &mut got_n).unwrap();
         assert_eq!(want_n, got_n);
         assert_eq!(sharded.stats(), solo.stats());
+    }
+
+    #[test]
+    fn an_ascending_request_is_answered_in_place_with_no_scratch() {
+        let g = Arc::new(graph(31, 0x5C4A));
+        let nodes: Vec<NodeId> = (0..31u32).map(NodeId::new).collect();
+        let mut degrees = vec![0u64; nodes.len()];
+        CsrView::new(&g).degrees_into(&nodes, &mut degrees).unwrap();
+        // Every position of every node, ascending by parent (and so by
+        // owner at any shard count).
+        let picks: Vec<(NodeId, u64)> = nodes
+            .iter()
+            .zip(&degrees)
+            .flat_map(|(&n, &d)| (0..d).map(move |k| (n, k)))
+            .collect();
+        let mut want = vec![NodeId::default(); picks.len()];
+        CsrView::new(&g)
+            .pick_neighbors_into(&picks, &mut want)
+            .unwrap();
+        for shards in [1, 3] {
+            let mut topo = ShardedTopology::mem(Arc::clone(&g), shards);
+            let mut got = vec![NodeId::default(); picks.len()];
+            topo.pick_neighbors_into(&picks, &mut got).unwrap();
+            assert_eq!(got, want, "x{shards}");
+            let s = &topo.picks;
+            let capacities = [
+                s.ends.capacity(),
+                s.routed.capacity(),
+                s.positions.capacity(),
+                s.answers.capacity(),
+            ];
+            assert_eq!(capacities, [0; 4], "x{shards}");
+            // The same picks reversed: still one owner's run at one
+            // shard, scattered through the scratch at three.
+            let reversed: Vec<(NodeId, u64)> = picks.iter().rev().copied().collect();
+            topo.pick_neighbors_into(&reversed, &mut got).unwrap();
+            got.reverse();
+            assert_eq!(got, want, "x{shards}");
+            let listed = if shards == 1 { 0 } else { picks.len() };
+            assert_eq!(topo.picks.routed.len(), listed, "x{shards}");
+        }
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl SharedFileStore {
     }
 
     /// Byte range of `node`'s row within the file (`node` is in range).
-    fn row_range(&self, node: NodeId) -> ByteRange {
+    pub(crate) fn row_range(&self, node: NodeId) -> ByteRange {
         let row_bytes = self.dim as u64 * 4;
         ByteRange {
             offset: HEADER_BYTES + node.index() as u64 * row_bytes,
@@ -184,9 +184,10 @@ impl SharedFileStore {
     }
 
     /// [`SharedFileStore::gather_into`]'s values and **I/O** deltas (the
-    /// caller counts the call), plus the plan of the read it executed: a
-    /// range per row of `nodes` and the pages backing them (the ISP
-    /// tier's timing-model input).
+    /// caller counts the call), plus the plan of the read it executed:
+    /// the pages backing the rows of `nodes` (the ISP tier's
+    /// timing-model input, over a [`SharedFileStore::row_range`] per
+    /// row).
     pub(crate) fn gather_planned(
         &self,
         nodes: &[NodeId],
@@ -195,19 +196,19 @@ impl SharedFileStore {
         check_buffer(nodes.len() * self.dim, out)?;
         // Fails on the first out-of-range node, before any I/O.
         check_ids(nodes.iter().copied(), self.num_nodes)?;
-        let ranges: Vec<ByteRange> = nodes.iter().map(|&node| self.row_range(node)).collect();
+        let ranges = nodes.iter().map(|&node| self.row_range(node));
         let mut io = StoreStats::default();
-        let staged = self.paged.read(&ranges, &mut io)?;
+        let staged = self.paged.read(ranges.clone(), &mut io)?;
         // `spill` only carries a row that straddles a page boundary.
         let mut spill = vec![0u8; self.dim * 4];
-        for (&range, out_row) in ranges.iter().zip(out.chunks_exact_mut(self.dim)) {
+        for (range, out_row) in ranges.zip(out.chunks_exact_mut(self.dim)) {
             let row = staged.bytes(range, &mut spill);
             #[expect(clippy::expect_used, reason = "chunks_exact(4) yields 4 bytes")]
             for (v, chunk) in out_row.iter_mut().zip(row.chunks_exact(4)) {
                 *v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
             }
         }
-        Ok((io, staged.into_plan(ranges)))
+        Ok((io, staged.into_plan()))
     }
 }
 

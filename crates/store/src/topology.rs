@@ -306,7 +306,7 @@ impl TopologyStore for FileTopology {
         // Two coalesced passes per batch (offset pairs, then edge
         // entries), shared with the ISP tier via
         // [`SharedCsrFile::resolve_picks`].
-        let (io, _) = self.shared.resolve_picks(picks, out)?;
+        let (_, io, _) = self.shared.resolve_picks(picks, out)?;
         self.stats.accumulate(&io);
         count_call(&mut self.stats, picks.len(), NEIGHBOR_ENTRY_BYTES);
         Ok(())

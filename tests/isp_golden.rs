@@ -20,8 +20,10 @@
 //! round then is the hit path and must submit no read).
 //!
 //! A third case runs a small `run_pipeline` on the ISP tiers over four
-//! devices, so the gathers are the pipeline's own: each batch's sorted,
-//! deduplicated node list.
+//! devices, so the calls are the pipeline's own: one sampling group per
+//! window of `queue_depth` batches on the topology side, and one
+//! ascending slice of the window's sorted, deduplicated node union per
+//! batch on the feature side.
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
@@ -276,7 +278,7 @@ fn isp_pipeline_stats_are_pinned() {
     let report = run_pipeline(&ctx, &cfg);
     #[rustfmt::skip]
     let want = [
-        stats([24, 27264, 218112, 85, 344536, 900, 85, 344536, 218112, 29111315]),
+        stats([12, 27264, 218112, 85, 344536, 452, 85, 344536, 218112, 28622048]),
         stats([6, 3072, 393216, 36, 143360, 50, 36, 143360, 142592, 3513378]),
     ];
     assert_eq!([report.topology_stats, report.store_stats], want);

@@ -236,9 +236,11 @@ fn graphsage_batches_are_sampled_through_the_topology_store_exactly_once() {
         };
         let report = run_pipeline(&ctx, &cfg);
         let topo = report.topology_stats;
-        // One degree read and one pick batch per hop per batch...
+        // One degree read and one pick batch per hop per window of
+        // `queue_depth` batches (one group sampled together)...
         let hops = cfg.fanouts.hops() as u64;
-        assert_eq!(topo.gathers, 2 * hops * cfg.total_batches as u64);
+        let windows = cfg.total_batches.div_ceil(cfg.queue_depth) as u64;
+        assert_eq!(topo.gathers, 2 * hops * windows);
         // ...answering each frontier degree and each drawn pick once.
         let answers: u64 = (0..cfg.total_batches)
             .map(|index| {

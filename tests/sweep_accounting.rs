@@ -409,8 +409,11 @@ fn a_driver_samples_each_distinct_epoch_once() {
         .sweep();
     let batches = scale.batches as u64;
     assert_eq!(outcome.store_stats.gathers, 5 * batches);
-    // Every batch's sampling pass reads each hop's degrees and picks
-    // once through the topology tier.
+    // Every window of `queue_depth` batches is sampled as one group,
+    // which reads each hop's degrees and picks once through the
+    // topology tier.
     let hops = smartsage::gnn::Fanouts::paper_default().hops() as u64;
-    assert_eq!(outcome.topology_stats.gathers, 5 * batches * 2 * hops);
+    let depth = smartsage::core::pipeline::PipelineConfig::default().queue_depth;
+    let windows = scale.batches.div_ceil(depth) as u64;
+    assert_eq!(outcome.topology_stats.gathers, 5 * windows * 2 * hops);
 }
