@@ -295,7 +295,7 @@ pub(crate) mod testutil {
     use crate::config::SystemConfig;
     use crate::context::RunContext;
     use smartsage_gnn::sampler::sample_on;
-    use smartsage_gnn::{Fanouts, SamplePlan};
+    use smartsage_gnn::Fanouts;
     use smartsage_graph::{Dataset, DatasetProfile, GraphScale, NodeId};
     use smartsage_sim::Xoshiro256;
 
@@ -306,19 +306,15 @@ pub(crate) mod testutil {
         Arc::new(RunContext::new(data, SystemConfig::new(kind)))
     }
 
-    /// A plan of `targets` targets with small fan-outs.
-    pub fn test_plan(ctx: &RunContext, targets: usize, seed: u64) -> SamplePlan {
+    /// The byte trace of a batch of `targets` targets with small
+    /// fan-outs, the form policies consume.
+    pub fn test_trace(ctx: &RunContext, targets: usize, seed: u64) -> SampleTrace {
         let t: Vec<NodeId> = (0..targets as u32).map(NodeId::new).collect();
         let mut rng = Xoshiro256::seed_from_u64(seed);
         let mut topo = smartsage_store::CsrView::new(ctx.graph());
         sample_on(&mut topo, &t, &Fanouts::new(vec![4, 3]), &mut rng)
             .unwrap()
-            .0
-    }
-
-    /// The byte trace of [`test_plan`], the form policies consume.
-    pub fn test_trace(ctx: &RunContext, targets: usize, seed: u64) -> SampleTrace {
-        test_plan(ctx, targets, seed).trace
+            .into_trace()
     }
 
     /// Drives one worker's batch to completion; returns its cost.

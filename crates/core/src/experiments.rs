@@ -30,14 +30,15 @@ use crate::config::{SystemConfig, SystemKind};
 use crate::context::RunContext;
 use crate::pipeline::{price, sample_epoch_or_panic, Epoch, PipelineConfig, PipelineReport};
 use crate::report::{num, pct, speedup, Cell, Table};
-use smartsage_gnn::sampler::{epoch_targets, sample_group_on, SampleSpec};
+use smartsage_gnn::sampler::{epoch_targets, sample_on};
 use smartsage_gnn::Fanouts;
 use smartsage_graph::datasets::MaterializedDataset;
 use smartsage_graph::degree::DegreeStats;
 use smartsage_graph::kronecker::{expand, KroneckerConfig};
-use smartsage_graph::{Dataset, DatasetProfile, GraphScale, NodeId};
+use smartsage_graph::{Dataset, DatasetProfile, GraphScale};
 use smartsage_memsim::{BandwidthMeter, CacheParams, SetAssocCache};
-use smartsage_store::{CsrView, StoreKind, TopologyKind};
+use smartsage_sim::Xoshiro256;
+use smartsage_store::{CsrView, StoreKind, TopologyKind, TracingTopology};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -498,28 +499,25 @@ fn fig5_driver(scale: &ExperimentScale) -> Table {
         let mut meter =
             BandwidthMeter::new(scale.workers as u32, dram.bytes_per_sec, dram.line_bytes);
         // Interleave the access traces of `workers` concurrent samplers,
-        // sampled as one group (each on its own seed).
-        let targets: Vec<Vec<NodeId>> = (0..scale.workers)
-            .map(|w| epoch_targets(graph.num_nodes(), scale.batch_size, w, scale.seed))
-            .collect();
-        let seeds = (0..).map(|w| scale.seed ^ w);
-        let specs: Vec<SampleSpec> = targets
-            .iter()
-            .zip(seeds)
-            .map(|(targets, seed)| SampleSpec { targets, seed })
-            .collect();
-        let sampled = sample_group_on(&mut CsrView::new(graph), &specs, &Fanouts::paper_default())
-            .expect("in-memory topology cannot fail");
-        let traces: Vec<Vec<(u64, u64)>> = sampled
-            .iter()
-            .map(|(p, _)| {
+        // each on its own seed, recorded at the store interface: per
+        // access, the offset entry, then the entry of each pick.
+        let traces: Vec<Vec<(u64, u64)>> = (0..scale.workers)
+            .map(|w| {
+                let targets = epoch_targets(graph.num_nodes(), scale.batch_size, w, scale.seed);
+                let mut rng = Xoshiro256::seed_from_u64(scale.seed ^ w as u64);
+                let mut view = CsrView::new(graph);
+                let mut tracer = TracingTopology::new(&mut view);
+                sample_on(&mut tracer, &targets, &Fanouts::paper_default(), &mut rng)
+                    .expect("in-memory topology cannot fail");
+                let (sampled, picks) = tracer.into_parts();
                 let mut trace = Vec::new();
-                for k in 0..p.trace.hops.len() {
-                    for (node, positions) in p.accesses(k) {
+                for (hop, picks) in sampled.hops.iter().zip(&picks) {
+                    let mut picks = picks.iter();
+                    for (i, &node) in hop.nodes.iter().enumerate() {
                         let off = ctx.layout.offset_entry_range(node);
                         trace.push((off.offset, off.len));
                         let first = graph.edge_list_start(node);
-                        for &pos in positions {
+                        for &(_, pos) in picks.by_ref().take(hop.picks(i)) {
                             let pick = ctx.layout.edge_entries(first + pos, 1);
                             trace.push((pick.offset, pick.len));
                         }

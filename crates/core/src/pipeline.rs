@@ -12,8 +12,9 @@
 //! of the window's nodes is read in one slice per batch. Either way a
 //! page the window's batches share is read once (the gathered rows stay
 //! in the pass's one buffer). It returns an `Epoch`: each batch's byte trace
-//! ([`smartsage_store::SampleTrace`]) and shape, and the tiers' exact
-//! I/O counters. Nothing in it depends on the system.
+//! ([`smartsage_store::SampleTrace`]: the sampled batch itself, moved,
+//! once its shape is read off it) and shape, and the tiers' exact I/O
+//! counters. Nothing in it depends on the system.
 //!
 //! The **pricing loop** (`price`) holds no store. It hands each
 //! batch's trace to the run's [`CostPolicy`], which replays it against
@@ -97,7 +98,7 @@ pub struct PipelineConfig {
     /// Topology-store tier neighbor sampling reads the graph through;
     /// [`PipelineReport::topology_stats`] records the exact I/O. Every
     /// batch, fan-out tree or walk, is sampled through the store in one
-    /// pass (plan and subgraph together). Like
+    /// pass (its degrees and subgraph together). Like
     /// [`PipelineConfig::store`], the tier never perturbs simulated
     /// time.
     pub topology: TopologyKind,
@@ -112,7 +113,7 @@ pub struct PipelineConfig {
     /// per-shard file, page-cache budget slice, and (on the ISP tiers)
     /// SSD timing model per device; one device is the 1-way case of
     /// that same construction.
-    /// Gathered values, sampled plans, and modeled costs are
+    /// Gathered values, sampled batches, and modeled costs are
     /// bit-identical at every shard count (the store determinism
     /// contract; costs price the merged trace); above one device the
     /// I/O accounting gains a per-shard breakdown.
@@ -236,8 +237,9 @@ fn open_tiers(ctx: &RunContext, cfg: &PipelineConfig) -> Result<OpenTiers, Store
 }
 
 /// One mini-batch's record as sampled by the real pass: the byte trace
-/// the cost policy prices, and what the modeled pipeline reads of the
-/// batch once the policy has priced it.
+/// the cost policy prices (the sampled batch, moved:
+/// `SampledBatch::into_trace`), and what the modeled pipeline reads of
+/// the batch once the policy has priced it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlannedBatch {
     trace: SampleTrace,
@@ -310,13 +312,13 @@ pub(crate) fn sample_epoch(ctx: &RunContext, cfg: &PipelineConfig) -> Result<Epo
             .collect();
         let sampled = sample_group_on(tiers.topology.as_mut(), &specs, &cfg.fanouts)?;
         let mut nodes = Vec::with_capacity(sampled.len());
-        for (plan, batch) in sampled {
+        for batch in sampled {
             let distinct = batch.all_nodes();
             batches.push(PlannedBatch {
-                trace: plan.trace,
                 distinct: distinct.len() as u64,
                 dims: BatchDims::of_batch(&batch, feat_dim, cfg.hidden_dim, cfg.classes),
                 subgraph_bytes: batch.subgraph_bytes(),
+                trace: batch.into_trace(),
             });
             nodes.push(distinct);
         }
@@ -680,12 +682,12 @@ mod tests {
                 let seed = cfg.seed ^ (index as u64).wrapping_mul(0x9E37);
                 let mut rng = smartsage_sim::Xoshiro256::seed_from_u64(seed);
                 let mut topo = smartsage_store::CsrView::new(ctx.graph());
-                let (plan, batch) =
+                let batch =
                     smartsage_gnn::sampler::sample_on(&mut topo, &targets, &cfg.fanouts, &mut rng)
                         .unwrap();
-                assert_eq!(planned.trace, plan.trace, "batch {index}");
-                assert_eq!(planned.trace.num_sampled() * entry, planned.subgraph_bytes);
                 assert_eq!(planned.distinct, batch.all_nodes().len() as u64);
+                assert_eq!(planned.trace, batch.into_trace(), "batch {index}");
+                assert_eq!(planned.trace.num_sampled() * entry, planned.subgraph_bytes);
             }
         }
     }

@@ -181,7 +181,7 @@ mod tests {
             ..PowerLawConfig::default()
         });
         let mut rng = Xoshiro256::seed_from_u64(0);
-        let (_, batch) = sample_on(
+        let batch = sample_on(
             &mut smartsage_store::CsrView::new(&g),
             &[NodeId::new(0), NodeId::new(1)],
             &Fanouts::new(vec![3, 2]),

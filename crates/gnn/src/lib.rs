@@ -10,15 +10,16 @@
 //! * [`sampler`] — GraphSAGE neighbor sampling (paper Algorithm 1) in
 //!   one pass through a topology store: [`sample_group_on`] samples a
 //!   group of requests (a merged serve group, a window of the offline
-//!   pass, Fig 5's samplers) with one
-//!   degree call and one pick call per hop, drawing each request's
-//!   random *positions* once into a [`SamplePlan`] and resolving them
-//!   to its [`SampledBatch`] in the same hop loop; the offline pipeline
-//!   samples each window of `queue_depth` batches as one group, and
-//!   [`sampler::sample_on`] is its one-request case (the trainer, the
-//!   examples). Every system (DRAM, mmap, direct-I/O, ISP) prices that
-//!   one plan and trains on that one batch — so the property "the ISP
-//!   produces byte-identical subgraphs to the host sampler" holds by
+//!   pass) with one degree call and one pick call per hop, and writes
+//!   one record per request, its [`SampledBatch`]: per hop, the degrees
+//!   the store answered and the resolved neighbors. The batch's byte
+//!   trace is that batch moved ([`SampledBatch::into_trace`]), not a
+//!   second record. The offline pipeline samples each window of
+//!   `queue_depth` batches as one group, and [`sampler::sample_on`] is
+//!   its one-request case (the trainer, Fig 5, the examples). Every
+//!   system (DRAM, mmap, direct-I/O, ISP) prices that one trace and
+//!   trains on that one batch — so the property "the ISP produces
+//!   byte-identical subgraphs to the host sampler" holds by
 //!   construction and is also asserted by tests. A GraphSAINT random
 //!   walk (the paper's robustness study, Fig 20) is the same loop at
 //!   fan-out 1 per hop: one neighbor per step, a sink staying in place.
@@ -38,6 +39,6 @@ pub mod trainer;
 pub use gpu::{GpuParams, TrainingCost};
 pub use model::GraphSageModel;
 pub use sampler::{
-    gather_union, merge_batches, sample_group_on, Fanouts, SamplePlan, SampleSpec, SampledBatch,
+    gather_union, merge_batches, sample_group_on, Fanouts, SampleSpec, SampledBatch,
 };
 pub use tensor::Matrix;

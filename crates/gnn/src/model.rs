@@ -314,7 +314,7 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(10);
         let targets: Vec<NodeId> = (0..5u32).map(NodeId::new).collect();
         let fanouts = Fanouts::new(vec![3, 2]);
-        let (_, batch) = sample_on(&mut CsrView::new(&g), &targets, &fanouts, &mut rng).unwrap();
+        let batch = sample_on(&mut CsrView::new(&g), &targets, &fanouts, &mut rng).unwrap();
         let dims = ModelDims {
             features: 6,
             hidden1: 5,

@@ -2,38 +2,36 @@
 //!
 //! A mini-batch is sampled in **one pass** through a
 //! [`TopologyStore`]: per hop, the pass reads the frontier's degrees,
-//! draws the **positions** of the sampled neighbors within each node's
-//! neighbor list, and resolves those picks to neighbor ids — the way
+//! draws which entries of each node's neighbor list to sample, and
+//! resolves those picks to neighbor ids — the way
 //! SmartSAGE's ISP builds the subgraph inside the device once
-//! (Fig 10(b)). The pass writes what it did once, as flat per-hop arrays:
-//!
-//! * the [`SamplePlan`] — the [`SampleTrace`] the pass recorded as it
-//!   asked the store (each hop's frontier and the degrees the store
-//!   answered: the access stream each system's cost policy prices)
-//!   plus the positions it drew;
-//! * the [`SampledBatch`] — the resolved subgraph training consumes.
+//! (Fig 10(b)). The pass writes one record, the [`SampledBatch`]: per
+//! hop, the degrees the store answered for the frontier and the
+//! resolved neighbors, which are the next hop's frontier. Training
+//! consumes the batch; the cost policies price its
+//! [`SampleTrace`], which is the batch moved
+//! ([`SampledBatch::into_trace`]: each frontier paired with its
+//! degrees, the leaves dropped), not a second record.
 //!
 //! [`sample_group_on`] is the one group sampler: a group of requests
 //! (serve's merged group, the offline pass's window of `queue_depth`
-//! batches, Fig 5's concurrent samplers), each on its own seeded RNG,
-//! shares one `degrees_into` and one `pick_neighbors_into` call per hop
-//! — the paper's one `NSconfig` per command group (Fig 11) — and every
-//! request's plan and batch are the ones it would get alone.
-//! [`sample_on`] is its one-request case for a caller with a running
-//! RNG or one batch at a time (the trainer, the examples). There is one
-//! hop-expansion implementation, so the graph half of the dataset can
-//! live in memory
+//! batches), each on its own seeded RNG, shares one `degrees_into` and
+//! one `pick_neighbors_into` call per hop — the paper's one `NSconfig`
+//! per command group (Fig 11) — and every request's batch is the one it
+//! would get alone. [`sample_on`] is its one-request case for a caller
+//! with a running RNG or one batch at a time (the trainer, Fig 5, the
+//! examples). There is one hop-expansion implementation, so the graph
+//! half of the dataset can live in memory
 //! ([`CsrView`](smartsage_store::CsrView)),
 //! on storage ([`FileTopology`](smartsage_store::FileTopology)) or
 //! resolve inside the modeled SSD
 //! ([`IspSampleTopology`](smartsage_store::IspSampleTopology)) without
-//! the tiers drifting: bit-identical plans and batches are asserted
-//! across tiers, and group ≡ solo, by
-//! `tests/topology_store_conformance.rs`.
+//! the tiers drifting: bit-identical batches are asserted across tiers,
+//! and group ≡ solo, by `tests/topology_store_conformance.rs`.
 //!
-//! [`SamplePlan::resolve_on`] re-materializes a batch from a finished
-//! plan; the conformance suites use it as the independent reference
-//! `sample_on` must equal.
+//! The draws are not kept: a caller that needs the picks
+//! (Fig 5's memory trace) samples through the store-side recorder,
+//! [`TracingTopology`].
 //!
 //! The paper's default configuration samples 25 neighbors at the first
 //! GNN layer and 10 at the second (§VI-F); mini-batch size is 1024 (§V).
@@ -43,7 +41,9 @@
 
 use smartsage_graph::NodeId;
 use smartsage_sim::{RankSet, Xoshiro256};
-use smartsage_store::{FeatureStore, SampleTrace, StoreError, TopologyStore, TraceHop};
+use smartsage_store::{
+    FeatureStore, SampleTrace, StoreError, TopologyStore, TraceHop, TracingTopology,
+};
 
 /// Per-layer sampling fan-outs, outermost (target) layer first.
 ///
@@ -96,99 +96,42 @@ impl Fanouts {
     }
 }
 
-/// The complete sampling plan for one mini-batch: what the pass asked
-/// the store, what the store answered, and the random choices drawn
-/// from those answers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SamplePlan {
-    /// Per hop, the frontier and its degrees — the byte trace the cost
-    /// policies price. Hop 0's frontier is the mini-batch's targets.
-    pub trace: SampleTrace,
-    /// Per hop, the sampled indices into the frontier nodes' neighbor
-    /// lists (with replacement): `fanout` per non-isolated node, in
-    /// frontier order. Isolated nodes draw none (the resolver
-    /// substitutes self-loops).
-    pub positions: Vec<Vec<u64>>,
-}
-
-impl SamplePlan {
-    /// The mini-batch target nodes.
-    pub fn targets(&self) -> &[NodeId] {
-        self.trace.hops.first().map_or(&[], |h| &h.nodes)
-    }
-
-    /// Hop `k`'s edge-list accesses in frontier order: each node with
-    /// the positions drawn from its neighbor list (none when isolated).
-    pub fn accesses(&self, k: usize) -> impl Iterator<Item = (NodeId, &[u64])> + '_ {
-        let hop = &self.trace.hops[k];
-        let mut undrawn = &self.positions[k][..];
-        (0..hop.nodes.len()).map(move |i| {
-            let (drawn, rest) = undrawn.split_at(hop.picks(i));
-            undrawn = rest;
-            (hop.nodes[i], drawn)
-        })
-    }
-
-    /// Re-materializes the sampled neighbor IDs of a finished plan
-    /// through a [`TopologyStore`]: each hop's picks are resolved as
-    /// **one coalesced batch** (the file tier merges their pages into
-    /// contiguous runs, the ISP tier issues one device command per hop).
-    /// Positions index into each node's neighbor list; nodes without
-    /// neighbors contribute self-loops. The result is deterministic
-    /// given the plan and — by the store determinism contract — equal
-    /// to the batch [`sample_on`] produced alongside the plan.
-    pub fn resolve_on(&self, topology: &mut dyn TopologyStore) -> Result<SampledBatch, StoreError> {
-        let mut hops = Vec::with_capacity(self.trace.hops.len());
-        for (k, hop) in self.trace.hops.iter().enumerate() {
-            let picks: Vec<(NodeId, u64)> = self
-                .accesses(k)
-                .flat_map(|(node, drawn)| drawn.iter().map(move |&pos| (node, pos)))
-                .collect();
-            let mut resolved = vec![NodeId::default(); picks.len()];
-            topology.pick_neighbors_into(&picks, &mut resolved)?;
-            hops.push(HopSample {
-                fanout: hop.fanout,
-                neighbors: hop_neighbors(hop, &mut resolved.iter()),
-            });
-        }
-        Ok(SampledBatch {
-            targets: self.targets().to_vec(),
-            hops,
-        })
-    }
-}
-
 /// Reassembles one request's hop in frontier order from the store's
 /// pick answers (`resolved` yields one id per drawn position),
 /// substituting self-loops for isolated nodes so the tree keeps its
 /// shape.
 fn hop_neighbors<'a>(
-    hop: &TraceHop,
+    frontier: &[NodeId],
+    degrees: &[u64],
+    fanout: usize,
     resolved: &mut impl Iterator<Item = &'a NodeId>,
 ) -> Vec<NodeId> {
-    let mut neighbors = Vec::with_capacity(hop.nodes.len() * hop.fanout);
-    for (&node, &degree) in hop.nodes.iter().zip(&hop.degrees) {
+    let mut neighbors = Vec::with_capacity(frontier.len() * fanout);
+    for (&node, &degree) in frontier.iter().zip(degrees) {
         if degree == 0 {
-            neighbors.extend(std::iter::repeat_n(node, hop.fanout));
+            neighbors.extend(std::iter::repeat_n(node, fanout));
         } else {
-            neighbors.extend(resolved.take(hop.fanout).copied());
+            neighbors.extend(resolved.take(fanout).copied());
         }
     }
     neighbors
 }
 
-/// One resolved hop: each frontier node's `fanout` sampled neighbors,
+/// One resolved hop: the degrees the store answered for the hop's
+/// frontier, and each frontier node's `fanout` sampled neighbors,
 /// flattened in frontier order. The frontier is the previous hop's
 /// `neighbors` (the batch's targets for hop 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HopSample {
     /// Fan-out at this hop.
     pub fanout: usize,
+    /// Each frontier node's out-degree, as the store answered it.
+    pub degrees: Vec<u64>,
     /// Sampled neighbors; frontier length × `fanout` entries.
     pub neighbors: Vec<NodeId>,
 }
 
-/// A resolved mini-batch subgraph.
+/// A sampled mini-batch: the one record of its sampling pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampledBatch {
     /// The target nodes.
@@ -202,6 +145,22 @@ impl SampledBatch {
     /// neighbors, or the targets before any hop.
     fn frontier(&self) -> &[NodeId] {
         self.hops.last().map_or(&self.targets, |h| &h.neighbors)
+    }
+
+    /// The batch's byte trace, by move: hop `k`'s frontier (the targets,
+    /// then each hop's neighbors) paired with the degrees the store
+    /// answered for it. The last hop's neighbors — the leaves, which no
+    /// hop expands — are dropped; nothing is copied.
+    pub fn into_trace(self) -> SampleTrace {
+        let mut frontier = self.targets;
+        let hops = (self.hops.into_iter())
+            .map(|hop| TraceHop {
+                fanout: hop.fanout,
+                nodes: std::mem::replace(&mut frontier, hop.neighbors),
+                degrees: hop.degrees,
+            })
+            .collect();
+        SampleTrace { hops }
     }
 
     /// All distinct nodes in the subgraph (targets + sampled), sorted:
@@ -227,113 +186,129 @@ impl SampledBatch {
     }
 }
 
-/// Draws a hop's positions with `rng`, in frontier order: `fanout`
-/// uniform positions below each non-isolated node's degree, handed to
-/// `each` with the node.
-fn draw(hop: &TraceHop, rng: &mut Xoshiro256, mut each: impl FnMut(NodeId, u64)) {
-    for (&node, &degree) in hop.nodes.iter().zip(&hop.degrees) {
-        if degree > 0 {
-            for _ in 0..hop.fanout {
-                each(node, rng.range_u64(degree));
-            }
-        }
-    }
-}
-
 /// The hop-expansion loop (paper Algorithm 1, applied per hop), for
 /// any number of independent requests at once: request `i` samples
 /// `targets[i]` with `rngs[i]`.
 ///
 /// Per hop, every request's frontier merges into **one coalesced**
-/// `degrees_into` batch; each request then draws `fanout` positions
+/// `degrees_into` batch; each request then draws `fanout` picks
 /// with replacement per non-isolated frontier node from its own RNG, in
 /// frontier order; and all drawn picks resolve as **one coalesced**
 /// `pick_neighbors_into` batch whose answers are both the hop's sampled
 /// neighbors and the next hop's frontier. Hop 0's frontier is the
-/// request's targets. Each request's frontier and the degrees the store
-/// answered for it are kept as that hop of the request's trace.
+/// request's targets. Each request keeps the degrees the store answered
+/// for its frontier with the hop's neighbors.
 ///
 /// The pick list (16 B a pick) is the largest buffer of a group, so no
 /// other per-pick buffer lives beside it but the store's answers: the
-/// draws go only into the list, and once the list is dropped each
-/// request's positions are drawn again, from a copy of its RNG taken
-/// before the hop, as its neighbors are read out of the answers.
+/// draws go only into the list, which is dropped once it is answered.
 fn expand_hops<'t>(
     topology: &mut dyn TopologyStore,
     targets: impl Iterator<Item = &'t [NodeId]>,
     rngs: &mut [Xoshiro256],
     fanouts: &Fanouts,
-) -> Result<Vec<(SamplePlan, SampledBatch)>, StoreError> {
-    let mut out: Vec<(SamplePlan, SampledBatch)> = targets
-        .map(|targets| {
-            let batch = SampledBatch {
-                targets: targets.to_vec(),
-                hops: Vec::with_capacity(fanouts.hops()),
-            };
-            (SamplePlan::default(), batch)
+) -> Result<Vec<SampledBatch>, StoreError> {
+    let mut out: Vec<SampledBatch> = targets
+        .map(|targets| SampledBatch {
+            targets: targets.to_vec(),
+            hops: Vec::with_capacity(fanouts.hops()),
         })
         .collect();
     for &fanout in fanouts.as_slice() {
-        let merged: Vec<NodeId> = out
-            .iter()
-            .flat_map(|(_, batch)| batch.frontier())
-            .copied()
-            .collect();
+        let frontiers: Vec<&[NodeId]> = out.iter().map(SampledBatch::frontier).collect();
+        let merged = frontiers.concat();
         let mut degrees = vec![0u64; merged.len()];
         topology.degrees_into(&merged, &mut degrees)?;
-        let redraw = rngs.to_vec();
         let mut picks: Vec<(NodeId, u64)> = Vec::with_capacity(merged.len() * fanout);
+        drop(merged);
         let mut answered = degrees.into_iter();
-        for ((plan, batch), rng) in out.iter_mut().zip(rngs.iter_mut()) {
-            let nodes = batch.frontier().to_vec();
-            let hop = TraceHop {
-                fanout,
-                degrees: answered.by_ref().take(nodes.len()).collect(),
-                nodes,
-            };
-            draw(&hop, rng, |node, pos| picks.push((node, pos)));
-            plan.trace.hops.push(hop);
-        }
-        drop((merged, answered));
+        let degrees: Vec<Vec<u64>> = (frontiers.iter().zip(rngs.iter_mut()))
+            .map(|(frontier, rng)| {
+                let degrees: Vec<u64> = answered.by_ref().take(frontier.len()).collect();
+                for (&node, &degree) in frontier.iter().zip(&degrees) {
+                    if degree > 0 {
+                        picks.extend((0..fanout).map(|_| (node, rng.range_u64(degree))));
+                    }
+                }
+                degrees
+            })
+            .collect();
+        drop(answered);
         let mut resolved = vec![NodeId::default(); picks.len()];
         topology.pick_neighbors_into(&picks, &mut resolved)?;
         drop(picks);
         let mut answers = resolved.iter();
-        for ((plan, batch), mut rng) in out.iter_mut().zip(redraw) {
-            let hop = &plan.trace.hops[batch.hops.len()];
-            let neighbors = hop_neighbors(hop, &mut answers);
-            let mut positions = Vec::with_capacity(hop.nodes.len() * fanout);
-            draw(hop, &mut rng, |_, pos| positions.push(pos));
-            batch.hops.push(HopSample { fanout, neighbors });
-            plan.positions.push(positions);
+        for (batch, degrees) in out.iter_mut().zip(degrees) {
+            let neighbors = hop_neighbors(batch.frontier(), &degrees, fanout, &mut answers);
+            batch.hops.push(HopSample {
+                fanout,
+                degrees,
+                neighbors,
+            });
         }
     }
     Ok(out)
 }
 
 /// Samples one mini-batch through a [`TopologyStore`] in a single pass
-/// (two batched store calls per hop), returning the plan and the
-/// resolved batch together: the one-request case of
+/// (two batched store calls per hop): the one-request case of
 /// [`sample_group_on`], for callers that carry a running RNG or sample
-/// one batch at a time (the trainer, the examples).
+/// one batch at a time (the trainer, Fig 5, the examples).
 ///
 /// `rng` is consumed per hop, per frontier node in frontier order,
-/// `fanout` draws per non-isolated node — so for the same seed, plans
-/// and batches are bit-identical across tiers, and the batch equals
-/// [`SamplePlan::resolve_on`] of the plan.
+/// `fanout` draws per non-isolated node — so for the same seed, batches
+/// are bit-identical across tiers.
 pub fn sample_on(
     topology: &mut dyn TopologyStore,
     targets: &[NodeId],
     fanouts: &Fanouts,
     rng: &mut Xoshiro256,
-) -> Result<(SamplePlan, SampledBatch), StoreError> {
+) -> Result<SampledBatch, StoreError> {
     let rngs = std::slice::from_mut(rng);
     let mut sampled = expand_hops(topology, std::iter::once(targets), rngs, fanouts)?;
     Ok(sampled.pop().expect("one request in, one sample out"))
 }
 
-// `sample_on`, keeping only the plan. Nothing in the workspace calls
-// it; it stays while `benchmark/` (frozen) spells it.
+// A batch's trace and the picks its pass forwarded, hop by hop,
+// recorded by a `TracingTopology` around `sample_on`. Nothing in the
+// workspace's product code names it; it stays while `benchmark/`
+// (frozen) spells the plan-then-resolve path.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SamplePlan {
+    pub trace: SampleTrace,
+    picks: Vec<Vec<(NodeId, u64)>>,
+}
+
+impl SamplePlan {
+    // Resolves the recorded picks through `topology`, one
+    // `pick_neighbors_into` call per hop: the batch `sample_on` returned
+    // alongside the plan.
+    #[doc(hidden)]
+    pub fn resolve_on(&self, topology: &mut dyn TopologyStore) -> Result<SampledBatch, StoreError> {
+        let targets = self.trace.hops.first().map_or(&[][..], |h| &h.nodes);
+        let mut batch = SampledBatch {
+            targets: targets.to_vec(),
+            hops: Vec::with_capacity(self.trace.hops.len()),
+        };
+        for (hop, picks) in self.trace.hops.iter().zip(&self.picks) {
+            let mut resolved = vec![NodeId::default(); picks.len()];
+            topology.pick_neighbors_into(picks, &mut resolved)?;
+            let neighbors =
+                hop_neighbors(&hop.nodes, &hop.degrees, hop.fanout, &mut resolved.iter());
+            batch.hops.push(HopSample {
+                fanout: hop.fanout,
+                degrees: hop.degrees.clone(),
+                neighbors,
+            });
+        }
+        Ok(batch)
+    }
+}
+
+// `sample_on` through a `TracingTopology`, keeping the batch's trace
+// and the recorded picks: the RNG is consumed exactly as `sample_on`
+// consumes it.
 #[doc(hidden)]
 pub fn plan_sample_on(
     topology: &mut dyn TopologyStore,
@@ -341,7 +316,13 @@ pub fn plan_sample_on(
     fanouts: &Fanouts,
     rng: &mut Xoshiro256,
 ) -> Result<SamplePlan, StoreError> {
-    sample_on(topology, targets, fanouts, rng).map(|(plan, _)| plan)
+    let mut tracer = TracingTopology::new(topology);
+    let batch = sample_on(&mut tracer, targets, fanouts, rng)?;
+    let (_, picks) = tracer.into_parts();
+    Ok(SamplePlan {
+        trace: batch.into_trace(),
+        picks,
+    })
 }
 
 /// One request of a group [`sample_group_on`] samples together: its
@@ -357,16 +338,16 @@ pub struct SampleSpec<'a> {
 /// Samples a group of independent requests through a [`TopologyStore`]
 /// in **one coalesced pass per hop** — the one group sampler: serve
 /// samples each merged group with it, the offline pass each window of
-/// batches, Fig 5 its concurrent samplers. All
+/// batches. All
 /// requests' frontiers merge into a single `degrees_into` batch and a
 /// single `pick_neighbors_into` batch, so `2 × hops` store calls sample
 /// the whole group, and overlapping neighborhoods share page fetches,
 /// cache hits and ISP commands.
 ///
-/// Each request draws its neighbor positions from its own
+/// Each request draws its neighbor picks from its own
 /// [`Xoshiro256`] seeded with `spec.seed`, consumed in exactly the
-/// order [`sample_on`] consumes it — so every returned plan and batch
-/// is bit-identical to sampling that request alone:
+/// order [`sample_on`] consumes it — so every returned batch is
+/// bit-identical to sampling that request alone:
 ///
 /// ```text
 /// sample_group_on(t, specs, f)?[i]
@@ -382,7 +363,7 @@ pub fn sample_group_on(
     topology: &mut dyn TopologyStore,
     specs: &[SampleSpec<'_>],
     fanouts: &Fanouts,
-) -> Result<Vec<(SamplePlan, SampledBatch)>, StoreError> {
+) -> Result<Vec<SampledBatch>, StoreError> {
     let mut rngs: Vec<Xoshiro256> = specs
         .iter()
         .map(|s| Xoshiro256::seed_from_u64(s.seed))
@@ -392,7 +373,10 @@ pub fn sample_group_on(
 }
 
 /// Concatenates independent [`SampledBatch`]es (same hop structure)
-/// into one batch whose forward pass computes every request at once.
+/// into one batch whose forward pass computes every request at once:
+/// the targets, and each hop's degrees and neighbors, in request order
+/// — so the merged batch's trace is its requests' traces concatenated
+/// hop by hop.
 ///
 /// Because every [`Matrix`](crate::tensor::Matrix) operation in the
 /// model is row-local and `group_mean` groups consecutive fixed-size
@@ -406,25 +390,18 @@ pub fn sample_group_on(
 /// Panics if the batches' hop counts or fan-outs differ (the caller
 /// groups requests by fan-out before merging).
 pub fn merge_batches(batches: &[SampledBatch]) -> SampledBatch {
-    assert!(!batches.is_empty(), "nothing to merge");
-    let fanouts: Vec<usize> = batches[0].hops.iter().map(|h| h.fanout).collect();
-    for b in batches {
-        let got: Vec<usize> = b.hops.iter().map(|h| h.fanout).collect();
-        assert_eq!(got, fanouts, "merge requires identical fan-outs");
-    }
-    let mut merged = SampledBatch {
-        targets: Vec::new(),
-        hops: fanouts
-            .iter()
-            .map(|&fanout| HopSample {
-                fanout,
-                neighbors: Vec::new(),
-            })
-            .collect(),
-    };
-    for b in batches {
+    let (first, rest) = batches.split_first().expect("nothing to merge");
+    let fanouts = |b: &SampledBatch| b.hops.iter().map(|h| h.fanout).collect::<Vec<_>>();
+    let mut merged = first.clone();
+    for b in rest {
+        assert_eq!(
+            fanouts(b),
+            fanouts(first),
+            "merge requires identical fan-outs"
+        );
         merged.targets.extend_from_slice(&b.targets);
         for (into, hop) in merged.hops.iter_mut().zip(&b.hops) {
+            into.degrees.extend_from_slice(&hop.degrees);
             into.neighbors.extend_from_slice(&hop.neighbors);
         }
     }
@@ -506,14 +483,30 @@ mod tests {
     use smartsage_graph::CsrGraph;
     use smartsage_store::CsrView;
 
-    fn sample(
+    fn sample(g: &CsrGraph, targets: &[NodeId], f: &Fanouts, seed: u64) -> SampledBatch {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        sample_on(&mut CsrView::new(g), targets, f, &mut rng).unwrap()
+    }
+
+    /// The doc-hidden plan of the same pass, for the resolve checks.
+    fn planned(g: &CsrGraph, targets: &[NodeId], f: &Fanouts, seed: u64) -> SamplePlan {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        plan_sample_on(&mut CsrView::new(g), targets, f, &mut rng).unwrap()
+    }
+
+    /// The pass behind the store-side recorder: the batch, and the
+    /// picks forwarded at each hop.
+    fn traced(
         g: &CsrGraph,
         targets: &[NodeId],
         f: &Fanouts,
         seed: u64,
-    ) -> (SamplePlan, SampledBatch) {
+    ) -> (SampledBatch, Vec<Vec<(NodeId, u64)>>) {
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        sample_on(&mut CsrView::new(g), targets, f, &mut rng).unwrap()
+        let mut view = CsrView::new(g);
+        let mut tracer = TracingTopology::new(&mut view);
+        let batch = sample_on(&mut tracer, targets, f, &mut rng).unwrap();
+        (batch, tracer.into_parts().1)
     }
 
     fn graph() -> CsrGraph {
@@ -543,26 +536,30 @@ mod tests {
         let g = graph();
         let targets: Vec<NodeId> = (0..16u32).map(NodeId::new).collect();
         let f = Fanouts::new(vec![4, 3]);
-        let (plan, _) = sample(&g, &targets, &f, 1);
-        assert_eq!(plan.targets(), &targets[..]);
-        assert_eq!(plan.trace.hops.len(), 2);
-        assert_eq!(plan.accesses(0).count(), 16);
-        assert_eq!(plan.accesses(1).count(), 16 * 4);
-        assert_eq!(plan.trace.num_accesses(), 16 + 64);
-        assert_eq!(plan.trace.num_sampled(), 16 * 4 + 64 * 3);
-        for hop in &plan.trace.hops {
+        let batch = sample(&g, &targets, &f, 1);
+        assert_eq!(batch.targets, targets);
+        assert_eq!(batch.hops[0].degrees.len(), 16);
+        assert_eq!(batch.hops[1].degrees.len(), 16 * 4);
+        let trace = batch.into_trace();
+        assert_eq!(trace.hops.len(), 2);
+        assert_eq!(trace.hops[0].nodes, targets);
+        assert_eq!(trace.hops[1].nodes.len(), 16 * 4);
+        assert_eq!(trace.num_accesses(), 16 + 64);
+        assert_eq!(trace.num_sampled(), 16 * 4 + 64 * 3);
+        for hop in &trace.hops {
             let degrees: Vec<u64> = hop.nodes.iter().map(|&n| g.degree(n)).collect();
             assert_eq!(hop.degrees, degrees, "the store's answers are kept");
         }
         // A 4-step walk from 10 roots: one access and one id per step.
         let roots = &targets[..10];
-        let (walk, _) = sample(&g, roots, &Fanouts::new(vec![1; 4]), 8);
-        assert_eq!(walk.targets(), roots);
-        for hop in &walk.trace.hops {
+        let walk = sample(&g, roots, &Fanouts::new(vec![1; 4]), 8);
+        assert_eq!(walk.targets, roots);
+        let walk = walk.into_trace();
+        for hop in &walk.hops {
             assert_eq!((hop.fanout, hop.nodes.len()), (1, 10));
         }
-        assert_eq!(walk.trace.num_accesses(), 40);
-        assert_eq!(walk.trace.num_sampled(), 40);
+        assert_eq!(walk.num_accesses(), 40);
+        assert_eq!(walk.num_sampled(), 40);
     }
 
     #[test]
@@ -570,7 +567,9 @@ mod tests {
         let g = graph();
         let targets: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
         for (f, seed) in [(Fanouts::new(vec![5, 2]), 9), (Fanouts::new(vec![1; 3]), 2)] {
-            let (plan, sampled) = sample(&g, &targets, &f, seed);
+            let sampled = sample(&g, &targets, &f, seed);
+            let plan = planned(&g, &targets, &f, seed);
+            assert_eq!(plan.trace, sampled.clone().into_trace());
             let a = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
             let b = plan.resolve_on(&mut CsrView::new(&g)).unwrap();
             assert_eq!(a, b);
@@ -590,8 +589,9 @@ mod tests {
         let targets: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
         // A fan-out tree, and walks: each step moves along a real edge.
         for (f, seed) in [(Fanouts::new(vec![4, 4]), 3), (Fanouts::new(vec![1; 3]), 2)] {
-            let (plan, batch) = sample(&g, &targets, &f, seed);
-            for (hop, asked) in batch.hops.iter().zip(&plan.trace.hops) {
+            let batch = sample(&g, &targets, &f, seed);
+            let trace = batch.clone().into_trace();
+            for (hop, asked) in batch.hops.iter().zip(&trace.hops) {
                 for (i, &parent) in asked.nodes.iter().enumerate() {
                     let nbrs = g.neighbors(parent);
                     for k in 0..hop.fanout {
@@ -611,7 +611,7 @@ mod tests {
         let g = graph();
         let targets: Vec<NodeId> = (0..4u32).map(NodeId::new).collect();
         let f = Fanouts::new(vec![6, 6]);
-        let (_, batch) = sample(&g, &targets, &f, 4);
+        let batch = sample(&g, &targets, &f, 4);
         let hood = k_hop_neighborhood(&g, &targets, 2);
         for n in batch.all_nodes() {
             assert!(hood.contains(&n), "{n} escaped the 2-hop neighborhood");
@@ -622,15 +622,23 @@ mod tests {
     fn isolated_nodes_self_loop() {
         let g = CsrGraph::from_edges(3, [(0, 1)]); // node 2 isolated
         let f = Fanouts::new(vec![3]);
-        let (plan, batch) = sample(&g, &[NodeId::new(2)], &f, 5);
-        assert_eq!(plan.accesses(0).next(), Some((NodeId::new(2), &[][..])));
+        let (batch, picks) = traced(&g, &[NodeId::new(2)], &f, 5);
+        assert_eq!(batch.hops[0].degrees, vec![0]);
+        assert_eq!(
+            picks,
+            vec![Vec::new()],
+            "an isolated node draws no position"
+        );
         assert_eq!(batch.hops[0].neighbors, vec![NodeId::new(2); 3]);
+        let plan = planned(&g, &[NodeId::new(2)], &f, 5);
         assert_eq!(plan.resolve_on(&mut CsrView::new(&g)).unwrap(), batch);
         // A walk that reaches the sink stays there: 0 -> 1 -> 1 -> 1.
-        let (plan, batch) = sample(&g, &[NodeId::new(0)], &Fanouts::new(vec![1; 3]), 1);
+        let walk = Fanouts::new(vec![1; 3]);
+        let batch = sample(&g, &[NodeId::new(0)], &walk, 1);
         for hop in &batch.hops {
             assert_eq!(hop.neighbors, vec![NodeId::new(1)]);
         }
+        let plan = planned(&g, &[NodeId::new(0)], &walk, 1);
         assert_eq!(plan.resolve_on(&mut CsrView::new(&g)).unwrap(), batch);
     }
 
@@ -641,41 +649,32 @@ mod tests {
         let g = CsrGraph::from_edges(5, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 0)]);
         let targets: Vec<NodeId> = (0..5u32).map(NodeId::new).collect();
         let f = Fanouts::new(vec![3, 2]);
-        let (plan, batch) = sample(&g, &targets, &f, 11);
-        assert_eq!(plan.trace.hops[0].degrees, vec![2, 0, 2, 0, 1]);
-        assert_eq!(plan.positions[0].len(), 3 * 3, "three non-isolated nodes");
-        for (k, hop) in plan.trace.hops.iter().enumerate() {
-            for (i, (node, drawn)) in plan.accesses(k).enumerate() {
-                assert_eq!(drawn.len(), hop.picks(i));
+        let (batch, picks) = traced(&g, &targets, &f, 11);
+        assert_eq!(batch.hops[0].degrees, vec![2, 0, 2, 0, 1]);
+        assert_eq!(picks[0].len(), 3 * 3, "three non-isolated nodes");
+        let trace = batch.clone().into_trace();
+        for (k, hop) in trace.hops.iter().enumerate() {
+            let mut undrawn = &picks[k][..];
+            for (i, &node) in hop.nodes.iter().enumerate() {
+                let (drawn, rest) = undrawn.split_at(hop.picks(i));
+                undrawn = rest;
+                assert!(drawn.iter().all(|&(parent, _)| parent == node));
                 let resolved = &batch.hops[k].neighbors[i * hop.fanout..][..hop.fanout];
                 let want: Vec<NodeId> = if drawn.is_empty() {
                     vec![node; hop.fanout]
                 } else {
-                    drawn.iter().map(|&p| g.neighbor(node, p)).collect()
+                    drawn.iter().map(|&(_, p)| g.neighbor(node, p)).collect()
                 };
                 assert_eq!(resolved, &want[..], "hop {k} access {i}");
             }
+            assert!(undrawn.is_empty(), "hop {k} forwarded a stray pick");
         }
         assert!(
-            plan.trace.hops[1].degrees.contains(&0),
+            trace.hops[1].degrees.contains(&0),
             "sinks recur mid-frontier"
         );
+        let plan = planned(&g, &targets, &f, 11);
         assert_eq!(plan.resolve_on(&mut CsrView::new(&g)).unwrap(), batch);
-    }
-
-    #[test]
-    fn merged_requests_record_what_solo_passes_record() {
-        let g = graph();
-        let f = Fanouts::new(vec![4, 3]);
-        let targets: Vec<Vec<NodeId>> = (0..3u32)
-            .map(|i| (0..5u32).map(|t| NodeId::new(t * 11 + i)).collect())
-            .collect();
-        let mut rngs: Vec<Xoshiro256> = (0..3).map(|i| Xoshiro256::seed_from_u64(70 + i)).collect();
-        let requests = targets.iter().map(Vec::as_slice);
-        let merged = expand_hops(&mut CsrView::new(&g), requests, &mut rngs, &f).unwrap();
-        for (i, (t, record)) in targets.iter().zip(&merged).enumerate() {
-            assert_eq!(record, &sample(&g, t, &f, 70 + i as u64), "request {i}");
-        }
     }
 
     #[test]
@@ -691,6 +690,21 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), n, "epoch must visit each node once");
+    }
+
+    #[test]
+    fn merged_requests_record_what_solo_passes_record() {
+        let g = graph();
+        let f = Fanouts::new(vec![4, 3]);
+        let targets: Vec<Vec<NodeId>> = (0..3u32)
+            .map(|i| (0..5u32).map(|t| NodeId::new(t * 11 + i)).collect())
+            .collect();
+        let mut rngs: Vec<Xoshiro256> = (0..3).map(|i| Xoshiro256::seed_from_u64(70 + i)).collect();
+        let requests = targets.iter().map(Vec::as_slice);
+        let merged = expand_hops(&mut CsrView::new(&g), requests, &mut rngs, &f).unwrap();
+        for (i, (t, record)) in targets.iter().zip(&merged).enumerate() {
+            assert_eq!(record, &sample(&g, t, &f, 70 + i as u64), "request {i}");
+        }
     }
 
     #[test]
@@ -713,7 +727,7 @@ mod tests {
             let mut solo_topo = CsrView::new(&g);
             let mut rng = Xoshiro256::seed_from_u64(spec.seed);
             let solo = sample_on(&mut solo_topo, spec.targets, &f, &mut rng).unwrap();
-            assert_eq!(sampled, &solo, "a group must not change plans or batches");
+            assert_eq!(sampled, &solo, "a group must not change batches");
             assert_eq!(solo_topo.stats().gathers, 2 * f.hops() as u64);
             solo_answers += solo_topo.stats().nodes_gathered;
         }
@@ -733,7 +747,7 @@ mod tests {
             seed: 3,
         }];
         let out = sample_group_on(&mut CsrView::new(&g), &specs, &f).unwrap();
-        assert_eq!(out[0].1.hops[0].neighbors, vec![NodeId::new(2); 2]);
+        assert_eq!(out[0].hops[0].neighbors, vec![NodeId::new(2); 2]);
         assert!(sample_group_on(&mut CsrView::new(&g), &[], &f)
             .unwrap()
             .is_empty());
@@ -751,11 +765,7 @@ mod tests {
             .zip(0..)
             .map(|(targets, seed)| SampleSpec { targets, seed })
             .collect();
-        let batches: Vec<SampledBatch> = sample_group_on(&mut CsrView::new(&g), &specs, &f)
-            .unwrap()
-            .into_iter()
-            .map(|(_, batch)| batch)
-            .collect();
+        let batches = sample_group_on(&mut CsrView::new(&g), &specs, &f).unwrap();
         let merged = merge_batches(&batches);
         assert_eq!(merged.targets.len(), 6);
         assert_eq!(merged.hops[0].neighbors.len(), 6 * 3);
@@ -774,11 +784,43 @@ mod tests {
     }
 
     #[test]
+    fn a_merged_batch_traces_as_its_requests_concatenated_hop_by_hop() {
+        let g = graph();
+        for f in [Fanouts::new(vec![3, 2]), Fanouts::new(vec![1; 3])] {
+            let targets: Vec<Vec<NodeId>> = (0..4u32)
+                .map(|i| (0..3u32).map(|t| NodeId::new(t * 37 + i * 5)).collect())
+                .collect();
+            let specs: Vec<SampleSpec> = targets
+                .iter()
+                .zip(20..)
+                .map(|(targets, seed)| SampleSpec { targets, seed })
+                .collect();
+            let batches = sample_group_on(&mut CsrView::new(&g), &specs, &f).unwrap();
+            let merged = merge_batches(&batches).into_trace();
+            let solo: Vec<SampleTrace> =
+                batches.into_iter().map(SampledBatch::into_trace).collect();
+            assert_eq!(merged.hops.len(), f.hops());
+            for (k, hop) in merged.hops.iter().enumerate() {
+                let nodes: Vec<NodeId> =
+                    solo.iter().flat_map(|t| t.hops[k].nodes.clone()).collect();
+                let degrees: Vec<u64> = solo
+                    .iter()
+                    .flat_map(|t| t.hops[k].degrees.clone())
+                    .collect();
+                assert_eq!(hop.nodes, nodes, "hop {k} nodes");
+                assert_eq!(hop.degrees, degrees, "hop {k} degrees");
+                assert!(solo.iter().all(|t| t.hops[k].fanout == hop.fanout));
+                assert_eq!(hop.fanout, f.as_slice()[k], "hop {k} fan-out");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "identical fan-outs")]
     fn merge_batches_rejects_mismatched_fanouts() {
         let g = graph();
-        let (_, a) = sample(&g, &[NodeId::new(1)], &Fanouts::new(vec![2]), 1);
-        let (_, b) = sample(&g, &[NodeId::new(1)], &Fanouts::new(vec![3]), 1);
+        let a = sample(&g, &[NodeId::new(1)], &Fanouts::new(vec![2]), 1);
+        let b = sample(&g, &[NodeId::new(1)], &Fanouts::new(vec![3]), 1);
         merge_batches(&[a, b]);
     }
 
@@ -808,10 +850,12 @@ mod tests {
                 hops: vec![
                     HopSample {
                         fanout: fanouts[0],
+                        degrees: vec![1; targets],
                         neighbors: draw(targets * fanouts[0]),
                     },
                     HopSample {
                         fanout: fanouts[1],
+                        degrees: vec![1; targets * fanouts[0]],
                         neighbors: draw(targets * fanouts[0] * fanouts[1]),
                     },
                 ],

@@ -74,7 +74,7 @@ impl Trainer {
         targets: &[NodeId],
         rng: &mut Xoshiro256,
     ) -> Result<ForwardCache, StoreError> {
-        let (_, batch) = sample_on(topology, targets, &self.config.fanouts, rng)?;
+        let batch = sample_on(topology, targets, &self.config.fanouts, rng)?;
         let (x0, x1, x2) = self.model.gather_features_from(&batch, store)?;
         Ok(self.model.forward(&batch, x0, x1, x2))
     }

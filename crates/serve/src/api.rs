@@ -417,6 +417,7 @@ mod tests {
             targets: vec![NodeId::new(1), NodeId::new(2)],
             hops: vec![HopSample {
                 fanout: 2,
+                degrees: vec![1, 1],
                 neighbors: vec![NodeId::new(3); 4],
             }],
         };

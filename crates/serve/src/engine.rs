@@ -336,7 +336,7 @@ impl Engine {
         }
         let mut infer_members: Vec<usize> = Vec::new();
         let mut infer_batches: Vec<SampledBatch> = Vec::new();
-        for (&i, (_, batch)) in members.iter().zip(sampled) {
+        for (&i, batch) in members.iter().zip(sampled) {
             match &requests[i] {
                 ApiRequest::Sample(_) => responses[i] = Some(Ok(sample_response(&batch))),
                 ApiRequest::Infer(_) => {
@@ -526,7 +526,7 @@ mod tests {
                 let fanouts = solo.validate(request).unwrap();
                 let mut rng = Xoshiro256::seed_from_u64(s.seed);
                 let topology = solo.topology.as_mut();
-                let (_, batch) = sample_on(topology, &s.nodes, &fanouts, &mut rng).unwrap();
+                let batch = sample_on(topology, &s.nodes, &fanouts, &mut rng).unwrap();
                 let group = &mut listed[usize::from(fanouts == config.fanouts)];
                 let hops = batch.hops.iter().flat_map(|hop| &hop.neighbors);
                 for node in batch.targets.iter().chain(hops) {

@@ -10,13 +10,17 @@
 //! per-system device models to turn one real storage execution into the
 //! paper's Figs 14–21 numbers.
 //!
-//! One writer, one reference recorder:
+//! One record, one reference recorder:
 //!
-//! * the sampler (`smartsage-gnn`) fills a trace as it asks the store —
-//!   the frontier it sent and the degrees the store answered — and the
-//!   pipeline moves that record into the cost policy;
+//! * the sampler (`smartsage-gnn`) writes one record of a batch, its
+//!   `SampledBatch`, which keeps the degrees the store answered for
+//!   each hop's frontier; the batch's trace is that batch moved
+//!   (`SampledBatch::into_trace`), and the pipeline hands it to the
+//!   cost policy;
 //! * [`TracingTopology`] wraps any store and records the stream as the
-//!   storage interface observes it, independently of the sampler.
+//!   storage interface observes it, independently of the sampler — the
+//!   frontiers and degrees, and the picks it forwarded, hop by hop
+//!   (Fig 5's memory trace reads the picks).
 //!
 //! `tests/cost_purity.rs` asserts the two agree access for access on
 //! every tier and shard count.
@@ -79,9 +83,9 @@ impl SampleTrace {
 }
 
 /// A [`TopologyStore`] decorator that records the sampling call stream
-/// as a [`SampleTrace`] while forwarding every request to the inner
-/// store — the reference recorder the sampler's own record is tested
-/// against.
+/// as a [`SampleTrace`], and the picks of each hop, while forwarding
+/// every request to the inner store — the reference recorder the
+/// sampler's own record is tested against.
 ///
 /// Designed for the sampler's call discipline (`sample_group_on`, and
 /// `sample_on`, its one-request case): one
@@ -89,12 +93,14 @@ impl SampleTrace {
 /// whole group (every request's frontier, merged, and its degrees),
 /// and the following
 /// [`pick_neighbors_into`](TopologyStore::pick_neighbors_into) closes
-/// it (the group's drawn picks, `fanout` per non-isolated access). Values
-/// returned to the caller are the inner store's, untouched.
+/// it (the group's drawn picks, `fanout` per non-isolated access, kept
+/// as they were forwarded). Values returned to the caller are the inner
+/// store's, untouched.
 #[derive(Debug)]
 pub struct TracingTopology<'a> {
     inner: &'a mut dyn TopologyStore,
     trace: SampleTrace,
+    picks: Vec<Vec<(NodeId, u64)>>,
 }
 
 impl<'a> TracingTopology<'a> {
@@ -103,12 +109,16 @@ impl<'a> TracingTopology<'a> {
         TracingTopology {
             inner,
             trace: SampleTrace::default(),
+            picks: Vec::new(),
         }
     }
 
-    /// Consumes the wrapper and returns the recorded trace.
-    pub fn into_trace(self) -> SampleTrace {
-        self.trace
+    /// Consumes the wrapper and returns the recorded trace and, per
+    /// hop, the picks forwarded in the hop's pick call (`(node,
+    /// position)` in request order; empty for a hop whose pick call has
+    /// not come).
+    pub fn into_parts(self) -> (SampleTrace, Vec<Vec<(NodeId, u64)>>) {
+        (self.trace, self.picks)
     }
 }
 
@@ -128,6 +138,7 @@ impl TopologyStore for TracingTopology<'_> {
             nodes: nodes.to_vec(),
             degrees: out.to_vec(),
         });
+        self.picks.push(Vec::new());
         Ok(())
     }
 
@@ -144,6 +155,9 @@ impl TopologyStore for TracingTopology<'_> {
                 let nonzero = hop.degrees.iter().filter(|&&d| d > 0).count();
                 hop.fanout = picks.len().checked_div(nonzero).unwrap_or(0);
             }
+        }
+        if let Some(hop) = self.picks.last_mut() {
+            hop.extend_from_slice(picks);
         }
         Ok(())
     }
@@ -188,7 +202,7 @@ mod tests {
             .collect();
         let mut neighbors = vec![NodeId::default(); picks.len()];
         tracer.pick_neighbors_into(&picks, &mut neighbors).unwrap();
-        let trace = tracer.into_trace();
+        let (trace, _) = tracer.into_parts();
         assert_eq!(trace.num_targets(), 8);
         assert_eq!(trace.hops.len(), 1);
         assert_eq!(trace.hops[0].fanout, 2);
@@ -216,8 +230,49 @@ mod tests {
         let mut degrees = [0u64; 2];
         tracer.degrees_into(&frontier, &mut degrees).unwrap();
         tracer.pick_neighbors_into(&[], &mut []).unwrap();
-        let trace = tracer.into_trace();
+        let (trace, picks) = tracer.into_parts();
         assert_eq!(trace.hops[0].fanout, 0);
         assert_eq!(trace.num_sampled(), 0);
+        assert_eq!(picks, vec![Vec::new()]);
+    }
+
+    #[test]
+    fn tracer_keeps_the_picks_it_forwarded_hop_by_hop() {
+        // Two hops, each its degree read and then its picks: every pick
+        // batch is recorded under its own hop, in the order forwarded,
+        // and the answers are the inner store's.
+        let graph = generate_power_law(&PowerLawConfig {
+            nodes: 128,
+            avg_degree: 5.0,
+            seed: 9,
+            ..PowerLawConfig::default()
+        });
+        let mut plain = InMemoryTopology::new(graph.clone());
+        let mut inner = InMemoryTopology::new(graph);
+        let mut tracer = TracingTopology::new(&mut inner);
+        let mut forwarded = Vec::new();
+        let mut frontier: Vec<NodeId> = (0..6u32).map(|i| NodeId::new(i * 19)).collect();
+        for fanout in [3u64, 2] {
+            let mut degrees = vec![0u64; frontier.len()];
+            tracer.degrees_into(&frontier, &mut degrees).unwrap();
+            let picks: Vec<(NodeId, u64)> = (frontier.iter().zip(&degrees))
+                .filter(|(_, &d)| d > 0)
+                .flat_map(|(&n, &d)| (0..fanout).map(move |j| (n, (j * 7) % d)))
+                .collect();
+            let mut got = vec![NodeId::default(); picks.len()];
+            let mut want = vec![NodeId::default(); picks.len()];
+            tracer.pick_neighbors_into(&picks, &mut got).unwrap();
+            plain.pick_neighbors_into(&picks, &mut want).unwrap();
+            assert_eq!(got, want, "the tracer must not change answers");
+            forwarded.push(picks);
+            frontier = got;
+        }
+        let (trace, picks) = tracer.into_parts();
+        assert_eq!(picks, forwarded);
+        assert_eq!(trace.hops.len(), 2);
+        for (hop, picks) in trace.hops.iter().zip(&picks) {
+            let drawn: usize = (0..hop.nodes.len()).map(|i| hop.picks(i)).sum();
+            assert_eq!(drawn, picks.len());
+        }
     }
 }

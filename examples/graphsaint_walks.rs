@@ -29,7 +29,7 @@ fn main() {
     // ------------------------------------------------------------------
     let roots: Vec<NodeId> = (0..8u32).map(NodeId::new).collect();
     let mut rng = Xoshiro256::seed_from_u64(99);
-    let (plan, batch) = sample_on(&mut CsrView::new(graph), &roots, &walk, &mut rng)
+    let batch = sample_on(&mut CsrView::new(graph), &roots, &walk, &mut rng)
         .expect("in-memory topology cannot fail");
     println!("== Random walks from {} roots ==", roots.len());
     for (i, &root) in roots.iter().enumerate() {
@@ -40,10 +40,11 @@ fn main() {
         let ids: Vec<String> = path.iter().map(|n| n.to_string()).collect();
         println!("  walk {i}: {}", ids.join(" -> "));
     }
+    let trace = batch.into_trace();
     println!(
         "  plan: {} edge-list accesses, {} sampled ids\n",
-        plan.trace.num_accesses(),
-        plan.trace.num_sampled()
+        trace.num_accesses(),
+        trace.num_sampled()
     );
 
     // ------------------------------------------------------------------

@@ -81,14 +81,15 @@ fn main() {
     let mut devices = Devices::new(&ctx.config);
     let mut policy = make_policy(&ctx, 1);
     let mut rng = Xoshiro256::seed_from_u64(1);
-    let (plan, batch) = sample_on(
+    let batch = sample_on(
         &mut CsrView::new(graph),
         &targets,
         &Fanouts::paper_default(),
         &mut rng,
     )
     .expect("in-memory topology cannot fail");
-    let trace = plan.trace;
+    let (subgraph_bytes, sampled) = (batch.subgraph_bytes(), batch.num_sampled());
+    let trace = batch.into_trace();
     println!(
         "  trace: {} edge-list accesses across {} hops, {} ids to sample",
         trace.num_accesses(),
@@ -129,7 +130,7 @@ fn main() {
     let transfers = TransferStats {
         ssd_to_host_bytes: result.ssd_to_host_bytes,
         host_to_ssd_bytes: result.host_to_ssd_bytes,
-        useful_bytes: batch.subgraph_bytes(),
+        useful_bytes: subgraph_bytes,
     };
     println!(
         "  PCIe: {} bytes host->SSD (NSconfig), {} bytes SSD->host (subgraph)",
@@ -141,7 +142,6 @@ fn main() {
     );
     println!(
         "  sampled subgraph     : {} ids in {}",
-        batch.num_sampled(),
-        result.sampling_time
+        sampled, result.sampling_time
     );
 }

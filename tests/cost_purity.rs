@@ -5,9 +5,9 @@
 //!
 //! 1. *One trace.* Sampling through any storage tier (in-memory CSR,
 //!    paged graph file, in-storage sampler), at any shard count,
-//!    produces the identical plan, and the trace the sampler recorded
-//!    in it (`plan.trace`, from the degrees the routed store answered)
-//!    equals the trace the storage interface observes (the
+//!    produces the identical batch, and the trace the sampler recorded
+//!    in it (`batch.into_trace()`, from the degrees the routed store
+//!    answered) equals the trace the storage interface observes (the
 //!    [`TracingTopology`] reference recorder) — access for access.
 //! 2. *One cost per trace.* Feeding the same trace to a fresh policy
 //!    yields the identical [`BatchCost`] — independent of which worker
@@ -45,8 +45,8 @@ fn arbitrary_graph(nodes: usize, seed: u64) -> CsrGraph {
 
 /// Samples one full pass through `topology` behind the reference
 /// recorder; returns the recorder's trace and the one the sampler wrote
-/// into the plan. Every call that reached the store is in the
-/// recording: two per hop. The degrees the plan kept are the store's
+/// into the batch. Every call that reached the store is in the
+/// recording: two per hop. The degrees the batch kept are the store's
 /// answers, so they must also be the graph's.
 fn traced_plan(
     topology: &mut dyn TopologyStore,
@@ -58,18 +58,19 @@ fn traced_plan(
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let calls_before = topology.stats().gathers;
     let mut tracer = TracingTopology::new(topology);
-    let (plan, _) = sample_on(&mut tracer, targets, fanouts, &mut rng).expect("sampling succeeds");
-    let seen = tracer.into_trace();
+    let batch = sample_on(&mut tracer, targets, fanouts, &mut rng).expect("sampling succeeds");
+    let (seen, _) = tracer.into_parts();
+    let trace = batch.into_trace();
     assert_eq!(
         seen.hops.len() as u64 * 2,
         topology.stats().gathers - calls_before,
         "the tracer dropped a store call"
     );
-    for hop in &plan.trace.hops {
+    for hop in &trace.hops {
         let degrees: Vec<u64> = hop.nodes.iter().map(|&n| graph.degree(n)).collect();
         assert_eq!(hop.degrees, degrees, "a tier answered a wrong degree");
     }
-    (seen, plan.trace)
+    (seen, trace)
 }
 
 fn drive(
@@ -190,14 +191,14 @@ proptest! {
             let ctx = Arc::new(RunContext::new(data.clone(), SystemConfig::new(kind)));
             let t: Vec<NodeId> = (0..targets as u32).map(NodeId::new).collect();
             let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xC057);
-            let (plan, _) = sample_on(
+            let batch = sample_on(
                 &mut CsrView::new(ctx.graph()),
                 &t,
                 &Fanouts::new(vec![4, 3]),
                 &mut rng,
             )
             .unwrap();
-            let trace = plan.trace;
+            let trace = batch.into_trace();
             let run = |worker: usize, workers: usize| {
                 let mut devices = Devices::new(&ctx.config);
                 let mut policy = make_policy(&ctx, workers);

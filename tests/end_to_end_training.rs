@@ -28,8 +28,8 @@ fn sample_via(
     let mut policy = make_policy(ctx, 1);
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut topo = CsrView::new(ctx.graph());
-    let (plan, batch) = sample_on(&mut topo, targets, &Fanouts::new(vec![5, 3]), &mut rng).unwrap();
-    policy.begin(0, SimTime::ZERO, plan.trace);
+    let batch = sample_on(&mut topo, targets, &Fanouts::new(vec![5, 3]), &mut rng).unwrap();
+    policy.begin(0, SimTime::ZERO, batch.clone().into_trace());
     let mut now = SimTime::ZERO;
     while let StepOutcome::Running { next } = policy.step(0, &mut devices, now) {
         now = next.max(now);

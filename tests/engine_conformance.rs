@@ -253,8 +253,7 @@ proptest! {
             .collect();
         let fanouts = Fanouts::new(vec![4, 3]);
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        let (reference, _) =
-            sample_on(&mut CsrView::new(&graph), &targets, &fanouts, &mut rng).unwrap();
+        let reference = sample_on(&mut CsrView::new(&graph), &targets, &fanouts, &mut rng).unwrap();
 
         let mut baseline: Option<StoreStats> = None;
         for workers in WORKER_COUNTS {
@@ -265,11 +264,11 @@ proptest! {
             );
             let mut topo = FileTopology::new(shared);
             let mut rng = Xoshiro256::seed_from_u64(seed);
-            let (plan, _) = sample_on(&mut topo as &mut dyn TopologyStore, &targets, &fanouts, &mut rng)
+            let batch = sample_on(&mut topo as &mut dyn TopologyStore, &targets, &fanouts, &mut rng)
                 .unwrap();
             prop_assert_eq!(
-                &plan, &reference,
-                "file-tier plan diverged from mem (workers={})",
+                &batch, &reference,
+                "file-tier batch diverged from mem (workers={})",
                 workers
             );
             let stats = topo.stats();

@@ -12,7 +12,7 @@
 //! from the serving engine that calls it.
 
 use smartsage::gnn::sampler::sample_on;
-use smartsage::gnn::{Fanouts, SamplePlan, SampledBatch};
+use smartsage::gnn::{Fanouts, SampledBatch};
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
 use smartsage::graph::kronecker::{expand, KroneckerConfig};
 use smartsage::graph::{CsrGraph, FeatureTable, NodeId};
@@ -70,21 +70,20 @@ fn spec(store: StoreKind, topology: TopologyKind, shards: usize) -> TierSpec {
     }
 }
 
-/// One planned, resolved and gathered batch through `tiers`.
-fn run_batch(tiers: &mut OpenTiers, num_nodes: usize) -> (SamplePlan, SampledBatch, Vec<u32>) {
+/// One sampled and gathered batch through `tiers`.
+fn run_batch(tiers: &mut OpenTiers, num_nodes: usize) -> (SampledBatch, Vec<u32>) {
     let targets: Vec<NodeId> = (0..num_nodes as u32).step_by(7).map(NodeId::new).collect();
     let mut rng = Xoshiro256::seed_from_u64(0x0BE7);
-    let (plan, _) = sample_on(
+    let batch = sample_on(
         tiers.topology.as_mut(),
         &targets,
         &Fanouts::new(vec![4, 3]),
         &mut rng,
     )
     .unwrap();
-    let batch = plan.resolve_on(tiers.topology.as_mut()).unwrap();
     let rows = tiers.features.gather(&batch.all_nodes()).unwrap();
     let bits = rows.iter().map(|x| x.to_bits()).collect();
-    (plan, batch, bits)
+    (batch, bits)
 }
 
 /// Every I/O-level field of the per-shard breakdown sums to the total.

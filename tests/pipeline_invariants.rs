@@ -7,7 +7,7 @@ use smartsage::core::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
 use smartsage::core::store_metrics::{self, SweepScope};
 use smartsage::core::{StoreKind, TopologyKind};
 use smartsage::gnn::sampler::{epoch_targets, sample_on};
-use smartsage::gnn::{Fanouts, SamplePlan, SampledBatch};
+use smartsage::gnn::{Fanouts, SampledBatch};
 use smartsage::graph::{Dataset, DatasetProfile, GraphScale, NodeId};
 use smartsage::sim::{SimDuration, Xoshiro256};
 use smartsage::store::file::HEADER_BYTES;
@@ -214,15 +214,13 @@ fn one_pass_cfg() -> PipelineConfig {
     }
 }
 
-/// Batch `index` of `cfg`'s epoch, drawn independently of the pipeline
-/// on a borrowed view of the graph.
-fn reference_plan(ctx: &RunContext, cfg: &PipelineConfig, index: usize) -> SamplePlan {
+/// Batch `index` of `cfg`'s epoch, sampled independently of the
+/// pipeline on a borrowed view of the graph.
+fn reference_batch(ctx: &RunContext, cfg: &PipelineConfig, index: usize) -> SampledBatch {
     let graph = ctx.graph();
     let targets = epoch_targets(graph.num_nodes(), cfg.batch_size, index, cfg.seed);
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37));
-    sample_on(&mut CsrView::new(graph), &targets, &cfg.fanouts, &mut rng)
-        .unwrap()
-        .0
+    sample_on(&mut CsrView::new(graph), &targets, &cfg.fanouts, &mut rng).unwrap()
 }
 
 #[test]
@@ -244,9 +242,12 @@ fn graphsage_batches_are_sampled_through_the_topology_store_exactly_once() {
         // ...answering each frontier degree and each drawn pick once.
         let answers: u64 = (0..cfg.total_batches)
             .map(|index| {
-                let plan = reference_plan(&ctx, &cfg, index);
-                let picks: usize = plan.positions.iter().map(Vec::len).sum();
-                plan.trace.num_accesses() + picks as u64
+                let trace = reference_batch(&ctx, &cfg, index).into_trace();
+                let picks = trace
+                    .hops
+                    .iter()
+                    .flat_map(|h| (0..h.nodes.len()).map(|i| h.picks(i)));
+                trace.num_accesses() + picks.sum::<usize>() as u64
             })
             .sum();
         assert_eq!(topo.nodes_gathered, answers, "{:?}", cfg.fanouts);
@@ -263,11 +264,10 @@ fn a_one_batch_run_is_batch_zero_of_the_epoch() {
     };
     let report = run_pipeline(&ctx, &cfg);
     assert_eq!(report.batches, 1);
-    // The same subgraph the independent plan-then-resolve path builds:
-    // its dense id list is the run's useful bytes, its distinct nodes
-    // are the one gather the feature store answered.
-    let plan = reference_plan(&ctx, &cfg, 0);
-    let batch = plan.resolve_on(&mut CsrView::new(ctx.graph())).unwrap();
+    // The same subgraph an independent pass builds: its dense id list
+    // is the run's useful bytes, its distinct nodes are the one gather
+    // the feature store answered.
+    let batch = reference_batch(&ctx, &cfg, 0);
     assert_eq!(report.transfers.useful_bytes, batch.subgraph_bytes());
     assert_eq!(report.store_stats.gathers, 1);
     assert_eq!(
@@ -304,13 +304,6 @@ fn the_inert_readahead_field_changes_nothing_in_the_report() {
         assert_eq!(off.topology_stats, on.topology_stats, "x{shards}");
         assert_eq!(format!("{off:?}"), format!("{on:?}"), "x{shards}");
     }
-}
-
-/// Batch `index` of `cfg`'s epoch, sampled and resolved independently
-/// of the pipeline.
-fn reference_batch(ctx: &RunContext, cfg: &PipelineConfig, index: usize) -> SampledBatch {
-    let plan = reference_plan(ctx, cfg, index);
-    plan.resolve_on(&mut CsrView::new(ctx.graph())).unwrap()
 }
 
 #[test]

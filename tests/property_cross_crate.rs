@@ -40,12 +40,12 @@ proptest! {
         let targets: Vec<NodeId> = (0..8.min(nodes) as u32).map(NodeId::new).collect();
         let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xABCD);
         let fanouts = Fanouts::new(vec![fanout1, fanout2]);
-        let (plan, batch) = sample_on(&mut CsrView::new(&g), &targets, &fanouts, &mut rng).unwrap();
+        let batch = sample_on(&mut CsrView::new(&g), &targets, &fanouts, &mut rng).unwrap();
         let hood = k_hop_neighborhood(&g, &targets, 2);
         for n in batch.all_nodes() {
             prop_assert!(hood.contains(&n), "{n} escaped 2-hop neighborhood");
         }
-        prop_assert_eq!(batch.num_sampled(), plan.trace.num_sampled());
+        prop_assert_eq!(batch.num_sampled(), batch.clone().into_trace().num_sampled());
     }
 
     #[test]

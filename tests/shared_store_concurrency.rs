@@ -4,7 +4,7 @@
 //! contention.
 
 use smartsage::gnn::model::ModelDims;
-use smartsage::gnn::sampler::sample_on;
+use smartsage::gnn::sampler::plan_sample_on;
 use smartsage::gnn::trainer::{TrainConfig, Trainer};
 use smartsage::gnn::Fanouts;
 use smartsage::graph::generate::{generate_power_law, PowerLawConfig};
@@ -222,7 +222,7 @@ fn hammering_threads_sample_bit_identically_through_one_shared_topology() {
         .map(|&seed| {
             let mut mem = InMemoryTopology::new(graph.clone());
             let mut rng = Xoshiro256::seed_from_u64(seed);
-            let (plan, _) = sample_on(&mut mem, &targets, &fanouts, &mut rng).unwrap();
+            let plan = plan_sample_on(&mut mem, &targets, &fanouts, &mut rng).unwrap();
             plan.resolve_on(&mut mem).unwrap()
         })
         .collect();
@@ -236,7 +236,7 @@ fn hammering_threads_sample_bit_identically_through_one_shared_topology() {
                     for round in 0..10 {
                         let i = (t + round) % seeds.len();
                         let mut rng = Xoshiro256::seed_from_u64(seeds[i]);
-                        let (plan, _) = sample_on(&mut topo, targets, fanouts, &mut rng).unwrap();
+                        let plan = plan_sample_on(&mut topo, targets, fanouts, &mut rng).unwrap();
                         let batch = plan.resolve_on(&mut topo).unwrap();
                         assert_eq!(batch, want[i], "thread {t} diverged on seed {i}");
                     }
@@ -270,7 +270,7 @@ fn hammering_threads_sample_bit_identically_through_one_shared_topology() {
         for (t, round) in (0..8usize).flat_map(|t| (0..10).map(move |r| (t, r))) {
             let i = (t + round) % seeds.len();
             let mut rng = Xoshiro256::seed_from_u64(seeds[i]);
-            let (plan, _) = sample_on(&mut topo, &targets, &fanouts, &mut rng).unwrap();
+            let plan = plan_sample_on(&mut topo, &targets, &fanouts, &mut rng).unwrap();
             plan.resolve_on(&mut topo).unwrap();
         }
         let s = topo.stats();

@@ -1,10 +1,11 @@
 //! Cross-tier topology-store conformance: `FileTopology` and
-//! `IspSampleTopology` must produce **bit-identical** `SamplePlan`s and
-//! `SampledBatch`es to `InMemoryTopology` for the same seeds, across
-//! random Kronecker graphs, page sizes, and cache sizes — the
-//! determinism contract neighbor sampling relies on — with exact,
-//! uniform access counters on every tier — and the one-pass
-//! `sample_on` must equal the plan-then-resolve reference, and each
+//! `IspSampleTopology` must produce **bit-identical** `SampledBatch`es
+//! (and plans, through the doc-hidden plan-then-resolve path) to
+//! `InMemoryTopology` for the same seeds, across random Kronecker
+//! graphs, page sizes, and cache sizes — the determinism contract
+//! neighbor sampling relies on — with exact, uniform access counters on
+//! every tier — and the one-pass `sample_on` must equal the
+//! plan-then-resolve reference, its trace the plan's, and each
 //! request of a `sample_group_on` group its own solo pass, sharded or
 //! not. The ISP tier must
 //! additionally keep its transfer split honest: device bytes are its
@@ -18,8 +19,9 @@
 //! a `StoreError` naming the file.
 
 use proptest::prelude::*;
-use smartsage::gnn::sampler::sample_on;
-use smartsage::gnn::{sample_group_on, Fanouts, SamplePlan, SampleSpec, SampledBatch};
+use smartsage::core::cost::trace_of_plan;
+use smartsage::gnn::sampler::{plan_sample_on, sample_on};
+use smartsage::gnn::{sample_group_on, Fanouts, SampleSpec, SampledBatch};
 use smartsage::graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage::graph::generate::{generate_power_law, generate_seed_graph, PowerLawConfig};
 use smartsage::graph::kronecker::{expand, KroneckerConfig};
@@ -30,8 +32,8 @@ use smartsage::store::file::{FileStoreOptions, HEADER_BYTES};
 use smartsage::store::{
     check_sharded_population, shard_ranges, write_feature_file, write_graph_file,
     write_graph_shard, CsrView, FileTopology, InMemoryTopology, IspGatherOptions,
-    IspSampleTopology, ScratchFile, ShardedTopology, SharedCsrFile, SharedFileStore, StoreError,
-    StoreKind, StoreRegistry, TierSpec, TopologyKind, TopologyStore,
+    IspSampleTopology, SampleTrace, ScratchFile, ShardedTopology, SharedCsrFile, SharedFileStore,
+    StoreError, StoreKind, StoreRegistry, TierSpec, TopologyKind, TopologyStore,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -58,6 +60,15 @@ fn kronecker_graph(base_nodes: usize, seed: u64) -> CsrGraph {
 }
 
 const PAGE_SIZES: [u64; 5] = [512, 1024, 2048, 4096, 8192];
+
+/// The picks a trace's pass drew: `fanout` per non-isolated access.
+fn drawn_picks(trace: &SampleTrace) -> u64 {
+    let per_hop = trace
+        .hops
+        .iter()
+        .map(|h| (0..h.nodes.len()).map(|i| h.picks(i)).sum::<usize>());
+    per_hop.sum::<usize>() as u64
+}
 
 /// A labelled topology store ("file x3").
 type Tier = (String, Box<dyn TopologyStore>);
@@ -151,7 +162,7 @@ proptest! {
         // contract).
         let plan_on = |topo: &mut dyn TopologyStore| {
             let mut rng = Xoshiro256::seed_from_u64(sample_seed);
-            let (plan, _) = sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
+            let plan = plan_sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
             let batch = plan.resolve_on(topo).unwrap();
             (plan, batch)
         };
@@ -174,9 +185,10 @@ proptest! {
         // bytes on every tier.
         let mut expect_gathers = 0u64;
         let mut expect_answers = 0u64;
-        for (hop, positions) in plan_mem.trace.hops.iter().zip(&plan_mem.positions) {
+        for hop in &plan_mem.trace.hops {
+            let drawn: usize = (0..hop.nodes.len()).map(|i| hop.picks(i)).sum();
             expect_gathers += 3;
-            expect_answers += (hop.nodes.len() + 2 * positions.len()) as u64;
+            expect_answers += (hop.nodes.len() + 2 * drawn) as u64;
         }
         for stats in [mem.stats(), disk.stats(), isp.stats()] {
             prop_assert_eq!(stats.gathers, expect_gathers);
@@ -207,7 +219,8 @@ proptest! {
         prop_assert_eq!(i.bytes_read, d.bytes_read);
     }
 
-    /// Each tier's one pass is its plan, re-resolved; and a group of 1–5
+    /// Each tier's one pass is its plan, re-resolved, and its trace the
+    /// plan's; and a group of 1–5
     /// requests (the first the pass's own) samples, through `2 × hops`
     /// calls, what each request samples alone on a fresh tier.
     #[test]
@@ -263,7 +276,7 @@ proptest! {
             // Each request alone, on a fresh tier, and the answers the
             // solo passes were given.
             let mut solo_answers = 0;
-            let solo: Vec<(SamplePlan, SampledBatch)> = specs
+            let solo: Vec<SampledBatch> = specs
                 .iter()
                 .map(|spec| {
                     let mut fresh = CsrView::new(&graph);
@@ -277,27 +290,36 @@ proptest! {
             for (what, mut topo) in tiers {
                 let what = format!("{what} {:?}", fanouts.as_slice());
                 let topo = topo.as_mut();
-                // The one pass: plan and batch together, two calls per hop.
+                // The one pass: the batch, two calls per hop.
                 let mut rng = Xoshiro256::seed_from_u64(sample_seed);
-                let (plan, batch) = sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
+                let batch = sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
+                let trace = batch.clone().into_trace();
                 let one_pass = topo.stats();
                 prop_assert_eq!(one_pass.gathers, 2 * hops, "{}", &what);
                 prop_assert_eq!(
                     one_pass.nodes_gathered,
-                    plan.trace.num_accesses() + plan.positions.iter().map(|p| p.len() as u64).sum::<u64>(),
+                    trace.num_accesses() + drawn_picks(&trace),
                     "{}: one answer per frontier degree and per drawn pick", &what
                 );
-                // Re-resolving the plan is the independent reference.
+                // The plan of the same pass (two calls per hop through
+                // the recorder), re-resolved (one more), is the
+                // independent reference, and its trace is the batch's.
+                let mut rng = Xoshiro256::seed_from_u64(sample_seed);
+                let plan = plan_sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
+                prop_assert_eq!(topo.stats().gathers, 4 * hops, "{}", &what);
+                prop_assert_eq!(&trace_of_plan(&plan, &graph), &trace, "{}: plan trace diverged", &what);
                 let resolved = plan.resolve_on(topo).unwrap();
-                prop_assert_eq!(topo.stats().gathers, 3 * hops, "{}", &what);
+                prop_assert_eq!(topo.stats().gathers, 5 * hops, "{}", &what);
                 prop_assert_eq!(&resolved, &batch, "{}: resolve_on diverged", &what);
                 // ...and every tier and shard count agrees with each
                 // request's solo pass on a fresh mem tier.
-                prop_assert_eq!(&plan, &solo[0].0, "{}: plan differs from mem", &what);
-                prop_assert_eq!(&batch, &solo[0].1, "{}: batch differs from mem", &what);
+                let mut rng = Xoshiro256::seed_from_u64(sample_seed);
+                let solo_plan = plan_sample_on(&mut CsrView::new(&graph), &targets, &fanouts, &mut rng).unwrap();
+                prop_assert_eq!(&plan, &solo_plan, "{}: plan differs from mem", &what);
+                prop_assert_eq!(&batch, &solo[0], "{}: batch differs from mem", &what);
                 // The group: two calls per hop whatever its size, the
-                // solo passes' answers, and each request's plan (trace
-                // and positions) and batch its solo pass's.
+                // solo passes' answers, and each request's batch (its
+                // degrees and neighbors) its solo pass's.
                 let before = topo.stats();
                 let group = sample_group_on(topo, &specs, &fanouts).unwrap();
                 let after = topo.stats();
@@ -305,8 +327,7 @@ proptest! {
                 prop_assert_eq!(after.nodes_gathered - before.nodes_gathered, solo_answers, "{}", &what);
                 prop_assert_eq!(group.len(), specs.len());
                 for (i, (got, want)) in group.iter().zip(&solo).enumerate() {
-                    prop_assert_eq!(&got.0, &want.0, "{}: request {} of {}: plan", &what, i, specs.len());
-                    prop_assert_eq!(&got.1, &want.1, "{}: request {} of {}: batch", &what, i, specs.len());
+                    prop_assert_eq!(got, want, "{}: request {} of {}: batch", &what, i, specs.len());
                 }
             }
             for path in published {
@@ -376,7 +397,7 @@ fn topology_store_isp_host_bytes_strictly_undercut_the_file_tier_for_scattered_h
     let fanouts = Fanouts::new(vec![3, 2]);
     let run = |topo: &mut dyn TopologyStore| {
         let mut rng = Xoshiro256::seed_from_u64(9);
-        let (plan, _) = sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
+        let plan = plan_sample_on(topo, &targets, &fanouts, &mut rng).unwrap();
         plan.resolve_on(topo).unwrap()
     };
     let mut mem = InMemoryTopology::new(graph.clone());
