@@ -62,12 +62,14 @@ impl RankSet {
         I: IntoIterator<Item = u64>,
         I::IntoIter: Clone,
     {
+        // Both walks are internal (`for_each`): a caller's list is often
+        // a nested `flat_map`, which a `for` loop pays per value to step.
         let values = values.into_iter();
         let (mut len, mut min, mut max, mut last, mut ascending) = (0usize, u64::MAX, 0, 0, true);
-        for v in values.clone() {
+        values.clone().for_each(|v| {
             (len, min, max) = (len + 1, min.min(v), max.max(v));
             (last, ascending) = (v, ascending && last <= v);
-        }
+        });
         if len > 0 && (max - min) / 64 < len as u64 && u32::try_from(len).is_ok() {
             let words = ((max - min) / 64 + 1) as usize;
             return RankSet::dense(min, words, values);
@@ -85,10 +87,10 @@ impl RankSet {
 
     fn dense(base: u64, words: usize, values: impl Iterator<Item = u64>) -> RankSet {
         let mut bits = vec![0u64; words];
-        for v in values {
+        values.for_each(|v| {
             let offset = v - base;
             bits[(offset / 64) as usize] |= 1 << (offset % 64);
-        }
+        });
         let mut len = 0u32;
         let ranks = bits
             .iter()

@@ -37,9 +37,11 @@
 //! file is opened once per registry; a batch of offset or edge entries
 //! becomes the layout's byte ranges that the paged read path resolves
 //! through its page cache, and the entries decode straight
-//! out of the staged pages into the caller's output. A pick batch reads
-//! one offset pair per maximal run of equal consecutive parents and
-//! checks every pick of the run against it. Every operation takes
+//! out of the staged pages into the caller's output, each page looked
+//! up once per change of page. A pick batch reads one offset pair per
+//! maximal run of equal consecutive parents, checks every pick of the
+//! run against it, and plans a run whose list lies in one page as that
+//! one range. Every operation takes
 //! `&self` and returns its exact per-call I/O deltas, which the caller's
 //! [`FileTopology`](crate::FileTopology) handle accumulates into scoped
 //! counters.
@@ -50,7 +52,7 @@
 
 use crate::error::StoreError;
 use crate::file::{check_len, create_with_header, open_header, FileStoreOptions, HEADER_BYTES};
-use crate::paged::{PagedFile, Plan, Planned};
+use crate::paged::{PagedFile, Planned};
 use crate::{check_ids, check_pick, StoreStats};
 use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::{CsrGraph, NodeId};
@@ -129,6 +131,22 @@ pub fn write_graph_shard(
         }
     }
     w.flush().map_err(StoreError::io(path, "flush"))
+}
+
+/// Two picks of one run: the same parent.
+pub(crate) fn same_parent(a: &(NodeId, u64), b: &(NodeId, u64)) -> bool {
+    a.0 == b.0
+}
+
+/// The `N` LE `u64` entries `bytes` holds.
+fn entries<const N: usize>(bytes: &[u8]) -> [u64; N] {
+    let mut entries = [0u64; N];
+    for (entry, chunk) in entries.iter_mut().zip(bytes.chunks_exact(8)) {
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(chunk);
+        *entry = u64::from_le_bytes(raw);
+    }
+    entries
 }
 
 /// An opened, validated graph file: the read handle, its header fields
@@ -291,32 +309,6 @@ impl SharedCsrFile {
         }
     }
 
-    /// Resolves `ranges` (each `N` whole u64 entries) through the paged
-    /// read path and hands `each` the range's index and LE values, in
-    /// request order (an entry may straddle a page boundary under odd
-    /// page sizes). `ranges` is iterated twice, to read and to decode.
-    /// Returns the read's plan.
-    fn read_entries<const N: usize>(
-        &self,
-        ranges: impl Iterator<Item = ByteRange> + Clone,
-        io: &mut StoreStats,
-        mut each: impl FnMut(usize, [u64; N]) -> Result<(), StoreError>,
-    ) -> Result<Plan, StoreError> {
-        let staged = self.paged.read(ranges.clone(), io)?;
-        let mut spill = [0u8; 2 * NEIGHBOR_ENTRY_BYTES as usize];
-        let mut raw = [0u8; NEIGHBOR_ENTRY_BYTES as usize];
-        for (i, range) in ranges.enumerate() {
-            let bytes = staged.bytes(range, &mut spill[..raw.len() * N]);
-            let mut entries = [0u64; N];
-            for (entry, chunk) in entries.iter_mut().zip(bytes.chunks_exact(raw.len())) {
-                raw.copy_from_slice(chunk);
-                *entry = u64::from_le_bytes(raw);
-            }
-            each(i, entries)?;
-        }
-        Ok(staged.into_plan())
-    }
-
     /// Reads the `(start, end)` offset pair of every node in `nodes`,
     /// returning the pairs, this call's exact **I/O** deltas (the
     /// caller owns the access-level counters — a topology tier may
@@ -324,7 +316,8 @@ impl SharedCsrFile {
     /// read's plan (the ISP tier's timing-model input, over an offset
     /// range per node). Validates node
     /// bounds before any I/O and the CSR monotone/EOF invariants on
-    /// every pair it returns.
+    /// every pair it returns. A pair decodes straight out of its staged
+    /// page, looked up once per page change.
     pub(crate) fn offset_pairs(
         &self,
         nodes: &[NodeId],
@@ -336,87 +329,107 @@ impl SharedCsrFile {
             .iter()
             .map(|&node| self.layout.offset_entry_range(node));
         let mut io = StoreStats::default();
+        let staged = self.paged.read(ranges.clone(), &mut io)?;
+        let (mut memo, mut spill) = (staged.memo(), [0u8; 2 * NEIGHBOR_ENTRY_BYTES as usize]);
         let mut pairs = Vec::with_capacity(nodes.len());
-        let plan = self.read_entries(ranges, &mut io, |i, [start, end]| {
+        for (&node, range) in nodes.iter().zip(ranges) {
+            let [start, end] = entries(memo.bytes(range, &mut spill));
             if start > end {
                 return Err(self.corrupt(format!(
-                    "offsets out of monotone order at node {}: {start} > {end}",
-                    nodes[i]
+                    "offsets out of monotone order at node {node}: {start} > {end}"
                 )));
             }
             if end > self.num_edges {
                 return Err(self.corrupt(format!(
-                    "edge index {end} at node {} is past the end of the \
+                    "edge index {end} at node {node} is past the end of the \
                      {}-entry edge array",
-                    nodes[i], self.num_edges
+                    self.num_edges
                 )));
             }
             pairs.push((start, end));
-            Ok(())
-        })?;
-        Ok((pairs, io, plan))
+        }
+        Ok((pairs, io, staged.into_plan()))
     }
 
-    /// The byte ranges a pick batch reads, run by run: per maximal run
-    /// of equal consecutive parents (whose offset pair `pairs` holds, in
-    /// run order), the parent's offset range when `offsets` is set (the
-    /// ISP command's order), then each pick's edge entry. Derived on the
-    /// fly, never listed.
+    /// The byte ranges the ISP tier's command covers, run by run: per
+    /// maximal run of equal consecutive parents (whose offset pair
+    /// `pairs` holds, in run order), the parent's offset range, then
+    /// each pick's edge entry. Derived on the fly, never listed.
     pub(crate) fn pick_ranges<'a>(
         &self,
         picks: &'a [(NodeId, u64)],
         pairs: &'a [(u64, u64)],
-        offsets: bool,
     ) -> impl Iterator<Item = ByteRange> + Clone + 'a {
-        let (runs, layout) = (picks.chunk_by(|a, b| a.0 == b.0).zip(pairs), self.layout);
+        let (runs, layout) = (picks.chunk_by(same_parent).zip(pairs), self.layout);
         runs.flat_map(move |(run, &(start, _))| {
-            let parent = offsets.then(|| layout.offset_entry_range(run[0].0));
+            let parent = layout.offset_entry_range(run[0].0);
             let edges = run.iter().map(move |p| layout.edge_entries(start + p.1, 1));
-            parent.into_iter().chain(edges)
+            std::iter::once(parent).chain(edges)
         })
     }
 
     /// Resolves `(node, position)` picks end to end into `out`
-    /// (`out.len() == picks.len()`): one offset pair per maximal run
-    /// of equal consecutive nodes locates and validates that run's
-    /// picks, then the picked edge entries resolve in one read.
-    /// Returns the combined exact I/O deltas, the plan of both reads
-    /// together, and the runs' offset pairs, from which
-    /// [`SharedCsrFile::pick_ranges`] re-derives the ranges read.
-    /// Shared by [`FileTopology`](crate::FileTopology) and
-    /// [`IspSampleTopology`](crate::IspSampleTopology) so the two
+    /// (`out.len() == picks.len()`), run by run: one offset pair per
+    /// maximal run of equal consecutive nodes locates and validates
+    /// that run's picks, then the picked edge entries resolve in one
+    /// read. That read lists a run whose parent's whole list lies in
+    /// one page as that one range (the same page its picks touch), and
+    /// any other run pick by pick, so the read plans the pages of the
+    /// picks' entries exactly, and builds no per-pick list. Each pick
+    /// then decodes as an offset into its staged page, looked up once
+    /// per page change. Returns the combined exact I/O deltas, the plan
+    /// of both reads together, and the runs' offset pairs, from which
+    /// [`SharedCsrFile::pick_ranges`] re-derives the ranges the ISP
+    /// command covers. Shared by [`FileTopology`](crate::FileTopology)
+    /// and [`IspSampleTopology`](crate::IspSampleTopology) so the two
     /// tiers' validation and error wording can never drift.
     pub(crate) fn resolve_picks(
         &self,
         picks: &[(NodeId, u64)],
         out: &mut [NodeId],
     ) -> Result<Planned<Vec<(u64, u64)>>, StoreError> {
-        let same_parent = |a: &(NodeId, u64), b: &(NodeId, u64)| a.0 == b.0;
-        let parents: Vec<NodeId> = picks.chunk_by(same_parent).map(|run| run[0].0).collect();
+        let runs = || picks.chunk_by(same_parent);
+        let parents: Vec<NodeId> = runs().map(|run| run[0].0).collect();
         let (pairs, mut io, offset_plan) = self.offset_pairs(&parents)?;
         // Every pair lies inside the edge array, so every pick inside its
         // parent's pair does too.
-        for (run, &(start, end)) in picks.chunk_by(same_parent).zip(&pairs) {
+        for (run, &(start, end)) in runs().zip(&pairs) {
             for &pick in run {
                 check_pick(pick, end - start)?;
             }
         }
-        let edges = self.pick_ranges(picks, &pairs, false);
-        let edge_plan = self.read_entries(edges, &mut io, |i, [raw]| {
-            if raw >= self.num_nodes as u64 {
-                let (node, position) = picks[i];
-                return Err(self.corrupt(format!(
-                    "neighbor id {raw} at position {position} of node {node} is past the \
-                     {}-node bound",
-                    self.num_nodes
-                )));
+        let (layout, page_bytes) = (self.layout, self.options().page_bytes);
+        let ranges = runs().zip(&pairs).flat_map(move |(run, &(start, end))| {
+            let list = layout.edge_entries(start, end - start);
+            let one_page = list
+                .blocks(page_bytes)
+                .is_some_and(|(first, last)| first == last);
+            let each = if one_page { &run[..0] } else { run };
+            let edges = each
+                .iter()
+                .map(move |p| layout.edge_entries(start + p.1, 1));
+            one_page.then_some(list).into_iter().chain(edges)
+        });
+        let staged = self.paged.read(ranges, &mut io)?;
+        let (mut memo, mut spill) = (staged.memo(), [0u8; NEIGHBOR_ENTRY_BYTES as usize]);
+        let mut slots = out.iter_mut();
+        for (run, &(start, _)) in runs().zip(&pairs) {
+            for (&(node, position), slot) in run.iter().zip(&mut slots) {
+                let entry = layout.edge_entries(start + position, 1);
+                let [raw] = entries(memo.bytes(entry, &mut spill));
+                if raw >= self.num_nodes as u64 {
+                    return Err(self.corrupt(format!(
+                        "neighbor id {raw} at position {position} of node {node} is past the \
+                         {}-node bound",
+                        self.num_nodes
+                    )));
+                }
+                *slot = NodeId::new(raw as u32);
             }
-            out[i] = NodeId::new(raw as u32);
-            Ok(())
-        })?;
+        }
         // The edge array follows the offset array, so a page both reads
         // resolved is the offsets' last and the edges' first.
-        Ok((pairs, io, offset_plan.merge(edge_plan)))
+        Ok((pairs, io, offset_plan.merge(staged.into_plan())))
     }
 
     // Read-ahead is gone; this stub leaves with its last caller
@@ -534,6 +547,111 @@ mod tests {
             let mut targets = vec![NodeId::default(); picks.len()];
             shared.resolve_picks(&picks, &mut targets).unwrap();
             assert_eq!(targets, want_targets, "page size {page_bytes} diverged");
+        }
+    }
+
+    /// `resolve_picks` the plain way, on `file`: the runs' offset pairs,
+    /// then every pick's own entry range, each read through
+    /// [`PagedFile::read`] and decoded range by range.
+    fn reference_picks(
+        file: &SharedCsrFile,
+        picks: &[(NodeId, u64)],
+        out: &mut [NodeId],
+    ) -> Planned<Vec<(u64, u64)>> {
+        let layout = file.layout;
+        let mut io = StoreStats::default();
+        let offsets = picks
+            .chunk_by(same_parent)
+            .map(|run| layout.offset_entry_range(run[0].0));
+        let staged = file.paged.read(offsets.clone(), &mut io).unwrap();
+        let mut spill = [0u8; 16];
+        let pairs: Vec<(u64, u64)> = offsets
+            .map(|range| {
+                let [start, end] = entries(staged.bytes(range, &mut spill));
+                (start, end)
+            })
+            .collect();
+        let offset_plan = staged.into_plan();
+        let runs = picks.chunk_by(same_parent).zip(&pairs);
+        let edges: Vec<ByteRange> = runs
+            .flat_map(|(run, &(start, _))| {
+                run.iter().map(move |p| layout.edge_entries(start + p.1, 1))
+            })
+            .collect();
+        let staged = file.paged.read(edges.iter().copied(), &mut io).unwrap();
+        for (&range, slot) in edges.iter().zip(out) {
+            let [raw] = entries(staged.bytes(range, &mut spill[..8]));
+            *slot = NodeId::new(raw as u32);
+        }
+        (pairs, io, offset_plan.merge(staged.into_plan()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Run-by-run planning and decoding changes nothing observable:
+        /// on random graphs with hubs whose lists span many pages, at
+        /// page sizes that divide the entries, split them, and hold
+        /// less than two of them, `resolve_picks` and the per-pick
+        /// reference — each on its own open of one file, cold, then
+        /// again warm through a cache that churns or holds everything
+        /// — agree on the answers, the pairs, every I/O counter, the
+        /// plan's pages and the ISP command's first needs.
+        #[test]
+        fn run_by_run_picks_match_the_per_pick_reference(
+            seed in proptest::prelude::any::<u64>(),
+            cache in 0usize..3,
+        ) {
+            use proptest::prelude::*;
+            let mut rng = smartsage_sim::Xoshiro256::seed_from_u64(seed);
+            // 1–3 hubs of 600–3000 edges (a list across up to seven
+            // 4 KiB pages), the rest 0–12 edges.
+            let n = 8 + rng.range_usize(100);
+            let hubs = 1 + rng.range_usize(3);
+            let mut edges = Vec::new();
+            for node in 0..n {
+                let degree = match node < hubs {
+                    true => 600 + rng.range_usize(2400),
+                    false => rng.range_usize(13),
+                };
+                edges.extend((0..degree).map(|_| (node as u32, rng.range_usize(n) as u32)));
+            }
+            let g = CsrGraph::from_edges(n, edges);
+            // Runs of 1–20 picks on parents that have edges, a hub one
+            // time in three; a parent may come back in a later run.
+            let parents: Vec<NodeId> = g.node_ids().filter(|&v| g.degree(v) > 0).collect();
+            let mut picks = Vec::new();
+            for _ in 0..1 + rng.range_usize(40) {
+                let parent = match rng.range_usize(3) {
+                    0 => NodeId::new(rng.range_usize(hubs) as u32),
+                    _ => parents[rng.range_usize(parents.len())],
+                };
+                let degree = g.degree(parent) as usize;
+                let run = (0..1 + rng.range_usize(20)).map(|_| rng.range_usize(degree) as u64);
+                picks.extend(run.map(|position| (parent, position)));
+            }
+            let want: Vec<NodeId> = picks.iter().map(|&(v, k)| g.neighbor(v, k)).collect();
+            let file = write_graph("picks-reference", &g);
+            for page_bytes in [512u64, 1001, 4096, 12] {
+                let opts = FileStoreOptions { page_bytes, cache_pages: [0, 3, 1 << 20][cache] };
+                let open = || SharedCsrFile::open_with(file.path(), opts).unwrap();
+                let (shared, twin) = (open(), open());
+                for _ in 0..2 {
+                    let mut got = vec![NodeId::default(); picks.len()];
+                    let mut ref_got = got.clone();
+                    let (pairs, io, plan) = shared.resolve_picks(&picks, &mut got).unwrap();
+                    let (ref_pairs, ref_io, ref_plan) =
+                        reference_picks(&twin, &picks, &mut ref_got);
+                    prop_assert_eq!(&got, &want, "page {}", page_bytes);
+                    prop_assert_eq!(&ref_got, &want, "page {}", page_bytes);
+                    prop_assert_eq!(&pairs, &ref_pairs);
+                    prop_assert_eq!(io, ref_io, "page {}", page_bytes);
+                    prop_assert_eq!(plan.page_list(), ref_plan.page_list());
+                    let ranges = shared.pick_ranges(&picks, &pairs);
+                    let needs = plan.first_needs(ranges.clone());
+                    prop_assert_eq!(needs, ref_plan.first_needs(ranges));
+                }
+            }
         }
     }
 

@@ -43,7 +43,7 @@
 //! leak scheduling noise into virtual time.
 
 use crate::error::StoreError;
-use crate::graph_file::SharedCsrFile;
+use crate::graph_file::{same_parent, SharedCsrFile};
 use crate::isp::{IspDevice, IspGatherOptions};
 use crate::topology::TopologyStore;
 use crate::{check_buffer, count_call, StoreStats};
@@ -135,8 +135,8 @@ impl TopologyStore for IspSampleTopology {
         // (firmware chains them without surfacing to the host): one
         // access per run of equal parents — its offset pair, then its
         // picks' edges — answering the run's picks.
-        let ranges = self.shared.pick_ranges(picks, &pairs, true);
-        let runs = picks.chunk_by(|a, b| a.0 == b.0);
+        let ranges = self.shared.pick_ranges(picks, &pairs);
+        let runs = picks.chunk_by(same_parent);
         let accesses = runs.map(|run| (1 + run.len(), run.len() as u64));
         let shipped = picks.len() as u64 * NEIGHBOR_ENTRY_BYTES;
         let io = self.device.command(io, &plan, ranges, accesses, shipped);

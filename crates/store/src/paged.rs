@@ -42,9 +42,13 @@
 //!    then the fetched pages enter the cache in ascending page order. A
 //!    read whose fetch fails leaves the cache as it found it.
 //!
-//! Decoding pays per range, inside one page: [`StagedPages::bytes`]
-//! asks the read's set for the slot of the range's page — one word and
-//! one popcount on a dense set, a bisection on a sparse one.
+//! Decoding pays per page, not per range: a [`PageMemo`] walks the
+//! read's ranges in any order and asks the read's set for a page's slot
+//! ([`StagedPages::page`]: one word and one popcount on a dense set, a
+//! bisection on a sparse one) only when a range leaves the page it last
+//! looked up. A range inside that page is a bounds check and a slice;
+//! only a range that straddles a page boundary (a page size that does
+//! not divide the entry or row) is copied, by [`StagedPages::bytes`].
 
 // Untrusted input fails as a typed error, never a panic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -118,7 +122,8 @@ pub(crate) struct PagedFile {
 
 /// The pages one [`PagedFile::read`] resolved: its plan, and the
 /// pages' bytes in the set's order — held by `Arc` while the format
-/// layer decodes them, so a page's slot is its rank.
+/// layer decodes them (through a [`PageMemo`]), so a page's slot is its
+/// rank.
 #[derive(Debug)]
 pub(crate) struct StagedPages {
     plan: Plan,
@@ -126,25 +131,38 @@ pub(crate) struct StagedPages {
 }
 
 impl StagedPages {
-    /// The bytes of `range`: a slice of its staged page when it lies
-    /// within one, otherwise copied across the boundary into `spill`
-    /// (`spill.len() == range.len`). `range` must be one of the ranges
-    /// the read was planned from, so its pages are staged, and staged
-    /// side by side. Its first page's slot is that page's rank in the
-    /// read's set.
-    pub fn bytes<'a>(&'a self, range: ByteRange, spill: &'a mut [u8]) -> &'a [u8] {
+    /// The bytes of `page`, which the read resolved: its slot is its
+    /// rank in the read's set.
+    pub fn page(&self, page: u64) -> &[u8] {
+        &self.staged[self.plan.pages.rank(page)]
+    }
+
+    /// A decode walk over these pages, in any order of ranges, that
+    /// remembers the page it last looked up.
+    pub fn memo(&self) -> PageMemo<'_> {
+        PageMemo {
+            staged: self,
+            number: u64::MAX,
+            page: &[],
+        }
+    }
+
+    /// The bytes of `range`, copied page by page into `spill`
+    /// (`spill.len() == range.len`). `range` must lie in pages the read
+    /// resolved, so its pages are staged, and staged side by side; its
+    /// first page's slot is that page's rank in the read's set. The
+    /// straddling path of [`PageMemo::bytes`], which slices everything
+    /// else.
+    pub fn bytes<'a>(&self, range: ByteRange, spill: &'a mut [u8]) -> &'a [u8] {
         let Plan { pages, page_bytes } = &self.plan;
         let Some((page, _)) = range.blocks(*page_bytes) else {
             return &[];
         };
-        let (at, lo) = (
-            pages.rank(page),
+        let (mut done, mut lo, mut at) = (
+            0,
             (range.offset - page * page_bytes) as usize,
+            pages.rank(page),
         );
-        if let Some(within) = self.staged[at].get(lo..lo + range.len as usize) {
-            return within;
-        }
-        let (mut done, mut lo, mut at) = (0, lo, at);
         while done < spill.len() {
             let src = &self.staged[at];
             let n = (src.len() - lo).min(spill.len() - done);
@@ -157,6 +175,39 @@ impl StagedPages {
     /// The read's plan.
     pub fn into_plan(self) -> Plan {
         self.plan
+    }
+}
+
+/// Decodes ranges of one read out of its staged pages, looking a page
+/// up only when a range leaves the page it last looked up.
+#[derive(Debug)]
+pub(crate) struct PageMemo<'a> {
+    staged: &'a StagedPages,
+    /// The page last looked up (`u64::MAX` before the first), and its
+    /// bytes. A range is matched against the page's *number*, so
+    /// deciding whether to look a page up waits on no load.
+    number: u64,
+    page: &'a [u8],
+}
+
+impl PageMemo<'_> {
+    /// The bytes of `range`, which must lie in pages the read resolved:
+    /// a slice of its page when it lies within one (looked up by rank
+    /// unless it is the page remembered, and then remembered), else —
+    /// across a page boundary — copied into `spill` (`spill.len() ==
+    /// range.len`).
+    pub fn bytes<'s>(&'s mut self, range: ByteRange, spill: &'s mut [u8]) -> &'s [u8] {
+        let page_bytes = self.staged.plan.page_bytes;
+        match range.blocks(page_bytes) {
+            Some((first, last)) if first == last => {
+                if first != self.number {
+                    (self.number, self.page) = (first, self.staged.page(first));
+                }
+                let lo = (range.offset - first * page_bytes) as usize;
+                self.page.get(lo..lo + range.len as usize).unwrap_or(&[])
+            }
+            _ => self.staged.bytes(range, spill),
+        }
     }
 }
 
@@ -326,6 +377,13 @@ pub(crate) mod tests {
         }
     }
 
+    impl Plan {
+        /// The plan's pages, ascending.
+        pub(crate) fn page_list(&self) -> Vec<u64> {
+            self.pages.iter().collect()
+        }
+    }
+
     /// A file of `len` bytes where byte `i` is `i % 251`.
     fn patterned(tag: &str, len: u64) -> (ScratchFile, Vec<u8>) {
         let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
@@ -404,10 +462,11 @@ pub(crate) mod tests {
             let orders = [grouped, sorted, reversed, shuffled];
             // Decodes every range, in the order presented, and checks it.
             let check = |staged: &StagedPages, ranges: &[ByteRange], what: &str| {
+                let mut memo = staged.memo();
                 for &r in ranges {
                     let mut spill = vec![0u8; r.len as usize];
                     let want = &bytes[r.offset as usize..(r.offset + r.len) as usize];
-                    assert_eq!(staged.bytes(r, &mut spill), want, "{what} {r:?}");
+                    assert_eq!(memo.bytes(r, &mut spill), want, "{what} {r:?}");
                 }
             };
             for page_bytes in [512u64, 1000, 4096, 16_384] {
@@ -448,10 +507,9 @@ pub(crate) mod tests {
                     // Any order decodes, not just the read's.
                     check(&staged, &orders[0], &what);
                     let cold_plan = staged.into_plan();
-                    let pages_of = |plan: Plan| plan.pages.iter().collect::<Vec<u64>>();
                     let needs = cold_plan.first_needs(ranges.iter().copied());
                     assert_eq!(needs, first_needs(ranges), "{what}");
-                    assert_eq!(pages_of(cold_plan), plan, "{what} cold");
+                    assert_eq!(cold_plan.page_list(), plan, "{what} cold");
                     assert_eq!(cold.page_hits, 0);
                     assert_eq!(cold.pages_read, planned, "every planned page read once");
                     assert_eq!(cold.page_misses, planned);
@@ -463,7 +521,7 @@ pub(crate) mod tests {
                     let restaged = paged.read(ranges.iter().copied(), &mut again).unwrap();
                     check(&restaged, ranges, &what);
                     let warm_plan = restaged.into_plan();
-                    assert_eq!(pages_of(warm_plan), plan, "{what} warm");
+                    assert_eq!(warm_plan.page_list(), plan, "{what} warm");
                     assert_eq!(again.page_hits + again.pages_read, planned);
                     assert_eq!(again.pages_read, again.page_misses);
                     match cache_pages {
@@ -579,7 +637,7 @@ pub(crate) mod tests {
         let staged = paged.read(ranges, &mut after).unwrap();
         assert_eq!((after.page_hits, after.pages_read), (1, 1));
         let mut spill = [0u8; 8];
-        assert_eq!(staged.bytes(ranges[1], &mut spill), &bytes[600..608]);
+        assert_eq!(staged.memo().bytes(ranges[1], &mut spill), &bytes[600..608]);
         assert_eq!(paged.cache_resident(), 2);
         paged.clear_cache();
         assert_eq!(paged.cache_resident(), 0);

@@ -200,9 +200,9 @@ impl SharedFileStore {
         let mut io = StoreStats::default();
         let staged = self.paged.read(ranges.clone(), &mut io)?;
         // `spill` only carries a row that straddles a page boundary.
-        let mut spill = vec![0u8; self.dim * 4];
+        let (mut memo, mut spill) = (staged.memo(), vec![0u8; self.dim * 4]);
         for (range, out_row) in ranges.zip(out.chunks_exact_mut(self.dim)) {
-            let row = staged.bytes(range, &mut spill);
+            let row = memo.bytes(range, &mut spill);
             #[expect(clippy::expect_used, reason = "chunks_exact(4) yields 4 bytes")]
             for (v, chunk) in out_row.iter_mut().zip(row.chunks_exact(4)) {
                 *v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));

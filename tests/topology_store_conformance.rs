@@ -716,22 +716,53 @@ fn topology_store_edge_index_past_eof_fails_typed_at_the_read() {
 
 #[test]
 fn topology_store_corrupt_neighbor_id_fails_typed_at_the_pick() {
-    let file = ScratchFile::new("topo-target");
+    // Node 5's list is edge entries 6 and 7. At 4 KiB pages it lies in
+    // one page, so its run decodes out of one looked-up page; at 8-byte
+    // pages every entry is a page of its own, so its run decodes pick
+    // by pick across pages.
     let g = tiny_graph();
-    write_graph_file(file.path(), &g).unwrap();
-    // Overwrite edge entry 0 (node 0's first neighbor) with an id past
-    // the 6-node bound.
-    let edge = file_layout(&g).edge_entries(0, 1).offset as usize;
-    let mut bytes = std::fs::read(file.path()).unwrap();
-    bytes[edge..edge + 8].copy_from_slice(&999u64.to_le_bytes());
-    std::fs::write(file.path(), &bytes).unwrap();
-    let mut topo = FileTopology::new(Arc::new(SharedCsrFile::open(file.path()).unwrap()));
-    let mut out = [NodeId::default()];
-    let err = topo
-        .pick_neighbors_into(&[(NodeId::new(0), 0)], &mut out)
-        .unwrap_err();
-    assert!(matches!(err, StoreError::CorruptGraph { .. }), "{err}");
-    assert!(err.to_string().contains("neighbor id 999"), "{err}");
+    let list = file_layout(&g).edge_entries(g.edge_list_start(NodeId::new(5)), 2);
+    for (page_bytes, pages) in [(4096u64, 1u64), (8, 2)] {
+        assert_eq!(list.block_count(page_bytes), pages);
+        for (node, position) in [(0u32, 0u64), (5, 1)] {
+            let file = ScratchFile::new("topo-target");
+            write_graph_file(file.path(), &g).unwrap();
+            // Overwrite the pick's edge entry with an id past the 6-node
+            // bound.
+            let entry = g.edge_list_start(NodeId::new(node)) + position;
+            let edge = file_layout(&g).edge_entries(entry, 1).offset as usize;
+            let mut bytes = std::fs::read(file.path()).unwrap();
+            bytes[edge..edge + 8].copy_from_slice(&999u64.to_le_bytes());
+            std::fs::write(file.path(), &bytes).unwrap();
+            let opts = FileStoreOptions {
+                page_bytes,
+                cache_pages: 64,
+            };
+            let shared = SharedCsrFile::open_with(file.path(), opts).unwrap();
+            let mut topo = FileTopology::new(Arc::new(shared));
+            // A good call first, so the handle has counts to keep.
+            let mut out = [NodeId::default(); 3];
+            topo.pick_neighbors_into(&[(NodeId::new(1), 0); 3], &mut out)
+                .unwrap();
+            let before = topo.stats();
+            let picks = [
+                (NodeId::new(3), 0),
+                (NodeId::new(node), 1 - position),
+                (NodeId::new(node), position),
+                (NodeId::new(node), 1 - position),
+            ];
+            let mut out = [NodeId::default(); 4];
+            let err = topo.pick_neighbors_into(&picks, &mut out).unwrap_err();
+            let what = format!("page {page_bytes}, node {node}: {err}");
+            assert!(matches!(err, StoreError::CorruptGraph { .. }), "{what}");
+            let named = format!(
+                "neighbor id 999 at position {position} of node {} ",
+                NodeId::new(node)
+            );
+            assert!(err.to_string().contains(&named), "{what}");
+            assert_eq!(topo.stats(), before, "{what}");
+        }
+    }
 }
 
 #[test]
