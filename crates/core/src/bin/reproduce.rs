@@ -66,8 +66,9 @@
 
 use smartsage_core::experiments::{registry, Experiment, ExperimentScale};
 use smartsage_core::runner::{OutputFormat, Runner};
+use smartsage_core::store_metrics::AxisIo;
 use smartsage_core::{StoreKind, TopologyKind};
-use smartsage_store::{remove_cached_feature_files, StoreStats};
+use smartsage_store::remove_cached_feature_files;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Mutex;
@@ -197,12 +198,8 @@ fn parse_args(args: Vec<String>) -> Cli {
 /// sweep (exact, scoped, and summing to the totals — the
 /// shard-conformance contract). `[axis, verb, payload]` are the three
 /// nouns the feature and topology reports differ in.
-fn report_axis(
-    [axis, verb, payload]: [&str; 3],
-    tier: &str,
-    s: &StoreStats,
-    shards: &[StoreStats],
-) {
+fn report_axis([axis, verb, payload]: [&str; 3], tier: &str, io: &AxisIo) {
+    let s = &io.total;
     eprintln!(
         "[{axis} {tier}: {} {verb}, {} {payload} bytes, {} bytes read from disk \
          ({} pages), page-cache hit rate {:.1}%]",
@@ -220,7 +217,7 @@ fn report_axis(
         s.transfer_reduction(),
         s.device_ns as f64 / 1e6
     );
-    for (i, s) in shards.iter().enumerate() {
+    for (i, s) in io.shards.iter().enumerate() {
         eprintln!(
             "[{axis} shard {i}: {} sub-{verb}, {} bytes read from disk \
              ({} pages), host {} bytes transferred, modeled device time \
@@ -292,32 +289,6 @@ fn main() {
         scale.topology = kind;
     }
     scale.shards = cli.shards;
-    let runner = Runner::builder()
-        .scale(scale)
-        .experiments(selection)
-        .jobs(cli.jobs)
-        .on_result(move |o| {
-            eprintln!(
-                "[{} finished in {:.1}s]",
-                o.experiment.name,
-                o.wall.as_secs_f64()
-            );
-            let chunk = format.render_one(o, o.index == 0);
-            let mut state = printer.lock().expect("printer state");
-            state.1.insert(o.index, chunk);
-            loop {
-                let next = state.0;
-                match state.1.remove(&next) {
-                    Some(chunk) => {
-                        emit(&chunk);
-                        state.0 += 1;
-                    }
-                    None => break,
-                }
-            }
-        })
-        .build();
-
     if format == OutputFormat::Text {
         emit(&format!(
             "# SmartSAGE reproduction (edge budget {}, batch {}, {} batches, {} workers)\n\n",
@@ -325,7 +296,31 @@ fn main() {
         ));
     }
     emit(format.prologue());
-    let sweep = runner.sweep();
+    let runner = Runner {
+        scale,
+        selection,
+        jobs: cli.jobs,
+    };
+    let sweep = runner.sweep(|o| {
+        eprintln!(
+            "[{} finished in {:.1}s]",
+            o.experiment.name,
+            o.wall.as_secs_f64()
+        );
+        let chunk = format.render_one(o, o.index == 0);
+        let mut state = printer.lock().expect("printer state");
+        state.1.insert(o.index, chunk);
+        loop {
+            let next = state.0;
+            match state.1.remove(&next) {
+                Some(chunk) => {
+                    emit(&chunk);
+                    state.0 += 1;
+                }
+                None => break,
+            }
+        }
+    });
     emit(format.epilogue());
 
     // Report this sweep's exact, scoped I/O on each axis a flag chose —
@@ -336,16 +331,14 @@ fn main() {
         report_axis(
             ["store", "gathers", "feature"],
             kind.label(),
-            &sweep.store_stats,
-            &sweep.store_shards,
+            &sweep.io.features,
         );
     }
     if let Some(kind) = cli.graph {
         report_axis(
             ["graph", "reads", "topology"],
             kind.label(),
-            &sweep.topology_stats,
-            &sweep.topology_shards,
+            &sweep.io.topology,
         );
     }
     if cli.store.is_some() || cli.graph.is_some() {

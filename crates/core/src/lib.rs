@@ -30,10 +30,12 @@
 //! * [`json`] — the minimal shared JSON parser/writer behind the
 //!   report renderers and the `smartsage-serve` request bodies: strict,
 //!   typed errors, never a panic.
-//! * [`store_metrics`] — *scoped* feature-store I/O accounting: sweeps
-//!   install a per-sweep accumulator + private store registry on their
-//!   worker threads, and every pipeline run records its exact counters
-//!   into the scopes on its thread.
+//! * [`store_metrics`] — *scoped* store I/O accounting: a run's I/O is
+//!   one [`RunIo`](store_metrics::RunIo) record (features and topology,
+//!   totals and per-device breakdown); sweeps install a per-sweep
+//!   accumulator + private store registry on their worker threads, and
+//!   every real pass records its run's `RunIo` into the scopes on its
+//!   thread.
 //!
 //! The `reproduce` binary (`src/bin/reproduce.rs`) is the CLI over the
 //! registry and runner: `cargo run --release --bin reproduce -- --list`.
@@ -57,5 +59,5 @@ pub use cost::{make_policy, BatchCost, CostPolicy};
 pub use experiments::{registry, Experiment, ExperimentScale};
 pub use pipeline::{PipelineConfig, PipelineReport};
 pub use report::{Cell, Table};
-pub use runner::{OutputFormat, RunOutcome, Runner, RunnerBuilder, SweepOutcome};
+pub use runner::{OutputFormat, RunOutcome, Runner, SweepOutcome};
 pub use smartsage_store::{StoreKind, StoreStats, TopologyKind};

@@ -15,6 +15,9 @@ pub const NSCONFIG_MAGIC: u32 = 0x4E53_4346;
 /// Current encoding version.
 pub const NSCONFIG_VERSION: u16 = 1;
 
+/// Encoded bytes of one [`TargetDescriptor`].
+const TARGET_BYTES: usize = 22;
+
 /// Per-target descriptor: where the target's edge list lives and how
 /// many neighbors to sample per hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +70,8 @@ impl NsConfig {
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         // header: magic(4) version(2) nfanouts(2) seed(8) ntargets(4)
-        // fanouts: 2 each; targets: node(4) lba(8) off(2) degree(8) = 22
-        20 + self.fanouts.len() * 2 + self.targets.len() * 22
+        // fanouts: 2 each; targets: node(4) lba(8) off(2) degree(8)
+        20 + self.fanouts.len() * 2 + self.targets.len() * TARGET_BYTES
     }
 
     /// Serializes to the little-endian wire format.
@@ -115,7 +118,9 @@ impl NsConfig {
         for _ in 0..nfanouts {
             fanouts.push(u16::from_le_bytes(cur.take::<2>()?));
         }
-        let mut targets = Vec::with_capacity(ntargets);
+        // The count is the blob's word, not its size: reserve no more
+        // descriptors than the bytes left can hold.
+        let mut targets = Vec::with_capacity(ntargets.min(cur.remaining() / TARGET_BYTES));
         for _ in 0..ntargets {
             let node = NodeId::new(u32::from_le_bytes(cur.take::<4>()?));
             let lba = u64::from_le_bytes(cur.take::<8>()?);
@@ -142,6 +147,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take<const N: usize>(&mut self) -> Result<[u8; N], NsConfigError> {
         if self.pos + N > self.bytes.len() {
             return Err(NsConfigError::Truncated);

@@ -36,7 +36,7 @@ use crate::config::SystemKind;
 use crate::context::{Devices, RunContext};
 use crate::cost::{make_policy, CostPolicy, StepOutcome};
 use crate::metrics::{FpgaPhases, StageBreakdown, TransferStats};
-use crate::store_metrics;
+use crate::store_metrics::{self, AxisIo, RunIo};
 use smartsage_gnn::gpu::BatchDims;
 use smartsage_gnn::sampler::{epoch_targets, gather_union, sample_group_on, SampleSpec};
 use smartsage_gnn::Fanouts;
@@ -250,14 +250,13 @@ pub(crate) struct PlannedBatch {
 }
 
 /// One epoch's real pass ([`sample_epoch`]): every batch's record in
-/// index order, and the exact I/O counters of the tiers that sampled
-/// and gathered it. Nothing in it depends on the system under test, so
-/// one epoch prices every [`SystemKind`].
+/// index order, and the exact I/O of the tiers that sampled and
+/// gathered it. Nothing in it depends on the system under test, so one
+/// epoch prices every [`SystemKind`].
 #[derive(Debug, Clone)]
 pub(crate) struct Epoch {
     batches: Vec<PlannedBatch>,
-    store_stats: StoreStats,
-    topology_stats: StoreStats,
+    io: RunIo,
 }
 
 /// Refuses the configurations no epoch can run. Both halves call it
@@ -325,20 +324,18 @@ pub(crate) fn sample_epoch(ctx: &RunContext, cfg: &PipelineConfig) -> Result<Epo
         let lists = nodes.iter().map(Vec::as_slice);
         gather_union(tiers.features.as_mut(), lists, nodes.len(), &mut rows)?;
     }
-    let epoch = Epoch {
-        batches,
-        store_stats: tiers.features.stats(),
-        topology_stats: tiers.topology.stats(),
-    };
-    store_metrics::record(&epoch.store_stats);
-    store_metrics::record_topology(&epoch.topology_stats);
     // The one count-dependent rule: at one device the breakdown would
-    // repeat the totals, so a sweep records (and prints) none.
-    if cfg.shards > 1 {
-        store_metrics::record_shards(&tiers.features.shard_stats());
-        store_metrics::record_topology_shards(&tiers.topology.shard_stats());
-    }
-    Ok(epoch)
+    // repeat the totals, so a run records (and a sweep prints) none.
+    let axis = |total, shards| AxisIo {
+        total,
+        shards: if cfg.shards > 1 { shards } else { Vec::new() },
+    };
+    let io = RunIo {
+        features: axis(tiers.features.stats(), tiers.features.shard_stats()),
+        topology: axis(tiers.topology.stats(), tiers.topology.shard_stats()),
+    };
+    store_metrics::record(&io);
+    Ok(Epoch { batches, io })
 }
 
 /// [`sample_epoch`] for the callers with no error channel
@@ -517,8 +514,8 @@ pub(crate) fn price(ctx: &Arc<RunContext>, cfg: &PipelineConfig, epoch: &Epoch) 
         } else {
             consumed as f64 / makespan.as_secs_f64()
         },
-        store_stats: epoch.store_stats,
-        topology_stats: epoch.topology_stats,
+        store_stats: epoch.io.features.total,
+        topology_stats: epoch.io.topology.total,
         fpga,
     }
 }
@@ -674,7 +671,7 @@ mod tests {
             let epoch = sample_epoch(&ctx, &cfg).unwrap();
             let windows = cfg.total_batches.div_ceil(cfg.queue_depth) as u64;
             let hops = cfg.fanouts.hops() as u64;
-            assert_eq!(epoch.topology_stats.gathers, 2 * hops * windows);
+            assert_eq!(epoch.io.topology.total.gathers, 2 * hops * windows);
             let entry = smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
             for (index, planned) in epoch.batches.iter().enumerate() {
                 let targets =
@@ -719,7 +716,7 @@ mod tests {
                 assert_eq!(epoch.batches, solo.batches, "{what}");
                 let windows = cfg.total_batches.div_ceil(queue_depth) as u64;
                 let calls = 2 * cfg.fanouts.hops() as u64 * windows;
-                assert_eq!(epoch.topology_stats.gathers, calls, "{what}");
+                assert_eq!(epoch.io.topology.total.gathers, calls, "{what}");
             }
         }
     }
@@ -737,7 +734,7 @@ mod tests {
         };
         let epoch = sample_epoch(&ctx(SystemKind::Dram), &cfg).unwrap();
         assert_eq!(epoch.batches.len(), cfg.total_batches);
-        assert_eq!(epoch.store_stats.gathers, cfg.total_batches as u64);
+        assert_eq!(epoch.io.features.total.gathers, cfg.total_batches as u64);
         let without_io = |mut r: PipelineReport| {
             (r.store_stats, r.topology_stats) = Default::default();
             format!("{r:?}")
@@ -745,8 +742,8 @@ mod tests {
         for kind in SystemKind::ALL {
             let ctx = ctx(kind);
             let priced = price(&ctx, &cfg, &epoch);
-            assert_eq!(priced.store_stats, epoch.store_stats, "{kind}");
-            assert_eq!(priced.topology_stats, epoch.topology_stats, "{kind}");
+            assert_eq!(priced.store_stats, epoch.io.features.total, "{kind}");
+            assert_eq!(priced.topology_stats, epoch.io.topology.total, "{kind}");
             let own = run_pipeline(&ctx, &cfg);
             assert_eq!(without_io(priced), without_io(own), "{kind}");
         }

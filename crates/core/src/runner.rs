@@ -3,22 +3,22 @@
 //! outcomes.
 //!
 //! The paper's evaluation is a grid sweep (systems × datasets ×
-//! scales); [`Runner`] is the API that executes it. Configure a run
-//! with [`RunnerBuilder`] — scale, experiment selection, parallelism,
-//! an optional completion observer — then call [`Runner::run`]:
+//! scales); [`Runner`] is the API that executes it. A runner is a plain
+//! struct — scale, experiment selection, worker count — and
+//! [`Runner::sweep`] runs it, calling back as each experiment finishes:
 //!
 //! ```
-//! use smartsage_core::experiments::ExperimentScale;
+//! use smartsage_core::experiments::{registry, ExperimentScale};
 //! use smartsage_core::runner::Runner;
 //!
-//! let outcomes = Runner::builder()
-//!     .scale(ExperimentScale::tiny())
-//!     .filter(|e| e.name == "table1")
-//!     .jobs(2)
-//!     .build()
-//!     .run();
-//! assert_eq!(outcomes.len(), 1);
-//! assert!(!outcomes[0].table.is_empty());
+//! let sweep = Runner {
+//!     scale: ExperimentScale::tiny(),
+//!     selection: registry().iter().filter(|e| e.name == "table1").collect(),
+//!     jobs: 2,
+//! }
+//! .sweep(|_| {});
+//! assert_eq!(sweep.outcomes.len(), 1);
+//! assert!(!sweep.outcomes[0].table.is_empty());
 //! ```
 //!
 //! Results always come back in *selection order*, independent of which
@@ -31,9 +31,9 @@
 use crate::experiments::{registry, Experiment, ExperimentScale};
 use crate::json::JsonValue;
 use crate::report::Table;
-use crate::store_metrics::{self, SweepScope};
+use crate::store_metrics::{self, RunIo, SweepScope};
 use smartsage_hostio::LockExt;
-use smartsage_store::{StoreOccupancy, StoreStats};
+use smartsage_store::StoreOccupancy;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -52,179 +52,77 @@ pub struct RunOutcome {
 }
 
 /// Everything a completed sweep produced: the per-experiment outcomes
-/// plus the sweep's own, exactly scoped feature-store accounting.
+/// plus the sweep's own, exactly scoped store accounting.
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// Per-experiment results, in selection order.
     pub outcomes: Vec<RunOutcome>,
-    /// Exact feature-store counters of *this sweep only*: the sum of
-    /// every run's scoped [`StoreStats`], accumulated through the
-    /// sweep's private scope — a second sweep in the same process
-    /// reports exactly what its solo run would.
-    pub store_stats: StoreStats,
-    /// Exact graph-topology store counters of *this sweep only*, with
-    /// the same scoping guarantees as [`SweepOutcome::store_stats`]:
-    /// what neighbor sampling read (offset pairs, edge entries), how
-    /// much of it hit the shared page cache, and — on the isp tier —
-    /// the device-vs-host byte split of the in-storage resolution.
-    pub topology_stats: StoreStats,
+    /// Exact I/O of *this sweep only*, per axis (features, topology):
+    /// the sum of every real pass's [`RunIo`], with the per-device
+    /// breakdown of a sharded sweep. Accumulated through the sweep's
+    /// private scope, so a second sweep in the same process reports
+    /// exactly what its solo run would.
+    pub io: RunIo,
     /// Final page-cache occupancy of each store the sweep's private
     /// registry opened — feature files and graph topology files alike
     /// (empty unless a file-backed tier ran).
     pub stores: Vec<StoreOccupancy>,
-    /// Per-shard feature-store breakdown of a sharded sweep
-    /// (`--shards N`, N > 1): entry `i` sums shard `i`'s counters over
-    /// every run. The I/O-level fields (and
-    /// `nodes_gathered`/`feature_bytes`) sum exactly to
-    /// [`SweepOutcome::store_stats`]; per-shard `gathers` counts the
-    /// sub-calls routed to that device. Empty at one device, where
-    /// it would only repeat the totals.
-    pub store_shards: Vec<StoreStats>,
-    /// Per-shard graph-topology breakdown, mirroring
-    /// [`SweepOutcome::store_shards`] against
-    /// [`SweepOutcome::topology_stats`].
-    pub topology_shards: Vec<StoreStats>,
 }
 
-type Observer = Box<dyn Fn(&RunOutcome) + Send + Sync>;
-
-/// Builder-style configuration for a [`Runner`].
-pub struct RunnerBuilder {
-    scale: ExperimentScale,
-    selection: Vec<&'static Experiment>,
-    jobs: usize,
-    observer: Option<Observer>,
+/// A sweep: which registered experiments run, at what scale, on how
+/// many worker threads. [`Runner::sweep`] runs it.
+#[derive(Debug)]
+pub struct Runner {
+    /// Dataset size, batch shape, and the store tiers and device count
+    /// every run reads through ([`ExperimentScale::store`],
+    /// [`ExperimentScale::topology`], [`ExperimentScale::shards`]).
+    /// Tables are unchanged by the tier choice (the store determinism
+    /// contract); the tiers show in [`SweepOutcome::io`].
+    pub scale: ExperimentScale,
+    /// The experiments to run; outcomes come back in this order.
+    pub selection: Vec<&'static Experiment>,
+    /// Worker threads. `1` runs the selection in order on one worker;
+    /// `0` means one worker per available CPU.
+    pub jobs: usize,
 }
 
-impl RunnerBuilder {
-    /// Starts from the full registry, default scale, serial execution.
-    pub fn new() -> RunnerBuilder {
-        RunnerBuilder {
+impl Default for Runner {
+    /// The full registry at the default scale, on one worker.
+    fn default() -> Runner {
+        Runner {
             scale: ExperimentScale::default(),
             selection: registry().iter().collect(),
             jobs: 1,
-            observer: None,
         }
     }
-
-    /// Sets the experiment scale — dataset size, batch shape, and the
-    /// store tiers and device count every run reads through
-    /// ([`ExperimentScale::store`], [`ExperimentScale::topology`],
-    /// [`ExperimentScale::shards`]). Tables are unchanged by the tier
-    /// choice (the store determinism contract); a file-backed tier
-    /// fills in [`SweepOutcome::store_stats`] and friends.
-    pub fn scale(mut self, scale: ExperimentScale) -> RunnerBuilder {
-        self.scale = scale;
-        self
-    }
-
-    /// Replaces the selection with an explicit, ordered list.
-    pub fn experiments(mut self, selection: Vec<&'static Experiment>) -> RunnerBuilder {
-        self.selection = selection;
-        self
-    }
-
-    /// Retains only experiments matching `pred` (keeps current order).
-    pub fn filter(mut self, pred: impl Fn(&Experiment) -> bool) -> RunnerBuilder {
-        self.selection.retain(|e| pred(e));
-        self
-    }
-
-    /// Worker threads for the sweep. `1` runs the selection in order on
-    /// one worker; `0` means one worker per available CPU.
-    pub fn jobs(mut self, jobs: usize) -> RunnerBuilder {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Observer invoked as each experiment finishes (in completion
-    /// order, from the worker thread that ran it). Useful for progress
-    /// reporting; the ordered results still come from [`Runner::run`].
-    pub fn on_result(mut self, f: impl Fn(&RunOutcome) + Send + Sync + 'static) -> RunnerBuilder {
-        self.observer = Some(Box::new(f));
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> Runner {
-        let jobs = if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.jobs
-        };
-        Runner {
-            scale: self.scale,
-            selection: self.selection,
-            jobs,
-            observer: self.observer,
-        }
-    }
-}
-
-impl Default for RunnerBuilder {
-    fn default() -> Self {
-        RunnerBuilder::new()
-    }
-}
-
-/// Executes a configured selection of experiments.
-pub struct Runner {
-    scale: ExperimentScale,
-    selection: Vec<&'static Experiment>,
-    jobs: usize,
-    observer: Option<Observer>,
 }
 
 impl Runner {
-    /// Starts building a runner.
-    pub fn builder() -> RunnerBuilder {
-        RunnerBuilder::new()
-    }
-
-    /// The experiments this runner will execute, in order.
-    pub fn experiments(&self) -> &[&'static Experiment] {
-        &self.selection
-    }
-
-    /// The configured scale.
-    pub fn scale(&self) -> &ExperimentScale {
-        &self.scale
-    }
-
-    /// The effective worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Runs the selection and returns outcomes in selection order.
-    /// Shorthand for [`Runner::sweep`] when the sweep-level store
-    /// accounting is not needed.
-    pub fn run(&self) -> Vec<RunOutcome> {
-        self.sweep().outcomes
-    }
-
     /// Runs the selection and returns outcomes in selection order,
-    /// together with the sweep's exactly scoped feature-store
-    /// accounting.
+    /// together with the sweep's exactly scoped I/O. `on_result` sees
+    /// each outcome as it finishes (in completion order, from the
+    /// worker thread that ran it), which lets callers stream results.
     ///
     /// Each sweep owns a **private**
-    /// [`StoreRegistry`](smartsage_store::StoreRegistry) and fresh
-    /// [`StoreStats`] accumulators; all are installed as a
-    /// [`SweepScope`] on every worker thread for the duration of its
-    /// runs. Consequences, by design:
+    /// [`StoreRegistry`](smartsage_store::StoreRegistry) and a fresh
+    /// [`RunIo`] accumulator; both are installed as a [`SweepScope`] on
+    /// every worker thread for the duration of its runs. Consequences,
+    /// by design:
     ///
-    /// * all of a sweep's jobs share one open store and one sharded
-    ///   page cache per content key (`--jobs 4` keeps a single
-    ///   registry entry);
+    /// * all of a sweep's jobs share one open store and one page cache
+    ///   per content key (`--jobs 4` keeps a single registry entry);
     /// * the sweep's report is the exact sum of its own runs' scoped
     ///   counters — never contaminated by earlier sweeps, concurrent
     ///   sweeps, or ad-hoc runs in the same process;
     /// * every sweep starts with a cold cache, so back-to-back sweeps
     ///   of the same selection report identical stats.
-    pub fn sweep(&self) -> SweepOutcome {
+    pub fn sweep(&self, on_result: impl Fn(&RunOutcome) + Sync) -> SweepOutcome {
         let scope = SweepScope::new();
-        let total = self.selection.len();
-        let workers = self.jobs.clamp(1, total.max(1));
+        let jobs = match self.jobs {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            jobs => jobs,
+        };
+        let workers = jobs.clamp(1, self.selection.len().max(1));
         // Workers claim the next unrun experiment as they free up
         // (driver costs differ tenfold) and hand what they ran back
         // through their join handles; a panicking driver resurfaces
@@ -237,11 +135,20 @@ impl Runner {
                         let _guard = store_metrics::install_scope(scope.clone());
                         let mut ran = Vec::new();
                         loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
+                            let index = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&experiment) = self.selection.get(index) else {
                                 break ran;
-                            }
-                            ran.push(self.run_one(i, self.selection[i]));
+                            };
+                            let started = Instant::now();
+                            let table = experiment.run(&self.scale);
+                            let outcome = RunOutcome {
+                                experiment,
+                                index,
+                                table,
+                                wall: started.elapsed(),
+                            };
+                            on_result(&outcome);
+                            ran.push(outcome);
                         }
                     })
                 })
@@ -252,31 +159,12 @@ impl Runner {
                 .collect()
         });
         outcomes.sort_by_key(|o| o.index);
-        let store_stats = *scope.stats.safe_lock();
-        let topology_stats = *scope.topology.safe_lock();
+        let io = std::mem::take(&mut *scope.io.safe_lock());
         SweepOutcome {
             outcomes,
-            store_stats,
-            topology_stats,
+            io,
             stores: scope.registry.occupancy(),
-            store_shards: scope.store_shards_snapshot(),
-            topology_shards: scope.topology_shards_snapshot(),
         }
-    }
-
-    fn run_one(&self, index: usize, exp: &'static Experiment) -> RunOutcome {
-        let started = Instant::now();
-        let table = exp.run(&self.scale);
-        let outcome = RunOutcome {
-            experiment: exp,
-            index,
-            table,
-            wall: started.elapsed(),
-        };
-        if let Some(observer) = &self.observer {
-            observer(&outcome);
-        }
-        outcome
     }
 }
 
@@ -358,22 +246,28 @@ impl OutputFormat {
 mod tests {
     use super::*;
     use smartsage_store::StoreKind;
-    use std::sync::atomic::AtomicUsize;
+
+    /// A tiny-scale runner over the registry entries `keep` accepts.
+    fn tiny(keep: impl Fn(&Experiment) -> bool, jobs: usize) -> Runner {
+        Runner {
+            scale: ExperimentScale::tiny(),
+            selection: registry().iter().filter(|e| keep(e)).collect(),
+            jobs,
+        }
+    }
 
     #[test]
     fn selection_defaults_to_full_registry() {
-        let runner = Runner::builder().build();
-        assert_eq!(runner.experiments().len(), registry().len());
-        assert_eq!(runner.scale().store, StoreKind::Mem);
+        let runner = Runner::default();
+        assert_eq!(runner.selection.len(), registry().len());
+        assert_eq!(runner.scale.store, StoreKind::Mem);
+        assert_eq!(runner.jobs, 1);
     }
 
     #[test]
     fn filter_and_explicit_selection_compose() {
-        let runner = Runner::builder()
-            .filter(|e| e.name.starts_with("fig1"))
-            .filter(|e| e.name != "fig15")
-            .build();
-        let names: Vec<&str> = runner.experiments().iter().map(|e| e.name).collect();
+        let runner = tiny(|e| e.name.starts_with("fig1") && e.name != "fig15", 1);
+        let names: Vec<&str> = runner.selection.iter().map(|e| e.name).collect();
         assert_eq!(
             names,
             ["fig13", "fig14", "fig16", "fig17", "fig18", "fig19"]
@@ -383,12 +277,12 @@ mod tests {
     #[test]
     fn parallel_results_match_serial_order_and_content() {
         let pick = |jobs: usize| {
-            Runner::builder()
-                .scale(ExperimentScale::tiny())
-                .filter(|e| matches!(e.name, "table1" | "fig7" | "ablation-buffer"))
-                .jobs(jobs)
-                .build()
-                .run()
+            tiny(
+                |e| matches!(e.name, "table1" | "fig7" | "ablation-buffer"),
+                jobs,
+            )
+            .sweep(|_| {})
+            .outcomes
         };
         let serial = pick(1);
         let parallel = pick(3);
@@ -402,32 +296,20 @@ mod tests {
 
     #[test]
     fn observer_sees_every_outcome() {
-        static SEEN: AtomicUsize = AtomicUsize::new(0);
-        let outcomes = Runner::builder()
-            .scale(ExperimentScale::tiny())
-            .filter(|e| e.name == "table1" || e.name == "fig13")
-            .jobs(2)
-            .on_result(|o| {
-                assert!(!o.table.is_empty());
-                SEEN.fetch_add(1, Ordering::Relaxed);
-            })
-            .build()
-            .run();
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(SEEN.load(Ordering::Relaxed), 2);
+        let seen = AtomicUsize::new(0);
+        let sweep = tiny(|e| e.name == "table1" || e.name == "fig13", 2).sweep(|o| {
+            assert!(!o.table.is_empty());
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(sweep.outcomes.len(), 2);
+        assert_eq!(seen.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn an_isp_sweep_reports_its_scoped_store_stats() {
-        let sweep = Runner::builder()
-            .scale(ExperimentScale {
-                store: StoreKind::Isp,
-                ..ExperimentScale::tiny()
-            })
-            .filter(|e| e.name == "fig7")
-            .build()
-            .sweep();
-        let s = sweep.store_stats;
+        let mut runner = tiny(|e| e.name == "fig7", 1);
+        runner.scale.store = StoreKind::Isp;
+        let s = runner.sweep(|_| {}).io.features.total;
         assert!(s.gathers > 0, "fig7 trains, so producers gathered");
         assert!(s.device_bytes_read > 0, "isp reads pages device-side");
         assert!(
@@ -439,11 +321,7 @@ mod tests {
 
     #[test]
     fn output_formats_render() {
-        let outcomes = Runner::builder()
-            .scale(ExperimentScale::tiny())
-            .filter(|e| e.name == "table1")
-            .build()
-            .run();
+        let outcomes = tiny(|e| e.name == "table1", 1).sweep(|_| {}).outcomes;
         assert!(OutputFormat::Text.render(&outcomes).contains("## Table I"));
         assert!(OutputFormat::Csv
             .render(&outcomes)

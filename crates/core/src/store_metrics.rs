@@ -1,20 +1,18 @@
-//! Scoped feature-store I/O accounting.
+//! Scoped store I/O accounting.
 //!
 //! Experiment drivers return typed tables, not pipeline reports, so
-//! per-run [`StoreStats`] need a side channel to reach sweep consumers
-//! (the `reproduce` CLI). That channel is *scoped*, never
-//! process-global — a second sweep in the same process must not report
-//! the first sweep's bytes on top of its own, and concurrent sweeps
-//! must not contaminate each other. A sweep installs a [`SweepScope`]
-//! on each of its worker threads (see
-//! [`Runner::sweep`](crate::runner::Runner::sweep)): shared
-//! [`StoreStats`] accumulators plus the sweep's private
-//! [`StoreRegistry`]. Every pipeline run [`record`]s its exact per-run
-//! counters into the scopes on its thread, and [`current_registry`]
-//! routes the run's store opens through the sweep's registry — one
-//! shared store and one page cache per sweep, zero leakage between
-//! sweeps. Consumers read
-//! [`SweepOutcome::store_stats`](crate::runner::SweepOutcome).
+//! per-run I/O needs a side channel to reach sweep consumers (the
+//! `reproduce` CLI). That channel is *scoped*, never process-global — a
+//! second sweep in the same process must not report the first sweep's
+//! bytes on top of its own, and concurrent sweeps must not contaminate
+//! each other. A sweep installs a [`SweepScope`] on each of its worker
+//! threads (see [`Runner::sweep`](crate::runner::Runner::sweep)): one
+//! shared [`RunIo`] accumulator plus the sweep's private
+//! [`StoreRegistry`]. Every real pass [`record`]s its run's [`RunIo`]
+//! into the scopes on its thread, and [`current_registry`] routes the
+//! run's store opens through the sweep's registry — one shared store
+//! and one page cache per sweep, zero leakage between sweeps. Consumers
+//! read [`SweepOutcome::io`](crate::runner::SweepOutcome).
 
 use smartsage_hostio::LockExt;
 use smartsage_store::{StoreRegistry, StoreStats};
@@ -30,60 +28,83 @@ thread_local! {
     static SCOPES: RefCell<Vec<SweepScope>> = const { RefCell::new(Vec::new()) };
 }
 
+/// One dataset axis's exact I/O, of a run or summed over a sweep.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AxisIo {
+    /// The axis's counters: what its tier answered and read.
+    pub total: StoreStats,
+    /// The per-device breakdown of a sharded run: entry `i` is shard
+    /// `i`'s counters. The I/O-level fields (and `nodes_gathered` /
+    /// `feature_bytes`) sum exactly to `total`; per-shard `gathers`
+    /// counts the sub-calls routed to that device. Empty at one device,
+    /// where it would only repeat the totals.
+    pub shards: Vec<StoreStats>,
+}
+
+impl AxisIo {
+    /// Adds `other` in: the totals, and the breakdowns index-wise
+    /// (shard `i` into entry `i`, growing as needed).
+    pub fn accumulate(&mut self, other: &AxisIo) {
+        self.total.accumulate(&other.total);
+        if self.shards.len() < other.shards.len() {
+            self.shards
+                .resize(other.shards.len(), StoreStats::default());
+        }
+        for (slot, shard) in self.shards.iter_mut().zip(&other.shards) {
+            slot.accumulate(shard);
+        }
+    }
+}
+
+/// The exact I/O of one run's real pass, or of a whole sweep: the
+/// feature axis (gathers) and the topology axis (sampling reads).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunIo {
+    /// What gathering the batches' features read.
+    pub features: AxisIo,
+    /// What sampling the batches read of the graph.
+    pub topology: AxisIo,
+}
+
+impl RunIo {
+    /// Adds `other` in, axis by axis.
+    pub fn accumulate(&mut self, other: &RunIo) {
+        self.features.accumulate(&other.features);
+        self.topology.accumulate(&other.topology);
+    }
+}
+
 /// The per-sweep accounting context a [`Runner`](crate::runner::Runner)
 /// installs on its worker threads.
 #[derive(Debug, Clone)]
 pub struct SweepScope {
-    /// Where this sweep's per-run feature-store stats accumulate.
-    pub stats: Arc<Mutex<StoreStats>>,
-    /// Where this sweep's per-run graph-topology stats accumulate —
-    /// kept separate from the feature side so a sweep's report can
-    /// split the two halves of the dataset.
-    pub topology: Arc<Mutex<StoreStats>>,
     /// The sweep's private store registry: every job of the sweep
     /// shares one open store (feature file and graph file alike) and
     /// one page cache per content key through it.
     pub registry: Arc<StoreRegistry>,
-    /// Per-shard feature-store breakdown of sharded runs, accumulated
-    /// index-wise (shard `i` of every run adds into entry `i`). Empty
-    /// unless the sweep ran with more than one shard.
-    pub store_shards: Arc<Mutex<Vec<StoreStats>>>,
-    /// Per-shard graph-topology breakdown, mirroring `store_shards`.
-    pub topology_shards: Arc<Mutex<Vec<StoreStats>>>,
+    /// Where this sweep's runs' I/O accumulates.
+    pub io: Arc<Mutex<RunIo>>,
 }
 
 impl SweepScope {
-    /// A fresh scope with zeroed accumulators and an empty private
+    /// A fresh scope with a zeroed accumulator and an empty private
     /// registry.
     pub fn new() -> SweepScope {
         SweepScope {
-            stats: Arc::default(),
-            topology: Arc::default(),
             registry: Arc::new(StoreRegistry::new()),
-            store_shards: Arc::default(),
-            topology_shards: Arc::default(),
+            io: Arc::default(),
         }
     }
 
-    /// The accumulated per-shard feature-store breakdown.
+    // The two breakdown snapshots stay while `benchmark/` calls them.
+    #[doc(hidden)]
     pub fn store_shards_snapshot(&self) -> Vec<StoreStats> {
-        self.store_shards.safe_lock().clone()
+        self.io.safe_lock().features.shards.clone()
     }
 
-    /// The accumulated per-shard graph-topology breakdown.
+    #[doc(hidden)]
     pub fn topology_shards_snapshot(&self) -> Vec<StoreStats> {
-        self.topology_shards.safe_lock().clone()
-    }
-}
-
-/// Adds `per_shard` index-wise into `acc`, growing it as needed.
-fn accumulate_shards(acc: &Mutex<Vec<StoreStats>>, per_shard: &[StoreStats]) {
-    let mut acc = acc.safe_lock();
-    if acc.len() < per_shard.len() {
-        acc.resize(per_shard.len(), StoreStats::default());
-    }
-    for (slot, shard) in acc.iter_mut().zip(per_shard) {
-        slot.accumulate(shard);
+        self.io.safe_lock().topology.shards.clone()
     }
 }
 
@@ -121,49 +142,31 @@ pub fn current_registry() -> Option<Arc<StoreRegistry>> {
     SCOPES.with(|s| s.borrow().last().map(|scope| Arc::clone(&scope.registry)))
 }
 
-/// Runs `add` on every scope active on this thread. A run records
-/// once, at its end, so the accumulators' locks are never contended
-/// for long; a recorder that panicked mid-add leaves whole integer
-/// adds behind, so a recovered accumulator is still valid.
-fn each_scope(add: impl Fn(&SweepScope)) {
-    SCOPES.with(|s| s.borrow().iter().for_each(add));
-}
-
-/// Adds one run's exact feature-store counters to every active scope
-/// on this thread.
-pub fn record(stats: &StoreStats) {
-    each_scope(|scope| scope.stats.safe_lock().accumulate(stats));
-}
-
-/// Adds one run's exact graph-topology counters to every active scope
-/// on this thread.
-pub fn record_topology(stats: &StoreStats) {
-    each_scope(|scope| scope.topology.safe_lock().accumulate(stats));
-}
-
-/// Adds one sharded run's per-device feature-store breakdown to every
-/// active scope on this thread, index-wise (shard `i` into entry `i`).
-pub fn record_shards(per_shard: &[StoreStats]) {
-    each_scope(|scope| accumulate_shards(&scope.store_shards, per_shard));
-}
-
-/// Adds one sharded run's per-device graph-topology breakdown to every
-/// active scope on this thread, mirroring [`record_shards`].
-pub fn record_topology_shards(per_shard: &[StoreStats]) {
-    each_scope(|scope| accumulate_shards(&scope.topology_shards, per_shard));
+/// Adds one run's exact I/O to every scope active on this thread. A
+/// run records once, at its end, so the accumulators' locks are never
+/// contended for long; a recorder that panicked mid-add leaves whole
+/// integer adds behind, so a recovered accumulator is still valid.
+pub fn record(io: &RunIo) {
+    SCOPES.with(|s| {
+        for scope in s.borrow().iter() {
+            scope.io.safe_lock().accumulate(io);
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn gathers(n: u64) -> RunIo {
+        let mut io = RunIo::default();
+        io.features.total.gathers = n;
+        io
+    }
+
     #[test]
     fn scopes_capture_only_their_own_records() {
-        let one = StoreStats {
-            gathers: 1,
-            bytes_read: 10,
-            ..StoreStats::default()
-        };
+        let one = gathers(1);
         let outer = SweepScope::new();
         let inner = SweepScope::new();
         {
@@ -178,9 +181,9 @@ mod tests {
             assert!(Arc::ptr_eq(&current_registry().unwrap(), &outer.registry));
         }
         record(&one); // outside any scope: nobody sees it
-        assert_eq!(outer.stats.safe_lock().gathers, 3);
+        assert_eq!(outer.io.safe_lock().features.total.gathers, 3);
         assert_eq!(
-            inner.stats.safe_lock().gathers,
+            inner.io.safe_lock().features.total.gathers,
             1,
             "nested records feed both"
         );
@@ -197,16 +200,32 @@ mod tests {
                     current_registry().is_none(),
                     "a scope never leaks onto other threads"
                 );
-                record(&StoreStats {
-                    gathers: 5,
-                    ..StoreStats::default()
-                });
+                record(&gathers(5));
             });
         });
         assert_eq!(
-            scope.stats.safe_lock().gathers,
+            scope.io.safe_lock().features.total.gathers,
             0,
             "other threads' records don't reach this scope"
+        );
+    }
+
+    #[test]
+    fn breakdowns_accumulate_index_wise_and_grow() {
+        let shard = |gathers| StoreStats {
+            gathers,
+            ..StoreStats::default()
+        };
+        let mut sum = RunIo::default();
+        let mut run = RunIo::default();
+        run.topology.shards = vec![shard(1), shard(2)];
+        sum.accumulate(&run);
+        run.topology.shards.push(shard(4));
+        sum.accumulate(&run);
+        assert_eq!(sum.topology.shards, [shard(2), shard(4), shard(4)]);
+        assert!(
+            sum.features.shards.is_empty(),
+            "an unsharded axis stays empty"
         );
     }
 }

@@ -52,7 +52,7 @@
 
 use crate::error::StoreError;
 use crate::file::{check_len, create_with_header, open_header, FileStoreOptions, HEADER_BYTES};
-use crate::paged::{PagedFile, Planned};
+use crate::paged::{PagedFile, Plan, Planned};
 use crate::{check_ids, check_pick, StoreStats};
 use smartsage_graph::csr::NEIGHBOR_ENTRY_BYTES;
 use smartsage_graph::{CsrGraph, NodeId};
@@ -215,6 +215,9 @@ impl RawGraphFile {
     }
 }
 
+/// Each node's `(start, end)` entry indices into the edge array.
+type OffsetPairs = Vec<(u64, u64)>;
+
 /// A graph topology file opened once, shared by any number of threads.
 ///
 /// The topology analogue of [`SharedFileStore`](crate::SharedFileStore):
@@ -321,7 +324,7 @@ impl SharedCsrFile {
     pub(crate) fn offset_pairs(
         &self,
         nodes: &[NodeId],
-    ) -> Result<Planned<Vec<(u64, u64)>>, StoreError> {
+    ) -> Result<Planned<OffsetPairs>, StoreError> {
         check_ids(nodes.iter().copied(), self.num_nodes)?;
         // The two adjacent offset entries of a node (start + end of
         // its neighbor slice) are one 16-byte range.
@@ -377,17 +380,18 @@ impl SharedCsrFile {
     /// any other run pick by pick, so the read plans the pages of the
     /// picks' entries exactly, and builds no per-pick list. Each pick
     /// then decodes as an offset into its staged page, looked up once
-    /// per page change. Returns the combined exact I/O deltas, the plan
-    /// of both reads together, and the runs' offset pairs, from which
-    /// [`SharedCsrFile::pick_ranges`] re-derives the ranges the ISP
-    /// command covers. Shared by [`FileTopology`](crate::FileTopology)
+    /// per page change. Returns the combined exact I/O deltas, the
+    /// plans of the offset read and the edge read, unmerged (only the
+    /// ISP tier's command reads them), and the runs' offset pairs, from
+    /// which [`SharedCsrFile::pick_ranges`] re-derives the ranges the
+    /// ISP command covers. Shared by [`FileTopology`](crate::FileTopology)
     /// and [`IspSampleTopology`](crate::IspSampleTopology) so the two
     /// tiers' validation and error wording can never drift.
     pub(crate) fn resolve_picks(
         &self,
         picks: &[(NodeId, u64)],
         out: &mut [NodeId],
-    ) -> Result<Planned<Vec<(u64, u64)>>, StoreError> {
+    ) -> Result<Planned<OffsetPairs, [Plan; 2]>, StoreError> {
         let runs = || picks.chunk_by(same_parent);
         let parents: Vec<NodeId> = runs().map(|run| run[0].0).collect();
         let (pairs, mut io, offset_plan) = self.offset_pairs(&parents)?;
@@ -427,9 +431,7 @@ impl SharedCsrFile {
                 *slot = NodeId::new(raw as u32);
             }
         }
-        // The edge array follows the offset array, so a page both reads
-        // resolved is the offsets' last and the edges' first.
-        Ok((pairs, io, offset_plan.merge(staged.into_plan())))
+        Ok((pairs, io, [offset_plan, staged.into_plan()]))
     }
 
     // Read-ahead is gone; this stub leaves with its last caller
@@ -557,7 +559,7 @@ mod tests {
         file: &SharedCsrFile,
         picks: &[(NodeId, u64)],
         out: &mut [NodeId],
-    ) -> Planned<Vec<(u64, u64)>> {
+    ) -> Planned<OffsetPairs> {
         let layout = file.layout;
         let mut io = StoreStats::default();
         let offsets = picks
@@ -639,7 +641,9 @@ mod tests {
                 for _ in 0..2 {
                     let mut got = vec![NodeId::default(); picks.len()];
                     let mut ref_got = got.clone();
-                    let (pairs, io, plan) = shared.resolve_picks(&picks, &mut got).unwrap();
+                    let (pairs, io, [offsets, edges]) =
+                        shared.resolve_picks(&picks, &mut got).unwrap();
+                    let plan = offsets.merge(edges);
                     let (ref_pairs, ref_io, ref_plan) =
                         reference_picks(&twin, &picks, &mut ref_got);
                     prop_assert_eq!(&got, &want, "page {}", page_bytes);

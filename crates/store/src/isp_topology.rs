@@ -130,7 +130,10 @@ impl TopologyStore for IspSampleTopology {
         // the slices, edge entries resolve the picks (shared with the
         // file tier via [`SharedCsrFile::resolve_picks`]), and only
         // the dense sampled-id list is DMAed back.
-        let (pairs, io, plan) = self.shared.resolve_picks(picks, out)?;
+        let (pairs, io, [offsets, edges]) = self.shared.resolve_picks(picks, out)?;
+        // The edge array follows the offset array, so a page both reads
+        // resolved is the offsets' last and the edges' first.
+        let plan = offsets.merge(edges);
         // One device command covers the offset walk and the edge reads
         // (firmware chains them without surfacing to the host): one
         // access per run of equal parents — its offset pair, then its

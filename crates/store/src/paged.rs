@@ -63,8 +63,9 @@ use std::fs::File;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Decoded values, the call's exact I/O deltas, and the read's plan.
-pub(crate) type Planned<T> = (T, StoreStats, Plan);
+/// Decoded values, the call's exact I/O deltas, and the read's plan
+/// (or the plans of its reads).
+pub(crate) type Planned<T, P = Plan> = (T, StoreStats, P);
 
 /// A read's plan: the set of every page it resolved, each counted
 /// exactly once into the read's `page_hits` or `pages_read`. It holds

@@ -17,7 +17,7 @@
 
 use smartsage::core::config::{SystemConfig, SystemKind};
 use smartsage::core::context::RunContext;
-use smartsage::core::experiments::ExperimentScale;
+use smartsage::core::experiments::{registry, ExperimentScale};
 use smartsage::core::pipeline::{run_pipeline, PipelineConfig};
 use smartsage::core::runner::{OutputFormat, Runner};
 use smartsage::gnn::Fanouts;
@@ -84,18 +84,20 @@ fn main() {
     // `reproduce` CLI uses: parallel execution, progress on stderr,
     // machine-readable CSV on stdout.
     println!("\n== Registered ablations (Runner, CSV) ==");
-    let outcomes = Runner::builder()
-        .scale(ExperimentScale::tiny())
-        .filter(|e| e.name.starts_with("ablation-"))
-        .jobs(0)
-        .on_result(|o| {
-            eprintln!(
-                "[{} finished in {:.1}s]",
-                o.experiment.name,
-                o.wall.as_secs_f64()
-            )
-        })
-        .build()
-        .run();
-    print!("{}", OutputFormat::Csv.render(&outcomes));
+    let runner = Runner {
+        scale: ExperimentScale::tiny(),
+        selection: registry()
+            .iter()
+            .filter(|e| e.name.starts_with("ablation-"))
+            .collect(),
+        jobs: 0,
+    };
+    let sweep = runner.sweep(|o| {
+        eprintln!(
+            "[{} finished in {:.1}s]",
+            o.experiment.name,
+            o.wall.as_secs_f64()
+        )
+    });
+    print!("{}", OutputFormat::Csv.render(&sweep.outcomes));
 }

@@ -8,7 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Each benchmark-only item, with the files allowed to name it.
-const BENCHMARK_ONLY: [(&str, &[&str]); 6] = [
+const BENCHMARK_ONLY: [(&str, &[&str]); 8] = [
     // The plan-then-resolve shim over `TracingTopology`.
     ("plan_sample_on", &["crates/gnn/src/sampler.rs"]),
     (
@@ -38,6 +38,16 @@ const BENCHMARK_ONLY: [(&str, &[&str]); 6] = [
             "crates/hostio/src/sharded_cache.rs",
             "crates/hostio/src/lib.rs",
         ],
+    ),
+    // The sweep scope's breakdown snapshots (product code reads
+    // `SweepOutcome::io`).
+    (
+        "store_shards_snapshot",
+        &["crates/core/src/store_metrics.rs"],
+    ),
+    (
+        "topology_shards_snapshot",
+        &["crates/core/src/store_metrics.rs"],
     ),
 ];
 

@@ -14,8 +14,7 @@
 //! can appear in these tables):
 //!
 //! - There is no "storeless" mode: the default `mem` tiers run on the
-//!   same real storage path, so `store_stats`/`topology_stats` are
-//!   always populated (access counters exact, I/O columns zero). The
+//!   same real storage path, so a sweep's `io` is always populated (access counters exact, I/O columns zero). The
 //!   old `storeless_sweep_reports_zero_stats` regression test became
 //!   `default_mem_tier_sweep_counts_accesses_without_any_io` in
 //!   `tests/sweep_accounting.rs`.
@@ -32,7 +31,12 @@ fn tiny_sweep(store: StoreKind, topology: TopologyKind, jobs: usize) -> SweepOut
     let mut scale = ExperimentScale::tiny();
     scale.store = store;
     scale.topology = topology;
-    Runner::builder().scale(scale).jobs(jobs).build().sweep()
+    Runner {
+        scale,
+        jobs,
+        ..Runner::default()
+    }
+    .sweep(|_| {})
 }
 
 #[test]
@@ -82,27 +86,27 @@ fn isp_tier_ships_strictly_fewer_host_bytes_than_the_file_tier() {
     // byte exactly once — equality there is structural, not a bug.
     let file = tiny_sweep(StoreKind::File, TopologyKind::File, 1);
     let isp = tiny_sweep(StoreKind::Isp, TopologyKind::Isp, 1);
+    let (file_store, file_topology) = (file.io.features.total, file.io.topology.total);
+    let (isp_store, isp_topology) = (isp.io.features.total, isp.io.topology.total);
     assert_eq!(
-        file.store_stats.nodes_gathered, isp.store_stats.nodes_gathered,
+        file_store.nodes_gathered, isp_store.nodes_gathered,
         "same access stream"
     );
-    assert!(isp.store_stats.device_ns > 0 && isp.topology_stats.device_ns > 0);
+    assert!(isp_store.device_ns > 0 && isp_topology.device_ns > 0);
     assert!(
-        isp.store_stats.host_bytes_transferred <= file.store_stats.host_bytes_transferred,
+        isp_store.host_bytes_transferred <= file_store.host_bytes_transferred,
         "isp feature bytes {} must not exceed file's {}",
-        isp.store_stats.host_bytes_transferred,
-        file.store_stats.host_bytes_transferred
+        isp_store.host_bytes_transferred,
+        file_store.host_bytes_transferred
     );
     assert!(
-        isp.topology_stats.host_bytes_transferred < file.topology_stats.host_bytes_transferred,
+        isp_topology.host_bytes_transferred < file_topology.host_bytes_transferred,
         "isp topology bytes {} must undercut file's {}",
-        isp.topology_stats.host_bytes_transferred,
-        file.topology_stats.host_bytes_transferred
+        isp_topology.host_bytes_transferred,
+        file_topology.host_bytes_transferred
     );
-    let file_total =
-        file.store_stats.host_bytes_transferred + file.topology_stats.host_bytes_transferred;
-    let isp_total =
-        isp.store_stats.host_bytes_transferred + isp.topology_stats.host_bytes_transferred;
+    let file_total = file_store.host_bytes_transferred + file_topology.host_bytes_transferred;
+    let isp_total = isp_store.host_bytes_transferred + isp_topology.host_bytes_transferred;
     assert!(
         isp_total < file_total,
         "isp total host traffic {isp_total} must undercut file's {file_total}"

@@ -7,7 +7,6 @@ use smartsage::core::experiments::{registry, Experiment, ExperimentScale};
 use smartsage::core::runner::{OutputFormat, Runner};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 #[test]
 fn registry_names_are_unique_and_match_cli_listing() {
@@ -27,16 +26,17 @@ fn registry_names_are_unique_and_match_cli_listing() {
 
 #[test]
 fn every_registered_experiment_runs_nonempty_at_tiny_scale() {
-    let observed = Arc::new(AtomicUsize::new(0));
-    let observed_in_cb = Arc::clone(&observed);
-    let outcomes = Runner::builder()
-        .scale(ExperimentScale::tiny())
-        .jobs(0) // one worker per CPU: this is the whole grid
-        .on_result(move |_| {
-            observed_in_cb.fetch_add(1, Ordering::Relaxed);
+    let observed = AtomicUsize::new(0);
+    let runner = Runner {
+        scale: ExperimentScale::tiny(),
+        jobs: 0, // one worker per CPU: this is the whole grid
+        ..Runner::default()
+    };
+    let outcomes = runner
+        .sweep(|_| {
+            observed.fetch_add(1, Ordering::Relaxed);
         })
-        .build()
-        .run();
+        .outcomes;
     assert_eq!(outcomes.len(), registry().len());
     assert_eq!(observed.load(Ordering::Relaxed), registry().len());
     for (entry, outcome) in registry().iter().zip(&outcomes) {
@@ -65,12 +65,16 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     // A representative, cheap subset: the full-grid equivalence is the
     // CLI acceptance check; this guards the Runner mechanism in CI.
     let run = |jobs: usize| {
-        Runner::builder()
-            .scale(ExperimentScale::tiny())
-            .filter(|e| matches!(e.name, "table1" | "fig5" | "fig13" | "transfer"))
-            .jobs(jobs)
-            .build()
-            .run()
+        let selection = registry()
+            .iter()
+            .filter(|e| matches!(e.name, "table1" | "fig5" | "fig13" | "transfer"));
+        Runner {
+            scale: ExperimentScale::tiny(),
+            selection: selection.collect(),
+            jobs,
+        }
+        .sweep(|_| {})
+        .outcomes
     };
     let serial = run(1);
     let parallel = run(4);

@@ -9,9 +9,21 @@
 //! report identically, parallel sweeps share one registry entry per
 //! content key, and tables stay byte-identical at any job count.
 
-use smartsage::core::experiments::ExperimentScale;
+use smartsage::core::experiments::{registry, ExperimentScale};
 use smartsage::core::runner::{OutputFormat, Runner, SweepOutcome};
 use smartsage::core::{StoreKind, TopologyKind};
+
+/// Sweeps the registry entries named in `names` at `scale` on `jobs`
+/// workers.
+fn run(scale: ExperimentScale, jobs: usize, names: &[&str]) -> SweepOutcome {
+    let selection = registry().iter().filter(|e| names.contains(&e.name));
+    Runner {
+        scale,
+        selection: selection.collect(),
+        jobs,
+    }
+    .sweep(|_| {})
+}
 
 /// A deliberately small file-store sweep. The seed is distinctive so no
 /// other test in this binary shares content-keyed feature files with
@@ -27,12 +39,7 @@ fn sweep(jobs: usize, names: &[&str]) -> SweepOutcome {
         topology: TopologyKind::Mem,
         shards: 1,
     };
-    Runner::builder()
-        .scale(scale)
-        .filter(|e| names.contains(&e.name))
-        .jobs(jobs)
-        .build()
-        .sweep()
+    run(scale, jobs, names)
 }
 
 #[test]
@@ -41,17 +48,20 @@ fn second_sweep_in_one_process_reports_exactly_its_solo_stats() {
     // byte — no leftover counters, no leftover cache warmth.
     let first = sweep(1, &["fig7"]);
     let second = sweep(1, &["fig7"]);
-    assert!(first.store_stats.bytes_read > 0, "sweep did real I/O");
-    assert!(first.store_stats.gathers > 0);
-    assert!(first.store_stats.page_hits > 0, "the page cache saw reuse");
+    assert!(first.io.features.total.bytes_read > 0, "sweep did real I/O");
+    assert!(first.io.features.total.gathers > 0);
+    assert!(
+        first.io.features.total.page_hits > 0,
+        "the page cache saw reuse"
+    );
     assert_eq!(
-        first.store_stats, second.store_stats,
+        first.io.features.total, second.io.features.total,
         "second sweep's report must equal its solo run"
     );
     // And a third, after other sweeps ran in between, still matches.
     sweep(2, &["fig7", "fig6"]);
     let third = sweep(1, &["fig7"]);
-    assert_eq!(first.store_stats, third.store_stats);
+    assert_eq!(first.io.features.total, third.io.features.total);
 }
 
 #[test]
@@ -79,7 +89,7 @@ fn parallel_jobs_share_one_registry_entry_and_tables_are_identical() {
     // Access-level counters are interleaving-independent; the hit/miss
     // *split* may shift under concurrency but every lookup is still
     // classified exactly once.
-    let (s, p) = (serial.store_stats, parallel.store_stats);
+    let (s, p) = (serial.io.features.total, parallel.io.features.total);
     assert_eq!(s.gathers, p.gathers);
     assert_eq!(s.nodes_gathered, p.nodes_gathered);
     assert_eq!(s.feature_bytes, p.feature_bytes);
@@ -100,12 +110,7 @@ fn graph_sweep(jobs: usize, names: &[&str]) -> SweepOutcome {
         topology: TopologyKind::File,
         shards: 1,
     };
-    Runner::builder()
-        .scale(scale)
-        .filter(|e| names.contains(&e.name))
-        .jobs(jobs)
-        .build()
-        .sweep()
+    run(scale, jobs, names)
 }
 
 #[test]
@@ -113,15 +118,18 @@ fn second_graph_sweep_in_one_process_reports_exactly_its_solo_stats() {
     let first = graph_sweep(1, &["fig7"]);
     let second = graph_sweep(1, &["fig7"]);
     assert!(
-        first.topology_stats.bytes_read > 0,
+        first.io.topology.total.bytes_read > 0,
         "sampling did real topology I/O"
     );
-    assert!(first.topology_stats.gathers > 0);
+    assert!(first.io.topology.total.gathers > 0);
     // The feature side ran on the mem tier: counted, but no disk I/O.
-    assert!(first.store_stats.gathers > 0);
-    assert_eq!(first.store_stats.bytes_read, 0, "mem tier reads no disk");
+    assert!(first.io.features.total.gathers > 0);
     assert_eq!(
-        first.topology_stats, second.topology_stats,
+        first.io.features.total.bytes_read, 0,
+        "mem tier reads no disk"
+    );
+    assert_eq!(
+        first.io.topology.total, second.io.topology.total,
         "second sweep's topology report must equal its solo run"
     );
 }
@@ -144,7 +152,7 @@ fn parallel_graph_sweep_shares_one_registry_entry_and_tables_are_identical() {
     );
     // Access-level counters are interleaving-independent; every page
     // lookup is classified exactly once.
-    let (s, p) = (serial.topology_stats, parallel.topology_stats);
+    let (s, p) = (serial.io.topology.total, parallel.io.topology.total);
     assert_eq!(s.gathers, p.gathers);
     assert_eq!(s.nodes_gathered, p.nodes_gathered);
     assert_eq!(s.feature_bytes, p.feature_bytes);
@@ -164,18 +172,14 @@ fn memory_store_sweeps_scope_their_stats_too() {
         topology: TopologyKind::Mem,
         shards: 1,
     };
-    let run = || {
-        Runner::builder()
-            .scale(scale)
-            .filter(|e| e.name == "fig7")
-            .build()
-            .sweep()
-    };
-    let a = run();
-    let b = run();
-    assert!(a.store_stats.gathers > 0);
-    assert_eq!(a.store_stats.bytes_read, 0, "mem store does no disk I/O");
-    assert_eq!(a.store_stats, b.store_stats);
+    let a = run(scale, 1, &["fig7"]);
+    let b = run(scale, 1, &["fig7"]);
+    assert!(a.io.features.total.gathers > 0);
+    assert_eq!(
+        a.io.features.total.bytes_read, 0,
+        "mem store does no disk I/O"
+    );
+    assert_eq!(a.io.features.total, b.io.features.total);
     assert!(
         a.stores.is_empty(),
         "no registry entries without a file store"
@@ -188,24 +192,24 @@ fn default_mem_tier_sweep_counts_accesses_without_any_io() {
     // "storeless" mode anymore. The default mem tiers sit on the same
     // real storage path, so access counters are always exact — only the
     // I/O columns are zero.
-    let outcome = Runner::builder()
-        .scale(ExperimentScale {
-            edge_budget: 20_000,
-            batch_size: 8,
-            batches: 2,
-            workers: 1,
-            seed: 0x5EED7,
-            store: StoreKind::Mem,
-            topology: TopologyKind::Mem,
-            shards: 1,
-        })
-        .filter(|e| e.name == "fig7")
-        .build()
-        .sweep();
-    assert!(outcome.store_stats.gathers > 0, "every gather is counted");
-    assert!(outcome.topology_stats.gathers > 0);
-    assert_eq!(outcome.store_stats.bytes_read, 0);
-    assert_eq!(outcome.topology_stats.bytes_read, 0);
+    let scale = ExperimentScale {
+        edge_budget: 20_000,
+        batch_size: 8,
+        batches: 2,
+        workers: 1,
+        seed: 0x5EED7,
+        store: StoreKind::Mem,
+        topology: TopologyKind::Mem,
+        shards: 1,
+    };
+    let outcome = run(scale, 1, &["fig7"]);
+    assert!(
+        outcome.io.features.total.gathers > 0,
+        "every gather is counted"
+    );
+    assert!(outcome.io.topology.total.gathers > 0);
+    assert_eq!(outcome.io.features.total.bytes_read, 0);
+    assert_eq!(outcome.io.topology.total.bytes_read, 0);
     assert!(outcome.stores.is_empty());
     assert_eq!(outcome.outcomes.len(), 1);
 }
@@ -216,34 +220,28 @@ fn modeled_time_is_a_pure_function_of_the_trace_across_tiers_and_jobs() {
     // the job count change where bytes physically come from, never the
     // byte trace — so every modeled-time column in every table is
     // byte-identical across all combinations.
-    let run = |store: StoreKind, topology: TopologyKind, jobs: usize| {
-        Runner::builder()
-            .scale(ExperimentScale {
-                edge_budget: 20_000,
-                batch_size: 8,
-                batches: 2,
-                workers: 2,
-                seed: 0x5EEDA,
-                store,
-                topology,
-                shards: 1,
-            })
-            .filter(|e| names(e.name))
-            .jobs(jobs)
-            .build()
-            .sweep()
+    let tables = |store: StoreKind, topology: TopologyKind, jobs: usize| {
+        let scale = ExperimentScale {
+            edge_budget: 20_000,
+            batch_size: 8,
+            batches: 2,
+            workers: 2,
+            seed: 0x5EEDA,
+            store,
+            topology,
+            shards: 1,
+        };
+        let sweep = run(scale, jobs, &["fig6", "fig7", "fig14", "fig18"]);
+        OutputFormat::Text.render(&sweep.outcomes)
     };
-    fn names(n: &str) -> bool {
-        matches!(n, "fig6" | "fig7" | "fig14" | "fig18")
-    }
-    let reference = OutputFormat::Text.render(&run(StoreKind::Mem, TopologyKind::Mem, 1).outcomes);
+    let reference = tables(StoreKind::Mem, TopologyKind::Mem, 1);
     for (store, topology, jobs) in [
         (StoreKind::File, TopologyKind::File, 1),
         (StoreKind::Isp, TopologyKind::Isp, 1),
         (StoreKind::File, TopologyKind::Isp, 4),
         (StoreKind::Mem, TopologyKind::Mem, 4),
     ] {
-        let got = OutputFormat::Text.render(&run(store, topology, jobs).outcomes);
+        let got = tables(store, topology, jobs);
         assert_eq!(
             got, reference,
             "tables diverged under store={store:?} topology={topology:?} jobs={jobs}"
@@ -264,12 +262,7 @@ fn sharded_sweep(jobs: usize, shards: usize, names: &[&str]) -> SweepOutcome {
         topology: TopologyKind::File,
         shards,
     };
-    Runner::builder()
-        .scale(scale)
-        .filter(|e| names.contains(&e.name))
-        .jobs(jobs)
-        .build()
-        .sweep()
+    run(scale, jobs, names)
 }
 
 #[test]
@@ -279,17 +272,17 @@ fn sharded_sweeps_scope_their_stats_exactly_like_unsharded_ones() {
     // totals AND the per-device breakdown.
     let first = sharded_sweep(1, 3, &["fig7"]);
     let second = sharded_sweep(1, 3, &["fig7"]);
-    assert!(first.store_stats.bytes_read > 0, "sweep did real I/O");
+    assert!(first.io.features.total.bytes_read > 0, "sweep did real I/O");
     assert_eq!(
-        first.store_shards.len(),
+        first.io.features.shards.len(),
         3,
         "one breakdown entry per device"
     );
-    assert_eq!(first.topology_shards.len(), 3);
-    assert_eq!(first.store_stats, second.store_stats);
-    assert_eq!(first.topology_stats, second.topology_stats);
-    assert_eq!(first.store_shards, second.store_shards);
-    assert_eq!(first.topology_shards, second.topology_shards);
+    assert_eq!(first.io.topology.shards.len(), 3);
+    assert_eq!(first.io.features.total, second.io.features.total);
+    assert_eq!(first.io.topology.total, second.io.topology.total);
+    assert_eq!(first.io.features.shards, second.io.features.shards);
+    assert_eq!(first.io.topology.shards, second.io.topology.shards);
 }
 
 #[test]
@@ -306,14 +299,14 @@ fn sharded_jobs_4_matches_jobs_1_and_tables_match_unsharded() {
     // Access-level counters are interleaving- and shard-independent.
     for (s, p, u) in [
         (
-            serial.store_stats,
-            parallel.store_stats,
-            unsharded.store_stats,
+            serial.io.features.total,
+            parallel.io.features.total,
+            unsharded.io.features.total,
         ),
         (
-            serial.topology_stats,
-            parallel.topology_stats,
-            unsharded.topology_stats,
+            serial.io.topology.total,
+            parallel.io.topology.total,
+            unsharded.io.topology.total,
         ),
     ] {
         assert_eq!(s.gathers, p.gathers);
@@ -331,16 +324,16 @@ fn sharded_jobs_4_matches_jobs_1_and_tables_match_unsharded() {
     assert_eq!(serial.stores.len(), 30);
     assert_eq!(unsharded.stores.len(), 10);
     // An unsharded sweep reports no per-device breakdown.
-    assert!(unsharded.store_shards.is_empty());
-    assert!(unsharded.topology_shards.is_empty());
+    assert!(unsharded.io.features.shards.is_empty());
+    assert!(unsharded.io.topology.shards.is_empty());
 }
 
 #[test]
 fn per_shard_breakdowns_sum_exactly_to_the_sweep_totals() {
     let outcome = sharded_sweep(1, 3, &["fig7"]);
     for (per_shard, total) in [
-        (&outcome.store_shards, outcome.store_stats),
-        (&outcome.topology_shards, outcome.topology_stats),
+        (&outcome.io.features.shards, outcome.io.features.total),
+        (&outcome.io.topology.shards, outcome.io.topology.total),
     ] {
         assert_eq!(per_shard.len(), 3);
         let sum =
@@ -373,17 +366,14 @@ fn one_batch_cells_record_their_io_like_every_other_run() {
     // one-batch cells of the drivers' one path now: 5 datasets, each
     // one-batch epoch sampled and gathered once for both systems, every
     // resident page read by a counted miss.
-    let outcome = Runner::builder()
-        .scale(ExperimentScale {
-            seed: 0x5EEDC,
-            store: StoreKind::File,
-            topology: TopologyKind::File,
-            ..ExperimentScale::tiny()
-        })
-        .filter(|e| e.name == "transfer")
-        .build()
-        .sweep();
-    let (features, topology) = (outcome.store_stats, outcome.topology_stats);
+    let scale = ExperimentScale {
+        seed: 0x5EEDC,
+        store: StoreKind::File,
+        topology: TopologyKind::File,
+        ..ExperimentScale::tiny()
+    };
+    let outcome = run(scale, 1, &["transfer"]);
+    let (features, topology) = (outcome.io.features.total, outcome.io.topology.total);
     assert_eq!(features.gathers, 5);
     assert!(features.bytes_read > 0 && topology.bytes_read > 0);
     let resident: usize = outcome.stores.iter().map(|o| o.resident_pages).sum();
@@ -402,18 +392,14 @@ fn a_driver_samples_each_distinct_epoch_once() {
         topology: TopologyKind::File,
         ..ExperimentScale::tiny()
     };
-    let outcome = Runner::builder()
-        .scale(scale)
-        .filter(|e| e.name == "fig17")
-        .build()
-        .sweep();
+    let outcome = run(scale, 1, &["fig17"]);
     let batches = scale.batches as u64;
-    assert_eq!(outcome.store_stats.gathers, 5 * batches);
+    assert_eq!(outcome.io.features.total.gathers, 5 * batches);
     // Every window of `queue_depth` batches is sampled as one group,
     // which reads each hop's degrees and picks once through the
     // topology tier.
     let hops = smartsage::gnn::Fanouts::paper_default().hops() as u64;
     let depth = smartsage::core::pipeline::PipelineConfig::default().queue_depth;
     let windows = scale.batches.div_ceil(depth) as u64;
-    assert_eq!(outcome.topology_stats.gathers, 5 * windows * 2 * hops);
+    assert_eq!(outcome.io.topology.total.gathers, 5 * windows * 2 * hops);
 }
